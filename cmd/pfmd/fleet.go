@@ -223,6 +223,9 @@ func serveFleetListen(ctx context.Context, f *fleet.Fleet, addr string, simNow *
 	if err != nil {
 		return err
 	}
+	// The listen edge on the fleet's /metrics plane: records ÷ slabs says
+	// whether full slabs or flush-on-idle drive the hand-offs.
+	ls.RegisterMetrics(f.Metrics().Registry())
 	logger.Info("fleet ingest listening", "addr", ls.Addr())
 	go func() {
 		<-ctx.Done()

@@ -796,11 +796,11 @@ func (f *Fleet) Ingest(ctx context.Context, ev Event) error {
 	}
 	it := item{ev: ev, tn: tn}
 	if f.cfg.Tracer.Sample() {
-		it.traceSampled = true
-		// The offer follows within nanoseconds; one stamp covers both.
-		now := f.cfg.Tracer.Now()
-		it.traceStart = now
-		it.traceOffered = now
+		// A sampled item is one with a stamp, so a reading of exactly 0 (the
+		// tracer's first nanosecond) is nudged to 1.
+		if it.traceStart = f.cfg.Tracer.Now(); it.traceStart == 0 {
+			it.traceStart = 1
+		}
 	}
 	err := tn.q.push(ctx, it)
 	if errors.Is(err, errTenantRemoved) {
@@ -880,9 +880,9 @@ func (f *Fleet) consumeLoop(q *shardQueue) {
 		// One latency observation per chunk: the amortized unit of work.
 		f.metrics.ApplyLatency.Observe(time.Since(start).Seconds())
 		for i := 0; i < n; i++ {
-			if buf[i].traceSampled {
+			if buf[i].traceStart != 0 {
 				tr.PublishApplied(uint8(buf[i].ev.Kind), buf[i].ev.Tenant, q.shard,
-					buf[i].traceStart, buf[i].traceOffered, dequeued, tr.Now())
+					buf[i].traceStart, buf[i].traceStart, dequeued, tr.Now())
 			}
 		}
 		q.settled(buf, n)

@@ -1,13 +1,16 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/eventlog"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 )
@@ -223,3 +226,47 @@ func BenchmarkFleetListenIngest(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)/elapsed, "events/sec")
 }
+
+// BenchmarkWireDecode measures the PFW1 decoder alone — no socket, no slab
+// hand-off — over the shape a fleet trace has: 1000 tenants, seven sample
+// variables, an error frame every 16 records. One op is one record; the
+// sample and failure frames must stay at 0 allocs/op.
+func BenchmarkWireDecode(b *testing.B) {
+	const tenants, span = 1000, 1 << 16
+	recs := make([]Record, span)
+	for i := range recs {
+		tenant := fmt.Sprintf("t%04d", i%tenants)
+		if i%16 == 15 {
+			recs[i] = Record{Event: Event{Tenant: tenant, Kind: runtime.KindError, Time: float64(i),
+				Error: eventlog.Event{Time: float64(i), Component: "db", Type: i % 40, Severity: 1, Message: "timeout"}}}
+			continue
+		}
+		recs[i] = Record{Event: Event{
+			Tenant: tenant, Kind: runtime.KindSample,
+			Time: float64(i), Variable: fmt.Sprintf("var%d", i%7), Value: float64(i),
+		}}
+	}
+	var wire bytes.Buffer
+	if err := WriteWire(&wire, recs); err != nil {
+		b.Fatal(err)
+	}
+	src := bytes.NewReader(wire.Bytes())
+	r := NewReader(src)
+	b.SetBytes(int64(wire.Len() / span))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec, err := r.Next()
+		if err == io.EOF { // replay the span; the dictionaries are re-sent
+			src.Reset(wire.Bytes())
+			r = NewReader(src)
+			rec, err = r.Next()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchRecordSink = rec
+	}
+}
+
+var benchRecordSink Record

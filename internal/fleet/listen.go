@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/runtime"
 )
 
 // ListenSource accepts tenant traces over TCP and yields them as a Source —
@@ -15,28 +17,66 @@ import (
 //   - the PFW1 binary wire format (the stream starts with the magic), or
 //   - the text line protocol (E|/S|/F| lines).
 //
-// Every connection decodes independently with its own buffers; frames from
-// concurrent connections interleave at record granularity. Backpressure is
-// end-to-end: Next hands records to the caller's Pump, Pump blocks in
-// Ingest under the fleet's overflow policy, the per-source channel fills,
-// the connection goroutine stops reading, and TCP flow control pushes back
-// on the sender — a slow fleet slows the senders instead of buffering
+// Every connection decodes independently with its own read buffer into a
+// slab — a recycled []Record of up to slabRecords entries — and hands the
+// whole slab to Next over a channel: one channel operation per slab, none per
+// record. A slab goes over when it is full, and before every read on the
+// connection (flush-on-idle): a read may block for as long as the peer
+// likes, so a decoded record never waits in a partial slab for traffic that
+// may not come. Slabs from concurrent connections interleave; records of one
+// connection stay in order.
+//
+// Backpressure is end-to-end: Next hands records to the caller's Pump, Pump
+// blocks in Ingest under the fleet's overflow policy, the source's
+// listenSlabs slabs fill and none comes back to the free list, the
+// connection goroutine stops reading, and TCP flow control pushes back on
+// the sender — a slow fleet slows the senders instead of buffering
 // unboundedly.
+//
+// Next is single-consumer (Pump): it serves from its current slab without
+// synchronization.
 //
 // The decoders never panic on malformed input (fuzz-verified, see
 // FuzzListenDecode): a corrupt binary stream ends its connection at the
 // first bad frame; a malformed text line is counted and skipped, matching
 // TailSource's recoverable-error stance.
 type ListenSource struct {
-	ln   net.Listener
-	recs chan Record
+	ln net.Listener
+	// full carries decoded slabs to Next, free carries spent ones back. Both
+	// hold listenSlabs — every slab there is — so neither send ever blocks;
+	// a connection waits only to take a slab from free.
+	full chan []Record
+	free chan []Record
 	stop chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
+	// flushed is closed once every connection goroutine has exited, its last
+	// slab handed over: what Next waits for before it reports io.EOF.
+	flushed chan struct{}
+	wg      sync.WaitGroup
+	once    sync.Once
+
+	cur []Record // Next's current slab, served up to pos
+	pos int
+
+	mu   sync.Mutex
+	live map[net.Conn]struct{} // open connections, closed by Close
 
 	conns      atomic.Int64 // connections accepted
+	records    atomic.Int64 // records handed to Next, counted a slab at a time
+	slabs      atomic.Int64 // slabs handed to Next
+	bytes      atomic.Int64 // bytes read from connections
 	decodeErrs atomic.Int64 // malformed text lines skipped + streams aborted
 }
+
+const (
+	// slabRecords is a slab's capacity: large enough that the channel
+	// hand-off disappears from the per-record cost, small enough (15 KiB)
+	// that a slab stays in cache between decoder and consumer.
+	slabRecords = 128
+	// listenSlabs is how many slabs a source owns: enough for the decoder to
+	// run ahead while Pump sits in Ingest; with them the most a source
+	// buffers is listenSlabs × slabRecords records.
+	listenSlabs = 8
+)
 
 // Listen starts a trace listener on addr (":0" picks a free port). Drive it
 // with Pump like any other Source; Close stops accepting and unblocks Next.
@@ -46,9 +86,15 @@ func Listen(addr string) (*ListenSource, error) {
 		return nil, err
 	}
 	s := &ListenSource{
-		ln:   ln,
-		recs: make(chan Record, 256),
-		stop: make(chan struct{}),
+		ln:      ln,
+		full:    make(chan []Record, listenSlabs),
+		free:    make(chan []Record, listenSlabs),
+		stop:    make(chan struct{}),
+		flushed: make(chan struct{}),
+		live:    make(map[net.Conn]struct{}),
+	}
+	for i := 0; i < listenSlabs; i++ {
+		s.free <- make([]Record, 0, slabRecords)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -65,21 +111,50 @@ func (s *ListenSource) Conns() int64 { return s.conns.Load() }
 // streams aborted.
 func (s *ListenSource) DecodeErrors() int64 { return s.decodeErrs.Load() }
 
-// Next yields the next record from any connection; io.EOF after Close.
+// RegisterMetrics exposes the listen edge on reg. records ÷ slabs is the
+// batching efficiency: near slabRecords, full slabs drive the hand-offs;
+// near 1, flush-on-idle does (a trickle, or senders writing a frame at a
+// time).
+func (s *ListenSource) RegisterMetrics(reg *runtime.Registry) {
+	for _, m := range []struct {
+		name, help string
+		v          *atomic.Int64
+	}{
+		{"pfm_fleet_listen_conns_total", "Trace connections accepted.", &s.conns},
+		{"pfm_fleet_listen_records_total", "Records decoded and handed to the pump.", &s.records},
+		{"pfm_fleet_listen_slabs_total", "Record slabs handed to the pump (records / slabs = batching efficiency).", &s.slabs},
+		{"pfm_fleet_listen_bytes_total", "Bytes read from trace connections.", &s.bytes},
+		{"pfm_fleet_listen_decode_errors_total", "Malformed text lines skipped plus binary streams aborted.", &s.decodeErrs},
+	} {
+		reg.CounterFunc(m.name, m.help, func() float64 { return float64(m.v.Load()) })
+	}
+}
+
+// Next yields the next record from any connection; io.EOF after Close, once
+// every record decoded before it has been served. Single-consumer.
 func (s *ListenSource) Next() (Record, error) {
-	select {
-	case rec := <-s.recs:
-		return rec, nil
-	case <-s.stop:
-		// Drain records already queued before reporting end-of-stream so a
-		// sender's final records are not lost to the close race.
+	for s.pos == len(s.cur) {
+		if s.cur != nil {
+			s.free <- s.cur[:0]
+			s.cur = nil
+		}
+		s.pos = 0
 		select {
-		case rec := <-s.recs:
-			return rec, nil
-		default:
-			return Record{}, io.EOF
+		case s.cur = <-s.full:
+		case <-s.flushed:
+			// Every connection has handed over its last slab: serve what
+			// is left before reporting end-of-stream, so that no record a
+			// connection counted is lost to the close race.
+			select {
+			case s.cur = <-s.full:
+			default:
+				return Record{}, io.EOF
+			}
 		}
 	}
+	rec := s.cur[s.pos]
+	s.pos++
+	return rec, nil
 }
 
 // Close stops accepting, ends every connection, and unblocks Next with
@@ -89,8 +164,16 @@ func (s *ListenSource) Close() error {
 	s.once.Do(func() {
 		close(s.stop)
 		err = s.ln.Close()
+		// End the reads promptly: each conn unblocks with an error instead
+		// of waiting for its peer.
+		s.mu.Lock()
+		for conn := range s.live {
+			conn.Close()
+		}
+		s.mu.Unlock()
+		s.wg.Wait()
+		close(s.flushed)
 	})
-	s.wg.Wait()
 	return err
 }
 
@@ -101,32 +184,79 @@ func (s *ListenSource) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		s.mu.Lock()
+		select {
+		case <-s.stop: // Close already swept live
+			s.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
+		s.live[conn] = struct{}{}
+		s.mu.Unlock()
 		s.conns.Add(1)
 		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			// End the read promptly on Close: the conn unblocks with an
-			// error instead of waiting for the peer.
-			go func() {
-				<-s.stop
-				conn.Close()
-			}()
-			if err := decodeStream(conn, s.emit, &s.decodeErrs); err != nil {
-				s.decodeErrs.Add(1)
-			}
-		}()
+		go s.serve(conn)
 	}
 }
 
-// emit queues one decoded record; false once the source is closing.
-func (s *ListenSource) emit(rec Record) bool {
-	select {
-	case s.recs <- rec:
-		return true
-	case <-s.stop:
-		return false
+// serve decodes one connection until its stream ends, fails, or the source
+// closes.
+func (s *ListenSource) serve(conn net.Conn) {
+	defer s.wg.Done()
+	c := &connDecoder{s: s, conn: conn}
+	if err := decodeStream(c, c.emit, &s.decodeErrs); err != nil {
+		s.decodeErrs.Add(1)
 	}
+	c.flush()
+	s.mu.Lock()
+	delete(s.live, conn)
+	s.mu.Unlock()
+	conn.Close()
+}
+
+// connDecoder is one connection's end of the slab hand-off: the io.Reader
+// its decoder pulls from and the sink the decoder emits into.
+type connDecoder struct {
+	s    *ListenSource
+	conn net.Conn
+	slab []Record // being filled; nil between hand-over and the next record
+}
+
+// Read is the flush-on-idle rule: whatever has been decoded goes to Next
+// before the connection is read, because the read may block.
+func (c *connDecoder) Read(p []byte) (int, error) {
+	c.flush()
+	n, err := c.conn.Read(p)
+	c.s.bytes.Add(int64(n))
+	return n, err
+}
+
+// emit appends one decoded record; false once the source is closing.
+func (c *connDecoder) emit(rec Record) bool {
+	if c.slab == nil {
+		select {
+		case c.slab = <-c.s.free:
+		case <-c.s.stop:
+			return false
+		}
+	}
+	c.slab = append(c.slab, rec)
+	if len(c.slab) == cap(c.slab) {
+		c.flush()
+	}
+	return true
+}
+
+// flush hands the slab to Next if it holds anything.
+func (c *connDecoder) flush() {
+	if c.slab == nil {
+		return
+	}
+	c.s.records.Add(int64(len(c.slab)))
+	c.s.slabs.Add(1)
+	c.s.full <- c.slab
+	c.slab = nil
 }
 
 // decodeStream decodes one connection's byte stream: PFW1 binary when the
@@ -135,7 +265,9 @@ func (s *ListenSource) emit(rec Record) bool {
 // disables counting). The returned error is the stream-fatal decode error,
 // if any — never a panic, whatever the input.
 func decodeStream(r io.Reader, emit func(Record) bool, badLines *atomic.Int64) error {
-	br := bufio.NewReader(r)
+	// The connection's one read buffer, sized once: a read(2) fills many
+	// slabs, and the wire Reader parses frames in it in place.
+	br := bufio.NewReaderSize(r, wireBufSize)
 	if magic, err := br.Peek(len(WireMagic)); err == nil && string(magic) == WireMagic {
 		wr := NewReader(br)
 		for {

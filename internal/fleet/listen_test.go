@@ -2,11 +2,16 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
+	stdruntime "runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/runtime"
 )
 
 // limitSource ends a stream after n records — the deterministic EOF the
@@ -164,6 +169,236 @@ func TestListenCloseUnblocks(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Next still blocked after Close")
+	}
+}
+
+// nextWithin is Next with a deadline, for tests whose failure mode is a
+// record that never arrives.
+func nextWithin(t *testing.T, ls *ListenSource, d time.Duration) Record {
+	t.Helper()
+	type result struct {
+		rec Record
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rec, err := ls.Next()
+		done <- result{rec, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("Next: %v", r.err)
+		}
+		return r.rec
+	case <-time.After(d):
+		t.Fatalf("Next yielded nothing within %v", d)
+		return Record{}
+	}
+}
+
+// TestListenIdleFlush: fewer records than a slab holds, on a connection that
+// stays open and silent afterwards, all reach Next — the partial slab goes
+// over before the connection's next read blocks, not when it fills.
+func TestListenIdleFlush(t *testing.T) {
+	recs := make([]Record, slabRecords/4)
+	for i := range recs {
+		recs[i] = Record{Event: Event{Tenant: "a", Kind: runtime.KindSample, Time: float64(i), Variable: "load", Value: 1}}
+	}
+	encoders := map[string]func(io.Writer, []Record) error{"binary": WriteWire, "text": WriteTrace}
+	for name, encode := range encoders {
+		t.Run(name, func(t *testing.T) {
+			ls, err := Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ls.Close()
+			conn, err := net.Dial("tcp", ls.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close() // after the checks: the connection idles open
+			// Two bursts of one stream: the second arrives after the first
+			// was served, so neither can have waited for the other.
+			var head, whole bytes.Buffer
+			if err := encode(&head, recs[:5]); err != nil {
+				t.Fatal(err)
+			}
+			if err := encode(&whole, recs); err != nil {
+				t.Fatal(err)
+			}
+			cut := head.Len() // both encoders write a prefix's bytes first
+			for _, burst := range []struct {
+				payload []byte
+				want    []Record
+			}{{whole.Bytes()[:cut], recs[:5]}, {whole.Bytes()[cut:], recs[5:]}} {
+				if _, err := conn.Write(burst.payload); err != nil {
+					t.Fatal(err)
+				}
+				for _, want := range burst.want {
+					if got := nextWithin(t, ls, 2*time.Second); !recordEqual(got, want) {
+						t.Fatalf("got %+v, want %+v", got, want)
+					}
+				}
+			}
+			if got := ls.slabs.Load(); got < 2 {
+				t.Errorf("slabs handed over = %d, want one per burst at least", got)
+			}
+		})
+	}
+}
+
+// TestListenNoGoroutineLeak: a connection's goroutines end with it, not
+// with the source — 200 connections come and go and the goroutine count is
+// back where it was, with the source still open.
+func TestListenNoGoroutineLeak(t *testing.T) {
+	ls, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	base := stdruntime.NumGoroutine()
+	const conns = 200
+	for i := 0; i < conns; i++ {
+		conn, err := net.Dial("tcp", ls.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte("S|a|1|load|0.5\n")); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		nextWithin(t, ls, 2*time.Second)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		ls.mu.Lock()
+		live := len(ls.live)
+		ls.mu.Unlock()
+		n := stdruntime.NumGoroutine()
+		if live == 0 && n <= base+2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after %d connections: %d goroutines (baseline %d), %d connections still tracked", conns, n, base, live)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if ls.Conns() != conns {
+		t.Errorf("conns = %d, want %d", ls.Conns(), conns)
+	}
+}
+
+// TestListenCloseDeliversFlushed: Close racing a busy connection loses
+// nothing that was handed over — every record a connection counted into a
+// slab, full or partial, is served by Next before io.EOF, in order.
+func TestListenCloseDeliversFlushed(t *testing.T) {
+	const total = 200000
+	recs := make([]Record, total)
+	for i := range recs {
+		recs[i] = Record{Event: Event{Tenant: "a", Kind: runtime.KindSample, Time: float64(i), Variable: "load", Value: 1}}
+	}
+	var wire bytes.Buffer
+	if err := WriteWire(&wire, recs); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 5; round++ {
+		ls, err := Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", ls.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			defer conn.Close()
+			_, _ = conn.Write(wire.Bytes()) // cut short by Close
+		}()
+		closeAt := 1000 + round*7777 // mid-slab, at a different depth each round
+		closed := make(chan error, 1)
+		served := 0
+		for {
+			rec, err := ls.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Event.Time != float64(served) {
+				t.Fatalf("round %d: record %d carries time %v: a record was lost or reordered", round, served, rec.Event.Time)
+			}
+			served++
+			if served == closeAt {
+				go func() { closed <- ls.Close() }()
+			}
+		}
+		if err := <-closed; err != nil {
+			t.Fatal(err)
+		}
+		<-sent
+		if handed := ls.records.Load(); int64(served) != handed {
+			t.Errorf("round %d: Next served %d records before io.EOF, connections handed over %d", round, served, handed)
+		}
+		if served < closeAt {
+			t.Errorf("round %d: served %d, fewer than the %d seen before Close", round, served, closeAt)
+		}
+	}
+}
+
+// TestListenMetrics: the listen edge's counters appear on a registry, and
+// records ÷ slabs reads as the batching efficiency.
+func TestListenMetrics(t *testing.T) {
+	ls, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	reg := runtime.NewRegistry()
+	ls.RegisterMetrics(reg)
+	const n = 10 * slabRecords
+	var text bytes.Buffer
+	for i := 0; i < n; i++ {
+		text.WriteString("S|a|1|load|0.5\n")
+	}
+	text.WriteString("GARBAGE\n")
+	conn, err := net.Dial("tcp", ls.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(text.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	for i := 0; i < n; i++ {
+		nextWithin(t, ls, 2*time.Second)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for ls.DecodeErrors() < 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	var out bytes.Buffer
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"pfm_fleet_listen_conns_total 1\n",
+		fmt.Sprintf("pfm_fleet_listen_records_total %d\n", n),
+		"pfm_fleet_listen_decode_errors_total 1\n",
+		"pfm_fleet_listen_slabs_total ",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	if got, want := ls.bytes.Load(), int64(text.Len()); got != want {
+		t.Errorf("bytes = %d, want %d", got, want)
+	}
+	if slabs := ls.slabs.Load(); slabs < n/slabRecords || slabs > n {
+		t.Errorf("slabs = %d for %d records: want between %d (all full) and one per record", slabs, n, n/slabRecords)
 	}
 }
 

@@ -18,13 +18,14 @@ import (
 var errTenantRemoved = errors.New("fleet: tenant removed")
 
 // item is one queued event with its routing target resolved (so the
-// consumer never repeats the tenant lookup) and its trace stamps.
+// consumer never repeats the tenant lookup) and its trace stamp. 128 bytes:
+// every tenant ring is a power-of-two multiple of it.
 type item struct {
-	ev           Event
-	tn           *tenant
-	traceSampled bool
-	traceStart   int64
-	traceOffered int64
+	ev Event
+	tn *tenant
+	// traceStart is the tracer time at Ingest entry, which is also the queue
+	// offer (the push follows within nanoseconds); 0 means not sampled.
+	traceStart int64
 }
 
 // parkedPush is one producer waiting (Block policy) for room in the shard's
@@ -486,9 +487,9 @@ func (q *shardQueue) dropCount() {
 
 // traceDrop publishes the shed event's partial trace.
 func (q *shardQueue) traceDrop(it item) {
-	if it.traceSampled && q.tracer != nil {
+	if it.traceStart != 0 && q.tracer != nil {
 		q.tracer.PublishDropped(uint8(it.ev.Kind), it.ev.Tenant, q.shard,
-			it.traceStart, it.traceOffered, q.tracer.Now())
+			it.traceStart, it.traceStart, q.tracer.Now())
 	}
 }
 

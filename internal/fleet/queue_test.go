@@ -4,9 +4,18 @@ import (
 	"context"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/runtime"
 )
+
+// TestItemSize pins the queued item at 128 bytes: tenant rings grow by
+// doubling, so every byte here is paid 8, 16, 32… times per tenant.
+func TestItemSize(t *testing.T) {
+	if got := unsafe.Sizeof(item{}); got != 128 {
+		t.Errorf("sizeof(item) = %d, want 128", got)
+	}
+}
 
 // queueHarness wires a bare shardQueue for direct scheduler tests.
 type queueHarness struct {

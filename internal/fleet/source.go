@@ -19,10 +19,12 @@ type Record struct {
 }
 
 // Source yields a tenant trace record by record. Next returns io.EOF when
-// the trace is exhausted; any other error aborts the pump. Implementations
-// in this package: SliceSource (in-process), TailSource (text line
-// protocol, optionally following a growing file), Reader (binary wire
-// format).
+// the trace is exhausted; any other error aborts the pump. A Source has one
+// consumer — Pump — and no implementation's Next may be called from two
+// goroutines at once. Implementations in this package: SliceSource
+// (in-process), TailSource (text line protocol, optionally following a
+// growing file), Reader (binary wire format), ListenSource (either
+// encoding over TCP).
 type Source interface {
 	Next() (Record, error)
 }
