@@ -73,7 +73,9 @@ type Layer struct {
 }
 
 // Combiner fuses per-layer scores into a single probability-like
-// confidence in [0,1]. meta.Stacker.Score satisfies this signature.
+// confidence in [0,1]. meta.Stacker.Score satisfies this signature. The
+// slice is the engine's scratch, rewritten by the next decision: a combiner
+// must not retain it.
 type Combiner func(layerScores []float64) (float64, error)
 
 // Config parameterizes the MEA engine.
@@ -165,6 +167,12 @@ type Engine struct {
 	// forced to 0) — surfaced as pfm_combiner_errors_total.
 	combinerErrs atomic.Int64
 
+	// combineMu guards combineIn, the combiner-input scratch, over the
+	// combine step — which stays outside mu, so a combiner may call the
+	// engine's accessors.
+	combineMu sync.Mutex
+	combineIn []float64
+
 	// mu guards all mutable state below (see the package locking contract).
 	mu          sync.Mutex
 	scheduler   *act.Scheduler
@@ -174,6 +182,10 @@ type Engine struct {
 	suppressed  int
 	running     bool
 	observer    CycleObserver
+	// versions is the layers' serving versions as of the last decision,
+	// shared by every Decision until a swap changes one (then replaced,
+	// never rewritten).
+	versions []uint64
 }
 
 // SetScheduler routes selected actions through a low-utilization scheduler
@@ -218,13 +230,15 @@ func New(
 		return nil, fmt.Errorf("%w: at least one action required", ErrCore)
 	}
 	return &Engine{
-		cfg:      cfg,
-		sim:      simEngine,
-		layers:   layers,
-		combiner: combiner,
-		selector: selector,
-		actions:  actions,
-		truth:    truth,
+		cfg:       cfg,
+		sim:       simEngine,
+		layers:    layers,
+		combiner:  combiner,
+		selector:  selector,
+		actions:   actions,
+		truth:     truth,
+		combineIn: make([]float64, len(layers)),
+		versions:  make([]uint64, len(layers)),
 	}, nil
 }
 
@@ -354,7 +368,7 @@ type Decision struct {
 	// time, indexed like the engine's layers. With a concurrent hot-swap
 	// the scores may have been produced by the version just replaced; the
 	// versions recorded here are the ones the decision was committed
-	// against.
+	// against. Read-only: decisions between two swaps share one slice.
 	LayerVersions []uint64
 }
 
@@ -448,7 +462,8 @@ func (p *PendingAct) Drop(d *Decision) {
 func (e *Engine) DecideOn(now float64, scores []float64) (Decision, *PendingAct) {
 	// Combine outside observable state: abstaining layers contribute their
 	// threshold (neutral) to the combiner input and no vote.
-	input := make([]float64, len(e.layers))
+	e.combineMu.Lock()
+	input := e.combineIn
 	votes := 0
 	usable := 0
 	for i, l := range e.layers {
@@ -479,10 +494,7 @@ func (e *Engine) DecideOn(now float64, scores []float64) (Decision, *PendingAct)
 	} else if usable > 0 {
 		confidence = float64(votes) / float64(len(e.layers))
 	}
-	versions := make([]uint64, len(e.layers))
-	for i, l := range e.layers {
-		versions[i] = l.Version()
-	}
+	e.combineMu.Unlock()
 
 	positive := confidence >= e.cfg.WarnThreshold
 	imminent := false
@@ -493,7 +505,7 @@ func (e *Engine) DecideOn(now float64, scores []float64) (Decision, *PendingAct)
 	e.mu.Lock()
 	d := Decision{
 		Time: now, Confidence: confidence, ActionName: "none",
-		CombinerErr: combinerErr, LayerVersions: versions,
+		CombinerErr: combinerErr, LayerVersions: e.versionsLocked(),
 	}
 	var pending *PendingAct
 	if positive {
@@ -522,6 +534,25 @@ func (e *Engine) DecideOn(now float64, scores []float64) (Decision, *PendingAct)
 	}
 	e.mu.Unlock()
 	return d, pending
+}
+
+// versionsLocked returns every layer's serving version, allocating a new
+// slice only when a version moved since the last decision. The caller
+// holds e.mu.
+func (e *Engine) versionsLocked() []uint64 {
+	cur := e.versions
+	for i, l := range e.layers {
+		v := l.Version()
+		if cur[i] == v {
+			continue
+		}
+		if &cur[0] == &e.versions[0] {
+			cur = append([]uint64(nil), e.versions...)
+		}
+		cur[i] = v
+	}
+	e.versions = cur
+	return cur
 }
 
 // guardAllows applies the oscillation guard.

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -396,7 +395,8 @@ func (f *Fleet) serveResize(w http.ResponseWriter, req *http.Request) {
 //	GET    /healthz            — JSON readiness (503 once draining/stopped);
 //	                             /readyz is an alias
 //	GET    /livez              — JSON liveness (200 for the process's life)
-//	GET    /tracez             — slowest end-to-end spans (with Config.Tracer)
+//	GET    /tracez             — slowest end-to-end spans (with Config.Tracer;
+//	                             ?n=, ?format=json as on the single-tenant plane)
 //	GET    /incidents          — flight-recorder bundles across tenants
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -440,22 +440,7 @@ func (f *Fleet) Handler() http.Handler {
 	}
 	if f.cfg.Tracer != nil {
 		mux.HandleFunc("/tracez", func(w http.ResponseWriter, req *http.Request) {
-			n := 20
-			if v, err := strconv.Atoi(req.URL.Query().Get("n")); err == nil && v > 0 {
-				n = v
-			}
-			traces := f.cfg.Tracer.Slowest(n)
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			_ = obs.WriteText(w, traces, func(k uint8) string {
-				switch runtime.EventKind(k) {
-				case runtime.KindError:
-					return "error"
-				case runtime.KindSample:
-					return "sample"
-				default:
-					return strconv.Itoa(int(k))
-				}
-			})
+			runtime.ServeTracez(w, req, f.cfg.Tracer)
 		})
 	}
 	return mux

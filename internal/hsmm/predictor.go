@@ -29,14 +29,17 @@ type Window struct {
 // Predictor adapts a two-model HSMM Classifier to the core predictor
 // lifecycle: Evaluate scores the monitored error window's current
 // sequence, CaptureWindow snapshots recent labeled sequences, and Retrain
-// refits both models under a generation-derived seed. Immutable: Retrain
-// returns a new Predictor at generation+1.
+// refits both models under a generation-derived seed. The model is
+// immutable: Retrain returns a new Predictor at generation+1.
 type Predictor struct {
 	clf      *Classifier
 	sequence func(now float64) (eventlog.Sequence, error)
 	window   func(now float64) (failure, nonFailure []eventlog.Sequence, err error)
 	cfg      Config
 	gen      uint64
+	// seqs is EvaluateBatch's gather buffer, reused from call to call: the
+	// evaluation exclusion a layer scores under admits one call at a time.
+	seqs []eventlog.Sequence
 }
 
 var (
@@ -89,16 +92,20 @@ func (p *Predictor) Evaluate(now float64) (float64, error) {
 // versioned-handle load and one sequence-source sweep per batch,
 // bit-identical to per-time Evaluate. A failing sequence source or score
 // fails the whole batch (the layer then abstains for every time in it).
+// Not safe for concurrent calls on one predictor (see Predictor.seqs).
 func (p *Predictor) EvaluateBatch(nows []float64, out []float64) error {
-	seqs := make([]eventlog.Sequence, len(nows))
-	for i, now := range nows {
+	p.seqs = p.seqs[:0]
+	// The windows belong to the sequence source: do not keep them alive
+	// past the call.
+	defer func() { clear(p.seqs) }()
+	for _, now := range nows {
 		seq, err := p.sequence(now)
 		if err != nil {
 			return err
 		}
-		seqs[i] = seq
+		p.seqs = append(p.seqs, seq)
 	}
-	return p.clf.ScoreAllInto(seqs, out)
+	return p.clf.ScoreAllInto(p.seqs, out)
 }
 
 // CaptureWindow snapshots the recent labeled sequences for a refit.

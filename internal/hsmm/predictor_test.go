@@ -184,6 +184,22 @@ func TestHSMMPredictorEvaluateBatch(t *testing.T) {
 	if !distinct {
 		t.Fatal("all batch scores identical — sequence source did not vary, test is vacuous")
 	}
+	// The gather buffer is per-predictor scratch: a warmed predictor gathers
+	// into the same array again, and keeps no window alive between calls.
+	// (No AllocsPerRun here: the kernel's sync.Pool scratch allocates under
+	// the race detector.)
+	buf := &p.seqs[:1][0]
+	if err := p.EvaluateBatch(nows[:1], out[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if &p.seqs[:1][0] != buf {
+		t.Fatal("a shorter batch reallocated the gather buffer")
+	}
+	for i, s := range p.seqs[:cap(p.seqs)] {
+		if s.Times != nil || s.Types != nil {
+			t.Fatalf("gather slot %d still references a window after the call", i)
+		}
+	}
 }
 
 // TestHSMMPredictorEvaluateBatchSourceError: a failing sequence source

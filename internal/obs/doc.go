@@ -10,8 +10,12 @@
 // into a fixed ring with zero allocations on the hot path (the same
 // discipline as the allocation-free HSMM/UBF kernels). Producers carry raw
 // stamps through the pipeline and publish a whole trace record with one
-// uncontended mutex acquisition; /tracez and `pfmd -trace-dump` render the
-// slowest recent end-to-end traces with per-stage timings.
+// uncontended mutex acquisition; a finished MEA cycle completes the traces
+// it covered at a cost that follows the traces published since the last
+// cycle, not the ring size (one claim counter is both trace id and ring
+// position, which lets CompleteCycle sweep only new claims — see
+// Tracer.swept); /tracez and `pfmd -trace-dump` render the slowest recent
+// end-to-end traces with per-stage timings.
 //
 // # Ledger
 //

@@ -47,8 +47,9 @@ const (
 // allocation for the common short monitoring-variable names).
 const keyBytes = 20
 
-// slot is one ring cell. All access is under mu; publishes take the lock
-// once per event, CompleteCycle and Snapshot take it briefly per slot.
+// slot is one ring cell. All access is under mu: a publish takes the lock
+// once per event, CompleteCycle once per trace claimed since the last cycle
+// it resolved (see Tracer.swept), Snapshot and Slowest once per slot.
 type slot struct {
 	mu     sync.Mutex
 	id     uint64
@@ -68,12 +69,24 @@ type slot struct {
 // receiver (tracing disabled) and for concurrent use.
 type Tracer struct {
 	base      time.Time
-	mask      uint32
+	mask      uint64
 	every     uint32 // sample 1 in every admissions (1 = every event)
 	sampleCtr atomic.Uint32
-	cursor    atomic.Uint32
-	ids       atomic.Uint64
-	slots     []slot
+	// claims counts the traces claimed so far. The k-th claim is trace id k
+	// in ring cell (k-1)&mask, so an id names its cell: a cell holding a
+	// smaller id than the one looked for is claimed but not yet published,
+	// one holding a larger id has been lapped.
+	claims atomic.Uint64
+	slots  []slot
+
+	// sweepMu serializes CompleteCycle. swept is the sweep invariant: every
+	// trace id ≤ swept is final — completed, dropped or lapped — so a cycle
+	// visits only ids in (swept, claims], the traces published since the
+	// last cycle that resolved them.
+	sweepMu sync.Mutex
+	swept   uint64
+	// newestDone is the highest id CompleteCycle has completed so far.
+	newestDone atomic.Uint64
 }
 
 // DefaultTraceCapacity is the ring size used when NewTracer is given a
@@ -98,7 +111,7 @@ func NewTracer(capacity int) *Tracer {
 	for n < capacity {
 		n <<= 1
 	}
-	return &Tracer{base: time.Now(), mask: uint32(n - 1), every: DefaultSampleInterval, slots: make([]slot, n)}
+	return &Tracer{base: time.Now(), mask: uint64(n - 1), every: DefaultSampleInterval, slots: make([]slot, n)}
 }
 
 // SetSampleInterval makes Sample admit one in every n calls (n ≤ 1 admits
@@ -157,13 +170,22 @@ func (t *Tracer) Capacity() int {
 	return len(t.slots)
 }
 
-// claim takes the next ring cell and stamps the shared trace fields.
-// Callers must fill the stage stamps and state before unlocking.
+// cell returns the ring cell trace id lives (or lived) in.
+func (t *Tracer) cell(id uint64) *slot { return &t.slots[(id-1)&t.mask] }
+
+// claim takes the next trace id, locks its ring cell and stamps the shared
+// trace fields. Callers must fill the stage stamps and state before
+// unlocking. It returns a nil slot when the cell already holds a newer
+// trace — the claimer was overtaken by a whole ring lap, so its trace is
+// history before it was published; ids in a cell therefore only ever grow.
 func (t *Tracer) claim(kind uint8, key string, shard int) (*slot, uint64) {
-	idx := (t.cursor.Add(1) - 1) & t.mask
-	id := t.ids.Add(1)
-	s := &t.slots[idx]
+	id := t.claims.Add(1)
+	s := t.cell(id)
 	s.mu.Lock()
+	if s.id > id {
+		s.mu.Unlock()
+		return nil, id
+	}
 	s.id = id
 	s.kind = kind
 	s.shard = int16(shard)
@@ -181,6 +203,9 @@ func (t *Tracer) PublishApplied(kind uint8, key string, shard int, start, offere
 		return 0
 	}
 	s, id := t.claim(kind, key, shard)
+	if s == nil {
+		return id
+	}
 	s.state = stateApplied
 	s.stamps[0], s.stamps[1], s.stamps[2], s.stamps[3] = start, offered, dequeued, applied
 	s.mu.Unlock()
@@ -194,6 +219,9 @@ func (t *Tracer) PublishDropped(kind uint8, key string, shard int, start, offere
 		return 0
 	}
 	s, id := t.claim(kind, key, shard)
+	if s == nil {
+		return id
+	}
 	s.state = stateDropped
 	s.stamps[0], s.stamps[1] = start, offered
 	s.stamps[7] = end
@@ -205,20 +233,50 @@ func (t *Tracer) PublishDropped(kind uint8, key string, shard int, start, offere
 // every applied trace the cycle covered — those whose apply finished
 // before the cycle's evaluation started — turning them into complete
 // end-to-end traces. Returns how many traces it completed.
+//
+// It visits only the ids claimed since the last cycle that resolved them,
+// (swept, claims], clamped to the newest ring lap (older ids have been
+// overwritten). A trace stays unresolved — and holds swept back, so the
+// next cycle looks at it again — while its claimer has not published it
+// yet or while it was applied after evalStart; everything else (completed
+// here, dropped, lapped) is final. The cost is O(traces since the last
+// cycle), not O(ring).
 func (t *Tracer) CompleteCycle(evalStart, evalEnd, actStart, actEnd int64) int {
 	if t == nil {
 		return 0
 	}
+	t.sweepMu.Lock()
+	defer t.sweepMu.Unlock()
+	end := t.claims.Load()
+	if lap := uint64(len(t.slots)); end-t.swept > lap {
+		t.swept = end - lap
+	}
 	done := 0
-	for i := range t.slots {
-		s := &t.slots[i]
+	var newest uint64
+	resolved := true // every id in (swept, id) is final
+	for id := t.swept + 1; id <= end; id++ {
+		s := t.cell(id)
 		s.mu.Lock()
-		if s.state == stateApplied && s.stamps[3] <= evalStart {
-			s.stamps[4], s.stamps[5], s.stamps[6], s.stamps[7] = evalStart, evalEnd, actStart, actEnd
-			s.state = stateDone
-			done++
+		unresolved := s.id < id // claimed, not yet published
+		if s.id == id && s.state == stateApplied {
+			if s.stamps[3] <= evalStart {
+				s.stamps[4], s.stamps[5], s.stamps[6], s.stamps[7] = evalStart, evalEnd, actStart, actEnd
+				s.state = stateDone
+				done++
+				newest = id
+			} else {
+				unresolved = true // the next cycle covers it
+			}
 		}
 		s.mu.Unlock()
+		if unresolved {
+			resolved = false
+		} else if resolved {
+			t.swept = id
+		}
+	}
+	if newest > t.newestDone.Load() {
+		t.newestDone.Store(newest)
 	}
 	return done
 }
@@ -265,6 +323,7 @@ func (s *slot) view() TraceView {
 		Key:   string(s.key[:s.keyLen]),
 		Shard: int(s.shard),
 		Start: s.stamps[0],
+		Total: s.total(),
 	}
 	st := &s.stamps
 	v.Stages[StageIngest] = time.Duration(st[1] - st[0])
@@ -272,11 +331,9 @@ func (s *slot) view() TraceView {
 	case stateDropped:
 		v.Dropped = true
 		v.Stages[StageQueue] = time.Duration(st[7] - st[1])
-		v.Total = time.Duration(st[7] - st[0])
 	case stateApplied:
 		v.Stages[StageQueue] = time.Duration(st[2] - st[1])
 		v.Stages[StageApply] = time.Duration(st[3] - st[2])
-		v.Total = time.Duration(st[3] - st[0])
 	case stateDone:
 		v.Complete = true
 		v.Stages[StageQueue] = time.Duration(st[2] - st[1])
@@ -284,44 +341,79 @@ func (s *slot) view() TraceView {
 		v.Stages[StageEvalWait] = time.Duration(st[4] - st[3])
 		v.Stages[StageEvaluate] = time.Duration(st[5] - st[4])
 		v.Stages[StageAct] = time.Duration(st[7] - st[6])
-		v.Total = time.Duration(st[7] - st[0])
 	}
 	return v
+}
+
+// total is the slot's end-to-end time (Slowest's ranking key, TraceView's
+// Total); the caller holds s.mu.
+func (s *slot) total() time.Duration {
+	if s.state == stateApplied {
+		return time.Duration(s.stamps[3] - s.stamps[0])
+	}
+	return time.Duration(s.stamps[7] - s.stamps[0])
 }
 
 // NewestCompleteID returns the highest trace ID among retained complete
 // (end-to-end) traces, 0 when none — the span the most recent finished
 // MEA cycle covered. Nil-safe and allocation-free; the flight recorder
-// stamps it onto incident bundles at trigger time.
+// stamps it onto incident bundles at trigger time. It starts at the newest
+// id CompleteCycle completed, which is the answer while that trace is still
+// in the ring — one lock — and walks down to older ids only when it has
+// been overwritten.
 func (t *Tracer) NewestCompleteID() uint64 {
 	if t == nil {
 		return 0
 	}
-	var newest uint64
-	for i := range t.slots {
-		s := &t.slots[i]
-		s.mu.Lock()
-		if s.state == stateDone && s.id > newest {
-			newest = s.id
-		}
-		s.mu.Unlock()
+	var oldest uint64 = 1 // oldest id the ring can still hold
+	if claims, lap := t.claims.Load(), uint64(len(t.slots)); claims > lap {
+		oldest = claims - lap + 1
 	}
-	return newest
+	for id := t.newestDone.Load(); id >= oldest; id-- {
+		s := t.cell(id)
+		s.mu.Lock()
+		held := s.id == id && s.state == stateDone
+		s.mu.Unlock()
+		if held {
+			return id
+		}
+	}
+	return 0
 }
 
 // Slowest returns the n slowest retained traces (complete and dropped
 // traces by their final total, in-flight ones by time accrued so far),
-// slowest first.
+// slowest first, equal totals by ascending ID. n is clamped to Capacity.
+// One pass over the ring keeps the top n in order; a trace is rendered
+// (and its key string allocated) only when it enters them.
 func (t *Tracer) Slowest(n int) []TraceView {
 	if t == nil || n <= 0 {
 		return nil
 	}
-	all := t.Snapshot()
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Total > all[j].Total })
-	if len(all) > n {
-		all = all[:n]
+	if n > len(t.slots) {
+		n = len(t.slots)
 	}
-	return all
+	top := make([]TraceView, 0, n)
+	for i := range t.slots {
+		s := &t.slots[i]
+		s.mu.Lock()
+		if s.state != stateFree {
+			total, id := s.total(), s.id
+			// at is where the trace ranks among the kept ones.
+			at := sort.Search(len(top), func(j int) bool {
+				return top[j].Total < total || top[j].Total == total && top[j].ID > id
+			})
+			if at < n {
+				if len(top) < n {
+					top = append(top, TraceView{})
+				}
+				copy(top[at+1:], top[at:])
+				top[at] = s.view()
+			}
+		}
+		s.mu.Unlock()
+	}
+	return top
 }
 
 // WriteText renders traces as an aligned text table, one per line with

@@ -14,22 +14,31 @@ import (
 // cross-tenant batches (Do), so thousands of tenants share one set of
 // evaluation goroutines instead of spawning per-tenant ones.
 type Pool struct {
-	tasks   chan poolJob
+	tasks   chan *poolJob
 	workers int
 	wg      sync.WaitGroup
+
+	// free recycles job state between Do calls, so a steady-state Do
+	// allocates nothing.
+	freeMu sync.Mutex
+	free   []*poolJob
 }
 
 // poolJob is one Do call: workers claim indices [0,n) via the shared atomic
 // cursor and mark each completed index on done. Every worker that receives
-// a copy participates until the cursor is exhausted.
+// the job participates until the cursor is exhausted. refs counts who still
+// holds the job — the submitter and every copy sent to a worker, including
+// copies no worker has picked up when Do returns; the last one to let go
+// recycles it, so a job is only ever rewritten while nobody else can see it.
 type poolJob struct {
 	fn   func(i int)
 	n    int
-	next *atomic.Int64
-	done *sync.WaitGroup
+	next atomic.Int64
+	done sync.WaitGroup
+	refs atomic.Int32
 }
 
-func (j poolJob) run() {
+func (j *poolJob) run() {
 	for {
 		i := int(j.next.Add(1)) - 1
 		if i >= j.n {
@@ -45,17 +54,46 @@ func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{tasks: make(chan poolJob, workers), workers: workers}
+	p := &Pool{tasks: make(chan *poolJob, workers), workers: workers}
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer p.wg.Done()
 			for j := range p.tasks {
 				j.run()
+				p.release(j)
 			}
 		}()
 	}
 	return p
+}
+
+// job returns a recycled (or new) job armed for n calls of fn.
+func (p *Pool) job(n int, fn func(i int)) *poolJob {
+	var j *poolJob
+	p.freeMu.Lock()
+	if k := len(p.free); k > 0 {
+		j, p.free = p.free[k-1], p.free[:k-1]
+	}
+	p.freeMu.Unlock()
+	if j == nil {
+		j = new(poolJob)
+	}
+	j.fn, j.n = fn, n
+	j.next.Store(0)
+	j.done.Add(n)
+	return j
+}
+
+// release drops one reference; the last holder recycles the job.
+func (p *Pool) release(j *poolJob) {
+	if j.refs.Add(-1) != 0 {
+		return
+	}
+	j.fn = nil
+	p.freeMu.Lock()
+	p.free = append(p.free, j)
+	p.freeMu.Unlock()
 }
 
 // Do runs fn(i) for every i in [0,n) across the pool's workers and returns
@@ -74,20 +112,20 @@ func (p *Pool) Do(n int, fn func(i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var done sync.WaitGroup
-	done.Add(n)
-	j := poolJob{fn: fn, n: n, next: &next, done: &done}
+	j := p.job(n, fn)
+	j.refs.Store(int32(p.workers) + 1)
 	for w := 0; w < p.workers; w++ {
 		select {
 		case p.tasks <- j:
 		default:
 			// Buffer full: enough copies are queued; the submitter and the
-			// workers already holding a copy will drain the cursor.
+			// workers already holding one will drain the cursor.
+			j.refs.Add(-1)
 		}
 	}
 	j.run()
-	done.Wait()
+	j.done.Wait()
+	p.release(j)
 }
 
 // Evaluate scores every layer at time now and returns the per-layer score

@@ -144,6 +144,7 @@ type Runtime struct {
 	stopOnce  sync.Once
 	stopErr   error
 	startWall time.Time
+	created   time.Time    // nanos' base when tracing is off
 	lastCycle atomic.Int64 // unix nanos of the last completed act round
 	cycles    atomic.Int64 // completed act rounds since Start
 
@@ -162,10 +163,14 @@ type Runtime struct {
 	scoreFree chan []float64
 
 	// cycleMu serializes CycleBatch callers; batchScores/batchRow are its
-	// reused layer-major score matrix and per-cycle row view.
+	// reused layer-major score matrix and per-cycle row view. batchFn is the
+	// pool fan-out body, built once: it scores layer j at batchNows (the
+	// running call's nows) into its segment of batchScores.
 	cycleMu     sync.Mutex
 	batchScores []float64
 	batchRow    []float64
+	batchNows   []float64
+	batchFn     func(j int)
 }
 
 // ingestLatencyEvery is the ingest-latency sampling interval (power of
@@ -216,6 +221,11 @@ func New(cfg Config) (*Runtime, error) {
 		evalReq:   make(chan struct{}, 1),
 		actCh:     make(chan cycleResult, 1),
 		scoreFree: make(chan []float64, 4),
+		created:   time.Now(),
+	}
+	r.batchFn = func(j int) {
+		nr := len(r.batchNows)
+		r.layers[j].ScoreBatch(r.batchNows, r.batchScores[j*nr:(j+1)*nr])
 	}
 	if cfg.Tracer != nil {
 		r.sampleEvery = uint64(cfg.Tracer.Interval())
@@ -389,6 +399,17 @@ func registerLedgerGauges(reg *Registry, led *obs.Ledger, layers []*core.Layer) 
 // Tracer returns the configured span tracer (nil when tracing is off).
 func (r *Runtime) Tracer() *obs.Tracer { return r.cfg.Tracer }
 
+// nanos stamps a stage boundary once for both of its readers — the span
+// stamps sampled traces carry and the stage-latency histograms — on the
+// tracer's clock when tracing is on, so a traced pipeline reads the clock
+// no more often than an untraced one.
+func (r *Runtime) nanos() int64 {
+	if tr := r.cfg.Tracer; tr != nil {
+		return tr.Now()
+	}
+	return int64(time.Since(r.created))
+}
+
 // Ledger returns the configured prediction ledger (nil when disabled).
 func (r *Runtime) Ledger() *obs.Ledger { return r.cfg.Ledger }
 
@@ -480,31 +501,31 @@ func (r *Runtime) Start(ctx context.Context) error {
 // sampling admits one in tracer-interval events (the first call always
 // samples, like Tracer.Sample) and the ingest-latency histogram observes
 // one in ingestLatencyEvery calls — the unsampled hot path pays no clock
-// read and no further tracer bookkeeping.
+// read and no further tracer bookkeeping, and a call picked by both (at the
+// default interval they coincide) reads its start stamp once.
 func (r *Runtime) Ingest(ctx context.Context, ev Event) error {
 	n := r.ingestGate.Add(1)
-	var start time.Time
 	timed := n&(ingestLatencyEvery-1) == 1
-	if timed {
-		start = time.Now()
-	}
 	sampled := false
 	if r.sampleMask != 0 {
 		sampled = n&r.sampleMask == 1
 	} else if r.sampleEvery != 0 {
 		sampled = r.sampleEvery == 1 || n%r.sampleEvery == 1
 	}
+	var start int64
+	if timed || sampled {
+		start = r.nanos()
+	}
 	if sampled {
 		ev.traceSampled = true
 		// The offer follows the ingest bookkeeping by nanoseconds, so the
 		// ingest span collapses into one stamp for both.
-		now := r.cfg.Tracer.Now()
-		ev.traceStart = now
-		ev.traceOffered = now
+		ev.traceStart = start
+		ev.traceOffered = start
 	}
 	err := r.shardFor(ev).push(ctx, &ev)
 	if timed && !errors.Is(err, ErrClosed) {
-		r.metrics.IngestLatency.Observe(time.Since(start).Seconds())
+		r.metrics.IngestLatency.Observe(float64(r.nanos()-start) / 1e9)
 	}
 	return err
 }
@@ -594,11 +615,9 @@ func (r *Runtime) drainLoop(q *queue) {
 			q.ring.Settle(n)
 			continue
 		}
-		var dequeued int64
-		if tr != nil {
-			dequeued = tr.Now()
-		}
-		start := time.Now()
+		// The chunk's two stamps serve the apply-latency histogram and, as
+		// dequeue and apply end, every sampled event in it.
+		dequeued := r.nanos()
 		r.stateMu.RLock()
 		for i := range chunk {
 			if err := r.cfg.Apply(chunk[i]); err != nil {
@@ -606,13 +625,14 @@ func (r *Runtime) drainLoop(q *queue) {
 			}
 		}
 		r.stateMu.RUnlock()
+		applied := r.nanos()
 		r.metrics.Applied.Add(int64(n))
-		r.metrics.ApplyLatency.Observe(time.Since(start).Seconds())
+		r.metrics.ApplyLatency.Observe(float64(applied-dequeued) / 1e9)
 		if tr != nil {
 			for i := range chunk {
 				if chunk[i].traceSampled {
 					tr.PublishApplied(uint8(chunk[i].Kind), traceKey(chunk[i]), q.shard,
-						chunk[i].traceStart, chunk[i].traceOffered, dequeued, tr.Now())
+						chunk[i].traceStart, chunk[i].traceOffered, dequeued, applied)
 				}
 			}
 		}
@@ -651,8 +671,7 @@ func (r *Runtime) evaluateLoop() {
 // to the act stage. Blocks on the act channel — act backpressure
 // throttles evaluation rather than piling up unacted scores.
 func (r *Runtime) runCycle() {
-	start := time.Now()
-	evalStart := r.cfg.Tracer.Now()
+	evalStart := r.nanos()
 	now := r.cfg.Clock()
 	// Exclusive lock: evaluation sees a quiescent state snapshot even when
 	// several shard consumers apply concurrently under the shared lock.
@@ -671,9 +690,10 @@ func (r *Runtime) runCycle() {
 	// Apply-side event log, which only this lock quiesces.
 	r.cfg.Recorder.Collect()
 	r.stateMu.Unlock()
-	r.metrics.EvalLatency.Observe(time.Since(start).Seconds())
+	evalEnd := r.nanos()
+	r.metrics.EvalLatency.Observe(float64(evalEnd-evalStart) / 1e9)
 	select {
-	case r.actCh <- cycleResult{now: now, scores: scores, cands: cands, evalStart: evalStart, evalEnd: r.cfg.Tracer.Now()}:
+	case r.actCh <- cycleResult{now: now, scores: scores, cands: cands, evalStart: evalStart, evalEnd: evalEnd}:
 	case <-r.hardCtx.Done():
 	}
 }
@@ -738,11 +758,9 @@ func (r *Runtime) actLoop() {
 // CycleBatch go through this one path, which is what keeps batched cycles
 // byte-identical to streamed ones.
 func (r *Runtime) actOne(res cycleResult) {
-	tr := r.cfg.Tracer
-	start := time.Now()
-	actStart := tr.Now()
+	actStart := r.nanos()
 	d := r.engine.ActOn(res.now, res.scores)
-	actEnd := tr.Now()
+	actEnd := r.nanos()
 	r.metrics.Evaluations.Inc()
 	if d.Warned {
 		r.metrics.Warnings.Inc()
@@ -753,8 +771,8 @@ func (r *Runtime) actOne(res cycleResult) {
 	if d.Suppressed {
 		r.metrics.Suppressed.Inc()
 	}
-	r.metrics.ActLatency.Observe(time.Since(start).Seconds())
-	tr.CompleteCycle(res.evalStart, res.evalEnd, actStart, actEnd)
+	r.metrics.ActLatency.Observe(float64(actEnd-actStart) / 1e9)
+	r.cfg.Tracer.CompleteCycle(res.evalStart, res.evalEnd, actStart, actEnd)
 	r.journalCycle(res, d)
 	if r.cfg.Lifecycle != nil {
 		r.cfg.Lifecycle.ObserveCycle(res.now, res.scores)
@@ -801,14 +819,12 @@ func (r *Runtime) CycleBatch(nows []float64) {
 		r.batchRow = make([]float64, k)
 	}
 	scores := r.batchScores[:k*len(nows)]
-	start := time.Now()
-	evalStart := r.cfg.Tracer.Now()
+	evalStart := r.nanos()
 	r.stateMu.Lock()
 	if r.pool != nil && k > 1 {
-		nr := len(nows)
-		r.pool.Do(k, func(j int) {
-			r.layers[j].ScoreBatch(nows, scores[j*nr:(j+1)*nr])
-		})
+		r.batchNows = nows
+		r.pool.Do(k, r.batchFn)
+		r.batchNows = nil
 	} else {
 		r.engine.EvaluateLayersBatch(nows, scores)
 	}
@@ -824,8 +840,8 @@ func (r *Runtime) CycleBatch(nows []float64) {
 	// are captured by the next batch, or by the Stop-time Flush).
 	r.cfg.Recorder.Collect()
 	r.stateMu.Unlock()
-	r.metrics.EvalLatency.Observe(time.Since(start).Seconds())
-	evalEnd := r.cfg.Tracer.Now()
+	evalEnd := r.nanos()
+	r.metrics.EvalLatency.Observe(float64(evalEnd-evalStart) / 1e9)
 	for i, now := range nows {
 		for j := 0; j < k; j++ {
 			r.batchRow[j] = scores[j*len(nows)+i]

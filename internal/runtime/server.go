@@ -119,14 +119,16 @@ func toTraceJSON(v obs.TraceView) traceJSON {
 	}
 }
 
-// serveTracez renders the slowest recent end-to-end traces: a human text
-// table by default, JSON with ?format=json, count via ?n= (default 20).
-func (r *Runtime) serveTracez(w http.ResponseWriter, req *http.Request) {
+// ServeTracez renders the /tracez plane over a tracer: the slowest recent
+// end-to-end traces as a human text table by default, JSON with
+// ?format=json, count via ?n= (default 20; Slowest clamps it to the ring).
+// Shared by the single-tenant runtime and the fleet handler.
+func ServeTracez(w http.ResponseWriter, req *http.Request, tr *obs.Tracer) {
 	n := 20
 	if v, err := strconv.Atoi(req.URL.Query().Get("n")); err == nil && v > 0 {
 		n = v
 	}
-	traces := r.cfg.Tracer.Slowest(n)
+	traces := tr.Slowest(n)
 	if req.URL.Query().Get("format") == "json" {
 		out := make([]traceJSON, len(traces))
 		for i, v := range traces {
@@ -137,8 +139,7 @@ func (r *Runtime) serveTracez(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintf(w, "tracez: %d slowest of the %d most recent traces\n\n",
-		len(traces), r.cfg.Tracer.Capacity())
+	fmt.Fprintf(w, "tracez: %d slowest of the %d most recent traces\n\n", len(traces), tr.Capacity())
 	_ = obs.WriteText(w, traces, kindLabel)
 }
 
@@ -301,7 +302,9 @@ func (r *Runtime) Handler() http.Handler {
 		ServeLiveness(w, r.health().Status)
 	})
 	if r.cfg.Tracer != nil {
-		mux.HandleFunc("/tracez", r.serveTracez)
+		mux.HandleFunc("/tracez", func(w http.ResponseWriter, req *http.Request) {
+			ServeTracez(w, req, r.cfg.Tracer)
+		})
 	}
 	if r.cfg.Ledger != nil {
 		mux.HandleFunc("/ledger", r.serveLedger)

@@ -31,7 +31,7 @@ type Window struct {
 
 // Predictor adapts a trained Network to the core predictor lifecycle:
 // it evaluates the network on live features and can refit itself from a
-// captured window under a generation-derived seed. Predictors are
+// captured window under a generation-derived seed. A predictor's model is
 // immutable — Retrain returns a new Predictor at generation+1 — which is
 // exactly the shape core.Layer's versioned handle wants.
 type Predictor struct {
@@ -40,6 +40,9 @@ type Predictor struct {
 	window   func(now float64) (*mat.Matrix, []float64, error)
 	cfg      TrainConfig
 	gen      uint64
+	// batch is EvaluateBatch's design matrix, reused from call to call: the
+	// evaluation exclusion a layer scores under admits one call at a time.
+	batch mat.Matrix
 }
 
 var (
@@ -91,19 +94,25 @@ func (p *Predictor) Evaluate(now float64) (float64, error) {
 // the same scalar kernel per row as Predict — bit-identical to per-time
 // Evaluate, with one versioned-handle load and one kernel sweep per
 // batch. A failing feature source or a dimension mismatch fails the whole
-// batch (the layer then abstains for every time in it).
+// batch (the layer then abstains for every time in it). Not safe for
+// concurrent calls on one predictor (see Predictor.batch).
 func (p *Predictor) EvaluateBatch(nows []float64, out []float64) error {
 	if len(nows) == 0 {
 		return nil
 	}
-	m := mat.New(len(nows), p.net.Dim())
+	dim := p.net.Dim()
+	m := &p.batch
+	if cap(m.Data) < len(nows)*dim {
+		m.Data = make([]float64, len(nows)*dim)
+	}
+	m.Rows, m.Cols, m.Data = len(nows), dim, m.Data[:len(nows)*dim]
 	for i, now := range nows {
 		x, err := p.features(now)
 		if err != nil {
 			return err
 		}
-		if len(x) != p.net.Dim() {
-			return fmt.Errorf("%w: feature dim %d at t=%g, want %d", ErrUBF, len(x), now, p.net.Dim())
+		if len(x) != dim {
+			return fmt.Errorf("%w: feature dim %d at t=%g, want %d", ErrUBF, len(x), now, dim)
 		}
 		copy(m.RowView(i), x)
 	}

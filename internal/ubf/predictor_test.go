@@ -210,6 +210,29 @@ func TestPredictorEvaluateBatch(t *testing.T) {
 	if err := p.EvaluateBatch(nil, nil); err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
+	// The design matrix is per-predictor scratch: a shorter batch after a
+	// longer one must not read the longer one's rows, and a warmed predictor
+	// over a non-allocating feature source allocates nothing.
+	if err := p.EvaluateBatch(nows[3:], out[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := p.Evaluate(nows[4]); math.Float64bits(out[1]) != math.Float64bits(want) {
+		t.Fatalf("shorter batch after a longer one: got %g, want %g", out[1], want)
+	}
+	row := make([]float64, 2)
+	q, err := NewPredictor(net, func(now float64) ([]float64, error) {
+		row[0], row[1] = 0.3+0.01*now, 0.7-0.02*now
+		return row, nil
+	}, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.EvaluateBatch(nows, out); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = q.EvaluateBatch(nows[:1], out[:1]) }); allocs != 0 {
+		t.Fatalf("warmed EvaluateBatch allocates %.1f objects/op, want 0", allocs)
+	}
 }
 
 // TestPredictorEvaluateBatchFeatureError: a failing feature source fails
