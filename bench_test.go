@@ -911,8 +911,10 @@ func BenchmarkRuntimeParallelLayers(b *testing.B) {
 		pool := rtpool(nLayers)
 		defer pool.Close()
 		start := time.Now()
+		layers := eng.Layers()
 		for i := 0; i < b.N; i++ {
-			pool.Evaluate(eng.Layers(), float64(i))
+			now := float64(i)
+			pool.Do(len(layers), func(j int) { _, _ = layers[j].Score(now) })
 		}
 		b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "cycles/sec")
 	})

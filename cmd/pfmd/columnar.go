@@ -10,52 +10,25 @@ package main
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"math"
 	"os"
-	"os/signal"
-	"sync/atomic"
-	"syscall"
 	"time"
 
-	"repro/internal/act"
-	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/runtime"
-	"repro/internal/scp"
 )
-
-// columnarOptions carries the -replay-columnar flag set.
-type columnarOptions struct {
-	addr        string
-	path        string  // PFC1 trace file
-	cadence     float64 // MEA cadence [sim s]
-	batch       int
-	queueCap    int
-	policy      runtime.OverflowPolicy
-	workers     int
-	shards      int
-	pprofOn     bool
-	traceCap    int
-	traceSample int
-	traceDump   int
-	ledgerWin   float64
-	ledgerSlack float64
-	metaWeights string
-	logger      *slog.Logger
-	incidents   incidentOptions
-}
 
 // runColumnar replays a columnar trace through the full online pipeline:
 // mirror state, layered predictors, act stage, quality ledger and
-// observability endpoints — identical wiring to the live service, minus
+// observability endpoints — the live service's wiring (newPipeline), minus
 // the simulator (a recorded trace cannot be steered, so the
-// countermeasure is a no-op and only its decision record matters).
-func runColumnar(o columnarOptions) error {
-	if o.cadence <= 0 {
-		return fmt.Errorf("replay-eval cadence must be positive, got %g", o.cadence)
+// countermeasure is a no-op and only its decision record matters). The
+// runtime's own cycle ticker stays off — cycles are driven synchronously
+// below, which is what lets them stack into batches.
+func runColumnar(ctx context.Context, o *options) error {
+	if o.replayEval <= 0 {
+		return fmt.Errorf("replay-eval cadence must be positive, got %g", o.replayEval)
 	}
-	f, err := os.Open(o.path)
+	f, err := os.Open(o.replayColumnar)
 	if err != nil {
 		return err
 	}
@@ -64,113 +37,48 @@ func runColumnar(o columnarOptions) error {
 	if err != nil {
 		return err
 	}
-
-	m := newMirror()
+	p, err := newPipeline(o, func() error { return nil }, o.replayEval, false)
+	if err != nil {
+		return err
+	}
 	nErrors, nSamples := trace.CountKinds()
-	m.log.Grow(nErrors)
-	scpCfg := scp.DefaultConfig()
-	layers := m.layers(2 * scpCfg.SwapThreshold)
-	var combiner core.Combiner
-	if o.metaWeights != "" {
-		stacker, err := parseMetaWeights(o.metaWeights, layers)
-		if err != nil {
-			return err
-		}
-		combiner = stacker.Score
-		o.logger.Info("meta combiner", "weights", o.metaWeights)
-	}
-	action, err := act.New("mitigate+prepare", act.PreparedRepair,
-		act.Params{Cost: 0.5, SuccessProb: 0.85, Complexity: 0.3},
-		func() error { return nil })
-	if err != nil {
-		return err
-	}
-	selector, err := act.NewSelector(act.DefaultWeights())
-	if err != nil {
-		return err
-	}
-	const leadTime = 300.0
-	engine, err := core.New(nil, layers, combiner, selector,
-		[]*act.Action{action}, nil, core.Config{
-			EvalInterval:        o.cadence,
-			LeadTime:            leadTime,
-			WarnThreshold:       0.2,
-			OscillationWindow:   1800,
-			MaxActionsPerWindow: 6,
-		})
-	if err != nil {
-		return err
-	}
-	layerNames := make([]string, len(layers))
-	for i, l := range layers {
-		layerNames[i] = l.Name
-	}
-	ledger, err := obs.NewLedger(obs.LedgerConfig{
-		LeadTime: leadTime, Slack: o.ledgerSlack, Window: o.ledgerWin,
-	}, layerNames...)
-	if err != nil {
-		return err
-	}
-	var tracer *obs.Tracer
-	if o.traceCap > 0 {
-		tracer = obs.NewTracer(o.traceCap)
-		tracer.SetSampleInterval(o.traceSample)
-	}
-	recorder, dp, err := buildRecorder(o.incidents, m, layerNames, tracer, ledger, nil, o.logger)
-	if err != nil {
-		return err
-	}
-	recordFailure := func(t float64) {
-		ledger.RecordFailure(t)
-		if dp != nil {
-			dp.RecordFailure(t)
-		}
-	}
+	p.mirror.log.Grow(nErrors)
 
-	// Replay clock: the trace-time high-water mark. The runtime's own
-	// evaluate ticker stays off (EvalInterval 0) — cycles are driven
-	// synchronously below, which is what lets them stack into batches.
-	var simNow atomic.Uint64
-	rt, err := runtime.New(runtime.Config{
-		Engine:        engine,
-		Apply:         m.apply,
-		Clock:         func() float64 { return math.Float64frombits(simNow.Load()) },
-		QueueCapacity: o.queueCap,
-		Overflow:      o.policy,
-		Workers:       o.workers,
-		Shards:        o.shards,
-		BatchSize:     o.batch,
-		Profiling:     o.pprofOn,
-		Tracer:        tracer,
-		Ledger:        ledger,
-		Recorder:      recorder,
-	})
-	if err != nil {
-		return err
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := rt.Start(ctx); err != nil {
-		return err
-	}
-	srv, bound, err := rt.Serve(o.addr)
+	srv, bound, err := o.start(ctx, p.rt.Start, p.rt.Serve)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
 	o.logger.Info("columnar replay starting",
-		"trace", o.path, "events", trace.Len(),
+		"trace", o.replayColumnar, "events", trace.Len(),
 		"errors", nErrors, "samples", nSamples, "failures", len(trace.Failures),
-		"cadence_sim_s", o.cadence, "batch", o.batch, "shards", rt.Shards(),
-		"policy", o.policy.String(), "addr", bound)
+		"cadence_sim_s", o.replayEval, "batch", o.rt.BatchSize, "shards", p.rt.Shards(),
+		"policy", o.rt.Overflow.String(), "addr", bound)
 
 	start := time.Now()
+	err = replayColumnar(ctx, p, trace, o.replayEval)
+	o.stop(p.rt.Stop, 30*time.Second)
+	if err != nil {
+		return err
+	}
 	n := trace.Len()
 	var span float64
 	if n > 0 {
 		span = trace.Times[n-1] - trace.Times[0]
 	}
+	elapsed := time.Since(start)
+	o.logger.Info("columnar replay complete",
+		"events", n, "wall_seconds", elapsed.Seconds(),
+		"events_per_sec", int64(float64(n)/elapsed.Seconds()),
+		"sim_days", span/86400, "cycles", p.rt.Cycles(),
+		"speedup", span/elapsed.Seconds())
+	return p.summary()
+}
+
+// replayColumnar streams the trace through the pipeline at full speed,
+// running the MEA cycles that fall due at the given cadence [sim s].
+func replayColumnar(ctx context.Context, p *pipeline, trace *runtime.ColumnarTrace, cadence float64) error {
+	n := trace.Len()
 	// Cycle times are stacked while no event falls between them, then run
 	// as one CycleBatch once an event (or ground-truth failure) intervenes
 	// — serial-equivalent because the mirror state a stacked cycle reads
@@ -181,17 +89,17 @@ func runColumnar(o columnarOptions) error {
 		if len(cycles) == 0 {
 			return nil
 		}
-		if err := rt.Barrier(ctx); err != nil {
+		if err := p.rt.Barrier(ctx); err != nil {
 			return err
 		}
-		simNow.Store(math.Float64bits(cycles[len(cycles)-1]))
-		rt.CycleBatch(cycles)
+		p.setNow(cycles[len(cycles)-1])
+		p.rt.CycleBatch(cycles)
 		cycles = cycles[:0]
 		return nil
 	}
 	next := math.Inf(1)
 	if n > 0 {
-		next = trace.Times[0] + o.cadence
+		next = trace.Times[0] + cadence
 	}
 	for i := 0; i < n; i++ {
 		t := trace.Times[i]
@@ -200,61 +108,27 @@ func runColumnar(o columnarOptions) error {
 				if err := flush(); err != nil {
 					return err
 				}
-				recordFailure(trace.Failures[fi])
+				p.recordFailure(trace.Failures[fi])
 				fi++
 			}
 			cycles = append(cycles, next)
-			next += o.cadence
+			next += cadence
 		}
 		if err := flush(); err != nil {
 			return err
 		}
 		for fi < len(trace.Failures) && trace.Failures[fi] <= t {
-			recordFailure(trace.Failures[fi])
+			p.recordFailure(trace.Failures[fi])
 			fi++
 		}
-		simNow.Store(math.Float64bits(t))
-		if err := rt.Ingest(ctx, trace.Event(i)); err != nil {
+		p.setNow(t)
+		if err := p.rt.Ingest(ctx, trace.Event(i)); err != nil {
 			return err
 		}
 	}
 	for fi < len(trace.Failures) {
-		recordFailure(trace.Failures[fi])
+		p.recordFailure(trace.Failures[fi])
 		fi++
 	}
-	if err := flush(); err != nil {
-		return err
-	}
-
-	stopCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := rt.Stop(stopCtx); err != nil {
-		o.logger.Warn("drain incomplete", "err", err)
-	}
-	elapsed := time.Since(start)
-	rate := float64(n) / elapsed.Seconds()
-	o.logger.Info("columnar replay complete",
-		"events", n, "wall_seconds", elapsed.Seconds(),
-		"events_per_sec", int64(rate),
-		"sim_days", span/86400, "cycles", rt.Cycles(),
-		"speedup", span/elapsed.Seconds())
-
-	mm := rt.Metrics()
-	o.logger.Info("pipeline summary",
-		"ingested", mm.Ingested.Value(), "applied", mm.Applied.Value(),
-		"dropped", mm.Dropped(), "evaluations", mm.Evaluations.Value(),
-		"warnings", mm.Warnings.Value(), "actions", mm.Actions.Value(),
-		"suppressed", mm.Suppressed.Value())
-	logActionStats(o.logger, action)
-	logQuality(o.logger, ledger)
-	logModelAssessment(o.logger, ledger)
-	logIncidents(o.logger, recorder)
-	fmt.Print(engine.Report())
-	if o.traceDump > 0 && tracer != nil {
-		fmt.Printf("\nslowest %d end-to-end traces:\n\n", o.traceDump)
-		if err := obs.WriteText(os.Stdout, tracer.Slowest(o.traceDump), kindName); err != nil {
-			return err
-		}
-	}
-	return nil
+	return flush()
 }

@@ -11,10 +11,8 @@ import (
 	"log/slog"
 	"math"
 	"os"
-	"os/signal"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -23,31 +21,6 @@ import (
 	"repro/internal/runtime"
 	"repro/internal/scp"
 )
-
-// fleetOptions carries the -fleet flag set.
-type fleetOptions struct {
-	addr         string
-	tenants      int
-	skew         float64
-	seed         int64
-	days         float64
-	compress     float64
-	queueCap     int
-	policy       runtime.OverflowPolicy
-	workers      int
-	shards       int
-	evalEvery    time.Duration
-	scopes       int
-	traceCap     int
-	traceSample  int
-	ledgerWindow float64
-	ledgerSlack  float64
-	traceFile    string
-	listen       string
-	actBudget    int
-	rateLimit    float64
-	logger       *slog.Logger
-}
 
 // fleetState is one tenant's monitoring mirror: EWMA utilization over the
 // load samples plus a decaying error-pressure signal — small enough to
@@ -96,7 +69,7 @@ func fleetLayers() []fleet.LayerTemplate {
 	}
 }
 
-func runFleet(o fleetOptions) error {
+func runFleet(ctx context.Context, o *options) error {
 	if o.tenants < 1 {
 		return fmt.Errorf("-tenants must be >= 1")
 	}
@@ -119,21 +92,12 @@ func runFleet(o fleetOptions) error {
 		specs[i] = fleet.TenantSpec{ID: id, Criticality: weights[i], RateLimit: o.rateLimit}
 	}
 
-	var simNow atomic.Uint64 // Float64bits of the replay's domain time
-	simNow.Store(math.Float64bits(0))
+	var simNow atomic.Uint64 // Float64bits of the replay's domain time, from 0
 
 	scpCfg := scp.DefaultConfig()
-	const leadTime = 300.0
-	led, err := obs.NewScopedLedger(obs.LedgerConfig{
-		LeadTime: leadTime, Slack: o.ledgerSlack, Window: o.ledgerWindow,
-	}, o.scopes, "load", "errors")
+	led, err := obs.NewScopedLedger(o.ledger, o.fleetScopes, "load", "errors")
 	if err != nil {
 		return err
-	}
-	var tracer *obs.Tracer
-	if o.traceCap > 0 {
-		tracer = obs.NewTracer(o.traceCap)
-		tracer.SetSampleInterval(o.traceSample)
 	}
 	f, err := fleet.New(fleet.Config{
 		Tenants: specs,
@@ -145,20 +109,20 @@ func runFleet(o fleetOptions) error {
 			return st.(*fleetState).apply(ev)
 		},
 		Engine: core.Config{
-			EvalInterval:        o.compress * o.evalEvery.Seconds(),
+			EvalInterval:        o.compress * o.rt.EvalInterval.Seconds(),
 			LeadTime:            leadTime,
 			WarnThreshold:       0.5,
 			OscillationWindow:   1800,
 			MaxActionsPerWindow: 6,
 		},
-		Shards:        o.shards,
-		QueueCapacity: o.queueCap,
-		Overflow:      o.policy,
-		Workers:       o.workers,
+		Shards:        o.rt.Shards,
+		QueueCapacity: o.rt.QueueCapacity,
+		Overflow:      o.rt.Overflow,
+		Workers:       o.rt.Workers,
 		ActBudget:     o.actBudget,
-		EvalInterval:  o.evalEvery,
+		EvalInterval:  o.rt.EvalInterval,
 		Clock:         func() float64 { return math.Float64frombits(simNow.Load()) },
-		Tracer:        tracer,
+		Tracer:        o.newTracer(),
 		Ledger:        led,
 		JournalLayers: true,
 	})
@@ -166,52 +130,37 @@ func runFleet(o fleetOptions) error {
 		return err
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := f.Start(ctx); err != nil {
-		return err
-	}
-	srv, bound, err := f.Serve(o.addr)
+	srv, bound, err := o.start(ctx, f.Start, f.Serve)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
-	source := sourceName(o.traceFile)
-	if o.listen != "" {
+	source := "simulator"
+	switch {
+	case o.listen != "":
 		source = "listen " + o.listen
+	case o.fleetTrace != "":
+		source = o.fleetTrace
 	}
 	logger.Info("fleet started",
 		"tenants", o.tenants, "skew", o.skew, "shards", f.Shards(),
-		"workers", o.workers, "addr", bound, "source", source)
+		"workers", o.rt.Workers, "addr", bound, "source", source)
 
 	horizon := o.days * 86400
 	switch {
 	case o.listen != "":
 		err = serveFleetListen(ctx, f, o.listen, &simNow, logger)
-	case o.traceFile != "":
-		err = replayFleetFile(ctx, f, o.traceFile, o.compress, &simNow)
+	case o.fleetTrace != "":
+		err = replayFleetFile(ctx, f, o.fleetTrace, o.compress, &simNow)
 	default:
 		err = replayFleetSim(ctx, f, multi, horizon, o.compress, &simNow)
 	}
+	o.stop(f.Stop, 10*time.Second)
 	if err != nil && ctx.Err() == nil {
-		_ = f.Stop(context.Background())
 		return err
-	}
-
-	stopCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := f.Stop(stopCtx); err != nil {
-		logger.Warn("fleet stop", "err", err)
 	}
 	logFleetSummary(logger, f, led, math.Float64frombits(simNow.Load()))
 	return nil
-}
-
-func sourceName(traceFile string) string {
-	if traceFile == "" {
-		return "simulator"
-	}
-	return traceFile
 }
 
 // serveFleetListen ingests from a TCP trace listener until the context
@@ -239,16 +188,31 @@ func serveFleetListen(ctx context.Context, f *fleet.Fleet, addr string, simNow *
 }
 
 // clockSource advances the fleet's domain clock to the newest record time
-// without pacing (the network sender sets the pace).
+// as records pass. With compress > 0 it first sleeps until each record's
+// domain time is due under that compression (file replay); with 0 it does
+// not pace (a network sender sets the pace).
 type clockSource struct {
-	src    fleet.Source
-	simNow *atomic.Uint64
+	src      fleet.Source
+	simNow   *atomic.Uint64
+	compress float64
+	start    time.Time
+	ctx      context.Context
 }
 
 func (c *clockSource) Next() (fleet.Record, error) {
 	rec, err := c.src.Next()
 	if err != nil {
 		return rec, err
+	}
+	if c.compress > 0 {
+		due := c.start.Add(time.Duration(rec.Event.Time / c.compress * float64(time.Second)))
+		if wait := time.Until(due); wait > 0 {
+			select {
+			case <-c.ctx.Done():
+				return fleet.Record{}, c.ctx.Err()
+			case <-time.After(wait):
+			}
+		}
 	}
 	for {
 		old := c.simNow.Load()
@@ -265,27 +229,15 @@ func (c *clockSource) Next() (fleet.Record, error) {
 // replayFleetSim advances the multi-tenant simulator in wall-paced slices,
 // pumping each slice's merged trace into the fleet.
 func replayFleetSim(ctx context.Context, f *fleet.Fleet, m *scp.MultiSystem, horizon, compress float64, simNow *atomic.Uint64) error {
-	const wallSlice = 100 * time.Millisecond
-	simSlice := compress * wallSlice.Seconds()
-	ticker := time.NewTicker(wallSlice)
-	defer ticker.Stop()
-	for elapsed := 0.0; elapsed < horizon; elapsed += simSlice {
-		step := math.Min(simSlice, horizon-elapsed)
+	return paced(ctx, horizon, compress, func(elapsed, step float64) error {
 		if err := m.Run(step); err != nil {
 			return err
 		}
 		simNow.Store(math.Float64bits(elapsed + step))
 		recs := fleet.SCPRecords(m.Drain())
-		if _, err := fleet.Pump(ctx, f, fleet.NewSliceSource(recs)); err != nil {
-			return err
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-		}
-	}
-	return nil
+		_, err := fleet.Pump(ctx, f, fleet.NewSliceSource(recs))
+		return err
+	})
 }
 
 // replayFleetFile streams a recorded trace (text or wire format by
@@ -307,45 +259,8 @@ func replayFleetFile(ctx context.Context, f *fleet.Fleet, path string, compress 
 		defer ts.Close()
 		src = ts
 	}
-	start := time.Now()
-	paced := pacedSource{src: src, compress: compress, start: start, ctx: ctx, simNow: simNow}
-	_, err := fleet.Pump(ctx, f, &paced)
+	_, err := fleet.Pump(ctx, f, &clockSource{src: src, simNow: simNow, compress: compress, start: time.Now(), ctx: ctx})
 	return err
-}
-
-// pacedSource wraps a Source, sleeping until each record's domain time is
-// due under the compression factor and advancing the fleet's clock.
-type pacedSource struct {
-	src      fleet.Source
-	compress float64
-	start    time.Time
-	ctx      context.Context
-	simNow   *atomic.Uint64
-}
-
-func (p *pacedSource) Next() (fleet.Record, error) {
-	rec, err := p.src.Next()
-	if err != nil {
-		return rec, err
-	}
-	due := p.start.Add(time.Duration(rec.Event.Time / p.compress * float64(time.Second)))
-	if wait := time.Until(due); wait > 0 {
-		select {
-		case <-p.ctx.Done():
-			return fleet.Record{}, p.ctx.Err()
-		case <-time.After(wait):
-		}
-	}
-	for {
-		old := p.simNow.Load()
-		if math.Float64frombits(old) >= rec.Event.Time {
-			break
-		}
-		if p.simNow.CompareAndSwap(old, math.Float64bits(rec.Event.Time)) {
-			break
-		}
-	}
-	return rec, nil
 }
 
 // logFleetSummary prints the exit rollup: status histogram, availability,

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/diagnose"
 	"repro/internal/eventlog"
-	"repro/internal/lifecycle"
 	"repro/internal/obs"
 )
 
@@ -81,48 +80,42 @@ func (p *diagProvider) Diagnose(from, to float64) []diagnose.Suspect {
 	return p.d.DiagnoseRange(p.log, from, to)
 }
 
-// buildRecorder assembles the single-tenant flight recorder over the
-// pipeline's mirror log, tracer, ledger, and lifecycle, plus the lazy
-// diagnoser. Returns (nil, nil, nil) when o.cap disables capture.
-func buildRecorder(
-	o incidentOptions,
-	m *mirror,
-	layerNames []string,
-	tracer *obs.Tracer,
-	led *obs.Ledger,
-	lcm *lifecycle.Manager,
-	logger *slog.Logger,
-) (*obs.Recorder, *diagProvider, error) {
+// buildRecorder assembles the pipeline's flight recorder over its mirror
+// log, tracer, ledger and lifecycle, plus the lazy diagnoser; -incident-cap 0
+// leaves both nil.
+func (p *pipeline) buildRecorder() error {
+	o := p.o.incidents
 	if o.cap <= 0 {
-		return nil, nil, nil
+		return nil
 	}
-	dp := newDiagProvider(m.log)
+	dp := newDiagProvider(p.mirror.log)
 	cfg := obs.RecorderConfig{
-		Layers:        layerNames,
+		Layers:        p.names,
 		Window:        600, // matches the layers' error-data window Δtd
 		WarnThreshold: o.warn,
 		MaxBundles:    o.cap,
-		Log:           m.log,
-		Tracer:        tracer,
-		Ledger:        led,
+		Log:           p.mirror.log,
+		Tracer:        p.tracer,
+		Ledger:        p.ledger,
 		Diagnose:      dp.Diagnose,
 		RuntimeStats:  true,
 	}
-	if lcm != nil {
+	if lcm := p.lcm; lcm != nil {
 		cfg.Lifecycle = func() any { return lcm.States() }
 	}
 	rec, err := obs.NewRecorder(cfg)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	if o.dir != "" {
-		sink, err := incidentSink(o.dir, logger)
+		sink, err := incidentSink(o.dir, p.o.logger)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		rec.Subscribe(sink)
 	}
-	return rec, dp, nil
+	p.recorder, p.diag = rec, dp
+	return nil
 }
 
 // incidentSink returns a bundle subscriber that persists each captured

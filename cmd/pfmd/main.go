@@ -56,8 +56,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
+	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -79,9 +81,177 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	// SIGINT/SIGTERM end the feed; the pipeline then drains gracefully
+	// (bounded, see options.stop) and the exit summary is printed.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "pfmd:", err)
 		os.Exit(1)
+	}
+}
+
+// leadTime is the warning lead time Δtl every mode predicts at [sim s].
+const leadTime = 300.0
+
+// options is the flag set, bound straight into the structs the modes hand
+// to the library (runtime.Config, obs.LedgerConfig, lifecycle.Config).
+type options struct {
+	addr     string
+	seed     int64
+	days     float64
+	compress float64
+	// rt carries -queue, -overflow, -workers, -eval, -shards, -batch and
+	// -pprof; the fleet reads its sizing from the same fields.
+	rt runtime.Config
+
+	traceCap    int
+	traceDump   int
+	traceSample int
+	ledger      obs.LedgerConfig // -ledger-window, -ledger-slack
+	metaWeights string
+	hotswap     bool
+	drift       lifecycle.Config // -drift-*
+	incidents   incidentOptions  // -incident-*
+
+	replayColumnar string
+	replayEval     float64
+
+	fleetMode   bool
+	tenants     int
+	skew        float64
+	fleetScopes int
+	fleetTrace  string
+	listen      string
+	actBudget   int
+	rateLimit   float64
+
+	logger *slog.Logger
+	stdout io.Writer
+
+	// Test seams, no flag: serving is told the bound address once the
+	// endpoints are up; drained runs after the pipeline has stopped, while
+	// the endpoints still serve.
+	serving func(addr string)
+	drained func()
+}
+
+// parseFlags parses the command line into options and builds the logger
+// (on stderr; result tables go to stdout).
+func parseFlags(args []string, stdout, stderr io.Writer) (*options, error) {
+	o := &options{stdout: stdout}
+	fs := flag.NewFlagSet("pfmd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.addr, "addr", ":9600", "metrics/health listen address")
+	fs.Int64Var(&o.seed, "seed", 11, "simulation seed")
+	fs.Float64Var(&o.days, "days", 1, "replay horizon [simulated days]")
+	fs.Float64Var(&o.compress, "compress", 3600, "time compression [simulated seconds per wall second]")
+	fs.IntVar(&o.rt.QueueCapacity, "queue", 4096, "ingest queue capacity")
+	fs.Func("overflow", "overflow policy: block|drop-oldest|drop-newest (default block)", func(s string) (err error) {
+		o.rt.Overflow, err = runtime.ParsePolicy(s)
+		return err
+	})
+	fs.IntVar(&o.rt.Workers, "workers", 4, "layer-evaluation worker pool size")
+	fs.DurationVar(&o.rt.EvalInterval, "eval", 250*time.Millisecond, "wall-clock MEA cadence")
+	fs.IntVar(&o.rt.Shards, "shards", 1, "parallel ingest shards (per-variable routing)")
+	fs.BoolVar(&o.rt.Profiling, "pprof", false, "expose /debug/pprof/ on the metrics address")
+	logFormat := fs.String("log-format", "text", "log output format: text|json")
+	logLevel := fs.String("log-level", "info", "log level: info|debug (debug logs every MEA cycle)")
+	fs.IntVar(&o.traceCap, "trace-cap", 256, "end-to-end trace ring capacity (0 disables tracing)")
+	fs.IntVar(&o.traceDump, "trace-dump", 0, "print the N slowest end-to-end traces at exit")
+	fs.IntVar(&o.traceSample, "trace-sample", obs.DefaultSampleInterval, "trace 1 in N ingested events (1 = every event)")
+	fs.Float64Var(&o.ledger.Window, "ledger-window", 0, "rolling quality window [sim s]; 0 = cumulative")
+	fs.Float64Var(&o.ledger.Slack, "ledger-slack", 300, "prediction-period slack Δtp for TP matching [sim s]")
+	fs.StringVar(&o.metaWeights, "meta-weights", "", "comma-separated logistic combiner weight per layer (errors,memory,load,swap); empty = threshold voting")
+	fs.BoolVar(&o.hotswap, "hotswap", false, "enable the predictor lifecycle: drift-triggered recalibration with shadow validation and zero-downtime hot-swap")
+	fs.IntVar(&o.drift.ScoreWarmup, "drift-warmup", 240, "score-drift detector self-calibration window [cycles]")
+	fs.Float64Var(&o.drift.ScoreThresholdSigma, "drift-threshold", 8, "score-drift CUSUM threshold [σ]")
+	fs.IntVar(&o.drift.ShadowMinResolved, "drift-shadow-min", 20, "resolved shadow predictions before a promotion decision")
+	fs.IntVar(&o.drift.CooldownCycles, "drift-cooldown", 200, "cycles a layer is muted after a lifecycle episode")
+	fs.BoolVar(&o.fleetMode, "fleet", false, "run the multi-tenant fleet runtime instead of the single-instance pipeline")
+	fs.IntVar(&o.tenants, "tenants", 100, "fleet size (with -fleet)")
+	fs.Float64Var(&o.skew, "skew", 1, "Zipf exponent of the tenant load profile (with -fleet)")
+	fs.IntVar(&o.fleetScopes, "fleet-scopes", 64, "dedicated per-tenant quality-ledger scopes before folding (with -fleet)")
+	fs.StringVar(&o.fleetTrace, "fleet-trace", "", "replay a recorded trace file instead of simulating (.trace text or .wire binary, see loggen -tenants)")
+	fs.StringVar(&o.listen, "listen", "", "accept tenant traces over TCP on this address instead of simulating (with -fleet; PFW1 wire or text line protocol, see loggen -send)")
+	fs.IntVar(&o.actBudget, "act-budget", 0, "max tenants that may execute a countermeasure per cycle, criticality-prioritized (with -fleet; 0 = unlimited)")
+	fs.Float64Var(&o.rateLimit, "rate-limit", 0, "per-tenant ingest drain cap [events per simulated second] (with -fleet; 0 = unlimited)")
+	fs.IntVar(&o.rt.BatchSize, "batch", 0, "ingest drain chunk size per shard (0 = runtime default)")
+	fs.StringVar(&o.replayColumnar, "replay-columnar", "", "replay a PFC1 columnar trace (see loggen -columnar) at full speed instead of simulating")
+	fs.Float64Var(&o.replayEval, "replay-eval", 900, "MEA cadence in simulated seconds (with -replay-columnar)")
+	fs.StringVar(&o.incidents.dir, "incident-dir", "", "persist captured incident bundles as JSON files in this directory")
+	fs.IntVar(&o.incidents.cap, "incident-cap", 32, "retained incident bundles (0 disables the flight recorder)")
+	fs.Float64Var(&o.incidents.warn, "incident-warn", 0.5, "combined-confidence gate for warn-triggered incident capture")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if o.days <= 0 || o.compress <= 0 {
+		return nil, fmt.Errorf("days and compress must be positive")
+	}
+	var err error
+	if o.logger, err = newLogger(stderr, *logFormat, *logLevel); err != nil {
+		return nil, err
+	}
+	if o.traceDump > o.traceCap {
+		o.traceCap = o.traceDump
+	}
+	o.ledger.LeadTime = leadTime
+	return o, nil
+}
+
+// run parses the flags and runs the mode they select until its input ends
+// or ctx is canceled.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	o, err := parseFlags(args, stdout, stderr)
+	if err != nil {
+		return err
+	}
+	switch {
+	case o.replayColumnar != "":
+		return runColumnar(ctx, o)
+	case o.fleetMode:
+		return runFleet(ctx, o)
+	}
+	return runLive(ctx, o)
+}
+
+// newTracer builds the -trace-cap/-trace-sample span tracer (nil when
+// tracing is off).
+func (o *options) newTracer() *obs.Tracer {
+	if o.traceCap <= 0 {
+		return nil
+	}
+	tracer := obs.NewTracer(o.traceCap)
+	tracer.SetSampleInterval(o.traceSample)
+	return tracer
+}
+
+// start launches a pipeline (a Runtime's or a Fleet's Start and Serve) and
+// its observability endpoints, and returns the bound address. The pipeline
+// does not inherit ctx's cancellation: a canceled ctx ends the feed, and
+// stop then drains gracefully instead of shedding the backlog.
+func (o *options) start(ctx context.Context, start func(context.Context) error,
+	serve func(addr string) (*http.Server, string, error)) (*http.Server, string, error) {
+	if err := start(context.WithoutCancel(ctx)); err != nil {
+		return nil, "", err
+	}
+	srv, bound, err := serve(o.addr)
+	if err == nil && o.serving != nil {
+		o.serving(bound)
+	}
+	return srv, bound, err
+}
+
+// stop drains a pipeline gracefully, bounded by timeout so Ctrl-C always
+// wins within a few seconds.
+func (o *options) stop(stop func(context.Context) error, timeout time.Duration) {
+	stopCtx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	if err := stop(stopCtx); err != nil {
+		o.logger.Warn("drain incomplete", "err", err)
+	}
+	if o.drained != nil {
+		o.drained()
 	}
 }
 
@@ -175,8 +345,8 @@ func (m *mirror) layers(memFloor float64) []*core.Layer {
 }
 
 // newLogger builds the service logger from the -log-format/-log-level
-// flags. Logs go to stderr; result tables stay on stdout.
-func newLogger(format, level string) (*slog.Logger, error) {
+// flags, writing to w (stderr; result tables stay on stdout).
+func newLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 	var lv slog.Level
 	switch level {
 	case "info":
@@ -189,9 +359,9 @@ func newLogger(format, level string) (*slog.Logger, error) {
 	opts := &slog.HandlerOptions{Level: lv}
 	switch format {
 	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
+		return slog.New(slog.NewTextHandler(w, opts)), nil
 	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	default:
 		return nil, fmt.Errorf("unknown log format %q (want text|json)", format)
 	}
@@ -222,97 +392,152 @@ func parseMetaWeights(spec string, layers []*core.Layer) (*meta.Stacker, error) 
 	return meta.NewStacker(names, weights, bias)
 }
 
-// kindName labels event kinds in the -trace-dump rendering.
-func kindName(k uint8) string {
-	switch runtime.EventKind(k) {
-	case runtime.KindError:
-		return "error"
-	case runtime.KindSample:
-		return "sample"
-	default:
-		return strconv.Itoa(int(k))
+// pipeline is the single-tenant wiring the live service and the columnar
+// replay share: mirror state → layered predictors → combiner → action and
+// selector → externally clocked engine → quality ledger → tracer →
+// (lifecycle) → flight recorder → runtime.
+type pipeline struct {
+	o        *options
+	mirror   *mirror
+	layers   []*core.Layer
+	names    []string
+	stacker  *meta.Stacker // nil without -meta-weights
+	action   *act.Action
+	engine   *core.Engine
+	ledger   *obs.Ledger
+	tracer   *obs.Tracer
+	lcm      *lifecycle.Manager // nil without -hotswap
+	recorder *obs.Recorder
+	diag     *diagProvider
+	// simNow is the domain clock: the feeder's sim-time high-water mark.
+	simNow atomic.Uint64
+	rt     *runtime.Runtime
+}
+
+// newPipeline assembles the wiring. mitigate is the countermeasure's body,
+// cadence the MEA cadence in simulated seconds the engine records; live
+// selects the wall-clock cycle ticker (-eval) and honours -hotswap, while a
+// replay drives its cycles itself through CycleBatch.
+func newPipeline(o *options, mitigate func() error, cadence float64, live bool) (*pipeline, error) {
+	p := &pipeline{o: o, mirror: newMirror(), tracer: o.newTracer()}
+	p.layers = p.mirror.layers(2 * scp.DefaultConfig().SwapThreshold)
+	var combiner core.Combiner
+	var err error
+	if o.metaWeights != "" {
+		if p.stacker, err = parseMetaWeights(o.metaWeights, p.layers); err != nil {
+			return nil, err
+		}
+		combiner = p.stacker.Score
+		o.logger.Info("meta combiner", "weights", o.metaWeights)
+	}
+	p.action, err = act.New("mitigate+prepare", act.PreparedRepair,
+		act.Params{Cost: 0.5, SuccessProb: 0.85, Complexity: 0.3}, mitigate)
+	if err != nil {
+		return nil, err
+	}
+	selector, err := act.NewSelector(act.DefaultWeights())
+	if err != nil {
+		return nil, err
+	}
+	// Externally clocked engine: the runtime drives it on replay time.
+	p.engine, err = core.New(nil, p.layers, combiner, selector,
+		[]*act.Action{p.action}, nil, core.Config{
+			EvalInterval:        cadence,
+			LeadTime:            leadTime,
+			WarnThreshold:       0.2, // any single layer suffices (4 layers)
+			OscillationWindow:   1800,
+			MaxActionsPerWindow: 6,
+		})
+	if err != nil {
+		return nil, err
+	}
+
+	// Online prediction-quality ledger: journaled by the runtime's act
+	// tail, ground truth fed by recordFailure, matched with the engine's
+	// lead time Δtl and the -ledger-slack Δtp.
+	p.names = make([]string, len(p.layers))
+	for i, l := range p.layers {
+		p.names[i] = l.Name
+	}
+	if p.ledger, err = obs.NewLedger(o.ledger, p.names...); err != nil {
+		return nil, err
+	}
+
+	// Predictor lifecycle (-hotswap): drift-triggered recalibration with
+	// shadow validation against the live ledger and zero-downtime swaps.
+	if live && o.hotswap {
+		if p.lcm, err = lifecycle.NewManager(p.layers, p.ledger, o.drift); err != nil {
+			return nil, err
+		}
+		o.logger.Info("predictor lifecycle enabled",
+			"drift_warmup", o.drift.ScoreWarmup, "drift_threshold_sigma", o.drift.ScoreThresholdSigma,
+			"shadow_min_resolved", o.drift.ShadowMinResolved, "cooldown_cycles", o.drift.CooldownCycles)
+	}
+
+	// Flight recorder: always-on bounded capture keyed to the act stage's
+	// warn/act decisions, lifecycle events, and ledger burn rate.
+	if err = p.buildRecorder(); err != nil {
+		return nil, err
+	}
+
+	cfg := o.rt
+	cfg.Engine = p.engine
+	cfg.Apply = p.mirror.apply
+	cfg.Clock = func() float64 { return math.Float64frombits(p.simNow.Load()) }
+	if !live {
+		cfg.EvalInterval = 0
+	}
+	cfg.Tracer, cfg.Ledger, cfg.Lifecycle, cfg.Recorder = p.tracer, p.ledger, p.lcm, p.recorder
+	if p.rt, err = runtime.New(cfg); err != nil {
+		return nil, err
+	}
+	if p.lcm != nil {
+		p.watchLifecycle()
+	}
+	return p, nil
+}
+
+// setNow advances the domain clock.
+func (p *pipeline) setNow(t float64) { p.simNow.Store(math.Float64bits(t)) }
+
+// recordFailure feeds one ground-truth failure to the quality ledger and
+// the incident diagnoser's training set.
+func (p *pipeline) recordFailure(t float64) {
+	p.ledger.RecordFailure(t)
+	if p.diag != nil {
+		p.diag.RecordFailure(t)
 	}
 }
 
-func run() error {
-	addr := flag.String("addr", ":9600", "metrics/health listen address")
-	seed := flag.Int64("seed", 11, "simulation seed")
-	days := flag.Float64("days", 1, "replay horizon [simulated days]")
-	compress := flag.Float64("compress", 3600, "time compression [simulated seconds per wall second]")
-	queueCap := flag.Int("queue", 4096, "ingest queue capacity")
-	overflow := flag.String("overflow", "block", "overflow policy: block|drop-oldest|drop-newest")
-	workers := flag.Int("workers", 4, "layer-evaluation worker pool size")
-	evalEvery := flag.Duration("eval", 250*time.Millisecond, "wall-clock MEA cadence")
-	shards := flag.Int("shards", 1, "parallel ingest shards (per-variable routing)")
-	pprofOn := flag.Bool("pprof", false, "expose /debug/pprof/ on the metrics address")
-	logFormat := flag.String("log-format", "text", "log output format: text|json")
-	logLevel := flag.String("log-level", "info", "log level: info|debug (debug logs every MEA cycle)")
-	traceCap := flag.Int("trace-cap", 256, "end-to-end trace ring capacity (0 disables tracing)")
-	traceDump := flag.Int("trace-dump", 0, "print the N slowest end-to-end traces at exit")
-	traceSample := flag.Int("trace-sample", obs.DefaultSampleInterval, "trace 1 in N ingested events (1 = every event)")
-	ledgerWindow := flag.Float64("ledger-window", 0, "rolling quality window [sim s]; 0 = cumulative")
-	ledgerSlack := flag.Float64("ledger-slack", 300, "prediction-period slack Δtp for TP matching [sim s]")
-	metaWeights := flag.String("meta-weights", "", "comma-separated logistic combiner weight per layer (errors,memory,load,swap); empty = threshold voting")
-	hotswap := flag.Bool("hotswap", false, "enable the predictor lifecycle: drift-triggered recalibration with shadow validation and zero-downtime hot-swap")
-	driftWarmup := flag.Int("drift-warmup", 240, "score-drift detector self-calibration window [cycles]")
-	driftThreshold := flag.Float64("drift-threshold", 8, "score-drift CUSUM threshold [σ]")
-	driftShadowMin := flag.Int("drift-shadow-min", 20, "resolved shadow predictions before a promotion decision")
-	driftCooldown := flag.Int("drift-cooldown", 200, "cycles a layer is muted after a lifecycle episode")
-	fleetMode := flag.Bool("fleet", false, "run the multi-tenant fleet runtime instead of the single-instance pipeline")
-	tenants := flag.Int("tenants", 100, "fleet size (with -fleet)")
-	skew := flag.Float64("skew", 1, "Zipf exponent of the tenant load profile (with -fleet)")
-	fleetScopes := flag.Int("fleet-scopes", 64, "dedicated per-tenant quality-ledger scopes before folding (with -fleet)")
-	fleetTrace := flag.String("fleet-trace", "", "replay a recorded trace file instead of simulating (.trace text or .wire binary, see loggen -tenants)")
-	fleetListen := flag.String("listen", "", "accept tenant traces over TCP on this address instead of simulating (with -fleet; PFW1 wire or text line protocol, see loggen -send)")
-	actBudget := flag.Int("act-budget", 0, "max tenants that may execute a countermeasure per cycle, criticality-prioritized (with -fleet; 0 = unlimited)")
-	rateLimit := flag.Float64("rate-limit", 0, "per-tenant ingest drain cap [events per simulated second] (with -fleet; 0 = unlimited)")
-	batch := flag.Int("batch", 0, "ingest drain chunk size per shard (0 = runtime default)")
-	replayColumnar := flag.String("replay-columnar", "", "replay a PFC1 columnar trace (see loggen -columnar) at full speed instead of simulating")
-	replayEval := flag.Float64("replay-eval", 900, "MEA cadence in simulated seconds (with -replay-columnar)")
-	incidentDir := flag.String("incident-dir", "", "persist captured incident bundles as JSON files in this directory")
-	incidentCap := flag.Int("incident-cap", 32, "retained incident bundles (0 disables the flight recorder)")
-	incidentWarn := flag.Float64("incident-warn", 0.5, "combined-confidence gate for warn-triggered incident capture")
-	flag.Parse()
-	if *days <= 0 || *compress <= 0 {
-		return fmt.Errorf("days and compress must be positive")
+// summary logs the exit report and prints the result tables.
+func (p *pipeline) summary() error {
+	logger := p.o.logger
+	mm := p.rt.Metrics()
+	logger.Info("pipeline summary",
+		"ingested", mm.Ingested.Value(), "applied", mm.Applied.Value(),
+		"dropped", mm.Dropped(), "evaluations", mm.Evaluations.Value(),
+		"warnings", mm.Warnings.Value(), "actions", mm.Actions.Value(),
+		"suppressed", mm.Suppressed.Value())
+	logActionStats(logger, p.action)
+	if p.lcm != nil {
+		logLifecycle(logger, p.lcm)
 	}
-	policy, err := runtime.ParsePolicy(*overflow)
-	if err != nil {
-		return err
+	logQuality(logger, p.ledger)
+	logModelAssessment(logger, p.ledger)
+	logIncidents(logger, p.recorder)
+	fmt.Fprint(p.o.stdout, p.engine.Report())
+	if p.o.traceDump > 0 && p.tracer != nil {
+		fmt.Fprintf(p.o.stdout, "\nslowest %d end-to-end traces:\n\n", p.o.traceDump)
+		return obs.WriteText(p.o.stdout, p.tracer.Slowest(p.o.traceDump), runtime.KindLabel)
 	}
-	logger, err := newLogger(*logFormat, *logLevel)
-	if err != nil {
-		return err
-	}
-	if *traceDump > *traceCap {
-		*traceCap = *traceDump
-	}
-	if *replayColumnar != "" {
-		return runColumnar(columnarOptions{
-			addr: *addr, path: *replayColumnar, cadence: *replayEval,
-			batch: *batch, queueCap: *queueCap, policy: policy,
-			workers: *workers, shards: *shards, pprofOn: *pprofOn,
-			traceCap: *traceCap, traceSample: *traceSample, traceDump: *traceDump,
-			ledgerWin: *ledgerWindow, ledgerSlack: *ledgerSlack,
-			metaWeights: *metaWeights, logger: logger,
-			incidents: incidentOptions{dir: *incidentDir, cap: *incidentCap, warn: *incidentWarn},
-		})
-	}
-	if *fleetMode {
-		return runFleet(fleetOptions{
-			addr: *addr, tenants: *tenants, skew: *skew, seed: *seed,
-			days: *days, compress: *compress, queueCap: *queueCap,
-			policy: policy, workers: *workers, shards: *shards,
-			evalEvery: *evalEvery, scopes: *fleetScopes,
-			traceCap: *traceCap, traceSample: *traceSample,
-			ledgerWindow: *ledgerWindow, ledgerSlack: *ledgerSlack,
-			traceFile: *fleetTrace, listen: *fleetListen,
-			actBudget: *actBudget, rateLimit: *rateLimit, logger: logger,
-		})
-	}
+	return nil
+}
 
+// runLive is the live service: the SCP simulator replayed against the wall
+// clock at -compress, steered by the pipeline's countermeasure.
+func runLive(ctx context.Context, o *options) error {
 	scpCfg := scp.DefaultConfig()
-	scpCfg.Seed = *seed
+	scpCfg.Seed = o.seed
 	sys, err := scp.New(scpCfg)
 	if err != nil {
 		return err
@@ -346,115 +571,16 @@ func run() error {
 		}
 		return nil
 	}
-	action, err := act.New("mitigate+prepare", act.PreparedRepair,
-		act.Params{Cost: 0.5, SuccessProb: 0.85, Complexity: 0.3}, mitigate)
+	// MEA cadence in sim time: the wall ticker scaled by the compression.
+	p, err := newPipeline(o, mitigate, o.compress*o.rt.EvalInterval.Seconds(), true)
 	if err != nil {
 		return err
 	}
-	selector, err := act.NewSelector(act.DefaultWeights())
-	if err != nil {
-		return err
-	}
-
-	m := newMirror()
-	layers := m.layers(2 * scpCfg.SwapThreshold)
-	var combiner core.Combiner
-	var stacker *meta.Stacker
-	if *metaWeights != "" {
-		if stacker, err = parseMetaWeights(*metaWeights, layers); err != nil {
-			return err
-		}
-		combiner = stacker.Score
-		logger.Info("meta combiner", "weights", *metaWeights)
-	}
-	const leadTime = 300.0
-	// Externally clocked engine: the runtime drives it on replay time.
-	engine, err := core.New(nil, layers, combiner, selector,
-		[]*act.Action{action}, nil, core.Config{
-			EvalInterval:        *compress * evalEvery.Seconds(), // cadence in sim time
-			LeadTime:            leadTime,
-			WarnThreshold:       0.2, // any single layer suffices (4 layers)
-			OscillationWindow:   1800,
-			MaxActionsPerWindow: 6,
-		})
-	if err != nil {
-		return err
-	}
-
-	// Online prediction-quality ledger: journaled by the runtime's act
-	// stage, ground truth fed from the simulator's failure record, matched
-	// with the engine's lead time Δtl and the -ledger-slack Δtp.
-	layerNames := make([]string, len(layers))
-	for i, l := range layers {
-		layerNames[i] = l.Name
-	}
-	ledger, err := obs.NewLedger(obs.LedgerConfig{
-		LeadTime: leadTime, Slack: *ledgerSlack, Window: *ledgerWindow,
-	}, layerNames...)
-	if err != nil {
-		return err
-	}
-	var tracer *obs.Tracer
-	if *traceCap > 0 {
-		tracer = obs.NewTracer(*traceCap)
-		tracer.SetSampleInterval(*traceSample)
-	}
-
-	// Predictor lifecycle (-hotswap): drift-triggered recalibration with
-	// shadow validation against the live ledger and zero-downtime swaps.
-	var lcm *lifecycle.Manager
-	if *hotswap {
-		lcm, err = lifecycle.NewManager(layers, ledger, lifecycle.Config{
-			ScoreWarmup:         *driftWarmup,
-			ScoreThresholdSigma: *driftThreshold,
-			ShadowMinResolved:   *driftShadowMin,
-			CooldownCycles:      *driftCooldown,
-		})
-		if err != nil {
-			return err
-		}
-		logger.Info("predictor lifecycle enabled",
-			"drift_warmup", *driftWarmup, "drift_threshold_sigma", *driftThreshold,
-			"shadow_min_resolved", *driftShadowMin, "cooldown_cycles", *driftCooldown)
-	}
-
-	// Flight recorder: always-on bounded capture keyed to the act stage's
-	// warn/act decisions, lifecycle events, and ledger burn rate.
-	recorder, dp, err := buildRecorder(
-		incidentOptions{dir: *incidentDir, cap: *incidentCap, warn: *incidentWarn},
-		m, layerNames, tracer, ledger, lcm, logger)
-	if err != nil {
-		return err
-	}
-
-	// The replay clock: sim-time high-water mark, advanced by the feeder.
-	var simNow atomic.Uint64
-	rt, err := runtime.New(runtime.Config{
-		Engine:        engine,
-		Apply:         m.apply,
-		Clock:         func() float64 { return math.Float64frombits(simNow.Load()) },
-		QueueCapacity: *queueCap,
-		Overflow:      policy,
-		EvalInterval:  *evalEvery,
-		Workers:       *workers,
-		Shards:        *shards,
-		BatchSize:     *batch,
-		Profiling:     *pprofOn,
-		Tracer:        tracer,
-		Ledger:        ledger,
-		Lifecycle:     lcm,
-		Recorder:      recorder,
-	})
-	if err != nil {
-		return err
-	}
-	if lcm != nil {
-		watchLifecycle(lcm, stacker, layers, tracer, logger)
-	}
+	logger, tracer, names := o.logger, p.tracer, p.names
 
 	// Structured decision log: every MEA cycle at debug, warnings at info,
 	// linked to the newest completed /tracez span.
-	engine.SetCycleObserver(func(now float64, scores []float64, d core.Decision) {
+	p.engine.SetCycleObserver(func(now float64, scores []float64, d core.Decision) {
 		attrs := []any{
 			slog.Float64("sim_now", now),
 			slog.Float64("confidence", d.Confidence),
@@ -467,8 +593,8 @@ func run() error {
 			attrs = append(attrs, slog.Uint64("trace_id", tracer.NewestCompleteID()))
 		}
 		for i, s := range scores {
-			if i < len(layerNames) && !math.IsNaN(s) {
-				attrs = append(attrs, slog.Float64("score_"+layerNames[i], s))
+			if i < len(names) && !math.IsNaN(s) {
+				attrs = append(attrs, slog.Float64("score_"+names[i], s))
 			}
 		}
 		if d.Warned {
@@ -478,79 +604,34 @@ func run() error {
 		}
 	})
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := rt.Start(ctx); err != nil {
-		return err
-	}
-	srv, bound, err := rt.Serve(*addr)
+	srv, bound, err := o.start(ctx, p.rt.Start, p.rt.Serve)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
 	logger.Info("serving observability endpoints",
-		"addr", bound, "tracez", tracer != nil, "ledger", true, "pprof", *pprofOn)
+		"addr", bound, "tracez", tracer != nil, "ledger", true, "pprof", o.rt.Profiling)
 	logger.Info("replay starting",
-		"sim_days", *days, "compress", *compress, "policy", policy.String(),
-		"workers", *workers, "shards", rt.Shards())
+		"sim_days", o.days, "compress", o.compress, "policy", o.rt.Overflow.String(),
+		"workers", o.rt.Workers, "shards", p.rt.Shards())
 
-	// Ground-truth failures feed both the quality ledger and the incident
-	// diagnoser's training set.
-	recordFailure := func(t float64) {
-		ledger.RecordFailure(t)
-		if dp != nil {
-			dp.RecordFailure(t)
-		}
-	}
-	if err := replay(ctx, sys, rt, recordFailure, cmds, *days*86400, *compress, &simNow); err != nil &&
-		ctx.Err() == nil {
+	err = replay(ctx, sys, p, cmds, o.days*86400, o.compress)
+	o.stop(p.rt.Stop, 5*time.Second)
+	if err != nil && ctx.Err() == nil {
 		return err
 	}
-
-	// Graceful drain, bounded so Ctrl-C always wins within a few seconds.
-	stopCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := rt.Stop(stopCtx); err != nil {
-		logger.Warn("drain incomplete", "err", err)
-	}
-
-	mm := rt.Metrics()
-	logger.Info("pipeline summary",
-		"ingested", mm.Ingested.Value(), "applied", mm.Applied.Value(),
-		"dropped", mm.Dropped(), "evaluations", mm.Evaluations.Value(),
-		"warnings", mm.Warnings.Value(), "actions", mm.Actions.Value(),
-		"suppressed", mm.Suppressed.Value())
 	logger.Info("system summary",
 		"availability", sys.MeasuredAvailability(),
 		"failures", len(sys.Failures()), "restarts", len(sys.Restarts()))
-	logActionStats(logger, action)
-	if lcm != nil {
-		logLifecycle(logger, lcm)
-	}
-	logQuality(logger, ledger)
-	logModelAssessment(logger, ledger)
-	logIncidents(logger, recorder)
-	fmt.Print(engine.Report())
-	if *traceDump > 0 && tracer != nil {
-		fmt.Printf("\nslowest %d end-to-end traces:\n\n", *traceDump)
-		if err := obs.WriteText(os.Stdout, tracer.Slowest(*traceDump), kindName); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.summary()
 }
 
 // watchLifecycle subscribes the service to predictor-lifecycle events: every
 // transition is logged (swap decisions at info, linked to the newest /tracez
 // span), and when a meta stacker combines the layers, a freshly swapped
 // layer is down-weighted during probation and restored on confirm/rollback.
-func watchLifecycle(
-	lcm *lifecycle.Manager,
-	stacker *meta.Stacker,
-	layers []*core.Layer,
-	tracer *obs.Tracer,
-	logger *slog.Logger,
-) {
+func (p *pipeline) watchLifecycle() {
+	lcm, stacker, tracer, logger := p.lcm, p.stacker, p.tracer, p.o.logger
 	lcm.Subscribe(func(e lifecycle.Event) {
 		attrs := []any{
 			slog.String("layer", e.Layer),
@@ -587,8 +668,8 @@ func watchLifecycle(
 	// Probation discount: trust a just-swapped predictor at half its
 	// configured weight until the swap is confirmed (or rolled back).
 	const probationDiscount = 0.5
-	initial := make(map[string]float64, len(layers))
-	for _, l := range layers {
+	initial := make(map[string]float64, len(p.layers))
+	for _, l := range p.layers {
 		if w, err := stacker.Weight(l.Name); err == nil {
 			initial[l.Name] = w
 		}
@@ -678,27 +759,38 @@ func logModelAssessment(logger *slog.Logger, led *obs.Ledger) {
 		"hazard_at_mttf", a.Measured.HazardAtMTTF)
 }
 
+// paced drives a wall-clock-paced replay of horizon simulated seconds at
+// the given compression: advance runs once per 100 ms wall slice with the
+// simulated time elapsed so far and the step to take, until the horizon is
+// reached or ctx ends.
+func paced(ctx context.Context, horizon, compress float64, advance func(elapsed, step float64) error) error {
+	const wallSlice = 100 * time.Millisecond
+	simSlice := compress * wallSlice.Seconds()
+	ticker := time.NewTicker(wallSlice)
+	defer ticker.Stop()
+	for elapsed := 0.0; elapsed < horizon; elapsed += simSlice {
+		if err := advance(elapsed, math.Min(simSlice, horizon-elapsed)); err != nil {
+			return err
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-ticker.C:
+		}
+	}
+	return nil
+}
+
 // replay advances the simulator in wall-paced slices, applying queued act
 // commands on the simulation thread, streaming new error events and SAR
 // samples into the runtime, and journaling ground-truth failures into the
 // prediction ledger.
-func replay(
-	ctx context.Context,
-	sys *scp.System,
-	rt *runtime.Runtime,
-	recordFailure func(t float64),
-	cmds chan func(),
-	horizon, compress float64,
-	simNow *atomic.Uint64,
-) error {
-	const wallSlice = 100 * time.Millisecond
-	simSlice := compress * wallSlice.Seconds()
+func replay(ctx context.Context, sys *scp.System, p *pipeline, cmds chan func(), horizon, compress float64) error {
+	rt := p.rt
 	seenLog := 0
 	seenFail := 0
 	seenSAR := make(map[string]int, len(scp.SARVariables))
-	ticker := time.NewTicker(wallSlice)
-	defer ticker.Stop()
-	for elapsed := 0.0; elapsed < horizon; elapsed += simSlice {
+	return paced(ctx, horizon, compress, func(_, step float64) error {
 		// Countermeasures decided by the act stage since the last slice.
 		for {
 			select {
@@ -709,14 +801,13 @@ func replay(
 			}
 			break
 		}
-		step := math.Min(simSlice, horizon-elapsed)
 		if err := sys.Run(step); err != nil {
 			return err
 		}
-		simNow.Store(math.Float64bits(sys.Now()))
+		p.setNow(sys.Now())
 		// Ground truth for the ledger: failures the slice produced.
 		for times := sys.FailureTimes(); seenFail < len(times); seenFail++ {
-			recordFailure(times[seenFail])
+			p.recordFailure(times[seenFail])
 		}
 		// Stream everything the slice produced.
 		for n := sys.Log().Len(); seenLog < n; seenLog++ {
@@ -731,19 +822,14 @@ func replay(
 				return err
 			}
 			for n := series.Len(); seenSAR[name] < n; seenSAR[name]++ {
-				p := series.At(seenSAR[name])
+				pt := series.At(seenSAR[name])
 				if err := rt.Ingest(ctx, runtime.Event{
-					Kind: runtime.KindSample, Time: p.T, Variable: name, Value: p.V,
+					Kind: runtime.KindSample, Time: pt.T, Variable: name, Value: pt.V,
 				}); err != nil {
 					return err
 				}
 			}
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-		}
-	}
-	return nil
+		return nil
+	})
 }

@@ -1,0 +1,315 @@
+package main
+
+import (
+	"bufio"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/eventlog"
+	"repro/internal/runtime"
+)
+
+// scrape GETs one endpoint of a running pfmd.
+func scrape(t *testing.T, addr, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + path)
+	if err != nil {
+		t.Errorf("GET %s: %v", path, err)
+		return 0, ""
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Errorf("GET %s: read: %v", path, err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+// metricSum adds up every sample of one metric family in a Prometheus text
+// exposition (all label sets; a histogram's _bucket/_sum/_count lines have
+// other names and do not match).
+func metricSum(t *testing.T, exposition, name string) float64 {
+	t.Helper()
+	var sum float64
+	found := false
+	sc := bufio.NewScanner(strings.NewReader(exposition))
+	for sc.Scan() {
+		line := sc.Text()
+		if !strings.HasPrefix(line, name) {
+			continue
+		}
+		if rest := line[len(name):]; rest[0] != ' ' && rest[0] != '{' {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err != nil {
+			t.Errorf("metric line %q: %v", line, err)
+			continue
+		}
+		sum += v
+		found = true
+	}
+	if !found {
+		t.Errorf("metric %s not in the exposition", name)
+	}
+	return sum
+}
+
+// planes is what one scrape of every endpoint returned.
+type planes struct {
+	metrics   string
+	health    runtime.Health
+	healthSC  int
+	ledger    string
+	incidents []runtime.IncidentSummary
+}
+
+// scrapeAll reads /metrics, /healthz, /livez, /ledger, /tracez and
+// /incidents, checking each answers and parses.
+func scrapeAll(t *testing.T, addr string) planes {
+	t.Helper()
+	var p planes
+	code, body := scrape(t, addr, "/metrics")
+	if code != http.StatusOK || !strings.Contains(body, "pfm_events_ingested_total") {
+		t.Errorf("/metrics: %d, %d bytes", code, len(body))
+	}
+	p.metrics = body
+	p.healthSC, body = scrape(t, addr, "/healthz")
+	if err := json.Unmarshal([]byte(body), &p.health); err != nil {
+		t.Errorf("/healthz body %q: %v", body, err)
+	}
+	if code, body = scrape(t, addr, "/livez"); code != http.StatusOK || !strings.Contains(body, `"status":"live"`) {
+		t.Errorf("/livez: %d %s", code, body)
+	}
+	if code, p.ledger = scrape(t, addr, "/ledger"); code != http.StatusOK || !strings.Contains(p.ledger, `"layer":"combined"`) {
+		t.Errorf("/ledger: %d %s", code, p.ledger)
+	}
+	if code, body = scrape(t, addr, "/tracez"); code != http.StatusOK || !strings.HasPrefix(body, "tracez:") {
+		t.Errorf("/tracez: %d %s", code, body)
+	}
+	if code, body = scrape(t, addr, "/incidents"); code != http.StatusOK {
+		t.Errorf("/incidents: %d %s", code, body)
+	} else if err := json.Unmarshal([]byte(body), &p.incidents); err != nil {
+		t.Errorf("/incidents body %q: %v", body, err)
+	}
+	return p
+}
+
+// checkDrained asserts what the endpoints must say once the pipeline has
+// stopped gracefully: readiness 503 "stopped" with an empty queue, and the
+// conservation law closed on the scraped counters with nothing shed.
+func checkDrained(t *testing.T, p planes) (ingested float64) {
+	t.Helper()
+	if p.healthSC != http.StatusServiceUnavailable || p.health.Status != "stopped" || p.health.QueueDepth != 0 {
+		t.Errorf("/healthz after drain: %d %+v, want 503 stopped with an empty queue", p.healthSC, p.health)
+	}
+	ingested = metricSum(t, p.metrics, "pfm_events_ingested_total")
+	applied := metricSum(t, p.metrics, "pfm_events_applied_total")
+	dropped := metricSum(t, p.metrics, "pfm_events_dropped_total")
+	if ingested == 0 || ingested != applied+dropped {
+		t.Errorf("ingested %v != applied %v + dropped %v", ingested, applied, dropped)
+	}
+	if dropped != 0 {
+		t.Errorf("graceful drain under the block policy dropped %v events", dropped)
+	}
+	if ev := metricSum(t, p.metrics, "pfm_evaluations_total"); ev == 0 || int64(ev) != p.health.Evaluations {
+		t.Errorf("pfm_evaluations_total %v, /healthz evaluations %d", ev, p.health.Evaluations)
+	}
+	return ingested
+}
+
+// writeTrace builds a two-hour PFC1 trace: three SAR variables every 60 s,
+// and an error burst dense enough to trip the error-rate layer in the ten
+// minutes before a failure at 5400 s.
+func writeTrace(t *testing.T) (path string, events int) {
+	t.Helper()
+	b := runtime.NewColumnarBuilder()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for at := 0.0; at <= 7200; at += 10 {
+		if at >= 4800 && at < 5400 {
+			must(b.AddError(eventlog.Event{
+				Time: at, Component: "db", Type: 7, Severity: eventlog.SeverityCritical, Message: "timeout",
+			}))
+			events++
+		}
+		if int(at)%60 == 0 {
+			must(b.AddSample(at, "cpu", 0.4))
+			must(b.AddSample(at, "mem_free", 4096))
+			must(b.AddSample(at, "swap", 0))
+			events += 3
+		}
+	}
+	must(b.AddFailure(5400))
+	path = filepath.Join(t.TempDir(), "trace.cols")
+	f, err := os.Create(path)
+	must(err)
+	_, err = b.Trace().WriteTo(f)
+	must(err)
+	must(f.Close())
+	return path, events
+}
+
+// TestReplayColumnarRun runs pfmd -replay-columnar in process over a small
+// trace and checks every endpoint before the replay and after the drain.
+func TestReplayColumnarRun(t *testing.T) {
+	path, events := writeTrace(t)
+	var stdout, stderr strings.Builder
+	o, err := parseFlags([]string{
+		"-addr", "127.0.0.1:0", "-replay-columnar", path, "-replay-eval", "60",
+		"-trace-sample", "1", "-trace-dump", "3", "-incident-warn", "0.2",
+		"-incident-dir", filepath.Join(t.TempDir(), "incidents"), "-log-format", "json",
+	}, &stdout, &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addr string
+	var final planes
+	o.serving = func(bound string) {
+		addr = bound
+		if p := scrapeAll(t, addr); p.healthSC != http.StatusOK || p.health.Status != "ok" {
+			t.Errorf("/healthz while serving: %d %+v", p.healthSC, p.health)
+		}
+	}
+	o.drained = func() { final = scrapeAll(t, addr) }
+	if err := runColumnar(context.Background(), o); err != nil {
+		t.Fatalf("runColumnar: %v\n%s", err, stderr.String())
+	}
+	if got := checkDrained(t, final); int(got) != events {
+		t.Errorf("ingested %v events, trace has %d", got, events)
+	}
+	// 120 cadence points in (0, 7200] plus the final drain cycle.
+	if final.health.Evaluations != 121 {
+		t.Errorf("evaluations = %d, want 121", final.health.Evaluations)
+	}
+	if metricSum(t, final.metrics, "pfm_warnings_total") == 0 || len(final.incidents) == 0 {
+		t.Errorf("the error burst raised no warning or no incident bundle: %d bundles", len(final.incidents))
+	}
+	for _, want := range []string{"columnar replay complete", "pipeline summary", "prediction quality", "incident summary"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("exit log lacks %q", want)
+		}
+	}
+	if !strings.Contains(stdout.String(), "slowest 3 end-to-end traces") {
+		t.Errorf("stdout lacks the -trace-dump table:\n%s", stdout.String())
+	}
+}
+
+// TestLiveRun runs the live service in process on a free port, scrapes
+// every endpoint while the replay is feeding it, cancels the context as a
+// SIGINT would, and checks the graceful drain.
+func TestLiveRun(t *testing.T) {
+	var stdout, stderr lockedBuilder
+	o, err := parseFlags([]string{
+		"-addr", "127.0.0.1:0", "-days", "30", "-compress", "36000", "-eval", "5ms",
+		"-hotswap", "-meta-weights", "1,1,1,1", "-log-format", "json",
+	}, &stdout, &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var final planes // written by runLive's goroutine, read after it returned
+	addrCh := make(chan string, 1)
+	o.serving = func(bound string) { addrCh <- bound }
+	o.drained = func() { final = scrapeAll(t, <-addrCh) }
+	done := make(chan error, 1)
+	go func() { done <- runLive(ctx, o) }()
+	addr := <-addrCh
+	addrCh <- addr
+
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		p := scrapeAll(t, addr)
+		if p.healthSC != http.StatusOK || p.health.Status != "ok" {
+			t.Fatalf("/healthz while running: %d %+v", p.healthSC, p.health)
+		}
+		if p.health.Evaluations >= 5 && metricSum(t, p.metrics, "pfm_events_applied_total") > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no progress: %+v\n%s", p.health, stderr.String())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if code, body := scrape(t, addr, "/layers"); code != http.StatusOK || !strings.Contains(body, `"errors"`) {
+		t.Errorf("/layers with -hotswap: %d %s", code, body)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("runLive: %v\n%s", err, stderr.String())
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("runLive did not return after cancel")
+	}
+	checkDrained(t, final)
+	for _, want := range []string{"replay starting", "pipeline summary", "system summary", "predictor lifecycle summary"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("exit log lacks %q", want)
+		}
+	}
+}
+
+// lockedBuilder is a strings.Builder the logger and the test may use from
+// different goroutines.
+type lockedBuilder struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuilder) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuilder) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestParseFlags covers the flag plumbing run's modes rely on.
+func TestParseFlags(t *testing.T) {
+	o, err := parseFlags([]string{"-overflow", "drop-oldest", "-trace-cap", "8", "-trace-dump", "50"}, io.Discard, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.rt.Overflow != runtime.DropOldest || o.rt.QueueCapacity != 4096 || o.rt.EvalInterval != 250*time.Millisecond {
+		t.Errorf("runtime options: %+v", o.rt)
+	}
+	if o.traceCap != 50 {
+		t.Errorf("-trace-dump 50 must raise -trace-cap to 50, got %d", o.traceCap)
+	}
+	if o.ledger.LeadTime != leadTime || o.ledger.Slack != 300 || o.drift.ScoreWarmup != 240 || o.incidents.cap != 32 {
+		t.Errorf("defaults: ledger %+v drift %+v incidents %+v", o.ledger, o.drift, o.incidents)
+	}
+	for _, bad := range [][]string{
+		{"-overflow", "sideways"}, {"-days", "0"}, {"-log-level", "loud"}, {"-log-format", "xml"}, {"-no-such-flag"},
+	} {
+		if _, err := parseFlags(bad, io.Discard, io.Discard); err == nil {
+			t.Errorf("parseFlags(%v) accepted", bad)
+		}
+	}
+	if err := run(context.Background(), []string{"-replay-columnar", filepath.Join(t.TempDir(), "absent.cols")}, io.Discard, io.Discard); err == nil {
+		t.Error("run with a missing trace file succeeded")
+	}
+	if err := run(context.Background(), []string{"-fleet", "-tenants", "0"}, io.Discard, io.Discard); err == nil {
+		t.Error("run -fleet -tenants 0 succeeded")
+	}
+}

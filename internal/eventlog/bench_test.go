@@ -4,11 +4,11 @@ import (
 	"testing"
 )
 
-// benchTrace builds an n-event log plus the parallel AoS reference store,
-// with the component/message cardinality of the SCP simulator.
-func benchStores(b *testing.B, n int) (*Log, *aosLog, []float64) {
+// benchLog builds an n-event log with the component/message cardinality of
+// the SCP simulator, and a failure time every 1000 events.
+func benchLog(b *testing.B, n int) (*Log, []float64) {
 	b.Helper()
-	col, aos := NewLog(), &aosLog{}
+	col := NewLog()
 	col.Grow(n)
 	comps := []string{"mem", "lb", "svc", "comp-0", "comp-1", "comp-2", "comp-3"}
 	msgs := []string{"overload", "memory threshold crossed", "swap pressure", "background report", "component error"}
@@ -24,22 +24,18 @@ func benchStores(b *testing.B, n int) (*Log, *aosLog, []float64) {
 		if err := col.Append(e); err != nil {
 			b.Fatal(err)
 		}
-		if err := aos.Append(e); err != nil {
-			b.Fatal(err)
-		}
 		if i%1000 == 999 {
 			failures = append(failures, e.Time)
 		}
 	}
-	return col, aos, failures
+	return col, failures
 }
 
-// BenchmarkEventlogExtract compares the Fig. 6 extraction on the columnar
-// store (ExtractInto at steady state, zero allocations) against the AoS
-// reference (window copies + fresh sequences per call).
+// BenchmarkEventlogExtract times the Fig. 6 extraction on the columnar
+// store: ExtractInto at steady state, zero allocations.
 func BenchmarkEventlogExtract(b *testing.B) {
 	const n = 100_000
-	col, aos, failures := benchStores(b, n)
+	col, failures := benchLog(b, n)
 	cfg := ExtractConfig{DataWindow: 300, LeadTime: 60, MinEvents: 1, NonFailureStride: 240}
 
 	b.Run("columnar", func(b *testing.B) {
@@ -67,36 +63,13 @@ func BenchmarkEventlogExtract(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
 		}
 	})
-
-	b.Run("aos", func(b *testing.B) {
-		fail, nonFail := aosExtract(aos, failures, cfg)
-		events := 0
-		for _, s := range fail {
-			events += s.Len()
-		}
-		for _, s := range nonFail {
-			events += s.Len()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fail, nonFail = aosExtract(aos, failures, cfg)
-		}
-		b.StopTimer()
-		_ = fail
-		_ = nonFail
-		if events > 0 {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
-		}
-	})
 }
 
-// BenchmarkWindowScan compares a diagnosis-style scan — locate a window,
-// count severe events — on the columnar store (ScanWindow + severity
-// column pass) against the AoS reference (copied window + field loads).
+// BenchmarkWindowScan times a diagnosis-style scan — locate a window, count
+// severe events — on the columnar store (ScanWindow + severity column pass).
 func BenchmarkWindowScan(b *testing.B) {
 	const n = 100_000
-	col, aos, _ := benchStores(b, n)
+	col, _ := benchLog(b, n)
 	span := 600.0
 	last := col.TimeAt(col.Len() - 1)
 
@@ -116,52 +89,16 @@ func BenchmarkWindowScan(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 		}
 	})
-
-	b.Run("aos", func(b *testing.B) {
-		b.ReportAllocs()
-		events := 0
-		for i := 0; i < b.N; i++ {
-			from := float64(i%97) / 97 * (last - span)
-			w := aos.Window(from, from+span)
-			events += len(w)
-			c := 0
-			for _, e := range w {
-				if e.Severity >= SeverityError {
-					c++
-				}
-			}
-			if c < 0 {
-				b.Fatal("impossible")
-			}
-		}
-		b.StopTimer()
-		if b.N > 0 && events > 0 {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-		}
-	})
 }
 
 // BenchmarkLogAppend measures the simulator-side append cost: columnar
-// interned appends vs AoS event boxing.
+// interned appends.
 func BenchmarkLogAppend(b *testing.B) {
 	comps := []string{"mem", "lb", "svc", "comp-0"}
 	msgs := []string{"overload", "component error"}
 	b.Run("columnar", func(b *testing.B) {
 		l := NewLog()
 		l.Grow(b.N)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := l.Append(Event{
-				Time: float64(i), Component: comps[i%len(comps)], Type: i % 7,
-				Severity: SeverityError, Message: msgs[i%len(msgs)],
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("aos", func(b *testing.B) {
-		l := &aosLog{events: make([]Event, 0, b.N)}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -1,11 +1,9 @@
 package fleet
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/mat"
 )
 
 // LayerTemplate describes one prediction layer shared by every tenant.
@@ -24,8 +22,8 @@ type LayerTemplate struct {
 	Score func(st TenantState, now float64) (float64, error)
 	// ScoreBatch evaluates a chunk of tenants in one call — e.g. gather
 	// each tenant's feature row and run ubf's PredictRowsInto once per
-	// chunk (see NewRowScorer). out is index-aligned with states; a
-	// returned error abstains the whole chunk (every score NaN).
+	// chunk. out is index-aligned with states; a returned error abstains
+	// the whole chunk (every score NaN).
 	ScoreBatch func(states []TenantState, now float64, out []float64) error
 	// NewPredictor optionally builds a per-tenant retrainable predictor
 	// installed as the layer's serving handle (enables lifecycle
@@ -52,46 +50,4 @@ func (tmpl LayerTemplate) instantiate(st TenantState) *core.Layer {
 	}
 	l.Evaluate = func(now float64) (float64, error) { return score(st, now) }
 	return l
-}
-
-// RowModel scores a matrix of feature rows in one call. *ubf.Network
-// satisfies it.
-type RowModel interface {
-	PredictRowsInto(m *mat.Matrix, out []float64) error
-}
-
-// NewRowScorer adapts a shared row model into a ScoreBatch: features
-// extracts one tenant's feature row (length must equal cols), the chunk's
-// rows are packed into one matrix, and the model scores them in a single
-// pass — the cross-tenant batching that keeps per-event fleet cost close
-// to the single-tenant runtime's.
-//
-// A tenant whose features returns an error abstains alone (NaN) without
-// failing the chunk; rows excluded this way are scored as zero vectors
-// internally but their outputs are overwritten with NaN.
-func NewRowScorer(model RowModel, cols int, features func(st TenantState, now float64, row []float64) error) (func([]TenantState, float64, []float64) error, error) {
-	if model == nil || cols < 1 || features == nil {
-		return nil, fmt.Errorf("%w: row scorer needs a model, cols >= 1, and a feature extractor", ErrFleet)
-	}
-	return func(states []TenantState, now float64, out []float64) error {
-		if len(states) == 0 {
-			return nil
-		}
-		m := mat.New(len(states), cols)
-		bad := make([]bool, len(states))
-		for i, st := range states {
-			if err := features(st, now, m.Data[i*cols:(i+1)*cols]); err != nil {
-				bad[i] = true
-			}
-		}
-		if err := model.PredictRowsInto(m, out[:len(states)]); err != nil {
-			return err
-		}
-		for i := range states {
-			if bad[i] {
-				out[i] = math.NaN()
-			}
-		}
-		return nil
-	}, nil
 }

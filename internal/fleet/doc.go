@@ -27,6 +27,13 @@
 //     global lifecycle.Budget, so a fleet-wide drift storm cannot fork
 //     unbounded concurrent refits.
 //
+// The goroutine skeleton and stop protocol (runtime.Shell), each tenant's
+// journal → lifecycle → recorder order after a decision (runtime.ActTail)
+// and the base HTTP endpoints (runtime.Plane) are the single-tenant
+// runtime's, not copies of them; what lives here is what differs — the
+// per-tenant queues and their fair draining, cross-tenant scoring, the act
+// budget, membership changes and the /fleet plane.
+//
 // Ingest is pluggable (Source): an in-process feeder (SliceSource, or
 // SCPRecords over internal/scp's multi-tenant simulator), a file-tail
 // reader of the pipe-separated text line protocol (tail.go), and a compact

@@ -161,18 +161,17 @@ type Config struct {
 
 // tenant is one registered tenant's runtime slice.
 type tenant struct {
-	spec      TenantSpec
-	index     int // slot in the current membership's tenants slice
-	q         *tenantQueue
-	state     TenantState
-	layers    []*core.Layer
-	engine    *core.Engine
-	led       *obs.Ledger // scoped journal; nil without Config.Ledger
-	dedicated bool
-	journal   bool          // journal per-layer rows
-	rec       *obs.Recorder // scoped flight recorder; nil without Config.Recorder
-	recOwn    bool          // rec is dedicated (not the overflow fold)
-	lcm       *lifecycle.Manager
+	spec   TenantSpec
+	index  int // slot in the current membership's tenants slice
+	q      *tenantQueue
+	state  TenantState
+	engine *core.Engine
+	// tail is the tenant's act tail: its layers, scoped journal (nil without
+	// Config.Ledger; JournalLayers says whether per-layer rows go in), scoped
+	// flight recorder (nil without Config.Recorder) and lifecycle manager.
+	tail      runtime.ActTail
+	dedicated bool                       // tail.Ledger is the tenant's own scope
+	recOwn    bool                       // tail.Recorder is dedicated (not the overflow fold)
 	cands     []lifecycle.CandidateScore // this cycle's shadow scores
 	row       []float64                  // per-cycle score row scratch
 
@@ -228,14 +227,32 @@ func (m *membership) reindex(layers int) {
 	}
 }
 
+// withTenants returns the successor generation over the same ring and
+// shards with the given tenant list (not yet indexed; see install).
+func (m *membership) withTenants(tenants []*tenant) *membership {
+	next := &membership{
+		gen:     m.gen + 1,
+		tenants: tenants,
+		byID:    make(map[string]*tenant, len(tenants)),
+		ring:    m.ring,
+		shards:  m.shards,
+	}
+	for _, tn := range tenants {
+		next.byID[tn.spec.ID] = tn
+	}
+	return next
+}
+
 // Fleet is the multi-tenant MEA runtime. Construct with New, drive with
 // Start/Ingest (or Pump), change shape with AddTenant/RemoveTenant/Resize,
 // observe via Handler, finish with Stop.
 type Fleet struct {
 	cfg     Config
 	mem     atomic.Pointer[membership]
-	pool    *runtime.Pool
 	metrics *runtime.Metrics
+	// shell owns the goroutines (shard consumers, cycle loop, pool) and the
+	// stop protocol.
+	shell *runtime.Shell
 
 	// adminMu serializes membership changes (AddTenant/RemoveTenant/
 	// Resize) with each other and with Start/Stop.
@@ -251,13 +268,7 @@ type Fleet struct {
 	// lives above the shard level.
 	pendingN atomic.Int64
 
-	consumersWg sync.WaitGroup
-	wg          sync.WaitGroup
-	evalReq     chan struct{}
-	evalStop    chan struct{}
-	cycleMu     sync.Mutex // serializes cycles with each other and with membership swaps
-	hardCtx     context.Context
-	hardStop    context.CancelFunc
+	cycleMu sync.Mutex // serializes cycles with each other and with membership swaps
 
 	unknown     *runtime.Counter // ingest for unregistered tenants
 	ratelimited *runtime.Counter // scheduler skips on empty token buckets
@@ -268,15 +279,6 @@ type Fleet struct {
 	shardMetN   int                // shard indices with registered gauges
 
 	actCands []*tenant // budget-pass scratch, under cycleMu
-
-	started   atomic.Bool
-	stopping  atomic.Bool
-	stopped   atomic.Bool
-	stopOnce  sync.Once
-	stopErr   error
-	startWall time.Time
-	cycles    atomic.Int64
-	lastCycle atomic.Int64 // unix nanos of the last completed cycle
 }
 
 // New validates the configuration and assembles the fleet (not yet
@@ -326,10 +328,24 @@ func New(cfg Config) (*Fleet, error) {
 			return nil, fmt.Errorf("%w: layer template %d needs a name and a scorer", ErrFleet, i)
 		}
 	}
-	f := &Fleet{
-		cfg:     cfg,
-		metrics: cfg.Metrics,
-		evalReq: make(chan struct{}, 1),
+	f := &Fleet{cfg: cfg, metrics: cfg.Metrics}
+	f.shell = runtime.NewShell(runtime.ShellConfig{
+		Err:          ErrFleet,
+		EvalInterval: cfg.EvalInterval,
+		Workers:      cfg.Workers,
+		Cycle:        f.EvaluateCycle,
+		CloseQueues: func() {
+			// Under adminMu: Resize changes the shard set.
+			f.adminMu.Lock()
+			defer f.adminMu.Unlock()
+			for _, q := range f.mem.Load().shards {
+				q.close()
+			}
+		},
+		Quiesced: f.quiesced,
+	})
+	if cfg.Clock == nil {
+		f.cfg.Clock = func() float64 { return f.shell.Uptime().Seconds() }
 	}
 	reg := f.metrics.Registry()
 	f.unknown = reg.Counter("pfm_fleet_unknown_tenant_total",
@@ -382,13 +398,12 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	if cfg.Recorder != nil {
 		rec := cfg.Recorder
-		help := "Incident bundles captured across the fleet by trigger kind."
 		for _, k := range obs.TriggerKinds {
 			kind := k
-			reg.CounterFunc("pfm_fleet_incidents_total", help,
+			reg.CounterFunc("pfm_fleet_incidents_total",
+				"Incident bundles captured across the fleet by trigger kind.",
 				func() float64 { return float64(rec.Captured(kind)) },
 				"trigger", string(kind))
-			help = ""
 		}
 		reg.CounterFunc("pfm_fleet_incidents_suppressed_total",
 			"Incident triggers suppressed by per-scope refractory windows.",
@@ -405,12 +420,8 @@ func New(cfg Config) (*Fleet, error) {
 func (f *Fleet) newShardQueueAt(s int) *shardQueue {
 	reg := f.metrics.Registry()
 	for len(f.shardDrops) <= s {
-		help := ""
-		if len(f.shardDrops) == 0 {
-			help = "Events dropped per fleet ingest shard (all reasons)."
-		}
-		f.shardDrops = append(f.shardDrops,
-			reg.Counter("pfm_fleet_shard_dropped_total", help, "shard", strconv.Itoa(len(f.shardDrops))))
+		f.shardDrops = append(f.shardDrops, reg.Counter("pfm_fleet_shard_dropped_total",
+			"Events dropped per fleet ingest shard (all reasons).", "shard", strconv.Itoa(len(f.shardDrops))))
 	}
 	return newShardQueue(f.cfg.Overflow, f.cfg.QueueCapacity, f.metrics, f.shardDrops[s], f.ratelimited,
 		f.cfg.Tracer, &f.pendingN, f.now, s)
@@ -421,20 +432,15 @@ func (f *Fleet) newShardQueueAt(s int) *shardQueue {
 // fleet has since shrunk away from.
 func (f *Fleet) registerShardGauges(n int) {
 	reg := f.metrics.Registry()
-	help := ""
-	if f.shardMetN == 0 {
-		help = "Events waiting per fleet ingest shard."
-	}
 	for s := f.shardMetN; s < n; s++ {
 		idx := s
-		reg.GaugeFunc("pfm_fleet_shard_queue_depth", help, func() float64 {
+		reg.GaugeFunc("pfm_fleet_shard_queue_depth", "Events waiting per fleet ingest shard.", func() float64 {
 			mem := f.mem.Load()
 			if idx < len(mem.shards) {
 				return float64(mem.shards[idx].depth())
 			}
 			return 0
 		}, "shard", strconv.Itoa(s))
-		help = ""
 	}
 	if n > f.shardMetN {
 		f.shardMetN = n
@@ -472,10 +478,11 @@ func (f *Fleet) buildTenant(byID map[string]*tenant, i int, spec TenantSpec) (*t
 	}
 	storeTime(&tn.lastEvent, math.NaN())
 	storeTime(&tn.lastFailure, math.NaN())
-	tn.layers = make([]*core.Layer, len(f.cfg.Layers))
+	tn.tail.Layers = make([]*core.Layer, len(f.cfg.Layers))
 	for li, tmpl := range f.cfg.Layers {
-		tn.layers[li] = tmpl.instantiate(st)
+		tn.tail.Layers[li] = tmpl.instantiate(st)
 	}
+	tn.tail.Detail = spec.ID
 	var combiner core.Combiner
 	if f.cfg.NewCombiner != nil {
 		combiner = f.cfg.NewCombiner(spec)
@@ -484,47 +491,37 @@ func (f *Fleet) buildTenant(byID map[string]*tenant, i int, spec TenantSpec) (*t
 	if err != nil {
 		return nil, fmt.Errorf("tenant %q actions: %w", spec.ID, err)
 	}
-	tn.engine, err = core.New(nil, tn.layers, combiner, selector, actions, nil, f.cfg.Engine)
+	tn.engine, err = core.New(nil, tn.tail.Layers, combiner, selector, actions, nil, f.cfg.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("tenant %q engine: %w", spec.ID, err)
 	}
 	if f.cfg.Ledger != nil {
-		tn.led = f.cfg.Ledger.Scope(spec.ID)
+		tn.tail.Ledger = f.cfg.Ledger.Scope(spec.ID)
 		tn.dedicated = f.cfg.Ledger.Dedicated(spec.ID)
-		tn.journal = f.cfg.JournalLayers && tn.dedicated
+		tn.tail.JournalLayers = f.cfg.JournalLayers && tn.dedicated
 		if f.cfg.NewLifecycle != nil && tn.dedicated {
-			tn.lcm, err = f.cfg.NewLifecycle(spec, tn.layers, tn.led)
+			tn.tail.Lifecycle, err = f.cfg.NewLifecycle(spec, tn.tail.Layers, tn.tail.Ledger)
 			if err != nil {
 				return nil, fmt.Errorf("tenant %q lifecycle: %w", spec.ID, err)
 			}
-			if tn.lcm != nil {
-				tn.journal = true
+			if tn.tail.Lifecycle != nil {
+				tn.tail.JournalLayers = true
 			}
 		}
 	}
 	if f.cfg.Recorder != nil {
-		tn.rec = f.cfg.Recorder.Scope(spec.ID, obs.RecorderScopeConfig{
+		tn.tail.Recorder = f.cfg.Recorder.Scope(spec.ID, obs.RecorderScopeConfig{
 			WarnThreshold: criticalityWarnThreshold(f.cfg.Recorder.Config().WarnThreshold, spec.Criticality),
-			Ledger:        tn.led,
+			Ledger:        tn.tail.Ledger,
 			Lifecycle: func() any {
-				if tn.lcm == nil {
+				if tn.tail.Lifecycle == nil {
 					return nil
 				}
-				return tn.lcm.States()
+				return tn.tail.Lifecycle.States()
 			},
 		})
 		tn.recOwn = f.cfg.Recorder.Dedicated(spec.ID)
-		if tn.lcm != nil {
-			rec := tn.rec
-			tn.lcm.Subscribe(func(e lifecycle.Event) {
-				switch e.Type {
-				case lifecycle.EventDrift:
-					rec.TriggerEvent(obs.TriggerDrift, e.Time, e.Layer)
-				case lifecycle.EventRolledBack:
-					rec.TriggerEvent(obs.TriggerRollback, e.Time, e.Layer)
-				}
-			})
-		}
+		tn.tail.WireTriggers()
 	}
 	return tn, nil
 }
@@ -566,25 +563,12 @@ func (f *Fleet) tenantActions(spec TenantSpec) (*act.Selector, []*act.Action, er
 	return sel, []*act.Action{observe}, nil
 }
 
-// now returns the fleet's domain time (0 before Start installs the clock).
-func (f *Fleet) now() float64 {
-	if f.cfg.Clock == nil {
-		return 0
-	}
-	return f.cfg.Clock()
-}
+// now returns the fleet's domain time (the default clock reads 0 before
+// Start).
+func (f *Fleet) now() float64 { return f.cfg.Clock() }
 
 // Metrics returns the fleet's metric set.
 func (f *Fleet) Metrics() *runtime.Metrics { return f.metrics }
-
-// Ledger returns the scoped prediction ledger (nil when disabled).
-func (f *Fleet) Ledger() *obs.ScopedLedger { return f.cfg.Ledger }
-
-// Recorder returns the scoped flight recorder (nil when disabled).
-func (f *Fleet) Recorder() *obs.ScopedRecorder { return f.cfg.Recorder }
-
-// Tenants returns the number of registered tenants.
-func (f *Fleet) Tenants() int { return len(f.mem.Load().tenants) }
 
 // Shards returns the number of ingest shards.
 func (f *Fleet) Shards() int { return len(f.mem.Load().shards) }
@@ -613,48 +597,17 @@ func (f *Fleet) QueueDepth() int {
 }
 
 // Cycles returns the number of completed evaluation cycles.
-func (f *Fleet) Cycles() int64 { return f.cycles.Load() }
+func (f *Fleet) Cycles() int64 { return f.shell.Cycles() }
 
 // Start launches the shard consumers and the cycle loop. ctx cancellation
 // hard-stops the fleet; use Stop for graceful shutdown.
 func (f *Fleet) Start(ctx context.Context) error {
-	if !f.started.CompareAndSwap(false, true) {
-		return fmt.Errorf("%w: already started", ErrFleet)
-	}
+	// Under adminMu, so a concurrent Resize either sees the fleet started
+	// (and launches its new shards' consumers itself) or leaves them to us.
 	f.adminMu.Lock()
 	defer f.adminMu.Unlock()
-	f.startWall = time.Now()
-	if f.cfg.Clock == nil {
-		start := f.startWall
-		f.cfg.Clock = func() float64 { return time.Since(start).Seconds() }
-	}
-	f.hardCtx, f.hardStop = context.WithCancel(ctx)
-	f.evalStop = make(chan struct{})
-	if f.cfg.Workers > 1 {
-		f.pool = runtime.NewPool(f.cfg.Workers)
-	}
-	mem := f.mem.Load()
-	f.wg.Add(len(mem.shards) + 2)
-	f.consumersWg.Add(len(mem.shards))
-	for s := range mem.shards {
-		go f.consumeLoop(mem.shards[s])
-	}
-	go func() {
-		defer f.wg.Done()
-		f.consumersWg.Wait()
-		close(f.evalStop)
-	}()
-	go f.evaluateLoop()
-	go func() {
-		<-f.hardCtx.Done()
-		f.stopping.Store(true)
-		f.adminMu.Lock()
-		for _, q := range f.mem.Load().shards {
-			q.close()
-		}
-		f.adminMu.Unlock()
-	}()
-	return nil
+	shards := f.mem.Load().shards
+	return f.shell.Start(ctx, len(shards), func(s int) { f.consumeLoop(shards[s]) })
 }
 
 // AddTenant admits a tenant into the (possibly running) fleet: its state,
@@ -665,7 +618,7 @@ func (f *Fleet) Start(ctx context.Context) error {
 func (f *Fleet) AddTenant(spec TenantSpec) error {
 	f.adminMu.Lock()
 	defer f.adminMu.Unlock()
-	if f.stopping.Load() {
+	if f.shell.Stopping() {
 		return fmt.Errorf("%w: fleet is stopping", ErrFleet)
 	}
 	mem := f.mem.Load()
@@ -675,22 +628,17 @@ func (f *Fleet) AddTenant(spec TenantSpec) error {
 	}
 	tn.q = newTenantQueue(tn, f.cfg.QueueCapacity, tn.spec.RateLimit)
 	mem.shards[mem.ring.shardOf(tn.spec.ID)].attach(tn.q)
-	next := &membership{
-		gen:     mem.gen + 1,
-		tenants: append(append(make([]*tenant, 0, len(mem.tenants)+1), mem.tenants...), tn),
-		byID:    make(map[string]*tenant, len(mem.byID)+1),
-		ring:    mem.ring,
-		shards:  mem.shards,
-	}
-	for id, t := range mem.byID {
-		next.byID[id] = t
-	}
-	next.byID[tn.spec.ID] = tn
+	f.install(mem.withTenants(append(append(make([]*tenant, 0, len(mem.tenants)+1), mem.tenants...), tn)))
+	return nil
+}
+
+// install indexes and publishes a generation with a changed tenant list,
+// between cycles (tenant.index is cycle-addressed).
+func (f *Fleet) install(next *membership) {
 	f.cycleMu.Lock()
 	next.reindex(len(f.cfg.Layers))
 	f.mem.Store(next)
 	f.cycleMu.Unlock()
-	return nil
 }
 
 // RemoveTenant retires a tenant: the next membership generation (without
@@ -706,31 +654,17 @@ func (f *Fleet) RemoveTenant(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownTenant, id)
 	}
-	next := &membership{
-		gen:     mem.gen + 1,
-		tenants: make([]*tenant, 0, len(mem.tenants)-1),
-		byID:    make(map[string]*tenant, len(mem.byID)-1),
-		ring:    mem.ring,
-		shards:  mem.shards,
-	}
+	rest := make([]*tenant, 0, len(mem.tenants)-1)
 	for _, t := range mem.tenants {
 		if t != tn {
-			next.tenants = append(next.tenants, t)
+			rest = append(rest, t)
 		}
 	}
-	for tid, t := range mem.byID {
-		if tid != id {
-			next.byID[tid] = t
-		}
-	}
-	f.cycleMu.Lock()
-	next.reindex(len(f.cfg.Layers))
-	f.mem.Store(next)
-	f.cycleMu.Unlock()
+	f.install(mem.withTenants(rest))
 	tn.q.closeAndDrain()
 	f.cfg.Ledger.Release(id)
 	f.cfg.Recorder.Release(id)
-	if tn.lcm != nil {
+	if tn.tail.Lifecycle != nil {
 		f.retired = append(f.retired, tn)
 	}
 	return nil
@@ -748,7 +682,7 @@ func (f *Fleet) Resize(shards int) error {
 	}
 	f.adminMu.Lock()
 	defer f.adminMu.Unlock()
-	if f.stopping.Load() {
+	if f.shell.Stopping() {
 		return fmt.Errorf("%w: fleet is stopping", ErrFleet)
 	}
 	mem := f.mem.Load()
@@ -758,11 +692,10 @@ func (f *Fleet) Resize(shards int) error {
 	newShards := make([]*shardQueue, shards)
 	n := copy(newShards, mem.shards)
 	for s := n; s < shards; s++ {
-		newShards[s] = f.newShardQueueAt(s)
-		if f.started.Load() {
-			f.wg.Add(1)
-			f.consumersWg.Add(1)
-			go f.consumeLoop(newShards[s])
+		q := f.newShardQueueAt(s)
+		newShards[s] = q
+		if f.shell.Started() {
+			f.shell.Go(func() { f.consumeLoop(q) })
 		}
 	}
 	f.registerShardGauges(shards)
@@ -828,7 +761,7 @@ func (f *Fleet) RecordFailure(tenantID string, t float64) error {
 			break
 		}
 	}
-	tn.led.RecordFailure(t)
+	tn.tail.Ledger.RecordFailure(t)
 	return nil
 }
 
@@ -836,8 +769,6 @@ func (f *Fleet) RecordFailure(tenantID string, t float64) error {
 // single shared-lock acquisition, amortizing synchronization across up to
 // BatchSize events — the fleet's per-event overhead win.
 func (f *Fleet) consumeLoop(q *shardQueue) {
-	defer f.wg.Done()
-	defer f.consumersWg.Done()
 	tr := f.cfg.Tracer
 	buf := make([]item, f.cfg.BatchSize)
 	for {
@@ -851,7 +782,7 @@ func (f *Fleet) consumeLoop(q *shardQueue) {
 			}
 			return
 		}
-		if f.hardCtx.Err() != nil {
+		if f.shell.HardStopped() {
 			// Hard stop: shed the chunk unapplied so shutdown is prompt.
 			for i := 0; i < n; i++ {
 				f.metrics.DroppedShutdown.Inc()
@@ -890,36 +821,7 @@ func (f *Fleet) consumeLoop(q *shardQueue) {
 }
 
 // EvaluateNow requests an asynchronous cycle (coalesces if one is pending).
-func (f *Fleet) EvaluateNow() {
-	select {
-	case f.evalReq <- struct{}{}:
-	default:
-	}
-}
-
-// evaluateLoop runs cycles on the ticker and on demand, plus one final
-// cycle after ingest drains on shutdown.
-func (f *Fleet) evaluateLoop() {
-	defer f.wg.Done()
-	var tick <-chan time.Time
-	if f.cfg.EvalInterval > 0 {
-		t := time.NewTicker(f.cfg.EvalInterval)
-		defer t.Stop()
-		tick = t.C
-	}
-	for {
-		select {
-		case <-f.hardCtx.Done():
-			return
-		case <-f.evalStop:
-			f.EvaluateCycle()
-			return
-		case <-tick:
-		case <-f.evalReq:
-		}
-		f.EvaluateCycle()
-	}
-}
+func (f *Fleet) EvaluateNow() { f.shell.EvaluateNow() }
 
 // EvaluateCycle runs one full synchronous MEA cycle over every tenant in
 // the current membership generation: batched cross-tenant layer scoring and
@@ -944,6 +846,7 @@ func (f *Fleet) EvaluateCycle() {
 	f.cycleMu.Lock()
 	defer f.cycleMu.Unlock()
 	mem := f.mem.Load()
+	pool := f.shell.Pool()
 	tr := f.cfg.Tracer
 	evalStart := tr.Now()
 	now := f.now()
@@ -955,10 +858,10 @@ func (f *Fleet) EvaluateCycle() {
 	}
 	// Lifecycle capture/shadow scoring needs the same exclusion the layer
 	// scores just used (it reads predictor state).
-	f.pool.Do(nT, func(i int) {
+	pool.Do(nT, func(i int) {
 		tn := mem.tenants[i]
-		if tn.lcm != nil {
-			tn.cands = tn.lcm.Collect(now)
+		if tn.tail.Lifecycle != nil {
+			tn.cands = tn.tail.Lifecycle.Collect(now)
 		}
 	})
 	// Bundle assembly reads tenant event logs, so it shares the same
@@ -972,15 +875,15 @@ func (f *Fleet) EvaluateCycle() {
 	actWall := time.Now()
 	actStart := tr.Now()
 	if f.cfg.ActBudget > 0 {
-		f.pool.Do(nT, func(i int) {
+		pool.Do(nT, func(i int) {
 			f.decideTenant(mem, mem.tenants[i], now)
 		})
 		f.resolveBudget(mem)
-		f.pool.Do(nT, func(i int) {
+		pool.Do(nT, func(i int) {
 			f.finishTenant(mem.tenants[i], now)
 		})
 	} else {
-		f.pool.Do(nT, func(i int) {
+		pool.Do(nT, func(i int) {
 			tn := mem.tenants[i]
 			f.decideTenant(mem, tn, now)
 			if tn.pact != nil {
@@ -994,8 +897,7 @@ func (f *Fleet) EvaluateCycle() {
 	f.metrics.Evaluations.Inc()
 	f.metrics.ActLatency.Observe(time.Since(actWall).Seconds())
 	tr.CompleteCycle(evalStart, evalEnd, actStart, tr.Now())
-	f.cycles.Add(1)
-	f.lastCycle.Store(time.Now().UnixNano())
+	f.shell.CycleDone()
 }
 
 // scoreLayer fills layer li's row of the score matrix across all tenants:
@@ -1009,7 +911,7 @@ func (f *Fleet) scoreLayer(mem *membership, li int, now float64) {
 	if tmpl.ScoreBatch != nil {
 		b := f.cfg.BatchSize
 		chunks := (nT + b - 1) / b
-		f.pool.Do(chunks, func(c int) {
+		f.shell.Pool().Do(chunks, func(c int) {
 			lo := c * b
 			hi := lo + b
 			if hi > nT {
@@ -1023,7 +925,7 @@ func (f *Fleet) scoreLayer(mem *membership, li int, now float64) {
 		})
 		return
 	}
-	f.pool.Do(nT, func(i int) {
+	f.shell.Pool().Do(nT, func(i int) {
 		s, err := tmpl.Score(mem.states[i], now)
 		if err != nil {
 			s = math.NaN()
@@ -1074,7 +976,8 @@ func (f *Fleet) resolveBudget(mem *membership) {
 	f.actCands = cands[:0] // keep the scratch capacity across cycles
 }
 
-// finishTenant accounts and journals one tenant's resolved decision.
+// finishTenant accounts one tenant's resolved decision and runs its act
+// tail (journal, lifecycle, recorder — runtime.ActTail.Observe).
 func (f *Fleet) finishTenant(tn *tenant, now float64) {
 	d := tn.dec
 	if d.Warned {
@@ -1091,36 +994,7 @@ func (f *Fleet) finishTenant(tn *tenant, now float64) {
 	}
 	tn.lastWarned.Store(d.Warned)
 	tn.lastConf.Store(math.Float64bits(d.Confidence))
-	if tn.led != nil {
-		if tn.journal {
-			for li, l := range tn.layers {
-				if !math.IsNaN(tn.row[li]) {
-					tn.led.RecordPrediction(l.Name, now, tn.row[li] >= l.Threshold, tn.row[li])
-				}
-			}
-			for _, c := range tn.cands {
-				if c.Err == nil {
-					tn.led.RecordPrediction(c.Name, now, c.Score >= c.Threshold, c.Score)
-				}
-			}
-		}
-		tn.led.RecordPrediction(obs.CombinedLayer, now, d.Warned, d.Confidence)
-	}
-	if tn.lcm != nil {
-		// Runs before the recorder sees the cycle so drift/rollback
-		// triggers land ahead of this cycle's decision triggers.
-		tn.lcm.ObserveCycle(now, tn.row)
-	}
-	if tn.rec != nil {
-		tn.rec.Observe(now, tn.row, obs.CycleObservation{
-			Warned:        d.Warned,
-			Executed:      d.Executed,
-			Confidence:    d.Confidence,
-			Action:        d.ActionName,
-			LayerVersions: d.LayerVersions,
-			Detail:        tn.spec.ID,
-		})
-	}
+	tn.tail.Observe(now, tn.row, tn.cands, d)
 	tn.cands = nil
 	tn.dec = core.Decision{}
 }
@@ -1142,60 +1016,27 @@ func (f *Fleet) Barrier(ctx context.Context) error {
 	}
 }
 
-// Stop shuts the fleet down gracefully: reject new ingest, drain every
-// shard through Apply, run one final cycle, then release the pool. If ctx
-// expires first the fleet is hard-stopped and ctx's error returned.
-func (f *Fleet) Stop(ctx context.Context) error {
-	if !f.started.Load() {
-		return fmt.Errorf("%w: not started", ErrFleet)
+// Stop shuts the fleet down by the shared stop protocol (runtime.Shell):
+// reject new ingest, drain every shard through Apply, run one final cycle,
+// release the pool, let background retrains land and flush the recorders. If
+// ctx expires first the fleet is hard-stopped and ctx's error returned.
+func (f *Fleet) Stop(ctx context.Context) error { return f.shell.Stop(ctx) }
+
+// quiesced finishes Stop once no Apply and no cycle can run any more.
+func (f *Fleet) quiesced() {
+	f.adminMu.Lock()
+	waitFor := append([]*tenant(nil), f.mem.Load().tenants...)
+	waitFor = append(waitFor, f.retired...)
+	f.adminMu.Unlock()
+	for _, tn := range waitFor {
+		if tn.tail.Lifecycle != nil {
+			tn.tail.Lifecycle.Wait()
+		}
 	}
-	f.stopOnce.Do(func() {
-		f.adminMu.Lock()
-		f.stopping.Store(true)
-		for _, q := range f.mem.Load().shards {
-			q.close()
-		}
-		f.adminMu.Unlock()
-		done := make(chan struct{})
-		go func() {
-			f.wg.Wait()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-ctx.Done():
-			f.hardStop()
-			<-done
-			f.stopErr = ctx.Err()
-		}
-		f.hardStop()
-		if f.pool != nil {
-			f.pool.Close()
-		}
-		f.adminMu.Lock()
-		waitFor := append([]*tenant(nil), f.mem.Load().tenants...)
-		waitFor = append(waitFor, f.retired...)
-		f.adminMu.Unlock()
-		for _, tn := range waitFor {
-			if tn.lcm != nil {
-				tn.lcm.Wait()
-			}
-		}
-		// Pipeline is quiet: capture any triggers the final cycle raised
-		// and deliver the tail to subscribers.
-		f.cfg.Recorder.Flush()
-		f.stopped.Store(true)
-	})
-	return f.stopErr
+	// Capture any triggers the final cycle raised and deliver the tail to
+	// subscribers.
+	f.cfg.Recorder.Flush()
 }
 
 // Running reports whether the fleet is started and not yet stopping.
-func (f *Fleet) Running() bool { return f.started.Load() && !f.stopping.Load() }
-
-// Uptime returns the wall-clock time since Start.
-func (f *Fleet) Uptime() time.Duration {
-	if !f.started.Load() {
-		return 0
-	}
-	return time.Since(f.startWall)
-}
+func (f *Fleet) Running() bool { return f.shell.Running() }

@@ -5,13 +5,10 @@ import (
 	"errors"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/obs"
-	"repro/internal/predict"
 	"repro/internal/runtime"
 )
 
@@ -75,34 +72,7 @@ type TenantView struct {
 	// Quality is the tenant's rolling combined-layer contingency table
 	// (from its own scope, or the shared overflow scope when folded);
 	// omitted when the fleet runs without a ledger.
-	Quality *tableJSON `json:"quality,omitempty"`
-}
-
-// tableJSON mirrors the runtime server's contingency rendering: metric
-// pointers are nil while their denominator is empty (JSON cannot carry NaN).
-type tableJSON struct {
-	TP        int      `json:"tp"`
-	FP        int      `json:"fp"`
-	TN        int      `json:"tn"`
-	FN        int      `json:"fn"`
-	Precision *float64 `json:"precision,omitempty"`
-	Recall    *float64 `json:"recall,omitempty"`
-	FPR       *float64 `json:"fpr,omitempty"`
-	F1        *float64 `json:"f1,omitempty"`
-}
-
-func toTableJSON(c predict.ContingencyTable) tableJSON {
-	finite := func(v float64) *float64 {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil
-		}
-		return &v
-	}
-	return tableJSON{
-		TP: c.TP, FP: c.FP, TN: c.TN, FN: c.FN,
-		Precision: finite(c.Precision()), Recall: finite(c.Recall()),
-		FPR: finite(c.FPR()), F1: finite(c.FMeasure()),
-	}
+	Quality *runtime.TableJSON `json:"quality,omitempty"`
 }
 
 // RollupView is the fleet-wide aggregate in the /fleet response.
@@ -146,7 +116,7 @@ func (f *Fleet) Rollup(now float64) RollupView {
 		Tenants:           len(mem.tenants),
 		Shards:            len(mem.shards),
 		ByStatus:          make(map[string]int, 5),
-		Cycles:            f.cycles.Load(),
+		Cycles:            f.Cycles(),
 		QueueDepth:        f.QueueDepth(),
 		Generation:        mem.gen,
 		ActBudget:         f.cfg.ActBudget,
@@ -172,8 +142,8 @@ func (f *Fleet) Rollup(now float64) RollupView {
 		if st != StatusFailed {
 			critUp += tn.spec.Criticality
 		}
-		if tn.led != nil {
-			if fm := rollingCombined(tn.led).FMeasure(); !math.IsNaN(fm) {
+		if led := tn.tail.Ledger; led != nil {
+			if fm := led.Quality(obs.CombinedLayer).FMeasure(); !math.IsNaN(fm) {
 				f1Sum += fm * tn.spec.Criticality
 				f1Crit += tn.spec.Criticality
 			}
@@ -189,16 +159,6 @@ func (f *Fleet) Rollup(now float64) RollupView {
 		r.WeightedF1 = &v
 	}
 	return r
-}
-
-// rollingCombined extracts the combined layer's rolling table.
-func rollingCombined(led *obs.Ledger) predict.ContingencyTable {
-	for _, lq := range led.Snapshot().Layers {
-		if lq.Layer == obs.CombinedLayer {
-			return lq.Rolling
-		}
-	}
-	return predict.ContingencyTable{}
 }
 
 // fleetJSON is the /fleet response body.
@@ -218,28 +178,28 @@ func (f *Fleet) view(tn *tenant, now float64) TenantView {
 		Failures:        tn.failures.Load(),
 		Warnings:        tn.warnings.Load(),
 		Actions:         tn.actions.Load(),
-		Versions:        make([]uint64, len(tn.layers)),
+		Versions:        make([]uint64, len(tn.tail.Layers)),
 		DedicatedLedger: tn.dedicated,
 	}
 	if le := loadTime(&tn.lastEvent); !math.IsNaN(le) {
 		age := now - le
 		v.LastEventAge = &age
 	}
-	if c := math.Float64frombits(tn.lastConf.Load()); !math.IsNaN(c) && f.cycles.Load() > 0 {
+	if c := math.Float64frombits(tn.lastConf.Load()); !math.IsNaN(c) && f.Cycles() > 0 {
 		v.Confidence = &c
 	}
-	for i, l := range tn.layers {
+	for i, l := range tn.tail.Layers {
 		v.Versions[i] = l.Version()
 	}
-	if tn.led != nil {
-		t := toTableJSON(rollingCombined(tn.led))
+	if led := tn.tail.Ledger; led != nil {
+		t := runtime.ToTableJSON(led.Quality(obs.CombinedLayer))
 		v.Quality = &t
 	}
-	if tn.rec != nil {
+	if rec := tn.tail.Recorder; rec != nil {
 		v.DedicatedRecorder = tn.recOwn
 		var n int64
 		for _, k := range obs.TriggerKinds {
-			n += tn.rec.Captured(k)
+			n += rec.Captured(k)
 		}
 		v.Incidents = &n
 	}
@@ -283,27 +243,18 @@ func (f *Fleet) serveFleet(w http.ResponseWriter, req *http.Request) {
 	_ = json.NewEncoder(w).Encode(out)
 }
 
-// health is the /healthz body (same shape as the single runtime's).
-type health struct {
-	Status        string  `json:"status"`
-	UptimeSeconds float64 `json:"uptimeSeconds"`
-	Tenants       int     `json:"tenants"`
-	Shards        int     `json:"shards"`
-	QueueDepth    int     `json:"queueDepth"`
-	Cycles        int64   `json:"cycles"`
-	// LastCycleAgoSeconds is -1 before the first cycle completes.
-	LastCycleAgoSeconds float64 `json:"lastCycleAgoSeconds"`
-}
-
-// status derives the fleet pipeline state for readiness/liveness bodies.
-func (f *Fleet) status() string {
-	switch {
-	case f.stopped.Load():
-		return "stopped"
-	case !f.Running():
-		return "draining"
-	}
-	return "ok"
+// health snapshots readiness state: the shell's status, uptime and
+// last-cycle age plus the fleet's shape. QueueCapacity is the sum of the
+// shards' admission budgets (each tenant is capped at one budget too).
+func (f *Fleet) health() runtime.Health {
+	mem := f.mem.Load()
+	h := f.shell.Health()
+	h.Tenants = len(mem.tenants)
+	h.Shards = len(mem.shards)
+	h.QueueDepth = f.QueueDepth()
+	h.QueueCapacity = len(mem.shards) * f.cfg.QueueCapacity
+	h.Evaluations = f.Cycles()
+	return h
 }
 
 // serveTenants admits a tenant into the running fleet: POST /fleet/tenants
@@ -384,76 +335,31 @@ func (f *Fleet) serveResize(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-// Handler serves the fleet observability and admin plane:
+// Handler serves the base plane (runtime.Plane.Mux: /metrics, /healthz,
+// /readyz, /livez, /tracez with Config.Tracer — ?n=, ?format=json as on the
+// single-tenant plane — and /incidents across tenants with Config.Recorder)
+// plus the fleet view and admin verbs:
 //
 //	GET    /fleet              — rollup + per-tenant health/quality/versions
 //	                             (?tenant=ID for one row, ?status=S filters)
 //	POST   /fleet/tenants      — admit a tenant (TenantSpec JSON body)
 //	DELETE /fleet/tenants/{id} — retire a tenant (backlog shed, scopes freed)
 //	POST   /fleet/resize       — change the shard count ({"shards": N})
-//	GET    /metrics            — Prometheus text exposition
-//	GET    /healthz            — JSON readiness (503 once draining/stopped);
-//	                             /readyz is an alias
-//	GET    /livez              — JSON liveness (200 for the process's life)
-//	GET    /tracez             — slowest end-to-end spans (with Config.Tracer;
-//	                             ?n=, ?format=json as on the single-tenant plane)
-//	GET    /incidents          — flight-recorder bundles across tenants
 func (f *Fleet) Handler() http.Handler {
-	mux := http.NewServeMux()
+	p := runtime.Plane{Metrics: f.metrics, Health: f.health, Tracer: f.cfg.Tracer}
+	if f.cfg.Recorder != nil {
+		p.Incidents = f.cfg.Recorder
+	}
+	mux := p.Mux()
 	mux.HandleFunc("/fleet", f.serveFleet)
 	mux.HandleFunc("/fleet/tenants", f.serveTenants)
 	mux.HandleFunc("/fleet/tenants/", f.serveTenant)
 	mux.HandleFunc("/fleet/resize", f.serveResize)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = f.metrics.WritePrometheus(w)
-	})
-	ready := func(w http.ResponseWriter, _ *http.Request) {
-		mem := f.mem.Load()
-		h := health{
-			Status:              f.status(),
-			UptimeSeconds:       f.Uptime().Seconds(),
-			Tenants:             len(mem.tenants),
-			Shards:              len(mem.shards),
-			QueueDepth:          f.QueueDepth(),
-			Cycles:              f.cycles.Load(),
-			LastCycleAgoSeconds: -1,
-		}
-		if last := f.lastCycle.Load(); last != 0 {
-			h.LastCycleAgoSeconds = time.Since(time.Unix(0, last)).Seconds()
-		}
-		w.Header().Set("Content-Type", "application/json")
-		if h.Status != "ok" {
-			w.WriteHeader(http.StatusServiceUnavailable)
-		}
-		_ = json.NewEncoder(w).Encode(h)
-	}
-	mux.HandleFunc("/healthz", ready)
-	mux.HandleFunc("/readyz", ready)
-	mux.HandleFunc("/livez", func(w http.ResponseWriter, _ *http.Request) {
-		runtime.ServeLiveness(w, f.status())
-	})
-	if f.cfg.Recorder != nil {
-		mux.HandleFunc("/incidents", func(w http.ResponseWriter, req *http.Request) {
-			runtime.ServeIncidents(w, req, f.cfg.Recorder.Bundles, f.cfg.Recorder.Bundle)
-		})
-	}
-	if f.cfg.Tracer != nil {
-		mux.HandleFunc("/tracez", func(w http.ResponseWriter, req *http.Request) {
-			runtime.ServeTracez(w, req, f.cfg.Tracer)
-		})
-	}
 	return mux
 }
 
 // Serve starts the fleet observability server on addr (":0" picks a free
 // port); shut it down with srv.Shutdown or srv.Close.
 func (f *Fleet) Serve(addr string) (*http.Server, string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", err
-	}
-	srv := &http.Server{Handler: f.Handler()}
-	go func() { _ = srv.Serve(ln) }()
-	return srv, ln.Addr().String(), nil
+	return runtime.Serve(addr, f.Handler())
 }

@@ -10,6 +10,123 @@ import (
 // predictions and failures of all folded scopes match against each other.
 const OverflowScope = "~overflow"
 
+// scopeSet is the cap-and-fold bookkeeping ScopedLedger and ScopedRecorder
+// share: the first max scopes each own a dedicated member (a *Ledger or a
+// *Recorder), later scopes fold into one shared overflow member, and a
+// released scope frees its slot. mu also guards the embedding type's own
+// fields. The exported accessors are promoted to both types; unlike the
+// types' own methods they need a non-nil receiver (a promoted method cannot
+// see a nil outer pointer).
+type scopeSet[T comparable] struct {
+	mu       sync.Mutex
+	max      int
+	order    []string // dedicated scopes, registration order
+	scopes   map[string]T
+	overflow T     // zero until the first fold
+	folded   int64 // scopes routed to the overflow member
+}
+
+// init sets the dedicated-member cap (minimum 1).
+func (s *scopeSet[T]) init(maxScopes int) error {
+	if maxScopes < 1 {
+		return fmt.Errorf("%w: scope cap %d (need >= 1)", ErrObs, maxScopes)
+	}
+	s.max, s.scopes = maxScopes, make(map[string]T)
+	return nil
+}
+
+// getLocked returns the named scope's member, creating it with build(name)
+// while a dedicated slot is free and folding it into the overflow member
+// (build(OverflowScope), created on first use) once the cap is reached.
+// Caller holds mu.
+func (s *scopeSet[T]) getLocked(name string, build func(scope string) T) T {
+	if m, ok := s.scopes[name]; ok {
+		return m
+	}
+	if name != OverflowScope && len(s.order) < s.max {
+		m := build(name)
+		s.scopes[name] = m
+		s.order = append(s.order, name)
+		return m
+	}
+	var zero T
+	if s.overflow == zero {
+		s.overflow = build(OverflowScope)
+		s.scopes[OverflowScope] = s.overflow
+	}
+	if name != OverflowScope {
+		s.folded++
+		s.scopes[name] = s.overflow
+	}
+	return s.overflow
+}
+
+// releaseLocked retires the named scope and returns its member if that was
+// a dedicated one (the caller banks its lifetime totals). Releasing a
+// folded scope only decrements folded; an unknown scope and the overflow
+// scope are no-ops. Caller holds mu.
+func (s *scopeSet[T]) releaseLocked(name string) (member T, dedicated bool) {
+	m, ok := s.scopes[name]
+	if !ok || name == OverflowScope {
+		return member, false
+	}
+	delete(s.scopes, name)
+	if m == s.overflow {
+		s.folded--
+		return member, false
+	}
+	for i, n := range s.order {
+		if n == name {
+			s.order = append(s.order[:i], s.order[i+1:]...)
+			break
+		}
+	}
+	return m, true
+}
+
+// distinctLocked returns each distinct member once: dedicated scopes in
+// registration order, then the overflow member. Caller holds mu.
+func (s *scopeSet[T]) distinctLocked() []T {
+	out := make([]T, 0, len(s.order)+1)
+	for _, name := range s.order {
+		out = append(out, s.scopes[name])
+	}
+	var zero T
+	if s.overflow != zero {
+		out = append(out, s.overflow)
+	}
+	return out
+}
+
+// Dedicated reports whether the named scope owns its member (false when it
+// was folded into the overflow scope, or never seen).
+func (s *scopeSet[T]) Dedicated(name string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m, ok := s.scopes[name]
+	return ok && m != s.overflow
+}
+
+// Scopes returns the dedicated scope names in registration order, plus the
+// OverflowScope last if any scope was folded.
+func (s *scopeSet[T]) Scopes() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := append([]string(nil), s.order...)
+	var zero T
+	if s.overflow != zero {
+		out = append(out, OverflowScope)
+	}
+	return out
+}
+
+// Folded returns how many distinct scopes share the overflow member.
+func (s *scopeSet[T]) Folded() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.folded
+}
+
 // ScopedLedger multiplexes per-scope prediction-quality Ledgers — one per
 // tenant in a fleet — under a single configuration, with a cardinality cap:
 // the first MaxScopes scopes each get a dedicated journal (own failure
@@ -18,14 +135,9 @@ const OverflowScope = "~overflow"
 // tenants register; the paper's per-instance Sect. 3.3 accounting stays
 // exact for every dedicated scope.
 type ScopedLedger struct {
-	mu        sync.Mutex
+	scopeSet[*Ledger]
 	cfg       LedgerConfig
-	max       int
 	layers    []string
-	order     []string // dedicated scopes, registration order
-	scopes    map[string]*Ledger
-	overflow  *Ledger
-	folded    int64 // scopes routed to the overflow journal
 	watermark float64
 	// retired totals keep Totals monotonic after Release drops a journal.
 	retiredPred int64
@@ -39,22 +151,15 @@ func NewScopedLedger(cfg LedgerConfig, maxScopes int, layerNames ...string) (*Sc
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if maxScopes < 1 {
-		return nil, fmt.Errorf("%w: scope cap %d (need >= 1)", ErrObs, maxScopes)
+	s := &ScopedLedger{cfg: cfg, layers: append([]string(nil), layerNames...)}
+	if err := s.init(maxScopes); err != nil {
+		return nil, err
 	}
-	return &ScopedLedger{
-		cfg:    cfg,
-		max:    maxScopes,
-		layers: append([]string(nil), layerNames...),
-		scopes: make(map[string]*Ledger),
-	}, nil
+	return s, nil
 }
 
 // Config returns the matching configuration shared by every scope.
 func (s *ScopedLedger) Config() LedgerConfig { return s.cfg }
-
-// MaxScopes returns the dedicated-journal cap.
-func (s *ScopedLedger) MaxScopes() int { return s.max }
 
 // Scope returns the named scope's journal, creating it on first use. Once
 // the cap is reached, every new scope returns the shared overflow journal.
@@ -65,65 +170,10 @@ func (s *ScopedLedger) Scope(name string) *Ledger {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.scopeLocked(name)
-}
-
-func (s *ScopedLedger) scopeLocked(name string) *Ledger {
-	if led, ok := s.scopes[name]; ok {
-		return led
-	}
-	if name != OverflowScope && len(s.order) < s.max {
+	return s.getLocked(name, func(string) *Ledger {
 		led, _ := NewLedger(s.cfg, s.layers...) // cfg already validated
-		s.scopes[name] = led
-		s.order = append(s.order, name)
 		return led
-	}
-	if s.overflow == nil {
-		s.overflow, _ = NewLedger(s.cfg, s.layers...)
-		s.scopes[OverflowScope] = s.overflow
-	}
-	if name != OverflowScope {
-		s.folded++
-		s.scopes[name] = s.overflow
-	}
-	return s.overflow
-}
-
-// Dedicated reports whether the named scope owns its journal (false when it
-// was folded into the overflow scope, or never seen).
-func (s *ScopedLedger) Dedicated(name string) bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	led, ok := s.scopes[name]
-	return ok && led != s.overflow
-}
-
-// Scopes returns the dedicated scope names in registration order, plus the
-// OverflowScope last if any scope was folded.
-func (s *ScopedLedger) Scopes() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := append([]string(nil), s.order...)
-	if s.overflow != nil {
-		out = append(out, OverflowScope)
-	}
-	return out
-}
-
-// Folded returns how many distinct scopes share the overflow journal.
-func (s *ScopedLedger) Folded() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.folded
+	})
 }
 
 // Release retires the named scope (a removed tenant): its journal is
@@ -135,29 +185,16 @@ func (s *ScopedLedger) Folded() int64 {
 // the overflow scope is a no-op. Any *Ledger handle obtained earlier stays
 // safe to use; its writes just no longer surface here.
 func (s *ScopedLedger) Release(name string) {
-	if s == nil || name == OverflowScope {
+	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	led, ok := s.scopes[name]
-	if !ok {
-		return
+	if led, ok := s.releaseLocked(name); ok {
+		snap := led.Snapshot()
+		s.retiredPred += snap.Predictions
+		s.retiredFail += snap.Failures
 	}
-	delete(s.scopes, name)
-	if led == s.overflow {
-		s.folded--
-		return
-	}
-	for i, n := range s.order {
-		if n == name {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	snap := led.Snapshot()
-	s.retiredPred += snap.Predictions
-	s.retiredFail += snap.Failures
 }
 
 // Advance declares ground truth complete up to now on every scope. Call
@@ -171,13 +208,7 @@ func (s *ScopedLedger) Advance(now float64) {
 	if now > s.watermark {
 		s.watermark = now
 	}
-	leds := make([]*Ledger, 0, len(s.order)+1)
-	for _, name := range s.order {
-		leds = append(leds, s.scopes[name])
-	}
-	if s.overflow != nil {
-		leds = append(leds, s.overflow)
-	}
+	leds := s.distinctLocked()
 	s.mu.Unlock()
 	for _, led := range leds {
 		led.Advance(now)
@@ -201,13 +232,7 @@ func (s *ScopedLedger) Totals() (predictions, failures int64) {
 	}
 	s.mu.Lock()
 	predictions, failures = s.retiredPred, s.retiredFail
-	leds := make([]*Ledger, 0, len(s.order)+1)
-	for _, name := range s.order {
-		leds = append(leds, s.scopes[name])
-	}
-	if s.overflow != nil {
-		leds = append(leds, s.overflow)
-	}
+	leds := s.distinctLocked()
 	s.mu.Unlock()
 	for _, led := range leds {
 		snap := led.Snapshot()

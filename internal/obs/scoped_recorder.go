@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "sort"
 
 // RecorderScopeConfig carries the per-scope overrides a fleet applies on
 // top of the template RecorderConfig when registering a tenant.
@@ -27,14 +23,9 @@ type RecorderScopeConfig struct {
 // bundle retention and metric cardinality stay bounded no matter how many
 // tenants register.
 type ScopedRecorder struct {
-	mu       sync.Mutex
-	cfg      RecorderConfig
-	max      int
-	order    []string // dedicated scopes, registration order
-	scopes   map[string]*Recorder
-	overflow *Recorder
-	folded   int64
-	subs     []func(*IncidentBundle) // applied to every scope, current and future
+	scopeSet[*Recorder]
+	cfg  RecorderConfig
+	subs []func(*IncidentBundle) // applied to every scope, current and future
 	// retired tallies keep Captured/Suppressed monotonic after Release.
 	retiredCaptured   map[TriggerKind]int64
 	retiredSuppressed int64
@@ -44,21 +35,19 @@ type ScopedRecorder struct {
 // configuration (its Scope field is ignored; each scope stamps its own).
 // maxScopes caps the dedicated recorders (minimum 1).
 func NewScopedRecorder(cfg RecorderConfig, maxScopes int) (*ScopedRecorder, error) {
-	if maxScopes < 1 {
-		return nil, fmt.Errorf("%w: scope cap %d (need >= 1)", ErrObs, maxScopes)
-	}
 	cfg.Scope = ""
+	s := &ScopedRecorder{cfg: cfg}
+	if err := s.init(maxScopes); err != nil {
+		return nil, err
+	}
 	if _, err := NewRecorder(cfg); err != nil { // validate + surface defaults early
 		return nil, err
 	}
-	return &ScopedRecorder{cfg: cfg, max: maxScopes, scopes: make(map[string]*Recorder)}, nil
+	return s, nil
 }
 
 // Config returns the template configuration shared by every scope.
 func (s *ScopedRecorder) Config() RecorderConfig { return s.cfg }
-
-// MaxScopes returns the dedicated-recorder cap.
-func (s *ScopedRecorder) MaxScopes() int { return s.max }
 
 // Scope returns the named scope's recorder, creating it on first use with
 // the given overrides. Once the cap is reached, every new scope returns
@@ -70,79 +59,26 @@ func (s *ScopedRecorder) Scope(name string, sc RecorderScopeConfig) *Recorder {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if rec, ok := s.scopes[name]; ok {
-		return rec
-	}
-	if name != OverflowScope && len(s.order) < s.max {
+	return s.getLocked(name, func(scope string) *Recorder {
 		cfg := s.cfg
-		cfg.Scope = name
-		if sc.WarnThreshold > 0 {
-			cfg.WarnThreshold = sc.WarnThreshold
-		}
-		if sc.Ledger != nil {
-			cfg.Ledger = sc.Ledger
-		}
-		if sc.Lifecycle != nil {
-			cfg.Lifecycle = sc.Lifecycle
+		cfg.Scope = scope
+		if scope != OverflowScope {
+			if sc.WarnThreshold > 0 {
+				cfg.WarnThreshold = sc.WarnThreshold
+			}
+			if sc.Ledger != nil {
+				cfg.Ledger = sc.Ledger
+			}
+			if sc.Lifecycle != nil {
+				cfg.Lifecycle = sc.Lifecycle
+			}
 		}
 		rec, _ := NewRecorder(cfg) // template already validated
 		for _, fn := range s.subs {
 			rec.Subscribe(fn)
 		}
-		s.scopes[name] = rec
-		s.order = append(s.order, name)
 		return rec
-	}
-	if s.overflow == nil {
-		cfg := s.cfg
-		cfg.Scope = OverflowScope
-		s.overflow, _ = NewRecorder(cfg)
-		for _, fn := range s.subs {
-			s.overflow.Subscribe(fn)
-		}
-		s.scopes[OverflowScope] = s.overflow
-	}
-	if name != OverflowScope {
-		s.folded++
-		s.scopes[name] = s.overflow
-	}
-	return s.overflow
-}
-
-// Dedicated reports whether the named scope owns its recorder.
-func (s *ScopedRecorder) Dedicated(name string) bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.scopes[name]
-	return ok && rec != s.overflow
-}
-
-// Scopes returns the dedicated scope names in registration order, plus
-// the OverflowScope last if any scope was folded.
-func (s *ScopedRecorder) Scopes() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := append([]string(nil), s.order...)
-	if s.overflow != nil {
-		out = append(out, OverflowScope)
-	}
-	return out
-}
-
-// Folded returns how many distinct scopes share the overflow recorder.
-func (s *ScopedRecorder) Folded() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.folded
+	})
 }
 
 // Release retires the named scope (a removed tenant): its recorder drops
@@ -152,25 +88,14 @@ func (s *ScopedRecorder) Folded() int64 {
 // it (subscribers already saw everything collected). Releasing a folded
 // scope decrements Folded and leaves the overflow recorder untouched.
 func (s *ScopedRecorder) Release(name string) {
-	if s == nil || name == OverflowScope {
+	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec, ok := s.scopes[name]
+	rec, ok := s.releaseLocked(name)
 	if !ok {
 		return
-	}
-	delete(s.scopes, name)
-	if rec == s.overflow {
-		s.folded--
-		return
-	}
-	for i, n := range s.order {
-		if n == name {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
 	}
 	if s.retiredCaptured == nil {
 		s.retiredCaptured = make(map[TriggerKind]int64)
@@ -193,19 +118,6 @@ func (s *ScopedRecorder) Subscribe(fn func(*IncidentBundle)) {
 	for _, rec := range recs {
 		rec.Subscribe(fn)
 	}
-}
-
-// distinctLocked returns each distinct recorder once, dedicated scopes in
-// registration order then the overflow. Caller holds s.mu.
-func (s *ScopedRecorder) distinctLocked() []*Recorder {
-	recs := make([]*Recorder, 0, len(s.order)+1)
-	for _, name := range s.order {
-		recs = append(recs, s.scopes[name])
-	}
-	if s.overflow != nil {
-		recs = append(recs, s.overflow)
-	}
-	return recs
 }
 
 // distinct snapshots the recorder set under the lock.

@@ -5,33 +5,50 @@
 // exactly this shape — a control loop that keeps up with monitoring
 // ingest).
 //
-// The pipeline has three stages, each context-driven with clean shutdown
-// and drain:
+// The pipeline is two kinds of goroutine around one state lock, each
+// context-driven with clean shutdown and drain:
 //
-//		producers ──Ingest──▶ [bounded queue] ──▶ apply to predictor state
-//		                                             │ (serialized writes)
-//		     ticker / EvaluateNow ──▶ evaluate stage ─┤ (parallel Layer.Evaluate
-//		                                             │  in a worker pool)
-//		                              act stage ◀────┘ (serialized core.ActOn)
+//		producers ──Ingest──▶ [bounded queue per shard] ──▶ drain consumer (×Shards):
+//		                                                    Apply chunks under the
+//		                                                    shared side of the lock
 //
-//	  - Ingest accepts error events and monitoring samples through a bounded
-//	    queue with an explicit overflow policy — Block (backpressure),
-//	    DropOldest (keep the freshest evidence), or DropNewest (protect the
-//	    backlog) — with per-policy drop counters. A single consumer applies
-//	    events to the user's predictor-visible state under the runtime's
-//	    state lock.
-//	  - Evaluate fires on a wall-clock ticker (and on demand via
-//	    EvaluateNow); per-layer predictors score in parallel in a worker
-//	    pool, under the state read-lock, so layers see a consistent snapshot
-//	    while ingest keeps queueing behind them.
-//	  - Act consumes score vectors serially and calls core.Engine.ActOn,
-//	    preserving the single cross-layer decision and oscillation-guard
-//	    semantics of the batch engine.
+//		ticker / EvaluateNow ──▶ cycle goroutine (×1), one cycle at a time:
+//		                           evaluate: score every layer under the exclusive
+//		                                     side (fanned over the worker pool)
+//		                           act:      core.Engine.ActOn, then the act tail
+//		                                     (journal → lifecycle → recorder)
+//
+//	  - Ingest accepts error events and monitoring samples through bounded
+//	    per-shard queues with an explicit overflow policy — Block
+//	    (backpressure), DropOldest (keep the freshest evidence), or
+//	    DropNewest (protect the backlog) — with per-policy drop counters.
+//	    Each shard's consumer applies its events, a chunk at a time, to the
+//	    user's predictor-visible state.
+//	  - A cycle fires on a wall-clock ticker and on demand via EvaluateNow,
+//	    or synchronously for a stack of domain times via CycleBatch — all
+//	    three run the same body under one mutex. Layers score in parallel
+//	    under the exclusive state lock, so they see a consistent snapshot
+//	    while ingest keeps queueing behind them; the lock is released before
+//	    the act stage.
+//	  - The act stage runs on the cycle goroutine: core.Engine.ActOn takes the
+//	    single cross-layer decision (oscillation guard included), and the act
+//	    tail (ActTail.Observe) journals it, lets the lifecycle observe it and
+//	    feeds the flight recorder, in that order. A countermeasure that blocks
+//	    delays the next cycle; it never overlaps it, and an EvaluateNow issued
+//	    meanwhile is kept.
+//
+// The goroutines, the ticker loop and the stop protocol live in Shell, the
+// act tail in ActTail, and the /metrics, /healthz, /readyz, /livez, /tracez
+// and /incidents endpoints in Plane — internal/fleet runs on the same three,
+// with its own queues, cross-tenant scoring and act budget. The stop
+// protocol (graceful drain and one final cycle; hard stop sheds the backlog
+// as dropped, reason "shutdown") is stated once, on Shell.
 //
 // Observability is built in: every stage feeds an atomic-counter Metrics
 // registry (events ingested/applied/dropped, evaluations, warnings,
 // actions, per-stage latency histograms, queue depth) rendered in
-// Prometheus text format, served with /healthz over stdlib net/http.
+// Prometheus text format, served with the health endpoints over stdlib
+// net/http.
 //
 // Invariant (checked by the stress tests): after Stop returns, every
 // event presented to Ingest was either applied or counted dropped —

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"regexp"
 	"sort"
@@ -21,8 +22,8 @@ import (
 // the lifecycle package's harness convention.
 func failAt(t, every int) bool { return every > 0 && t%every == every-1 }
 
-// tickClock is a deterministic domain clock: runCycle is its only caller,
-// so cycle i observes now == i.
+// tickClock is a deterministic domain clock: the cycle loop's cycle is its
+// only caller, so cycle i observes now == i.
 func tickClock() func() float64 {
 	var n atomic.Int64
 	return func() float64 { return float64(n.Add(1)) }
@@ -427,5 +428,134 @@ func TestHotSwapSmokeDriftedTrace(t *testing.T) {
 	if rp.gen != 1 || rp.scale <= incumbent.scale {
 		t.Fatalf("swapped predictor gen=%d scale=%.3f, want gen 1 and scale > %.1f",
 			rp.gen, rp.scale, incumbent.scale)
+	}
+}
+
+// runDriftedTrace replays the smoke test's drifted trace with the lifecycle
+// attached and returns the /ledger body and the lifecycle totals. Streaming
+// drives one EvaluateNow cycle per tick; batched drives the same ticks
+// through CycleBatch the way a replay driver does, stacking the ticks no
+// event falls between (up to nine before the shift, none after it).
+func runDriftedTrace(t *testing.T, batched bool) (ledger string, totals lifecycle.Totals) {
+	t.Helper()
+	const (
+		failEvery = 10
+		shiftAt   = 150
+		ticks     = 300
+	)
+	mirror := &errMirror{}
+	layer := &core.Layer{Name: "errrate", Predictor: &ratePredictor{m: mirror, scale: 3}, Threshold: 1}
+	eng := testEngine(t, defaultCoreCfg(), layer)
+	led, err := obs.NewLedger(obs.LedgerConfig{LeadTime: 1, Window: 40}, "errrate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordFailures(led, ticks+failEvery, failEvery)
+	mgr, err := lifecycle.NewManager([]*core.Layer{layer}, led, lifecycle.Config{
+		ScoreWarmup: 30, ShadowMinResolved: 10, ProbationResolved: 20,
+		CooldownCycles: 20, SyncRetrain: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clock atomic.Uint64
+	setClock := func(tick int) { clock.Store(math.Float64bits(float64(tick))) }
+	rt, err := New(Config{
+		Engine:    eng,
+		Apply:     mirror.apply,
+		Clock:     func() float64 { return math.Float64frombits(clock.Load()) },
+		Ledger:    led,
+		Lifecycle: mgr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := rt.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var stack []float64
+	flush := func() {
+		if len(stack) == 0 {
+			return
+		}
+		if err := rt.Barrier(ctx); err != nil {
+			t.Fatal(err)
+		}
+		rt.CycleBatch(stack)
+		stack = stack[:0]
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for tick := 1; tick <= ticks; tick++ {
+		n := 0 // the smoke test's trace generator
+		if tick >= shiftAt {
+			n += 2
+		}
+		if failAt(tick+1, failEvery) {
+			n += 3
+			if tick >= shiftAt {
+				n += 5
+			}
+		}
+		if n > 0 {
+			flush()
+		}
+		for i := 0; i < n; i++ {
+			if err := rt.Ingest(ctx, Event{Kind: KindError, Time: float64(tick)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if batched {
+			stack = append(stack, float64(tick))
+			continue
+		}
+		if err := rt.Barrier(ctx); err != nil {
+			t.Fatal(err)
+		}
+		setClock(tick)
+		rt.EvaluateNow()
+		waitCounter(t, "cycles", rt.Cycles, int64(tick), deadline)
+	}
+	flush()
+	setClock(ticks + 1) // the drain cycle's time, on both arms
+	if err := rt.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.Cycles(); got != ticks+1 {
+		t.Fatalf("cycles = %d, want %d", got, ticks+1)
+	}
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/ledger", nil))
+	return rec.Body.String(), mgr.Totals()
+}
+
+// TestStreamingBatchLifecycleParity: with a lifecycle manager attached, the
+// cycle loop's cycles and CycleBatch leave the same ledger — the incumbent's
+// rows, the shadow candidate's "errrate#candidate" rows and the combined
+// rows — and the same lifecycle episode, because both are one cycle body.
+func TestStreamingBatchLifecycleParity(t *testing.T) {
+	streamLedger, streamTotals := runDriftedTrace(t, false)
+	batchLedger, batchTotals := runDriftedTrace(t, true)
+	if streamTotals.Swaps < 1 {
+		t.Fatalf("no hot-swap on the drifted trace; totals = %+v", streamTotals)
+	}
+	var body ledgerJSON
+	if err := json.Unmarshal([]byte(streamLedger), &body); err != nil {
+		t.Fatal(err)
+	}
+	candidateRows := 0
+	for _, l := range body.Layers {
+		if c := l.Cumulative; l.Layer == "errrate#candidate" {
+			candidateRows = c.TP + c.FP + c.TN + c.FN
+		}
+	}
+	if candidateRows == 0 {
+		t.Fatalf("no shadow-candidate rows were journaled:\n%s", streamLedger)
+	}
+	if batchTotals != streamTotals {
+		t.Errorf("lifecycle totals diverged: streaming %+v, batched %+v", streamTotals, batchTotals)
+	}
+	if batchLedger != streamLedger {
+		t.Errorf("/ledger diverged:\nstreaming: %s\nbatched:   %s", streamLedger, batchLedger)
 	}
 }

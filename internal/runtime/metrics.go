@@ -153,7 +153,9 @@ func renderLabels(labels []string) string {
 	return sb.String()
 }
 
-// register appends a series to its family, creating the family on first use.
+// register appends a series to its family, creating the family on first use
+// with that registration's help and type: one HELP and one TYPE line per
+// family, whatever later registrations of the same name pass.
 func (r *Registry) register(name, help, typ string, m *metric) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -1,18 +1,15 @@
 package runtime
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/core"
 )
 
-// Pool is a fixed pool of long-lived workers for index-addressed fan-out —
-// the shared evaluate stage. A single-runtime pipeline fans its layers
-// across the workers (Evaluate); the fleet runtime reuses the same pool for
-// cross-tenant batches (Do), so thousands of tenants share one set of
-// evaluation goroutines instead of spawning per-tenant ones.
+// Pool is a fixed pool of long-lived workers for index-addressed fan-out
+// (Do) — the shared evaluation workers. A single-runtime pipeline fans its
+// layers across them; the fleet runtime fans cross-tenant batches, so
+// thousands of tenants share one set of evaluation goroutines instead of
+// spawning per-tenant ones.
 type Pool struct {
 	tasks   chan *poolJob
 	workers int
@@ -126,22 +123,6 @@ func (p *Pool) Do(n int, fn func(i int)) {
 	j.run()
 	j.done.Wait()
 	p.release(j)
-}
-
-// Evaluate scores every layer at time now and returns the per-layer score
-// vector (NaN = abstained). Layers run concurrently up to the pool's
-// worker count; Evaluate itself is safe for use from one goroutine at a
-// time per result (the runtime's evaluate stage is that goroutine).
-func (p *Pool) Evaluate(layers []*core.Layer, now float64) []float64 {
-	out := make([]float64, len(layers))
-	p.Do(len(layers), func(i int) {
-		s, err := layers[i].Score(now)
-		if err != nil {
-			s = math.NaN() // abstain, same convention as core.EvaluateLayers
-		}
-		out[i] = s
-	})
-	return out
 }
 
 // Close stops the workers after in-flight jobs finish.

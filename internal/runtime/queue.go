@@ -109,11 +109,11 @@ func traceKey(ev Event) string {
 	return key
 }
 
-// queue is the bounded ingest stage: a shared chunk Ring (the same helper
-// internal/fleet drains) plus this runtime's drop/trace accounting. Trace
-// sampling and stamping happen on the producer side (Runtime.Ingest), so
-// every event — admitted, rejected or evicted — already carries the
-// stamps its drop record needs when it reaches the ring.
+// queue is the bounded ingest stage: a chunk Ring plus this runtime's
+// drop/trace accounting (internal/fleet has its own per-tenant queues and
+// does not drain Ring). Trace sampling and stamping happen on the producer
+// side (Runtime.Ingest), so every event — admitted, rejected or evicted —
+// already carries the stamps its drop record needs when it reaches the ring.
 type queue struct {
 	ring    *Ring[Event]
 	metrics *Metrics

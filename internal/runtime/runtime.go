@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	stdruntime "runtime"
 	"runtime/pprof"
 	"strconv"
@@ -86,12 +85,12 @@ type Config struct {
 	// captured and shadow candidates scored inside each cycle's evaluation
 	// exclusion (Manager.Collect), shadow predictions are journaled to the
 	// Ledger under "<layer>#candidate", and promotion/rollback decisions
-	// run on the act stage (Manager.ObserveCycle). Requires Ledger. Nil
+	// run in the cycle's act tail (Manager.ObserveCycle). Requires Ledger. Nil
 	// disables the lifecycle. When set, layer-version gauges, swap/retrain
 	// counters, a retrain-duration histogram and the /layers endpoint are
 	// registered.
 	Lifecycle *lifecycle.Manager
-	// Recorder is the prediction-triggered flight recorder: the act stage
+	// Recorder is the prediction-triggered flight recorder: the act tail
 	// feeds it every cycle's decision (Recorder.Observe), pending
 	// incident captures are assembled inside the evaluation exclusion
 	// (Recorder.Collect), lifecycle drift/rollback events fire its
@@ -101,16 +100,6 @@ type Config struct {
 	Recorder *obs.Recorder
 }
 
-// cycleResult carries one score vector from the evaluate to the act stage,
-// with the cycle's evaluation span on the tracer clock.
-type cycleResult struct {
-	now       float64
-	scores    []float64
-	cands     []lifecycle.CandidateScore // shadow-candidate scores this cycle
-	evalStart int64
-	evalEnd   int64
-}
-
 // Runtime is the concurrent streaming MEA pipeline. Construct with New,
 // drive with Start/Ingest/EvaluateNow, finish with Stop.
 type Runtime struct {
@@ -118,8 +107,11 @@ type Runtime struct {
 	engine  *core.Engine
 	layers  []*core.Layer
 	queues  []*queue // one bounded queue + consumer per ingest shard
-	pool    *Pool
 	metrics *Metrics
+	// shell owns the goroutines (shard consumers, cycle loop, pool) and the
+	// stop protocol; tail is what follows each act decision.
+	shell *Shell
+	tail  ActTail
 
 	// stateMu guards the user's predictor state: shard consumers hold the
 	// read (shared) lock around Apply so independent shards apply in
@@ -127,26 +119,7 @@ type Runtime struct {
 	// and evaluation therefore never overlap.
 	stateMu sync.RWMutex
 
-	// consumersWg tracks the shard consumers; the evaluator's drain signal
-	// fires once all of them have exhausted their queues.
-	consumersWg sync.WaitGroup
-
-	evalReq  chan struct{}
-	actCh    chan cycleResult
-	evalStop chan struct{} // closed after ingest drain: evaluator exits
-	hardCtx  context.Context
-	hardStop context.CancelFunc
-	wg       sync.WaitGroup
-
-	started   atomic.Bool
-	stopping  atomic.Bool
-	stopped   atomic.Bool // graceful drain complete (readiness: "stopped")
-	stopOnce  sync.Once
-	stopErr   error
-	startWall time.Time
-	created   time.Time    // nanos' base when tracing is off
-	lastCycle atomic.Int64 // unix nanos of the last completed act round
-	cycles    atomic.Int64 // completed act rounds since Start
+	created time.Time // nanos' base when tracing is off
 
 	// ingestGate drives both producer-side sampling decisions from one
 	// shared atomic per Ingest call: the ingest-latency histogram observes
@@ -157,20 +130,17 @@ type Runtime struct {
 	sampleEvery uint64 // 0 = tracing off
 	sampleMask  uint64 // sampleEvery-1 when it is a power of two, else 0
 
-	// scoreFree recycles cycle score vectors between the evaluate and act
-	// stages (cap > 1: the evaluator may start the next cycle while the
-	// act stage still holds the previous vector).
-	scoreFree chan []float64
-
-	// cycleMu serializes CycleBatch callers; batchScores/batchRow are its
-	// reused layer-major score matrix and per-cycle row view. batchFn is the
-	// pool fan-out body, built once: it scores layer j at batchNows (the
-	// running call's nows) into its segment of batchScores.
+	// cycleMu serializes cycles — the cycle loop's and CycleBatch callers';
+	// batchScores/batchRow are their reused layer-major score matrix and
+	// per-cycle row view. batchFn is the pool fan-out body, built once: it
+	// scores layer j at batchNows (the running call's nows) into its segment
+	// of batchScores. tickNow is the cycle loop's one-element time stack.
 	cycleMu     sync.Mutex
 	batchScores []float64
 	batchRow    []float64
 	batchNows   []float64
 	batchFn     func(j int)
+	tickNow     [1]float64
 }
 
 // ingestLatencyEvery is the ingest-latency sampling interval (power of
@@ -213,15 +183,38 @@ func New(cfg Config) (*Runtime, error) {
 		cfg.Metrics = NewMetrics()
 	}
 	r := &Runtime{
-		cfg:       cfg,
-		engine:    cfg.Engine,
-		layers:    layers,
-		queues:    make([]*queue, cfg.Shards),
-		metrics:   cfg.Metrics,
-		evalReq:   make(chan struct{}, 1),
-		actCh:     make(chan cycleResult, 1),
-		scoreFree: make(chan []float64, 4),
-		created:   time.Now(),
+		cfg:     cfg,
+		engine:  cfg.Engine,
+		layers:  layers,
+		queues:  make([]*queue, cfg.Shards),
+		metrics: cfg.Metrics,
+		created: time.Now(),
+		tail: ActTail{
+			Layers: layers, Ledger: cfg.Ledger, JournalLayers: true, Advance: true,
+			Lifecycle: cfg.Lifecycle, Recorder: cfg.Recorder,
+		},
+	}
+	r.shell = NewShell(ShellConfig{
+		Err:          ErrRuntime,
+		EvalInterval: cfg.EvalInterval,
+		Workers:      cfg.Workers,
+		Cycle:        r.cycle,
+		CloseQueues: func() {
+			for _, q := range r.queues {
+				q.close()
+			}
+		},
+		Quiesced: func() {
+			if cfg.Lifecycle != nil {
+				cfg.Lifecycle.Wait() // let in-flight background retrains land
+			}
+			// Capture triggers the final cycle raised and deliver
+			// undelivered bundles.
+			cfg.Recorder.Flush()
+		},
+	})
+	if cfg.Clock == nil {
+		r.cfg.Clock = func() float64 { return r.shell.Uptime().Seconds() }
 	}
 	r.batchFn = func(j int) {
 		nr := len(r.batchNows)
@@ -237,16 +230,11 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	reg := r.metrics.Registry()
 	for s := range r.queues {
-		// Per-shard series share their family: help text on the first only.
-		depthHelp, dropHelp := "", ""
-		if s == 0 {
-			depthHelp = "Events waiting per ingest shard."
-			dropHelp = "Events dropped per ingest shard (all reasons)."
-		}
-		drops := reg.Counter("pfm_shard_dropped_total", dropHelp, "shard", strconv.Itoa(s))
-		r.queues[s] = newQueue(cfg.QueueCapacity, cfg.Overflow, r.metrics, drops, cfg.Tracer, s)
-		q := r.queues[s]
-		reg.GaugeFunc("pfm_shard_queue_depth", depthHelp,
+		drops := reg.Counter("pfm_shard_dropped_total",
+			"Events dropped per ingest shard (all reasons).", "shard", strconv.Itoa(s))
+		q := newQueue(cfg.QueueCapacity, cfg.Overflow, r.metrics, drops, cfg.Tracer, s)
+		r.queues[s] = q
+		reg.GaugeFunc("pfm_shard_queue_depth", "Events waiting per ingest shard.",
 			func() float64 { return float64(q.depth()) }, "shard", strconv.Itoa(s))
 	}
 	reg.GaugeFunc("pfm_queue_depth",
@@ -258,12 +246,11 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	// Layer evaluation failures were previously swallowed as silent NaN
 	// abstentions; surface them per layer, and combiner failures engine-wide.
-	evalErrHelp := "Layer evaluations that returned an error (scored as abstain)."
 	for _, l := range layers {
 		layer := l
-		reg.CounterFunc("pfm_layer_eval_errors_total", evalErrHelp,
+		reg.CounterFunc("pfm_layer_eval_errors_total",
+			"Layer evaluations that returned an error (scored as abstain).",
 			func() float64 { return float64(layer.EvalErrors()) }, "layer", layer.Name)
-		evalErrHelp = ""
 	}
 	reg.CounterFunc("pfm_combiner_errors_total",
 		"Act rounds whose combiner failed (confidence forced to 0).",
@@ -276,20 +263,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if cfg.Recorder != nil {
 		registerRecorderMetrics(reg, cfg.Recorder)
-		if cfg.Lifecycle != nil {
-			// Drift and rollback events originate deterministically in
-			// ObserveCycle (act stage), so they are replay-stable triggers;
-			// retrain-done is wall-clock timed and deliberately not wired.
-			rec := cfg.Recorder
-			cfg.Lifecycle.Subscribe(func(e lifecycle.Event) {
-				switch e.Type {
-				case lifecycle.EventDrift:
-					rec.TriggerEvent(obs.TriggerDrift, e.Time, e.Layer)
-				case lifecycle.EventRolledBack:
-					rec.TriggerEvent(obs.TriggerRollback, e.Time, e.Layer)
-				}
-			})
-		}
+		r.tail.WireTriggers()
 	}
 	return r, nil
 }
@@ -297,12 +271,10 @@ func New(cfg Config) (*Runtime, error) {
 // registerRecorderMetrics exposes the flight recorder's trigger counters
 // and the bundle-assembly latency histogram.
 func registerRecorderMetrics(reg *Registry, rec *obs.Recorder) {
-	capturedHelp := "Incident bundles captured, by trigger kind."
 	for _, k := range obs.TriggerKinds {
 		kind := k
-		reg.CounterFunc("pfm_incidents_total", capturedHelp,
+		reg.CounterFunc("pfm_incidents_total", "Incident bundles captured, by trigger kind.",
 			func() float64 { return float64(rec.Captured(kind)) }, "trigger", string(kind))
-		capturedHelp = ""
 	}
 	reg.CounterFunc("pfm_incidents_suppressed_total",
 		"Triggers swallowed by the refractory rate limit.",
@@ -317,12 +289,11 @@ func registerRecorderMetrics(reg *Registry, rec *obs.Recorder) {
 // serving version per layer, episode counters, and the retrain-duration
 // histogram (fed by lifecycle events).
 func registerLifecycleMetrics(reg *Registry, mgr *lifecycle.Manager, layers []*core.Layer) {
-	versionHelp := "Serving predictor version per layer (bumped by hot-swap and rollback)."
 	for _, l := range layers {
 		layer := l
-		reg.GaugeFunc("pfm_layer_version", versionHelp,
+		reg.GaugeFunc("pfm_layer_version",
+			"Serving predictor version per layer (bumped by hot-swap and rollback).",
 			func() float64 { return float64(layer.Version()) }, "layer", layer.Name)
-		versionHelp = ""
 	}
 	counters := []struct {
 		name, help string
@@ -368,14 +339,11 @@ func registerLedgerGauges(reg *Registry, led *obs.Ledger, layers []*core.Layer) 
 		{"pfm_ledger_f1", "Rolling-window F-measure per prediction layer.", predict.ContingencyTable.FMeasure},
 	}
 	for _, qm := range quality {
-		help := qm.help
 		for _, name := range names {
 			f, layer := qm.f, name
-			reg.GaugeFunc(qm.metric, help, func() float64 { return f(led.Quality(layer)) }, "layer", layer)
-			help = "" // one HELP line per family
+			reg.GaugeFunc(qm.metric, qm.help, func() float64 { return f(led.Quality(layer)) }, "layer", layer)
 		}
 	}
-	outcomeHelp := "Rolling-window contingency counts per layer and outcome."
 	for _, name := range names {
 		layer := name
 		for _, oc := range []struct {
@@ -388,10 +356,9 @@ func registerLedgerGauges(reg *Registry, led *obs.Ledger, layers []*core.Layer) 
 			{"fn", func(c predict.ContingencyTable) int { return c.FN }},
 		} {
 			f := oc.f
-			reg.GaugeFunc("pfm_ledger_outcomes", outcomeHelp,
+			reg.GaugeFunc("pfm_ledger_outcomes", "Rolling-window contingency counts per layer and outcome.",
 				func() float64 { return float64(f(led.Quality(layer))) },
 				"layer", layer, "outcome", oc.outcome)
-			outcomeHelp = ""
 		}
 	}
 }
@@ -409,13 +376,6 @@ func (r *Runtime) nanos() int64 {
 	}
 	return int64(time.Since(r.created))
 }
-
-// Ledger returns the configured prediction ledger (nil when disabled).
-func (r *Runtime) Ledger() *obs.Ledger { return r.cfg.Ledger }
-
-// Lifecycle returns the configured predictor-lifecycle manager (nil when
-// disabled).
-func (r *Runtime) Lifecycle() *lifecycle.Manager { return r.cfg.Lifecycle }
 
 // Recorder returns the configured flight recorder (nil when disabled).
 func (r *Runtime) Recorder() *obs.Recorder { return r.cfg.Recorder }
@@ -452,45 +412,10 @@ func (r *Runtime) shardFor(ev Event) *queue {
 	return r.queues[fnv1a(r.cfg.ShardKey(ev))%uint32(len(r.queues))]
 }
 
-// Start launches the pipeline stages. ctx cancellation hard-stops the
-// pipeline (no drain); use Stop for graceful shutdown.
+// Start launches the shard consumers and the cycle loop. ctx cancellation
+// hard-stops the pipeline (no drain); use Stop for graceful shutdown.
 func (r *Runtime) Start(ctx context.Context) error {
-	if !r.started.CompareAndSwap(false, true) {
-		return fmt.Errorf("%w: already started", ErrRuntime)
-	}
-	r.startWall = time.Now()
-	if r.cfg.Clock == nil {
-		start := r.startWall
-		r.cfg.Clock = func() float64 { return time.Since(start).Seconds() }
-	}
-	r.hardCtx, r.hardStop = context.WithCancel(ctx)
-	r.evalStop = make(chan struct{})
-	if r.cfg.Workers > 1 {
-		r.pool = NewPool(r.cfg.Workers)
-	}
-	r.wg.Add(len(r.queues) + 3)
-	r.consumersWg.Add(len(r.queues))
-	for s := range r.queues {
-		go r.consumeLoop(r.queues[s])
-	}
-	// Release the evaluate stage only after every shard has drained.
-	go func() {
-		defer r.wg.Done()
-		r.consumersWg.Wait()
-		close(r.evalStop)
-	}()
-	go r.evaluateLoop()
-	go r.actLoop()
-	// Hard-stop path: if the parent context dies without a graceful Stop,
-	// close the queues so the consumers' drain loops can terminate.
-	go func() {
-		<-r.hardCtx.Done()
-		r.stopping.Store(true)
-		for _, q := range r.queues {
-			q.close()
-		}
-	}()
-	return nil
+	return r.shell.Start(ctx, len(r.queues), func(s int) { r.consumeLoop(r.queues[s]) })
 }
 
 // Ingest offers one event to the pipeline under the configured overflow
@@ -562,30 +487,21 @@ func (r *Runtime) Barrier(ctx context.Context) error {
 	}
 }
 
-// Cycles returns how many act rounds have completed since Start — a
-// deterministic synchronization point for tests and replay drivers
-// (LastCycle is wall-clock-based and can collide across fast cycles).
-func (r *Runtime) Cycles() int64 { return r.cycles.Load() }
+// Cycles returns how many act rounds have completed since Start
+// (Shell.Cycles).
+func (r *Runtime) Cycles() int64 { return r.shell.Cycles() }
 
-// EvaluateNow requests an immediate MEA cycle (event-driven evaluation).
-// Coalesces if a request is already pending.
-func (r *Runtime) EvaluateNow() {
-	select {
-	case r.evalReq <- struct{}{}:
-	default:
-	}
-}
+// EvaluateNow requests an immediate MEA cycle (Shell.EvaluateNow).
+func (r *Runtime) EvaluateNow() { r.shell.EvaluateNow() }
 
 // consumeLoop is one shard's ingest consumer: it drains the shard ring in
 // chunks of up to Config.BatchSize and applies each chunk to the predictor
 // state under one shared state-lock acquisition, so consumers of different
 // shards apply concurrently while evaluation (which takes the exclusive
 // lock) still never overlaps an Apply. The goroutine carries pprof labels
-// so -pprof CPU profiles attribute time to drain per shard vs the
-// evaluate and act stages.
+// so -pprof CPU profiles attribute time to drain per shard vs the cycle
+// goroutine.
 func (r *Runtime) consumeLoop(q *queue) {
-	defer r.wg.Done()
-	defer r.consumersWg.Done()
 	pprof.Do(context.Background(),
 		pprof.Labels("shard", strconv.Itoa(q.shard), "stage", "drain"),
 		func(context.Context) { r.drainLoop(q) })
@@ -606,7 +522,7 @@ func (r *Runtime) drainLoop(q *queue) {
 		// Hard stop: shed the remaining backlog instead of applying it, so
 		// shutdown is prompt and the depth gauges and drop counters settle
 		// on consistent final values (ingested = applied + dropped).
-		if r.hardCtx.Err() != nil {
+		if r.shell.HardStopped() {
 			for i := range chunk {
 				r.metrics.DroppedShutdown.Inc()
 				q.dropped()
@@ -640,126 +556,24 @@ func (r *Runtime) drainLoop(q *queue) {
 	}
 }
 
-// evaluateLoop runs MEA cycles on the ticker and on demand, scoring the
-// layers in the worker pool under the state read lock.
-func (r *Runtime) evaluateLoop() {
-	defer r.wg.Done()
-	defer close(r.actCh)
-	var tick <-chan time.Time
-	if r.cfg.EvalInterval > 0 {
-		t := time.NewTicker(r.cfg.EvalInterval)
-		defer t.Stop()
-		tick = t.C
-	}
-	for {
-		select {
-		case <-r.hardCtx.Done():
-			return
-		case <-r.evalStop:
-			// Drain complete: one final cycle so late events still reach
-			// a decision, then shut the act stage.
-			r.runCycle()
-			return
-		case <-tick:
-		case <-r.evalReq:
-		}
-		r.runCycle()
-	}
-}
-
-// runCycle scores all layers (parallel when pooled) and hands the vector
-// to the act stage. Blocks on the act channel — act backpressure
-// throttles evaluation rather than piling up unacted scores.
-func (r *Runtime) runCycle() {
-	evalStart := r.nanos()
-	now := r.cfg.Clock()
-	// Exclusive lock: evaluation sees a quiescent state snapshot even when
-	// several shard consumers apply concurrently under the shared lock.
-	r.stateMu.Lock()
-	scores := r.getScores()
-	r.scoreInto(now, scores)
-	// Lifecycle steps that must not overlap Apply: retrain-window capture
-	// and shadow-candidate scoring run under the same exclusion the layer
-	// evaluations just used. Swaps themselves are pointer CASes elsewhere
-	// and never extend this critical section.
-	var cands []lifecycle.CandidateScore
-	if r.cfg.Lifecycle != nil {
-		cands = r.cfg.Lifecycle.Collect(now)
-	}
-	// Incident assembly also needs the exclusion: bundles slice the
-	// Apply-side event log, which only this lock quiesces.
-	r.cfg.Recorder.Collect()
-	r.stateMu.Unlock()
-	evalEnd := r.nanos()
-	r.metrics.EvalLatency.Observe(float64(evalEnd-evalStart) / 1e9)
-	select {
-	case r.actCh <- cycleResult{now: now, scores: scores, cands: cands, evalStart: evalStart, evalEnd: evalEnd}:
-	case <-r.hardCtx.Done():
-	}
-}
-
-// scoreInto scores every layer at now into out (len(r.layers)), NaN for
-// errored evaluations — core.Engine.EvaluateLayers semantics without the
-// per-cycle allocation (out comes from the scoreFree freelist or the
-// CycleBatch scratch matrix).
-func (r *Runtime) scoreInto(now float64, out []float64) {
-	if r.pool != nil {
-		r.pool.Do(len(r.layers), func(i int) {
-			s, err := r.layers[i].Score(now)
-			if err != nil {
-				s = math.NaN()
-			}
-			out[i] = s
-		})
-		return
-	}
-	for i, l := range r.layers {
-		s, err := l.Score(now)
-		if err != nil {
-			s = math.NaN()
-		}
-		out[i] = s
-	}
-}
-
-// getScores takes a cycle score vector from the freelist (or allocates).
-func (r *Runtime) getScores() []float64 {
-	select {
-	case s := <-r.scoreFree:
-		return s
-	default:
-		return make([]float64, len(r.layers))
-	}
-}
-
-// putScores returns a vector to the freelist once the act stage is done
-// with it. Cycle observers must not retain the slice (documented on
-// core.Engine.SetCycleObserver).
-func (r *Runtime) putScores(s []float64) {
-	select {
-	case r.scoreFree <- s:
-	default:
-	}
-}
-
-// actLoop is the serialized act stage: one cross-layer decision at a time
-// through core.Engine.ActOn.
-func (r *Runtime) actLoop() {
-	defer r.wg.Done()
-	for res := range r.actCh {
-		r.actOne(res)
-		r.putScores(res.scores)
-	}
+// cycle is the streaming cycle the shell's loop runs on the ticker, on
+// EvaluateNow and once after the final drain: one CycleBatch at the clock's
+// current reading. The clock is read under cycleMu, so a cycle that waited
+// out a concurrent CycleBatch does not evaluate at a time before it.
+func (r *Runtime) cycle() {
+	r.cycleMu.Lock()
+	defer r.cycleMu.Unlock()
+	r.tickNow[0] = r.cfg.Clock()
+	r.cycleBatchLocked(r.tickNow[:])
 }
 
 // actOne runs the act stage for one completed evaluation: the cross-layer
-// decision, act metrics, trace completion, ledger journaling, lifecycle
-// observation and cycle accounting. Both the streaming act stage and
-// CycleBatch go through this one path, which is what keeps batched cycles
-// byte-identical to streamed ones.
-func (r *Runtime) actOne(res cycleResult) {
+// decision, act metrics, trace completion, the shared act tail (journal,
+// lifecycle, recorder) and cycle accounting. Every cycle — the cycle loop's
+// and CycleBatch's — goes through this one path.
+func (r *Runtime) actOne(now float64, scores []float64, cands []lifecycle.CandidateScore, evalStart, evalEnd int64) {
 	actStart := r.nanos()
-	d := r.engine.ActOn(res.now, res.scores)
+	d := r.engine.ActOn(now, scores)
 	actEnd := r.nanos()
 	r.metrics.Evaluations.Inc()
 	if d.Warned {
@@ -772,45 +586,34 @@ func (r *Runtime) actOne(res cycleResult) {
 		r.metrics.Suppressed.Inc()
 	}
 	r.metrics.ActLatency.Observe(float64(actEnd-actStart) / 1e9)
-	r.cfg.Tracer.CompleteCycle(res.evalStart, res.evalEnd, actStart, actEnd)
-	r.journalCycle(res, d)
-	if r.cfg.Lifecycle != nil {
-		r.cfg.Lifecycle.ObserveCycle(res.now, res.scores)
-	}
-	// Flight-recorder observation runs after ObserveCycle so lifecycle
-	// drift/rollback triggers of this cycle precede the decision triggers'
-	// refractory accounting deterministically. CompleteCycle already ran,
-	// so a firing trigger correlates with this cycle's newest span.
-	r.cfg.Recorder.Observe(res.now, res.scores, obs.CycleObservation{
-		Warned:        d.Warned,
-		Executed:      d.Executed,
-		Confidence:    d.Confidence,
-		Action:        d.ActionName,
-		LayerVersions: d.LayerVersions,
-	})
-	r.lastCycle.Store(time.Now().UnixNano())
-	r.cycles.Add(1)
+	r.cfg.Tracer.CompleteCycle(evalStart, evalEnd, actStart, actEnd)
+	r.tail.Observe(now, scores, cands, d)
+	r.shell.CycleDone()
 }
 
 // CycleBatch runs one synchronous MEA cycle per time in nows (ascending),
 // scoring every layer over the whole batch under a single evaluation
 // exclusion through the engine's batched entry point, then acting on each
-// cycle in order through the same actOne path the streaming act stage
-// uses — so ledger state, monotone counters and act decisions are
-// byte-identical to len(nows) event-driven cycles at the same times.
+// cycle in order — so ledger state, monotone counters and act decisions are
+// byte-identical to len(nows) event-driven cycles at the same times (the
+// cycle loop's cycle is this same body with a one-element stack).
 //
-// Callers must quiesce the streaming evaluate stage first (EvalInterval
-// == 0 and no concurrent EvaluateNow) and call before Stop; CycleBatch
-// calls themselves serialize. Typical use: a columnar replay ingests a
-// window of events, Barriers, then stacks the cycle times that fell due
-// in the gap — amortizing the exclusive lock and the versioned-predictor
-// handle loads across the whole stack.
+// Call before Stop. CycleBatch calls serialize with each other and with the
+// cycle loop. Typical use: a columnar replay with the ticker off ingests a
+// window of events, Barriers, then stacks the cycle times that fell due in
+// the gap — amortizing the exclusive lock and the versioned-predictor handle
+// loads across the whole stack.
 func (r *Runtime) CycleBatch(nows []float64) {
 	if len(nows) == 0 {
 		return
 	}
 	r.cycleMu.Lock()
 	defer r.cycleMu.Unlock()
+	r.cycleBatchLocked(nows)
+}
+
+// cycleBatchLocked is the one cycle body. Caller holds cycleMu.
+func (r *Runtime) cycleBatchLocked(nows []float64) {
 	k := len(r.layers)
 	if cap(r.batchScores) < k*len(nows) {
 		r.batchScores = make([]float64, k*len(nows))
@@ -820,14 +623,20 @@ func (r *Runtime) CycleBatch(nows []float64) {
 	}
 	scores := r.batchScores[:k*len(nows)]
 	evalStart := r.nanos()
+	// Exclusive lock: evaluation sees a quiescent state snapshot even when
+	// several shard consumers apply concurrently under the shared lock.
 	r.stateMu.Lock()
-	if r.pool != nil && k > 1 {
+	if pool := r.shell.pool; pool != nil && k > 1 {
 		r.batchNows = nows
-		r.pool.Do(k, r.batchFn)
+		pool.Do(k, r.batchFn)
 		r.batchNows = nil
 	} else {
 		r.engine.EvaluateLayersBatch(nows, scores)
 	}
+	// Lifecycle steps that must not overlap Apply: retrain-window capture
+	// and shadow-candidate scoring run under the same exclusion the layer
+	// evaluations just used. Swaps themselves are pointer CASes elsewhere
+	// and never extend this critical section.
 	var cands [][]lifecycle.CandidateScore
 	if r.cfg.Lifecycle != nil {
 		cands = make([][]lifecycle.CandidateScore, len(nows))
@@ -835,9 +644,10 @@ func (r *Runtime) CycleBatch(nows []float64) {
 			cands[i] = r.cfg.Lifecycle.Collect(now)
 		}
 	}
-	// Assemble incidents triggered since the previous batch while the
-	// exclusion is held (triggers raised by this batch's act stage below
-	// are captured by the next batch, or by the Stop-time Flush).
+	// Incident assembly also needs the exclusion: bundles slice the
+	// Apply-side event log, which only this lock quiesces. Triggers raised by
+	// this batch's act stage below are captured by the next cycle, or by the
+	// Stop-time Flush.
 	r.cfg.Recorder.Collect()
 	r.stateMu.Unlock()
 	evalEnd := r.nanos()
@@ -846,100 +656,20 @@ func (r *Runtime) CycleBatch(nows []float64) {
 		for j := 0; j < k; j++ {
 			r.batchRow[j] = scores[j*len(nows)+i]
 		}
-		res := cycleResult{now: now, scores: r.batchRow, evalStart: evalStart, evalEnd: evalEnd}
+		var c []lifecycle.CandidateScore
 		if cands != nil {
-			res.cands = cands[i]
+			c = cands[i]
 		}
-		r.actOne(res)
+		r.actOne(now, r.batchRow, c, evalStart, evalEnd)
 	}
 }
 
-// journalCycle records the cycle's per-layer predictions and the combined
-// cross-layer decision into the quality ledger. A layer whose score is NaN
-// abstained and is not journaled. The ledger's ground-truth watermark
-// advances to the cycle's domain time: the caller of RecordFailure must
-// keep failures current up to the domain clock (pfmd records them from the
-// mirrored stream as they occur).
-func (r *Runtime) journalCycle(res cycleResult, d core.Decision) {
-	led := r.cfg.Ledger
-	if led == nil {
-		return
-	}
-	for i, l := range r.layers {
-		if i >= len(res.scores) || math.IsNaN(res.scores[i]) {
-			continue
-		}
-		led.RecordPrediction(l.Name, res.now, res.scores[i] >= l.Threshold, res.scores[i])
-	}
-	// Shadow candidates journal under their "<layer>#candidate" rows so the
-	// lifecycle can compare their quality to the incumbents'; a candidate
-	// whose evaluation errored abstains, like a NaN layer score.
-	for _, c := range res.cands {
-		if c.Err == nil {
-			led.RecordPrediction(c.Name, res.now, c.Score >= c.Threshold, c.Score)
-		}
-	}
-	led.RecordPrediction(obs.CombinedLayer, res.now, d.Warned, d.Confidence)
-	led.Advance(res.now)
-}
-
-// Stop shuts the pipeline down gracefully: reject new ingest, drain the
-// queue through Apply, run a final evaluation, let the act stage finish,
-// then release the workers. If ctx expires first, the pipeline is
-// hard-stopped and ctx's error returned. Stop is idempotent.
-func (r *Runtime) Stop(ctx context.Context) error {
-	if !r.started.Load() {
-		return fmt.Errorf("%w: not started", ErrRuntime)
-	}
-	r.stopOnce.Do(func() {
-		r.stopping.Store(true)
-		for _, q := range r.queues {
-			q.close()
-		}
-		done := make(chan struct{})
-		go func() {
-			r.wg.Wait()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-ctx.Done():
-			r.hardStop()
-			<-done
-			r.stopErr = ctx.Err()
-		}
-		r.hardStop()
-		if r.pool != nil {
-			r.pool.Close()
-		}
-		if r.cfg.Lifecycle != nil {
-			r.cfg.Lifecycle.Wait() // let in-flight background retrains land
-		}
-		// The pipeline is quiesced (no Apply, no cycles): capture triggers
-		// the final cycle raised and deliver undelivered bundles.
-		r.cfg.Recorder.Flush()
-		r.stopped.Store(true)
-	})
-	return r.stopErr
-}
+// Stop shuts the pipeline down by the shell's stop protocol (see Shell):
+// reject new ingest, drain the queues through Apply, run one final cycle,
+// release the workers, let background retrains land and flush the recorder.
+// If ctx expires first, the pipeline is hard-stopped and ctx's error
+// returned. Stop is idempotent.
+func (r *Runtime) Stop(ctx context.Context) error { return r.shell.Stop(ctx) }
 
 // Running reports whether the pipeline is started and not yet stopping.
-func (r *Runtime) Running() bool { return r.started.Load() && !r.stopping.Load() }
-
-// Uptime returns the wall-clock time since Start.
-func (r *Runtime) Uptime() time.Duration {
-	if !r.started.Load() {
-		return 0
-	}
-	return time.Since(r.startWall)
-}
-
-// LastCycle returns when the act stage last completed a decision (zero
-// time if no cycle has completed yet).
-func (r *Runtime) LastCycle() time.Time {
-	ns := r.lastCycle.Load()
-	if ns == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, ns)
-}
+func (r *Runtime) Running() bool { return r.shell.Running() }

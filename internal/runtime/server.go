@@ -8,14 +8,14 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/pfmmodel"
 	"repro/internal/predict"
 )
 
-// Health is the /healthz and /readyz response body.
+// Health is the /healthz and /readyz response body, on the single-tenant
+// and the fleet plane alike.
 type Health struct {
 	// Status is "ok" while serving, "draining" once a graceful Stop has
 	// begun (queues flushing through Apply), and "stopped" after the
@@ -23,6 +23,7 @@ type Health struct {
 	// liveness (/livez) stays 200 for the life of the process.
 	Status        string  `json:"status"`
 	UptimeSeconds float64 `json:"uptimeSeconds"`
+	Tenants       int     `json:"tenants,omitempty"` // fleet plane only
 	Shards        int     `json:"shards"`
 	QueueDepth    int     `json:"queueDepth"`    // summed across shards
 	QueueCapacity int     `json:"queueCapacity"` // summed across shards
@@ -34,48 +35,16 @@ type Health struct {
 
 // health snapshots readiness state.
 func (r *Runtime) health() Health {
-	h := Health{
-		Status:              "ok",
-		UptimeSeconds:       r.Uptime().Seconds(),
-		Shards:              r.Shards(),
-		QueueDepth:          r.QueueDepth(),
-		QueueCapacity:       r.queueCapacity(),
-		Evaluations:         r.metrics.Evaluations.Value(),
-		LastCycleAgoSeconds: -1,
-	}
-	switch {
-	case r.stopped.Load():
-		h.Status = "stopped"
-	case !r.Running():
-		h.Status = "draining"
-	}
-	if last := r.LastCycle(); !last.IsZero() {
-		h.LastCycleAgoSeconds = time.Since(last).Seconds()
-	}
+	h := r.shell.Health()
+	h.Shards = r.Shards()
+	h.QueueDepth = r.QueueDepth()
+	h.QueueCapacity = r.queueCapacity()
+	h.Evaluations = r.metrics.Evaluations.Value()
 	return h
 }
 
-// ServeHealth renders a readiness body: 200 while status is "ok", 503
-// during drain ("draining") and after shutdown ("stopped"). Shared by
-// /healthz and /readyz on both the single-tenant and fleet planes.
-func ServeHealth(w http.ResponseWriter, h Health) {
-	w.Header().Set("Content-Type", "application/json")
-	if h.Status != "ok" {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	_ = json.NewEncoder(w).Encode(h)
-}
-
-// ServeLiveness answers liveness probes: the process is serving HTTP, so
-// it is alive regardless of drain state — restarting a draining pod
-// would turn every graceful shutdown into a kill.
-func ServeLiveness(w http.ResponseWriter, status string) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"status\":\"live\",\"pipeline\":%q}\n", status)
-}
-
-// kindLabel names an event kind byte for trace rendering.
-func kindLabel(k uint8) string {
+// KindLabel names an event kind byte for trace rendering (obs.WriteText).
+func KindLabel(k uint8) string {
 	switch EventKind(k) {
 	case KindError:
 		return "error"
@@ -114,16 +83,15 @@ func toTraceJSON(v obs.TraceView) traceJSON {
 		stages[obs.StageNames[i]] = int64(d)
 	}
 	return traceJSON{
-		ID: v.ID, Kind: kindLabel(v.Kind), Key: v.Key, Shard: v.Shard,
+		ID: v.ID, Kind: KindLabel(v.Kind), Key: v.Key, Shard: v.Shard,
 		State: state, TotalNs: int64(v.Total), Stages: stages,
 	}
 }
 
-// ServeTracez renders the /tracez plane over a tracer: the slowest recent
+// serveTracez renders the /tracez plane over a tracer: the slowest recent
 // end-to-end traces as a human text table by default, JSON with
 // ?format=json, count via ?n= (default 20; Slowest clamps it to the ring).
-// Shared by the single-tenant runtime and the fleet handler.
-func ServeTracez(w http.ResponseWriter, req *http.Request, tr *obs.Tracer) {
+func serveTracez(w http.ResponseWriter, req *http.Request, tr *obs.Tracer) {
 	n := 20
 	if v, err := strconv.Atoi(req.URL.Query().Get("n")); err == nil && v > 0 {
 		n = v
@@ -140,12 +108,12 @@ func ServeTracez(w http.ResponseWriter, req *http.Request, tr *obs.Tracer) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "tracez: %d slowest of the %d most recent traces\n\n", len(traces), tr.Capacity())
-	_ = obs.WriteText(w, traces, kindLabel)
+	_ = obs.WriteText(w, traces, KindLabel)
 }
 
-// tableJSON renders a contingency table with its derived metrics; metric
+// TableJSON renders a contingency table with its derived metrics; metric
 // pointers are nil while their denominator is empty (JSON cannot carry NaN).
-type tableJSON struct {
+type TableJSON struct {
 	TP        int      `json:"tp"`
 	FP        int      `json:"fp"`
 	TN        int      `json:"tn"`
@@ -156,26 +124,26 @@ type tableJSON struct {
 	F1        *float64 `json:"f1,omitempty"`
 }
 
-func toTableJSON(c predict.ContingencyTable) tableJSON {
+// ToTableJSON renders c for /ledger and the fleet's /fleet rows.
+func ToTableJSON(c predict.ContingencyTable) TableJSON {
 	finite := func(v float64) *float64 {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil
 		}
 		return &v
 	}
-	f1 := c.FMeasure()
-	return tableJSON{
+	return TableJSON{
 		TP: c.TP, FP: c.FP, TN: c.TN, FN: c.FN,
 		Precision: finite(c.Precision()), Recall: finite(c.Recall()),
-		FPR: finite(c.FPR()), F1: finite(f1),
+		FPR: finite(c.FPR()), F1: finite(c.FMeasure()),
 	}
 }
 
 // ledgerLayerJSON is one layer in the /ledger response.
 type ledgerLayerJSON struct {
 	Layer      string    `json:"layer"`
-	Rolling    tableJSON `json:"rolling"`
-	Cumulative tableJSON `json:"cumulative"`
+	Rolling    TableJSON `json:"rolling"`
+	Cumulative TableJSON `json:"cumulative"`
 	Pending    int       `json:"pending"`
 }
 
@@ -209,8 +177,8 @@ func (r *Runtime) serveLedger(w http.ResponseWriter, _ *http.Request) {
 	for i, lq := range snap.Layers {
 		out.Layers[i] = ledgerLayerJSON{
 			Layer:      lq.Layer,
-			Rolling:    toTableJSON(lq.Rolling),
-			Cumulative: toTableJSON(lq.Cumulative),
+			Rolling:    ToTableJSON(lq.Rolling),
+			Cumulative: ToTableJSON(lq.Cumulative),
 			Pending:    lq.Pending,
 		}
 	}
@@ -248,14 +216,19 @@ func SummarizeIncident(b *obs.IncidentBundle) IncidentSummary {
 	return s
 }
 
-// ServeIncidents renders the /incidents plane over any bundle source:
-// the newest-last summary list by default, one full bundle with ?id=.
-// Shared by the single-tenant runtime and the fleet handler.
-func ServeIncidents(w http.ResponseWriter, req *http.Request,
-	list func() []*obs.IncidentBundle, get func(id string) *obs.IncidentBundle) {
+// IncidentSource is a flight recorder as /incidents reads it: obs.Recorder,
+// or a fleet's obs.ScopedRecorder.
+type IncidentSource interface {
+	Bundles() []*obs.IncidentBundle
+	Bundle(id string) *obs.IncidentBundle
+}
+
+// serveIncidents renders the /incidents plane: the newest-last summary
+// list by default, one full bundle with ?id=.
+func serveIncidents(w http.ResponseWriter, req *http.Request, src IncidentSource) {
 	w.Header().Set("Content-Type", "application/json")
 	if id := req.URL.Query().Get("id"); id != "" {
-		b := get(id)
+		b := src.Bundle(id)
 		if b == nil {
 			w.WriteHeader(http.StatusNotFound)
 			fmt.Fprintf(w, "{\"error\":\"no bundle %q (evicted or never captured)\"}\n", id)
@@ -264,7 +237,7 @@ func ServeIncidents(w http.ResponseWriter, req *http.Request,
 		_ = json.NewEncoder(w).Encode(b)
 		return
 	}
-	bundles := list()
+	bundles := src.Bundles()
 	out := make([]IncidentSummary, len(bundles))
 	for i, b := range bundles {
 		out[i] = SummarizeIncident(b)
@@ -272,40 +245,91 @@ func ServeIncidents(w http.ResponseWriter, req *http.Request,
 	_ = json.NewEncoder(w).Encode(out)
 }
 
-// Handler serves the observability endpoints:
+// Plane is what the base observability plane serves. Runtime and
+// fleet.Fleet each build one and add their own endpoints to its mux.
+type Plane struct {
+	Metrics *Metrics
+	Health  func() Health
+	// Tracer enables /tracez, Incidents enables /incidents; nil leaves the
+	// endpoint unregistered (404).
+	Tracer    *obs.Tracer
+	Incidents IncidentSource
+}
+
+// Mux registers the base endpoints both planes serve:
 //
 //	GET /metrics   — Prometheus text exposition of the pipeline metrics
-//	GET /healthz   — JSON readiness (200 while running, 503 once draining
-//	                 or stopped); /readyz is an alias
-//	GET /livez     — JSON liveness (200 for the life of the process)
-//	GET /tracez    — slowest recent end-to-end traces (with Config.Tracer;
-//	                 text table, or JSON with ?format=json)
+//	GET /healthz   — JSON readiness (200 while status is "ok", 503 once
+//	                 draining or stopped); /readyz is an alias
+//	GET /livez     — JSON liveness: 200 for the life of the process,
+//	                 whatever the drain state — restarting a draining pod
+//	                 would turn every graceful shutdown into a kill
+//	GET /tracez    — slowest recent end-to-end traces (text table, or JSON
+//	                 with ?format=json; ?n= sets the count)
+//	GET /incidents — flight-recorder bundles: summary list, or one full
+//	                 bundle with ?id=
+func (p Plane) Mux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = p.Metrics.WritePrometheus(w)
+	})
+	ready := func(w http.ResponseWriter, _ *http.Request) {
+		h := p.Health()
+		w.Header().Set("Content-Type", "application/json")
+		if h.Status != "ok" {
+			w.WriteHeader(http.StatusServiceUnavailable)
+		}
+		_ = json.NewEncoder(w).Encode(h)
+	}
+	mux.HandleFunc("/healthz", ready)
+	mux.HandleFunc("/readyz", ready)
+	mux.HandleFunc("/livez", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintf(w, "{\"status\":\"live\",\"pipeline\":%q}\n", p.Health().Status)
+	})
+	if p.Tracer != nil {
+		mux.HandleFunc("/tracez", func(w http.ResponseWriter, req *http.Request) {
+			serveTracez(w, req, p.Tracer)
+		})
+	}
+	if p.Incidents != nil {
+		mux.HandleFunc("/incidents", func(w http.ResponseWriter, req *http.Request) {
+			serveIncidents(w, req, p.Incidents)
+		})
+	}
+	return mux
+}
+
+// Serve starts an observability server for h on addr (e.g. ":9600"; ":0"
+// picks a free port). It returns the server and the bound address; shut it
+// down with srv.Shutdown or srv.Close.
+func Serve(addr string, h http.Handler) (*http.Server, string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", err
+	}
+	srv := &http.Server{Handler: h}
+	go func() { _ = srv.Serve(ln) }()
+	return srv, ln.Addr().String(), nil
+}
+
+// Handler serves the base plane (Plane.Mux: /metrics, /healthz, /readyz,
+// /livez, /tracez with Config.Tracer, /incidents with Config.Recorder) plus:
+//
 //	GET /ledger    — prediction-quality ledger snapshot (with Config.Ledger)
 //	GET /layers    — per-layer predictor lifecycle status: state, serving
 //	                 version, drift/retrain/swap counters (with
 //	                 Config.Lifecycle)
-//	GET /incidents — flight-recorder bundles: summary list, or one full
-//	                 bundle with ?id= (with Config.Recorder)
 //
 // With Config.Profiling set, the standard net/http/pprof handlers are also
 // mounted under /debug/pprof/.
 func (r *Runtime) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.metrics.WritePrometheus(w)
-	})
-	ready := func(w http.ResponseWriter, _ *http.Request) { ServeHealth(w, r.health()) }
-	mux.HandleFunc("/healthz", ready)
-	mux.HandleFunc("/readyz", ready)
-	mux.HandleFunc("/livez", func(w http.ResponseWriter, _ *http.Request) {
-		ServeLiveness(w, r.health().Status)
-	})
-	if r.cfg.Tracer != nil {
-		mux.HandleFunc("/tracez", func(w http.ResponseWriter, req *http.Request) {
-			ServeTracez(w, req, r.cfg.Tracer)
-		})
+	p := Plane{Metrics: r.metrics, Health: r.health, Tracer: r.cfg.Tracer}
+	if r.cfg.Recorder != nil {
+		p.Incidents = r.cfg.Recorder
 	}
+	mux := p.Mux()
 	if r.cfg.Ledger != nil {
 		mux.HandleFunc("/ledger", r.serveLedger)
 	}
@@ -313,11 +337,6 @@ func (r *Runtime) Handler() http.Handler {
 		mux.HandleFunc("/layers", func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			_ = json.NewEncoder(w).Encode(r.cfg.Lifecycle.States())
-		})
-	}
-	if r.cfg.Recorder != nil {
-		mux.HandleFunc("/incidents", func(w http.ResponseWriter, req *http.Request) {
-			ServeIncidents(w, req, r.cfg.Recorder.Bundles, r.cfg.Recorder.Bundle)
 		})
 	}
 	if r.cfg.Profiling {
@@ -330,15 +349,7 @@ func (r *Runtime) Handler() http.Handler {
 	return mux
 }
 
-// Serve starts the observability server on addr (e.g. ":9600"; ":0" picks
-// a free port). It returns the server and the bound address; shut it down
-// with srv.Shutdown or srv.Close.
+// Serve starts the observability server on addr (see Serve).
 func (r *Runtime) Serve(addr string) (*http.Server, string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", err
-	}
-	srv := &http.Server{Handler: r.Handler()}
-	go func() { _ = srv.Serve(ln) }()
-	return srv, ln.Addr().String(), nil
+	return Serve(addr, r.Handler())
 }

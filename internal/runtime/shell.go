@@ -1,0 +1,243 @@
+package runtime
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+)
+
+// ShellConfig plugs a pipeline's own parts into the shared stage shell.
+type ShellConfig struct {
+	// Err is the owning package's sentinel; Start/Stop errors wrap it.
+	Err error
+	// EvalInterval is the wall-clock cycle cadence. Zero disables the
+	// ticker; cycles then run only via EvaluateNow (and the final drain
+	// cycle).
+	EvalInterval time.Duration
+	// Workers sizes the evaluation pool Start creates (none below 2).
+	Workers int
+	// Cycle runs one MEA cycle — evaluate, act, journal — to completion. The
+	// shell calls it from the cycle goroutine only, so a slow countermeasure
+	// delays the next cycle instead of overlapping it.
+	Cycle func()
+	// CloseQueues rejects new ingest and lets the consumers run their queues
+	// dry. Idempotent: Stop calls it, and so does a hard stop.
+	CloseQueues func()
+	// Quiesced runs once inside Stop after every shell goroutine has exited
+	// and the pool is closed — no Apply, no cycle can run any more.
+	Quiesced func()
+}
+
+// Shell is the stage skeleton Runtime and fleet.Fleet share: N drain
+// consumers plus one cycle goroutine, and the protocol that stops them.
+//
+// Stop protocol. A graceful Stop marks the pipeline draining, closes the
+// queues, and waits: each consumer applies its backlog and exits; when the
+// last one has, the cycle goroutine runs exactly one final cycle (so late
+// events still reach a decision) and exits; then the pool closes, Quiesced
+// runs, and the pipeline is stopped. If Stop's ctx expires first — or the
+// context given to Start is canceled at any time — the stop turns hard:
+// consumers shed what is still queued (the owners count it dropped with
+// reason "shutdown", so ingested = applied + dropped still closes), the cycle
+// goroutine exits without a final cycle, and Stop returns ctx's error.
+// Readiness reads "ok" → "draining" → "stopped" along the way; liveness does
+// not change.
+type Shell struct {
+	cfg  ShellConfig
+	pool *Pool
+
+	// consumersWg tracks the drain consumers; evalStop closes once all of
+	// them have exhausted their queues. wg tracks every shell goroutine.
+	consumersWg sync.WaitGroup
+	wg          sync.WaitGroup
+	evalReq     chan struct{}
+	evalStop    chan struct{}
+	hardCtx     context.Context
+	hardStop    context.CancelFunc
+
+	start     atomic.Pointer[time.Time] // nil until Start
+	stopping  atomic.Bool
+	stopped   atomic.Bool // graceful or hard stop complete
+	stopOnce  sync.Once
+	stopErr   error
+	cycles    atomic.Int64
+	lastCycle atomic.Int64 // unix nanos of the last completed cycle
+}
+
+// NewShell assembles a shell (not yet running; call Start).
+func NewShell(cfg ShellConfig) *Shell {
+	return &Shell{
+		cfg:      cfg,
+		evalReq:  make(chan struct{}, 1),
+		evalStop: make(chan struct{}),
+	}
+}
+
+// Start launches the pool, n drain consumers — consume(0) … consume(n-1),
+// one goroutine each — and the cycle loop. Canceling ctx hard-stops the
+// pipeline; use Stop for a graceful shutdown.
+func (s *Shell) Start(ctx context.Context, n int, consume func(i int)) error {
+	now := time.Now()
+	if !s.start.CompareAndSwap(nil, &now) {
+		return fmt.Errorf("%w: already started", s.cfg.Err)
+	}
+	s.hardCtx, s.hardStop = context.WithCancel(ctx)
+	if s.cfg.Workers > 1 {
+		s.pool = NewPool(s.cfg.Workers)
+	}
+	for i := 0; i < n; i++ {
+		s.Go(func() { consume(i) })
+	}
+	s.wg.Add(2)
+	// Release the cycle loop's final cycle only after every consumer has
+	// drained.
+	go func() {
+		defer s.wg.Done()
+		s.consumersWg.Wait()
+		close(s.evalStop)
+	}()
+	go s.cycleLoop()
+	// Hard stop, from the parent context or from Stop: close the queues so
+	// the consumers' drain loops terminate (shedding, see HardStopped).
+	context.AfterFunc(s.hardCtx, func() {
+		s.stopping.Store(true)
+		s.cfg.CloseQueues()
+	})
+	return nil
+}
+
+// Go runs one more drain consumer under the shell's accounting: Stop waits
+// for it, and the final cycle waits for it to run dry. Start uses it for the
+// initial consumers; a live resize adds consumers with it. The caller must
+// exclude Stop's CloseQueues while it adds (a consumer added to a pipeline
+// whose consumers have all exited would be missed).
+func (s *Shell) Go(consume func()) {
+	s.wg.Add(1)
+	s.consumersWg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		defer s.consumersWg.Done()
+		consume()
+	}()
+}
+
+// cycleLoop runs cycles on the ticker and on demand, plus one final cycle
+// after ingest drains on a graceful stop.
+func (s *Shell) cycleLoop() {
+	defer s.wg.Done()
+	var tick <-chan time.Time
+	if s.cfg.EvalInterval > 0 {
+		t := time.NewTicker(s.cfg.EvalInterval)
+		defer t.Stop()
+		tick = t.C
+	}
+	for {
+		select {
+		case <-s.hardCtx.Done():
+			return
+		case <-s.evalStop:
+			s.cfg.Cycle()
+			return
+		case <-tick:
+		case <-s.evalReq:
+		}
+		s.cfg.Cycle()
+	}
+}
+
+// EvaluateNow requests an immediate cycle (event-driven evaluation). It
+// coalesces with a request already pending; a request made while a cycle is
+// running is kept and served by the next one.
+func (s *Shell) EvaluateNow() {
+	select {
+	case s.evalReq <- struct{}{}:
+	default:
+	}
+}
+
+// Stop shuts the pipeline down by the protocol on Shell. It is idempotent;
+// every call returns the first call's result.
+func (s *Shell) Stop(ctx context.Context) error {
+	if !s.Started() {
+		return fmt.Errorf("%w: not started", s.cfg.Err)
+	}
+	s.stopOnce.Do(func() {
+		s.stopping.Store(true)
+		s.cfg.CloseQueues()
+		done := make(chan struct{})
+		go func() {
+			s.wg.Wait()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-ctx.Done():
+			s.hardStop()
+			<-done
+			s.stopErr = ctx.Err()
+		}
+		s.hardStop()
+		if s.pool != nil {
+			s.pool.Close()
+		}
+		s.cfg.Quiesced()
+		s.stopped.Store(true)
+	})
+	return s.stopErr
+}
+
+// Pool returns the evaluation pool (nil before Start and when Workers < 2;
+// a nil pool runs Do inline).
+func (s *Shell) Pool() *Pool { return s.pool }
+
+// HardStopped reports whether the stop turned hard: drain loops then shed
+// their backlog instead of applying it, so shutdown is prompt and the depth
+// gauges and drop counters settle on consistent final values.
+func (s *Shell) HardStopped() bool { return s.hardCtx.Err() != nil }
+
+// CycleDone accounts one completed cycle.
+func (s *Shell) CycleDone() {
+	s.lastCycle.Store(time.Now().UnixNano())
+	s.cycles.Add(1)
+}
+
+// Started reports whether Start has been called.
+func (s *Shell) Started() bool { return s.start.Load() != nil }
+
+// Stopping reports whether shutdown has begun.
+func (s *Shell) Stopping() bool { return s.stopping.Load() }
+
+// Running reports whether the pipeline is started and not yet stopping.
+func (s *Shell) Running() bool { return s.Started() && !s.Stopping() }
+
+// Uptime returns the wall-clock time since Start (0 before it).
+func (s *Shell) Uptime() time.Duration {
+	if t := s.start.Load(); t != nil {
+		return time.Since(*t)
+	}
+	return 0
+}
+
+// Cycles returns how many cycles have completed since Start — a
+// deterministic synchronization point for tests and replay drivers
+// (the last-cycle stamp is wall-clock-based and can collide across fast
+// cycles).
+func (s *Shell) Cycles() int64 { return s.cycles.Load() }
+
+// Health fills the shell's part of a readiness body — status, uptime,
+// last-cycle age; the owner adds its queue and tenant figures.
+func (s *Shell) Health() Health {
+	h := Health{Status: "ok", UptimeSeconds: s.Uptime().Seconds(), LastCycleAgoSeconds: -1}
+	switch {
+	case s.stopped.Load():
+		h.Status = "stopped"
+	case !s.Running():
+		h.Status = "draining"
+	}
+	if ns := s.lastCycle.Load(); ns != 0 {
+		h.LastCycleAgoSeconds = time.Since(time.Unix(0, ns)).Seconds()
+	}
+	return h
+}

@@ -1,19 +1,20 @@
 package pfm
 
 // Facade over internal/runtime: the concurrent streaming MEA runtime that
-// wraps an MEAEngine into a wall-clock pipeline (bounded ingest queue →
-// worker-pool evaluate stage → serialized act stage) with Prometheus-text
-// metrics and /healthz. See cmd/pfmd for a complete deployment.
+// wraps an MEAEngine into a wall-clock pipeline (bounded ingest queues
+// drained into predictor state, and one cycle goroutine that scores the
+// layers over a worker pool and then acts) with Prometheus-text metrics and
+// /healthz. See cmd/pfmd for a complete deployment.
 
 import (
 	"repro/internal/core"
 	"repro/internal/runtime"
 )
 
-// Runtime is the concurrent streaming MEA pipeline (Monitor ingest →
-// Evaluate worker pool → serialized Act). Construct with NewRuntime, drive
-// with Start/Ingest/EvaluateNow, observe via Handler or Serve, finish with
-// Stop.
+// Runtime is the concurrent streaming MEA pipeline (Monitor ingest, and a
+// cycle that Evaluates over a worker pool, then Acts). Construct with
+// NewRuntime, drive with Start/Ingest/EvaluateNow, observe via Handler or
+// Serve, finish with Stop.
 type Runtime = runtime.Runtime
 
 // RuntimeConfig parameterizes the streaming runtime.
