@@ -40,6 +40,10 @@ func (h *queueHarness) tenant(id string, capacity int, rate float64) *tenantQueu
 	return tq
 }
 
+// queued reads a sub-queue's depth (the one place these tests touch the
+// buffer's representation).
+func queued(tq *tenantQueue) int { return tq.n }
+
 func (h *queueHarness) fill(t *testing.T, tq *tenantQueue, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -71,9 +75,9 @@ func TestDRRFairness(t *testing.T) {
 		t.Fatalf("drainInto = (%d, %v), want (64, false)", n, limited)
 	}
 	for _, tq := range smalls {
-		if tq.n != 0 {
+		if queued(tq) != 0 {
 			t.Errorf("small tenant %s still has %d queued after first chunk; DRR starved it",
-				tq.tn.spec.ID, tq.n)
+				tq.tn.spec.ID, queued(tq))
 		}
 	}
 	counts := map[string]int{}
@@ -159,8 +163,8 @@ func TestQueueRateLimit(t *testing.T) {
 		t.Fatalf("post-close drain = (%d, %v), want (6, false): close bypasses rate limits", n, limited)
 	}
 	h.q.settled(buf, n)
-	if tq.n != 0 {
-		t.Errorf("backlog %d after shutdown drain, want 0", tq.n)
+	if queued(tq) != 0 {
+		t.Errorf("backlog %d after shutdown drain, want 0", queued(tq))
 	}
 	n, limited = h.q.drainInto(buf)
 	if n != 0 || limited {
