@@ -107,7 +107,7 @@ func run() error {
 			return true
 		}
 		warnings++
-		suspects := diagnoser.Diagnose(today.Log().Window(now-dataWindow, now))
+		suspects := diagnoser.DiagnoseRange(today.Log(), now-dataWindow, now)
 		suspect := "unknown"
 		if len(suspects) > 0 {
 			suspect = suspects[0].Component

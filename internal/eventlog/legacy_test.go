@@ -180,13 +180,13 @@ func TestColumnarAoSStoreParity(t *testing.T) {
 		last := aos.events[len(aos.events)-1].Time
 		from := math.Mod(math.Abs(fromRaw), last+10) - 5
 		span := math.Mod(math.Abs(spanRaw), last+10)
-		cw := col.Window(from, from+span)
+		lo, hi := col.ScanWindow(from, from+span)
 		aw := aos.Window(from, from+span)
-		if len(cw) != len(aw) {
+		if hi-lo != len(aw) {
 			return false
 		}
-		for i := range cw {
-			if cw[i] != aw[i] {
+		for i := range aw {
+			if col.At(lo+i) != aw[i] {
 				return false
 			}
 		}

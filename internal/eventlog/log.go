@@ -8,9 +8,9 @@
 // message strings are dictionary-interned so each distinct string exists
 // once regardless of how many events carry it. Appends write five column
 // cells (no per-event box, no per-event string allocation), hot scans run
-// branch-light loops over contiguous numeric memory, and the []Event API
-// (At, Events, Window, WindowView) survives as a materializing
-// compatibility shim for cold paths.
+// branch-light loops over contiguous numeric memory (ScanWindow gives the
+// index range of a time window), and At materializes one Event from the
+// columns — its strings shared dictionary entries — for cold paths.
 package eventlog
 
 import (
@@ -338,20 +338,11 @@ func (l *Log) At(i int) Event {
 // column-native scans. The views must not be modified, and must not be
 // retained across a later Append (which may reallocate the columns).
 
-// Times returns the time column.
-func (l *Log) Times() []float64 { return l.times }
-
 // TypeCodes returns the event-type column.
 func (l *Log) TypeCodes() []int32 { return l.types }
 
-// SeverityCodes returns the severity column (values 1..4).
-func (l *Log) SeverityCodes() []uint8 { return l.sevs }
-
 // ComponentIDs returns the component dictionary-index column.
 func (l *Log) ComponentIDs() []uint32 { return l.comps }
-
-// MessageIDs returns the message dictionary-index column.
-func (l *Log) MessageIDs() []uint32 { return l.msgs }
 
 // TimeAt returns the i-th event time without materializing the event.
 func (l *Log) TimeAt(i int) float64 { return l.times[i] }
@@ -375,16 +366,6 @@ func (l *Log) ComponentCount() int { return l.components.Len() }
 // ComponentIDs.
 func (l *Log) ComponentName(id uint32) string { return l.components.Lookup(id) }
 
-// Events returns a copy of all events (materialized from the columns; the
-// strings are shared dictionary entries).
-func (l *Log) Events() []Event {
-	out := make([]Event, l.Len())
-	for i := range out {
-		out[i] = l.At(i)
-	}
-	return out
-}
-
 // ScanWindow returns the column index range [lo, hi) of the events with
 // time in the half-open interval [from, to) — two binary searches over
 // the time column, no materialization. This is the window primitive every
@@ -393,29 +374,6 @@ func (l *Log) ScanWindow(from, to float64) (lo, hi int) {
 	lo = sort.SearchFloat64s(l.times, from)
 	hi = lo + sort.SearchFloat64s(l.times[lo:], to)
 	return lo, hi
-}
-
-// Window returns a copy of the events with time in the half-open interval
-// [from, to).
-func (l *Log) Window(from, to float64) []Event {
-	return l.WindowView(from, to)
-}
-
-// WindowView returns the events in [from, to) as a fresh []Event
-// materialized from the columns — a compatibility shim over ScanWindow.
-// The event strings are shared dictionary entries (no per-string copy),
-// but the slice itself is allocated per call: hot loops should use
-// ScanWindow and the column accessors instead.
-func (l *Log) WindowView(from, to float64) []Event {
-	lo, hi := l.ScanWindow(from, to)
-	if lo == hi {
-		return nil
-	}
-	out := make([]Event, hi-lo)
-	for i := range out {
-		out[i] = l.At(lo + i)
-	}
-	return out
 }
 
 // CountSevere returns the number of events in the index range [lo, hi)

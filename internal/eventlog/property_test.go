@@ -35,9 +35,9 @@ func TestWindowPartitionProperty(t *testing.T) {
 		hi := l.At(l.Len()-1).Time + 1
 		frac := math.Abs(math.Mod(splitFrac, 1))
 		mid := lo + (hi-lo)*frac
-		left := l.Window(lo, mid)
-		right := l.Window(mid, hi)
-		return len(left)+len(right) == l.Len()
+		l0, l1 := l.ScanWindow(lo, mid)
+		r0, r1 := l.ScanWindow(mid, hi)
+		return l0 == 0 && l1 == r0 && r1 == l.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -74,16 +74,16 @@ func TestFilterProperty(t *testing.T) {
 		min := Severity(1 + int(math.Abs(float64(sevRaw)))%4)
 		filtered := l.Filter(min)
 		count := 0
-		for _, e := range l.Events() {
-			if e.Severity >= min {
+		for i := 0; i < l.Len(); i++ {
+			if l.SeverityAt(i) >= min {
 				count++
 			}
 		}
 		if filtered.Len() != count {
 			return false
 		}
-		for _, e := range filtered.Events() {
-			if e.Severity < min {
+		for i := 0; i < filtered.Len(); i++ {
+			if filtered.SeverityAt(i) < min {
 				return false
 			}
 		}

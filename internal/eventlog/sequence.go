@@ -31,24 +31,6 @@ func (s Sequence) Delays() []float64 {
 	return out
 }
 
-// newSequence builds a re-based sequence from raw events.
-func newSequence(events []Event, label bool) Sequence {
-	s := Sequence{
-		Times: make([]float64, len(events)),
-		Types: make([]int, len(events)),
-		Label: label,
-	}
-	if len(events) == 0 {
-		return s
-	}
-	base := events[0].Time
-	for i, e := range events {
-		s.Times[i] = e.Time - base
-		s.Types[i] = e.Type
-	}
-	return s
-}
-
 // sequenceInto writes the re-based sequence for the column index range
 // [lo, hi) straight from the log's columns into s, reusing s.Times/s.Types
 // capacity when sufficient. No intermediate []Event exists: times and

@@ -27,12 +27,14 @@
 //     global lifecycle.Budget, so a fleet-wide drift storm cannot fork
 //     unbounded concurrent refits.
 //
-// The goroutine skeleton and stop protocol (runtime.Shell), each tenant's
-// journal → lifecycle → recorder order after a decision (runtime.ActTail)
-// and the base HTTP endpoints (runtime.Plane) are the single-tenant
-// runtime's, not copies of them; what lives here is what differs — the
-// per-tenant queues and their fair draining, cross-tenant scoring, the act
-// budget, membership changes and the /fleet plane.
+// The goroutine skeleton and stop protocol (runtime.Shell), the bounded
+// buffer and Block-policy park/wake protocol under every queue
+// (runtime.FIFO, runtime.Waiters), each tenant's journal → lifecycle →
+// recorder order after a decision (runtime.ActTail) and the base HTTP
+// endpoints (runtime.Plane) are the single-tenant runtime's, not copies of
+// them; what lives here is what differs — one queue per tenant and their
+// fair draining, cross-tenant scoring, the act budget, membership changes
+// and the /fleet plane.
 //
 // Ingest is pluggable (Source): an in-process feeder (SliceSource, or
 // SCPRecords over internal/scp's multi-tenant simulator), a file-tail

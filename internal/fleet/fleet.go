@@ -333,6 +333,7 @@ func New(cfg Config) (*Fleet, error) {
 		Err:          ErrFleet,
 		EvalInterval: cfg.EvalInterval,
 		Workers:      cfg.Workers,
+		Tracer:       cfg.Tracer,
 		Cycle:        f.EvaluateCycle,
 		CloseQueues: func() {
 			// Under adminMu: Resize changes the shard set.
@@ -786,17 +787,15 @@ func (f *Fleet) consumeLoop(q *shardQueue) {
 			// Hard stop: shed the chunk unapplied so shutdown is prompt.
 			for i := 0; i < n; i++ {
 				f.metrics.DroppedShutdown.Inc()
-				q.dropCount()
+				q.drops.Inc()
 				q.traceDrop(buf[i])
 			}
 			q.settled(buf, n)
 			continue
 		}
-		var dequeued int64
-		if tr != nil {
-			dequeued = tr.Now()
-		}
-		start := time.Now()
+		// The chunk's two stamps serve the apply-latency histogram and, as
+		// dequeue and apply end, every sampled event in it.
+		dequeued := f.shell.Nanos()
 		f.stateMu.RLock()
 		for i := 0; i < n; i++ {
 			it := buf[i]
@@ -807,13 +806,14 @@ func (f *Fleet) consumeLoop(q *shardQueue) {
 			storeTime(&it.tn.lastEvent, it.ev.Time)
 		}
 		f.stateMu.RUnlock()
+		applied := f.shell.Nanos()
 		f.metrics.Applied.Add(int64(n))
 		// One latency observation per chunk: the amortized unit of work.
-		f.metrics.ApplyLatency.Observe(time.Since(start).Seconds())
+		f.metrics.ApplyLatency.Observe(float64(applied-dequeued) / 1e9)
 		for i := 0; i < n; i++ {
 			if buf[i].traceStart != 0 {
 				tr.PublishApplied(uint8(buf[i].ev.Kind), buf[i].ev.Tenant, q.shard,
-					buf[i].traceStart, buf[i].traceStart, dequeued, tr.Now())
+					buf[i].traceStart, buf[i].traceStart, dequeued, applied)
 			}
 		}
 		q.settled(buf, n)
@@ -847,11 +847,9 @@ func (f *Fleet) EvaluateCycle() {
 	defer f.cycleMu.Unlock()
 	mem := f.mem.Load()
 	pool := f.shell.Pool()
-	tr := f.cfg.Tracer
-	evalStart := tr.Now()
+	evalStart := f.shell.Nanos()
 	now := f.now()
 	nT := len(mem.tenants)
-	start := time.Now()
 	f.stateMu.Lock()
 	for li := range f.cfg.Layers {
 		f.scoreLayer(mem, li, now)
@@ -869,11 +867,10 @@ func (f *Fleet) EvaluateCycle() {
 	// assembled here (or by Stop's flush after the final cycle).
 	f.cfg.Recorder.Collect()
 	f.stateMu.Unlock()
-	f.metrics.EvalLatency.Observe(time.Since(start).Seconds())
-	evalEnd := tr.Now()
+	evalEnd := f.shell.Nanos()
+	f.metrics.EvalLatency.Observe(float64(evalEnd-evalStart) / 1e9)
 
-	actWall := time.Now()
-	actStart := tr.Now()
+	actStart := f.shell.Nanos()
 	if f.cfg.ActBudget > 0 {
 		pool.Do(nT, func(i int) {
 			f.decideTenant(mem, mem.tenants[i], now)
@@ -895,8 +892,9 @@ func (f *Fleet) EvaluateCycle() {
 	}
 	f.cfg.Ledger.Advance(now)
 	f.metrics.Evaluations.Inc()
-	f.metrics.ActLatency.Observe(time.Since(actWall).Seconds())
-	tr.CompleteCycle(evalStart, evalEnd, actStart, tr.Now())
+	actEnd := f.shell.Nanos()
+	f.metrics.ActLatency.Observe(float64(actEnd-actStart) / 1e9)
+	f.cfg.Tracer.CompleteCycle(evalStart, evalEnd, actStart, actEnd)
 	f.shell.CycleDone()
 }
 
@@ -1004,16 +1002,7 @@ func (f *Fleet) finishTenant(tn *tenant, now float64) {
 // evaluates at. The caller must pause ingest for the guarantee to be
 // meaningful.
 func (f *Fleet) Barrier(ctx context.Context) error {
-	for {
-		if f.pendingN.Load() == 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(50 * time.Microsecond):
-		}
-	}
+	return runtime.AwaitSettled(ctx, func() bool { return f.pendingN.Load() == 0 })
 }
 
 // Stop shuts the fleet down by the shared stop protocol (runtime.Shell):

@@ -28,22 +28,6 @@ type item struct {
 	traceStart int64
 }
 
-// parkedPush is one producer waiting (Block policy) for room in the shard's
-// budget. The consumer admits the item itself when space frees and closes
-// ch; the close is the release that makes admitted/removed visible. Parked
-// pushes queue FIFO on the shard (not the tenant) because the scarce
-// resource is the shard-wide budget: admission order is arrival order
-// across tenants, and a handoff migrates a tenant's parked entries to the
-// destination shard along with its sub-queue.
-type parkedPush struct {
-	it       item
-	tq       *tenantQueue
-	ch       chan struct{}
-	admitted bool // consumer enqueued the item before closing ch
-	removed  bool // tenant was removed before the item fit
-	retry    bool // a handoff re-homed the tenant: re-offer on the new shard
-}
-
 // drrQuantum is the deficit-round-robin quantum: how many queued events one
 // tenant may contribute per scheduler visit before the drain moves on to the
 // next active tenant. Small enough that a chunk interleaves every backlogged
@@ -61,11 +45,8 @@ type tenantQueue struct {
 	tn    *tenant
 	owner atomic.Pointer[shardQueue]
 
-	buf     []item // circular; grows geometrically up to cap
-	head    int
-	n       int
-	cap     int
-	deficit int // DRR credit, reset on deactivation
+	buf     runtime.FIFO[item] // starts empty, grows to the per-tenant cap
+	deficit int                // DRR credit, reset on deactivation
 
 	rate      float64 // TenantSpec.RateLimit [events/domain-second]; 0 = unlimited
 	burst     float64
@@ -84,7 +65,7 @@ type tenantQueue struct {
 }
 
 func newTenantQueue(tn *tenant, capacity int, rate float64) *tenantQueue {
-	tq := &tenantQueue{tn: tn, cap: capacity, rate: rate}
+	tq := &tenantQueue{tn: tn, buf: runtime.NewFIFO[item](0, capacity), rate: rate}
 	if rate > 0 {
 		tq.burst = rate
 		if tq.burst < 1 {
@@ -92,68 +73,6 @@ func newTenantQueue(tn *tenant, capacity int, rate float64) *tenantQueue {
 		}
 	}
 	return tq
-}
-
-// enqueue appends one item (caller holds the owner lock and checked n < cap).
-func (tq *tenantQueue) enqueue(it item) {
-	if tq.n == len(tq.buf) {
-		tq.grow()
-	}
-	i := tq.head + tq.n
-	if i >= len(tq.buf) {
-		i -= len(tq.buf)
-	}
-	tq.buf[i] = it
-	tq.n++
-}
-
-func (tq *tenantQueue) grow() {
-	newCap := len(tq.buf) * 2
-	if newCap < 8 {
-		newCap = 8
-	}
-	if newCap > tq.cap {
-		newCap = tq.cap
-	}
-	nb := make([]item, newCap)
-	for i := 0; i < tq.n; i++ {
-		j := tq.head + i
-		if j >= len(tq.buf) {
-			j -= len(tq.buf)
-		}
-		nb[i] = tq.buf[j]
-	}
-	tq.buf = nb
-	tq.head = 0
-}
-
-// dequeueOne pops the oldest item (caller holds the owner lock, n > 0).
-func (tq *tenantQueue) dequeueOne() item {
-	it := tq.buf[tq.head]
-	tq.buf[tq.head] = item{}
-	tq.head++
-	if tq.head == len(tq.buf) {
-		tq.head = 0
-	}
-	tq.n--
-	return it
-}
-
-// dequeueInto pops k items into out (caller holds the owner lock, k <= n).
-func (tq *tenantQueue) dequeueInto(out []item, k int) {
-	for i := 0; i < k; i++ {
-		j := tq.head + i
-		if j >= len(tq.buf) {
-			j -= len(tq.buf)
-		}
-		out[i] = tq.buf[j]
-		tq.buf[j] = item{}
-	}
-	tq.head += k
-	if tq.head >= len(tq.buf) {
-		tq.head -= len(tq.buf)
-	}
-	tq.n -= k
 }
 
 // refill advances the token bucket to domain time now.
@@ -173,200 +92,150 @@ func (tq *tenantQueue) refill(now float64) {
 	}
 }
 
-// admitParkedLocked admits waiting parked pushes in shard-FIFO order while
-// the budget has room (caller holds q.mu). Each admission is the deferred
-// completion of a Block-policy push: counted ingested/pending here. Entries
-// whose tenant sub-queue is individually full are skipped, not head-blocked.
-func (q *shardQueue) admitParkedLocked() {
-	if len(q.parked) == 0 {
-		return
-	}
-	kept := q.parked[:0]
-	for i, pp := range q.parked {
-		if q.total >= q.capTotal {
-			kept = append(kept, q.parked[i:]...)
-			break
-		}
-		if pp.tq.n >= pp.tq.cap {
-			kept = append(kept, pp)
-			continue
-		}
-		pp.tq.enqueue(pp.it)
-		q.total++
-		q.metrics.Ingested.Inc()
-		q.pending.Add(1)
-		q.activateLocked(pp.tq)
-		pp.admitted = true
-		close(pp.ch)
-	}
-	for i := len(kept); i < len(q.parked); i++ {
-		q.parked[i] = nil
-	}
-	q.parked = kept
-}
-
-// push offers one event to the tenant's sub-queue under the overflow policy.
-// The semantics mirror the previous shared-ring queue: ErrClosed after fleet
-// shutdown (event not counted), ctx.Err() when a blocked push is canceled
-// (counted ingested + dropped), DropNewest rejections counted but not
-// surfaced, errTenantRemoved after RemoveTenant (not counted).
-func (tq *tenantQueue) push(ctx context.Context, it item) error {
+// lockOwner locks the shard that owns tq and returns it. owner is the pointer
+// producers resolve without a lock, so it is resolved again under the lock: a
+// handoff may have re-homed the tenant in between.
+func (tq *tenantQueue) lockOwner() *shardQueue {
 	for {
 		q := tq.owner.Load()
 		q.mu.Lock()
-		if tq.owner.Load() != q {
-			q.mu.Unlock()
-			continue // re-homed between load and lock
+		if tq.owner.Load() == q {
+			return q
 		}
+		q.mu.Unlock()
+	}
+}
+
+// push offers one event to the tenant's sub-queue under the overflow policy:
+// ErrClosed after fleet shutdown (event not counted), ctx.Err() when a blocked
+// push is canceled (counted ingested + dropped), DropNewest rejections counted
+// but not surfaced, errTenantRemoved after RemoveTenant (not counted).
+//
+// Block follows runtime.Waiters: a push that finds no room — its tenant at
+// its cap, or the shard over its budget — parks on the owning shard and, woken,
+// checks everything again under the lock. A tenant removed or re-homed while
+// the push slept is therefore nothing special, just what the re-check finds.
+func (tq *tenantQueue) push(ctx context.Context, it item) error {
+	q := tq.lockOwner()
+	var parkedOn *shardQueue // where this push last slept
+	for {
 		switch {
 		case tq.closed:
-			q.mu.Unlock()
+			q.leaveLocked(parkedOn)
 			return errTenantRemoved
-		case q.closed:
+		case q.closed && q != parkedOn:
+			// A push that parked here before close still lands (the consumer
+			// waits for it); one that arrives after is refused.
 			q.mu.Unlock()
 			return runtime.ErrClosed
-		}
-		if tq.n < tq.cap && q.total < q.capTotal {
-			tq.enqueue(it)
-			q.total++
-			q.metrics.Ingested.Inc()
-			q.pending.Add(1)
-			q.activateLocked(tq)
+		case !tq.buf.Full() && q.total < q.capTotal:
+			q.admitLocked(tq, &it)
 			q.mu.Unlock()
 			return nil
-		}
-		switch q.policy {
-		case runtime.DropOldest:
+		case q.policy == runtime.DropOldest:
 			// Evict the pushing tenant's own oldest when it has backlog;
 			// when the shard budget is exhausted by OTHER tenants, evict
 			// the head of the longest-waiting active tenant (the DRR
-			// cursor) — the closest analogue of the shared ring's global
+			// cursor) — the closest analogue of a single ring's global
 			// oldest.
 			victim := tq
-			if victim.n == 0 && len(q.active) > 0 {
+			if victim.buf.Len() == 0 && len(q.active) > 0 {
 				i := q.cursor
 				if i >= len(q.active) {
 					i = 0
 				}
 				victim = q.active[i]
 			}
-			if victim.n == 0 {
+			q.metrics.DroppedOldest.Inc()
+			q.drops.Inc()
+			if victim.buf.Len() == 0 {
 				// No evictable backlog on this shard (pathological:
 				// everything mid-handoff); shed the incoming event.
 				q.metrics.Ingested.Inc()
-				q.metrics.DroppedOldest.Inc()
-				q.dropCount()
 				q.mu.Unlock()
 				q.traceDrop(it)
 				return nil
 			}
-			old := victim.dequeueOne()
+			old := victim.buf.Pop()
 			q.total--
 			q.pending.Add(-1)
-			q.metrics.DroppedOldest.Inc()
-			q.dropCount()
-			if victim.n == 0 && victim.active {
+			if victim.buf.Len() == 0 && victim.active {
 				q.removeActiveLocked(victim)
 			}
-			tq.enqueue(it)
-			q.total++
-			q.metrics.Ingested.Inc()
-			q.pending.Add(1)
-			q.activateLocked(tq)
+			q.admitLocked(tq, &it)
 			q.mu.Unlock()
 			q.traceDrop(old)
 			return nil
-		case runtime.DropNewest:
+		case q.policy == runtime.DropNewest:
 			q.metrics.Ingested.Inc()
 			q.metrics.DroppedNewest.Inc()
-			q.dropCount()
+			q.drops.Inc()
 			q.mu.Unlock()
 			q.traceDrop(it)
 			return nil
 		default: // Block
-			pp := &parkedPush{it: it, tq: tq, ch: make(chan struct{})}
-			q.parked = append(q.parked, pp)
-			q.mu.Unlock()
-			select {
-			case <-pp.ch:
-				if pp.removed {
-					return errTenantRemoved
-				}
-				if pp.retry {
-					continue
-				}
-				return nil // admitted by the consumer
-			case <-ctx.Done():
-				if tq.cancelParked(pp) {
-					q.metrics.Ingested.Inc()
-					q.metrics.DroppedCanceled.Inc()
-					q.dropCount()
-					q.traceDrop(it)
-					return ctx.Err()
-				}
-				// Lost the race: the consumer already resolved the park.
-				<-pp.ch
-				if pp.removed {
-					return errTenantRemoved
-				}
-				if pp.retry {
-					continue
-				}
-				return nil
+			parkedOn = q
+			if err := q.waiters.Park(ctx, &q.mu); err != nil {
+				q.metrics.Ingested.Inc()
+				q.metrics.DroppedCanceled.Inc()
+				q.drops.Inc()
+				q.leaveLocked(q)
+				q.traceDrop(it)
+				return err
+			}
+			if tq.owner.Load() != q {
+				// Re-homed while parked here: start over on the new shard.
+				q.leaveLocked(q)
+				q = tq.lockOwner()
 			}
 		}
 	}
 }
 
-// cancelParked withdraws pp if it is still parked; false means the consumer
-// resolved it first (admitted or removed).
-func (tq *tenantQueue) cancelParked(pp *parkedPush) bool {
-	for {
-		q := tq.owner.Load()
-		q.mu.Lock()
-		if tq.owner.Load() != q {
-			q.mu.Unlock()
-			continue
-		}
-		for i, p := range q.parked {
-			if p == pp {
-				copy(q.parked[i:], q.parked[i+1:])
-				q.parked[len(q.parked)-1] = nil
-				q.parked = q.parked[:len(q.parked)-1]
-				q.mu.Unlock()
-				return true
-			}
-		}
-		q.mu.Unlock()
-		return false
+// admitLocked enqueues one event that fits and accounts it ingested.
+func (q *shardQueue) admitLocked(tq *tenantQueue, it *item) {
+	tq.buf.Push(it)
+	q.total++
+	q.metrics.Ingested.Inc()
+	q.pending.Add(1)
+	q.activateLocked(tq)
+}
+
+// leaveLocked unlocks q on behalf of a push that is going away without
+// enqueueing. If it had been parked here, the consumer of a closed q may be
+// waiting for precisely this push to resolve.
+func (q *shardQueue) leaveLocked(parkedOn *shardQueue) {
+	if parkedOn == q {
+		q.notEmpty.Signal()
 	}
+	q.mu.Unlock()
 }
 
 // shardQueue is one shard's ingest scheduler: a deficit-round-robin pass
-// over the member tenant sub-queues replaces the old shared FIFO ring, so a
-// hot tenant can saturate only its own sub-queue while the drain keeps
-// interleaving every backlogged tenant. The chunk discipline is unchanged:
-// one lock acquisition fills one consumer chunk.
+// over the member tenant sub-queues, so a hot tenant can saturate only its own
+// sub-queue while the drain keeps interleaving every backlogged tenant. The
+// chunk discipline is runtime.Ring's: one lock acquisition fills one consumer
+// chunk.
 type shardQueue struct {
 	mu       sync.Mutex
 	notEmpty sync.Cond
 
-	members map[*tenantQueue]struct{}
-	active  []*tenantQueue // members with queued items, schedulable
-	cursor  int            // DRR position in active
+	active []*tenantQueue // attached sub-queues with queued items, schedulable
+	cursor int            // DRR position in active
 
 	// total tracks queued events across owned sub-queues against capTotal,
 	// the shard-wide budget (Config.QueueCapacity). Per-tenant caps bound
 	// how much of that budget one tenant can hold; the shared budget is
-	// what makes Block/DropOldest apply backpressure at the same aggregate
-	// depth as the shared ring this scheduler replaced.
+	// what makes Block/DropOldest apply backpressure at one aggregate depth
+	// however the backlog is spread over tenants. Block-policy producers
+	// wait on the shard, not the tenant, because that budget is the scarce
+	// resource.
 	total    int
 	capTotal int
-	parked   []*parkedPush // Block-policy producers waiting for budget, FIFO
+	waiters  runtime.Waiters
 
-	policy  runtime.OverflowPolicy
-	quantum int
-	clock   func() float64 // domain clock for token buckets
+	policy runtime.OverflowPolicy
+	clock  func() float64 // domain clock for token buckets
 
 	metrics     *runtime.Metrics
 	drops       *runtime.Counter // per-shard, all reasons
@@ -380,10 +249,8 @@ type shardQueue struct {
 
 func newShardQueue(policy runtime.OverflowPolicy, capacity int, m *runtime.Metrics, drops, ratelimited *runtime.Counter, tracer *obs.Tracer, pending *atomic.Int64, clock func() float64, shard int) *shardQueue {
 	q := &shardQueue{
-		members:     make(map[*tenantQueue]struct{}),
 		capTotal:    capacity,
 		policy:      policy,
-		quantum:     drrQuantum,
 		clock:       clock,
 		metrics:     m,
 		drops:       drops,
@@ -396,15 +263,14 @@ func newShardQueue(policy runtime.OverflowPolicy, capacity int, m *runtime.Metri
 	return q
 }
 
-// attach adds tq to the shard's membership, counts its backlog against the
-// shard budget, and schedules it. Used at construction and AddTenant; a
+// attach makes q the owner of tq, counts its backlog against the shard
+// budget, and schedules it. Used at construction and AddTenant; a
 // handoff goes through moveQueue, which does its own budget transfer.
 func (q *shardQueue) attach(tq *tenantQueue) {
 	q.mu.Lock()
-	q.members[tq] = struct{}{}
 	tq.owner.Store(q)
 	tq.ready = true
-	q.total += tq.n
+	q.total += tq.buf.Len()
 	q.activateLocked(tq)
 	q.mu.Unlock()
 }
@@ -415,7 +281,7 @@ func (q *shardQueue) attach(tq *tenantQueue) {
 // signals — per-tenant queues empty and refill constantly under steady
 // load, and signaling each refill would wake-storm the condvar.
 func (q *shardQueue) activateLocked(tq *tenantQueue) {
-	if !tq.active && tq.ready && tq.n > 0 {
+	if !tq.active && tq.ready && tq.buf.Len() > 0 {
 		q.active = append(q.active, tq)
 		tq.active = true
 		if len(q.active) == 1 {
@@ -478,13 +344,6 @@ func (q *shardQueue) settled(buf []item, n int) {
 	}
 }
 
-// dropCount counts one shed event on this shard.
-func (q *shardQueue) dropCount() {
-	if q.drops != nil {
-		q.drops.Inc()
-	}
-}
-
 // traceDrop publishes the shed event's partial trace.
 func (q *shardQueue) traceDrop(it item) {
 	if it.traceStart != 0 && q.tracer != nil {
@@ -497,13 +356,13 @@ func (q *shardQueue) traceDrop(it item) {
 // every active tenant one quantum and takes up to its deficit (and token
 // balance), so a chunk interleaves all backlogged tenants instead of
 // replaying one hot tenant's FIFO prefix. It blocks while nothing is
-// schedulable and returns (0, false) only once the queue is closed and
-// empty. (0, true) means queued items exist but every active tenant is over
+// schedulable and returns (0, false) only once the queue is closed, empty
+// and no push is parked. (0, true) means queued items exist but every active tenant is over
 // its rate limit — the consumer should back off briefly and retry.
 func (q *shardQueue) drainInto(buf []item) (int, bool) {
 	q.mu.Lock()
 	for len(q.active) == 0 {
-		if q.closed {
+		if q.closed && q.waiters.Parked() == 0 {
 			q.mu.Unlock()
 			return 0, false
 		}
@@ -519,11 +378,11 @@ func (q *shardQueue) drainInto(buf []item) (int, bool) {
 				q.cursor = 0
 			}
 			tq := q.active[q.cursor]
-			tq.deficit += q.quantum
-			if lim := q.quantum + len(buf); tq.deficit > lim {
+			tq.deficit += drrQuantum
+			if lim := drrQuantum + len(buf); tq.deficit > lim {
 				tq.deficit = lim
 			}
-			take := tq.n
+			take := tq.buf.Len()
 			if take > tq.deficit {
 				take = tq.deficit
 			}
@@ -546,7 +405,7 @@ func (q *shardQueue) drainInto(buf []item) (int, bool) {
 				}
 			}
 			if take > 0 {
-				tq.dequeueInto(buf[n:], take)
+				tq.buf.PopInto(buf[n : n+take])
 				n += take
 				q.total -= take
 				tq.deficit -= take
@@ -556,7 +415,7 @@ func (q *shardQueue) drainInto(buf []item) (int, bool) {
 				tq.inflight.Add(int64(take))
 				progress = true
 			}
-			if tq.n == 0 {
+			if tq.buf.Len() == 0 {
 				q.deactivateAt(q.cursor)
 			} else {
 				q.cursor++
@@ -566,7 +425,12 @@ func (q *shardQueue) drainInto(buf []item) (int, bool) {
 			break
 		}
 	}
-	q.admitParkedLocked()
+	if n > 0 {
+		// Not Wake(n): the n longest parked may all be waiting on a tenant
+		// that is still at its cap (rate-limited, say) while a later one
+		// now fits.
+		q.waiters.WakeAll()
+	}
 	q.mu.Unlock()
 	if n == 0 {
 		return 0, true // backlog exists but is rate-limited; retry shortly
@@ -575,8 +439,7 @@ func (q *shardQueue) drainInto(buf []item) (int, bool) {
 }
 
 // close begins shutdown: new pushes are rejected, parked pushes complete as
-// the consumer drains (same contract as the shared ring it replaces), then
-// drainInto returns (0, false).
+// the consumer drains, then drainInto returns (0, false).
 func (q *shardQueue) close() {
 	q.mu.Lock()
 	q.closed = true
@@ -584,53 +447,26 @@ func (q *shardQueue) close() {
 	q.mu.Unlock()
 }
 
-// closeAndDrain retires a removed tenant's sub-queue: reject future pushes,
-// shed the backlog (the caller accounts the drops), cancel parked pushes.
-// Returns the shed items for drop accounting/tracing. The sub-queue may
-// still have in-flight chunk items; they apply normally.
-func (tq *tenantQueue) closeAndDrain() []item {
-	for {
-		q := tq.owner.Load()
-		q.mu.Lock()
-		if tq.owner.Load() != q {
-			q.mu.Unlock()
-			continue
-		}
-		tq.closed = true
-		if tq.active {
-			q.removeActiveLocked(tq)
-		}
-		delete(q.members, tq)
-		shed := make([]item, tq.n)
-		tq.dequeueInto(shed, tq.n)
-		q.total -= len(shed)
-		q.pending.Add(-int64(len(shed)))
-		if len(q.parked) > 0 {
-			kept := q.parked[:0]
-			for _, pp := range q.parked {
-				if pp.tq == tq {
-					pp.removed = true
-					close(pp.ch)
-					continue
-				}
-				kept = append(kept, pp)
-			}
-			for i := len(kept); i < len(q.parked); i++ {
-				q.parked[i] = nil
-			}
-			q.parked = kept
-		}
-		q.admitParkedLocked() // shed backlog freed shard budget
-		q.mu.Unlock()
-		for range shed {
-			q.metrics.DroppedShutdown.Inc()
-			q.dropCount()
-		}
-		for _, it := range shed {
-			q.traceDrop(it)
-		}
-		return shed
+// closeAndDrain retires a removed tenant's sub-queue: future pushes are
+// rejected, parked ones find out when they re-check, the backlog is shed as
+// shutdown drops. The sub-queue may still have in-flight chunk items; they
+// apply normally.
+func (tq *tenantQueue) closeAndDrain() {
+	q := tq.lockOwner()
+	tq.closed = true
+	if tq.active {
+		q.removeActiveLocked(tq)
 	}
+	shed := tq.buf.Len()
+	for i := 0; i < shed; i++ {
+		q.metrics.DroppedShutdown.Inc()
+		q.drops.Inc()
+		q.traceDrop(tq.buf.Pop())
+	}
+	q.total -= shed
+	q.pending.Add(-int64(shed))
+	q.waiters.WakeAll() // budget freed, and the tenant's own pushes must leave
+	q.mu.Unlock()
 }
 
 // moveQueue re-homes tq onto dst — the handoff pass of a membership change.
@@ -639,55 +475,28 @@ func (tq *tenantQueue) closeAndDrain() []item {
 // per-tenant apply order is preserved, then attaches to dst. Returns how
 // many queued events moved shards.
 func moveQueue(tq *tenantQueue, dst *shardQueue) int {
-	src := tq.owner.Load()
-	if src == dst {
-		return 0
-	}
-	src.mu.Lock()
-	if tq.owner.Load() != src {
-		src.mu.Unlock()
-		return moveQueue(tq, dst) // re-homed concurrently; retry
-	}
-	if tq.closed {
+	src := tq.lockOwner()
+	if src == dst || tq.closed {
 		src.mu.Unlock()
 		return 0
 	}
 	if tq.active {
 		src.removeActiveLocked(tq)
 	}
-	delete(src.members, tq)
 	tq.ready = false
-	moved := tq.n
+	moved := tq.buf.Len()
 	src.total -= moved
-	if len(src.parked) > 0 {
-		// Parked producers for the moving tenant re-offer on the new
-		// shard instead of migrating: the retry keeps every parked entry
-		// under exactly one shard's lock and lets cancelParked stay a
-		// single-owner scan.
-		kept := src.parked[:0]
-		for _, pp := range src.parked {
-			if pp.tq == tq {
-				pp.retry = true
-				close(pp.ch)
-				continue
-			}
-			kept = append(kept, pp)
-		}
-		for i := len(kept); i < len(src.parked); i++ {
-			src.parked[i] = nil
-		}
-		src.parked = kept
-	}
 	tq.owner.Store(dst) // producers now push under dst's lock
-	src.admitParkedLocked()
+	// The tenant's parked pushes re-offer on dst (a push is only ever parked
+	// under the lock of the shard it will push to); the others may fit now.
+	src.waiters.WakeAll()
 	src.mu.Unlock()
 	for tq.inflight.Load() != 0 {
 		time.Sleep(20 * time.Microsecond)
 	}
 	dst.mu.Lock()
-	dst.members[tq] = struct{}{}
-	// The detach snapshot, not tq.n: pushes that landed between detach and
-	// attach were already counted in dst.total by the fast path.
+	// The detach snapshot, not the live length: pushes that landed between
+	// detach and attach were already counted in dst.total when admitted.
 	dst.total += moved
 	tq.ready = true
 	dst.activateLocked(tq)

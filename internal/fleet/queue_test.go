@@ -42,7 +42,7 @@ func (h *queueHarness) tenant(id string, capacity int, rate float64) *tenantQueu
 
 // queued reads a sub-queue's depth (the one place these tests touch the
 // buffer's representation).
-func queued(tq *tenantQueue) int { return tq.n }
+func queued(tq *tenantQueue) int { return tq.buf.Len() }
 
 func (h *queueHarness) fill(t *testing.T, tq *tenantQueue, n int) {
 	t.Helper()

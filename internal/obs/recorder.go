@@ -485,11 +485,13 @@ func (r *Recorder) assembleLocked(p *pendingTrigger) *IncidentBundle {
 		// The repo-wide now+1e-9 idiom makes the upper bound inclusive.
 		lo, hi := l.ScanWindow(b.EventsFrom, b.EventsTo+1e-9)
 		b.EventsTotal = hi - lo
-		from := b.EventsFrom
 		if b.EventsTotal > r.cfg.MaxEvents {
-			from = l.TimeAt(hi - r.cfg.MaxEvents)
+			lo, hi = l.ScanWindow(l.TimeAt(hi-r.cfg.MaxEvents), b.EventsTo+1e-9)
 		}
-		b.Events = l.Slice(from, b.EventsTo+1e-9).Events()
+		b.Events = make([]eventlog.Event, hi-lo)
+		for i := range b.Events {
+			b.Events[i] = l.At(lo + i)
+		}
 	}
 	if r.cfg.Diagnose != nil {
 		b.Suspects = r.cfg.Diagnose(b.EventsFrom, b.EventsTo)

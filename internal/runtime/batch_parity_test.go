@@ -201,9 +201,10 @@ func parityLayers(t *testing.T, m *parityMirror, clf *hsmm.Classifier, net *ubf.
 	t.Helper()
 	hp, err := hsmm.NewPredictor(clf, func(now float64) (eventlog.Sequence, error) {
 		seq := eventlog.Sequence{}
-		for _, e := range m.log.WindowView(now-30, now+1e-9) {
-			seq.Times = append(seq.Times, e.Time-(now-30))
-			seq.Types = append(seq.Types, e.Type)
+		lo, hi := m.log.ScanWindow(now-30, now+1e-9)
+		for i := lo; i < hi; i++ {
+			seq.Times = append(seq.Times, m.log.TimeAt(i)-(now-30))
+			seq.Types = append(seq.Types, m.log.TypeAt(i))
 		}
 		return seq, nil
 	}, nil, hsmm.Config{States: 2, MaxIter: 8, Seed: 5})
@@ -220,7 +221,8 @@ func parityLayers(t *testing.T, m *parityMirror, clf *hsmm.Classifier, net *ubf.
 		{Name: "burst", Predictor: hp, Threshold: 1},
 		{Name: "surface", Predictor: up, Threshold: 0.6},
 		{Name: "count", Predictor: core.PredictorFunc(func(now float64) (float64, error) {
-			return float64(len(m.log.WindowView(now-30, now+1e-9))) / 20, nil
+			lo, hi := m.log.ScanWindow(now-30, now+1e-9)
+			return float64(hi-lo) / 20, nil
 		}), Threshold: 1},
 	}
 }

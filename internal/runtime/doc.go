@@ -40,9 +40,11 @@
 // The goroutines, the ticker loop and the stop protocol live in Shell, the
 // act tail in ActTail, and the /metrics, /healthz, /readyz, /livez, /tracez
 // and /incidents endpoints in Plane — internal/fleet runs on the same three,
-// with its own queues, cross-tenant scoring and act budget. The stop
-// protocol (graceful drain and one final cycle; hard stop sheds the backlog
-// as dropped, reason "shutdown") is stated once, on Shell.
+// and its per-tenant queues on the same circular buffer and Block-policy
+// protocol as Ring (FIFO, Waiters), with its own fair draining, cross-tenant
+// scoring and act budget. The stop protocol (graceful drain and one final
+// cycle; hard stop sheds the backlog as dropped, reason "shutdown") is stated
+// once, on Shell.
 //
 // Observability is built in: every stage feeds an atomic-counter Metrics
 // registry (events ingested/applied/dropped, evaluations, warnings,

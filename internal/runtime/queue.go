@@ -109,9 +109,10 @@ func traceKey(ev Event) string {
 	return key
 }
 
-// queue is the bounded ingest stage: a chunk Ring plus this runtime's
-// drop/trace accounting (internal/fleet has its own per-tenant queues and
-// does not drain Ring). Trace sampling and stamping happen on the producer
+// queue is the bounded ingest stage: a Ring plus this runtime's drop/trace
+// accounting (internal/fleet schedules per-tenant FIFOs instead and keeps its
+// own accounting; the two share the buffer and the Block protocol, see
+// FIFO and Waiters). Trace sampling and stamping happen on the producer
 // side (Runtime.Ingest), so every event — admitted, rejected or evicted —
 // already carries the stamps its drop record needs when it reaches the ring.
 type queue struct {
@@ -152,12 +153,6 @@ func (q *queue) traceDrop(ev Event) {
 	}
 }
 
-// depth returns the number of queued events.
-func (q *queue) depth() int { return q.ring.Depth() }
-
-// capacity returns the buffer size.
-func (q *queue) capacity() int { return q.ring.Capacity() }
-
 // push offers one event under the queue's overflow policy. It returns
 // ErrClosed if shutdown has begun (the event is NOT counted ingested) and
 // ctx.Err() if a blocked push was canceled (counted ingested + dropped).
@@ -187,8 +182,3 @@ func (q *queue) push(ctx context.Context, ev *Event) error {
 		return err
 	}
 }
-
-// close begins shutdown: new pushes are rejected, parked pushes complete
-// as the consumer keeps draining, then Drain returns 0 and the consumer
-// exits.
-func (q *queue) close() { q.ring.Close() }

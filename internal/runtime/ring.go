@@ -12,30 +12,26 @@ import (
 // as ingested-then-dropped, so ingested = applied + dropped keeps holding).
 var ErrRejected = errors.New("runtime: event rejected by overflow policy")
 
-// Ring is the bounded ingest buffer shared by the single-tenant runtime
-// and internal/fleet: a mutex-guarded ring of T drained in chunks by a
-// single consumer. It replaces the old channel-per-event queues — a
-// channel send costs a scheduler round-trip per event, while the ring
-// amortizes one lock acquisition over an entire consumer chunk and keeps
-// the producer fast path to one short critical section with no atomics.
+// Ring is the single-tenant runtime's bounded ingest queue: one FIFO at its
+// full capacity under one mutex, drained in chunks by a single consumer
+// (internal/fleet puts one FIFO per tenant under a shard lock instead, on the
+// same Waiters protocol). A channel send costs a scheduler round-trip per
+// event; the ring amortizes one lock acquisition over an entire consumer
+// chunk and keeps the producer fast path to one short critical section with
+// no atomics.
 //
 // Concurrency contract: any number of producers may Push; exactly one
 // consumer goroutine calls Drain. Hooks and policy are fixed before the
 // first Push. Push requires a non-nil ctx (used only by the Block policy).
 //
-// Overflow semantics match the channel queues they replace:
+// Overflow semantics:
 //
 //   - Block: Push parks until the consumer frees space or ctx is
-//     canceled (ctx.Err() returned, value not admitted).
+//     canceled (ctx.Err() returned, value not admitted) — see Waiters.
 //   - DropOldest: the oldest buffered value is evicted (OnEvict hook) to
 //     make room; Push itself never fails. Eviction is exact — it happens
 //     under the same lock as admission, with no racing consumer.
 //   - DropNewest: Push returns ErrRejected and the value is not admitted.
-//
-// Close is idempotent. Pushes already parked under Block when Close is
-// called still complete as the consumer frees space; Drain keeps
-// returning items until the ring is closed, empty, and no pusher is
-// parked, then returns 0.
 type Ring[T any] struct {
 	// OnEvict, when set, runs under the ring lock for every value evicted
 	// by DropOldest, in eviction order. It must be fast and must not
@@ -44,15 +40,12 @@ type Ring[T any] struct {
 
 	mu       sync.Mutex
 	notEmpty sync.Cond
-	buf      []T
-	head     int // index of the oldest buffered value
-	count    int
+	fifo     FIFO[T]
+	waiters  Waiters
 	policy   OverflowPolicy
 	closed   bool
 	pending  int64 // admitted but not yet Settle()d — the Barrier count
-	blocked  int   // producers parked in the Block slow path
-	waiters  []chan struct{}
-	waiting  bool // consumer parked in Drain
+	waiting  bool  // consumer parked in Drain
 }
 
 // NewRing returns a ring holding up to capacity values of T with the
@@ -61,7 +54,7 @@ func NewRing[T any](capacity int, policy OverflowPolicy) *Ring[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	r := &Ring[T]{buf: make([]T, capacity), policy: policy}
+	r := &Ring[T]{fifo: NewFIFO[T](capacity, capacity), policy: policy}
 	r.notEmpty.L = &r.mu
 	return r
 }
@@ -78,60 +71,31 @@ func (r *Ring[T]) Push(ctx context.Context, v T) error {
 		r.mu.Unlock()
 		return ErrClosed
 	}
-	for r.count == len(r.buf) {
+	for r.fifo.Full() {
 		switch r.policy {
 		case DropNewest:
 			r.mu.Unlock()
 			return ErrRejected
 		case DropOldest:
-			old := r.buf[r.head]
-			r.head++
-			if r.head == len(r.buf) {
-				r.head = 0
-			}
-			r.count--
+			old := r.fifo.Pop()
 			r.pending--
 			if r.OnEvict != nil {
 				r.OnEvict(old)
 			}
-		default: // OverflowBlock
-			w := make(chan struct{})
-			r.waiters = append(r.waiters, w)
-			r.blocked++
-			r.mu.Unlock()
-			select {
-			case <-w:
-				r.mu.Lock()
-			case <-ctx.Done():
-				r.mu.Lock()
-				select {
-				case <-w:
-					// Woken concurrently with cancellation: we consumed a
-					// wake token for a freed slot we will not use — pass
-					// it on so another parked producer is not orphaned.
-					r.wake(1)
-				default:
-					r.dropWaiter(w)
-				}
-				r.blocked--
+		default: // Block
+			if err := r.waiters.Park(ctx, &r.mu); err != nil {
 				if r.waiting {
 					// The consumer may be parked waiting for either data
 					// or the last blocked pusher to resolve at close.
 					r.notEmpty.Signal()
 				}
 				r.mu.Unlock()
-				return ctx.Err()
+				return err
 			}
-			r.blocked--
 			// Loop: another producer may have taken the freed slot.
 		}
 	}
-	tail := r.head + r.count
-	if tail >= len(r.buf) {
-		tail -= len(r.buf)
-	}
-	r.buf[tail] = v
-	r.count++
+	r.fifo.Push(&v)
 	r.pending++
 	if r.waiting {
 		r.notEmpty.Signal()
@@ -146,8 +110,8 @@ func (r *Ring[T]) Push(ctx context.Context, v T) error {
 // signal to exit. Single consumer only.
 func (r *Ring[T]) Drain(buf []T) int {
 	r.mu.Lock()
-	for r.count == 0 {
-		if r.closed && r.blocked == 0 {
+	for r.fifo.Len() == 0 {
+		if r.closed && r.waiters.Parked() == 0 {
 			r.mu.Unlock()
 			return 0
 		}
@@ -155,22 +119,8 @@ func (r *Ring[T]) Drain(buf []T) int {
 		r.notEmpty.Wait()
 		r.waiting = false
 	}
-	n := r.count
-	if n > len(buf) {
-		n = len(buf)
-	}
-	first := len(r.buf) - r.head
-	if first > n {
-		first = n
-	}
-	copy(buf[:first], r.buf[r.head:r.head+first])
-	copy(buf[first:n], r.buf[:n-first])
-	r.head += n
-	if r.head >= len(r.buf) {
-		r.head -= len(r.buf)
-	}
-	r.count -= n
-	r.wake(n)
+	n := r.fifo.PopInto(buf)
+	r.waiters.Wake(n)
 	r.mu.Unlock()
 	return n
 }
@@ -196,13 +146,13 @@ func (r *Ring[T]) Pending() int64 {
 // Depth reports how many values are buffered right now.
 func (r *Ring[T]) Depth() int {
 	r.mu.Lock()
-	d := r.count
+	d := r.fifo.Len()
 	r.mu.Unlock()
 	return d
 }
 
 // Capacity reports the fixed ring capacity.
-func (r *Ring[T]) Capacity() int { return len(r.buf) }
+func (r *Ring[T]) Capacity() int { return r.fifo.Cap() }
 
 // Close marks the ring closed: new pushes fail with ErrClosed, parked
 // pushes complete as space frees, and Drain returns 0 once everything in
@@ -212,29 +162,4 @@ func (r *Ring[T]) Close() {
 	r.closed = true
 	r.notEmpty.Broadcast()
 	r.mu.Unlock()
-}
-
-// wake releases up to n parked producers. Called with mu held.
-func (r *Ring[T]) wake(n int) {
-	for n > 0 && len(r.waiters) > 0 {
-		last := len(r.waiters) - 1
-		close(r.waiters[last])
-		r.waiters[last] = nil
-		r.waiters = r.waiters[:last]
-		n--
-	}
-}
-
-// dropWaiter removes a canceled producer's wait channel. Called with mu
-// held; no-op if the channel was already woken (and thus removed).
-func (r *Ring[T]) dropWaiter(w chan struct{}) {
-	for i, c := range r.waiters {
-		if c == w {
-			last := len(r.waiters) - 1
-			r.waiters[i] = r.waiters[last]
-			r.waiters[last] = nil
-			r.waiters = r.waiters[:last]
-			return
-		}
-	}
 }

@@ -119,8 +119,6 @@ type Runtime struct {
 	// and evaluation therefore never overlap.
 	stateMu sync.RWMutex
 
-	created time.Time // nanos' base when tracing is off
-
 	// ingestGate drives both producer-side sampling decisions from one
 	// shared atomic per Ingest call: the ingest-latency histogram observes
 	// 1 in ingestLatencyEvery calls (two clock reads per event would
@@ -188,7 +186,6 @@ func New(cfg Config) (*Runtime, error) {
 		layers:  layers,
 		queues:  make([]*queue, cfg.Shards),
 		metrics: cfg.Metrics,
-		created: time.Now(),
 		tail: ActTail{
 			Layers: layers, Ledger: cfg.Ledger, JournalLayers: true, Advance: true,
 			Lifecycle: cfg.Lifecycle, Recorder: cfg.Recorder,
@@ -198,10 +195,11 @@ func New(cfg Config) (*Runtime, error) {
 		Err:          ErrRuntime,
 		EvalInterval: cfg.EvalInterval,
 		Workers:      cfg.Workers,
+		Tracer:       cfg.Tracer,
 		Cycle:        r.cycle,
 		CloseQueues: func() {
 			for _, q := range r.queues {
-				q.close()
+				q.ring.Close()
 			}
 		},
 		Quiesced: func() {
@@ -235,7 +233,7 @@ func New(cfg Config) (*Runtime, error) {
 		q := newQueue(cfg.QueueCapacity, cfg.Overflow, r.metrics, drops, cfg.Tracer, s)
 		r.queues[s] = q
 		reg.GaugeFunc("pfm_shard_queue_depth", "Events waiting per ingest shard.",
-			func() float64 { return float64(q.depth()) }, "shard", strconv.Itoa(s))
+			func() float64 { return float64(q.ring.Depth()) }, "shard", strconv.Itoa(s))
 	}
 	reg.GaugeFunc("pfm_queue_depth",
 		"Events waiting across all ingest shard queues.", func() float64 { return float64(r.QueueDepth()) })
@@ -366,17 +364,6 @@ func registerLedgerGauges(reg *Registry, led *obs.Ledger, layers []*core.Layer) 
 // Tracer returns the configured span tracer (nil when tracing is off).
 func (r *Runtime) Tracer() *obs.Tracer { return r.cfg.Tracer }
 
-// nanos stamps a stage boundary once for both of its readers — the span
-// stamps sampled traces carry and the stage-latency histograms — on the
-// tracer's clock when tracing is on, so a traced pipeline reads the clock
-// no more often than an untraced one.
-func (r *Runtime) nanos() int64 {
-	if tr := r.cfg.Tracer; tr != nil {
-		return tr.Now()
-	}
-	return int64(time.Since(r.created))
-}
-
 // Recorder returns the configured flight recorder (nil when disabled).
 func (r *Runtime) Recorder() *obs.Recorder { return r.cfg.Recorder }
 
@@ -387,7 +374,7 @@ func (r *Runtime) Metrics() *Metrics { return r.metrics }
 func (r *Runtime) QueueDepth() int {
 	total := 0
 	for _, q := range r.queues {
-		total += q.depth()
+		total += q.ring.Depth()
 	}
 	return total
 }
@@ -396,7 +383,7 @@ func (r *Runtime) QueueDepth() int {
 func (r *Runtime) queueCapacity() int {
 	total := 0
 	for _, q := range r.queues {
-		total += q.capacity()
+		total += q.ring.Capacity()
 	}
 	return total
 }
@@ -439,7 +426,7 @@ func (r *Runtime) Ingest(ctx context.Context, ev Event) error {
 	}
 	var start int64
 	if timed || sampled {
-		start = r.nanos()
+		start = r.shell.Nanos()
 	}
 	if sampled {
 		ev.traceSampled = true
@@ -450,7 +437,7 @@ func (r *Runtime) Ingest(ctx context.Context, ev Event) error {
 	}
 	err := r.shardFor(ev).push(ctx, &ev)
 	if timed && !errors.Is(err, ErrClosed) {
-		r.metrics.IngestLatency.Observe(float64(r.nanos()-start) / 1e9)
+		r.metrics.IngestLatency.Observe(float64(r.shell.Nanos()-start) / 1e9)
 	}
 	return err
 }
@@ -460,31 +447,14 @@ func (r *Runtime) Ingest(ctx context.Context, ev Event) error {
 // shutdown). Replay drivers use it to line ingest windows up with
 // synchronous evaluation (CycleBatch) without sleeping.
 func (r *Runtime) Barrier(ctx context.Context) error {
-	for spin := 0; ; spin++ {
-		settled := true
+	return AwaitSettled(ctx, func() bool {
 		for _, q := range r.queues {
 			if q.ring.Pending() != 0 {
-				settled = false
-				break
+				return false
 			}
 		}
-		if settled {
-			return nil
-		}
-		// The consumers are usually a few events from settling, so yield
-		// first: a timer sleep here costs the timer's wake-up granularity
-		// (around a millisecond on a loaded box) per barrier, which would
-		// dominate a replay that barriers at every evaluation cadence.
-		if spin < 1000 {
-			stdruntime.Gosched()
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(50 * time.Microsecond):
-		}
-	}
+		return true
+	})
 }
 
 // Cycles returns how many act rounds have completed since Start
@@ -533,7 +503,7 @@ func (r *Runtime) drainLoop(q *queue) {
 		}
 		// The chunk's two stamps serve the apply-latency histogram and, as
 		// dequeue and apply end, every sampled event in it.
-		dequeued := r.nanos()
+		dequeued := r.shell.Nanos()
 		r.stateMu.RLock()
 		for i := range chunk {
 			if err := r.cfg.Apply(chunk[i]); err != nil {
@@ -541,7 +511,7 @@ func (r *Runtime) drainLoop(q *queue) {
 			}
 		}
 		r.stateMu.RUnlock()
-		applied := r.nanos()
+		applied := r.shell.Nanos()
 		r.metrics.Applied.Add(int64(n))
 		r.metrics.ApplyLatency.Observe(float64(applied-dequeued) / 1e9)
 		if tr != nil {
@@ -572,9 +542,9 @@ func (r *Runtime) cycle() {
 // lifecycle, recorder) and cycle accounting. Every cycle — the cycle loop's
 // and CycleBatch's — goes through this one path.
 func (r *Runtime) actOne(now float64, scores []float64, cands []lifecycle.CandidateScore, evalStart, evalEnd int64) {
-	actStart := r.nanos()
+	actStart := r.shell.Nanos()
 	d := r.engine.ActOn(now, scores)
-	actEnd := r.nanos()
+	actEnd := r.shell.Nanos()
 	r.metrics.Evaluations.Inc()
 	if d.Warned {
 		r.metrics.Warnings.Inc()
@@ -622,7 +592,7 @@ func (r *Runtime) cycleBatchLocked(nows []float64) {
 		r.batchRow = make([]float64, k)
 	}
 	scores := r.batchScores[:k*len(nows)]
-	evalStart := r.nanos()
+	evalStart := r.shell.Nanos()
 	// Exclusive lock: evaluation sees a quiescent state snapshot even when
 	// several shard consumers apply concurrently under the shared lock.
 	r.stateMu.Lock()
@@ -650,7 +620,7 @@ func (r *Runtime) cycleBatchLocked(nows []float64) {
 	// Stop-time Flush.
 	r.cfg.Recorder.Collect()
 	r.stateMu.Unlock()
-	evalEnd := r.nanos()
+	evalEnd := r.shell.Nanos()
 	r.metrics.EvalLatency.Observe(float64(evalEnd-evalStart) / 1e9)
 	for i, now := range nows {
 		for j := 0; j < k; j++ {

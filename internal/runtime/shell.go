@@ -3,9 +3,12 @@ package runtime
 import (
 	"context"
 	"fmt"
+	stdruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // ShellConfig plugs a pipeline's own parts into the shared stage shell.
@@ -18,6 +21,9 @@ type ShellConfig struct {
 	EvalInterval time.Duration
 	// Workers sizes the evaluation pool Start creates (none below 2).
 	Workers int
+	// Tracer is the pipeline's span tracer (nil when tracing is off); the
+	// shell only reads its clock, see Nanos.
+	Tracer *obs.Tracer
 	// Cycle runs one MEA cycle — evaluate, act, journal — to completion. The
 	// shell calls it from the cycle goroutine only, so a slow countermeasure
 	// delays the next cycle instead of overlapping it.
@@ -45,8 +51,9 @@ type ShellConfig struct {
 // Readiness reads "ok" → "draining" → "stopped" along the way; liveness does
 // not change.
 type Shell struct {
-	cfg  ShellConfig
-	pool *Pool
+	cfg     ShellConfig
+	pool    *Pool
+	created time.Time // Nanos' base when tracing is off
 
 	// consumersWg tracks the drain consumers; evalStop closes once all of
 	// them have exhausted their queues. wg tracks every shell goroutine.
@@ -70,9 +77,42 @@ type Shell struct {
 func NewShell(cfg ShellConfig) *Shell {
 	return &Shell{
 		cfg:      cfg,
+		created:  time.Now(),
 		evalReq:  make(chan struct{}, 1),
 		evalStop: make(chan struct{}),
 	}
+}
+
+// Nanos stamps a stage boundary once for both of its readers — the span
+// stamps sampled traces carry and the stage-latency histograms — on the
+// tracer's clock when tracing is on, so a traced pipeline reads the clock
+// no more often than an untraced one.
+func (s *Shell) Nanos() int64 {
+	if tr := s.cfg.Tracer; tr != nil {
+		return tr.Now()
+	}
+	return int64(time.Since(s.created))
+}
+
+// AwaitSettled is the Barrier loop: it polls settled — "every event admitted
+// so far has been applied or shed" — until it holds or ctx is done. The
+// consumers are usually a few events from settling, so it yields first: a
+// timer sleep costs the timer's wake-up granularity (around a millisecond on a
+// loaded box) per barrier, which would dominate a replay that barriers at
+// every evaluation cadence.
+func AwaitSettled(ctx context.Context, settled func() bool) error {
+	for spin := 0; !settled(); spin++ {
+		if spin < 1000 {
+			stdruntime.Gosched()
+			continue
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(50 * time.Microsecond):
+		}
+	}
+	return nil
 }
 
 // Start launches the pool, n drain consumers — consume(0) … consume(n-1),

@@ -123,7 +123,8 @@ func TestLeakCausesFailureWithSymptomsAndErrors(t *testing.T) {
 	}
 	// The detected errors: leak threshold events appear in the log.
 	sawThreshold := false
-	for _, e := range s.Log().Events() {
+	for i := 0; i < s.Log().Len(); i++ {
+		e := s.Log().At(i)
 		if e.Type == EventMemCritical || e.Type == EventMemWarning {
 			sawThreshold = true
 			break
@@ -394,7 +395,8 @@ func TestSignatureShiftChangesEventTypes(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1Before, v2Before, v1After, v2After := 0, 0, 0, 0
-	for _, e := range s.Log().Events() {
+	for i := 0; i < s.Log().Len(); i++ {
+		e := s.Log().At(i)
 		v1 := e.Type == EventCompTimeout || e.Type == EventCompRestart || e.Type == EventCompRetry
 		v2 := e.Type == EventCompTimeoutV2 || e.Type == EventCompRestartV2 || e.Type == EventCompRetryV2
 		switch {
@@ -417,7 +419,9 @@ func TestSignatureShiftChangesEventTypes(t *testing.T) {
 	// Bursts started before the shift may still drain V1 events shortly
 	// after it, but no *new* V1 bursts start: by 2 h past the shift the
 	// V1 stream must be dry.
-	for _, e := range s.Log().Window(cfg.SignatureShiftAt+7200, 1e18) {
+	lo, hi := s.Log().ScanWindow(cfg.SignatureShiftAt+7200, 1e18)
+	for i := lo; i < hi; i++ {
+		e := s.Log().At(i)
 		if e.Type == EventCompTimeout || e.Type == EventCompRestart || e.Type == EventCompRetry {
 			t.Fatalf("V1 event at %g, long after the shift", e.Time)
 		}

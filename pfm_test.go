@@ -184,7 +184,7 @@ func TestFacadeDiagnosis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suspects := d.Diagnose(log.Window(700, 1000))
+	suspects := d.DiagnoseRange(log, 700, 1000)
 	if len(suspects) == 0 || suspects[0].Component != "db" {
 		t.Fatalf("suspects = %+v", suspects)
 	}
