@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiments"
@@ -22,27 +23,30 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "availmodel:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("availmodel", flag.ContinueOnError)
 	defaults := pfmmodel.DefaultParams()
-	precision := flag.Float64("precision", defaults.Precision, "predictor precision")
-	recall := flag.Float64("recall", defaults.Recall, "predictor recall")
-	fpr := flag.Float64("fpr", defaults.FPR, "predictor false positive rate")
-	ptp := flag.Float64("ptp", defaults.PTP, "P(failure | true positive)")
-	pfp := flag.Float64("pfp", defaults.PFP, "P(failure | false positive)")
-	ptn := flag.Float64("ptn", defaults.PTN, "P(failure | true negative)")
-	k := flag.Float64("k", defaults.K, "repair time improvement factor")
-	mttf := flag.Float64("mttf", 1/defaults.FailureRate, "mean time to failure [s]")
-	mttr := flag.Float64("mttr", 1/defaults.RepairRate, "mean time to repair [s]")
-	action := flag.Float64("action", 1/defaults.ActionRate, "mean action time [s]")
-	curves := flag.Int("curves", 0, "print Fig. 10 series with this many points")
-	rejuv := flag.Bool("rejuvenation", false, "compare blind time-triggered rejuvenation vs PFM (E15)")
-	flag.Parse()
+	precision := fs.Float64("precision", defaults.Precision, "predictor precision")
+	recall := fs.Float64("recall", defaults.Recall, "predictor recall")
+	fpr := fs.Float64("fpr", defaults.FPR, "predictor false positive rate")
+	ptp := fs.Float64("ptp", defaults.PTP, "P(failure | true positive)")
+	pfp := fs.Float64("pfp", defaults.PFP, "P(failure | false positive)")
+	ptn := fs.Float64("ptn", defaults.PTN, "P(failure | true negative)")
+	k := fs.Float64("k", defaults.K, "repair time improvement factor")
+	mttf := fs.Float64("mttf", 1/defaults.FailureRate, "mean time to failure [s]")
+	mttr := fs.Float64("mttr", 1/defaults.RepairRate, "mean time to repair [s]")
+	action := fs.Float64("action", 1/defaults.ActionRate, "mean action time [s]")
+	curves := fs.Int("curves", 0, "print Fig. 10 series with this many points")
+	rejuv := fs.Bool("rejuvenation", false, "compare blind time-triggered rejuvenation vs PFM (E15)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	p := pfmmodel.Params{
 		Precision:   *precision,
@@ -60,29 +64,29 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	experiments.Fprint(os.Stdout, "Section 5 model (Table 2, Eq. 8, Eq. 14)", res.Rows())
+	experiments.Fprint(stdout, "Section 5 model (Table 2, Eq. 8, Eq. 14)", res.Rows())
 
 	if *rejuv {
 		cmp, err := experiments.RunRejuvenationComparison()
 		if err != nil {
 			return err
 		}
-		experiments.Fprint(os.Stdout, "E15: blind rejuvenation (Huang et al.) vs prediction-triggered PFM", cmp.Rows())
+		experiments.Fprint(stdout, "E15: blind rejuvenation (Huang et al.) vs prediction-triggered PFM", cmp.Rows())
 	}
 	if *curves > 0 {
 		rel, haz, err := experiments.Fig10Curves(p, *curves)
 		if err != nil {
 			return err
 		}
-		fmt.Println("== Fig. 10(a): reliability R(t) ==")
-		fmt.Println("t\twithPFM\twithoutPFM")
+		fmt.Fprintln(stdout, "== Fig. 10(a): reliability R(t) ==")
+		fmt.Fprintln(stdout, "t\twithPFM\twithoutPFM")
 		for _, pt := range rel {
-			fmt.Printf("%.0f\t%.6f\t%.6f\n", pt.T, pt.WithPFM, pt.WithoutPFM)
+			fmt.Fprintf(stdout, "%.0f\t%.6f\t%.6f\n", pt.T, pt.WithPFM, pt.WithoutPFM)
 		}
-		fmt.Println("== Fig. 10(b): hazard rate h(t) ==")
-		fmt.Println("t\twithPFM\twithoutPFM")
+		fmt.Fprintln(stdout, "== Fig. 10(b): hazard rate h(t) ==")
+		fmt.Fprintln(stdout, "t\twithPFM\twithoutPFM")
 		for _, pt := range haz {
-			fmt.Printf("%.0f\t%.8g\t%.8g\n", pt.T, pt.WithPFM, pt.WithoutPFM)
+			fmt.Fprintf(stdout, "%.0f\t%.8g\t%.8g\n", pt.T, pt.WithPFM, pt.WithoutPFM)
 		}
 	}
 	return nil

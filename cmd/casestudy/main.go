@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"strconv"
@@ -32,27 +33,30 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "casestudy:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("casestudy", flag.ContinueOnError)
 	defaults := experiments.DefaultCaseStudyConfig()
-	seed := flag.Int64("seed", defaults.Seed, "simulation seed")
-	train := flag.Float64("train", defaults.TrainDays, "training horizon [days]")
-	test := flag.Float64("test", defaults.TestDays, "evaluation horizon [days]")
-	pwa := flag.Bool("pwa", false, "select UBF variables with PWA")
-	selection := flag.Bool("selection", false, "run the E8 selection-strategy comparison")
-	metaExp := flag.Bool("meta", false, "run the E11 meta-learning experiment")
-	diagnosis := flag.Bool("diagnosis", false, "run the E14 pre-failure diagnosis experiment")
-	roc := flag.Bool("roc", false, "print the full ROC curves as TSV")
-	workers := flag.Int("workers", 0, "worker bound for parallel stages (0 = all cores)")
-	replicates := flag.Int("replicates", 1, "seed replicates to run in parallel")
-	leadTimes := flag.String("leadtimes", "", "comma-separated lead times [s] to sweep over one simulation")
-	logFormat := flag.String("log-format", "text", "progress log format: text|json")
-	flag.Parse()
+	seed := fs.Int64("seed", defaults.Seed, "simulation seed")
+	train := fs.Float64("train", defaults.TrainDays, "training horizon [days]")
+	test := fs.Float64("test", defaults.TestDays, "evaluation horizon [days]")
+	pwa := fs.Bool("pwa", false, "select UBF variables with PWA")
+	selection := fs.Bool("selection", false, "run the E8 selection-strategy comparison")
+	metaExp := fs.Bool("meta", false, "run the E11 meta-learning experiment")
+	diagnosis := fs.Bool("diagnosis", false, "run the E14 pre-failure diagnosis experiment")
+	roc := fs.Bool("roc", false, "print the full ROC curves as TSV")
+	workers := fs.Int("workers", 0, "worker bound for parallel stages (0 = all cores)")
+	replicates := fs.Int("replicates", 1, "seed replicates to run in parallel")
+	leadTimes := fs.String("leadtimes", "", "comma-separated lead times [s] to sweep over one simulation")
+	logFormat := fs.String("log-format", "text", "progress log format: text|json")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	logger, err := newLogger(*logFormat)
 	if err != nil {
 		return err
@@ -81,7 +85,7 @@ func run() error {
 			for _, p := range pt.Result.Predictors {
 				rows = append(rows, p.Row())
 			}
-			experiments.Fprint(os.Stdout, fmt.Sprintf("lead time %gs", pt.LeadTime), rows)
+			experiments.Fprint(stdout, fmt.Sprintf("lead time %gs", pt.LeadTime), rows)
 		}
 		return nil
 	}
@@ -98,7 +102,7 @@ func run() error {
 			for _, p := range res.Predictors {
 				rows = append(rows, p.Row())
 			}
-			experiments.Fprint(os.Stdout, fmt.Sprintf("replicate %d (seed %d)", i, cfg.Seed+int64(i)), rows)
+			experiments.Fprint(stdout, fmt.Sprintf("replicate %d (seed %d)", i, cfg.Seed+int64(i)), rows)
 		}
 		return nil
 	}
@@ -117,16 +121,16 @@ func run() error {
 	for _, p := range res.Predictors {
 		rows = append(rows, p.Row())
 	}
-	experiments.Fprint(os.Stdout, "Sect. 3.3 results (paper: HSMM p=0.70 r=0.62 fpr=0.016 AUC=0.873; UBF AUC=0.846)", rows)
+	experiments.Fprint(stdout, "Sect. 3.3 results (paper: HSMM p=0.70 r=0.62 fpr=0.016 AUC=0.873; UBF AUC=0.846)", rows)
 	if len(res.SelectedVariables) > 0 {
 		logger.Info("PWA variable selection", "selected", fmt.Sprint(res.SelectedVariables))
 	}
 
 	if *roc {
 		for _, p := range res.Predictors {
-			fmt.Printf("== ROC %s ==\nthreshold\tfpr\ttpr\n", p.Name)
+			fmt.Fprintf(stdout, "== ROC %s ==\nthreshold\tfpr\ttpr\n", p.Name)
 			for _, pt := range p.ROC {
-				fmt.Printf("%g\t%.5f\t%.5f\n", pt.Threshold, pt.FPR, pt.TPR)
+				fmt.Fprintf(stdout, "%g\t%.5f\t%.5f\n", pt.Threshold, pt.FPR, pt.TPR)
 			}
 		}
 	}
@@ -136,9 +140,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		experiments.Fprint(os.Stdout, "E8: variable-selection strategies", sel.Rows())
+		experiments.Fprint(stdout, "E8: variable-selection strategies", sel.Rows())
 		for _, s := range sel.Strategies {
-			fmt.Printf("  %-10s -> %v\n", s.Strategy, s.Selected)
+			fmt.Fprintf(stdout, "  %-10s -> %v\n", s.Strategy, s.Selected)
 		}
 	}
 	if *metaExp {
@@ -147,8 +151,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		experiments.Fprint(os.Stdout, "E11: stacked generalization across layers", m.Rows())
-		fmt.Printf("combiner weights: %v\n", m.Weights)
+		experiments.Fprint(stdout, "E11: stacked generalization across layers", m.Rows())
+		fmt.Fprintf(stdout, "combiner weights: %v\n", m.Weights)
 	}
 	if *diagnosis {
 		logger.Info("diagnosis experiment starting")
@@ -156,7 +160,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		experiments.Fprint(os.Stdout, "E14: pre-failure root-cause diagnosis", d.Rows())
+		experiments.Fprint(stdout, "E14: pre-failure root-cause diagnosis", d.Rows())
 	}
 	return nil
 }

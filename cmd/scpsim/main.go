@@ -14,28 +14,32 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiments"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "scpsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("scpsim", flag.ContinueOnError)
 	defaults := experiments.DefaultMEAConfig()
-	seed := flag.Int64("seed", defaults.Seed, "simulation seed")
-	days := flag.Float64("days", defaults.RunDays, "closed-loop horizon [days]")
-	fig8 := flag.Bool("fig8", false, "run the Fig. 8 TTR experiment (E7)")
-	osc := flag.Bool("oscillation", false, "run the oscillation-guard ablation (E12)")
-	dyn := flag.Bool("dynamicity", false, "run the dynamicity/retraining experiment (E13)")
-	workers := flag.Int("workers", 0, "worker bound for replicate sweeps (0 = all cores)")
-	replicates := flag.Int("replicates", 1, "seed replicates to run in parallel")
-	flag.Parse()
+	seed := fs.Int64("seed", defaults.Seed, "simulation seed")
+	days := fs.Float64("days", defaults.RunDays, "closed-loop horizon [days]")
+	fig8 := fs.Bool("fig8", false, "run the Fig. 8 TTR experiment (E7)")
+	osc := fs.Bool("oscillation", false, "run the oscillation-guard ablation (E12)")
+	dyn := fs.Bool("dynamicity", false, "run the dynamicity/retraining experiment (E13)")
+	workers := fs.Int("workers", 0, "worker bound for replicate sweeps (0 = all cores)")
+	replicates := fs.Int("replicates", 1, "seed replicates to run in parallel")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	cfg := defaults
 	cfg.Seed = *seed
@@ -47,7 +51,7 @@ func run() error {
 			return err
 		}
 		for i, r := range results {
-			fmt.Printf("replicate %d (seed %d): availability withPFM=%.5f without=%.5f ratio=%.3f\n",
+			fmt.Fprintf(stdout, "replicate %d (seed %d): availability withPFM=%.5f without=%.5f ratio=%.3f\n",
 				i, cfg.Seed+int64(i), r.AvailabilityWithPFM, r.AvailabilityWithout, r.UnavailabilityRatio)
 		}
 		return nil
@@ -57,11 +61,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	experiments.Fprint(os.Stdout, "E3: MEA loop vs unmitigated system", res.Rows())
-	fmt.Println("Table 1 outcome × action matrix:")
-	fmt.Printf("  quality: %v\n", res.Quality)
+	experiments.Fprint(stdout, "E3: MEA loop vs unmitigated system", res.Rows())
+	fmt.Fprintln(stdout, "Table 1 outcome × action matrix:")
+	fmt.Fprintf(stdout, "  quality: %v\n", res.Quality)
 	for outcome, byAction := range res.Outcomes.Counts {
-		fmt.Printf("  %v: %v\n", outcome, byAction)
+		fmt.Fprintf(stdout, "  %v: %v\n", outcome, byAction)
 	}
 
 	if *fig8 {
@@ -69,7 +73,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		experiments.Fprint(os.Stdout, "E7: Fig. 8 time-to-repair decomposition", f8.Rows())
+		experiments.Fprint(stdout, "E7: Fig. 8 time-to-repair decomposition", f8.Rows())
 	}
 	if *osc {
 		off, err := experiments.RunOscillationAblation(*seed, 2, false)
@@ -80,9 +84,9 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("== E12: oscillation guard ablation ==")
-		fmt.Printf("guard off: availability %.5f, %d restarts\n", off.Availability, off.Restarts)
-		fmt.Printf("guard on:  availability %.5f, %d restarts, %d suppressed\n",
+		fmt.Fprintln(stdout, "== E12: oscillation guard ablation ==")
+		fmt.Fprintf(stdout, "guard off: availability %.5f, %d restarts\n", off.Availability, off.Restarts)
+		fmt.Fprintf(stdout, "guard on:  availability %.5f, %d restarts, %d suppressed\n",
 			on.Availability, on.Restarts, on.SuppressedByGuard)
 	}
 	if *dyn {
@@ -90,7 +94,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		experiments.Fprint(os.Stdout, "E13: dynamicity, drift detection, retraining", d.Rows())
+		experiments.Fprint(stdout, "E13: dynamicity, drift detection, retraining", d.Rows())
 	}
 	return nil
 }

@@ -174,11 +174,17 @@ type Engine struct {
 	combineIn []float64
 
 	// mu guards all mutable state below (see the package locking contract).
-	mu          sync.Mutex
-	scheduler   *act.Scheduler
-	warnings    []predict.Warning
-	outcomes    OutcomeMatrix
+	mu        sync.Mutex
+	scheduler *act.Scheduler
+	// warnings holds the most recent raised warnings (at most
+	// 2×recentWarnings between compactions); warned counts them all.
+	warnings []predict.Warning
+	warned   int
+	outcomes OutcomeMatrix
+	// actionTimes holds the committed actions still inside the oscillation
+	// window — all the guard ever reads; acted counts them all.
 	actionTimes []float64
+	acted       int
 	suppressed  int
 	running     bool
 	observer    CycleObserver
@@ -420,7 +426,15 @@ func (p *PendingAct) Commit(d *Decision) {
 		return
 	}
 	p.resolved = true
-	e.actionTimes = append(e.actionTimes, p.now)
+	e.acted++
+	if w := e.cfg.OscillationWindow; w > 0 {
+		old := 0
+		for old < len(e.actionTimes) && p.now-e.actionTimes[old] > w {
+			old++
+		}
+		kept := copy(e.actionTimes, e.actionTimes[old:])
+		e.actionTimes = append(e.actionTimes[:kept], p.now)
+	}
 	if e.scheduler != nil {
 		if schedErr := e.scheduler.Schedule(p.action, p.now+e.cfg.LeadTime, nil); schedErr == nil {
 			d.ActionName = p.action.Name()
@@ -510,6 +524,11 @@ func (e *Engine) DecideOn(now float64, scores []float64) (Decision, *PendingAct)
 	var pending *PendingAct
 	if positive {
 		d.Warned = true
+		e.warned++
+		if len(e.warnings) == 2*recentWarnings {
+			kept := copy(e.warnings, e.warnings[recentWarnings:])
+			e.warnings = e.warnings[:kept]
+		}
 		e.warnings = append(e.warnings, predict.Warning{
 			Time:       now,
 			LeadTime:   e.cfg.LeadTime,
@@ -570,11 +589,20 @@ func (e *Engine) guardAllows(now float64) bool {
 	return recent < e.cfg.MaxActionsPerWindow
 }
 
-// Warnings returns all raised failure warnings.
+// recentWarnings is how many raised warnings an engine keeps for Warnings:
+// a long-running service warns without end, and the totals live in counters.
+const recentWarnings = 1024
+
+// Warnings returns the most recent raised failure warnings, oldest first —
+// at most recentWarnings of them; Report().Warnings counts them all.
 func (e *Engine) Warnings() []predict.Warning {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]predict.Warning(nil), e.warnings...)
+	recent := e.warnings
+	if len(recent) > recentWarnings {
+		recent = recent[len(recent)-recentWarnings:]
+	}
+	return append([]predict.Warning(nil), recent...)
 }
 
 // Outcomes returns a snapshot of the Table 1 accounting matrix.
@@ -611,7 +639,7 @@ func (e *Engine) SuppressedActions() int {
 func (e *Engine) ActionsTaken() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.actionTimes)
+	return e.acted
 }
 
 func clamp01(x float64) float64 {

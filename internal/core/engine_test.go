@@ -486,7 +486,7 @@ func TestEngineConcurrentActOn(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	warned := len(eng.Warnings())
+	warned := eng.Report().Warnings
 	if warned != goroutines*rounds {
 		t.Fatalf("warnings = %d, want %d", warned, goroutines*rounds)
 	}
@@ -544,5 +544,61 @@ func TestCycleObserver(t *testing.T) {
 	eng.ActOn(7, []float64{0.9, 0.9})
 	if len(seen) != 2 {
 		t.Fatalf("nil observer still invoked (%d observations)", len(seen))
+	}
+}
+
+// TestEngineStateBounded: a long-running externally clocked engine keeps
+// neither every warning nor every action time — Warnings is a recent tail,
+// the guard's history is one oscillation window — while the totals and every
+// guard decision stay what an unbounded history gives.
+func TestEngineStateBounded(t *testing.T) {
+	const rounds, window, maxActions = 100_000, 100.0, 3
+	tgt := &scriptedTarget{}
+	cfg := defaultCfg()
+	cfg.OscillationWindow = window
+	cfg.MaxActionsPerWindow = maxActions
+	eng, err := New(nil, []*Layer{constLayer("flappy", 0.9)}, nil,
+		testSelector(t), testActions(t, tgt), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var history []float64 // the reference guard: every action time, never pruned
+	suppressed := 0
+	now := 0.0
+	for i := 0; i < rounds; i++ {
+		now += float64(1 + i%17) // uneven gaps: the window holds 3 to 100 rounds
+		recent := 0
+		for k := len(history) - 1; k >= 0 && now-history[k] <= window; k-- {
+			recent++
+		}
+		allow := recent < maxActions
+		d := eng.ActOn(now, []float64{0.9})
+		if !d.Warned || d.Executed != allow || d.Suppressed == allow {
+			t.Fatalf("round %d at t=%g: decision %+v, reference guard allows=%v", i, now, d, allow)
+		}
+		if allow {
+			history = append(history, now)
+		} else {
+			suppressed++
+		}
+		if n := len(eng.actionTimes); n > maxActions {
+			t.Fatalf("round %d: guard history holds %d action times, want ≤ %d", i, n, maxActions)
+		}
+		if n := len(eng.warnings); n > 2*recentWarnings {
+			t.Fatalf("round %d: %d warnings kept, want ≤ %d", i, n, 2*recentWarnings)
+		}
+	}
+	rep := eng.Report()
+	if rep.Warnings != rounds || rep.Actions != len(history) || rep.Suppressed != suppressed {
+		t.Fatalf("report warnings=%d actions=%d suppressed=%d, want %d/%d/%d",
+			rep.Warnings, rep.Actions, rep.Suppressed, rounds, len(history), suppressed)
+	}
+	if eng.ActionsTaken() != len(history) || tgt.cleanups != len(history) {
+		t.Fatalf("ActionsTaken=%d cleanups=%d, want %d", eng.ActionsTaken(), tgt.cleanups, len(history))
+	}
+	tail := eng.Warnings()
+	if len(tail) != recentWarnings || tail[len(tail)-1].Time != now || tail[0].Time >= tail[1].Time {
+		t.Fatalf("Warnings() = %d entries ending at t=%g, want the %d most recent ending at t=%g",
+			len(tail), tail[len(tail)-1].Time, recentWarnings, now)
 	}
 }

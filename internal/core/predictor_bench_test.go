@@ -39,18 +39,3 @@ func BenchmarkLayerSwap(b *testing.B) {
 	close(stop)
 	wg.Wait()
 }
-
-// BenchmarkLayerScore pins the versioned handle's read-side overhead: one
-// atomic load per evaluation, no allocation.
-func BenchmarkLayerScore(b *testing.B) {
-	layer := &Layer{
-		Name:      "bench",
-		Predictor: PredictorFunc(func(float64) (float64, error) { return 0.5, nil }),
-		Threshold: 0.5,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = layer.Score(float64(i))
-	}
-}

@@ -188,3 +188,26 @@ func TestPredictorFuncAdapter(t *testing.T) {
 		t.Fatal("error should pass through")
 	}
 }
+
+// TestLayerScoreZeroAllocs pins the versioned handle's read-side overhead:
+// one atomic load per evaluation, no allocation — before and after a swap.
+func TestLayerScoreZeroAllocs(t *testing.T) {
+	layer := &Layer{
+		Name:      "l",
+		Predictor: PredictorFunc(func(float64) (float64, error) { return 0.5, nil }),
+		Threshold: 0.5,
+	}
+	score := func() {
+		if s, err := layer.Score(1); err != nil || s == 0 {
+			t.Fatalf("Score = %g, %v", s, err)
+		}
+	}
+	score()
+	if allocs := testing.AllocsPerRun(1000, score); allocs != 0 {
+		t.Fatalf("Layer.Score allocates %.1f objects/op, want 0", allocs)
+	}
+	layer.SwapPredictor(PredictorFunc(func(float64) (float64, error) { return 0.7, nil }))
+	if allocs := testing.AllocsPerRun(1000, score); allocs != 0 {
+		t.Fatalf("Layer.Score allocates %.1f objects/op after a swap, want 0", allocs)
+	}
+}

@@ -32,8 +32,8 @@ func (e *Engine) Report() TranslucencyReport {
 	defer e.mu.Unlock()
 	return TranslucencyReport{
 		Layers:     names,
-		Warnings:   len(e.warnings),
-		Actions:    len(e.actionTimes),
+		Warnings:   e.warned,
+		Actions:    e.acted,
 		Suppressed: e.suppressed,
 		Outcomes:   outcomes,
 		Quality:    outcomes.Table(),

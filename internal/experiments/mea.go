@@ -171,7 +171,7 @@ func RunMEA(cfg MEAConfig) (MEAResult, error) {
 		AvailabilityWithout: base.MeasuredAvailability(),
 		FailuresWithPFM:     len(sys.Failures()),
 		FailuresWithout:     len(base.Failures()),
-		Warnings:            len(engine.Warnings()),
+		Warnings:            engine.Report().Warnings,
 		ActionsTaken:        engine.ActionsTaken(),
 		Suppressed:          engine.SuppressedActions(),
 		Outcomes:            engine.Outcomes(),

@@ -7,10 +7,9 @@ import (
 )
 
 // LayerTemplate describes one prediction layer shared by every tenant.
-// Each tenant gets its own core.Layer instance (own version, error
-// counters, and — when Predictor is supplied — own retrainable predictor),
-// but the scoring function is fleet-wide so a batch scorer can amortize
-// model overhead across tenants.
+// Each tenant gets its own core.Layer instance (own error counters), but the
+// scoring function is fleet-wide so a batch scorer can amortize model
+// overhead across tenants.
 type LayerTemplate struct {
 	// Name is the layer's ledger/journal identity ("os", "application", …).
 	Name string
@@ -25,18 +24,11 @@ type LayerTemplate struct {
 	// chunk. out is index-aligned with states; a returned error abstains
 	// the whole chunk (every score NaN).
 	ScoreBatch func(states []TenantState, now float64, out []float64) error
-	// NewPredictor optionally builds a per-tenant retrainable predictor
-	// installed as the layer's serving handle (enables lifecycle
-	// retrain/hot-swap for that tenant). Nil wraps Score.
-	NewPredictor func(st TenantState) core.LayerPredictor
 }
 
 // instantiate builds one tenant's core.Layer from the template.
 func (tmpl LayerTemplate) instantiate(st TenantState) *core.Layer {
 	l := &core.Layer{Name: tmpl.Name, Threshold: tmpl.Threshold}
-	if tmpl.NewPredictor != nil {
-		l.Predictor = tmpl.NewPredictor(st)
-	}
 	score := tmpl.Score
 	if score == nil {
 		batch := tmpl.ScoreBatch

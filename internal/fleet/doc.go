@@ -23,14 +23,11 @@
 //     obs.ScopedLedger (per-tenant journals under a cardinality cap), and
 //     one /fleet HTTP plane with per-tenant health, quality, versions, and
 //     a criticality-weighted fleet availability rollup.
-//   - Lifecycle: optional per-tenant drift/retrain managers sharing one
-//     global lifecycle.Budget, so a fleet-wide drift storm cannot fork
-//     unbounded concurrent refits.
 //
 // The goroutine skeleton and stop protocol (runtime.Shell), the bounded
 // buffer and Block-policy park/wake protocol under every queue
-// (runtime.FIFO, runtime.Waiters), each tenant's journal → lifecycle →
-// recorder order after a decision (runtime.ActTail) and the base HTTP
+// (runtime.FIFO, runtime.Waiters), each tenant's journal → recorder order
+// after a decision (runtime.ActTail) and the base HTTP
 // endpoints (runtime.Plane) are the single-tenant runtime's, not copies of
 // them; what lives here is what differs — one queue per tenant and their
 // fair draining, cross-tenant scoring, the act budget, membership changes

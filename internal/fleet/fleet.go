@@ -16,7 +16,6 @@ import (
 	"repro/internal/act"
 	"repro/internal/core"
 	"repro/internal/eventlog"
-	"repro/internal/lifecycle"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 )
@@ -94,12 +93,6 @@ type Config struct {
 	// installs a no-op "observe" action — the fleet plane is then a pure
 	// monitoring/prediction tier.
 	NewActions func(t TenantSpec) (*act.Selector, []*act.Action, error)
-	// NewLifecycle optionally builds a per-tenant drift/retrain manager
-	// over the tenant's layers and scoped ledger. Only tenants with a
-	// dedicated ledger scope get one (folded tenants share quality rows,
-	// which would corrupt promotion decisions). Share one
-	// lifecycle.Budget across tenants via the Config you capture here.
-	NewLifecycle func(t TenantSpec, layers []*core.Layer, led *obs.Ledger) (*lifecycle.Manager, error)
 
 	// Shards is the number of ingest shard queues/consumers (default
 	// min(GOMAXPROCS, 8)); Resize changes it live. QueueCapacity bounds
@@ -147,8 +140,6 @@ type Config struct {
 	Recorder *obs.ScopedRecorder
 	// JournalLayers journals per-layer rows for every tenant with a
 	// dedicated ledger scope (combined decisions are always journaled).
-	// Tenants with a lifecycle manager journal per-layer regardless —
-	// promotion decisions need the incumbent rows.
 	JournalLayers bool
 
 	// StaleAfter marks a tenant "stale" when no event arrived for this
@@ -168,12 +159,11 @@ type tenant struct {
 	engine *core.Engine
 	// tail is the tenant's act tail: its layers, scoped journal (nil without
 	// Config.Ledger; JournalLayers says whether per-layer rows go in), scoped
-	// flight recorder (nil without Config.Recorder) and lifecycle manager.
+	// flight recorder (nil without Config.Recorder).
 	tail      runtime.ActTail
-	dedicated bool                       // tail.Ledger is the tenant's own scope
-	recOwn    bool                       // tail.Recorder is dedicated (not the overflow fold)
-	cands     []lifecycle.CandidateScore // this cycle's shadow scores
-	row       []float64                  // per-cycle score row scratch
+	dedicated bool      // tail.Ledger is the tenant's own scope
+	recOwn    bool      // tail.Recorder is dedicated (not the overflow fold)
+	row       []float64 // per-cycle score row scratch
 
 	// dec/pact are the cycle's decide-phase scratch: written by the decide
 	// fan-out, resolved by the budget pass, consumed by the finish fan-out
@@ -257,7 +247,6 @@ type Fleet struct {
 	// adminMu serializes membership changes (AddTenant/RemoveTenant/
 	// Resize) with each other and with Start/Stop.
 	adminMu sync.Mutex
-	retired []*tenant // removed tenants with lifecycle managers to drain at Stop
 
 	// stateMu guards every tenant's state: shard consumers apply chunks
 	// under the shared side, cycle evaluation under the exclusive side.
@@ -343,7 +332,9 @@ func New(cfg Config) (*Fleet, error) {
 				q.close()
 			}
 		},
-		Quiesced: f.quiesced,
+		// Capture any triggers the final cycle raised and deliver the tail
+		// to subscribers.
+		Quiesced: cfg.Recorder.Flush,
 	})
 	if cfg.Clock == nil {
 		f.cfg.Clock = func() float64 { return f.shell.Uptime().Seconds() }
@@ -448,9 +439,8 @@ func (f *Fleet) registerShardGauges(n int) {
 	}
 }
 
-// buildTenant assembles one tenant's state, layers, engine, journal scope,
-// and (optionally) lifecycle manager. byID is the membership the tenant is
-// validated against.
+// buildTenant assembles one tenant's state, layers, engine and journal
+// scope. byID is the membership the tenant is validated against.
 func (f *Fleet) buildTenant(byID map[string]*tenant, i int, spec TenantSpec) (*tenant, error) {
 	if spec.ID == "" || strings.ContainsAny(spec.ID, "|\n\x1f") {
 		return nil, fmt.Errorf("%w: tenant %d has invalid ID %q", ErrFleet, i, spec.ID)
@@ -500,29 +490,13 @@ func (f *Fleet) buildTenant(byID map[string]*tenant, i int, spec TenantSpec) (*t
 		tn.tail.Ledger = f.cfg.Ledger.Scope(spec.ID)
 		tn.dedicated = f.cfg.Ledger.Dedicated(spec.ID)
 		tn.tail.JournalLayers = f.cfg.JournalLayers && tn.dedicated
-		if f.cfg.NewLifecycle != nil && tn.dedicated {
-			tn.tail.Lifecycle, err = f.cfg.NewLifecycle(spec, tn.tail.Layers, tn.tail.Ledger)
-			if err != nil {
-				return nil, fmt.Errorf("tenant %q lifecycle: %w", spec.ID, err)
-			}
-			if tn.tail.Lifecycle != nil {
-				tn.tail.JournalLayers = true
-			}
-		}
 	}
 	if f.cfg.Recorder != nil {
 		tn.tail.Recorder = f.cfg.Recorder.Scope(spec.ID, obs.RecorderScopeConfig{
 			WarnThreshold: criticalityWarnThreshold(f.cfg.Recorder.Config().WarnThreshold, spec.Criticality),
 			Ledger:        tn.tail.Ledger,
-			Lifecycle: func() any {
-				if tn.tail.Lifecycle == nil {
-					return nil
-				}
-				return tn.tail.Lifecycle.States()
-			},
 		})
 		tn.recOwn = f.cfg.Recorder.Dedicated(spec.ID)
-		tn.tail.WireTriggers()
 	}
 	return tn, nil
 }
@@ -665,9 +639,6 @@ func (f *Fleet) RemoveTenant(id string) error {
 	tn.q.closeAndDrain()
 	f.cfg.Ledger.Release(id)
 	f.cfg.Recorder.Release(id)
-	if tn.tail.Lifecycle != nil {
-		f.retired = append(f.retired, tn)
-	}
 	return nil
 }
 
@@ -824,8 +795,8 @@ func (f *Fleet) consumeLoop(q *shardQueue) {
 func (f *Fleet) EvaluateNow() { f.shell.EvaluateNow() }
 
 // EvaluateCycle runs one full synchronous MEA cycle over every tenant in
-// the current membership generation: batched cross-tenant layer scoring and
-// lifecycle collection under the exclusive state lock, then the act stage
+// the current membership generation: batched cross-tenant layer scoring
+// under the exclusive state lock, then the act stage
 // and the ledger watermark advance. Concurrent calls (ticker vs. caller)
 // serialize; membership swaps serialize against the whole cycle.
 //
@@ -854,14 +825,6 @@ func (f *Fleet) EvaluateCycle() {
 	for li := range f.cfg.Layers {
 		f.scoreLayer(mem, li, now)
 	}
-	// Lifecycle capture/shadow scoring needs the same exclusion the layer
-	// scores just used (it reads predictor state).
-	pool.Do(nT, func(i int) {
-		tn := mem.tenants[i]
-		if tn.tail.Lifecycle != nil {
-			tn.cands = tn.tail.Lifecycle.Collect(now)
-		}
-	})
 	// Bundle assembly reads tenant event logs, so it shares the same
 	// exclusion: triggers raised by the previous cycle's act fan-out are
 	// assembled here (or by Stop's flush after the final cycle).
@@ -975,7 +938,7 @@ func (f *Fleet) resolveBudget(mem *membership) {
 }
 
 // finishTenant accounts one tenant's resolved decision and runs its act
-// tail (journal, lifecycle, recorder — runtime.ActTail.Observe).
+// tail (journal, recorder — runtime.ActTail.Observe).
 func (f *Fleet) finishTenant(tn *tenant, now float64) {
 	d := tn.dec
 	if d.Warned {
@@ -992,8 +955,7 @@ func (f *Fleet) finishTenant(tn *tenant, now float64) {
 	}
 	tn.lastWarned.Store(d.Warned)
 	tn.lastConf.Store(math.Float64bits(d.Confidence))
-	tn.tail.Observe(now, tn.row, tn.cands, d)
-	tn.cands = nil
+	tn.tail.Observe(now, tn.row, nil, d)
 	tn.dec = core.Decision{}
 }
 
@@ -1010,22 +972,6 @@ func (f *Fleet) Barrier(ctx context.Context) error {
 // release the pool, let background retrains land and flush the recorders. If
 // ctx expires first the fleet is hard-stopped and ctx's error returned.
 func (f *Fleet) Stop(ctx context.Context) error { return f.shell.Stop(ctx) }
-
-// quiesced finishes Stop once no Apply and no cycle can run any more.
-func (f *Fleet) quiesced() {
-	f.adminMu.Lock()
-	waitFor := append([]*tenant(nil), f.mem.Load().tenants...)
-	waitFor = append(waitFor, f.retired...)
-	f.adminMu.Unlock()
-	for _, tn := range waitFor {
-		if tn.tail.Lifecycle != nil {
-			tn.tail.Lifecycle.Wait()
-		}
-	}
-	// Capture any triggers the final cycle raised and deliver the tail to
-	// subscribers.
-	f.cfg.Recorder.Flush()
-}
 
 // Running reports whether the fleet is started and not yet stopping.
 func (f *Fleet) Running() bool { return f.shell.Running() }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http/httptest"
 	"strings"
@@ -611,5 +612,71 @@ func TestFleetRecorderIncidents(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/livez", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"pipeline":"stopped"`) {
 		t.Fatalf("/livez after Stop = %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// countingFleet starts a fleet of n tenants ("t0000"…) whose Apply only
+// counts, with the queue shape the ingest contracts are stated for: 4096
+// slots a tenant, Block. The fleet stops with the test.
+func countingFleet(t *testing.T, n int, tracer *obs.Tracer) (f *Fleet, ids []string, applied *atomic.Int64) {
+	t.Helper()
+	ids = make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("t%04d", i)
+	}
+	applied = new(atomic.Int64)
+	cfg := testFleetConfig(specs(ids...), newTestClock(0))
+	cfg.Apply = func(TenantState, Event) error {
+		applied.Add(1)
+		return nil
+	}
+	cfg.QueueCapacity = 4096
+	cfg.Overflow = runtime.Block
+	cfg.Tracer = tracer
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = f.Stop(context.Background()) })
+	return f, ids, applied
+}
+
+// TestFleetIngestZeroAllocs holds multi-tenant ingest — tenant lookup,
+// consistent-hash routing, the per-tenant queues, the DRR chunked drain, one
+// Apply per event, span tracing on — to zero allocations per event at 1 and
+// at 1000 tenants. One run is a round-robin burst well inside every tenant's
+// queue capacity, then a Barrier: no producer parks (a park allocates its
+// wake channel, by design — Block is the slow path).
+func TestFleetIngestZeroAllocs(t *testing.T) {
+	const burst = 2048
+	for _, tenants := range []int{1, 1000} {
+		t.Run(fmt.Sprintf("tenants-%d", tenants), func(t *testing.T) {
+			f, ids, applied := countingFleet(t, tenants, obs.NewTracer(256))
+			ctx := context.Background()
+			next := 0
+			run := func() {
+				for i := 0; i < burst; i++ {
+					if err := f.Ingest(ctx, sample(ids[next%tenants], float64(next), 1)); err != nil {
+						t.Fatal(err)
+					}
+					next++
+				}
+				if err := f.Barrier(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 8; i++ { // tenant queues grow to their working size
+				run()
+			}
+			if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+				t.Fatalf("Ingest→drain allocates %.1f objects per %d-event burst, want 0", allocs, burst)
+			}
+			if got := applied.Load(); got != int64(next) {
+				t.Fatalf("applied %d of %d", got, next)
+			}
+		})
 	}
 }

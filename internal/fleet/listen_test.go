@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -434,4 +435,61 @@ func FuzzListenDecode(f *testing.F) {
 			return n < 1<<16 // bound emitted records, not a correctness limit
 		}, &bad)
 	})
+}
+
+// TestListenIngestZeroAllocs holds the network ingest path end to end — a
+// PFW1 stream on a live loopback connection, in-place frame decode, the slab
+// hand-off to Next, Pump, routing, the tenant queues and the chunked drain —
+// to zero allocations per record once the connection's dictionaries, buffer
+// and slabs exist. One run is a burst of four slabs written to the socket
+// and pumped through to a Barrier.
+func TestListenIngestZeroAllocs(t *testing.T) {
+	const tenants, burst = 8, 4 * slabRecords
+	f, ids, applied := countingFleet(t, tenants, nil)
+	ctx := context.Background()
+	ls, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	conn, err := net.Dial("tcp", ls.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	recs := make([]Record, burst)
+	for i := range recs {
+		recs[i] = Record{Event: sample(ids[i%tenants], float64(i), 1)}
+	}
+	w := NewWriter(conn) // one stream: the dictionaries go over with the first burst
+	lim := &limitSource{src: ls}
+	runs := 0
+	run := func() {
+		for _, rec := range recs {
+			if err := w.Write(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		lim.n = burst
+		if n, err := Pump(ctx, f, lim); err != nil || n != burst {
+			t.Fatalf("pumped %d of %d: %v", n, burst, err)
+		}
+		if err := f.Barrier(ctx); err != nil {
+			t.Fatal(err)
+		}
+		runs++
+	}
+	for i := 0; i < 8; i++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+		t.Fatalf("listen→drain allocates %.1f objects per %d-record burst, want 0", allocs, burst)
+	}
+	if got, want := applied.Load(), int64(runs*burst); got != want {
+		t.Fatalf("applied %d of %d", got, want)
+	}
 }

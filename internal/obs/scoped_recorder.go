@@ -11,8 +11,6 @@ type RecorderScopeConfig struct {
 	// Ledger overrides the burn-rate/quality source with the scope's own
 	// journal (typically ScopedLedger.Scope of the same name).
 	Ledger *Ledger
-	// Lifecycle overrides the lifecycle-state source for the scope.
-	Lifecycle func() any
 }
 
 // ScopedRecorder multiplexes per-scope flight recorders — one per tenant
@@ -68,9 +66,6 @@ func (s *ScopedRecorder) Scope(name string, sc RecorderScopeConfig) *Recorder {
 			}
 			if sc.Ledger != nil {
 				cfg.Ledger = sc.Ledger
-			}
-			if sc.Lifecycle != nil {
-				cfg.Lifecycle = sc.Lifecycle
 			}
 		}
 		rec, _ := NewRecorder(cfg) // template already validated

@@ -256,60 +256,39 @@ func TestTracerDefaultSampleInterval(t *testing.T) {
 	}
 }
 
-// BenchmarkTracerPublishApplied pins the span hot path: the reported
-// allocs/op must be 0 (also asserted by TestSpanHotPathZeroAllocs).
-func BenchmarkTracerPublishApplied(b *testing.B) {
-	tr := NewTracer(256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now := tr.Now()
-		tr.PublishApplied(1, "mem_free", 0, now, now+1, now+2, now+3)
-	}
-}
-
-// BenchmarkTracerCompleteCycle prices one cycle's trace completion by how
-// many traces were published since the previous cycle: none, one (the
-// `pfmd -replay-columnar` shape: 8.7 events a cycle at 1-in-16 sampling),
-// and more than a ring lap (a fleet cycle after a burst). One op publishes
-// the arm's traces (BenchmarkTracerPublishApplied each) and completes them;
-// the cost follows the new traces, not the ring size.
-func BenchmarkTracerCompleteCycle(b *testing.B) {
+// TestCompleteCycleZeroAllocs holds one cycle's trace completion to zero
+// allocations however many traces were published since the previous cycle:
+// none, one (the `pfmd -replay-columnar` shape: 8.7 events a cycle at 1-in-16
+// sampling), and more than a ring lap (a fleet cycle after a burst).
+func TestCompleteCycleZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		pending int
 	}{{"idle", 0}, {"one-pending", 1}, {"lapped", DefaultTraceCapacity + 44}} {
-		b.Run(tc.name, func(b *testing.B) {
+		t.Run(tc.name, func(t *testing.T) {
 			tr := NewTracer(DefaultTraceCapacity)
 			for i := 0; i < 2*DefaultTraceCapacity; i++ { // a full ring of settled traces
 				tr.PublishApplied(1, "mem_free", 0, 0, 1, 2, 3)
 			}
 			tr.CompleteCycle(4, 5, 5, 6)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			var swept int
+			allocs := testing.AllocsPerRun(100, func() {
 				for p := 0; p < tc.pending; p++ {
 					tr.PublishApplied(1, "mem_free", 0, 0, 1, 2, 3)
 				}
-				tr.CompleteCycle(4, 5, 5, 6)
+				swept = tr.CompleteCycle(4, 5, 5, 6)
+			})
+			if allocs != 0 {
+				t.Fatalf("CompleteCycle allocates %.1f objects/op, want 0", allocs)
+			}
+			// A lapped claimer's cell is gone: at most a ring's worth completes.
+			want := tc.pending
+			if want > DefaultTraceCapacity {
+				want = DefaultTraceCapacity
+			}
+			if swept != want {
+				t.Fatalf("completed %d traces, want %d", swept, want)
 			}
 		})
-	}
-}
-
-// BenchmarkTracerSlowest prices what an incident bundle pays for its five
-// slowest spans over a full default ring.
-func BenchmarkTracerSlowest(b *testing.B) {
-	tr := NewTracer(DefaultTraceCapacity)
-	for i := int64(0); i < DefaultTraceCapacity; i++ {
-		tr.PublishApplied(1, "mem_free", 0, 0, 1, 2, 3+i*7919%1000)
-	}
-	tr.CompleteCycle(2000, 2001, 2001, 2002)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := tr.Slowest(5); len(got) != 5 {
-			b.Fatalf("Slowest(5) returned %d traces", len(got))
-		}
 	}
 }

@@ -211,36 +211,3 @@ func TestColumnarRoundTripLarge(t *testing.T) {
 		t.Fatal("large round trip mismatch")
 	}
 }
-
-// BenchmarkColumnarDecode measures PFC1 decode throughput — the replay
-// startup cost for a trace of 100k events.
-func BenchmarkColumnarDecode(b *testing.B) {
-	var buf bytes.Buffer
-	trace := synthTrace(100000)
-	if _, err := trace.WriteTo(&buf); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.SetBytes(int64(len(raw)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReadColumnar(bytes.NewReader(raw)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkColumnarScan measures the zero-alloc event materialization
-// sweep a replay performs over a decoded trace.
-func BenchmarkColumnarScan(b *testing.B) {
-	trace := synthTrace(100000)
-	b.SetBytes(int64(trace.Len()))
-	b.ResetTimer()
-	var sink Event
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < trace.Len(); j++ {
-			sink = trace.Event(j)
-		}
-	}
-	_ = sink
-}

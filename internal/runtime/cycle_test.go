@@ -82,14 +82,18 @@ func newCycleRig(tb testing.TB, arm cycleArm) *cycleRig {
 	return &cycleRig{rt: rt, nows: make([]float64, 1)}
 }
 
-func (c *cycleRig) step(tb testing.TB) {
+func (c *cycleRig) ingest(tb testing.TB, n int) {
 	ctx := context.Background()
-	for i := 0; i < cycleEvents; i++ {
+	for i := 0; i < n; i++ {
 		if err := c.rt.Ingest(ctx, Event{Kind: KindSample, Time: c.now, Variable: "x", Value: 1}); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	if err := c.rt.Barrier(ctx); err != nil {
+}
+
+func (c *cycleRig) step(tb testing.TB) {
+	c.ingest(tb, cycleEvents)
+	if err := c.rt.Barrier(context.Background()); err != nil {
 		tb.Fatal(err)
 	}
 	c.now += 60
@@ -97,41 +101,51 @@ func (c *cycleRig) step(tb testing.TB) {
 	c.rt.CycleBatch(c.nows)
 }
 
-// BenchmarkRuntimeCycleBatch is the cycle-heavy counterpart of
-// BenchmarkRuntimeThroughput: one op is cycleEvents events, a Barrier and a
-// one-cycle CycleBatch, so what tracing and the recorder add per cycle shows
-// here, where BenchmarkRuntimeThroughput (cycles are rare) hides it.
-func BenchmarkRuntimeCycleBatch(b *testing.B) {
+// TestCycleBatchSteadyStateZeroAllocs: a warmed step — cycleEvents events
+// through Ingest and the drain, a Barrier, a one-cycle CycleBatch — allocates
+// nothing under any observability arm with no trigger firing: neither the
+// pool fan-out, the act decision, the journal nor trace completion.
+func TestCycleBatchSteadyStateZeroAllocs(t *testing.T) {
 	for _, arm := range cycleArms {
-		b.Run(arm.name, func(b *testing.B) {
-			rig := newCycleRig(b, arm)
-			for i := 0; i < 64; i++ {
-				rig.step(b)
+		t.Run(arm.name, func(t *testing.T) {
+			rig := newCycleRig(t, arm)
+			for i := 0; i < 256; i++ { // ledger journals and pool jobs reach their steady size
+				rig.step(t)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rig.step(b)
+			if allocs := testing.AllocsPerRun(500, func() { rig.step(t) }); allocs != 0 {
+				t.Fatalf("steady-state cycle allocates %.1f objects/op, want 0", allocs)
+			}
+			if rec := rig.rt.Recorder(); rec != nil && (rec.Pending() != 0 || len(rec.Bundles()) != 0) {
+				t.Fatalf("a trigger fired (%d pending, %d bundles): not the steady state", rec.Pending(), len(rec.Bundles()))
 			}
 		})
 	}
 }
 
-// TestCycleBatchSteadyStateZeroAllocs: a warmed one-cycle CycleBatch with
-// tracer, ledger and recorder on and no trigger firing allocates nothing —
-// neither the pool fan-out, the act decision, the journal nor trace
-// completion. The ingest side of the step is pinned by
-// BenchmarkRuntimeThroughput's 0 allocs/op.
-func TestCycleBatchSteadyStateZeroAllocs(t *testing.T) {
-	rig := newCycleRig(t, cycleArms[2])
-	for i := 0; i < 256; i++ { // ledger journals and pool jobs reach their steady size
-		rig.step(t)
-	}
-	if allocs := testing.AllocsPerRun(500, func() { rig.step(t) }); allocs != 0 {
-		t.Fatalf("steady-state cycle allocates %.1f objects/op, want 0", allocs)
-	}
-	if rec := rig.rt.Recorder(); rec.Pending() != 0 || len(rec.Bundles()) != 0 {
-		t.Fatalf("a trigger fired (%d pending, %d bundles): not the steady state", rec.Pending(), len(rec.Bundles()))
+// TestRuntimeIngestZeroAllocs holds the ingest-heavy shape — cycles rare,
+// the bounded queue and the batched drain carrying the load — to zero
+// allocations under every observability arm. One run is a burst of half the
+// queue's capacity through Ingest, then a Barrier: the consumer sleeps and
+// wakes between bursts and drains in chunks, and no producer parks (a park
+// allocates its wake channel, by design — Block is the slow path).
+func TestRuntimeIngestZeroAllocs(t *testing.T) {
+	const burst = 2048
+	for _, arm := range cycleArms {
+		t.Run(arm.name, func(t *testing.T) {
+			rig := newCycleRig(t, arm)
+			run := func() {
+				rig.ingest(t, burst)
+				if err := rig.rt.Barrier(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 8; i++ {
+				run()
+			}
+			if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+				t.Fatalf("Ingest→drain allocates %.1f objects per %d-event burst, want 0", allocs, burst)
+			}
+		})
 	}
 }
 
@@ -143,8 +157,8 @@ const (
 	recorderBudget = 0.00 + 0.05 // recorder-on over tracing-on
 )
 
-// TestCycleOverheadBudget holds the cycle path to the same observability
-// budget BenchmarkRuntimeThroughput documents for the ingest path. A step's
+// TestCycleOverheadBudget holds the cycle path to the observability budget
+// (pfmbench's trace.overhead_pct reads the ingest path's). A step's
 // wall time is mostly goroutine hand-offs and swings ±15 % from slice to
 // slice on a shared box, so the arms run interleaved in many short slices
 // and each cost is read as the median over slices of the ratio to the arm

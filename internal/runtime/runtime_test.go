@@ -291,8 +291,8 @@ func TestPeriodicEvaluationWarnsActsAndGuards(t *testing.T) {
 	if m.Actions.Value() != 2 {
 		t.Fatalf("actions = %d, want exactly 2 (guard limit)", m.Actions.Value())
 	}
-	if int64(len(eng.Warnings())) != m.Warnings.Value() {
-		t.Fatalf("engine warnings %d != metric %d", len(eng.Warnings()), m.Warnings.Value())
+	if warned := eng.Report().Warnings; int64(warned) != m.Warnings.Value() {
+		t.Fatalf("engine warnings %d != metric %d", warned, m.Warnings.Value())
 	}
 	if m.Warnings.Value() != m.Actions.Value()+m.Suppressed.Value() {
 		t.Fatalf("warnings %d != actions %d + suppressed %d",
