@@ -7,9 +7,6 @@ package pfm
 // cmd/* that print them (EXPERIMENTS.md).
 
 import (
-	"context"
-	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,71 +67,6 @@ func benchRuntimeEngine(b *testing.B, layers []*Layer) *MEAEngine {
 		b.Fatal(err)
 	}
 	return eng
-}
-
-// BenchmarkRuntimeShardedIngest measures ingest throughput with the
-// monitoring streams of eight SAR-style variables routed over 1 vs 4 ingest
-// shards. Apply burns a small fixed amount of per-event work, standing in
-// for mirror-state maintenance; with shards > 1 that work runs on several
-// consumers (on multi-core hosts) while per-variable ordering is preserved.
-func BenchmarkRuntimeShardedIngest(b *testing.B) {
-	vars := []string{"cpu", "mem_free", "swap", "io", "net", "queue", "semops", "err_rate"}
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			layers := []*Layer{{
-				Name:      "quiet",
-				Evaluate:  func(float64) (float64, error) { return 0, nil },
-				Threshold: 1,
-			}}
-			var applied atomic.Int64
-			rt, err := NewRuntime(RuntimeConfig{
-				Engine: benchRuntimeEngine(b, layers),
-				Apply: func(ev RuntimeEvent) error {
-					// Fixed per-event work (~a short series append + stat).
-					s := 0.0
-					for k := 0; k < 64; k++ {
-						s += ev.Value * float64(k)
-					}
-					if s < 0 {
-						return nil
-					}
-					applied.Add(1)
-					return nil
-				},
-				QueueCapacity: 4096,
-				Overflow:      OverflowBlock,
-				Shards:        shards,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			if err := rt.Start(ctx); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				ev := RuntimeEvent{
-					Kind: RuntimeEventSample, Time: float64(i),
-					Variable: vars[i%len(vars)], Value: 1,
-				}
-				if err := rt.Ingest(ctx, ev); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := rt.Stop(ctx); err != nil {
-				b.Fatal(err)
-			}
-			elapsed := time.Since(start).Seconds()
-			b.StopTimer()
-			if applied.Load() != int64(b.N) {
-				b.Fatalf("applied %d of %d", applied.Load(), b.N)
-			}
-			b.ReportMetric(float64(b.N)/elapsed, "events/sec")
-		})
-	}
 }
 
 // BenchmarkRuntimeParallelLayers compares sequential layer evaluation with

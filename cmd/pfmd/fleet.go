@@ -95,13 +95,23 @@ func runFleet(ctx context.Context, o *options) error {
 	var simNow atomic.Uint64 // Float64bits of the replay's domain time, from 0
 
 	scpCfg := scp.DefaultConfig()
-	led, err := obs.NewScopedLedger(o.ledger, o.fleetScopes, "load", "errors")
+	layers := fleetLayers()
+	names := make([]string, len(layers))
+	for i, l := range layers {
+		names[i] = l.Name
+	}
+	led, err := obs.NewScopedLedger(o.ledger, o.fleetScopes, names...)
+	if err != nil {
+		return err
+	}
+	tracer := o.newTracer()
+	recorder, err := o.fleetRecorder(names, tracer)
 	if err != nil {
 		return err
 	}
 	f, err := fleet.New(fleet.Config{
 		Tenants: specs,
-		Layers:  fleetLayers(),
+		Layers:  layers,
 		NewState: func(fleet.TenantSpec) (fleet.TenantState, error) {
 			return &fleetState{capacity: scpCfg.Capacity}, nil
 		},
@@ -115,15 +125,16 @@ func runFleet(ctx context.Context, o *options) error {
 			OscillationWindow:   1800,
 			MaxActionsPerWindow: 6,
 		},
-		Shards:        o.rt.Shards,
+		Shards:        o.shards,
 		QueueCapacity: o.rt.QueueCapacity,
 		Overflow:      o.rt.Overflow,
 		Workers:       o.rt.Workers,
 		ActBudget:     o.actBudget,
 		EvalInterval:  o.rt.EvalInterval,
 		Clock:         func() float64 { return math.Float64frombits(simNow.Load()) },
-		Tracer:        o.newTracer(),
+		Tracer:        tracer,
 		Ledger:        led,
+		Recorder:      recorder,
 		JournalLayers: true,
 	})
 	if err != nil {
@@ -275,6 +286,8 @@ func logFleetSummary(logger *slog.Logger, f *fleet.Fleet, led *obs.ScopedLedger,
 		"predictions", preds,
 		"failures", fails,
 		"foldedTenants", r.FoldedTenants,
+		"incidents", r.Incidents,
+		"incidentsSuppressed", r.IncidentsSuppressed,
 	}
 	if r.WeightedF1 != nil {
 		attrs = append(attrs, "weightedF1", fmt.Sprintf("%.3f", *r.WeightedF1))

@@ -118,6 +118,35 @@ func (p *pipeline) buildRecorder() error {
 	return nil
 }
 
+// fleetRecorder builds the fleet's flight recorder from the same flags: one
+// recorder per tenant under the -fleet-scopes cardinality cap (later tenants
+// share the overflow recorder), each retaining -incident-cap bundles and
+// gated at -incident-warn weighted by its tenant's criticality. The fleet
+// mirrors no event log, so its bundles carry scores, versions and spans but
+// no events or suspects. -incident-cap 0 leaves it nil.
+func (o *options) fleetRecorder(layers []string, tracer *obs.Tracer) (*obs.ScopedRecorder, error) {
+	if o.incidents.cap <= 0 {
+		return nil, nil
+	}
+	rec, err := obs.NewScopedRecorder(obs.RecorderConfig{
+		Layers:        layers,
+		WarnThreshold: o.incidents.warn,
+		MaxBundles:    o.incidents.cap,
+		Tracer:        tracer,
+	}, o.fleetScopes)
+	if err != nil {
+		return nil, err
+	}
+	if o.incidents.dir != "" {
+		sink, err := incidentSink(o.incidents.dir, o.logger)
+		if err != nil {
+			return nil, err
+		}
+		rec.Subscribe(sink)
+	}
+	return rec, nil
+}
+
 // incidentSink returns a bundle subscriber that persists each captured
 // bundle as <dir>/<id>.json (pretty-printed, one file per incident).
 func incidentSink(dir string, logger *slog.Logger) (func(*obs.IncidentBundle), error) {

@@ -41,7 +41,7 @@
 //
 //	pfmd [-addr :9600] [-seed 11] [-days 1] [-compress 3600]
 //	     [-queue 4096] [-overflow block|drop-oldest|drop-newest]
-//	     [-workers 4] [-eval 250ms] [-shards 1] [-pprof]
+//	     [-workers 4] [-eval 250ms] [-pprof]
 //	     [-log-format text|json] [-log-level info|debug]
 //	     [-trace-cap 256] [-trace-dump 0]
 //	     [-ledger-window 0] [-ledger-slack 300]
@@ -50,6 +50,10 @@
 //	     [-drift-shadow-min 20] [-drift-cooldown 200]
 //	     [-batch 0] [-replay-columnar trace.cols] [-replay-eval 900]
 //	     [-incident-dir DIR] [-incident-cap 32] [-incident-warn 0.5]
+//
+// -fleet (fleet.go) and -replay-columnar (columnar.go) select the other two
+// modes; a flag given on the command line that the selected mode does not read
+// is an error (flagModes).
 package main
 
 import (
@@ -101,9 +105,10 @@ type options struct {
 	seed     int64
 	days     float64
 	compress float64
-	// rt carries -queue, -overflow, -workers, -eval, -shards, -batch and
-	// -pprof; the fleet reads its sizing from the same fields.
-	rt runtime.Config
+	// rt carries -queue, -overflow, -workers, -eval, -batch and -pprof; the
+	// fleet reads its sizing from the same fields, plus -shards.
+	rt     runtime.Config
+	shards int
 
 	traceCap    int
 	traceDump   int
@@ -153,7 +158,7 @@ func parseFlags(args []string, stdout, stderr io.Writer) (*options, error) {
 	})
 	fs.IntVar(&o.rt.Workers, "workers", 4, "layer-evaluation worker pool size")
 	fs.DurationVar(&o.rt.EvalInterval, "eval", 250*time.Millisecond, "wall-clock MEA cadence")
-	fs.IntVar(&o.rt.Shards, "shards", 1, "parallel ingest shards (per-variable routing)")
+	fs.IntVar(&o.shards, "shards", 1, "ingest shards, each one queue consumer over its consistent-hash share of the tenants (with -fleet)")
 	fs.BoolVar(&o.rt.Profiling, "pprof", false, "expose /debug/pprof/ on the metrics address")
 	logFormat := fs.String("log-format", "text", "log output format: text|json")
 	logLevel := fs.String("log-level", "info", "log level: info|debug (debug logs every MEA cycle)")
@@ -176,7 +181,7 @@ func parseFlags(args []string, stdout, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.listen, "listen", "", "accept tenant traces over TCP on this address instead of simulating (with -fleet; PFW1 wire or text line protocol, see loggen -send)")
 	fs.IntVar(&o.actBudget, "act-budget", 0, "max tenants that may execute a countermeasure per cycle, criticality-prioritized (with -fleet; 0 = unlimited)")
 	fs.Float64Var(&o.rateLimit, "rate-limit", 0, "per-tenant ingest drain cap [events per simulated second] (with -fleet; 0 = unlimited)")
-	fs.IntVar(&o.rt.BatchSize, "batch", 0, "ingest drain chunk size per shard (0 = runtime default)")
+	fs.IntVar(&o.rt.BatchSize, "batch", 0, "ingest drain chunk size (0 = runtime default)")
 	fs.StringVar(&o.replayColumnar, "replay-columnar", "", "replay a PFC1 columnar trace (see loggen -columnar) at full speed instead of simulating")
 	fs.Float64Var(&o.replayEval, "replay-eval", 900, "MEA cadence in simulated seconds (with -replay-columnar)")
 	fs.StringVar(&o.incidents.dir, "incident-dir", "", "persist captured incident bundles as JSON files in this directory")
@@ -184,6 +189,17 @@ func parseFlags(args []string, stdout, stderr io.Writer) (*options, error) {
 	fs.Float64Var(&o.incidents.warn, "incident-warn", 0.5, "combined-confidence gate for warn-triggered incident capture")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
+	}
+	// A flag given on the command line that the selected mode never reads is
+	// refused, not ignored; defaults are not visited.
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if readBy, ok := flagModes[f.Name]; ok && readBy&o.mode() == 0 {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		return nil, fmt.Errorf("%s: not read in %s mode", strings.Join(unread, ", "), o.mode())
 	}
 	if o.days <= 0 || o.compress <= 0 {
 		return nil, fmt.Errorf("days and compress must be positive")
@@ -199,6 +215,52 @@ func parseFlags(args []string, stdout, stderr io.Writer) (*options, error) {
 	return o, nil
 }
 
+// mode is one of pfmd's three ways to run, as a bit so a flag can name
+// several.
+type mode uint8
+
+const (
+	modeLive     mode = 1 << iota // the SCP simulator against the wall clock
+	modeColumnar                  // -replay-columnar
+	modeFleet                     // -fleet
+)
+
+func (m mode) String() string {
+	switch m {
+	case modeColumnar:
+		return "-replay-columnar"
+	case modeFleet:
+		return "-fleet"
+	}
+	return "live"
+}
+
+// mode is the mode the flags select.
+func (o *options) mode() mode {
+	switch {
+	case o.replayColumnar != "":
+		return modeColumnar
+	case o.fleetMode:
+		return modeFleet
+	}
+	return modeLive
+}
+
+// flagModes names, for each flag that not every mode reads, the modes that
+// do. A flag absent from the table is read by all three.
+var flagModes = map[string]mode{
+	"seed": modeLive | modeFleet, "days": modeLive | modeFleet,
+	"compress": modeLive | modeFleet, "eval": modeLive | modeFleet,
+	"pprof": modeLive | modeColumnar, "batch": modeLive | modeColumnar,
+	"trace-dump": modeLive | modeColumnar, "meta-weights": modeLive | modeColumnar,
+	"hotswap": modeLive, "drift-warmup": modeLive, "drift-threshold": modeLive,
+	"drift-shadow-min": modeLive, "drift-cooldown": modeLive,
+	"replay-columnar": modeColumnar, "replay-eval": modeColumnar,
+	"fleet": modeFleet, "tenants": modeFleet, "skew": modeFleet, "shards": modeFleet,
+	"fleet-scopes": modeFleet, "fleet-trace": modeFleet, "listen": modeFleet,
+	"act-budget": modeFleet, "rate-limit": modeFleet,
+}
+
 // run parses the flags and runs the mode they select until its input ends
 // or ctx is canceled.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
@@ -206,10 +268,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	switch {
-	case o.replayColumnar != "":
+	switch o.mode() {
+	case modeColumnar:
 		return runColumnar(ctx, o)
-	case o.fleetMode:
+	case modeFleet:
 		return runFleet(ctx, o)
 	}
 	return runLive(ctx, o)
@@ -257,11 +319,8 @@ func (o *options) stop(stop func(context.Context) error, timeout time.Duration) 
 
 // mirror is the runtime's predictor-visible state: the ingest stage
 // replays the simulator's error log and SAR series into it, and the
-// layers read it. Locking is owned by the runtime: Apply and evaluation
-// never overlap, and sharded ingest (-shards > 1) is safe here because the
-// default shard key serializes all error-log appends on one shard while
-// each SAR series is only touched by its own variable's shard (the sar map
-// itself is fully populated before Start and read-only afterwards).
+// layers read it. Locking is owned by the runtime: Apply calls are
+// serialized and never overlap evaluation.
 type mirror struct {
 	log *eventlog.Log
 	sar map[string]*ts.Series
@@ -613,7 +672,7 @@ func runLive(ctx context.Context, o *options) error {
 		"addr", bound, "tracez", tracer != nil, "ledger", true, "pprof", o.rt.Profiling)
 	logger.Info("replay starting",
 		"sim_days", o.days, "compress", o.compress, "policy", o.rt.Overflow.String(),
-		"workers", o.rt.Workers, "shards", p.rt.Shards())
+		"workers", o.rt.Workers)
 
 	err = replay(ctx, sys, p, cmds, o.days*86400, o.compress)
 	o.stop(p.rt.Stop, 5*time.Second)

@@ -73,9 +73,21 @@ type planes struct {
 	incidents []runtime.IncidentSummary
 }
 
-// scrapeAll reads /metrics, /healthz, /livez, /ledger, /tracez and
-// /incidents, checking each answers and parses.
+// scrapeAll reads the base plane and the single-tenant /ledger, checking each
+// answers and parses.
 func scrapeAll(t *testing.T, addr string) planes {
+	t.Helper()
+	p := scrapeBase(t, addr)
+	var code int
+	if code, p.ledger = scrape(t, addr, "/ledger"); code != http.StatusOK || !strings.Contains(p.ledger, `"layer":"combined"`) {
+		t.Errorf("/ledger: %d %s", code, p.ledger)
+	}
+	return p
+}
+
+// scrapeBase reads the endpoints both planes serve — /metrics, /healthz,
+// /livez, /tracez and /incidents — checking each answers and parses.
+func scrapeBase(t *testing.T, addr string) planes {
 	t.Helper()
 	var p planes
 	code, body := scrape(t, addr, "/metrics")
@@ -89,9 +101,6 @@ func scrapeAll(t *testing.T, addr string) planes {
 	}
 	if code, body = scrape(t, addr, "/livez"); code != http.StatusOK || !strings.Contains(body, `"status":"live"`) {
 		t.Errorf("/livez: %d %s", code, body)
-	}
-	if code, p.ledger = scrape(t, addr, "/ledger"); code != http.StatusOK || !strings.Contains(p.ledger, `"layer":"combined"`) {
-		t.Errorf("/ledger: %d %s", code, p.ledger)
 	}
 	if code, body = scrape(t, addr, "/tracez"); code != http.StatusOK || !strings.HasPrefix(body, "tracez:") {
 		t.Errorf("/tracez: %d %s", code, body)
@@ -265,6 +274,82 @@ func TestLiveRun(t *testing.T) {
 	}
 }
 
+// TestFleetRun runs pfmd -fleet in process over a handful of simulated
+// tenants for half a simulated day, scrapes the fleet plane while it serves
+// and after the drain, and checks that the -incident-* flags reach it: every
+// warning raises a bundle (-incident-warn 0) that /incidents serves and
+// -incident-dir keeps.
+func TestFleetRun(t *testing.T) {
+	const tenants = 6
+	dir := filepath.Join(t.TempDir(), "incidents")
+	var stdout, stderr strings.Builder
+	o, err := parseFlags([]string{
+		"-fleet", "-tenants", strconv.Itoa(tenants), "-shards", "2", "-addr", "127.0.0.1:0",
+		"-days", "0.5", "-compress", "86400", "-eval", "5ms", "-trace-sample", "1",
+		"-incident-warn", "0", "-incident-dir", dir, "-log-format", "json",
+	}, &stdout, &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// fleetView scrapes /fleet and returns its tenant rows.
+	fleetView := func(addr string) []json.RawMessage {
+		code, body := scrape(t, addr, "/fleet")
+		var view struct {
+			Tenants []json.RawMessage `json:"tenants"`
+		}
+		if err := json.Unmarshal([]byte(body), &view); code != http.StatusOK || err != nil {
+			t.Errorf("/fleet: %d %v %s", code, err, body)
+		}
+		return view.Tenants
+	}
+	var addr string
+	var final planes
+	o.serving = func(bound string) {
+		addr = bound
+		if p := scrapeBase(t, addr); p.healthSC != http.StatusOK || p.health.Status != "ok" ||
+			p.health.Tenants != tenants || p.health.Shards != 2 {
+			t.Errorf("/healthz while serving: %d %+v", p.healthSC, p.health)
+		}
+		if rows := fleetView(addr); len(rows) != tenants {
+			t.Errorf("/fleet while serving: %d tenant rows, want %d", len(rows), tenants)
+		}
+	}
+	o.drained = func() {
+		final = scrapeBase(t, addr)
+		if rows := fleetView(addr); len(rows) != tenants {
+			t.Errorf("/fleet after the drain: %d tenant rows, want %d", len(rows), tenants)
+		}
+	}
+	if err := runFleet(context.Background(), o); err != nil {
+		t.Fatalf("runFleet: %v\n%s", err, stderr.String())
+	}
+	checkDrained(t, final)
+	for _, series := range []string{
+		`pfm_fleet_tenants 6`, `pfm_layer_eval_errors_total{layer="load"} 0`, `pfm_fleet_incidents_total{trigger="warn"}`,
+	} {
+		if !strings.Contains(final.metrics, series) {
+			t.Errorf("/metrics lacks %q", series)
+		}
+	}
+	if metricSum(t, final.metrics, "pfm_warnings_total") == 0 || len(final.incidents) == 0 {
+		t.Fatalf("no warning or no bundle on /incidents: %d bundles\n%s", len(final.incidents), stderr.String())
+	}
+	// Stop flushed every scope before drained ran, so the directory holds at
+	// least what /incidents retains.
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(files) < len(final.incidents) {
+		t.Errorf("%d bundle files in -incident-dir for %d bundles on /incidents (err %v)", len(files), len(final.incidents), err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, final.incidents[0].ID+".json")); err != nil {
+		t.Errorf("bundle %s served but not persisted: %v", final.incidents[0].ID, err)
+	}
+	for _, want := range []string{"fleet started", "incident bundle written", "fleet summary"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("exit log lacks %q", want)
+		}
+	}
+}
+
 // lockedBuilder is a strings.Builder the logger and the test may use from
 // different goroutines.
 type lockedBuilder struct {
@@ -311,5 +396,33 @@ func TestParseFlags(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"-fleet", "-tenants", "0"}, io.Discard, io.Discard); err == nil {
 		t.Error("run -fleet -tenants 0 succeeded")
+	}
+	// A flag the selected mode never reads is refused by name, even at its
+	// default value; an unset one never is.
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-shards", "4"}, "-shards"},
+		{[]string{"-act-budget", "2"}, "-act-budget"},
+		{[]string{"-tenants", "100", "-listen", ":0"}, "-listen, -tenants"},
+		{[]string{"-fleet", "-hotswap"}, "-hotswap"},
+		{[]string{"-fleet", "-meta-weights", "1,1,1,1"}, "-meta-weights"},
+		{[]string{"-fleet", "-replay-eval", "60"}, "-replay-eval"},
+		{[]string{"-replay-columnar", "x.cols", "-fleet"}, "-fleet"},
+		{[]string{"-replay-columnar", "x.cols", "-eval", "1s"}, "-eval"},
+	} {
+		if _, err := parseFlags(c.args, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), c.want+":") {
+			t.Errorf("parseFlags(%v) = %v, want a refusal naming %s", c.args, err, c.want)
+		}
+	}
+	for _, ok := range [][]string{
+		{"-fleet", "-shards", "4", "-act-budget", "2", "-incident-dir", "d"},
+		{"-replay-columnar", "x.cols", "-replay-eval", "60", "-batch", "16", "-pprof"},
+		{"-hotswap", "-drift-warmup", "10", "-meta-weights", "1,1,1,1"},
+	} {
+		if _, err := parseFlags(ok, io.Discard, io.Discard); err != nil {
+			t.Errorf("parseFlags(%v): %v", ok, err)
+		}
 	}
 }

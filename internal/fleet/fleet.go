@@ -101,9 +101,6 @@ type Config struct {
 	Shards        int
 	QueueCapacity int
 	Overflow      runtime.OverflowPolicy
-	// Vnodes is the consistent-hash ring's per-shard virtual node count
-	// (default 64).
-	Vnodes int
 	// Workers sizes the shared evaluation pool (default GOMAXPROCS; 1
 	// runs inline).
 	Workers int
@@ -141,14 +138,11 @@ type Config struct {
 	// JournalLayers journals per-layer rows for every tenant with a
 	// dedicated ledger scope (combined decisions are always journaled).
 	JournalLayers bool
-
-	// StaleAfter marks a tenant "stale" when no event arrived for this
-	// many domain seconds (default 900). FailureHold keeps a tenant
-	// "failed" for this many domain seconds after a recorded failure
-	// (default max(LeadTime, 300)).
-	StaleAfter  float64
-	FailureHold float64
 }
+
+// staleAfter marks a tenant "stale" when no event arrived for this many
+// domain seconds.
+const staleAfter = 900
 
 // tenant is one registered tenant's runtime slice.
 type tenant struct {
@@ -240,6 +234,9 @@ type Fleet struct {
 	cfg     Config
 	mem     atomic.Pointer[membership]
 	metrics *runtime.Metrics
+	// failureHold keeps a tenant "failed" for this many domain seconds after
+	// a recorded failure: the warning lead time, at least 300.
+	failureHold float64
 	// shell owns the goroutines (shard consumers, cycle loop, pool) and the
 	// stop protocol.
 	shell *runtime.Shell
@@ -264,6 +261,7 @@ type Fleet struct {
 	handoffN    *runtime.Counter // queued events re-homed by membership changes
 	actExecuted *runtime.Counter
 	actDeferred *runtime.Counter
+	evalErrors  []*runtime.Counter // per layer template: scores that errored (abstained)
 	shardDrops  []*runtime.Counter // per shard index, reused across resizes
 	shardMetN   int                // shard indices with registered gauges
 
@@ -300,15 +298,6 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 64
 	}
-	if cfg.StaleAfter == 0 {
-		cfg.StaleAfter = 900
-	}
-	if cfg.FailureHold == 0 {
-		cfg.FailureHold = cfg.Engine.LeadTime
-		if cfg.FailureHold < 300 {
-			cfg.FailureHold = 300
-		}
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = runtime.NewMetrics()
 	}
@@ -317,7 +306,7 @@ func New(cfg Config) (*Fleet, error) {
 			return nil, fmt.Errorf("%w: layer template %d needs a name and a scorer", ErrFleet, i)
 		}
 	}
-	f := &Fleet{cfg: cfg, metrics: cfg.Metrics}
+	f := &Fleet{cfg: cfg, metrics: cfg.Metrics, failureHold: math.Max(cfg.Engine.LeadTime, 300)}
 	f.shell = runtime.NewShell(runtime.ShellConfig{
 		Err:          ErrFleet,
 		EvalInterval: cfg.EvalInterval,
@@ -350,10 +339,15 @@ func New(cfg Config) (*Fleet, error) {
 		"Countermeasures executed across the fleet.")
 	f.actDeferred = reg.Counter("pfm_fleet_act_deferred_total",
 		"Warn decisions whose countermeasure was deferred by the act budget.")
+	f.evalErrors = make([]*runtime.Counter, len(cfg.Layers))
+	for li, tmpl := range cfg.Layers {
+		f.evalErrors[li] = reg.Counter("pfm_layer_eval_errors_total",
+			"Layer evaluations that returned an error (scored as abstain).", "layer", tmpl.Name)
+	}
 	mem := &membership{
 		gen:    1,
 		byID:   make(map[string]*tenant, len(cfg.Tenants)),
-		ring:   newRing(cfg.Shards, cfg.Vnodes),
+		ring:   newRing(cfg.Shards, defaultVnodes),
 		shards: make([]*shardQueue, cfg.Shards),
 	}
 	for s := range mem.shards {
@@ -675,7 +669,7 @@ func (f *Fleet) Resize(shards int) error {
 		gen:         mem.gen + 1,
 		tenants:     mem.tenants,
 		byID:        mem.byID,
-		ring:        newRing(shards, f.cfg.Vnodes),
+		ring:        newRing(shards, defaultVnodes),
 		shards:      newShards,
 		layerScores: mem.layerScores,
 		states:      mem.states,
@@ -864,7 +858,9 @@ func (f *Fleet) EvaluateCycle() {
 // scoreLayer fills layer li's row of the score matrix across all tenants:
 // batch scorers run once per BatchSize chunk of tenants, per-tenant
 // scorers once per tenant — both fanned across the shared pool with
-// index-addressed writes.
+// index-addressed writes. A scorer's error abstains its rows (NaN) and is
+// counted per row on pfm_layer_eval_errors_total, as core.Layer.ScoreBatch
+// counts it on the single-tenant plane.
 func (f *Fleet) scoreLayer(mem *membership, li int, now float64) {
 	tmpl := f.cfg.Layers[li]
 	nT := len(mem.tenants)
@@ -879,6 +875,7 @@ func (f *Fleet) scoreLayer(mem *membership, li int, now float64) {
 				hi = nT
 			}
 			if err := tmpl.ScoreBatch(mem.states[lo:hi], now, out[lo:hi]); err != nil {
+				f.evalErrors[li].Add(int64(hi - lo))
 				for i := lo; i < hi; i++ {
 					out[i] = math.NaN() // whole chunk abstains
 				}
@@ -889,6 +886,7 @@ func (f *Fleet) scoreLayer(mem *membership, li int, now float64) {
 	f.shell.Pool().Do(nT, func(i int) {
 		s, err := tmpl.Score(mem.states[i], now)
 		if err != nil {
+			f.evalErrors[li].Inc()
 			s = math.NaN()
 		}
 		out[i] = s

@@ -251,7 +251,6 @@ func TestFleetEndToEnd(t *testing.T) {
 func TestFleetStatusTransitions(t *testing.T) {
 	clock := newTestClock(0)
 	cfg := testFleetConfig(specs("a"), clock)
-	cfg.StaleAfter = 100
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -275,10 +274,105 @@ func TestFleetStatusTransitions(t *testing.T) {
 	if v, _ := f.TenantStatus("a"); v.Status != StatusOK {
 		t.Errorf("fresh events: status = %q, want ok", v.Status)
 	}
-	clock.Set(200)
+	clock.Set(1000) // past staleAfter
 	if v, _ := f.TenantStatus("a"); v.Status != StatusStale {
 		t.Errorf("silent stream: status = %q, want stale", v.Status)
 	}
+}
+
+// TestFleetEvalErrorsCounted: a scorer that fails is neither silent nor fatal.
+// The tenant whose per-tenant score errors and every tenant of the chunk whose
+// batch score errors abstain on that layer (no per-layer journal row), each
+// abstention is one count on pfm_layer_eval_errors_total{layer}, a healthy
+// cycle adds none, and the cycles complete with every combined decision
+// journaled.
+func TestFleetEvalErrorsCounted(t *testing.T) {
+	clock := newTestClock(0)
+	ids := []string{"a", "b", "c", "d"} // BatchSize 2: chunks [a b] and [c d]
+	led, err := obs.NewScopedLedger(obs.LedgerConfig{LeadTime: 300, Slack: 60}, len(ids), "solo", "batch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failing atomic.Bool
+	failing.Store(true)
+	cfg := testFleetConfig(specs(ids...), clock)
+	cfg.Layers = []LayerTemplate{
+		{Name: "solo", Threshold: 0.5, Score: func(st TenantState, _ float64) (float64, error) {
+			if failing.Load() && st.(*tstate).id == "b" {
+				return 0, fmt.Errorf("solo scorer: tenant b")
+			}
+			return 0.1, nil
+		}},
+		{Name: "batch", Threshold: 0.5, ScoreBatch: func(states []TenantState, _ float64, out []float64) error {
+			for i, st := range states {
+				if failing.Load() && st.(*tstate).id == "c" {
+					return fmt.Errorf("batch scorer: chunk of tenant c")
+				}
+				out[i] = 0.1
+			}
+			return nil
+		}},
+	}
+	cfg.BatchSize = 2
+	cfg.Ledger = led
+	cfg.JournalLayers = true
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Stop(context.Background()) }()
+
+	// rows reads how many rows each layer has journaled per tenant (all still
+	// pending: the clock stays inside the lead time).
+	rows := func(layer string) map[string]int {
+		got := map[string]int{}
+		for _, id := range ids {
+			for _, lq := range led.Scope(id).Snapshot().Layers {
+				if lq.Layer == layer {
+					got[id] = lq.Pending
+				}
+			}
+		}
+		return got
+	}
+	check := func(stage string, cycles int64, solo, batch map[string]int) {
+		t.Helper()
+		if got := f.Cycles(); got != cycles {
+			t.Fatalf("%s: %d cycles completed, want %d", stage, got, cycles)
+		}
+		rec := httptest.NewRecorder()
+		f.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		for _, want := range []string{
+			`pfm_layer_eval_errors_total{layer="solo"} 1`,
+			`pfm_layer_eval_errors_total{layer="batch"} 2`,
+		} {
+			if !strings.Contains(rec.Body.String(), want+"\n") {
+				t.Errorf("%s: /metrics lacks %q", stage, want)
+			}
+		}
+		for layer, want := range map[string]map[string]int{
+			"solo": solo, "batch": batch,
+			obs.CombinedLayer: {"a": int(cycles), "b": int(cycles), "c": int(cycles), "d": int(cycles)},
+		} {
+			if got := rows(layer); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: %s rows per tenant = %v, want %v", stage, layer, got, want)
+			}
+		}
+	}
+	clock.Set(10)
+	f.EvaluateCycle()
+	check("failing cycle", 1,
+		map[string]int{"a": 1, "b": 0, "c": 1, "d": 1},
+		map[string]int{"a": 1, "b": 1, "c": 0, "d": 0})
+	failing.Store(false)
+	clock.Set(20)
+	f.EvaluateCycle()
+	check("healthy cycle", 2,
+		map[string]int{"a": 2, "b": 1, "c": 2, "d": 2},
+		map[string]int{"a": 2, "b": 2, "c": 1, "d": 1})
 }
 
 // TestFleetValidation rejects malformed configurations.

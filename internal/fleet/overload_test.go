@@ -19,10 +19,7 @@ import (
 // and Start is "the next drain". After every case the conservation law is
 // read from the counters alone.
 
-const (
-	overloadCap    = 4  // shard budget and per-tenant cap of every case below
-	overloadVnodes = 64 // fixed so a test can ask the ring where a tenant will land
-)
+const overloadCap = 4 // shard budget and per-tenant cap of every case below
 
 // overloadQueue is a bare shard with a small budget and a handle on its
 // counters.
@@ -387,7 +384,6 @@ func newOverloadFleet(t *testing.T, policy runtime.OverflowPolicy, hold bool, id
 	}
 	cfg := testFleetConfig(specs(ids...), newTestClock(0))
 	cfg.Shards = 1
-	cfg.Vnodes = overloadVnodes
 	cfg.Workers = 1
 	cfg.BatchSize = 2
 	cfg.QueueCapacity = overloadCap
@@ -557,7 +553,7 @@ func TestFleetIngestOverload(t *testing.T) {
 	t.Run("block/resize-while-parked", func(t *testing.T) {
 		// A tenant the two-shard ring places on the new shard.
 		mover := ""
-		probe := newRing(2, overloadVnodes)
+		probe := newRing(2, defaultVnodes)
 		for i := 0; mover == ""; i++ {
 			if id := fmt.Sprintf("m%d", i); probe.shardOf(id) == 1 {
 				mover = id

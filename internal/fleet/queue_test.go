@@ -17,6 +17,14 @@ func TestItemSize(t *testing.T) {
 	}
 }
 
+// TestEventSize pins the single-tenant runtime's queued event at 104 bytes:
+// its ring copies every event in and out once each.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(runtime.Event{}); got != 104 {
+		t.Errorf("sizeof(runtime.Event) = %d, want 104", got)
+	}
+}
+
 // queueHarness wires a bare shardQueue for direct scheduler tests.
 type queueHarness struct {
 	q       *shardQueue

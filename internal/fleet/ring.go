@@ -22,9 +22,6 @@ type ring struct {
 const defaultVnodes = 64
 
 func newRing(shards, vnodes int) *ring {
-	if vnodes < 1 {
-		vnodes = defaultVnodes
-	}
 	r := &ring{
 		points: make([]uint64, 0, shards*vnodes),
 		shards: make([]int, 0, shards*vnodes),

@@ -17,20 +17,20 @@ const (
 	StatusIdle    = "idle"    // never saw an event or a failure
 	StatusOK      = "ok"      // receiving events, no active warning
 	StatusWarning = "warning" // last cycle warned of an impending failure
-	StatusStale   = "stale"   // event stream silent past StaleAfter
-	StatusFailed  = "failed"  // failure recorded within FailureHold
+	StatusStale   = "stale"   // event stream silent past staleAfter
+	StatusFailed  = "failed"  // failure recorded within the failure hold
 )
 
 // statusOf derives a tenant's health state at domain time now.
 func (f *Fleet) statusOf(tn *tenant, now float64) string {
-	if lf := loadTime(&tn.lastFailure); !math.IsNaN(lf) && now-lf <= f.cfg.FailureHold {
+	if lf := loadTime(&tn.lastFailure); !math.IsNaN(lf) && now-lf <= f.failureHold {
 		return StatusFailed
 	}
 	le := loadTime(&tn.lastEvent)
 	if tn.events.Load() == 0 {
 		return StatusIdle
 	}
-	if now-le > f.cfg.StaleAfter {
+	if now-le > staleAfter {
 		return StatusStale
 	}
 	if tn.lastWarned.Load() {

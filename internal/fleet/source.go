@@ -22,9 +22,8 @@ type Record struct {
 // the trace is exhausted; any other error aborts the pump. A Source has one
 // consumer — Pump — and no implementation's Next may be called from two
 // goroutines at once. Implementations in this package: SliceSource
-// (in-process), TailSource (text line protocol, optionally following a
-// growing file), Reader (binary wire format), ListenSource (either
-// encoding over TCP).
+// (in-process), TailSource (text line protocol), Reader (binary wire
+// format), ListenSource (either encoding over TCP).
 type Source interface {
 	Next() (Record, error)
 }

@@ -3,6 +3,9 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -109,25 +112,46 @@ func TestSourceParity(t *testing.T) {
 	}
 }
 
-// TestTailRoundTrip: format → parse is the identity on a simulator trace.
+// TestTailRoundTrip: format → parse is the identity on a simulator trace —
+// as written, with the final newline missing, and with a malformed line in
+// the middle, whose error (carrying its line number) does not stop the calls
+// after it.
 func TestTailRoundTrip(t *testing.T) {
 	_, recs := simTrace(t)
 	var buf bytes.Buffer
 	if err := WriteTrace(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	src := NewTailSource(&buf)
-	for i, want := range recs {
-		got, err := src.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("record %d: got %+v, want %+v", i, got, want)
-		}
-	}
-	if _, err := src.Next(); err == nil {
-		t.Fatal("expected EOF after the last record")
+	text := buf.String()
+	firstLine := strings.IndexByte(text, '\n') + 1
+	for _, in := range []struct {
+		name, text string
+		badLine    int // 1-based line expected to fail to parse; 0 = none
+	}{
+		{"as written", text, 0},
+		{"no final newline", strings.TrimSuffix(text, "\n"), 0},
+		{"malformed line 2", text[:firstLine] + "S|t0|1|cpu\n" + text[firstLine:], 2},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			src := NewTailSource(strings.NewReader(in.text))
+			for i, want := range recs {
+				if i+1 == in.badLine {
+					if _, err := src.Next(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("line %d:", in.badLine)) {
+						t.Fatalf("malformed line %d: err = %v", in.badLine, err)
+					}
+				}
+				got, err := src.Next()
+				if err != nil {
+					t.Fatalf("record %d: %v", i, err)
+				}
+				if got != want {
+					t.Fatalf("record %d: got %+v, want %+v", i, got, want)
+				}
+			}
+			if _, err := src.Next(); err != io.EOF {
+				t.Fatalf("after the last record: err = %v, want io.EOF", err)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/eventlog"
 	"repro/internal/runtime"
@@ -127,28 +126,11 @@ func parseTime(s string) (float64, error) {
 	return t, nil
 }
 
-// TailSource reads protocol lines from a stream. With Follow set it tails
-// a growing file: at EOF it polls until more bytes appear (the reader-side
-// half of a log-shipping pipe) instead of returning io.EOF. Sources opened
-// with OpenTail also survive log rotation while following: an in-place
-// truncation (copytruncate) rewinds to the new top, and a rename-and-
-// recreate rotation reopens the fresh file at path — the tail keeps
-// flowing instead of silently stalling on the old inode.
+// TailSource reads protocol lines from a stream until io.EOF.
 type TailSource struct {
-	r       *bufio.Reader
-	closer  io.Closer
-	fh      *os.File // set by OpenTail; enables rotation detection
-	path    string
-	offset  int64 // bytes consumed from the current file
-	line    int
-	partial string // bytes of an unterminated line seen so far
-
-	// Follow keeps polling at EOF instead of ending the trace.
-	Follow bool
-	// Poll is the follow-mode retry interval (default 50ms).
-	Poll time.Duration
-	// Stop ends a follow when closed (optional).
-	Stop <-chan struct{}
+	r      *bufio.Reader
+	closer io.Closer // set by OpenTail
+	line   int
 }
 
 // NewTailSource reads from r.
@@ -156,8 +138,7 @@ func NewTailSource(r io.Reader) *TailSource {
 	return &TailSource{r: bufio.NewReader(r)}
 }
 
-// OpenTail opens path as a TailSource (caller sets Follow as needed; Close
-// releases the file).
+// OpenTail opens path as a TailSource (Close releases the file).
 func OpenTail(path string) (*TailSource, error) {
 	fh, err := os.Open(path)
 	if err != nil {
@@ -165,8 +146,6 @@ func OpenTail(path string) (*TailSource, error) {
 	}
 	ts := NewTailSource(fh)
 	ts.closer = fh
-	ts.fh = fh
-	ts.path = path
 	return ts, nil
 }
 
@@ -180,32 +159,14 @@ func (s *TailSource) Close() error {
 
 // Next returns the next decoded record. A malformed line is reported with
 // its line number; the stream position advances past it, so callers may
-// skip the error and keep calling Next.
+// skip the error and keep calling Next. A final line without a newline is
+// still parsed; the call after it returns io.EOF.
 func (s *TailSource) Next() (Record, error) {
 	for {
-		chunk, err := s.r.ReadString('\n')
-		s.partial += chunk
-		s.offset += int64(len(chunk))
-		switch {
-		case err == nil:
-			// A complete line is buffered in partial.
-		case err == io.EOF && s.Follow:
-			// The line is (still) unterminated; wait for the writer.
-			if werr := s.waitMore(); werr != nil {
-				return Record{}, werr
-			}
-			continue
-		case err == io.EOF:
-			if s.partial == "" {
-				return Record{}, io.EOF
-			}
-			// Final unterminated line of a finished file: parse it; the
-			// next call returns io.EOF.
-		default:
+		line, err := s.r.ReadString('\n')
+		if err != nil && (err != io.EOF || line == "") {
 			return Record{}, err
 		}
-		line := s.partial
-		s.partial = ""
 		s.line++
 		rec, skip, perr := ParseLine(line)
 		if perr != nil {
@@ -216,57 +177,4 @@ func (s *TailSource) Next() (Record, error) {
 		}
 		return rec, nil
 	}
-}
-
-// waitMore sleeps one poll interval (or ends the follow via Stop), then
-// checks for log rotation on file-backed sources.
-func (s *TailSource) waitMore() error {
-	poll := s.Poll
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
-	select {
-	case <-s.Stop:
-		return io.EOF
-	case <-time.After(poll):
-	}
-	s.checkRotate()
-	return nil
-}
-
-// checkRotate handles both rotation styles at EOF: a file shorter than
-// what was already consumed means an in-place truncation (rewind and
-// restart), and a path whose inode no longer matches the open handle means
-// rename-and-recreate (reopen the new file). Either way the accumulated
-// partial line belonged to the old incarnation and is discarded. Errors
-// (e.g. the new file not created yet) leave the tail polling as before.
-func (s *TailSource) checkRotate() {
-	if s.fh == nil {
-		return
-	}
-	st, err := s.fh.Stat()
-	if err == nil && st.Size() < s.offset {
-		if _, err := s.fh.Seek(0, io.SeekStart); err == nil {
-			s.r.Reset(s.fh)
-			s.offset = 0
-			s.partial = ""
-			s.line = 0
-		}
-		return
-	}
-	pst, perr := os.Stat(s.path)
-	if err != nil || perr != nil || os.SameFile(st, pst) {
-		return
-	}
-	nfh, err := os.Open(s.path)
-	if err != nil {
-		return
-	}
-	_ = s.fh.Close()
-	s.fh = nfh
-	s.closer = nfh
-	s.r.Reset(nfh)
-	s.offset = 0
-	s.partial = ""
-	s.line = 0
 }

@@ -3,11 +3,10 @@ package hsmm
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/eventlog"
+	"repro/internal/par"
 )
 
 // Classifier is the paper's two-model sequence classifier: a failure model
@@ -76,45 +75,18 @@ func (c *Classifier) Score(seq eventlog.Sequence) (float64, error) {
 // parallel.
 func (c *Classifier) ScoreAll(seqs []eventlog.Sequence) ([]float64, error) {
 	scores := make([]float64, len(seqs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(seqs) {
-		workers = len(seqs)
-	}
-	if workers <= 1 {
-		for i, s := range seqs {
-			sc, err := c.Score(s)
-			if err != nil {
-				return nil, err
-			}
-			scores[i] = sc
-		}
-		return scores, nil
-	}
 	var (
-		next     atomic.Int64
-		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
 	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(seqs) {
-					return
-				}
-				sc, err := c.Score(seqs[i])
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					return
-				}
-				scores[i] = sc
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(seqs), func(i int) {
+		sc, err := c.Score(seqs[i])
+		if err != nil {
+			errOnce.Do(func() { firstErr = err })
+			return
+		}
+		scores[i] = sc
+	})
 	if firstErr != nil {
 		return nil, firstErr
 	}

@@ -3,12 +3,10 @@ package hsmm
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/eventlog"
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -61,28 +59,7 @@ func Fit(seqs []eventlog.Sequence, cfg Config) (*Model, error) {
 		lls[r], errs[r] = model.em(usable, cfg)
 		models[r] = model
 	}
-	if workers := boundedWorkers(cfg.Restarts); workers <= 1 {
-		for r := 0; r < cfg.Restarts; r++ {
-			runRestart(r)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					r := int(next.Add(1)) - 1
-					if r >= cfg.Restarts {
-						return
-					}
-					runRestart(r)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	par.For(cfg.Restarts, runRestart)
 	var best *Model
 	bestLL := math.Inf(-1)
 	for r := 0; r < cfg.Restarts; r++ {
@@ -94,15 +71,6 @@ func Fit(seqs []eventlog.Sequence, cfg Config) (*Model, error) {
 		}
 	}
 	return best, nil
-}
-
-// boundedWorkers caps a worker count at GOMAXPROCS.
-func boundedWorkers(tasks int) int {
-	w := runtime.GOMAXPROCS(0)
-	if tasks < w {
-		w = tasks
-	}
-	return w
 }
 
 // trainingAlphabet collects the distinct event types and the mean delay.
@@ -149,10 +117,7 @@ func (m *Model) em(seqs []eventlog.Sequence, cfg Config) (float64, error) {
 			p.release()
 		}
 	}()
-	shards := boundedWorkers(len(preps))
-	if shards < 1 {
-		shards = 1
-	}
+	shards := par.Workers(len(preps))
 	accs := make([]*accumulator, shards)
 	scratch := make([]*emScratch, shards)
 	lls := make([]float64, shards)
@@ -193,19 +158,7 @@ func (m *Model) em(seqs []eventlog.Sequence, cfg Config) (float64, error) {
 				p.refreshDur(m)
 			}
 		}
-		if shards == 1 {
-			runShard(0)
-		} else {
-			var wg sync.WaitGroup
-			wg.Add(shards)
-			for s := 0; s < shards; s++ {
-				go func(s int) {
-					defer wg.Done()
-					runShard(s)
-				}(s)
-			}
-			wg.Wait()
-		}
+		par.ForN(shards, shards, runShard)
 		ll = 0
 		for s := 0; s < shards; s++ {
 			if fails[s] {

@@ -27,7 +27,7 @@ import (
 // produce a byte-identical /ledger body and identical monotone pipeline
 // counters whether cycles run one at a time through the event-driven
 // path (EvaluateNow) or stacked through CycleBatch, across drain chunk
-// sizes, shard counts and GOMAXPROCS. Latency histograms are exempt by
+// sizes and GOMAXPROCS. Latency histograms are exempt by
 // design: a chunked drain observes once per chunk, so histogram counts
 // legitimately scale with the chunk size.
 
@@ -103,8 +103,8 @@ func parityTimeline() []parityStep {
 }
 
 // parityMirror is the predictor-visible state for the parity scenario:
-// an error log (touched only by the error shard) and pre-populated
-// per-variable series (each touched only by its variable's shard).
+// an error log and pre-populated per-variable series, all touched only by
+// the runtime's one consumer.
 type parityMirror struct {
 	log    *eventlog.Log
 	series map[string]*paritySeries
@@ -239,7 +239,7 @@ type parityResult struct {
 // path and waits for it; batched mode stacks gap cycles and runs them
 // through CycleBatch, exactly like the columnar replay driver.
 func runParity(t *testing.T, steps []parityStep, clf *hsmm.Classifier, net *ubf.Network,
-	serial bool, batch, shards, gmp int) parityResult {
+	serial bool, batch, gmp int) parityResult {
 	t.Helper()
 	prev := stdruntime.GOMAXPROCS(gmp)
 	defer stdruntime.GOMAXPROCS(prev)
@@ -277,7 +277,6 @@ func runParity(t *testing.T, steps []parityStep, clf *hsmm.Classifier, net *ubf.
 		QueueCapacity: 256,
 		Overflow:      Block,
 		Workers:       2,
-		Shards:        shards,
 		BatchSize:     batch,
 		Tracer:        tracer,
 		Ledger:        ledger,
@@ -387,29 +386,31 @@ func TestBatchSerialParity(t *testing.T) {
 	}
 	clf, net := trainParityModels(t)
 
-	ref := runParity(t, steps, clf, net, true, 1, 1, 1)
+	ref := runParity(t, steps, clf, net, true, 1, 1)
 	if ref.counters["ingested"] == 0 || ref.counters["evaluations"] == 0 {
 		t.Fatalf("degenerate reference run: %+v", ref.counters)
 	}
 	if ref.counters["warnings"] == 0 {
 		t.Fatalf("reference run never warned — thresholds no longer exercise decisions")
 	}
+	// The names are the IDs the suite's pass floor tracks these arms by, so
+	// they keep their shards= token although the runtime has one queue now.
 	configs := []struct {
-		name               string
-		serial             bool
-		batch, shards, gmp int
+		name       string
+		serial     bool
+		batch, gmp int
 	}{
-		{"serial/batch=16/shards=1/gmp=4", true, 16, 1, 4},
-		{"serial/batch=256/shards=3/gmp=4", true, 256, 3, 4},
-		{"cyclebatch/batch=1/shards=1/gmp=1", false, 1, 1, 1},
-		{"cyclebatch/batch=16/shards=1/gmp=4", false, 16, 1, 4},
-		{"cyclebatch/batch=256/shards=3/gmp=4", false, 256, 3, 4},
-		{"cyclebatch/batch=16/shards=3/gmp=1", false, 16, 3, 1},
+		{"serial/batch=16/shards=1/gmp=4", true, 16, 4},
+		{"serial/batch=256/shards=3/gmp=4", true, 256, 4},
+		{"cyclebatch/batch=1/shards=1/gmp=1", false, 1, 1},
+		{"cyclebatch/batch=16/shards=1/gmp=4", false, 16, 4},
+		{"cyclebatch/batch=256/shards=3/gmp=4", false, 256, 4},
+		{"cyclebatch/batch=16/shards=3/gmp=1", false, 16, 1},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
-			got := runParity(t, steps, clf, net, cfg.serial, cfg.batch, cfg.shards, cfg.gmp)
+			got := runParity(t, steps, clf, net, cfg.serial, cfg.batch, cfg.gmp)
 			if got.ledger != ref.ledger {
 				t.Errorf("/ledger body diverged from serial reference:\nref: %s\ngot: %s",
 					ref.ledger, got.ledger)

@@ -8,28 +8,31 @@
 // The pipeline is two kinds of goroutine around one state lock, each
 // context-driven with clean shutdown and drain:
 //
-//		producers ──Ingest──▶ [bounded queue per shard] ──▶ drain consumer (×Shards):
-//		                                                    Apply chunks under the
-//		                                                    shared side of the lock
+//		producers ──Ingest──▶ [one bounded FIFO] ──▶ drain consumer (×1):
+//		                                             Apply chunks under the
+//		                                             state lock, in ingest order
 //
 //		ticker / EvaluateNow ──▶ cycle goroutine (×1), one cycle at a time:
-//		                           evaluate: score every layer under the exclusive
-//		                                     side (fanned over the worker pool)
+//		                           evaluate: score every layer under the state
+//		                                     lock (fanned over the worker pool)
 //		                           act:      core.Engine.ActOn, then the act tail
 //		                                     (journal → lifecycle → recorder)
 //
-//	  - Ingest accepts error events and monitoring samples through bounded
-//	    per-shard queues with an explicit overflow policy — Block
+//	  - Ingest accepts error events and monitoring samples through one
+//	    bounded FIFO (Ring) with an explicit overflow policy — Block
 //	    (backpressure), DropOldest (keep the freshest evidence), or
 //	    DropNewest (protect the backlog) — with per-policy drop counters.
-//	    Each shard's consumer applies its events, a chunk at a time, to the
-//	    user's predictor-visible state.
+//	    Its one consumer applies the events, a chunk at a time and in ingest
+//	    order, to the user's predictor-visible state. The paper's loop manages
+//	    one system whose error log is one time-ordered stream (Sect. 3.2), so
+//	    there is nothing inside a tenant to apply in parallel; scale is the
+//	    fleet's business.
 //	  - A cycle fires on a wall-clock ticker and on demand via EvaluateNow,
 //	    or synchronously for a stack of domain times via CycleBatch — all
 //	    three run the same body under one mutex. Layers score in parallel
-//	    under the exclusive state lock, so they see a consistent snapshot
-//	    while ingest keeps queueing behind them; the lock is released before
-//	    the act stage.
+//	    under the state lock, so they see a consistent snapshot while ingest
+//	    keeps queueing behind them; the lock is released before the act
+//	    stage.
 //	  - The act stage runs on the cycle goroutine: core.Engine.ActOn takes the
 //	    single cross-layer decision (oscillation guard included), and the act
 //	    tail (ActTail.Observe) journals it, lets the lifecycle observe it and
@@ -39,10 +42,11 @@
 //
 // The goroutines, the ticker loop and the stop protocol live in Shell, the
 // act tail in ActTail, and the /metrics, /healthz, /readyz, /livez, /tracez
-// and /incidents endpoints in Plane — internal/fleet runs on the same three,
-// and its per-tenant queues on the same circular buffer and Block-policy
-// protocol as Ring (FIFO, Waiters), with its own fair draining, cross-tenant
-// scoring and act budget. The stop protocol (graceful drain and one final
+// and /incidents endpoints in Plane — internal/fleet runs on the same three.
+// Where this runtime has one FIFO and one consumer, the fleet has one FIFO per
+// tenant, drained deficit-round-robin by one consumer per consistent-hash
+// shard — on the same circular buffer and Block-policy protocol as Ring (FIFO,
+// Waiters) — plus cross-tenant scoring and an act budget. The stop protocol (graceful drain and one final
 // cycle; hard stop sheds the backlog as dropped, reason "shutdown") is stated
 // once, on Shell.
 //

@@ -16,7 +16,7 @@ import (
 
 // Counter is a monotonically increasing atomic counter. It is padded to
 // a cache line: hot-path counters are allocated back to back (Ingested is
-// bumped by producers while Applied is bumped by shard consumers), and
+// bumped by producers while Applied is bumped by the drain consumers), and
 // without the padding those adjacent atomics false-share a line, which
 // shows up as several ns per event on the ingest fast path.
 type Counter struct {

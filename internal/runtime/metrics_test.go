@@ -261,3 +261,44 @@ func TestReadinessDraining(t *testing.T) {
 		t.Fatalf("post-drain status = %q, want stopped", got)
 	}
 }
+
+// TestProfilingEndpointOptIn verifies /debug/pprof/ serves only when the
+// Profiling flag is set.
+func TestProfilingEndpointOptIn(t *testing.T) {
+	for _, enabled := range []bool{false, true} {
+		rt, err := New(Config{
+			Engine:    testEngine(t, defaultCoreCfg(), quietLayer()),
+			Apply:     func(Event) error { return nil },
+			Profiling: enabled,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		srv, addr, err := rt.Serve("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get("http://" + addr + "/debug/pprof/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if enabled && resp.StatusCode != http.StatusOK {
+			t.Fatalf("profiling on: /debug/pprof/ returned %d", resp.StatusCode)
+		}
+		if enabled && !strings.Contains(string(body), "goroutine") {
+			t.Fatalf("profiling on: index missing profile list:\n%s", body)
+		}
+		if !enabled && resp.StatusCode == http.StatusOK {
+			t.Fatal("profiling off: /debug/pprof/ still served")
+		}
+		srv.Close()
+		if err := rt.Stop(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -239,7 +239,7 @@ func TestObservabilityHandlers(t *testing.T) {
 			wantStatus: http.StatusOK, wantType: "text/plain",
 			bodyContains: []string{
 				"pfm_events_ingested_total 1",
-				`pfm_shard_queue_depth{shard="0"} 0`,
+				"pfm_queue_depth 0",
 				`pfm_ledger_precision{layer="level"}`,
 				`pfm_ledger_outcomes{layer="combined",outcome="tp"}`,
 				"pfm_build_info{",
@@ -415,7 +415,7 @@ func TestGracefulStopMetricsConsistent(t *testing.T) {
 	if err := m.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), `pfm_shard_queue_depth{shard="0"} 0`) {
+	if !strings.Contains(sb.String(), "pfm_queue_depth 0") {
 		t.Fatalf("depth gauge not flushed to 0:\n%s", sb.String())
 	}
 }
@@ -464,7 +464,7 @@ func TestHardStopShedsBacklogConsistently(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, `pfm_shard_queue_depth{shard="0"} 0`) {
+	if !strings.Contains(out, "pfm_queue_depth 0") {
 		t.Fatalf("depth gauge not flushed to 0 after hard stop:\n%s", out)
 	}
 	if !strings.Contains(out, `pfm_events_dropped_total{reason="shutdown"}`) {

@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"context"
-	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -66,58 +64,4 @@ func TestPoolSequentialJobs(t *testing.T) {
 			t.Fatalf("round %d: sum = %d, want 45", round, got)
 		}
 	}
-}
-
-// TestShardGaugesRenderZeroFromStart is the dashboard-gap regression test:
-// every shard's depth gauge and drop counter must render (as 0) from
-// construction on, even for shards that never receive an event, and still
-// render 0 after shutdown.
-func TestShardGaugesRenderZeroFromStart(t *testing.T) {
-	const shards = 5
-	rt, err := New(Config{
-		Engine: testEngine(t, defaultCoreCfg(), quietLayer()),
-		Apply:  func(Event) error { return nil },
-		Shards: shards,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	render := func() string {
-		var sb strings.Builder
-		if err := rt.Metrics().WritePrometheus(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	check := func(stage string) {
-		out := render()
-		for _, want := range []string{
-			`pfm_shard_queue_depth{shard="0"} 0`,
-			`pfm_shard_queue_depth{shard="1"} 0`,
-			`pfm_shard_queue_depth{shard="2"} 0`,
-			`pfm_shard_queue_depth{shard="3"} 0`,
-			`pfm_shard_queue_depth{shard="4"} 0`,
-			`pfm_shard_dropped_total{shard="0"} 0`,
-			`pfm_shard_dropped_total{shard="4"} 0`,
-		} {
-			if !strings.Contains(out, want) {
-				t.Fatalf("%s: metrics missing %q:\n%s", stage, want, out)
-			}
-		}
-	}
-	check("before Start")
-	if err := rt.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	check("after Start, before traffic")
-	// Traffic on one key touches at most one shard; the others stay 0.
-	for i := 0; i < 10; i++ {
-		if err := rt.Ingest(context.Background(), Event{Kind: KindSample, Variable: "cpu", Value: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rt.Stop(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	check("after Stop")
 }

@@ -128,7 +128,6 @@ func replayRecorderTrace(t *testing.T, diag *diagnose.Diagnoser) (*obs.Recorder,
 		Clock:         tickClock(),
 		QueueCapacity: 256,
 		Overflow:      Block,
-		Shards:        1,
 		Ledger:        led,
 		Tracer:        tracer,
 		Recorder:      rec,

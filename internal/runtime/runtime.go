@@ -6,7 +6,6 @@ import (
 	"fmt"
 	stdruntime "runtime"
 	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,39 +24,26 @@ type Config struct {
 	Engine *core.Engine
 	// Apply integrates one ingested event into the predictor-visible
 	// state (e.g. append to an eventlog.Log or a timeseries.Series).
-	// Apply and Layer.Evaluate never overlap: Apply runs under the shared
-	// side of the runtime's state lock, evaluation under the exclusive
-	// side. With Shards == 1 (the default) Apply calls are additionally
-	// fully serialized, so Apply and the layers may share state without
-	// their own locking. With Shards > 1, events whose ShardKey matches
-	// stay serialized and ordered, but Apply may run concurrently for
-	// events of different keys — state reached from more than one key
-	// needs its own synchronization.
+	// Apply and Layer.Evaluate never overlap and Apply calls are fully
+	// serialized, in ingest order (one queue, one consumer, one state
+	// lock), so Apply and the layers may share state without their own
+	// locking.
 	Apply func(Event) error
 	// Clock maps wall time to the domain time passed to Layer.Evaluate
 	// and Engine.ActOn. Nil defaults to seconds since Start.
 	Clock func() float64
-	// QueueCapacity bounds each ingest shard's queue (default 1024).
+	// QueueCapacity bounds the ingest queue (default 1024).
 	QueueCapacity int
 	// Overflow is the full-queue policy (default Block).
 	Overflow OverflowPolicy
-	// BatchSize is the drain-amortization unit: each shard consumer takes
-	// up to BatchSize events per queue drain and applies them under one
+	// BatchSize is the drain-amortization unit: the consumer takes up to
+	// BatchSize events per queue drain and applies them under one
 	// state-lock acquisition with one latency observation (default 64).
 	// 1 reproduces the event-at-a-time path — batching is observationally
 	// invisible either way (ledger state, counters and act decisions are
 	// byte-identical across batch sizes; only the histograms' observation
 	// granularity changes).
 	BatchSize int
-	// Shards is the number of parallel ingest shards (default 1). Each
-	// shard owns a bounded queue and one consumer goroutine; events are
-	// routed by FNV-1a hash of their shard key, so per-key ordering is
-	// preserved while independent monitor streams apply in parallel.
-	Shards int
-	// ShardKey overrides event→key routing (nil uses DefaultShardKey:
-	// samples by Variable, all error events on one key). Ignored when
-	// Shards == 1.
-	ShardKey func(Event) string
 	// Profiling exposes net/http/pprof handlers under /debug/pprof/ on
 	// the runtime's Handler. Off by default — profiles reveal operational
 	// detail, so they are opt-in.
@@ -106,18 +92,18 @@ type Runtime struct {
 	cfg     Config
 	engine  *core.Engine
 	layers  []*core.Layer
-	queues  []*queue // one bounded queue + consumer per ingest shard
+	ring    *Ring[Event] // the bounded ingest queue, drained by one consumer
 	metrics *Metrics
-	// shell owns the goroutines (shard consumers, cycle loop, pool) and the
+	// shell owns the goroutines (drain consumer, cycle loop, pool) and the
 	// stop protocol; tail is what follows each act decision.
 	shell *Shell
 	tail  ActTail
 
-	// stateMu guards the user's predictor state: shard consumers hold the
-	// read (shared) lock around Apply so independent shards apply in
-	// parallel, layer evaluation holds the write (exclusive) lock. Apply
-	// and evaluation therefore never overlap.
-	stateMu sync.RWMutex
+	// stateMu guards the user's predictor state: the consumer holds it around
+	// each chunk's Apply calls, the cycle around layer evaluation, so the two
+	// never overlap. A plain Mutex: with one consumer there is no second
+	// applier for a shared side to admit.
+	stateMu sync.Mutex
 
 	// ingestGate drives both producer-side sampling decisions from one
 	// shared atomic per Ingest call: the ingest-latency histogram observes
@@ -155,20 +141,14 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Apply == nil {
 		return nil, fmt.Errorf("%w: nil Apply", ErrRuntime)
 	}
-	if cfg.QueueCapacity < 0 || cfg.EvalInterval < 0 || cfg.Workers < 0 || cfg.Shards < 0 || cfg.BatchSize < 0 {
-		return nil, fmt.Errorf("%w: negative capacity/interval/workers/shards/batch", ErrRuntime)
+	if cfg.QueueCapacity < 0 || cfg.EvalInterval < 0 || cfg.Workers < 0 || cfg.BatchSize < 0 {
+		return nil, fmt.Errorf("%w: negative capacity/interval/workers/batch", ErrRuntime)
 	}
 	if cfg.QueueCapacity == 0 {
 		cfg.QueueCapacity = 1024
 	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 64
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 1
-	}
-	if cfg.ShardKey == nil {
-		cfg.ShardKey = DefaultShardKey
 	}
 	layers := cfg.Engine.Layers()
 	if cfg.Workers == 0 {
@@ -184,7 +164,7 @@ func New(cfg Config) (*Runtime, error) {
 		cfg:     cfg,
 		engine:  cfg.Engine,
 		layers:  layers,
-		queues:  make([]*queue, cfg.Shards),
+		ring:    NewRing[Event](cfg.QueueCapacity, cfg.Overflow),
 		metrics: cfg.Metrics,
 		tail: ActTail{
 			Layers: layers, Ledger: cfg.Ledger, JournalLayers: true, Advance: true,
@@ -197,11 +177,7 @@ func New(cfg Config) (*Runtime, error) {
 		Workers:      cfg.Workers,
 		Tracer:       cfg.Tracer,
 		Cycle:        r.cycle,
-		CloseQueues: func() {
-			for _, q := range r.queues {
-				q.ring.Close()
-			}
-		},
+		CloseQueues:  r.ring.Close,
 		Quiesced: func() {
 			if cfg.Lifecycle != nil {
 				cfg.Lifecycle.Wait() // let in-flight background retrains land
@@ -226,19 +202,17 @@ func New(cfg Config) (*Runtime, error) {
 			r.sampleMask = r.sampleEvery - 1
 		}
 	}
-	reg := r.metrics.Registry()
-	for s := range r.queues {
-		drops := reg.Counter("pfm_shard_dropped_total",
-			"Events dropped per ingest shard (all reasons).", "shard", strconv.Itoa(s))
-		q := newQueue(cfg.QueueCapacity, cfg.Overflow, r.metrics, drops, cfg.Tracer, s)
-		r.queues[s] = q
-		reg.GaugeFunc("pfm_shard_queue_depth", "Events waiting per ingest shard.",
-			func() float64 { return float64(q.ring.Depth()) }, "shard", strconv.Itoa(s))
+	// DropOldest evictions are accounted under the ring lock, in eviction
+	// order.
+	r.ring.OnEvict = func(old Event) {
+		r.metrics.DroppedOldest.Inc()
+		r.traceDrop(old)
 	}
+	reg := r.metrics.Registry()
 	reg.GaugeFunc("pfm_queue_depth",
-		"Events waiting across all ingest shard queues.", func() float64 { return float64(r.QueueDepth()) })
+		"Events waiting in the ingest queue.", func() float64 { return float64(r.ring.Depth()) })
 	reg.GaugeFunc("pfm_queue_capacity",
-		"Total ingest queue capacity across shards.", func() float64 { return float64(r.queueCapacity()) })
+		"Ingest queue capacity.", func() float64 { return float64(r.ring.Capacity()) })
 	if cfg.Ledger != nil {
 		registerLedgerGauges(reg, cfg.Ledger, layers)
 	}
@@ -370,44 +344,21 @@ func (r *Runtime) Recorder() *obs.Recorder { return r.cfg.Recorder }
 // Metrics returns the pipeline's metric set.
 func (r *Runtime) Metrics() *Metrics { return r.metrics }
 
-// QueueDepth returns the current ingest backlog summed across shards.
-func (r *Runtime) QueueDepth() int {
-	total := 0
-	for _, q := range r.queues {
-		total += q.ring.Depth()
-	}
-	return total
-}
+// QueueDepth returns the current ingest backlog.
+func (r *Runtime) QueueDepth() int { return r.ring.Depth() }
 
-// queueCapacity returns the total buffer capacity across shards.
-func (r *Runtime) queueCapacity() int {
-	total := 0
-	for _, q := range r.queues {
-		total += q.ring.Capacity()
-	}
-	return total
-}
-
-// Shards returns the number of ingest shards.
-func (r *Runtime) Shards() int { return len(r.queues) }
-
-// shardFor routes an event to its shard queue by hashing the shard key.
-func (r *Runtime) shardFor(ev Event) *queue {
-	if len(r.queues) == 1 {
-		return r.queues[0]
-	}
-	return r.queues[fnv1a(r.cfg.ShardKey(ev))%uint32(len(r.queues))]
-}
-
-// Start launches the shard consumers and the cycle loop. ctx cancellation
+// Start launches the drain consumer and the cycle loop. ctx cancellation
 // hard-stops the pipeline (no drain); use Stop for graceful shutdown.
 func (r *Runtime) Start(ctx context.Context) error {
-	return r.shell.Start(ctx, len(r.queues), func(s int) { r.consumeLoop(r.queues[s]) })
+	return r.shell.Start(ctx, 1, func(int) { r.consumeLoop() })
 }
 
 // Ingest offers one event to the pipeline under the configured overflow
-// policy. Under Block it waits for queue space until ctx is canceled. It
-// returns ErrClosed once shutdown has begun.
+// policy. Under Block it waits for queue space until ctx is canceled
+// (ctx.Err() returned; the event is counted ingested and dropped). A
+// DropNewest rejection is counted but not surfaced as an error, matching the
+// policy's contract. Ingest returns ErrClosed once shutdown has begun (the
+// event is then not counted at all).
 //
 // One shared atomic per call drives both producer-side samplers: trace
 // sampling admits one in tracer-interval events (the first call always
@@ -429,32 +380,48 @@ func (r *Runtime) Ingest(ctx context.Context, ev Event) error {
 		start = r.shell.Nanos()
 	}
 	if sampled {
-		ev.traceSampled = true
-		// The offer follows the ingest bookkeeping by nanoseconds, so the
-		// ingest span collapses into one stamp for both.
-		ev.traceStart = start
-		ev.traceOffered = start
+		// A sampled event is one with a stamp, so a reading of exactly 0 (the
+		// tracer's first nanosecond) is nudged to 1.
+		if ev.trace = start; start == 0 {
+			ev.trace = 1
+		}
 	}
-	err := r.shardFor(ev).push(ctx, &ev)
-	if timed && !errors.Is(err, ErrClosed) {
+	err := r.ring.Push(ctx, ev)
+	switch {
+	case err == nil:
+		r.metrics.Ingested.Inc()
+	case errors.Is(err, ErrClosed):
+		return ErrClosed
+	case errors.Is(err, ErrRejected):
+		r.metrics.Ingested.Inc()
+		r.metrics.DroppedNewest.Inc()
+		r.traceDrop(ev)
+		err = nil
+	default: // canceled Block wait
+		r.metrics.Ingested.Inc()
+		r.metrics.DroppedCanceled.Inc()
+		r.traceDrop(ev)
+	}
+	if timed {
 		r.metrics.IngestLatency.Observe(float64(r.shell.Nanos()-start) / 1e9)
 	}
 	return err
 }
 
-// Barrier blocks until every event admitted to the ingest queues before
-// the call has been fully processed (applied, or shed by a drop policy or
+// traceDrop publishes a shed event's partial trace (no-op for unsampled
+// events).
+func (r *Runtime) traceDrop(ev Event) {
+	if tr := r.cfg.Tracer; ev.trace != 0 && tr != nil {
+		tr.PublishDropped(uint8(ev.Kind), traceKey(ev), 0, ev.trace, ev.trace, tr.Now())
+	}
+}
+
+// Barrier blocks until every event admitted to the ingest queue before the
+// call has been fully processed (applied, or shed by a drop policy or
 // shutdown). Replay drivers use it to line ingest windows up with
 // synchronous evaluation (CycleBatch) without sleeping.
 func (r *Runtime) Barrier(ctx context.Context) error {
-	return AwaitSettled(ctx, func() bool {
-		for _, q := range r.queues {
-			if q.ring.Pending() != 0 {
-				return false
-			}
-		}
-		return true
-	})
+	return AwaitSettled(ctx, func() bool { return r.ring.Pending() == 0 })
 }
 
 // Cycles returns how many act rounds have completed since Start
@@ -464,65 +431,59 @@ func (r *Runtime) Cycles() int64 { return r.shell.Cycles() }
 // EvaluateNow requests an immediate MEA cycle (Shell.EvaluateNow).
 func (r *Runtime) EvaluateNow() { r.shell.EvaluateNow() }
 
-// consumeLoop is one shard's ingest consumer: it drains the shard ring in
-// chunks of up to Config.BatchSize and applies each chunk to the predictor
-// state under one shared state-lock acquisition, so consumers of different
-// shards apply concurrently while evaluation (which takes the exclusive
-// lock) still never overlaps an Apply. The goroutine carries pprof labels
-// so -pprof CPU profiles attribute time to drain per shard vs the cycle
-// goroutine.
-func (r *Runtime) consumeLoop(q *queue) {
-	pprof.Do(context.Background(),
-		pprof.Labels("shard", strconv.Itoa(q.shard), "stage", "drain"),
-		func(context.Context) { r.drainLoop(q) })
+// consumeLoop is the ingest consumer. The goroutine carries a pprof label so
+// -pprof CPU profiles attribute time to the drain vs the cycle goroutine.
+func (r *Runtime) consumeLoop() {
+	pprof.Do(context.Background(), pprof.Labels("stage", "drain"),
+		func(context.Context) { r.drainLoop() })
 }
 
-// drainLoop is the chunked drain body: one ring drain, one lock, one
-// apply-latency observation and one settle per chunk; per-event work is
-// the Apply call plus (for sampled events) the span publish.
-func (r *Runtime) drainLoop(q *queue) {
+// drainLoop drains the ring in chunks of up to Config.BatchSize and applies
+// each chunk to the predictor state under one state-lock acquisition, so
+// evaluation never overlaps an Apply: one ring drain, one lock, one
+// apply-latency observation and one settle per chunk; per-event work is the
+// Apply call plus (for sampled events) the span publish.
+func (r *Runtime) drainLoop() {
 	tr := r.cfg.Tracer
 	buf := make([]Event, r.cfg.BatchSize)
 	for {
-		n := q.ring.Drain(buf)
+		n := r.ring.Drain(buf)
 		if n == 0 {
 			return
 		}
 		chunk := buf[:n]
 		// Hard stop: shed the remaining backlog instead of applying it, so
-		// shutdown is prompt and the depth gauges and drop counters settle
-		// on consistent final values (ingested = applied + dropped).
+		// shutdown is prompt and the depth gauge and drop counters settle on
+		// consistent final values (ingested = applied + dropped).
 		if r.shell.HardStopped() {
 			for i := range chunk {
 				r.metrics.DroppedShutdown.Inc()
-				q.dropped()
-				q.traceDrop(chunk[i])
+				r.traceDrop(chunk[i])
 			}
-			q.ring.Settle(n)
+			r.ring.Settle(n)
 			continue
 		}
 		// The chunk's two stamps serve the apply-latency histogram and, as
 		// dequeue and apply end, every sampled event in it.
 		dequeued := r.shell.Nanos()
-		r.stateMu.RLock()
+		r.stateMu.Lock()
 		for i := range chunk {
 			if err := r.cfg.Apply(chunk[i]); err != nil {
 				r.metrics.ApplyErrors.Inc()
 			}
 		}
-		r.stateMu.RUnlock()
+		r.stateMu.Unlock()
 		applied := r.shell.Nanos()
 		r.metrics.Applied.Add(int64(n))
 		r.metrics.ApplyLatency.Observe(float64(applied-dequeued) / 1e9)
 		if tr != nil {
 			for i := range chunk {
-				if chunk[i].traceSampled {
-					tr.PublishApplied(uint8(chunk[i].Kind), traceKey(chunk[i]), q.shard,
-						chunk[i].traceStart, chunk[i].traceOffered, dequeued, applied)
+				if t := chunk[i].trace; t != 0 {
+					tr.PublishApplied(uint8(chunk[i].Kind), traceKey(chunk[i]), 0, t, t, dequeued, applied)
 				}
 			}
 		}
-		q.ring.Settle(n)
+		r.ring.Settle(n)
 	}
 }
 
@@ -593,8 +554,8 @@ func (r *Runtime) cycleBatchLocked(nows []float64) {
 	}
 	scores := r.batchScores[:k*len(nows)]
 	evalStart := r.shell.Nanos()
-	// Exclusive lock: evaluation sees a quiescent state snapshot even when
-	// several shard consumers apply concurrently under the shared lock.
+	// Evaluation sees a quiescent state snapshot: the consumer applies under
+	// the same lock.
 	r.stateMu.Lock()
 	if pool := r.shell.pool; pool != nil && k > 1 {
 		r.batchNows = nows

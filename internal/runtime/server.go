@@ -36,9 +36,9 @@ type Health struct {
 // health snapshots readiness state.
 func (r *Runtime) health() Health {
 	h := r.shell.Health()
-	h.Shards = r.Shards()
+	h.Shards = 1 // one queue here; the fleet plane reports its shard count
 	h.QueueDepth = r.QueueDepth()
-	h.QueueCapacity = r.queueCapacity()
+	h.QueueCapacity = r.ring.Capacity()
 	h.Evaluations = r.metrics.Evaluations.Value()
 	return h
 }

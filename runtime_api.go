@@ -1,7 +1,7 @@
 package pfm
 
 // Facade over internal/runtime: the concurrent streaming MEA runtime that
-// wraps an MEAEngine into a wall-clock pipeline (bounded ingest queues
+// wraps an MEAEngine into a wall-clock pipeline (one bounded ingest queue
 // drained into predictor state, and one cycle goroutine that scores the
 // layers over a worker pool and then acts) with Prometheus-text metrics and
 // /healthz. See cmd/pfmd for a complete deployment.
