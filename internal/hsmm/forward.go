@@ -12,10 +12,26 @@ import (
 // The inference kernels below are allocation-free on the steady-state path:
 // lattices are flat k×n row-major buffers recycled through pools, the
 // duration log-PDFs come from the prepared sequence's table (built once per
-// prepare/refreshDur instead of once per lattice cell), transition and
-// emission parameters are read from the model's flat caches, and the
-// per-row max is tracked while the row is filled so LogSumExpWithMax skips
-// the extra scan.
+// prepare/refreshDur instead of once per lattice cell), and transition and
+// emission parameters are read from the model's flat caches.
+//
+// The forward and backward recursions hoist the exponentials out of the
+// cell loop. A step's n cells all sum over the same n predecessor (or
+// successor) scores x_i, so with mx = max_i x_i
+//
+//	LSE_i(x_i + logA_ij) = mx + log Σ_i exp(x_i − mx)·A_ij
+//
+// costs n exponentials and n logarithms a step over the linear-domain
+// caches af/aT instead of n² + n over logAf/logAT. The largest
+// exp(x_i − mx) is exactly 1, so a sum below hoistFloor means the
+// predecessor that sets mx reaches this cell only through a vanishing (or
+// hard-zero) transition, and whatever does reach it sits where
+// exp(x_i − mx) has underflowed or lost its precision; such a cell is
+// recomputed by logCell, in log space with its own maximum, which is what
+// the naive reference does for every cell. Accuracy contract: every cell
+// within 1e-9 of that reference, −Inf exactly where it is −Inf
+// (TestOptimizedKernelsMatchReference). Floored models — everything Fit
+// produces — never take the fallback.
 
 // bufPool recycles the flat float64 lattices and scratch rows.
 var bufPool = sync.Pool{New: func() any { return new([]float64) }}
@@ -78,6 +94,45 @@ func (m *Model) LogLikelihoodPerEvent(seq eventlog.Sequence) (float64, error) {
 	return ll / float64(seq.Len()), nil
 }
 
+// hoistFloor is the smallest hoisted sum the lattices take a logarithm of.
+// Above it the terms lost to underflow are below 1e-30 of the sum; below it
+// (0 and NaN included) the cell goes through logCell.
+const hoistFloor = 1e-290
+
+// logCell returns LSE_i(x[i] + logA[i]): one lattice cell in log space,
+// -Inf when no term carries mass.
+func logCell(x, logA []float64) float64 {
+	mx := math.Inf(-1)
+	for i, v := range x {
+		if c := v + logA[i]; c > mx {
+			mx = c
+		}
+	}
+	if math.IsInf(mx, -1) {
+		return mx
+	}
+	s := 0.0
+	for i, v := range x {
+		s += math.Exp(v + logA[i] - mx)
+	}
+	return mx + math.Log(s)
+}
+
+// shiftedExp writes exp(x[i] − max(x)) into e and returns max(x). When
+// every x[i] is -Inf the entries are NaN, which no hoisted sum accepts.
+func shiftedExp(e, x []float64) float64 {
+	mx := math.Inf(-1)
+	for _, v := range x {
+		if v > mx {
+			mx = v
+		}
+	}
+	for i, v := range x {
+		e[i] = math.Exp(v - mx)
+	}
+	return mx
+}
+
 // forwardInto fills the k×n row-major forward lattice:
 // alpha[t*n+j] = log P(o_1..o_t, s_t=j). tmp and row are n-sized scratch
 // buffers owned by the caller.
@@ -94,18 +149,19 @@ func (m *Model) forwardInto(p *prepared, alpha, tmp, row []float64) {
 		for i := 0; i < n; i++ {
 			tmp[i] = prev[i] + p.durLP[i*k+t]
 		}
+		mx := shiftedExp(row, tmp)
 		o := p.obs[t]
 		for j := 0; j < n; j++ {
-			at := m.logAT[j*n : (j+1)*n]
-			mx := math.Inf(-1)
-			for i := 0; i < n; i++ {
-				v := tmp[i] + at[i]
-				row[i] = v
-				if v > mx {
-					mx = v
-				}
+			at := m.aT[j*n : (j+1)*n]
+			s := 0.0
+			for i, e := range row {
+				s += e * at[i]
 			}
-			cur[j] = stats.LogSumExpWithMax(row, mx) + m.logBf[j*m.m+o]
+			if s >= hoistFloor {
+				cur[j] = mx + math.Log(s) + m.logBf[j*m.m+o]
+			} else {
+				cur[j] = logCell(tmp, m.logAT[j*n:(j+1)*n]) + m.logBf[j*m.m+o]
+			}
 		}
 	}
 }
@@ -127,18 +183,19 @@ func (m *Model) backwardInto(p *prepared, beta, w, row []float64) {
 		for j := 0; j < n; j++ {
 			w[j] = m.logBf[j*m.m+o] + next[j]
 		}
+		mx := shiftedExp(row, w)
 		for i := 0; i < n; i++ {
-			ai := m.logAf[i*n : (i+1)*n]
-			mx := math.Inf(-1)
-			for j := 0; j < n; j++ {
-				v := ai[j] + w[j]
-				row[j] = v
-				if v > mx {
-					mx = v
-				}
+			ai := m.af[i*n : (i+1)*n]
+			s := 0.0
+			for j, e := range row {
+				s += ai[j] * e
 			}
 			// The duration term is constant over j: add it after the sum.
-			cur[i] = stats.LogSumExpWithMax(row, mx) + p.durLP[i*k+t+1]
+			if s >= hoistFloor {
+				cur[i] = mx + math.Log(s) + p.durLP[i*k+t+1]
+			} else {
+				cur[i] = logCell(w, m.logAf[i*n:(i+1)*n]) + p.durLP[i*k+t+1]
+			}
 		}
 	}
 }

@@ -79,9 +79,14 @@ type Model struct {
 	// after every M step, and on deserialization): logAf is row-major
 	// (logAf[i*n+j] = logA[i][j]), logAT is its transpose
 	// (logAT[j*n+i] = logA[i][j]), logBf is row-major
-	// (logBf[j*m+o] = logB[j][o]). The hot kernels walk these contiguously
-	// instead of chasing per-row slice headers.
+	// (logBf[j*m+o] = logB[j][o]). af and aT hold the same transition
+	// matrix in the linear domain (af[i*n+j] = aT[j*n+i] = exp(logA[i][j])):
+	// the lattices sum over them after one exponential per predecessor, and
+	// read logAf/logAT only in the cells that fall back to log space. The
+	// hot kernels walk all of these contiguously instead of chasing per-row
+	// slice headers.
 	logAf, logAT, logBf []float64
+	af, aT              []float64
 }
 
 // refreshKernel rebuilds the flat caches after logA/logB change.
@@ -89,6 +94,8 @@ func (m *Model) refreshKernel() {
 	if len(m.logAf) != m.n*m.n {
 		m.logAf = make([]float64, m.n*m.n)
 		m.logAT = make([]float64, m.n*m.n)
+		m.af = make([]float64, m.n*m.n)
+		m.aT = make([]float64, m.n*m.n)
 	}
 	if len(m.logBf) != m.n*m.m {
 		m.logBf = make([]float64, m.n*m.m)
@@ -97,6 +104,8 @@ func (m *Model) refreshKernel() {
 		copy(m.logAf[i*m.n:(i+1)*m.n], m.logA[i])
 		for j, v := range m.logA[i] {
 			m.logAT[j*m.n+i] = v
+			a := math.Exp(v)
+			m.af[i*m.n+j], m.aT[j*m.n+i] = a, a
 		}
 		copy(m.logBf[i*m.m:(i+1)*m.m], m.logB[i])
 	}

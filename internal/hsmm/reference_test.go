@@ -11,8 +11,9 @@ import (
 
 // This file keeps the original naive lattice implementations — [][]float64
 // rows allocated per call, duration log-PDFs recomputed in the innermost
-// loop — as an executable specification for the optimized kernels in
-// forward.go. The property tests below assert the two agree within 1e-9 on
+// loop, one exponential per term of every log-sum-exp — as an executable
+// specification for the optimized kernels in forward.go and the E-step in
+// train.go. The property tests below assert the two agree within 1e-9 on
 // randomized models and sequences.
 
 // refPrepared mirrors the pre-optimization sequence translation.
@@ -113,9 +114,54 @@ func refViterbi(m *Model, p refPrepared) ([]int, float64) {
 	return path, best
 }
 
+// refAccumulate is the naive E-step over the reference lattices: state
+// posteriors γ, transition posteriors ξ and the duration moments, every term
+// the exponential of its own log-space sum. Like accumulate it adds nothing
+// for a sequence the model cannot produce.
+func refAccumulate(m *Model, p refPrepared) (*accumulator, float64) {
+	acc := newAccumulator(m.n, m.m)
+	alpha, beta := refForward(m, p), refBackward(m, p)
+	k := len(p.obs)
+	ll := stats.LogSumExpSlice(alpha[k-1])
+	if math.IsInf(ll, -1) {
+		return acc, ll
+	}
+	for t := 0; t < k; t++ {
+		for i := 0; i < m.n; i++ {
+			g := math.Exp(alpha[t][i] + beta[t][i] - ll)
+			if t == 0 {
+				acc.pi[i] += g
+			}
+			acc.b[i*m.m+p.obs[t]] += g
+			if t == k-1 {
+				continue
+			}
+			if m.family != FamilyNone {
+				dt := math.Max(p.delays[t+1], minDelay)
+				acc.durW[i] += g
+				acc.durWLog[i] += g * math.Log(dt)
+				acc.durWLog2[i] += g * math.Log(dt) * math.Log(dt)
+				acc.durWDt[i] += g * dt
+			}
+			for j := 0; j < m.n; j++ {
+				acc.a[i*m.n+j] += math.Exp(alpha[t][i] + m.dur[i].logPDF(p.delays[t+1]) +
+					m.logA[i][j] + m.logB[j][p.obs[t+1]] + beta[t+1][j] - ll)
+			}
+		}
+	}
+	return acc, ll
+}
+
 // randomModelAndSeq draws a random model (random family, 1–6 states) and a
 // random sequence (1–40 events, delays spanning 7 orders of magnitude,
-// symbols partly outside the training alphabet).
+// symbols partly outside the training alphabet). Every other model has
+// hard zeros punched into its transition and emission matrices, and every
+// other lognormal model's sequence, from a random event on, delays so far in
+// the tail that the states' duration densities differ by more than exp can
+// represent — the inputs on which the hoisted kernels must take their
+// log-space fallback cell. (Every later delay is scaled, not a few: an
+// isolated jump would round the delays after it to zero, and runs of equal
+// delays give Viterbi exact ties that rounding breaks either way.)
 func randomModelAndSeq(seed int64) (*Model, eventlog.Sequence) {
 	g := stats.NewRNG(seed)
 	families := []DurationFamily{FamilyLogNormal, FamilyExponential, FamilyNone}
@@ -128,12 +174,32 @@ func randomModelAndSeq(seed int64) (*Model, eventlog.Sequence) {
 		alphabet[i] = i * (1 + g.Intn(3))
 	}
 	model := newRandomModel(cfg, alphabet, math.Pow(10, g.NormFloat64()), g)
+	if g.Intn(2) == 0 {
+		for i := 0; i < model.n; i++ {
+			for _, row := range [][]float64{model.logA[i], model.logB[i]} {
+				for c := range row {
+					if g.Intn(3) == 0 {
+						row[c] = math.Inf(-1)
+					}
+				}
+			}
+		}
+		model.refreshKernel()
+	}
 	n := 1 + g.Intn(40)
+	tailFrom, tailScale := n, 1.0
+	if cfg.Family == FamilyLogNormal && g.Intn(2) == 0 {
+		tailFrom, tailScale = g.Intn(n), math.Pow(10, float64(5+g.Intn(20)))
+	}
 	seq := eventlog.Sequence{Times: make([]float64, n), Types: make([]int, n)}
 	t := 0.0
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			t += g.ExpFloat64() * math.Pow(10, float64(g.Intn(7))-3)
+			d := g.ExpFloat64() * math.Pow(10, float64(g.Intn(7))-3)
+			if i >= tailFrom {
+				d *= tailScale
+			}
+			t += d
 		}
 		seq.Times[i] = t
 		seq.Types[i] = g.Intn(20) - 5 // mix of in- and out-of-alphabet symbols
@@ -151,9 +217,23 @@ func close9(a, b float64) bool {
 	return d <= 1e-9 || d <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
+// closeStat compares one accumulated statistic at 1e-9 relative tolerance;
+// scale is its magnitude, or for a sum whose terms cancel the magnitude of
+// those terms. Every posterior is exp(α + β − ll), so it carries the
+// rounding of sums of magnitude |ll| whichever way the lattices were
+// filled: the tolerance widens by 1e-14·|ll| (the generator's exponential
+// models reach −1e7). Below 1e-290 both sides are sums of terms exp has
+// already flushed.
+func closeStat(a, b, scale, ll float64) bool {
+	d := math.Abs(a - b)
+	return d <= 1e-290 || d <= (1e-9+1e-14*math.Abs(ll))*scale
+}
+
 // TestOptimizedKernelsMatchReference checks every lattice cell of the
-// optimized forward/backward kernels and the Viterbi decode against the
-// naive reference on randomized models and sequences.
+// optimized forward/backward kernels, the Viterbi decode and the E-step's
+// sufficient statistics against the naive reference on randomized models
+// and sequences. close9 holds −Inf to −Inf and finite to finite, so a cell
+// the reference can reach must not be lost to the hoisted sum's underflow.
 func TestOptimizedKernelsMatchReference(t *testing.T) {
 	f := func(seed int64) bool {
 		m, seq := randomModelAndSeq(seed)
@@ -211,6 +291,34 @@ func TestOptimizedKernelsMatchReference(t *testing.T) {
 		if want := stats.LogSumExpSlice(wantAlpha[k-1]); !close9(ll, want) {
 			t.Logf("seed %d: ll %g, want %g", seed, ll, want)
 			return false
+		}
+
+		acc := newAccumulator(n, m.m)
+		accLL := acc.accumulate(m, p, &emScratch{tmp: tmp, row: row, w: make([]float64, n)})
+		wantAcc, wantLL := refAccumulate(m, rp)
+		if !close9(accLL, wantLL) {
+			t.Logf("seed %d: accumulate ll %g, want %g", seed, accLL, wantLL)
+			return false
+		}
+		for _, st := range []struct {
+			name      string
+			got, want []float64
+		}{
+			{"pi", acc.pi, wantAcc.pi}, {"a", acc.a, wantAcc.a}, {"b", acc.b, wantAcc.b},
+			{"durW", acc.durW, wantAcc.durW}, {"durWLog", acc.durWLog, wantAcc.durWLog},
+			{"durWLog2", acc.durWLog2, wantAcc.durWLog2}, {"durWDt", acc.durWDt, wantAcc.durWDt},
+		} {
+			for i := range st.got {
+				scale := math.Max(math.Abs(st.got[i]), math.Abs(st.want[i]))
+				if st.name == "durWLog" {
+					// Σ g·log dt cancels; Cauchy–Schwarz bounds Σ g·|log dt|.
+					scale = math.Sqrt(wantAcc.durW[i]) * math.Sqrt(wantAcc.durWLog2[i])
+				}
+				if !closeStat(st.got[i], st.want[i], scale, wantLL) {
+					t.Logf("seed %d: %s[%d] = %g, want %g", seed, st.name, i, st.got[i], st.want[i])
+					return false
+				}
+			}
 		}
 		return true
 	}

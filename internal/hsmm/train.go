@@ -15,11 +15,13 @@ import (
 const emissionFloor = 1e-6
 
 // Fit trains a model on the given sequences with (generalized) EM:
-// forward-backward responsibilities in the E step; closed-form transition,
-// emission and initial-distribution updates plus weighted-moment duration
-// re-fits in the M step. It runs cfg.Restarts random initializations across
-// a GOMAXPROCS-bounded worker pool and returns the model with the highest
-// training log-likelihood.
+// forward-backward responsibilities in the E step, through the hoisted
+// lattices of forward.go and a ξ accumulation hoisted the same way (5n
+// exponentials and 2n logarithms per event instead of 3n² + n and 2n);
+// closed-form transition, emission and initial-distribution updates plus
+// weighted-moment duration re-fits in the M step. It runs cfg.Restarts
+// random initializations across a GOMAXPROCS-bounded worker pool and returns
+// the model with the highest training log-likelihood.
 //
 // Determinism contract: restart RNG streams are split from cfg.Seed in
 // restart order before any worker starts, every restart is independent, and
@@ -226,6 +228,15 @@ func (acc *accumulator) merge(o *accumulator) {
 	}
 }
 
+// xiHoistMax is the largest exp(base_i + mw) a hoisted ξ row is formed
+// with. ξ ≤ 1 bounds it by 1/A_ij toward the successor that sets mw, so a
+// larger one means state i reaches that successor only through a vanishing
+// or hard-zero transition, and the successors it does reach may lie below
+// what exp(w_j − mw) represents (or the product be Inf·0): that row is
+// summed cell by cell in log space. Below the bound a cell the hoisted
+// product loses is below 1e-290.
+const xiHoistMax = 1e15
+
 // emScratch is one shard's reusable forward-backward workspace; the
 // lattices grow to the largest sequence in the shard and stay there.
 type emScratch struct {
@@ -270,7 +281,10 @@ func (acc *accumulator) accumulate(m *Model, p *prepared, s *emScratch) float64 
 			}
 		}
 	}
-	// Transition posteriors ξ.
+	// Transition posteriors ξ_t(i,j) = exp(base_i + logA_ij + w_j), hoisted
+	// like the lattices: exp(base_i + mw)·A_ij·exp(w_j − mw) with
+	// mw = max_j w_j, 2n exponentials a step instead of n². A finite ll
+	// leaves some successor with mass at every step, so mw is finite.
 	for t := 0; t < k-1; t++ {
 		o := p.obs[t+1]
 		next := s.beta[(t+1)*n : (t+2)*n]
@@ -278,13 +292,22 @@ func (acc *accumulator) accumulate(m *Model, p *prepared, s *emScratch) float64 
 		for j := 0; j < n; j++ {
 			s.w[j] = m.logBf[j*m.m+o] + next[j] - ll
 		}
+		mw := shiftedExp(s.row, s.w)
 		arow := s.alpha[t*n : (t+1)*n]
 		for i := 0; i < n; i++ {
 			base := arow[i] + p.durLP[i*k+t+1]
-			ai := m.logAf[i*n : (i+1)*n]
 			accA := acc.a[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				accA[j] += math.Exp(base + ai[j] + s.w[j])
+			eb := math.Exp(base + mw)
+			if eb > xiHoistMax {
+				ai := m.logAf[i*n : (i+1)*n]
+				for j := 0; j < n; j++ {
+					accA[j] += math.Exp(base + ai[j] + s.w[j])
+				}
+				continue
+			}
+			ai := m.af[i*n : (i+1)*n]
+			for j, e := range s.row {
+				accA[j] += eb * ai[j] * e
 			}
 		}
 	}

@@ -146,17 +146,28 @@ func SolveLeastSquares(a *Matrix, b []float64, ridge float64) ([]float64, error)
 	if ridge < 0 {
 		return nil, fmt.Errorf("mat: negative ridge %g", ridge)
 	}
-	at := a.Transpose()
-	ata, err := at.Mul(a)
-	if err != nil {
-		return nil, err
+	// AᵀA and Aᵀb accumulated straight from A's rows, each element summed
+	// over rows in ascending order — the order (and, for finite input, the
+	// bits) of a.Transpose().Mul(a) and a.Transpose().MulVec(b), without
+	// materializing the transpose.
+	k := a.Cols
+	ata := New(k, k)
+	atb := make([]float64, k)
+	for r := 0; r < a.Rows; r++ {
+		row := a.RowView(r)
+		for i, v := range row {
+			atb[i] += v * b[r]
+			if v == 0 {
+				continue
+			}
+			oi := ata.Data[i*k : (i+1)*k]
+			for j, u := range row {
+				oi[j] += v * u
+			}
+		}
 	}
-	for i := 0; i < ata.Rows; i++ {
+	for i := 0; i < k; i++ {
 		ata.Add(i, i, ridge)
-	}
-	atb, err := at.MulVec(b)
-	if err != nil {
-		return nil, err
 	}
 	return Solve(ata, atb)
 }

@@ -149,6 +149,52 @@ func TestSolveLeastSquaresRidgeShrinks(t *testing.T) {
 	}
 }
 
+// TestSolveLeastSquaresMatchesTransposedBits pins the row-streamed normal
+// equations to the formulation they replaced — Aᵀ materialized, then
+// Aᵀ·A and Aᵀ·b — bit for bit, on random matrices with exact zeros (the
+// entries Mul skips) among the entries.
+func TestSolveLeastSquaresMatchesTransposedBits(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		rows, cols := 1+r.Intn(60), 1+r.Intn(12)
+		a := New(rows, cols)
+		for i := range a.Data {
+			if r.Intn(5) > 0 {
+				a.Data[i] = r.NormFloat64() * math.Pow(10, float64(r.Intn(7)-3))
+			}
+		}
+		b := make([]float64, rows)
+		for i := range b {
+			b[i] = r.NormFloat64()
+		}
+		ridge := 1e-4 * float64(r.Intn(3))
+
+		at := a.Transpose()
+		ata, _ := at.Mul(a)
+		for i := 0; i < cols; i++ {
+			ata.Add(i, i, ridge)
+		}
+		atb, _ := at.MulVec(b)
+		want, wantErr := Solve(ata, atb)
+
+		got, err := SolveLeastSquares(a, b, ridge)
+		if (err == nil) != (wantErr == nil) {
+			t.Logf("seed %d: err %v, transposed err %v", seed, err, wantErr)
+			return false
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Logf("seed %d: x[%d] = %v, transposed %v", seed, i, got[i], want[i])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSolveLeastSquaresErrors(t *testing.T) {
 	a := New(3, 2)
 	if _, err := SolveLeastSquares(a, []float64{1, 2}, 0); err == nil {

@@ -173,13 +173,33 @@ func ROC(scored []Scored) ([]ROCPoint, error) {
 	if pos == 0 || neg == 0 {
 		return nil, fmt.Errorf("%w: ROC needs both classes (pos=%d, neg=%d)", ErrPredict, pos, neg)
 	}
-	sorted := append([]Scored(nil), scored...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Score > sorted[j].Score })
-
 	curve := []ROCPoint{{Threshold: math.Inf(1), TPR: 0, FPR: 0}}
+	sweepTies(scored, func(score float64, tp, fp int) {
+		curve = append(curve, ROCPoint{
+			Threshold: score,
+			TPR:       float64(tp) / float64(pos),
+			FPR:       float64(fp) / float64(neg),
+		})
+	})
+	return curve, nil
+}
+
+// sweepTies sorts the scores from highest to lowest and calls visit once per
+// group of equal scores — every distinct threshold, most conservative first —
+// with the warnings a threshold at that score raises: tp on failures, fp on
+// non-failures. A NaN score is never ≥ a threshold (Evaluate never warns on
+// it) and no threshold itself, so it is left out of the sweep.
+func sweepTies(scored []Scored, visit func(score float64, tp, fp int)) {
+	sorted := make([]Scored, 0, len(scored))
+	for _, s := range scored {
+		if !math.IsNaN(s.Score) {
+			sorted = append(sorted, s)
+		}
+	}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Score > sorted[j].Score })
 	tp, fp := 0, 0
 	for i := 0; i < len(sorted); {
-		// Consume all examples tied at this score before emitting a point.
+		// Consume all examples tied at this score before visiting it.
 		score := sorted[i].Score
 		for i < len(sorted) && sorted[i].Score == score {
 			if sorted[i].Actual {
@@ -189,13 +209,8 @@ func ROC(scored []Scored) ([]ROCPoint, error) {
 			}
 			i++
 		}
-		curve = append(curve, ROCPoint{
-			Threshold: score,
-			TPR:       float64(tp) / float64(pos),
-			FPR:       float64(fp) / float64(neg),
-		})
+		visit(score, tp, fp)
 	}
-	return curve, nil
 }
 
 // AUC returns the area under the ROC curve by trapezoidal integration.
@@ -225,21 +240,31 @@ func AUCOf(scored []Scored) (float64, error) {
 
 // MaxFMeasure sweeps all distinct scores and returns the threshold that
 // maximizes the F-measure together with the contingency table at that
-// threshold (the operating point the paper reports in Sect. 3.3).
+// threshold (the operating point the paper reports in Sect. 3.3). Among
+// thresholds with equal F it returns the highest. A NaN score counts as
+// never warned about — what Evaluate does with it — and is never the
+// threshold; a set with no other score is an error.
 func MaxFMeasure(scored []Scored) (threshold float64, best ContingencyTable, err error) {
 	if len(scored) == 0 {
 		return 0, ContingencyTable{}, fmt.Errorf("%w: empty evaluation set", ErrPredict)
 	}
-	distinct := make(map[float64]bool, len(scored))
+	pos := 0
 	for _, s := range scored {
-		distinct[s.Score] = true
-	}
-	bestF := -1.0
-	for th := range distinct {
-		c := Evaluate(scored, th)
-		if f := c.FMeasure(); f > bestF || (f == bestF && th > threshold) {
-			bestF, threshold, best = f, th, c
+		if s.Actual {
+			pos++
 		}
+	}
+	neg := len(scored) - pos
+	bestF := -1.0
+	sweepTies(scored, func(score float64, tp, fp int) {
+		c := ContingencyTable{TP: tp, FP: fp, TN: neg - fp, FN: pos - tp}
+		// The sweep descends, so only a strictly better F replaces the best.
+		if f := c.FMeasure(); f > bestF {
+			bestF, threshold, best = f, score, c
+		}
+	})
+	if bestF < 0 {
+		return 0, ContingencyTable{}, fmt.Errorf("%w: every score is NaN", ErrPredict)
 	}
 	return threshold, best, nil
 }

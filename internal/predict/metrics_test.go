@@ -218,6 +218,91 @@ func TestMaxFMeasure(t *testing.T) {
 	}
 }
 
+// refMaxFMeasure is the quadratic sweep MaxFMeasure replaced — a fresh
+// Evaluate per distinct score — kept as its executable specification on
+// NaN-free input (every NaN was its own map key, so on NaN its tie-break
+// depended on iteration order).
+func refMaxFMeasure(scored []Scored) (threshold float64, best ContingencyTable) {
+	distinct := make(map[float64]bool, len(scored))
+	for _, s := range scored {
+		distinct[s.Score] = true
+	}
+	bestF := -1.0
+	for th := range distinct {
+		c := Evaluate(scored, th)
+		if f := c.FMeasure(); f > bestF || (f == bestF && th > threshold) {
+			bestF, threshold, best = f, th, c
+		}
+	}
+	return threshold, best
+}
+
+// TestMaxFMeasureMatchesQuadratic holds the sort-and-sweep to the quadratic
+// reference — same threshold, same table — on sets drawn to tie: scores from
+// a pool of at most six values including ±Inf, down to all-equal, with both
+// classes or only one.
+func TestMaxFMeasureMatchesQuadratic(t *testing.T) {
+	f := func(seed int64) bool {
+		g := stats.NewRNG(seed)
+		pool := []float64{math.Inf(1), math.Inf(-1), 0, g.NormFloat64(), g.NormFloat64(), g.NormFloat64()}
+		g.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+		pool = pool[:1+g.Intn(len(pool))]
+		classes := g.Intn(3) // 0: both, 1: failures only, 2: non-failures only
+		scored := make([]Scored, 1+g.Intn(60))
+		for i := range scored {
+			scored[i] = Scored{
+				Score:  pool[g.Intn(len(pool))],
+				Actual: classes == 1 || (classes == 0 && g.Intn(3) == 0),
+			}
+		}
+		th, c, err := MaxFMeasure(scored)
+		wantTh, wantC := refMaxFMeasure(scored)
+		if err != nil || th != wantTh || c != wantC {
+			t.Logf("seed %d: got %g %+v (%v), want %g %+v", seed, th, c, err, wantTh, wantC)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMaxFMeasureNaN pins what a NaN score means: an example never warned
+// about (it still counts as a miss or a true negative) and never the
+// threshold.
+func TestMaxFMeasureNaN(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name   string
+		scored []Scored
+		th     float64
+		table  ContingencyTable
+	}{
+		{"missed failure", []Scored{{nan, true}, {0.5, true}, {0.2, false}},
+			0.5, ContingencyTable{TP: 1, TN: 1, FN: 1}},
+		{"quiet non-failure", []Scored{{0.7, true}, {nan, false}},
+			0.7, ContingencyTable{TP: 1, TN: 1}},
+		// F is 0 at every threshold: the highest one, not NaN.
+		{"no failures", []Scored{{0.1, false}, {nan, false}, {0.3, false}},
+			0.3, ContingencyTable{FP: 1, TN: 2}},
+		{"only NaN failures", []Scored{{nan, true}, {nan, true}, {-1, false}},
+			-1, ContingencyTable{FP: 1, FN: 2}},
+	}
+	for _, tc := range cases {
+		th, c, err := MaxFMeasure(tc.scored)
+		if err != nil || th != tc.th || c != tc.table {
+			t.Errorf("%s: got %g %+v (%v), want %g %+v", tc.name, th, c, err, tc.th, tc.table)
+		}
+		if e := Evaluate(tc.scored, th); c != e {
+			t.Errorf("%s: table %+v is not Evaluate's %+v at %g", tc.name, c, e, th)
+		}
+	}
+	if _, _, err := MaxFMeasure([]Scored{{nan, true}, {nan, false}}); err == nil {
+		t.Error("a set with no score but NaN was accepted")
+	}
+}
+
 func TestSplit(t *testing.T) {
 	g := stats.NewRNG(3)
 	train, test, err := Split(10, 0.7, g)

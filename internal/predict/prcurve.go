@@ -3,7 +3,6 @@ package predict
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // PRPoint is one operating point of a precision-recall curve.
@@ -29,27 +28,14 @@ func PrecisionRecall(scored []Scored) ([]PRPoint, error) {
 	if pos == 0 {
 		return nil, fmt.Errorf("%w: precision-recall needs positives", ErrPredict)
 	}
-	sorted := append([]Scored(nil), scored...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Score > sorted[j].Score })
-
 	var curve []PRPoint
-	tp, fp := 0, 0
-	for i := 0; i < len(sorted); {
-		score := sorted[i].Score
-		for i < len(sorted) && sorted[i].Score == score {
-			if sorted[i].Actual {
-				tp++
-			} else {
-				fp++
-			}
-			i++
-		}
+	sweepTies(scored, func(score float64, tp, fp int) {
 		curve = append(curve, PRPoint{
 			Threshold: score,
 			Precision: float64(tp) / float64(tp+fp),
 			Recall:    float64(tp) / float64(pos),
 		})
-	}
+	})
 	return curve, nil
 }
 

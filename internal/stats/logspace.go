@@ -36,22 +36,6 @@ func LogSumExpSlice(xs []float64) float64 {
 	return max + math.Log(s)
 }
 
-// LogSumExpWithMax returns log(Σ exp(xs[i])) given max = max(xs) computed
-// by the caller — the fused form used by hot kernels that track the running
-// maximum while filling a buffer, saving LogSumExpSlice's extra scan. max
-// must be the true maximum of xs; -Inf (all entries -Inf, probability zero)
-// short-circuits.
-func LogSumExpWithMax(xs []float64, max float64) float64 {
-	if math.IsInf(max, -1) {
-		return max
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += math.Exp(x - max)
-	}
-	return max + math.Log(s)
-}
-
 // Log returns math.Log(x), mapping 0 to -Inf without the -Inf/NaN pitfalls
 // of taking logs of tiny negative rounding noise.
 func Log(x float64) float64 {

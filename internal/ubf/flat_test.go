@@ -126,3 +126,42 @@ func TestTrainBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		}
 	}
 }
+
+// TestTryKernelsMSEIsPredictRowsMSE pins the shortcut in tryKernels: the
+// training MSE it reads off the design matrix is, to the bit, the MSE of the
+// returned network's own predictions — over random banks on six variables
+// whose mixtures are drawn, forced pure-Gaussian (m = 1) or forced
+// pure-sigmoid (m = 0), the three branches of the kernel evaluation.
+func TestTryKernelsMSEIsPredictRowsMSE(t *testing.T) {
+	g := stats.NewRNG(29)
+	x, y := selectionData(g, 200)
+	cfg := TrainConfig{NumKernels: 7}.withDefaults()
+	scale := widthScale(x)
+	for trial := 0; trial < 30; trial++ {
+		kernels := randomKernels(cfg, x, scale, g.Split(int64(trial)))
+		for i := range kernels {
+			switch (trial + i) % 3 {
+			case 1:
+				kernels[i].Mix = 1
+			case 2:
+				kernels[i].Mix = 0
+			}
+		}
+		if trial%10 == 9 { // a whole bank of one kind
+			for i := range kernels {
+				kernels[i].Mix = float64(trial / 10 % 2)
+			}
+		}
+		net, got := tryKernels(kernels, x, y, cfg.Ridge)
+		if net == nil {
+			t.Fatalf("trial %d: unsolvable", trial)
+		}
+		pred, err := net.PredictRows(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := mse(pred, y); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: tryKernels MSE %v, PredictRows MSE %v", trial, got, want)
+		}
+	}
+}

@@ -109,32 +109,27 @@ func Train(x *mat.Matrix, y []float64, cfg TrainConfig) (*Network, error) {
 	return best, nil
 }
 
-// tryKernels fits output weights for a kernel configuration and returns the
-// network with its training MSE, or (nil, +Inf) if the fit is unsolvable.
-func tryKernels(kernels []Kernel, x *mat.Matrix, y []float64, ridge float64) (*Network, float64) {
-	net, err := fitWeights(kernels, x, y, ridge)
-	if err != nil {
-		return nil, math.Inf(1)
-	}
-	pred, err := net.PredictRows(x)
-	if err != nil {
-		return nil, math.Inf(1)
-	}
-	return net, mse(pred, y)
-}
-
-// fitWeights solves for output weights with the kernels fixed. The design
+// tryKernels fits output weights for a kernel configuration — the design
 // matrix is built through the flattened kernel bank, which the returned
-// network keeps for its own evaluation paths.
-func fitWeights(kernels []Kernel, x *mat.Matrix, y []float64, ridge float64) (*Network, error) {
+// network keeps for its own evaluation paths — and returns the network with
+// its training MSE, or (nil, +Inf) if the fit is unsolvable. The MSE comes
+// from the design matrix the fit already paid for: Φ·w sums w₀·1 + Σᵢ wᵢ·Φ[r,i]
+// in evalSet.predict's accumulation order, so it is
+// mse(net.PredictRows(x), y) to the bit without evaluating the bank a second
+// time.
+func tryKernels(kernels []Kernel, x *mat.Matrix, y []float64, ridge float64) (*Network, float64) {
 	es := newEvalSet(kernels, x.Cols)
 	phi := mat.New(x.Rows, len(kernels)+1)
 	es.designInto(x, phi.Data)
 	w, err := mat.SolveLeastSquares(phi, y, ridge)
 	if err != nil {
-		return nil, err
+		return nil, math.Inf(1)
 	}
-	return &Network{Kernels: kernels, Weights: w, dim: x.Cols, eval: es}, nil
+	pred, err := phi.MulVec(w)
+	if err != nil {
+		return nil, math.Inf(1)
+	}
+	return &Network{Kernels: kernels, Weights: w, dim: x.Cols, eval: es}, mse(pred, y)
 }
 
 // widthScale estimates a characteristic length scale of the data: the mean
