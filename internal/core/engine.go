@@ -176,11 +176,8 @@ type Engine struct {
 	// mu guards all mutable state below (see the package locking contract).
 	mu        sync.Mutex
 	scheduler *act.Scheduler
-	// warnings holds the most recent raised warnings (at most
-	// 2×recentWarnings between compactions); warned counts them all.
-	warnings []predict.Warning
-	warned   int
-	outcomes OutcomeMatrix
+	warned    int // warnings raised
+	outcomes  OutcomeMatrix
 	// actionTimes holds the committed actions still inside the oscillation
 	// window — all the guard ever reads; acted counts them all.
 	actionTimes []float64
@@ -387,9 +384,7 @@ type Decision struct {
 // semantics of the simulation-clocked cycle.
 func (e *Engine) ActOn(now float64, scores []float64) Decision {
 	d, pending := e.DecideOn(now, scores)
-	if pending != nil {
-		pending.Commit(&d)
-	}
+	pending.Commit(&d)
 	e.mu.Lock()
 	observer := e.observer
 	e.mu.Unlock()
@@ -403,7 +398,10 @@ func (e *Engine) ActOn(now float64, scores []float64) Decision {
 // countermeasure, returned by DecideOn so a coordinator (e.g. the fleet's
 // criticality-weighted act budget) can order executions across engines
 // before committing them. Exactly one of Commit or Drop must be called;
-// both are idempotent after the first resolution.
+// both are idempotent after the first resolution. It travels by value — a
+// warn decision allocates nothing — and the zero value is "nothing pending":
+// Commit and Drop on it do nothing, and a caller that must tell the two
+// apart compares with PendingAct{}.
 type PendingAct struct {
 	e        *Engine
 	action   *act.Action
@@ -412,14 +410,14 @@ type PendingAct struct {
 	resolved bool
 }
 
-// Action returns the selected countermeasure's name.
-func (p *PendingAct) Action() string { return p.action.Name() }
-
 // Commit executes (or schedules) the pending countermeasure and records it
 // against the oscillation guard, updating d's ActionName/Executed — the
 // second half of what ActOn does inline.
 func (p *PendingAct) Commit(d *Decision) {
 	e := p.e
+	if e == nil {
+		return
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if p.resolved {
@@ -454,6 +452,9 @@ func (p *PendingAct) Commit(d *Decision) {
 // outcome matrix books the warning with no action.
 func (p *PendingAct) Drop(d *Decision) {
 	e := p.e
+	if e == nil {
+		return
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if p.resolved {
@@ -467,13 +468,14 @@ func (p *PendingAct) Drop(d *Decision) {
 
 // DecideOn is ActOn with the execution deferred: it combines, warns, selects
 // the countermeasure and applies the oscillation guard, but when the guard
-// admits an action it returns it as a PendingAct instead of executing. The
-// caller resolves the pending act with Commit or Drop (the returned Decision
-// reports Executed only after Commit). Unlike ActOn it never invokes the
+// admits an action it returns it as a PendingAct instead of executing (the
+// zero PendingAct otherwise). The caller resolves the pending act with Commit
+// or Drop on its own copy (the returned Decision reports Executed only after
+// Commit). Unlike ActOn it never invokes the
 // cycle observer — a deferred decision has no single commit point the
 // observer could meaningfully see. Decide/commit pairs on one engine must
 // not interleave with other decisions on the same engine.
-func (e *Engine) DecideOn(now float64, scores []float64) (Decision, *PendingAct) {
+func (e *Engine) DecideOn(now float64, scores []float64) (Decision, PendingAct) {
 	// Combine outside observable state: abstaining layers contribute their
 	// threshold (neutral) to the combiner input and no vote.
 	e.combineMu.Lock()
@@ -521,25 +523,15 @@ func (e *Engine) DecideOn(now float64, scores []float64) (Decision, *PendingAct)
 		Time: now, Confidence: confidence, ActionName: "none",
 		CombinerErr: combinerErr, LayerVersions: e.versionsLocked(),
 	}
-	var pending *PendingAct
+	var pending PendingAct
 	if positive {
 		d.Warned = true
 		e.warned++
-		if len(e.warnings) == 2*recentWarnings {
-			kept := copy(e.warnings, e.warnings[recentWarnings:])
-			e.warnings = e.warnings[:kept]
-		}
-		e.warnings = append(e.warnings, predict.Warning{
-			Time:       now,
-			LeadTime:   e.cfg.LeadTime,
-			Confidence: confidence,
-			Source:     "mea",
-		})
 		// Act: select the countermeasure; the oscillation guard may veto.
 		action, _, worth, err := e.selector.Select(e.actions, confidence)
 		if err == nil && worth {
 			if e.guardAllows(now) {
-				pending = &PendingAct{e: e, action: action, now: now, imminent: imminent}
+				pending = PendingAct{e: e, action: action, now: now, imminent: imminent}
 			} else {
 				e.suppressed++
 				d.Suppressed = true
@@ -548,7 +540,7 @@ func (e *Engine) DecideOn(now float64, scores []float64) (Decision, *PendingAct)
 	}
 	// With a pending act the outcome row is booked at Commit/Drop time,
 	// once the final ActionName is known.
-	if e.truth != nil && pending == nil {
+	if e.truth != nil && pending.e == nil {
 		e.outcomes.add(predict.Classify(positive, imminent), d.ActionName)
 	}
 	e.mu.Unlock()
@@ -587,22 +579,6 @@ func (e *Engine) guardAllows(now float64) bool {
 		recent++
 	}
 	return recent < e.cfg.MaxActionsPerWindow
-}
-
-// recentWarnings is how many raised warnings an engine keeps for Warnings:
-// a long-running service warns without end, and the totals live in counters.
-const recentWarnings = 1024
-
-// Warnings returns the most recent raised failure warnings, oldest first —
-// at most recentWarnings of them; Report().Warnings counts them all.
-func (e *Engine) Warnings() []predict.Warning {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	recent := e.warnings
-	if len(recent) > recentWarnings {
-		recent = recent[len(recent)-recentWarnings:]
-	}
-	return append([]predict.Warning(nil), recent...)
 }
 
 // Outcomes returns a snapshot of the Table 1 accounting matrix.

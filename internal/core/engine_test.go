@@ -112,8 +112,8 @@ func TestWarningTriggersAction(t *testing.T) {
 		t.Fatal(err)
 	}
 	se.Run(100)
-	if len(eng.Warnings()) != 10 {
-		t.Fatalf("warnings = %d", len(eng.Warnings()))
+	if n := eng.Report().Warnings; n != 10 {
+		t.Fatalf("warnings = %d", n)
 	}
 	if tgt.cleanups != 10 {
 		t.Fatalf("cleanups = %d", tgt.cleanups)
@@ -139,9 +139,8 @@ func TestNegativePredictionDoesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	se.Run(100)
-	if len(eng.Warnings()) != 0 || tgt.cleanups != 0 {
-		t.Fatalf("negative prediction acted: warnings=%d cleanups=%d",
-			len(eng.Warnings()), tgt.cleanups)
+	if n := eng.Report().Warnings; n != 0 || tgt.cleanups != 0 {
+		t.Fatalf("negative prediction acted: warnings=%d cleanups=%d", n, tgt.cleanups)
 	}
 	if eng.Outcomes().Table().TN != 10 {
 		t.Fatalf("outcomes = %v", eng.Outcomes().Table())
@@ -206,15 +205,21 @@ func TestLayerVoting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var first Decision
+	eng.SetCycleObserver(func(_ float64, _ []float64, d Decision) {
+		if first.Time == 0 {
+			first = d
+		}
+	})
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
 	se.Run(50)
-	if len(eng.Warnings()) != 5 {
-		t.Fatalf("2/3 votes should warn: %d", len(eng.Warnings()))
+	if n := eng.Report().Warnings; n != 5 {
+		t.Fatalf("2/3 votes should warn: %d", n)
 	}
-	if w := eng.Warnings()[0]; w.Confidence < 0.66 || w.Confidence > 0.67 {
-		t.Fatalf("confidence = %g", w.Confidence)
+	if !first.Warned || first.Confidence < 0.66 || first.Confidence > 0.67 {
+		t.Fatalf("first decision = %+v, want a warning at confidence 2/3", first)
 	}
 }
 
@@ -238,8 +243,8 @@ func TestFailingLayerAbstains(t *testing.T) {
 	}
 	se.Run(20)
 	// One of two layers votes: confidence 0.5 ≥ threshold → warning.
-	if len(eng.Warnings()) != 2 {
-		t.Fatalf("warnings with abstaining layer = %d", len(eng.Warnings()))
+	if n := eng.Report().Warnings; n != 2 {
+		t.Fatalf("warnings with abstaining layer = %d", n)
 	}
 }
 
@@ -259,7 +264,7 @@ func TestCustomCombiner(t *testing.T) {
 		t.Fatal(err)
 	}
 	se.Run(50)
-	if len(eng.Warnings()) != 0 {
+	if eng.Report().Warnings != 0 {
 		t.Fatal("combiner override ignored")
 	}
 }
@@ -318,8 +323,8 @@ func TestStartStop(t *testing.T) {
 	se.Run(30)
 	eng.Stop()
 	se.Run(100)
-	if len(eng.Warnings()) != 3 {
-		t.Fatalf("warnings after stop = %d", len(eng.Warnings()))
+	if n := eng.Report().Warnings; n != 3 {
+		t.Fatalf("warnings after stop = %d", n)
 	}
 }
 
@@ -364,8 +369,8 @@ func TestEvaluateNowEventDriven(t *testing.T) {
 		}
 	}
 	se.Run(10)
-	if len(eng.Warnings()) != 3 {
-		t.Fatalf("event-driven warnings = %d", len(eng.Warnings()))
+	if n := eng.Report().Warnings; n != 3 {
+		t.Fatalf("event-driven warnings = %d", n)
 	}
 	if tgt.cleanups != 3 {
 		t.Fatalf("event-driven actions = %d", tgt.cleanups)
@@ -375,8 +380,8 @@ func TestEvaluateNowEventDriven(t *testing.T) {
 		t.Fatal(err)
 	}
 	se.Run(30) // periodic ticks at 20, 30
-	if len(eng.Warnings()) != 5 {
-		t.Fatalf("mixed-mode warnings = %d", len(eng.Warnings()))
+	if n := eng.Report().Warnings; n != 5 {
+		t.Fatalf("mixed-mode warnings = %d", n)
 	}
 }
 
@@ -404,7 +409,7 @@ func TestSchedulerDefersActionToLowUtilization(t *testing.T) {
 	if tgt.cleanups == 0 {
 		t.Fatal("deferred action never executed after load dropped")
 	}
-	if len(eng.Warnings()) == 0 {
+	if eng.Report().Warnings == 0 {
 		t.Fatal("no warnings")
 	}
 }
@@ -428,7 +433,7 @@ func TestExternallyClockedEngine(t *testing.T) {
 	if tgt.cleanups == 0 {
 		t.Fatal("action not executed")
 	}
-	if got := len(eng.Warnings()); got != 1 {
+	if got := eng.Report().Warnings; got != 1 {
 		t.Fatalf("warnings = %d, want 1", got)
 	}
 }
@@ -547,10 +552,10 @@ func TestCycleObserver(t *testing.T) {
 	}
 }
 
-// TestEngineStateBounded: a long-running externally clocked engine keeps
-// neither every warning nor every action time — Warnings is a recent tail,
-// the guard's history is one oscillation window — while the totals and every
-// guard decision stay what an unbounded history gives.
+// TestEngineStateBounded: a long-running externally clocked engine keeps no
+// warning and not every action time — warnings are a count, the guard's
+// history is one oscillation window — while the totals and every guard
+// decision stay what an unbounded history gives.
 func TestEngineStateBounded(t *testing.T) {
 	const rounds, window, maxActions = 100_000, 100.0, 3
 	tgt := &scriptedTarget{}
@@ -584,9 +589,6 @@ func TestEngineStateBounded(t *testing.T) {
 		if n := len(eng.actionTimes); n > maxActions {
 			t.Fatalf("round %d: guard history holds %d action times, want ≤ %d", i, n, maxActions)
 		}
-		if n := len(eng.warnings); n > 2*recentWarnings {
-			t.Fatalf("round %d: %d warnings kept, want ≤ %d", i, n, 2*recentWarnings)
-		}
 	}
 	rep := eng.Report()
 	if rep.Warnings != rounds || rep.Actions != len(history) || rep.Suppressed != suppressed {
@@ -596,9 +598,46 @@ func TestEngineStateBounded(t *testing.T) {
 	if eng.ActionsTaken() != len(history) || tgt.cleanups != len(history) {
 		t.Fatalf("ActionsTaken=%d cleanups=%d, want %d", eng.ActionsTaken(), tgt.cleanups, len(history))
 	}
-	tail := eng.Warnings()
-	if len(tail) != recentWarnings || tail[len(tail)-1].Time != now || tail[0].Time >= tail[1].Time {
-		t.Fatalf("Warnings() = %d entries ending at t=%g, want the %d most recent ending at t=%g",
-			len(tail), tail[len(tail)-1].Time, recentWarnings, now)
+}
+
+// TestDecideOnZeroAllocs: a warn decision and its pending act travel by
+// value — a chronically warning engine allocates nothing per round — the
+// zero PendingAct of a quiet round resolves to nothing, and Commit/Drop on
+// the caller's copy resolve once.
+func TestDecideOnZeroAllocs(t *testing.T) {
+	tgt := &scriptedTarget{}
+	eng, err := New(nil, []*Layer{constLayer("app", 0.9)}, nil,
+		testSelector(t), testActions(t, tgt), nil, defaultCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, quiet := eng.DecideOn(1, []float64{0.1})
+	if d.Warned || quiet != (PendingAct{}) {
+		t.Fatalf("quiet round: decision %+v, pending %+v", d, quiet)
+	}
+	quiet.Commit(&d)
+	quiet.Drop(&d)
+	if d.Executed || tgt.cleanups != 0 {
+		t.Fatalf("resolving the zero PendingAct acted: %+v, cleanups=%d", d, tgt.cleanups)
+	}
+
+	d, pending := eng.DecideOn(2, []float64{0.9})
+	if !d.Warned || d.Executed || pending == (PendingAct{}) {
+		t.Fatalf("warn round: decision %+v, pending %+v", d, pending)
+	}
+	pending.Commit(&d)
+	pending.Commit(&d)
+	pending.Drop(&d)
+	if !d.Executed || tgt.cleanups != 1 || eng.ActionsTaken() != 1 {
+		t.Fatalf("after Commit×2+Drop: %+v, cleanups=%d, taken=%d", d, tgt.cleanups, eng.ActionsTaken())
+	}
+
+	now, scores := 2.0, []float64{0.9}
+	if got := testing.AllocsPerRun(200, func() {
+		now++
+		d, p := eng.DecideOn(now, scores)
+		p.Commit(&d)
+	}); got != 0 {
+		t.Fatalf("DecideOn+Commit allocate %.0f times a warn round, want 0", got)
 	}
 }

@@ -102,11 +102,15 @@ type Config struct {
 	QueueCapacity int
 	Overflow      runtime.OverflowPolicy
 	// Workers sizes the shared evaluation pool (default GOMAXPROCS; 1
-	// runs inline).
+	// runs inline). A cycle fans out twice — scoring, then the act stage —
+	// and each fan-out hands the pool index ranges, so a worker beyond the
+	// first costs a few cache-line transfers a cycle, not one per tenant.
 	Workers int
 	// BatchSize is the cross-tenant amortization unit: shard consumers
-	// drain up to BatchSize events per lock acquisition, and batch layer
-	// scoring chunks tenants into BatchSize groups (default 64).
+	// drain up to BatchSize events per lock acquisition, and a cycle scores
+	// in BatchSize-tenant ranges — every layer on a range before the next
+	// range, batch scorers one call per range (default 64). A fleet no
+	// larger than one BatchSize scores on one goroutine.
 	BatchSize int
 	// ActBudget caps how many tenants may execute a countermeasure per
 	// evaluation cycle. When more warn decisions select an action than the
@@ -151,19 +155,23 @@ type tenant struct {
 	q      *tenantQueue
 	state  TenantState
 	engine *core.Engine
-	// tail is the tenant's act tail: its layers, scoped journal (nil without
-	// Config.Ledger; JournalLayers says whether per-layer rows go in), scoped
-	// flight recorder (nil without Config.Recorder).
-	tail      runtime.ActTail
-	dedicated bool      // tail.Ledger is the tenant's own scope
-	recOwn    bool      // tail.Recorder is dedicated (not the overflow fold)
-	row       []float64 // per-cycle score row scratch
+	// tail is the tenant's act tail: its layers, its journal when it has a
+	// dedicated ledger scope (JournalLayers says whether per-layer rows go
+	// in), scoped flight recorder (nil without Config.Recorder).
+	tail runtime.ActTail
+	// ledger is the tenant's ledger scope (nil without Config.Ledger): its
+	// own journal — then tail.Ledger too, written in the act fan-out — or
+	// the overflow journal it is folded into, which takes failures as they
+	// arrive and one combined bucket a cycle from the cycle's serial tail.
+	ledger *obs.Ledger
+	recOwn bool      // tail.Recorder is dedicated (not the overflow fold)
+	row    []float64 // per-cycle score row scratch
 
 	// dec/pact are the cycle's decide-phase scratch: written by the decide
 	// fan-out, resolved by the budget pass, consumed by the finish fan-out
-	// — all under cycleMu.
+	// — all under cycleMu. The zero pact is "no countermeasure pending".
 	dec  core.Decision
-	pact *core.PendingAct
+	pact core.PendingAct
 
 	events      atomic.Int64
 	warnings    atomic.Int64
@@ -481,14 +489,16 @@ func (f *Fleet) buildTenant(byID map[string]*tenant, i int, spec TenantSpec) (*t
 		return nil, fmt.Errorf("tenant %q engine: %w", spec.ID, err)
 	}
 	if f.cfg.Ledger != nil {
-		tn.tail.Ledger = f.cfg.Ledger.Scope(spec.ID)
-		tn.dedicated = f.cfg.Ledger.Dedicated(spec.ID)
-		tn.tail.JournalLayers = f.cfg.JournalLayers && tn.dedicated
+		tn.ledger = f.cfg.Ledger.Scope(spec.ID)
+		if f.cfg.Ledger.Dedicated(spec.ID) {
+			tn.tail.Ledger = tn.ledger
+			tn.tail.JournalLayers = f.cfg.JournalLayers
+		}
 	}
 	if f.cfg.Recorder != nil {
 		tn.tail.Recorder = f.cfg.Recorder.Scope(spec.ID, obs.RecorderScopeConfig{
 			WarnThreshold: criticalityWarnThreshold(f.cfg.Recorder.Config().WarnThreshold, spec.Criticality),
-			Ledger:        tn.tail.Ledger,
+			Ledger:        tn.ledger,
 		})
 		tn.recOwn = f.cfg.Recorder.Dedicated(spec.ID)
 	}
@@ -727,7 +737,7 @@ func (f *Fleet) RecordFailure(tenantID string, t float64) error {
 			break
 		}
 	}
-	tn.tail.Ledger.RecordFailure(t)
+	tn.ledger.RecordFailure(t)
 	return nil
 }
 
@@ -789,24 +799,30 @@ func (f *Fleet) consumeLoop(q *shardQueue) {
 func (f *Fleet) EvaluateNow() { f.shell.EvaluateNow() }
 
 // EvaluateCycle runs one full synchronous MEA cycle over every tenant in
-// the current membership generation: batched cross-tenant layer scoring
-// under the exclusive state lock, then the act stage
-// and the ledger watermark advance. Concurrent calls (ticker vs. caller)
-// serialize; membership swaps serialize against the whole cycle.
+// the current membership generation: one scoring fan-out under the exclusive
+// state lock (scoreRange), then the act stage and the ledger watermark
+// advance. Concurrent calls (ticker vs. caller) serialize; membership swaps
+// serialize against the whole cycle.
 //
 // The act stage is two-phase when an ActBudget is set: a decide fan-out
 // computes every tenant's cross-layer decision with the countermeasure
 // deferred, a serial budget pass commits the top-budget pending acts in
 // criticality×confidence order (ties by tenant ID — deterministic) and
 // drops the rest, and a finish fan-out journals and accounts the final
-// decisions. Without a budget, decide/commit/finish fuse into the single
-// per-tenant fan-out the fixed-shape fleet ran.
+// decisions. Without a budget, decide/commit/finish fuse into a single
+// per-tenant fan-out, so a cycle is two fan-outs whatever len(Layers) is.
+//
+// Journaling splits by scope: a tenant with a dedicated ledger scope writes
+// its rows inside the act fan-out (nobody else holds that journal), the
+// tenants folded into the overflow scope are counted afterwards on the cycle
+// goroutine and journaled as one bucket (journalFolded) — no two workers
+// ever meet on the overflow journal's mutex.
 //
 // Determinism: scoring writes disjoint matrix slots, the act fan-out
 // touches disjoint tenant state, the budget pass orders on a deterministic
-// key, and journaling goes to per-tenant scoped ledgers — so for a fixed
-// ingested prefix (see Barrier) the cycle's observable outcome is
-// independent of Shards, Workers, BatchSize, and GOMAXPROCS.
+// key, and the overflow bucket holds counts — so for a fixed ingested prefix
+// (see Barrier) the cycle's observable outcome is independent of Shards,
+// Workers, BatchSize, and GOMAXPROCS.
 func (f *Fleet) EvaluateCycle() {
 	f.cycleMu.Lock()
 	defer f.cycleMu.Unlock()
@@ -815,10 +831,11 @@ func (f *Fleet) EvaluateCycle() {
 	evalStart := f.shell.Nanos()
 	now := f.now()
 	nT := len(mem.tenants)
+	b := f.cfg.BatchSize
 	f.stateMu.Lock()
-	for li := range f.cfg.Layers {
-		f.scoreLayer(mem, li, now)
-	}
+	pool.Do((nT+b-1)/b, func(c int) {
+		f.scoreRange(mem, c*b, min(c*b+b, nT), now)
+	})
 	// Bundle assembly reads tenant event logs, so it shares the same
 	// exclusion: triggers raised by the previous cycle's act fan-out are
 	// assembled here (or by Stop's flush after the final cycle).
@@ -840,13 +857,12 @@ func (f *Fleet) EvaluateCycle() {
 		pool.Do(nT, func(i int) {
 			tn := mem.tenants[i]
 			f.decideTenant(mem, tn, now)
-			if tn.pact != nil {
-				tn.pact.Commit(&tn.dec)
-				tn.pact = nil
-			}
+			tn.pact.Commit(&tn.dec)
+			tn.pact = core.PendingAct{}
 			f.finishTenant(tn, now)
 		})
 	}
+	journalFolded(mem, now)
 	f.cfg.Ledger.Advance(now)
 	f.metrics.Evaluations.Inc()
 	actEnd := f.shell.Nanos()
@@ -855,42 +871,56 @@ func (f *Fleet) EvaluateCycle() {
 	f.shell.CycleDone()
 }
 
-// scoreLayer fills layer li's row of the score matrix across all tenants:
-// batch scorers run once per BatchSize chunk of tenants, per-tenant
-// scorers once per tenant — both fanned across the shared pool with
-// index-addressed writes. A scorer's error abstains its rows (NaN) and is
-// counted per row on pfm_layer_eval_errors_total, as core.Layer.ScoreBatch
-// counts it on the single-tenant plane.
-func (f *Fleet) scoreLayer(mem *membership, li int, now float64) {
-	tmpl := f.cfg.Layers[li]
+// scoreRange fills tenants [lo,hi) of every layer's row of the score matrix:
+// a batch scorer runs once on the range, a per-tenant scorer once per tenant
+// in it, so a tenant's state is visited once for all layers. A scorer's error
+// abstains its rows (NaN) — a batch scorer's the whole range — and is counted
+// per row on pfm_layer_eval_errors_total, as core.Layer.ScoreBatch counts it
+// on the single-tenant plane.
+func (f *Fleet) scoreRange(mem *membership, lo, hi int, now float64) {
 	nT := len(mem.tenants)
-	out := mem.layerScores[li*nT : (li+1)*nT]
-	if tmpl.ScoreBatch != nil {
-		b := f.cfg.BatchSize
-		chunks := (nT + b - 1) / b
-		f.shell.Pool().Do(chunks, func(c int) {
-			lo := c * b
-			hi := lo + b
-			if hi > nT {
-				hi = nT
-			}
-			if err := tmpl.ScoreBatch(mem.states[lo:hi], now, out[lo:hi]); err != nil {
-				f.evalErrors[li].Add(int64(hi - lo))
-				for i := lo; i < hi; i++ {
-					out[i] = math.NaN() // whole chunk abstains
+	states := mem.states[lo:hi]
+	for li, tmpl := range f.cfg.Layers {
+		out := mem.layerScores[li*nT+lo : li*nT+hi]
+		if tmpl.ScoreBatch != nil {
+			if err := tmpl.ScoreBatch(states, now, out); err != nil {
+				f.evalErrors[li].Add(int64(len(out)))
+				for i := range out {
+					out[i] = math.NaN()
 				}
 			}
-		})
-		return
-	}
-	f.shell.Pool().Do(nT, func(i int) {
-		s, err := tmpl.Score(mem.states[i], now)
-		if err != nil {
-			f.evalErrors[li].Inc()
-			s = math.NaN()
+			continue
 		}
-		out[i] = s
-	})
+		for i, st := range states {
+			s, err := tmpl.Score(st, now)
+			if err != nil {
+				f.evalErrors[li].Inc()
+				s = math.NaN()
+			}
+			out[i] = s
+		}
+	}
+}
+
+// journalFolded writes the cycle's combined rows of every tenant folded into
+// the overflow ledger scope as one bucket — the rows finishTenant would have
+// written one by one, counted instead. Runs on the cycle goroutine after the
+// act fan-out; a fleet with nobody folded touches nothing.
+func journalFolded(mem *membership, now float64) {
+	var overflow *obs.Ledger
+	warned, quiet := 0, 0
+	for _, tn := range mem.tenants {
+		if tn.ledger == tn.tail.Ledger {
+			continue // dedicated scope, or no ledger at all
+		}
+		overflow = tn.ledger
+		if tn.lastWarned.Load() {
+			warned++
+		} else {
+			quiet++
+		}
+	}
+	overflow.RecordPredictions(obs.CombinedLayer, now, warned, quiet)
 }
 
 // decideTenant runs one tenant's cross-layer decision with the
@@ -910,7 +940,7 @@ func (f *Fleet) decideTenant(mem *membership, tn *tenant, now float64) {
 func (f *Fleet) resolveBudget(mem *membership) {
 	cands := f.actCands[:0]
 	for _, tn := range mem.tenants {
-		if tn.pact != nil {
+		if tn.pact != (core.PendingAct{}) {
 			cands = append(cands, tn)
 		}
 	}
@@ -930,13 +960,14 @@ func (f *Fleet) resolveBudget(mem *membership) {
 			tn.deferred.Add(1)
 			f.actDeferred.Inc()
 		}
-		tn.pact = nil
+		tn.pact = core.PendingAct{}
 	}
 	f.actCands = cands[:0] // keep the scratch capacity across cycles
 }
 
 // finishTenant accounts one tenant's resolved decision and runs its act
-// tail (journal, recorder — runtime.ActTail.Observe).
+// tail (runtime.ActTail.Observe: the journal rows of a dedicated scope, the
+// recorder). lastWarned is also what journalFolded counts.
 func (f *Fleet) finishTenant(tn *tenant, now float64) {
 	d := tn.dec
 	if d.Warned {

@@ -142,7 +142,7 @@ func (f *Fleet) Rollup(now float64) RollupView {
 		if st != StatusFailed {
 			critUp += tn.spec.Criticality
 		}
-		if led := tn.tail.Ledger; led != nil {
+		if led := tn.ledger; led != nil {
 			if fm := led.Quality(obs.CombinedLayer).FMeasure(); !math.IsNaN(fm) {
 				f1Sum += fm * tn.spec.Criticality
 				f1Crit += tn.spec.Criticality
@@ -179,7 +179,7 @@ func (f *Fleet) view(tn *tenant, now float64) TenantView {
 		Warnings:        tn.warnings.Load(),
 		Actions:         tn.actions.Load(),
 		Versions:        make([]uint64, len(tn.tail.Layers)),
-		DedicatedLedger: tn.dedicated,
+		DedicatedLedger: tn.tail.Ledger != nil,
 	}
 	if le := loadTime(&tn.lastEvent); !math.IsNaN(le) {
 		age := now - le
@@ -191,7 +191,7 @@ func (f *Fleet) view(tn *tenant, now float64) TenantView {
 	for i, l := range tn.tail.Layers {
 		v.Versions[i] = l.Version()
 	}
-	if led := tn.tail.Ledger; led != nil {
+	if led := tn.ledger; led != nil {
 		t := runtime.ToTableJSON(led.Quality(obs.CombinedLayer))
 		v.Quality = &t
 	}

@@ -42,25 +42,33 @@ func (c LedgerConfig) validate() error {
 	return nil
 }
 
-// pending is one journaled prediction awaiting ground truth.
-type pending struct {
-	t          float64
-	predicted  bool
-	confidence float64
+// bucket is the run of predictions one layer journaled at one instant: pos
+// of them warned, neg did not. A thousand folded tenants journaling the same
+// cycle are one bucket, classified once.
+type bucket struct {
+	t        float64
+	pos, neg int
 }
 
-// resolvedEntry is one classified prediction retained for the rolling
-// window, keyed by prediction time.
-type resolvedEntry struct {
-	t float64
-	o predict.Outcome
+// addTo adds sign × the bucket's rows to c, classified against whether a
+// failure fell inside the bucket's matching window.
+func (b bucket) addTo(c *predict.ContingencyTable, failed bool, sign int) {
+	tableAdd(c, predict.Classify(true, failed), sign*b.pos)
+	tableAdd(c, predict.Classify(false, failed), sign*b.neg)
+}
+
+// resolvedBucket is one classified bucket retained for the rolling window,
+// keyed by prediction time.
+type resolvedBucket struct {
+	bucket
+	failed bool
 }
 
 // layerLedger is one layer's journal and contingency accounting.
 type layerLedger struct {
 	name       string
-	pending    []pending
-	recent     []resolvedEntry
+	pending    []bucket // journaling order; a row joins the newest bucket or opens one
+	recent     []resolvedBucket
 	rolling    predict.ContingencyTable
 	cumulative predict.ContingencyTable
 }
@@ -119,15 +127,34 @@ func (l *Ledger) Layers() []string {
 
 // RecordPrediction journals one layer's thresholded prediction emitted at
 // time t. Call once per layer per MEA cycle; abstaining layers (NaN
-// scores) should simply not be recorded.
+// scores) should simply not be recorded. It is the one-row case of
+// RecordPredictions: the journal keeps the verdict and nothing else.
 func (l *Ledger) RecordPrediction(layer string, t float64, predicted bool, confidence float64) {
-	if l == nil {
+	pos := 0
+	if predicted {
+		pos = 1
+	}
+	l.RecordPredictions(layer, t, pos, 1-pos)
+}
+
+// RecordPredictions journals pos warning and neg non-warning predictions of
+// one layer, all emitted at time t — what a journal shared by many sources
+// (a fleet's overflow scope) receives in one cycle. Rows at the newest
+// bucket's instant join it; any other t opens a bucket, so out-of-order and
+// alternating times cost a bucket each and nothing else.
+func (l *Ledger) RecordPredictions(layer string, t float64, pos, neg int) {
+	if l == nil || pos+neg == 0 {
 		return
 	}
 	l.mu.Lock()
 	ll := l.layer(layer)
-	ll.pending = append(ll.pending, pending{t: t, predicted: predicted, confidence: confidence})
-	l.recorded++
+	if k := len(ll.pending) - 1; k >= 0 && ll.pending[k].t == t {
+		ll.pending[k].pos += pos
+		ll.pending[k].neg += neg
+	} else {
+		ll.pending = append(ll.pending, bucket{t: t, pos: pos, neg: neg})
+	}
+	l.recorded += int64(pos + neg)
 	l.mu.Unlock()
 }
 
@@ -167,8 +194,9 @@ func (l *Ledger) anyFailureIn(from, to float64) bool {
 
 // Advance declares ground truth complete up to time now and resolves every
 // pending prediction whose matching window has fully elapsed
-// (t + LeadTime + Slack ≤ now) into its TP/FP/TN/FN outcome. It also
-// evicts rolling-window entries older than now − Window and prunes
+// (t + LeadTime + Slack ≤ now) into its TP/FP/TN/FN outcome — a bucket at a
+// time, so the cost follows the instants inside the window, not the rows. It
+// also evicts rolling-window entries older than now − Window and prunes
 // failures no live prediction can still match.
 func (l *Ledger) Advance(now float64) {
 	if l == nil {
@@ -183,23 +211,24 @@ func (l *Ledger) Advance(now float64) {
 	for _, name := range l.order {
 		ll := l.layers[name]
 		kept := ll.pending[:0]
-		for _, p := range ll.pending {
-			if p.t+horizon > l.watermark {
-				kept = append(kept, p)
+		for _, b := range ll.pending {
+			if b.t+horizon > l.watermark {
+				kept = append(kept, b)
 				continue
 			}
-			o := predict.Classify(p.predicted, l.anyFailureIn(p.t, p.t+horizon))
-			tableAdd(&ll.cumulative, o, 1)
+			failed := l.anyFailureIn(b.t, b.t+horizon)
+			b.addTo(&ll.cumulative, failed, 1)
 			if l.cfg.Window > 0 {
-				ll.recent = append(ll.recent, resolvedEntry{t: p.t, o: o})
-				tableAdd(&ll.rolling, o, 1)
+				ll.recent = append(ll.recent, resolvedBucket{b, failed})
+				b.addTo(&ll.rolling, failed, 1)
 			}
 		}
 		ll.pending = kept
 		if l.cfg.Window > 0 {
 			cut := 0
 			for cut < len(ll.recent) && ll.recent[cut].t < l.watermark-l.cfg.Window {
-				tableAdd(&ll.rolling, ll.recent[cut].o, -1)
+				r := ll.recent[cut]
+				r.addTo(&ll.rolling, r.failed, -1)
 				cut++
 			}
 			if cut > 0 {
@@ -296,11 +325,15 @@ func (l *Ledger) Snapshot() LedgerSnapshot {
 	}
 	for _, name := range l.order {
 		ll := l.layers[name]
+		rows := 0
+		for _, b := range ll.pending {
+			rows += b.pos + b.neg
+		}
 		snap.Layers = append(snap.Layers, LayerQuality{
 			Layer:      name,
 			Rolling:    ll.rolling,
 			Cumulative: ll.cumulative,
-			Pending:    len(ll.pending),
+			Pending:    rows,
 		})
 	}
 	return snap

@@ -2,8 +2,12 @@ package obs
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/predict"
 )
@@ -232,5 +236,203 @@ func TestLedgerConcurrent(t *testing.T) {
 	}
 	if resolved != 4*300 {
 		t.Fatalf("resolved+pending = %d, want %d", resolved, 4*300)
+	}
+}
+
+// refLedger is the row-list journal the bucketed Ledger replaced, kept as the
+// reference it is compared against: one pending entry per prediction, every
+// one of them re-examined by every Advance, one rolling-window entry per
+// resolved prediction.
+type refLedger struct {
+	cfg       LedgerConfig
+	order     []string
+	layers    map[string]*refLayer
+	failures  []float64
+	watermark float64
+	recorded  int64
+	failSeen  int64
+}
+
+type refRow struct {
+	t         float64
+	predicted bool
+}
+
+type refResolved struct {
+	t float64
+	o predict.Outcome
+}
+
+type refLayer struct {
+	pending             []refRow
+	recent              []refResolved
+	rolling, cumulative predict.ContingencyTable
+}
+
+func newRefLedger(cfg LedgerConfig, names ...string) *refLedger {
+	r := &refLedger{cfg: cfg, layers: map[string]*refLayer{}}
+	for _, n := range append(names, CombinedLayer) {
+		r.layer(n)
+	}
+	return r
+}
+
+func (r *refLedger) layer(name string) *refLayer {
+	ll, ok := r.layers[name]
+	if !ok {
+		ll = &refLayer{}
+		r.layers[name] = ll
+		r.order = append(r.order, name)
+	}
+	return ll
+}
+
+func (r *refLedger) recordPrediction(layer string, t float64, predicted bool) {
+	ll := r.layer(layer)
+	ll.pending = append(ll.pending, refRow{t, predicted})
+	r.recorded++
+}
+
+func (r *refLedger) recordFailure(t float64) {
+	r.failSeen++
+	i := sort.SearchFloat64s(r.failures, t)
+	r.failures = append(r.failures, 0)
+	copy(r.failures[i+1:], r.failures[i:])
+	r.failures[i] = t
+}
+
+func (r *refLedger) anyFailureIn(from, to float64) bool {
+	for _, f := range r.failures {
+		if f > from && f <= to {
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refLedger) advance(now float64) {
+	if now > r.watermark {
+		r.watermark = now
+	}
+	horizon := r.cfg.LeadTime + r.cfg.Slack
+	for _, name := range r.order {
+		ll := r.layers[name]
+		kept := ll.pending[:0]
+		for _, p := range ll.pending {
+			if p.t+horizon > r.watermark {
+				kept = append(kept, p)
+				continue
+			}
+			o := predict.Classify(p.predicted, r.anyFailureIn(p.t, p.t+horizon))
+			tableAdd(&ll.cumulative, o, 1)
+			if r.cfg.Window > 0 {
+				ll.recent = append(ll.recent, refResolved{p.t, o})
+				tableAdd(&ll.rolling, o, 1)
+			}
+		}
+		ll.pending = kept
+		if r.cfg.Window > 0 {
+			cut := 0
+			for cut < len(ll.recent) && ll.recent[cut].t < r.watermark-r.cfg.Window {
+				tableAdd(&ll.rolling, ll.recent[cut].o, -1)
+				cut++
+			}
+			ll.recent = ll.recent[cut:]
+		} else {
+			ll.rolling = ll.cumulative
+		}
+	}
+	cut := sort.SearchFloat64s(r.failures, r.watermark-2*horizon)
+	r.failures = r.failures[cut:]
+}
+
+func (r *refLedger) snapshot() LedgerSnapshot {
+	snap := LedgerSnapshot{
+		LeadTime: r.cfg.LeadTime, Slack: r.cfg.Slack, Window: r.cfg.Window,
+		Watermark: r.watermark, Predictions: r.recorded, Failures: r.failSeen,
+		Layers: make([]LayerQuality, 0, len(r.order)),
+	}
+	for _, name := range r.order {
+		ll := r.layers[name]
+		snap.Layers = append(snap.Layers, LayerQuality{
+			Layer: name, Rolling: ll.rolling, Cumulative: ll.cumulative, Pending: len(ll.pending),
+		})
+	}
+	return snap
+}
+
+// TestLedgerMatchesRowList drives the bucketed ledger and the row list it
+// replaced with the same random scripts and holds everything a reader can
+// see equal after every step. Times come from a grid a few cells wide, so a
+// script is mostly the awkward cases: rows at equal t (which share a
+// bucket), t going backwards, t alternating (buckets that cannot merge),
+// failures landing after the predictions they match or after the watermark
+// passed them, and a watermark asked to move backwards.
+func TestLedgerMatchesRowList(t *testing.T) {
+	layers := []string{"a", "b", CombinedLayer}
+	script := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := LedgerConfig{LeadTime: float64(rng.Intn(4)), Slack: float64(rng.Intn(3))}
+		if rng.Intn(2) == 0 {
+			cfg.Window = float64(1 + rng.Intn(12))
+		}
+		led := mustLedger(t, cfg, "a")
+		ref := newRefLedger(cfg, "a")
+		clock := 0.0
+		at := func() float64 { // near the clock, either side of it
+			return clock + float64(rng.Intn(7)-3)
+		}
+		for step := 0; step < 80; step++ {
+			clock += float64(rng.Intn(3)) / 2
+			layer := layers[rng.Intn(len(layers))]
+			op := rng.Intn(10)
+			switch {
+			case op < 3:
+				ts, predicted := at(), rng.Intn(3) == 0
+				led.RecordPrediction(layer, ts, predicted, rng.Float64())
+				ref.recordPrediction(layer, ts, predicted)
+			case op < 6:
+				ts, pos, neg := at(), rng.Intn(4), rng.Intn(4)
+				if rng.Intn(4) == 0 {
+					ts = clock // the newest bucket's instant, as often as not
+				}
+				led.RecordPredictions(layer, ts, pos, neg)
+				rows := make([]bool, pos+neg) // the same rows one by one, in any order
+				for i := 0; i < pos; i++ {
+					rows[i] = true
+				}
+				rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+				for _, warned := range rows {
+					ref.recordPrediction(layer, ts, warned)
+				}
+			case op < 8:
+				ts := at()
+				led.RecordFailure(ts)
+				ref.recordFailure(ts)
+			default:
+				ts := at()
+				led.Advance(ts)
+				ref.advance(ts)
+			}
+			if got, want := led.Snapshot(), ref.snapshot(); !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d step %d op %d: snapshot\n got %+v\nwant %+v", seed, step, op, got, want)
+				return false
+			}
+			for _, name := range layers {
+				rl, ok := ref.layers[name]
+				if !ok {
+					rl = &refLayer{}
+				}
+				if led.Quality(name) != rl.rolling || led.Cumulative(name) != rl.cumulative {
+					t.Errorf("seed %d step %d: layer %s quality %+v/%+v, want %+v/%+v", seed, step, name,
+						led.Quality(name), led.Cumulative(name), rl.rolling, rl.cumulative)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(script, &quick.Config{MaxCount: 600}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -8,6 +8,9 @@ import (
 // OverflowScope is the shared journal that absorbs every scope beyond the
 // cardinality cap. Its quality figures are an aggregate approximation:
 // predictions and failures of all folded scopes match against each other.
+// Its writers share one mutex, so a caller with many folded sources a cycle
+// (a fleet) counts their verdicts and journals them with one
+// Ledger.RecordPredictions rather than a RecordPrediction each.
 const OverflowScope = "~overflow"
 
 // scopeSet is the cap-and-fold bookkeeping ScopedLedger and ScopedRecorder
@@ -24,6 +27,9 @@ type scopeSet[T comparable] struct {
 	scopes   map[string]T
 	overflow T     // zero until the first fold
 	folded   int64 // scopes routed to the overflow member
+	// distinct caches distinctLocked's answer until a member joins or
+	// leaves; it is handed out uncopied and never rewritten in place.
+	distinct []T
 }
 
 // init sets the dedicated-member cap (minimum 1).
@@ -47,12 +53,14 @@ func (s *scopeSet[T]) getLocked(name string, build func(scope string) T) T {
 		m := build(name)
 		s.scopes[name] = m
 		s.order = append(s.order, name)
+		s.distinct = nil
 		return m
 	}
 	var zero T
 	if s.overflow == zero {
 		s.overflow = build(OverflowScope)
 		s.scopes[OverflowScope] = s.overflow
+		s.distinct = nil
 	}
 	if name != OverflowScope {
 		s.folded++
@@ -81,12 +89,18 @@ func (s *scopeSet[T]) releaseLocked(name string) (member T, dedicated bool) {
 			break
 		}
 	}
+	s.distinct = nil
 	return m, true
 }
 
 // distinctLocked returns each distinct member once: dedicated scopes in
-// registration order, then the overflow member. Caller holds mu.
+// registration order, then the overflow member. The slice is shared with
+// every caller until membership changes: read it, do not write it. Caller
+// holds mu.
 func (s *scopeSet[T]) distinctLocked() []T {
+	if s.distinct != nil {
+		return s.distinct
+	}
 	out := make([]T, 0, len(s.order)+1)
 	for _, name := range s.order {
 		out = append(out, s.scopes[name])
@@ -95,6 +109,7 @@ func (s *scopeSet[T]) distinctLocked() []T {
 	if s.overflow != zero {
 		out = append(out, s.overflow)
 	}
+	s.distinct = out
 	return out
 }
 

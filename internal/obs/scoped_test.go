@@ -108,6 +108,32 @@ func TestScopedLedgerAdvanceAndTotals(t *testing.T) {
 	}
 }
 
+// TestScopedAdvanceZeroAllocs: between membership changes the per-cycle
+// calls walk one cached member list — no slice is built per call.
+func TestScopedAdvanceZeroAllocs(t *testing.T) {
+	s, err := NewScopedLedger(scopedCfg(), 2, "app")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := NewScopedRecorder(RecorderConfig{Layers: []string{"app"}, Window: 10}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c"} { // c folds
+		s.Scope(name)
+		sr.Scope(name, RecorderScopeConfig{})
+	}
+	now := 0.0
+	if got := testing.AllocsPerRun(100, func() {
+		now++
+		s.Advance(now)
+		sr.Collect()
+		sr.Captured(TriggerWarn)
+	}); got != 0 {
+		t.Fatalf("Advance+Collect+Captured allocate %.0f times a round, want 0", got)
+	}
+}
+
 // TestScopedLedgerConcurrent hammers scope creation, journaling, and
 // Advance from many goroutines; run with -race.
 func TestScopedLedgerConcurrent(t *testing.T) {

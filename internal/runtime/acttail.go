@@ -17,14 +17,17 @@ type ActTail struct {
 	// Ledger journals the combined decision under obs.CombinedLayer, and with
 	// JournalLayers also every non-abstaining layer score and every shadow
 	// candidate (under its "<layer>#candidate" row, which is what lets the
-	// lifecycle compare a candidate to its incumbent).
+	// lifecycle compare a candidate to its incumbent). It is a journal this
+	// tail alone writes predictions to: a fleet sets it for tenants with a
+	// dedicated ledger scope only, and journals the tenants folded into the
+	// overflow scope itself, one bucket a cycle.
 	Ledger        *obs.Ledger
 	JournalLayers bool
 	// Advance moves Ledger's ground-truth watermark to the cycle's domain
 	// time before Lifecycle observes it. A fleet leaves it off and advances
-	// all its scopes together after the act fan-out, because folded tenants
-	// share one overflow journal. The feeder of Ledger.RecordFailure must
-	// keep failures current up to the domain clock either way.
+	// all its scopes together after the act fan-out and the overflow bucket.
+	// The feeder of Ledger.RecordFailure must keep failures current up to the
+	// domain clock either way.
 	Advance   bool
 	Lifecycle *lifecycle.Manager
 	Recorder  *obs.Recorder

@@ -9,7 +9,8 @@ import (
 // (Do) — the shared evaluation workers. A single-runtime pipeline fans its
 // layers across them; the fleet runtime fans cross-tenant batches, so
 // thousands of tenants share one set of evaluation goroutines instead of
-// spawning per-tenant ones.
+// spawning per-tenant ones. Indices are claimed in ranges, so what a job
+// pays in shared-cache-line traffic grows with the worker count, not with n.
 type Pool struct {
 	tasks   chan *poolJob
 	workers int
@@ -21,15 +22,17 @@ type Pool struct {
 	free   []*poolJob
 }
 
-// poolJob is one Do call: workers claim indices [0,n) via the shared atomic
-// cursor and mark each completed index on done. Every worker that receives
-// the job participates until the cursor is exhausted. refs counts who still
-// holds the job — the submitter and every copy sent to a worker, including
-// copies no worker has picked up when Do returns; the last one to let go
-// recycles it, so a job is only ever rewritten while nobody else can see it.
+// poolJob is one Do call: participants claim span consecutive indices of
+// [0,n) at a time via the shared atomic cursor — one add on next and one on
+// done per range, not per index — and every worker that receives the job
+// participates until the cursor is exhausted. refs counts who still holds
+// the job — the submitter and every copy sent to a worker, including copies
+// no worker has picked up when Do returns; the last one to let go recycles
+// it, so a job is only ever rewritten while nobody else can see it.
 type poolJob struct {
 	fn   func(i int)
 	n    int
+	span int
 	next atomic.Int64
 	done sync.WaitGroup
 	refs atomic.Int32
@@ -37,12 +40,18 @@ type poolJob struct {
 
 func (j *poolJob) run() {
 	for {
-		i := int(j.next.Add(1)) - 1
-		if i >= j.n {
+		hi := int(j.next.Add(int64(j.span)))
+		lo := hi - j.span
+		if lo >= j.n {
 			return
 		}
-		j.fn(i)
-		j.done.Done()
+		if hi > j.n {
+			hi = j.n
+		}
+		for i := lo; i < hi; i++ {
+			j.fn(i)
+		}
+		j.done.Add(lo - hi)
 	}
 }
 
@@ -65,8 +74,9 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// job returns a recycled (or new) job armed for n calls of fn.
-func (p *Pool) job(n int, fn func(i int)) *poolJob {
+// job returns a recycled (or new) job armed for n calls of fn, claimed span
+// at a time.
+func (p *Pool) job(n, span int, fn func(i int)) *poolJob {
 	var j *poolJob
 	p.freeMu.Lock()
 	if k := len(p.free); k > 0 {
@@ -76,7 +86,7 @@ func (p *Pool) job(n int, fn func(i int)) *poolJob {
 	if j == nil {
 		j = new(poolJob)
 	}
-	j.fn, j.n = fn, n
+	j.fn, j.n, j.span = fn, n, span
 	j.next.Store(0)
 	j.done.Add(n)
 	return j
@@ -99,6 +109,13 @@ func (p *Pool) release(j *poolJob) {
 // Output must be index-addressed (fn(i) writes only slot i of its result):
 // then the result is independent of worker count and scheduling — the same
 // determinism contract as internal/par. A nil pool runs inline and serial.
+//
+// The range is n/(4·(workers+1)), at least 1: a large job still splits into
+// four ranges per participant, so a slow index delays the rest by a quarter
+// share at most, and a job of up to 4·(workers+1) indices — a runtime's
+// handful of latency-bound layers — is claimed one index at a time. Only as
+// many workers as there are ranges beyond the submitter's first are woken;
+// a one-index job wakes nobody.
 func (p *Pool) Do(n int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -109,9 +126,17 @@ func (p *Pool) Do(n int, fn func(i int)) {
 		}
 		return
 	}
-	j := p.job(n, fn)
-	j.refs.Store(int32(p.workers) + 1)
-	for w := 0; w < p.workers; w++ {
+	span := n / (4 * (p.workers + 1))
+	if span < 1 {
+		span = 1
+	}
+	helpers := (n+span-1)/span - 1
+	if helpers > p.workers {
+		helpers = p.workers
+	}
+	j := p.job(n, span, fn)
+	j.refs.Store(int32(helpers) + 1)
+	for w := 0; w < helpers; w++ {
 		select {
 		case p.tasks <- j:
 		default:
