@@ -1,291 +1,67 @@
-// Command loggen runs the SCP simulator and writes its artifacts to disk:
-// the error log (the HSMM's input), the SAR monitoring series (the UBF's
-// input), and the ground-truth failure times — the synthetic counterpart of
-// the field data the paper calls for in Sect. 7.
+// Command loggen runs the SCP simulator and writes its record stream to
+// disk: error-log events (the HSMM's input), SAR monitoring samples (the
+// UBF's input) and ground-truth failure marks, interleaved in time order —
+// the synthetic counterpart of the field data the paper calls for in
+// Sect. 7.
 //
 // Usage:
 //
 //	loggen [-seed 7] [-days 7] [-out data] [-columnar]
-//	loggen -convert data
 //	loggen -tenants 100 [-skew 1] [-seed 7] [-days 7] [-out data]
+//	loggen -tenants 100 -send 127.0.0.1:4561
 //
-// Single-tenant mode writes data.log (pipe-separated error events),
-// data.sar.tsv (one column per SAR variable) and data.failures.tsv.
-// -columnar additionally writes data.cols, the PFC1 struct-of-arrays
-// trace that pfmd -replay-columnar replays at full speed; -convert
-// builds the same .cols from previously written text artifacts.
-//
-// With -tenants N > 1 it instead runs N independently seeded simulators
-// with a Zipf(-skew)-shaped load profile and writes the time-interleaved
-// multi-tenant trace in both fleet ingest formats: data.trace (text line
-// protocol, one record per line) and data.wire (compact binary wire
-// format) — the replay fixtures of internal/fleet and pfmd -fleet.
+// It runs -tenants independently seeded simulators (tenant i with seed
+// -seed+i, its load scaled by a Zipf(-skew) profile; one tenant is the
+// plain simulator at -seed) and writes the merged trace in both fleet
+// encodings: data.trace (text line protocol, one E|/S|/F| record per
+// line) and data.wire (PFW1 binary wire format) — what predict, pfmd
+// -fleet-trace and the internal/fleet fixtures read. -columnar also
+// writes data.cols, the same records as a PFC1 struct-of-arrays trace for
+// pfmd -replay-columnar; the format carries no tenant, so it takes
+// -tenants 1. -send streams the PFW1 encoding to a pfmd -listen address
+// instead of writing files.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
-	"strconv"
-	"strings"
 
-	"repro/internal/eventlog"
 	"repro/internal/fleet"
 	"repro/internal/runtime"
 	"repro/internal/scp"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "loggen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	seed := flag.Int64("seed", 7, "simulation seed (base seed with -tenants)")
-	days := flag.Float64("days", 7, "simulated horizon [days]")
-	out := flag.String("out", "data", "output file prefix")
-	tenants := flag.Int("tenants", 1, "fleet size; > 1 writes an interleaved multi-tenant trace")
-	skew := flag.Float64("skew", 1, "Zipf exponent of the per-tenant load profile (0 = uniform)")
-	columnar := flag.Bool("columnar", false, "also write <out>.cols, the PFC1 columnar trace pfmd -replay-columnar consumes")
-	convert := flag.String("convert", "", "convert existing <prefix>.log/.sar.tsv/.failures.tsv artifacts into <prefix>.cols and exit")
-	send := flag.String("send", "", "stream the multi-tenant trace to a pfmd -listen address over TCP (PFW1 wire format) instead of writing files")
-	flag.Parse()
-
-	if *convert != "" {
-		return runConvert(*convert)
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("loggen", flag.ContinueOnError)
+	seed := fs.Int64("seed", 7, "simulation seed (tenant i runs with seed+i)")
+	days := fs.Float64("days", 7, "simulated horizon [days]")
+	out := fs.String("out", "data", "output file prefix")
+	tenants := fs.Int("tenants", 1, "number of simulated tenants interleaved in the trace")
+	skew := fs.Float64("skew", 1, "Zipf exponent of the per-tenant load profile (0 = uniform)")
+	columnar := fs.Bool("columnar", false, "also write <out>.cols, the PFC1 columnar trace pfmd -replay-columnar consumes (-tenants 1 only)")
+	send := fs.String("send", "", "stream the trace to a pfmd -listen address over TCP (PFW1 wire format) instead of writing files")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	if *tenants > 1 || *send != "" {
-		return runMulti(*tenants, *skew, *seed, *days, *out, *send)
+	if *columnar && (*tenants != 1 || *send != "") {
+		return fmt.Errorf("-columnar writes a single-tenant file: it takes -tenants 1 and no -send")
 	}
 
-	cfg := scp.DefaultConfig()
-	cfg.Seed = *seed
-	sys, err := scp.New(cfg)
+	m, err := scp.NewMulti(scp.MultiConfig{Tenants: *tenants, BaseSeed: *seed, Skew: *skew})
 	if err != nil {
 		return err
 	}
-	if err := sys.Run(*days * 86400); err != nil {
-		return err
-	}
-
-	if err := writeLog(sys, *out+".log"); err != nil {
-		return err
-	}
-	if err := writeSAR(sys, *out+".sar.tsv"); err != nil {
-		return err
-	}
-	if err := writeFailures(sys, *out+".failures.tsv"); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s.log (%d events), %s.sar.tsv, %s.failures.tsv (%d failures)\n",
-		*out, sys.Log().Len(), *out, *out, len(sys.Failures()))
-	if *columnar {
-		rows, err := simSARRows(sys)
-		if err != nil {
-			return err
-		}
-		trace, err := buildColumnar(sys.Log(), scp.SARVariables, rows, sys.FailureTimes())
-		if err != nil {
-			return err
-		}
-		n, err := writeColumnar(trace, *out+".cols")
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s.cols: %d events (%d errors), %d failures, %d bytes\n",
-			*out, trace.Len(), sys.Log().Len(), len(trace.Failures), n)
-	}
-	return nil
-}
-
-// sarRow is one SAR sampling instant: a timestamp plus one value per
-// variable, in the caller's variable order.
-type sarRow struct {
-	t    float64
-	vals []float64
-}
-
-// simSARRows collects the simulator's SAR series as aligned rows (the
-// sampler records every variable at the same instants).
-func simSARRows(sys *scp.System) ([]sarRow, error) {
-	first, err := sys.SAR(scp.SARVariables[0])
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]sarRow, 0, first.Len())
-	for i := 0; i < first.Len(); i++ {
-		t := first.At(i).T
-		row := sarRow{t: t, vals: make([]float64, len(scp.SARVariables))}
-		for j, name := range scp.SARVariables {
-			series, err := sys.SAR(name)
-			if err != nil {
-				return nil, err
-			}
-			v, _ := series.ValueAt(t)
-			row.vals[j] = v
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// buildColumnar merges the error log and the SAR rows into one
-// time-ordered columnar trace. At equal timestamps errors sort before
-// samples — the same order the live replay feeder emits them in.
-func buildColumnar(log *eventlog.Log, vars []string, rows []sarRow, failures []float64) (*runtime.ColumnarTrace, error) {
-	b := runtime.NewColumnarBuilder()
-	b.Grow(log.Len() + len(rows)*len(vars))
-	ei := 0
-	for _, row := range rows {
-		for ei < log.Len() && log.At(ei).Time <= row.t {
-			if err := b.AddError(log.At(ei)); err != nil {
-				return nil, err
-			}
-			ei++
-		}
-		for j, name := range vars {
-			if err := b.AddSample(row.t, name, row.vals[j]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for ; ei < log.Len(); ei++ {
-		if err := b.AddError(log.At(ei)); err != nil {
-			return nil, err
-		}
-	}
-	for _, f := range failures {
-		if err := b.AddFailure(f); err != nil {
-			return nil, err
-		}
-	}
-	return b.Trace(), nil
-}
-
-func writeColumnar(trace *runtime.ColumnarTrace, path string) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	n, err := trace.WriteTo(f)
-	if err != nil {
-		return n, err
-	}
-	return n, f.Close()
-}
-
-// runConvert rebuilds <prefix>.cols from the on-disk text artifacts — the
-// upgrade path for traces generated before the columnar format existed.
-func runConvert(prefix string) error {
-	lf, err := os.Open(prefix + ".log")
-	if err != nil {
-		return err
-	}
-	log, err := eventlog.Parse(lf)
-	lf.Close()
-	if err != nil {
-		return fmt.Errorf("%s.log: %w", prefix, err)
-	}
-	vars, rows, err := readSARTSV(prefix + ".sar.tsv")
-	if err != nil {
-		return err
-	}
-	failures, err := readFailuresTSV(prefix + ".failures.tsv")
-	if err != nil {
-		return err
-	}
-	trace, err := buildColumnar(log, vars, rows, failures)
-	if err != nil {
-		return err
-	}
-	n, err := writeColumnar(trace, prefix+".cols")
-	if err != nil {
-		return err
-	}
-	fmt.Printf("converted %s.{log,sar.tsv,failures.tsv} -> %s.cols: %d events (%d errors), %d failures, %d bytes\n",
-		prefix, prefix, trace.Len(), log.Len(), len(failures), n)
-	return nil
-}
-
-// readSARTSV parses the writeSAR format: a "t<TAB>var..." header, then
-// one row of samples per line.
-func readSARTSV(path string) ([]string, []sarRow, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	if !sc.Scan() {
-		return nil, nil, fmt.Errorf("%s: missing header: %v", path, sc.Err())
-	}
-	header := strings.Split(sc.Text(), "\t")
-	if len(header) < 2 || header[0] != "t" {
-		return nil, nil, fmt.Errorf("%s: malformed header %q", path, sc.Text())
-	}
-	vars := header[1:]
-	var rows []sarRow
-	line := 1
-	for sc.Scan() {
-		line++
-		fields := strings.Split(sc.Text(), "\t")
-		if len(fields) != len(header) {
-			return nil, nil, fmt.Errorf("%s:%d: want %d fields, got %d", path, line, len(header), len(fields))
-		}
-		row := sarRow{vals: make([]float64, len(vars))}
-		if row.t, err = strconv.ParseFloat(fields[0], 64); err != nil {
-			return nil, nil, fmt.Errorf("%s:%d: time: %v", path, line, err)
-		}
-		for j, fv := range fields[1:] {
-			if row.vals[j], err = strconv.ParseFloat(fv, 64); err != nil {
-				return nil, nil, fmt.Errorf("%s:%d: %s: %v", path, line, vars[j], err)
-			}
-		}
-		rows = append(rows, row)
-	}
-	return vars, rows, sc.Err()
-}
-
-// readFailuresTSV parses the writeFailures format, keeping only the
-// failure times (the other columns are diagnostics).
-func readFailuresTSV(path string) ([]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("%s: missing header: %v", path, sc.Err())
-	}
-	var times []float64
-	line := 1
-	for sc.Scan() {
-		line++
-		fields := strings.SplitN(sc.Text(), "\t", 2)
-		t, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("%s:%d: time: %v", path, line, err)
-		}
-		times = append(times, t)
-	}
-	return times, sc.Err()
-}
-
-// runMulti generates the interleaved multi-tenant trace in both fleet
-// ingest formats.
-func runMulti(tenants int, skew float64, seed int64, days float64, out, send string) error {
-	m, err := scp.NewMulti(scp.MultiConfig{Tenants: tenants, BaseSeed: seed, Skew: skew})
-	if err != nil {
-		return err
-	}
-	if err := m.Run(days * 86400); err != nil {
+	if err := m.Run(*days * 86400); err != nil {
 		return err
 	}
 	recs := fleet.SCPRecords(m.Drain())
@@ -295,120 +71,79 @@ func runMulti(tenants int, skew float64, seed int64, days float64, out, send str
 			failures++
 		}
 	}
-	if send != "" {
-		if err := sendWireTrace(recs, send); err != nil {
+
+	if *send != "" {
+		// TCP flow control paces the send against the fleet's ingest
+		// backpressure.
+		conn, err := net.Dial("tcp", *send)
+		if err != nil {
 			return err
 		}
-		fmt.Printf("sent %d records (%d tenants, %d failures) to %s\n",
-			len(recs), tenants, failures, send)
+		defer conn.Close()
+		if err := fleet.WriteWire(conn, recs); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "sent %d records (%d tenants, %d failures) to %s\n",
+			len(recs), *tenants, failures, *send)
 		return nil
 	}
-	if err := writeTextTrace(recs, out+".trace"); err != nil {
+
+	if err := writeFile(*out+".trace", func(w io.Writer) error { return fleet.WriteTrace(w, recs) }); err != nil {
 		return err
 	}
-	if err := writeWireTrace(recs, out+".wire"); err != nil {
+	if err := writeFile(*out+".wire", func(w io.Writer) error { return fleet.WriteWire(w, recs) }); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s.trace and %s.wire: %d tenants (zipf skew %g), %d records, %d failures\n",
-		out, out, tenants, skew, len(recs), failures)
+	fmt.Fprintf(stdout, "wrote %s.trace and %s.wire: %d tenants (zipf skew %g), %d records, %d failures\n",
+		*out, *out, *tenants, *skew, len(recs), failures)
+	if *columnar {
+		trace, err := buildColumnar(recs)
+		if err != nil {
+			return err
+		}
+		if err := writeFile(*out+".cols", func(w io.Writer) error {
+			_, err := trace.WriteTo(w)
+			return err
+		}); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s.cols: %d events, %d failures\n", *out, trace.Len(), len(trace.Failures))
+	}
 	return nil
 }
 
-// sendWireTrace streams the trace to a fleet listener (pfmd -listen) over
-// TCP in the PFW1 wire format. TCP flow control paces the send against the
-// fleet's ingest backpressure.
-func sendWireTrace(recs []fleet.Record, addr string) error {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	return fleet.WriteWire(conn, recs)
-}
-
-func writeTextTrace(recs []fleet.Record, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := fleet.WriteTrace(f, recs); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-func writeWireTrace(recs []fleet.Record, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := fleet.WriteWire(f, recs); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-func writeLog(sys *scp.System, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := sys.Log().WriteTo(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-func writeSAR(sys *scp.System, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	fmt.Fprint(w, "t")
-	for _, name := range scp.SARVariables {
-		fmt.Fprintf(w, "\t%s", name)
-	}
-	fmt.Fprintln(w)
-	first, err := sys.SAR(scp.SARVariables[0])
-	if err != nil {
-		return err
-	}
-	for i := 0; i < first.Len(); i++ {
-		t := first.At(i).T
-		fmt.Fprintf(w, "%.0f", t)
-		for _, name := range scp.SARVariables {
-			series, err := sys.SAR(name)
-			if err != nil {
-				return err
-			}
-			v, _ := series.ValueAt(t)
-			fmt.Fprintf(w, "\t%g", v)
+// buildColumnar lays one tenant's records out as a PFC1 trace: events keep
+// their order in the columns, failure marks go to the trace's failure list.
+func buildColumnar(recs []fleet.Record) (*runtime.ColumnarTrace, error) {
+	b := runtime.NewColumnarBuilder()
+	b.Grow(len(recs))
+	for _, r := range recs {
+		ev := r.Event
+		var err error
+		switch {
+		case r.Failure:
+			err = b.AddFailure(ev.Time)
+		case ev.Kind == runtime.KindError:
+			err = b.AddError(ev.Error)
+		default:
+			err = b.AddSample(ev.Time, ev.Variable, ev.Value)
 		}
-		fmt.Fprintln(w)
+		if err != nil {
+			return nil, err
+		}
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	return f.Close()
+	return b.Trace(), nil
 }
 
-func writeFailures(sys *scp.System, path string) error {
+// writeFile creates path and fills it through write; a failed Close is a
+// failed write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	w := bufio.NewWriter(f)
-	fmt.Fprintln(w, "t\tcause\tprepared\tdowntime")
-	for _, fr := range sys.Failures() {
-		fmt.Fprintf(w, "%.0f\t%s\t%t\t%.0f\n", fr.Time, fr.Cause, fr.Prepared, fr.Downtime)
-	}
-	if err := w.Flush(); err != nil {
+	if err := write(f); err != nil {
 		return err
 	}
 	return f.Close()

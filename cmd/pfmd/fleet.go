@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"os"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -251,26 +249,15 @@ func replayFleetSim(ctx context.Context, f *fleet.Fleet, m *scp.MultiSystem, hor
 	})
 }
 
-// replayFleetFile streams a recorded trace (text or wire format by
-// extension), pacing domain time against the wall clock via compress.
+// replayFleetFile streams a recorded trace (text or wire format, by its
+// magic), pacing domain time against the wall clock via compress.
 func replayFleetFile(ctx context.Context, f *fleet.Fleet, path string, compress float64, simNow *atomic.Uint64) error {
-	var src fleet.Source
-	if strings.HasSuffix(path, ".wire") {
-		fh, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer fh.Close()
-		src = fleet.NewReader(fh)
-	} else {
-		ts, err := fleet.OpenTail(path)
-		if err != nil {
-			return err
-		}
-		defer ts.Close()
-		src = ts
+	src, closer, err := fleet.OpenTrace(path)
+	if err != nil {
+		return err
 	}
-	_, err := fleet.Pump(ctx, f, &clockSource{src: src, simNow: simNow, compress: compress, start: time.Now(), ctx: ctx})
+	defer closer.Close()
+	_, err = fleet.Pump(ctx, f, &clockSource{src: src, simNow: simNow, compress: compress, start: time.Now(), ctx: ctx})
 	return err
 }
 

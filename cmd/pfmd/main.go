@@ -156,9 +156,9 @@ func parseFlags(args []string, stdout, stderr io.Writer) (*options, error) {
 		o.rt.Overflow, err = runtime.ParsePolicy(s)
 		return err
 	})
-	fs.IntVar(&o.rt.Workers, "workers", 4, "layer-evaluation worker pool size")
+	fs.IntVar(&o.rt.Workers, "workers", 0, "layer-evaluation worker pool size (0 = library default, from GOMAXPROCS)")
 	fs.DurationVar(&o.rt.EvalInterval, "eval", 250*time.Millisecond, "wall-clock MEA cadence")
-	fs.IntVar(&o.shards, "shards", 1, "ingest shards, each one queue consumer over its consistent-hash share of the tenants (with -fleet)")
+	fs.IntVar(&o.shards, "shards", 0, "ingest shards, each one queue consumer over its consistent-hash share of the tenants (with -fleet; 0 = library default, from GOMAXPROCS)")
 	fs.BoolVar(&o.rt.Profiling, "pprof", false, "expose /debug/pprof/ on the metrics address")
 	logFormat := fs.String("log-format", "text", "log output format: text|json")
 	logLevel := fs.String("log-level", "info", "log level: info|debug (debug logs every MEA cycle)")
@@ -177,7 +177,7 @@ func parseFlags(args []string, stdout, stderr io.Writer) (*options, error) {
 	fs.IntVar(&o.tenants, "tenants", 100, "fleet size (with -fleet)")
 	fs.Float64Var(&o.skew, "skew", 1, "Zipf exponent of the tenant load profile (with -fleet)")
 	fs.IntVar(&o.fleetScopes, "fleet-scopes", 64, "dedicated per-tenant quality-ledger scopes before folding (with -fleet)")
-	fs.StringVar(&o.fleetTrace, "fleet-trace", "", "replay a recorded trace file instead of simulating (.trace text or .wire binary, see loggen -tenants)")
+	fs.StringVar(&o.fleetTrace, "fleet-trace", "", "replay a recorded trace file instead of simulating (text or PFW1, told apart by magic; see loggen -tenants)")
 	fs.StringVar(&o.listen, "listen", "", "accept tenant traces over TCP on this address instead of simulating (with -fleet; PFW1 wire or text line protocol, see loggen -send)")
 	fs.IntVar(&o.actBudget, "act-budget", 0, "max tenants that may execute a countermeasure per cycle, criticality-prioritized (with -fleet; 0 = unlimited)")
 	fs.Float64Var(&o.rateLimit, "rate-limit", 0, "per-tenant ingest drain cap [events per simulated second] (with -fleet; 0 = unlimited)")

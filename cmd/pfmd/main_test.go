@@ -15,7 +15,9 @@ import (
 	"time"
 
 	"repro/internal/eventlog"
+	"repro/internal/fleet"
 	"repro/internal/runtime"
+	"repro/internal/scp"
 )
 
 // scrape GETs one endpoint of a running pfmd.
@@ -346,6 +348,62 @@ func TestFleetRun(t *testing.T) {
 	for _, want := range []string{"fleet started", "incident bundle written", "fleet summary"} {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("exit log lacks %q", want)
+		}
+	}
+}
+
+// TestFleetTraceByMagic replays one recorded trace through pfmd -fleet-trace
+// in each encoding under the other one's file name: what tells PFW1 from
+// text is the file's magic, so both must ingest every event.
+func TestFleetTraceByMagic(t *testing.T) {
+	const tenants = 3
+	m, err := scp.NewMulti(scp.MultiConfig{Tenants: tenants, BaseSeed: 7, Skew: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(0.25 * 86400); err != nil {
+		t.Fatal(err)
+	}
+	recs := fleet.SCPRecords(m.Drain())
+	events := 0
+	for _, r := range recs {
+		if !r.Failure {
+			events++
+		}
+	}
+	dir := t.TempDir()
+	for name, write := range map[string]func(io.Writer, []fleet.Record) error{
+		"binary.trace": fleet.WriteWire,
+		"text.wire":    fleet.WriteTrace,
+	} {
+		path := filepath.Join(dir, name)
+		fh, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(fh, recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := fh.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var stderr strings.Builder
+		o, err := parseFlags([]string{
+			"-fleet", "-tenants", strconv.Itoa(tenants), "-fleet-trace", path, "-addr", "127.0.0.1:0",
+			"-compress", "864000", "-eval", "5ms", "-log-format", "json",
+		}, io.Discard, &stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var addr string
+		var final planes
+		o.serving = func(bound string) { addr = bound }
+		o.drained = func() { final = scrapeBase(t, addr) }
+		if err := runFleet(context.Background(), o); err != nil {
+			t.Fatalf("%s: runFleet: %v\n%s", name, err, stderr.String())
+		}
+		if got := checkDrained(t, final); int(got) != events {
+			t.Errorf("%s: ingested %v events, trace has %d", name, got, events)
 		}
 	}
 }

@@ -1,28 +1,30 @@
 // Command predict is the file-based workflow around the HSMM failure
-// predictor: train a model from an error log plus known failure times, save
-// it, then score or evaluate it on (possibly different) logs — the
-// train-offline / deploy-online cycle of Sect. 3.2.
+// predictor: train a model from a recorded trace (error log plus failure
+// marks), save it, then score or evaluate it on (possibly different)
+// traces — the train-offline / deploy-online cycle of Sect. 3.2.
 //
 // Usage:
 //
-//	predict train -log data.log -failures data.failures.tsv -model model.json
-//	predict score -log data.log -model model.json -at 123456
-//	predict eval  -log data.log -failures data.failures.tsv -model model.json -from 0
+//	predict train -log data.trace -model model.json
+//	predict score -log data.trace -model model.json -at 123456
+//	predict eval  -log data.trace -model model.json -from 0
 //
-// Logs use the pipe-separated format written by cmd/loggen; the failures
-// file is a TSV whose first column is the failure time (header line
-// allowed).
+// -log takes any single-tenant file cmd/loggen writes — data.trace (text
+// line protocol), data.wire (PFW1) or data.cols (PFC1), told apart by
+// magic — and reads the error events and the ground-truth failure marks
+// from that one file.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/eventlog"
+	"repro/internal/fleet"
 	"repro/internal/hsmm"
 	"repro/internal/predict"
 	"repro/internal/runtime"
@@ -65,67 +67,69 @@ func addWindowFlags(fs *flag.FlagSet) windowFlags {
 	}
 }
 
-// loadLog reads an error log in either format: a PFC1 columnar trace
-// (sniffed by magic, error rows bulk-decoded column→column into the
-// store) or the pipe-separated text format.
-func loadLog(path string) (*eventlog.Log, error) {
+// loadTrace reads one tenant's error log and failure marks from a trace
+// file in any of loggen's three encodings: PFC1 columnar (sniffed by magic,
+// error rows bulk-decoded column→column into the store), or the text line
+// protocol / PFW1 wire format through fleet.OpenTrace. Samples are skipped;
+// a trace that interleaves several tenants is refused.
+func loadTrace(path string) (*eventlog.Log, []float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
+	l := eventlog.NewLog()
 	br := bufio.NewReaderSize(f, 1<<20)
 	if magic, err := br.Peek(4); err == nil && string(magic) == "PFC1" {
 		trace, err := runtime.ReadColumnar(br)
 		if err != nil {
-			return nil, fmt.Errorf("read columnar %s: %w", path, err)
+			return nil, nil, fmt.Errorf("read columnar %s: %w", path, err)
 		}
-		l := eventlog.NewLog()
 		if _, err := trace.AppendErrorsTo(l); err != nil {
-			return nil, fmt.Errorf("decode columnar %s: %w", path, err)
+			return nil, nil, fmt.Errorf("decode columnar %s: %w", path, err)
 		}
-		return l, nil
+		return l, trace.Failures, nil
 	}
-	l, err := eventlog.Parse(br)
+	src, closer, err := fleet.OpenTrace(path)
 	if err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
+		return nil, nil, err
 	}
-	return l, nil
+	defer closer.Close()
+	var failures []float64
+	var tenant string
+	for n := 0; ; n++ {
+		rec, err := src.Next()
+		if errors.Is(err, io.EOF) {
+			return l, failures, nil
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("read %s: %w", path, err)
+		}
+		ev := rec.Event
+		if n == 0 {
+			tenant = ev.Tenant
+		}
+		if ev.Tenant != tenant {
+			return nil, nil, fmt.Errorf("%s: multi-tenant trace (tenants %q and %q): predict takes one tenant's", path, tenant, ev.Tenant)
+		}
+		switch {
+		case rec.Failure:
+			failures = append(failures, ev.Time)
+		case ev.Kind == runtime.KindError:
+			if err := l.Append(ev.Error); err != nil {
+				return nil, nil, fmt.Errorf("read %s: %w", path, err)
+			}
+		}
+	}
 }
 
-// loadFailureTimes reads the first column of a TSV (header allowed).
-func loadFailureTimes(path string) ([]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// loadLabelled is loadTrace for the subcommands that need ground truth.
+func loadLabelled(path string) (*eventlog.Log, []float64, error) {
+	l, failures, err := loadTrace(path)
+	if err == nil && len(failures) == 0 {
+		err = fmt.Errorf("%s: no failure marks", path)
 	}
-	defer f.Close()
-	var out []float64
-	sc := bufio.NewScanner(f)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		first := strings.FieldsFunc(text, func(r rune) bool { return r == '\t' || r == ' ' })[0]
-		v, err := strconv.ParseFloat(first, 64)
-		if err != nil {
-			if line == 1 {
-				continue // header
-			}
-			return nil, fmt.Errorf("%s line %d: %v", path, line, err)
-		}
-		out = append(out, v)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%s: no failure times", path)
-	}
-	return out, nil
+	return l, failures, err
 }
 
 func loadModel(path string) (*hsmm.Classifier, error) {
@@ -141,8 +145,7 @@ func loadModel(path string) (*hsmm.Classifier, error) {
 
 func runTrain(args []string) error {
 	fs := flag.NewFlagSet("train", flag.ContinueOnError)
-	logPath := fs.String("log", "", "error log file (required)")
-	failPath := fs.String("failures", "", "failure-times TSV (required)")
+	logPath := fs.String("log", "", "trace file with failure marks (required)")
 	modelPath := fs.String("model", "model.json", "output model file")
 	states := fs.Int("states", 6, "hidden states")
 	seed := fs.Int64("seed", 1, "training seed")
@@ -150,14 +153,10 @@ func runTrain(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *logPath == "" || *failPath == "" {
-		return fmt.Errorf("train: -log and -failures are required")
+	if *logPath == "" {
+		return fmt.Errorf("train: -log is required")
 	}
-	log, err := loadLog(*logPath)
-	if err != nil {
-		return err
-	}
-	failures, err := loadFailureTimes(*failPath)
+	log, failures, err := loadLabelled(*logPath)
 	if err != nil {
 		return err
 	}
@@ -211,7 +210,7 @@ func runTrain(args []string) error {
 
 func runScore(args []string) error {
 	fs := flag.NewFlagSet("score", flag.ContinueOnError)
-	logPath := fs.String("log", "", "error log file (required)")
+	logPath := fs.String("log", "", "trace file (required)")
 	modelPath := fs.String("model", "model.json", "model file")
 	at := fs.Float64("at", -1, "score the window ending at this time (required)")
 	wf := addWindowFlags(fs)
@@ -221,7 +220,7 @@ func runScore(args []string) error {
 	if *logPath == "" || *at < 0 {
 		return fmt.Errorf("score: -log and -at are required")
 	}
-	log, err := loadLog(*logPath)
+	log, _, err := loadTrace(*logPath)
 	if err != nil {
 		return err
 	}
@@ -242,22 +241,17 @@ func runScore(args []string) error {
 
 func runEval(args []string) error {
 	fs := flag.NewFlagSet("eval", flag.ContinueOnError)
-	logPath := fs.String("log", "", "error log file (required)")
-	failPath := fs.String("failures", "", "failure-times TSV (required)")
+	logPath := fs.String("log", "", "trace file with failure marks (required)")
 	modelPath := fs.String("model", "model.json", "model file")
 	from := fs.Float64("from", 0, "evaluate from this time on")
 	wf := addWindowFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *logPath == "" || *failPath == "" {
-		return fmt.Errorf("eval: -log and -failures are required")
+	if *logPath == "" {
+		return fmt.Errorf("eval: -log is required")
 	}
-	log, err := loadLog(*logPath)
-	if err != nil {
-		return err
-	}
-	failures, err := loadFailureTimes(*failPath)
+	log, failures, err := loadLabelled(*logPath)
 	if err != nil {
 		return err
 	}

@@ -1,127 +1,126 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/fleet"
+	"repro/internal/runtime"
 	"repro/internal/scp"
 )
 
-// writeArtifacts simulates a platform and writes its log and failure times
-// in the loggen file formats.
-func writeArtifacts(t *testing.T, dir, prefix string, seed int64, days float64) (logPath, failPath string) {
+// writeTraces simulates one platform, as cmd/loggen does, and writes its
+// records in two of the loggen encodings, <prefix>.trace (text) and
+// <prefix>.cols (PFC1); it returns the prefix.
+func writeTraces(t *testing.T, dir, prefix string, seed int64, days float64) string {
 	t.Helper()
-	cfg := scp.DefaultConfig()
-	cfg.Seed = seed
-	sys, err := scp.New(cfg)
+	m, err := scp.NewMulti(scp.MultiConfig{Tenants: 1, BaseSeed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Run(days * 86400); err != nil {
+	if err := m.Run(days * 86400); err != nil {
 		t.Fatal(err)
 	}
-	logPath = filepath.Join(dir, prefix+".log")
-	f, err := os.Create(logPath)
-	if err != nil {
+	recs := fleet.SCPRecords(m.Drain())
+	var text, cols bytes.Buffer
+	if err := fleet.WriteTrace(&text, recs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Log().WriteTo(f); err != nil {
+	b := runtime.NewColumnarBuilder()
+	for _, r := range recs {
+		var err error
+		switch ev := r.Event; {
+		case r.Failure:
+			err = b.AddFailure(ev.Time)
+		case ev.Kind == runtime.KindError:
+			err = b.AddError(ev.Error)
+		default:
+			err = b.AddSample(ev.Time, ev.Variable, ev.Value)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.Trace().WriteTo(&cols); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	base := filepath.Join(dir, prefix)
+	for ext, buf := range map[string]*bytes.Buffer{".trace": &text, ".cols": &cols} {
+		if err := os.WriteFile(base+ext, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var sb strings.Builder
-	sb.WriteString("t\tcause\n")
-	for _, fr := range sys.Failures() {
-		sb.WriteString(strconv.FormatFloat(fr.Time, 'f', 1, 64))
-		sb.WriteString("\t")
-		sb.WriteString(fr.Cause)
-		sb.WriteString("\n")
-	}
-	failPath = filepath.Join(dir, prefix+".failures.tsv")
-	if err := os.WriteFile(failPath, []byte(sb.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return logPath, failPath
+	return base
 }
 
 // TestTrainScoreEvalWorkflow drives the full CLI workflow: train on one
-// simulated platform, persist the model, evaluate and score on another.
+// simulated platform, persist the model, evaluate and score on another —
+// once from text traces and once from columnar ones, each run reading its
+// events and its failure marks from the one file. Both encodings carry the
+// same records, so they must train the same model.
 func TestTrainScoreEvalWorkflow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-day simulations")
 	}
 	dir := t.TempDir()
-	trainLog, trainFail := writeArtifacts(t, dir, "train", 7, 10)
-	testLog, testFail := writeArtifacts(t, dir, "test", 8, 4)
-	model := filepath.Join(dir, "model.json")
-
-	if err := run([]string{"train", "-log", trainLog, "-failures", trainFail, "-model", model}); err != nil {
-		t.Fatalf("train: %v", err)
+	train := writeTraces(t, dir, "train", 7, 10)
+	test := writeTraces(t, dir, "test", 8, 4)
+	models := map[string][]byte{}
+	for _, ext := range []string{".trace", ".cols"} {
+		model := filepath.Join(dir, "model"+ext+".json")
+		if err := run([]string{"train", "-log", train + ext, "-model", model}); err != nil {
+			t.Fatalf("%s train: %v", ext, err)
+		}
+		data, err := os.ReadFile(model)
+		if err != nil {
+			t.Fatalf("%s: model not written: %v", ext, err)
+		}
+		models[ext] = data
+		if err := run([]string{"eval", "-log", test + ext, "-model", model}); err != nil {
+			t.Fatalf("%s eval: %v", ext, err)
+		}
+		if err := run([]string{"score", "-log", test + ext, "-model", model, "-at", "86400"}); err != nil {
+			t.Fatalf("%s score: %v", ext, err)
+		}
 	}
-	if _, err := os.Stat(model); err != nil {
-		t.Fatalf("model not written: %v", err)
-	}
-	if err := run([]string{"eval", "-log", testLog, "-failures", testFail, "-model", model}); err != nil {
-		t.Fatalf("eval: %v", err)
-	}
-	if err := run([]string{"score", "-log", testLog, "-model", model, "-at", "86400"}); err != nil {
-		t.Fatalf("score: %v", err)
+	if !bytes.Equal(models[".trace"], models[".cols"]) {
+		t.Fatal("text and columnar traces of the same records trained different models")
 	}
 }
 
 func TestRunUsageErrors(t *testing.T) {
+	dir := t.TempDir()
+	// Two tenants in one trace, and one tenant that never failed.
+	multi := filepath.Join(dir, "multi.trace")
+	quiet := filepath.Join(dir, "quiet.trace")
+	for path, text := range map[string]string{
+		multi: "E|t0000|1|db|3|2|m\nF|t0001|2\n",
+		quiet: "E|t0000|1|db|3|2|m\nS|t0000|2|load|0.5\n",
+	} {
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cases := [][]string{
 		nil,
 		{"bogus"},
-		{"train"},               // missing -log/-failures
-		{"score", "-log", "x"},  // missing -at
-		{"eval", "-model", "x"}, // missing -log/-failures
+		{"train"},                                // missing -log
+		{"score", "-log", "x"},                   // missing -at
+		{"eval", "-model", "x"},                  // missing -log
+		{"train", "-log", "x", "-failures", "y"}, // the flag is gone
+		{"train", "-log", multi},
+		{"score", "-log", multi, "-at", "1"},
+		{"eval", "-log", quiet}, // no ground truth to evaluate against
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Fatalf("run(%v) accepted", args)
 		}
 	}
-}
-
-func TestLoadFailureTimes(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "f.tsv")
-	if err := os.WriteFile(path, []byte("t\tcause\n100.5\tleak\n200\tburst\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	times, err := loadFailureTimes(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(times) != 2 || times[0] != 100.5 || times[1] != 200 {
-		t.Fatalf("times = %v", times)
-	}
-	// Headerless plain list also works.
-	if err := os.WriteFile(path, []byte("1\n2\n3\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	times, err = loadFailureTimes(path)
-	if err != nil || len(times) != 3 {
-		t.Fatalf("plain list: %v, %v", times, err)
-	}
-	// Empty file errors.
-	if err := os.WriteFile(path, []byte("t\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadFailureTimes(path); err == nil {
-		t.Fatal("empty failure list accepted")
-	}
-	// Garbage mid-file errors.
-	if err := os.WriteFile(path, []byte("1\nnope\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadFailureTimes(path); err == nil {
-		t.Fatal("garbage line accepted")
+	if err := run([]string{"train", "-log", multi}); err == nil || !strings.Contains(err.Error(), "multi-tenant") {
+		t.Fatalf("multi-tenant trace: %v", err)
 	}
 }

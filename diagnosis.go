@@ -16,15 +16,16 @@ type Diagnoser = diagnose.Diagnoser
 type Suspect = diagnose.Suspect
 
 // TrainDiagnoser learns component/event-type pre-failure signatures from
-// labeled error windows.
-func TrainDiagnoser(failure, nonFailure [][]ErrorEvent, smoothing float64) (*Diagnoser, error) {
-	return diagnose.Train(failure, nonFailure, smoothing)
+// labeled error windows of l, as CollectDiagnosisWindows returns them.
+func TrainDiagnoser(l *ErrorLog, failure, nonFailure [][2]int, smoothing float64) (*Diagnoser, error) {
+	return diagnose.TrainOnRanges(l, failure, nonFailure, smoothing)
 }
 
 // CollectDiagnosisWindows assembles pre-failure and reference error windows
-// for diagnoser training, with the Fig. 6 window geometry.
-func CollectDiagnosisWindows(l *ErrorLog, failureTimes []float64, cfg ExtractConfig) (failure, nonFailure [][]ErrorEvent, err error) {
-	return diagnose.CollectWindows(l, failureTimes, cfg)
+// for diagnoser training, with the Fig. 6 window geometry, as [lo, hi)
+// index ranges into l.
+func CollectDiagnosisWindows(l *ErrorLog, failureTimes []float64, cfg ExtractConfig) (failure, nonFailure [][2]int, err error) {
+	return diagnose.CollectWindowRanges(l, failureTimes, cfg)
 }
 
 // --- dynamicity handling (Sect. 6) --------------------------------------------

@@ -72,7 +72,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	diagnoser, err := pfm.TrainDiagnoser(failWins, healthyWins, 1)
+	diagnoser, err := pfm.TrainDiagnoser(history.Log(), failWins, healthyWins, 1)
 	if err != nil {
 		return err
 	}

@@ -77,86 +77,12 @@ func CollectWindowRanges(l *eventlog.Log, failureTimes []float64, cfg eventlog.E
 	return failure, nonFailure, nil
 }
 
-// CollectWindows is the materializing compatibility form of
-// CollectWindowRanges: the same windows as copied []Event slices, for
-// callers that still hold events. New code should use the range form with
-// TrainOnRanges.
-func CollectWindows(l *eventlog.Log, failureTimes []float64, cfg eventlog.ExtractConfig) (failure, nonFailure [][]eventlog.Event, err error) {
-	fr, nr, err := CollectWindowRanges(l, failureTimes, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	materialize := func(ranges [][2]int) [][]eventlog.Event {
-		out := make([][]eventlog.Event, 0, len(ranges))
-		for _, r := range ranges {
-			w := make([]eventlog.Event, r[1]-r[0])
-			for i := range w {
-				w[i] = l.At(r[0] + i)
-			}
-			out = append(out, w)
-		}
-		return out
-	}
-	return materialize(fr), materialize(nr), nil
-}
-
 func nearFailure(t float64, sorted []float64, guard float64) bool {
 	i := sort.SearchFloat64s(sorted, t)
 	if i < len(sorted) && sorted[i]-t < guard {
 		return true
 	}
 	return i > 0 && t-sorted[i-1] < guard
-}
-
-// Train learns component and event-type presence log-ratios from labeled
-// windows, with Laplace smoothing.
-func Train(failure, nonFailure [][]eventlog.Event, smoothing float64) (*Diagnoser, error) {
-	if len(failure) == 0 || len(nonFailure) == 0 {
-		return nil, fmt.Errorf("%w: training needs both classes (%d/%d)",
-			ErrDiagnose, len(failure), len(nonFailure))
-	}
-	if smoothing <= 0 {
-		smoothing = 1
-	}
-	compCounts := func(windows [][]eventlog.Event) (map[string]float64, map[int]float64) {
-		comps := make(map[string]float64)
-		types := make(map[int]float64)
-		for _, w := range windows {
-			seenC := make(map[string]bool)
-			seenT := make(map[int]bool)
-			for _, e := range w {
-				if !seenC[e.Component] {
-					comps[e.Component]++
-					seenC[e.Component] = true
-				}
-				if !seenT[e.Type] {
-					types[e.Type]++
-					seenT[e.Type] = true
-				}
-			}
-		}
-		return comps, types
-	}
-	fc, ft := compCounts(failure)
-	nc, nt := compCounts(nonFailure)
-	nf, nn := float64(len(failure)), float64(len(nonFailure))
-
-	d := &Diagnoser{
-		componentLR: make(map[string]float64),
-		typeLR:      make(map[int]float64),
-		unseen:      math.Log(smoothing / (nf + 2*smoothing) * (nn + 2*smoothing) / smoothing),
-	}
-	for c := range union(fc, nc) {
-		pf := (fc[c] + smoothing) / (nf + 2*smoothing)
-		pn := (nc[c] + smoothing) / (nn + 2*smoothing)
-		d.componentLR[c] = math.Log(pf / pn)
-	}
-	for t := range unionInt(ft, nt) {
-		pf := (ft[t] + smoothing) / (nf + 2*smoothing)
-		pn := (nt[t] + smoothing) / (nn + 2*smoothing)
-		d.typeLR[t] = math.Log(pf / pn)
-	}
-	return d, nil
 }
 
 // countPresenceRanges tallies, for every component ID and event type, the
@@ -204,10 +130,10 @@ func countPresenceRanges(l *eventlog.Log, ranges [][2]int) ([]float64, map[int]f
 	return comps, types
 }
 
-// TrainOnRanges is Train over CollectWindowRanges output: identical
-// log-ratios (components never present in any window fall back to the
-// unseen ratio, exactly as Train's union would assign them), computed by
-// column scans instead of window copies.
+// TrainOnRanges learns component and event-type presence log-ratios, with
+// Laplace smoothing, from labeled windows of l as CollectWindowRanges
+// returns them. Components present in no window fall back to the unseen
+// ratio.
 func TrainOnRanges(l *eventlog.Log, failure, nonFailure [][2]int, smoothing float64) (*Diagnoser, error) {
 	if len(failure) == 0 || len(nonFailure) == 0 {
 		return nil, fmt.Errorf("%w: training needs both classes (%d/%d)",
@@ -240,17 +166,6 @@ func TrainOnRanges(l *eventlog.Log, failure, nonFailure [][2]int, smoothing floa
 	return d, nil
 }
 
-func union(a, b map[string]float64) map[string]bool {
-	out := make(map[string]bool, len(a)+len(b))
-	for k := range a {
-		out[k] = true
-	}
-	for k := range b {
-		out[k] = true
-	}
-	return out
-}
-
 func unionInt(a, b map[int]float64) map[int]bool {
 	out := make(map[int]bool, len(a)+len(b))
 	for k := range a {
@@ -262,51 +177,12 @@ func unionInt(a, b map[int]float64) map[int]bool {
 	return out
 }
 
-// Diagnose ranks the components present in the warning window by their
-// accumulated pre-failure evidence: each event contributes its component's
-// and its type's log-ratio to its component's score. An empty window yields
-// no suspects.
-func (d *Diagnoser) Diagnose(window []eventlog.Event) []Suspect {
-	scores := make(map[string]float64)
-	counts := make(map[string]int)
-	for _, e := range window {
-		lr, ok := d.componentLR[e.Component]
-		if !ok {
-			lr = d.unseen
-		}
-		tlr, ok := d.typeLR[e.Type]
-		if !ok {
-			tlr = d.unseen
-		}
-		scores[e.Component] += lr + tlr
-		counts[e.Component]++
-	}
-	out := make([]Suspect, 0, len(scores))
-	for c, s := range scores {
-		out = append(out, Suspect{Component: c, Score: s, Events: counts[c]})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Component < out[j].Component
-	})
-	return out
-}
-
-// TopSuspect returns the highest-ranked component, or "" for an empty
-// window.
-func (d *Diagnoser) TopSuspect(window []eventlog.Event) string {
-	s := d.Diagnose(window)
-	if len(s) == 0 {
-		return ""
-	}
-	return s[0].Component
-}
-
-// DiagnoseRange is Diagnose over the log events in [from, to): the same
-// ranking, read straight off the columns (the component strings scored
-// are shared dictionary entries, never copied).
+// DiagnoseRange ranks the components present in the warning window — the
+// log events in [from, to) — by their accumulated pre-failure evidence: each
+// event contributes its component's and its type's log-ratio to its
+// component's score. An empty window yields no suspects. The window is read
+// straight off the columns (the component strings scored are shared
+// dictionary entries, never copied).
 func (d *Diagnoser) DiagnoseRange(l *eventlog.Log, from, to float64) []Suspect {
 	lo, hi := l.ScanWindow(from, to)
 	scores := make(map[string]float64)

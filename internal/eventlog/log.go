@@ -14,13 +14,10 @@
 package eventlog
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -38,7 +35,7 @@ const (
 	SeverityCritical
 )
 
-// String returns the log-file token for s.
+// String returns the display token for s.
 func (s Severity) String() string {
 	switch s {
 	case SeverityInfo:
@@ -51,22 +48,6 @@ func (s Severity) String() string {
 		return "CRIT"
 	default:
 		return fmt.Sprintf("Severity(%d)", int(s))
-	}
-}
-
-// parseSeverity inverts String.
-func parseSeverity(tok string) (Severity, error) {
-	switch tok {
-	case "INFO":
-		return SeverityInfo, nil
-	case "WARN":
-		return SeverityWarning, nil
-	case "ERROR":
-		return SeverityError, nil
-	case "CRIT":
-		return SeverityCritical, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown severity %q", ErrLog, tok)
 	}
 }
 
@@ -591,61 +572,4 @@ func (l *Log) TypeSet() []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// WriteTo serializes the log in a line-oriented text format:
-//
-//	time|component|type|severity|message
-func (l *Log) WriteTo(w io.Writer) (int64, error) {
-	var n int64
-	bw := bufio.NewWriter(w)
-	for i := range l.times {
-		c, err := fmt.Fprintf(bw, "%.6f|%s|%d|%s|%s\n",
-			l.times[i], l.ComponentAt(i), l.types[i], Severity(l.sevs[i]), l.MessageAt(i))
-		n += int64(c)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
-// Parse reads a log in the WriteTo format.
-func Parse(r io.Reader) (*Log, error) {
-	out := NewLog()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		parts := strings.SplitN(text, "|", 5)
-		if len(parts) != 5 {
-			return nil, fmt.Errorf("%w: line %d: want 5 fields, got %d", ErrLog, line, len(parts))
-		}
-		t, err := strconv.ParseFloat(parts[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: line %d: time: %v", ErrLog, line, err)
-		}
-		typ, err := strconv.Atoi(parts[2])
-		if err != nil {
-			return nil, fmt.Errorf("%w: line %d: type: %v", ErrLog, line, err)
-		}
-		sev, err := parseSeverity(parts[3])
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
-		if err := out.Append(Event{
-			Time: t, Component: parts[1], Type: typ, Severity: sev, Message: parts[4],
-		}); err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%w: scan: %v", ErrLog, err)
-	}
-	return out, nil
 }

@@ -1,7 +1,6 @@
 package eventlog
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -91,56 +90,6 @@ func TestTypeSet(t *testing.T) {
 	ts := l.TypeSet()
 	if len(ts) != 2 || ts[0] != 3 || ts[1] != 5 {
 		t.Fatalf("TypeSet = %v", ts)
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	l := buildLog(t,
-		ev(1.25, "db", 42, SeverityWarning),
-		ev(2.5, "net", 7, SeverityCritical),
-	)
-	var sb strings.Builder
-	if _, err := l.WriteTo(&sb); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Parse(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != 2 {
-		t.Fatalf("parsed %d events", back.Len())
-	}
-	for i := 0; i < 2; i++ {
-		a, b := l.At(i), back.At(i)
-		if a.Component != b.Component || a.Type != b.Type || a.Severity != b.Severity || a.Time != b.Time {
-			t.Fatalf("round trip mismatch: %+v vs %+v", a, b)
-		}
-	}
-}
-
-func TestParseSkipsCommentsAndBlank(t *testing.T) {
-	in := "# header\n\n1.0|a|1|INFO|hello\n"
-	l, err := Parse(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Len() != 1 || l.At(0).Message != "hello" {
-		t.Fatalf("parsed %d events", l.Len())
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	cases := map[string]string{
-		"too few fields": "1.0|a|1|INFO\n",
-		"bad time":       "x|a|1|INFO|m\n",
-		"bad type":       "1.0|a|y|INFO|m\n",
-		"bad severity":   "1.0|a|1|LOUD|m\n",
-		"unordered":      "2|a|1|INFO|m\n1|a|1|INFO|m\n",
-	}
-	for name, in := range cases {
-		if _, err := Parse(strings.NewReader(in)); err == nil {
-			t.Fatalf("%s: Parse accepted %q", name, in)
-		}
 	}
 }
 

@@ -481,6 +481,11 @@ func TestFleetAdminHTTP(t *testing.T) {
 	if rec := post("/fleet/tenants", `{"id":""}`); rec.Code != 400 {
 		t.Errorf("empty-id POST = %d, want 400", rec.Code)
 	}
+	// The status follows the error's identity, not its text: an invalid spec
+	// is a 400 whatever its ID spells.
+	if rec := post("/fleet/tenants", `{"id":"duplicate-of-web","criticality":-1}`); rec.Code != 400 {
+		t.Errorf("invalid-criticality POST for an ID containing \"duplicate\" = %d, want 400", rec.Code)
+	}
 	if err := f.Ingest(ctx, sample("web", 1, 0.5)); err != nil {
 		t.Fatalf("ingest for admitted tenant: %v", err)
 	}

@@ -34,10 +34,11 @@
 // and the /fleet plane.
 //
 // Ingest is pluggable (Source): an in-process feeder (SliceSource, or
-// SCPRecords over internal/scp's multi-tenant simulator), a file-tail
-// reader of the pipe-separated text line protocol (tail.go), and a compact
-// binary wire format with a line-rate replay reader (wire.go). Pump drives
-// any Source into a Fleet.
+// SCPRecords over internal/scp's multi-tenant simulator), a reader of the
+// pipe-separated text line protocol (tail.go) — the repository's only text
+// trace — and a compact binary wire format with a line-rate replay reader
+// (wire.go); OpenTrace opens a recorded file in either, told apart by
+// magic. Pump drives any Source into a Fleet.
 //
 // Determinism: with evaluation driven explicitly (EvaluateCycle after
 // Barrier), per-tenant decisions, counters, and ledger tables are

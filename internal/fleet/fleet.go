@@ -27,6 +27,10 @@ var ErrFleet = errors.New("fleet: invalid operation")
 // tenant ID.
 var ErrUnknownTenant = fmt.Errorf("%w: unknown tenant", ErrFleet)
 
+// ErrDuplicateTenant is returned by New/AddTenant for a tenant ID that is
+// already registered.
+var ErrDuplicateTenant = fmt.Errorf("%w: duplicate tenant", ErrFleet)
+
 // Event is one unit of fleet ingest: a tenant-labeled error-log event or
 // monitoring-variable sample, the same two inputs as the single-runtime
 // pipeline.
@@ -336,6 +340,22 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Clock == nil {
 		f.cfg.Clock = func() float64 { return f.shell.Uptime().Seconds() }
 	}
+	// Every step that can fail comes before the first registration: a failed
+	// New leaves the caller's Metrics as it found them.
+	mem := &membership{
+		gen:    1,
+		byID:   make(map[string]*tenant, len(cfg.Tenants)),
+		ring:   newRing(cfg.Shards, defaultVnodes),
+		shards: make([]*shardQueue, cfg.Shards),
+	}
+	for i, spec := range cfg.Tenants {
+		tn, err := f.buildTenant(mem.byID, i, spec)
+		if err != nil {
+			return nil, err
+		}
+		mem.tenants = append(mem.tenants, tn)
+		mem.byID[tn.spec.ID] = tn
+	}
 	reg := f.metrics.Registry()
 	f.unknown = reg.Counter("pfm_fleet_unknown_tenant_total",
 		"Events rejected because their tenant is not registered.")
@@ -352,24 +372,12 @@ func New(cfg Config) (*Fleet, error) {
 		f.evalErrors[li] = reg.Counter("pfm_layer_eval_errors_total",
 			"Layer evaluations that returned an error (scored as abstain).", "layer", tmpl.Name)
 	}
-	mem := &membership{
-		gen:    1,
-		byID:   make(map[string]*tenant, len(cfg.Tenants)),
-		ring:   newRing(cfg.Shards, defaultVnodes),
-		shards: make([]*shardQueue, cfg.Shards),
-	}
 	for s := range mem.shards {
 		mem.shards[s] = f.newShardQueueAt(s)
 	}
-	for i, spec := range cfg.Tenants {
-		tn, err := f.buildTenant(mem.byID, i, spec)
-		if err != nil {
-			return nil, err
-		}
+	for _, tn := range mem.tenants {
 		tn.q = newTenantQueue(tn, cfg.QueueCapacity, tn.spec.RateLimit)
 		mem.shards[mem.ring.shardOf(tn.spec.ID)].attach(tn.q)
-		mem.tenants = append(mem.tenants, tn)
-		mem.byID[tn.spec.ID] = tn
 	}
 	mem.reindex(len(cfg.Layers))
 	f.mem.Store(mem)
@@ -448,7 +456,7 @@ func (f *Fleet) buildTenant(byID map[string]*tenant, i int, spec TenantSpec) (*t
 		return nil, fmt.Errorf("%w: tenant %d has invalid ID %q", ErrFleet, i, spec.ID)
 	}
 	if _, dup := byID[spec.ID]; dup {
-		return nil, fmt.Errorf("%w: duplicate tenant %q", ErrFleet, spec.ID)
+		return nil, fmt.Errorf("%w %q", ErrDuplicateTenant, spec.ID)
 	}
 	if spec.Criticality < 0 || math.IsNaN(spec.Criticality) || math.IsInf(spec.Criticality, 0) {
 		return nil, fmt.Errorf("%w: tenant %q criticality %g", ErrFleet, spec.ID, spec.Criticality)

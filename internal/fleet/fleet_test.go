@@ -3,9 +3,11 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -375,10 +377,35 @@ func TestFleetEvalErrorsCounted(t *testing.T) {
 		map[string]int{"a": 2, "b": 2, "c": 1, "d": 1})
 }
 
-// TestFleetValidation rejects malformed configurations.
+// metricSeries lists the series a registry exposes, name and labels without
+// the values (the Go heap gauges move from scrape to scrape).
+func metricSeries(t *testing.T, reg *runtime.Registry) []string {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if line != "" && line[0] != '#' {
+			out = append(out, line[:strings.LastIndexByte(line, ' ')])
+		}
+	}
+	return out
+}
+
+// TestFleetValidation rejects malformed configurations, each leaving the
+// caller's Metrics as New found them — so the retry that succeeds exposes
+// every series once.
 func TestFleetValidation(t *testing.T) {
 	clock := newTestClock(0)
-	base := func() Config { return testFleetConfig(specs("a", "b"), clock) }
+	m := runtime.NewMetrics()
+	before := metricSeries(t, m.Registry())
+	base := func() Config {
+		cfg := testFleetConfig(specs("a", "b"), clock)
+		cfg.Metrics = m
+		return cfg
+	}
 	cases := []struct {
 		name string
 		mod  func(*Config)
@@ -393,15 +420,43 @@ func TestFleetValidation(t *testing.T) {
 		{"negative criticality", func(c *Config) { c.Tenants[0].Criticality = -1 }},
 		{"scorerless layer", func(c *Config) { c.Layers = []LayerTemplate{{Name: "x"}} }},
 		{"negative shards", func(c *Config) { c.Shards = -1 }},
+		{"state error on the last tenant", func(c *Config) {
+			c.NewState = func(s TenantSpec) (TenantState, error) {
+				if s.ID == "b" {
+					return nil, fmt.Errorf("no state for %s", s.ID)
+				}
+				return &tstate{id: s.ID}, nil
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base()
 			tc.mod(&cfg)
-			if _, err := New(cfg); err == nil {
+			_, err := New(cfg)
+			if err == nil {
 				t.Fatalf("New accepted %s", tc.name)
 			}
+			if dup := tc.name == "duplicate tenant"; errors.Is(err, ErrDuplicateTenant) != dup {
+				t.Errorf("errors.Is(%v, ErrDuplicateTenant) = %t", err, !dup)
+			}
+			if after := metricSeries(t, m.Registry()); !slices.Equal(after, before) {
+				t.Fatalf("the refused New left %d series in the caller's registry, was %d", len(after), len(before))
+			}
 		})
+	}
+	if _, err := New(base()); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, s := range metricSeries(t, m.Registry()) {
+		if seen[s] {
+			t.Errorf("series %s exposed twice after the retry", s)
+		}
+		seen[s] = true
+	}
+	if !seen["pfm_fleet_tenants"] || !seen[`pfm_layer_eval_errors_total{layer="load"}`] {
+		t.Errorf("the accepted New registered too little: %v", seen)
 	}
 }
 

@@ -268,7 +268,7 @@ func decodeStream(r io.Reader, emit func(Record) bool, badLines *atomic.Int64) e
 	// The connection's one read buffer, sized once: a read(2) fills many
 	// slabs, and the wire Reader parses frames in it in place.
 	br := bufio.NewReaderSize(r, wireBufSize)
-	if magic, err := br.Peek(len(WireMagic)); err == nil && string(magic) == WireMagic {
+	if isWire(br) {
 		wr := NewReader(br)
 		for {
 			rec, err := wr.Next()

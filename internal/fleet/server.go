@@ -272,7 +272,7 @@ func (f *Fleet) serveTenants(w http.ResponseWriter, req *http.Request) {
 	}
 	if err := f.AddTenant(spec); err != nil {
 		code := http.StatusBadRequest
-		if strings.Contains(err.Error(), "duplicate") {
+		if errors.Is(err, ErrDuplicateTenant) {
 			code = http.StatusConflict
 		}
 		http.Error(w, err.Error(), code)

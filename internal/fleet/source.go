@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/eventlog"
 	"repro/internal/runtime"
@@ -23,9 +25,34 @@ type Record struct {
 // consumer — Pump — and no implementation's Next may be called from two
 // goroutines at once. Implementations in this package: SliceSource
 // (in-process), TailSource (text line protocol), Reader (binary wire
-// format), ListenSource (either encoding over TCP).
+// format), ListenSource (either encoding over TCP); OpenTrace opens a
+// recorded file in either encoding. Record is also what the tools exchange:
+// cmd/loggen writes the simulator's output as records in both encodings,
+// cmd/predict and pfmd -fleet-trace read them back.
 type Source interface {
 	Next() (Record, error)
+}
+
+// isWire reports whether the stream behind br leads with the PFW1 magic —
+// the one test that tells the binary wire format from the text line
+// protocol, on a file (OpenTrace) and on a socket (decodeStream) alike.
+func isWire(br *bufio.Reader) bool {
+	magic, err := br.Peek(len(WireMagic))
+	return err == nil && string(magic) == WireMagic
+}
+
+// OpenTrace opens a recorded trace file in either encoding, told apart by
+// its first four bytes, never by its name. The Closer releases the file.
+func OpenTrace(path string) (Source, io.Closer, error) {
+	fh, err := os.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	br := bufio.NewReaderSize(fh, wireBufSize)
+	if isWire(br) {
+		return NewReader(br), fh, nil
+	}
+	return NewTailSource(br), fh, nil
 }
 
 // Pump drains src into the fleet: events go through Ingest under the

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 
@@ -128,33 +127,13 @@ func parseTime(s string) (float64, error) {
 
 // TailSource reads protocol lines from a stream until io.EOF.
 type TailSource struct {
-	r      *bufio.Reader
-	closer io.Closer // set by OpenTail
-	line   int
+	r    *bufio.Reader
+	line int
 }
 
 // NewTailSource reads from r.
 func NewTailSource(r io.Reader) *TailSource {
 	return &TailSource{r: bufio.NewReader(r)}
-}
-
-// OpenTail opens path as a TailSource (Close releases the file).
-func OpenTail(path string) (*TailSource, error) {
-	fh, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	ts := NewTailSource(fh)
-	ts.closer = fh
-	return ts, nil
-}
-
-// Close releases the underlying file (no-op for plain readers).
-func (s *TailSource) Close() error {
-	if s.closer != nil {
-		return s.closer.Close()
-	}
-	return nil
 }
 
 // Next returns the next decoded record. A malformed line is reported with

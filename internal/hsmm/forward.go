@@ -84,16 +84,6 @@ func (m *Model) LogLikelihood(seq eventlog.Sequence) (float64, error) {
 	return ll, nil
 }
 
-// LogLikelihoodPerEvent normalizes the log-likelihood by sequence length so
-// sequences of different lengths are comparable.
-func (m *Model) LogLikelihoodPerEvent(seq eventlog.Sequence) (float64, error) {
-	ll, err := m.LogLikelihood(seq)
-	if err != nil {
-		return 0, err
-	}
-	return ll / float64(seq.Len()), nil
-}
-
 // hoistFloor is the smallest hoisted sum the lattices take a logarithm of.
 // Above it the terms lost to underflow are below 1e-30 of the sum; below it
 // (0 and NaN included) the cell goes through logCell.

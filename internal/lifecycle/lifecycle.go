@@ -117,6 +117,24 @@ type Event struct {
 	Err string
 }
 
+// Fixed parts of the lifecycle policy.
+const (
+	// qualityDelta and qualityLambda are the Page–Hinkley tolerance and
+	// threshold on a layer's rolling 1−F stream.
+	qualityDelta  = 0.01
+	qualityLambda = 0.25
+	// minQualityResolved gates the quality detector until the rolling
+	// table has at least this many resolved predictions.
+	minQualityResolved = 20
+	// shadowMaxFactor bounds the shadow phase: a candidate that has not won
+	// after this many times ShadowMinResolved resolved predictions is
+	// discarded.
+	shadowMaxFactor = 10
+	// rollbackMargin: roll back when post-swap F drops below the pre-swap F
+	// by more than this.
+	rollbackMargin = 0.05
+)
+
 // Config tunes the lifecycle manager. Zero values select the defaults.
 type Config struct {
 	// ScoreWarmup is the number of observations the per-layer score
@@ -126,29 +144,15 @@ type Config struct {
 	ScoreDriftSigma float64
 	// ScoreThresholdSigma is the score CUSUM threshold in σ (default 8).
 	ScoreThresholdSigma float64
-	// QualityDelta is the Page–Hinkley tolerance on the layer's rolling
-	// 1−F stream (default 0.01).
-	QualityDelta float64
-	// QualityLambda is the Page–Hinkley threshold (default 0.25).
-	QualityLambda float64
-	// MinQualityResolved gates the quality detector until the rolling
-	// table has at least this many resolved predictions (default 20).
-	MinQualityResolved int
 	// ShadowMinResolved is the minimum number of resolved candidate
 	// predictions before a promotion decision (default 10).
 	ShadowMinResolved int
-	// ShadowMaxResolved bounds the shadow phase: a candidate that has not
-	// won by then is discarded (default 10 × ShadowMinResolved).
-	ShadowMaxResolved int
 	// ShadowMargin is how much the candidate's F-measure must exceed the
 	// incumbent's to be promoted (default 0: strictly greater).
 	ShadowMargin float64
 	// ProbationResolved is the number of post-swap resolved predictions
 	// before the swap is confirmed or rolled back (default 20).
 	ProbationResolved int
-	// RollbackMargin: roll back when post-swap F drops below the pre-swap
-	// F by more than this (default 0.05).
-	RollbackMargin float64
 	// CooldownCycles suppresses new drift triggers for a layer after any
 	// completed lifecycle episode (default 50).
 	CooldownCycles int
@@ -209,26 +213,11 @@ func (c Config) withDefaults() Config {
 	if c.ScoreThresholdSigma == 0 {
 		c.ScoreThresholdSigma = 8
 	}
-	if c.QualityDelta == 0 {
-		c.QualityDelta = 0.01
-	}
-	if c.QualityLambda == 0 {
-		c.QualityLambda = 0.25
-	}
-	if c.MinQualityResolved == 0 {
-		c.MinQualityResolved = 20
-	}
 	if c.ShadowMinResolved == 0 {
 		c.ShadowMinResolved = 10
 	}
-	if c.ShadowMaxResolved == 0 {
-		c.ShadowMaxResolved = 10 * c.ShadowMinResolved
-	}
 	if c.ProbationResolved == 0 {
 		c.ProbationResolved = 20
-	}
-	if c.RollbackMargin == 0 {
-		c.RollbackMargin = 0.05
 	}
 	if c.CooldownCycles == 0 {
 		c.CooldownCycles = 50
@@ -310,7 +299,7 @@ func NewManager(layers []*core.Layer, led *obs.Ledger, cfg Config) (*Manager, er
 		if err != nil {
 			return nil, err
 		}
-		qd, err := changepoint.NewPageHinkley(cfg.QualityDelta, cfg.QualityLambda)
+		qd, err := changepoint.NewPageHinkley(qualityDelta, qualityLambda)
 		if err != nil {
 			return nil, err
 		}
@@ -475,7 +464,7 @@ func (m *Manager) observeLayer(ls *layerState, now, score float64) {
 	// Detectors always see the stream so their references stay current.
 	scoreDrift := ls.scoreDet.Update(score)
 	qualityDrift := false
-	if rolling := m.led.Quality(name); rolling.Total() >= m.cfg.MinQualityResolved {
+	if rolling := m.led.Quality(name); rolling.Total() >= minQualityResolved {
 		qualityDrift = ls.qualityDet.Update(1 - rolling.FMeasure())
 	}
 
@@ -510,7 +499,7 @@ func (m *Manager) observeLayer(ls *layerState, now, score float64) {
 			m.promote(ls, now, candF, incF)
 			return
 		}
-		if candDelta.Total() >= m.cfg.ShadowMaxResolved {
+		if candDelta.Total() >= shadowMaxFactor*m.cfg.ShadowMinResolved {
 			ls.candidate = nil
 			ls.state = StateServing
 			ls.cooldownUntil = m.cycle + uint64(m.cfg.CooldownCycles)
@@ -524,7 +513,7 @@ func (m *Manager) observeLayer(ls *layerState, now, score float64) {
 			return
 		}
 		newF := delta.FMeasure()
-		if newF < ls.preSwapF-m.cfg.RollbackMargin {
+		if newF < ls.preSwapF-rollbackMargin {
 			ls.rollbacks++
 			_, ver := ls.layer.SwapPredictor(ls.prevPredictor)
 			ls.prevPredictor = nil

@@ -86,9 +86,6 @@ type RecorderConfig struct {
 	// MaxEvents caps the event-log slice per bundle, keeping the newest
 	// events of the window (default 512).
 	MaxEvents int
-	// SlowSpans is how many slowest tracer spans a bundle carries
-	// (default 5).
-	SlowSpans int
 	// Log is the mirrored event log the bundles slice. The recorder reads
 	// it only inside Collect/Flush, which the runtime calls under the
 	// evaluation exclusion (or after shutdown), so no extra locking is
@@ -262,8 +259,9 @@ const (
 	defaultRecorderDepth      = 32
 	defaultRecorderMaxBundles = 32
 	defaultRecorderMaxEvents  = 512
-	defaultRecorderSlowSpans  = 5
 	defaultBurnRateResolved   = 10
+	// recorderSlowSpans is how many slowest tracer spans a bundle carries.
+	recorderSlowSpans = 5
 )
 
 // NewRecorder validates the configuration and builds a flight recorder.
@@ -276,7 +274,7 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 		return nil, fmt.Errorf("%w: recorder window=%g warn=%g floor=%g refractory=%g",
 			ErrObs, cfg.Window, cfg.WarnThreshold, cfg.BurnRateFloor, cfg.Refractory)
 	}
-	if cfg.ScoreDepth < 0 || cfg.MaxBundles < 0 || cfg.MaxEvents < 0 || cfg.SlowSpans < 0 || cfg.BurnRateMinResolved < 0 {
+	if cfg.ScoreDepth < 0 || cfg.MaxBundles < 0 || cfg.MaxEvents < 0 || cfg.BurnRateMinResolved < 0 {
 		return nil, fmt.Errorf("%w: negative recorder depth/cap", ErrObs)
 	}
 	if cfg.Window == 0 {
@@ -293,9 +291,6 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 	}
 	if cfg.MaxEvents == 0 {
 		cfg.MaxEvents = defaultRecorderMaxEvents
-	}
-	if cfg.SlowSpans == 0 {
-		cfg.SlowSpans = defaultRecorderSlowSpans
 	}
 	if cfg.BurnRateMinResolved == 0 {
 		cfg.BurnRateMinResolved = defaultBurnRateResolved
@@ -510,7 +505,7 @@ func (r *Recorder) assembleLocked(p *pendingTrigger) *IncidentBundle {
 		})
 	}
 	if r.cfg.Tracer != nil {
-		b.Spans = r.cfg.Tracer.Slowest(r.cfg.SlowSpans)
+		b.Spans = r.cfg.Tracer.Slowest(recorderSlowSpans)
 	}
 	if r.cfg.Ledger != nil {
 		snap := r.cfg.Ledger.Snapshot()

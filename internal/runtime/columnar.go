@@ -16,20 +16,46 @@ var ErrColumnar = fmt.Errorf("%w: columnar trace", ErrRuntime)
 // columnarMagic identifies the PFC1 single-tenant columnar trace format.
 var columnarMagic = [4]byte{'P', 'F', 'C', '1'}
 
-// Sanity caps for ReadColumnar: a corrupt header must not provoke a
-// multi-gigabyte allocation before the bounds checks can reject it.
+// Sanity caps for ReadColumnar. They bound what a well-formed file may
+// hold, not what a corrupt one may make the reader allocate: every count in
+// the file is a claim, and memory is committed as the bytes behind it
+// arrive (readF64s, readDict), so a 30-byte file that announces 2^30
+// events costs its 30 bytes (FuzzReadColumnar).
 const (
 	maxColumnarEvents  = 1 << 30
 	maxColumnarStrings = 1 << 24
 	maxColumnarStrLen  = 1 << 20
+	// columnarChunk is how many cells an unproven count is read at a time.
+	columnarChunk = 1 << 16
 )
+
+// readF64s reads n little-endian float64s whose count nothing has vouched
+// for yet: the slice doubles as the cells arrive, so a short input costs no
+// more than a chunk beyond what it holds.
+func readF64s(r io.Reader, n int) ([]float64, error) {
+	out := make([]float64, 0, min(n, columnarChunk))
+	block := make([]byte, cap(out)*8)
+	for len(out) < n {
+		k := min(n-len(out), columnarChunk)
+		if _, err := io.ReadFull(r, block[:k*8]); err != nil {
+			return nil, err
+		}
+		if len(out)+k > cap(out) {
+			out = append(make([]float64, 0, min(n, 2*cap(out))), out...)
+		}
+		for i := 0; i < k; i++ {
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(block[i*8:])))
+		}
+	}
+	return out, nil
+}
 
 // ColumnarTrace is a single-tenant SCP trace in struct-of-arrays layout —
 // the replay-side counterpart of the batched hot path. Where the text
-// artifacts (data.log / data.sar.tsv / data.failures.tsv) cost a parse,
-// an allocation and a cache miss per field, the columnar form keeps each
-// field of every event contiguous, so a year of simulated operation
-// decodes in a handful of large reads and replays at memory bandwidth.
+// trace (data.trace) costs a parse, an allocation and a cache miss per
+// field, the columnar form keeps each field of every event contiguous, so
+// a year of simulated operation decodes in a handful of large reads and
+// replays at memory bandwidth.
 //
 // All per-event columns have length Len(). Errors and samples share the
 // columns: Keys indexes Components (errors) or Vars (samples); Types,
@@ -338,8 +364,8 @@ func ReadColumnar(r io.Reader) (*ColumnarTrace, error) {
 		if n > maxColumnarStrings {
 			return nil, fmt.Errorf("%w: %s dictionary too large (%d)", ErrColumnar, name, n)
 		}
-		dict := make([]string, n)
-		for i := range dict {
+		dict := make([]string, 0, min(n, 1<<10))
+		for i := 0; uint64(i) < n; i++ {
 			l, err := binary.ReadUvarint(br)
 			if err != nil {
 				return nil, fmt.Errorf("%w: %s[%d] length: %v", ErrColumnar, name, i, err)
@@ -351,7 +377,7 @@ func ReadColumnar(r io.Reader) (*ColumnarTrace, error) {
 			if _, err := io.ReadFull(br, buf); err != nil {
 				return nil, fmt.Errorf("%w: %s[%d]: %v", ErrColumnar, name, i, err)
 			}
-			dict[i] = string(buf)
+			dict = append(dict, string(buf))
 		}
 		return dict, nil
 	}
@@ -374,19 +400,14 @@ func ReadColumnar(r io.Reader) (*ColumnarTrace, error) {
 		return nil, fmt.Errorf("%w: event count too large (%d)", ErrColumnar, n64)
 	}
 	n := int(n64)
-	// One scratch block per column width: each column arrives with a
-	// single ReadFull and decodes in a tight loop over the raw bytes.
-	block := make([]byte, n*8)
-	readF64s := func(name string) ([]float64, error) {
-		if _, err := io.ReadFull(br, block[:n*8]); err != nil {
-			return nil, fmt.Errorf("%w: %s column: %v", ErrColumnar, name, err)
-		}
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(block[i*8:]))
-		}
-		return out, nil
+	if c.Times, err = readF64s(br, n); err != nil {
+		return nil, fmt.Errorf("%w: times column: %v", ErrColumnar, err)
 	}
+	// With the times in, the input has proved itself n×8 bytes long; no
+	// later column is wider, so each is allocated whole, arrives with a
+	// single ReadFull into one scratch block and decodes in a tight loop
+	// over the raw bytes.
+	block := make([]byte, n*8)
 	readU32s := func(name string) ([]uint32, error) {
 		if _, err := io.ReadFull(br, block[:n*4]); err != nil {
 			return nil, fmt.Errorf("%w: %s column: %v", ErrColumnar, name, err)
@@ -403,9 +424,6 @@ func ReadColumnar(r io.Reader) (*ColumnarTrace, error) {
 			return nil, fmt.Errorf("%w: %s column: %v", ErrColumnar, name, err)
 		}
 		return out, nil
-	}
-	if c.Times, err = readF64s("times"); err != nil {
-		return nil, err
 	}
 	if c.Kinds, err = readU8s("kinds"); err != nil {
 		return nil, err
@@ -427,8 +445,12 @@ func ReadColumnar(r io.Reader) (*ColumnarTrace, error) {
 	if c.Msgs, err = readU32s("msgs"); err != nil {
 		return nil, err
 	}
-	if c.Values, err = readF64s("values"); err != nil {
-		return nil, err
+	if _, err := io.ReadFull(br, block); err != nil {
+		return nil, fmt.Errorf("%w: values column: %v", ErrColumnar, err)
+	}
+	c.Values = make([]float64, n)
+	for i := range c.Values {
+		c.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(block[i*8:]))
 	}
 	nf, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -437,13 +459,8 @@ func ReadColumnar(r io.Reader) (*ColumnarTrace, error) {
 	if nf > maxColumnarEvents {
 		return nil, fmt.Errorf("%w: failure count too large (%d)", ErrColumnar, nf)
 	}
-	c.Failures = make([]float64, nf)
-	var b8 [8]byte
-	for i := range c.Failures {
-		if _, err := io.ReadFull(br, b8[:]); err != nil {
-			return nil, fmt.Errorf("%w: failures[%d]: %v", ErrColumnar, i, err)
-		}
-		c.Failures[i] = math.Float64frombits(binary.LittleEndian.Uint64(b8[:]))
+	if c.Failures, err = readF64s(br, int(nf)); err != nil {
+		return nil, fmt.Errorf("%w: failures: %v", ErrColumnar, err)
 	}
 	return c, c.validate()
 }

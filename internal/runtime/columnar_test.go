@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	stdruntime "runtime"
 	"testing"
 
 	"repro/internal/eventlog"
 )
 
 // buildTestTrace assembles a small mixed trace through the builder.
-func buildTestTrace(t *testing.T) *ColumnarTrace {
+func buildTestTrace(t testing.TB) *ColumnarTrace {
 	t.Helper()
 	b := NewColumnarBuilder()
 	b.Grow(16)
@@ -197,8 +198,10 @@ func synthTrace(n int) *ColumnarTrace {
 	return b.Trace()
 }
 
+// TestColumnarRoundTripLarge spans several read chunks, so the leading
+// column's grow-as-it-arrives path is part of the round trip.
 func TestColumnarRoundTripLarge(t *testing.T) {
-	orig := synthTrace(50000)
+	orig := synthTrace(3*columnarChunk + 17)
 	var buf bytes.Buffer
 	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -210,4 +213,50 @@ func TestColumnarRoundTripLarge(t *testing.T) {
 	if !reflect.DeepEqual(orig, got) {
 		t.Fatal("large round trip mismatch")
 	}
+}
+
+// FuzzReadColumnar: whatever the bytes, ReadColumnar returns either an
+// ErrColumnar or a trace every row of which materializes — never a panic —
+// and commits memory in proportion to the input, not to the counts the
+// input announces.
+func FuzzReadColumnar(f *testing.F) {
+	var buf bytes.Buffer
+	if _, err := buildTestTrace(f).WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	for _, cut := range []int{0, 3, 4, 12, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:cut])
+	}
+	bad := buildTestTrace(f)
+	bad.Keys[0] = 99 // dictionary index out of range
+	buf = bytes.Buffer{}
+	if _, err := bad.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("PFC1\xff\xff\xff\x07"))                     // 2^24 variables, none present
+	f.Add([]byte("PFC1\x00\x00\x00\x80\x80\x80\x80\x04"))     // 2^30 events, none present
+	f.Add([]byte("PFC1\x00\x00\x00\x00\x80\x80\x80\x80\x04")) // 2^30 failures, none present
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after stdruntime.MemStats
+		stdruntime.ReadMemStats(&before)
+		c, err := ReadColumnar(bytes.NewReader(data))
+		stdruntime.ReadMemStats(&after)
+		// The reader's buffer and one chunk per unproven count are the fixed
+		// part; the decoded columns and the scratch block are the rest.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8<<20+64*len(data)); got > limit {
+			t.Fatalf("%d input bytes made ReadColumnar allocate %d (limit %d)", len(data), got, limit)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrColumnar) {
+				t.Fatalf("err = %v, want an ErrColumnar", err)
+			}
+			return
+		}
+		for i := 0; i < c.Len(); i++ {
+			_ = c.Event(i)
+		}
+	})
 }

@@ -144,6 +144,9 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.QueueCapacity < 0 || cfg.EvalInterval < 0 || cfg.Workers < 0 || cfg.BatchSize < 0 {
 		return nil, fmt.Errorf("%w: negative capacity/interval/workers/batch", ErrRuntime)
 	}
+	if cfg.Lifecycle != nil && cfg.Ledger == nil {
+		return nil, fmt.Errorf("%w: Lifecycle requires Ledger (shadow validation reads live quality)", ErrRuntime)
+	}
 	if cfg.QueueCapacity == 0 {
 		cfg.QueueCapacity = 1024
 	}
@@ -208,6 +211,8 @@ func New(cfg Config) (*Runtime, error) {
 		r.metrics.DroppedOldest.Inc()
 		r.traceDrop(old)
 	}
+	// Registration comes after every check above: a rejected Config leaves
+	// the caller's Metrics as it found them.
 	reg := r.metrics.Registry()
 	reg.GaugeFunc("pfm_queue_depth",
 		"Events waiting in the ingest queue.", func() float64 { return float64(r.ring.Depth()) })
@@ -228,9 +233,6 @@ func New(cfg Config) (*Runtime, error) {
 		"Act rounds whose combiner failed (confidence forced to 0).",
 		func() float64 { return float64(cfg.Engine.CombinerErrors()) })
 	if cfg.Lifecycle != nil {
-		if cfg.Ledger == nil {
-			return nil, fmt.Errorf("%w: Lifecycle requires Ledger (shadow validation reads live quality)", ErrRuntime)
-		}
 		registerLifecycleMetrics(reg, cfg.Lifecycle, layers)
 	}
 	if cfg.Recorder != nil {

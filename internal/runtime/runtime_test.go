@@ -3,12 +3,16 @@ package runtime
 import (
 	"context"
 	"errors"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/act"
 	"repro/internal/core"
+	"repro/internal/lifecycle"
+	"repro/internal/obs"
 )
 
 // testEngine builds an externally clocked engine with the given layers.
@@ -388,18 +392,68 @@ func TestStress(t *testing.T) {
 	}
 }
 
+// metricSeries lists the series a registry exposes, name and labels without
+// the values (the Go heap gauges move from scrape to scrape).
+func metricSeries(t *testing.T, reg *Registry) []string {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if line != "" && line[0] != '#' {
+			out = append(out, line[:strings.LastIndexByte(line, ' ')])
+		}
+	}
+	return out
+}
+
+// TestConfigValidation: New refuses each bad Config and leaves the caller's
+// Metrics as it found them, so the retry that succeeds exposes every series
+// once.
 func TestConfigValidation(t *testing.T) {
-	eng := testEngine(t, defaultCoreCfg(), quietLayer())
+	layer := quietLayer()
+	eng := testEngine(t, defaultCoreCfg(), layer)
+	led, err := obs.NewLedger(obs.LedgerConfig{LeadTime: 1}, layer.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := lifecycle.NewManager([]*core.Layer{layer}, led, lifecycle.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply := func(Event) error { return nil }
+	m := NewMetrics()
+	before := metricSeries(t, m.Registry())
 	cases := []Config{
-		{Engine: nil, Apply: func(Event) error { return nil }},
+		{Engine: nil, Apply: apply},
 		{Engine: eng, Apply: nil},
-		{Engine: eng, Apply: func(Event) error { return nil }, QueueCapacity: -1},
-		{Engine: eng, Apply: func(Event) error { return nil }, Workers: -2},
+		{Engine: eng, Apply: apply, QueueCapacity: -1},
+		{Engine: eng, Apply: apply, Workers: -2},
+		{Engine: eng, Apply: apply, Lifecycle: mgr}, // Lifecycle requires Ledger
 	}
 	for i, cfg := range cases {
+		cfg.Metrics = m
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("case %d: accepted", i)
 		}
+		if after := metricSeries(t, m.Registry()); !slices.Equal(after, before) {
+			t.Fatalf("case %d: the refused New left %d series in the caller's registry, was %d", i, len(after), len(before))
+		}
+	}
+	if _, err := New(Config{Engine: eng, Apply: apply, Lifecycle: mgr, Ledger: led, Metrics: m}); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, s := range metricSeries(t, m.Registry()) {
+		if seen[s] {
+			t.Errorf("series %s exposed twice after the retry", s)
+		}
+		seen[s] = true
+	}
+	if !seen["pfm_queue_depth"] || !seen[`pfm_layer_version{layer="quiet"}`] {
+		t.Errorf("the accepted New registered too little: %v", seen)
 	}
 }
 

@@ -53,9 +53,6 @@ type MultiConfig struct {
 	// rank r (1-based) is scaled by r^-s, normalized so the mean scale is
 	// 1. Zero means a uniform fleet; 1 is the classic heavy-skew shape.
 	Skew float64
-	// Base is the per-tenant simulator configuration before load scaling;
-	// zero-valued fields take DefaultConfig.
-	Base Config
 }
 
 // tenantCursor tracks how much of one tenant's output Drain has emitted.
@@ -68,7 +65,6 @@ type tenantCursor struct {
 // MultiSystem is a fleet of independently seeded SCP simulators advancing
 // on a common clock.
 type MultiSystem struct {
-	cfg     MultiConfig
 	ids     []string
 	systems []*System
 	weights []float64
@@ -94,8 +90,8 @@ func ZipfWeights(n int, s float64) []float64 {
 // traces and /fleet listings sortable.
 func TenantID(i int) string { return fmt.Sprintf("t%04d", i) }
 
-// NewMulti builds the fleet. Tenant i runs Base with Seed = BaseSeed+i and
-// BaseLoad scaled by its Zipf weight (capacity and spike profile are left
+// NewMulti builds the fleet. Tenant i runs DefaultConfig with Seed =
+// BaseSeed+i and BaseLoad scaled by its Zipf weight (capacity and spike profile are left
 // alone, so hot tenants genuinely run closer to saturation and fail more).
 func NewMulti(cfg MultiConfig) (*MultiSystem, error) {
 	if cfg.Tenants < 1 {
@@ -104,12 +100,8 @@ func NewMulti(cfg MultiConfig) (*MultiSystem, error) {
 	if cfg.Skew < 0 || math.IsNaN(cfg.Skew) || math.IsInf(cfg.Skew, 0) {
 		return nil, fmt.Errorf("%w: zipf skew %g", ErrSCP, cfg.Skew)
 	}
-	base := cfg.Base
-	if base == (Config{}) {
-		base = DefaultConfig()
-	}
+	base := DefaultConfig()
 	m := &MultiSystem{
-		cfg:     cfg,
 		ids:     make([]string, cfg.Tenants),
 		systems: make([]*System, cfg.Tenants),
 		weights: ZipfWeights(cfg.Tenants, cfg.Skew),
@@ -144,9 +136,6 @@ func (m *MultiSystem) IDs() []string { return append([]string(nil), m.ids...) }
 
 // Weights returns the per-tenant load scales (mean 1).
 func (m *MultiSystem) Weights() []float64 { return append([]float64(nil), m.weights...) }
-
-// Systems returns the per-tenant simulators, index-aligned with IDs.
-func (m *MultiSystem) Systems() []*System { return m.systems }
 
 // System returns tenant i's simulator.
 func (m *MultiSystem) System(i int) *System { return m.systems[i] }

@@ -180,7 +180,7 @@ func TestFacadeDiagnosis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := TrainDiagnoser(fail, nonFail, 1)
+	d, err := TrainDiagnoser(log, fail, nonFail, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
