@@ -52,8 +52,7 @@ func runColumnar(ctx context.Context, o *options) error {
 	o.logger.Info("columnar replay starting",
 		"trace", o.replayColumnar, "events", trace.Len(),
 		"errors", nErrors, "samples", nSamples, "failures", len(trace.Failures),
-		"cadence_sim_s", o.replayEval, "batch", o.rt.BatchSize,
-		"policy", o.rt.Overflow.String(), "addr", bound)
+		"cadence_sim_s", o.replayEval, "policy", o.rt.Overflow.String(), "addr", bound)
 
 	start := time.Now()
 	err = replayColumnar(ctx, p, trace, o.replayEval)

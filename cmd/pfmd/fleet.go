@@ -98,7 +98,7 @@ func runFleet(ctx context.Context, o *options) error {
 	for i, l := range layers {
 		names[i] = l.Name
 	}
-	led, err := obs.NewScopedLedger(o.ledger, o.fleetScopes, names...)
+	led, err := obs.NewScopedLedger(o.ledger, fleetScopes, names...)
 	if err != nil {
 		return err
 	}
@@ -153,7 +153,7 @@ func runFleet(ctx context.Context, o *options) error {
 	}
 	logger.Info("fleet started",
 		"tenants", o.tenants, "skew", o.skew, "shards", f.Shards(),
-		"workers", o.rt.Workers, "addr", bound, "source", source)
+		"addr", bound, "source", source)
 
 	horizon := o.days * 86400
 	switch {

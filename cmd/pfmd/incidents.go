@@ -18,6 +18,12 @@ import (
 	"repro/internal/obs"
 )
 
+// burnRateFloor arms the recorder's burnrate trigger: a bundle when the
+// ledger's combined F-measure falls below it. The product's combined decision
+// stands at F ≈ 0.25 (f1_combined in bench/history/20.json), so 0.1 is a
+// collapse to less than half of that, not the run-to-run noise around it.
+const burnRateFloor = 0.1
+
 // incidentOptions carries the -incident-* flag set.
 type incidentOptions struct {
 	dir  string  // bundle sink directory ("" = in-memory only)
@@ -93,6 +99,7 @@ func (p *pipeline) buildRecorder() error {
 		Layers:        p.names,
 		Window:        600, // matches the layers' error-data window Δtd
 		WarnThreshold: o.warn,
+		BurnRateFloor: burnRateFloor,
 		MaxBundles:    o.cap,
 		Log:           p.mirror.log,
 		Tracer:        p.tracer,
@@ -119,7 +126,7 @@ func (p *pipeline) buildRecorder() error {
 }
 
 // fleetRecorder builds the fleet's flight recorder from the same flags: one
-// recorder per tenant under the -fleet-scopes cardinality cap (later tenants
+// recorder per tenant under the fleetScopes cardinality cap (later tenants
 // share the overflow recorder), each retaining -incident-cap bundles and
 // gated at -incident-warn weighted by its tenant's criticality. The fleet
 // mirrors no event log, so its bundles carry scores, versions and spans but
@@ -131,9 +138,10 @@ func (o *options) fleetRecorder(layers []string, tracer *obs.Tracer) (*obs.Scope
 	rec, err := obs.NewScopedRecorder(obs.RecorderConfig{
 		Layers:        layers,
 		WarnThreshold: o.incidents.warn,
+		BurnRateFloor: burnRateFloor,
 		MaxBundles:    o.incidents.cap,
 		Tracer:        tracer,
-	}, o.fleetScopes)
+	}, fleetScopes)
 	if err != nil {
 		return nil, err
 	}

@@ -39,21 +39,20 @@
 //
 // Usage:
 //
-//	pfmd [-addr :9600] [-seed 11] [-days 1] [-compress 3600]
+//	pfmd [-addr :9600] [-seed 11] [-days 1] [-compress 3600] [-eval 250ms]
 //	     [-queue 4096] [-overflow block|drop-oldest|drop-newest]
-//	     [-workers 4] [-eval 250ms] [-pprof]
-//	     [-log-format text|json] [-log-level info|debug]
-//	     [-trace-cap 256] [-trace-dump 0]
-//	     [-ledger-window 0] [-ledger-slack 300]
-//	     [-meta-weights w1,w2,w3,w4]
-//	     [-hotswap] [-drift-warmup 240] [-drift-threshold 8]
-//	     [-drift-shadow-min 20] [-drift-cooldown 200]
-//	     [-batch 0] [-replay-columnar trace.cols] [-replay-eval 900]
+//	     [-log-format text|json] [-log-level info|debug] [-pprof]
+//	     [-trace-cap 256] [-trace-sample 16] [-trace-dump 0]
+//	     [-ledger-window 0] [-meta-weights w1,w2,w3,w4] [-hotswap]
 //	     [-incident-dir DIR] [-incident-cap 32] [-incident-warn 0.5]
+//	pfmd -replay-columnar trace.cols [-replay-eval 900]
+//	pfmd -fleet [-tenants 100] [-skew 1] [-shards 0]
+//	     [-fleet-trace FILE | -listen ADDR] [-act-budget 0] [-rate-limit 0]
 //
 // -fleet (fleet.go) and -replay-columnar (columnar.go) select the other two
-// modes; a flag given on the command line that the selected mode does not read
-// is an error (flagModes).
+// modes, which read the first form's flags too, except where flagModes says
+// otherwise: a flag given on the command line that the selected mode does not
+// read is an error.
 package main
 
 import (
@@ -98,6 +97,18 @@ func main() {
 // leadTime is the warning lead time Δtl every mode predicts at [sim s].
 const leadTime = 300.0
 
+// What eight flags nobody set defaulted to.
+const (
+	workers        = 0   // layer-evaluation pool: the library's GOMAXPROCS-derived default
+	batch          = 0   // ingest drain chunk: the runtime's default
+	ledgerSlack    = 300 // prediction-period slack Δtp for TP matching [sim s]
+	fleetScopes    = 64  // tenants with a dedicated ledger and recorder scope; the rest fold
+	driftWarmup    = 240 // score-drift detector self-calibration window [cycles]
+	driftThreshold = 8   // score-drift CUSUM threshold [σ]
+	driftShadowMin = 20  // resolved shadow predictions before a promotion decision
+	driftCooldown  = 200 // cycles a layer is muted after a lifecycle episode
+)
+
 // options is the flag set, bound straight into the structs the modes hand
 // to the library (runtime.Config, obs.LedgerConfig, lifecycle.Config).
 type options struct {
@@ -105,34 +116,34 @@ type options struct {
 	seed     int64
 	days     float64
 	compress float64
-	// rt carries -queue, -overflow, -workers, -eval, -batch and -pprof; the
-	// fleet reads its sizing from the same fields, plus -shards.
+	// rt carries -queue, -overflow, -eval and -pprof; the fleet reads its
+	// sizing from the same fields, plus -shards.
 	rt     runtime.Config
 	shards int
 
 	traceCap    int
 	traceDump   int
 	traceSample int
-	ledger      obs.LedgerConfig // -ledger-window, -ledger-slack
+	ledger      obs.LedgerConfig // -ledger-window
 	metaWeights string
 	hotswap     bool
-	drift       lifecycle.Config // -drift-*
-	incidents   incidentOptions  // -incident-*
+	drift       lifecycle.Config
+	incidents   incidentOptions // -incident-*
 
 	replayColumnar string
 	replayEval     float64
 
-	fleetMode   bool
-	tenants     int
-	skew        float64
-	fleetScopes int
-	fleetTrace  string
-	listen      string
-	actBudget   int
-	rateLimit   float64
+	fleetMode  bool
+	tenants    int
+	skew       float64
+	fleetTrace string
+	listen     string
+	actBudget  int
+	rateLimit  float64
 
-	logger *slog.Logger
-	stdout io.Writer
+	logFormat, logLevel string
+	logger              *slog.Logger
+	stdout              io.Writer
 
 	// Test seams, no flag: serving is told the bound address once the
 	// endpoints are up; drained runs after the pipeline has stopped, while
@@ -141,10 +152,8 @@ type options struct {
 	drained func()
 }
 
-// parseFlags parses the command line into options and builds the logger
-// (on stderr; result tables go to stdout).
-func parseFlags(args []string, stdout, stderr io.Writer) (*options, error) {
-	o := &options{stdout: stdout}
+// flagSet registers every flag, each bound to the options field it sets.
+func (o *options) flagSet(stderr io.Writer) *flag.FlagSet {
 	fs := flag.NewFlagSet("pfmd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.StringVar(&o.addr, "addr", ":9600", "metrics/health listen address")
@@ -156,37 +165,43 @@ func parseFlags(args []string, stdout, stderr io.Writer) (*options, error) {
 		o.rt.Overflow, err = runtime.ParsePolicy(s)
 		return err
 	})
-	fs.IntVar(&o.rt.Workers, "workers", 0, "layer-evaluation worker pool size (0 = library default, from GOMAXPROCS)")
 	fs.DurationVar(&o.rt.EvalInterval, "eval", 250*time.Millisecond, "wall-clock MEA cadence")
 	fs.IntVar(&o.shards, "shards", 0, "ingest shards, each one queue consumer over its consistent-hash share of the tenants (with -fleet; 0 = library default, from GOMAXPROCS)")
 	fs.BoolVar(&o.rt.Profiling, "pprof", false, "expose /debug/pprof/ on the metrics address")
-	logFormat := fs.String("log-format", "text", "log output format: text|json")
-	logLevel := fs.String("log-level", "info", "log level: info|debug (debug logs every MEA cycle)")
+	fs.StringVar(&o.logFormat, "log-format", "text", "log output format: text|json")
+	fs.StringVar(&o.logLevel, "log-level", "info", "log level: info|debug (debug logs every MEA cycle)")
 	fs.IntVar(&o.traceCap, "trace-cap", 256, "end-to-end trace ring capacity (0 disables tracing)")
 	fs.IntVar(&o.traceDump, "trace-dump", 0, "print the N slowest end-to-end traces at exit")
 	fs.IntVar(&o.traceSample, "trace-sample", obs.DefaultSampleInterval, "trace 1 in N ingested events (1 = every event)")
 	fs.Float64Var(&o.ledger.Window, "ledger-window", 0, "rolling quality window [sim s]; 0 = cumulative")
-	fs.Float64Var(&o.ledger.Slack, "ledger-slack", 300, "prediction-period slack Δtp for TP matching [sim s]")
 	fs.StringVar(&o.metaWeights, "meta-weights", "", "comma-separated logistic combiner weight per layer (errors,memory,load,swap); empty = threshold voting")
 	fs.BoolVar(&o.hotswap, "hotswap", false, "enable the predictor lifecycle: drift-triggered recalibration with shadow validation and zero-downtime hot-swap")
-	fs.IntVar(&o.drift.ScoreWarmup, "drift-warmup", 240, "score-drift detector self-calibration window [cycles]")
-	fs.Float64Var(&o.drift.ScoreThresholdSigma, "drift-threshold", 8, "score-drift CUSUM threshold [σ]")
-	fs.IntVar(&o.drift.ShadowMinResolved, "drift-shadow-min", 20, "resolved shadow predictions before a promotion decision")
-	fs.IntVar(&o.drift.CooldownCycles, "drift-cooldown", 200, "cycles a layer is muted after a lifecycle episode")
 	fs.BoolVar(&o.fleetMode, "fleet", false, "run the multi-tenant fleet runtime instead of the single-instance pipeline")
 	fs.IntVar(&o.tenants, "tenants", 100, "fleet size (with -fleet)")
 	fs.Float64Var(&o.skew, "skew", 1, "Zipf exponent of the tenant load profile (with -fleet)")
-	fs.IntVar(&o.fleetScopes, "fleet-scopes", 64, "dedicated per-tenant quality-ledger scopes before folding (with -fleet)")
 	fs.StringVar(&o.fleetTrace, "fleet-trace", "", "replay a recorded trace file instead of simulating (text or PFW1, told apart by magic; see loggen -tenants)")
 	fs.StringVar(&o.listen, "listen", "", "accept tenant traces over TCP on this address instead of simulating (with -fleet; PFW1 wire or text line protocol, see loggen -send)")
 	fs.IntVar(&o.actBudget, "act-budget", 0, "max tenants that may execute a countermeasure per cycle, criticality-prioritized (with -fleet; 0 = unlimited)")
 	fs.Float64Var(&o.rateLimit, "rate-limit", 0, "per-tenant ingest drain cap [events per simulated second] (with -fleet; 0 = unlimited)")
-	fs.IntVar(&o.rt.BatchSize, "batch", 0, "ingest drain chunk size (0 = runtime default)")
 	fs.StringVar(&o.replayColumnar, "replay-columnar", "", "replay a PFC1 columnar trace (see loggen -columnar) at full speed instead of simulating")
 	fs.Float64Var(&o.replayEval, "replay-eval", 900, "MEA cadence in simulated seconds (with -replay-columnar)")
 	fs.StringVar(&o.incidents.dir, "incident-dir", "", "persist captured incident bundles as JSON files in this directory")
 	fs.IntVar(&o.incidents.cap, "incident-cap", 32, "retained incident bundles (0 disables the flight recorder)")
 	fs.Float64Var(&o.incidents.warn, "incident-warn", 0.5, "combined-confidence gate for warn-triggered incident capture")
+	return fs
+}
+
+// parseFlags parses the command line into options and builds the logger
+// (on stderr; result tables go to stdout).
+func parseFlags(args []string, stdout, stderr io.Writer) (*options, error) {
+	o := &options{
+		stdout: stdout,
+		rt:     runtime.Config{Workers: workers, BatchSize: batch},
+		ledger: obs.LedgerConfig{LeadTime: leadTime, Slack: ledgerSlack},
+		drift: lifecycle.Config{ScoreWarmup: driftWarmup, ScoreThresholdSigma: driftThreshold,
+			ShadowMinResolved: driftShadowMin, CooldownCycles: driftCooldown},
+	}
+	fs := o.flagSet(stderr)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -205,13 +220,12 @@ func parseFlags(args []string, stdout, stderr io.Writer) (*options, error) {
 		return nil, fmt.Errorf("days and compress must be positive")
 	}
 	var err error
-	if o.logger, err = newLogger(stderr, *logFormat, *logLevel); err != nil {
+	if o.logger, err = newLogger(stderr, o.logFormat, o.logLevel); err != nil {
 		return nil, err
 	}
 	if o.traceDump > o.traceCap {
 		o.traceCap = o.traceDump
 	}
-	o.ledger.LeadTime = leadTime
 	return o, nil
 }
 
@@ -251,13 +265,11 @@ func (o *options) mode() mode {
 var flagModes = map[string]mode{
 	"seed": modeLive | modeFleet, "days": modeLive | modeFleet,
 	"compress": modeLive | modeFleet, "eval": modeLive | modeFleet,
-	"pprof": modeLive | modeColumnar, "batch": modeLive | modeColumnar,
-	"trace-dump": modeLive | modeColumnar, "meta-weights": modeLive | modeColumnar,
-	"hotswap": modeLive, "drift-warmup": modeLive, "drift-threshold": modeLive,
-	"drift-shadow-min": modeLive, "drift-cooldown": modeLive,
+	"pprof": modeLive | modeColumnar, "trace-dump": modeLive | modeColumnar,
+	"meta-weights": modeLive | modeColumnar, "hotswap": modeLive,
 	"replay-columnar": modeColumnar, "replay-eval": modeColumnar,
 	"fleet": modeFleet, "tenants": modeFleet, "skew": modeFleet, "shards": modeFleet,
-	"fleet-scopes": modeFleet, "fleet-trace": modeFleet, "listen": modeFleet,
+	"fleet-trace": modeFleet, "listen": modeFleet,
 	"act-budget": modeFleet, "rate-limit": modeFleet,
 }
 
@@ -513,7 +525,7 @@ func newPipeline(o *options, mitigate func() error, cadence float64, live bool) 
 
 	// Online prediction-quality ledger: journaled by the runtime's act
 	// tail, ground truth fed by recordFailure, matched with the engine's
-	// lead time Δtl and the -ledger-slack Δtp.
+	// lead time Δtl and the ledgerSlack Δtp.
 	p.names = make([]string, len(p.layers))
 	for i, l := range p.layers {
 		p.names[i] = l.Name
@@ -671,8 +683,7 @@ func runLive(ctx context.Context, o *options) error {
 	logger.Info("serving observability endpoints",
 		"addr", bound, "tracez", tracer != nil, "ledger", true, "pprof", o.rt.Profiling)
 	logger.Info("replay starting",
-		"sim_days", o.days, "compress", o.compress, "policy", o.rt.Overflow.String(),
-		"workers", o.rt.Workers)
+		"sim_days", o.days, "compress", o.compress, "policy", o.rt.Overflow.String())
 
 	err = replay(ctx, sys, p, cmds, o.days*86400, o.compress)
 	o.stop(p.rt.Stop, 5*time.Second)

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -476,11 +478,156 @@ func TestParseFlags(t *testing.T) {
 	}
 	for _, ok := range [][]string{
 		{"-fleet", "-shards", "4", "-act-budget", "2", "-incident-dir", "d"},
-		{"-replay-columnar", "x.cols", "-replay-eval", "60", "-batch", "16", "-pprof"},
-		{"-hotswap", "-drift-warmup", "10", "-meta-weights", "1,1,1,1"},
+		{"-replay-columnar", "x.cols", "-replay-eval", "60", "-pprof"},
+		{"-hotswap", "-meta-weights", "1,1,1,1"},
 	} {
 		if _, err := parseFlags(ok, io.Discard, io.Discard); err != nil {
 			t.Errorf("parseFlags(%v): %v", ok, err)
 		}
+	}
+	// The eight tunables that became constants are gone as flags, and their
+	// values are what the flags defaulted to.
+	for _, gone := range []string{
+		"workers", "batch", "ledger-slack", "fleet-scopes",
+		"drift-warmup", "drift-threshold", "drift-shadow-min", "drift-cooldown",
+	} {
+		if _, err := parseFlags([]string{"-" + gone, "1"}, io.Discard, io.Discard); err == nil ||
+			!strings.Contains(err.Error(), "flag provided but not defined: -"+gone) {
+			t.Errorf("parseFlags(-%s 1) = %v, want flag provided but not defined", gone, err)
+		}
+	}
+	if o.rt.Workers != 0 || o.rt.BatchSize != 0 || fleetScopes != 64 || o.drift.ScoreThresholdSigma != 8 ||
+		o.drift.ShadowMinResolved != 20 || o.drift.CooldownCycles != 200 {
+		t.Errorf("constants: rt %+v drift %+v fleetScopes %d", o.rt, o.drift, fleetScopes)
+	}
+	checkFlagsBoundAndDocumented(t)
+}
+
+// flagBindings names, for every flag pfmd registers, a non-default value and
+// the options field it must land in.
+var flagBindings = map[string]struct {
+	set  string
+	got  func(o *options) any
+	want any
+}{
+	"addr":            {"127.0.0.1:1", func(o *options) any { return o.addr }, "127.0.0.1:1"},
+	"seed":            {"5", func(o *options) any { return o.seed }, int64(5)},
+	"days":            {"2.5", func(o *options) any { return o.days }, 2.5},
+	"compress":        {"60", func(o *options) any { return o.compress }, 60.0},
+	"queue":           {"8", func(o *options) any { return o.rt.QueueCapacity }, 8},
+	"overflow":        {"drop-newest", func(o *options) any { return o.rt.Overflow }, runtime.DropNewest},
+	"eval":            {"1s", func(o *options) any { return o.rt.EvalInterval }, time.Second},
+	"shards":          {"3", func(o *options) any { return o.shards }, 3},
+	"pprof":           {"true", func(o *options) any { return o.rt.Profiling }, true},
+	"log-format":      {"json", func(o *options) any { return o.logFormat }, "json"},
+	"log-level":       {"debug", func(o *options) any { return o.logLevel }, "debug"},
+	"trace-cap":       {"7", func(o *options) any { return o.traceCap }, 7},
+	"trace-dump":      {"4", func(o *options) any { return o.traceDump }, 4},
+	"trace-sample":    {"3", func(o *options) any { return o.traceSample }, 3},
+	"ledger-window":   {"3600", func(o *options) any { return o.ledger.Window }, 3600.0},
+	"meta-weights":    {"1,2,3,4", func(o *options) any { return o.metaWeights }, "1,2,3,4"},
+	"hotswap":         {"true", func(o *options) any { return o.hotswap }, true},
+	"fleet":           {"true", func(o *options) any { return o.fleetMode }, true},
+	"tenants":         {"9", func(o *options) any { return o.tenants }, 9},
+	"skew":            {"1.5", func(o *options) any { return o.skew }, 1.5},
+	"fleet-trace":     {"f.wire", func(o *options) any { return o.fleetTrace }, "f.wire"},
+	"listen":          {":4545", func(o *options) any { return o.listen }, ":4545"},
+	"act-budget":      {"2", func(o *options) any { return o.actBudget }, 2},
+	"rate-limit":      {"500", func(o *options) any { return o.rateLimit }, 500.0},
+	"replay-columnar": {"t.cols", func(o *options) any { return o.replayColumnar }, "t.cols"},
+	"replay-eval":     {"60", func(o *options) any { return o.replayEval }, 60.0},
+	"incident-dir":    {"d", func(o *options) any { return o.incidents.dir }, "d"},
+	"incident-cap":    {"5", func(o *options) any { return o.incidents.cap }, 5},
+	"incident-warn":   {"0.9", func(o *options) any { return o.incidents.warn }, 0.9},
+}
+
+// checkFlagsBoundAndDocumented walks the registered FlagSet: every flag sets
+// the field flagBindings names (and nothing is registered that the table does
+// not know), every flag appears in the package comment's synopsis and in
+// README's pfmd section, and the synopsis names no flag that is not registered.
+func checkFlagsBoundAndDocumented(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	synopsis, _, ok := strings.Cut(string(src), "\npackage main")
+	if _, synopsis, ok = strings.Cut(synopsis, "// Usage:"); !ok {
+		t.Fatal("main.go: no Usage: block in the package comment")
+	}
+	synopsis, _, _ = strings.Cut(synopsis, "\n//\n// -fleet")
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "\n## Run it as a service")
+	if section, _, _ = strings.Cut(section, "\n## "); !ok {
+		t.Fatal("README.md: no pfmd section")
+	}
+	flagToken := regexp.MustCompile("[^a-z0-9]-([a-z][a-z-]*[a-z])")
+	named := func(text string) map[string]bool {
+		set := map[string]bool{}
+		for _, m := range flagToken.FindAllStringSubmatch(text, -1) {
+			set[m[1]] = true
+		}
+		return set
+	}
+	inSynopsis, inReadme := named(synopsis), named(section)
+
+	registered := 0
+	(&options{}).flagSet(io.Discard).VisitAll(func(f *flag.Flag) {
+		registered++
+		b, ok := flagBindings[f.Name]
+		if !ok {
+			t.Errorf("-%s is registered but flagBindings does not say which field it sets", f.Name)
+			return
+		}
+		if b.set == f.DefValue {
+			t.Errorf("-%s: the table's value %q is the default", f.Name, b.set)
+		}
+		o := &options{}
+		if err := o.flagSet(io.Discard).Parse([]string{"-" + f.Name + "=" + b.set}); err != nil {
+			t.Errorf("-%s=%s: %v", f.Name, b.set, err)
+		} else if got := b.got(o); got != b.want {
+			t.Errorf("-%s=%s reached its field as %v, want %v", f.Name, b.set, got, b.want)
+		}
+		if !inSynopsis[f.Name] {
+			t.Errorf("-%s is not in main.go's usage synopsis", f.Name)
+		}
+		if !inReadme[f.Name] {
+			t.Errorf("-%s is not in README's pfmd section", f.Name)
+		}
+		delete(inSynopsis, f.Name)
+	})
+	if registered != len(flagBindings) || registered > 29 {
+		t.Errorf("%d flags registered, flagBindings has %d, the budget is 29", registered, len(flagBindings))
+	}
+	for name := range inSynopsis {
+		t.Errorf("the usage synopsis names -%s, which is not registered", name)
+	}
+}
+
+// TestBurnRateArmed: both recorder builders arm the burnrate trigger the
+// package comment, README and DESIGN.md promise — without a floor in the
+// built config pfm_incidents_total{trigger="burnrate"} and its fleet twin can
+// never move.
+func TestBurnRateArmed(t *testing.T) {
+	o, err := parseFlags(nil, io.Discard, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := newPipeline(o, func() error { return nil }, 60, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg := p.recorder.Config(); cfg.BurnRateFloor != burnRateFloor || cfg.BurnRateFloor <= 0 || cfg.Ledger != p.ledger {
+		t.Errorf("single-tenant recorder: floor %g over ledger %p, want %g over the pipeline's %p",
+			cfg.BurnRateFloor, cfg.Ledger, burnRateFloor, p.ledger)
+	}
+	rec, err := o.fleetRecorder([]string{"load"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Config().BurnRateFloor; got != burnRateFloor {
+		t.Errorf("fleet recorder template: floor %g, want %g", got, burnRateFloor)
 	}
 }

@@ -4,15 +4,12 @@ import (
 	"errors"
 	"sync"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // fakeTarget records which operations ran.
 type fakeTarget struct {
 	cleanups, failovers, prepares, restarts int
 	shed                                    float64
-	util                                    float64
 	restartDowntime                         float64
 	failNext                                error
 }
@@ -37,7 +34,6 @@ func (f *fakeTarget) Restart() (float64, error) {
 	f.restarts++
 	return f.restartDowntime, f.failNext
 }
-func (f *fakeTarget) Utilization() float64 { return f.util }
 
 func TestCategoryGoals(t *testing.T) {
 	avoidance := []Category{StateCleanup, PreventiveFailover, LoadLowering}
@@ -172,91 +168,6 @@ func TestSelectorValidation(t *testing.T) {
 	a, _ := NewStateCleanup(ft, Params{SuccessProb: 1})
 	if _, _, _, err := s.Select([]*Action{a}, 1.5); err == nil {
 		t.Fatal("confidence > 1 accepted")
-	}
-}
-
-func TestSchedulerRunsAtLowUtilization(t *testing.T) {
-	e := sim.NewEngine()
-	ft := &fakeTarget{util: 0.9}
-	sched, err := NewScheduler(e, ft, 0.5, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := NewStateCleanup(ft, Params{SuccessProb: 1})
-	var execErr error
-	ran := false
-	if err := sched.Schedule(a, 100, func(err error) { ran, execErr = true, err }); err != nil {
-		t.Fatal(err)
-	}
-	// Load drops at t=30: the poll at t=30/40 should fire the action well
-	// before the deadline.
-	_ = e.Schedule(25, func() { ft.util = 0.2 })
-	e.Run(100)
-	if !ran || execErr != nil {
-		t.Fatalf("ran=%v err=%v", ran, execErr)
-	}
-	if ft.cleanups != 1 {
-		t.Fatalf("cleanups = %d, want exactly 1 (deadline event must not double-fire)", ft.cleanups)
-	}
-	if e.Now() != 100 {
-		t.Fatalf("clock = %g", e.Now())
-	}
-}
-
-func TestSchedulerFallsBackToDeadline(t *testing.T) {
-	e := sim.NewEngine()
-	ft := &fakeTarget{util: 0.9} // never drops
-	sched, err := NewScheduler(e, ft, 0.5, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := NewStateCleanup(ft, Params{SuccessProb: 1})
-	var ranAt float64 = -1
-	if err := sched.Schedule(a, 100, func(error) { ranAt = e.Now() }); err != nil {
-		t.Fatal(err)
-	}
-	e.Run(200)
-	if ranAt != 95 { // deadline 100 − margin 5
-		t.Fatalf("deadline execution at %g, want 95", ranAt)
-	}
-	if ft.cleanups != 1 {
-		t.Fatalf("cleanups = %d", ft.cleanups)
-	}
-}
-
-func TestSchedulerImmediateWhenIdle(t *testing.T) {
-	e := sim.NewEngine()
-	ft := &fakeTarget{util: 0.1}
-	sched, _ := NewScheduler(e, ft, 0.5, 10, 5)
-	a, _ := NewStateCleanup(ft, Params{SuccessProb: 1})
-	var ranAt float64 = -1
-	if err := sched.Schedule(a, 100, func(error) { ranAt = e.Now() }); err != nil {
-		t.Fatal(err)
-	}
-	e.Run(200)
-	if ranAt != 0 {
-		t.Fatalf("idle system should execute immediately, ran at %g", ranAt)
-	}
-}
-
-func TestSchedulerValidation(t *testing.T) {
-	e := sim.NewEngine()
-	ft := &fakeTarget{}
-	if _, err := NewScheduler(nil, ft, 0.5, 1, 0); err == nil {
-		t.Fatal("nil engine accepted")
-	}
-	if _, err := NewScheduler(e, nil, 0.5, 1, 0); err == nil {
-		t.Fatal("nil target accepted")
-	}
-	if _, err := NewScheduler(e, ft, 0, 1, 0); err == nil {
-		t.Fatal("zero max utilization accepted")
-	}
-	if _, err := NewScheduler(e, ft, 0.5, 0, 0); err == nil {
-		t.Fatal("zero poll interval accepted")
-	}
-	s, _ := NewScheduler(e, ft, 0.5, 1, 0)
-	if err := s.Schedule(nil, 10, nil); err == nil {
-		t.Fatal("nil action accepted")
 	}
 }
 

@@ -6,8 +6,7 @@
 //
 // An objective-function Selector picks the most effective action for a
 // warning (Sect. 2: cost, confidence in the prediction, probability of
-// success, and complexity), and a Scheduler defers execution to times of
-// low system utilization.
+// success, and complexity).
 package act
 
 import (
@@ -96,8 +95,6 @@ type Target interface {
 	PrepareRepair() error
 	// Restart forces a restart now; it returns the forced downtime.
 	Restart() (downtime float64, err error)
-	// Utilization returns the current load level in [0,1].
-	Utilization() float64
 }
 
 // Params quantifies an action for the objective function.

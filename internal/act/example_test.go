@@ -14,7 +14,6 @@ func (demoTarget) Failover() error           { return nil }
 func (demoTarget) ShedLoad(float64) error    { return nil }
 func (demoTarget) PrepareRepair() error      { return nil }
 func (demoTarget) Restart() (float64, error) { return 30, nil }
-func (demoTarget) Utilization() float64      { return 0.4 }
 
 // Selecting the most effective countermeasure for a failure warning with
 // the Sect. 2 objective function.

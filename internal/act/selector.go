@@ -3,8 +3,6 @@ package act
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/sim"
 )
 
 // ObjectiveWeights tunes the Sect. 2 objective function.
@@ -64,83 +62,4 @@ func (s *Selector) Select(actions []*Action, confidence float64) (*Action, float
 		}
 	}
 	return best, bestU, bestU > 0, nil
-}
-
-// Scheduler defers action execution to a low-utilization instant before the
-// warning's deadline (Sect. 2: "its execution needs to be scheduled, e.g.,
-// at times of low system utilization").
-type Scheduler struct {
-	engine *sim.Engine
-	target Target
-	// MaxUtilization is the utilization below which execution may start.
-	MaxUtilization float64
-	// PollInterval is how often utilization is re-checked [s].
-	PollInterval float64
-	// Margin is the safety margin before the deadline by which the action
-	// must have started even under high load [s].
-	Margin float64
-}
-
-// NewScheduler builds a scheduler on the simulation engine.
-func NewScheduler(e *sim.Engine, t Target, maxUtil, pollInterval, margin float64) (*Scheduler, error) {
-	if e == nil || t == nil {
-		return nil, fmt.Errorf("%w: scheduler needs an engine and a target", ErrAct)
-	}
-	if maxUtil <= 0 || maxUtil > 1 {
-		return nil, fmt.Errorf("%w: max utilization %g", ErrAct, maxUtil)
-	}
-	if pollInterval <= 0 || margin < 0 {
-		return nil, fmt.Errorf("%w: poll=%g margin=%g", ErrAct, pollInterval, margin)
-	}
-	return &Scheduler{
-		engine:         e,
-		target:         t,
-		MaxUtilization: maxUtil,
-		PollInterval:   pollInterval,
-		Margin:         margin,
-	}, nil
-}
-
-// Schedule arranges for the action to execute at the first poll with
-// utilization ≤ MaxUtilization, or unconditionally at deadline − margin.
-// done (optional) receives the execution error (nil on success).
-func (s *Scheduler) Schedule(a *Action, deadline float64, done func(error)) error {
-	if a == nil {
-		return fmt.Errorf("%w: nil action", ErrAct)
-	}
-	latest := deadline - s.Margin
-	if latest < s.engine.Now() {
-		latest = s.engine.Now()
-	}
-	fired := false
-	run := func() {
-		if fired {
-			return
-		}
-		fired = true
-		err := a.Execute()
-		if done != nil {
-			done(err)
-		}
-	}
-	var poll func()
-	poll = func() {
-		if fired {
-			return
-		}
-		if s.target.Utilization() <= s.MaxUtilization {
-			run()
-			return
-		}
-		next := s.engine.Now() + s.PollInterval
-		if next >= latest {
-			return // the deadline event will fire it
-		}
-		_ = s.engine.Schedule(s.PollInterval, poll)
-	}
-	if err := s.engine.ScheduleAt(latest, run); err != nil {
-		return err
-	}
-	// Poll immediately (possibly executing right away).
-	return s.engine.Schedule(0, poll)
 }

@@ -97,36 +97,20 @@ func (d DFT) Score(seq eventlog.Sequence) (float64, error) {
 }
 
 // ErrorRate is the Nassar-style statistical predictor: failure-proneness
-// grows with the error generation rate in the window, optionally emphasised
-// by severity.
+// grows with the error generation rate in the window.
 type ErrorRate struct {
-	// SeverityWeight adds weight per severity grade above Info (default 0:
-	// plain counting).
-	SeverityWeight float64
 	// Window is the reference window length [s] used to normalize the
 	// count into a rate; zero scores the raw count.
 	Window float64
 }
 
-// Score rates the sequence by (weighted) error rate.
+// Score rates the sequence by error rate.
 func (e ErrorRate) Score(seq eventlog.Sequence) (float64, error) {
 	score := float64(seq.Len())
 	if e.Window > 0 {
 		score /= e.Window
 	}
 	return score, nil
-}
-
-// ScoreEvents rates raw events, using severities.
-func (e ErrorRate) ScoreEvents(events []eventlog.Event) float64 {
-	score := 0.0
-	for _, ev := range events {
-		score += 1 + e.SeverityWeight*float64(ev.Severity-eventlog.SeverityInfo)
-	}
-	if e.Window > 0 {
-		score /= e.Window
-	}
-	return score
 }
 
 // EventSet is a Vilalta-style indicative-event-set model: from labeled

@@ -65,18 +65,6 @@ func TestErrorRate(t *testing.T) {
 	}
 }
 
-func TestErrorRateSeverityWeighting(t *testing.T) {
-	e := ErrorRate{SeverityWeight: 1}
-	events := []eventlog.Event{
-		{Severity: eventlog.SeverityInfo},
-		{Severity: eventlog.SeverityCritical},
-	}
-	// 1 + 0 for info, 1 + 3 for critical.
-	if got := e.ScoreEvents(events); got != 5 {
-		t.Fatalf("severity-weighted score = %g", got)
-	}
-}
-
 func TestEventSetLearnsIndicativeTypes(t *testing.T) {
 	fail := []eventlog.Sequence{
 		{Times: []float64{0, 1}, Types: []int{1, 2}},

@@ -114,58 +114,3 @@ func Recover(store *Store, p RecoveryParams, failTime float64, prepared bool) (T
 	}
 	return b, nil
 }
-
-// RollForwardParams quantifies the roll-forward scheme of Sect. 4.3: the
-// system is moved to a *new* fault-free state instead of replaying from a
-// checkpoint, trading recomputation for a fixed state-construction cost
-// (e.g. rebuilding session state from peers, Randell's reconfiguration).
-type RollForwardParams struct {
-	// RepairTime / PreparedRepairTime as in RecoveryParams.
-	RepairTime         float64
-	PreparedRepairTime float64
-	// ForwardCost is the fixed time to construct the new state [s].
-	ForwardCost float64
-}
-
-// Validate checks the parameters.
-func (p RollForwardParams) Validate() error {
-	if p.RepairTime < 0 || p.PreparedRepairTime < 0 || p.ForwardCost < 0 {
-		return fmt.Errorf("%w: negative roll-forward parameter %+v", ErrCheckpoint, p)
-	}
-	if p.PreparedRepairTime > p.RepairTime {
-		return fmt.Errorf("%w: prepared repair (%g) slower than unprepared (%g)",
-			ErrCheckpoint, p.PreparedRepairTime, p.RepairTime)
-	}
-	return nil
-}
-
-// RecoverForward computes the TTR of the roll-forward scheme: fault-free
-// time plus the fixed forward cost, independent of any checkpoint age.
-func RecoverForward(p RollForwardParams, prepared bool) (TTRBreakdown, error) {
-	if err := p.Validate(); err != nil {
-		return TTRBreakdown{}, err
-	}
-	b := TTRBreakdown{Recompute: p.ForwardCost}
-	if prepared {
-		b.FaultFree = p.PreparedRepairTime
-	} else {
-		b.FaultFree = p.RepairTime
-	}
-	return b, nil
-}
-
-// PreferForward reports whether roll-forward beats roll-backward for a
-// failure at failTime given the checkpoint state — the scheme-selection
-// decision of a recovery planner (Sect. 4.3 lists both schemes; which wins
-// depends on how much computation a roll-backward would replay).
-func PreferForward(store *Store, back RecoveryParams, fwd RollForwardParams, failTime float64, prepared bool) (bool, error) {
-	b, err := Recover(store, back, failTime, prepared)
-	if err != nil {
-		return false, err
-	}
-	f, err := RecoverForward(fwd, prepared)
-	if err != nil {
-		return false, err
-	}
-	return f.Total() < b.Total(), nil
-}

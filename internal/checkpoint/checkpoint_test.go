@@ -159,59 +159,3 @@ func TestPredictionDrivenPolicyValidation(t *testing.T) {
 		t.Fatal("stochastic trust without draw accepted")
 	}
 }
-
-func TestRollForwardRecovery(t *testing.T) {
-	fwd := RollForwardParams{RepairTime: 120, PreparedRepairTime: 20, ForwardCost: 50}
-	b, err := RecoverForward(fwd, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.FaultFree != 120 || b.Recompute != 50 || b.Total() != 170 {
-		t.Fatalf("roll-forward = %+v", b)
-	}
-	prepared, err := RecoverForward(fwd, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prepared.Total() != 70 {
-		t.Fatalf("prepared roll-forward = %g", prepared.Total())
-	}
-	bad := fwd
-	bad.ForwardCost = -1
-	if _, err := RecoverForward(bad, false); err == nil {
-		t.Fatal("negative forward cost accepted")
-	}
-	bad = fwd
-	bad.PreparedRepairTime = 200
-	if _, err := RecoverForward(bad, false); err == nil {
-		t.Fatal("prepared > unprepared accepted")
-	}
-}
-
-func TestPreferForwardCrossover(t *testing.T) {
-	back := params() // repair 120, prepared 20, recompute factor 0.8
-	fwd := RollForwardParams{RepairTime: 120, PreparedRepairTime: 20, ForwardCost: 100}
-	store := NewStore()
-	if err := store.Save(Checkpoint{Time: 1000}); err != nil {
-		t.Fatal(err)
-	}
-	// Fresh checkpoint (age 50): roll-backward replays 40 s < forward 100 s.
-	prefer, err := PreferForward(store, back, fwd, 1050, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prefer {
-		t.Fatal("roll-forward preferred despite fresh checkpoint")
-	}
-	// Stale checkpoint (age 500): replay 400 s > forward 100 s.
-	prefer, err = PreferForward(store, back, fwd, 1500, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !prefer {
-		t.Fatal("roll-backward preferred despite stale checkpoint")
-	}
-	if _, err := PreferForward(store, back, fwd, 500, false); err == nil {
-		t.Fatal("failure before checkpoint accepted")
-	}
-}

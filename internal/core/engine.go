@@ -6,15 +6,15 @@
 // counters, VMM metrics, application error logs …). The Act stage spans all
 // layers: per-layer scores are combined (optionally by a stacked
 // meta-learner, Sect. 6), and a single cross-layer decision selects and
-// schedules the countermeasure — preventing conflicting actions like a VM
+// executes the countermeasure — preventing conflicting actions like a VM
 // migration racing a hardware restart. Every prediction outcome is
 // accounted against ground truth in the Table 1 matrix, and a control-loop
 // oscillation guard (Sect. 2) bounds the action rate.
 //
 // # Locking contract
 //
-// Engine is safe for concurrent use: ActOn, Start, Stop, EvaluateNow and
-// every accessor (Warnings, Outcomes, Report, …) serialize on an internal
+// Engine is safe for concurrent use: ActOn, DecideOn, Start and every
+// accessor (Warnings, Outcomes, Report, …) serialize on an internal
 // mutex, so the cross-layer decision, the oscillation guard, and the
 // Table 1 accounting always observe a consistent state even when driven
 // from multiple goroutines (e.g. by internal/runtime's act stage).
@@ -174,10 +174,9 @@ type Engine struct {
 	combineIn []float64
 
 	// mu guards all mutable state below (see the package locking contract).
-	mu        sync.Mutex
-	scheduler *act.Scheduler
-	warned    int // warnings raised
-	outcomes  OutcomeMatrix
+	mu       sync.Mutex
+	warned   int // warnings raised
+	outcomes OutcomeMatrix
 	// actionTimes holds the committed actions still inside the oscillation
 	// window — all the guard ever reads; acted counts them all.
 	actionTimes []float64
@@ -189,16 +188,6 @@ type Engine struct {
 	// shared by every Decision until a swap changes one (then replaced,
 	// never rewritten).
 	versions []uint64
-}
-
-// SetScheduler routes selected actions through a low-utilization scheduler
-// (Sect. 2: "its execution needs to be scheduled, e.g., at times of low
-// system utilization") instead of executing them immediately. The warning's
-// deadline (now + lead time) bounds the deferral. Call before Start.
-func (e *Engine) SetScheduler(s *act.Scheduler) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.scheduler = s
 }
 
 // New assembles an engine. combiner may be nil (mean of layer votes);
@@ -245,7 +234,7 @@ func New(
 	}, nil
 }
 
-// Start arms the recurring MEA cycle; it keeps running until Stop. It
+// Start arms the recurring MEA cycle for as long as the simulation runs. It
 // requires a simulation clock (New with a non-nil sim engine).
 func (e *Engine) Start() error {
 	if e.sim == nil {
@@ -259,34 +248,9 @@ func (e *Engine) Start() error {
 	e.running = true
 	e.mu.Unlock()
 	return e.sim.Every(e.cfg.EvalInterval, func() bool {
-		e.mu.Lock()
-		running := e.running
-		e.mu.Unlock()
-		if !running {
-			return false
-		}
 		e.cycle()
 		return true
 	})
-}
-
-// Stop halts the cycle at the next tick.
-func (e *Engine) Stop() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.running = false
-}
-
-// EvaluateNow performs one MEA round immediately, outside the periodic
-// schedule — the hook for event-driven evaluation (e.g. on every new error
-// report rather than on a timer; Sect. 3.1 notes that detected-error
-// prediction is inherently event-driven). No-op on an externally clocked
-// engine (use EvaluateLayers + ActOn there).
-func (e *Engine) EvaluateNow() {
-	if e.sim == nil {
-		return
-	}
-	e.cycle()
 }
 
 // cycle performs one Monitor–Evaluate–Act round on the simulation clock.
@@ -410,9 +374,9 @@ type PendingAct struct {
 	resolved bool
 }
 
-// Commit executes (or schedules) the pending countermeasure and records it
-// against the oscillation guard, updating d's ActionName/Executed — the
-// second half of what ActOn does inline.
+// Commit executes the pending countermeasure and records it against the
+// oscillation guard, updating d's ActionName/Executed — the second half of
+// what ActOn does inline.
 func (p *PendingAct) Commit(d *Decision) {
 	e := p.e
 	if e == nil {
@@ -433,12 +397,7 @@ func (p *PendingAct) Commit(d *Decision) {
 		kept := copy(e.actionTimes, e.actionTimes[old:])
 		e.actionTimes = append(e.actionTimes[:kept], p.now)
 	}
-	if e.scheduler != nil {
-		if schedErr := e.scheduler.Schedule(p.action, p.now+e.cfg.LeadTime, nil); schedErr == nil {
-			d.ActionName = p.action.Name()
-			d.Executed = true
-		}
-	} else if execErr := p.action.Execute(); execErr == nil {
+	if execErr := p.action.Execute(); execErr == nil {
 		d.ActionName = p.action.Name()
 		d.Executed = true
 	}

@@ -16,7 +16,6 @@ import (
 // scriptedTarget counts countermeasure executions.
 type scriptedTarget struct {
 	cleanups int
-	util     float64
 }
 
 func (s *scriptedTarget) CleanupState() error       { s.cleanups++; return nil }
@@ -24,7 +23,6 @@ func (s *scriptedTarget) Failover() error           { return nil }
 func (s *scriptedTarget) ShedLoad(float64) error    { return nil }
 func (s *scriptedTarget) PrepareRepair() error      { return nil }
 func (s *scriptedTarget) Restart() (float64, error) { return 0, nil }
-func (s *scriptedTarget) Utilization() float64      { return s.util }
 
 func testActions(t *testing.T, target act.Target) []*act.Action {
 	t.Helper()
@@ -321,10 +319,8 @@ func TestStartStop(t *testing.T) {
 		t.Fatal("double start accepted")
 	}
 	se.Run(30)
-	eng.Stop()
-	se.Run(100)
 	if n := eng.Report().Warnings; n != 3 {
-		t.Fatalf("warnings after stop = %d", n)
+		t.Fatalf("warnings after three ticks = %d", n)
 	}
 }
 
@@ -350,67 +346,6 @@ func TestTranslucencyReport(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("report text missing %q:\n%s", want, text)
 		}
-	}
-}
-
-func TestEvaluateNowEventDriven(t *testing.T) {
-	se := sim.NewEngine()
-	tgt := &scriptedTarget{}
-	eng, err := New(se, []*Layer{constLayer("app", 0.9)}, nil,
-		testSelector(t), testActions(t, tgt),
-		func(float64) bool { return true }, defaultCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// No Start: evaluation is driven purely by external events.
-	for i := 0; i < 3; i++ {
-		if err := se.Schedule(float64(i+1), eng.EvaluateNow); err != nil {
-			t.Fatal(err)
-		}
-	}
-	se.Run(10)
-	if n := eng.Report().Warnings; n != 3 {
-		t.Fatalf("event-driven warnings = %d", n)
-	}
-	if tgt.cleanups != 3 {
-		t.Fatalf("event-driven actions = %d", tgt.cleanups)
-	}
-	// Mixing with the periodic schedule also works.
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	se.Run(30) // periodic ticks at 20, 30
-	if n := eng.Report().Warnings; n != 5 {
-		t.Fatalf("mixed-mode warnings = %d", n)
-	}
-}
-
-func TestSchedulerDefersActionToLowUtilization(t *testing.T) {
-	se := sim.NewEngine()
-	tgt := &scriptedTarget{util: 0.95} // busy at warning time
-	eng, err := New(se, []*Layer{constLayer("app", 0.9)}, nil,
-		testSelector(t), testActions(t, tgt), nil, defaultCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := act.NewScheduler(se, tgt, 0.5, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.SetScheduler(sched)
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	// First evaluation at t=10 warns but the system is busy; load drops
-	// at t=14, so the poll at ~t=14-16 executes the deferred action well
-	// before the t=40 deadline.
-	_ = se.Schedule(14, func() { tgt.util = 0.1 })
-	se.Run(16)
-	if tgt.cleanups == 0 {
-		t.Fatal("deferred action never executed after load dropped")
-	}
-	if eng.Report().Warnings == 0 {
-		t.Fatal("no warnings")
 	}
 }
 

@@ -4,103 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/act"
-	"repro/internal/sim"
 )
-
-// timedTarget records the simulation time of every state cleanup.
-type timedTarget struct {
-	scriptedTarget
-	eng     *sim.Engine
-	fireLog []float64
-}
-
-func (s *timedTarget) CleanupState() error {
-	s.fireLog = append(s.fireLog, s.eng.Now())
-	return s.scriptedTarget.CleanupState()
-}
-
-// TestActOnSchedulerDeadline covers the previously untested scheduler path
-// of ActOn: with SetScheduler installed, a warning's action is not executed
-// inline but handed to the low-utilization scheduler with deadline
-// now + LeadTime, and under sustained high utilization it fires exactly at
-// deadline − margin on the simulation clock.
-func TestActOnSchedulerDeadline(t *testing.T) {
-	se := sim.NewEngine()
-	tgt := &timedTarget{eng: se}
-	tgt.util = 0.99 // always busy: polls never admit the action early
-	a, err := act.NewStateCleanup(tgt, act.Params{Cost: 0.5, SuccessProb: 0.9, Complexity: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const (
-		leadTime = 30.0
-		margin   = 5.0
-		nowEval  = 10.0
-	)
-	eng, err := New(nil, []*Layer{constLayer("app", 0.9)}, nil, testSelector(t),
-		[]*act.Action{a}, nil, Config{EvalInterval: 10, LeadTime: leadTime, WarnThreshold: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := act.NewScheduler(se, tgt, 0.5, 1, margin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.SetScheduler(sched)
-
-	if err := se.Schedule(nowEval, func() {
-		d := eng.ActOn(se.Now(), []float64{0.9})
-		if !d.Warned || !d.Executed || d.ActionName != a.Name() {
-			t.Errorf("scheduled decision = %+v, want warned+executed", d)
-		}
-		if len(tgt.fireLog) != 0 {
-			t.Error("action executed inline despite the scheduler")
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	se.Run(100)
-
-	wantFire := nowEval + leadTime - margin // deadline now+Δtl, margin before it
-	if len(tgt.fireLog) != 1 || tgt.fireLog[0] != wantFire {
-		t.Fatalf("fire log = %v, want one execution at %g", tgt.fireLog, wantFire)
-	}
-	if eng.ActionsTaken() != 1 {
-		t.Fatalf("ActionsTaken = %d, want 1", eng.ActionsTaken())
-	}
-}
-
-// TestActOnSchedulerLowUtilization: with headroom available the scheduled
-// action runs at the first poll, well before the deadline.
-func TestActOnSchedulerLowUtilization(t *testing.T) {
-	se := sim.NewEngine()
-	tgt := &timedTarget{eng: se}
-	tgt.util = 0.05
-	a, err := act.NewStateCleanup(tgt, act.Params{Cost: 0.5, SuccessProb: 0.9, Complexity: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(nil, []*Layer{constLayer("app", 0.9)}, nil, testSelector(t),
-		[]*act.Action{a}, nil, Config{EvalInterval: 10, LeadTime: 30, WarnThreshold: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := act.NewScheduler(se, tgt, 0.5, 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.SetScheduler(sched)
-	if err := se.Schedule(2, func() { eng.ActOn(se.Now(), []float64{0.9}) }); err != nil {
-		t.Fatal(err)
-	}
-	se.Run(100)
-	if len(tgt.fireLog) != 1 || tgt.fireLog[0] != 2 {
-		t.Fatalf("fire log = %v, want immediate execution at t=2", tgt.fireLog)
-	}
-}
 
 // TestConcurrentSetCycleObserver swaps the cycle observer while ActOn
 // cycles are in flight from several goroutines (run with -race): no

@@ -1,7 +1,7 @@
 // Package ctmc implements continuous-time Markov chains: generator
-// matrices, steady-state and transient solutions, absorbing-chain analysis
-// and phase-type distributions. It is the engine behind the paper's
-// Section 5 availability/reliability model (Fig. 9, Eqs. 7–13).
+// matrices, steady-state solutions, absorbing-chain analysis and phase-type
+// distributions. It is the engine behind the paper's Section 5
+// availability/reliability model (Fig. 9, Eqs. 7–13).
 package ctmc
 
 import (
@@ -40,16 +40,6 @@ func (c *Chain) NumStates() int { return len(c.names) }
 // StateName returns the name of state i.
 func (c *Chain) StateName(i int) string { return c.names[i] }
 
-// StateIndex returns the index of the named state, or -1.
-func (c *Chain) StateIndex(name string) int {
-	for i, n := range c.names {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // SetRate sets the transition rate from state i to state j (i ≠ j) and
 // rebalances the diagonal so rows keep summing to zero.
 func (c *Chain) SetRate(i, j int, rate float64) error {
@@ -71,9 +61,6 @@ func (c *Chain) SetRate(i, j int, rate float64) error {
 
 // Rate returns the transition rate from state i to state j.
 func (c *Chain) Rate(i, j int) float64 { return c.q.At(i, j) }
-
-// Generator returns a copy of the infinitesimal generator matrix Q.
-func (c *Chain) Generator() *mat.Matrix { return c.q.Clone() }
 
 // SteadyState returns the stationary distribution π with πQ = 0, Σπ = 1.
 // The chain must be irreducible over the states that carry probability;
@@ -100,81 +87,4 @@ func (c *Chain) SteadyState() ([]float64, error) {
 		}
 	}
 	return mat.Normalize(pi), nil
-}
-
-// TransientDistribution returns the state distribution at time t ≥ 0 given
-// the initial distribution p0, using uniformization (with a matrix-
-// exponential fallback when the uniformization constant would demand an
-// excessive number of terms).
-func (c *Chain) TransientDistribution(p0 []float64, t float64) ([]float64, error) {
-	n := c.NumStates()
-	if len(p0) != n {
-		return nil, fmt.Errorf("%w: initial distribution has length %d, want %d", ErrChain, len(p0), n)
-	}
-	if t < 0 {
-		return nil, fmt.Errorf("%w: negative time %g", ErrChain, t)
-	}
-	if t == 0 {
-		return mat.CloneVec(p0), nil
-	}
-	// Uniformization constant: Λ ≥ max_i |q_ii|.
-	lambda := 0.0
-	for i := 0; i < n; i++ {
-		if a := -c.q.At(i, i); a > lambda {
-			lambda = a
-		}
-	}
-	if lambda == 0 {
-		return mat.CloneVec(p0), nil // no transitions at all
-	}
-	lt := lambda * t
-	if lt > 400 {
-		return c.transientExpm(p0, t)
-	}
-	// P = I + Q/Λ.
-	p := mat.Identity(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			p.Add(i, j, c.q.At(i, j)/lambda)
-		}
-	}
-	// π(t) = Σ_k Poisson(Λt; k) · p0 Pᵏ, truncated once the accumulated
-	// Poisson mass covers 1-1e-12.
-	out := make([]float64, n)
-	vk := mat.CloneVec(p0)
-	logWeight := -lt // log Poisson(Λt; 0)
-	cum := 0.0
-	for k := 0; ; k++ {
-		w := math.Exp(logWeight)
-		mat.AddScaled(out, w, vk)
-		cum += w
-		if cum >= 1-1e-12 || k > 100000 {
-			break
-		}
-		next, err := p.VecMul(vk)
-		if err != nil {
-			return nil, err
-		}
-		vk = next
-		logWeight += math.Log(lt) - math.Log(float64(k+1))
-	}
-	return mat.Normalize(out), nil
-}
-
-// transientExpm computes p0·exp(tQ) directly.
-func (c *Chain) transientExpm(p0 []float64, t float64) ([]float64, error) {
-	e, err := mat.Expm(c.q.Clone().Scale(t))
-	if err != nil {
-		return nil, fmt.Errorf("%w: transient expm: %v", ErrChain, err)
-	}
-	out, err := e.VecMul(p0)
-	if err != nil {
-		return nil, err
-	}
-	for i, v := range out {
-		if v < 0 {
-			out[i] = 0
-		}
-	}
-	return mat.Normalize(out), nil
 }

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/mat"
 )
 
 // twoState builds the classic up/down availability chain.
@@ -46,23 +44,20 @@ func TestSetRateRebalancesDiagonal(t *testing.T) {
 	if err := c.SetRate(0, 2, 3); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Generator().At(0, 0); got != -5 {
+	if got := c.Rate(0, 0); got != -5 {
 		t.Fatalf("diagonal = %g, want -5", got)
 	}
 	// Overwriting a rate must rebalance, not accumulate.
 	if err := c.SetRate(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Generator().At(0, 0); got != -4 {
+	if got := c.Rate(0, 0); got != -4 {
 		t.Fatalf("diagonal after overwrite = %g, want -4", got)
 	}
 }
 
 func TestStateLookup(t *testing.T) {
 	c := New("up", "down")
-	if c.StateIndex("down") != 1 || c.StateIndex("nope") != -1 {
-		t.Fatal("StateIndex wrong")
-	}
 	if c.StateName(0) != "up" {
 		t.Fatal("StateName wrong")
 	}
@@ -84,89 +79,8 @@ func TestSteadyStateTwoState(t *testing.T) {
 	}
 }
 
-func TestTransientTwoStateClosedForm(t *testing.T) {
-	lambda, mu := 0.7, 0.3
-	c := twoState(t, lambda, mu)
-	p0 := []float64{1, 0}
-	for _, tt := range []float64{0, 0.1, 0.5, 1, 5, 20} {
-		got, err := c.TransientDistribution(p0, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pinf := mu / (lambda + mu)
-		want := pinf + (1-pinf)*math.Exp(-(lambda+mu)*tt)
-		if math.Abs(got[0]-want) > 1e-9 {
-			t.Fatalf("p_up(%g) = %g, want %g", tt, got[0], want)
-		}
-	}
-}
-
-func TestTransientConvergesToSteadyState(t *testing.T) {
-	c := twoState(t, 0.4, 0.9)
-	pi, err := c.SteadyState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := c.TransientDistribution([]float64{0, 1}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pi {
-		if math.Abs(pt[i]-pi[i]) > 1e-9 {
-			t.Fatalf("transient(100) = %v, steady = %v", pt, pi)
-		}
-	}
-}
-
-func TestTransientExpmFallbackAgreesWithUniformization(t *testing.T) {
-	// Large Λt forces the expm path; compare it against uniformization on
-	// a shorter horizon via the semigroup property.
-	c := twoState(t, 50, 80) // Λ = 130, t = 5 → Λt = 650 > 400
-	p0 := []float64{1, 0}
-	viaExpm, err := c.TransientDistribution(p0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two uniformization half-steps (Λt = 325 > 400? no: 130*2.5=325 ≤ 400).
-	half, err := c.TransientDistribution(p0, 2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := c.TransientDistribution(half, 2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range full {
-		if math.Abs(full[i]-viaExpm[i]) > 1e-9 {
-			t.Fatalf("expm path %v vs uniformization %v", viaExpm, full)
-		}
-	}
-}
-
-func TestTransientValidation(t *testing.T) {
-	c := twoState(t, 1, 1)
-	if _, err := c.TransientDistribution([]float64{1}, 1); err == nil {
-		t.Fatal("bad p0 length did not error")
-	}
-	if _, err := c.TransientDistribution([]float64{1, 0}, -1); err == nil {
-		t.Fatal("negative time did not error")
-	}
-	got, err := c.TransientDistribution([]float64{0.25, 0.75}, 0)
-	if err != nil || got[0] != 0.25 {
-		t.Fatalf("t=0 should return p0: %v, %v", got, err)
-	}
-}
-
-func TestTransientNoTransitions(t *testing.T) {
-	c := New("only")
-	got, err := c.TransientDistribution([]float64{1}, 10)
-	if err != nil || got[0] != 1 {
-		t.Fatalf("single-state transient = %v, %v", got, err)
-	}
-}
-
 // Property: for random irreducible chains, the steady state satisfies
-// πQ ≈ 0 and transient distributions remain valid probability vectors.
+// πQ ≈ 0.
 func TestSteadyStateBalanceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -192,29 +106,16 @@ func TestSteadyStateBalanceProperty(t *testing.T) {
 			return false
 		}
 		// πQ = 0 means Σ_i π_i q_ij = 0 for all j.
-		q := c.Generator()
 		for j := 0; j < n; j++ {
 			s := 0.0
 			for i := 0; i < n; i++ {
-				s += pi[i] * q.At(i, j)
+				s += pi[i] * c.Rate(i, j)
 			}
 			if math.Abs(s) > 1e-9 {
 				return false
 			}
 		}
-		// Transient at a random time is a probability vector.
-		pt, err := c.TransientDistribution(mat.Basis(n, rng.Intn(n)), rng.Float64()*10)
-		if err != nil {
-			return false
-		}
-		sum := 0.0
-		for _, p := range pt {
-			if p < -1e-12 {
-				return false
-			}
-			sum += p
-		}
-		return math.Abs(sum-1) < 1e-9
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -126,22 +126,6 @@ func (p *PhaseType) CDF(t float64) (float64, error) {
 	return f, nil
 }
 
-// PDF returns f(t) = α·exp(tT)·t0 (Eq. 12).
-func (p *PhaseType) PDF(t float64) (float64, error) {
-	if t < 0 {
-		return 0, nil
-	}
-	v, err := p.expAt(t)
-	if err != nil {
-		return 0, err
-	}
-	f := mat.Dot(v, p.exit)
-	if f < 0 {
-		f = 0
-	}
-	return f, nil
-}
-
 // Survival returns R(t) = 1 − F(t) (Eq. 9: reliability).
 func (p *PhaseType) Survival(t float64) (float64, error) {
 	f, err := p.CDF(t)
@@ -213,6 +197,3 @@ func (p *PhaseType) Mean() (float64, error) {
 	}
 	return -mat.SumVec(y), nil
 }
-
-// NumPhases returns the number of transient phases.
-func (p *PhaseType) NumPhases() int { return len(p.alpha) }

@@ -30,13 +30,6 @@ func TestPhaseTypeExponential(t *testing.T) {
 		if want := 1 - math.Exp(-lambda*x); math.Abs(cdf-want) > 1e-10 {
 			t.Fatalf("CDF(%g) = %g, want %g", x, cdf, want)
 		}
-		pdf, err := p.PDF(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := lambda * math.Exp(-lambda*x); math.Abs(pdf-want) > 1e-10 {
-			t.Fatalf("PDF(%g) = %g, want %g", x, pdf, want)
-		}
 		h, err := p.Hazard(x)
 		if err != nil {
 			t.Fatal(err)
@@ -64,15 +57,15 @@ func TestPhaseTypeErlang2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Erlang-2 density: λ² t e^{-λt}.
+	// Erlang-2 distribution function: 1 − (1 + λt) e^{-λt}.
 	for _, x := range []float64{0.2, 0.5, 1.5} {
-		pdf, err := p.PDF(x)
+		cdf, err := p.CDF(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := lambda * lambda * x * math.Exp(-lambda*x)
-		if math.Abs(pdf-want) > 1e-10 {
-			t.Fatalf("Erlang2 PDF(%g) = %g, want %g", x, pdf, want)
+		want := 1 - (1+lambda*x)*math.Exp(-lambda*x)
+		if math.Abs(cdf-want) > 1e-10 {
+			t.Fatalf("Erlang2 CDF(%g) = %g, want %g", x, cdf, want)
 		}
 	}
 	mean, err := p.Mean()
@@ -97,9 +90,6 @@ func TestPhaseTypeBoundaries(t *testing.T) {
 	}
 	if cdf, _ := p.CDF(-5); cdf != 0 {
 		t.Fatalf("CDF(-5) = %g", cdf)
-	}
-	if pdf, _ := p.PDF(-1); pdf != 0 {
-		t.Fatalf("PDF(-1) = %g", pdf)
 	}
 	if s, _ := p.Survival(0); s != 1 {
 		t.Fatalf("Survival(0) = %g", s)
@@ -162,8 +152,8 @@ func TestAbsorbingFrom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumPhases() != 2 {
-		t.Fatalf("phases = %d, want 2", p.NumPhases())
+	if len(p.alpha) != 2 {
+		t.Fatalf("phases = %d, want 2", len(p.alpha))
 	}
 	// CDF must be a valid distribution function.
 	prev := 0.0

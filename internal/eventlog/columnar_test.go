@@ -37,15 +37,6 @@ func TestScanWindowZeroAllocs(t *testing.T) {
 	if hi <= lo {
 		t.Fatalf("ScanWindow returned empty range [%d,%d)", lo, hi)
 	}
-	if n := l.CountSevere(lo, hi, SeverityError); n == 0 {
-		t.Fatal("CountSevere found nothing in a dense window")
-	}
-	allocs = testing.AllocsPerRun(200, func() {
-		_ = l.CountSevere(lo, hi, SeverityError)
-	})
-	if allocs != 0 {
-		t.Fatalf("CountSevere allocates %.1f/op, want 0", allocs)
-	}
 }
 
 // TestSlidingWindowIntoZeroAllocs pins the online-scoring sequence path:
@@ -112,62 +103,6 @@ func TestAtZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("At allocates %.1f per full scan, want 0", allocs)
-	}
-}
-
-// TestAppendInternedZeroAllocs pins the replay append path: with strings
-// resolved to dictionary IDs up front and capacity grown, appends touch
-// only numeric columns.
-func TestAppendInternedZeroAllocs(t *testing.T) {
-	l := NewLog()
-	comp := l.InternComponent("svc")
-	msg, err := l.InternMessage("component error")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Grow(2048)
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		if err := l.AppendInterned(float64(i), comp, 3, SeverityError, msg); err != nil {
-			t.Fatal(err)
-		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("AppendInterned allocates %.1f/op within grown capacity, want 0", allocs)
-	}
-	if l.At(0).Component != "svc" || l.At(0).Message != "component error" {
-		t.Fatalf("interned append corrupted: %+v", l.At(0))
-	}
-}
-
-func TestAppendInternedValidation(t *testing.T) {
-	l := NewLog()
-	comp := l.InternComponent("c")
-	msg, err := l.InternMessage("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.InternMessage("a|b"); err == nil {
-		t.Fatal("InternMessage accepted reserved characters")
-	}
-	if err := l.AppendInterned(1, comp, 1, SeverityInfo, msg); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendInterned(0.5, comp, 1, SeverityInfo, msg); err == nil {
-		t.Fatal("time regression accepted")
-	}
-	if err := l.AppendInterned(2, comp, 1, 99, msg); err == nil {
-		t.Fatal("bad severity accepted")
-	}
-	if err := l.AppendInterned(2, comp+100, 1, SeverityInfo, msg); err == nil {
-		t.Fatal("out-of-range component ID accepted")
-	}
-	if err := l.AppendInterned(2, comp, 1, SeverityInfo, msg+100); err == nil {
-		t.Fatal("out-of-range message ID accepted")
-	}
-	if l.Len() != 1 {
-		t.Fatalf("failed appends mutated the log: len=%d", l.Len())
 	}
 }
 
@@ -263,64 +198,9 @@ func TestTypeBitset(t *testing.T) {
 			t.Fatalf("missing %d", want)
 		}
 	}
-	if b.Count() != 4 {
-		t.Fatalf("Count = %d, want 4", b.Count())
-	}
 	b.Reset()
-	if b.Count() != 0 || b.Has(64) {
+	if b.Has(0) || b.Has(64) || b.Has(200) {
 		t.Fatal("Reset did not clear")
-	}
-}
-
-func TestMarkAndFilterTypes(t *testing.T) {
-	l := denseLog(t, 64)
-	var set TypeBitset
-	lo, hi := l.ScanWindow(0, 10)
-	l.MarkTypes(lo, hi, &set)
-	for i := lo; i < hi; i++ {
-		if !set.Has(l.TypeAt(i)) {
-			t.Fatalf("type %d not marked", l.TypeAt(i))
-		}
-	}
-	idx := l.FilterTypes(0, l.Len(), &set, nil)
-	for _, i := range idx {
-		if !set.Has(l.TypeAt(i)) {
-			t.Fatal("FilterTypes returned non-member")
-		}
-	}
-	var only TypeBitset
-	only.Add(3)
-	n := 0
-	for i := 0; i < l.Len(); i++ {
-		if l.TypeAt(i) == 3 {
-			n++
-		}
-	}
-	if got := len(l.FilterTypes(0, l.Len(), &only, nil)); got != n {
-		t.Fatalf("FilterTypes found %d type-3 events, want %d", got, n)
-	}
-}
-
-func TestSeverityMaskAndFilter(t *testing.T) {
-	m := MaskAtLeast(SeverityError)
-	if m.Has(SeverityInfo) || m.Has(SeverityWarning) || !m.Has(SeverityError) || !m.Has(SeverityCritical) {
-		t.Fatalf("MaskAtLeast(Error) = %b", m)
-	}
-	l := denseLog(t, 64)
-	idx := l.FilterSeverity(0, l.Len(), m, nil)
-	want := 0
-	for i := 0; i < l.Len(); i++ {
-		if l.SeverityAt(i) >= SeverityError {
-			want++
-		}
-	}
-	if len(idx) != want {
-		t.Fatalf("FilterSeverity found %d, want %d", len(idx), want)
-	}
-	for _, i := range idx {
-		if l.SeverityAt(i) < SeverityError {
-			t.Fatal("FilterSeverity returned low-severity index")
-		}
 	}
 }
 

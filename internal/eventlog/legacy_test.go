@@ -43,24 +43,6 @@ func (l *aosLog) Window(from, to float64) []Event {
 	return append([]Event(nil), l.events[lo:hi]...)
 }
 
-func (l *aosLog) tuple(epsilon float64) *aosLog {
-	out := &aosLog{}
-	type key struct {
-		comp string
-		typ  int
-	}
-	lastKept := make(map[key]float64)
-	for _, e := range l.events {
-		k := key{e.Component, e.Type}
-		if prev, ok := lastKept[k]; ok && e.Time-prev <= epsilon {
-			continue
-		}
-		lastKept[k] = e.Time
-		out.events = append(out.events, e)
-	}
-	return out
-}
-
 // aosSequence mirrors newSequence over a copied window.
 func aosSequence(events []Event, label bool) Sequence {
 	s := Sequence{Times: make([]float64, len(events)), Types: make([]int, len(events)), Label: label}
@@ -213,28 +195,6 @@ func TestColumnarAoSExtractParity(t *testing.T) {
 		}
 		af, an := aosExtract(aos, failures, cfg)
 		return sequencesEqual(cf, af) && sequencesEqual(cn, an)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Tuple agrees across stores (the burst key moved from a
-// string-keyed map to interned integer pairs).
-func TestColumnarAoSTupleParity(t *testing.T) {
-	f := func(seed int64, epsRaw float64) bool {
-		col, aos := bothStores(t, seed)
-		eps := math.Abs(math.Mod(epsRaw, 30))
-		ct, at := col.Tuple(eps), aos.tuple(eps)
-		if ct.Len() != at.Len() {
-			return false
-		}
-		for i := range at.events {
-			if ct.At(i) != at.events[i] {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

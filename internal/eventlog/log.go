@@ -168,71 +168,6 @@ func (l *Log) Grow(n int) {
 	l.ensure(n)
 }
 
-// AppendBatch appends events in order, atomically: the whole batch is
-// validated against the Append rules first, and on any error the log's
-// event columns are left unchanged.
-func (l *Log) AppendBatch(events []Event) error {
-	tail := l.tail()
-	for i, e := range events {
-		if err := checkEvent(e, tail); err != nil {
-			return fmt.Errorf("batch[%d]: %w", i, err)
-		}
-		tail = e.Time
-	}
-	l.ensure(len(events))
-	for _, e := range events {
-		l.times = append(l.times, e.Time)
-		l.types = append(l.types, int32(e.Type))
-		l.sevs = append(l.sevs, uint8(e.Severity))
-		l.comps = append(l.comps, l.components.Intern(e.Component))
-		l.msgs = append(l.msgs, l.messages.Intern(e.Message))
-	}
-	return nil
-}
-
-// InternComponent returns (assigning if new) the dictionary ID of a
-// component string, for AppendInterned fast paths that resolve their
-// strings once instead of per event.
-func (l *Log) InternComponent(s string) uint32 { return l.components.Intern(s) }
-
-// InternMessage returns the dictionary ID of a message string, validating
-// the reserved-character rule once at intern time.
-func (l *Log) InternMessage(s string) (uint32, error) {
-	if strings.ContainsAny(s, "\n|") {
-		return 0, fmt.Errorf("%w: message contains reserved characters", ErrLog)
-	}
-	return l.messages.Intern(s), nil
-}
-
-// AppendInterned appends one event whose strings are already dictionary
-// IDs (from InternComponent/InternMessage on this log) — the zero-string
-// append path used by columnar replay. Time ordering and severity are
-// validated like Append; the IDs must be in range.
-func (l *Log) AppendInterned(t float64, comp uint32, typ int32, sev Severity, msg uint32) error {
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		return fmt.Errorf("%w: event time %g", ErrLog, t)
-	}
-	if t < l.tail() {
-		return fmt.Errorf("%w: event time %g before log tail %g", ErrLog, t, l.tail())
-	}
-	if sev < SeverityInfo || sev > SeverityCritical {
-		return fmt.Errorf("%w: severity %d", ErrLog, sev)
-	}
-	if int(comp) >= l.components.Len() {
-		return fmt.Errorf("%w: component ID %d out of range", ErrLog, comp)
-	}
-	if int(msg) >= l.messages.Len() {
-		return fmt.Errorf("%w: message ID %d out of range", ErrLog, msg)
-	}
-	l.ensure(1)
-	l.times = append(l.times, t)
-	l.types = append(l.types, typ)
-	l.sevs = append(l.sevs, uint8(sev))
-	l.comps = append(l.comps, comp)
-	l.msgs = append(l.msgs, msg)
-	return nil
-}
-
 // Columns is a borrowed struct-of-arrays event batch for bulk decode:
 // parallel per-event columns plus the dictionaries its Comps/Msgs indices
 // point into. All five event columns must have equal length.
@@ -331,15 +266,6 @@ func (l *Log) TimeAt(i int) float64 { return l.times[i] }
 // TypeAt returns the i-th event type.
 func (l *Log) TypeAt(i int) int { return int(l.types[i]) }
 
-// SeverityAt returns the i-th severity.
-func (l *Log) SeverityAt(i int) Severity { return Severity(l.sevs[i]) }
-
-// ComponentAt returns the i-th component (the shared dictionary string).
-func (l *Log) ComponentAt(i int) string { return l.components.Lookup(l.comps[i]) }
-
-// MessageAt returns the i-th message (the shared dictionary string).
-func (l *Log) MessageAt(i int) string { return l.messages.Lookup(l.msgs[i]) }
-
 // ComponentCount returns the number of distinct components seen.
 func (l *Log) ComponentCount() int { return l.components.Len() }
 
@@ -355,51 +281,6 @@ func (l *Log) ScanWindow(from, to float64) (lo, hi int) {
 	lo = sort.SearchFloat64s(l.times, from)
 	hi = lo + sort.SearchFloat64s(l.times[lo:], to)
 	return lo, hi
-}
-
-// CountSevere returns the number of events in the index range [lo, hi)
-// with severity ≥ min — one branch-light pass over the severity column.
-func (l *Log) CountSevere(lo, hi int, min Severity) int {
-	m := uint8(min)
-	n := 0
-	for _, s := range l.sevs[lo:hi] {
-		if s >= m {
-			n++
-		}
-	}
-	return n
-}
-
-// SeverityMask is a bitmask over the four severities, for branch-light
-// column filters: bit (s-1) set means severity s passes.
-type SeverityMask uint8
-
-// MaskAtLeast returns the mask accepting severities ≥ min.
-func MaskAtLeast(min Severity) SeverityMask {
-	var m SeverityMask
-	for s := min; s <= SeverityCritical; s++ {
-		if s >= SeverityInfo {
-			m |= 1 << (uint8(s) - 1)
-		}
-	}
-	return m
-}
-
-// Has reports whether severity s passes the mask.
-func (m SeverityMask) Has(s Severity) bool {
-	return s >= SeverityInfo && s <= SeverityCritical && m&(1<<(uint8(s)-1)) != 0
-}
-
-// FilterSeverity appends to dst the column indices in [lo, hi) whose
-// severity passes the mask, and returns the extended slice. With a dst of
-// sufficient capacity the scan allocates nothing.
-func (l *Log) FilterSeverity(lo, hi int, mask SeverityMask, dst []int) []int {
-	for i, s := range l.sevs[lo:hi] {
-		if mask&(1<<(s-1)) != 0 {
-			dst = append(dst, lo+i)
-		}
-	}
-	return dst
 }
 
 // TypeBitset is a dense bitset over non-negative event-type IDs, used for
@@ -439,36 +320,6 @@ func (b *TypeBitset) Has(t int) bool {
 	return w < len(b.bits) && b.bits[w]&(1<<(uint(t)&63)) != 0
 }
 
-// Count returns the number of members.
-func (b *TypeBitset) Count() int {
-	n := 0
-	for _, w := range b.bits {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
-// MarkTypes adds every non-negative event type in the index range
-// [lo, hi) to the set.
-func (l *Log) MarkTypes(lo, hi int, set *TypeBitset) {
-	for _, t := range l.types[lo:hi] {
-		set.Add(int(t))
-	}
-}
-
-// FilterTypes appends to dst the column indices in [lo, hi) whose event
-// type is in the set, and returns the extended slice.
-func (l *Log) FilterTypes(lo, hi int, set *TypeBitset, dst []int) []int {
-	for i, t := range l.types[lo:hi] {
-		if set.Has(int(t)) {
-			dst = append(dst, lo+i)
-		}
-	}
-	return dst
-}
-
 // Slice returns a new log holding the events in [from, to): five column
 // copies plus a dictionary clone, no per-event work. This is how the
 // experiment harnesses carve train/test sub-logs out of a finished run.
@@ -483,93 +334,5 @@ func (l *Log) Slice(from, to float64) *Log {
 	out.sevs = append(out.sevs, l.sevs[lo:hi]...)
 	out.comps = append(out.comps, l.comps[lo:hi]...)
 	out.msgs = append(out.msgs, l.msgs[lo:hi]...)
-	return out
-}
-
-// Filter returns a new log with only the events of at least the given
-// severity.
-func (l *Log) Filter(min Severity) *Log {
-	mask := MaskAtLeast(min)
-	out := NewLog()
-	out.components = l.components.Clone()
-	out.messages = l.messages.Clone()
-	for i, s := range l.sevs {
-		if mask&(1<<(s-1)) != 0 {
-			out.ensure(1)
-			out.times = append(out.times, l.times[i])
-			out.types = append(out.types, l.types[i])
-			out.sevs = append(out.sevs, s)
-			out.comps = append(out.comps, l.comps[i])
-			out.msgs = append(out.msgs, l.msgs[i])
-		}
-	}
-	return out
-}
-
-// Tuple collapses repeated reports: consecutive events with the same
-// component and type within epsilon seconds of the previous kept one are
-// merged into a single event (the first of the burst). This is the standard
-// log pre-processing step for bursty error reporting. With interned
-// components the burst key is a pair of integers — no string hashing per
-// event.
-func (l *Log) Tuple(epsilon float64) *Log {
-	out := NewLog()
-	out.components = l.components.Clone()
-	out.messages = l.messages.Clone()
-	type key struct {
-		comp uint32
-		typ  int32
-	}
-	lastKept := make(map[key]float64)
-	for i, t := range l.times {
-		k := key{l.comps[i], l.types[i]}
-		if prev, ok := lastKept[k]; ok && t-prev <= epsilon {
-			continue
-		}
-		lastKept[k] = t
-		out.ensure(1)
-		out.times = append(out.times, t)
-		out.types = append(out.types, l.types[i])
-		out.sevs = append(out.sevs, l.sevs[i])
-		out.comps = append(out.comps, l.comps[i])
-		out.msgs = append(out.msgs, l.msgs[i])
-	}
-	return out
-}
-
-// TypeSet returns the sorted set of distinct event types in the log.
-func (l *Log) TypeSet() []int {
-	minT, maxT := int32(math.MaxInt32), int32(math.MinInt32)
-	for _, t := range l.types {
-		if t < minT {
-			minT = t
-		}
-		if t > maxT {
-			maxT = t
-		}
-	}
-	if len(l.types) == 0 {
-		return nil
-	}
-	if minT >= 0 && maxT < 1<<20 {
-		var set TypeBitset
-		l.MarkTypes(0, l.Len(), &set)
-		out := make([]int, 0, set.Count())
-		for t := int(minT); t <= int(maxT); t++ {
-			if set.Has(t) {
-				out = append(out, t)
-			}
-		}
-		return out
-	}
-	seen := make(map[int]bool)
-	for _, t := range l.types {
-		seen[int(t)] = true
-	}
-	out := make([]int, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Ints(out)
 	return out
 }

@@ -49,48 +49,6 @@ func TestWindowAndFilter(t *testing.T) {
 	if hi-lo != 1 || l.At(lo).Component != "b" {
 		t.Fatalf("ScanWindow(2, 3) = [%d, %d)", lo, hi)
 	}
-	f := l.Filter(SeverityError)
-	if f.Len() != 2 {
-		t.Fatalf("Filter kept %d", f.Len())
-	}
-	if f.At(0).Severity != SeverityError {
-		t.Fatal("Filter order wrong")
-	}
-}
-
-func TestTuple(t *testing.T) {
-	l := buildLog(t,
-		ev(1.0, "a", 7, SeverityError),
-		ev(1.1, "a", 7, SeverityError), // burst duplicate
-		ev(1.2, "b", 7, SeverityError), // different component: kept
-		ev(1.3, "a", 8, SeverityError), // different type: kept
-		ev(5.0, "a", 7, SeverityError), // outside epsilon: kept
-	)
-	tp := l.Tuple(1.0)
-	if tp.Len() != 4 {
-		t.Fatalf("Tuple kept %d events, want 4", tp.Len())
-	}
-	// Chained bursts: each kept event resets the epsilon window.
-	chain := buildLog(t,
-		ev(0, "a", 1, SeverityError),
-		ev(0.5, "a", 1, SeverityError),
-		ev(1.4, "a", 1, SeverityError), // 1.4 > eps after event at 0? kept: last kept was 0
-	)
-	if got := chain.Tuple(1.0).Len(); got != 2 {
-		t.Fatalf("chained Tuple kept %d, want 2", got)
-	}
-}
-
-func TestTypeSet(t *testing.T) {
-	l := buildLog(t,
-		ev(1, "a", 5, SeverityError),
-		ev(2, "a", 3, SeverityError),
-		ev(3, "a", 5, SeverityError),
-	)
-	ts := l.TypeSet()
-	if len(ts) != 2 || ts[0] != 3 || ts[1] != 5 {
-		t.Fatalf("TypeSet = %v", ts)
-	}
 }
 
 // TestScanWindowBounds pins the window primitive's boundary semantics
@@ -141,36 +99,4 @@ func TestGrow(t *testing.T) {
 		t.Fatalf("log corrupted by Grow: len=%d first=%+v", l.Len(), l.At(0))
 	}
 	l.Grow(-1) // no-op, must not panic
-}
-
-// TestAppendBatch pins atomicity: a batch with any invalid event leaves
-// the log untouched.
-func TestAppendBatch(t *testing.T) {
-	l := NewLog()
-	if err := l.Append(Event{Time: 5, Component: "c", Type: 1, Severity: SeverityInfo}); err != nil {
-		t.Fatal(err)
-	}
-	ok := []Event{
-		{Time: 5, Component: "a", Type: 1, Severity: SeverityWarning},
-		{Time: 6, Component: "b", Type: 2, Severity: SeverityError},
-	}
-	if err := l.AppendBatch(ok); err != nil {
-		t.Fatal(err)
-	}
-	if l.Len() != 3 || l.At(2).Component != "b" {
-		t.Fatalf("batch not appended: len=%d", l.Len())
-	}
-	for _, bad := range [][]Event{
-		{{Time: 7, Component: "x", Type: 1, Severity: SeverityInfo}, {Time: 4, Component: "y", Type: 1, Severity: SeverityInfo}}, // regression inside batch
-		{{Time: 3, Component: "x", Type: 1, Severity: SeverityInfo}},                                                             // before tail
-		{{Time: 8, Component: "x", Type: 1, Severity: 0}},                                                                        // bad severity
-		{{Time: 8, Component: "x", Type: 1, Severity: SeverityInfo, Message: "a|b"}},                                             // reserved char
-	} {
-		if err := l.AppendBatch(bad); err == nil {
-			t.Fatalf("AppendBatch(%+v) accepted invalid batch", bad)
-		}
-		if l.Len() != 3 {
-			t.Fatalf("failed batch mutated the log: len=%d", l.Len())
-		}
-	}
 }

@@ -44,56 +44,6 @@ func TestWindowPartitionProperty(t *testing.T) {
 	}
 }
 
-// Property: tupling never grows the log, preserves order, and is
-// idempotent.
-func TestTupleProperty(t *testing.T) {
-	f := func(seed int64, epsRaw float64) bool {
-		l := randomLog(seed)
-		eps := math.Abs(math.Mod(epsRaw, 30))
-		tupled := l.Tuple(eps)
-		if tupled.Len() > l.Len() {
-			return false
-		}
-		for i := 1; i < tupled.Len(); i++ {
-			if tupled.At(i).Time < tupled.At(i-1).Time {
-				return false
-			}
-		}
-		// Idempotence: tupling an already-tupled log changes nothing.
-		return tupled.Tuple(eps).Len() == tupled.Len()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: severity filtering keeps exactly the qualifying events.
-func TestFilterProperty(t *testing.T) {
-	f := func(seed int64, sevRaw int8) bool {
-		l := randomLog(seed)
-		min := Severity(1 + int(math.Abs(float64(sevRaw)))%4)
-		filtered := l.Filter(min)
-		count := 0
-		for i := 0; i < l.Len(); i++ {
-			if l.SeverityAt(i) >= min {
-				count++
-			}
-		}
-		if filtered.Len() != count {
-			return false
-		}
-		for i := 0; i < filtered.Len(); i++ {
-			if filtered.SeverityAt(i) < min {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: extracted sequences are re-based (start at 0) with
 // non-decreasing times.
 func TestExtractSequenceInvariants(t *testing.T) {

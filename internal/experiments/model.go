@@ -92,43 +92,6 @@ func Fig10Curves(p pfmmodel.Params, nPoints int) (reliability, hazard []pfmmodel
 	return reliability, hazard, nil
 }
 
-// SweepPoint is one point of a parameter sweep (examples/modelstudy).
-type SweepPoint struct {
-	X     float64
-	Ratio float64 // Eq. 14 at this parameter value
-}
-
-// SweepRecall evaluates the Eq. 14 ratio across recall values, holding the
-// other Table 2 parameters fixed.
-func SweepRecall(base pfmmodel.Params, recalls []float64) ([]SweepPoint, error) {
-	out := make([]SweepPoint, 0, len(recalls))
-	for _, r := range recalls {
-		p := base
-		p.Recall = r
-		ratio, err := p.UnavailabilityRatio()
-		if err != nil {
-			return nil, fmt.Errorf("%w: recall %g: %v", ErrExperiment, r, err)
-		}
-		out = append(out, SweepPoint{X: r, Ratio: ratio})
-	}
-	return out, nil
-}
-
-// SweepK evaluates the Eq. 14 ratio across repair-improvement factors.
-func SweepK(base pfmmodel.Params, ks []float64) ([]SweepPoint, error) {
-	out := make([]SweepPoint, 0, len(ks))
-	for _, k := range ks {
-		p := base
-		p.K = k
-		ratio, err := p.UnavailabilityRatio()
-		if err != nil {
-			return nil, fmt.Errorf("%w: k %g: %v", ErrExperiment, k, err)
-		}
-		out = append(out, SweepPoint{X: k, Ratio: ratio})
-	}
-	return out, nil
-}
-
 // CheckEq14 verifies the headline result against the paper's ≈0.488.
 func CheckEq14(r ModelResult) error {
 	if math.Abs(r.UnavailabilityRatio-0.488) > 0.01 {

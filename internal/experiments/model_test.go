@@ -48,35 +48,6 @@ func TestFig10CurvesShape(t *testing.T) {
 	}
 }
 
-func TestSweeps(t *testing.T) {
-	base := pfmmodel.DefaultParams()
-	recalls, err := SweepRecall(base, []float64{0.2, 0.5, 0.8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Better recall must lower the unavailability ratio.
-	for i := 1; i < len(recalls); i++ {
-		if recalls[i].Ratio >= recalls[i-1].Ratio {
-			t.Fatalf("ratio not decreasing in recall: %+v", recalls)
-		}
-	}
-	ks, err := SweepK(base, []float64{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(ks); i++ {
-		if ks[i].Ratio >= ks[i-1].Ratio {
-			t.Fatalf("ratio not decreasing in k: %+v", ks)
-		}
-	}
-	if _, err := SweepRecall(base, []float64{2}); err == nil {
-		t.Fatal("invalid recall accepted")
-	}
-	if _, err := SweepK(base, []float64{-1}); err == nil {
-		t.Fatal("invalid k accepted")
-	}
-}
-
 // TestRejuvenationComparison is the E15 acceptance test: prediction-
 // triggered PFM beats optimally tuned blind rejuvenation in every
 // degradation regime, and blind rejuvenation only pays under slow aging.

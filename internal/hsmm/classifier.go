@@ -111,13 +111,3 @@ func (c *Classifier) ScoreAllInto(seqs []eventlog.Sequence, out []float64) error
 	}
 	return nil
 }
-
-// Classify reports whether the sequence is failure-prone at the configured
-// threshold.
-func (c *Classifier) Classify(seq eventlog.Sequence) (bool, error) {
-	s, err := c.Score(seq)
-	if err != nil {
-		return false, err
-	}
-	return s >= c.Threshold, nil
-}

@@ -49,20 +49,6 @@ func getBuf(n int) *[]float64 {
 
 func putBuf(bp *[]float64) { bufPool.Put(bp) }
 
-// intBufPool recycles the Viterbi backpointer lattice.
-var intBufPool = sync.Pool{New: func() any { return new([]int) }}
-
-func getIntBuf(n int) *[]int {
-	bp := intBufPool.Get().(*[]int)
-	if cap(*bp) < n {
-		*bp = make([]int, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
-}
-
-func putIntBuf(bp *[]int) { intBufPool.Put(bp) }
-
 // LogLikelihood returns log P(sequence | model) via the forward algorithm
 // in log space. The semi-Markov duration densities enter at every
 // transition. Empty sequences are an error.
@@ -188,58 +174,4 @@ func (m *Model) backwardInto(p *prepared, beta, w, row []float64) {
 			}
 		}
 	}
-}
-
-// Viterbi returns the most likely hidden state path for the sequence and
-// its joint log-probability.
-func (m *Model) Viterbi(seq eventlog.Sequence) ([]int, float64, error) {
-	if seq.Len() == 0 {
-		return nil, 0, fmt.Errorf("%w: empty sequence", ErrModel)
-	}
-	p := m.prepare(seq)
-	n, k := m.n, seq.Len()
-	bp := getBuf(k*n + n)
-	buf := *bp
-	delta := buf[:k*n]
-	tmp := buf[k*n:]
-	pp := getIntBuf(k * n)
-	psi := *pp
-	for j := 0; j < n; j++ {
-		delta[j] = m.logPi[j] + m.logBf[j*m.m+p.obs[0]]
-	}
-	for t := 1; t < k; t++ {
-		prev := delta[(t-1)*n : t*n]
-		cur := delta[t*n : (t+1)*n]
-		back := psi[t*n : (t+1)*n]
-		for i := 0; i < n; i++ {
-			tmp[i] = prev[i] + p.durLP[i*k+t]
-		}
-		o := p.obs[t]
-		for j := 0; j < n; j++ {
-			at := m.logAT[j*n : (j+1)*n]
-			best, arg := math.Inf(-1), 0
-			for i := 0; i < n; i++ {
-				if v := tmp[i] + at[i]; v > best {
-					best, arg = v, i
-				}
-			}
-			cur[j] = best + m.logBf[j*m.m+o]
-			back[j] = arg
-		}
-	}
-	best, arg := math.Inf(-1), 0
-	for j := 0; j < n; j++ {
-		if v := delta[(k-1)*n+j]; v > best {
-			best, arg = v, j
-		}
-	}
-	path := make([]int, k)
-	path[k-1] = arg
-	for t := k - 1; t > 0; t-- {
-		path[t-1] = psi[t*n+path[t]]
-	}
-	putBuf(bp)
-	putIntBuf(pp)
-	p.release()
-	return path, best, nil
 }

@@ -122,9 +122,6 @@ func (m *Model) symbolIndex(eventType int) int {
 	return m.unknownSlot()
 }
 
-// NumStates returns the number of hidden states.
-func (m *Model) NumStates() int { return m.n }
-
 // AlphabetSize returns the emission alphabet size (including the catch-all
 // slot for unseen event types).
 func (m *Model) AlphabetSize() int { return m.m }
@@ -188,7 +185,7 @@ func normalizeToLog(w []float64) []float64 {
 // prepared is a sequence translated to the model's emission alphabet plus
 // the per-sequence tables the kernels index instead of recomputing:
 // inter-event delays, clamped log-delays, and the n×k duration log-PDF
-// table. forward, backward, Viterbi and the EM ξ-accumulation all read
+// table. forward, backward and the EM ξ-accumulation all read
 // durLP, turning the O(n·k²) transcendental calls of the naive lattices
 // into an O(n·k) table build. Instances are recycled through prepPool;
 // callers must release() them when done.
@@ -199,7 +196,7 @@ type prepared struct {
 	durLP  []float64 // n×k row-major: durLP[i*k+t] = dur[i].logPDF(delays[t])
 }
 
-// prepPool recycles prepared buffers across LogLikelihood/Viterbi/EM calls
+// prepPool recycles prepared buffers across LogLikelihood/EM calls
 // so the steady-state inference path allocates nothing.
 var prepPool = sync.Pool{New: func() any { return new(prepared) }}
 

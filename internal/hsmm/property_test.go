@@ -43,32 +43,6 @@ func TestLikelihoodFiniteProperty(t *testing.T) {
 	}
 }
 
-// Property: the forward likelihood upper-bounds the Viterbi path
-// probability (sum over paths ≥ max over paths).
-func TestViterbiBoundProperty(t *testing.T) {
-	g := stats.NewRNG(103)
-	model, err := Fit(genFailureSeqs(g, 12), Config{States: 4, Seed: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(seed int64) bool {
-		r := stats.NewRNG(seed)
-		seqs := genFailureSeqs(r, 1)
-		_, vit, err := model.Viterbi(seqs[0])
-		if err != nil {
-			return false
-		}
-		ll, err := model.LogLikelihood(seqs[0])
-		if err != nil {
-			return false
-		}
-		return vit <= ll+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: serialization round-trips preserve likelihoods bit-for-bit for
 // random models and random probes.
 func TestSerializationPreservesLikelihoodProperty(t *testing.T) {

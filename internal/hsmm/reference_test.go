@@ -76,44 +76,6 @@ func refBackward(m *Model, p refPrepared) [][]float64 {
 	return beta
 }
 
-// refViterbi is the naive most-likely-path decoder.
-func refViterbi(m *Model, p refPrepared) ([]int, float64) {
-	k := len(p.obs)
-	delta := make([][]float64, k)
-	psi := make([][]int, k)
-	delta[0] = make([]float64, m.n)
-	for j := 0; j < m.n; j++ {
-		delta[0][j] = m.logPi[j] + m.logB[j][p.obs[0]]
-	}
-	for t := 1; t < k; t++ {
-		delta[t] = make([]float64, m.n)
-		psi[t] = make([]int, m.n)
-		for j := 0; j < m.n; j++ {
-			best, arg := math.Inf(-1), 0
-			for i := 0; i < m.n; i++ {
-				v := delta[t-1][i] + m.logA[i][j] + m.dur[i].logPDF(p.delays[t])
-				if v > best {
-					best, arg = v, i
-				}
-			}
-			delta[t][j] = best + m.logB[j][p.obs[t]]
-			psi[t][j] = arg
-		}
-	}
-	best, arg := math.Inf(-1), 0
-	for j := 0; j < m.n; j++ {
-		if delta[k-1][j] > best {
-			best, arg = delta[k-1][j], j
-		}
-	}
-	path := make([]int, k)
-	path[k-1] = arg
-	for t := k - 1; t > 0; t-- {
-		path[t-1] = psi[t][path[t]]
-	}
-	return path, best
-}
-
 // refAccumulate is the naive E-step over the reference lattices: state
 // posteriors γ, transition posteriors ξ and the duration moments, every term
 // the exponential of its own log-space sum. Like accumulate it adds nothing
@@ -160,8 +122,7 @@ func refAccumulate(m *Model, p refPrepared) (*accumulator, float64) {
 // the tail that the states' duration densities differ by more than exp can
 // represent — the inputs on which the hoisted kernels must take their
 // log-space fallback cell. (Every later delay is scaled, not a few: an
-// isolated jump would round the delays after it to zero, and runs of equal
-// delays give Viterbi exact ties that rounding breaks either way.)
+// isolated jump would round the delays after it to zero.)
 func randomModelAndSeq(seed int64) (*Model, eventlog.Sequence) {
 	g := stats.NewRNG(seed)
 	families := []DurationFamily{FamilyLogNormal, FamilyExponential, FamilyNone}
@@ -230,8 +191,7 @@ func closeStat(a, b, scale, ll float64) bool {
 }
 
 // TestOptimizedKernelsMatchReference checks every lattice cell of the
-// optimized forward/backward kernels, the Viterbi decode and the E-step's
-// sufficient statistics against the naive reference on randomized models
+// optimized forward/backward kernels and the E-step's sufficient statistics against the naive reference on randomized models
 // and sequences. close9 holds −Inf to −Inf and finite to finite, so a cell
 // the reference can reach must not be lost to the hoisted sum's underflow.
 func TestOptimizedKernelsMatchReference(t *testing.T) {
@@ -265,22 +225,6 @@ func TestOptimizedKernelsMatchReference(t *testing.T) {
 					t.Logf("seed %d: beta[%d][%d] = %g, want %g", seed, tt, i, beta[tt*n+i], wantBeta[tt][i])
 					return false
 				}
-			}
-		}
-
-		path, logp, err := m.Viterbi(seq)
-		if err != nil {
-			return false
-		}
-		wantPath, wantLogp := refViterbi(m, rp)
-		if !close9(logp, wantLogp) {
-			t.Logf("seed %d: viterbi logp %g, want %g", seed, logp, wantLogp)
-			return false
-		}
-		for i := range path {
-			if path[i] != wantPath[i] {
-				t.Logf("seed %d: path[%d] = %d, want %d", seed, i, path[i], wantPath[i])
-				return false
 			}
 		}
 

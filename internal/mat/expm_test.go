@@ -119,7 +119,7 @@ func TestExpmSemigroupProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return whole.Equalish(parts, 1e-7*math.Max(1, whole.NormInf()))
+		return whole.Equalish(parts, 1e-7*math.Max(1, whole.Norm1()))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

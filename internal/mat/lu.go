@@ -8,9 +8,8 @@ import (
 // LU holds an LU factorization with partial pivoting of a square matrix:
 // P*A = L*U, stored compactly in lu with the pivot sequence in piv.
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign float64 // +1 or -1, determinant sign from row swaps
+	lu  *Matrix
+	piv []int
 }
 
 // Factorize computes the LU factorization of the square matrix a.
@@ -25,7 +24,6 @@ func Factorize(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1.0
 	for k := 0; k < n; k++ {
 		// Partial pivoting: pick the largest |entry| in column k at/below row k.
 		p := k
@@ -43,7 +41,6 @@ func Factorize(a *Matrix) (*LU, error) {
 				lu.Data[p*n+c], lu.Data[k*n+c] = lu.Data[k*n+c], lu.Data[p*n+c]
 			}
 			piv[p], piv[k] = piv[k], piv[p]
-			sign = -sign
 		}
 		pivot := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -57,7 +54,7 @@ func Factorize(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // SolveVec solves A*x = b for x using the factorization.
@@ -107,16 +104,6 @@ func (f *LU) SolveMat(b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := f.sign
-	n := f.lu.Rows
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // Solve solves the square system a*x = b.
 func Solve(a *Matrix, b []float64) ([]float64, error) {
 	f, err := Factorize(a)
@@ -124,15 +111,6 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.SolveVec(b)
-}
-
-// Inverse returns the inverse of the square matrix a.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factorize(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveMat(Identity(a.Rows))
 }
 
 // SolveLeastSquares solves the (possibly overdetermined) system a*x ≈ b in

@@ -77,29 +77,6 @@ func TestSolveRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDet(t *testing.T) {
-	a, _ := FromRows([][]float64{{3, 8}, {4, 6}})
-	f, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Det(); math.Abs(got-(-14)) > 1e-12 {
-		t.Fatalf("Det = %g, want -14", got)
-	}
-}
-
-func TestInverse(t *testing.T) {
-	a, _ := FromRows([][]float64{{4, 7}, {2, 6}})
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod, _ := a.Mul(inv)
-	if !prod.Equalish(Identity(2), 1e-12) {
-		t.Fatalf("A*A⁻¹ = %v, want I", prod)
-	}
-}
-
 func TestSolveMatMatchesSolveVec(t *testing.T) {
 	a, _ := FromRows([][]float64{{5, 1}, {-1, 3}})
 	f, err := Factorize(a)

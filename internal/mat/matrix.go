@@ -197,21 +197,6 @@ func (m *Matrix) Transpose() *Matrix {
 	return out
 }
 
-// NormInf returns the maximum absolute row sum.
-func (m *Matrix) NormInf() float64 {
-	max := 0.0
-	for r := 0; r < m.Rows; r++ {
-		s := 0.0
-		for c := 0; c < m.Cols; c++ {
-			s += math.Abs(m.Data[r*m.Cols+c])
-		}
-		if s > max {
-			max = s
-		}
-	}
-	return max
-}
-
 // Norm1 returns the maximum absolute column sum.
 func (m *Matrix) Norm1() float64 {
 	max := 0.0

@@ -17,17 +17,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// AddScaled computes dst += s*src in place and returns dst.
-func AddScaled(dst []float64, s float64, src []float64) []float64 {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("mat: addscaled length mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i, v := range src {
-		dst[i] += s * v
-	}
-	return dst
-}
-
 // ScaleVec multiplies every element of v by s in place and returns v.
 func ScaleVec(v []float64, s float64) []float64 {
 	for i := range v {
@@ -52,17 +41,6 @@ func Norm2(v []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// NormInfVec returns the maximum absolute entry of v.
-func NormInfVec(v []float64) float64 {
-	max := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
 // SumVec returns the sum of all entries of v.
 func SumVec(v []float64) float64 {
 	s := 0.0
@@ -80,20 +58,4 @@ func Normalize(v []float64) []float64 {
 		return v
 	}
 	return ScaleVec(v, 1/s)
-}
-
-// Ones returns a vector of n ones.
-func Ones(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
-}
-
-// Basis returns the n-length unit vector with a one at index i.
-func Basis(n, i int) []float64 {
-	v := make([]float64, n)
-	v[i] = 1
-	return v
 }

@@ -21,14 +21,6 @@ func TestDotPanicsOnMismatch(t *testing.T) {
 	Dot([]float64{1}, []float64{1, 2})
 }
 
-func TestAddScaled(t *testing.T) {
-	dst := []float64{1, 1}
-	AddScaled(dst, 2, []float64{3, -1})
-	if dst[0] != 7 || dst[1] != -1 {
-		t.Fatalf("AddScaled = %v", dst)
-	}
-}
-
 func TestNormalize(t *testing.T) {
 	v := Normalize([]float64{2, 6})
 	if v[0] != 0.25 || v[1] != 0.75 {
@@ -43,18 +35,6 @@ func TestNormalize(t *testing.T) {
 func TestNorm2AndInf(t *testing.T) {
 	if got := Norm2([]float64{3, 4}); got != 5 {
 		t.Fatalf("Norm2 = %g", got)
-	}
-	if got := NormInfVec([]float64{-7, 3}); got != 7 {
-		t.Fatalf("NormInfVec = %g", got)
-	}
-}
-
-func TestOnesBasis(t *testing.T) {
-	if v := Ones(3); v[0] != 1 || v[2] != 1 {
-		t.Fatalf("Ones = %v", v)
-	}
-	if v := Basis(4, 2); v[2] != 1 || SumVec(v) != 1 {
-		t.Fatalf("Basis = %v", v)
 	}
 }
 

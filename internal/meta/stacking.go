@@ -33,9 +33,10 @@ type LogisticConfig struct {
 	Rate float64
 	// Epochs is the number of full passes (default 200).
 	Epochs int
-	// L2 is the ridge penalty on weights (default 1e-4).
-	L2 float64
 }
+
+// l2 is the ridge penalty on weights.
+const l2 = 1e-4
 
 func (c LogisticConfig) withDefaults() LogisticConfig {
 	if c.Rate == 0 {
@@ -43,9 +44,6 @@ func (c LogisticConfig) withDefaults() LogisticConfig {
 	}
 	if c.Epochs == 0 {
 		c.Epochs = 200
-	}
-	if c.L2 == 0 {
-		c.L2 = 1e-4
 	}
 	return c
 }
@@ -59,15 +57,15 @@ func TrainLogistic(x *mat.Matrix, y []bool, cfg LogisticConfig) (*Logistic, erro
 	if x.Rows < 2 {
 		return nil, fmt.Errorf("%w: need ≥ 2 training rows", ErrMeta)
 	}
-	if cfg.Rate <= 0 || cfg.Epochs < 1 || cfg.L2 < 0 {
-		return nil, fmt.Errorf("%w: rate=%g epochs=%d l2=%g", ErrMeta, cfg.Rate, cfg.Epochs, cfg.L2)
+	if cfg.Rate <= 0 || cfg.Epochs < 1 {
+		return nil, fmt.Errorf("%w: rate=%g epochs=%d", ErrMeta, cfg.Rate, cfg.Epochs)
 	}
 	model := &Logistic{W: make([]float64, x.Cols)}
 	n := float64(x.Rows)
 	gradW := make([]float64, x.Cols)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for i := range gradW {
-			gradW[i] = cfg.L2 * model.W[i]
+			gradW[i] = l2 * model.W[i]
 		}
 		gradB := 0.0
 		for r := 0; r < x.Rows; r++ {
@@ -152,11 +150,6 @@ func NewStacker(names []string, weights []float64, bias float64) (*Stacker, erro
 		combiner: &Logistic{W: append([]float64(nil), weights...), B: bias},
 		names:    append([]string(nil), names...),
 	}, nil
-}
-
-// Names returns the base-predictor names, one per combiner input column.
-func (s *Stacker) Names() []string {
-	return append([]string(nil), s.names...)
 }
 
 // Score combines one instance's base scores into the stacked probability.

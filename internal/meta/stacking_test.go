@@ -142,7 +142,7 @@ func TestNewStackerExplicitWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Names(); len(got) != 2 || got[0] != "hw" || got[1] != "os" {
+	if got := s.names; len(got) != 2 || got[0] != "hw" || got[1] != "os" {
 		t.Fatalf("names = %v", got)
 	}
 	// σ(2·0.8 − 1·0.2 + 0.5) = σ(1.9)

@@ -103,9 +103,6 @@ func NewLedger(cfg LedgerConfig, layerNames ...string) (*Ledger, error) {
 	return l, nil
 }
 
-// Config returns the matching configuration.
-func (l *Ledger) Config() LedgerConfig { return l.cfg }
-
 // layer returns the named layer ledger, creating it on first use. The
 // caller holds l.mu (or is the constructor).
 func (l *Ledger) layer(name string) *layerLedger {

@@ -21,15 +21,15 @@ const (
 	// TriggerWarn fires when the combined decision warns at or above the
 	// recorder's warn threshold.
 	TriggerWarn TriggerKind = "warn"
-	// TriggerAct fires when the act stage executes (or schedules) a
-	// countermeasure.
+	// TriggerAct fires when the act stage executes a countermeasure.
 	TriggerAct TriggerKind = "act"
 	// TriggerDrift fires on a lifecycle drift detection.
 	TriggerDrift TriggerKind = "drift"
 	// TriggerRollback fires when a hot-swap is rolled back.
 	TriggerRollback TriggerKind = "rollback"
-	// TriggerBurnRate fires while the rolling combined F-measure sits
-	// below the configured floor with enough resolved predictions.
+	// TriggerBurnRate fires when the rolling combined F-measure falls
+	// below the configured floor with enough resolved predictions — once
+	// per crossing, not on every cycle it stays there.
 	TriggerBurnRate TriggerKind = "burnrate"
 )
 
@@ -243,6 +243,7 @@ type Recorder struct {
 
 	// Trigger state.
 	nextAllowed []float64 // per trigger kind, domain time
+	burning     bool      // the last Observe saw F below the burn-rate floor
 	captured    []int64   // per trigger kind
 	suppressed  int64
 	pending     []pendingTrigger
@@ -379,9 +380,10 @@ func (r *Recorder) Observe(now float64, scores []float64, o CycleObservation) {
 	if o.Executed {
 		r.fireLocked(TriggerAct, now, o)
 	}
-	if burn {
+	if burn && !r.burning {
 		r.fireLocked(TriggerBurnRate, now, o)
 	}
+	r.burning = burn
 	ready := r.takeReadyLocked()
 	r.mu.Unlock()
 	r.deliver(ready)

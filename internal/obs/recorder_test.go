@@ -102,7 +102,8 @@ func TestRecorderRefractory(t *testing.T) {
 }
 
 // TestRecorderBurnRate: the burn-rate trigger needs an armed floor, enough
-// resolved predictions, and a rolling combined F below the floor.
+// resolved predictions, and a rolling combined F falling below the floor —
+// it fires on the crossing, not on every cycle F stays there.
 func TestRecorderBurnRate(t *testing.T) {
 	led, err := NewLedger(LedgerConfig{LeadTime: 1})
 	if err != nil {
@@ -118,6 +119,29 @@ func TestRecorderBurnRate(t *testing.T) {
 	r.Collect()
 	if got := r.Captured(TriggerBurnRate); got != 1 {
 		t.Fatalf("burn-rate captures = %d, want 1", got)
+	}
+	// Still below the floor long past the refractory period: no second bundle.
+	r.Observe(1e6, []float64{0, 0}, CycleObservation{})
+	r.Collect()
+	if got, sup := r.Captured(TriggerBurnRate), r.Suppressed(); got != 1 || sup != 0 {
+		t.Fatalf("while F stays under the floor: captures = %d, suppressed = %d, want 1, 0", got, sup)
+	}
+	// Recovery re-arms it: nine hits lift F to 0.86, then forty false alarms
+	// sink it to 0.3 again.
+	for i := 0; i < 9; i++ {
+		led.RecordPrediction(CombinedLayer, 2e6+float64(2*i), true, 1)
+		led.RecordFailure(2e6 + float64(2*i) + 0.5)
+	}
+	led.Advance(3e6)
+	r.Observe(3e6, []float64{0, 0}, CycleObservation{})
+	for i := 0; i < 40; i++ {
+		led.RecordPrediction(CombinedLayer, 4e6+float64(i), true, 1)
+	}
+	led.Advance(5e6)
+	r.Observe(5e6, []float64{0, 0}, CycleObservation{})
+	r.Collect()
+	if got := r.Captured(TriggerBurnRate); got != 2 {
+		t.Fatalf("burn-rate captures after a recovery and a second collapse = %d, want 2", got)
 	}
 	// Below the resolved floor nothing fires.
 	led2, _ := NewLedger(LedgerConfig{LeadTime: 1})

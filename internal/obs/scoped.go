@@ -151,9 +151,8 @@ func (s *scopeSet[T]) Folded() int64 {
 // exact for every dedicated scope.
 type ScopedLedger struct {
 	scopeSet[*Ledger]
-	cfg       LedgerConfig
-	layers    []string
-	watermark float64
+	cfg    LedgerConfig
+	layers []string
 	// retired totals keep Totals monotonic after Release drops a journal.
 	retiredPred int64
 	retiredFail int64
@@ -220,24 +219,11 @@ func (s *ScopedLedger) Advance(now float64) {
 		return
 	}
 	s.mu.Lock()
-	if now > s.watermark {
-		s.watermark = now
-	}
 	leds := s.distinctLocked()
 	s.mu.Unlock()
 	for _, led := range leds {
 		led.Advance(now)
 	}
-}
-
-// Watermark returns the newest Advance time seen.
-func (s *ScopedLedger) Watermark() float64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.watermark
 }
 
 // Totals sums journaled predictions and failures across every journal.

@@ -35,7 +35,6 @@ const (
 	StateFN        // S_FN: false negative — unpredicted failure looming
 	StateR         // S_R: prepared / forced downtime
 	StateF         // S_F: unprepared / unplanned downtime
-	numStates
 )
 
 // Params holds every input of the Section 5 model. The first three rows are

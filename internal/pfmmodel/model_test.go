@@ -184,7 +184,7 @@ func TestChainStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NumStates() != int(numStates) {
+	if c.NumStates() != StateF+1 {
 		t.Fatalf("chain has %d states", c.NumStates())
 	}
 	// No transition from S_FN back to up: missed failures always fail.

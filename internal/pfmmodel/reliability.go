@@ -58,15 +58,6 @@ func (p Params) Reliability(t float64) (float64, error) {
 	return m.Survival(t)
 }
 
-// Hazard returns h(t) with PFM (Eq. 10).
-func (p Params) Hazard(t float64) (float64, error) {
-	m, err := p.ReliabilityModel()
-	if err != nil {
-		return 0, err
-	}
-	return m.Hazard(t)
-}
-
 // BaselineReliability returns R(t) = exp(−λ_F·t) of the system without PFM.
 func (p Params) BaselineReliability(t float64) float64 {
 	return math.Exp(-p.FailureRate * t)

@@ -1,7 +1,7 @@
 // Package predict defines the common prediction vocabulary of the library:
 // prediction outcomes, contingency tables with the Sect. 3.3 quality
 // metrics (precision, recall, false positive rate, F-measure), threshold
-// sweeps, ROC curves with AUC, and dataset-splitting utilities.
+// sweeps and ROC curves with AUC.
 package predict
 
 import (
@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/stats"
 )
 
 // ErrPredict is wrapped by all evaluation errors.
@@ -267,34 +265,4 @@ func MaxFMeasure(scored []Scored) (threshold float64, best ContingencyTable, err
 		return 0, ContingencyTable{}, fmt.Errorf("%w: every score is NaN", ErrPredict)
 	}
 	return threshold, best, nil
-}
-
-// Split partitions indices [0,n) into a training and test set with the
-// given training fraction, shuffled by rng.
-func Split(n int, trainFrac float64, rng *stats.RNG) (train, test []int, err error) {
-	if n <= 1 || trainFrac <= 0 || trainFrac >= 1 {
-		return nil, nil, fmt.Errorf("%w: split n=%d frac=%g", ErrPredict, n, trainFrac)
-	}
-	perm := rng.Perm(n)
-	cut := int(math.Round(float64(n) * trainFrac))
-	if cut == 0 {
-		cut = 1
-	}
-	if cut == n {
-		cut = n - 1
-	}
-	return perm[:cut], perm[cut:], nil
-}
-
-// KFold partitions indices [0,n) into k shuffled folds of near-equal size.
-func KFold(n, k int, rng *stats.RNG) ([][]int, error) {
-	if k < 2 || k > n {
-		return nil, fmt.Errorf("%w: kfold n=%d k=%d", ErrPredict, n, k)
-	}
-	perm := rng.Perm(n)
-	folds := make([][]int, k)
-	for i, idx := range perm {
-		folds[i%k] = append(folds[i%k], idx)
-	}
-	return folds, nil
 }

@@ -302,80 +302,3 @@ func TestMaxFMeasureNaN(t *testing.T) {
 		t.Error("a set with no score but NaN was accepted")
 	}
 }
-
-func TestSplit(t *testing.T) {
-	g := stats.NewRNG(3)
-	train, test, err := Split(10, 0.7, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(train) != 7 || len(test) != 3 {
-		t.Fatalf("split sizes %d/%d", len(train), len(test))
-	}
-	seen := make(map[int]bool)
-	for _, i := range append(append([]int(nil), train...), test...) {
-		if seen[i] {
-			t.Fatalf("index %d appears twice", i)
-		}
-		seen[i] = true
-	}
-	if len(seen) != 10 {
-		t.Fatal("split lost indices")
-	}
-	if _, _, err := Split(1, 0.5, g); err == nil {
-		t.Fatal("n=1 accepted")
-	}
-	if _, _, err := Split(10, 1.0, g); err == nil {
-		t.Fatal("frac=1 accepted")
-	}
-}
-
-func TestKFold(t *testing.T) {
-	g := stats.NewRNG(3)
-	folds, err := KFold(10, 3, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, f := range folds {
-		total += len(f)
-	}
-	if total != 10 || len(folds) != 3 {
-		t.Fatalf("folds = %v", folds)
-	}
-	if _, err := KFold(3, 5, g); err == nil {
-		t.Fatal("k > n accepted")
-	}
-	if _, err := KFold(10, 1, g); err == nil {
-		t.Fatal("k=1 accepted")
-	}
-}
-
-func TestMatchWarnings(t *testing.T) {
-	warnings := []Warning{
-		{Time: 100, LeadTime: 50},  // covers failure at 130 → TP
-		{Time: 300, LeadTime: 50},  // no failure in [300,360] → FP
-		{Time: 500, LeadTime: 100}, // covers failure at 580 → TP
-	}
-	failures := []float64{130, 580, 900} // failure at 900 missed → FN
-	c := MatchWarnings(warnings, failures, 10, 20)
-	if c.TP != 2 || c.FP != 1 || c.FN != 1 {
-		t.Fatalf("MatchWarnings = %+v", c)
-	}
-	if c.TN != 20-2-1-1 {
-		t.Fatalf("TN = %d", c.TN)
-	}
-	// A single failure cannot satisfy two warnings.
-	double := []Warning{{Time: 100, LeadTime: 50}, {Time: 110, LeadTime: 50}}
-	c = MatchWarnings(double, []float64{130}, 0, 10)
-	if c.TP != 1 || c.FP != 1 {
-		t.Fatalf("double-counted failure: %+v", c)
-	}
-}
-
-func TestWarningDeadline(t *testing.T) {
-	w := Warning{Time: 10, LeadTime: 5}
-	if w.Deadline() != 15 {
-		t.Fatalf("Deadline = %g", w.Deadline())
-	}
-}

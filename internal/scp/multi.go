@@ -137,9 +137,6 @@ func (m *MultiSystem) IDs() []string { return append([]string(nil), m.ids...) }
 // Weights returns the per-tenant load scales (mean 1).
 func (m *MultiSystem) Weights() []float64 { return append([]float64(nil), m.weights...) }
 
-// System returns tenant i's simulator.
-func (m *MultiSystem) System(i int) *System { return m.systems[i] }
-
 // Run advances every tenant by duration simulated seconds.
 func (m *MultiSystem) Run(duration float64) error {
 	for i, sys := range m.systems {

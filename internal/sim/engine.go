@@ -115,10 +115,9 @@ func (h *eventHeap) siftDown(i int) {
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; construct with NewEngine.
 type Engine struct {
-	now     float64
-	queue   eventHeap
-	seq     int64
-	stopped bool
+	now   float64
+	queue eventHeap
+	seq   int64
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -153,14 +152,12 @@ func (e *Engine) ScheduleAt(t float64, action func()) error {
 	return nil
 }
 
-// Run processes events in time order until the clock reaches `until`, the
-// queue drains, or Stop is called. Events scheduled exactly at `until` are
-// processed. It returns the number of events executed, and leaves the clock
-// at `until` (or at the stop time).
+// Run processes events in time order until the clock reaches `until` or
+// the queue drains. Events scheduled exactly at `until` are processed. It
+// returns the number of events executed, and leaves the clock at `until`.
 func (e *Engine) Run(until float64) int {
-	e.stopped = false
 	n := 0
-	for e.queue.len() > 0 && !e.stopped {
+	for e.queue.len() > 0 {
 		if e.queue.items[0].time > until {
 			break
 		}
@@ -171,14 +168,11 @@ func (e *Engine) Run(until float64) int {
 		action()
 		n++
 	}
-	if !e.stopped && e.now < until {
+	if e.now < until {
 		e.now = until
 	}
 	return n
 }
-
-// Stop halts Run after the currently executing event.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Every schedules a recurring action with the given period, starting after
 // one period. The action receives the engine so it can cancel by returning

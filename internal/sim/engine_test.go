@@ -125,33 +125,6 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		if err := e.Schedule(float64(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Run(100)
-	if count != 3 {
-		t.Fatalf("ran %d events after Stop, want 3", count)
-	}
-	if e.Now() != 3 {
-		t.Fatalf("clock after stop = %g", e.Now())
-	}
-	// Run can resume.
-	e.Run(100)
-	if count != 10 {
-		t.Fatalf("resume ran to %d", count)
-	}
-}
-
 func TestEvery(t *testing.T) {
 	e := NewEngine()
 	var ticks []float64

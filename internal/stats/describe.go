@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or NaN for empty input.
 func Mean(xs []float64) float64 {
@@ -34,60 +31,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the unbiased sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. NaN for empty input.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
-// Median returns the 0.5-quantile.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Min returns the minimum of xs (NaN for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs (NaN for empty input).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Standardize returns (xs - mean)/std elementwise together with the fitted
 // mean and std; a zero std is replaced by 1 so constant features survive.
 func Standardize(xs []float64) (z []float64, mean, std float64) {
@@ -101,74 +44,4 @@ func Standardize(xs []float64) (z []float64, mean, std float64) {
 		z[i] = (x - mean) / std
 	}
 	return z, mean, std
-}
-
-// Correlation returns the Pearson correlation coefficient of xs and ys.
-func Correlation(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return math.NaN()
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Histogram bins xs into n equal-width bins over [min, max].
-type Histogram struct {
-	Edges  []float64 // n+1 bin edges
-	Counts []int     // n counts
-}
-
-// NewHistogram builds an n-bin histogram of xs. It returns an empty
-// histogram for empty input or n ≤ 0.
-func NewHistogram(xs []float64, n int) Histogram {
-	if len(xs) == 0 || n <= 0 {
-		return Histogram{}
-	}
-	lo, hi := Min(xs), Max(xs)
-	if lo == hi {
-		hi = lo + 1
-	}
-	h := Histogram{
-		Edges:  make([]float64, n+1),
-		Counts: make([]int, n),
-	}
-	w := (hi - lo) / float64(n)
-	for i := range h.Edges {
-		h.Edges[i] = lo + float64(i)*w
-	}
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b >= n {
-			b = n - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		h.Counts[b]++
-	}
-	return h
-}
-
-// EWMA computes an exponentially weighted moving average of xs with
-// smoothing factor alpha ∈ (0, 1]; larger alpha weights recent values more.
-func EWMA(xs []float64, alpha float64) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	out[0] = xs[0]
-	for i := 1; i < len(xs); i++ {
-		out[i] = alpha*xs[i] + (1-alpha)*out[i-1]
-	}
-	return out
 }

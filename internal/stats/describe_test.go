@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestMeanVarianceKnown(t *testing.T) {
@@ -23,37 +22,10 @@ func TestEmptyInputsAreNaN(t *testing.T) {
 	for name, got := range map[string]float64{
 		"Mean":     Mean(nil),
 		"Variance": Variance([]float64{1}),
-		"Quantile": Quantile(nil, 0.5),
-		"Min":      Min(nil),
-		"Max":      Max(nil),
 	} {
 		if !math.IsNaN(got) {
 			t.Fatalf("%s of degenerate input = %g, want NaN", name, got)
 		}
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{3, 1, 2, 4, 5}
-	if got := Median(xs); got != 3 {
-		t.Fatalf("Median = %g", got)
-	}
-	if got := Quantile(xs, 0); got != 1 {
-		t.Fatalf("q0 = %g", got)
-	}
-	if got := Quantile(xs, 1); got != 5 {
-		t.Fatalf("q1 = %g", got)
-	}
-	if got := Quantile(xs, 0.25); got != 2 {
-		t.Fatalf("q.25 = %g", got)
-	}
-	// Interpolation between order statistics.
-	if got := Quantile([]float64{0, 10}, 0.3); math.Abs(got-3) > 1e-12 {
-		t.Fatalf("interpolated quantile = %g, want 3", got)
-	}
-	// Input must not be mutated.
-	if xs[0] != 3 {
-		t.Fatal("Quantile sorted its input in place")
 	}
 }
 
@@ -69,102 +41,6 @@ func TestStandardize(t *testing.T) {
 	z, _, std = Standardize([]float64{4, 4, 4})
 	if std != 1 || z[0] != 0 {
 		t.Fatalf("constant standardize: z=%v std=%g", z, std)
-	}
-}
-
-func TestCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	if got := Correlation(xs, ys); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("perfect correlation = %g", got)
-	}
-	neg := []float64{8, 6, 4, 2}
-	if got := Correlation(xs, neg); math.Abs(got+1) > 1e-12 {
-		t.Fatalf("perfect anti-correlation = %g", got)
-	}
-	if got := Correlation(xs, []float64{5, 5, 5, 5}); got != 0 {
-		t.Fatalf("constant series correlation = %g, want 0", got)
-	}
-	if !math.IsNaN(Correlation(xs, []float64{1})) {
-		t.Fatal("mismatched lengths should be NaN")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 0.5, 1, 1.5, 2}, 2)
-	if len(h.Counts) != 2 || len(h.Edges) != 3 {
-		t.Fatalf("histogram shape: %+v", h)
-	}
-	if h.Counts[0]+h.Counts[1] != 5 {
-		t.Fatalf("histogram lost samples: %v", h.Counts)
-	}
-	// Max value lands in the last bin.
-	if h.Counts[1] < 1 {
-		t.Fatalf("max sample not binned: %v", h.Counts)
-	}
-	if len(NewHistogram(nil, 3).Counts) != 0 {
-		t.Fatal("empty histogram should be empty")
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	out := EWMA([]float64{1, 1, 1}, 0.5)
-	for _, v := range out {
-		if v != 1 {
-			t.Fatalf("EWMA of constant = %v", out)
-		}
-	}
-	step := EWMA([]float64{0, 1, 1, 1}, 0.5)
-	if step[1] != 0.5 || step[2] != 0.75 {
-		t.Fatalf("EWMA step response = %v", step)
-	}
-	if len(EWMA(nil, 0.3)) != 0 {
-		t.Fatal("EWMA of empty input should be empty")
-	}
-}
-
-// Property: min ≤ every quantile ≤ max, and quantiles are monotone in q.
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(raw [9]float64, q1, q2 float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, math.Mod(v, 1e6))
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		clamp := func(q float64) float64 {
-			q = math.Abs(math.Mod(q, 1))
-			return q
-		}
-		a, b := clamp(q1), clamp(q2)
-		if a > b {
-			a, b = b, a
-		}
-		qa, qb := Quantile(xs, a), Quantile(xs, b)
-		return qa <= qb+1e-9 && qa >= Min(xs)-1e-9 && qb <= Max(xs)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLogSumExp(t *testing.T) {
-	if got := LogSumExp(math.Log(2), math.Log(3)); math.Abs(got-math.Log(5)) > 1e-12 {
-		t.Fatalf("LogSumExp = %g, want log 5", got)
-	}
-	ninf := math.Inf(-1)
-	if got := LogSumExp(ninf, 1.5); got != 1.5 {
-		t.Fatalf("LogSumExp(-Inf, x) = %g", got)
-	}
-	if got := LogSumExp(2.5, ninf); got != 2.5 {
-		t.Fatalf("LogSumExp(x, -Inf) = %g", got)
-	}
-	// Stability: huge magnitudes must not overflow.
-	if got := LogSumExp(1000, 1000); math.Abs(got-(1000+math.Log(2))) > 1e-9 {
-		t.Fatalf("LogSumExp(1000,1000) = %g", got)
 	}
 }
 

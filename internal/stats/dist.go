@@ -30,20 +30,9 @@ func (d Normal) PDF(x float64) float64 {
 	return math.Exp(-0.5*z*z) / (d.Sigma * math.Sqrt(2*math.Pi))
 }
 
-// LogPDF returns the log density at x, stable for extreme z.
-func (d Normal) LogPDF(x float64) float64 {
-	z := (x - d.Mu) / d.Sigma
-	return -0.5*z*z - math.Log(d.Sigma) - 0.5*math.Log(2*math.Pi)
-}
-
 // CDF returns P(X ≤ x) via the error function.
 func (d Normal) CDF(x float64) float64 {
 	return 0.5 * math.Erfc(-(x-d.Mu)/(d.Sigma*math.Sqrt2))
-}
-
-// Quantile returns the inverse CDF at p ∈ (0,1).
-func (d Normal) Quantile(p float64) float64 {
-	return d.Mu + d.Sigma*math.Sqrt2*erfinv(2*p-1)
 }
 
 // Mean returns Mu.
@@ -238,49 +227,6 @@ func (d Uniform) Mean() float64 { return (d.A + d.B) / 2 }
 
 // Sample draws a variate.
 func (d Uniform) Sample(g *RNG) float64 { return d.A + (d.B-d.A)*g.Float64() }
-
-// erfinv approximates the inverse error function (Giles 2012 single
-// precision refinement, accurate to ~1e-9 after one Newton step).
-func erfinv(x float64) float64 {
-	if x <= -1 || x >= 1 {
-		if x == -1 {
-			return math.Inf(-1)
-		}
-		if x == 1 {
-			return math.Inf(1)
-		}
-		return math.NaN()
-	}
-	w := -math.Log((1 - x) * (1 + x))
-	var p float64
-	if w < 5 {
-		w -= 2.5
-		p = 2.81022636e-08
-		p = 3.43273939e-07 + p*w
-		p = -3.5233877e-06 + p*w
-		p = -4.39150654e-06 + p*w
-		p = 0.00021858087 + p*w
-		p = -0.00125372503 + p*w
-		p = -0.00417768164 + p*w
-		p = 0.246640727 + p*w
-		p = 1.50140941 + p*w
-	} else {
-		w = math.Sqrt(w) - 3
-		p = -0.000200214257
-		p = 0.000100950558 + p*w
-		p = 0.00134934322 + p*w
-		p = -0.00367342844 + p*w
-		p = 0.00573950773 + p*w
-		p = -0.0076224613 + p*w
-		p = 0.00943887047 + p*w
-		p = 1.00167406 + p*w
-		p = 2.83297682 + p*w
-	}
-	y := p * x
-	// One Newton refinement: f(y) = erf(y) - x.
-	y -= (math.Erf(y) - x) / (2 / math.Sqrt(math.Pi) * math.Exp(-y*y))
-	return y
-}
 
 // lowerIncompleteGammaRegularized computes P(a, x) = γ(a,x)/Γ(a) using the
 // series for x < a+1 and the continued fraction otherwise (Numerical

@@ -32,25 +32,6 @@ func TestNormalPDFCDF(t *testing.T) {
 	}
 }
 
-func TestNormalQuantileInvertsCDF(t *testing.T) {
-	d := Normal{Mu: 3, Sigma: 2}
-	for _, p := range []float64{0.01, 0.1, 0.25, 0.5, 0.9, 0.999} {
-		x := d.Quantile(p)
-		if got := d.CDF(x); math.Abs(got-p) > 1e-8 {
-			t.Fatalf("CDF(Quantile(%g)) = %g", p, got)
-		}
-	}
-}
-
-func TestNormalLogPDFMatchesPDF(t *testing.T) {
-	d := Normal{Mu: -1, Sigma: 0.5}
-	for _, x := range []float64{-2, -1, 0, 3} {
-		if diff := math.Abs(math.Log(d.PDF(x)) - d.LogPDF(x)); diff > 1e-10 {
-			t.Fatalf("LogPDF mismatch at %g: %g", x, diff)
-		}
-	}
-}
-
 func TestNormalSampleMoments(t *testing.T) {
 	mean, v := sampleMoments(t, Normal{Mu: 5, Sigma: 3}, sampleN)
 	if math.Abs(mean-5) > 0.1 {

@@ -9,22 +9,6 @@ import (
 // ErrFit is wrapped by all distribution-fitting errors.
 var ErrFit = errors.New("stats: fit failed")
 
-// FitExponentialMLE fits an exponential distribution by maximum likelihood
-// (rate = 1/mean).
-func FitExponentialMLE(samples []float64) (Exponential, error) {
-	if len(samples) == 0 {
-		return Exponential{}, fmt.Errorf("%w: no samples", ErrFit)
-	}
-	sum := 0.0
-	for _, x := range samples {
-		if x <= 0 || math.IsNaN(x) || math.IsInf(x, 0) {
-			return Exponential{}, fmt.Errorf("%w: sample %g", ErrFit, x)
-		}
-		sum += x
-	}
-	return Exponential{Lambda: float64(len(samples)) / sum}, nil
-}
-
 // FitWeibullMLE fits a Weibull distribution by maximum likelihood: the
 // shape solves
 //

@@ -5,28 +5,6 @@ import (
 	"testing"
 )
 
-func TestFitExponentialMLE(t *testing.T) {
-	g := NewRNG(71)
-	d := Exponential{Lambda: 0.25}
-	samples := make([]float64, 5000)
-	for i := range samples {
-		samples[i] = d.Sample(g)
-	}
-	fit, err := FitExponentialMLE(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Lambda-0.25) > 0.01 {
-		t.Fatalf("fitted rate %g, want 0.25", fit.Lambda)
-	}
-	if _, err := FitExponentialMLE(nil); err == nil {
-		t.Fatal("empty accepted")
-	}
-	if _, err := FitExponentialMLE([]float64{1, -2}); err == nil {
-		t.Fatal("negative sample accepted")
-	}
-}
-
 func TestFitWeibullMLERecovery(t *testing.T) {
 	g := NewRNG(73)
 	for _, truth := range []Weibull{

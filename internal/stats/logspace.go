@@ -2,21 +2,6 @@ package stats
 
 import "math"
 
-// LogSumExp returns log(exp(a) + exp(b)) without overflow. Either argument
-// may be -Inf (representing probability zero).
-func LogSumExp(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}
-
 // LogSumExpSlice returns log(Σ exp(xs[i])) without overflow; -Inf for empty
 // input or all -Inf entries.
 func LogSumExpSlice(xs []float64) float64 {

@@ -1,8 +1,8 @@
 // Package stats is the probability and statistics substrate of the PFM
 // library: seeded random streams, the distributions used by the simulator
 // and the learners (normal, exponential, Weibull, gamma, log-normal,
-// uniform), descriptive statistics, histograms, and numerically stable
-// log-space helpers.
+// uniform), descriptive statistics, and numerically stable log-space
+// helpers.
 //
 // Everything is deterministic given a seed; the whole reproduction flows its
 // randomness through RNG streams so experiments replay bit-identically.
@@ -41,9 +41,6 @@ func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
 
 // Intn returns a uniform draw in [0,n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
-
-// Int63 returns a non-negative 63-bit draw.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
 
 // Perm returns a random permutation of [0,n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

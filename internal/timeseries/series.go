@@ -1,7 +1,7 @@
 // Package timeseries provides the time-series representation shared by the
 // monitoring layer and the symptom-based failure predictors: append-only
-// series of (time, value) points with windowing, resampling, smoothing,
-// trend estimation, and feature extraction for learning.
+// series of (time, value) points with windowing, trend estimation, and
+// feature extraction for learning.
 package timeseries
 
 import (
@@ -30,18 +30,6 @@ type Series struct {
 // New returns an empty series for the named variable.
 func New(name string) *Series {
 	return &Series{Name: name}
-}
-
-// FromPoints builds a series from points, which must be strictly increasing
-// in time.
-func FromPoints(name string, pts []Point) (*Series, error) {
-	s := New(name)
-	for _, p := range pts {
-		if err := s.Append(p.T, p.V); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
 }
 
 // Append adds an observation; time must strictly increase.
@@ -79,15 +67,6 @@ func (s *Series) Values() []float64 {
 	return out
 }
 
-// Times returns a copy of all observation times.
-func (s *Series) Times() []float64 {
-	out := make([]float64, len(s.points))
-	for i, p := range s.points {
-		out[i] = p.T
-	}
-	return out
-}
-
 // Window returns the sub-series with times in the half-open interval
 // [from, to).
 func (s *Series) Window(from, to float64) *Series {
@@ -106,58 +85,6 @@ func (s *Series) ValueAt(t float64) (float64, bool) {
 		return 0, false
 	}
 	return s.points[i-1].V, true
-}
-
-// Resample aggregates the series into buckets of width step (starting at
-// the first observation), taking the mean of each non-empty bucket. The
-// resampled point carries the bucket start time.
-func (s *Series) Resample(step float64) (*Series, error) {
-	if step <= 0 || math.IsNaN(step) {
-		return nil, fmt.Errorf("%w: resample step %g", ErrSeries, step)
-	}
-	out := New(s.Name)
-	if len(s.points) == 0 {
-		return out, nil
-	}
-	start := s.points[0].T
-	bucket := 0
-	sum, n := 0.0, 0
-	flush := func() {
-		if n > 0 {
-			// Bucket start times strictly increase, so Append cannot fail.
-			_ = out.Append(start+float64(bucket)*step, sum/float64(n))
-		}
-	}
-	for _, p := range s.points {
-		b := int((p.T - start) / step)
-		if b != bucket {
-			flush()
-			bucket = b
-			sum, n = 0, 0
-		}
-		sum += p.V
-		n++
-	}
-	flush()
-	return out, nil
-}
-
-// Smooth returns an exponentially smoothed copy with factor alpha ∈ (0,1].
-func (s *Series) Smooth(alpha float64) (*Series, error) {
-	if alpha <= 0 || alpha > 1 || math.IsNaN(alpha) {
-		return nil, fmt.Errorf("%w: smoothing factor %g", ErrSeries, alpha)
-	}
-	out := New(s.Name)
-	prev := 0.0
-	for i, p := range s.points {
-		v := p.V
-		if i > 0 {
-			v = alpha*p.V + (1-alpha)*prev
-		}
-		_ = out.Append(p.T, v)
-		prev = v
-	}
-	return out, nil
 }
 
 // LinearTrend fits v ≈ slope·t + intercept by ordinary least squares.
@@ -182,16 +109,4 @@ func (s *Series) LinearTrend() (slope, intercept float64, err error) {
 	slope = (fn*stv - st*sv) / den
 	intercept = (sv - slope*st) / fn
 	return slope, intercept, nil
-}
-
-// Rate returns the difference quotient series (dV/dT between consecutive
-// observations), timestamped at the later observation.
-func (s *Series) Rate() *Series {
-	out := New(s.Name + ".rate")
-	for i := 1; i < len(s.points); i++ {
-		dt := s.points[i].T - s.points[i-1].T
-		// Times strictly increase, so dt > 0 and Append cannot fail.
-		_ = out.Append(s.points[i].T, (s.points[i].V-s.points[i-1].V)/dt)
-	}
-	return out
 }

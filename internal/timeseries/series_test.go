@@ -3,14 +3,15 @@ package timeseries
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func mustSeries(t *testing.T, name string, pts ...Point) *Series {
 	t.Helper()
-	s, err := FromPoints(name, pts)
-	if err != nil {
-		t.Fatal(err)
+	s := New(name)
+	for _, p := range pts {
+		if err := s.Append(p.T, p.V); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return s
 }
@@ -53,7 +54,7 @@ func TestWindow(t *testing.T) {
 	s := mustSeries(t, "x", Point{1, 1}, Point{2, 2}, Point{3, 3}, Point{4, 4})
 	w := s.Window(2, 4)
 	if w.Len() != 2 || w.At(0).T != 2 || w.At(1).T != 3 {
-		t.Fatalf("Window(2,4) = %v", w.Times())
+		t.Fatalf("Window(2,4) = %v", w.points)
 	}
 	if s.Window(10, 20).Len() != 0 {
 		t.Fatal("out-of-range window not empty")
@@ -80,47 +81,6 @@ func TestValueAtZeroOrderHold(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	s := mustSeries(t, "x",
-		Point{0, 1}, Point{0.5, 3}, // bucket 0: mean 2
-		Point{1.2, 10}, // bucket 1: mean 10
-		Point{3.1, 7},  // bucket 3: mean 7 (bucket 2 empty)
-	)
-	r, err := s.Resample(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 3 {
-		t.Fatalf("resample len = %d: %v", r.Len(), r.Values())
-	}
-	if r.At(0).V != 2 || r.At(1).V != 10 || r.At(2).V != 7 {
-		t.Fatalf("resample values = %v", r.Values())
-	}
-	if r.At(2).T != 3 {
-		t.Fatalf("bucket start time = %g", r.At(2).T)
-	}
-	if _, err := s.Resample(0); err == nil {
-		t.Fatal("zero step accepted")
-	}
-}
-
-func TestSmooth(t *testing.T) {
-	s := mustSeries(t, "x", Point{0, 0}, Point{1, 1}, Point{2, 1})
-	sm, err := s.Smooth(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sm.At(1).V != 0.5 || sm.At(2).V != 0.75 {
-		t.Fatalf("smooth = %v", sm.Values())
-	}
-	if _, err := s.Smooth(0); err == nil {
-		t.Fatal("alpha 0 accepted")
-	}
-	if _, err := s.Smooth(1.5); err == nil {
-		t.Fatal("alpha > 1 accepted")
-	}
-}
-
 func TestLinearTrend(t *testing.T) {
 	s := mustSeries(t, "x", Point{0, 1}, Point{1, 3}, Point{2, 5})
 	slope, intercept, err := s.LinearTrend()
@@ -132,55 +92,5 @@ func TestLinearTrend(t *testing.T) {
 	}
 	if _, _, err := New("e").LinearTrend(); err == nil {
 		t.Fatal("empty trend accepted")
-	}
-}
-
-func TestRate(t *testing.T) {
-	s := mustSeries(t, "mem", Point{0, 100}, Point{2, 90}, Point{3, 85})
-	r := s.Rate()
-	if r.Len() != 2 {
-		t.Fatalf("rate len = %d", r.Len())
-	}
-	if r.At(0).V != -5 || r.At(1).V != -5 {
-		t.Fatalf("rate = %v", r.Values())
-	}
-	if r.Name != "mem.rate" {
-		t.Fatalf("rate name = %q", r.Name)
-	}
-}
-
-// Property: resampling preserves the overall mean when all buckets have the
-// same number of points.
-func TestResamplePreservesMeanProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		vals := make([]float64, 12)
-		x := float64(seed % 1000)
-		for i := range vals {
-			x = math.Mod(x*1103515245+12345, 1000)
-			vals[i] = x
-		}
-		s := New("p")
-		for i, v := range vals {
-			if err := s.Append(float64(i), v); err != nil {
-				return false
-			}
-		}
-		r, err := s.Resample(3) // buckets of exactly 3 points each
-		if err != nil {
-			return false
-		}
-		var orig, res float64
-		for _, v := range vals {
-			orig += v
-		}
-		orig /= float64(len(vals))
-		for _, v := range r.Values() {
-			res += v
-		}
-		res /= float64(r.Len())
-		return math.Abs(orig-res) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

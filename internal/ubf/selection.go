@@ -20,16 +20,14 @@ type SelectorConfig struct {
 	Iterations int
 	// Seed drives the probabilistic proposals.
 	Seed int64
-	// StartTemp scales the initial acceptance looseness (default 1).
-	StartTemp float64
 }
+
+// startTemp scales the initial acceptance looseness.
+const startTemp = 1
 
 func (c SelectorConfig) withDefaults() SelectorConfig {
 	if c.Iterations == 0 {
 		c.Iterations = 60
-	}
-	if c.StartTemp == 0 {
-		c.StartTemp = 1
 	}
 	return c
 }
@@ -44,8 +42,8 @@ func PWASelect(numVars int, eval SubsetEvaluator, cfg SelectorConfig) ([]int, fl
 	if numVars < 1 {
 		return nil, 0, fmt.Errorf("%w: %d variables", ErrUBF, numVars)
 	}
-	if cfg.Iterations < 1 || cfg.StartTemp <= 0 {
-		return nil, 0, fmt.Errorf("%w: iterations=%d temp=%g", ErrUBF, cfg.Iterations, cfg.StartTemp)
+	if cfg.Iterations < 1 {
+		return nil, 0, fmt.Errorf("%w: iterations=%d", ErrUBF, cfg.Iterations)
 	}
 	g := stats.NewRNG(cfg.Seed)
 	current := map[int]bool{}
@@ -63,7 +61,7 @@ func PWASelect(numVars int, eval SubsetEvaluator, cfg SelectorConfig) ([]int, fl
 	bestScore := curScore
 
 	for it := 0; it < cfg.Iterations; it++ {
-		temp := cfg.StartTemp * (1 - float64(it)/float64(cfg.Iterations))
+		temp := startTemp * (1 - float64(it)/float64(cfg.Iterations))
 		v := g.Intn(numVars)
 		candidate := cloneSet(current)
 		if candidate[v] {

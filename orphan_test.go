@@ -1,0 +1,244 @@
+package pfm
+
+// ROADMAP aim 2's "exported API only its own tests call" as a failing test.
+
+import (
+	"encoding/json"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// orphanAllowed: names under internal/* that no non-test code reaches and
+// that stay anyway, each with why. A trailing '*' matches a prefix. What an
+// allowed name calls is kept with it; an entry that excuses nothing fails.
+var orphanAllowed = map[string]string{
+	// Oracles and fixtures: what a test holds reached code to, or builds its input with.
+	"hsmm.durationDist.logPDF":   "oracle for the prepared duration table (TestDurationTableMatchesLogPDF)",
+	"ubf.Kernel.Eval":            "oracle for the flat kernel bank (flat_test.go, kernel_test.go)",
+	"ubf.Network.EvalAll":        "oracle for the flat kernel bank's rows (flat_test.go)",
+	"mat.FromRows":               "fixture for the Expm, LU, phase-type, UBF-selection and stacker tests",
+	"mat.Matrix.Equalish":        "oracle comparison of the Expm, LU and feature-matrix tests",
+	"experiments.CheckEq14":      "oracle for E4 (TestRunModelReproducesEq14)",
+	"stats.LogLikelihoodWeibull": "oracle for FitWeibullMLE (TestWeibullFitsGeneralize)",
+	"stats.RNG.Shuffle":          "fixture for TestMaxFMeasureMatchesQuadratic's tied score pools",
+	// Observation points: how a test reads state that reached code writes.
+	"obs.IncidentBundle.Fingerprint":         "TestRecorderIncidentReplay compares bundles by it",
+	"obs.Recorder.Config":                    "cmd/pfmd TestBurnRateArmed, TestRecorderConfigValidation",
+	"obs.Recorder.Pending":                   "TestCycleSteadyStateAllocs' no-trigger precondition",
+	"obs.ScopedLedger.Config":                "TestFoldedJournalMatchesPerTenantRows builds its oracle ledger from it",
+	"obs.Tracer.Snapshot":                    "TestRecorderIncidentReplay and the tracer oracle read spans through it",
+	"experiments.SelectionResult.ByStrategy": "E8's acceptance test reads rows by it",
+	"baseline.FailureTracker.Shape":          "fitted Weibull shape, read by the tracker tests",
+	"changepoint.AutoCUSUM.Ready":            "warm-up state, read by the AutoCUSUM tests",
+	"changepoint.AutoCUSUM.Reference":        "calibrated (μ0, σ), read by the AutoCUSUM tests",
+	"checkpoint.Store.Len":                   "TestStoreOrdering and TestPeriodicPolicy count checkpoints",
+	"ctmc.Chain.Rate":                        "pfmmodel TestChainStructure reads Fig. 9's arcs; ctmc's balance property",
+	"eventlog.Log.TypeAt":                    "TestBatchSerialParity's serial oracle reads the mirror log",
+	"fleet.Fleet.EvaluateNow":                "TestShell drives both runtimes through one interface",
+	"fleet.Fleet.Running":                    "TestShell",
+	"runtime.Runtime.Running":                "TestShell",
+	"runtime.Runtime.Recorder":               "TestRecorderIncidentReplay, TestCycleSteadyStateAllocs",
+	"runtime.Runtime.Tracer":                 "TestRecorderIncidentReplay, the tracez tests",
+	"hsmm.Model.AlphabetSize":                "TestAlphabetIncludesCatchAll",
+	"hsmm.Model.Family":                      "TestExponentialFamily, the kernel reference's model builder",
+	"hsmm.Predictor.Classifier":              "TestBatchSerialParity's serial oracle scores with it",
+	"hsmm.Predictor.Generation":              "retrain counter, read by the predictor and churn-parity tests",
+	"ubf.Predictor.Generation":               "retrain counter, read by the predictor and churn-parity tests",
+	"ubf.Predictor.Network":                  "TestBatchSerialParity's serial oracle scores with it",
+	"pfmmodel.Params.Reliability":            "Eq. 9 at one point: the subject of ExampleParams_Reliability",
+	"scp.System.Intervals":                   "Eq. 2 evaluation history, read by the simulator tests",
+	"scp.System.TotalDowntime":               "downtime accounting, read by the simulator tests",
+	"sim.Engine.Pending":                     "TestRunHorizonLeavesFutureEvents",
+	"changepoint.RetrainTrigger.Observe":     "what pfm.NewRetrainTrigger's result is for (TestFacadeChangeDetection)",
+	// Owned by a ROADMAP item or a DESIGN.md map: decided there, not here.
+	"monitor.*":           "ROADMAP 6(b): gets its product caller or is deleted",
+	"lifecycle.NewBudget": "ROADMAP 2(b): the per-tenant lifecycle's retrain budget",
+	"lifecycle.Budget.*":  "ROADMAP 2(b)",
+	"act.Category.Goal":   "DESIGN.md's Fig. 7 → code map (Goal and its two values with it)",
+	"act.Action.Category": "DESIGN.md's Fig. 7 → code map",
+}
+
+type importFn func(string) (*types.Package, error)
+
+func (f importFn) Import(path string) (*types.Package, error) { return f(path) }
+
+// TestNoOrphanSurface: every package-level func, method, type, var and const
+// under internal/* is reachable from a main under cmd/, examples/ or
+// bench/pfmbench or from the facade's exported names — test files excluded,
+// methods of a reached type counting when an interface of the module or the
+// standard library names them — or is on orphanAllowed.
+func TestNoOrphanSurface(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	fset := token.NewFileSet()
+	exports := map[string]string{} // standard library: import path → export data file
+	checked := map[string]*types.Package{}
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(exports[path]) })
+	conf := types.Config{Importer: importFn(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return gc.Import(path)
+	})}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+	decl := map[types.Object]ast.Node{} // the syntax that reaching an object pulls in
+	names := map[types.Object]string{}  // internal/* objects, as reported
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	var roots []types.Object
+	for _, dir := range []string{".", "bench/pfmbench"} {
+		cmd := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Name,Dir,Export,GoFiles,Standard", "./...")
+		cmd.Dir, cmd.Stderr = dir, os.Stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list in %s: %v", dir, err)
+		}
+		for dec := json.NewDecoder(strings.NewReader(string(out))); dec.More(); {
+			var p struct {
+				ImportPath, Name, Dir, Export string
+				GoFiles                       []string
+				Standard                      bool
+			}
+			if err := dec.Decode(&p); err != nil {
+				t.Fatal(err)
+			}
+			if p.Standard {
+				exports[p.ImportPath] = p.Export
+			}
+			if p.Standard || checked[p.ImportPath] != nil {
+				continue
+			}
+			var files []*ast.File
+			for _, name := range p.GoFiles {
+				f, err := parser.ParseFile(fset, p.Dir+"/"+name, nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files = append(files, f)
+			}
+			pkg, err := conf.Check(p.ImportPath, fset, files, info) // -deps lists dependencies first
+			if err != nil {
+				t.Fatalf("type-check %s: %v", p.ImportPath, err)
+			}
+			checked[p.ImportPath] = pkg
+			add := func(id *ast.Ident, name string, n ast.Node) {
+				obj := info.Defs[id]
+				decl[obj] = n
+				switch {
+				case id.Name == "_", id.Name == "main" && p.Name == "main", p.ImportPath == "repro" && id.IsExported():
+					roots = append(roots, obj) // `var _ I = T{}` names T; the facade is the importable API
+				case strings.Contains(p.ImportPath, "/internal/"):
+					names[obj] = p.Name + "." + name
+				}
+			}
+			for _, f := range files {
+				for _, d := range f.Decls {
+					switch d := d.(type) {
+					case *ast.FuncDecl:
+						name := d.Name.Name
+						if d.Recv != nil {
+							recv := d.Recv.List[0].Type
+							if star, ok := recv.(*ast.StarExpr); ok {
+								recv = star.X
+							}
+							if generic, ok := recv.(*ast.IndexExpr); ok {
+								recv = generic.X
+							}
+							name = recv.(*ast.Ident).Name + "." + name
+						}
+						add(d.Name, name, d)
+					case *ast.GenDecl:
+						for _, spec := range d.Specs {
+							switch spec := spec.(type) {
+							case *ast.TypeSpec:
+								add(spec.Name, spec.Name.Name, spec)
+							case *ast.ValueSpec:
+								for _, id := range spec.Names {
+									add(id, id.Name, spec)
+								}
+							}
+						}
+					}
+				}
+			}
+			for _, imp := range pkg.Imports() { // the standard library's named interfaces
+				for _, name := range imp.Scope().Names() {
+					if it, ok := imp.Scope().Lookup(name).Type().Underlying().(*types.Interface); ok && exports[imp.Path()] != "" {
+						ifaces = append(ifaces, it)
+					}
+				}
+			}
+		}
+	}
+	for _, tv := range info.Types { // the module's interfaces, declared or literal
+		if it, ok := tv.Type.(*types.Interface); ok && tv.IsType() {
+			ifaces = append(ifaces, it)
+		}
+	}
+
+	seen := map[types.Object]bool{}
+	var queue []types.Object
+	reach := func(obj types.Object) {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		if _, ok := decl[obj]; ok && !seen[obj] {
+			seen[obj] = true
+			queue = append(queue, obj)
+		}
+	}
+	drain := func() {
+		for len(queue) > 0 {
+			obj := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			ast.Inspect(decl[obj], func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					reach(info.Uses[id])
+				}
+				return true
+			})
+			named, ok := obj.Type().(*types.Named)
+			if _, isType := obj.(*types.TypeName); !ok || !isType || named.TypeParams() != nil {
+				continue
+			}
+			for _, it := range ifaces { // a reached type answers to every interface it satisfies
+				for i := 0; i < it.NumMethods() && types.Implements(types.NewPointer(named), it); i++ {
+					m, _, _ := types.LookupFieldOrMethod(named, true, obj.Pkg(), it.Method(i).Name())
+					reach(m)
+				}
+			}
+		}
+	}
+	for _, obj := range roots {
+		reach(obj)
+	}
+	drain()
+	excuses := map[string]bool{}
+	for obj, name := range names {
+		for pat := range orphanAllowed {
+			if !seen[obj] && (pat == name || strings.HasSuffix(pat, "*") && strings.HasPrefix(name, strings.TrimSuffix(pat, "*"))) {
+				excuses[pat] = true
+				reach(obj)
+			}
+		}
+	}
+	drain()
+	for obj, name := range names {
+		if !seen[obj] {
+			t.Errorf("%s: no non-test code reaches it — delete it, or add it to orphanAllowed with its reason", name)
+		}
+	}
+	for pat, why := range orphanAllowed {
+		if !excuses[pat] || why == "" {
+			t.Errorf("orphanAllowed[%q] excuses nothing unreached, or gives no reason — drop it", pat)
+		}
+	}
+}

@@ -142,9 +142,6 @@ type Scored = predict.Scored
 // ROCPoint is one operating point of a receiver operating characteristic.
 type ROCPoint = predict.ROCPoint
 
-// Warning is a failure warning raised by an online predictor.
-type Warning = predict.Warning
-
 // ROC computes the ROC curve of scored predictions.
 func ROC(scored []Scored) ([]ROCPoint, error) { return predict.ROC(scored) }
 
