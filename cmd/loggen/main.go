@@ -6,20 +6,18 @@
 //
 // Usage:
 //
-//	loggen [-seed 7] [-days 7] [-out data] [-columnar]
+//	loggen [-seed 7] [-days 7] [-out data]
 //	loggen -tenants 100 [-skew 1] [-seed 7] [-days 7] [-out data]
 //	loggen -tenants 100 -send 127.0.0.1:4561
 //
 // It runs -tenants independently seeded simulators (tenant i with seed
 // -seed+i, its load scaled by a Zipf(-skew) profile; one tenant is the
-// plain simulator at -seed) and writes the merged trace in both fleet
-// encodings: data.trace (text line protocol, one E|/S|/F| record per
-// line) and data.wire (PFW1 binary wire format) — what predict, pfmd
-// -fleet-trace and the internal/fleet fixtures read. -columnar also
-// writes data.cols, the same records as a PFC1 struct-of-arrays trace for
-// pfmd -replay-columnar; the format carries no tenant, so it takes
-// -tenants 1. -send streams the PFW1 encoding to a pfmd -listen address
-// instead of writing files.
+// plain simulator at -seed) and writes the merged trace in both encodings:
+// data.trace (text line protocol, one E|/S|/F| record per line) and
+// data.wire (binary frames, internal/runtime/frame.go) — what predict, pfmd
+// -fleet-trace, pfmd -replay-columnar (one tenant) and the internal/fleet
+// fixtures read, each telling the two apart by magic. -send streams the
+// binary encoding to a pfmd -listen address instead of writing files.
 package main
 
 import (
@@ -30,7 +28,6 @@ import (
 	"os"
 
 	"repro/internal/fleet"
-	"repro/internal/runtime"
 	"repro/internal/scp"
 )
 
@@ -48,13 +45,9 @@ func run(args []string, stdout io.Writer) error {
 	out := fs.String("out", "data", "output file prefix")
 	tenants := fs.Int("tenants", 1, "number of simulated tenants interleaved in the trace")
 	skew := fs.Float64("skew", 1, "Zipf exponent of the per-tenant load profile (0 = uniform)")
-	columnar := fs.Bool("columnar", false, "also write <out>.cols, the PFC1 columnar trace pfmd -replay-columnar consumes (-tenants 1 only)")
-	send := fs.String("send", "", "stream the trace to a pfmd -listen address over TCP (PFW1 wire format) instead of writing files")
+	send := fs.String("send", "", "stream the trace to a pfmd -listen address over TCP (binary frames) instead of writing files")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *columnar && (*tenants != 1 || *send != "") {
-		return fmt.Errorf("-columnar writes a single-tenant file: it takes -tenants 1 and no -send")
 	}
 
 	m, err := scp.NewMulti(scp.MultiConfig{Tenants: *tenants, BaseSeed: *seed, Skew: *skew})
@@ -96,43 +89,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "wrote %s.trace and %s.wire: %d tenants (zipf skew %g), %d records, %d failures\n",
 		*out, *out, *tenants, *skew, len(recs), failures)
-	if *columnar {
-		trace, err := buildColumnar(recs)
-		if err != nil {
-			return err
-		}
-		if err := writeFile(*out+".cols", func(w io.Writer) error {
-			_, err := trace.WriteTo(w)
-			return err
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote %s.cols: %d events, %d failures\n", *out, trace.Len(), len(trace.Failures))
-	}
 	return nil
-}
-
-// buildColumnar lays one tenant's records out as a PFC1 trace: events keep
-// their order in the columns, failure marks go to the trace's failure list.
-func buildColumnar(recs []fleet.Record) (*runtime.ColumnarTrace, error) {
-	b := runtime.NewColumnarBuilder()
-	b.Grow(len(recs))
-	for _, r := range recs {
-		ev := r.Event
-		var err error
-		switch {
-		case r.Failure:
-			err = b.AddFailure(ev.Time)
-		case ev.Kind == runtime.KindError:
-			err = b.AddError(ev.Error)
-		default:
-			err = b.AddSample(ev.Time, ev.Variable, ev.Value)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return b.Trace(), nil
 }
 
 // writeFile creates path and fills it through write; a failed Close is a

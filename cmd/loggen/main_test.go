@@ -57,13 +57,14 @@ func requireSame(t *testing.T, what string, got, want []fleet.Record) {
 	}
 }
 
-// TestThreeEncodingsOneStream: one short single-tenant run writes the same
-// record sequence three ways. The PFC1 file has no tenant column and keeps
-// failure marks in a list of their own, so it is compared as the event
+// TestTwoEncodingsOneStream: one short single-tenant run writes the same
+// record sequence both ways, and the binary file is also what
+// runtime.ReadColumnar loads: columns have no tenant and keep failure marks
+// in a list of their own, so that reading is compared as the event
 // subsequence plus the failure subsequence.
-func TestThreeEncodingsOneStream(t *testing.T) {
+func TestTwoEncodingsOneStream(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "d")
-	if err := run([]string{"-seed", "7", "-days", "1", "-columnar", "-out", out}, io.Discard); err != nil {
+	if err := run([]string{"-seed", "7", "-days", "1", "-out", out}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	text := readTrace(t, out+".trace")
@@ -83,7 +84,7 @@ func TestThreeEncodingsOneStream(t *testing.T) {
 		t.Fatalf("trace exercises too little: %d failures, kinds %v", len(failures), kinds)
 	}
 
-	fh, err := os.Open(out + ".cols")
+	fh, err := os.Open(out + ".wire")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +102,15 @@ func TestThreeEncodingsOneStream(t *testing.T) {
 			Error: ev.Error, Variable: ev.Variable, Value: ev.Value,
 		}
 	}
-	requireSame(t, ".cols events vs .trace", colEvents, events)
+	requireSame(t, "ReadColumnar(.wire) events vs .trace", colEvents, events)
 	colFailures := make([]fleet.Record, len(cols.Failures))
 	for i, at := range cols.Failures {
 		colFailures[i] = fleet.Record{Failure: true, Event: fleet.Event{Tenant: tenant, Time: at}}
 	}
-	requireSame(t, ".cols failures vs .trace", colFailures, failures)
+	requireSame(t, "ReadColumnar(.wire) failures vs .trace", colFailures, failures)
+	if left, _ := filepath.Glob(out + ".*"); len(left) != 2 {
+		t.Errorf("loggen wrote %v, want a .trace and a .wire", left)
+	}
 }
 
 // TestMultiTenantInterleaving: -tenants 3 merges three tenants into one
@@ -130,14 +134,13 @@ func TestMultiTenantInterleaving(t *testing.T) {
 	}
 }
 
-// TestRefusedFlags: a columnar file of a multi-tenant run is refused before
-// anything is generated, and the retired -convert is an unknown flag.
+// TestRefusedFlags: a fleet of no tenants is refused before anything is
+// generated, and the retired -columnar and -convert are unknown flags.
 func TestRefusedFlags(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "r")
 	for _, args := range [][]string{
-		{"-columnar", "-tenants", "3", "-days", "1", "-out", out},
-		{"-columnar", "-send", "127.0.0.1:1", "-out", out},
+		{"-columnar", "-days", "1", "-out", out},
 		{"-tenants", "0", "-out", out},
 		{"-convert", out},
 	} {

@@ -1,6 +1,7 @@
 // Columnar replay mode (-replay-columnar): drive the single-tenant
-// runtime from a recorded PFC1 struct-of-arrays trace (loggen -columnar)
-// instead of a live simulator. There is no wall-clock pacing — events
+// runtime from a recorded one-tenant trace (loggen's .wire or .trace, told
+// apart by magic), held in memory as struct-of-arrays columns, instead of a
+// live simulator. There is no wall-clock pacing — events
 // stream through the batched ingest path as fast as the pipeline applies
 // them, and MEA cycles that fall due between events are stacked and run
 // through Runtime.CycleBatch, so a simulated year replays in seconds and
@@ -9,11 +10,14 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"time"
 
+	"repro/internal/fleet"
 	"repro/internal/runtime"
 )
 
@@ -28,14 +32,9 @@ func runColumnar(ctx context.Context, o *options) error {
 	if o.replayEval <= 0 {
 		return fmt.Errorf("replay-eval cadence must be positive, got %g", o.replayEval)
 	}
-	f, err := os.Open(o.replayColumnar)
+	trace, err := loadColumnar(o.replayColumnar)
 	if err != nil {
-		return err
-	}
-	trace, err := runtime.ReadColumnar(f)
-	f.Close()
-	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", o.replayColumnar, err)
 	}
 	p, err := newPipeline(o, func() error { return nil }, o.replayEval, false)
 	if err != nil {
@@ -72,6 +71,55 @@ func runColumnar(ctx context.Context, o *options) error {
 		"sim_days", span/86400, "cycles", p.rt.Cycles(),
 		"speedup", span/elapsed.Seconds())
 	return p.summary()
+}
+
+// loadColumnar reads a one-tenant trace file into columns: binary frames
+// whole, as runtime.ReadColumnar decodes them; anything else record by
+// record through fleet.OpenTrace — the text line protocol, or a retired
+// binary format, which that refuses by name.
+func loadColumnar(path string) (*runtime.ColumnarTrace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	magic := make([]byte, len(fleet.WireMagic))
+	if _, err := io.ReadFull(f, magic); err == nil && string(magic) == fleet.WireMagic {
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return nil, err
+		}
+		return runtime.ReadColumnar(f)
+	}
+	src, closer, err := fleet.OpenTrace(path)
+	if err != nil {
+		return nil, err
+	}
+	defer closer.Close()
+	b := runtime.NewColumnarBuilder()
+	var tenant string
+	for n := 0; ; n++ {
+		rec, err := src.Next()
+		if errors.Is(err, io.EOF) {
+			return b.Trace(), nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		switch ev := rec.Event; {
+		case n > 0 && ev.Tenant != tenant:
+			err = fmt.Errorf("trace names tenants %q and %q, -replay-columnar takes one tenant's", tenant, ev.Tenant)
+		case rec.Failure:
+			err = b.AddFailure(ev.Time)
+		case ev.Kind == runtime.KindError:
+			err = b.AddError(ev.Error)
+		default:
+			err = b.AddSample(ev.Time, ev.Variable, ev.Value)
+		}
+		if err != nil {
+			return nil, err
+		}
+		tenant = rec.Event.Tenant
+	}
 }
 
 // replayColumnar streams the trace through the pipeline at full speed,

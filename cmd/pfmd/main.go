@@ -45,7 +45,7 @@
 //	     [-trace-cap 256] [-trace-sample 16] [-trace-dump 0]
 //	     [-ledger-window 0] [-meta-weights w1,w2,w3,w4] [-hotswap]
 //	     [-incident-dir DIR] [-incident-cap 32] [-incident-warn 0.5]
-//	pfmd -replay-columnar trace.cols [-replay-eval 900]
+//	pfmd -replay-columnar trace.wire|trace.trace [-replay-eval 900]
 //	pfmd -fleet [-tenants 100] [-skew 1] [-shards 0]
 //	     [-fleet-trace FILE | -listen ADDR] [-act-budget 0] [-rate-limit 0]
 //
@@ -179,11 +179,11 @@ func (o *options) flagSet(stderr io.Writer) *flag.FlagSet {
 	fs.BoolVar(&o.fleetMode, "fleet", false, "run the multi-tenant fleet runtime instead of the single-instance pipeline")
 	fs.IntVar(&o.tenants, "tenants", 100, "fleet size (with -fleet)")
 	fs.Float64Var(&o.skew, "skew", 1, "Zipf exponent of the tenant load profile (with -fleet)")
-	fs.StringVar(&o.fleetTrace, "fleet-trace", "", "replay a recorded trace file instead of simulating (text or PFW1, told apart by magic; see loggen -tenants)")
-	fs.StringVar(&o.listen, "listen", "", "accept tenant traces over TCP on this address instead of simulating (with -fleet; PFW1 wire or text line protocol, see loggen -send)")
+	fs.StringVar(&o.fleetTrace, "fleet-trace", "", "replay a recorded trace file instead of simulating (loggen's .wire or .trace, told apart by magic)")
+	fs.StringVar(&o.listen, "listen", "", "accept tenant traces over TCP on this address instead of simulating (with -fleet; binary frames or text line protocol, see loggen -send)")
 	fs.IntVar(&o.actBudget, "act-budget", 0, "max tenants that may execute a countermeasure per cycle, criticality-prioritized (with -fleet; 0 = unlimited)")
 	fs.Float64Var(&o.rateLimit, "rate-limit", 0, "per-tenant ingest drain cap [events per simulated second] (with -fleet; 0 = unlimited)")
-	fs.StringVar(&o.replayColumnar, "replay-columnar", "", "replay a PFC1 columnar trace (see loggen -columnar) at full speed instead of simulating")
+	fs.StringVar(&o.replayColumnar, "replay-columnar", "", "replay a one-tenant trace file (loggen's .wire or .trace, told apart by magic) from memory at full speed instead of simulating")
 	fs.Float64Var(&o.replayEval, "replay-eval", 900, "MEA cadence in simulated seconds (with -replay-columnar)")
 	fs.StringVar(&o.incidents.dir, "incident-dir", "", "persist captured incident bundles as JSON files in this directory")
 	fs.IntVar(&o.incidents.cap, "incident-cap", 32, "retained incident bundles (0 disables the flight recorder)")

@@ -140,7 +140,7 @@ func checkDrained(t *testing.T, p planes) (ingested float64) {
 	return ingested
 }
 
-// writeTrace builds a two-hour PFC1 trace: three SAR variables every 60 s,
+// writeTrace builds a two-hour one-tenant trace: three SAR variables every 60 s,
 // and an error burst dense enough to trip the error-rate layer in the ten
 // minutes before a failure at 5400 s.
 func writeTrace(t *testing.T) (path string, events int) {
@@ -167,7 +167,7 @@ func writeTrace(t *testing.T) (path string, events int) {
 		}
 	}
 	must(b.AddFailure(5400))
-	path = filepath.Join(t.TempDir(), "trace.cols")
+	path = filepath.Join(t.TempDir(), "trace.wire")
 	f, err := os.Create(path)
 	must(err)
 	_, err = b.Trace().WriteTo(f)
@@ -218,6 +218,55 @@ func TestReplayColumnarRun(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "slowest 3 end-to-end traces") {
 		t.Errorf("stdout lacks the -trace-dump table:\n%s", stdout.String())
+	}
+}
+
+// TestReplayColumnarByMagic: -replay-columnar loads the same columns from
+// the binary and from the text encoding of a trace, whatever the file is
+// called, refuses a second tenant, and refuses a retired binary format by
+// name instead of parsing it as text.
+func TestReplayColumnarByMagic(t *testing.T) {
+	path, events := writeTrace(t)
+	fromWire, err := loadColumnar(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, closer, err := fleet.OpenTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	var text strings.Builder
+	for rec, err := src.Next(); err != io.EOF; rec, err = src.Next() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		text.WriteString(fleet.FormatRecord(rec) + "\n")
+	}
+	write := func(name, content string) string {
+		p := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	fromText, err := loadColumnar(write("text.wire", text.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromWire.Len() != events || fromText.Len() != events || len(fromText.Failures) != 1 || fromText.Failures[0] != fromWire.Failures[0] {
+		t.Fatalf("events %d (binary) and %d (text), want %d; failures %v and %v", fromWire.Len(), fromText.Len(), events, fromWire.Failures, fromText.Failures)
+	}
+	for i := 0; i < events; i++ {
+		if fromText.Event(i) != fromWire.Event(i) {
+			t.Fatalf("event %d: %+v from text, %+v from binary", i, fromText.Event(i), fromWire.Event(i))
+		}
+	}
+	if _, err := loadColumnar(write("two.trace", "S|a|1|cpu|1\nS|b|2|cpu|1\n")); err == nil || !strings.Contains(err.Error(), `"a" and "b"`) {
+		t.Errorf("two tenants: err = %v, want a refusal naming them", err)
+	}
+	if _, err := loadColumnar(write("old.bin", "PFC1\x00\x00\x00\x00")); err == nil || !strings.Contains(err.Error(), "PFC1 format was retired in PR 22") {
+		t.Errorf("a PFC1 file: err = %v, want the format refused by name", err)
 	}
 }
 
@@ -355,7 +404,7 @@ func TestFleetRun(t *testing.T) {
 }
 
 // TestFleetTraceByMagic replays one recorded trace through pfmd -fleet-trace
-// in each encoding under the other one's file name: what tells PFW1 from
+// in each encoding under the other one's file name: what tells frames from
 // text is the file's magic, so both must ingest every event.
 func TestFleetTraceByMagic(t *testing.T) {
 	const tenants = 3
@@ -451,7 +500,7 @@ func TestParseFlags(t *testing.T) {
 			t.Errorf("parseFlags(%v) accepted", bad)
 		}
 	}
-	if err := run(context.Background(), []string{"-replay-columnar", filepath.Join(t.TempDir(), "absent.cols")}, io.Discard, io.Discard); err == nil {
+	if err := run(context.Background(), []string{"-replay-columnar", filepath.Join(t.TempDir(), "absent.wire")}, io.Discard, io.Discard); err == nil {
 		t.Error("run with a missing trace file succeeded")
 	}
 	if err := run(context.Background(), []string{"-fleet", "-tenants", "0"}, io.Discard, io.Discard); err == nil {
@@ -469,8 +518,8 @@ func TestParseFlags(t *testing.T) {
 		{[]string{"-fleet", "-hotswap"}, "-hotswap"},
 		{[]string{"-fleet", "-meta-weights", "1,1,1,1"}, "-meta-weights"},
 		{[]string{"-fleet", "-replay-eval", "60"}, "-replay-eval"},
-		{[]string{"-replay-columnar", "x.cols", "-fleet"}, "-fleet"},
-		{[]string{"-replay-columnar", "x.cols", "-eval", "1s"}, "-eval"},
+		{[]string{"-replay-columnar", "x.wire", "-fleet"}, "-fleet"},
+		{[]string{"-replay-columnar", "x.wire", "-eval", "1s"}, "-eval"},
 	} {
 		if _, err := parseFlags(c.args, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), c.want+":") {
 			t.Errorf("parseFlags(%v) = %v, want a refusal naming %s", c.args, err, c.want)
@@ -478,7 +527,7 @@ func TestParseFlags(t *testing.T) {
 	}
 	for _, ok := range [][]string{
 		{"-fleet", "-shards", "4", "-act-budget", "2", "-incident-dir", "d"},
-		{"-replay-columnar", "x.cols", "-replay-eval", "60", "-pprof"},
+		{"-replay-columnar", "x.wire", "-replay-eval", "60", "-pprof"},
 		{"-hotswap", "-meta-weights", "1,1,1,1"},
 	} {
 		if _, err := parseFlags(ok, io.Discard, io.Discard); err != nil {
@@ -534,7 +583,7 @@ var flagBindings = map[string]struct {
 	"listen":          {":4545", func(o *options) any { return o.listen }, ":4545"},
 	"act-budget":      {"2", func(o *options) any { return o.actBudget }, 2},
 	"rate-limit":      {"500", func(o *options) any { return o.rateLimit }, 500.0},
-	"replay-columnar": {"t.cols", func(o *options) any { return o.replayColumnar }, "t.cols"},
+	"replay-columnar": {"t.wire", func(o *options) any { return o.replayColumnar }, "t.wire"},
 	"replay-eval":     {"60", func(o *options) any { return o.replayEval }, 60.0},
 	"incident-dir":    {"d", func(o *options) any { return o.incidents.dir }, "d"},
 	"incident-cap":    {"5", func(o *options) any { return o.incidents.cap }, 5},

@@ -9,14 +9,13 @@
 //	predict score -log data.trace -model model.json -at 123456
 //	predict eval  -log data.trace -model model.json -from 0
 //
-// -log takes any single-tenant file cmd/loggen writes — data.trace (text
-// line protocol), data.wire (PFW1) or data.cols (PFC1), told apart by
-// magic — and reads the error events and the ground-truth failure marks
-// from that one file.
+// -log takes either single-tenant file cmd/loggen writes — data.trace (text
+// line protocol) or data.wire (binary frames), told apart by magic — and
+// reads the error events and the ground-truth failure marks from that one
+// file.
 package main
 
 import (
-	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -68,28 +67,10 @@ func addWindowFlags(fs *flag.FlagSet) windowFlags {
 }
 
 // loadTrace reads one tenant's error log and failure marks from a trace
-// file in any of loggen's three encodings: PFC1 columnar (sniffed by magic,
-// error rows bulk-decoded column→column into the store), or the text line
-// protocol / PFW1 wire format through fleet.OpenTrace. Samples are skipped;
-// a trace that interleaves several tenants is refused.
+// file in either of loggen's encodings (fleet.OpenTrace tells them apart).
+// Samples are skipped; a trace that interleaves several tenants is refused.
 func loadTrace(path string) (*eventlog.Log, []float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
 	l := eventlog.NewLog()
-	br := bufio.NewReaderSize(f, 1<<20)
-	if magic, err := br.Peek(4); err == nil && string(magic) == "PFC1" {
-		trace, err := runtime.ReadColumnar(br)
-		if err != nil {
-			return nil, nil, fmt.Errorf("read columnar %s: %w", path, err)
-		}
-		if _, err := trace.AppendErrorsTo(l); err != nil {
-			return nil, nil, fmt.Errorf("decode columnar %s: %w", path, err)
-		}
-		return l, trace.Failures, nil
-	}
 	src, closer, err := fleet.OpenTrace(path)
 	if err != nil {
 		return nil, nil, err

@@ -8,13 +8,12 @@ import (
 	"testing"
 
 	"repro/internal/fleet"
-	"repro/internal/runtime"
 	"repro/internal/scp"
 )
 
 // writeTraces simulates one platform, as cmd/loggen does, and writes its
-// records in two of the loggen encodings, <prefix>.trace (text) and
-// <prefix>.cols (PFC1); it returns the prefix.
+// records in both loggen encodings, <prefix>.trace (text) and <prefix>.wire
+// (binary frames); it returns the prefix.
 func writeTraces(t *testing.T, dir, prefix string, seed int64, days float64) string {
 	t.Helper()
 	m, err := scp.NewMulti(scp.MultiConfig{Tenants: 1, BaseSeed: seed})
@@ -25,30 +24,15 @@ func writeTraces(t *testing.T, dir, prefix string, seed int64, days float64) str
 		t.Fatal(err)
 	}
 	recs := fleet.SCPRecords(m.Drain())
-	var text, cols bytes.Buffer
+	var text, wire bytes.Buffer
 	if err := fleet.WriteTrace(&text, recs); err != nil {
 		t.Fatal(err)
 	}
-	b := runtime.NewColumnarBuilder()
-	for _, r := range recs {
-		var err error
-		switch ev := r.Event; {
-		case r.Failure:
-			err = b.AddFailure(ev.Time)
-		case ev.Kind == runtime.KindError:
-			err = b.AddError(ev.Error)
-		default:
-			err = b.AddSample(ev.Time, ev.Variable, ev.Value)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := b.Trace().WriteTo(&cols); err != nil {
+	if err := fleet.WriteWire(&wire, recs); err != nil {
 		t.Fatal(err)
 	}
 	base := filepath.Join(dir, prefix)
-	for ext, buf := range map[string]*bytes.Buffer{".trace": &text, ".cols": &cols} {
+	for ext, buf := range map[string]*bytes.Buffer{".trace": &text, ".wire": &wire} {
 		if err := os.WriteFile(base+ext, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +42,7 @@ func writeTraces(t *testing.T, dir, prefix string, seed int64, days float64) str
 
 // TestTrainScoreEvalWorkflow drives the full CLI workflow: train on one
 // simulated platform, persist the model, evaluate and score on another —
-// once from text traces and once from columnar ones, each run reading its
+// once from text traces and once from binary ones, each run reading its
 // events and its failure marks from the one file. Both encodings carry the
 // same records, so they must train the same model.
 func TestTrainScoreEvalWorkflow(t *testing.T) {
@@ -69,7 +53,7 @@ func TestTrainScoreEvalWorkflow(t *testing.T) {
 	train := writeTraces(t, dir, "train", 7, 10)
 	test := writeTraces(t, dir, "test", 8, 4)
 	models := map[string][]byte{}
-	for _, ext := range []string{".trace", ".cols"} {
+	for _, ext := range []string{".trace", ".wire"} {
 		model := filepath.Join(dir, "model"+ext+".json")
 		if err := run([]string{"train", "-log", train + ext, "-model", model}); err != nil {
 			t.Fatalf("%s train: %v", ext, err)
@@ -86,8 +70,8 @@ func TestTrainScoreEvalWorkflow(t *testing.T) {
 			t.Fatalf("%s score: %v", ext, err)
 		}
 	}
-	if !bytes.Equal(models[".trace"], models[".cols"]) {
-		t.Fatal("text and columnar traces of the same records trained different models")
+	if !bytes.Equal(models[".trace"], models[".wire"]) {
+		t.Fatal("text and binary traces of the same records trained different models")
 	}
 }
 
@@ -122,5 +106,21 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 	if err := run([]string{"train", "-log", multi}); err == nil || !strings.Contains(err.Error(), "multi-tenant") {
 		t.Fatalf("multi-tenant trace: %v", err)
+	}
+}
+
+// TestRetiredMagicRefused: -log on a file in a binary format this repository
+// no longer reads says which format and what to do, not that a line of text
+// is malformed.
+func TestRetiredMagicRefused(t *testing.T) {
+	for _, magic := range []string{"PFW1", "PFC1"} {
+		path := filepath.Join(t.TempDir(), "old.bin")
+		if err := os.WriteFile(path, []byte(magic+"\x00\x01\x02\x03\x04\x05\x06\x07"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run([]string{"train", "-log", path, "-model", filepath.Join(t.TempDir(), "m.json")})
+		if err == nil || !strings.Contains(err.Error(), magic+" format was retired in PR 22, regenerate with `loggen`") {
+			t.Errorf("train -log on a %s file: err = %v, want the format refused by name", magic, err)
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"os"
 
 	pfm "repro"
-	"repro/internal/experiments"
 )
 
 func main() {
@@ -30,11 +29,19 @@ func run() error {
 	}
 	fmt.Printf("simulated %g days (train) + %g days (test): %d + %d failures, %d evaluation points\n",
 		cfg.TrainDays, cfg.TestDays, res.TrainFailures, res.TestFailures, res.EvalPoints)
-	rows := make([]experiments.Row, 0, len(res.Predictors))
-	for _, p := range res.Predictors {
-		rows = append(rows, p.Row())
+	// One table row: a name and its values in a fixed column order.
+	row := func(name string, order []string, values map[string]float64) {
+		fmt.Printf("%-28s", name)
+		for _, k := range order {
+			fmt.Printf("  %s=%.6g", k, values[k])
+		}
+		fmt.Println()
 	}
-	experiments.Fprint(os.Stdout, "online failure prediction quality (Sect. 3.3)", rows)
+	fmt.Println("== online failure prediction quality (Sect. 3.3) ==")
+	for _, p := range res.Predictors {
+		r := p.Row()
+		row(r.Name, r.Order, r.Values)
+	}
 	fmt.Println("paper reference: HSMM precision 0.70, recall 0.62, fpr 0.016, AUC 0.873; UBF AUC 0.846")
 	fmt.Println()
 
@@ -43,7 +50,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	experiments.Fprint(os.Stdout, "closed MEA loop vs unmitigated system (E3)", mea.Rows())
+	fmt.Println("== closed MEA loop vs unmitigated system (E3) ==")
+	for _, r := range mea.Rows() {
+		row(r.Name, r.Order, r.Values)
+	}
 	fmt.Printf("Table 1 quality: %v\n", mea.Quality)
 	fmt.Printf("measured unavailability ratio %.3f (Section 5 model predicts ≈0.488 for a Table 2-quality predictor)\n",
 		mea.UnavailabilityRatio)

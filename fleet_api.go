@@ -80,7 +80,7 @@ func PumpFleet(ctx context.Context, f *Fleet, src FleetSource) (int, error) {
 func NewFleetSliceSource(recs []FleetRecord) FleetSource { return fleet.NewSliceSource(recs) }
 
 // FleetListenSource is a FleetSource fed by TCP connections speaking the
-// PFW1 wire format or the text line protocol (auto-detected per
+// binary wire format or the text line protocol (auto-detected per
 // connection). Close it to stop accepting and unblock PumpFleet.
 type FleetListenSource = fleet.ListenSource
 

@@ -130,59 +130,6 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestAppendColumns(t *testing.T) {
-	l := NewLog()
-	if err := l.Append(Event{Time: 1, Component: "pre", Type: 1, Severity: SeverityInfo, Message: "m"}); err != nil {
-		t.Fatal(err)
-	}
-	cols := Columns{
-		Times:    []float64{2, 2, 3},
-		Types:    []int32{4, 5, 4},
-		Sevs:     []uint8{2, 3, 4},
-		Comps:    []uint32{0, 1, 0},
-		Msgs:     []uint32{0, 0, 1},
-		CompDict: []string{"a", "pre"},
-		MsgDict:  []string{"x", "y"},
-	}
-	if err := l.AppendColumns(cols); err != nil {
-		t.Fatal(err)
-	}
-	if l.Len() != 4 {
-		t.Fatalf("len = %d", l.Len())
-	}
-	want := []Event{
-		{Time: 1, Component: "pre", Type: 1, Severity: SeverityInfo, Message: "m"},
-		{Time: 2, Component: "a", Type: 4, Severity: SeverityWarning, Message: "x"},
-		{Time: 2, Component: "pre", Type: 5, Severity: SeverityError, Message: "x"},
-		{Time: 3, Component: "a", Type: 4, Severity: SeverityCritical, Message: "y"},
-	}
-	for i, w := range want {
-		if l.At(i) != w {
-			t.Fatalf("event %d = %+v, want %+v", i, l.At(i), w)
-		}
-	}
-	// "pre" was already interned: the dictionary must not duplicate it.
-	if l.ComponentCount() != 2 {
-		t.Fatalf("component dictionary has %d entries, want 2", l.ComponentCount())
-	}
-
-	for name, bad := range map[string]Columns{
-		"length mismatch": {Times: []float64{4, 5}, Types: []int32{1}, Sevs: []uint8{1, 1}, Comps: []uint32{0, 0}, Msgs: []uint32{0, 0}, CompDict: []string{"a"}, MsgDict: []string{"x"}},
-		"time regression": {Times: []float64{1}, Types: []int32{1}, Sevs: []uint8{1}, Comps: []uint32{0}, Msgs: []uint32{0}, CompDict: []string{"a"}, MsgDict: []string{"x"}},
-		"bad severity":    {Times: []float64{9}, Types: []int32{1}, Sevs: []uint8{7}, Comps: []uint32{0}, Msgs: []uint32{0}, CompDict: []string{"a"}, MsgDict: []string{"x"}},
-		"comp index":      {Times: []float64{9}, Types: []int32{1}, Sevs: []uint8{1}, Comps: []uint32{5}, Msgs: []uint32{0}, CompDict: []string{"a"}, MsgDict: []string{"x"}},
-		"msg index":       {Times: []float64{9}, Types: []int32{1}, Sevs: []uint8{1}, Comps: []uint32{0}, Msgs: []uint32{5}, CompDict: []string{"a"}, MsgDict: []string{"x"}},
-		"reserved chars":  {Times: []float64{9}, Types: []int32{1}, Sevs: []uint8{1}, Comps: []uint32{0}, Msgs: []uint32{0}, CompDict: []string{"a"}, MsgDict: []string{"a|b"}},
-	} {
-		if err := l.AppendColumns(bad); err == nil {
-			t.Fatalf("%s: accepted", name)
-		}
-		if l.Len() != 4 {
-			t.Fatalf("%s: failed batch mutated the log", name)
-		}
-	}
-}
-
 func TestTypeBitset(t *testing.T) {
 	var b TypeBitset
 	if b.Has(0) || b.Has(100) || b.Has(-1) {

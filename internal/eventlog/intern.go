@@ -1,8 +1,8 @@
 package eventlog
 
 // Interner maps strings to dense uint32 IDs in first-appearance order. It
-// is the dictionary behind the log's columnar backing store (and the PFC1
-// trace format): error logs repeat a small set of component and message
+// is the dictionary behind the log's columnar backing store (and the frame
+// encoder): error logs repeat a small set of component and message
 // strings endlessly, so each distinct string is stored exactly once and
 // every event row carries a 4-byte index instead of a 16-byte string
 // header pointing at its own heap copy.

@@ -168,72 +168,6 @@ func (l *Log) Grow(n int) {
 	l.ensure(n)
 }
 
-// Columns is a borrowed struct-of-arrays event batch for bulk decode:
-// parallel per-event columns plus the dictionaries its Comps/Msgs indices
-// point into. All five event columns must have equal length.
-type Columns struct {
-	Times    []float64
-	Types    []int32
-	Sevs     []uint8
-	Comps    []uint32 // index into CompDict
-	Msgs     []uint32 // index into MsgDict
-	CompDict []string
-	MsgDict  []string
-}
-
-// AppendColumns bulk-appends a decoded column batch (e.g. the error rows
-// of a PFC1 trace) with zero per-event materialization: the batch's
-// dictionaries are interned once into the log's own (one remap entry per
-// distinct string), then the event columns are copied with the dictionary
-// indices rewritten through the remap tables. Validation is all-or-
-// nothing: on any error the log's event columns are unchanged.
-func (l *Log) AppendColumns(c Columns) error {
-	n := len(c.Times)
-	if len(c.Types) != n || len(c.Sevs) != n || len(c.Comps) != n || len(c.Msgs) != n {
-		return fmt.Errorf("%w: column lengths %d/%d/%d/%d/%d differ",
-			ErrLog, n, len(c.Types), len(c.Sevs), len(c.Comps), len(c.Msgs))
-	}
-	tail := l.tail()
-	for i := 0; i < n; i++ {
-		t := c.Times[i]
-		if math.IsNaN(t) || math.IsInf(t, 0) || t < tail {
-			return fmt.Errorf("%w: columns[%d]: event time %g out of order", ErrLog, i, t)
-		}
-		tail = t
-		if s := Severity(c.Sevs[i]); s < SeverityInfo || s > SeverityCritical {
-			return fmt.Errorf("%w: columns[%d]: severity %d", ErrLog, i, c.Sevs[i])
-		}
-		if int(c.Comps[i]) >= len(c.CompDict) {
-			return fmt.Errorf("%w: columns[%d]: component index %d out of range", ErrLog, i, c.Comps[i])
-		}
-		if int(c.Msgs[i]) >= len(c.MsgDict) {
-			return fmt.Errorf("%w: columns[%d]: message index %d out of range", ErrLog, i, c.Msgs[i])
-		}
-	}
-	for _, s := range c.MsgDict {
-		if strings.ContainsAny(s, "\n|") {
-			return fmt.Errorf("%w: message dictionary entry contains reserved characters", ErrLog)
-		}
-	}
-	compMap := make([]uint32, len(c.CompDict))
-	for i, s := range c.CompDict {
-		compMap[i] = l.components.Intern(s)
-	}
-	msgMap := make([]uint32, len(c.MsgDict))
-	for i, s := range c.MsgDict {
-		msgMap[i] = l.messages.Intern(s)
-	}
-	l.ensure(n)
-	l.times = append(l.times, c.Times...)
-	l.types = append(l.types, c.Types...)
-	l.sevs = append(l.sevs, c.Sevs...)
-	for i := 0; i < n; i++ {
-		l.comps = append(l.comps, compMap[c.Comps[i]])
-		l.msgs = append(l.msgs, msgMap[c.Msgs[i]])
-	}
-	return nil
-}
-
 // Len returns the number of events.
 func (l *Log) Len() int { return len(l.times) }
 

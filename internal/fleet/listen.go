@@ -14,7 +14,7 @@ import (
 // the fleet's network ingest edge. Each connection speaks either of the two
 // existing trace encodings, auto-detected from its first bytes:
 //
-//   - the PFW1 binary wire format (the stream starts with the magic), or
+//   - the binary wire format (the stream starts with the magic), or
 //   - the text line protocol (E|/S|/F| lines).
 //
 // Every connection decodes independently with its own read buffer into a
@@ -259,11 +259,12 @@ func (c *connDecoder) flush() {
 	c.slab = nil
 }
 
-// decodeStream decodes one connection's byte stream: PFW1 binary when the
-// magic leads, the text line protocol otherwise. emit returning false stops
-// the decode cleanly. badLines counts skipped malformed text lines (nil
-// disables counting). The returned error is the stream-fatal decode error,
-// if any — never a panic, whatever the input.
+// decodeStream decodes one connection's byte stream: binary frames when a
+// magic leads (a retired format's is refused: the stream's one error), the
+// text line protocol otherwise. emit returning false stops the decode
+// cleanly. badLines counts skipped malformed text lines (nil disables
+// counting). The returned error is the stream-fatal decode error, if any —
+// never a panic, whatever the input.
 func decodeStream(r io.Reader, emit func(Record) bool, badLines *atomic.Int64) error {
 	// The connection's one read buffer, sized once: a read(2) fills many
 	// slabs, and the wire Reader parses frames in it in place.

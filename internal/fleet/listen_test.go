@@ -31,7 +31,7 @@ func (l *limitSource) Next() (Record, error) {
 }
 
 // TestListenParity: a trace shipped over TCP — split across two concurrent
-// connections, one speaking the PFW1 wire format and one the text line
+// connections, one speaking the binary wire format and one the text line
 // protocol — replays to the same per-tenant counts and ledger totals as
 // the in-process slice source. Per-tenant ordering is preserved because
 // each tenant's sub-stream rides a single connection; cross-tenant
@@ -106,7 +106,7 @@ func TestListenMalformed(t *testing.T) {
 	text := "S|a|1|load|0.5\nGARBAGE\nS|a|abc|load|x\nS|a|2|load|0.6\n"
 	// Wire: one good record, then a poisoned frame.
 	var wire bytes.Buffer
-	if err := WriteWire(&wire, []Record{{Event: Event{Tenant: "b", Time: 1, Variable: "load", Value: 0.1}}}); err != nil {
+	if err := WriteWire(&wire, []Record{{Event: Event{Tenant: "b", Kind: runtime.KindSample, Time: 1, Variable: "load", Value: 0.1}}}); err != nil {
 		t.Fatal(err)
 	}
 	wire.Write([]byte{0xff, 0xff, 0xff, 0xff})
@@ -206,8 +206,25 @@ func TestListenIdleFlush(t *testing.T) {
 	for i := range recs {
 		recs[i] = Record{Event: Event{Tenant: "a", Kind: runtime.KindSample, Time: float64(i), Variable: "load", Value: 1}}
 	}
-	encoders := map[string]func(io.Writer, []Record) error{"binary": WriteWire, "text": WriteTrace}
-	for name, encode := range encoders {
+	// An encoder continues one stream: each call's bytes decode on arrival —
+	// text lines as they are, binary records because a frame ends with them.
+	encoders := map[string]func(io.Writer) func([]Record) error{
+		"binary": func(w io.Writer) func([]Record) error {
+			wr := NewWriter(w)
+			return func(recs []Record) error {
+				for _, rec := range recs {
+					if err := wr.Write(rec); err != nil {
+						return err
+					}
+				}
+				return wr.Flush()
+			}
+		},
+		"text": func(w io.Writer) func([]Record) error {
+			return func(recs []Record) error { return WriteTrace(w, recs) }
+		},
+	}
+	for name, encoder := range encoders {
 		t.Run(name, func(t *testing.T) {
 			ls, err := Listen("127.0.0.1:0")
 			if err != nil {
@@ -221,14 +238,15 @@ func TestListenIdleFlush(t *testing.T) {
 			defer conn.Close() // after the checks: the connection idles open
 			// Two bursts of one stream: the second arrives after the first
 			// was served, so neither can have waited for the other.
-			var head, whole bytes.Buffer
-			if err := encode(&head, recs[:5]); err != nil {
+			var whole bytes.Buffer
+			encode := encoder(&whole)
+			if err := encode(recs[:5]); err != nil {
 				t.Fatal(err)
 			}
-			if err := encode(&whole, recs); err != nil {
+			cut := whole.Len()
+			if err := encode(recs[5:]); err != nil {
 				t.Fatal(err)
 			}
-			cut := head.Len() // both encoders write a prefix's bytes first
 			for _, burst := range []struct {
 				payload []byte
 				want    []Record
@@ -246,6 +264,38 @@ func TestListenIdleFlush(t *testing.T) {
 				t.Errorf("slabs handed over = %d, want one per burst at least", got)
 			}
 		})
+	}
+}
+
+// TestListenIdleFlushOneFrame: the binary twin of a single text line on an
+// idle connection — one record and a Flush make a one-row frame, and the
+// listener counts and serves it at once, without waiting for 127 more.
+func TestListenIdleFlushOneFrame(t *testing.T) {
+	ls, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	conn, err := net.Dial("tcp", ls.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close() // after the checks: the connection idles open
+	w := NewWriter(conn)
+	for i := 0; i < 3; i++ {
+		want := Record{Event: Event{Tenant: "a", Kind: runtime.KindSample, Time: float64(i), Variable: "load", Value: 1}}
+		if err := w.Write(want); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := nextWithin(t, ls, 2*time.Second); !recordEqual(got, want) {
+			t.Fatalf("got %+v, want %+v", got, want)
+		}
+		if records, slabs := ls.records.Load(), ls.slabs.Load(); records != int64(i+1) || slabs != int64(i+1) {
+			t.Errorf("after %d one-row frames: %d records in %d slabs", i+1, records, slabs)
+		}
 	}
 }
 
@@ -419,10 +469,10 @@ func FuzzListenDecode(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(text.Bytes())
-	f.Add([]byte("PFW1"))
-	f.Add([]byte("PFW1\xff\xff\xff\xff"))
+	f.Add([]byte(WireMagic))
+	f.Add([]byte(WireMagic + "\xff\xff\xff\xff"))
 	f.Add([]byte("S|a|1|load|0.5\nE|a|2|comp|0|1|msg\nF|a|3\n"))
-	f.Add([]byte("S|a|1|load|0.5\nPFW1\x01\x00"))
+	f.Add([]byte("S|a|1|load|0.5\n" + WireMagic + "\x01\x00"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var bad atomic.Int64
@@ -438,7 +488,7 @@ func FuzzListenDecode(f *testing.F) {
 }
 
 // TestListenIngestZeroAllocs holds the network ingest path end to end — a
-// PFW1 stream on a live loopback connection, in-place frame decode, the slab
+// frame stream on a live loopback connection, in-place frame decode, the slab
 // hand-off to Next, Pump, routing, the tenant queues and the chunked drain —
 // to zero allocations per record once the connection's dictionaries, buffer
 // and slabs exist. One run is a burst of four slabs written to the socket

@@ -33,16 +33,18 @@ type Source interface {
 	Next() (Record, error)
 }
 
-// isWire reports whether the stream behind br leads with the PFW1 magic —
-// the one test that tells the binary wire format from the text line
-// protocol, on a file (OpenTrace) and on a socket (decodeStream) alike.
+// isWire reports whether the stream behind br is binary — the one test that
+// tells the wire format from the text line protocol, on a file (OpenTrace)
+// and on a socket (decodeStream) alike. A retired format's magic counts: the
+// Reader refuses it by name, where the text parser would report garbage.
 func isWire(br *bufio.Reader) bool {
-	magic, err := br.Peek(len(WireMagic))
-	return err == nil && string(magic) == WireMagic
+	magic, _ := br.Peek(len(WireMagic))
+	return string(magic) == WireMagic || string(magic) == "PFW1" || string(magic) == "PFC1"
 }
 
 // OpenTrace opens a recorded trace file in either encoding, told apart by
-// its first four bytes, never by its name. The Closer releases the file.
+// its first four bytes, never by its name. The Closer releases the file. A
+// file in a retired binary format opens too: its first Next says so.
 func OpenTrace(path string) (Source, io.Closer, error) {
 	fh, err := os.Open(path)
 	if err != nil {

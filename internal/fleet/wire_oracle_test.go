@@ -1,12 +1,15 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -15,189 +18,152 @@ import (
 	"repro/internal/runtime"
 )
 
-// minWireBuf is the smallest read buffer bufio grants: shorter than an error
-// frame's fixed-width run, so at this size even string-free frames cross the
-// buffer's edge and some take the copying path.
+// minWireBuf is the smallest read buffer bufio grants: shorter than any
+// frame with a row in it, so at this size every frame takes the decoder's
+// copying path and every refill stops inside one.
 const minWireBuf = 16
 
-// oracleReader is the reader this package shipped before frames were parsed
-// in place: one interface call per byte, one allocation per float. It stays
-// here, like eventlog's aosLog, as the oracle the in-place Reader must agree
-// with on every input.
-type oracleReader struct {
-	r       *bufio.Reader
-	tenants []string
-	vars    []string
-	started bool
-}
-
-func (r *oracleReader) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return 0, badRecord("wire: truncated varint: %v", err)
+// refDecode is the reference the in-place decoder must agree with on every
+// input: the frame layout of runtime/frame.go read the obvious way — the
+// whole stream in memory, one binary.Read per cell, a fresh slice per column
+// and a Record per row. It returns the records of every frame before the
+// first bad one, and the verdict: nil only if the stream ends on a frame
+// boundary.
+func refDecode(data []byte) (recs []Record, err error) {
+	if len(data) < 4 || string(data[:4]) != "PFF1" {
+		return nil, errors.New("ref: no magic")
 	}
-	return v, nil
-}
-
-func (r *oracleReader) f64() (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r.r, buf[:]); err != nil {
-		return 0, badRecord("wire: truncated float: %v", err)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
-}
-
-func (r *oracleReader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > maxWireString {
-		return "", badRecord("wire: string length %d exceeds cap", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		return "", badRecord("wire: truncated string: %v", err)
-	}
-	return string(buf), nil
-}
-
-func oracleLookup(dict []string, id uint64, what string) (string, error) {
-	if id >= uint64(len(dict)) {
-		return "", badRecord("wire: undefined %s id %d", what, id)
-	}
-	return dict[id], nil
-}
-
-func (r *oracleReader) define(dict *[]string, what string) error {
-	id, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if id != uint64(len(*dict)) {
-		return badRecord("wire: %s id %d out of order (want %d)", what, id, len(*dict))
-	}
-	s, err := r.str()
-	if err != nil {
-		return err
-	}
-	*dict = append(*dict, s)
-	return nil
-}
-
-func (r *oracleReader) Next() (Record, error) {
-	if !r.started {
-		var magic [4]byte
-		if _, err := io.ReadFull(r.r, magic[:]); err != nil {
-			return Record{}, badRecord("wire: missing magic: %v", err)
+	data = data[4:]
+	var dicts [4][]string // tenants, variables, components, messages
+	for len(data) > 0 {
+		if len(data) < 8 {
+			return recs, errors.New("ref: truncated header")
 		}
-		if string(magic[:]) != WireMagic {
-			return Record{}, badRecord("wire: bad magic %q", magic[:])
+		rows, size := int(binary.LittleEndian.Uint32(data)), int(binary.LittleEndian.Uint32(data[4:]))
+		if size > len(data)-8 {
+			return recs, errors.New("ref: truncated body")
 		}
-		r.started = true
-	}
-	for {
-		frame, err := r.r.ReadByte()
-		if err == io.EOF {
-			return Record{}, io.EOF
-		}
+		frame, err := refFrame(data[8:8+size], rows, &dicts)
 		if err != nil {
-			return Record{}, err
+			return recs, err
 		}
-		switch frame {
-		case frameDefTenant:
-			if err := r.define(&r.tenants, "tenant"); err != nil {
-				return Record{}, err
-			}
-		case frameDefVar:
-			if err := r.define(&r.vars, "variable"); err != nil {
-				return Record{}, err
-			}
-		case frameSample:
-			tid, err := r.uvarint()
+		recs, data = append(recs, frame...), data[8+size:]
+	}
+	return recs, nil
+}
+
+func refFrame(body []byte, rows int, dicts *[4][]string) ([]Record, error) {
+	r := bytes.NewReader(body)
+	for k := range dicts {
+		count, err := binary.ReadUvarint(r)
+		if err != nil {
+			return nil, err
+		}
+		for ; count > 0; count-- {
+			size, err := binary.ReadUvarint(r)
 			if err != nil {
-				return Record{}, err
+				return nil, err
 			}
-			vid, err := r.uvarint()
-			if err != nil {
-				return Record{}, err
+			if size > 1<<20 || size > uint64(r.Len()) {
+				return nil, fmt.Errorf("ref: string of %d bytes", size)
 			}
-			tenant, err := oracleLookup(r.tenants, tid, "tenant")
-			if err != nil {
-				return Record{}, err
-			}
-			variable, err := oracleLookup(r.vars, vid, "variable")
-			if err != nil {
-				return Record{}, err
-			}
-			t, err := r.f64()
-			if err != nil {
-				return Record{}, err
-			}
-			v, err := r.f64()
-			if err != nil {
-				return Record{}, err
-			}
-			return Record{Event: Event{
-				Tenant: tenant, Kind: runtime.KindSample, Time: t, Variable: variable, Value: v,
-			}}, nil
-		case frameError:
-			tid, err := r.uvarint()
-			if err != nil {
-				return Record{}, err
-			}
-			tenant, err := oracleLookup(r.tenants, tid, "tenant")
-			if err != nil {
-				return Record{}, err
-			}
-			t, err := r.f64()
-			if err != nil {
-				return Record{}, err
-			}
-			typ, err := r.uvarint()
-			if err != nil {
-				return Record{}, err
-			}
-			if typ > math.MaxInt32 {
-				return Record{}, badRecord("wire: error type %d out of range", typ)
-			}
-			sev, err := r.r.ReadByte()
-			if err != nil {
-				return Record{}, badRecord("wire: truncated severity: %v", err)
-			}
-			comp, err := r.str()
-			if err != nil {
-				return Record{}, err
-			}
-			msg, err := r.str()
-			if err != nil {
-				return Record{}, err
-			}
-			return Record{Event: Event{
-				Tenant: tenant, Kind: runtime.KindError, Time: t,
-				Error: eventlog.Event{
-					Time: t, Component: comp, Type: int(typ),
-					Severity: eventlog.Severity(sev), Message: msg,
-				},
-			}}, nil
-		case frameFailure:
-			tid, err := r.uvarint()
-			if err != nil {
-				return Record{}, err
-			}
-			tenant, err := oracleLookup(r.tenants, tid, "tenant")
-			if err != nil {
-				return Record{}, err
-			}
-			t, err := r.f64()
-			if err != nil {
-				return Record{}, err
-			}
-			return Record{Failure: true, Event: Event{Tenant: tenant, Time: t}}, nil
-		default:
-			return Record{}, badRecord("wire: unknown frame type 0x%02x", frame)
+			s := make([]byte, size)
+			io.ReadFull(r, s)
+			dicts[k] = append(dicts[k], string(s))
 		}
 	}
+	if rows > r.Len() {
+		return nil, fmt.Errorf("ref: %d rows in %d bytes", rows, r.Len())
+	}
+	// column reads count cells of the given byte width as uint64s.
+	column := func(count, width int) ([]uint64, error) {
+		out := make([]uint64, count)
+		for i := range out {
+			cell := make([]byte, 8)
+			if _, err := io.ReadFull(r, cell[:width]); err != nil {
+				return nil, fmt.Errorf("ref: column runs past the frame: %v", err)
+			}
+			out[i] = binary.LittleEndian.Uint64(cell)
+		}
+		return out, nil
+	}
+	width := func(dictLen int) int {
+		for w := 1; ; w *= 2 {
+			if dictLen <= 1<<(8*w) {
+				return w
+			}
+		}
+	}
+	kinds, err := column(rows, 1)
+	if err != nil {
+		return nil, err
+	}
+	var samples, errs int
+	for _, k := range kinds {
+		switch k {
+		case 0:
+			errs++
+		case 1:
+			samples++
+		case 2:
+		default:
+			return nil, fmt.Errorf("ref: kind %d", k)
+		}
+	}
+	var cols [7][]uint64 // tenant, time, key, value, type, severity, message
+	for i, c := range []struct{ count, width int }{
+		{rows, width(len(dicts[0]))}, {rows, 8}, {rows, width(max(len(dicts[1]), len(dicts[2])))},
+		{samples, 8}, {errs, 4}, {errs, 1}, {errs, width(len(dicts[3]))},
+	} {
+		if cols[i], err = column(c.count, c.width); err != nil {
+			return nil, err
+		}
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("ref: %d bytes after the columns", r.Len())
+	}
+	lookup := func(dict []string, id uint64) (string, error) {
+		if id >= uint64(len(dict)) {
+			return "", fmt.Errorf("ref: id %d of %d", id, len(dict))
+		}
+		return dict[id], nil
+	}
+	var out []Record
+	s, e := 0, 0
+	for i, kind := range kinds {
+		rec := Record{Failure: kind == 2}
+		ev := &rec.Event
+		ev.Time = math.Float64frombits(cols[1][i])
+		if math.IsNaN(ev.Time) {
+			return nil, errors.New("ref: NaN time")
+		}
+		if ev.Tenant, err = lookup(dicts[0], cols[0][i]); err != nil {
+			return nil, err
+		}
+		switch kind {
+		case 1:
+			ev.Kind, ev.Value = runtime.KindSample, math.Float64frombits(cols[3][s])
+			if ev.Variable, err = lookup(dicts[1], cols[2][i]); err != nil {
+				return nil, err
+			}
+			s++
+		case 0:
+			ev.Kind, ev.Error.Time = runtime.KindError, ev.Time
+			ev.Error.Type, ev.Error.Severity = int(cols[4][e]), eventlog.Severity(cols[5][e])
+			if ev.Error.Type > math.MaxInt32 || ev.Error.Severity < 1 || ev.Error.Severity > 4 {
+				return nil, fmt.Errorf("ref: type %d severity %d", ev.Error.Type, ev.Error.Severity)
+			}
+			if ev.Error.Component, err = lookup(dicts[2], cols[2][i]); err != nil {
+				return nil, err
+			}
+			if ev.Error.Message, err = lookup(dicts[3], cols[6][e]); err != nil {
+				return nil, err
+			}
+			e++
+		}
+		out = append(out, rec)
+	}
+	return out, nil
 }
 
 // drain reads src to its end: the records before the first error, and that
@@ -216,31 +182,30 @@ func drain(src Source) ([]Record, error) {
 	}
 }
 
-// sameDecode fails unless the in-place reader (over src, with a read buffer
-// of size bytes) yields exactly the oracle's records and ends the same way:
+// sameDecode fails unless the Reader (over src, with a read buffer of size
+// bytes) yields exactly the reference's records and ends the same way:
 // cleanly, or with a malformed-input error.
 func sameDecode(t *testing.T, label string, data []byte, src io.Reader, size int) {
 	t.Helper()
-	want, wantErr := drain(&oracleReader{r: bufio.NewReader(bytes.NewReader(data))})
+	want, wantErr := refDecode(data)
 	got, gotErr := drain(newReaderSize(src, size))
 	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("%s: err = %v, oracle err = %v", label, gotErr, wantErr)
+		t.Fatalf("%s: err = %v, reference err = %v", label, gotErr, wantErr)
 	}
 	if gotErr != nil && !errors.Is(gotErr, ErrFleet) {
 		t.Fatalf("%s: err = %v, want a malformed-input error", label, gotErr)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("%s: decoded %d records, oracle %d", label, len(got), len(want))
+		t.Fatalf("%s: decoded %d records, reference %d", label, len(got), len(want))
 	}
 	for i := range want {
 		if !recordEqual(got[i], want[i]) {
-			t.Fatalf("%s: record %d = %+v, oracle %+v", label, i, got[i], want[i])
+			t.Fatalf("%s: record %d = %+v, reference %+v", label, i, got[i], want[i])
 		}
 	}
 }
 
-// boundaryTrace mixes every frame type with strings of many lengths, so
-// that frame edges fall at every offset of a small read buffer.
+// boundaryTrace mixes every kind of row with strings of many lengths.
 func boundaryTrace() []Record {
 	recs := wireSampleTrace()
 	for i := 0; i < 40; i++ {
@@ -248,11 +213,34 @@ func boundaryTrace() []Record {
 		recs = append(recs,
 			Record{Event: Event{Tenant: tenant, Kind: runtime.KindSample, Time: float64(i), Variable: "v" + strings.Repeat("y", i%5), Value: float64(i) / 3}},
 			Record{Event: Event{Tenant: tenant, Kind: runtime.KindError, Time: float64(i),
-				Error: eventlog.Event{Time: float64(i), Component: strings.Repeat("c", i%4), Type: i * 1000, Severity: eventlog.Severity(i % 3), Message: strings.Repeat("m", i)}}},
+				Error: eventlog.Event{Time: float64(i), Component: strings.Repeat("c", i%4), Type: i * 1000, Severity: eventlog.Severity(1 + i%4), Message: strings.Repeat("m", i)}}},
 			Record{Failure: true, Event: Event{Tenant: tenant, Time: float64(i)}},
 		)
 	}
 	return recs
+}
+
+// framed encodes recs with a Flush after every per records, so that frames of
+// many sizes — header, delta and column edges at every offset — follow each
+// other in one stream.
+func framed(t testing.TB, recs []Record, per int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i, rec := range recs {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+		if (i+1)%per == 0 {
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // chunkReader hands out at most n bytes a Read, so that refills stop inside
@@ -269,16 +257,13 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
-// TestWireBufferBoundary: frames straddling the read buffer's edge, and
-// reads that stop mid-frame, decode exactly as the oracle decodes the whole
-// stream at once — for every buffer size over a range wider than any frame
-// and every read granularity up to it.
+// TestWireBufferBoundary: frames straddling the read buffer's edge, frames
+// longer than the whole buffer, and reads that stop mid-frame decode exactly
+// as the reference decodes the stream held in memory — for every buffer size
+// over a range wider than the small frames and every read granularity up to
+// it.
 func TestWireBufferBoundary(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteWire(&buf, boundaryTrace()); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := framed(t, boundaryTrace(), 3)
 	for size := minWireBuf; size <= minWireBuf+80; size++ {
 		sameDecode(t, "whole reads", data, bytes.NewReader(data), size)
 		sameDecode(t, "one-byte reads", data, iotest.OneByteReader(bytes.NewReader(data)), size)
@@ -289,23 +274,43 @@ func TestWireBufferBoundary(t *testing.T) {
 	}
 }
 
-// TestWireTruncatedEverywhere: a stream cut at any byte yields the oracle's
-// records and the oracle's verdict — clean only at a frame boundary.
+// TestWireTruncatedEverywhere: a multi-frame stream cut at any byte yields
+// the records of the frames before the cut, and a clean end only where the
+// cut is a frame boundary — checked against the reference and against the
+// boundaries the Writer reported.
 func TestWireTruncatedEverywhere(t *testing.T) {
+	recs := boundaryTrace()[:30]
 	var buf bytes.Buffer
-	if err := WriteWire(&buf, boundaryTrace()[:30]); err != nil {
-		t.Fatal(err)
+	w := NewWriter(&buf)
+	boundary := map[int]int{} // byte offset → records before it
+	for i, rec := range recs {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 3 || i == len(recs)-1 {
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			boundary[buf.Len()] = i + 1
+		}
 	}
 	data := buf.Bytes()
+	boundary[len(WireMagic)] = 0
 	for cut := 0; cut <= len(data); cut++ {
 		sameDecode(t, "cut", data[:cut], bytes.NewReader(data[:cut]), minWireBuf)
 		sameDecode(t, "cut", data[:cut], bytes.NewReader(data[:cut]), wireBufSize)
+		got, err := drain(NewReader(bytes.NewReader(data[:cut])))
+		n, clean := boundary[cut]
+		if (err == nil) != clean || (clean && len(got) != n) {
+			t.Fatalf("cut at %d: %d records, err %v; frame boundary: %v (%d records)", cut, len(got), err, clean, n)
+		}
 	}
 }
 
 // TestWireLongStrings: a string longer than the read buffer — a dictionary
-// name, a component, a message, or component and message of one frame — takes
-// the copying path and still matches the oracle, as do the frames after it.
+// name, a component, a message, or several in one frame's delta — puts its
+// frame on the copying path, and the frame and those after it still match
+// the reference and what was written.
 func TestWireLongStrings(t *testing.T) {
 	long := func(n int) string { return strings.Repeat("0123456789", n/10+1)[:n] }
 	recs := []Record{
@@ -315,49 +320,62 @@ func TestWireLongStrings(t *testing.T) {
 		{Event: Event{Tenant: "a", Kind: runtime.KindError, Time: 3,
 			Error: eventlog.Event{Time: 3, Component: "db", Type: 2, Severity: 2, Message: long(5000)}}},
 		{Event: Event{Tenant: "a", Kind: runtime.KindError, Time: 4,
-			Error: eventlog.Event{Time: 4, Component: long(90), Type: 3, Message: long(wireBufSize + 100)}}},
+			Error: eventlog.Event{Time: 4, Component: long(90), Type: 3, Severity: 3, Message: long(wireBufSize + 100)}}},
 		{Failure: true, Event: Event{Tenant: "a", Time: 5}},
 		{Event: Event{Tenant: long(200), Kind: runtime.KindSample, Time: 6, Variable: "v", Value: 7}},
 	}
-	var buf bytes.Buffer
-	if err := WriteWire(&buf, recs); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	for _, size := range []int{minWireBuf, 100, 4096, wireBufSize} {
-		sameDecode(t, "long strings", data, bytes.NewReader(data), size)
-		sameDecode(t, "long strings, 7-byte reads", data, &chunkReader{r: bytes.NewReader(data), n: 7}, size)
-	}
-	// Cut inside each long string: the copying path reports truncation.
-	for _, cut := range []int{150, len(data) / 2, len(data) - 40} {
-		sameDecode(t, "long strings cut", data[:cut], bytes.NewReader(data[:cut]), minWireBuf)
-	}
-	got, err := drain(newReaderSize(bytes.NewReader(data), minWireBuf))
-	if err != nil || len(got) != len(recs) {
-		t.Fatalf("decoded %d of %d records, err %v", len(got), len(recs), err)
-	}
-	for i := range recs {
-		if !recordEqual(got[i], recs[i]) {
-			t.Errorf("record %d differs from what was written", i)
+	for _, per := range []int{1, 2, len(recs)} {
+		data := framed(t, recs, per)
+		for _, size := range []int{minWireBuf, 100, 4096, wireBufSize} {
+			sameDecode(t, "long strings", data, bytes.NewReader(data), size)
+			sameDecode(t, "long strings, 7-byte reads", data, &chunkReader{r: bytes.NewReader(data), n: 7}, size)
+		}
+		// Cut inside the long strings: the copying path reports truncation.
+		for _, cut := range []int{150, len(data) / 2, len(data) - 40} {
+			sameDecode(t, "long strings cut", data[:cut], bytes.NewReader(data[:cut]), minWireBuf)
+		}
+		got, err := drain(newReaderSize(bytes.NewReader(data), minWireBuf))
+		if err != nil || len(got) != len(recs) {
+			t.Fatalf("decoded %d of %d records, err %v", len(got), len(recs), err)
+		}
+		for i := range recs {
+			if !recordEqual(got[i], recs[i]) {
+				t.Errorf("record %d differs from what was written", i)
+			}
 		}
 	}
 }
 
+// corpusSeeds returns the inputs of the checked-in FuzzWireDecode corpus.
+func corpusSeeds(t *testing.T) [][]byte {
+	t.Helper()
+	files, err := filepath.Glob("testdata/fuzz/FuzzWireDecode/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus: %v", err)
+	}
+	var seeds [][]byte
+	for _, name := range files {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// "go test fuzz v1\n[]byte(<quoted>)\n"
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+		s, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		seeds = append(seeds, []byte(s))
+	}
+	return seeds
+}
+
 // TestWireOracleOnCorpus: the malformed cases and the checked-in fuzz seeds
-// get the oracle's verdict too.
+// get the reference's verdict too, at both ends of the buffer-size range.
 func TestWireOracleOnCorpus(t *testing.T) {
-	cases := [][]byte{
-		{}, []byte("PFW"), []byte("XXXX\x03\x00\x00"), []byte("PFW1\xff"),
-		[]byte("PFW1\x05\x09\x00\x00\x00\x00\x00\x00\x00\x00"),
-		[]byte("PFW1\x01\x00\x02t0\x03\x00\x07"),
-		[]byte("PFW1\x01\x05\x02t0"),
-		[]byte("PFW1\x01\x00\x10abc"),
-		append([]byte("PFW1\x01\x00"), 0xff, 0xff, 0xff, 0xff, 0x7f),
-		[]byte("PFW1\x01\x00\x02t0\x05\x00\x01\x02"),
-		// varint overflow, error type out of range, undefined id before a cut
-		append([]byte("PFW1\x01"), bytes.Repeat([]byte{0xff}, 11)...),
-		[]byte("PFW1\x01\x00\x01a\x04\x00\x00\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff\xff\x0f\x00\x00\x00"),
-		[]byte("PFW1\x03\x07"),
+	cases := corpusSeeds(t)
+	for _, data := range malformedFrames(t) {
+		cases = append(cases, data)
 	}
 	for _, data := range cases {
 		for _, size := range []int{minWireBuf, wireBufSize} {
@@ -367,13 +385,14 @@ func TestWireOracleOnCorpus(t *testing.T) {
 	}
 }
 
-// TestWireDecodeZeroAllocs: decoding sample and failure frames allocates
-// nothing — no per-float buffer, no per-frame scratch — and an error frame
-// that repeats the previous one's strings allocates nothing either.
+// TestWireDecodeZeroAllocs: a steady-state frame of samples and failure
+// marks decodes without allocating — no per-frame columns, no per-float
+// buffer — and so does a frame of error rows once their component and
+// message are in the stream's dictionary.
 func TestWireDecodeZeroAllocs(t *testing.T) {
-	const frames = 3000
-	recs := make([]Record, 0, frames)
-	for i := 0; i < frames; i++ {
+	const rows = 3000
+	recs := make([]Record, 0, rows)
+	for i := 0; i < rows; i++ {
 		tenant := []string{"t0", "t1", "t2"}[i%3]
 		switch i % 3 {
 		case 0, 1:
@@ -394,28 +413,26 @@ func TestWireDecodeZeroAllocs(t *testing.T) {
 	}
 	// A small buffer, so that the run also crosses hundreds of refills.
 	r := newReaderSize(bytes.NewReader(buf.Bytes()), 4096)
-	for i := 0; i < 10; i++ { // past the magic and the dictionary frames
-		if _, err := r.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	next := func() {
 		if _, err := r.Next(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := testing.AllocsPerRun(frames-20, next); n != 0 {
-		t.Errorf("sample/failure frames: %v allocs per frame, want 0", n)
+	for i := 0; i < 2*slabRecords; i++ { // past the magic, the dictionaries and the columns' growth
+		next()
 	}
-	for rec, err := r.Next(); ; rec, err = r.Next() { // up to the first error frame
+	if n := testing.AllocsPerRun(rows-3*slabRecords, next); n != 0 {
+		t.Errorf("sample/failure rows: %v allocs per record, want 0", n)
+	}
+	for rec, err := r.Next(); ; rec, err = r.Next() { // up to the first error row
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Event.Kind == runtime.KindError {
+		if rec.Event.Kind == runtime.KindError && !rec.Failure {
 			break
 		}
 	}
 	if n := testing.AllocsPerRun(400, next); n != 0 {
-		t.Errorf("repeated error frames: %v allocs per frame, want 0", n)
+		t.Errorf("repeated error rows: %v allocs per record, want 0", n)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	stdruntime "runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/eventlog"
@@ -114,6 +114,9 @@ func TestColumnarBuilderRejects(t *testing.T) {
 		{"bad severity", func(b *ColumnarBuilder) error {
 			return b.AddError(eventlog.Event{Time: 1, Component: "c", Type: 1, Severity: 9})
 		}},
+		{"type the frame cannot carry", func(b *ColumnarBuilder) error {
+			return b.AddError(eventlog.Event{Time: 1, Component: "c", Type: -1, Severity: eventlog.SeverityInfo})
+		}},
 		{"failure regression", func(b *ColumnarBuilder) error {
 			if err := b.AddFailure(7); err != nil {
 				return nil
@@ -135,44 +138,70 @@ func TestReadColumnarRejectsCorruption(t *testing.T) {
 	if _, err := buildTestTrace(t).WriteTo(&good); err != nil {
 		t.Fatal(err)
 	}
+	refused := func(t *testing.T, raw []byte, mention string) {
+		t.Helper()
+		_, err := ReadColumnar(bytes.NewReader(raw))
+		if !errors.Is(err, ErrColumnar) || !strings.Contains(err.Error(), mention) {
+			t.Fatalf("err = %v, want an ErrColumnar about %q", err, mention)
+		}
+	}
 	t.Run("bad magic", func(t *testing.T) {
 		raw := append([]byte(nil), good.Bytes()...)
 		raw[0] = 'X'
-		if _, err := ReadColumnar(bytes.NewReader(raw)); !errors.Is(err, ErrColumnar) {
-			t.Fatalf("err = %v, want ErrColumnar", err)
-		}
+		refused(t, raw, "bad magic")
 	})
 	t.Run("truncated", func(t *testing.T) {
-		raw := good.Bytes()[:good.Len()/2]
-		if _, err := ReadColumnar(bytes.NewReader(raw)); !errors.Is(err, ErrColumnar) {
-			t.Fatalf("err = %v, want ErrColumnar", err)
-		}
+		refused(t, good.Bytes()[:good.Len()/2], "truncated")
+		refused(t, good.Bytes()[:len(FrameMagic)+3], "truncated")
+		refused(t, nil, "missing magic")
 	})
 	t.Run("dict index out of range", func(t *testing.T) {
-		// Corrupt a Keys entry to point past the dictionaries. The keys
-		// column starts after magic, dicts, count uvarint and the times and
-		// kinds columns; easier to corrupt via the struct and re-encode.
-		c := buildTestTrace(t)
-		c.Keys[0] = 99
-		var buf bytes.Buffer
-		if _, err := c.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadColumnar(&buf); !errors.Is(err, ErrColumnar) {
-			t.Fatalf("err = %v, want ErrColumnar", err)
-		}
+		// The trace is one frame of 8 rows — 3 errors, 3 samples, 2 failure
+		// marks — that ends with the keys column (8 one-byte ids), the
+		// values (3 × 8) and the error columns (3 × (4+1+1)): the first key
+		// is the first error row's component.
+		raw := append([]byte(nil), good.Bytes()...)
+		raw[len(raw)-(8+3*8+3*6)] = 99
+		refused(t, raw, "component id 99")
 	})
 	t.Run("time disorder", func(t *testing.T) {
-		c := buildTestTrace(t)
-		c.Times[2] = 0.5
-		var buf bytes.Buffer
-		if _, err := c.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadColumnar(&buf); !errors.Is(err, ErrColumnar) {
-			t.Fatalf("err = %v, want ErrColumnar", err)
+		for _, spoil := range []func(*ColumnarTrace){
+			func(c *ColumnarTrace) { c.Times[2] = 0.5 },  // an event before its predecessor
+			func(c *ColumnarTrace) { c.Failures[1] = 2 }, // a failure mark before its predecessor
+		} {
+			c := buildTestTrace(t)
+			spoil(c)
+			var buf bytes.Buffer
+			if _, err := c.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			refused(t, buf.Bytes(), "times run backwards")
 		}
 	})
+	t.Run("two tenants", func(t *testing.T) {
+		var buf bytes.Buffer
+		var enc FrameEncoder
+		for i, tenant := range []string{"a", "a", "b"} {
+			if err := enc.Add(&buf, tenant, Event{Kind: KindSample, Time: float64(i), Variable: "cpu"}, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := enc.Flush(&buf); err != nil {
+			t.Fatal(err)
+		}
+		refused(t, buf.Bytes(), `tenants "a" and "b"`)
+	})
+}
+
+// TestRetiredMagicRefused: a file in a binary format this repository no
+// longer reads is refused by that format's name.
+func TestRetiredMagicRefused(t *testing.T) {
+	for _, magic := range []string{"PFW1", "PFC1"} {
+		_, err := ReadColumnar(strings.NewReader(magic + "\x00\x00\x00\x00\x00"))
+		if !errors.Is(err, ErrColumnar) || !strings.Contains(err.Error(), magic+" format was retired in PR 22, regenerate with `loggen`") {
+			t.Errorf("ReadColumnar(%s…): err = %v, want the format refused by name", magic, err)
+		}
+	}
 }
 
 // synthTrace builds a large synthetic trace shaped like an SCP recording
@@ -198,10 +227,12 @@ func synthTrace(n int) *ColumnarTrace {
 	return b.Trace()
 }
 
-// TestColumnarRoundTripLarge spans several read chunks, so the leading
-// column's grow-as-it-arrives path is part of the round trip.
+// TestColumnarRoundTripLarge spans thousands of frames and several refills
+// of the read buffer, so the columns' growth, the failure marks' split and
+// the final trim to size are all part of the round trip; the trace comes back
+// holding no more memory than its rows take.
 func TestColumnarRoundTripLarge(t *testing.T) {
-	orig := synthTrace(3*columnarChunk + 17)
+	orig := synthTrace(3<<16 + 17)
 	var buf bytes.Buffer
 	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -213,50 +244,7 @@ func TestColumnarRoundTripLarge(t *testing.T) {
 	if !reflect.DeepEqual(orig, got) {
 		t.Fatal("large round trip mismatch")
 	}
-}
-
-// FuzzReadColumnar: whatever the bytes, ReadColumnar returns either an
-// ErrColumnar or a trace every row of which materializes — never a panic —
-// and commits memory in proportion to the input, not to the counts the
-// input announces.
-func FuzzReadColumnar(f *testing.F) {
-	var buf bytes.Buffer
-	if _, err := buildTestTrace(f).WriteTo(&buf); err != nil {
-		f.Fatal(err)
+	if slack := cap(got.Times) - len(got.Times); slack > len(got.Times)/100 {
+		t.Errorf("the times column keeps %d spare cells for %d rows", slack, len(got.Times))
 	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	for _, cut := range []int{0, 3, 4, 12, len(valid) / 2, len(valid) - 1} {
-		f.Add(valid[:cut])
-	}
-	bad := buildTestTrace(f)
-	bad.Keys[0] = 99 // dictionary index out of range
-	buf = bytes.Buffer{}
-	if _, err := bad.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte("PFC1\xff\xff\xff\x07"))                     // 2^24 variables, none present
-	f.Add([]byte("PFC1\x00\x00\x00\x80\x80\x80\x80\x04"))     // 2^30 events, none present
-	f.Add([]byte("PFC1\x00\x00\x00\x00\x80\x80\x80\x80\x04")) // 2^30 failures, none present
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var before, after stdruntime.MemStats
-		stdruntime.ReadMemStats(&before)
-		c, err := ReadColumnar(bytes.NewReader(data))
-		stdruntime.ReadMemStats(&after)
-		// The reader's buffer and one chunk per unproven count are the fixed
-		// part; the decoded columns and the scratch block are the rest.
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8<<20+64*len(data)); got > limit {
-			t.Fatalf("%d input bytes made ReadColumnar allocate %d (limit %d)", len(data), got, limit)
-		}
-		if err != nil {
-			if !errors.Is(err, ErrColumnar) {
-				t.Fatalf("err = %v, want an ErrColumnar", err)
-			}
-			return
-		}
-		for i := 0; i < c.Len(); i++ {
-			_ = c.Event(i)
-		}
-	})
 }

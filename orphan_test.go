@@ -242,3 +242,12 @@ func TestNoOrphanSurface(t *testing.T) {
 		}
 	}
 }
+
+// TestExamplesUseTheFacade: an example shows the importable API, so none
+// imports repro/internal/*.
+func TestExamplesUseTheFacade(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", `{{.ImportPath}}: {{join .Imports " "}}`, "./examples/...").Output()
+	if err != nil || len(out) == 0 || strings.Contains(string(out), "repro/internal/") {
+		t.Errorf("go list ./examples/... (err %v) shows an internal import:\n%s", err, out)
+	}
+}
