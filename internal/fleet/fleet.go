@@ -99,9 +99,14 @@ type Config struct {
 	NewActions func(t TenantSpec) (*act.Selector, []*act.Action, error)
 
 	// Shards is the number of ingest shard queues/consumers (default
-	// min(GOMAXPROCS, 8)); Resize changes it live. QueueCapacity bounds
-	// each tenant's sub-queue (default 1024); Overflow is the full-queue
-	// policy (default Block).
+	// min(GOMAXPROCS, 8)); Resize changes it live. QueueCapacity (default
+	// 1024) is one number used twice: the most events one tenant's sub-queue
+	// holds, and the most a shard holds across all of its tenants. A shard
+	// therefore fills before any one tenant's cap can bind: the cap does not
+	// reserve room for the others, and under Block one hot tenant can hold a
+	// whole shard's budget while its neighbours' pushes park (the drain
+	// still interleaves them, deficit round robin). Overflow is the
+	// full-queue policy (default Block).
 	Shards        int
 	QueueCapacity int
 	Overflow      runtime.OverflowPolicy
@@ -261,10 +266,10 @@ type Fleet struct {
 	// under the shared side, cycle evaluation under the exclusive side.
 	stateMu sync.RWMutex
 
-	// pendingN counts events admitted but not yet settled, fleet-wide —
-	// handoffs move queued items between shards, so Barrier's accounting
-	// lives above the shard level.
-	pendingN atomic.Int64
+	// acct counts events admitted and events settled, fleet-wide — handoffs
+	// move queued items between shards, so Barrier's accounting lives above
+	// the shard level.
+	acct settlement
 
 	cycleMu sync.Mutex // serializes cycles with each other and with membership swaps
 
@@ -426,7 +431,7 @@ func (f *Fleet) newShardQueueAt(s int) *shardQueue {
 			"Events dropped per fleet ingest shard (all reasons).", "shard", strconv.Itoa(len(f.shardDrops))))
 	}
 	return newShardQueue(f.cfg.Overflow, f.cfg.QueueCapacity, f.metrics, f.shardDrops[s], f.ratelimited,
-		f.cfg.Tracer, &f.pendingN, f.now, s)
+		f.cfg.Tracer, &f.acct, f.now, s)
 }
 
 // registerShardGauges registers depth gauges for shard indices [shardMetN,
@@ -706,25 +711,25 @@ func (f *Fleet) Resize(shards int) error {
 
 // Ingest offers one tenant event under the configured overflow policy.
 func (f *Fleet) Ingest(ctx context.Context, ev Event) error {
-	tn, ok := f.mem.Load().byID[ev.Tenant]
-	if !ok {
-		f.unknown.Inc()
-		return fmt.Errorf("%w: %q", ErrUnknownTenant, ev.Tenant)
-	}
-	it := item{ev: ev, tn: tn}
-	if f.cfg.Tracer.Sample() {
-		// A sampled item is one with a stamp, so a reading of exactly 0 (the
-		// tracer's first nanosecond) is nudged to 1.
-		if it.traceStart = f.cfg.Tracer.Now(); it.traceStart == 0 {
-			it.traceStart = 1
-		}
-	}
-	err := tn.q.push(ctx, it)
-	if errors.Is(err, errTenantRemoved) {
-		f.unknown.Inc()
+	err := f.ingest(ctx, f.mem.Load().byID[ev.Tenant], &ev)
+	if err == ErrUnknownTenant {
 		return fmt.Errorf("%w: %q", ErrUnknownTenant, ev.Tenant)
 	}
 	return err
+}
+
+// ingest offers *ev to the tenant its ID resolved to, nil for none: that, and
+// a tenant retired since it was resolved, is counted and answered with
+// ErrUnknownTenant itself, unwrapped — Pump skips such a record without
+// building an error for it. *ev is copied once, into its queue slot.
+func (f *Fleet) ingest(ctx context.Context, tn *tenant, ev *Event) error {
+	if tn != nil {
+		if err := tn.q.push(ctx, ev); err != errTenantRemoved {
+			return err
+		}
+	}
+	f.unknown.Inc()
+	return ErrUnknownTenant
 }
 
 // RecordFailure journals one observed ground-truth failure of a tenant at
@@ -734,6 +739,12 @@ func (f *Fleet) RecordFailure(tenantID string, t float64) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownTenant, tenantID)
 	}
+	tn.recordFailure(t)
+	return nil
+}
+
+// recordFailure is RecordFailure once the tenant is resolved.
+func (tn *tenant) recordFailure(t float64) {
 	tn.failures.Add(1)
 	for {
 		old := tn.lastFailure.Load()
@@ -746,7 +757,6 @@ func (f *Fleet) RecordFailure(tenantID string, t float64) error {
 		}
 	}
 	tn.ledger.RecordFailure(t)
-	return nil
 }
 
 // consumeLoop drains one shard in chunks: each chunk applies under a
@@ -771,7 +781,7 @@ func (f *Fleet) consumeLoop(q *shardQueue) {
 			for i := 0; i < n; i++ {
 				f.metrics.DroppedShutdown.Inc()
 				q.drops.Inc()
-				q.traceDrop(buf[i])
+				q.traceDrop(&buf[i].ev, buf[i].traceStart)
 			}
 			q.settled(buf, n)
 			continue
@@ -998,10 +1008,15 @@ func (f *Fleet) finishTenant(tn *tenant, now float64) {
 
 // Barrier blocks until every event admitted before the call has been fully
 // processed (applied or shed) — the quiescence point deterministic replay
-// evaluates at. The caller must pause ingest for the guarantee to be
-// meaningful.
+// evaluates at. The caller must pause ingest for the guarantee to hold:
+// Barrier waits until as many events have settled as had been admitted when
+// it was called, and counts do not say which. With ingest running, events
+// admitted after the call and settled on a fast shard count towards it, so
+// Barrier may return while an earlier event is still queued on a slow one;
+// it does not wait for an instant with nothing pending fleet-wide.
 func (f *Fleet) Barrier(ctx context.Context) error {
-	return runtime.AwaitSettled(ctx, func() bool { return f.pendingN.Load() == 0 })
+	admitted := f.acct.admitted.Value()
+	return runtime.AwaitSettled(ctx, func() bool { return f.acct.settled.Value() >= admitted })
 }
 
 // Stop shuts the fleet down by the shared stop protocol (runtime.Shell):

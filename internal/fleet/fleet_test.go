@@ -796,9 +796,10 @@ func countingFleet(t *testing.T, n int, tracer *obs.Tracer) (f *Fleet, ids []str
 // TestFleetIngestZeroAllocs holds multi-tenant ingest — tenant lookup,
 // consistent-hash routing, the per-tenant queues, the DRR chunked drain, one
 // Apply per event, span tracing on — to zero allocations per event at 1 and
-// at 1000 tenants. One run is a round-robin burst well inside every tenant's
-// queue capacity, then a Barrier: no producer parks (a park allocates its
-// wake channel, by design — Block is the slow path).
+// at 1000 tenants, through Ingest and through Pump over a SliceSource (whose
+// tenant table is on Pump's stack). One run is a round-robin burst well
+// inside every tenant's queue capacity, then a Barrier: no producer parks (a
+// park allocates its wake channel, by design — Block is the slow path).
 func TestFleetIngestZeroAllocs(t *testing.T) {
 	const burst = 2048
 	for _, tenants := range []int{1, 1000} {
@@ -806,7 +807,7 @@ func TestFleetIngestZeroAllocs(t *testing.T) {
 			f, ids, applied := countingFleet(t, tenants, obs.NewTracer(256))
 			ctx := context.Background()
 			next := 0
-			run := func() {
+			ingest := func() {
 				for i := 0; i < burst; i++ {
 					if err := f.Ingest(ctx, sample(ids[next%tenants], float64(next), 1)); err != nil {
 						t.Fatal(err)
@@ -817,11 +818,30 @@ func TestFleetIngestZeroAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for i := 0; i < 8; i++ { // tenant queues grow to their working size
-				run()
+			recs := make([]Record, burst)
+			for i := range recs {
+				recs[i] = Record{Event: sample(ids[i%tenants], float64(i), 1)}
 			}
-			if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+			src := NewSliceSource(recs)
+			pump := func() {
+				src.i = 0
+				if n, err := Pump(ctx, f, src); err != nil || n != burst {
+					t.Fatalf("Pump = (%d, %v), want (%d, nil)", n, err, burst)
+				}
+				next += burst
+				if err := f.Barrier(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 8; i++ { // tenant queues grow to their working size
+				ingest()
+			}
+			pump() // Pump's goroutine stack grows to hold the table
+			if allocs := testing.AllocsPerRun(50, ingest); allocs != 0 {
 				t.Fatalf("Ingest→drain allocates %.1f objects per %d-event burst, want 0", allocs, burst)
+			}
+			if allocs := testing.AllocsPerRun(50, pump); allocs != 0 {
+				t.Fatalf("Pump→drain allocates %.1f objects per %d-record burst, want 0", allocs, burst)
 			}
 			if got := applied.Load(); got != int64(next) {
 				t.Fatalf("applied %d of %d", got, next)

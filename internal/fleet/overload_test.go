@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,7 +26,7 @@ type overloadQueue struct {
 	q       *shardQueue
 	m       *runtime.Metrics
 	drops   runtime.Counter
-	pending atomic.Int64
+	acct    settlement
 	drained int // events the test took out and settled
 }
 
@@ -40,7 +39,7 @@ func newOverloadQueue(policy runtime.OverflowPolicy) *overloadQueue {
 // shard builds one more shard over the same counters (a handoff target).
 func (h *overloadQueue) shard(policy runtime.OverflowPolicy, index int) *shardQueue {
 	return newShardQueue(policy, overloadCap, h.m, &h.drops, &runtime.Counter{},
-		nil, &h.pending, func() float64 { return 0 }, index)
+		nil, &h.acct, func() float64 { return 0 }, index)
 }
 
 func (h *overloadQueue) tenant(id string, capacity int) *tenantQueue {
@@ -56,8 +55,8 @@ func (h *overloadQueue) limitedTenant(id string, capacity int, rate float64) *te
 	return tn.q
 }
 
-func qitem(tq *tenantQueue, seq int) item {
-	return item{ev: Event{Tenant: tq.tn.spec.ID, Time: float64(seq)}, tn: tq.tn}
+func qitem(tq *tenantQueue, seq int) *Event {
+	return &Event{Tenant: tq.tn.spec.ID, Time: float64(seq)}
 }
 
 // fill pushes seq from..to-1; none of them may block.
@@ -110,7 +109,7 @@ func (h *overloadQueue) conserved(t *testing.T) {
 	if got := h.drops.Value(); got != h.m.Dropped() {
 		t.Errorf("per-shard drops %d != Σ dropped by reason %d", got, h.m.Dropped())
 	}
-	if p := h.pending.Load(); p != 0 {
+	if p := pending(&h.acct); p != 0 {
 		t.Errorf("pending %d, want 0", p)
 	}
 }
@@ -446,11 +445,17 @@ func (o *overloadFleet) settle(t *testing.T) {
 
 func (o *overloadFleet) conserved(t *testing.T) {
 	t.Helper()
-	m := o.f.Metrics()
+	conservedFleet(t, o.f)
+}
+
+// conservedFleet checks ingested = applied + Σ dropped with nothing pending.
+func conservedFleet(t *testing.T, f *Fleet) {
+	t.Helper()
+	m := f.Metrics()
 	if in, ap, dr := m.Ingested.Value(), m.Applied.Value(), m.Dropped(); in != ap+dr {
 		t.Errorf("ingested %d != applied %d + dropped %d", in, ap, dr)
 	}
-	if p := o.f.pendingN.Load(); p != 0 {
+	if p := pending(&f.acct); p != 0 {
 		t.Errorf("pending %d, want 0", p)
 	}
 }

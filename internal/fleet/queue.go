@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/runtime"
@@ -19,13 +18,27 @@ var errTenantRemoved = errors.New("fleet: tenant removed")
 
 // item is one queued event with its routing target resolved (so the
 // consumer never repeats the tenant lookup) and its trace stamp. 128 bytes:
-// every tenant ring is a power-of-two multiple of it.
+// every tenant ring is a power-of-two multiple of it. An item is only ever
+// built in its queue slot (admitLocked): the event is copied once, from the
+// producer's record.
 type item struct {
 	ev Event
 	tn *tenant
-	// traceStart is the tracer time at Ingest entry, which is also the queue
-	// offer (the push follows within nanoseconds); 0 means not sampled.
+	// traceStart is the tracer time at which the push first held its shard's
+	// lock, which is also the queue offer; 0 means not sampled.
 	traceStart int64
+}
+
+// settlement is Barrier's accounting, fleet-wide because a handoff moves
+// queued events between shards: how many events have entered a queue and how
+// many have left one — applied, shed or evicted. The two counts sit on lines
+// of their own (runtime.Counter pads itself): producers write admitted (under
+// a shard lock, once an event), consumers write settled (once a chunk), and
+// neither line bounces between them the way one shared pending count did.
+type settlement struct {
+	_        [64]byte // whatever precedes the struct stays off admitted's line
+	admitted runtime.Counter
+	settled  runtime.Counter
 }
 
 // drrQuantum is the deficit-round-robin quantum: how many queued events one
@@ -106,17 +119,25 @@ func (tq *tenantQueue) lockOwner() *shardQueue {
 	}
 }
 
-// push offers one event to the tenant's sub-queue under the overflow policy:
+// push offers *ev to the tenant's sub-queue under the overflow policy:
 // ErrClosed after fleet shutdown (event not counted), ctx.Err() when a blocked
 // push is canceled (counted ingested + dropped), DropNewest rejections counted
-// but not surfaced, errTenantRemoved after RemoveTenant (not counted).
+// but not surfaced, errTenantRemoved after RemoveTenant (not counted). *ev is
+// read under the lock and not kept.
 //
 // Block follows runtime.Waiters: a push that finds no room — its tenant at
 // its cap, or the shard over its budget — parks on the owning shard and, woken,
 // checks everything again under the lock. A tenant removed or re-homed while
 // the push slept is therefore nothing special, just what the re-check finds.
-func (tq *tenantQueue) push(ctx context.Context, it item) error {
+func (tq *tenantQueue) push(ctx context.Context, ev *Event) error {
 	q := tq.lockOwner()
+	// A push about to be refused takes no sampling tick: it leaves no trace,
+	// and a trace that keeps naming a retired tenant must not thin out the
+	// sampling of the shard's live ones.
+	var traceStart int64
+	if !tq.closed && !q.closed {
+		traceStart = q.sampleLocked()
+	}
 	var parkedOn *shardQueue // where this push last slept
 	for {
 		switch {
@@ -129,7 +150,7 @@ func (tq *tenantQueue) push(ctx context.Context, it item) error {
 			q.mu.Unlock()
 			return runtime.ErrClosed
 		case !tq.buf.Full() && q.total < q.capTotal:
-			q.admitLocked(tq, &it)
+			q.admitLocked(tq, ev, traceStart)
 			q.mu.Unlock()
 			return nil
 		case q.policy == runtime.DropOldest:
@@ -153,25 +174,25 @@ func (tq *tenantQueue) push(ctx context.Context, it item) error {
 				// everything mid-handoff); shed the incoming event.
 				q.metrics.Ingested.Inc()
 				q.mu.Unlock()
-				q.traceDrop(it)
+				q.traceDrop(ev, traceStart)
 				return nil
 			}
 			old := victim.buf.Pop()
 			q.total--
-			q.pending.Add(-1)
+			q.acct.settled.Inc()
 			if victim.buf.Len() == 0 && victim.active {
 				q.removeActiveLocked(victim)
 			}
-			q.admitLocked(tq, &it)
+			q.admitLocked(tq, ev, traceStart)
 			q.mu.Unlock()
-			q.traceDrop(old)
+			q.traceDrop(&old.ev, old.traceStart)
 			return nil
 		case q.policy == runtime.DropNewest:
 			q.metrics.Ingested.Inc()
 			q.metrics.DroppedNewest.Inc()
 			q.drops.Inc()
 			q.mu.Unlock()
-			q.traceDrop(it)
+			q.traceDrop(ev, traceStart)
 			return nil
 		default: // Block
 			parkedOn = q
@@ -180,7 +201,7 @@ func (tq *tenantQueue) push(ctx context.Context, it item) error {
 				q.metrics.DroppedCanceled.Inc()
 				q.drops.Inc()
 				q.leaveLocked(q)
-				q.traceDrop(it)
+				q.traceDrop(ev, traceStart)
 				return err
 			}
 			if tq.owner.Load() != q {
@@ -192,13 +213,37 @@ func (tq *tenantQueue) push(ctx context.Context, it item) error {
 	}
 }
 
-// admitLocked enqueues one event that fits and accounts it ingested.
-func (q *shardQueue) admitLocked(tq *tenantQueue, it *item) {
-	tq.buf.Push(it)
+// admitLocked enqueues one event that fits — the item is built in its slot —
+// and accounts it ingested.
+func (q *shardQueue) admitLocked(tq *tenantQueue, ev *Event, traceStart int64) {
+	it := tq.buf.PushSlot()
+	it.ev = *ev
+	it.tn = tq.tn
+	it.traceStart = traceStart
 	q.total++
 	q.metrics.Ingested.Inc()
-	q.pending.Add(1)
+	q.acct.admitted.Inc()
 	q.activateLocked(tq)
+}
+
+// sampleLocked decides whether the push that just took q's lock is traced and
+// returns its stamp (0: not sampled). One push in every sampleEvery is, the
+// shard's first among them, counted on a tick the lock already guards rather
+// than on an atomic every producer shares.
+func (q *shardQueue) sampleLocked() int64 {
+	if q.sampleEvery == 0 {
+		return 0
+	}
+	tick := q.sampleTick
+	if q.sampleTick++; q.sampleTick == q.sampleEvery {
+		q.sampleTick = 0
+	}
+	if tick != 0 {
+		return 0
+	}
+	// A sampled item is one with a stamp, so a reading of exactly 0 (the
+	// tracer's first nanosecond) is nudged to 1.
+	return max(q.tracer.Now(), 1)
 }
 
 // leaveLocked unlocks q on behalf of a push that is going away without
@@ -212,10 +257,10 @@ func (q *shardQueue) leaveLocked(parkedOn *shardQueue) {
 }
 
 // shardQueue is one shard's ingest scheduler: a deficit-round-robin pass
-// over the member tenant sub-queues, so a hot tenant can saturate only its own
-// sub-queue while the drain keeps interleaving every backlogged tenant. The
-// chunk discipline is runtime.Ring's: one lock acquisition fills one consumer
-// chunk.
+// over the member tenant sub-queues, so that however much of the shard a hot
+// tenant's backlog holds, the drain keeps interleaving every backlogged
+// tenant. The chunk discipline is runtime.Ring's: one lock acquisition fills
+// one consumer chunk.
 type shardQueue struct {
 	mu       sync.Mutex
 	notEmpty sync.Cond
@@ -224,12 +269,14 @@ type shardQueue struct {
 	cursor int            // DRR position in active
 
 	// total tracks queued events across owned sub-queues against capTotal,
-	// the shard-wide budget (Config.QueueCapacity). Per-tenant caps bound
-	// how much of that budget one tenant can hold; the shared budget is
+	// the shard-wide budget (Config.QueueCapacity). The shared budget is
 	// what makes Block/DropOldest apply backpressure at one aggregate depth
-	// however the backlog is spread over tenants. Block-policy producers
-	// wait on the shard, not the tenant, because that budget is the scarce
-	// resource.
+	// however the backlog is spread over tenants. The fleet gives every
+	// tenant queue the same number as its cap, so the budget always binds
+	// first and one tenant can hold all of it; a cap below the budget (the
+	// queue tests build them) is what would bound a tenant's share.
+	// Block-policy producers wait on the shard, not the tenant, because that
+	// budget is the scarce resource.
 	total    int
 	capTotal int
 	waiters  runtime.Waiters
@@ -241,13 +288,15 @@ type shardQueue struct {
 	drops       *runtime.Counter // per-shard, all reasons
 	ratelimited *runtime.Counter // fleet-wide: scheduler skips for empty buckets
 	tracer      *obs.Tracer
-	pending     *atomic.Int64 // fleet-wide admitted-not-settled (Barrier)
+	sampleEvery int         // tracer.Interval(); 0 = tracing off
+	sampleTick  int         // pushes since the last sampled one
+	acct        *settlement // fleet-wide (Barrier)
 
 	closed bool
 	shard  int
 }
 
-func newShardQueue(policy runtime.OverflowPolicy, capacity int, m *runtime.Metrics, drops, ratelimited *runtime.Counter, tracer *obs.Tracer, pending *atomic.Int64, clock func() float64, shard int) *shardQueue {
+func newShardQueue(policy runtime.OverflowPolicy, capacity int, m *runtime.Metrics, drops, ratelimited *runtime.Counter, tracer *obs.Tracer, acct *settlement, clock func() float64, shard int) *shardQueue {
 	q := &shardQueue{
 		capTotal:    capacity,
 		policy:      policy,
@@ -256,7 +305,8 @@ func newShardQueue(policy runtime.OverflowPolicy, capacity int, m *runtime.Metri
 		drops:       drops,
 		ratelimited: ratelimited,
 		tracer:      tracer,
-		pending:     pending,
+		sampleEvery: tracer.Interval(),
+		acct:        acct,
 		shard:       shard,
 	}
 	q.notEmpty.L = &q.mu
@@ -331,7 +381,7 @@ func (q *shardQueue) settled(buf []item, n int) {
 	if n == 0 {
 		return
 	}
-	q.pending.Add(-int64(n))
+	q.acct.settled.Add(int64(n))
 	i := 0
 	for i < n {
 		tq := buf[i].tn.q
@@ -345,10 +395,10 @@ func (q *shardQueue) settled(buf []item, n int) {
 }
 
 // traceDrop publishes the shed event's partial trace.
-func (q *shardQueue) traceDrop(it item) {
-	if it.traceStart != 0 && q.tracer != nil {
-		q.tracer.PublishDropped(uint8(it.ev.Kind), it.ev.Tenant, q.shard,
-			it.traceStart, it.traceStart, q.tracer.Now())
+func (q *shardQueue) traceDrop(ev *Event, traceStart int64) {
+	if traceStart != 0 {
+		q.tracer.PublishDropped(uint8(ev.Kind), ev.Tenant, q.shard,
+			traceStart, traceStart, q.tracer.Now())
 	}
 }
 
@@ -461,10 +511,11 @@ func (tq *tenantQueue) closeAndDrain() {
 	for i := 0; i < shed; i++ {
 		q.metrics.DroppedShutdown.Inc()
 		q.drops.Inc()
-		q.traceDrop(tq.buf.Pop())
+		old := tq.buf.Pop()
+		q.traceDrop(&old.ev, old.traceStart)
 	}
 	q.total -= shed
-	q.pending.Add(-int64(shed))
+	q.acct.settled.Add(int64(shed))
 	q.waiters.WakeAll() // budget freed, and the tenant's own pushes must leave
 	q.mu.Unlock()
 }
@@ -491,9 +542,9 @@ func moveQueue(tq *tenantQueue, dst *shardQueue) int {
 	// under the lock of the shard it will push to); the others may fit now.
 	src.waiters.WakeAll()
 	src.mu.Unlock()
-	for tq.inflight.Load() != 0 {
-		time.Sleep(20 * time.Microsecond)
-	}
+	// The chunk is a few events from settling: yield, do not sleep a timer
+	// tick per moved tenant (AwaitSettled). No ctx: the consumer always settles.
+	_ = runtime.AwaitSettled(context.Background(), func() bool { return tq.inflight.Load() == 0 })
 	dst.mu.Lock()
 	// The detach snapshot, not the live length: pushes that landed between
 	// detach and attach were already counted in dst.total when admitted.

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -27,16 +26,20 @@ func TestEventSize(t *testing.T) {
 
 // queueHarness wires a bare shardQueue for direct scheduler tests.
 type queueHarness struct {
-	q       *shardQueue
-	pending atomic.Int64
-	clock   float64
-	rl      runtime.Counter
+	q     *shardQueue
+	acct  settlement
+	clock float64
+	rl    runtime.Counter
 }
+
+// pending reads Barrier's two counts as the one they replaced: events
+// admitted and not yet settled.
+func pending(a *settlement) int64 { return a.admitted.Value() - a.settled.Value() }
 
 func newQueueHarness(policy runtime.OverflowPolicy) *queueHarness {
 	h := &queueHarness{}
 	h.q = newShardQueue(policy, 1<<16, runtime.NewMetrics(), &runtime.Counter{}, &h.rl,
-		nil, &h.pending, func() float64 { return h.clock }, 0)
+		nil, &h.acct, func() float64 { return h.clock }, 0)
 	return h
 }
 
@@ -55,8 +58,7 @@ func queued(tq *tenantQueue) int { return tq.buf.Len() }
 func (h *queueHarness) fill(t *testing.T, tq *tenantQueue, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		it := item{ev: Event{Tenant: tq.tn.spec.ID, Time: float64(i)}, tn: tq.tn}
-		if err := tq.push(context.Background(), it); err != nil {
+		if err := tq.push(context.Background(), &Event{Tenant: tq.tn.spec.ID, Time: float64(i)}); err != nil {
 			t.Fatalf("push %s[%d]: %v", tq.tn.spec.ID, i, err)
 		}
 	}
@@ -127,7 +129,7 @@ func TestDRRFairness(t *testing.T) {
 	if total != 1015 {
 		t.Errorf("drained %d events total, want 1015", total)
 	}
-	if got := h.pending.Load(); got != 0 {
+	if got := pending(&h.acct); got != 0 {
 		t.Errorf("pending = %d after full settle, want 0", got)
 	}
 }
@@ -215,7 +217,7 @@ func TestMoveQueuePreservesBacklog(t *testing.T) {
 	h.fill(t, tq, 9)
 
 	dst := newShardQueue(runtime.Block, 1<<16, runtime.NewMetrics(), &runtime.Counter{}, nil,
-		nil, &h.pending, func() float64 { return 0 }, 1)
+		nil, &h.acct, func() float64 { return 0 }, 1)
 	if got := moveQueue(tq, dst); got != 9 {
 		t.Fatalf("moveQueue = %d, want 9", got)
 	}
@@ -238,7 +240,7 @@ func TestMoveQueuePreservesBacklog(t *testing.T) {
 		}
 	}
 	dst.settled(buf, n)
-	if got := h.pending.Load(); got != 0 {
+	if got := pending(&h.acct); got != 0 {
 		t.Errorf("pending = %d after settle, want 0", got)
 	}
 	// The source no longer schedules the tenant.

