@@ -435,41 +435,7 @@ func (p *PendingAct) Drop(d *Decision) {
 // observer could meaningfully see. Decide/commit pairs on one engine must
 // not interleave with other decisions on the same engine.
 func (e *Engine) DecideOn(now float64, scores []float64) (Decision, PendingAct) {
-	// Combine outside observable state: abstaining layers contribute their
-	// threshold (neutral) to the combiner input and no vote.
-	e.combineMu.Lock()
-	input := e.combineIn
-	votes := 0
-	usable := 0
-	for i, l := range e.layers {
-		s := math.NaN()
-		if i < len(scores) {
-			s = scores[i]
-		}
-		if math.IsNaN(s) {
-			input[i] = l.Threshold // neutral
-			continue
-		}
-		input[i] = s
-		usable++
-		if s >= l.Threshold {
-			votes++
-		}
-	}
-	confidence := 0.0
-	combinerErr := false
-	if e.combiner != nil {
-		c, err := e.combiner(input)
-		if err == nil {
-			confidence = clamp01(c)
-		} else {
-			combinerErr = true
-			e.combinerErrs.Add(1)
-		}
-	} else if usable > 0 {
-		confidence = float64(votes) / float64(len(e.layers))
-	}
-	e.combineMu.Unlock()
+	confidence, combinerErr := e.combine(scores)
 
 	positive := confidence >= e.cfg.WarnThreshold
 	imminent := false
@@ -504,6 +470,45 @@ func (e *Engine) DecideOn(now float64, scores []float64) (Decision, PendingAct) 
 	}
 	e.mu.Unlock()
 	return d, pending
+}
+
+// combine folds one round's layer scores into a confidence, outside
+// observable state. An abstaining layer (NaN, or no score at all) casts no
+// vote and gives the combiner its threshold, which is neutral. Without a
+// combiner the confidence is the share of layers voting, counted on locals:
+// the scratch and its lock exist only to feed a combiner.
+func (e *Engine) combine(scores []float64) (confidence float64, failed bool) {
+	if e.combiner == nil {
+		votes, usable := 0, 0
+		for i, l := range e.layers {
+			if i >= len(scores) || math.IsNaN(scores[i]) {
+				continue
+			}
+			usable++
+			if scores[i] >= l.Threshold {
+				votes++
+			}
+		}
+		if usable == 0 {
+			return 0, false
+		}
+		return float64(votes) / float64(len(e.layers)), false
+	}
+	e.combineMu.Lock()
+	input := e.combineIn
+	for i, l := range e.layers {
+		input[i] = l.Threshold
+		if i < len(scores) && !math.IsNaN(scores[i]) {
+			input[i] = scores[i]
+		}
+	}
+	c, err := e.combiner(input)
+	e.combineMu.Unlock()
+	if err != nil {
+		e.combinerErrs.Add(1)
+		return 0, true
+	}
+	return clamp01(c), false
 }
 
 // versionsLocked returns every layer's serving version, allocating a new

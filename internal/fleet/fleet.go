@@ -827,8 +827,9 @@ func (f *Fleet) EvaluateNow() { f.shell.EvaluateNow() }
 // deferred, a serial budget pass commits the top-budget pending acts in
 // criticality×confidence order (ties by tenant ID — deterministic) and
 // drops the rest, and a finish fan-out journals and accounts the final
-// decisions. Without a budget, decide/commit/finish fuse into a single
-// per-tenant fan-out, so a cycle is two fan-outs whatever len(Layers) is.
+// decisions. Without a budget, decide/commit/finish fuse into that one
+// fan-out, so a cycle is two fan-outs whatever len(Layers) is. The finish
+// fan-out runs over the same BatchSize-tenant ranges as scoring (actRange).
 //
 // Journaling splits by scope: a tenant with a dedicated ledger scope writes
 // its rows inside the act fan-out (nobody else holds that journal), the
@@ -868,18 +869,10 @@ func (f *Fleet) EvaluateCycle() {
 			f.decideTenant(mem, mem.tenants[i], now)
 		})
 		f.resolveBudget(mem)
-		pool.Do(nT, func(i int) {
-			f.finishTenant(mem.tenants[i], now)
-		})
-	} else {
-		pool.Do(nT, func(i int) {
-			tn := mem.tenants[i]
-			f.decideTenant(mem, tn, now)
-			tn.pact.Commit(&tn.dec)
-			tn.pact = core.PendingAct{}
-			f.finishTenant(tn, now)
-		})
 	}
+	pool.Do((nT+b-1)/b, func(c int) {
+		f.actRange(mem, c*b, min(c*b+b, nT), now)
+	})
 	journalFolded(mem, now)
 	f.cfg.Ledger.Advance(now)
 	f.metrics.Evaluations.Inc()
@@ -983,22 +976,53 @@ func (f *Fleet) resolveBudget(mem *membership) {
 	f.actCands = cands[:0] // keep the scratch capacity across cycles
 }
 
-// finishTenant accounts one tenant's resolved decision and runs its act
-// tail (runtime.ActTail.Observe: the journal rows of a dedicated scope, the
-// recorder). lastWarned is also what journalFolded counts.
+// actRange finishes the act stage for tenants [lo,hi): without an ActBudget
+// it first decides and commits each, with one the decisions are those
+// resolveBudget left. The fleet-wide counters are added once for the range,
+// not once a tenant, so the workers of a fan-out do not meet on them.
+func (f *Fleet) actRange(mem *membership, lo, hi int, now float64) {
+	fused := f.cfg.ActBudget == 0
+	var warned, executed, suppressed int64
+	for _, tn := range mem.tenants[lo:hi] {
+		if fused {
+			f.decideTenant(mem, tn, now)
+			tn.pact.Commit(&tn.dec)
+			tn.pact = core.PendingAct{}
+		}
+		if tn.dec.Warned {
+			warned++
+		}
+		if tn.dec.Executed {
+			executed++
+		}
+		if tn.dec.Suppressed {
+			suppressed++
+		}
+		f.finishTenant(tn, now)
+	}
+	if warned > 0 {
+		f.metrics.Warnings.Add(warned)
+	}
+	if executed > 0 {
+		f.metrics.Actions.Add(executed)
+		f.actExecuted.Add(executed)
+	}
+	if suppressed > 0 {
+		f.metrics.Suppressed.Add(suppressed)
+	}
+}
+
+// finishTenant accounts one tenant's resolved decision on the tenant and
+// runs its act tail (runtime.ActTail.Observe: the journal rows of a
+// dedicated scope, the recorder). lastWarned is also what journalFolded
+// counts.
 func (f *Fleet) finishTenant(tn *tenant, now float64) {
 	d := tn.dec
 	if d.Warned {
 		tn.warnings.Add(1)
-		f.metrics.Warnings.Inc()
 	}
 	if d.Executed {
 		tn.actions.Add(1)
-		f.metrics.Actions.Inc()
-		f.actExecuted.Inc()
-	}
-	if d.Suppressed {
-		f.metrics.Suppressed.Inc()
 	}
 	tn.lastWarned.Store(d.Warned)
 	tn.lastConf.Store(math.Float64bits(d.Confidence))

@@ -493,18 +493,33 @@ func (r *Recorder) assembleLocked(p *pendingTrigger) *IncidentBundle {
 	if r.cfg.Diagnose != nil {
 		b.Suspects = r.cfg.Diagnose(b.EventsFrom, b.EventsTo)
 	}
-	// Score history: retained rows at or before the trigger, oldest first.
+	// Score history: retained rows at or before the trigger, oldest first,
+	// copied into one allocation a column. A row's slices are clipped to
+	// their length, so appending to one cannot reach the next row.
+	kept := 0
 	for i := 0; i < r.count; i++ {
-		idx := (r.head - r.count + i + r.depth) % r.depth
-		if r.times[idx] > p.t {
-			continue
+		if r.times[r.rowIndex(i)] <= p.t {
+			kept++
 		}
-		row := idx * r.nLayers
-		b.Scores = append(b.Scores, BundleScore{
-			Time:     r.times[idx],
-			Scores:   append([]float64(nil), r.scores[row:row+r.nLayers]...),
-			Versions: append([]uint64(nil), r.vers[row:row+r.nLayers]...),
-		})
+	}
+	if kept > 0 {
+		b.Scores = make([]BundleScore, 0, kept)
+		scores := make([]float64, 0, kept*r.nLayers)
+		vers := make([]uint64, 0, kept*r.nLayers)
+		for i := 0; i < r.count; i++ {
+			idx := r.rowIndex(i)
+			if r.times[idx] > p.t {
+				continue
+			}
+			row, at := idx*r.nLayers, len(scores)
+			scores = append(scores, r.scores[row:row+r.nLayers]...)
+			vers = append(vers, r.vers[row:row+r.nLayers]...)
+			b.Scores = append(b.Scores, BundleScore{
+				Time:     r.times[idx],
+				Scores:   scores[at:len(scores):len(scores)],
+				Versions: vers[at:len(vers):len(vers)],
+			})
+		}
 	}
 	if r.cfg.Tracer != nil {
 		b.Spans = r.cfg.Tracer.Slowest(recorderSlowSpans)
@@ -521,6 +536,11 @@ func (r *Recorder) assembleLocked(p *pendingTrigger) *IncidentBundle {
 	}
 	b.CaptureSeconds = time.Since(start).Seconds()
 	return b
+}
+
+// rowIndex returns the ring position of the i-th oldest retained score row.
+func (r *Recorder) rowIndex(i int) int {
+	return (r.head - r.count + i + r.depth) % r.depth
 }
 
 // takeReadyLocked hands the undelivered bundles to the caller (which must

@@ -250,6 +250,44 @@ func TestRecorderSubscribeFlush(t *testing.T) {
 	}
 }
 
+// TestRecorderScoreHistoryRows: a bundle's score history is the retained
+// rows oldest first across the ring's wrap, each row a slice of its own (an
+// append to one does not reach the next), and copying it costs the same
+// number of allocations whatever the depth.
+func TestRecorderScoreHistoryRows(t *testing.T) {
+	bundleAllocs := func(depth int) float64 {
+		r := testRecorder(t, RecorderConfig{WarnThreshold: 0.5, Window: 10, ScoreDepth: depth, Refractory: 1e-9, MaxBundles: 1})
+		now, scores, vers := 0.0, make([]float64, 2), []uint64{7, 0}
+		return testing.AllocsPerRun(20, func() {
+			for i := 0; i < depth+3; i++ {
+				now++
+				scores[0], scores[1], vers[1] = now, -now, uint64(now)
+				r.Observe(now, scores, CycleObservation{Warned: i == depth+2, Confidence: 0.9, LayerVersions: vers})
+			}
+			r.Collect()
+			b := r.Bundles()[0]
+			if len(b.Scores) != depth {
+				t.Fatalf("depth %d: %d rows", depth, len(b.Scores))
+			}
+			for i, row := range b.Scores {
+				at := now - float64(depth-1-i)
+				if row.Time != at || len(row.Scores) != 2 || row.Scores[0] != at || row.Scores[1] != -at ||
+					len(row.Versions) != 2 || row.Versions[0] != 7 || row.Versions[1] != uint64(at) {
+					t.Fatalf("depth %d: row %d = %+v, want time %g", depth, i, row, at)
+				}
+			}
+			_ = append(b.Scores[0].Scores, 99)
+			_ = append(b.Scores[0].Versions, 99)
+			if b.Scores[1].Scores[0] == 99 || b.Scores[1].Versions[0] == 99 {
+				t.Fatalf("depth %d: append to row 0 wrote into row 1", depth)
+			}
+		})
+	}
+	if small, large := bundleAllocs(4), bundleAllocs(32); small != large {
+		t.Fatalf("bundle allocations grow with depth: %.0f at 4 rows, %.0f at 32", small, large)
+	}
+}
+
 // TestRecorderSteadyStateZeroAllocs pins the always-on cost: Observe with
 // no trigger firing and Collect with nothing pending must not allocate.
 func TestRecorderSteadyStateZeroAllocs(t *testing.T) {

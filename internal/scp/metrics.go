@@ -39,6 +39,7 @@ const (
 	sarSemops
 	sarErrRate
 	sarFracSlow
+	sarCount // len(SARVariables)
 )
 
 // recordSAR appends one sample per SAR interval. It is allocation-free:

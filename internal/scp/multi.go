@@ -3,7 +3,8 @@ package scp
 import (
 	"fmt"
 	"math"
-	"sort"
+
+	"repro/internal/par"
 )
 
 // Multi-tenant trace generation: a MultiSystem runs N independent SCP
@@ -55,20 +56,42 @@ type MultiConfig struct {
 	Skew float64
 }
 
-// tenantCursor tracks how much of one tenant's output Drain has emitted.
-type tenantCursor struct {
-	log  int
-	fail int
-	sar  map[string]int
+// A tenant's output is streamsPerTenant streams, each already in time
+// order: its error log, its SAR series in SARVariables order, its failure
+// times. Stream k of tenant i has rank i*streamsPerTenant+k, and Drain's
+// order is a merge of all streams on the key (time, rank).
+const (
+	streamLog        = 0
+	streamSAR        = 1 // first of sarCount series
+	streamFail       = streamSAR + sarCount
+	streamsPerTenant = streamFail + 1
+)
+
+// streamCursor is Drain's progress in one stream: records before pos are
+// emitted, end is the stream's length when the current Drain began.
+type streamCursor struct {
+	pos, end int
+}
+
+// streamHead is one stream's next record in Drain's merge heap.
+type streamHead struct {
+	t    float64
+	rank int
+}
+
+func (a streamHead) before(b streamHead) bool {
+	return a.t < b.t || (a.t == b.t && a.rank < b.rank)
 }
 
 // MultiSystem is a fleet of independently seeded SCP simulators advancing
-// on a common clock.
+// on a common clock. Like System it is not goroutine-safe; NewMulti and Run
+// use several goroutines inside and return once they are done.
 type MultiSystem struct {
 	ids     []string
 	systems []*System
 	weights []float64
-	cursors []tenantCursor
+	cursors []streamCursor // indexed by stream rank
+	heads   []streamHead   // Drain's heap, kept for its capacity
 }
 
 // ZipfWeights returns n rank weights r^-s normalized to mean 1 — the load
@@ -105,9 +128,9 @@ func NewMulti(cfg MultiConfig) (*MultiSystem, error) {
 		ids:     make([]string, cfg.Tenants),
 		systems: make([]*System, cfg.Tenants),
 		weights: ZipfWeights(cfg.Tenants, cfg.Skew),
-		cursors: make([]tenantCursor, cfg.Tenants),
+		cursors: make([]streamCursor, cfg.Tenants*streamsPerTenant),
 	}
-	for i := 0; i < cfg.Tenants; i++ {
+	err := forTenants(cfg.Tenants, func(i int) error {
 		tc := base
 		tc.Seed = cfg.BaseSeed + int64(i)
 		tc.BaseLoad = base.BaseLoad * m.weights[i]
@@ -121,13 +144,31 @@ func NewMulti(cfg MultiConfig) (*MultiSystem, error) {
 		}
 		sys, err := New(tc)
 		if err != nil {
-			return nil, fmt.Errorf("tenant %d: %w", i, err)
+			return fmt.Errorf("tenant %d: %w", i, err)
 		}
 		m.ids[i] = TenantID(i)
 		m.systems[i] = sys
-		m.cursors[i].sar = make(map[string]int, len(SARVariables))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// forTenants runs fn(i) for every tenant on up to GOMAXPROCS goroutines
+// and returns the error of the lowest failing i. It is deterministic under
+// the par contract: tenant i has its own seed and fn(i) writes only what
+// belongs to tenant i.
+func forTenants(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	par.For(n, func(i int) { errs[i] = fn(i) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // IDs returns the tenant identifiers in rank order (hottest first under a
@@ -139,50 +180,116 @@ func (m *MultiSystem) Weights() []float64 { return append([]float64(nil), m.weig
 
 // Run advances every tenant by duration simulated seconds.
 func (m *MultiSystem) Run(duration float64) error {
-	for i, sys := range m.systems {
-		if err := sys.Run(duration); err != nil {
+	return forTenants(len(m.systems), func(i int) error {
+		if err := m.systems[i].Run(duration); err != nil {
 			return fmt.Errorf("tenant %s: %w", m.ids[i], err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Drain emits every record produced since the previous Drain as one merged
 // trace, ordered by time with ties broken by tenant rank then by record
-// kind (errors, samples, failures) — a deterministic interleaving for any
-// fleet size. Call after each Run slice for wall-paced replay, or once
-// after a full Run for a complete fixture.
+// kind (errors, samples in SARVariables order, failures) — a deterministic
+// interleaving for any fleet size. Call after each Run slice for wall-paced
+// replay, or once after a full Run for a complete fixture.
+//
+// It is a k-way merge: every stream is in time order already, so the new
+// records are counted, the result allocated once at that size, and filled
+// from a heap of stream heads keyed (time, rank) — what a stable sort by
+// time of the streams laid end to end in rank order gives.
 func (m *MultiSystem) Drain() []TraceRecord {
-	var out []TraceRecord
+	heads := m.heads[:0]
+	total := 0
 	for i, sys := range m.systems {
-		cur := &m.cursors[i]
-		id := m.ids[i]
-		log := sys.Log()
-		for n := log.Len(); cur.log < n; cur.log++ {
-			e := log.At(cur.log)
-			out = append(out, TraceRecord{
-				Tenant: id, Kind: TraceError, Time: e.Time,
-				Component: e.Component, Type: e.Type,
-				Severity: int(e.Severity), Message: e.Message,
-			})
-		}
-		for _, name := range SARVariables {
-			series, err := sys.SAR(name)
-			if err != nil {
-				continue
+		for k := 0; k < streamsPerTenant; k++ {
+			rank := i*streamsPerTenant + k
+			c := &m.cursors[rank]
+			c.end = sys.streamLen(k)
+			if c.pos < c.end {
+				total += c.end - c.pos
+				heads = append(heads, streamHead{t: sys.streamTime(k, c.pos), rank: rank})
 			}
-			for n := series.Len(); cur.sar[name] < n; cur.sar[name]++ {
-				p := series.At(cur.sar[name])
-				out = append(out, TraceRecord{
-					Tenant: id, Kind: TraceSample, Time: p.T,
-					Variable: name, Value: p.V,
-				})
-			}
-		}
-		for times := sys.FailureTimes(); cur.fail < len(times); cur.fail++ {
-			out = append(out, TraceRecord{Tenant: id, Kind: TraceFailure, Time: times[cur.fail]})
 		}
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Time < out[b].Time })
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		siftDown(heads, i)
+	}
+	out := make([]TraceRecord, total)
+	for n := range out {
+		rank := heads[0].rank
+		i, k := rank/streamsPerTenant, rank%streamsPerTenant
+		sys, c := m.systems[i], &m.cursors[rank]
+		out[n].Tenant = m.ids[i]
+		sys.streamRecord(k, c.pos, &out[n])
+		if c.pos++; c.pos < c.end {
+			heads[0].t = sys.streamTime(k, c.pos)
+		} else {
+			last := len(heads) - 1
+			heads[0] = heads[last]
+			heads = heads[:last]
+		}
+		siftDown(heads, 0)
+	}
+	m.heads = heads
 	return out
+}
+
+// siftDown restores the min-heap below position i.
+func siftDown(h []streamHead, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// streamLen returns the length of the tenant's stream k.
+func (s *System) streamLen(k int) int {
+	switch k {
+	case streamLog:
+		return s.log.Len()
+	case streamFail:
+		return len(s.failures)
+	default:
+		return s.sarSeries[k-streamSAR].Len()
+	}
+}
+
+// streamTime returns the time of record pos of stream k.
+func (s *System) streamTime(k, pos int) float64 {
+	switch k {
+	case streamLog:
+		return s.log.TimeAt(pos)
+	case streamFail:
+		return s.failures[pos].Time
+	default:
+		return s.sarSeries[k-streamSAR].At(pos).T
+	}
+}
+
+// streamRecord fills r, zero but for its Tenant, with record pos of
+// stream k.
+func (s *System) streamRecord(k, pos int, r *TraceRecord) {
+	switch k {
+	case streamLog:
+		e := s.log.At(pos)
+		r.Kind, r.Time = TraceError, e.Time
+		r.Component, r.Type, r.Severity, r.Message = e.Component, e.Type, int(e.Severity), e.Message
+	case streamFail:
+		r.Kind, r.Time = TraceFailure, s.failures[pos].Time
+	default:
+		p := s.sarSeries[k-streamSAR].At(pos)
+		r.Kind, r.Time = TraceSample, p.T
+		r.Variable, r.Value = SARVariables[k-streamSAR], p.V
+	}
 }

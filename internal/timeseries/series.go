@@ -68,13 +68,13 @@ func (s *Series) Values() []float64 {
 }
 
 // Window returns the sub-series with times in the half-open interval
-// [from, to).
+// [from, to). It is a view of s, not a copy: it shares s's points and holds
+// what s held when Window was called. Its capacity is clipped to its length,
+// so an Append to the view copies the points out instead of writing into s.
 func (s *Series) Window(from, to float64) *Series {
 	lo := sort.Search(len(s.points), func(i int) bool { return s.points[i].T >= from })
 	hi := sort.Search(len(s.points), func(i int) bool { return s.points[i].T >= to })
-	out := New(s.Name)
-	out.points = append(out.points, s.points[lo:hi]...)
-	return out
+	return &Series{Name: s.Name, points: s.points[lo:hi:hi]}
 }
 
 // ValueAt returns the latest observed value at or before t (zero-order

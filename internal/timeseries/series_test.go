@@ -56,6 +56,14 @@ func TestWindow(t *testing.T) {
 	if w.Len() != 2 || w.At(0).T != 2 || w.At(1).T != 3 {
 		t.Fatalf("Window(2,4) = %v", w.points)
 	}
+	// The window is a view with clipped capacity: an Append to it must not
+	// write into its parent.
+	if err := w.Append(3.5, 35); err != nil {
+		t.Fatal(err)
+	}
+	if w.Len() != 3 || s.Len() != 4 || s.At(3) != (Point{4, 4}) {
+		t.Fatalf("Append to the window reached its parent: %v", s.points)
+	}
 	if s.Window(10, 20).Len() != 0 {
 		t.Fatal("out-of-range window not empty")
 	}
