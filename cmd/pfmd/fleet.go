@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -90,8 +89,7 @@ func runFleet(ctx context.Context, o *options) error {
 		specs[i] = fleet.TenantSpec{ID: id, Criticality: weights[i], RateLimit: o.rateLimit}
 	}
 
-	var simNow atomic.Uint64 // Float64bits of the replay's domain time, from 0
-
+	var clock domainClock
 	scpCfg := scp.DefaultConfig()
 	layers := fleetLayers()
 	names := make([]string, len(layers))
@@ -117,7 +115,7 @@ func runFleet(ctx context.Context, o *options) error {
 			return st.(*fleetState).apply(ev)
 		},
 		Engine: core.Config{
-			EvalInterval:        o.compress * o.rt.EvalInterval.Seconds(),
+			EvalInterval:        o.eval,
 			LeadTime:            leadTime,
 			WarnThreshold:       0.5,
 			OscillationWindow:   1800,
@@ -128,8 +126,7 @@ func runFleet(ctx context.Context, o *options) error {
 		Overflow:      o.rt.Overflow,
 		Workers:       o.rt.Workers,
 		ActBudget:     o.actBudget,
-		EvalInterval:  o.rt.EvalInterval,
-		Clock:         func() float64 { return math.Float64frombits(simNow.Load()) },
+		Clock:         clock.now,
 		Tracer:        tracer,
 		Ledger:        led,
 		Recorder:      recorder,
@@ -139,126 +136,67 @@ func runFleet(ctx context.Context, o *options) error {
 		return err
 	}
 
+	// The input: a TCP listener (senders pace themselves against the fleet's
+	// backpressure), a recorded trace paced at -compress, or the simulator.
+	var src fleet.Source
+	var ls *fleet.ListenSource
+	source := "simulator"
+	switch {
+	case o.listen != "":
+		if ls, err = fleet.Listen(o.listen); err != nil {
+			return err
+		}
+		defer ls.Close()
+		// The listen edge on the fleet's /metrics plane: records ÷ slabs says
+		// whether full slabs or flush-on-idle drive the hand-offs.
+		ls.RegisterMetrics(f.Metrics().Registry())
+		defer context.AfterFunc(ctx, func() { _ = ls.Close() })()
+		src, source = ls, "listen "+ls.Addr()
+	case o.fleetTrace != "":
+		trace, closer, err := fleet.OpenTrace(o.fleetTrace)
+		if err != nil {
+			return err
+		}
+		defer closer.Close()
+		src = &pacedSource{ctx: ctx, src: trace, compress: o.compress, start: time.Now()}
+		source = o.fleetTrace
+	default:
+		src = o.simulate(ctx, multi)
+	}
+
 	srv, bound, err := o.start(ctx, f.Start, f.Serve)
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
-	source := "simulator"
-	switch {
-	case o.listen != "":
-		source = "listen " + o.listen
-	case o.fleetTrace != "":
-		source = o.fleetTrace
-	}
 	logger.Info("fleet started",
 		"tenants", o.tenants, "skew", o.skew, "shards", f.Shards(),
-		"addr", bound, "source", source)
+		"addr", bound, "source", source, "cadence_sim_s", o.eval)
 
-	horizon := o.days * 86400
-	switch {
-	case o.listen != "":
-		err = serveFleetListen(ctx, f, o.listen, &simNow, logger)
-	case o.fleetTrace != "":
-		err = replayFleetFile(ctx, f, o.fleetTrace, o.compress, &simNow)
-	default:
-		err = replayFleetSim(ctx, f, multi, horizon, o.compress, &simNow)
+	// The clock reads each boundary before its Barrier, so that with
+	// -rate-limit the buckets refill up to it and the Barrier waits only for
+	// what they let through.
+	n, err := fleet.Pump(ctx, f, newStepper(src, o.eval, &clock, func(nows []float64) error {
+		for _, b := range nows {
+			clock.advance(b)
+			if err := f.Barrier(ctx); err != nil {
+				return err
+			}
+			f.EvaluateCycle()
+		}
+		return nil
+	}))
+	attrs := []any{"records", n, "sim_now", clock.now()}
+	if ls != nil {
+		attrs = append(attrs, "conns", ls.Conns(), "decodeErrors", ls.DecodeErrors())
 	}
-	o.stop(f.Stop, 10*time.Second)
+	logger.Info("fleet ingest done", attrs...)
+	o.stop(f.Stop)
 	if err != nil && ctx.Err() == nil {
 		return err
 	}
-	logFleetSummary(logger, f, led, math.Float64frombits(simNow.Load()))
+	logFleetSummary(logger, f, led, clock.now())
 	return nil
-}
-
-// serveFleetListen ingests from a TCP trace listener until the context
-// ends: senders (loggen -send, or any syslog-style shipper speaking the
-// text protocol) pace themselves against the fleet's backpressure, and the
-// domain clock follows the newest record time seen.
-func serveFleetListen(ctx context.Context, f *fleet.Fleet, addr string, simNow *atomic.Uint64, logger *slog.Logger) error {
-	ls, err := fleet.Listen(addr)
-	if err != nil {
-		return err
-	}
-	// The listen edge on the fleet's /metrics plane: records ÷ slabs says
-	// whether full slabs or flush-on-idle drive the hand-offs.
-	ls.RegisterMetrics(f.Metrics().Registry())
-	logger.Info("fleet ingest listening", "addr", ls.Addr())
-	go func() {
-		<-ctx.Done()
-		_ = ls.Close()
-	}()
-	defer ls.Close()
-	n, err := fleet.Pump(ctx, f, &clockSource{src: ls, simNow: simNow})
-	logger.Info("fleet ingest done",
-		"records", n, "conns", ls.Conns(), "decodeErrors", ls.DecodeErrors())
-	return err
-}
-
-// clockSource advances the fleet's domain clock to the newest record time
-// as records pass. With compress > 0 it first sleeps until each record's
-// domain time is due under that compression (file replay); with 0 it does
-// not pace (a network sender sets the pace).
-type clockSource struct {
-	src      fleet.Source
-	simNow   *atomic.Uint64
-	compress float64
-	start    time.Time
-	ctx      context.Context
-}
-
-func (c *clockSource) Next() (fleet.Record, error) {
-	rec, err := c.src.Next()
-	if err != nil {
-		return rec, err
-	}
-	if c.compress > 0 {
-		due := c.start.Add(time.Duration(rec.Event.Time / c.compress * float64(time.Second)))
-		if wait := time.Until(due); wait > 0 {
-			select {
-			case <-c.ctx.Done():
-				return fleet.Record{}, c.ctx.Err()
-			case <-time.After(wait):
-			}
-		}
-	}
-	for {
-		old := c.simNow.Load()
-		if math.Float64frombits(old) >= rec.Event.Time {
-			break
-		}
-		if c.simNow.CompareAndSwap(old, math.Float64bits(rec.Event.Time)) {
-			break
-		}
-	}
-	return rec, nil
-}
-
-// replayFleetSim advances the multi-tenant simulator in wall-paced slices,
-// pumping each slice's merged trace into the fleet.
-func replayFleetSim(ctx context.Context, f *fleet.Fleet, m *scp.MultiSystem, horizon, compress float64, simNow *atomic.Uint64) error {
-	return paced(ctx, horizon, compress, func(elapsed, step float64) error {
-		if err := m.Run(step); err != nil {
-			return err
-		}
-		simNow.Store(math.Float64bits(elapsed + step))
-		recs := fleet.SCPRecords(m.Drain())
-		_, err := fleet.Pump(ctx, f, fleet.NewSliceSource(recs))
-		return err
-	})
-}
-
-// replayFleetFile streams a recorded trace (text or wire format, by its
-// magic), pacing domain time against the wall clock via compress.
-func replayFleetFile(ctx context.Context, f *fleet.Fleet, path string, compress float64, simNow *atomic.Uint64) error {
-	src, closer, err := fleet.OpenTrace(path)
-	if err != nil {
-		return err
-	}
-	defer closer.Close()
-	_, err = fleet.Pump(ctx, f, &clockSource{src: src, simNow: simNow, compress: compress, start: time.Now(), ctx: ctx})
-	return err
 }
 
 // logFleetSummary prints the exit rollup: status histogram, availability,

@@ -4,8 +4,15 @@
 // by the wall clock at a configurable time-compression factor; the
 // simulator's error log and SAR samples stream through the bounded ingest
 // queue into mirror state, layered predictors score in a worker pool, and
-// the serialized act stage steers the live simulator through a command
-// mailbox (applied on the simulation thread between replay slices).
+// the serialized act stage steers the live simulator directly.
+//
+// Every mode has one time base, the domain time of its input. One stepper
+// (step.go) runs an MEA cycle at every -eval simulated seconds of it, on the
+// goroutine that feeds the pipeline, once the input before that instant has
+// been applied — so a run without -hotswap (whose retrains land on
+// background goroutines) or -rate-limit (whose buckets refill at the clock
+// readings the drains happen to see) is a deterministic function of its
+// flags, and a live run is reproducible from its -seed.
 //
 // Observability: /metrics (Prometheus text), /healthz and /readyz
 // (readiness), /livez (liveness), /tracez (end-to-end span traces),
@@ -39,20 +46,21 @@
 //
 // Usage:
 //
-//	pfmd [-addr :9600] [-seed 11] [-days 1] [-compress 3600] [-eval 250ms]
+//	pfmd [-addr :9600] [-seed 11] [-days 1] [-compress 3600] [-eval 60]
 //	     [-queue 4096] [-overflow block|drop-oldest|drop-newest]
 //	     [-log-format text|json] [-log-level info|debug] [-pprof]
 //	     [-trace-cap 256] [-trace-sample 16] [-trace-dump 0]
 //	     [-ledger-window 0] [-meta-weights w1,w2,w3,w4] [-hotswap]
 //	     [-incident-dir DIR] [-incident-cap 32] [-incident-warn 0.5]
-//	pfmd -replay-columnar trace.wire|trace.trace [-replay-eval 900]
+//	pfmd -replay-columnar trace.wire|trace.trace
 //	pfmd -fleet [-tenants 100] [-skew 1] [-shards 0]
 //	     [-fleet-trace FILE | -listen ADDR] [-act-budget 0] [-rate-limit 0]
 //
-// -fleet (fleet.go) and -replay-columnar (columnar.go) select the other two
-// modes, which read the first form's flags too, except where flagModes says
-// otherwise: a flag given on the command line that the selected mode does not
-// read is an error.
+// -fleet (fleet.go) runs the multi-tenant fleet and -replay-columnar replays
+// a recorded one-tenant trace unpaced; both read the first form's flags too,
+// except where flagModes says otherwise: a flag given on the command line that
+// the selected mode does not read is an error. -eval is the MEA cadence in
+// simulated seconds in every mode, at most the lead time (300).
 package main
 
 import (
@@ -67,13 +75,13 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"repro/internal/act"
 	"repro/internal/core"
 	"repro/internal/eventlog"
+	"repro/internal/fleet"
 	"repro/internal/lifecycle"
 	"repro/internal/meta"
 	"repro/internal/obs"
@@ -97,6 +105,9 @@ func main() {
 // leadTime is the warning lead time Δtl every mode predicts at [sim s].
 const leadTime = 300.0
 
+// drainTimeout bounds a graceful stop, so Ctrl-C always wins within seconds.
+const drainTimeout = 10 * time.Second
+
 // What eight flags nobody set defaulted to.
 const (
 	workers        = 0   // layer-evaluation pool: the library's GOMAXPROCS-derived default
@@ -116,8 +127,9 @@ type options struct {
 	seed     int64
 	days     float64
 	compress float64
-	// rt carries -queue, -overflow, -eval and -pprof; the fleet reads its
-	// sizing from the same fields, plus -shards.
+	eval     float64 // MEA cadence [sim s]
+	// rt carries -queue, -overflow and -pprof; the fleet reads its sizing
+	// from the same fields, plus -shards.
 	rt     runtime.Config
 	shards int
 
@@ -131,7 +143,6 @@ type options struct {
 	incidents   incidentOptions // -incident-*
 
 	replayColumnar string
-	replayEval     float64
 
 	fleetMode  bool
 	tenants    int
@@ -165,7 +176,7 @@ func (o *options) flagSet(stderr io.Writer) *flag.FlagSet {
 		o.rt.Overflow, err = runtime.ParsePolicy(s)
 		return err
 	})
-	fs.DurationVar(&o.rt.EvalInterval, "eval", 250*time.Millisecond, "wall-clock MEA cadence")
+	fs.Float64Var(&o.eval, "eval", 60, "MEA cadence [simulated seconds], at most the lead time (300)")
 	fs.IntVar(&o.shards, "shards", 0, "ingest shards, each one queue consumer over its consistent-hash share of the tenants (with -fleet; 0 = library default, from GOMAXPROCS)")
 	fs.BoolVar(&o.rt.Profiling, "pprof", false, "expose /debug/pprof/ on the metrics address")
 	fs.StringVar(&o.logFormat, "log-format", "text", "log output format: text|json")
@@ -183,8 +194,7 @@ func (o *options) flagSet(stderr io.Writer) *flag.FlagSet {
 	fs.StringVar(&o.listen, "listen", "", "accept tenant traces over TCP on this address instead of simulating (with -fleet; binary frames or text line protocol, see loggen -send)")
 	fs.IntVar(&o.actBudget, "act-budget", 0, "max tenants that may execute a countermeasure per cycle, criticality-prioritized (with -fleet; 0 = unlimited)")
 	fs.Float64Var(&o.rateLimit, "rate-limit", 0, "per-tenant ingest drain cap [events per simulated second] (with -fleet; 0 = unlimited)")
-	fs.StringVar(&o.replayColumnar, "replay-columnar", "", "replay a one-tenant trace file (loggen's .wire or .trace, told apart by magic) from memory at full speed instead of simulating")
-	fs.Float64Var(&o.replayEval, "replay-eval", 900, "MEA cadence in simulated seconds (with -replay-columnar)")
+	fs.StringVar(&o.replayColumnar, "replay-columnar", "", "replay a one-tenant trace file (loggen's .wire or .trace, told apart by magic) at full speed instead of simulating")
 	fs.StringVar(&o.incidents.dir, "incident-dir", "", "persist captured incident bundles as JSON files in this directory")
 	fs.IntVar(&o.incidents.cap, "incident-cap", 32, "retained incident bundles (0 disables the flight recorder)")
 	fs.Float64Var(&o.incidents.warn, "incident-warn", 0.5, "combined-confidence gate for warn-triggered incident capture")
@@ -219,6 +229,11 @@ func parseFlags(args []string, stdout, stderr io.Writer) (*options, error) {
 	if o.days <= 0 || o.compress <= 0 {
 		return nil, fmt.Errorf("days and compress must be positive")
 	}
+	// core.Config refuses the same: a cadence longer than the lead time
+	// leaves failures no cycle could have warned of.
+	if !(o.eval > 0 && o.eval <= leadTime) {
+		return nil, fmt.Errorf("-eval %g: the MEA cadence must be positive and at most the lead time, %g simulated seconds", o.eval, leadTime)
+	}
 	var err error
 	if o.logger, err = newLogger(stderr, o.logFormat, o.logLevel); err != nil {
 		return nil, err
@@ -234,7 +249,7 @@ func parseFlags(args []string, stdout, stderr io.Writer) (*options, error) {
 type mode uint8
 
 const (
-	modeLive     mode = 1 << iota // the SCP simulator against the wall clock
+	modeLive     mode = 1 << iota // the SCP simulator, paced by the wall clock
 	modeColumnar                  // -replay-columnar
 	modeFleet                     // -fleet
 )
@@ -263,11 +278,9 @@ func (o *options) mode() mode {
 // flagModes names, for each flag that not every mode reads, the modes that
 // do. A flag absent from the table is read by all three.
 var flagModes = map[string]mode{
-	"seed": modeLive | modeFleet, "days": modeLive | modeFleet,
-	"compress": modeLive | modeFleet, "eval": modeLive | modeFleet,
+	"seed": modeLive | modeFleet, "days": modeLive | modeFleet, "compress": modeLive | modeFleet,
 	"pprof": modeLive | modeColumnar, "trace-dump": modeLive | modeColumnar,
-	"meta-weights": modeLive | modeColumnar, "hotswap": modeLive,
-	"replay-columnar": modeColumnar, "replay-eval": modeColumnar,
+	"meta-weights": modeLive | modeColumnar, "hotswap": modeLive, "replay-columnar": modeColumnar,
 	"fleet": modeFleet, "tenants": modeFleet, "skew": modeFleet, "shards": modeFleet,
 	"fleet-trace": modeFleet, "listen": modeFleet,
 	"act-budget": modeFleet, "rate-limit": modeFleet,
@@ -280,13 +293,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	switch o.mode() {
-	case modeColumnar:
-		return runColumnar(ctx, o)
-	case modeFleet:
+	if o.mode() == modeFleet {
 		return runFleet(ctx, o)
 	}
-	return runLive(ctx, o)
+	return runSingle(ctx, o)
 }
 
 // newTracer builds the -trace-cap/-trace-sample span tracer (nil when
@@ -316,10 +326,9 @@ func (o *options) start(ctx context.Context, start func(context.Context) error,
 	return srv, bound, err
 }
 
-// stop drains a pipeline gracefully, bounded by timeout so Ctrl-C always
-// wins within a few seconds.
-func (o *options) stop(stop func(context.Context) error, timeout time.Duration) {
-	stopCtx, cancel := context.WithTimeout(context.Background(), timeout)
+// stop drains a pipeline gracefully, bounded by drainTimeout.
+func (o *options) stop(stop func(context.Context) error) {
+	stopCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := stop(stopCtx); err != nil {
 		o.logger.Warn("drain incomplete", "err", err)
@@ -466,7 +475,7 @@ func parseMetaWeights(spec string, layers []*core.Layer) (*meta.Stacker, error) 
 // pipeline is the single-tenant wiring the live service and the columnar
 // replay share: mirror state → layered predictors → combiner → action and
 // selector → externally clocked engine → quality ledger → tracer →
-// (lifecycle) → flight recorder → runtime.
+// (lifecycle) → flight recorder → runtime, on the run's domain clock.
 type pipeline struct {
 	o        *options
 	mirror   *mirror
@@ -480,16 +489,12 @@ type pipeline struct {
 	lcm      *lifecycle.Manager // nil without -hotswap
 	recorder *obs.Recorder
 	diag     *diagProvider
-	// simNow is the domain clock: the feeder's sim-time high-water mark.
-	simNow atomic.Uint64
-	rt     *runtime.Runtime
+	clock    domainClock
+	rt       *runtime.Runtime
 }
 
-// newPipeline assembles the wiring. mitigate is the countermeasure's body,
-// cadence the MEA cadence in simulated seconds the engine records; live
-// selects the wall-clock cycle ticker (-eval) and honours -hotswap, while a
-// replay drives its cycles itself through CycleBatch.
-func newPipeline(o *options, mitigate func() error, cadence float64, live bool) (*pipeline, error) {
+// newPipeline assembles the wiring; mitigate is the countermeasure's body.
+func newPipeline(o *options, mitigate func() error) (*pipeline, error) {
 	p := &pipeline{o: o, mirror: newMirror(), tracer: o.newTracer()}
 	p.layers = p.mirror.layers(2 * scp.DefaultConfig().SwapThreshold)
 	var combiner core.Combiner
@@ -513,7 +518,7 @@ func newPipeline(o *options, mitigate func() error, cadence float64, live bool) 
 	// Externally clocked engine: the runtime drives it on replay time.
 	p.engine, err = core.New(nil, p.layers, combiner, selector,
 		[]*act.Action{p.action}, nil, core.Config{
-			EvalInterval:        cadence,
+			EvalInterval:        o.eval,
 			LeadTime:            leadTime,
 			WarnThreshold:       0.2, // any single layer suffices (4 layers)
 			OscillationWindow:   1800,
@@ -536,7 +541,7 @@ func newPipeline(o *options, mitigate func() error, cadence float64, live bool) 
 
 	// Predictor lifecycle (-hotswap): drift-triggered recalibration with
 	// shadow validation against the live ledger and zero-downtime swaps.
-	if live && o.hotswap {
+	if o.hotswap {
 		if p.lcm, err = lifecycle.NewManager(p.layers, p.ledger, o.drift); err != nil {
 			return nil, err
 		}
@@ -554,10 +559,7 @@ func newPipeline(o *options, mitigate func() error, cadence float64, live bool) 
 	cfg := o.rt
 	cfg.Engine = p.engine
 	cfg.Apply = p.mirror.apply
-	cfg.Clock = func() float64 { return math.Float64frombits(p.simNow.Load()) }
-	if !live {
-		cfg.EvalInterval = 0
-	}
+	cfg.Clock = p.clock.now
 	cfg.Tracer, cfg.Ledger, cfg.Lifecycle, cfg.Recorder = p.tracer, p.ledger, p.lcm, p.recorder
 	if p.rt, err = runtime.New(cfg); err != nil {
 		return nil, err
@@ -567,9 +569,6 @@ func newPipeline(o *options, mitigate func() error, cadence float64, live bool) 
 	}
 	return p, nil
 }
-
-// setNow advances the domain clock.
-func (p *pipeline) setNow(t float64) { p.simNow.Store(math.Float64bits(t)) }
 
 // recordFailure feeds one ground-truth failure to the quality ledger and
 // the incident diagnoser's training set.
@@ -604,26 +603,33 @@ func (p *pipeline) summary() error {
 	return nil
 }
 
-// runLive is the live service: the SCP simulator replayed against the wall
-// clock at -compress, steered by the pipeline's countermeasure.
-func runLive(ctx context.Context, o *options) error {
-	scpCfg := scp.DefaultConfig()
-	scpCfg.Seed = o.seed
-	sys, err := scp.New(scpCfg)
-	if err != nil {
-		return err
-	}
-
-	// Act commands cross back to the simulation thread through a mailbox:
-	// the act stage enqueues, the replay loop applies between slices, so
-	// the non-thread-safe simulator is only ever touched from one
-	// goroutine.
-	cmds := make(chan func(), 64)
-	mitigate := func() error {
-		select {
-		case cmds <- func() {
+// runSingle runs the single-tenant runtime: over the SCP simulator, paced by
+// the wall clock at -compress and steered by the pipeline's countermeasure,
+// or with -replay-columnar over a recorded one-tenant trace at full speed (a
+// recording cannot be steered, so its countermeasure is a no-op and only its
+// decision record matters).
+func runSingle(ctx context.Context, o *options) error {
+	var src fleet.Source
+	var sys *scp.System
+	mitigate := func() error { return nil }
+	if o.replayColumnar != "" {
+		trace, closer, err := fleet.OpenTrace(o.replayColumnar)
+		if err != nil {
+			return err
+		}
+		defer closer.Close()
+		src = trace
+	} else {
+		m, err := scp.NewMulti(scp.MultiConfig{Tenants: 1, BaseSeed: o.seed})
+		if err != nil {
+			return err
+		}
+		sys = m.System(0)
+		// The act stage runs on the goroutine that runs the simulator, so the
+		// countermeasure steers it directly.
+		mitigate = func() error {
 			if !sys.Up() {
-				return
+				return nil
 			}
 			if sys.Utilization() > 0.85 {
 				_ = sys.ShedLoad(0.3)
@@ -633,24 +639,65 @@ func runLive(ctx context.Context, o *options) error {
 					}
 				})
 			}
-			if sys.FreeMemory() < 2*scpCfg.SwapThreshold {
+			if sys.FreeMemory() < 2*sys.Config().SwapThreshold {
 				_ = sys.CleanupState()
 			}
 			_ = sys.PrepareRepair()
-		}:
-		default: // mailbox full: the pending mitigation will cover it
+			return nil
 		}
-		return nil
+		src = o.simulate(ctx, m)
 	}
-	// MEA cadence in sim time: the wall ticker scaled by the compression.
-	p, err := newPipeline(o, mitigate, o.compress*o.rt.EvalInterval.Seconds(), true)
+	p, err := newPipeline(o, mitigate)
 	if err != nil {
 		return err
 	}
-	logger, tracer, names := o.logger, p.tracer, p.names
+	if sys != nil {
+		p.logDecisions()
+	}
+	logger := o.logger
+	srv, bound, err := o.start(ctx, p.rt.Start, p.rt.Serve)
+	if err != nil {
+		return err
+	}
+	defer srv.Close()
+	logger.Info("serving observability endpoints",
+		"addr", bound, "tracez", p.tracer != nil, "ledger", true, "pprof", o.rt.Profiling)
+	source := fmt.Sprintf("simulator, %g days at %g×", o.days, o.compress)
+	if sys == nil {
+		source = o.replayColumnar
+	}
+	logger.Info("replay starting", "source", source, "cadence_sim_s", o.eval, "policy", o.rt.Overflow.String())
 
-	// Structured decision log: every MEA cycle at debug, warnings at info,
-	// linked to the newest completed /tracez span.
+	started := time.Now()
+	events, err := p.feed(ctx, newStepper(src, o.eval, &p.clock, func(nows []float64) error {
+		if err := p.rt.Barrier(ctx); err != nil {
+			return err
+		}
+		p.clock.advance(nows[len(nows)-1])
+		p.rt.CycleBatch(nows)
+		return nil
+	}))
+	o.stop(p.rt.Stop)
+	if err != nil && ctx.Err() == nil {
+		return err
+	}
+	elapsed := time.Since(started)
+	logger.Info("replay complete",
+		"events", events, "wall_seconds", elapsed.Seconds(),
+		"events_per_sec", int64(float64(events)/elapsed.Seconds()),
+		"sim_days", p.clock.now()/86400, "cycles", p.rt.Cycles())
+	if sys != nil {
+		logger.Info("system summary",
+			"availability", sys.MeasuredAvailability(),
+			"failures", len(sys.Failures()), "restarts", len(sys.Restarts()))
+	}
+	return p.summary()
+}
+
+// logDecisions is the structured decision log: every MEA cycle at debug,
+// warnings at info, linked to the newest completed /tracez span.
+func (p *pipeline) logDecisions() {
+	logger, tracer, names := p.o.logger, p.tracer, p.names
 	p.engine.SetCycleObserver(func(now float64, scores []float64, d core.Decision) {
 		attrs := []any{
 			slog.Float64("sim_now", now),
@@ -674,26 +721,6 @@ func runLive(ctx context.Context, o *options) error {
 			logger.Debug("cycle", attrs...)
 		}
 	})
-
-	srv, bound, err := o.start(ctx, p.rt.Start, p.rt.Serve)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	logger.Info("serving observability endpoints",
-		"addr", bound, "tracez", tracer != nil, "ledger", true, "pprof", o.rt.Profiling)
-	logger.Info("replay starting",
-		"sim_days", o.days, "compress", o.compress, "policy", o.rt.Overflow.String())
-
-	err = replay(ctx, sys, p, cmds, o.days*86400, o.compress)
-	o.stop(p.rt.Stop, 5*time.Second)
-	if err != nil && ctx.Err() == nil {
-		return err
-	}
-	logger.Info("system summary",
-		"availability", sys.MeasuredAvailability(),
-		"failures", len(sys.Failures()), "restarts", len(sys.Restarts()))
-	return p.summary()
 }
 
 // watchLifecycle subscribes the service to predictor-lifecycle events: every
@@ -827,79 +854,4 @@ func logModelAssessment(logger *slog.Logger, led *obs.Ledger) {
 		"unavailability_ratio_delta", a.UnavailabilityRatioDelta,
 		"mttf_relative", a.MTTFRelative,
 		"hazard_at_mttf", a.Measured.HazardAtMTTF)
-}
-
-// paced drives a wall-clock-paced replay of horizon simulated seconds at
-// the given compression: advance runs once per 100 ms wall slice with the
-// simulated time elapsed so far and the step to take, until the horizon is
-// reached or ctx ends.
-func paced(ctx context.Context, horizon, compress float64, advance func(elapsed, step float64) error) error {
-	const wallSlice = 100 * time.Millisecond
-	simSlice := compress * wallSlice.Seconds()
-	ticker := time.NewTicker(wallSlice)
-	defer ticker.Stop()
-	for elapsed := 0.0; elapsed < horizon; elapsed += simSlice {
-		if err := advance(elapsed, math.Min(simSlice, horizon-elapsed)); err != nil {
-			return err
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-ticker.C:
-		}
-	}
-	return nil
-}
-
-// replay advances the simulator in wall-paced slices, applying queued act
-// commands on the simulation thread, streaming new error events and SAR
-// samples into the runtime, and journaling ground-truth failures into the
-// prediction ledger.
-func replay(ctx context.Context, sys *scp.System, p *pipeline, cmds chan func(), horizon, compress float64) error {
-	rt := p.rt
-	seenLog := 0
-	seenFail := 0
-	seenSAR := make(map[string]int, len(scp.SARVariables))
-	return paced(ctx, horizon, compress, func(_, step float64) error {
-		// Countermeasures decided by the act stage since the last slice.
-		for {
-			select {
-			case cmd := <-cmds:
-				cmd()
-				continue
-			default:
-			}
-			break
-		}
-		if err := sys.Run(step); err != nil {
-			return err
-		}
-		p.setNow(sys.Now())
-		// Ground truth for the ledger: failures the slice produced.
-		for times := sys.FailureTimes(); seenFail < len(times); seenFail++ {
-			p.recordFailure(times[seenFail])
-		}
-		// Stream everything the slice produced.
-		for n := sys.Log().Len(); seenLog < n; seenLog++ {
-			e := sys.Log().At(seenLog)
-			if err := rt.Ingest(ctx, runtime.Event{Kind: runtime.KindError, Time: e.Time, Error: e}); err != nil {
-				return err
-			}
-		}
-		for _, name := range scp.SARVariables {
-			series, err := sys.SAR(name)
-			if err != nil {
-				return err
-			}
-			for n := series.Len(); seenSAR[name] < n; seenSAR[name]++ {
-				pt := series.At(seenSAR[name])
-				if err := rt.Ingest(ctx, runtime.Event{
-					Kind: runtime.KindSample, Time: pt.T, Variable: name, Value: pt.V,
-				}); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
 }

@@ -9,7 +9,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -182,7 +184,7 @@ func TestReplayColumnarRun(t *testing.T) {
 	path, events := writeTrace(t)
 	var stdout, stderr strings.Builder
 	o, err := parseFlags([]string{
-		"-addr", "127.0.0.1:0", "-replay-columnar", path, "-replay-eval", "60",
+		"-addr", "127.0.0.1:0", "-replay-columnar", path, "-eval", "60",
 		"-trace-sample", "1", "-trace-dump", "3", "-incident-warn", "0.2",
 		"-incident-dir", filepath.Join(t.TempDir(), "incidents"), "-log-format", "json",
 	}, &stdout, &stderr)
@@ -198,8 +200,8 @@ func TestReplayColumnarRun(t *testing.T) {
 		}
 	}
 	o.drained = func() { final = scrapeAll(t, addr) }
-	if err := runColumnar(context.Background(), o); err != nil {
-		t.Fatalf("runColumnar: %v\n%s", err, stderr.String())
+	if err := runSingle(context.Background(), o); err != nil {
+		t.Fatalf("runSingle: %v\n%s", err, stderr.String())
 	}
 	if got := checkDrained(t, final); int(got) != events {
 		t.Errorf("ingested %v events, trace has %d", got, events)
@@ -211,7 +213,7 @@ func TestReplayColumnarRun(t *testing.T) {
 	if metricSum(t, final.metrics, "pfm_warnings_total") == 0 || len(final.incidents) == 0 {
 		t.Errorf("the error burst raised no warning or no incident bundle: %d bundles", len(final.incidents))
 	}
-	for _, want := range []string{"columnar replay complete", "pipeline summary", "prediction quality", "incident summary"} {
+	for _, want := range []string{"replay complete", "pipeline summary", "prediction quality", "incident summary"} {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("exit log lacks %q", want)
 		}
@@ -221,26 +223,16 @@ func TestReplayColumnarRun(t *testing.T) {
 	}
 }
 
-// TestReplayColumnarByMagic: -replay-columnar loads the same columns from
-// the binary and from the text encoding of a trace, whatever the file is
-// called, refuses a second tenant, and refuses a retired binary format by
-// name instead of parsing it as text.
+// TestReplayColumnarByMagic: -replay-columnar reads a trace through
+// fleet.OpenTrace, so the binary and the text encoding of one trace give the
+// same records and replay to the same summary whatever the file is called; a
+// second tenant is refused by name, and so is a retired binary format,
+// instead of being parsed as text.
 func TestReplayColumnarByMagic(t *testing.T) {
 	path, events := writeTrace(t)
-	fromWire, err := loadColumnar(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, closer, err := fleet.OpenTrace(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer.Close()
+	wire := readRecords(t, path)
 	var text strings.Builder
-	for rec, err := src.Next(); err != io.EOF; rec, err = src.Next() {
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, rec := range wire {
 		text.WriteString(fleet.FormatRecord(rec) + "\n")
 	}
 	write := func(name, content string) string {
@@ -250,33 +242,69 @@ func TestReplayColumnarByMagic(t *testing.T) {
 		}
 		return p
 	}
-	fromText, err := loadColumnar(write("text.wire", text.String()))
+	textPath := write("text.wire", text.String())
+	if fromText := readRecords(t, textPath); len(wire) != events+1 || !slices.Equal(fromText, wire) {
+		t.Fatalf("%d records from binary, %d from text, want %d events and one failure, equal", len(wire), len(fromText), events)
+	}
+	replay := func(path string) (string, error) {
+		var stderr strings.Builder
+		err := run(context.Background(), []string{"-addr", "127.0.0.1:0", "-replay-columnar", path,
+			"-incident-cap", "0", "-log-format", "json"}, io.Discard, &stderr)
+		return summaryLines(stderr.String()), err
+	}
+	fromWire, err := replay(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromWire.Len() != events || fromText.Len() != events || len(fromText.Failures) != 1 || fromText.Failures[0] != fromWire.Failures[0] {
-		t.Fatalf("events %d (binary) and %d (text), want %d; failures %v and %v", fromWire.Len(), fromText.Len(), events, fromWire.Failures, fromText.Failures)
+	if fromText, err := replay(textPath); err != nil || fromText != fromWire {
+		t.Errorf("text replay (err %v):\n%s\nbinary replay:\n%s", err, fromText, fromWire)
 	}
-	for i := 0; i < events; i++ {
-		if fromText.Event(i) != fromWire.Event(i) {
-			t.Fatalf("event %d: %+v from text, %+v from binary", i, fromText.Event(i), fromWire.Event(i))
-		}
-	}
-	if _, err := loadColumnar(write("two.trace", "S|a|1|cpu|1\nS|b|2|cpu|1\n")); err == nil || !strings.Contains(err.Error(), `"a" and "b"`) {
+	if _, err := replay(write("two.trace", "S|a|1|cpu|1\nS|b|2|cpu|1\n")); err == nil || !strings.Contains(err.Error(), `"a" and "b"`) {
 		t.Errorf("two tenants: err = %v, want a refusal naming them", err)
 	}
-	if _, err := loadColumnar(write("old.bin", "PFC1\x00\x00\x00\x00")); err == nil || !strings.Contains(err.Error(), "PFC1 format was retired in PR 22") {
+	if _, err := replay(write("old.bin", "PFC1\x00\x00\x00\x00")); err == nil || !strings.Contains(err.Error(), "PFC1 format was retired") {
 		t.Errorf("a PFC1 file: err = %v, want the format refused by name", err)
 	}
 }
 
+// readRecords reads a trace file through fleet.OpenTrace.
+func readRecords(t *testing.T, path string) []fleet.Record {
+	t.Helper()
+	src, closer, err := fleet.OpenTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	var recs []fleet.Record
+	for rec, err := src.Next(); err != io.EOF; rec, err = src.Next() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// summaryLines keeps the exit log's "pipeline summary" and "prediction
+// quality" records, without their timestamps.
+func summaryLines(log string) string {
+	var b strings.Builder
+	for _, line := range strings.Split(log, "\n") {
+		if strings.Contains(line, `"pipeline summary"`) || strings.Contains(line, `"prediction quality"`) {
+			_, rest, _ := strings.Cut(line, `"level"`)
+			b.WriteString(rest + "\n")
+		}
+	}
+	return b.String()
+}
+
 // TestLiveRun runs the live service in process on a free port, scrapes
-// every endpoint while the replay is feeding it, cancels the context as a
-// SIGINT would, and checks the graceful drain.
+// every endpoint while the replay is feeding it, cancels the context mid-run
+// as a SIGINT would, and checks the graceful drain.
 func TestLiveRun(t *testing.T) {
 	var stdout, stderr lockedBuilder
 	o, err := parseFlags([]string{
-		"-addr", "127.0.0.1:0", "-days", "30", "-compress", "36000", "-eval", "5ms",
+		"-addr", "127.0.0.1:0", "-days", "30", "-compress", "36000",
 		"-hotswap", "-meta-weights", "1,1,1,1", "-log-format", "json",
 	}, &stdout, &stderr)
 	if err != nil {
@@ -284,12 +312,12 @@ func TestLiveRun(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var final planes // written by runLive's goroutine, read after it returned
+	var final planes // written by runSingle's goroutine, read after it returned
 	addrCh := make(chan string, 1)
 	o.serving = func(bound string) { addrCh <- bound }
 	o.drained = func() { final = scrapeAll(t, <-addrCh) }
 	done := make(chan error, 1)
-	go func() { done <- runLive(ctx, o) }()
+	go func() { done <- runSingle(ctx, o) }()
 	addr := <-addrCh
 	addrCh <- addr
 
@@ -314,16 +342,52 @@ func TestLiveRun(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("runLive: %v\n%s", err, stderr.String())
+			t.Fatalf("runSingle: %v\n%s", err, stderr.String())
 		}
 	case <-time.After(20 * time.Second):
-		t.Fatal("runLive did not return after cancel")
+		t.Fatal("runSingle did not return after cancel")
 	}
 	checkDrained(t, final)
 	for _, want := range []string{"replay starting", "pipeline summary", "system summary", "predictor lifecycle summary"} {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("exit log lacks %q", want)
 		}
+	}
+}
+
+// TestLiveDeterministic: cycles run on the run's one domain clock, so two
+// live runs with the same flags serve byte-identical /ledger bodies — and at
+// the default cadence, inside the lead time, the combined decision scores.
+func TestLiveDeterministic(t *testing.T) {
+	live := func() (ledger, log string) {
+		var stderr strings.Builder
+		o, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-days", "3", "-compress", "864000",
+			"-log-format", "json"}, io.Discard, &stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var addr string
+		o.serving = func(bound string) { addr = bound }
+		o.drained = func() { ledger = scrapeAll(t, addr).ledger }
+		if err := runSingle(context.Background(), o); err != nil {
+			t.Fatalf("runSingle: %v\n%s", err, stderr.String())
+		}
+		return ledger, stderr.String()
+	}
+	first, log := live()
+	if second, _ := live(); second != first {
+		t.Errorf("two runs with the same flags served different /ledger bodies:\n%s\n%s", first, second)
+	}
+	var combined struct{ TP, FP, FN int }
+	for _, line := range strings.Split(log, "\n") {
+		if strings.Contains(line, `"prediction quality"`) && strings.Contains(line, `"layer":"combined"`) {
+			if err := json.Unmarshal([]byte(line), &combined); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if combined.TP == 0 {
+		t.Errorf("combined decision: %+v, want F > 0\n%s", combined, summaryLines(log))
 	}
 }
 
@@ -338,7 +402,7 @@ func TestFleetRun(t *testing.T) {
 	var stdout, stderr strings.Builder
 	o, err := parseFlags([]string{
 		"-fleet", "-tenants", strconv.Itoa(tenants), "-shards", "2", "-addr", "127.0.0.1:0",
-		"-days", "0.5", "-compress", "86400", "-eval", "5ms", "-trace-sample", "1",
+		"-days", "0.5", "-compress", "86400", "-trace-sample", "1",
 		"-incident-warn", "0", "-incident-dir", dir, "-log-format", "json",
 	}, &stdout, &stderr)
 	if err != nil {
@@ -403,6 +467,85 @@ func TestFleetRun(t *testing.T) {
 	}
 }
 
+// TestFleetShardsAgree: -fleet over the simulator serves the same per-tenant
+// rows on /fleet — counters, last confidence, quality table — whether one
+// shard or three drain the tenants.
+func TestFleetShardsAgree(t *testing.T) {
+	type row struct {
+		ID                                  string
+		Events, Failures, Warnings, Actions int64
+		Confidence                          *float64
+		Quality                             json.RawMessage
+	}
+	rows := func(shards string) []row {
+		var stderr strings.Builder
+		o, err := parseFlags([]string{"-fleet", "-tenants", "5", "-shards", shards, "-addr", "127.0.0.1:0",
+			"-days", "2", "-compress", "864000", "-incident-cap", "0", "-log-format", "json"}, io.Discard, &stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var addr string
+		var view struct{ Tenants []row }
+		o.serving = func(bound string) { addr = bound }
+		o.drained = func() {
+			_, body := scrape(t, addr, "/fleet")
+			if err := json.Unmarshal([]byte(body), &view); err != nil {
+				t.Errorf("/fleet: %v %s", err, body)
+			}
+		}
+		if err := runFleet(context.Background(), o); err != nil {
+			t.Fatalf("runFleet -shards %s: %v\n%s", shards, err, stderr.String())
+		}
+		return view.Tenants
+	}
+	one, three := rows("1"), rows("3")
+	if len(one) != 5 || !reflect.DeepEqual(one, three) {
+		t.Fatalf("/fleet rows at -shards 1:\n%+v\nat -shards 3:\n%+v", one, three)
+	}
+	warned := false
+	for _, r := range one {
+		warned = warned || r.Warnings > 0
+	}
+	if !warned {
+		t.Errorf("no tenant warned in two simulated days: %+v", one)
+	}
+}
+
+// TestFleetRateLimited: with -rate-limit far below the tenants' event rate,
+// the backlog a token bucket holds at a boundary does not hold that
+// boundary's cycle. The run reaches its horizon with every cycle run, and the
+// graceful stop drains what the buckets still held.
+func TestFleetRateLimited(t *testing.T) {
+	var stderr strings.Builder
+	o, err := parseFlags([]string{"-fleet", "-tenants", "3", "-shards", "2", "-rate-limit", "0.02",
+		"-queue", "65536", "-days", "0.25", "-compress", "864000", "-addr", "127.0.0.1:0",
+		"-log-format", "json"}, io.Discard, &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var addr string
+	var final planes
+	o.serving = func(bound string) { addr = bound }
+	o.drained = func() { final = scrapeBase(t, addr) }
+	if err := runFleet(ctx, o); err != nil {
+		t.Fatalf("runFleet: %v\n%s", err, stderr.String())
+	}
+	if ctx.Err() != nil {
+		t.Fatalf("a quarter of a simulated day did not run in a minute: a held backlog stalled the cycles\n%s", stderr.String())
+	}
+	checkDrained(t, final)
+	if n := metricSum(t, final.metrics, "pfm_fleet_ratelimited_total"); n == 0 {
+		t.Error("no drain was held back by a token bucket: the limit did not bind")
+	}
+	// A boundary every 60 s of the 21600 s horizon, less the first minute's,
+	// and Stop's final cycle.
+	if ev := final.health.Evaluations; ev < 359 {
+		t.Errorf("%d evaluations, want one per boundary (about 360)", ev)
+	}
+}
+
 // TestFleetTraceByMagic replays one recorded trace through pfmd -fleet-trace
 // in each encoding under the other one's file name: what tells frames from
 // text is the file's magic, so both must ingest every event.
@@ -441,7 +584,7 @@ func TestFleetTraceByMagic(t *testing.T) {
 		var stderr strings.Builder
 		o, err := parseFlags([]string{
 			"-fleet", "-tenants", strconv.Itoa(tenants), "-fleet-trace", path, "-addr", "127.0.0.1:0",
-			"-compress", "864000", "-eval", "5ms", "-log-format", "json",
+			"-compress", "864000", "-log-format", "json",
 		}, io.Discard, &stderr)
 		if err != nil {
 			t.Fatal(err)
@@ -484,8 +627,8 @@ func TestParseFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.rt.Overflow != runtime.DropOldest || o.rt.QueueCapacity != 4096 || o.rt.EvalInterval != 250*time.Millisecond {
-		t.Errorf("runtime options: %+v", o.rt)
+	if o.rt.Overflow != runtime.DropOldest || o.rt.QueueCapacity != 4096 || o.eval != 60 {
+		t.Errorf("runtime options: %+v, -eval %g", o.rt, o.eval)
 	}
 	if o.traceCap != 50 {
 		t.Errorf("-trace-dump 50 must raise -trace-cap to 50, got %d", o.traceCap)
@@ -498,6 +641,13 @@ func TestParseFlags(t *testing.T) {
 	} {
 		if _, err := parseFlags(bad, io.Discard, io.Discard); err == nil {
 			t.Errorf("parseFlags(%v) accepted", bad)
+		}
+	}
+	// The cadence is at most the lead time: a longer one leaves failures no
+	// cycle could have warned of, and the refusal names the flag.
+	for _, eval := range []string{"0", "-60", "301", "900", "NaN"} {
+		if _, err := parseFlags([]string{"-eval", eval}, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "-eval") {
+			t.Errorf("parseFlags(-eval %s) = %v, want a refusal naming -eval", eval, err)
 		}
 	}
 	if err := run(context.Background(), []string{"-replay-columnar", filepath.Join(t.TempDir(), "absent.wire")}, io.Discard, io.Discard); err == nil {
@@ -517,9 +667,8 @@ func TestParseFlags(t *testing.T) {
 		{[]string{"-tenants", "100", "-listen", ":0"}, "-listen, -tenants"},
 		{[]string{"-fleet", "-hotswap"}, "-hotswap"},
 		{[]string{"-fleet", "-meta-weights", "1,1,1,1"}, "-meta-weights"},
-		{[]string{"-fleet", "-replay-eval", "60"}, "-replay-eval"},
 		{[]string{"-replay-columnar", "x.wire", "-fleet"}, "-fleet"},
-		{[]string{"-replay-columnar", "x.wire", "-eval", "1s"}, "-eval"},
+		{[]string{"-replay-columnar", "x.wire", "-days", "2"}, "-days"},
 	} {
 		if _, err := parseFlags(c.args, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), c.want+":") {
 			t.Errorf("parseFlags(%v) = %v, want a refusal naming %s", c.args, err, c.want)
@@ -527,7 +676,7 @@ func TestParseFlags(t *testing.T) {
 	}
 	for _, ok := range [][]string{
 		{"-fleet", "-shards", "4", "-act-budget", "2", "-incident-dir", "d"},
-		{"-replay-columnar", "x.wire", "-replay-eval", "60", "-pprof"},
+		{"-replay-columnar", "x.wire", "-eval", "300", "-pprof"},
 		{"-hotswap", "-meta-weights", "1,1,1,1"},
 	} {
 		if _, err := parseFlags(ok, io.Discard, io.Discard); err != nil {
@@ -535,10 +684,11 @@ func TestParseFlags(t *testing.T) {
 		}
 	}
 	// The eight tunables that became constants are gone as flags, and their
-	// values are what the flags defaulted to.
+	// values are what the flags defaulted to; -replay-eval went when -eval
+	// became the cadence of every mode.
 	for _, gone := range []string{
 		"workers", "batch", "ledger-slack", "fleet-scopes",
-		"drift-warmup", "drift-threshold", "drift-shadow-min", "drift-cooldown",
+		"drift-warmup", "drift-threshold", "drift-shadow-min", "drift-cooldown", "replay-eval",
 	} {
 		if _, err := parseFlags([]string{"-" + gone, "1"}, io.Discard, io.Discard); err == nil ||
 			!strings.Contains(err.Error(), "flag provided but not defined: -"+gone) {
@@ -565,7 +715,7 @@ var flagBindings = map[string]struct {
 	"compress":        {"60", func(o *options) any { return o.compress }, 60.0},
 	"queue":           {"8", func(o *options) any { return o.rt.QueueCapacity }, 8},
 	"overflow":        {"drop-newest", func(o *options) any { return o.rt.Overflow }, runtime.DropNewest},
-	"eval":            {"1s", func(o *options) any { return o.rt.EvalInterval }, time.Second},
+	"eval":            {"120", func(o *options) any { return o.eval }, 120.0},
 	"shards":          {"3", func(o *options) any { return o.shards }, 3},
 	"pprof":           {"true", func(o *options) any { return o.rt.Profiling }, true},
 	"log-format":      {"json", func(o *options) any { return o.logFormat }, "json"},
@@ -584,7 +734,6 @@ var flagBindings = map[string]struct {
 	"act-budget":      {"2", func(o *options) any { return o.actBudget }, 2},
 	"rate-limit":      {"500", func(o *options) any { return o.rateLimit }, 500.0},
 	"replay-columnar": {"t.wire", func(o *options) any { return o.replayColumnar }, "t.wire"},
-	"replay-eval":     {"60", func(o *options) any { return o.replayEval }, 60.0},
 	"incident-dir":    {"d", func(o *options) any { return o.incidents.dir }, "d"},
 	"incident-cap":    {"5", func(o *options) any { return o.incidents.cap }, 5},
 	"incident-warn":   {"0.9", func(o *options) any { return o.incidents.warn }, 0.9},
@@ -647,8 +796,8 @@ func checkFlagsBoundAndDocumented(t *testing.T) {
 		}
 		delete(inSynopsis, f.Name)
 	})
-	if registered != len(flagBindings) || registered > 29 {
-		t.Errorf("%d flags registered, flagBindings has %d, the budget is 29", registered, len(flagBindings))
+	if registered != len(flagBindings) || registered > 28 {
+		t.Errorf("%d flags registered, flagBindings has %d, the budget is 28", registered, len(flagBindings))
 	}
 	for name := range inSynopsis {
 		t.Errorf("the usage synopsis names -%s, which is not registered", name)
@@ -664,7 +813,7 @@ func TestBurnRateArmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := newPipeline(o, func() error { return nil }, 60, false)
+	p, err := newPipeline(o, func() error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

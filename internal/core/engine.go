@@ -100,6 +100,12 @@ func (c Config) validate() error {
 	if c.LeadTime < 0 {
 		return fmt.Errorf("%w: lead time %g", ErrCore, c.LeadTime)
 	}
+	// A warning at t is scored against failures in (t, t+LeadTime+slack]
+	// (Sect. 3.3): a cadence longer than the lead time leaves failures no
+	// cycle could have warned of.
+	if c.EvalInterval > c.LeadTime {
+		return fmt.Errorf("%w: eval interval %g exceeds lead time %g", ErrCore, c.EvalInterval, c.LeadTime)
+	}
 	if c.WarnThreshold < 0 || c.WarnThreshold > 1 {
 		return fmt.Errorf("%w: warn threshold %g", ErrCore, c.WarnThreshold)
 	}

@@ -82,6 +82,11 @@ func TestValidation(t *testing.T) {
 			cfg.EvalInterval = 0
 			return New(se, layers, nil, sel, acts, nil, cfg)
 		}},
+		{"cadence longer than the lead time", func() (*Engine, error) {
+			cfg := defaultCfg()
+			cfg.EvalInterval = cfg.LeadTime + 1
+			return New(se, layers, nil, sel, acts, nil, cfg)
+		}},
 		{"bad threshold", func() (*Engine, error) {
 			cfg := defaultCfg()
 			cfg.WarnThreshold = 2

@@ -404,7 +404,7 @@ func TestFleetChurnUnderLoad(t *testing.T) {
 				return
 			}
 			clock.Set(float64(i))
-			f.EvaluateNow()
+			f.EvaluateCycle()
 		}
 	}()
 	// Poller: the HTTP plane must never 500 mid-churn.

@@ -86,9 +86,8 @@ type Config struct {
 	// concurrently (on different shards). Apply never overlaps layer
 	// scoring — same locking contract as runtime.Config.Apply.
 	Apply func(st TenantState, ev Event) error
-	// Engine is the per-tenant MEA configuration (EvalInterval here is
-	// the domain-clock cadence recorded in decisions; the wall-clock
-	// cycle cadence is EvalInterval below).
+	// Engine is the per-tenant MEA configuration; its EvalInterval is the
+	// domain cadence the caller runs EvaluateCycle at.
 	Engine core.Config
 	// NewCombiner optionally builds a per-tenant score combiner
 	// (stacker). Nil uses the engine's voting default.
@@ -128,10 +127,8 @@ type Config struct {
 	// are deferred — warned and journaled, but not executed — and counted
 	// on pfm_fleet_act_deferred_total. 0 means unlimited.
 	ActBudget int
-	// EvalInterval is the wall-clock cycle cadence; zero disables the
-	// ticker (cycles then run via EvaluateNow/EvaluateCycle only).
-	EvalInterval time.Duration
-	// Clock maps wall time to domain time (default: seconds since Start).
+	// Clock reads the domain time a cycle evaluates at and the token buckets
+	// refill on (default: seconds since Start).
 	Clock func() float64
 
 	// Metrics receives fleet observability (nil allocates a fresh set);
@@ -254,8 +251,8 @@ type Fleet struct {
 	// failureHold keeps a tenant "failed" for this many domain seconds after
 	// a recorded failure: the warning lead time, at least 300.
 	failureHold float64
-	// shell owns the goroutines (shard consumers, cycle loop, pool) and the
-	// stop protocol.
+	// shell owns the goroutines (shard consumers, pool) and the stop
+	// protocol.
 	shell *runtime.Shell
 
 	// adminMu serializes membership changes (AddTenant/RemoveTenant/
@@ -297,7 +294,7 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.NewState == nil || cfg.Apply == nil {
 		return nil, fmt.Errorf("%w: nil NewState/Apply", ErrFleet)
 	}
-	if cfg.QueueCapacity < 0 || cfg.Shards < 0 || cfg.Workers < 0 || cfg.BatchSize < 0 || cfg.EvalInterval < 0 || cfg.ActBudget < 0 {
+	if cfg.QueueCapacity < 0 || cfg.Shards < 0 || cfg.Workers < 0 || cfg.BatchSize < 0 || cfg.ActBudget < 0 {
 		return nil, fmt.Errorf("%w: negative sizing", ErrFleet)
 	}
 	if cfg.Shards == 0 {
@@ -325,11 +322,10 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{cfg: cfg, metrics: cfg.Metrics, failureHold: math.Max(cfg.Engine.LeadTime, 300)}
 	f.shell = runtime.NewShell(runtime.ShellConfig{
-		Err:          ErrFleet,
-		EvalInterval: cfg.EvalInterval,
-		Workers:      cfg.Workers,
-		Tracer:       cfg.Tracer,
-		Cycle:        f.EvaluateCycle,
+		Err:     ErrFleet,
+		Workers: cfg.Workers,
+		Tracer:  cfg.Tracer,
+		Cycle:   f.cycle,
 		CloseQueues: func() {
 			// Under adminMu: Resize changes the shard set.
 			f.adminMu.Lock()
@@ -591,8 +587,8 @@ func (f *Fleet) QueueDepth() int {
 // Cycles returns the number of completed evaluation cycles.
 func (f *Fleet) Cycles() int64 { return f.shell.Cycles() }
 
-// Start launches the shard consumers and the cycle loop. ctx cancellation
-// hard-stops the fleet; use Stop for graceful shutdown.
+// Start launches the shard consumers. ctx cancellation hard-stops the fleet;
+// use Stop for graceful shutdown.
 func (f *Fleet) Start(ctx context.Context) error {
 	// Under adminMu, so a concurrent Resize either sees the fleet started
 	// (and launches its new shards' consumers itself) or leaves them to us.
@@ -813,14 +809,12 @@ func (f *Fleet) consumeLoop(q *shardQueue) {
 	}
 }
 
-// EvaluateNow requests an asynchronous cycle (coalesces if one is pending).
-func (f *Fleet) EvaluateNow() { f.shell.EvaluateNow() }
-
-// EvaluateCycle runs one full synchronous MEA cycle over every tenant in
-// the current membership generation: one scoring fan-out under the exclusive
-// state lock (scoreRange), then the act stage and the ledger watermark
-// advance. Concurrent calls (ticker vs. caller) serialize; membership swaps
-// serialize against the whole cycle.
+// EvaluateCycle runs one full MEA cycle over every tenant in the current
+// membership generation, at the clock's reading, on the calling goroutine,
+// and returns once it is done (runtime.Shell.EvaluateNow): one scoring
+// fan-out under the exclusive state lock (scoreRange), then the act stage and
+// the ledger watermark advance. Concurrent calls serialize; membership swaps
+// serialize against the whole cycle. After Stop has begun it runs none.
 //
 // The act stage is two-phase when an ActBudget is set: a decide fan-out
 // computes every tenant's cross-layer decision with the countermeasure
@@ -833,16 +827,19 @@ func (f *Fleet) EvaluateNow() { f.shell.EvaluateNow() }
 //
 // Journaling splits by scope: a tenant with a dedicated ledger scope writes
 // its rows inside the act fan-out (nobody else holds that journal), the
-// tenants folded into the overflow scope are counted afterwards on the cycle
-// goroutine and journaled as one bucket (journalFolded) — no two workers
-// ever meet on the overflow journal's mutex.
+// tenants folded into the overflow scope are counted afterwards on the
+// calling goroutine and journaled as one bucket (journalFolded) — no two
+// workers ever meet on the overflow journal's mutex.
 //
 // Determinism: scoring writes disjoint matrix slots, the act fan-out
 // touches disjoint tenant state, the budget pass orders on a deterministic
 // key, and the overflow bucket holds counts — so for a fixed ingested prefix
 // (see Barrier) the cycle's observable outcome is independent of Shards,
 // Workers, BatchSize, and GOMAXPROCS.
-func (f *Fleet) EvaluateCycle() {
+func (f *Fleet) EvaluateCycle() { f.shell.EvaluateNow() }
+
+// cycle is EvaluateCycle's body, and Stop's final cycle.
+func (f *Fleet) cycle() {
 	f.cycleMu.Lock()
 	defer f.cycleMu.Unlock()
 	mem := f.mem.Load()
@@ -915,8 +912,8 @@ func (f *Fleet) scoreRange(mem *membership, lo, hi int, now float64) {
 
 // journalFolded writes the cycle's combined rows of every tenant folded into
 // the overflow ledger scope as one bucket — the rows finishTenant would have
-// written one by one, counted instead. Runs on the cycle goroutine after the
-// act fan-out; a fleet with nobody folded touches nothing.
+// written one by one, counted instead. Runs on the cycle's own goroutine
+// after the act fan-out; a fleet with nobody folded touches nothing.
 func journalFolded(mem *membership, now float64) {
 	var overflow *obs.Ledger
 	warned, quiet := 0, 0
@@ -1038,9 +1035,30 @@ func (f *Fleet) finishTenant(tn *tenant, now float64) {
 // admitted after the call and settled on a fast shard count towards it, so
 // Barrier may return while an earlier event is still queued on a slow one;
 // it does not wait for an instant with nothing pending fleet-wide.
+//
+// Backlog a token bucket holds back is not waited on: Barrier also returns
+// once everything still pending sits on shards whose drain found all of it
+// over its tenants' rate limits at the clock's reading when Barrier was
+// called. Buckets refill only as the clock moves, so waiting for that
+// backlog would wait for the caller.
 func (f *Fleet) Barrier(ctx context.Context) error {
-	admitted := f.acct.admitted.Value()
-	return runtime.AwaitSettled(ctx, func() bool { return f.acct.settled.Value() >= admitted })
+	admitted, at := f.acct.admitted.Value(), f.now()
+	return runtime.AwaitSettled(ctx, func() bool {
+		return f.acct.settled.Value() >= admitted || f.heldBack(admitted, at)
+	})
+}
+
+// heldBack reports whether every event admitted and not yet settled is held
+// by token buckets on shards that drained at clock reading at or after at.
+// No shard's marker may change while the held events and settled are read,
+// so that a shard draining in between is not mistaken for one at rest.
+func (f *Fleet) heldBack(admitted int64, at float64) bool {
+	seq := f.acct.limited.Value()
+	held := 0
+	for _, q := range f.mem.Load().shards {
+		held += q.heldAt(at)
+	}
+	return held > 0 && admitted-f.acct.settled.Value() <= int64(held) && f.acct.limited.Value() == seq
 }
 
 // Stop shuts the fleet down by the shared stop protocol (runtime.Shell):

@@ -603,6 +603,63 @@ func TestFleetStopDrains(t *testing.T) {
 	}
 }
 
+// TestBarrierHeldBack: Barrier waits for everything a token bucket lets
+// through at the clock's reading, and not for the backlog it holds back —
+// that drains only as the clock moves, or once Stop lifts the limit.
+func TestBarrierHeldBack(t *testing.T) {
+	clock := newTestClock(0)
+	cfg := testFleetConfig([]TenantSpec{{ID: "slow", RateLimit: 2}, {ID: "free"}}, clock)
+	cfg.Shards = 1
+	var mu sync.Mutex
+	applied := map[string]int{}
+	cfg.Apply = func(st TenantState, _ Event) error {
+		mu.Lock()
+		applied[st.(*tstate).id]++
+		mu.Unlock()
+		return nil
+	}
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := f.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		for _, id := range []string{"slow", "free"} {
+			if err := f.Ingest(ctx, sample(id, 0, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(when string, slow, free int) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		if applied["slow"] != slow || applied["free"] != free {
+			t.Fatalf("%s: applied %v, want slow %d free %d", when, applied, slow, free)
+		}
+	}
+	// The bucket starts full at its burst of 2 and refills 2 a second, to
+	// at most the burst.
+	for _, step := range []struct {
+		clock float64
+		slow  int
+	}{{0, 2}, {0, 2}, {0.5, 3}, {10, 5}} {
+		clock.Set(step.clock)
+		if err := f.Barrier(ctx); err != nil {
+			t.Fatalf("Barrier at %g: %v", step.clock, err)
+		}
+		check(fmt.Sprintf("after a Barrier at %g", step.clock), step.slow, 10)
+	}
+	if err := f.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+	check("after Stop", 10, 10)
+}
+
 // TestFleetRecorderIncidents drives the scoped flight recorder end to end:
 // criticality-weighted warn gates, overflow folding past the scope cap, the
 // /incidents plane, /fleet incident fields, and the liveness/readiness

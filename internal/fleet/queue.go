@@ -35,10 +35,13 @@ type item struct {
 // of their own (runtime.Counter pads itself): producers write admitted (under
 // a shard lock, once an event), consumers write settled (once a chunk), and
 // neither line bounces between them the way one shared pending count did.
+// limited counts changes of any shard's rate-limit marker (limitedAt), by
+// which a Barrier tells that the held backlog it read is still held.
 type settlement struct {
 	_        [64]byte // whatever precedes the struct stays off admitted's line
 	admitted runtime.Counter
 	settled  runtime.Counter
+	limited  runtime.Counter
 }
 
 // drrQuantum is the deficit-round-robin quantum: how many queued events one
@@ -283,6 +286,11 @@ type shardQueue struct {
 
 	policy runtime.OverflowPolicy
 	clock  func() float64 // domain clock for token buckets
+	// limitedAt is the clock reading at which the last drain found every
+	// event queued here over its tenant's rate limit (NaN bits otherwise): a
+	// Barrier does not wait on such a backlog (heldAt). Written under mu, read
+	// without it too; acct.limited counts its changes.
+	limitedAt atomic.Uint64
 
 	metrics     *runtime.Metrics
 	drops       *runtime.Counter // per-shard, all reasons
@@ -310,7 +318,30 @@ func newShardQueue(policy runtime.OverflowPolicy, capacity int, m *runtime.Metri
 		shard:       shard,
 	}
 	q.notEmpty.L = &q.mu
+	storeTime(&q.limitedAt, math.NaN())
 	return q
+}
+
+// setLimitedLocked records the clock reading at which a drain found nothing
+// it may take, or NaN once one took something or a tenant became
+// schedulable.
+func (q *shardQueue) setLimitedLocked(at float64) {
+	if bits := math.Float64bits(at); q.limitedAt.Load() != bits {
+		q.limitedAt.Store(bits)
+		q.acct.limited.Inc()
+	}
+}
+
+// heldAt reports the events queued here when the last drain found all of
+// them over their tenants' rate limits at a clock reading of at least at —
+// the shard then has nothing in flight, and nothing it may drain until the
+// clock moves — and 0 otherwise. The caller confirms by acct.limited that the
+// marker did not change while it read.
+func (q *shardQueue) heldAt(at float64) int {
+	if !(loadTime(&q.limitedAt) >= at) {
+		return 0
+	}
+	return q.depth()
 }
 
 // attach makes q the owner of tq, counts its backlog against the shard
@@ -334,6 +365,7 @@ func (q *shardQueue) activateLocked(tq *tenantQueue) {
 	if !tq.active && tq.ready && tq.buf.Len() > 0 {
 		q.active = append(q.active, tq)
 		tq.active = true
+		q.setLimitedLocked(math.NaN())
 		if len(q.active) == 1 {
 			q.notEmpty.Signal()
 		}
@@ -480,6 +512,9 @@ func (q *shardQueue) drainInto(buf []item) (int, bool) {
 		// that is still at its cap (rate-limited, say) while a later one
 		// now fits.
 		q.waiters.WakeAll()
+		q.setLimitedLocked(math.NaN())
+	} else { // every active tenant was visited, none had a token
+		q.setLimitedLocked(clock)
 	}
 	q.mu.Unlock()
 	if n == 0 {

@@ -20,8 +20,8 @@ import (
 // The shell suite runs one set of cases against both pipelines that sit on
 // runtime.Shell — a single-tenant runtime.Runtime and a Fleet — so the
 // start-once rule, the graceful and hard stop protocol, the readiness
-// states, EvaluateNow's coalescing and the act stage's place on the cycle
-// goroutine are pinned once, for both.
+// states, a cycle run on its caller and none after Stop, and one cycle at a
+// time are pinned once, for both.
 
 // shellHooks are the places a case reaches into a fixture's pipeline. Each
 // is called on the pipeline's own goroutines and may block.
@@ -37,7 +37,7 @@ type shellFixture struct {
 	start       func(context.Context) error
 	stop        func(context.Context) error
 	running     func() bool
-	evaluateNow func()
+	evaluateNow func() // runtime.Runtime.EvaluateNow, Fleet.EvaluateCycle
 	cycles      func() int64
 	metrics     *runtime.Metrics
 	handler     http.Handler
@@ -140,7 +140,7 @@ func newFleetFixture(t *testing.T, h *shellHooks) *shellFixture {
 	return &shellFixture{
 		sentinel: ErrFleet,
 		start:    f.Start, stop: f.Stop, running: f.Running,
-		evaluateNow: f.EvaluateNow, cycles: f.Cycles,
+		evaluateNow: f.EvaluateCycle, cycles: f.Cycles,
 		metrics: f.Metrics(), handler: f.Handler(),
 		ingest: func(ctx context.Context, i int) error {
 			return f.Ingest(ctx, sample(ids[i%len(ids)], float64(i), 0))
@@ -226,7 +226,7 @@ func TestShell(t *testing.T) {
 		{name: "stop with an expired ctx sheds the backlog", run: shellExpiredStop},
 		{name: "parent ctx cancellation sheds the backlog", run: shellParentCancel},
 		{name: "readiness ok, draining, stopped; liveness 200 throughout", run: shellReadiness},
-		{name: "EvaluateNow coalesces", run: shellCoalesce},
+		{name: "EvaluateNow has run the cycle when it returns, and after Stop runs none", run: shellEvaluateNow},
 		{name: "a slow action delays the next cycle and loses nothing", run: shellSlowAction},
 		{name: "Resize while running adds consumers Stop waits for", run: shellResize, fleetOnly: true},
 	}
@@ -307,7 +307,7 @@ func shellGracefulStop(t *testing.T, build func(*shellHooks) *shellFixture) {
 	if m.Applied.Value() != shellBacklog || m.Dropped() != 0 {
 		t.Errorf("applied %d dropped %d, want %d and 0", m.Applied.Value(), m.Dropped(), shellBacklog)
 	}
-	// No ticker, no EvaluateNow: the only cycle is the final one.
+	// No EvaluateNow: the only cycle is the final one.
 	if got := fx.cycles(); got != 1 {
 		t.Errorf("cycles = %d, want exactly the final one", got)
 	}
@@ -400,30 +400,27 @@ func shellReadiness(t *testing.T, build func(*shellHooks) *shellFixture) {
 	live(fx, "stopped")
 }
 
-func shellCoalesce(t *testing.T, build func(*shellHooks) *shellFixture) {
-	open, entered := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	fx := build(&shellHooks{score: func() float64 {
-		once.Do(func() { close(entered) })
-		<-open
-		return 0
-	}})
+func shellEvaluateNow(t *testing.T, build func(*shellHooks) *shellFixture) {
+	fx := build(&shellHooks{})
 	ctx := context.Background()
 	if err := fx.start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	fx.evaluateNow()
-	<-entered // cycle 1 is scoring; its request is consumed
-	for i := 0; i < 5; i++ {
-		fx.evaluateNow() // five requests, one slot
+	for want := int64(1); want <= 3; want++ {
+		fx.evaluateNow()
+		if got := fx.cycles(); got != want {
+			t.Fatalf("cycles = %d after EvaluateNow #%d returned, want %d", got, want, want)
+		}
 	}
-	close(open)
-	waitFor(t, "the coalesced cycle", func() bool { return fx.cycles() == 2 })
 	if err := fx.stop(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := fx.cycles(); got != 3 {
-		t.Errorf("cycles = %d, want 3: the running one, one for five requests, the final one", got)
+	fx.evaluateNow()
+	if got := fx.cycles(); got != 4 {
+		t.Errorf("cycles = %d, want 4: three asked for and Stop's final one", got)
+	}
+	if got := fx.metrics.Evaluations.Value(); got != 4 {
+		t.Errorf("evaluations = %d after an EvaluateNow past Stop, want 4", got)
 	}
 }
 
@@ -456,10 +453,18 @@ func shellSlowAction(t *testing.T, build func(*shellHooks) *shellFixture) {
 	if err := fx.start(ctx); err != nil {
 		t.Fatal(err)
 	}
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		fx.evaluateNow()
+	}()
+	<-acting // cycle 1 is inside its countermeasure
+	// Asked for meanwhile, from another goroutine: it waits its turn.
 	fx.evaluateNow()
-	<-acting         // cycle 1 is inside its countermeasure
-	fx.evaluateNow() // issued meanwhile: must be kept
-	waitFor(t, "the cycle requested during the action", func() bool { return fx.cycles() >= 2 })
+	<-first
+	if got := fx.cycles(); got != 2 {
+		t.Errorf("cycles = %d once both EvaluateNow calls returned, want 2", got)
+	}
 	if err := fx.stop(ctx); err != nil {
 		t.Fatal(err)
 	}

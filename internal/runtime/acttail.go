@@ -36,8 +36,8 @@ type ActTail struct {
 }
 
 // WireTriggers subscribes the recorder's drift and rollback triggers to the
-// lifecycle. Both events originate in ObserveCycle, on the cycle goroutine,
-// so they are replay-stable triggers; retrain-done is wall-clock timed and
+// lifecycle. Both events originate in ObserveCycle, inside the cycle, so
+// they are replay-stable triggers; retrain-done is wall-clock timed and
 // deliberately not wired.
 func (t *ActTail) WireTriggers() {
 	if t.Lifecycle == nil || t.Recorder == nil {

@@ -1,18 +1,18 @@
 // Package runtime turns the batch-mode PFM library into a long-running
-// service: a concurrent, wall-clock Monitor–Evaluate–Act pipeline over
-// live event streams, the online counterpart of the simulation-clocked
+// service: a concurrent Monitor–Evaluate–Act pipeline over live event
+// streams, the online counterpart of the simulation-clocked
 // experiments (the paper's Fig. 1 loop and Sect. 6 blueprint describe
 // exactly this shape — a control loop that keeps up with monitoring
 // ingest).
 //
-// The pipeline is two kinds of goroutine around one state lock, each
-// context-driven with clean shutdown and drain:
+// The pipeline is one drain goroutine and whichever goroutine asks for a
+// cycle, around one state lock, with clean shutdown and drain:
 //
 //		producers ──Ingest──▶ [one bounded FIFO] ──▶ drain consumer (×1):
 //		                                             Apply chunks under the
 //		                                             state lock, in ingest order
 //
-//		ticker / EvaluateNow ──▶ cycle goroutine (×1), one cycle at a time:
+//		EvaluateNow / CycleBatch ──▶ on the caller, one cycle at a time:
 //		                           evaluate: score every layer under the state
 //		                                     lock (fanned over the worker pool)
 //		                           act:      core.Engine.ActOn, then the act tail
@@ -27,20 +27,21 @@
 //	    one system whose error log is one time-ordered stream (Sect. 3.2), so
 //	    there is nothing inside a tenant to apply in parallel; scale is the
 //	    fleet's business.
-//	  - A cycle fires on a wall-clock ticker and on demand via EvaluateNow,
-//	    or synchronously for a stack of domain times via CycleBatch — all
-//	    three run the same body under one mutex. Layers score in parallel
-//	    under the state lock, so they see a consistent snapshot while ingest
-//	    keeps queueing behind them; the lock is released before the act
-//	    stage.
-//	  - The act stage runs on the cycle goroutine: core.Engine.ActOn takes the
+//	  - A cycle runs on the goroutine that asks for it, at a domain time that
+//	    goroutine names: EvaluateNow at the Clock's reading, CycleBatch at a
+//	    stack of times — both run the same body under one mutex. There is no
+//	    ticker: whoever feeds the pipeline decides when a cycle is due. Layers
+//	    score in parallel under the state lock, so they see a consistent
+//	    snapshot while ingest keeps queueing behind them; the lock is released
+//	    before the act stage.
+//	  - The act stage runs on that same goroutine: core.Engine.ActOn takes the
 //	    single cross-layer decision (oscillation guard included), and the act
 //	    tail (ActTail.Observe) journals it, lets the lifecycle observe it and
 //	    feeds the flight recorder, in that order. A countermeasure that blocks
-//	    delays the next cycle; it never overlaps it, and an EvaluateNow issued
-//	    meanwhile is kept.
+//	    delays the next cycle; it never overlaps it, and a cycle asked for
+//	    meanwhile waits its turn.
 //
-// The goroutines, the ticker loop and the stop protocol live in Shell, the
+// The goroutines, the cycle lock and the stop protocol live in Shell, the
 // act tail in ActTail, and the /metrics, /healthz, /readyz, /livez, /tracez
 // and /incidents endpoints in Plane — internal/fleet runs on the same three.
 // Where this runtime has one FIFO and one consumer, the fleet has one FIFO per

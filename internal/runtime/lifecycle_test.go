@@ -22,7 +22,7 @@ import (
 // the lifecycle package's harness convention.
 func failAt(t, every int) bool { return every > 0 && t%every == every-1 }
 
-// tickClock is a deterministic domain clock: the cycle loop's cycle is its
+// tickClock is a deterministic domain clock: EvaluateNow's cycle is its
 // only caller, so cycle i observes now == i.
 func tickClock() func() float64 {
 	var n atomic.Int64

@@ -8,7 +8,6 @@ import (
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/lifecycle"
@@ -29,8 +28,9 @@ type Config struct {
 	// lock), so Apply and the layers may share state without their own
 	// locking.
 	Apply func(Event) error
-	// Clock maps wall time to the domain time passed to Layer.Evaluate
-	// and Engine.ActOn. Nil defaults to seconds since Start.
+	// Clock reads the domain time an EvaluateNow cycle, and Stop's final
+	// cycle, evaluates and acts at. Nil defaults to seconds since Start.
+	// CycleBatch takes its times from its caller instead.
 	Clock func() float64
 	// QueueCapacity bounds the ingest queue (default 1024).
 	QueueCapacity int
@@ -48,9 +48,6 @@ type Config struct {
 	// the runtime's Handler. Off by default — profiles reveal operational
 	// detail, so they are opt-in.
 	Profiling bool
-	// EvalInterval is the wall-clock MEA cadence. Zero disables the
-	// ticker; cycles then run only via EvaluateNow.
-	EvalInterval time.Duration
 	// Workers sizes the layer-evaluation pool (default GOMAXPROCS, or
 	// the layer count if smaller). 1 evaluates sequentially.
 	Workers int
@@ -94,8 +91,8 @@ type Runtime struct {
 	layers  []*core.Layer
 	ring    *Ring[Event] // the bounded ingest queue, drained by one consumer
 	metrics *Metrics
-	// shell owns the goroutines (drain consumer, cycle loop, pool) and the
-	// stop protocol; tail is what follows each act decision.
+	// shell owns the goroutines (drain consumer, pool) and the stop
+	// protocol; tail is what follows each act decision.
 	shell *Shell
 	tail  ActTail
 
@@ -114,11 +111,11 @@ type Runtime struct {
 	sampleEvery uint64 // 0 = tracing off
 	sampleMask  uint64 // sampleEvery-1 when it is a power of two, else 0
 
-	// cycleMu serializes cycles — the cycle loop's and CycleBatch callers';
+	// cycleMu serializes cycles — EvaluateNow's and CycleBatch callers';
 	// batchScores/batchRow are their reused layer-major score matrix and
 	// per-cycle row view. batchFn is the pool fan-out body, built once: it
 	// scores layer j at batchNows (the running call's nows) into its segment
-	// of batchScores. tickNow is the cycle loop's one-element time stack.
+	// of batchScores. tickNow is EvaluateNow's one-element time stack.
 	cycleMu     sync.Mutex
 	batchScores []float64
 	batchRow    []float64
@@ -141,8 +138,8 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Apply == nil {
 		return nil, fmt.Errorf("%w: nil Apply", ErrRuntime)
 	}
-	if cfg.QueueCapacity < 0 || cfg.EvalInterval < 0 || cfg.Workers < 0 || cfg.BatchSize < 0 {
-		return nil, fmt.Errorf("%w: negative capacity/interval/workers/batch", ErrRuntime)
+	if cfg.QueueCapacity < 0 || cfg.Workers < 0 || cfg.BatchSize < 0 {
+		return nil, fmt.Errorf("%w: negative capacity/workers/batch", ErrRuntime)
 	}
 	if cfg.Lifecycle != nil && cfg.Ledger == nil {
 		return nil, fmt.Errorf("%w: Lifecycle requires Ledger (shadow validation reads live quality)", ErrRuntime)
@@ -175,12 +172,11 @@ func New(cfg Config) (*Runtime, error) {
 		},
 	}
 	r.shell = NewShell(ShellConfig{
-		Err:          ErrRuntime,
-		EvalInterval: cfg.EvalInterval,
-		Workers:      cfg.Workers,
-		Tracer:       cfg.Tracer,
-		Cycle:        r.cycle,
-		CloseQueues:  r.ring.Close,
+		Err:         ErrRuntime,
+		Workers:     cfg.Workers,
+		Tracer:      cfg.Tracer,
+		Cycle:       r.cycle,
+		CloseQueues: r.ring.Close,
 		Quiesced: func() {
 			if cfg.Lifecycle != nil {
 				cfg.Lifecycle.Wait() // let in-flight background retrains land
@@ -349,8 +345,8 @@ func (r *Runtime) Metrics() *Metrics { return r.metrics }
 // QueueDepth returns the current ingest backlog.
 func (r *Runtime) QueueDepth() int { return r.ring.Depth() }
 
-// Start launches the drain consumer and the cycle loop. ctx cancellation
-// hard-stops the pipeline (no drain); use Stop for graceful shutdown.
+// Start launches the drain consumer. ctx cancellation hard-stops the
+// pipeline (no drain); use Stop for graceful shutdown.
 func (r *Runtime) Start(ctx context.Context) error {
 	return r.shell.Start(ctx, 1, func(int) { r.consumeLoop() })
 }
@@ -430,11 +426,13 @@ func (r *Runtime) Barrier(ctx context.Context) error {
 // (Shell.Cycles).
 func (r *Runtime) Cycles() int64 { return r.shell.Cycles() }
 
-// EvaluateNow requests an immediate MEA cycle (Shell.EvaluateNow).
+// EvaluateNow runs one MEA cycle at the clock's reading on the calling
+// goroutine and returns once it is done (Shell.EvaluateNow). After Stop has
+// begun it runs none.
 func (r *Runtime) EvaluateNow() { r.shell.EvaluateNow() }
 
 // consumeLoop is the ingest consumer. The goroutine carries a pprof label so
-// -pprof CPU profiles attribute time to the drain vs the cycle goroutine.
+// -pprof CPU profiles tell the drain from the goroutine that runs cycles.
 func (r *Runtime) consumeLoop() {
 	pprof.Do(context.Background(), pprof.Labels("stage", "drain"),
 		func(context.Context) { r.drainLoop() })
@@ -489,10 +487,10 @@ func (r *Runtime) drainLoop() {
 	}
 }
 
-// cycle is the streaming cycle the shell's loop runs on the ticker, on
-// EvaluateNow and once after the final drain: one CycleBatch at the clock's
-// current reading. The clock is read under cycleMu, so a cycle that waited
-// out a concurrent CycleBatch does not evaluate at a time before it.
+// cycle is the cycle EvaluateNow and Stop's final drain run: one CycleBatch
+// at the clock's current reading. The clock is read under cycleMu, so a
+// cycle that waited out a concurrent CycleBatch does not evaluate at a time
+// before it.
 func (r *Runtime) cycle() {
 	r.cycleMu.Lock()
 	defer r.cycleMu.Unlock()
@@ -502,8 +500,8 @@ func (r *Runtime) cycle() {
 
 // actOne runs the act stage for one completed evaluation: the cross-layer
 // decision, act metrics, trace completion, the shared act tail (journal,
-// lifecycle, recorder) and cycle accounting. Every cycle — the cycle loop's
-// and CycleBatch's — goes through this one path.
+// lifecycle, recorder) and cycle accounting. Every cycle — EvaluateNow's and
+// CycleBatch's — goes through this one path.
 func (r *Runtime) actOne(now float64, scores []float64, cands []lifecycle.CandidateScore, evalStart, evalEnd int64) {
 	actStart := r.shell.Nanos()
 	d := r.engine.ActOn(now, scores)
@@ -528,14 +526,14 @@ func (r *Runtime) actOne(now float64, scores []float64, cands []lifecycle.Candid
 // scoring every layer over the whole batch under a single evaluation
 // exclusion through the engine's batched entry point, then acting on each
 // cycle in order — so ledger state, monotone counters and act decisions are
-// byte-identical to len(nows) event-driven cycles at the same times (the
-// cycle loop's cycle is this same body with a one-element stack).
+// byte-identical to len(nows) EvaluateNow cycles at the same times (that
+// cycle is this same body with a one-element stack).
 //
-// Call before Stop. CycleBatch calls serialize with each other and with the
-// cycle loop. Typical use: a columnar replay with the ticker off ingests a
-// window of events, Barriers, then stacks the cycle times that fell due in
-// the gap — amortizing the exclusive lock and the versioned-predictor handle
-// loads across the whole stack.
+// Call before Stop. CycleBatch calls serialize with each other and with
+// EvaluateNow. Typical use: a replay ingests a window of events, Barriers,
+// then stacks the cycle times that fell due in the gap — amortizing the
+// exclusive lock and the versioned-predictor handle loads across the whole
+// stack.
 func (r *Runtime) CycleBatch(nows []float64) {
 	if len(nows) == 0 {
 		return

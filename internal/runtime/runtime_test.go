@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -265,14 +266,15 @@ func TestPeriodicEvaluationWarnsActsAndGuards(t *testing.T) {
 		Threshold: 0.5,
 	}
 	cfg := defaultCoreCfg()
-	cfg.OscillationWindow = 3600 // all wall-clock cycles fall in one window
+	cfg.OscillationWindow = 3600 // every cycle of the run falls in one window
 	cfg.MaxActionsPerWindow = 2
 	eng := testEngine(t, cfg, hot)
+	var now atomic.Uint64
 	rt, err := New(Config{
-		Engine:       eng,
-		Apply:        func(Event) error { return nil },
-		EvalInterval: 2 * time.Millisecond,
-		Workers:      2,
+		Engine:  eng,
+		Apply:   func(Event) error { return nil },
+		Clock:   func() float64 { return float64(now.Load()) },
+		Workers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -280,13 +282,13 @@ func TestPeriodicEvaluationWarnsActsAndGuards(t *testing.T) {
 	if err := rt.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(5 * time.Second)
-	for rt.Metrics().Suppressed.Value() < 3 {
-		select {
-		case <-deadline:
-			t.Fatal("oscillation guard never engaged")
-		case <-time.After(2 * time.Millisecond):
-		}
+	// One cycle a domain second: two act, the guard suppresses the rest.
+	for i := 0; i < 5; i++ {
+		now.Add(1)
+		rt.EvaluateNow()
+	}
+	if got := rt.Metrics().Suppressed.Value(); got != 3 {
+		t.Fatalf("suppressed = %d after 5 warning cycles, want 3", got)
 	}
 	if err := rt.Stop(context.Background()); err != nil {
 		t.Fatal(err)
@@ -307,23 +309,23 @@ func TestPeriodicEvaluationWarnsActsAndGuards(t *testing.T) {
 func TestEvaluateNowEventDriven(t *testing.T) {
 	rt := startRuntime(t, func(Event) error { return nil }, 4, Block)
 	rt.EvaluateNow()
-	deadline := time.After(5 * time.Second)
-	for rt.Metrics().Evaluations.Value() < 1 {
-		select {
-		case <-deadline:
-			t.Fatal("EvaluateNow never produced a cycle")
-		case <-time.After(time.Millisecond):
-		}
+	if got := rt.Metrics().Evaluations.Value(); got != 1 {
+		t.Fatalf("evaluations = %d once EvaluateNow returned, want 1", got)
 	}
 	if err := rt.Stop(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	rt.EvaluateNow()
+	if got := rt.Metrics().Evaluations.Value(); got != 2 {
+		t.Fatalf("evaluations = %d, want EvaluateNow's and Stop's final one", got)
+	}
 }
 
 // TestStress pushes 100k events from concurrent producers through the
-// full pipeline with evaluation running, and checks the conservation
-// invariant: every event presented to Ingest is either applied or counted
-// dropped. Run with -race.
+// full pipeline with evaluation running — each producer runs a cycle every
+// thousand events, so cycles from four goroutines contend — and checks the
+// conservation invariant: every event presented to Ingest is either applied
+// or counted dropped. Run with -race.
 func TestStress(t *testing.T) {
 	var mu sync.Mutex
 	seen := 0
@@ -345,7 +347,6 @@ func TestStress(t *testing.T) {
 		},
 		QueueCapacity: 256,
 		Overflow:      DropOldest,
-		EvalInterval:  time.Millisecond,
 		Workers:       2,
 	})
 	if err != nil {

@@ -15,54 +15,51 @@ import (
 type ShellConfig struct {
 	// Err is the owning package's sentinel; Start/Stop errors wrap it.
 	Err error
-	// EvalInterval is the wall-clock cycle cadence. Zero disables the
-	// ticker; cycles then run only via EvaluateNow (and the final drain
-	// cycle).
-	EvalInterval time.Duration
 	// Workers sizes the evaluation pool Start creates (none below 2).
 	Workers int
 	// Tracer is the pipeline's span tracer (nil when tracing is off); the
 	// shell only reads its clock, see Nanos.
 	Tracer *obs.Tracer
-	// Cycle runs one MEA cycle — evaluate, act, journal — to completion. The
-	// shell calls it from the cycle goroutine only, so a slow countermeasure
-	// delays the next cycle instead of overlapping it.
+	// Cycle runs one MEA cycle — evaluate, act, journal — to completion, on
+	// the goroutine that called EvaluateNow or Stop. The shell never runs two
+	// at once, so a slow countermeasure delays the next cycle instead of
+	// overlapping it.
 	Cycle func()
 	// CloseQueues rejects new ingest and lets the consumers run their queues
 	// dry. Idempotent: Stop calls it, and so does a hard stop.
 	CloseQueues func()
-	// Quiesced runs once inside Stop after every shell goroutine has exited
-	// and the pool is closed — no Apply, no cycle can run any more.
+	// Quiesced runs once inside Stop after every consumer has exited and the
+	// pool is closed — no Apply, no cycle can run any more.
 	Quiesced func()
 }
 
 // Shell is the stage skeleton Runtime and fleet.Fleet share: N drain
-// consumers plus one cycle goroutine, and the protocol that stops them.
+// consumers, the evaluation pool, and the protocol that stops them. It owns
+// no cycle goroutine and no clock: a cycle runs on whichever goroutine asks
+// for it (EvaluateNow), at whatever domain time the owner's clock reads.
 //
 // Stop protocol. A graceful Stop marks the pipeline draining, closes the
 // queues, and waits: each consumer applies its backlog and exits; when the
-// last one has, the cycle goroutine runs exactly one final cycle (so late
-// events still reach a decision) and exits; then the pool closes, Quiesced
-// runs, and the pipeline is stopped. If Stop's ctx expires first — or the
-// context given to Start is canceled at any time — the stop turns hard:
-// consumers shed what is still queued (the owners count it dropped with
-// reason "shutdown", so ingested = applied + dropped still closes), the cycle
-// goroutine exits without a final cycle, and Stop returns ctx's error.
-// Readiness reads "ok" → "draining" → "stopped" along the way; liveness does
-// not change.
+// last one has, Stop runs exactly one final cycle itself (so late events
+// still reach a decision); then the pool closes, Quiesced runs, and the
+// pipeline is stopped. If Stop's ctx expires first — or the context given to
+// Start is canceled at any time — the stop turns hard: consumers shed what is
+// still queued (the owners count it dropped with reason "shutdown", so
+// ingested = applied + dropped still closes), no final cycle runs, and Stop
+// returns ctx's error. Readiness reads "ok" → "draining" → "stopped" along the
+// way; liveness does not change.
 type Shell struct {
 	cfg     ShellConfig
 	pool    *Pool
 	created time.Time // Nanos' base when tracing is off
 
-	// consumersWg tracks the drain consumers; evalStop closes once all of
-	// them have exhausted their queues. wg tracks every shell goroutine.
-	consumersWg sync.WaitGroup
-	wg          sync.WaitGroup
-	evalReq     chan struct{}
-	evalStop    chan struct{}
-	hardCtx     context.Context
-	hardStop    context.CancelFunc
+	// wg tracks the drain consumers.
+	wg       sync.WaitGroup
+	hardCtx  context.Context
+	hardStop context.CancelFunc
+	// cycleMu is held around every cycle the shell runs and around Stop's
+	// pool close, so a cycle never overlaps another or outlives the pool.
+	cycleMu sync.Mutex
 
 	start     atomic.Pointer[time.Time] // nil until Start
 	stopping  atomic.Bool
@@ -75,12 +72,7 @@ type Shell struct {
 
 // NewShell assembles a shell (not yet running; call Start).
 func NewShell(cfg ShellConfig) *Shell {
-	return &Shell{
-		cfg:      cfg,
-		created:  time.Now(),
-		evalReq:  make(chan struct{}, 1),
-		evalStop: make(chan struct{}),
-	}
+	return &Shell{cfg: cfg, created: time.Now()}
 }
 
 // Nanos stamps a stage boundary once for both of its readers — the span
@@ -115,9 +107,9 @@ func AwaitSettled(ctx context.Context, settled func() bool) error {
 	return nil
 }
 
-// Start launches the pool, n drain consumers — consume(0) … consume(n-1),
-// one goroutine each — and the cycle loop. Canceling ctx hard-stops the
-// pipeline; use Stop for a graceful shutdown.
+// Start launches the pool and n drain consumers — consume(0) …
+// consume(n-1), one goroutine each. Canceling ctx hard-stops the pipeline;
+// use Stop for a graceful shutdown.
 func (s *Shell) Start(ctx context.Context, n int, consume func(i int)) error {
 	now := time.Now()
 	if !s.start.CompareAndSwap(nil, &now) {
@@ -130,15 +122,6 @@ func (s *Shell) Start(ctx context.Context, n int, consume func(i int)) error {
 	for i := 0; i < n; i++ {
 		s.Go(func() { consume(i) })
 	}
-	s.wg.Add(2)
-	// Release the cycle loop's final cycle only after every consumer has
-	// drained.
-	go func() {
-		defer s.wg.Done()
-		s.consumersWg.Wait()
-		close(s.evalStop)
-	}()
-	go s.cycleLoop()
 	// Hard stop, from the parent context or from Stop: close the queues so
 	// the consumers' drain loops terminate (shedding, see HardStopped).
 	context.AfterFunc(s.hardCtx, func() {
@@ -149,51 +132,27 @@ func (s *Shell) Start(ctx context.Context, n int, consume func(i int)) error {
 }
 
 // Go runs one more drain consumer under the shell's accounting: Stop waits
-// for it, and the final cycle waits for it to run dry. Start uses it for the
-// initial consumers; a live resize adds consumers with it. The caller must
-// exclude Stop's CloseQueues while it adds (a consumer added to a pipeline
-// whose consumers have all exited would be missed).
+// for it to run dry before the final cycle. Start uses it for the initial
+// consumers; a live resize adds consumers with it. The caller must exclude
+// Stop's CloseQueues while it adds (a consumer added to a pipeline whose
+// consumers have all exited would be missed).
 func (s *Shell) Go(consume func()) {
 	s.wg.Add(1)
-	s.consumersWg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		defer s.consumersWg.Done()
 		consume()
 	}()
 }
 
-// cycleLoop runs cycles on the ticker and on demand, plus one final cycle
-// after ingest drains on a graceful stop.
-func (s *Shell) cycleLoop() {
-	defer s.wg.Done()
-	var tick <-chan time.Time
-	if s.cfg.EvalInterval > 0 {
-		t := time.NewTicker(s.cfg.EvalInterval)
-		defer t.Stop()
-		tick = t.C
-	}
-	for {
-		select {
-		case <-s.hardCtx.Done():
-			return
-		case <-s.evalStop:
-			s.cfg.Cycle()
-			return
-		case <-tick:
-		case <-s.evalReq:
-		}
-		s.cfg.Cycle()
-	}
-}
-
-// EvaluateNow requests an immediate cycle (event-driven evaluation). It
-// coalesces with a request already pending; a request made while a cycle is
-// running is kept and served by the next one.
+// EvaluateNow runs one cycle on the calling goroutine and returns once it is
+// done. Cycles from several goroutines run one at a time, so a cycle's own
+// code (a layer, a combiner, a countermeasure) must not call it, nor Stop.
+// Once Stop has begun it runs none: the final cycle is Stop's.
 func (s *Shell) EvaluateNow() {
-	select {
-	case s.evalReq <- struct{}{}:
-	default:
+	s.cycleMu.Lock()
+	defer s.cycleMu.Unlock()
+	if !s.Stopping() {
+		s.cfg.Cycle()
 	}
 }
 
@@ -218,10 +177,18 @@ func (s *Shell) Stop(ctx context.Context) error {
 			<-done
 			s.stopErr = ctx.Err()
 		}
+		graceful := !s.HardStopped()
 		s.hardStop()
+		// Under cycleMu: an EvaluateNow already running finishes first, and
+		// none after this runs a cycle on the closed pool.
+		s.cycleMu.Lock()
+		if graceful {
+			s.cfg.Cycle()
+		}
 		if s.pool != nil {
 			s.pool.Close()
 		}
+		s.cycleMu.Unlock()
 		s.cfg.Quiesced()
 		s.stopped.Store(true)
 	})

@@ -178,6 +178,10 @@ func (m *MultiSystem) IDs() []string { return append([]string(nil), m.ids...) }
 // Weights returns the per-tenant load scales (mean 1).
 func (m *MultiSystem) Weights() []float64 { return append([]float64(nil), m.weights...) }
 
+// System returns tenant i's simulator, for a caller that steers it between
+// Runs on the goroutine that runs it.
+func (m *MultiSystem) System(i int) *System { return m.systems[i] }
+
 // Run advances every tenant by duration simulated seconds.
 func (m *MultiSystem) Run(duration float64) error {
 	return forTenants(len(m.systems), func(i int) error {

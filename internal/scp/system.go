@@ -135,9 +135,6 @@ func (s *System) Run(duration float64) error {
 	return nil
 }
 
-// Now returns the current simulation time.
-func (s *System) Now() float64 { return s.engine.Now() }
-
 // offeredLoad returns the diurnal request rate before spikes and shedding.
 func (s *System) offeredLoad(now float64) float64 {
 	diurnal := 1 + s.cfg.DiurnalAmplitude*math.Sin(2*math.Pi*now/86400)

@@ -42,7 +42,6 @@ var orphanAllowed = map[string]string{
 	"checkpoint.Store.Len":                   "TestStoreOrdering and TestPeriodicPolicy count checkpoints",
 	"ctmc.Chain.Rate":                        "pfmmodel TestChainStructure reads Fig. 9's arcs; ctmc's balance property",
 	"eventlog.Log.TypeAt":                    "TestBatchSerialParity's serial oracle reads the mirror log",
-	"fleet.Fleet.EvaluateNow":                "TestShell drives both runtimes through one interface",
 	"fleet.Fleet.Running":                    "TestShell",
 	"runtime.Runtime.Running":                "TestShell",
 	"runtime.Runtime.Recorder":               "TestRecorderIncidentReplay, TestCycleSteadyStateAllocs",

@@ -1,8 +1,9 @@
 package pfm
 
 // Facade over internal/runtime: the concurrent streaming MEA runtime that
-// wraps an MEAEngine into a wall-clock pipeline (one bounded ingest queue
-// drained into predictor state, and one cycle goroutine that scores the
+// wraps an MEAEngine into a pipeline (one bounded ingest queue drained into
+// predictor state, and a cycle — run by whoever calls EvaluateNow or
+// CycleBatch, at the domain time the caller's clock names — that scores the
 // layers over a worker pool and then acts) with Prometheus-text metrics and
 // /healthz. See cmd/pfmd for a complete deployment.
 
