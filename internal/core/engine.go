@@ -172,6 +172,9 @@ type Engine struct {
 	// combinerErrs counts Act rounds whose combiner failed (confidence
 	// forced to 0) — surfaced as pfm_combiner_errors_total.
 	combinerErrs atomic.Int64
+	// observer is the installed CycleObserver, read without a lock on every
+	// decision.
+	observer atomic.Pointer[CycleObserver]
 
 	// combineMu guards combineIn, the combiner-input scratch, over the
 	// combine step — which stays outside mu, so a combiner may call the
@@ -189,7 +192,6 @@ type Engine struct {
 	acted       int
 	suppressed  int
 	running     bool
-	observer    CycleObserver
 	// versions is the layers' serving versions as of the last decision,
 	// shared by every Decision until a swap changes one (then replaced,
 	// never rewritten).
@@ -320,10 +322,16 @@ type CycleObserver func(now float64, scores []float64, d Decision)
 // SetCycleObserver installs the observer (nil disables). This is the hook
 // the observability layer uses to journal per-layer predictions into the
 // quality ledger without core depending on it.
-func (e *Engine) SetCycleObserver(fn CycleObserver) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.observer = fn
+func (e *Engine) SetCycleObserver(fn CycleObserver) { e.observer.Store(&fn) }
+
+// Observer returns the installed cycle observer (nil for none): a caller that
+// decides with DecideOn and commits itself calls it once the decision is
+// final, as ActOn does. One atomic load, lock-free.
+func (e *Engine) Observer() CycleObserver {
+	if fn := e.observer.Load(); fn != nil {
+		return *fn
+	}
+	return nil
 }
 
 // Decision is the outcome of one Act round.
@@ -355,11 +363,8 @@ type Decision struct {
 func (e *Engine) ActOn(now float64, scores []float64) Decision {
 	d, pending := e.DecideOn(now, scores)
 	pending.Commit(&d)
-	e.mu.Lock()
-	observer := e.observer
-	e.mu.Unlock()
-	if observer != nil {
-		observer(now, scores, d)
+	if fn := e.Observer(); fn != nil {
+		fn(now, scores, d)
 	}
 	return d
 }
@@ -436,10 +441,9 @@ func (p *PendingAct) Drop(d *Decision) {
 // admits an action it returns it as a PendingAct instead of executing (the
 // zero PendingAct otherwise). The caller resolves the pending act with Commit
 // or Drop on its own copy (the returned Decision reports Executed only after
-// Commit). Unlike ActOn it never invokes the
-// cycle observer — a deferred decision has no single commit point the
-// observer could meaningfully see. Decide/commit pairs on one engine must
-// not interleave with other decisions on the same engine.
+// Commit). Unlike ActOn it does not invoke the cycle observer: the caller
+// calls the Observer once the decision is final. Decide/commit pairs on one engine
+// must not interleave with other decisions on the same engine.
 func (e *Engine) DecideOn(now float64, scores []float64) (Decision, PendingAct) {
 	confidence, combinerErr := e.combine(scores)
 

@@ -11,12 +11,14 @@
 //     applies in order on exactly one consumer while shards drain in
 //     parallel. Consumers drain their queue in chunks, amortizing the
 //     state-lock acquisition across a whole batch of events.
-//   - Evaluate: one worker pool (runtime.Pool) scores every tenant's
-//     layers per cycle. A layer template with a batch scorer
-//     (LayerTemplate.ScoreBatch, e.g. over ubf.PredictRowsInto or
-//     hsmm.ScoreAll) scores a chunk of tenants in one call, amortizing
-//     per-predictor overhead across the fleet.
-//   - Act: each tenant's core.Engine makes its own serialized cross-layer
+//   - Evaluate and act: a cycle is the single-tenant runtime's cycle body
+//     (runtime.CycleCore) with one seat per tenant at one instant. The
+//     fleet supplies the row scorer — a layer template over a range of
+//     tenants; one with a batch scorer (LayerTemplate.ScoreBatch, e.g. over
+//     ubf.PredictRowsInto or hsmm.ScoreAll) scores the range in one call,
+//     amortizing per-predictor overhead across the fleet — and two hooks:
+//     the act-budget pass, and the folded-scope ledger bucket plus the
+//     watermark advance. Each tenant's core.Engine makes its own cross-layer
 //     decision; decisions of different tenants run concurrently on the
 //     pool (their state is disjoint).
 //   - Observability: one metrics registry, one span tracer, one
@@ -26,12 +28,12 @@
 //
 // The goroutine skeleton and stop protocol (runtime.Shell), the bounded
 // buffer and Block-policy park/wake protocol under every queue
-// (runtime.FIFO, runtime.Waiters), each tenant's journal → recorder order
-// after a decision (runtime.ActTail) and the base HTTP
-// endpoints (runtime.Plane) are the single-tenant runtime's, not copies of
-// them; what lives here is what differs — one queue per tenant and their
-// fair draining, cross-tenant scoring, the act budget, membership changes
-// and the /fleet plane.
+// (runtime.FIFO, runtime.Waiters), the cycle (runtime.CycleCore), each
+// tenant's journal → recorder order after a decision (runtime.ActTail) and
+// the base HTTP endpoints (runtime.Plane) are the single-tenant runtime's,
+// not copies of them; what lives here is what differs — one queue per tenant
+// and their fair draining, the template scorer, the act budget, the folded
+// ledger bucket, membership changes and the /fleet plane.
 //
 // Ingest is pluggable (Source): an in-process feeder (SliceSource, or
 // SCPRecords over internal/scp's multi-tenant simulator), a reader of the

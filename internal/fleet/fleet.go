@@ -110,15 +110,15 @@ type Config struct {
 	QueueCapacity int
 	Overflow      runtime.OverflowPolicy
 	// Workers sizes the shared evaluation pool (default GOMAXPROCS; 1
-	// runs inline). A cycle fans out twice — scoring, then the act stage —
-	// and each fan-out hands the pool index ranges, so a worker beyond the
-	// first costs a few cache-line transfers a cycle, not one per tenant.
+	// runs inline). The cycle body hands it index ranges, so a worker
+	// beyond the first costs a few cache-line transfers a cycle, not one
+	// per tenant.
 	Workers int
 	// BatchSize is the cross-tenant amortization unit: shard consumers
 	// drain up to BatchSize events per lock acquisition, and a cycle scores
-	// in BatchSize-tenant ranges — every layer on a range before the next
-	// range, batch scorers one call per range (default 64). A fleet no
-	// larger than one BatchSize scores on one goroutine.
+	// one layer over a BatchSize-tenant range per tile — batch scorers one
+	// call per tile — and acts BatchSize tenants per range (default 64). A
+	// fleet no larger than one BatchSize acts on one goroutine.
 	BatchSize int
 	// ActBudget caps how many tenants may execute a countermeasure per
 	// evaluation cycle. When more warn decisions select an action than the
@@ -156,38 +156,26 @@ const staleAfter = 900
 
 // tenant is one registered tenant's runtime slice.
 type tenant struct {
-	spec   TenantSpec
-	index  int // slot in the current membership's tenants slice
-	q      *tenantQueue
-	state  TenantState
-	engine *core.Engine
-	// tail is the tenant's act tail: its layers, its journal when it has a
+	spec  TenantSpec
+	q     *tenantQueue
+	state TenantState
+	// seat is the tenant's row in the cycle body: its engine, its decision
+	// tallies and its act tail — its layers, its journal when it has a
 	// dedicated ledger scope (JournalLayers says whether per-layer rows go
-	// in), scoped flight recorder (nil without Config.Recorder).
-	tail runtime.ActTail
+	// in), its scoped flight recorder (nil without Config.Recorder).
+	seat runtime.Seat
 	// ledger is the tenant's ledger scope (nil without Config.Ledger): its
-	// own journal — then tail.Ledger too, written in the act fan-out — or
-	// the overflow journal it is folded into, which takes failures as they
-	// arrive and one combined bucket a cycle from the cycle's serial tail.
+	// own journal — then seat.Tail.Ledger too, written in the act fan-out —
+	// or the overflow journal it is folded into, which takes failures as
+	// they arrive and one combined bucket a cycle from finishCycle.
 	ledger *obs.Ledger
-	recOwn bool      // tail.Recorder is dedicated (not the overflow fold)
-	row    []float64 // per-cycle score row scratch
-
-	// dec/pact are the cycle's decide-phase scratch: written by the decide
-	// fan-out, resolved by the budget pass, consumed by the finish fan-out
-	// — all under cycleMu. The zero pact is "no countermeasure pending".
-	dec  core.Decision
-	pact core.PendingAct
+	recOwn bool // seat.Tail.Recorder is dedicated (not the overflow fold)
 
 	events      atomic.Int64
-	warnings    atomic.Int64
-	actions     atomic.Int64
 	deferred    atomic.Int64 // act-budget deferrals
 	failures    atomic.Int64
 	lastEvent   atomic.Uint64 // Float64bits; NaN until the first event
 	lastFailure atomic.Uint64 // Float64bits; NaN until the first failure
-	lastWarned  atomic.Bool
-	lastConf    atomic.Uint64 // Float64bits of the last combined confidence
 }
 
 // shardIndex returns the shard currently draining the tenant's sub-queue.
@@ -197,32 +185,15 @@ func storeTime(a *atomic.Uint64, t float64) { a.Store(math.Float64bits(t)) }
 func loadTime(a *atomic.Uint64) float64     { return math.Float64frombits(a.Load()) }
 
 // membership is one immutable generation of the fleet's shape: who the
-// tenants are, how they index into the score matrix, and which shard queues
-// exist. Readers (Ingest, Rollup, the cycle) load it once and work against a
-// consistent snapshot; Add/Remove/Resize install a successor atomically.
+// tenants are and which shard queues exist. Readers (Ingest, Rollup, the
+// cycle) load it once and work against a consistent snapshot;
+// Add/Remove/Resize install a successor atomically.
 type membership struct {
 	gen     int64
-	tenants []*tenant // index-aligned with layerScores/states
+	tenants []*tenant // the cycle's rows, in order
 	byID    map[string]*tenant
 	ring    *ring
 	shards  []*shardQueue
-	// layerScores is the cross-tenant score matrix, laid out layer-major:
-	// layerScores[l*len(tenants)+t]. Written by pool workers at disjoint
-	// indices during evaluation, read during the act fan-out.
-	layerScores []float64
-	// states is the index-aligned state slice handed to batch scorers.
-	states []TenantState
-}
-
-// reindex rebuilds the index-aligned views after a tenants change. Caller
-// holds cycleMu (tenant.index is cycle-addressed).
-func (m *membership) reindex(layers int) {
-	m.layerScores = make([]float64, layers*len(m.tenants))
-	m.states = make([]TenantState, len(m.tenants))
-	for i, tn := range m.tenants {
-		tn.index = i
-		m.states[i] = tn.state
-	}
 }
 
 // withTenants returns the successor generation over the same ring and
@@ -252,8 +223,12 @@ type Fleet struct {
 	// a recorded failure: the warning lead time, at least 300.
 	failureHold float64
 	// shell owns the goroutines (shard consumers, pool) and the stop
-	// protocol.
-	shell *runtime.Shell
+	// protocol; cycle is the cycle body over the tenants' seats, and states
+	// their states in the same order, handed to the layer scorers — both set
+	// between cycles (install).
+	shell  *runtime.Shell
+	cycle  runtime.CycleCore
+	states []TenantState
 
 	// adminMu serializes membership changes (AddTenant/RemoveTenant/
 	// Resize) with each other and with Start/Stop.
@@ -268,18 +243,15 @@ type Fleet struct {
 	// the shard level.
 	acct settlement
 
-	cycleMu sync.Mutex // serializes cycles with each other and with membership swaps
-
 	unknown     *runtime.Counter // ingest for unregistered tenants
 	ratelimited *runtime.Counter // scheduler skips on empty token buckets
 	handoffN    *runtime.Counter // queued events re-homed by membership changes
-	actExecuted *runtime.Counter
 	actDeferred *runtime.Counter
 	evalErrors  []*runtime.Counter // per layer template: scores that errored (abstained)
 	shardDrops  []*runtime.Counter // per shard index, reused across resizes
 	shardMetN   int                // shard indices with registered gauges
 
-	actCands []*tenant // budget-pass scratch, under cycleMu
+	actCands []*tenant // budget-pass scratch, used inside a cycle
 }
 
 // New validates the configuration and assembles the fleet (not yet
@@ -325,7 +297,7 @@ func New(cfg Config) (*Fleet, error) {
 		Err:     ErrFleet,
 		Workers: cfg.Workers,
 		Tracer:  cfg.Tracer,
-		Cycle:   f.cycle,
+		Cycle:   &f.cycle,
 		CloseQueues: func() {
 			// Under adminMu: Resize changes the shard set.
 			f.adminMu.Lock()
@@ -340,6 +312,14 @@ func New(cfg Config) (*Fleet, error) {
 	})
 	if cfg.Clock == nil {
 		f.cfg.Clock = func() float64 { return f.shell.Uptime().Seconds() }
+	}
+	f.cycle = runtime.CycleCore{
+		Shell: f.shell, Metrics: f.metrics, Tracer: cfg.Tracer, State: &f.stateMu,
+		Recorder: cfg.Recorder, Clock: f.now, Layers: len(cfg.Layers), Span: cfg.BatchSize,
+		Score: f.scoreTile, Finish: f.finishCycle,
+	}
+	if cfg.ActBudget > 0 {
+		f.cycle.Resolve = f.resolveBudget
 	}
 	// Every step that can fail comes before the first registration: a failed
 	// New leaves the caller's Metrics as it found them.
@@ -364,8 +344,8 @@ func New(cfg Config) (*Fleet, error) {
 		"Drain-scheduler visits that skipped a backlogged tenant because its token bucket was empty.")
 	f.handoffN = reg.Counter("pfm_fleet_handoff_total",
 		"Queued events re-homed onto another shard by membership changes.")
-	f.actExecuted = reg.Counter("pfm_fleet_act_executed_total",
-		"Countermeasures executed across the fleet.")
+	reg.CounterFunc("pfm_fleet_act_executed_total", "Countermeasures executed across the fleet.",
+		func() float64 { return float64(f.metrics.Actions.Value()) })
 	f.actDeferred = reg.Counter("pfm_fleet_act_deferred_total",
 		"Warn decisions whose countermeasure was deferred by the act budget.")
 	f.evalErrors = make([]*runtime.Counter, len(cfg.Layers))
@@ -380,8 +360,7 @@ func New(cfg Config) (*Fleet, error) {
 		tn.q = newTenantQueue(tn, cfg.QueueCapacity, tn.spec.RateLimit)
 		mem.shards[mem.ring.shardOf(tn.spec.ID)].attach(tn.q)
 	}
-	mem.reindex(len(cfg.Layers))
-	f.mem.Store(mem)
+	f.install(mem)
 	// Gauges register after the first membership store: their closures read
 	// the current generation.
 	reg.GaugeFunc("pfm_fleet_tenants", "Registered tenants.",
@@ -472,19 +451,15 @@ func (f *Fleet) buildTenant(byID map[string]*tenant, i int, spec TenantSpec) (*t
 	if err != nil {
 		return nil, fmt.Errorf("tenant %q state: %w", spec.ID, err)
 	}
-	tn := &tenant{
-		spec:  spec,
-		index: i,
-		state: st,
-		row:   make([]float64, len(f.cfg.Layers)),
-	}
+	tn := &tenant{spec: spec, state: st}
 	storeTime(&tn.lastEvent, math.NaN())
 	storeTime(&tn.lastFailure, math.NaN())
-	tn.tail.Layers = make([]*core.Layer, len(f.cfg.Layers))
+	tail := &tn.seat.Tail
+	tail.Layers = make([]*core.Layer, len(f.cfg.Layers))
 	for li, tmpl := range f.cfg.Layers {
-		tn.tail.Layers[li] = tmpl.instantiate(st)
+		tail.Layers[li] = tmpl.instantiate(st)
 	}
-	tn.tail.Detail = spec.ID
+	tail.Detail = spec.ID
 	var combiner core.Combiner
 	if f.cfg.NewCombiner != nil {
 		combiner = f.cfg.NewCombiner(spec)
@@ -493,19 +468,19 @@ func (f *Fleet) buildTenant(byID map[string]*tenant, i int, spec TenantSpec) (*t
 	if err != nil {
 		return nil, fmt.Errorf("tenant %q actions: %w", spec.ID, err)
 	}
-	tn.engine, err = core.New(nil, tn.tail.Layers, combiner, selector, actions, nil, f.cfg.Engine)
+	tn.seat.Engine, err = core.New(nil, tail.Layers, combiner, selector, actions, nil, f.cfg.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("tenant %q engine: %w", spec.ID, err)
 	}
 	if f.cfg.Ledger != nil {
 		tn.ledger = f.cfg.Ledger.Scope(spec.ID)
 		if f.cfg.Ledger.Dedicated(spec.ID) {
-			tn.tail.Ledger = tn.ledger
-			tn.tail.JournalLayers = f.cfg.JournalLayers
+			tail.Ledger = tn.ledger
+			tail.JournalLayers = f.cfg.JournalLayers
 		}
 	}
 	if f.cfg.Recorder != nil {
-		tn.tail.Recorder = f.cfg.Recorder.Scope(spec.ID, obs.RecorderScopeConfig{
+		tail.Recorder = f.cfg.Recorder.Scope(spec.ID, obs.RecorderScopeConfig{
 			WarnThreshold: criticalityWarnThreshold(f.cfg.Recorder.Config().WarnThreshold, spec.Criticality),
 			Ledger:        tn.ledger,
 		})
@@ -620,13 +595,17 @@ func (f *Fleet) AddTenant(spec TenantSpec) error {
 	return nil
 }
 
-// install indexes and publishes a generation with a changed tenant list,
-// between cycles (tenant.index is cycle-addressed).
+// install publishes a generation with a changed tenant list, and its tenants
+// as the cycle's rows, between cycles.
 func (f *Fleet) install(next *membership) {
-	f.cycleMu.Lock()
-	next.reindex(len(f.cfg.Layers))
-	f.mem.Store(next)
-	f.cycleMu.Unlock()
+	f.cycle.Between(func() {
+		f.cycle.Seats = make([]*runtime.Seat, len(next.tenants))
+		f.states = make([]TenantState, len(next.tenants))
+		for i, tn := range next.tenants {
+			f.cycle.Seats[i], f.states[i] = &tn.seat, tn.state
+		}
+		f.mem.Store(next)
+	})
 }
 
 // RemoveTenant retires a tenant: the next membership generation (without
@@ -685,13 +664,11 @@ func (f *Fleet) Resize(shards int) error {
 	}
 	f.registerShardGauges(shards)
 	next := &membership{
-		gen:         mem.gen + 1,
-		tenants:     mem.tenants,
-		byID:        mem.byID,
-		ring:        newRing(shards, defaultVnodes),
-		shards:      newShards,
-		layerScores: mem.layerScores,
-		states:      mem.states,
+		gen:     mem.gen + 1,
+		tenants: mem.tenants,
+		byID:    mem.byID,
+		ring:    newRing(shards, defaultVnodes),
+		shards:  newShards,
 	}
 	f.mem.Store(next)
 	moved := 0
@@ -809,152 +786,87 @@ func (f *Fleet) consumeLoop(q *shardQueue) {
 	}
 }
 
-// EvaluateCycle runs one full MEA cycle over every tenant in the current
+// EvaluateCycle runs one MEA cycle over every tenant in the current
 // membership generation, at the clock's reading, on the calling goroutine,
-// and returns once it is done (runtime.Shell.EvaluateNow): one scoring
-// fan-out under the exclusive state lock (scoreRange), then the act stage and
-// the ledger watermark advance. Concurrent calls serialize; membership swaps
+// and returns once it is done. It is the single-tenant runtime's cycle body,
+// runtime.CycleCore.Run, with the tenants' seats as its rows at one instant;
+// the fleet supplies the row scorer (scoreTile) and two hooks: the act-budget
+// pass (resolveBudget, with an ActBudget only) and finishCycle — the folded
+// tenants' one ledger bucket, so no two workers meet on the overflow journal,
+// and the watermark advance. Concurrent calls serialize; membership swaps
 // serialize against the whole cycle. After Stop has begun it runs none.
 //
-// The act stage is two-phase when an ActBudget is set: a decide fan-out
-// computes every tenant's cross-layer decision with the countermeasure
-// deferred, a serial budget pass commits the top-budget pending acts in
-// criticality×confidence order (ties by tenant ID — deterministic) and
-// drops the rest, and a finish fan-out journals and accounts the final
-// decisions. Without a budget, decide/commit/finish fuse into that one
-// fan-out, so a cycle is two fan-outs whatever len(Layers) is. The finish
-// fan-out runs over the same BatchSize-tenant ranges as scoring (actRange).
-//
-// Journaling splits by scope: a tenant with a dedicated ledger scope writes
-// its rows inside the act fan-out (nobody else holds that journal), the
-// tenants folded into the overflow scope are counted afterwards on the
-// calling goroutine and journaled as one bucket (journalFolded) — no two
-// workers ever meet on the overflow journal's mutex.
-//
-// Determinism: scoring writes disjoint matrix slots, the act fan-out
-// touches disjoint tenant state, the budget pass orders on a deterministic
-// key, and the overflow bucket holds counts — so for a fixed ingested prefix
-// (see Barrier) the cycle's observable outcome is independent of Shards,
-// Workers, BatchSize, and GOMAXPROCS.
-func (f *Fleet) EvaluateCycle() { f.shell.EvaluateNow() }
+// Determinism: scoring writes disjoint matrix slots, the act fan-outs touch
+// disjoint tenant state, the budget pass orders on a deterministic key, and
+// the overflow bucket holds counts — so for a fixed ingested prefix (see
+// Barrier) the cycle's observable outcome is independent of Shards, Workers,
+// BatchSize, and GOMAXPROCS.
+func (f *Fleet) EvaluateCycle() { f.cycle.Run(nil) }
 
-// cycle is EvaluateCycle's body, and Stop's final cycle.
-func (f *Fleet) cycle() {
-	f.cycleMu.Lock()
-	defer f.cycleMu.Unlock()
-	mem := f.mem.Load()
-	pool := f.shell.Pool()
-	evalStart := f.shell.Nanos()
-	now := f.now()
-	nT := len(mem.tenants)
-	b := f.cfg.BatchSize
-	f.stateMu.Lock()
-	pool.Do((nT+b-1)/b, func(c int) {
-		f.scoreRange(mem, c*b, min(c*b+b, nT), now)
-	})
-	// Bundle assembly reads tenant event logs, so it shares the same
-	// exclusion: triggers raised by the previous cycle's act fan-out are
-	// assembled here (or by Stop's flush after the final cycle).
-	f.cfg.Recorder.Collect()
-	f.stateMu.Unlock()
-	evalEnd := f.shell.Nanos()
-	f.metrics.EvalLatency.Observe(float64(evalEnd-evalStart) / 1e9)
-
-	actStart := f.shell.Nanos()
-	if f.cfg.ActBudget > 0 {
-		pool.Do(nT, func(i int) {
-			f.decideTenant(mem, mem.tenants[i], now)
-		})
-		f.resolveBudget(mem)
+// scoreTile is the fleet's row scorer: layer li's template over tenants
+// [lo,hi) at the cycle's instant. A batch scorer runs once on the range, a
+// per-tenant scorer once per tenant in it. A scorer's error abstains its rows
+// (NaN) — a batch scorer's the whole range — and is counted per row on
+// pfm_layer_eval_errors_total, as core.Layer.ScoreBatch counts it on the
+// single-tenant plane.
+func (f *Fleet) scoreTile(li, lo, hi int, nows, out []float64) {
+	tmpl, states, now := f.cfg.Layers[li], f.states[lo:hi], nows[0]
+	if tmpl.ScoreBatch != nil {
+		if err := tmpl.ScoreBatch(states, now, out); err != nil {
+			f.evalErrors[li].Add(int64(len(out)))
+			for i := range out {
+				out[i] = math.NaN()
+			}
+		}
+		return
 	}
-	pool.Do((nT+b-1)/b, func(c int) {
-		f.actRange(mem, c*b, min(c*b+b, nT), now)
-	})
-	journalFolded(mem, now)
-	f.cfg.Ledger.Advance(now)
-	f.metrics.Evaluations.Inc()
-	actEnd := f.shell.Nanos()
-	f.metrics.ActLatency.Observe(float64(actEnd-actStart) / 1e9)
-	f.cfg.Tracer.CompleteCycle(evalStart, evalEnd, actStart, actEnd)
-	f.shell.CycleDone()
-}
-
-// scoreRange fills tenants [lo,hi) of every layer's row of the score matrix:
-// a batch scorer runs once on the range, a per-tenant scorer once per tenant
-// in it, so a tenant's state is visited once for all layers. A scorer's error
-// abstains its rows (NaN) — a batch scorer's the whole range — and is counted
-// per row on pfm_layer_eval_errors_total, as core.Layer.ScoreBatch counts it
-// on the single-tenant plane.
-func (f *Fleet) scoreRange(mem *membership, lo, hi int, now float64) {
-	nT := len(mem.tenants)
-	states := mem.states[lo:hi]
-	for li, tmpl := range f.cfg.Layers {
-		out := mem.layerScores[li*nT+lo : li*nT+hi]
-		if tmpl.ScoreBatch != nil {
-			if err := tmpl.ScoreBatch(states, now, out); err != nil {
-				f.evalErrors[li].Add(int64(len(out)))
-				for i := range out {
-					out[i] = math.NaN()
-				}
-			}
-			continue
+	for i, st := range states {
+		s, err := tmpl.Score(st, now)
+		if err != nil {
+			f.evalErrors[li].Inc()
+			s = math.NaN()
 		}
-		for i, st := range states {
-			s, err := tmpl.Score(st, now)
-			if err != nil {
-				f.evalErrors[li].Inc()
-				s = math.NaN()
-			}
-			out[i] = s
-		}
+		out[i] = s
 	}
 }
 
-// journalFolded writes the cycle's combined rows of every tenant folded into
-// the overflow ledger scope as one bucket — the rows finishTenant would have
-// written one by one, counted instead. Runs on the cycle's own goroutine
-// after the act fan-out; a fleet with nobody folded touches nothing.
-func journalFolded(mem *membership, now float64) {
+// finishCycle runs after the cycle's last act tail: it journals the combined
+// rows of every tenant folded into the overflow ledger scope as one bucket —
+// the rows their act tails would have written one by one, counted instead (a
+// fleet with nobody folded touches nothing) — then advances every scope's
+// watermark.
+func (f *Fleet) finishCycle(now float64) {
 	var overflow *obs.Ledger
 	warned, quiet := 0, 0
-	for _, tn := range mem.tenants {
-		if tn.ledger == tn.tail.Ledger {
+	for _, tn := range f.mem.Load().tenants {
+		if tn.ledger == tn.seat.Tail.Ledger {
 			continue // dedicated scope, or no ledger at all
 		}
 		overflow = tn.ledger
-		if tn.lastWarned.Load() {
+		if tn.seat.LastWarned.Load() {
 			warned++
 		} else {
 			quiet++
 		}
 	}
 	overflow.RecordPredictions(obs.CombinedLayer, now, warned, quiet)
-}
-
-// decideTenant runs one tenant's cross-layer decision with the
-// countermeasure deferred into tn.pact.
-func (f *Fleet) decideTenant(mem *membership, tn *tenant, now float64) {
-	nT := len(mem.tenants)
-	for li := range f.cfg.Layers {
-		tn.row[li] = mem.layerScores[li*nT+tn.index]
-	}
-	tn.dec, tn.pact = tn.engine.DecideOn(now, tn.row)
+	f.cfg.Ledger.Advance(now)
 }
 
 // resolveBudget commits the cycle's pending countermeasures in
 // criticality×confidence priority order up to ActBudget and drops the rest
-// (deferred: warned and journaled, not executed). Runs serially under
-// cycleMu; the ordering key is deterministic, so so is the commit set.
-func (f *Fleet) resolveBudget(mem *membership) {
+// (deferred: warned and journaled, not executed). Runs serially inside the
+// cycle; the ordering key is deterministic, so so is the commit set.
+func (f *Fleet) resolveBudget() {
 	cands := f.actCands[:0]
-	for _, tn := range mem.tenants {
-		if tn.pact != (core.PendingAct{}) {
+	for _, tn := range f.mem.Load().tenants {
+		if tn.seat.Pact != (core.PendingAct{}) {
 			cands = append(cands, tn)
 		}
 	}
 	sort.Slice(cands, func(a, b int) bool {
-		pa := cands[a].spec.Criticality * cands[a].dec.Confidence
-		pb := cands[b].spec.Criticality * cands[b].dec.Confidence
+		pa := cands[a].spec.Criticality * cands[a].seat.Dec.Confidence
+		pb := cands[b].spec.Criticality * cands[b].seat.Dec.Confidence
 		if pa != pb {
 			return pa > pb
 		}
@@ -962,69 +874,15 @@ func (f *Fleet) resolveBudget(mem *membership) {
 	})
 	for i, tn := range cands {
 		if i < f.cfg.ActBudget {
-			tn.pact.Commit(&tn.dec)
+			tn.seat.Pact.Commit(&tn.seat.Dec)
 		} else {
-			tn.pact.Drop(&tn.dec)
+			tn.seat.Pact.Drop(&tn.seat.Dec)
 			tn.deferred.Add(1)
 			f.actDeferred.Inc()
 		}
-		tn.pact = core.PendingAct{}
+		tn.seat.Pact = core.PendingAct{}
 	}
 	f.actCands = cands[:0] // keep the scratch capacity across cycles
-}
-
-// actRange finishes the act stage for tenants [lo,hi): without an ActBudget
-// it first decides and commits each, with one the decisions are those
-// resolveBudget left. The fleet-wide counters are added once for the range,
-// not once a tenant, so the workers of a fan-out do not meet on them.
-func (f *Fleet) actRange(mem *membership, lo, hi int, now float64) {
-	fused := f.cfg.ActBudget == 0
-	var warned, executed, suppressed int64
-	for _, tn := range mem.tenants[lo:hi] {
-		if fused {
-			f.decideTenant(mem, tn, now)
-			tn.pact.Commit(&tn.dec)
-			tn.pact = core.PendingAct{}
-		}
-		if tn.dec.Warned {
-			warned++
-		}
-		if tn.dec.Executed {
-			executed++
-		}
-		if tn.dec.Suppressed {
-			suppressed++
-		}
-		f.finishTenant(tn, now)
-	}
-	if warned > 0 {
-		f.metrics.Warnings.Add(warned)
-	}
-	if executed > 0 {
-		f.metrics.Actions.Add(executed)
-		f.actExecuted.Add(executed)
-	}
-	if suppressed > 0 {
-		f.metrics.Suppressed.Add(suppressed)
-	}
-}
-
-// finishTenant accounts one tenant's resolved decision on the tenant and
-// runs its act tail (runtime.ActTail.Observe: the journal rows of a
-// dedicated scope, the recorder). lastWarned is also what journalFolded
-// counts.
-func (f *Fleet) finishTenant(tn *tenant, now float64) {
-	d := tn.dec
-	if d.Warned {
-		tn.warnings.Add(1)
-	}
-	if d.Executed {
-		tn.actions.Add(1)
-	}
-	tn.lastWarned.Store(d.Warned)
-	tn.lastConf.Store(math.Float64bits(d.Confidence))
-	tn.tail.Observe(now, tn.row, nil, d)
-	tn.dec = core.Decision{}
 }
 
 // Barrier blocks until every event admitted before the call has been fully

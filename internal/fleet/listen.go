@@ -3,6 +3,7 @@ package fleet
 import (
 	"bufio"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -38,8 +39,9 @@ import (
 //
 // The decoders never panic on malformed input (fuzz-verified, see
 // FuzzListenDecode): a corrupt binary stream ends its connection at the
-// first bad frame; a malformed text line is counted and skipped, matching
-// TailSource's recoverable-error stance.
+// first bad frame; a malformed text line, and in either encoding a record
+// whose time is NaN or ±Inf, is counted and skipped, matching TailSource's
+// recoverable-error stance.
 type ListenSource struct {
 	ln net.Listener
 	// full carries decoded slabs to Next, free carries spent ones back. Both
@@ -64,7 +66,7 @@ type ListenSource struct {
 	records    atomic.Int64 // records handed to Next, counted a slab at a time
 	slabs      atomic.Int64 // slabs handed to Next
 	bytes      atomic.Int64 // bytes read from connections
-	decodeErrs atomic.Int64 // malformed text lines skipped + streams aborted
+	decodeErrs atomic.Int64 // malformed lines and non-finite times skipped + streams aborted
 }
 
 const (
@@ -107,8 +109,8 @@ func (s *ListenSource) Addr() string { return s.ln.Addr().String() }
 // Conns returns the number of connections accepted so far.
 func (s *ListenSource) Conns() int64 { return s.conns.Load() }
 
-// DecodeErrors returns the number of malformed lines skipped plus binary
-// streams aborted.
+// DecodeErrors returns the number of malformed lines and non-finite record
+// times skipped plus binary streams aborted.
 func (s *ListenSource) DecodeErrors() int64 { return s.decodeErrs.Load() }
 
 // RegisterMetrics exposes the listen edge on reg. records ÷ slabs is the
@@ -124,7 +126,7 @@ func (s *ListenSource) RegisterMetrics(reg *runtime.Registry) {
 		{"pfm_fleet_listen_records_total", "Records decoded and handed to the pump.", &s.records},
 		{"pfm_fleet_listen_slabs_total", "Record slabs handed to the pump (records / slabs = batching efficiency).", &s.slabs},
 		{"pfm_fleet_listen_bytes_total", "Bytes read from trace connections.", &s.bytes},
-		{"pfm_fleet_listen_decode_errors_total", "Malformed text lines skipped plus binary streams aborted.", &s.decodeErrs},
+		{"pfm_fleet_listen_decode_errors_total", "Malformed text lines and non-finite record times skipped, plus binary streams aborted.", &s.decodeErrs},
 	} {
 		reg.CounterFunc(m.name, m.help, func() float64 { return float64(m.v.Load()) })
 	}
@@ -262,10 +264,12 @@ func (c *connDecoder) flush() {
 // decodeStream decodes one connection's byte stream: binary frames when a
 // magic leads (a retired format's is refused: the stream's one error), the
 // text line protocol otherwise. emit returning false stops the decode
-// cleanly. badLines counts skipped malformed text lines (nil disables
-// counting). The returned error is the stream-fatal decode error, if any —
-// never a panic, whatever the input.
-func decodeStream(r io.Reader, emit func(Record) bool, badLines *atomic.Int64) error {
+// cleanly. bad counts the records skipped: malformed text lines, and in
+// either encoding a record whose time is NaN or ±Inf — one peer's record no
+// cadence can step must not end every peer's input (files keep such times,
+// only this edge drops them). The returned error is the stream-fatal decode
+// error, if any — never a panic, whatever the input.
+func decodeStream(r io.Reader, emit func(Record) bool, bad *atomic.Int64) error {
 	// The connection's one read buffer, sized once: a read(2) fills many
 	// slabs, and the wire Reader parses frames in it in place.
 	br := bufio.NewReaderSize(r, wireBufSize)
@@ -281,7 +285,9 @@ func decodeStream(r io.Reader, emit func(Record) bool, badLines *atomic.Int64) e
 				// poisons everything after it, so the connection ends here.
 				return err
 			}
-			if !emit(rec) {
+			if !finite(rec) {
+				bad.Add(1)
+			} else if !emit(rec) {
 				return nil
 			}
 		}
@@ -289,21 +295,20 @@ func decodeStream(r io.Reader, emit func(Record) bool, badLines *atomic.Int64) e
 	sc := bufio.NewScanner(br)
 	sc.Buffer(make([]byte, 0, 4096), maxWireString)
 	for sc.Scan() {
-		rec, skip, err := ParseLine(sc.Text())
-		if err != nil {
-			if badLines != nil {
-				badLines.Add(1)
-			}
-			continue
-		}
-		if skip {
-			continue
-		}
-		if !emit(rec) {
+		rec, blank, err := ParseLine(sc.Text())
+		switch {
+		case err != nil || !blank && !finite(rec):
+			bad.Add(1)
+		case !blank && !emit(rec):
 			return nil
 		}
 	}
 	return sc.Err()
+}
+
+// finite reports whether rec's time is a number a cadence can step.
+func finite(rec Record) bool {
+	return !math.IsNaN(rec.Event.Time) && !math.IsInf(rec.Event.Time, 0)
 }
 
 var _ Source = (*ListenSource)(nil)

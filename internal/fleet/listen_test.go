@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	stdruntime "runtime"
 	"strings"
@@ -139,6 +140,54 @@ func TestListenMalformed(t *testing.T) {
 	}
 	if got := ls.DecodeErrors(); got != 3 {
 		t.Errorf("decode errors = %d, want 3 (2 bad lines + 1 bad stream)", got)
+	}
+}
+
+// TestListenNonFiniteTime: in either encoding, a record whose time is +Inf
+// is skipped and counted as a decode error, and the records around it on the
+// same connection still arrive — one peer's unsteppable time must not end the
+// listen run.
+func TestListenNonFiniteTime(t *testing.T) {
+	recs := []Record{
+		{Event: sample("a", 1, 0.5)},
+		{Event: sample("a", math.Inf(1), 0.7)},
+		{Event: sample("a", 2, 0.6)},
+	}
+	for _, enc := range []struct {
+		name  string
+		write func(io.Writer, []Record) error
+	}{{"wire", WriteWire}, {"text", WriteTrace}} {
+		t.Run(enc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := enc.write(&buf, recs); err != nil {
+				t.Fatal(err)
+			}
+			ls, err := Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ls.Close()
+			conn, err := net.Dial("tcp", ls.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(buf.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			conn.Close()
+			for i, want := range []float64{1, 2} {
+				rec, err := ls.Next()
+				if err != nil {
+					t.Fatalf("record %d: %v", i, err)
+				}
+				if rec.Event.Time != want {
+					t.Fatalf("record %d time = %g, want %g", i, rec.Event.Time, want)
+				}
+			}
+			if got := ls.DecodeErrors(); got != 1 {
+				t.Errorf("decode errors = %d, want 1 (the +Inf record)", got)
+			}
+		})
 	}
 }
 

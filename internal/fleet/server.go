@@ -33,7 +33,7 @@ func (f *Fleet) statusOf(tn *tenant, now float64) string {
 	if now-le > staleAfter {
 		return StatusStale
 	}
-	if tn.lastWarned.Load() {
+	if tn.seat.LastWarned.Load() {
 		return StatusWarning
 	}
 	return StatusOK
@@ -176,26 +176,26 @@ func (f *Fleet) view(tn *tenant, now float64) TenantView {
 		Status:          f.statusOf(tn, now),
 		Events:          tn.events.Load(),
 		Failures:        tn.failures.Load(),
-		Warnings:        tn.warnings.Load(),
-		Actions:         tn.actions.Load(),
-		Versions:        make([]uint64, len(tn.tail.Layers)),
-		DedicatedLedger: tn.tail.Ledger != nil,
+		Warnings:        tn.seat.Warnings.Load(),
+		Actions:         tn.seat.Actions.Load(),
+		Versions:        make([]uint64, len(tn.seat.Tail.Layers)),
+		DedicatedLedger: tn.seat.Tail.Ledger != nil,
 	}
 	if le := loadTime(&tn.lastEvent); !math.IsNaN(le) {
 		age := now - le
 		v.LastEventAge = &age
 	}
-	if c := math.Float64frombits(tn.lastConf.Load()); !math.IsNaN(c) && f.Cycles() > 0 {
+	if c := math.Float64frombits(tn.seat.LastConf.Load()); !math.IsNaN(c) && f.Cycles() > 0 {
 		v.Confidence = &c
 	}
-	for i, l := range tn.tail.Layers {
+	for i, l := range tn.seat.Tail.Layers {
 		v.Versions[i] = l.Version()
 	}
 	if led := tn.ledger; led != nil {
 		t := runtime.ToTableJSON(led.Quality(obs.CombinedLayer))
 		v.Quality = &t
 	}
-	if rec := tn.tail.Recorder; rec != nil {
+	if rec := tn.seat.Tail.Recorder; rec != nil {
 		v.DedicatedRecorder = tn.recOwn
 		var n int64
 		for _, k := range obs.TriggerKinds {

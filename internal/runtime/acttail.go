@@ -54,16 +54,15 @@ func (t *ActTail) WireTriggers() {
 	})
 }
 
-// Observe runs the tail for the decision d taken at domain time now on
-// scores (indexed like Layers; NaN abstained), with the cycle's
-// shadow-candidate scores. The order carries the determinism contracts:
-// journal rows (layers, candidates, combined), then the watermark, then
-// Lifecycle.ObserveCycle — whose promotion and rollback verdicts read the
-// ledger quality those rows just changed — and the recorder last, so this
-// cycle's drift/rollback triggers precede its decision triggers in the
-// refractory accounting. The caller completes the cycle's traces first, so a
-// firing trigger correlates with this cycle's newest span.
-func (t *ActTail) Observe(now float64, scores []float64, cands []lifecycle.CandidateScore, d core.Decision) {
+// Journal runs the first half of the tail for the decision d taken at domain
+// time now on scores (indexed like Layers; NaN abstained), with the cycle's
+// shadow-candidate scores: the journal rows (layers, candidates, combined),
+// then the watermark. Observe is the second half. The order carries the
+// determinism contracts: Lifecycle.ObserveCycle's promotion and rollback
+// verdicts read the ledger quality these rows just changed, and the recorder
+// runs last, so a cycle's drift/rollback triggers precede its decision
+// triggers in the refractory accounting.
+func (t *ActTail) Journal(now float64, scores []float64, cands []lifecycle.CandidateScore, d core.Decision) {
 	if led := t.Ledger; led != nil {
 		if t.JournalLayers {
 			for i, l := range t.Layers {
@@ -84,6 +83,12 @@ func (t *ActTail) Observe(now float64, scores []float64, cands []lifecycle.Candi
 			led.Advance(now)
 		}
 	}
+}
+
+// Observe runs the second half of the tail, after Journal: the lifecycle's
+// cycle observation, then the recorder's. The caller completes the cycle's
+// traces first, so a firing trigger correlates with this cycle's newest span.
+func (t *ActTail) Observe(now float64, scores []float64, d core.Decision) {
 	if t.Lifecycle != nil {
 		t.Lifecycle.ObserveCycle(now, scores)
 	}

@@ -12,10 +12,10 @@
 //		                                             Apply chunks under the
 //		                                             state lock, in ingest order
 //
-//		EvaluateNow / CycleBatch ──▶ on the caller, one cycle at a time:
+//		EvaluateNow / CycleBatch ──▶ CycleCore, on the caller, one run at a time:
 //		                           evaluate: score every layer under the state
 //		                                     lock (fanned over the worker pool)
-//		                           act:      core.Engine.ActOn, then the act tail
+//		                           act:      DecideOn + Commit, then the act tail
 //		                                     (journal → lifecycle → recorder)
 //
 //	  - Ingest accepts error events and monitoring samples through one
@@ -28,28 +28,22 @@
 //	    there is nothing inside a tenant to apply in parallel; scale is the
 //	    fleet's business.
 //	  - A cycle runs on the goroutine that asks for it, at a domain time that
-//	    goroutine names: EvaluateNow at the Clock's reading, CycleBatch at a
-//	    stack of times — both run the same body under one mutex. There is no
-//	    ticker: whoever feeds the pipeline decides when a cycle is due. Layers
-//	    score in parallel under the state lock, so they see a consistent
-//	    snapshot while ingest keeps queueing behind them; the lock is released
-//	    before the act stage.
-//	  - The act stage runs on that same goroutine: core.Engine.ActOn takes the
-//	    single cross-layer decision (oscillation guard included), and the act
-//	    tail (ActTail.Observe) journals it, lets the lifecycle observe it and
-//	    feeds the flight recorder, in that order. A countermeasure that blocks
-//	    delays the next cycle; it never overlaps it, and a cycle asked for
-//	    meanwhile waits its turn.
+//	    goroutine names — EvaluateNow at the Clock's reading, CycleBatch at a
+//	    stack of times; there is no ticker. Both run CycleCore, the one cycle
+//	    body internal/fleet runs too, over the runtime's one Seat with the
+//	    instants as its rows; the runtime supplies only the row scorer
+//	    (core.Layer.ScoreBatch). A countermeasure that blocks delays the next
+//	    cycle; it never overlaps it.
 //
-// The goroutines, the cycle lock and the stop protocol live in Shell, the
-// act tail in ActTail, and the /metrics, /healthz, /readyz, /livez, /tracez
-// and /incidents endpoints in Plane — internal/fleet runs on the same three.
-// Where this runtime has one FIFO and one consumer, the fleet has one FIFO per
-// tenant, drained deficit-round-robin by one consumer per consistent-hash
-// shard — on the same circular buffer and Block-policy protocol as Ring (FIFO,
-// Waiters) — plus cross-tenant scoring and an act budget. The stop protocol (graceful drain and one final
-// cycle; hard stop sheds the backlog as dropped, reason "shutdown") is stated
-// once, on Shell.
+// The goroutines and the stop protocol live in Shell, the cycle in
+// CycleCore, the act tail in ActTail, and the /metrics, /healthz, /readyz,
+// /livez, /tracez and /incidents endpoints in Plane — internal/fleet runs on
+// the same four. Where this runtime has one FIFO and one consumer, the fleet
+// has one FIFO per tenant, drained deficit-round-robin by one consumer per
+// consistent-hash shard, on the same circular buffer and Block-policy
+// protocol as Ring (FIFO, Waiters). The stop protocol (graceful drain and one
+// final cycle; hard stop sheds the backlog as dropped, reason "shutdown") is
+// stated once, on Shell.
 //
 // Observability is built in: every stage feeds an atomic-counter Metrics
 // registry (events ingested/applied/dropped, evaluations, warnings,

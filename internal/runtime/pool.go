@@ -108,7 +108,8 @@ func (p *Pool) release(j *poolJob) {
 // progress is guaranteed even when every worker is busy with another job.
 // Output must be index-addressed (fn(i) writes only slot i of its result):
 // then the result is independent of worker count and scheduling — the same
-// determinism contract as internal/par. A nil pool runs inline and serial.
+// determinism contract as internal/par. A nil pool, and a one-index job, run
+// inline.
 //
 // The range is n/(4·(workers+1)), at least 1: a large job still splits into
 // four ranges per participant, so a slow index delays the rest by a quarter
@@ -120,7 +121,7 @@ func (p *Pool) Do(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if p == nil {
+	if p == nil || n == 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}

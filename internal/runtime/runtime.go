@@ -87,14 +87,13 @@ type Config struct {
 // drive with Start/Ingest/EvaluateNow, finish with Stop.
 type Runtime struct {
 	cfg     Config
-	engine  *core.Engine
-	layers  []*core.Layer
 	ring    *Ring[Event] // the bounded ingest queue, drained by one consumer
 	metrics *Metrics
 	// shell owns the goroutines (drain consumer, pool) and the stop
-	// protocol; tail is what follows each act decision.
+	// protocol; cycle is the cycle body over the runtime's one seat.
 	shell *Shell
-	tail  ActTail
+	cycle CycleCore
+	seat  Seat
 
 	// stateMu guards the user's predictor state: the consumer holds it around
 	// each chunk's Apply calls, the cycle around layer evaluation, so the two
@@ -110,18 +109,6 @@ type Runtime struct {
 	ingestGate  atomic.Uint64
 	sampleEvery uint64 // 0 = tracing off
 	sampleMask  uint64 // sampleEvery-1 when it is a power of two, else 0
-
-	// cycleMu serializes cycles — EvaluateNow's and CycleBatch callers';
-	// batchScores/batchRow are their reused layer-major score matrix and
-	// per-cycle row view. batchFn is the pool fan-out body, built once: it
-	// scores layer j at batchNows (the running call's nows) into its segment
-	// of batchScores. tickNow is EvaluateNow's one-element time stack.
-	cycleMu     sync.Mutex
-	batchScores []float64
-	batchRow    []float64
-	batchNows   []float64
-	batchFn     func(j int)
-	tickNow     [1]float64
 }
 
 // ingestLatencyEvery is the ingest-latency sampling interval (power of
@@ -162,20 +149,18 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	r := &Runtime{
 		cfg:     cfg,
-		engine:  cfg.Engine,
-		layers:  layers,
 		ring:    NewRing[Event](cfg.QueueCapacity, cfg.Overflow),
 		metrics: cfg.Metrics,
-		tail: ActTail{
-			Layers: layers, Ledger: cfg.Ledger, JournalLayers: true, Advance: true,
-			Lifecycle: cfg.Lifecycle, Recorder: cfg.Recorder,
-		},
 	}
+	r.seat = Seat{Engine: cfg.Engine, Tail: ActTail{
+		Layers: layers, Ledger: cfg.Ledger, JournalLayers: true, Advance: true,
+		Lifecycle: cfg.Lifecycle, Recorder: cfg.Recorder,
+	}}
 	r.shell = NewShell(ShellConfig{
 		Err:         ErrRuntime,
 		Workers:     cfg.Workers,
 		Tracer:      cfg.Tracer,
-		Cycle:       r.cycle,
+		Cycle:       &r.cycle,
 		CloseQueues: r.ring.Close,
 		Quiesced: func() {
 			if cfg.Lifecycle != nil {
@@ -189,9 +174,10 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.Clock == nil {
 		r.cfg.Clock = func() float64 { return r.shell.Uptime().Seconds() }
 	}
-	r.batchFn = func(j int) {
-		nr := len(r.batchNows)
-		r.layers[j].ScoreBatch(r.batchNows, r.batchScores[j*nr:(j+1)*nr])
+	r.cycle = CycleCore{
+		Shell: r.shell, Metrics: r.metrics, Tracer: cfg.Tracer, State: &r.stateMu,
+		Recorder: cfg.Recorder, Clock: r.cfg.Clock, Seats: []*Seat{&r.seat}, Layers: len(layers),
+		Score: func(j, lo, hi int, nows, out []float64) { layers[j].ScoreBatch(nows[lo:hi], out) },
 	}
 	if cfg.Tracer != nil {
 		r.sampleEvery = uint64(cfg.Tracer.Interval())
@@ -233,7 +219,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	if cfg.Recorder != nil {
 		registerRecorderMetrics(reg, cfg.Recorder)
-		r.tail.WireTriggers()
+		r.seat.Tail.WireTriggers()
 	}
 	return r, nil
 }
@@ -427,9 +413,9 @@ func (r *Runtime) Barrier(ctx context.Context) error {
 func (r *Runtime) Cycles() int64 { return r.shell.Cycles() }
 
 // EvaluateNow runs one MEA cycle at the clock's reading on the calling
-// goroutine and returns once it is done (Shell.EvaluateNow). After Stop has
+// goroutine and returns once it is done (CycleCore.Run). After Stop has
 // begun it runs none.
-func (r *Runtime) EvaluateNow() { r.shell.EvaluateNow() }
+func (r *Runtime) EvaluateNow() { r.cycle.Run(nil) }
 
 // consumeLoop is the ingest consumer. The goroutine carries a pprof label so
 // -pprof CPU profiles tell the drain from the goroutine that runs cycles.
@@ -487,111 +473,22 @@ func (r *Runtime) drainLoop() {
 	}
 }
 
-// cycle is the cycle EvaluateNow and Stop's final drain run: one CycleBatch
-// at the clock's current reading. The clock is read under cycleMu, so a
-// cycle that waited out a concurrent CycleBatch does not evaluate at a time
-// before it.
-func (r *Runtime) cycle() {
-	r.cycleMu.Lock()
-	defer r.cycleMu.Unlock()
-	r.tickNow[0] = r.cfg.Clock()
-	r.cycleBatchLocked(r.tickNow[:])
-}
-
-// actOne runs the act stage for one completed evaluation: the cross-layer
-// decision, act metrics, trace completion, the shared act tail (journal,
-// lifecycle, recorder) and cycle accounting. Every cycle — EvaluateNow's and
-// CycleBatch's — goes through this one path.
-func (r *Runtime) actOne(now float64, scores []float64, cands []lifecycle.CandidateScore, evalStart, evalEnd int64) {
-	actStart := r.shell.Nanos()
-	d := r.engine.ActOn(now, scores)
-	actEnd := r.shell.Nanos()
-	r.metrics.Evaluations.Inc()
-	if d.Warned {
-		r.metrics.Warnings.Inc()
-	}
-	if d.Executed {
-		r.metrics.Actions.Inc()
-	}
-	if d.Suppressed {
-		r.metrics.Suppressed.Inc()
-	}
-	r.metrics.ActLatency.Observe(float64(actEnd-actStart) / 1e9)
-	r.cfg.Tracer.CompleteCycle(evalStart, evalEnd, actStart, actEnd)
-	r.tail.Observe(now, scores, cands, d)
-	r.shell.CycleDone()
-}
-
-// CycleBatch runs one synchronous MEA cycle per time in nows (ascending),
-// scoring every layer over the whole batch under a single evaluation
-// exclusion through the engine's batched entry point, then acting on each
-// cycle in order — so ledger state, monotone counters and act decisions are
-// byte-identical to len(nows) EvaluateNow cycles at the same times (that
-// cycle is this same body with a one-element stack).
+// CycleBatch runs one synchronous MEA cycle per time in nows (ascending):
+// the cycle body (CycleCore) with the one seat's instants as its rows — every
+// layer scores the whole stack under a single evaluation exclusion
+// (core.Layer.ScoreBatch), then each instant acts in order. Ledger state,
+// monotone counters and act decisions are byte-identical to len(nows)
+// EvaluateNow cycles at the same times, which run the same body with a
+// one-element stack.
 //
-// Call before Stop. CycleBatch calls serialize with each other and with
-// EvaluateNow. Typical use: a replay ingests a window of events, Barriers,
-// then stacks the cycle times that fell due in the gap — amortizing the
-// exclusive lock and the versioned-predictor handle loads across the whole
-// stack.
+// CycleBatch calls serialize with each other and with EvaluateNow; once Stop
+// has begun it runs none. Typical use: a replay ingests a window of events,
+// Barriers, then stacks the cycle times that fell due in the gap — amortizing
+// the exclusive lock and the versioned-predictor handle loads across the
+// whole stack.
 func (r *Runtime) CycleBatch(nows []float64) {
-	if len(nows) == 0 {
-		return
-	}
-	r.cycleMu.Lock()
-	defer r.cycleMu.Unlock()
-	r.cycleBatchLocked(nows)
-}
-
-// cycleBatchLocked is the one cycle body. Caller holds cycleMu.
-func (r *Runtime) cycleBatchLocked(nows []float64) {
-	k := len(r.layers)
-	if cap(r.batchScores) < k*len(nows) {
-		r.batchScores = make([]float64, k*len(nows))
-	}
-	if r.batchRow == nil {
-		r.batchRow = make([]float64, k)
-	}
-	scores := r.batchScores[:k*len(nows)]
-	evalStart := r.shell.Nanos()
-	// Evaluation sees a quiescent state snapshot: the consumer applies under
-	// the same lock.
-	r.stateMu.Lock()
-	if pool := r.shell.pool; pool != nil && k > 1 {
-		r.batchNows = nows
-		pool.Do(k, r.batchFn)
-		r.batchNows = nil
-	} else {
-		r.engine.EvaluateLayersBatch(nows, scores)
-	}
-	// Lifecycle steps that must not overlap Apply: retrain-window capture
-	// and shadow-candidate scoring run under the same exclusion the layer
-	// evaluations just used. Swaps themselves are pointer CASes elsewhere
-	// and never extend this critical section.
-	var cands [][]lifecycle.CandidateScore
-	if r.cfg.Lifecycle != nil {
-		cands = make([][]lifecycle.CandidateScore, len(nows))
-		for i, now := range nows {
-			cands[i] = r.cfg.Lifecycle.Collect(now)
-		}
-	}
-	// Incident assembly also needs the exclusion: bundles slice the
-	// Apply-side event log, which only this lock quiesces. Triggers raised by
-	// this batch's act stage below are captured by the next cycle, or by the
-	// Stop-time Flush.
-	r.cfg.Recorder.Collect()
-	r.stateMu.Unlock()
-	evalEnd := r.shell.Nanos()
-	r.metrics.EvalLatency.Observe(float64(evalEnd-evalStart) / 1e9)
-	for i, now := range nows {
-		for j := 0; j < k; j++ {
-			r.batchRow[j] = scores[j*len(nows)+i]
-		}
-		var c []lifecycle.CandidateScore
-		if cands != nil {
-			c = cands[i]
-		}
-		r.actOne(now, r.batchRow, c, evalStart, evalEnd)
+	if len(nows) > 0 {
+		r.cycle.Run(nows)
 	}
 }
 

@@ -20,11 +20,10 @@ type ShellConfig struct {
 	// Tracer is the pipeline's span tracer (nil when tracing is off); the
 	// shell only reads its clock, see Nanos.
 	Tracer *obs.Tracer
-	// Cycle runs one MEA cycle — evaluate, act, journal — to completion, on
-	// the goroutine that called EvaluateNow or Stop. The shell never runs two
-	// at once, so a slow countermeasure delays the next cycle instead of
-	// overlapping it.
-	Cycle func()
+	// Cycle is the pipeline's cycle body. Its runs (CycleCore.Run) and Stop's
+	// final one take the shell's cycle lock, so a slow countermeasure delays
+	// the next cycle instead of overlapping it.
+	Cycle *CycleCore
 	// CloseQueues rejects new ingest and lets the consumers run their queues
 	// dry. Idempotent: Stop calls it, and so does a hard stop.
 	CloseQueues func()
@@ -36,7 +35,7 @@ type ShellConfig struct {
 // Shell is the stage skeleton Runtime and fleet.Fleet share: N drain
 // consumers, the evaluation pool, and the protocol that stops them. It owns
 // no cycle goroutine and no clock: a cycle runs on whichever goroutine asks
-// for it (EvaluateNow), at whatever domain time the owner's clock reads.
+// for it (CycleCore.Run), at whatever domain time the owner's clock reads.
 //
 // Stop protocol. A graceful Stop marks the pipeline draining, closes the
 // queues, and waits: each consumer applies its backlog and exits; when the
@@ -57,8 +56,8 @@ type Shell struct {
 	wg       sync.WaitGroup
 	hardCtx  context.Context
 	hardStop context.CancelFunc
-	// cycleMu is held around every cycle the shell runs and around Stop's
-	// pool close, so a cycle never overlaps another or outlives the pool.
+	// cycleMu is held around every cycle and around Stop's pool close, so a
+	// cycle never overlaps another or outlives the pool.
 	cycleMu sync.Mutex
 
 	start     atomic.Pointer[time.Time] // nil until Start
@@ -144,18 +143,6 @@ func (s *Shell) Go(consume func()) {
 	}()
 }
 
-// EvaluateNow runs one cycle on the calling goroutine and returns once it is
-// done. Cycles from several goroutines run one at a time, so a cycle's own
-// code (a layer, a combiner, a countermeasure) must not call it, nor Stop.
-// Once Stop has begun it runs none: the final cycle is Stop's.
-func (s *Shell) EvaluateNow() {
-	s.cycleMu.Lock()
-	defer s.cycleMu.Unlock()
-	if !s.Stopping() {
-		s.cfg.Cycle()
-	}
-}
-
 // Stop shuts the pipeline down by the protocol on Shell. It is idempotent;
 // every call returns the first call's result.
 func (s *Shell) Stop(ctx context.Context) error {
@@ -179,11 +166,11 @@ func (s *Shell) Stop(ctx context.Context) error {
 		}
 		graceful := !s.HardStopped()
 		s.hardStop()
-		// Under cycleMu: an EvaluateNow already running finishes first, and
+		// Under cycleMu: a cycle already running finishes first, and
 		// none after this runs a cycle on the closed pool.
 		s.cycleMu.Lock()
 		if graceful {
-			s.cfg.Cycle()
+			s.cfg.Cycle.run(nil)
 		}
 		if s.pool != nil {
 			s.pool.Close()
@@ -194,10 +181,6 @@ func (s *Shell) Stop(ctx context.Context) error {
 	})
 	return s.stopErr
 }
-
-// Pool returns the evaluation pool (nil before Start and when Workers < 2;
-// a nil pool runs Do inline).
-func (s *Shell) Pool() *Pool { return s.pool }
 
 // HardStopped reports whether the stop turned hard: drain loops then shed
 // their backlog instead of applying it, so shutdown is prompt and the depth
