@@ -124,7 +124,6 @@ func runFleet(ctx context.Context, o *options) error {
 		Shards:        o.shards,
 		QueueCapacity: o.rt.QueueCapacity,
 		Overflow:      o.rt.Overflow,
-		Workers:       o.rt.Workers,
 		ActBudget:     o.actBudget,
 		Clock:         clock.now,
 		Tracer:        tracer,
@@ -173,9 +172,9 @@ func runFleet(ctx context.Context, o *options) error {
 		"tenants", o.tenants, "skew", o.skew, "shards", f.Shards(),
 		"addr", bound, "source", source, "cadence_sim_s", o.eval)
 
-	// The clock reads each boundary before its Barrier, so that with
-	// -rate-limit the buckets refill up to it and the Barrier waits only for
-	// what they let through.
+	// The clock reads each boundary before its cycle. The stepper moves it to
+	// a record's time before the record is pushed, so with -rate-limit a
+	// tenant's bucket refills on the input's own time.
 	n, err := fleet.Pump(ctx, f, newStepper(src, o.eval, &clock, func(nows []float64) error {
 		for _, b := range nows {
 			clock.advance(b)

@@ -10,9 +10,10 @@
 // (step.go) runs an MEA cycle at every -eval simulated seconds of it, on the
 // goroutine that feeds the pipeline, once the input before that instant has
 // been applied — so a run without -hotswap (whose retrains land on
-// background goroutines) or -rate-limit (whose buckets refill at the clock
-// readings the drains happen to see) is a deterministic function of its
-// flags, and a live run is reproducible from its -seed.
+// background goroutines) is a deterministic function of its flags, and a
+// live run is reproducible from its -seed. -rate-limit keeps that: a tenant's
+// token bucket decides at admission, on the input's own time, and sheds what
+// is over the rate then and there.
 //
 // Observability: /metrics (Prometheus text), /healthz and /readyz
 // (readiness), /livez (liveness), /tracez (end-to-end span traces),
@@ -108,10 +109,8 @@ const leadTime = 300.0
 // drainTimeout bounds a graceful stop, so Ctrl-C always wins within seconds.
 const drainTimeout = 10 * time.Second
 
-// What eight flags nobody set defaulted to.
+// What six flags nobody set defaulted to.
 const (
-	workers        = 0   // layer-evaluation pool: the library's GOMAXPROCS-derived default
-	batch          = 0   // ingest drain chunk: the runtime's default
 	ledgerSlack    = 300 // prediction-period slack Δtp for TP matching [sim s]
 	fleetScopes    = 64  // tenants with a dedicated ledger and recorder scope; the rest fold
 	driftWarmup    = 240 // score-drift detector self-calibration window [cycles]
@@ -193,7 +192,7 @@ func (o *options) flagSet(stderr io.Writer) *flag.FlagSet {
 	fs.StringVar(&o.fleetTrace, "fleet-trace", "", "replay a recorded trace file instead of simulating (loggen's .wire or .trace, told apart by magic)")
 	fs.StringVar(&o.listen, "listen", "", "accept tenant traces over TCP on this address instead of simulating (with -fleet; binary frames or text line protocol, see loggen -send)")
 	fs.IntVar(&o.actBudget, "act-budget", 0, "max tenants that may execute a countermeasure per cycle, criticality-prioritized (with -fleet; 0 = unlimited)")
-	fs.Float64Var(&o.rateLimit, "rate-limit", 0, "per-tenant ingest drain cap [events per simulated second] (with -fleet; 0 = unlimited)")
+	fs.Float64Var(&o.rateLimit, "rate-limit", 0, "per-tenant ingest admission cap [events per simulated second]; events over it are shed as ratelimited drops (with -fleet; 0 = unlimited)")
 	fs.StringVar(&o.replayColumnar, "replay-columnar", "", "replay a one-tenant trace file (loggen's .wire or .trace, told apart by magic) at full speed instead of simulating")
 	fs.StringVar(&o.incidents.dir, "incident-dir", "", "persist captured incident bundles as JSON files in this directory")
 	fs.IntVar(&o.incidents.cap, "incident-cap", 32, "retained incident bundles (0 disables the flight recorder)")
@@ -206,7 +205,6 @@ func (o *options) flagSet(stderr io.Writer) *flag.FlagSet {
 func parseFlags(args []string, stdout, stderr io.Writer) (*options, error) {
 	o := &options{
 		stdout: stdout,
-		rt:     runtime.Config{Workers: workers, BatchSize: batch},
 		ledger: obs.LedgerConfig{LeadTime: leadTime, Slack: ledgerSlack},
 		drift: lifecycle.Config{ScoreWarmup: driftWarmup, ScoreThresholdSigma: driftThreshold,
 			ShadowMinResolved: driftShadowMin, CooldownCycles: driftCooldown},

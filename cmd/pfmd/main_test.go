@@ -512,13 +512,14 @@ func TestFleetShardsAgree(t *testing.T) {
 }
 
 // TestFleetRateLimited: with -rate-limit far below the tenants' event rate,
-// the backlog a token bucket holds at a boundary does not hold that
-// boundary's cycle. The run reaches its horizon with every cycle run, and the
-// graceful stop drains what the buckets still held.
+// at the default -queue and -overflow block, what is over the rate is shed at
+// admission, so no backlog waits on the clock and nothing stalls the producer
+// that moves it. The run reaches its horizon with every boundary's cycle run,
+// and ingested = applied + dropped with every drop a ratelimited one.
 func TestFleetRateLimited(t *testing.T) {
 	var stderr strings.Builder
 	o, err := parseFlags([]string{"-fleet", "-tenants", "3", "-shards", "2", "-rate-limit", "0.02",
-		"-queue", "65536", "-days", "0.25", "-compress", "864000", "-addr", "127.0.0.1:0",
+		"-days", "0.25", "-compress", "864000", "-addr", "127.0.0.1:0",
 		"-log-format", "json"}, io.Discard, &stderr)
 	if err != nil {
 		t.Fatal(err)
@@ -535,9 +536,19 @@ func TestFleetRateLimited(t *testing.T) {
 	if ctx.Err() != nil {
 		t.Fatalf("a quarter of a simulated day did not run in a minute: a held backlog stalled the cycles\n%s", stderr.String())
 	}
-	checkDrained(t, final)
-	if n := metricSum(t, final.metrics, "pfm_fleet_ratelimited_total"); n == 0 {
-		t.Error("no drain was held back by a token bucket: the limit did not bind")
+	if final.health.Status != "stopped" || final.health.QueueDepth != 0 {
+		t.Errorf("/healthz after drain: %+v, want stopped with an empty queue", final.health)
+	}
+	ingested := metricSum(t, final.metrics, "pfm_events_ingested_total")
+	applied := metricSum(t, final.metrics, "pfm_events_applied_total")
+	dropped := metricSum(t, final.metrics, "pfm_events_dropped_total")
+	shed := metricSum(t, final.metrics, `pfm_events_dropped_total{reason="ratelimited"}`)
+	if ingested != applied+dropped || shed != dropped {
+		t.Errorf("ingested %v, applied %v, dropped %v of which ratelimited %v: want the sum to close and every drop ratelimited",
+			ingested, applied, dropped, shed)
+	}
+	if shed == 0 || applied == 0 {
+		t.Errorf("applied %v, shed %v: the limit did not bind, or let nothing through", applied, shed)
 	}
 	// A boundary every 60 s of the 21600 s horizon, less the first minute's,
 	// and Stop's final cycle.

@@ -291,10 +291,7 @@ func TestFleetRemoveTenantRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := f.Metrics()
-	in := m.Ingested.Value()
-	out := m.Applied.Value() + m.DroppedOldest.Value() + m.DroppedNewest.Value() +
-		m.DroppedCanceled.Value() + m.DroppedShutdown.Value()
-	if in != out {
+	if in, out := m.Ingested.Value(), m.Applied.Value()+m.Dropped(); in != out {
 		t.Errorf("counters not conserved: ingested %d != applied+dropped %d", in, out)
 	}
 }
@@ -438,11 +435,9 @@ func TestFleetChurnUnderLoad(t *testing.T) {
 	}
 	m := f.Metrics()
 	in := m.Ingested.Value()
-	out := m.Applied.Value() + m.DroppedOldest.Value() + m.DroppedNewest.Value() +
-		m.DroppedCanceled.Value() + m.DroppedShutdown.Value()
-	if in != out {
-		t.Errorf("counters not conserved after churn: ingested %d != applied+dropped %d (applied=%d shutdown=%d)",
-			in, out, m.Applied.Value(), m.DroppedShutdown.Value())
+	if out := m.Applied.Value() + m.Dropped(); in != out {
+		t.Errorf("counters not conserved after churn: ingested %d != applied+dropped %d (applied=%d removed=%d)",
+			in, out, m.Applied.Value(), m.DroppedRemoved.Value())
 	}
 	if in == 0 {
 		t.Error("no events ingested; churn test exercised nothing")

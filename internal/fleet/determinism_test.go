@@ -137,6 +137,95 @@ func digestFleet(t *testing.T, f *Fleet, led *obs.ScopedLedger, ids []string) st
 	return b.String()
 }
 
+// clockedSource moves the domain clock to each event's time before Pump
+// takes it, as pfmd's stepper does, so a token bucket refills on the trace's
+// own time.
+type clockedSource struct {
+	src   Source
+	clock *testClock
+}
+
+func (s *clockedSource) Next() (Record, error) {
+	rec, err := s.src.Next()
+	if err == nil && !rec.Failure {
+		s.clock.Set(rec.Event.Time)
+	}
+	return rec, err
+}
+
+// TestFleetRateLimitDeterministic: what the token buckets shed is a function
+// of the trace and its clock alone, decided at admission. One trace in which
+// a third of the tenants push at twice their rate and a third just over it
+// gives byte-identical fingerprints and equal ratelimited counts at 1, 3 and
+// 7 shards.
+func TestFleetRateLimitDeterministic(t *testing.T) {
+	ids := make([]string, 12)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("t%02d", i)
+	}
+	trace := deterministicTrace(ids, 60)
+	run := func(shards int) (string, int64) {
+		clock := newTestClock(0)
+		led, err := obs.NewScopedLedger(obs.LedgerConfig{LeadTime: 300, Slack: 60}, 8, "load")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := specs(ids...)
+		for i := range sp {
+			sp[i].RateLimit = []float64{0.5, 1.05, 0}[i%3]
+		}
+		cfg := testFleetConfig(sp, clock)
+		cfg.Shards = shards
+		cfg.Ledger = led
+		cfg.JournalLayers = true
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if err := f.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		// A cycle every 10 s of trace time, after the records before it.
+		at := 0
+		for b := 10.0; b <= 60; b += 10 {
+			end := at
+			for end < len(trace) && (trace[end].Failure || trace[end].Event.Time < b) {
+				end++
+			}
+			if _, err := Pump(ctx, f, &clockedSource{NewSliceSource(trace[at:end]), clock}); err != nil {
+				t.Fatal(err)
+			}
+			at = end
+			clock.Set(b)
+			if err := f.Barrier(ctx); err != nil {
+				t.Fatal(err)
+			}
+			f.EvaluateCycle()
+		}
+		if err := f.Stop(ctx); err != nil {
+			t.Fatal(err)
+		}
+		m := f.Metrics()
+		if in, ap, dr := m.Ingested.Value(), m.Applied.Value(), m.Dropped(); in != ap+dr || dr != m.DroppedRateLimited.Value() {
+			t.Errorf("shards %d: ingested %d, applied %d, dropped %d (ratelimited %d): want every drop ratelimited and the sum to close",
+				shards, in, ap, dr, m.DroppedRateLimited.Value())
+		}
+		return digestFleet(t, f, led, ids), m.DroppedRateLimited.Value()
+	}
+	ref, refShed := run(1)
+	if refShed == 0 {
+		t.Fatal("no event was shed: the limits did not bind")
+	}
+	for _, shards := range []int{3, 7} {
+		got, shed := run(shards)
+		if got != ref || shed != refShed {
+			t.Errorf("shards %d diverged (ratelimited %d, want %d):\n--- 1 shard ---\n%s--- got ---\n%s",
+				shards, shed, refShed, ref, got)
+		}
+	}
+}
+
 func eventlogEvent(t float64, i, seq int) eventlog.Event {
 	return eventlog.Event{
 		Time:      t,

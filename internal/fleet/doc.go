@@ -10,7 +10,11 @@
 //     by a consistent-hash ring (tenant → shard), so each tenant's stream
 //     applies in order on exactly one consumer while shards drain in
 //     parallel. Consumers drain their queue in chunks, amortizing the
-//     state-lock acquisition across a whole batch of events.
+//     state-lock acquisition across a whole batch of events. A tenant's
+//     rate limit (TenantSpec.RateLimit) is a token bucket on the fleet's
+//     clock consulted once per push: a push over the rate is shed then
+//     and there, as a drop with reason "ratelimited", so no queue holds
+//     events that wait for the clock to move.
 //   - Evaluate and act: a cycle is the single-tenant runtime's cycle body
 //     (runtime.CycleCore) with one seat per tenant at one instant. The
 //     fleet supplies the row scorer — a layer template over a range of
@@ -28,11 +32,13 @@
 //
 // The goroutine skeleton and stop protocol (runtime.Shell), the bounded
 // buffer and Block-policy park/wake protocol under every queue
-// (runtime.FIFO, runtime.Waiters), the cycle (runtime.CycleCore), each
+// (runtime.FIFO, runtime.Waiters), the drain consumer (runtime.DrainCore),
+// the cycle (runtime.CycleCore), each
 // tenant's journal → recorder order after a decision (runtime.ActTail) and
 // the base HTTP endpoints (runtime.Plane) are the single-tenant runtime's,
-// not copies of them; what lives here is what differs — one queue per tenant
-// and their fair draining, the template scorer, the act budget, the folded
+// not copies of them; what lives here is what differs — one queue per tenant,
+// admission under its rate limit and the queues' fair draining, the template
+// scorer, the act budget, the folded
 // ledger bucket, membership changes and the /fleet plane.
 //
 // Ingest is pluggable (Source): an in-process feeder (SliceSource, or
@@ -45,6 +51,7 @@
 // Determinism: with evaluation driven explicitly (EvaluateCycle after
 // Barrier), per-tenant decisions, counters, and ledger tables are
 // bit-identical across shard counts, worker counts, batch sizes, and
-// GOMAXPROCS — the internal/par contract extended to the fleet. See
-// determinism_test.go.
+// GOMAXPROCS — the internal/par contract extended to the fleet, rate limits
+// included, since a bucket decides at admission on the clock the producer
+// reads. See determinism_test.go.
 package fleet

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/act"
 	"repro/internal/core"
@@ -62,11 +61,12 @@ type TenantSpec struct {
 	// service-criticality idea: losing a critical service hurts more).
 	// Zero defaults to 1.
 	Criticality float64
-	// RateLimit caps the tenant's drain rate in events per domain second
-	// (token bucket, burst of one second's credit). Over-rate backlog stays
-	// queued in the tenant's own sub-queue until it overflows under the
-	// fleet's policy, so a misbehaving tenant throttles and eventually
-	// sheds only itself. 0 means unlimited.
+	// RateLimit caps the tenant's admission rate in events per domain second
+	// (token bucket on the fleet's Clock, burst of one second's credit and at
+	// least 1). A push that finds the bucket empty is shed at once — counted
+	// ingested and dropped with reason "ratelimited" — and never parks, so a
+	// misbehaving tenant loses only its own events and no queue waits on the
+	// clock. 0 means unlimited.
 	RateLimit float64
 }
 
@@ -131,13 +131,11 @@ type Config struct {
 	// refill on (default: seconds since Start).
 	Clock func() float64
 
-	// Metrics receives fleet observability (nil allocates a fresh set);
 	// Tracer samples end-to-end event spans (nil disables); Ledger keeps
-	// per-tenant prediction quality under its cardinality cap (nil
-	// disables journaling).
-	Metrics *runtime.Metrics
-	Tracer  *obs.Tracer
-	Ledger  *obs.ScopedLedger
+	// per-tenant prediction quality under its cardinality cap (nil disables
+	// journaling).
+	Tracer *obs.Tracer
+	Ledger *obs.ScopedLedger
 	// Recorder multiplexes per-tenant flight recorders under the same
 	// cardinality cap/overflow-fold discipline as Ledger: each tenant's
 	// act stage feeds its scope, warn-trigger thresholds are weighted by
@@ -244,7 +242,6 @@ type Fleet struct {
 	acct settlement
 
 	unknown     *runtime.Counter // ingest for unregistered tenants
-	ratelimited *runtime.Counter // scheduler skips on empty token buckets
 	handoffN    *runtime.Counter // queued events re-homed by membership changes
 	actDeferred *runtime.Counter
 	evalErrors  []*runtime.Counter // per layer template: scores that errored (abstained)
@@ -284,15 +281,12 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 64
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = runtime.NewMetrics()
-	}
 	for i, tmpl := range cfg.Layers {
 		if tmpl.Name == "" || (tmpl.Score == nil && tmpl.ScoreBatch == nil) {
 			return nil, fmt.Errorf("%w: layer template %d needs a name and a scorer", ErrFleet, i)
 		}
 	}
-	f := &Fleet{cfg: cfg, metrics: cfg.Metrics, failureHold: math.Max(cfg.Engine.LeadTime, 300)}
+	f := &Fleet{cfg: cfg, metrics: runtime.NewMetrics(), failureHold: math.Max(cfg.Engine.LeadTime, 300)}
 	f.shell = runtime.NewShell(runtime.ShellConfig{
 		Err:     ErrFleet,
 		Workers: cfg.Workers,
@@ -321,8 +315,6 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.ActBudget > 0 {
 		f.cycle.Resolve = f.resolveBudget
 	}
-	// Every step that can fail comes before the first registration: a failed
-	// New leaves the caller's Metrics as it found them.
 	mem := &membership{
 		gen:    1,
 		byID:   make(map[string]*tenant, len(cfg.Tenants)),
@@ -340,8 +332,6 @@ func New(cfg Config) (*Fleet, error) {
 	reg := f.metrics.Registry()
 	f.unknown = reg.Counter("pfm_fleet_unknown_tenant_total",
 		"Events rejected because their tenant is not registered.")
-	f.ratelimited = reg.Counter("pfm_fleet_ratelimited_total",
-		"Drain-scheduler visits that skipped a backlogged tenant because its token bucket was empty.")
 	f.handoffN = reg.Counter("pfm_fleet_handoff_total",
 		"Queued events re-homed onto another shard by membership changes.")
 	reg.CounterFunc("pfm_fleet_act_executed_total", "Countermeasures executed across the fleet.",
@@ -357,7 +347,7 @@ func New(cfg Config) (*Fleet, error) {
 		mem.shards[s] = f.newShardQueueAt(s)
 	}
 	for _, tn := range mem.tenants {
-		tn.q = newTenantQueue(tn, cfg.QueueCapacity, tn.spec.RateLimit)
+		tn.q = newTenantQueue(tn, cfg.QueueCapacity)
 		mem.shards[mem.ring.shardOf(tn.spec.ID)].attach(tn.q)
 	}
 	f.install(mem)
@@ -405,7 +395,7 @@ func (f *Fleet) newShardQueueAt(s int) *shardQueue {
 		f.shardDrops = append(f.shardDrops, reg.Counter("pfm_fleet_shard_dropped_total",
 			"Events dropped per fleet ingest shard (all reasons).", "shard", strconv.Itoa(len(f.shardDrops))))
 	}
-	return newShardQueue(f.cfg.Overflow, f.cfg.QueueCapacity, f.metrics, f.shardDrops[s], f.ratelimited,
+	return newShardQueue(f.cfg.Overflow, f.cfg.QueueCapacity, f.metrics, f.shardDrops[s],
 		f.cfg.Tracer, &f.acct, f.now, s)
 }
 
@@ -570,7 +560,7 @@ func (f *Fleet) Start(ctx context.Context) error {
 	f.adminMu.Lock()
 	defer f.adminMu.Unlock()
 	shards := f.mem.Load().shards
-	return f.shell.Start(ctx, len(shards), func(s int) { f.consumeLoop(shards[s]) })
+	return f.shell.Start(ctx, len(shards), func(s int) { f.consume(shards[s]) })
 }
 
 // AddTenant admits a tenant into the (possibly running) fleet: its state,
@@ -589,7 +579,7 @@ func (f *Fleet) AddTenant(spec TenantSpec) error {
 	if err != nil {
 		return err
 	}
-	tn.q = newTenantQueue(tn, f.cfg.QueueCapacity, tn.spec.RateLimit)
+	tn.q = newTenantQueue(tn, f.cfg.QueueCapacity)
 	mem.shards[mem.ring.shardOf(tn.spec.ID)].attach(tn.q)
 	f.install(mem.withTenants(append(append(make([]*tenant, 0, len(mem.tenants)+1), mem.tenants...), tn)))
 	return nil
@@ -609,10 +599,10 @@ func (f *Fleet) install(next *membership) {
 }
 
 // RemoveTenant retires a tenant: the next membership generation (without
-// it) installs atomically, its queued backlog is shed (counted dropped),
-// and its ledger/recorder scopes are released so /metrics and /fleet stop
-// reporting the ghost. Events already drained into an in-flight chunk still
-// apply; later Ingest calls return ErrUnknownTenant.
+// it) installs atomically, its queued backlog is shed (counted dropped,
+// reason "removed"), and its ledger/recorder scopes are released so /metrics
+// and /fleet stop reporting the ghost. Events already drained into an
+// in-flight chunk still apply; later Ingest calls return ErrUnknownTenant.
 func (f *Fleet) RemoveTenant(id string) error {
 	f.adminMu.Lock()
 	defer f.adminMu.Unlock()
@@ -659,7 +649,7 @@ func (f *Fleet) Resize(shards int) error {
 		q := f.newShardQueueAt(s)
 		newShards[s] = q
 		if f.shell.Started() {
-			f.shell.Go(func() { f.consumeLoop(q) })
+			f.shell.Go(func() { f.consume(q) })
 		}
 	}
 	f.registerShardGauges(shards)
@@ -732,58 +722,26 @@ func (tn *tenant) recordFailure(t float64) {
 	tn.ledger.RecordFailure(t)
 }
 
-// consumeLoop drains one shard in chunks: each chunk applies under a
-// single shared-lock acquisition, amortizing synchronization across up to
-// BatchSize events — the fleet's per-event overhead win.
-func (f *Fleet) consumeLoop(q *shardQueue) {
-	tr := f.cfg.Tracer
-	buf := make([]item, f.cfg.BatchSize)
-	for {
-		n, backoff := q.drainInto(buf)
-		if n == 0 {
-			if backoff {
-				// Backlog exists but every active tenant is over its rate
-				// limit: yield until buckets refill.
-				time.Sleep(500 * time.Microsecond)
-				continue
-			}
-			return
-		}
-		if f.shell.HardStopped() {
-			// Hard stop: shed the chunk unapplied so shutdown is prompt.
-			for i := 0; i < n; i++ {
-				f.metrics.DroppedShutdown.Inc()
-				q.drops.Inc()
-				q.traceDrop(&buf[i].ev, buf[i].traceStart)
-			}
-			q.settled(buf, n)
-			continue
-		}
-		// The chunk's two stamps serve the apply-latency histogram and, as
-		// dequeue and apply end, every sampled event in it.
-		dequeued := f.shell.Nanos()
-		f.stateMu.RLock()
-		for i := 0; i < n; i++ {
-			it := buf[i]
-			if err := f.cfg.Apply(it.tn.state, it.ev); err != nil {
-				f.metrics.ApplyErrors.Inc()
-			}
-			it.tn.events.Add(1)
-			storeTime(&it.tn.lastEvent, it.ev.Time)
-		}
-		f.stateMu.RUnlock()
-		applied := f.shell.Nanos()
-		f.metrics.Applied.Add(int64(n))
-		// One latency observation per chunk: the amortized unit of work.
-		f.metrics.ApplyLatency.Observe(float64(applied-dequeued) / 1e9)
-		for i := 0; i < n; i++ {
-			if buf[i].traceStart != 0 {
-				tr.PublishApplied(uint8(buf[i].ev.Kind), buf[i].ev.Tenant, q.shard,
-					buf[i].traceStart, buf[i].traceStart, dequeued, applied)
-			}
-		}
-		q.settled(buf, n)
+// consume drains one shard through the drain body (runtime.DrainCore): each
+// chunk of up to BatchSize events, taken in deficit round robin, applies
+// under one acquisition of the state lock's shared side, so shards apply in
+// parallel and never beside a cycle.
+func (f *Fleet) consume(q *shardQueue) {
+	d := runtime.DrainCore[item]{
+		Shell: f.shell, Metrics: f.metrics, Tracer: f.cfg.Tracer, State: f.stateMu.RLocker(),
+		Drops: q.drops, Batch: f.cfg.BatchSize,
+		Take: q.drainInto, Settle: q.settled, Apply: f.apply, Span: q.span,
 	}
+	d.Run()
+}
+
+// apply integrates one drained event into its tenant's state and counts it
+// on the tenant.
+func (f *Fleet) apply(it *item) error {
+	err := f.cfg.Apply(it.tn.state, it.ev)
+	it.tn.events.Add(1)
+	storeTime(&it.tn.lastEvent, it.ev.Time)
+	return err
 }
 
 // EvaluateCycle runs one MEA cycle over every tenant in the current
@@ -894,29 +852,12 @@ func (f *Fleet) resolveBudget() {
 // Barrier may return while an earlier event is still queued on a slow one;
 // it does not wait for an instant with nothing pending fleet-wide.
 //
-// Backlog a token bucket holds back is not waited on: Barrier also returns
-// once everything still pending sits on shards whose drain found all of it
-// over its tenants' rate limits at the clock's reading when Barrier was
-// called. Buckets refill only as the clock moves, so waiting for that
-// backlog would wait for the caller.
+// A rate limit never holds Barrier up: an event over its tenant's rate is
+// shed at admission, so whatever was admitted drains without waiting on the
+// clock.
 func (f *Fleet) Barrier(ctx context.Context) error {
-	admitted, at := f.acct.admitted.Value(), f.now()
-	return runtime.AwaitSettled(ctx, func() bool {
-		return f.acct.settled.Value() >= admitted || f.heldBack(admitted, at)
-	})
-}
-
-// heldBack reports whether every event admitted and not yet settled is held
-// by token buckets on shards that drained at clock reading at or after at.
-// No shard's marker may change while the held events and settled are read,
-// so that a shard draining in between is not mistaken for one at rest.
-func (f *Fleet) heldBack(admitted int64, at float64) bool {
-	seq := f.acct.limited.Value()
-	held := 0
-	for _, q := range f.mem.Load().shards {
-		held += q.heldAt(at)
-	}
-	return held > 0 && admitted-f.acct.settled.Value() <= int64(held) && f.acct.limited.Value() == seq
+	admitted := f.acct.admitted.Value()
+	return runtime.AwaitSettled(ctx, func() bool { return f.acct.settled.Value() >= admitted })
 }
 
 // Stop shuts the fleet down by the shared stop protocol (runtime.Shell):

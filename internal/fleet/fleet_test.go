@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -394,18 +393,11 @@ func metricSeries(t *testing.T, reg *runtime.Registry) []string {
 	return out
 }
 
-// TestFleetValidation rejects malformed configurations, each leaving the
-// caller's Metrics as New found them — so the retry that succeeds exposes
-// every series once.
+// TestFleetValidation rejects malformed configurations, and the one New
+// accepts exposes every series once.
 func TestFleetValidation(t *testing.T) {
 	clock := newTestClock(0)
-	m := runtime.NewMetrics()
-	before := metricSeries(t, m.Registry())
-	base := func() Config {
-		cfg := testFleetConfig(specs("a", "b"), clock)
-		cfg.Metrics = m
-		return cfg
-	}
+	base := func() Config { return testFleetConfig(specs("a", "b"), clock) }
 	cases := []struct {
 		name string
 		mod  func(*Config)
@@ -440,18 +432,16 @@ func TestFleetValidation(t *testing.T) {
 			if dup := tc.name == "duplicate tenant"; errors.Is(err, ErrDuplicateTenant) != dup {
 				t.Errorf("errors.Is(%v, ErrDuplicateTenant) = %t", err, !dup)
 			}
-			if after := metricSeries(t, m.Registry()); !slices.Equal(after, before) {
-				t.Fatalf("the refused New left %d series in the caller's registry, was %d", len(after), len(before))
-			}
 		})
 	}
-	if _, err := New(base()); err != nil {
+	f, err := New(base())
+	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for _, s := range metricSeries(t, m.Registry()) {
+	for _, s := range metricSeries(t, f.Metrics().Registry()) {
 		if seen[s] {
-			t.Errorf("series %s exposed twice after the retry", s)
+			t.Errorf("series %s exposed twice", s)
 		}
 		seen[s] = true
 	}
@@ -603,9 +593,10 @@ func TestFleetStopDrains(t *testing.T) {
 	}
 }
 
-// TestBarrierHeldBack: Barrier waits for everything a token bucket lets
-// through at the clock's reading, and not for the backlog it holds back —
-// that drains only as the clock moves, or once Stop lifts the limit.
+// TestBarrierHeldBack: nothing is held back for a Barrier to wait on. A
+// token bucket decides at admission, at the clock's reading: what it lets
+// through is applied by the Barrier that follows, what it refuses is shed
+// then and there as a ratelimited drop, and Stop finds nothing left.
 func TestBarrierHeldBack(t *testing.T) {
 	clock := newTestClock(0)
 	cfg := testFleetConfig([]TenantSpec{{ID: "slow", RateLimit: 2}, {ID: "free"}}, clock)
@@ -627,13 +618,7 @@ func TestBarrierHeldBack(t *testing.T) {
 	if err := f.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		for _, id := range []string{"slow", "free"} {
-			if err := f.Ingest(ctx, sample(id, 0, 0)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	m := f.Metrics()
 	check := func(when string, slow, free int) {
 		t.Helper()
 		mu.Lock()
@@ -641,23 +626,36 @@ func TestBarrierHeldBack(t *testing.T) {
 		if applied["slow"] != slow || applied["free"] != free {
 			t.Fatalf("%s: applied %v, want slow %d free %d", when, applied, slow, free)
 		}
+		if shed := m.Ingested.Value() - int64(slow+free); m.DroppedRateLimited.Value() != shed || m.Dropped() != shed {
+			t.Fatalf("%s: ratelimited %d of %d dropped, want every push the bucket refused (%d)",
+				when, m.DroppedRateLimited.Value(), m.Dropped(), shed)
+		}
 	}
 	// The bucket starts full at its burst of 2 and refills 2 a second, to
-	// at most the burst.
+	// at most the burst; every round pushes ten events per tenant.
+	free := 0
 	for _, step := range []struct {
 		clock float64
 		slow  int
 	}{{0, 2}, {0, 2}, {0.5, 3}, {10, 5}} {
 		clock.Set(step.clock)
+		for i := 0; i < 10; i++ {
+			for _, id := range []string{"slow", "free"} {
+				if err := f.Ingest(ctx, sample(id, step.clock, 0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		free += 10
 		if err := f.Barrier(ctx); err != nil {
 			t.Fatalf("Barrier at %g: %v", step.clock, err)
 		}
-		check(fmt.Sprintf("after a Barrier at %g", step.clock), step.slow, 10)
+		check(fmt.Sprintf("after a Barrier at %g", step.clock), step.slow, free)
 	}
 	if err := f.Stop(ctx); err != nil {
 		t.Fatal(err)
 	}
-	check("after Stop", 10, 10)
+	check("after Stop", 5, 40)
 }
 
 // TestFleetRecorderIncidents drives the scoped flight recorder end to end:

@@ -38,7 +38,7 @@ func newOverloadQueue(policy runtime.OverflowPolicy) *overloadQueue {
 
 // shard builds one more shard over the same counters (a handoff target).
 func (h *overloadQueue) shard(policy runtime.OverflowPolicy, index int) *shardQueue {
-	return newShardQueue(policy, overloadCap, h.m, &h.drops, &runtime.Counter{},
+	return newShardQueue(policy, overloadCap, h.m, &h.drops,
 		nil, &h.acct, func() float64 { return 0 }, index)
 }
 
@@ -46,11 +46,11 @@ func (h *overloadQueue) tenant(id string, capacity int) *tenantQueue {
 	return h.limitedTenant(id, capacity, 0)
 }
 
-// limitedTenant attaches a tenant drained at most rate events per domain
+// limitedTenant attaches a tenant admitted at most rate events per domain
 // second; the harness clock stands still, so its bucket never refills.
 func (h *overloadQueue) limitedTenant(id string, capacity int, rate float64) *tenantQueue {
-	tn := &tenant{spec: TenantSpec{ID: id}}
-	tn.q = newTenantQueue(tn, capacity, rate)
+	tn := &tenant{spec: TenantSpec{ID: id, RateLimit: rate}}
+	tn.q = newTenantQueue(tn, capacity)
 	h.q.attach(tn.q)
 	return tn.q
 }
@@ -81,10 +81,7 @@ func (h *overloadQueue) drain(t *testing.T, q *shardQueue, chunk int) []string {
 	t.Helper()
 	buf := make([]item, chunk)
 	got := make(chan int, 1)
-	go func() {
-		n, _ := q.drainInto(buf)
-		got <- n
-	}()
+	go func() { got <- q.drainInto(buf) }()
 	select {
 	case n := <-got:
 		q.settled(buf, n)
@@ -149,6 +146,23 @@ func sameLabels(t *testing.T, what string, got []string, want ...string) {
 // TestShardQueueOverload runs the policy table on a bare shardQueue.
 func TestShardQueueOverload(t *testing.T) {
 	bg := context.Background()
+	// overRate: a tenant pushing above its rate on a frozen clock is admitted
+	// its burst and the rest is shed at admission, under every policy: no push
+	// parks, evicts or meets the budget. A peer on the same shard is admitted
+	// as if it were alone.
+	overRate := func(t *testing.T, h *overloadQueue) {
+		slow, peer := h.limitedTenant("slow", overloadCap, 2), h.tenant("peer", overloadCap)
+		for i := 0; i < overloadCap+2; i++ {
+			if err := returned(t, "push over the rate", h.pushAsync(bg, slow, i)); err != nil {
+				t.Fatalf("slow push %d: %v", i, err)
+			}
+		}
+		h.fill(t, peer, 0, 2)
+		if in, r, d := h.m.Ingested.Value(), h.m.DroppedRateLimited.Value(), h.m.Dropped(); in != 8 || r != 4 || d != r {
+			t.Errorf("ingested %d, ratelimited %d of %d dropped; want 8, 4 and only those", in, r, d)
+		}
+		sameLabels(t, "the burst, then the peer", h.drain(t, h.q, 8), "slow:0", "slow:1", "peer:0", "peer:1")
+	}
 	cases := []struct {
 		name   string
 		policy runtime.OverflowPolicy
@@ -184,36 +198,23 @@ func TestShardQueueOverload(t *testing.T) {
 			sameLabels(t, "second chunk", h.drain(t, h.q, 8), "a:2")
 		}},
 		{"block/full-rate-limited-tenant-does-not-starve-peer", runtime.Block, func(t *testing.T, h *overloadQueue) {
-			slow, peer := h.limitedTenant("slow", 2, 1), h.tenant("peer", 1)
-			h.fill(t, slow, 0, 2)
-			sameLabels(t, "the bucket's one token", h.drain(t, h.q, 8), "slow:0")
-			h.fill(t, slow, 2, 3) // at its cap again, bucket empty, clock frozen
+			slow, peer := h.limitedTenant("slow", 2, 2), h.tenant("peer", 1)
+			h.fill(t, slow, 0, 2) // at its cap, and its bucket is empty
+			// Over the rate: shed at admission, not parked at the cap, where
+			// it would wait on a clock that stands still.
+			if err := returned(t, "push over the rate at its cap", h.pushAsync(bg, slow, 2)); err != nil {
+				t.Fatalf("throttled push: %v", err)
+			}
 			h.fill(t, peer, 0, 1)
-			s1 := h.pushAsync(bg, slow, 3)
-			staysParked(t, "tenant cap", s1)
-			s2 := h.pushAsync(bg, slow, 4)
-			staysParked(t, "tenant cap", s2)
-			p := h.pushAsync(bg, peer, 1) // parked behind both
+			p := h.pushAsync(bg, peer, 1) // the peer at its own cap parks
 			staysParked(t, "tenant cap", p)
-			// One slot frees, and it is the peer's: whoever has waited
-			// longest, the push that now fits must get it.
-			sameLabels(t, "peer's backlog", h.drain(t, h.q, 8), "peer:0")
-			if err := returned(t, "peer behind a throttled tenant's pushes", p); err != nil {
+			sameLabels(t, "chunk", h.drain(t, h.q, 8), "slow:0", "slow:1", "peer:0")
+			if err := returned(t, "peer after the drain", p); err != nil {
 				t.Fatalf("peer push: %v", err)
 			}
-			staysParked(t, "still at its cap", s1)
-			staysParked(t, "still at its cap", s2)
-			h.q.close() // closing lifts the rate limit: everything drains
-			for h.drained < 7 {
-				if len(h.drain(t, h.q, 8)) == 0 {
-					t.Fatal("closed queue stopped draining with pushes parked")
-				}
-			}
-			if err := returned(t, "throttled push", s1); err != nil {
-				t.Fatalf("throttled push: %v", err)
-			}
-			if err := returned(t, "throttled push", s2); err != nil {
-				t.Fatalf("throttled push: %v", err)
+			sameLabels(t, "peer", h.drain(t, h.q, 8), "peer:1")
+			if r := h.m.DroppedRateLimited.Value(); r != 1 || h.m.Dropped() != r {
+				t.Errorf("ratelimited %d of %d dropped, want the one push over the rate", r, h.m.Dropped())
 			}
 		}},
 		{"block/cancel-while-parked", runtime.Block, func(t *testing.T, h *overloadQueue) {
@@ -246,8 +247,9 @@ func TestShardQueueOverload(t *testing.T) {
 			if err := returned(t, "peer", peer); err != nil {
 				t.Fatalf("peer push after the budget was freed: %v", err)
 			}
-			if in, s := h.m.Ingested.Value(), h.m.DroppedShutdown.Value(); in != 5 || s != 4 {
-				t.Errorf("ingested %d shed %d, want 5 (a's four and b's one) and 4", in, s)
+			if in, s := h.m.Ingested.Value(), h.m.DroppedRemoved.Value(); in != 5 || s != 4 || h.m.Dropped() != s {
+				t.Errorf("ingested %d shed %d of %d dropped, want 5 (a's four and b's one) and 4 removed",
+					in, s, h.m.Dropped())
 			}
 			if err := a.push(bg, qitem(a, 5)); !errors.Is(err, errTenantRemoved) {
 				t.Errorf("push after removal: %v, want errTenantRemoved", err)
@@ -295,7 +297,7 @@ func TestShardQueueOverload(t *testing.T) {
 				defer close(exit)
 				buf := make([]item, 2)
 				for {
-					n, _ := h.q.drainInto(buf)
+					n := h.q.drainInto(buf)
 					if n == 0 {
 						return
 					}
@@ -354,6 +356,9 @@ func TestShardQueueOverload(t *testing.T) {
 			}
 			sameLabels(t, "backlog", h.drain(t, h.q, 8), "a:0", "a:1", "a:2", "a:3")
 		}},
+		{"block/over-rate-shed-at-admission", runtime.Block, overRate},
+		{"drop-oldest/over-rate-shed-at-admission", runtime.DropOldest, overRate},
+		{"drop-newest/over-rate-shed-at-admission", runtime.DropNewest, overRate},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -482,6 +487,7 @@ func (o *overloadFleet) counts(t *testing.T, ingested, applied int64, reason str
 	by := map[string]int64{
 		"oldest": m.DroppedOldest.Value(), "newest": m.DroppedNewest.Value(),
 		"canceled": m.DroppedCanceled.Value(), "shutdown": m.DroppedShutdown.Value(),
+		"removed": m.DroppedRemoved.Value(), "ratelimited": m.DroppedRateLimited.Value(),
 	}
 	if got := m.Ingested.Value(); got != ingested {
 		t.Errorf("ingested %d, want %d", got, ingested)

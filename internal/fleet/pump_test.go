@@ -309,13 +309,13 @@ func TestShardSampleTick(t *testing.T) {
 	tr := obs.NewTracer(64)
 	tr.SetSampleInterval(4)
 	var acct settlement
-	q := newShardQueue(runtime.DropNewest, 8, runtime.NewMetrics(), &runtime.Counter{}, &runtime.Counter{},
+	q := newShardQueue(runtime.DropNewest, 8, runtime.NewMetrics(), &runtime.Counter{},
 		tr, &acct, func() float64 { return 0 }, 0)
 	tn := &tenant{spec: TenantSpec{ID: "s"}}
-	tn.q = newTenantQueue(tn, 8, 0)
+	tn.q = newTenantQueue(tn, 8)
 	q.attach(tn.q)
 	gone := &tenant{spec: TenantSpec{ID: "gone"}}
-	gone.q = newTenantQueue(gone, 8, 0)
+	gone.q = newTenantQueue(gone, 8)
 	q.attach(gone.q)
 	gone.q.closeAndDrain()
 	for i := 0; i < 13; i++ { // 8 admitted, 5 rejected at the door
@@ -327,7 +327,7 @@ func TestShardSampleTick(t *testing.T) {
 		}
 	}
 	buf := make([]item, 16)
-	n, _ := q.drainInto(buf)
+	n := q.drainInto(buf)
 	if n != 8 {
 		t.Fatalf("drained %d, want 8", n)
 	}

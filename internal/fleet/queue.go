@@ -35,13 +35,10 @@ type item struct {
 // of their own (runtime.Counter pads itself): producers write admitted (under
 // a shard lock, once an event), consumers write settled (once a chunk), and
 // neither line bounces between them the way one shared pending count did.
-// limited counts changes of any shard's rate-limit marker (limitedAt), by
-// which a Barrier tells that the held backlog it read is still held.
 type settlement struct {
 	_        [64]byte // whatever precedes the struct stays off admitted's line
 	admitted runtime.Counter
 	settled  runtime.Counter
-	limited  runtime.Counter
 }
 
 // drrQuantum is the deficit-round-robin quantum: how many queued events one
@@ -64,11 +61,11 @@ type tenantQueue struct {
 	buf     runtime.FIFO[item] // starts empty, grows to the per-tenant cap
 	deficit int                // DRR credit, reset on deactivation
 
-	rate      float64 // TenantSpec.RateLimit [events/domain-second]; 0 = unlimited
-	burst     float64
-	tokens    float64
-	tokenAt   float64
-	tokenInit bool
+	// The token bucket a push of a rate-limited tenant draws on, at
+	// TenantSpec.RateLimit [events/domain-second]; tokenAt is the clock
+	// reading it was last refilled at, -Inf before the first push, which the
+	// refill then fills to its burst.
+	tokens, tokenAt float64
 
 	active bool // linked into the owner's active list
 	ready  bool // attached to the owner (false mid-handoff: not schedulable)
@@ -80,32 +77,24 @@ type tenantQueue struct {
 	inflight atomic.Int64
 }
 
-func newTenantQueue(tn *tenant, capacity int, rate float64) *tenantQueue {
-	tq := &tenantQueue{tn: tn, buf: runtime.NewFIFO[item](0, capacity), rate: rate}
-	if rate > 0 {
-		tq.burst = rate
-		if tq.burst < 1 {
-			tq.burst = 1
-		}
-	}
-	return tq
+func newTenantQueue(tn *tenant, capacity int) *tenantQueue {
+	return &tenantQueue{tn: tn, buf: runtime.NewFIFO[item](0, capacity), tokenAt: math.Inf(-1)}
 }
 
-// refill advances the token bucket to domain time now.
-func (tq *tenantQueue) refill(now float64) {
-	if !tq.tokenInit {
-		tq.tokens = tq.burst
-		tq.tokenAt = now
-		tq.tokenInit = true
-		return
-	}
+// token refills the bucket to domain time now — one second's credit of burst,
+// at least 1 — and takes a token from it, reporting whether there was one.
+// The caller holds the owning shard's lock.
+func (tq *tenantQueue) token(now float64) bool {
 	if now > tq.tokenAt {
-		tq.tokens += (now - tq.tokenAt) * tq.rate
-		if tq.tokens > tq.burst {
-			tq.tokens = tq.burst
-		}
+		rate := tq.tn.spec.RateLimit
+		tq.tokens = min(max(rate, 1), tq.tokens+(now-tq.tokenAt)*rate)
 		tq.tokenAt = now
 	}
+	if tq.tokens < 1 {
+		return false
+	}
+	tq.tokens--
+	return true
 }
 
 // lockOwner locks the shard that owns tq and returns it. owner is the pointer
@@ -124,22 +113,44 @@ func (tq *tenantQueue) lockOwner() *shardQueue {
 
 // push offers *ev to the tenant's sub-queue under the overflow policy:
 // ErrClosed after fleet shutdown (event not counted), ctx.Err() when a blocked
-// push is canceled (counted ingested + dropped), DropNewest rejections counted
-// but not surfaced, errTenantRemoved after RemoveTenant (not counted). *ev is
-// read under the lock and not kept.
+// push is canceled (counted ingested + dropped), DropNewest rejections and
+// pushes over the tenant's rate limit counted but not surfaced,
+// errTenantRemoved after RemoveTenant (not counted). *ev is read under the
+// lock and not kept.
+//
+// The rate limit decides first, once, at the clock's reading: a push that
+// finds its tenant's bucket empty is shed on the spot and never parks, so no
+// queue holds events that wait on the domain clock.
 //
 // Block follows runtime.Waiters: a push that finds no room — its tenant at
 // its cap, or the shard over its budget — parks on the owning shard and, woken,
 // checks everything again under the lock. A tenant removed or re-homed while
 // the push slept is therefore nothing special, just what the re-check finds.
 func (tq *tenantQueue) push(ctx context.Context, ev *Event) error {
+	// The clock is the caller's code: read it before taking the lock. Every
+	// shard holds the same one. The rate is read off the tenant, whose line
+	// the caller has just read, not off the sub-queue's second line, which
+	// the consumer writes.
+	limited := tq.tn.spec.RateLimit > 0
+	var now float64
+	if limited {
+		now = tq.owner.Load().clock()
+	}
 	q := tq.lockOwner()
-	// A push about to be refused takes no sampling tick: it leaves no trace,
-	// and a trace that keeps naming a retired tenant must not thin out the
-	// sampling of the shard's live ones.
+	// A push about to be refused takes no sampling tick and no token: it
+	// leaves no trace, and a trace that keeps naming a retired tenant must not
+	// thin out the sampling of the shard's live ones.
 	var traceStart int64
 	if !tq.closed && !q.closed {
 		traceStart = q.sampleLocked()
+		if limited && !tq.token(now) {
+			q.metrics.Ingested.Inc()
+			q.metrics.DroppedRateLimited.Inc()
+			q.drops.Inc()
+			q.mu.Unlock()
+			q.traceDrop(ev, traceStart)
+			return nil
+		}
 	}
 	var parkedOn *shardQueue // where this push last slept
 	for {
@@ -285,16 +296,10 @@ type shardQueue struct {
 	waiters  runtime.Waiters
 
 	policy runtime.OverflowPolicy
-	clock  func() float64 // domain clock for token buckets
-	// limitedAt is the clock reading at which the last drain found every
-	// event queued here over its tenant's rate limit (NaN bits otherwise): a
-	// Barrier does not wait on such a backlog (heldAt). Written under mu, read
-	// without it too; acct.limited counts its changes.
-	limitedAt atomic.Uint64
+	clock  func() float64 // the domain clock the token buckets refill on
 
 	metrics     *runtime.Metrics
 	drops       *runtime.Counter // per-shard, all reasons
-	ratelimited *runtime.Counter // fleet-wide: scheduler skips for empty buckets
 	tracer      *obs.Tracer
 	sampleEvery int         // tracer.Interval(); 0 = tracing off
 	sampleTick  int         // pushes since the last sampled one
@@ -304,44 +309,20 @@ type shardQueue struct {
 	shard  int
 }
 
-func newShardQueue(policy runtime.OverflowPolicy, capacity int, m *runtime.Metrics, drops, ratelimited *runtime.Counter, tracer *obs.Tracer, acct *settlement, clock func() float64, shard int) *shardQueue {
+func newShardQueue(policy runtime.OverflowPolicy, capacity int, m *runtime.Metrics, drops *runtime.Counter, tracer *obs.Tracer, acct *settlement, clock func() float64, shard int) *shardQueue {
 	q := &shardQueue{
 		capTotal:    capacity,
 		policy:      policy,
 		clock:       clock,
 		metrics:     m,
 		drops:       drops,
-		ratelimited: ratelimited,
 		tracer:      tracer,
 		sampleEvery: tracer.Interval(),
 		acct:        acct,
 		shard:       shard,
 	}
 	q.notEmpty.L = &q.mu
-	storeTime(&q.limitedAt, math.NaN())
 	return q
-}
-
-// setLimitedLocked records the clock reading at which a drain found nothing
-// it may take, or NaN once one took something or a tenant became
-// schedulable.
-func (q *shardQueue) setLimitedLocked(at float64) {
-	if bits := math.Float64bits(at); q.limitedAt.Load() != bits {
-		q.limitedAt.Store(bits)
-		q.acct.limited.Inc()
-	}
-}
-
-// heldAt reports the events queued here when the last drain found all of
-// them over their tenants' rate limits at a clock reading of at least at —
-// the shard then has nothing in flight, and nothing it may drain until the
-// clock moves — and 0 otherwise. The caller confirms by acct.limited that the
-// marker did not change while it read.
-func (q *shardQueue) heldAt(at float64) int {
-	if !(loadTime(&q.limitedAt) >= at) {
-		return 0
-	}
-	return q.depth()
 }
 
 // attach makes q the owner of tq, counts its backlog against the shard
@@ -365,7 +346,6 @@ func (q *shardQueue) activateLocked(tq *tenantQueue) {
 	if !tq.active && tq.ready && tq.buf.Len() > 0 {
 		q.active = append(q.active, tq)
 		tq.active = true
-		q.setLimitedLocked(math.NaN())
 		if len(q.active) == 1 {
 			q.notEmpty.Signal()
 		}
@@ -434,97 +414,54 @@ func (q *shardQueue) traceDrop(ev *Event, traceStart int64) {
 	}
 }
 
+// span is a queued item's trace fields, as the drain body reads them.
+func (q *shardQueue) span(it *item) (int64, uint8, string, int) {
+	return it.traceStart, uint8(it.ev.Kind), it.ev.Tenant, q.shard
+}
+
 // drainInto fills buf with a deficit-round-robin chunk: each pass credits
-// every active tenant one quantum and takes up to its deficit (and token
-// balance), so a chunk interleaves all backlogged tenants instead of
-// replaying one hot tenant's FIFO prefix. It blocks while nothing is
-// schedulable and returns (0, false) only once the queue is closed, empty
-// and no push is parked. (0, true) means queued items exist but every active tenant is over
-// its rate limit — the consumer should back off briefly and retry.
-func (q *shardQueue) drainInto(buf []item) (int, bool) {
+// every active tenant one quantum and takes up to its deficit, so a chunk
+// interleaves all backlogged tenants instead of replaying one hot tenant's
+// FIFO prefix. Every visit takes at least one event (an active tenant has a
+// backlog and a quantum of credit). It blocks while nothing is queued and
+// returns 0 only once the queue is closed, empty and no push is parked.
+func (q *shardQueue) drainInto(buf []item) int {
 	q.mu.Lock()
 	for len(q.active) == 0 {
 		if q.closed && q.waiters.Parked() == 0 {
 			q.mu.Unlock()
-			return 0, false
+			return 0
 		}
 		q.notEmpty.Wait()
 	}
 	n := 0
-	clock := math.NaN() // domain clock, read at most once per chunk
 	for n < len(buf) && len(q.active) > 0 {
-		progress := false
-		visits := len(q.active)
-		for v := 0; v < visits && n < len(buf) && len(q.active) > 0; v++ {
-			if q.cursor >= len(q.active) {
-				q.cursor = 0
-			}
-			tq := q.active[q.cursor]
-			tq.deficit += drrQuantum
-			if lim := drrQuantum + len(buf); tq.deficit > lim {
-				tq.deficit = lim
-			}
-			take := tq.buf.Len()
-			if take > tq.deficit {
-				take = tq.deficit
-			}
-			if take > len(buf)-n {
-				take = len(buf) - n
-			}
-			// Rate limits stop applying once the queue is closing: shutdown
-			// must drain the backlog even if the domain clock never advances
-			// again to refill a bucket.
-			if tq.rate > 0 && !q.closed {
-				if math.IsNaN(clock) {
-					clock = q.clock()
-				}
-				tq.refill(clock)
-				if allowed := int(tq.tokens); take > allowed {
-					take = allowed
-					if q.ratelimited != nil {
-						q.ratelimited.Inc()
-					}
-				}
-			}
-			if take > 0 {
-				tq.buf.PopInto(buf[n : n+take])
-				n += take
-				q.total -= take
-				tq.deficit -= take
-				if tq.rate > 0 {
-					tq.tokens -= float64(take)
-				}
-				tq.inflight.Add(int64(take))
-				progress = true
-			}
-			if tq.buf.Len() == 0 {
-				q.deactivateAt(q.cursor)
-			} else {
-				q.cursor++
-			}
+		if q.cursor >= len(q.active) {
+			q.cursor = 0
 		}
-		if !progress {
-			break
+		tq := q.active[q.cursor]
+		tq.deficit = min(tq.deficit+drrQuantum, drrQuantum+len(buf))
+		take := min(tq.buf.Len(), tq.deficit, len(buf)-n)
+		tq.buf.PopInto(buf[n : n+take])
+		n += take
+		q.total -= take
+		tq.deficit -= take
+		tq.inflight.Add(int64(take))
+		if tq.buf.Len() == 0 {
+			q.deactivateAt(q.cursor)
+		} else {
+			q.cursor++
 		}
 	}
-	if n > 0 {
-		// Not Wake(n): the n longest parked may all be waiting on a tenant
-		// that is still at its cap (rate-limited, say) while a later one
-		// now fits.
-		q.waiters.WakeAll()
-		q.setLimitedLocked(math.NaN())
-	} else { // every active tenant was visited, none had a token
-		q.setLimitedLocked(clock)
-	}
+	// Not Wake(n): the n longest parked may all be waiting on a tenant that
+	// is still at its cap while a later one now fits.
+	q.waiters.WakeAll()
 	q.mu.Unlock()
-	if n == 0 {
-		return 0, true // backlog exists but is rate-limited; retry shortly
-	}
-	return n, false
+	return n
 }
 
 // close begins shutdown: new pushes are rejected, parked pushes complete as
-// the consumer drains, then drainInto returns (0, false).
+// the consumer drains, then drainInto returns 0.
 func (q *shardQueue) close() {
 	q.mu.Lock()
 	q.closed = true
@@ -534,7 +471,7 @@ func (q *shardQueue) close() {
 
 // closeAndDrain retires a removed tenant's sub-queue: future pushes are
 // rejected, parked ones find out when they re-check, the backlog is shed as
-// shutdown drops. The sub-queue may still have in-flight chunk items; they
+// removed drops. The sub-queue may still have in-flight chunk items; they
 // apply normally.
 func (tq *tenantQueue) closeAndDrain() {
 	q := tq.lockOwner()
@@ -543,9 +480,9 @@ func (tq *tenantQueue) closeAndDrain() {
 		q.removeActiveLocked(tq)
 	}
 	shed := tq.buf.Len()
+	q.metrics.DroppedRemoved.Add(int64(shed))
+	q.drops.Add(int64(shed))
 	for i := 0; i < shed; i++ {
-		q.metrics.DroppedShutdown.Inc()
-		q.drops.Inc()
 		old := tq.buf.Pop()
 		q.traceDrop(&old.ev, old.traceStart)
 	}

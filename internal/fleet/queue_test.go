@@ -27,9 +27,9 @@ func TestEventSize(t *testing.T) {
 // queueHarness wires a bare shardQueue for direct scheduler tests.
 type queueHarness struct {
 	q     *shardQueue
+	m     *runtime.Metrics
 	acct  settlement
 	clock float64
-	rl    runtime.Counter
 }
 
 // pending reads Barrier's two counts as the one they replaced: events
@@ -37,15 +37,15 @@ type queueHarness struct {
 func pending(a *settlement) int64 { return a.admitted.Value() - a.settled.Value() }
 
 func newQueueHarness(policy runtime.OverflowPolicy) *queueHarness {
-	h := &queueHarness{}
-	h.q = newShardQueue(policy, 1<<16, runtime.NewMetrics(), &runtime.Counter{}, &h.rl,
+	h := &queueHarness{m: runtime.NewMetrics()}
+	h.q = newShardQueue(policy, 1<<16, h.m, &runtime.Counter{},
 		nil, &h.acct, func() float64 { return h.clock }, 0)
 	return h
 }
 
 func (h *queueHarness) tenant(id string, capacity int, rate float64) *tenantQueue {
-	tn := &tenant{spec: TenantSpec{ID: id}}
-	tq := newTenantQueue(tn, capacity, rate)
+	tn := &tenant{spec: TenantSpec{ID: id, RateLimit: rate}}
+	tq := newTenantQueue(tn, capacity)
 	tn.q = tq
 	h.q.attach(tq)
 	return tq
@@ -80,9 +80,9 @@ func TestDRRFairness(t *testing.T) {
 	}
 
 	buf := make([]item, 64)
-	n, limited := h.q.drainInto(buf)
-	if limited || n != 64 {
-		t.Fatalf("drainInto = (%d, %v), want (64, false)", n, limited)
+	n := h.q.drainInto(buf)
+	if n != 64 {
+		t.Fatalf("drainInto = %d, want 64", n)
 	}
 	for _, tq := range smalls {
 		if queued(tq) != 0 {
@@ -118,7 +118,7 @@ func TestDRRFairness(t *testing.T) {
 	total := n
 	h.q.close()
 	for {
-		n, _ := h.q.drainInto(buf)
+		n := h.q.drainInto(buf)
 		if n == 0 {
 			break
 		}
@@ -134,68 +134,64 @@ func TestDRRFairness(t *testing.T) {
 	}
 }
 
-// TestQueueRateLimit: a rate-limited tenant is throttled to its token
-// balance, drainInto signals a rate-limited backlog with (0, true), and
-// tokens refill as the domain clock advances (capped at burst).
+// TestQueueRateLimit: a rate-limited tenant's pushes draw on its token bucket
+// at the clock's reading — full at its burst on the first push, refilled as
+// the domain clock advances and capped at the burst — and a push that finds
+// it empty is shed at admission, counted as a ratelimited drop. What was
+// admitted drains at once, whether the clock moves or not.
 func TestQueueRateLimit(t *testing.T) {
 	h := newQueueHarness(runtime.Block)
 	tq := h.tenant("rl", 100, 2) // 2 events/s, burst 2
-	h.fill(t, tq, 10)
-
 	buf := make([]item, 64)
-	n, limited := h.q.drainInto(buf)
-	if n != 2 || limited {
-		t.Fatalf("first drain = (%d, %v), want (2, false): bucket starts full at burst", n, limited)
+	for _, step := range []struct {
+		clock          float64
+		admitted, shed int
+	}{
+		{0, 2, 8},   // the bucket starts full at its burst
+		{0, 0, 10},  // clock frozen: nothing refills
+		{3, 2, 8},   // 3 s × 2/s = 6 tokens, capped at the burst
+		{3.5, 1, 9}, // half a second: one token
+	} {
+		h.clock = step.clock
+		shedBefore := h.m.DroppedRateLimited.Value()
+		h.fill(t, tq, 10)
+		if got := queued(tq); got != step.admitted {
+			t.Fatalf("clock %g: %d queued, want %d admitted", step.clock, got, step.admitted)
+		}
+		if got := h.m.DroppedRateLimited.Value() - shedBefore; got != int64(step.shed) {
+			t.Fatalf("clock %g: %d shed as ratelimited, want %d", step.clock, got, step.shed)
+		}
+		if step.admitted > 0 {
+			n := h.q.drainInto(buf)
+			if n != step.admitted {
+				t.Fatalf("clock %g: drained %d, want %d", step.clock, n, step.admitted)
+			}
+			h.q.settled(buf, n)
+		}
 	}
-	h.q.settled(buf, n)
-	if h.rl.Value() == 0 {
-		t.Error("ratelimited counter not bumped when the scheduler clipped the take")
+	if in, d := h.m.Ingested.Value(), h.m.Dropped(); in != 40 || d != 35 {
+		t.Errorf("ingested %d dropped %d, want 40 and 35", in, d)
 	}
-
-	// Clock frozen: the backlog is entirely rate-limited.
-	n, limited = h.q.drainInto(buf)
-	if n != 0 || !limited {
-		t.Fatalf("frozen-clock drain = (%d, %v), want (0, true)", n, limited)
-	}
-
-	h.clock = 3 // 3 domain-seconds × 2/s = 6 tokens, capped at burst 2
-	n, limited = h.q.drainInto(buf)
-	if n != 2 || limited {
-		t.Fatalf("post-refill drain = (%d, %v), want (2, false): refill capped at burst", n, limited)
-	}
-	h.q.settled(buf, n)
-
-	// Shutdown overrides the bucket: the remaining 6 drain immediately even
-	// though the clock never advances again.
-	h.q.close()
-	n, limited = h.q.drainInto(buf)
-	if n != 6 || limited {
-		t.Fatalf("post-close drain = (%d, %v), want (6, false): close bypasses rate limits", n, limited)
-	}
-	h.q.settled(buf, n)
-	if queued(tq) != 0 {
-		t.Errorf("backlog %d after shutdown drain, want 0", queued(tq))
-	}
-	n, limited = h.q.drainInto(buf)
-	if n != 0 || limited {
-		t.Fatalf("empty closed drain = (%d, %v), want (0, false)", n, limited)
+	if got := pending(&h.acct); got != 0 {
+		t.Errorf("pending = %d, want 0", got)
 	}
 }
 
-// TestQueueRateLimitUnlimitedPeer: one tenant's empty token bucket must not
-// block an unlimited peer on the same shard.
+// TestQueueRateLimitUnlimitedPeer: one tenant's empty token bucket sheds
+// only that tenant's pushes; an unlimited peer on the same shard is admitted
+// and drained in full.
 func TestQueueRateLimitUnlimitedPeer(t *testing.T) {
 	h := newQueueHarness(runtime.Block)
 	limited := h.tenant("lim", 100, 1)
 	free := h.tenant("free", 100, 0)
 	h.fill(t, limited, 8)
 	h.fill(t, free, 8)
+	if got := h.m.DroppedRateLimited.Value(); got != 7 {
+		t.Errorf("%d shed as ratelimited, want the limited tenant's 7 over its burst of 1", got)
+	}
 
 	buf := make([]item, 64)
-	n, backoff := h.q.drainInto(buf)
-	if backoff {
-		t.Fatal("drain signalled backoff with an unlimited tenant backlogged")
-	}
+	n := h.q.drainInto(buf)
 	counts := map[string]int{}
 	for _, it := range buf[:n] {
 		counts[it.ev.Tenant]++
@@ -216,7 +212,7 @@ func TestMoveQueuePreservesBacklog(t *testing.T) {
 	tq := h.tenant("mv", 100, 0)
 	h.fill(t, tq, 9)
 
-	dst := newShardQueue(runtime.Block, 1<<16, runtime.NewMetrics(), &runtime.Counter{}, nil,
+	dst := newShardQueue(runtime.Block, 1<<16, runtime.NewMetrics(), &runtime.Counter{},
 		nil, &h.acct, func() float64 { return 0 }, 1)
 	if got := moveQueue(tq, dst); got != 9 {
 		t.Fatalf("moveQueue = %d, want 9", got)
@@ -230,7 +226,7 @@ func TestMoveQueuePreservesBacklog(t *testing.T) {
 	// New pushes land on the destination.
 	h.fill(t, tq, 1)
 	buf := make([]item, 16)
-	n, _ := dst.drainInto(buf)
+	n := dst.drainInto(buf)
 	if n != 10 {
 		t.Fatalf("destination drained %d, want 10", n)
 	}
@@ -245,7 +241,7 @@ func TestMoveQueuePreservesBacklog(t *testing.T) {
 	}
 	// The source no longer schedules the tenant.
 	h.q.close()
-	if n, _ := h.q.drainInto(buf); n != 0 {
+	if n := h.q.drainInto(buf); n != 0 {
 		t.Errorf("source drained %d items after handoff, want 0", n)
 	}
 }
@@ -259,7 +255,7 @@ func TestQueueDeficitCap(t *testing.T) {
 	h.fill(t, tq, 3000)
 	buf := make([]item, 32)
 	for i := 0; i < 3; i++ {
-		n, _ := h.q.drainInto(buf)
+		n := h.q.drainInto(buf)
 		if n == 0 {
 			t.Fatal("unexpected empty drain")
 		}

@@ -103,8 +103,10 @@ type RollupView struct {
 	Generation int64 `json:"generation"`
 	// ActBudget echoes the per-cycle countermeasure cap (0 = unlimited);
 	// ActionsDeferred counts warn decisions the budget deferred.
-	ActBudget         int   `json:"actBudget"`
-	ActionsDeferred   int64 `json:"actionsDeferred"`
+	ActBudget       int   `json:"actBudget"`
+	ActionsDeferred int64 `json:"actionsDeferred"`
+	// EventsRateLimited counts events shed at admission over their tenant's
+	// rate limit (pfm_events_dropped_total{reason="ratelimited"}).
 	EventsRateLimited int64 `json:"eventsRateLimited"`
 	EventsHandedOff   int64 `json:"eventsHandedOff"`
 }
@@ -121,7 +123,7 @@ func (f *Fleet) Rollup(now float64) RollupView {
 		Generation:        mem.gen,
 		ActBudget:         f.cfg.ActBudget,
 		ActionsDeferred:   f.actDeferred.Value(),
-		EventsRateLimited: f.ratelimited.Value(),
+		EventsRateLimited: f.metrics.DroppedRateLimited.Value(),
 		EventsHandedOff:   f.handoffN.Value(),
 	}
 	if f.cfg.Ledger != nil {

@@ -35,13 +35,14 @@
 //	    (core.Layer.ScoreBatch). A countermeasure that blocks delays the next
 //	    cycle; it never overlaps it.
 //
-// The goroutines and the stop protocol live in Shell, the cycle in
-// CycleCore, the act tail in ActTail, and the /metrics, /healthz, /readyz,
-// /livez, /tracez and /incidents endpoints in Plane — internal/fleet runs on
-// the same four. Where this runtime has one FIFO and one consumer, the fleet
-// has one FIFO per tenant, drained deficit-round-robin by one consumer per
-// consistent-hash shard, on the same circular buffer and Block-policy
-// protocol as Ring (FIFO, Waiters). The stop protocol (graceful drain and one
+// The goroutines and the stop protocol live in Shell, a consumer's body in
+// DrainCore, the cycle in CycleCore, the act tail in ActTail, and the
+// /metrics, /healthz, /readyz, /livez, /tracez and /incidents endpoints in
+// Plane — internal/fleet runs on the same five. Where this runtime has one
+// FIFO and one consumer, the fleet has one FIFO per tenant, drained
+// deficit-round-robin by one consumer per consistent-hash shard, on the same
+// circular buffer and Block-policy protocol as Ring (FIFO, Waiters). The stop
+// protocol (graceful drain and one
 // final cycle; hard stop sheds the backlog as dropped, reason "shutdown") is
 // stated once, on Shell.
 //

@@ -313,6 +313,10 @@ type Metrics struct {
 	DroppedNewest   *Counter // rejected at the door by DropNewest
 	DroppedCanceled *Counter // abandoned by context cancellation while blocked
 	DroppedShutdown *Counter // backlog shed unapplied by a hard stop
+	// The fleet's two: a retired tenant's backlog, and pushes over the
+	// tenant's rate limit, shed at admission. The runtime leaves them at 0.
+	DroppedRemoved     *Counter
+	DroppedRateLimited *Counter
 
 	// Evaluate + act stages.
 	Evaluations *Counter // completed MEA cycles
@@ -331,22 +335,24 @@ type Metrics struct {
 func NewMetrics() *Metrics {
 	reg := NewRegistry()
 	m := &Metrics{
-		reg:             reg,
-		Ingested:        reg.Counter("pfm_events_ingested_total", "Events presented to the ingest stage."),
-		Applied:         reg.Counter("pfm_events_applied_total", "Events applied to predictor state."),
-		ApplyErrors:     reg.Counter("pfm_events_apply_errors_total", "Apply callbacks that returned an error."),
-		DroppedOldest:   reg.Counter("pfm_events_dropped_total", "Events dropped by overflow policy or cancellation.", "reason", "oldest"),
-		DroppedNewest:   reg.Counter("pfm_events_dropped_total", "", "reason", "newest"),
-		DroppedCanceled: reg.Counter("pfm_events_dropped_total", "", "reason", "canceled"),
-		DroppedShutdown: reg.Counter("pfm_events_dropped_total", "", "reason", "shutdown"),
-		Evaluations:     reg.Counter("pfm_evaluations_total", "Completed Monitor-Evaluate-Act cycles."),
-		Warnings:        reg.Counter("pfm_warnings_total", "Failure warnings raised."),
-		Actions:         reg.Counter("pfm_actions_total", "Countermeasures executed or scheduled."),
-		Suppressed:      reg.Counter("pfm_actions_suppressed_total", "Actions vetoed by the oscillation guard."),
-		IngestLatency:   reg.Histogram("pfm_stage_latency_seconds", "Per-stage latency.", nil, "stage", "ingest"),
-		ApplyLatency:    reg.Histogram("pfm_stage_latency_seconds", "", nil, "stage", "apply"),
-		EvalLatency:     reg.Histogram("pfm_stage_latency_seconds", "", nil, "stage", "evaluate"),
-		ActLatency:      reg.Histogram("pfm_stage_latency_seconds", "", nil, "stage", "act"),
+		reg:                reg,
+		Ingested:           reg.Counter("pfm_events_ingested_total", "Events presented to the ingest stage."),
+		Applied:            reg.Counter("pfm_events_applied_total", "Events applied to predictor state."),
+		ApplyErrors:        reg.Counter("pfm_events_apply_errors_total", "Apply callbacks that returned an error."),
+		DroppedOldest:      reg.Counter("pfm_events_dropped_total", "Events dropped, by reason: overflow policy, cancellation, shutdown, tenant removal, rate limit.", "reason", "oldest"),
+		DroppedNewest:      reg.Counter("pfm_events_dropped_total", "", "reason", "newest"),
+		DroppedCanceled:    reg.Counter("pfm_events_dropped_total", "", "reason", "canceled"),
+		DroppedShutdown:    reg.Counter("pfm_events_dropped_total", "", "reason", "shutdown"),
+		DroppedRemoved:     reg.Counter("pfm_events_dropped_total", "", "reason", "removed"),
+		DroppedRateLimited: reg.Counter("pfm_events_dropped_total", "", "reason", "ratelimited"),
+		Evaluations:        reg.Counter("pfm_evaluations_total", "Completed Monitor-Evaluate-Act cycles."),
+		Warnings:           reg.Counter("pfm_warnings_total", "Failure warnings raised."),
+		Actions:            reg.Counter("pfm_actions_total", "Countermeasures executed or scheduled."),
+		Suppressed:         reg.Counter("pfm_actions_suppressed_total", "Actions vetoed by the oscillation guard."),
+		IngestLatency:      reg.Histogram("pfm_stage_latency_seconds", "Per-stage latency.", nil, "stage", "ingest"),
+		ApplyLatency:       reg.Histogram("pfm_stage_latency_seconds", "", nil, "stage", "apply"),
+		EvalLatency:        reg.Histogram("pfm_stage_latency_seconds", "", nil, "stage", "evaluate"),
+		ActLatency:         reg.Histogram("pfm_stage_latency_seconds", "", nil, "stage", "act"),
 	}
 	version, revision, vcsTime := buildIdentity()
 	reg.GaugeFunc("pfm_build_info",
@@ -430,8 +436,8 @@ func buildIdentity() (version, revision, vcsTime string) {
 
 // Dropped returns the total events dropped across all reasons.
 func (m *Metrics) Dropped() int64 {
-	return m.DroppedOldest.Value() + m.DroppedNewest.Value() +
-		m.DroppedCanceled.Value() + m.DroppedShutdown.Value()
+	return m.DroppedOldest.Value() + m.DroppedNewest.Value() + m.DroppedCanceled.Value() +
+		m.DroppedShutdown.Value() + m.DroppedRemoved.Value() + m.DroppedRateLimited.Value()
 }
 
 // Registry exposes the underlying registry (to register app-level series

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	stdruntime "runtime"
-	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 
@@ -51,8 +50,6 @@ type Config struct {
 	// Workers sizes the layer-evaluation pool (default GOMAXPROCS, or
 	// the layer count if smaller). 1 evaluates sequentially.
 	Workers int
-	// Metrics receives pipeline observability; nil allocates a fresh set.
-	Metrics *Metrics
 	// Tracer records end-to-end spans (ingest→queue→apply→evaluate→act)
 	// for every event into a ring of recent traces, rendered by /tracez.
 	// Nil disables tracing (the hot path then skips all stamping).
@@ -90,8 +87,10 @@ type Runtime struct {
 	ring    *Ring[Event] // the bounded ingest queue, drained by one consumer
 	metrics *Metrics
 	// shell owns the goroutines (drain consumer, pool) and the stop
-	// protocol; cycle is the cycle body over the runtime's one seat.
+	// protocol; drain is the consumer's body over the ring, cycle the cycle
+	// body over the runtime's one seat.
 	shell *Shell
+	drain DrainCore[Event]
 	cycle CycleCore
 	seat  Seat
 
@@ -144,13 +143,10 @@ func New(cfg Config) (*Runtime, error) {
 			cfg.Workers = len(layers)
 		}
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = NewMetrics()
-	}
 	r := &Runtime{
 		cfg:     cfg,
 		ring:    NewRing[Event](cfg.QueueCapacity, cfg.Overflow),
-		metrics: cfg.Metrics,
+		metrics: NewMetrics(),
 	}
 	r.seat = Seat{Engine: cfg.Engine, Tail: ActTail{
 		Layers: layers, Ledger: cfg.Ledger, JournalLayers: true, Advance: true,
@@ -179,6 +175,15 @@ func New(cfg Config) (*Runtime, error) {
 		Recorder: cfg.Recorder, Clock: r.cfg.Clock, Seats: []*Seat{&r.seat}, Layers: len(layers),
 		Score: func(j, lo, hi int, nows, out []float64) { layers[j].ScoreBatch(nows[lo:hi], out) },
 	}
+	r.drain = DrainCore[Event]{
+		Shell: r.shell, Metrics: r.metrics, Tracer: cfg.Tracer, State: &r.stateMu, Batch: cfg.BatchSize,
+		Take:   r.ring.Drain,
+		Settle: func(_ []Event, n int) { r.ring.Settle(n) },
+		Apply:  func(ev *Event) error { return cfg.Apply(*ev) },
+		Span: func(ev *Event) (int64, uint8, string, int) {
+			return ev.trace, uint8(ev.Kind), traceKey(*ev), 0
+		},
+	}
 	if cfg.Tracer != nil {
 		r.sampleEvery = uint64(cfg.Tracer.Interval())
 		if r.sampleEvery > 1 && r.sampleEvery&(r.sampleEvery-1) == 0 {
@@ -193,8 +198,6 @@ func New(cfg Config) (*Runtime, error) {
 		r.metrics.DroppedOldest.Inc()
 		r.traceDrop(old)
 	}
-	// Registration comes after every check above: a rejected Config leaves
-	// the caller's Metrics as it found them.
 	reg := r.metrics.Registry()
 	reg.GaugeFunc("pfm_queue_depth",
 		"Events waiting in the ingest queue.", func() float64 { return float64(r.ring.Depth()) })
@@ -334,7 +337,7 @@ func (r *Runtime) QueueDepth() int { return r.ring.Depth() }
 // Start launches the drain consumer. ctx cancellation hard-stops the
 // pipeline (no drain); use Stop for graceful shutdown.
 func (r *Runtime) Start(ctx context.Context) error {
-	return r.shell.Start(ctx, 1, func(int) { r.consumeLoop() })
+	return r.shell.Start(ctx, 1, func(int) { r.drain.Run() })
 }
 
 // Ingest offers one event to the pipeline under the configured overflow
@@ -416,62 +419,6 @@ func (r *Runtime) Cycles() int64 { return r.shell.Cycles() }
 // goroutine and returns once it is done (CycleCore.Run). After Stop has
 // begun it runs none.
 func (r *Runtime) EvaluateNow() { r.cycle.Run(nil) }
-
-// consumeLoop is the ingest consumer. The goroutine carries a pprof label so
-// -pprof CPU profiles tell the drain from the goroutine that runs cycles.
-func (r *Runtime) consumeLoop() {
-	pprof.Do(context.Background(), pprof.Labels("stage", "drain"),
-		func(context.Context) { r.drainLoop() })
-}
-
-// drainLoop drains the ring in chunks of up to Config.BatchSize and applies
-// each chunk to the predictor state under one state-lock acquisition, so
-// evaluation never overlaps an Apply: one ring drain, one lock, one
-// apply-latency observation and one settle per chunk; per-event work is the
-// Apply call plus (for sampled events) the span publish.
-func (r *Runtime) drainLoop() {
-	tr := r.cfg.Tracer
-	buf := make([]Event, r.cfg.BatchSize)
-	for {
-		n := r.ring.Drain(buf)
-		if n == 0 {
-			return
-		}
-		chunk := buf[:n]
-		// Hard stop: shed the remaining backlog instead of applying it, so
-		// shutdown is prompt and the depth gauge and drop counters settle on
-		// consistent final values (ingested = applied + dropped).
-		if r.shell.HardStopped() {
-			for i := range chunk {
-				r.metrics.DroppedShutdown.Inc()
-				r.traceDrop(chunk[i])
-			}
-			r.ring.Settle(n)
-			continue
-		}
-		// The chunk's two stamps serve the apply-latency histogram and, as
-		// dequeue and apply end, every sampled event in it.
-		dequeued := r.shell.Nanos()
-		r.stateMu.Lock()
-		for i := range chunk {
-			if err := r.cfg.Apply(chunk[i]); err != nil {
-				r.metrics.ApplyErrors.Inc()
-			}
-		}
-		r.stateMu.Unlock()
-		applied := r.shell.Nanos()
-		r.metrics.Applied.Add(int64(n))
-		r.metrics.ApplyLatency.Observe(float64(applied-dequeued) / 1e9)
-		if tr != nil {
-			for i := range chunk {
-				if t := chunk[i].trace; t != 0 {
-					tr.PublishApplied(uint8(chunk[i].Kind), traceKey(chunk[i]), 0, t, t, dequeued, applied)
-				}
-			}
-		}
-		r.ring.Settle(n)
-	}
-}
 
 // CycleBatch runs one synchronous MEA cycle per time in nows (ascending):
 // the cycle body (CycleCore) with the one seat's instants as its rows — every

