@@ -76,7 +76,7 @@ func TrainMSET(healthy *mat.Matrix, cfg MSETConfig) (*MSET, error) {
 	gram := mat.New(n, n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			gram.Set(i, j, m.similarity(memory.Row(i), memory.Row(j)))
+			gram.Set(i, j, m.similarity(memory.RowView(i), memory.RowView(j)))
 		}
 		gram.Add(i, i, cfg.Ridge)
 	}
@@ -134,7 +134,7 @@ func sortInts(xs []int) {
 func meanPairwiseDistance(memory *mat.Matrix) float64 {
 	total, n := 0.0, 0
 	for i := 1; i < memory.Rows; i++ {
-		total += distance(memory.Row(i), memory.Row(i-1))
+		total += distance(memory.RowView(i), memory.RowView(i-1))
 		n++
 	}
 	if n == 0 {
@@ -164,7 +164,7 @@ func (m *MSET) Estimate(x []float64) ([]float64, error) {
 	}
 	a := make([]float64, m.memory.Rows)
 	for i := range a {
-		a[i] = m.similarity(m.memory.Row(i), x)
+		a[i] = m.similarity(m.memory.RowView(i), x)
 	}
 	w, err := m.ginv.SolveVec(a)
 	if err != nil {

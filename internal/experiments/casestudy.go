@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 
 	"repro/internal/baseline"
@@ -134,6 +135,9 @@ type dataset struct {
 	failures []float64
 
 	trainLog *eventlog.Log
+	// hsmmFit waits for the HSMM classifier fit buildDataset started on the
+	// training leg; nil when the dataset was built without one.
+	hsmmFit func() (*hsmm.Classifier, error)
 
 	trainTimes  []float64
 	trainLabels []bool
@@ -174,7 +178,7 @@ func (ds *dataset) featureData() (trainX, testX *mat.Matrix, names []string, err
 
 // RunCaseStudy reproduces the Sect. 3.3 case study.
 func RunCaseStudy(cfg CaseStudyConfig) (CaseStudyResult, error) {
-	ds, err := buildDataset(cfg)
+	ds, err := buildDataset(cfg, true)
 	if err != nil {
 		return CaseStudyResult{}, err
 	}
@@ -184,28 +188,49 @@ func RunCaseStudy(cfg CaseStudyConfig) (CaseStudyResult, error) {
 // runCaseStudyOn trains and evaluates every predictor on a built dataset.
 // Split from RunCaseStudy so sweeps can share one simulated system across
 // many dataset variants.
+//
+// It is a fixed-slot task graph: the feature matrices are built first
+// (UBF and MSET both read them, and an early HSMM fit may still be running
+// meanwhile), then three independent tasks — HSMM scoring, UBF training
+// and scoring, the baselines — run through par.ForN, each writing only its
+// own variables, and the results are assembled in table order.
 func runCaseStudyOn(ds *dataset) (CaseStudyResult, error) {
 	result := CaseStudyResult{
 		TrainFailures: countBefore(ds.failures, ds.splitAt),
 		TestFailures:  len(ds.failures) - countBefore(ds.failures, ds.splitAt),
 		EvalPoints:    len(ds.testTimes),
 	}
-
-	hsmmScores, err := ds.hsmmScores()
-	if err != nil {
-		return CaseStudyResult{}, fmt.Errorf("hsmm: %w", err)
+	if _, _, _, err := ds.featureData(); err != nil {
+		if ds.hsmmFit != nil {
+			_, _ = ds.hsmmFit() // wait, so no fit outlives the call; err is the one to report
+		}
+		return CaseStudyResult{}, fmt.Errorf("features: %w", err)
 	}
-	ubfScores, selected, err := ds.ubfScores()
-	if err != nil {
-		return CaseStudyResult{}, fmt.Errorf("ubf: %w", err)
+
+	var (
+		hsmmScores, ubfScores []float64
+		selected              []string
+		baselines             []scoreSet
+		hsmmErr, ubfErr       error
+	)
+	tasks := [...]func(){
+		func() { hsmmScores, hsmmErr = ds.hsmmScores() },
+		func() { ubfScores, selected, ubfErr = ds.ubfScores() },
+		func() { baselines = ds.baselineScoreSets() },
+	}
+	par.ForN(ds.cfg.Workers, len(tasks), func(i int) { tasks[i]() })
+	if hsmmErr != nil {
+		return CaseStudyResult{}, fmt.Errorf("hsmm: %w", hsmmErr)
+	}
+	if ubfErr != nil {
+		return CaseStudyResult{}, fmt.Errorf("ubf: %w", ubfErr)
 	}
 	result.SelectedVariables = selected
 
-	scoreSets := []scoreSet{
+	scoreSets := append([]scoreSet{
 		{name: "HSMM", scores: hsmmScores},
 		{name: "UBF", scores: ubfScores},
-	}
-	scoreSets = append(scoreSets, ds.baselineScoreSets()...)
+	}, baselines...)
 	for _, set := range scoreSets {
 		if set.err != nil {
 			return CaseStudyResult{}, fmt.Errorf("%s: %w", set.name, set.err)
@@ -219,34 +244,99 @@ func runCaseStudyOn(ds *dataset) (CaseStudyResult, error) {
 	return result, nil
 }
 
-// buildDataset simulates the SCP and constructs the labeled grids.
-func buildDataset(cfg CaseStudyConfig) (*dataset, error) {
+// buildDataset simulates the SCP and constructs the labeled grids. With
+// fitHSMM it starts the HSMM classifier fit between the simulation's two
+// legs, on the training log and the failures before the split, so the fit
+// overlaps the test leg, the grids and whatever the caller does next;
+// trainHSMMClassifier waits for it. Workers == 1 fits inline instead, the
+// serial reference.
+func buildDataset(cfg CaseStudyConfig, fitHSMM bool) (*dataset, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	sys, err := simulateSCP(cfg)
+	var fit func() (*hsmm.Classifier, error)
+	var atSplit func(*scp.System, *eventlog.Log)
+	if fitHSMM {
+		atSplit = func(sys *scp.System, trainLog *eventlog.Log) {
+			failures := keepBefore(sys.FailureTimes(), cfg.TrainDays*86400)
+			fit = start(cfg.Workers, func() (*hsmm.Classifier, error) {
+				return trainHSMMOn(trainLog, failures, cfg)
+			})
+		}
+	}
+	sys, trainLog, err := simulateSCP(cfg, atSplit)
+	var ds *dataset
+	if err == nil {
+		ds, err = makeDataset(cfg, sys, trainLog)
+	}
 	if err != nil {
+		if fit != nil {
+			_, _ = fit() // wait, so no fit outlives a failed build; err is the one to report
+		}
 		return nil, err
 	}
-	return makeDataset(cfg, sys)
+	ds.hsmmFit = fit
+	return ds, nil
 }
 
-// simulateSCP runs the simulated platform over the configured horizon.
-func simulateSCP(cfg CaseStudyConfig) (*scp.System, error) {
+// simulateSCP runs the simulated platform over the configured horizon in
+// two legs, training then test, and returns it with the training log (the
+// events before the split, carved between the legs). sim.Engine.Run leaves
+// the clock at the split, so the two legs execute the same events as one
+// run; and Log.Slice copies, so the training log shares nothing with the
+// test leg's appends. atSplit, when not nil, runs between the legs.
+func simulateSCP(cfg CaseStudyConfig, atSplit func(*scp.System, *eventlog.Log)) (*scp.System, *eventlog.Log, error) {
 	sys, err := scp.New(scpConfigWithSeed(cfg.Seed))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := sys.Run((cfg.TrainDays + cfg.TestDays) * 86400); err != nil {
-		return nil, err
+	splitAt := cfg.TrainDays * 86400
+	if err := sys.Run(splitAt); err != nil {
+		return nil, nil, err
 	}
-	return sys, nil
+	trainLog := sys.Log().Slice(0, splitAt)
+	if atSplit != nil {
+		atSplit(sys, trainLog)
+	}
+	if err := sys.Run(cfg.TestDays * 86400); err != nil {
+		return nil, nil, err
+	}
+	return sys, trainLog, nil
 }
 
-// makeDataset constructs the labeled grids over a finished simulation. The
-// system is only read, so several datasets (e.g. a lead-time sweep) can be
-// built concurrently over the same run.
-func makeDataset(cfg CaseStudyConfig, sys *scp.System) (*dataset, error) {
+// start runs fn on a goroutine of its own and returns a function that waits
+// for its result (and may be called any number of times). With one worker —
+// workers == 1, or 0 on a single-P runtime — fn runs inline before start
+// returns.
+func start[T any](workers int, fn func() (T, error)) func() (T, error) {
+	var (
+		v    T
+		err  error
+		done = make(chan struct{})
+	)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers == 1 {
+		v, err = fn()
+		close(done)
+	} else {
+		go func() {
+			defer close(done)
+			v, err = fn()
+		}()
+	}
+	return func() (T, error) {
+		<-done
+		return v, err
+	}
+}
+
+// makeDataset constructs the labeled grids over a finished simulation and
+// its training log (simulateSCP's). The system and the log are only read,
+// so several datasets (e.g. a lead-time sweep) can be built concurrently
+// over the same run.
+func makeDataset(cfg CaseStudyConfig, sys *scp.System, trainLog *eventlog.Log) (*dataset, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -256,10 +346,8 @@ func makeDataset(cfg CaseStudyConfig, sys *scp.System) (*dataset, error) {
 		splitAt:  cfg.TrainDays * 86400,
 		endAt:    (cfg.TrainDays + cfg.TestDays) * 86400,
 		failures: sys.FailureTimes(),
+		trainLog: trainLog,
 	}
-	// Training log: events strictly before the split — one column slice,
-	// no per-event re-append.
-	ds.trainLog = sys.Log().Slice(0, ds.splitAt)
 	down := downSpans(sys)
 	grid := func(from, to float64) (times []float64, labels []bool) {
 		for t := from; t < to; t += cfg.EvalStride {
@@ -296,10 +384,13 @@ func (ds *dataset) hsmmScores() ([]float64, error) {
 	return ds.hsmmScoresAt(clf, ds.testTimes)
 }
 
-// trainHSMMClassifier fits the two-model classifier on the training log.
+// trainHSMMClassifier returns the two-model classifier fit on the training
+// log: the one buildDataset started, or a fit run here when it started none.
 func (ds *dataset) trainHSMMClassifier() (*hsmm.Classifier, error) {
-	trainFailures := keepBefore(ds.failures, ds.splitAt)
-	return trainHSMMOn(ds.trainLog, trainFailures, ds.cfg)
+	if ds.hsmmFit != nil {
+		return ds.hsmmFit()
+	}
+	return trainHSMMOn(ds.trainLog, keepBefore(ds.failures, ds.splitAt), ds.cfg)
 }
 
 // trainHSMMOn fits the two-model classifier (Fig. 6) on the given log and
@@ -366,6 +457,27 @@ func (ds *dataset) ubfSpecs() ([]ts.FeatureSpec, error) {
 	return specs, nil
 }
 
+// ubfTarget is the UBF regression target over the training grid: the
+// slow-call fraction Δtl ahead — the failure indicator of Eq. 2 (one minus
+// interval service availability).
+func (ds *dataset) ubfTarget() ([]float64, error) {
+	target, err := ds.sys.SAR("frac_slow")
+	if err != nil {
+		return nil, err
+	}
+	y := make([]float64, len(ds.trainTimes))
+	for i, t := range ds.trainTimes {
+		v, ok := target.ValueAt(t + ds.cfg.LeadTime)
+		if !ok {
+			return nil, fmt.Errorf("%w: no target at %g", ErrExperiment, t)
+		}
+		// Compress the heavy tail so the regression is not dominated by
+		// the rare saturated windows.
+		y[i] = math.Log10(v + 1e-6)
+	}
+	return y, nil
+}
+
 // ubfScores trains the UBF regression on the availability target (Fig. 5)
 // and scores the test grid (E2). It returns the selected variable names
 // when PWA is enabled.
@@ -374,21 +486,9 @@ func (ds *dataset) ubfScores() ([]float64, []string, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	// Target: the slow-call fraction Δtl ahead — the failure indicator of
-	// Eq. 2 (one minus interval service availability).
-	target, err := ds.sys.SAR("frac_slow")
+	y, err := ds.ubfTarget()
 	if err != nil {
 		return nil, nil, err
-	}
-	y := make([]float64, len(ds.trainTimes))
-	for i, t := range ds.trainTimes {
-		v, ok := target.ValueAt(t + ds.cfg.LeadTime)
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: no target at %g", ErrExperiment, t)
-		}
-		// Compress the heavy tail so the regression is not dominated by
-		// the rare saturated windows.
-		y[i] = math.Log10(v + 1e-6)
 	}
 
 	var selected []string

@@ -1,6 +1,12 @@
 package experiments
 
-import "testing"
+import (
+	"math"
+	"runtime"
+	"testing"
+
+	"repro/internal/predict"
+)
 
 // TestCaseStudyReproducesPaperShape is the E1/E2/E9 acceptance test: the
 // absolute numbers differ from the paper (our substrate is a simulator, not
@@ -60,6 +66,56 @@ func TestCaseStudyReproducesPaperShape(t *testing.T) {
 		}
 		if ubf.AUC <= weak.AUC {
 			t.Fatalf("UBF %.3f not above %s %.3f", ubf.AUC, weak.Name, weak.AUC)
+		}
+	}
+}
+
+// TestCaseStudyGolden pins the case study's results, bit for bit, to the
+// values the stage-by-stage serial pipeline produced (one simulation run,
+// then HSMM, UBF and the baselines one after another) on a short horizon:
+// the two simulation legs, the HSMM fit started between them, the
+// side-by-side tasks and the concurrent model fits must change nothing, at
+// one worker or several. GOMAXPROCS is fixed because the HSMM E-step's
+// shard count follows it.
+func TestCaseStudyGolden(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	want := []struct {
+		name           string
+		auc, threshold uint64 // math.Float64bits
+		table          predict.ContingencyTable
+	}{
+		{"HSMM", 0x3fe9b89b0723b2bf, 0x4017a4445cbdd9ec, predict.ContingencyTable{TP: 18, FP: 0, FN: 8, TN: 502}},
+		{"UBF", 0x3fea507ec8b05df9, 0xc0117ff7a1c4f21b, predict.ContingencyTable{TP: 14, FP: 31, FN: 12, TN: 471}},
+		{"DFT", 0x3fe5e6bcc382c900, 0x4010000000000000, predict.ContingencyTable{TP: 4, FP: 4, FN: 22, TN: 498}},
+		{"error-rate", 0x3fe6f5e116ac71ea, 0x3f9b4e81b4e81b4f, predict.ContingencyTable{TP: 5, FP: 7, FN: 21, TN: 495}},
+		{"event-set", 0x3feb6dc25584327e, 0x4005f188cf2cf023, predict.ContingencyTable{TP: 19, FP: 10, FN: 7, TN: 492}},
+		{"trend", 0x3fe40d7e8c6f681a, 0x3fdb6e30c53c9cd8, predict.ContingencyTable{TP: 10, FP: 59, FN: 16, TN: 443}},
+		{"failure-tracking", 0x3fe33777cd293069, 0x3f26584d8a0ef926, predict.ContingencyTable{TP: 4, FP: 9, FN: 22, TN: 493}},
+		{"MSET", 0x3fe88a14de7fe207, 0x3ff4cf3cf654a7ef, predict.ContingencyTable{TP: 15, FP: 30, FN: 11, TN: 472}},
+	}
+	for _, workers := range []int{1, 2} {
+		cfg := DefaultCaseStudyConfig()
+		cfg.TrainDays, cfg.TestDays, cfg.Workers = 4, 2, workers
+		res, err := RunCaseStudy(cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if res.TrainFailures != 27 || res.TestFailures != 15 || res.EvalPoints != 528 {
+			t.Fatalf("workers=%d: failures %d/%d, %d evaluation points; want 27/15, 528",
+				workers, res.TrainFailures, res.TestFailures, res.EvalPoints)
+		}
+		if len(res.Predictors) != len(want) {
+			t.Fatalf("workers=%d: %d predictors, want %d", workers, len(res.Predictors), len(want))
+		}
+		for i, w := range want {
+			p := res.Predictors[i]
+			if p.Name != w.name || math.Float64bits(p.AUC) != w.auc ||
+				math.Float64bits(p.Threshold) != w.threshold || p.Table != w.table {
+				t.Errorf("workers=%d: %s AUC %v threshold %v table %+v; want %s AUC %v threshold %v table %+v",
+					workers, p.Name, p.AUC, p.Threshold, p.Table,
+					w.name, math.Float64frombits(w.auc), math.Float64frombits(w.threshold), w.table)
+			}
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 func TestLedgerMatchesOfflineEvaluator(t *testing.T) {
 	cfg := DefaultCaseStudyConfig()
 	cfg.TrainDays, cfg.TestDays = 2, 3 // enough failures, fast
-	ds, err := buildDataset(cfg)
+	ds, err := buildDataset(cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}

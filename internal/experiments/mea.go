@@ -110,7 +110,7 @@ func trainLogPredictor(cfg MEAConfig) (*hsmm.Classifier, float64, error) {
 	csCfg.Seed = cfg.Seed
 	csCfg.TrainDays = cfg.TrainDays
 	csCfg.TestDays = 3 // threshold-calibration split
-	ds, err := buildDataset(csCfg)
+	ds, err := buildDataset(csCfg, true)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -42,7 +42,7 @@ func (r MetaResult) Rows() []Row {
 // generalization over per-layer predictors (log-pattern HSMM, memory trend,
 // error rate) improves on every single layer.
 func RunMetaLearning(cfg CaseStudyConfig) (MetaResult, error) {
-	ds, err := buildDataset(cfg)
+	ds, err := buildDataset(cfg, true)
 	if err != nil {
 		return MetaResult{}, err
 	}

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/mat"
 	"repro/internal/par"
-	ts "repro/internal/timeseries"
 	"repro/internal/ubf"
 )
 
@@ -60,37 +58,17 @@ var expertVariables = []string{"mem_free", "cpu", "load"}
 // inner cross-validation error and by the test AUC of the resulting UBF
 // predictor.
 func RunSelectionComparison(cfg CaseStudyConfig) (SelectionResult, error) {
-	ds, err := buildDataset(cfg)
+	ds, err := buildDataset(cfg, false)
 	if err != nil {
 		return SelectionResult{}, err
 	}
-	specs, err := ds.ubfSpecs()
+	trainX, testX, names, err := ds.featureData()
 	if err != nil {
 		return SelectionResult{}, err
 	}
-	trainX, names, err := ts.BuildMatrix(specs, ds.trainTimes)
+	y, err := ds.ubfTarget()
 	if err != nil {
 		return SelectionResult{}, err
-	}
-	testX, _, err := ts.BuildMatrix(specs, ds.testTimes)
-	if err != nil {
-		return SelectionResult{}, err
-	}
-	means, stds := ts.StandardizeColumns(trainX)
-	if err := ts.ApplyStandardization(testX, means, stds); err != nil {
-		return SelectionResult{}, err
-	}
-	target, err := ds.sys.SAR("frac_slow")
-	if err != nil {
-		return SelectionResult{}, err
-	}
-	y := make([]float64, len(ds.trainTimes))
-	for i, t := range ds.trainTimes {
-		v, ok := target.ValueAt(t + cfg.LeadTime)
-		if !ok {
-			return SelectionResult{}, fmt.Errorf("%w: no target at %g", ErrExperiment, t)
-		}
-		y[i] = math.Log10(v + 1e-6)
 	}
 	eval, err := ubf.LinearCVEvaluator(trainX, y, 5, 1e-6, cfg.Seed+300)
 	if err != nil {

@@ -76,9 +76,9 @@ type LeadTimePoint struct {
 // RunLeadTimeSweep evaluates the case study at several lead times Δtl over
 // a single simulated run: the platform is simulated once and every grid
 // point builds its own dataset, trains, and evaluates against it
-// concurrently (the finished system is only read). This reproduces the
-// paper's prediction-horizon analysis without paying for one simulation per
-// point.
+// concurrently (the finished system and its training log are only read).
+// This reproduces the paper's prediction-horizon analysis without paying for
+// one simulation per point.
 func RunLeadTimeSweep(base CaseStudyConfig, leadTimes []float64, workers int) ([]LeadTimePoint, error) {
 	if len(leadTimes) == 0 {
 		return nil, fmt.Errorf("%w: empty lead-time grid", ErrExperiment)
@@ -86,7 +86,7 @@ func RunLeadTimeSweep(base CaseStudyConfig, leadTimes []float64, workers int) ([
 	if err := base.validate(); err != nil {
 		return nil, err
 	}
-	sys, err := simulateSCP(base)
+	sys, trainLog, err := simulateSCP(base, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +95,7 @@ func RunLeadTimeSweep(base CaseStudyConfig, leadTimes []float64, workers int) ([
 	par.ForN(workers, len(leadTimes), func(i int) {
 		cfg := base
 		cfg.LeadTime = leadTimes[i]
-		ds, err := makeDataset(cfg, sys)
+		ds, err := makeDataset(cfg, sys, trainLog)
 		if err != nil {
 			errs[i] = err
 			return

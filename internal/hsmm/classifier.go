@@ -22,23 +22,35 @@ type Classifier struct {
 	Threshold float64
 }
 
-// TrainClassifier fits the two models from labeled sequences.
+// TrainClassifier fits the two models from labeled sequences. The fits are
+// independent — the failure model draws from cfg.Seed, the non-failure model
+// from cfg.Seed+1 — so they run side by side, each into its own slot, and
+// the result is the two sequential Fit calls' bit for bit.
 func TrainClassifier(failure, nonFailure []eventlog.Sequence, cfg Config) (*Classifier, error) {
 	if len(failure) == 0 || len(nonFailure) == 0 {
 		return nil, fmt.Errorf("%w: classifier needs both failure (%d) and non-failure (%d) sequences",
 			ErrModel, len(failure), len(nonFailure))
 	}
-	fm, err := Fit(failure, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("failure model: %w", err)
-	}
 	nfCfg := cfg
 	nfCfg.Seed = cfg.Seed + 1
-	nm, err := Fit(nonFailure, nfCfg)
-	if err != nil {
-		return nil, fmt.Errorf("non-failure model: %w", err)
+	var (
+		models [2]*Model
+		errs   [2]error
+	)
+	par.For(2, func(i int) {
+		if i == 0 {
+			models[0], errs[0] = Fit(failure, cfg)
+		} else {
+			models[1], errs[1] = Fit(nonFailure, nfCfg)
+		}
+	})
+	if errs[0] != nil {
+		return nil, fmt.Errorf("failure model: %w", errs[0])
 	}
-	return &Classifier{Failure: fm, NonFailure: nm}, nil
+	if errs[1] != nil {
+		return nil, fmt.Errorf("non-failure model: %w", errs[1])
+	}
+	return &Classifier{Failure: models[0], NonFailure: models[1]}, nil
 }
 
 // Score returns the log-likelihood ratio

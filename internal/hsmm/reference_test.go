@@ -326,6 +326,46 @@ func TestParallelFitMatchesSequentialScan(t *testing.T) {
 	}
 }
 
+// TestTrainClassifierMatchesSequentialFits pins the side-by-side model fits
+// to the two sequential Fit calls they replaced — the failure model at
+// cfg.Seed, the non-failure model at cfg.Seed+1 — bit for bit.
+func TestTrainClassifierMatchesSequentialFits(t *testing.T) {
+	g := stats.NewRNG(67)
+	fail, nonFail := genFailureSeqs(g, 12), genNonFailureSeqs(g, 16)
+	cfg := Config{States: 3, Seed: 31, Restarts: 3, MaxIter: 8}
+	clf, err := TrainClassifier(fail, nonFail, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nfCfg := cfg
+	nfCfg.Seed = cfg.Seed + 1
+	for _, c := range []struct {
+		name string
+		got  *Model
+		seqs []eventlog.Sequence
+		cfg  Config
+	}{
+		{"failure", clf.Failure, fail, cfg},
+		{"non-failure", clf.NonFailure, nonFail, nfCfg},
+	} {
+		want, err := Fit(c.seqs, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, err := c.got.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := want.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gotJSON) != string(wantJSON) {
+			t.Fatalf("%s model differs from a sequential Fit at seed %d", c.name, c.cfg.Seed)
+		}
+	}
+}
+
 // TestScoreAllMatchesScore pins the batched classifier path to the scalar
 // one, in order, including the empty-window convention.
 func TestScoreAllMatchesScore(t *testing.T) {

@@ -124,10 +124,22 @@ func SolveLeastSquares(a *Matrix, b []float64, ridge float64) ([]float64, error)
 	if ridge < 0 {
 		return nil, fmt.Errorf("mat: negative ridge %g", ridge)
 	}
-	// AᵀA and Aᵀb accumulated straight from A's rows, each element summed
-	// over rows in ascending order — the order (and, for finite input, the
-	// bits) of a.Transpose().Mul(a) and a.Transpose().MulVec(b), without
-	// materializing the transpose.
+	ata, atb := normalEquations(a, b)
+	for i := 0; i < a.Cols; i++ {
+		ata.Add(i, i, ridge)
+	}
+	return Solve(ata, atb)
+}
+
+// normalEquations returns AᵀA and Aᵀb accumulated straight from A's rows,
+// each element summed over rows in ascending order — the order (and, for
+// finite input, the bits) of a.Transpose().Mul(a) and
+// a.Transpose().MulVec(b), without materializing the transpose. AᵀA is
+// symmetric, so only its lower triangle is summed and then mirrored:
+// element (j, i) would add row[j]·row[i] = row[i]·row[j] in the same row
+// order, and the terms it would add where row[i] is 0 but row[j] is not are
+// ±0, which leave a sum that starts at +0 unchanged.
+func normalEquations(a *Matrix, b []float64) (*Matrix, []float64) {
 	k := a.Cols
 	ata := New(k, k)
 	atb := make([]float64, k)
@@ -138,14 +150,16 @@ func SolveLeastSquares(a *Matrix, b []float64, ridge float64) ([]float64, error)
 			if v == 0 {
 				continue
 			}
-			oi := ata.Data[i*k : (i+1)*k]
-			for j, u := range row {
+			oi := ata.Data[i*k : i*k+i+1]
+			for j, u := range row[:i+1] {
 				oi[j] += v * u
 			}
 		}
 	}
-	for i := 0; i < k; i++ {
-		ata.Add(i, i, ridge)
+	for i := 1; i < k; i++ {
+		for j := 0; j < i; j++ {
+			ata.Data[j*k+i] = ata.Data[i*k+j]
+		}
 	}
-	return Solve(ata, atb)
+	return ata, atb
 }

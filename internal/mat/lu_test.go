@@ -172,6 +172,44 @@ func TestSolveLeastSquaresMatchesTransposedBits(t *testing.T) {
 	}
 }
 
+// TestSolveLeastSquaresNormalMatrixBits pins the mirrored lower triangle of
+// AᵀA to the full product a.Transpose().Mul(a), bit for bit, on the shape
+// of a UBF design matrix: a leading ones column, a column that is mostly
+// exact zeros (a kernel far from most rows), signed zeros among them, and
+// dense columns of mixed magnitude.
+func TestSolveLeastSquaresNormalMatrixBits(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	rows, cols := 200, 6
+	a := New(rows, cols)
+	b := make([]float64, rows)
+	for i := 0; i < rows; i++ {
+		a.Set(i, 0, 1)
+		switch {
+		case i%7 == 0:
+			a.Set(i, 1, r.NormFloat64()*1e-3)
+		case i%2 == 0:
+			a.Set(i, 1, math.Copysign(0, -1))
+		}
+		for c := 2; c < cols; c++ {
+			a.Set(i, c, r.NormFloat64()*math.Pow(10, float64(r.Intn(9)-4)))
+		}
+		b[i] = r.NormFloat64()
+	}
+	want, _ := a.Transpose().Mul(a)
+	wantB, _ := a.Transpose().MulVec(b)
+	got, gotB := normalEquations(a, b)
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("AᵀA[%d][%d] = %v, full product %v", i/cols, i%cols, got.Data[i], want.Data[i])
+		}
+	}
+	for i := range wantB {
+		if math.Float64bits(gotB[i]) != math.Float64bits(wantB[i]) {
+			t.Fatalf("Aᵀb[%d] = %v, full product %v", i, gotB[i], wantB[i])
+		}
+	}
+}
+
 func TestSolveLeastSquaresErrors(t *testing.T) {
 	a := New(3, 2)
 	if _, err := SolveLeastSquares(a, []float64{1, 2}, 0); err == nil {

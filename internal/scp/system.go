@@ -125,10 +125,16 @@ func (s *System) Engine() *sim.Engine { return s.engine }
 // Config returns the configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Run advances the simulation by duration seconds.
+// Run advances the simulation by duration seconds. Each SAR series is sized
+// once for the leg (at most one sample per SARInterval, plus the boundary),
+// so the sampling loop appends without regrowing.
 func (s *System) Run(duration float64) error {
 	if duration <= 0 || math.IsNaN(duration) {
 		return fmt.Errorf("%w: run duration %g", ErrSCP, duration)
+	}
+	samples := int(duration/s.cfg.SARInterval) + 1
+	for _, series := range s.sarSeries {
+		series.Grow(samples)
 	}
 	s.runUntil = s.engine.Now() + duration
 	s.engine.Run(s.runUntil)

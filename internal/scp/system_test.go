@@ -97,6 +97,70 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
+// TestRunLegsMatchOneRun: Run(a) then Run(b) executes the events of
+// Run(a+b) — the engine leaves its clock at the end of the first leg — so
+// a run split into legs (the case study's training and test legs) records
+// the same log columns, SAR series, failures and Eq. 2 intervals, also when
+// the split falls between ticks.
+func TestRunLegsMatchOneRun(t *testing.T) {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for _, legs := range [][2]float64{{3 * 86400, 2 * 86400}, {100003, 72000}} {
+		one := newSystem(t, DefaultConfig())
+		if err := one.Run(legs[0] + legs[1]); err != nil {
+			t.Fatal(err)
+		}
+		two := newSystem(t, DefaultConfig())
+		for _, d := range legs {
+			if err := two.Run(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if one.Engine().Now() != two.Engine().Now() {
+			t.Fatalf("legs %v: clock %g, one run %g", legs, two.Engine().Now(), one.Engine().Now())
+		}
+		if n := one.Log().Len(); n == 0 || n != two.Log().Len() {
+			t.Fatalf("legs %v: %d log events, one run %d", legs, two.Log().Len(), n)
+		}
+		for i := 0; i < one.Log().Len(); i++ {
+			if a, b := one.Log().At(i), two.Log().At(i); a != b {
+				t.Fatalf("legs %v: event %d is %+v, one run %+v", legs, i, b, a)
+			}
+		}
+		for _, name := range SARVariables {
+			a, _ := one.SAR(name)
+			b, _ := two.SAR(name)
+			if a.Len() != b.Len() {
+				t.Fatalf("legs %v: %s has %d samples, one run %d", legs, name, b.Len(), a.Len())
+			}
+			for i := 0; i < a.Len(); i++ {
+				if pa, pb := a.At(i), b.At(i); !same(pa.T, pb.T) || !same(pa.V, pb.V) {
+					t.Fatalf("legs %v: %s sample %d is %v, one run %v", legs, name, i, pb, pa)
+				}
+			}
+		}
+		fa, fb := one.Failures(), two.Failures()
+		if len(fa) == 0 || len(fa) != len(fb) {
+			t.Fatalf("legs %v: %d failures, one run %d", legs, len(fb), len(fa))
+		}
+		for i := range fa {
+			if fa[i] != fb[i] {
+				t.Fatalf("legs %v: failure %d is %+v, one run %+v", legs, i, fb[i], fa[i])
+			}
+		}
+		ia, ib := one.Intervals(), two.Intervals()
+		if len(ia) != len(ib) {
+			t.Fatalf("legs %v: %d intervals, one run %d", legs, len(ib), len(ia))
+		}
+		for i := range ia {
+			a, b := ia[i], ib[i]
+			if !same(a.Start, b.Start) || !same(a.Requests, b.Requests) || !same(a.Slow, b.Slow) ||
+				!same(a.Availability, b.Availability) || a.Violated != b.Violated || a.Skipped != b.Skipped {
+				t.Fatalf("legs %v: interval %d is %+v, one run %+v", legs, i, b, a)
+			}
+		}
+	}
+}
+
 func TestLeakCausesFailureWithSymptomsAndErrors(t *testing.T) {
 	s := newSystem(t, leakOnlyConfig())
 	if err := s.Run(6 * 3600); err != nil {

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -42,6 +43,15 @@ func (s *Series) Append(t, v float64) error {
 	}
 	s.points = append(s.points, Point{T: t, V: v})
 	return nil
+}
+
+// Grow reserves room for at least n more observations, so a producer that
+// knows how many it will append (a simulator leg of known length) appends
+// without regrowing and copying the points. It changes capacity only.
+func (s *Series) Grow(n int) {
+	if n > 0 {
+		s.points = slices.Grow(s.points, n)
+	}
 }
 
 // Len returns the number of observations.

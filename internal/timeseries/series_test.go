@@ -35,6 +35,24 @@ func TestAppendOrdering(t *testing.T) {
 	}
 }
 
+// TestGrowReservesOnly: Grow keeps the points and their count, and the
+// appends it reserved for allocate nothing.
+func TestGrowReservesOnly(t *testing.T) {
+	s := mustSeries(t, "x", Point{1, 10}, Point{2, 20})
+	s.Grow(100)
+	if s.Len() != 2 || s.At(1) != (Point{2, 20}) {
+		t.Fatalf("Grow changed the series: len %d, last %v", s.Len(), s.At(1))
+	}
+	next := 3.0
+	allocs := testing.AllocsPerRun(50, func() {
+		_ = s.Append(next, next)
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("append after Grow allocates %v", allocs)
+	}
+}
+
 func TestLastAndAt(t *testing.T) {
 	s := mustSeries(t, "x", Point{1, 10}, Point{2, 20})
 	last, ok := s.Last()
