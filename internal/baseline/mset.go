@@ -157,30 +157,45 @@ func (m *MSET) similarity(a, b []float64) float64 {
 	return 1 / (1 + distance(a, b)/m.bandwidth)
 }
 
-// Estimate reconstructs x from the memorized states.
-func (m *MSET) Estimate(x []float64) ([]float64, error) {
+// MSETScratch is one goroutine's working storage for MSET.Score: the
+// similarity vector, the memory weights and the estimate. Make it with
+// NewScratch; a scratch serves one Score call at a time.
+type MSETScratch struct {
+	sim, w, est []float64
+}
+
+// NewScratch returns storage for Score on this model, all of it allocated
+// here, so Score itself allocates nothing.
+func (m *MSET) NewScratch() *MSETScratch {
+	return &MSETScratch{
+		sim: make([]float64, m.memory.Rows),
+		w:   make([]float64, m.memory.Rows),
+		est: make([]float64, m.memory.Cols),
+	}
+}
+
+// estimate reconstructs x from the memorized states into s.est.
+func (m *MSET) estimate(x []float64, s *MSETScratch) ([]float64, error) {
 	if len(x) != m.memory.Cols {
 		return nil, fmt.Errorf("%w: MSET input dim %d, want %d", ErrBaseline, len(x), m.memory.Cols)
 	}
-	a := make([]float64, m.memory.Rows)
-	for i := range a {
-		a[i] = m.similarity(m.memory.RowView(i), x)
+	for i := range s.sim {
+		s.sim[i] = m.similarity(m.memory.RowView(i), x)
 	}
-	w, err := m.ginv.SolveVec(a)
-	if err != nil {
+	if err := m.ginv.SolveVecInto(s.w, s.sim); err != nil {
 		return nil, err
 	}
-	est, err := m.memory.VecMul(w)
-	if err != nil {
+	if err := m.memory.VecMulInto(s.est, s.w); err != nil {
 		return nil, err
 	}
-	return est, nil
+	return s.est, nil
 }
 
 // Score returns the reconstruction residual ‖x − x̂‖ — higher means the
-// observation sits further outside the healthy envelope.
-func (m *MSET) Score(x []float64) (float64, error) {
-	est, err := m.Estimate(x)
+// observation sits further outside the healthy envelope. s is the caller's
+// scratch (NewScratch); the score references none of it.
+func (m *MSET) Score(x []float64, s *MSETScratch) (float64, error) {
+	est, err := m.estimate(x, s)
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/mat"
@@ -30,17 +31,18 @@ func TestMSETReconstructsHealthyStates(t *testing.T) {
 	// high — including a correlation break where each sensor is
 	// individually in range.
 	healthyScores, anomalyScores := 0.0, 0.0
+	sc := m.NewScratch()
 	for trial := 0; trial < 50; trial++ {
 		base := g.NormFloat64()
 		healthy := []float64{10 + base, 20 + 2*base, 5 + 0.5*g.NormFloat64()}
-		s, err := m.Score(healthy)
+		s, err := m.Score(healthy, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		healthyScores += s
 		// Break the sensor correlation: x0 high while x1 low.
 		anomaly := []float64{12, 16, 5}
-		s, err = m.Score(anomaly)
+		s, err = m.Score(anomaly, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,10 +60,10 @@ func TestMSETEstimateDims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Score([]float64{1, 2}); err == nil {
+	if _, err := m.Score([]float64{1, 2}, m.NewScratch()); err == nil {
 		t.Fatal("wrong dim accepted")
 	}
-	est, err := m.Estimate([]float64{10, 20, 5})
+	est, err := m.estimate([]float64{10, 20, 5}, m.NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +104,53 @@ func TestMSETMemorySelectionCoversExtremes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The extremes reconstruct almost exactly (they are in memory).
-	s, err := m.Score(x.Row(7))
+	s, err := m.Score(x.Row(7), m.NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s > 1 {
 		t.Fatalf("memorized extreme scores %g", s)
+	}
+}
+
+// TestMSETScoreZeroAlloc: with a caller's scratch, Score allocates nothing,
+// and a scratch reused row after row scores each row bit for bit as the
+// allocating formulation does (fresh similarity vector, SolveVec, VecMul).
+func TestMSETScoreZeroAlloc(t *testing.T) {
+	g := stats.NewRNG(119)
+	m, err := TrainMSET(healthyCluster(g, 200), MSETConfig{MemorySize: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := m.NewScratch()
+	rows := healthyCluster(g, 40)
+	for r := 0; r < rows.Rows; r++ {
+		x := rows.RowView(r)
+		if r%3 == 0 {
+			x = []float64{12, 16, float64(r)} // out of the envelope
+		}
+		got, err := m.Score(x, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim := make([]float64, m.memory.Rows)
+		for i := range sim {
+			sim[i] = m.similarity(m.memory.RowView(i), x)
+		}
+		w, err := m.ginv.SolveVec(sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := m.memory.VecMul(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := distance(x, est); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("row %d: Score %v, allocating formulation %v", r, got, want)
+		}
+	}
+	x := rows.RowView(5)
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = m.Score(x, sc) }); allocs != 0 {
+		t.Fatalf("warmed Score allocates %.1f/op, want 0", allocs)
 	}
 }

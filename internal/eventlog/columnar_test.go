@@ -89,6 +89,57 @@ func TestExtractIntoZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestArenaBatchesMatchOneByOne: the arena-backed batches — SlidingWindows,
+// and Extract with nothing to recycle — hold, bit for bit, what the
+// one-sequence-at-a-time paths produce (SlidingWindow per time; ExtractInto
+// into buffers it must grow), cost a fixed number of allocations however
+// many sequences they return, and clip every sequence's capacity, so an
+// append to one cannot write into the next.
+func TestArenaBatchesMatchOneByOne(t *testing.T) {
+	l := denseLog(t, 4096)
+	times := []float64{-5, 0, 0.25, 1, 150, 151, 900, 2047.5, 2048, 5000}
+	windows := SlidingWindows(l, times, 100)
+	for i, tm := range times {
+		if want := SlidingWindow(l, tm, 100); !sequencesEqual([]Sequence{windows[i]}, []Sequence{want}) {
+			t.Fatalf("window at %g differs from SlidingWindow", tm)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { SlidingWindows(l, times, 100) }); allocs != 3 {
+		t.Fatalf("SlidingWindows allocates %.1f/op, want 3 (arena times, types, windows)", allocs)
+	}
+
+	failures := []float64{500, 1200, 1900}
+	cfg := ExtractConfig{DataWindow: 120, LeadTime: 30, MinEvents: 1, NonFailureStride: 90}
+	fail, nonFail, err := Extract(l, failures, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grownFail, grownNon, err := ExtractInto(l, failures, cfg, make([]Sequence, 0, 1), make([]Sequence, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fail) == 0 || len(nonFail) < 10 || !sequencesEqual(fail, grownFail) || !sequencesEqual(nonFail, grownNon) {
+		t.Fatalf("arena Extract (%d/%d) differs from ExtractInto's grown buffers", len(fail), len(nonFail))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _, _, _ = Extract(l, failures, cfg) }); allocs != 4 {
+		t.Fatalf("Extract allocates %.1f/op, want 4 (two slices, arena times, types)", allocs)
+	}
+
+	for name, seqs := range map[string][]Sequence{"windows": windows, "failure": fail, "non-failure": nonFail} {
+		for i := 0; i+1 < len(seqs); i++ {
+			s := seqs[i]
+			if cap(s.Times) != len(s.Times) || cap(s.Types) != len(s.Types) {
+				t.Fatalf("%s %d: capacity %d/%d for length %d", name, i, cap(s.Times), cap(s.Types), s.Len())
+			}
+		}
+		next := append([]float64(nil), seqs[1].Times...)
+		_ = append(seqs[0].Times, -1)
+		if !sequencesEqual([]Sequence{{Times: next, Types: seqs[1].Types, Label: seqs[1].Label}}, seqs[1:2]) {
+			t.Fatalf("%s: an append to one sequence reached the next", name)
+		}
+	}
+}
+
 // TestAtZeroAllocs: materializing events borrows dictionary strings, so
 // even the compatibility accessor is allocation-free per event.
 func TestAtZeroAllocs(t *testing.T) {

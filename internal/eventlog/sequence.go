@@ -113,8 +113,9 @@ func Extract(l *Log, failureTimes []float64, cfg ExtractConfig) (failure, nonFai
 // returned failure/nonFailure slices recycle the given ones (and the
 // Times/Types buffers of their elements) when capacity allows, so
 // repeated extraction over a growing log — the retrain-window capture
-// path — reaches a zero-allocation steady state. Passing nils is
-// equivalent to Extract.
+// path — reaches a zero-allocation steady state. Given nothing to recycle
+// (nils, as Extract passes), it sizes the result first and backs every
+// sequence with one arena (see SlidingWindows).
 func ExtractInto(l *Log, failureTimes []float64, cfg ExtractConfig, failure, nonFailure []Sequence) ([]Sequence, []Sequence, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -122,17 +123,58 @@ func ExtractInto(l *Log, failureTimes []float64, cfg ExtractConfig, failure, non
 	if l.Len() == 0 {
 		return nil, nil, fmt.Errorf("%w: empty log", ErrLog)
 	}
-	guard := cfg.NonFailureGuard
-	if guard == 0 {
-		guard = cfg.DataWindow + cfg.LeadTime
-	}
 	ft := failureTimes
 	if !sort.Float64sAreSorted(ft) {
 		ft = append([]float64(nil), failureTimes...)
 		sort.Float64s(ft)
 	}
 
-	failure = failure[:0]
+	if cap(failure) == 0 && cap(nonFailure) == 0 {
+		var nf, nn, events int
+		l.extractWindows(ft, cfg, func(lo, hi int, label bool) {
+			events += hi - lo
+			if label {
+				nf++
+			} else {
+				nn++
+			}
+		})
+		if nf > 0 {
+			failure = make([]Sequence, 0, nf)
+		}
+		if nn > 0 {
+			nonFailure = make([]Sequence, 0, nn)
+		}
+		a := newArena(events)
+		l.extractWindows(ft, cfg, func(lo, hi int, label bool) {
+			if label {
+				failure = append(failure, a.take(l, lo, hi, true))
+			} else {
+				nonFailure = append(nonFailure, a.take(l, lo, hi, false))
+			}
+		})
+		return failure, nonFailure, nil
+	}
+
+	failure, nonFailure = failure[:0], nonFailure[:0]
+	l.extractWindows(ft, cfg, func(lo, hi int, label bool) {
+		if label {
+			failure = appendSequence(failure, l, lo, hi, true)
+		} else {
+			nonFailure = appendSequence(nonFailure, l, lo, hi, false)
+		}
+	})
+	return failure, nonFailure, nil
+}
+
+// extractWindows calls visit with the column range and label of every
+// sequence Extract emits, in emission order: the failure windows of the
+// sorted failure times ft, then the non-failure windows.
+func (l *Log) extractWindows(ft []float64, cfg ExtractConfig, visit func(lo, hi int, label bool)) {
+	guard := cfg.NonFailureGuard
+	if guard == 0 {
+		guard = cfg.DataWindow + cfg.LeadTime
+	}
 	for _, tf := range ft {
 		end := tf - cfg.LeadTime
 		start := end - cfg.DataWindow
@@ -140,12 +182,11 @@ func ExtractInto(l *Log, failureTimes []float64, cfg ExtractConfig, failure, non
 		if hi-lo < cfg.MinEvents || lo == hi {
 			continue
 		}
-		failure = appendSequence(failure, l, lo, hi, true)
+		visit(lo, hi, true)
 	}
 
 	first := l.times[0]
 	last := l.times[l.Len()-1]
-	nonFailure = nonFailure[:0]
 	for start := first; start+cfg.DataWindow <= last; start += cfg.NonFailureStride {
 		end := start + cfg.DataWindow
 		predictionPoint := end + cfg.LeadTime
@@ -156,9 +197,8 @@ func ExtractInto(l *Log, failureTimes []float64, cfg ExtractConfig, failure, non
 		if hi-lo < cfg.MinEvents || lo == hi {
 			continue
 		}
-		nonFailure = appendSequence(nonFailure, l, lo, hi, false)
+		visit(lo, hi, false)
 	}
-	return failure, nonFailure, nil
 }
 
 // appendSequence extends seqs with the sequence for [lo, hi), reusing the
@@ -170,6 +210,29 @@ func appendSequence(seqs []Sequence, l *Log, lo, hi int, label bool) []Sequence 
 	}
 	l.sequenceInto(&s, lo, hi, label)
 	return append(seqs, s)
+}
+
+// arena backs many sequences with one Times and one Types array, sized up
+// front by the caller.
+type arena struct {
+	times []float64
+	types []int
+}
+
+// newArena returns an arena with room for n events.
+func newArena(n int) arena {
+	return arena{times: make([]float64, 0, n), types: make([]int, 0, n)}
+}
+
+// take carves the sequence for the column range [lo, hi) out of the arena.
+// Its capacity is clipped to its length, so an append to it copies it out
+// instead of writing into the sequence carved after it.
+func (a *arena) take(l *Log, lo, hi int, label bool) Sequence {
+	from, to := len(a.times), len(a.times)+hi-lo
+	a.times, a.types = a.times[:to], a.types[:to]
+	s := Sequence{Times: a.times[from:to:to], Types: a.types[from:to:to]}
+	l.sequenceInto(&s, lo, hi, label)
+	return s
 }
 
 // tooCloseToFailure reports whether t lies within guard of any failure time
@@ -192,6 +255,26 @@ func SlidingWindow(l *Log, now, dataWindow float64) Sequence {
 	var s Sequence
 	SlidingWindowInto(l, now, dataWindow, &s)
 	return s
+}
+
+// SlidingWindows returns SlidingWindow(l, t, dataWindow) for every t in
+// times, as views into one arena: a first pass sizes it from the ScanWindow
+// bounds, a second fills it, so the batch costs three allocations however
+// many windows it holds. Each window's capacity is clipped to its length,
+// so an append to one copies it out rather than writing into the next.
+func SlidingWindows(l *Log, times []float64, dataWindow float64) []Sequence {
+	events := 0
+	for _, t := range times {
+		lo, hi := l.ScanWindow(t-dataWindow, t)
+		events += hi - lo
+	}
+	a := newArena(events)
+	seqs := make([]Sequence, len(times))
+	for i, t := range times {
+		lo, hi := l.ScanWindow(t-dataWindow, t)
+		seqs[i] = a.take(l, lo, hi, false)
+	}
+	return seqs
 }
 
 // SlidingWindowInto is SlidingWindow writing into a caller-owned sequence,

@@ -189,9 +189,10 @@ func RunCaseStudy(cfg CaseStudyConfig) (CaseStudyResult, error) {
 // Split from RunCaseStudy so sweeps can share one simulated system across
 // many dataset variants.
 //
-// It is a fixed-slot task graph: the feature matrices are built first
-// (UBF and MSET both read them, and an early HSMM fit may still be running
-// meanwhile), then three independent tasks — HSMM scoring, UBF training
+// It is a fixed-slot task graph: the feature matrices and the test grid's
+// error windows are built first (UBF and MSET both read the matrices, HSMM
+// and the error-log baselines the windows, and an early HSMM fit may still
+// be running meanwhile), then three independent tasks — HSMM scoring, UBF training
 // and scoring, the baselines — run through par.ForN, each writing only its
 // own variables, and the results are assembled in table order.
 func runCaseStudyOn(ds *dataset) (CaseStudyResult, error) {
@@ -207,6 +208,9 @@ func runCaseStudyOn(ds *dataset) (CaseStudyResult, error) {
 		return CaseStudyResult{}, fmt.Errorf("features: %w", err)
 	}
 
+	// The test grid's error windows, built once into one arena and only
+	// read from here on: HSMM and the three error-log baselines score them.
+	windows := eventlog.SlidingWindows(ds.sys.Log(), ds.testTimes, ds.cfg.DataWindow)
 	var (
 		hsmmScores, ubfScores []float64
 		selected              []string
@@ -214,9 +218,9 @@ func runCaseStudyOn(ds *dataset) (CaseStudyResult, error) {
 		hsmmErr, ubfErr       error
 	)
 	tasks := [...]func(){
-		func() { hsmmScores, hsmmErr = ds.hsmmScores() },
+		func() { hsmmScores, hsmmErr = ds.hsmmScores(windows) },
 		func() { ubfScores, selected, ubfErr = ds.ubfScores() },
-		func() { baselines = ds.baselineScoreSets() },
+		func() { baselines = ds.baselineScoreSets(windows) },
 	}
 	par.ForN(ds.cfg.Workers, len(tasks), func(i int) { tasks[i]() })
 	if hsmmErr != nil {
@@ -284,13 +288,16 @@ func buildDataset(cfg CaseStudyConfig, fitHSMM bool) (*dataset, error) {
 // events before the split, carved between the legs). sim.Engine.Run leaves
 // the clock at the split, so the two legs execute the same events as one
 // run; and Log.Slice copies, so the training log shares nothing with the
-// test leg's appends. atSplit, when not nil, runs between the legs.
+// test leg's appends. The SAR series and interval log are reserved for both
+// legs before the first, so the test leg does not regrow and copy them.
+// atSplit, when not nil, runs between the legs.
 func simulateSCP(cfg CaseStudyConfig, atSplit func(*scp.System, *eventlog.Log)) (*scp.System, *eventlog.Log, error) {
 	sys, err := scp.New(scpConfigWithSeed(cfg.Seed))
 	if err != nil {
 		return nil, nil, err
 	}
 	splitAt := cfg.TrainDays * 86400
+	sys.Reserve(splitAt + cfg.TestDays*86400)
 	if err := sys.Run(splitAt); err != nil {
 		return nil, nil, err
 	}
@@ -375,13 +382,13 @@ func scpConfigWithSeed(seed int64) scp.Config {
 }
 
 // hsmmScores trains the two-model classifier (Fig. 6) and scores the test
-// grid (E1).
-func (ds *dataset) hsmmScores() ([]float64, error) {
+// grid's windows (E1).
+func (ds *dataset) hsmmScores(windows []eventlog.Sequence) ([]float64, error) {
 	clf, err := ds.trainHSMMClassifier()
 	if err != nil {
 		return nil, err
 	}
-	return ds.hsmmScoresAt(clf, ds.testTimes)
+	return clf.ScoreAll(windows)
 }
 
 // trainHSMMClassifier returns the two-model classifier fit on the training
@@ -426,12 +433,7 @@ func trainHSMMOn(log *eventlog.Log, failures []float64, cfg CaseStudyConfig) (*h
 // hsmmScoresAt scores sliding windows ending at the given times, batched
 // through the classifier so windows score in parallel where cores allow.
 func (ds *dataset) hsmmScoresAt(clf *hsmm.Classifier, times []float64) ([]float64, error) {
-	log := ds.sys.Log()
-	windows := make([]eventlog.Sequence, len(times))
-	for i, t := range times {
-		windows[i] = eventlog.SlidingWindow(log, t, ds.cfg.DataWindow)
-	}
-	return clf.ScoreAll(windows)
+	return clf.ScoreAll(eventlog.SlidingWindows(ds.sys.Log(), times, ds.cfg.DataWindow))
 }
 
 // ubfFeatureNames are the SAR variables offered to the UBF predictor (the
@@ -542,9 +544,8 @@ type scoreSet struct {
 }
 
 // baselineScoreSets computes every taxonomy-branch baseline on the test
-// grid (E9).
-func (ds *dataset) baselineScoreSets() []scoreSet {
-	log := ds.sys.Log()
+// grid (E9); windows are the grid's error windows.
+func (ds *dataset) baselineScoreSets(windows []eventlog.Sequence) []scoreSet {
 	n := len(ds.testTimes)
 	// The grid points are independent and every scorer is read-only once
 	// trained, so each baseline shards its evaluation loop across the
@@ -565,13 +566,13 @@ func (ds *dataset) baselineScoreSets() []scoreSet {
 	}
 
 	var dft baseline.DFT
-	dftSet := mk("DFT", func(_ int, t float64) (float64, error) {
-		return dft.Score(eventlog.SlidingWindow(log, t, ds.cfg.DataWindow))
+	dftSet := mk("DFT", func(i int, _ float64) (float64, error) {
+		return dft.Score(windows[i])
 	})
 
 	rate := baseline.ErrorRate{Window: ds.cfg.DataWindow}
-	rateSet := mk("error-rate", func(_ int, t float64) (float64, error) {
-		return rate.Score(eventlog.SlidingWindow(log, t, ds.cfg.DataWindow))
+	rateSet := mk("error-rate", func(i int, _ float64) (float64, error) {
+		return rate.Score(windows[i])
 	})
 
 	trainFailures := keepBefore(ds.failures, ds.splitAt)
@@ -589,8 +590,8 @@ func (ds *dataset) baselineScoreSets() []scoreSet {
 		if err != nil {
 			esSet = scoreSet{name: "event-set", err: err}
 		} else {
-			esSet = mk("event-set", func(_ int, t float64) (float64, error) {
-				return es.Score(eventlog.SlidingWindow(log, t, ds.cfg.DataWindow))
+			esSet = mk("event-set", func(i int, _ float64) (float64, error) {
+				return es.Score(windows[i])
 			})
 		}
 	}
@@ -653,8 +654,8 @@ func (ds *dataset) msetScoreSet() scoreSet {
 	}
 	scores := make([]float64, testX.Rows)
 	errs := make([]error, testX.Rows)
-	par.ForN(ds.cfg.Workers, testX.Rows, func(r int) {
-		scores[r], errs[r] = model.Score(testX.RowView(r))
+	par.ForScratch(ds.cfg.Workers, testX.Rows, model.NewScratch, func(sc *baseline.MSETScratch, r int) {
+		scores[r], errs[r] = model.Score(testX.RowView(r), sc)
 	})
 	for _, err := range errs {
 		if err != nil {

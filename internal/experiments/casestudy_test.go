@@ -186,3 +186,30 @@ func TestCaseStudyShapeRobustAcrossSeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestCaseStudySteadyStateAllocs holds the whole short case study (4 + 2
+// days: simulation, extraction, both model fits, every baseline, scoring)
+// to an allocation ceiling. AllocsPerRun runs at GOMAXPROCS 1, where the
+// count is the same from run to run: 2488 on the tree that set the
+// ceiling, against 28.4 k before the kernels reused their storage (a view
+// per series window, a copy per window mean, a closure per noise event and
+// per burst error, buffers per sliding window and per extracted or EM
+// sequence, three vectors per MSET row). The ceiling leaves 12 % headroom;
+// any one of those sites coming back exceeds it.
+func TestCaseStudySteadyStateAllocs(t *testing.T) {
+	if testing.Short() || raceDetector {
+		t.Skip("runs the case study twice; counts under -race are the detector's")
+	}
+	const ceiling = 2800
+	cfg := DefaultCaseStudyConfig()
+	cfg.TrainDays, cfg.TestDays = 4, 2
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := RunCaseStudy(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("case study (%g + %g days) allocates %.0f", cfg.TrainDays, cfg.TestDays, allocs)
+	if allocs > ceiling {
+		t.Fatalf("case study allocates %.0f, ceiling %d", allocs, ceiling)
+	}
+}

@@ -116,11 +116,7 @@ func RunDynamicity(seed int64) (DynamicityResult, error) {
 	// Windows are scored in one batch so the classifier can fan the grid
 	// out across cores.
 	score := func(clf *hsmm.Classifier, times []float64) ([]float64, error) {
-		windows := make([]eventlog.Sequence, len(times))
-		for i, t := range times {
-			windows[i] = eventlog.SlidingWindow(log, t, cfg.DataWindow)
-		}
-		return clf.ScoreAll(windows)
+		return clf.ScoreAll(eventlog.SlidingWindows(log, times, cfg.DataWindow))
 	}
 
 	var result DynamicityResult

@@ -61,7 +61,8 @@ func RunMetaLearning(cfg CaseStudyConfig) (MetaResult, error) {
 	names := []string{"log-hsmm", "mem-trend", "error-rate"}
 	baseScores := func(times []float64) (*mat.Matrix, error) {
 		m := mat.New(len(times), len(names))
-		hs, err := ds.hsmmScoresAt(clf, times)
+		windows := eventlog.SlidingWindows(log, times, cfg.DataWindow)
+		hs, err := clf.ScoreAll(windows)
 		if err != nil {
 			return nil, err
 		}
@@ -72,7 +73,7 @@ func RunMetaLearning(cfg CaseStudyConfig) (MetaResult, error) {
 				return nil, err
 			}
 			m.Set(i, 1, tr)
-			rs, err := rate.Score(eventlog.SlidingWindow(log, t, cfg.DataWindow))
+			rs, err := rate.Score(windows[i])
 			if err != nil {
 				return nil, err
 			}

@@ -187,8 +187,9 @@ func normalizeToLog(w []float64) []float64 {
 // inter-event delays, clamped log-delays, and the n×k duration log-PDF
 // table. forward, backward and the EM ξ-accumulation all read
 // durLP, turning the O(n·k²) transcendental calls of the naive lattices
-// into an O(n·k) table build. Instances are recycled through prepPool;
-// callers must release() them when done.
+// into an O(n·k) table build. A scoring call's instance is recycled
+// through prepPool (prepare, release); an EM run's are its own
+// (prepareAll).
 type prepared struct {
 	obs    []int     // emission indices
 	delays []float64 // delays[t] is the delay preceding event t (t ≥ 1)
@@ -210,6 +211,37 @@ func (m *Model) prepare(seq eventlog.Sequence) *prepared {
 	p.delays = growF64(p.delays, k)
 	p.logDel = growF64(p.logDel, k)
 	p.durLP = growF64(p.durLP, m.n*k)
+	m.fill(p, seq)
+	return p
+}
+
+// prepareAll prepares every sequence of an EM run into storage the run
+// owns: one array per buffer kind, carved in sequence order, so a run
+// allocates the same four arrays and one slice however many sequences it
+// fits, and takes nothing from prepPool.
+func (m *Model) prepareAll(seqs []eventlog.Sequence) []prepared {
+	events := 0
+	for _, s := range seqs {
+		events += s.Len()
+	}
+	ps := make([]prepared, len(seqs))
+	obs := make([]int, events)
+	f := make([]float64, 2*events)
+	durLP := make([]float64, m.n*events)
+	for i, s := range seqs {
+		k := s.Len()
+		p := &ps[i]
+		p.obs, obs = obs[:k:k], obs[k:]
+		p.delays, p.logDel, f = f[:k:k], f[k:2*k:2*k], f[2*k:]
+		p.durLP, durLP = durLP[:m.n*k:m.n*k], durLP[m.n*k:]
+		m.fill(p, s)
+	}
+	return ps
+}
+
+// fill translates seq into p, whose buffers have its length, and builds
+// the duration table.
+func (m *Model) fill(p *prepared, seq eventlog.Sequence) {
 	for t, typ := range seq.Types {
 		p.obs[t] = m.symbolIndex(typ)
 		d := 0.0
@@ -223,7 +255,6 @@ func (m *Model) prepare(seq eventlog.Sequence) *prepared {
 		p.logDel[t] = math.Log(d)
 	}
 	p.refreshDur(m)
-	return p
 }
 
 // refreshDur rebuilds the duration table for the model's current duration

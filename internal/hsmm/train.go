@@ -84,8 +84,8 @@ func trainingAlphabet(seqs []eventlog.Sequence) ([]int, float64) {
 		for _, t := range s.Types {
 			types[t] = true
 		}
-		for _, d := range s.Delays() {
-			delaySum += d
+		for i := 1; i < len(s.Times); i++ {
+			delaySum += s.Times[i] - s.Times[i-1]
 			delayN++
 		}
 	}
@@ -108,17 +108,11 @@ func trainingAlphabet(seqs []eventlog.Sequence) ([]int, float64) {
 // order — a fixed-order reduction whose result does not depend on
 // goroutine scheduling.
 func (m *Model) em(seqs []eventlog.Sequence, cfg Config) (float64, error) {
-	preps := make([]*prepared, len(seqs))
+	preps := m.prepareAll(seqs)
 	totalEvents := 0
-	for i, s := range seqs {
-		preps[i] = m.prepare(s)
+	for _, s := range seqs {
 		totalEvents += s.Len()
 	}
-	defer func() {
-		for _, p := range preps {
-			p.release()
-		}
-	}()
 	shards := par.Workers(len(preps))
 	accs := make([]*accumulator, shards)
 	scratch := make([]*emScratch, shards)
@@ -142,7 +136,7 @@ func (m *Model) em(seqs []eventlog.Sequence, cfg Config) (float64, error) {
 			hi = len(preps)
 		}
 		for i := s * chunk; i < hi; i++ {
-			seqLL := acc.accumulate(m, preps[i], scratch[s])
+			seqLL := acc.accumulate(m, &preps[i], scratch[s])
 			if math.IsNaN(seqLL) {
 				fails[s] = true
 				return
@@ -156,8 +150,8 @@ func (m *Model) em(seqs []eventlog.Sequence, cfg Config) (float64, error) {
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		if iter > 0 {
 			// The M step moved the duration parameters: rebuild the tables.
-			for _, p := range preps {
-				p.refreshDur(m)
+			for i := range preps {
+				preps[i].refreshDur(m)
 			}
 		}
 		par.ForN(shards, shards, runShard)

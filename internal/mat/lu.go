@@ -18,9 +18,18 @@ func Factorize(a *Matrix) (*LU, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: LU of %dx%d", ErrDimension, a.Rows, a.Cols)
 	}
-	n := a.Rows
-	lu := a.Clone()
-	piv := make([]int, n)
+	f := &LU{lu: a.Clone(), piv: make([]int, a.Rows)}
+	if err := f.factorize(); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// factorize overwrites f.lu, a square matrix, with its LU factors and sets
+// f.piv (of the same order) to the pivot sequence.
+func (f *LU) factorize() error {
+	lu, piv := f.lu, f.piv
+	n := lu.Rows
 	for i := range piv {
 		piv[i] = i
 	}
@@ -34,7 +43,7 @@ func Factorize(a *Matrix) (*LU, error) {
 			}
 		}
 		if max == 0 {
-			return nil, fmt.Errorf("%w: zero pivot at column %d", ErrSingular, k)
+			return fmt.Errorf("%w: zero pivot at column %d", ErrSingular, k)
 		}
 		if p != k {
 			for c := 0; c < n; c++ {
@@ -54,16 +63,25 @@ func Factorize(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv}, nil
+	return nil
 }
 
 // SolveVec solves A*x = b for x using the factorization.
 func (f *LU) SolveVec(b []float64) ([]float64, error) {
-	n := f.lu.Rows
-	if len(b) != n {
-		return nil, fmt.Errorf("%w: solve with rhs length %d, want %d", ErrDimension, len(b), n)
+	x := make([]float64, f.lu.Rows)
+	if err := f.SolveVecInto(x, b); err != nil {
+		return nil, err
 	}
-	x := make([]float64, n)
+	return x, nil
+}
+
+// SolveVecInto is SolveVec writing x into a caller-owned slice of the
+// system's order, which must not overlap b.
+func (f *LU) SolveVecInto(x, b []float64) error {
+	n := f.lu.Rows
+	if len(b) != n || len(x) != n {
+		return fmt.Errorf("%w: solve with rhs length %d and solution length %d, want %d", ErrDimension, len(b), len(x), n)
+	}
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
 	}
@@ -83,7 +101,7 @@ func (f *LU) SolveVec(b []float64) ([]float64, error) {
 		}
 		x[i] = s / f.lu.At(i, i)
 	}
-	return x, nil
+	return nil
 }
 
 // SolveMat solves A*X = B column by column.
@@ -118,31 +136,60 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 // via the normal equations (AᵀA + ridge·I) x = Aᵀb. This is adequate for the
 // modest kernel design matrices used by the UBF learner.
 func SolveLeastSquares(a *Matrix, b []float64, ridge float64) ([]float64, error) {
+	return NewLeastSquares(a.Cols).Solve(a, b, ridge)
+}
+
+// LeastSquares is reusable storage for SolveLeastSquares over design
+// matrices of one width: the normal equations, factorized in place. A
+// search that solves many same-width problems keeps one and allocates only
+// each solution, which references none of it. Not safe for concurrent use.
+type LeastSquares struct {
+	lu  LU // AᵀA + ridge·I, then its factors
+	atb []float64
+}
+
+// NewLeastSquares returns the storage for design matrices of cols columns,
+// all of it allocated here.
+func NewLeastSquares(cols int) *LeastSquares {
+	return &LeastSquares{lu: LU{lu: New(cols, cols), piv: make([]int, cols)}, atb: make([]float64, cols)}
+}
+
+// Solve is SolveLeastSquares on the receiver's storage; a has the width the
+// storage was made for. Its result is bit-identical to SolveLeastSquares'.
+func (ls *LeastSquares) Solve(a *Matrix, b []float64, ridge float64) ([]float64, error) {
 	if a.Rows != len(b) {
 		return nil, fmt.Errorf("%w: lstsq with %d rows and rhs length %d", ErrDimension, a.Rows, len(b))
+	}
+	if a.Cols != len(ls.atb) {
+		return nil, fmt.Errorf("%w: lstsq of %d columns on storage for %d", ErrDimension, a.Cols, len(ls.atb))
 	}
 	if ridge < 0 {
 		return nil, fmt.Errorf("mat: negative ridge %g", ridge)
 	}
-	ata, atb := normalEquations(a, b)
+	ata := ls.lu.lu
+	clear(ata.Data)
+	clear(ls.atb)
+	normalEquations(a, b, ata, ls.atb)
 	for i := 0; i < a.Cols; i++ {
 		ata.Add(i, i, ridge)
 	}
-	return Solve(ata, atb)
+	if err := ls.lu.factorize(); err != nil {
+		return nil, err
+	}
+	return ls.lu.SolveVec(ls.atb)
 }
 
-// normalEquations returns AᵀA and Aᵀb accumulated straight from A's rows,
-// each element summed over rows in ascending order — the order (and, for
-// finite input, the bits) of a.Transpose().Mul(a) and
-// a.Transpose().MulVec(b), without materializing the transpose. AᵀA is
-// symmetric, so only its lower triangle is summed and then mirrored:
-// element (j, i) would add row[j]·row[i] = row[i]·row[j] in the same row
-// order, and the terms it would add where row[i] is 0 but row[j] is not are
-// ±0, which leave a sum that starts at +0 unchanged.
-func normalEquations(a *Matrix, b []float64) (*Matrix, []float64) {
+// normalEquations accumulates AᵀA and Aᵀb, into the zeroed ata (cols×cols)
+// and atb, straight from A's rows, each element summed over rows in
+// ascending order — the order (and, for finite input, the bits) of
+// a.Transpose().Mul(a) and Aᵀb as a matrix-vector product, without
+// materializing the transpose. AᵀA is symmetric, so only its lower triangle
+// is summed and then mirrored: element (j, i) would add row[j]·row[i] =
+// row[i]·row[j] in the same row order, and the terms it would add where
+// row[i] is 0 but row[j] is not are ±0, which leave a sum that starts at +0
+// unchanged.
+func normalEquations(a *Matrix, b []float64, ata *Matrix, atb []float64) {
 	k := a.Cols
-	ata := New(k, k)
-	atb := make([]float64, k)
 	for r := 0; r < a.Rows; r++ {
 		row := a.RowView(r)
 		for i, v := range row {
@@ -161,5 +208,4 @@ func normalEquations(a *Matrix, b []float64) (*Matrix, []float64) {
 			ata.Data[j*k+i] = ata.Data[i*k+j]
 		}
 	}
-	return ata, atb
 }

@@ -60,7 +60,7 @@ func TestSolveRoundTrip(t *testing.T) {
 		for i := range x0 {
 			x0[i] = rng.NormFloat64()
 		}
-		b, _ := a.MulVec(x0)
+		b := mulVec(a, x0)
 		x, err := Solve(a, b)
 		if err != nil {
 			return false
@@ -98,7 +98,7 @@ func TestSolveLeastSquaresExact(t *testing.T) {
 	// Overdetermined but consistent system: the LS solution is the exact one.
 	a, _ := FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
 	x0 := []float64{2, -3}
-	b, _ := a.MulVec(x0)
+	b := mulVec(a, x0)
 	x, err := SolveLeastSquares(a, b, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestSolveLeastSquaresMatchesTransposedBits(t *testing.T) {
 		for i := 0; i < cols; i++ {
 			ata.Add(i, i, ridge)
 		}
-		atb, _ := at.MulVec(b)
+		atb := mulVec(at, b)
 		want, wantErr := Solve(ata, atb)
 
 		got, err := SolveLeastSquares(a, b, ridge)
@@ -196,8 +196,9 @@ func TestSolveLeastSquaresNormalMatrixBits(t *testing.T) {
 		b[i] = r.NormFloat64()
 	}
 	want, _ := a.Transpose().Mul(a)
-	wantB, _ := a.Transpose().MulVec(b)
-	got, gotB := normalEquations(a, b)
+	wantB := mulVec(a.Transpose(), b)
+	got, gotB := New(cols, cols), make([]float64, cols)
+	normalEquations(a, b, got, gotB)
 	for i := range want.Data {
 		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 			t.Fatalf("AᵀA[%d][%d] = %v, full product %v", i/cols, i%cols, got.Data[i], want.Data[i])
@@ -217,5 +218,53 @@ func TestSolveLeastSquaresErrors(t *testing.T) {
 	}
 	if _, err := SolveLeastSquares(a, []float64{1, 2, 3}, -1); err == nil {
 		t.Fatal("negative ridge did not error")
+	}
+}
+
+// TestLeastSquaresReuseMatchesFresh: one LeastSquares solving a run of
+// same-width problems — a singular one among them, whose half-done
+// factorization must not leak into the next — returns, bit for bit, what
+// SolveLeastSquares returns on fresh storage, and allocates only each
+// solution.
+func TestLeastSquaresReuseMatchesFresh(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	const rows, cols = 40, 5
+	ls := NewLeastSquares(cols)
+	for trial := 0; trial < 20; trial++ {
+		a := New(rows, cols)
+		for i := range a.Data {
+			a.Data[i] = r.NormFloat64()
+		}
+		if trial == 7 { // a zero column and no ridge: singular
+			for i := 0; i < rows; i++ {
+				a.Set(i, 2, 0)
+			}
+		}
+		b := make([]float64, rows)
+		for i := range b {
+			b[i] = r.NormFloat64()
+		}
+		ridge := 1e-4
+		if trial == 7 {
+			ridge = 0
+		}
+		want, wantErr := SolveLeastSquares(a, b, ridge)
+		got, err := ls.Solve(a, b, ridge)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("trial %d: err %v, fresh storage %v", trial, err, wantErr)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: x[%d] = %v, fresh storage %v", trial, i, got[i], want[i])
+			}
+		}
+		if trial == 19 {
+			if allocs := testing.AllocsPerRun(20, func() { _, _ = ls.Solve(a, b, ridge) }); allocs != 1 {
+				t.Fatalf("Solve allocates %.1f/op, want 1 (the solution)", allocs)
+			}
+		}
+	}
+	if _, err := ls.Solve(New(rows, cols+1), make([]float64, rows), 0); !errors.Is(err, ErrDimension) {
+		t.Fatalf("width mismatch: err %v, want ErrDimension", err)
 	}
 }

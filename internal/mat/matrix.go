@@ -151,29 +151,21 @@ func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// MulVec returns the matrix-vector product m*x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if m.Cols != len(x) {
-		return nil, fmt.Errorf("%w: mulvec %dx%d by vector of length %d", ErrDimension, m.Rows, m.Cols, len(x))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
+// VecMul returns the vector-matrix product x*m (x treated as a row vector).
+func (m *Matrix) VecMul(x []float64) ([]float64, error) {
+	out := make([]float64, m.Cols)
+	if err := m.VecMulInto(out, x); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// VecMul returns the vector-matrix product x*m (x treated as a row vector).
-func (m *Matrix) VecMul(x []float64) ([]float64, error) {
-	if m.Rows != len(x) {
-		return nil, fmt.Errorf("%w: vecmul vector of length %d by %dx%d", ErrDimension, len(x), m.Rows, m.Cols)
+// VecMulInto is VecMul writing into a caller-owned out of length m.Cols.
+func (m *Matrix) VecMulInto(out, x []float64) error {
+	if m.Rows != len(x) || m.Cols != len(out) {
+		return fmt.Errorf("%w: vecmul vector of length %d by %dx%d into %d", ErrDimension, len(x), m.Rows, m.Cols, len(out))
 	}
-	out := make([]float64, m.Cols)
+	clear(out)
 	for i, xi := range x {
 		if xi == 0 {
 			continue
@@ -183,7 +175,7 @@ func (m *Matrix) VecMul(x []float64) ([]float64, error) {
 			out[j] += xi * v
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // Transpose returns a new matrix that is the transpose of m.

@@ -83,21 +83,43 @@ func TestMulDimensionError(t *testing.T) {
 	}
 }
 
-func TestMulVecAndVecMul(t *testing.T) {
+// mulVec is the matrix-vector product m*x, each element summed from 0 over
+// the columns in order: the oracle the solver tests build right-hand sides
+// and transposed formulations with.
+func mulVec(m *Matrix, x []float64) []float64 {
+	out := make([]float64, m.Rows)
+	for i := range out {
+		s := 0.0
+		for j, v := range m.RowView(i) {
+			s += v * x[j]
+		}
+		out[i] = s
+	}
+	return out
+}
+
+func TestVecMul(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	y, err := a.MulVec([]float64{1, 0, -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != -2 || y[1] != -2 {
-		t.Fatalf("MulVec = %v", y)
-	}
 	z, err := a.VecMul([]float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if z[0] != 5 || z[1] != 7 || z[2] != 9 {
 		t.Fatalf("VecMul = %v", z)
+	}
+	// VecMulInto overwrites what out held.
+	out := []float64{100, 100, 100}
+	if err := a.VecMulInto(out, []float64{0, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if out[0] != 8 || out[1] != 10 || out[2] != 12 {
+		t.Fatalf("VecMulInto = %v", out)
+	}
+	if _, err := a.VecMul([]float64{1}); err == nil {
+		t.Fatal("short vector accepted")
+	}
+	if err := a.VecMulInto(out[:2], []float64{1, 1}); err == nil {
+		t.Fatal("short out accepted")
 	}
 }
 

@@ -43,6 +43,18 @@ func For(n int, fn func(i int)) {
 // GOMAXPROCS, workers == 1 runs the plain serial loop inline (the reference
 // path the determinism tests compare against).
 func ForN(workers, n int, fn func(i int)) {
+	ForScratch(workers, n, func() struct{} { return struct{}{} }, func(_ struct{}, i int) { fn(i) })
+}
+
+// ForScratch is ForN for a body that needs working storage of its own:
+// each worker calls scratch once, before it claims its first index, and
+// hands the result to every fn call it makes — one scratch a worker, not
+// one an index, and exactly min(workers, n) of them (workers ≤ 0 meaning
+// GOMAXPROCS), so a scratch that allocates all it needs when made keeps a
+// job's allocation count the same from run to run. Which indices share a
+// scratch varies, so fn's result must not depend on what an earlier index
+// left in it, and nothing fn returns may keep a reference to it.
+func ForScratch[S any](workers, n int, scratch func() S, fn func(s S, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -53,8 +65,9 @@ func ForN(workers, n int, fn func(i int)) {
 		workers = n
 	}
 	if workers <= 1 {
+		s := scratch()
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(s, i)
 		}
 		return
 	}
@@ -64,12 +77,13 @@ func ForN(workers, n int, fn func(i int)) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			s := scratch()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(s, i)
 			}
 		}()
 	}

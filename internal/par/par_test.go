@@ -1,6 +1,7 @@
 package par
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -71,6 +72,36 @@ func TestForUnderContention(t *testing.T) {
 		for i, v := range out {
 			if v != i*i {
 				t.Fatalf("round %d: out[%d] = %d", r, i, v)
+			}
+		}
+	}
+}
+
+// TestForScratchOnePerWorker: ForScratch makes exactly min(workers, n)
+// scratches (GOMAXPROCS for workers ≤ 0), each once and before its worker's
+// first index, and runs every index once with some worker's scratch.
+func TestForScratchOnePerWorker(t *testing.T) {
+	for _, tc := range []struct{ workers, n int }{{1, 10}, {2, 1}, {3, 100}, {8, 5}, {0, 50}} {
+		want := tc.workers
+		if want <= 0 {
+			want = runtime.GOMAXPROCS(0)
+		}
+		want = min(want, tc.n)
+		var made atomic.Int32
+		counts := make([]int32, tc.n)
+		ForScratch(tc.workers, tc.n, func() *int32 {
+			made.Add(1)
+			return new(int32)
+		}, func(s *int32, i int) {
+			*s++ // owned by one worker: no race
+			atomic.AddInt32(&counts[i], 1)
+		})
+		if int(made.Load()) != want {
+			t.Fatalf("workers=%d n=%d: %d scratches, want %d", tc.workers, tc.n, made.Load(), want)
+		}
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("workers=%d n=%d: index %d ran %d times", tc.workers, tc.n, i, c)
 			}
 		}
 	}

@@ -13,6 +13,15 @@ import (
 // replicated containers; four suffice for distinguishable diagnosis).
 const numComponents = 4
 
+// componentNames are the reporting components' IDs, "comp-0" onwards, made
+// once rather than formatted for every burst.
+var componentNames = func() (names [numComponents]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("comp-%d", i)
+	}
+	return names
+}()
+
 // faultKind discriminates injected fault episodes.
 type faultKind int
 
@@ -71,17 +80,12 @@ func (s *System) scheduleInjections() {
 // scheduleNext arms a Poisson episode process: each firing starts an
 // episode and re-arms.
 func (s *System) scheduleNext(mtbf float64, g *stats.RNG, start func(*stats.RNG)) {
-	delay := g.ExpFloat64() * mtbf
-	_ = s.engine.Schedule(delay, func() {
-		start(g)
-		s.scheduleNext(mtbf, g, start)
-	})
+	s.recur(func() float64 { return g.ExpFloat64() * mtbf }, func() { start(g) })
 }
 
 // scheduleNoise arms the background error stream (failure-unrelated).
 func (s *System) scheduleNoise(g *stats.RNG) {
-	delay := g.ExpFloat64() / s.cfg.NoiseErrorRate
-	_ = s.engine.Schedule(delay, func() {
+	s.recur(func() float64 { return g.ExpFloat64() / s.cfg.NoiseErrorRate }, func() {
 		if s.up {
 			sev := eventlog.SeverityInfo
 			if g.Bernoulli(0.3) {
@@ -89,8 +93,21 @@ func (s *System) scheduleNoise(g *stats.RNG) {
 			}
 			s.emit(EventNoiseBase+g.Intn(NoiseTypes), "svc", sev, "background report")
 		}
-		s.scheduleNoise(g)
 	})
+}
+
+// recur arms a stream of events that re-arms itself: next draws the delay
+// to each firing, fire runs at it. One closure serves the whole stream, so
+// a firing allocates nothing. Each delay is drawn after fire's own draws;
+// that order fixes the RNG streams, the event order and the engine's seq
+// numbers (TestSimulatorTraceGolden).
+func (s *System) recur(next func() float64, fire func()) {
+	var run func()
+	run = func() {
+		fire()
+		_ = s.engine.Schedule(next(), run)
+	}
+	_ = s.engine.Schedule(next(), run)
 }
 
 // startLeak begins a memory-leak episode.
@@ -136,12 +153,12 @@ func (s *System) startBurst(g *stats.RNG) {
 		kind:      faultBurst,
 		start:     s.engine.Now(),
 		willFail:  g.Bernoulli(s.cfg.BurstFailureProb),
-		component: fmt.Sprintf("comp-%d", g.Intn(numComponents)),
+		component: componentNames[g.Intn(numComponents)],
 	}
 	s.faults = append(s.faults, f)
 
 	types, weights := burstNoiseTypes, burstNoiseWeight
-	var delays []float64
+	delays := make([]float64, 0, 21) // on the stack: a burst draws at most 14 + 7
 	if f.willFail {
 		types, weights = s.failTypesAt(s.engine.Now()), burstFailWeights
 		n := 14 + g.Intn(8)
@@ -156,15 +173,23 @@ func (s *System) startBurst(g *stats.RNG) {
 			delays = append(delays, 45*g.ExpFloat64()+5)
 		}
 	}
+	// One closure serves the burst's errors: their times strictly increase,
+	// so the engine fires them in the order they are scheduled, and the
+	// k-th firing reports the k-th type drawn.
+	typs := make([]int, len(delays))
+	next := 0
+	report := func() {
+		typ := typs[next]
+		next++
+		if s.up && f.active(s.engine.Now()) {
+			s.emit(typ, f.component, eventlog.SeverityError, "component error")
+		}
+	}
 	t := 0.0
-	for _, d := range delays {
+	for i, d := range delays {
 		t += d
-		typ := types[g.Categorical(weights)]
-		_ = s.engine.Schedule(t, func() {
-			if s.up && f.active(s.engine.Now()) {
-				s.emit(typ, f.component, eventlog.SeverityError, "component error")
-			}
-		})
+		typs[i] = types[g.Categorical(weights)]
+		_ = s.engine.Schedule(t, report)
 	}
 	if f.willFail {
 		f.penaltyAt = s.engine.Now() + t + 60

@@ -3,6 +3,7 @@ package scp
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/eventlog"
 	"repro/internal/sim"
@@ -125,20 +126,37 @@ func (s *System) Engine() *sim.Engine { return s.engine }
 // Config returns the configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Run advances the simulation by duration seconds. Each SAR series is sized
-// once for the leg (at most one sample per SARInterval, plus the boundary),
-// so the sampling loop appends without regrowing.
+// Run advances the simulation by duration seconds. The SAR series and the
+// interval log are sized to the run's end first (reserve), so the sampling
+// loop appends without regrowing.
 func (s *System) Run(duration float64) error {
 	if duration <= 0 || math.IsNaN(duration) {
 		return fmt.Errorf("%w: run duration %g", ErrSCP, duration)
 	}
-	samples := int(duration/s.cfg.SARInterval) + 1
-	for _, series := range s.sarSeries {
-		series.Grow(samples)
-	}
 	s.runUntil = s.engine.Now() + duration
+	s.reserve(s.runUntil)
 	s.engine.Run(s.runUntil)
 	return nil
+}
+
+// Reserve sizes the SAR series and the interval log for a simulation that
+// will reach duration seconds past now, however many Run calls it takes.
+// Run sizes them only to its own end, so a run in legs would regrow and
+// copy everything recorded so far at every leg; Reserve before the first
+// leg does it once. It changes capacity only.
+func (s *System) Reserve(duration float64) {
+	s.reserve(s.engine.Now() + duration)
+}
+
+// reserve gives every SAR series room for one sample per SARInterval up to
+// time until, and the interval log one entry per SpecInterval (the clock
+// starts at zero, and samples and intervals are at least that far apart).
+func (s *System) reserve(until float64) {
+	samples := int(until/s.cfg.SARInterval) + 1
+	for _, series := range s.sarSeries {
+		series.Grow(samples - series.Len())
+	}
+	s.intervals = slices.Grow(s.intervals, max(0, int(until/s.cfg.SpecInterval)+1-len(s.intervals)))
 }
 
 // offeredLoad returns the diurnal request rate before spikes and shedding.

@@ -358,8 +358,8 @@ func TestSARVariablesRecorded(t *testing.T) {
 		t.Fatal("unknown SAR variable accepted")
 	}
 	cpu, _ := s.SAR("cpu")
-	for _, v := range cpu.Values() {
-		if v < 0 || math.IsNaN(v) {
+	for i := 0; i < cpu.Len(); i++ {
+		if v := cpu.At(i).V; v < 0 || math.IsNaN(v) {
 			t.Fatalf("cpu sample %g", v)
 		}
 	}

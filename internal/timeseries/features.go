@@ -73,7 +73,7 @@ func BuildMatrix(specs []FeatureSpec, times []float64) (*mat.Matrix, []string, e
 				if sp.WithMean {
 					mean := v
 					if w.Len() > 0 {
-						mean = stats.Mean(w.Values())
+						mean = w.Mean()
 					}
 					m.Set(r, c, mean)
 					c++

@@ -68,23 +68,37 @@ func (s *Series) Last() (Point, bool) {
 	return s.points[len(s.points)-1], true
 }
 
-// Values returns a copy of all observed values.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.points))
-	for i, p := range s.points {
-		out[i] = p.V
+// Mean returns the mean of the observed values, summed in time order (NaN
+// for an empty series): stats.Mean over the values, without copying them
+// out.
+func (s *Series) Mean() float64 {
+	if len(s.points) == 0 {
+		return math.NaN()
 	}
-	return out
+	sum := 0.0
+	for _, p := range s.points {
+		sum += p.V
+	}
+	return sum / float64(len(s.points))
 }
 
 // Window returns the sub-series with times in the half-open interval
 // [from, to). It is a view of s, not a copy: it shares s's points and holds
 // what s held when Window was called. Its capacity is clipped to its length,
 // so an Append to the view copies the points out instead of writing into s.
+//
+// Window is small enough to inline, so a caller that only reads the view
+// (Len, Mean, LinearTrend, Last) keeps it on its own stack: the searches
+// live in span for that reason (TestWindowReadsZeroAlloc).
 func (s *Series) Window(from, to float64) *Series {
+	return &Series{Name: s.Name, points: s.span(from, to)}
+}
+
+// span returns the points with times in [from, to), capacity clipped.
+func (s *Series) span(from, to float64) []Point {
 	lo := sort.Search(len(s.points), func(i int) bool { return s.points[i].T >= from })
 	hi := sort.Search(len(s.points), func(i int) bool { return s.points[i].T >= to })
-	return &Series{Name: s.Name, points: s.points[lo:hi:hi]}
+	return s.points[lo:hi:hi]
 }
 
 // ValueAt returns the latest observed value at or before t (zero-order

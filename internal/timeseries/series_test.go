@@ -120,3 +120,41 @@ func TestLinearTrend(t *testing.T) {
 		t.Fatal("empty trend accepted")
 	}
 }
+
+// TestWindowReadsZeroAlloc pins Window's inlining: a view that is only read
+// (Len, Mean, LinearTrend, Last) stays on the caller's stack, so windowing
+// a series and reading the window allocates nothing. If a toolchain stops
+// inlining Window, this fails: restructure Window, do not loosen the pin.
+func TestWindowReadsZeroAlloc(t *testing.T) {
+	s := New("x")
+	for i := 0; i < 200; i++ {
+		if err := s.Append(float64(i), float64(i%7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sink float64
+	allocs := testing.AllocsPerRun(100, func() {
+		w := s.Window(10, 60)
+		slope, _, _ := w.LinearTrend()
+		last, _ := w.Last()
+		sink += float64(w.Len()) + w.Mean() + slope + last.V
+	})
+	if allocs != 0 {
+		t.Fatalf("Window + reads allocate %.1f/op, want 0", allocs)
+	}
+	_ = sink
+}
+
+// TestMean: the mean sums the values in time order, as stats.Mean does over
+// a copy of them, and is NaN on an empty series or window.
+func TestMean(t *testing.T) {
+	s := mustSeries(t, "x", Point{1, 0.1}, Point{2, 0.7}, Point{3, 1e-3}, Point{4, 3.3})
+	vals := []float64{0.7, 1e-3, 3.3}
+	want := ((vals[0] + vals[1]) + vals[2]) / float64(len(vals))
+	if got := s.Window(2, 5).Mean(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("Mean = %v, want %v", got, want)
+	}
+	if !math.IsNaN(s.Window(10, 20).Mean()) || !math.IsNaN(New("e").Mean()) {
+		t.Fatal("empty mean not NaN")
+	}
+}

@@ -50,12 +50,14 @@ func newEvalSet(kernels []Kernel, dim int) *evalSet {
 // the sigmoid projection share one pass over the coordinates.
 func (es *evalSet) kernelsInto(x, dst []float64) {
 	for i := 0; i < es.k; i++ {
+		// Rows resliced to len(x): the loop indexes them unchecked.
 		off := i * es.dim
+		c, u := es.centers[off:off+len(x)], es.dirs[off:off+len(x)]
 		d2, z := 0.0, 0.0
 		for j, xv := range x {
-			d := xv - es.centers[off+j]
+			d := xv - c[j]
 			d2 += d * d
-			z += es.dirs[off+j] * d
+			z += u[j] * d
 		}
 		m := es.mix[i]
 		v := 0.0

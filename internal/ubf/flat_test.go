@@ -129,7 +129,8 @@ func TestTrainBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 
 // TestTryKernelsMSEIsPredictRowsMSE pins the shortcut in tryKernels: the
 // training MSE it reads off the design matrix is, to the bit, the MSE of the
-// returned network's own predictions — over random banks on six variables
+// returned network's own predictions — one trySpace reused by every trial,
+// over random banks on six variables
 // whose mixtures are drawn, forced pure-Gaussian (m = 1) or forced
 // pure-sigmoid (m = 0), the three branches of the kernel evaluation.
 func TestTryKernelsMSEIsPredictRowsMSE(t *testing.T) {
@@ -137,6 +138,7 @@ func TestTryKernelsMSEIsPredictRowsMSE(t *testing.T) {
 	x, y := selectionData(g, 200)
 	cfg := TrainConfig{NumKernels: 7}.withDefaults()
 	scale := widthScale(x)
+	sp := newTrySpace(x.Rows, cfg.NumKernels+1)
 	for trial := 0; trial < 30; trial++ {
 		kernels := randomKernels(cfg, x, scale, g.Split(int64(trial)))
 		for i := range kernels {
@@ -152,7 +154,7 @@ func TestTryKernelsMSEIsPredictRowsMSE(t *testing.T) {
 				kernels[i].Mix = float64(trial / 10 % 2)
 			}
 		}
-		net, got := tryKernels(kernels, x, y, cfg.Ridge)
+		net, got := tryKernels(kernels, x, y, cfg.Ridge, sp)
 		if net == nil {
 			t.Fatalf("trial %d: unsolvable", trial)
 		}
@@ -162,6 +164,61 @@ func TestTryKernelsMSEIsPredictRowsMSE(t *testing.T) {
 		}
 		if want := mse(pred, y); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("trial %d: tryKernels MSE %v, PredictRows MSE %v", trial, got, want)
+		}
+	}
+}
+
+// mse returns the mean squared error of predictions vs targets: the oracle
+// tryKernels' designMSE is held to.
+func mse(pred, y []float64) float64 {
+	s := 0.0
+	for i, p := range pred {
+		d := p - y[i]
+		s += d * d
+	}
+	return s / float64(len(y))
+}
+
+// TestTryKernelsSteadyStateAllocs: on a warmed trySpace a try allocates only
+// what the returned network keeps — the Network, its flattened bank (the
+// evalSet and its four arrays) and the weights, seven objects — and never
+// Φ, the normal equations or a prediction vector; and the network it
+// returns shares no storage with the space, so the next try cannot change
+// it.
+func TestTryKernelsSteadyStateAllocs(t *testing.T) {
+	g := stats.NewRNG(41)
+	x, y := selectionData(g, 300)
+	cfg := TrainConfig{NumKernels: 12}.withDefaults()
+	scale := widthScale(x)
+	kernels := randomKernels(cfg, x, scale, g.Split(1))
+	sp := newTrySpace(x.Rows, cfg.NumKernels+1)
+	first, firstErr := tryKernels(kernels, x, y, cfg.Ridge, sp)
+	if first == nil {
+		t.Fatal("unsolvable")
+	}
+	before, err := first.PredictRows(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		tryKernels(kernels, x, y, cfg.Ridge, sp)
+	}); allocs != 7 {
+		t.Fatalf("warmed tryKernels allocates %.1f/op, want 7 (the network's own)", allocs)
+	}
+	// Another try on the same space leaves the first network as it was.
+	if net, _ := tryKernels(randomKernels(cfg, x, scale, g.Split(2)), x, y, cfg.Ridge, sp); net == nil {
+		t.Fatal("second try unsolvable")
+	}
+	after, err := first.PredictRows(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := mse(after, y); math.Float64bits(firstErr) != math.Float64bits(want) {
+		t.Fatalf("first network's MSE moved: %v, now %v", firstErr, want)
+	}
+	for i := range before {
+		if math.Float64bits(before[i]) != math.Float64bits(after[i]) {
+			t.Fatalf("row %d: first network predicts %v, then %v", i, before[i], after[i])
 		}
 	}
 }

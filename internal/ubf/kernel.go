@@ -149,13 +149,3 @@ func (n *Network) EvalAll(m *mat.Matrix, dst []float64) error {
 	n.flat().designInto(m, dst)
 	return nil
 }
-
-// mse returns the mean squared error of predictions vs targets.
-func mse(pred, y []float64) float64 {
-	s := 0.0
-	for i, p := range pred {
-		d := p - y[i]
-		s += d * d
-	}
-	return s / float64(len(y))
-}

@@ -83,10 +83,13 @@ func Train(x *mat.Matrix, y []float64, cfg TrainConfig) (*Network, error) {
 	for c := range streams {
 		streams[c] = g.Split(int64(c))
 	}
+	// Every try fits the same shape, so each worker fits in one trySpace
+	// of its own.
+	space := func() *trySpace { return newTrySpace(x.Rows, cfg.NumKernels+1) }
 	nets := make([]*Network, cfg.Candidates)
 	errs := make([]float64, cfg.Candidates)
-	par.For(cfg.Candidates, func(c int) {
-		nets[c], errs[c] = tryKernels(randomKernels(cfg, x, scale, streams[c]), x, y, cfg.Ridge)
+	par.ForScratch(0, cfg.Candidates, space, func(sp *trySpace, c int) {
+		nets[c], errs[c] = tryKernels(randomKernels(cfg, x, scale, streams[c]), x, y, cfg.Ridge, sp)
 	})
 	var best *Network
 	bestErr := math.Inf(1)
@@ -100,9 +103,10 @@ func Train(x *mat.Matrix, y []float64, cfg TrainConfig) (*Network, error) {
 	}
 	// Refinement is inherently serial — each round perturbs the incumbent —
 	// but every round draws from its own pre-split stream.
+	sp := space()
 	for r := 0; r < cfg.Refinements; r++ {
 		rg := g.Split(int64(cfg.Candidates + r))
-		if net, e := tryKernels(perturbKernels(best.Kernels, scale, cfg, rg), x, y, cfg.Ridge); net != nil && e < bestErr {
+		if net, e := tryKernels(perturbKernels(best.Kernels, scale, cfg, rg), x, y, cfg.Ridge, sp); net != nil && e < bestErr {
 			best, bestErr = net, e
 		}
 	}
@@ -112,24 +116,48 @@ func Train(x *mat.Matrix, y []float64, cfg TrainConfig) (*Network, error) {
 // tryKernels fits output weights for a kernel configuration — the design
 // matrix is built through the flattened kernel bank, which the returned
 // network keeps for its own evaluation paths — and returns the network with
-// its training MSE, or (nil, +Inf) if the fit is unsolvable. The MSE comes
-// from the design matrix the fit already paid for: Φ·w sums w₀·1 + Σᵢ wᵢ·Φ[r,i]
-// in evalSet.predict's accumulation order, so it is
-// mse(net.PredictRows(x), y) to the bit without evaluating the bank a second
-// time.
-func tryKernels(kernels []Kernel, x *mat.Matrix, y []float64, ridge float64) (*Network, float64) {
+// its training MSE, or (nil, +Inf) if the fit is unsolvable. Φ and the
+// normal equations live in sp, which the caller reuses across tries: the
+// network keeps the kernels, the bank and the weights, never Φ.
+func tryKernels(kernels []Kernel, x *mat.Matrix, y []float64, ridge float64, sp *trySpace) (*Network, float64) {
 	es := newEvalSet(kernels, x.Cols)
-	phi := mat.New(x.Rows, len(kernels)+1)
-	es.designInto(x, phi.Data)
-	w, err := mat.SolveLeastSquares(phi, y, ridge)
+	es.designInto(x, sp.phi.Data)
+	w, err := sp.ls.Solve(sp.phi, y, ridge)
 	if err != nil {
 		return nil, math.Inf(1)
 	}
-	pred, err := phi.MulVec(w)
-	if err != nil {
-		return nil, math.Inf(1)
+	return &Network{Kernels: kernels, Weights: w, dim: x.Cols, eval: es}, designMSE(sp.phi, w, y)
+}
+
+// trySpace is one worker's storage for tryKernels over rows×cols design
+// matrices (cols = kernels + 1): Φ, which designInto overwrites whole, and
+// the least-squares solver's normal equations.
+type trySpace struct {
+	phi *mat.Matrix
+	ls  *mat.LeastSquares
+}
+
+// newTrySpace allocates all of a trySpace up front.
+func newTrySpace(rows, cols int) *trySpace {
+	return &trySpace{phi: mat.New(rows, cols), ls: mat.NewLeastSquares(cols)}
+}
+
+// designMSE is the training MSE of weights w on the design matrix Φ, read
+// off the matrix the fit already paid for: each prediction sums Φ[r,j]·w[j]
+// from 0 in column order, w₀·1 first — evalSet.predict's accumulation
+// order — so it is the MSE of net.PredictRows(x) to the bit without
+// evaluating the bank a second time (TestTryKernelsMSEIsPredictRowsMSE).
+func designMSE(phi *mat.Matrix, w, y []float64) float64 {
+	s := 0.0
+	for r, target := range y {
+		p := 0.0
+		for j, v := range phi.RowView(r) {
+			p += v * w[j]
+		}
+		d := p - target
+		s += d * d
 	}
-	return &Network{Kernels: kernels, Weights: w, dim: x.Cols, eval: es}, mse(pred, y)
+	return s / float64(len(y))
 }
 
 // widthScale estimates a characteristic length scale of the data: the mean
