@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/diagnose"
@@ -57,7 +58,7 @@ func (r DiagnosisResult) Accuracy() float64 {
 	return float64(r.Correct) / float64(r.Diagnosed)
 }
 
-// Rows renders the result.
+// Rows renders the result, the per-cause rows by cause.
 func (r DiagnosisResult) Rows() []Row {
 	rows := []Row{{
 		Name: "top-1 diagnosis",
@@ -73,10 +74,15 @@ func (r DiagnosisResult) Rows() []Row {
 		},
 		Order: []string{"accuracy"},
 	}}
-	for cause, acc := range r.PerCause {
+	names := make([]string, 0, len(r.PerCause))
+	for n := range r.PerCause {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, cause := range names {
 		rows = append(rows, Row{
 			Name:   "cause " + cause,
-			Values: map[string]float64{"accuracy": acc},
+			Values: map[string]float64{"accuracy": r.PerCause[cause]},
 			Order:  []string{"accuracy"},
 		})
 	}

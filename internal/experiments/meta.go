@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/baseline"
 	"repro/internal/eventlog"
@@ -20,13 +21,18 @@ type MetaResult struct {
 	Weights map[string]float64
 }
 
-// Rows renders the result.
+// Rows renders the result, the base predictors by name.
 func (r MetaResult) Rows() []Row {
 	rows := make([]Row, 0, len(r.BaseAUC)+1)
-	for name, auc := range r.BaseAUC {
+	names := make([]string, 0, len(r.BaseAUC))
+	for n := range r.BaseAUC {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		rows = append(rows, Row{
 			Name:   "base " + name,
-			Values: map[string]float64{"AUC": auc},
+			Values: map[string]float64{"AUC": r.BaseAUC[name]},
 			Order:  []string{"AUC"},
 		})
 	}

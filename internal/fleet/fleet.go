@@ -730,7 +730,7 @@ func (f *Fleet) consume(q *shardQueue) {
 	d := runtime.DrainCore[item]{
 		Shell: f.shell, Metrics: f.metrics, Tracer: f.cfg.Tracer, State: f.stateMu.RLocker(),
 		Drops: q.drops, Batch: f.cfg.BatchSize,
-		Take: q.drainInto, Settle: q.settled, Apply: f.apply, Span: q.span,
+		Wait: q.wait, Take: q.take, Settle: q.settled, Apply: f.apply, Span: q.span,
 	}
 	d.Run()
 }

@@ -419,20 +419,30 @@ func (q *shardQueue) span(it *item) (int64, uint8, string, int) {
 	return it.traceStart, uint8(it.ev.Kind), it.ev.Tenant, q.shard
 }
 
-// drainInto fills buf with a deficit-round-robin chunk: each pass credits
-// every active tenant one quantum and takes up to its deficit, so a chunk
-// interleaves all backlogged tenants instead of replaying one hot tenant's
-// FIFO prefix. Every visit takes at least one event (an active tenant has a
-// backlog and a quantum of credit). It blocks while nothing is queued and
-// returns 0 only once the queue is closed, empty and no push is parked.
-func (q *shardQueue) drainInto(buf []item) int {
+// wait blocks while nothing is queued and reports false once the queue is
+// closed, empty and no push is parked: the consumer's signal to exit.
+func (q *shardQueue) wait() bool {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	for len(q.active) == 0 {
 		if q.closed && q.waiters.Parked() == 0 {
-			q.mu.Unlock()
-			return 0
+			return false
 		}
 		q.notEmpty.Wait()
+	}
+	return true
+}
+
+// take fills buf with a deficit-round-robin chunk without blocking (0:
+// nothing queued): each pass credits every active tenant one quantum and
+// takes up to its deficit, so a chunk interleaves all backlogged tenants
+// instead of replaying one hot tenant's FIFO prefix. Every visit takes at
+// least one event (an active tenant has a backlog and a quantum of credit).
+func (q *shardQueue) take(buf []item) int {
+	q.mu.Lock()
+	if len(q.active) == 0 {
+		q.mu.Unlock()
+		return 0
 	}
 	n := 0
 	for n < len(buf) && len(q.active) > 0 {
@@ -461,7 +471,7 @@ func (q *shardQueue) drainInto(buf []item) int {
 }
 
 // close begins shutdown: new pushes are rejected, parked pushes complete as
-// the consumer drains, then drainInto returns 0.
+// the consumer drains, then wait reports false.
 func (q *shardQueue) close() {
 	q.mu.Lock()
 	q.closed = true

@@ -24,6 +24,20 @@ func TestEventSize(t *testing.T) {
 	}
 }
 
+// drainInto is the consumer's side of the queue in one call, wait and take
+// composed: it fills buf with a chunk, blocking while nothing is queued, and
+// returns 0 only once wait reports the queue run dry.
+func (q *shardQueue) drainInto(buf []item) int {
+	for {
+		if n := q.take(buf); n > 0 {
+			return n
+		}
+		if !q.wait() {
+			return 0
+		}
+	}
+}
+
 // queueHarness wires a bare shardQueue for direct scheduler tests.
 type queueHarness struct {
 	q     *shardQueue

@@ -61,14 +61,22 @@ func TrainClassifier(failure, nonFailure []eventlog.Sequence, cfg Config) (*Clas
 // evidence either way): an empty error window is the hallmark of a healthy
 // system.
 func (c *Classifier) Score(seq eventlog.Sequence) (float64, error) {
+	return c.score(seq, (*Model).LogLikelihood)
+}
+
+// logLikelihoodFunc computes a model's LogLikelihood of a sequence.
+type logLikelihoodFunc func(m *Model, seq eventlog.Sequence) (float64, error)
+
+// score is Score with both likelihoods computed by ll.
+func (c *Classifier) score(seq eventlog.Sequence, ll logLikelihoodFunc) (float64, error) {
 	if seq.Len() == 0 {
 		return 0, nil
 	}
-	lf, err := c.Failure.LogLikelihood(seq)
+	lf, err := ll(c.Failure, seq)
 	if err != nil {
 		return 0, err
 	}
-	ln, err := c.NonFailure.LogLikelihood(seq)
+	ln, err := ll(c.NonFailure, seq)
 	if err != nil {
 		return 0, err
 	}
@@ -81,18 +89,24 @@ func (c *Classifier) Score(seq eventlog.Sequence) (float64, error) {
 
 // ScoreAll scores a batch of sequences, fanning the windows across a
 // GOMAXPROCS-bounded worker pool. Models are read-only during scoring, so
-// the workers share them without locking; results come back in input order
-// (scores[i] corresponds to seqs[i]) regardless of scheduling. This is the
-// case-study path: scoring the full evaluation grid is embarrassingly
-// parallel.
+// the workers share them without locking; each scores in storage of its own
+// (scoreSpace), so a batch's allocations depend neither on the pools' state
+// nor on scheduling. Results come back in input order (scores[i]
+// corresponds to seqs[i]) regardless of scheduling. This is the case-study
+// path: scoring the full evaluation grid is embarrassingly parallel.
 func (c *Classifier) ScoreAll(seqs []eventlog.Sequence) ([]float64, error) {
 	scores := make([]float64, len(seqs))
 	var (
 		errOnce  sync.Once
 		firstErr error
 	)
-	par.For(len(seqs), func(i int) {
-		sc, err := c.Score(seqs[i])
+	k, n := 0, max(c.Failure.n, c.NonFailure.n)
+	for _, s := range seqs {
+		k = max(k, s.Len())
+	}
+	space := func() logLikelihoodFunc { return newScoreSpace(k, n).logLikelihood }
+	par.ForScratch(0, len(seqs), space, func(ll logLikelihoodFunc, i int) {
+		sc, err := c.score(seqs[i], ll)
 		if err != nil {
 			errOnce.Do(func() { firstErr = err })
 			return

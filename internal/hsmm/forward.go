@@ -10,7 +10,8 @@ import (
 )
 
 // The inference kernels below are allocation-free on the steady-state path:
-// lattices are flat k×n row-major buffers recycled through pools, the
+// lattices are flat k×n row-major buffers recycled through pools, or held
+// by a batch's workers (scoreSpace), the
 // duration log-PDFs come from the prepared sequence's table (built once per
 // prepare/refreshDur instead of once per lattice cell), and transition and
 // emission parameters are read from the model's flat caches.
@@ -53,21 +54,64 @@ func putBuf(bp *[]float64) { bufPool.Put(bp) }
 // in log space. The semi-Markov duration densities enter at every
 // transition. Empty sequences are an error.
 func (m *Model) LogLikelihood(seq eventlog.Sequence) (float64, error) {
-	if seq.Len() == 0 {
-		return 0, fmt.Errorf("%w: empty sequence", ErrModel)
+	k := seq.Len()
+	if k == 0 {
+		return 0, errEmptySequence
 	}
-	p := m.prepare(seq)
+	p, bp := m.prepare(seq), getBuf(k*m.n+2*m.n)
+	ll := m.forwardLL(p, *bp)
+	putBuf(bp)
+	p.release()
+	return ll, nil
+}
+
+var errEmptySequence = fmt.Errorf("%w: empty sequence", ErrModel)
+
+// scoreSpace is one scoring worker's own storage for what LogLikelihood
+// borrows from the pools: the prepared sequence and the lattice with its two
+// scratch rows. Classifier.ScoreAll gives each worker one (par.ForScratch),
+// sized for the batch's longest sequence, so a batch allocates the same
+// however often a GC has emptied the pools and whichever sequences each
+// worker happens to claim.
+type scoreSpace struct {
+	p       prepared
+	lattice []float64
+}
+
+// newScoreSpace returns a scoreSpace that holds sequences of up to k events
+// under models of up to n states without growing.
+func newScoreSpace(k, n int) *scoreSpace {
+	return &scoreSpace{
+		p: prepared{
+			obs:    make([]int, k),
+			delays: make([]float64, k),
+			logDel: make([]float64, k),
+			durLP:  make([]float64, n*k),
+		},
+		lattice: make([]float64, k*n+2*n),
+	}
+}
+
+// logLikelihood is m.LogLikelihood(seq) computed in s's storage.
+func (s *scoreSpace) logLikelihood(m *Model, seq eventlog.Sequence) (float64, error) {
+	k := seq.Len()
+	if k == 0 {
+		return 0, errEmptySequence
+	}
+	m.prepareInto(&s.p, seq)
+	s.lattice = growF64(s.lattice, k*m.n+2*m.n)
+	return m.forwardLL(&s.p, s.lattice), nil
+}
+
+// forwardLL runs the forward pass over p in buf — the k×n lattice, then two
+// n-sized scratch rows — and returns log P(sequence | model).
+func (m *Model) forwardLL(p *prepared, buf []float64) float64 {
 	k := len(p.obs)
-	bp := getBuf(k*m.n + 2*m.n)
-	buf := *bp
 	alpha := buf[:k*m.n]
 	tmp := buf[k*m.n : k*m.n+m.n]
 	row := buf[k*m.n+m.n:]
 	m.forwardInto(p, alpha, tmp, row)
-	ll := stats.LogSumExpSlice(alpha[(k-1)*m.n:])
-	putBuf(bp)
-	p.release()
-	return ll, nil
+	return stats.LogSumExpSlice(alpha[(k-1)*m.n:])
 }
 
 // hoistFloor is the smallest hoisted sum the lattices take a logarithm of.

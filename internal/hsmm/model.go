@@ -188,8 +188,8 @@ func normalizeToLog(w []float64) []float64 {
 // table. forward, backward and the EM ξ-accumulation all read
 // durLP, turning the O(n·k²) transcendental calls of the naive lattices
 // into an O(n·k) table build. A scoring call's instance is recycled
-// through prepPool (prepare, release); an EM run's are its own
-// (prepareAll).
+// through prepPool (prepare, release), a batch worker's is its own
+// (scoreSpace), and so are an EM run's (prepareAll).
 type prepared struct {
 	obs    []int     // emission indices
 	delays []float64 // delays[t] is the delay preceding event t (t ≥ 1)
@@ -205,14 +205,20 @@ var prepPool = sync.Pool{New: func() any { return new(prepared) }}
 // the duration table for the model's current parameters. Release the result
 // with release().
 func (m *Model) prepare(seq eventlog.Sequence) *prepared {
-	k := seq.Len()
 	p := prepPool.Get().(*prepared)
+	m.prepareInto(p, seq)
+	return p
+}
+
+// prepareInto sizes p's buffers for seq, growing them only when they are
+// too short, and fills them.
+func (m *Model) prepareInto(p *prepared, seq eventlog.Sequence) {
+	k := seq.Len()
 	p.obs = growInts(p.obs, k)
 	p.delays = growF64(p.delays, k)
 	p.logDel = growF64(p.logDel, k)
 	p.durLP = growF64(p.durLP, m.n*k)
 	m.fill(p, seq)
-	return p
 }
 
 // prepareAll prepares every sequence of an EM run into storage the run

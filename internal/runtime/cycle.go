@@ -30,7 +30,8 @@ type Seat struct {
 // runs it over the instants of its one seat, fleet.Fleet over its tenants'
 // seats at one instant. Row s*len(nows)+i is seat s at nows[i]. Evaluate:
 // the pool fills one layer-major matrix by (layer, Span-row) tiles with the
-// owner's Score, under the owner's State lock, which also covers
+// owner's Score (a one-row matrix is scored on the calling goroutine), under
+// the owner's State lock, which also covers
 // Lifecycle.Collect and Recorder.Collect. Act, an instant at a time, Span
 // seats per range: each seat decides (DecideOn) and commits — or, with a
 // Resolve pass, Resolve commits or drops — then its final decision is
@@ -149,7 +150,16 @@ func (c *CycleCore) run(nows []float64) {
 	// Evaluation sees a quiescent state snapshot: the owner applies under
 	// the same lock.
 	c.State.Lock()
-	c.Shell.pool.Do(ranges*c.Layers, c.scoreT)
+	if rows == 1 {
+		// One seat at one instant: a tile per layer, each a row's worth of
+		// work, which costs less scored here than the hand-off to the
+		// workers and back.
+		for t := range c.Layers {
+			c.scoreT(t)
+		}
+	} else {
+		c.Shell.pool.Do(ranges*c.Layers, c.scoreT)
+	}
 	// Lifecycle steps that must not overlap Apply — retrain-window capture
 	// and shadow-candidate scoring — and incident assembly, which slices the
 	// Apply-side event logs, share the exclusion. Triggers this run's act

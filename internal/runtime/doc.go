@@ -8,13 +8,16 @@
 // The pipeline is one drain goroutine and whichever goroutine asks for a
 // cycle, around one state lock, with clean shutdown and drain:
 //
-//		producers ──Ingest──▶ [one bounded FIFO] ──▶ drain consumer (×1):
+//		producers ──Ingest──▶ [one bounded FIFO] ──▶ drain consumer (×1), and
+//		                                             Barrier on its caller:
 //		                                             Apply chunks under the
-//		                                             state lock, in ingest order
+//		                                             drain and state locks,
+//		                                             in ingest order
 //
 //		EvaluateNow / CycleBatch ──▶ CycleCore, on the caller, one run at a time:
 //		                           evaluate: score every layer under the state
-//		                                     lock (fanned over the worker pool)
+//		                                     lock (one instant inline, a stack
+//		                                     fanned over the worker pool)
 //		                           act:      DecideOn + Commit, then the act tail
 //		                                     (journal → lifecycle → recorder)
 //
@@ -23,7 +26,9 @@
 //	    (backpressure), DropOldest (keep the freshest evidence), or
 //	    DropNewest (protect the backlog) — with per-policy drop counters.
 //	    Its one consumer applies the events, a chunk at a time and in ingest
-//	    order, to the user's predictor-visible state. The paper's loop manages
+//	    order, to the user's predictor-visible state; Barrier applies what
+//	    is queued itself, under the same drain lock, so the chunks keep
+//	    ingest order whoever takes them. The paper's loop manages
 //	    one system whose error log is one time-ordered stream (Sect. 3.2), so
 //	    there is nothing inside a tenant to apply in parallel; scale is the
 //	    fleet's business.

@@ -13,16 +13,20 @@ import (
 var ErrRejected = errors.New("runtime: event rejected by overflow policy")
 
 // Ring is the single-tenant runtime's bounded ingest queue: one FIFO at its
-// full capacity under one mutex, drained in chunks by a single consumer
-// (internal/fleet puts one FIFO per tenant under a shard lock instead, on the
-// same Waiters protocol). A channel send costs a scheduler round-trip per
-// event; the ring amortizes one lock acquisition over an entire consumer
-// chunk and keeps the producer fast path to one short critical section with
-// no atomics.
+// full capacity under one mutex, drained in chunks by one consumer and by
+// whichever goroutine helps it (Runtime.Barrier; internal/fleet puts one
+// FIFO per tenant under a shard lock instead, on the same Waiters protocol).
+// A channel send costs a scheduler round-trip per event; the ring amortizes
+// one lock acquisition over an entire chunk and keeps the producer fast path
+// to one short critical section with no atomics.
 //
 // Concurrency contract: any number of producers may Push; exactly one
-// consumer goroutine calls Drain. Hooks and policy are fixed before the
-// first Push. Push requires a non-nil ctx (used only by the Block policy).
+// consumer goroutine waits for values (Wait, or Drain, which is Wait and
+// Take). Take never blocks and may be called from any goroutine: the values
+// come out in FIFO order, and a caller that applies them from more than one
+// goroutine keeps that order itself (DrainCore's drain lock). Hooks and
+// policy are fixed before the first Push. Push requires a non-nil ctx (used
+// only by the Block policy).
 //
 // Overflow semantics:
 //
@@ -45,7 +49,7 @@ type Ring[T any] struct {
 	policy   OverflowPolicy
 	closed   bool
 	pending  int64 // admitted but not yet Settle()d — the Barrier count
-	waiting  bool  // consumer parked in Drain
+	waiting  bool  // consumer parked in Wait
 }
 
 // NewRing returns a ring holding up to capacity values of T with the
@@ -104,25 +108,47 @@ func (r *Ring[T]) Push(ctx context.Context, v T) error {
 	return nil
 }
 
-// Drain copies up to len(buf) of the oldest buffered values into buf and
-// returns how many, blocking while the ring is empty. It returns 0 only
-// when the ring is closed, empty, and no pusher is parked — the consumer's
-// signal to exit. Single consumer only.
-func (r *Ring[T]) Drain(buf []T) int {
+// Wait blocks while the ring is empty. It reports false only when the ring
+// is closed, empty, and no pusher is parked — the consumer's signal to exit.
+// Consumer only.
+func (r *Ring[T]) Wait() bool {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	for r.fifo.Len() == 0 {
 		if r.closed && r.waiters.Parked() == 0 {
-			r.mu.Unlock()
-			return 0
+			return false
 		}
 		r.waiting = true
 		r.notEmpty.Wait()
 		r.waiting = false
 	}
+	return true
+}
+
+// Take copies up to len(buf) of the oldest buffered values into buf and
+// returns how many, without blocking: 0 means the ring is empty.
+func (r *Ring[T]) Take(buf []T) int {
+	r.mu.Lock()
 	n := r.fifo.PopInto(buf)
-	r.waiters.Wake(n)
+	if n > 0 {
+		r.waiters.Wake(n)
+	}
 	r.mu.Unlock()
 	return n
+}
+
+// Drain is Wait and Take in one call: it takes a chunk into buf, blocking
+// while the ring is empty, and returns 0 only when Wait reports the ring
+// run dry. Consumer only.
+func (r *Ring[T]) Drain(buf []T) int {
+	for {
+		if n := r.Take(buf); n > 0 {
+			return n
+		}
+		if !r.Wait() {
+			return 0
+		}
+	}
 }
 
 // Settle marks n drained values fully processed (applied or shed),
@@ -155,7 +181,7 @@ func (r *Ring[T]) Depth() int {
 func (r *Ring[T]) Capacity() int { return r.fifo.Cap() }
 
 // Close marks the ring closed: new pushes fail with ErrClosed, parked
-// pushes complete as space frees, and Drain returns 0 once everything in
+// pushes complete as space frees, and Wait reports false once everything in
 // flight has drained. Idempotent.
 func (r *Ring[T]) Close() {
 	r.mu.Lock()

@@ -23,9 +23,11 @@ type Config struct {
 	// Apply integrates one ingested event into the predictor-visible
 	// state (e.g. append to an eventlog.Log or a timeseries.Series).
 	// Apply and Layer.Evaluate never overlap and Apply calls are fully
-	// serialized, in ingest order (one queue, one consumer, one state
+	// serialized, in ingest order (one queue, one drain lock, one state
 	// lock), so Apply and the layers may share state without their own
-	// locking.
+	// locking. Apply runs on the drain consumer's goroutine, or on the
+	// goroutine that calls Barrier: Barrier applies the backlog it waits
+	// for itself.
 	Apply func(Event) error
 	// Clock reads the domain time an EvaluateNow cycle, and Stop's final
 	// cycle, evaluates and acts at. Nil defaults to seconds since Start.
@@ -35,8 +37,8 @@ type Config struct {
 	QueueCapacity int
 	// Overflow is the full-queue policy (default Block).
 	Overflow OverflowPolicy
-	// BatchSize is the drain-amortization unit: the consumer takes up to
-	// BatchSize events per queue drain and applies them under one
+	// BatchSize is the drain-amortization unit: a drain takes up to
+	// BatchSize events per chunk and applies them under one
 	// state-lock acquisition with one latency observation (default 64).
 	// 1 reproduces the event-at-a-time path — batching is observationally
 	// invisible either way (ledger state, counters and act decisions are
@@ -84,20 +86,21 @@ type Config struct {
 // drive with Start/Ingest/EvaluateNow, finish with Stop.
 type Runtime struct {
 	cfg     Config
-	ring    *Ring[Event] // the bounded ingest queue, drained by one consumer
+	ring    *Ring[Event] // the bounded ingest queue, drained by drain
 	metrics *Metrics
 	// shell owns the goroutines (drain consumer, pool) and the stop
-	// protocol; drain is the consumer's body over the ring, cycle the cycle
-	// body over the runtime's one seat.
+	// protocol; drain is the drain body over the ring, run by the consumer
+	// and helped by Barrier, cycle the cycle body over the runtime's one
+	// seat.
 	shell *Shell
 	drain DrainCore[Event]
 	cycle CycleCore
 	seat  Seat
 
-	// stateMu guards the user's predictor state: the consumer holds it around
+	// stateMu guards the user's predictor state: a drain holds it around
 	// each chunk's Apply calls, the cycle around layer evaluation, so the two
-	// never overlap. A plain Mutex: with one consumer there is no second
-	// applier for a shared side to admit.
+	// never overlap. A plain Mutex: the drain lock already serializes the
+	// appliers, so there is no second one for a shared side to admit.
 	stateMu sync.Mutex
 
 	// ingestGate drives both producer-side sampling decisions from one
@@ -177,7 +180,8 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	r.drain = DrainCore[Event]{
 		Shell: r.shell, Metrics: r.metrics, Tracer: cfg.Tracer, State: &r.stateMu, Batch: cfg.BatchSize,
-		Take:   r.ring.Drain,
+		Wait:   r.ring.Wait,
+		Take:   r.ring.Take,
 		Settle: func(_ []Event, n int) { r.ring.Settle(n) },
 		Apply:  func(ev *Event) error { return cfg.Apply(*ev) },
 		Span: func(ev *Event) (int64, uint8, string, int) {
@@ -407,7 +411,16 @@ func (r *Runtime) traceDrop(ev Event) {
 // call has been fully processed (applied, or shed by a drop policy or
 // shutdown). Replay drivers use it to line ingest windows up with
 // synchronous evaluation (CycleBatch) without sleeping.
+//
+// Barrier applies what is queued itself (DrainCore.Help), in ingest order
+// with the consumer's chunks, then waits out what the consumer holds — all
+// of it when the consumer was mid-chunk at the call, since Help does not
+// queue up behind it: a cadence's few events are applied without waiting
+// for the consumer's goroutine to be scheduled.
 func (r *Runtime) Barrier(ctx context.Context) error {
+	if r.shell.Started() {
+		r.drain.Help(r.ring.Depth())
+	}
 	return AwaitSettled(ctx, func() bool { return r.ring.Pending() == 0 })
 }
 
