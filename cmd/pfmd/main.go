@@ -472,8 +472,8 @@ func parseMetaWeights(spec string, layers []*core.Layer) (*meta.Stacker, error) 
 
 // pipeline is the single-tenant wiring the live service and the columnar
 // replay share: mirror state → layered predictors → combiner → action and
-// selector → externally clocked engine → quality ledger → tracer →
-// (lifecycle) → flight recorder → runtime, on the run's domain clock.
+// selector → engine → quality ledger → tracer → (lifecycle) → flight
+// recorder → runtime, on the run's domain clock.
 type pipeline struct {
 	o        *options
 	mirror   *mirror
@@ -513,7 +513,7 @@ func newPipeline(o *options, mitigate func() error) (*pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Externally clocked engine: the runtime drives it on replay time.
+	// The runtime drives the engine on the run's domain time.
 	p.engine, err = core.New(nil, p.layers, combiner, selector,
 		[]*act.Action{p.action}, nil, core.Config{
 			EvalInterval:        o.eval,

@@ -62,11 +62,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	experiments.Fprint(stdout, "E3: MEA loop vs unmitigated system", res.Rows())
-	fmt.Fprintln(stdout, "Table 1 outcome × action matrix:")
-	fmt.Fprintf(stdout, "  quality: %v\n", res.Quality)
-	for outcome, byAction := range res.Outcomes.Counts {
-		fmt.Fprintf(stdout, "  %v: %v\n", outcome, byAction)
-	}
+	fmt.Fprint(stdout, res.Matrix())
 
 	if *fig8 {
 		f8, err := experiments.RunFig8(*seed, *days, 900)

@@ -48,3 +48,20 @@ func TestRunRejectsBadInput(t *testing.T) {
 		t.Error("zero-day horizon accepted")
 	}
 }
+
+// TestRunDeterministic: a seeded run prints the same bytes every time — the
+// Table 1 rows included, which come in Table 1's order, not a map's.
+func TestRunDeterministic(t *testing.T) {
+	var first string
+	for i := 0; i < 4; i++ {
+		var out strings.Builder
+		if err := run([]string{"-days", "1"}, &out); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = out.String()
+		} else if out.String() != first {
+			t.Fatalf("run %d printed\n%s\nrun 0 printed\n%s", i, out.String(), first)
+		}
+	}
+}

@@ -3,8 +3,9 @@
 //
 // The example wires one symptom-level predictor (free-memory depletion
 // trend) and one downtime-avoidance action (state clean-up) into the MEA
-// engine, runs two days of operation, and prints the translucency report
-// alongside an unmitigated reference run.
+// engine, runs it in a closed loop over two days of operation, and prints
+// the translucency report and Table 1 alongside an unmitigated reference
+// run.
 //
 //	go run ./examples/quickstart
 package main
@@ -77,12 +78,10 @@ func run() error {
 		return err
 	}
 	engine, err := pfm.NewMEAEngine(
-		sys.Engine(),
 		[]*pfm.Layer{memLayer},
 		nil,
 		selector,
 		[]*pfm.Action{cleanup},
-		func(horizon float64) bool { return sys.ImminentFailureWithin(horizon) },
 		pfm.MEAConfig{
 			EvalInterval: 60,
 			// A leak degrades over hours, so the honest lead time of a
@@ -97,9 +96,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := engine.Start(); err != nil {
+	// The streaming runtime runs the engine on the simulator's clock.
+	loop, err := pfm.AttachClosedLoop(sys, engine)
+	if err != nil {
 		return err
 	}
+	defer loop.Close()
 	if err := sys.Run(days * 86400); err != nil {
 		return err
 	}
@@ -110,6 +112,7 @@ func run() error {
 	fmt.Printf("with PFM:    availability %.5f, %d failures\n",
 		sys.MeasuredAvailability(), len(sys.Failures()))
 	fmt.Println()
-	fmt.Println(engine.Report())
+	fmt.Print(engine.Report())
+	fmt.Print(loop.Outcomes().Matrix())
 	return nil
 }

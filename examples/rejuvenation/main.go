@@ -136,8 +136,8 @@ func runPredictiveRejuvenation() (result, error) {
 	if err != nil {
 		return result{}, err
 	}
-	engine, err := pfm.NewMEAEngine(sys.Engine(), []*pfm.Layer{memLayer}, nil, selector,
-		[]*pfm.Action{restart}, nil, pfm.MEAConfig{
+	engine, err := pfm.NewMEAEngine([]*pfm.Layer{memLayer}, nil, selector,
+		[]*pfm.Action{restart}, pfm.MEAConfig{
 			EvalInterval:        120,
 			LeadTime:            3600,
 			WarnThreshold:       0.5,
@@ -147,9 +147,11 @@ func runPredictiveRejuvenation() (result, error) {
 	if err != nil {
 		return result{}, err
 	}
-	if err := engine.Start(); err != nil {
+	loop, err := pfm.AttachClosedLoop(sys, engine)
+	if err != nil {
 		return result{}, err
 	}
+	defer loop.Close()
 	if err := sys.Run(days * 86400); err != nil {
 		return result{}, err
 	}

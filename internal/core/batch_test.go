@@ -44,7 +44,7 @@ func batchTimes(n int) []float64 {
 }
 
 // TestScoreBatchKernelPath: a BatchPredictor layer scores the whole batch
-// in one kernel call, bit-identical to a serial Score scan.
+// in one kernel call, bit-identical to a serial Evaluate scan.
 func TestScoreBatchKernelPath(t *testing.T) {
 	stub := &batchStub{}
 	l := &Layer{Name: "batched", Threshold: 0.5}
@@ -53,7 +53,7 @@ func TestScoreBatchKernelPath(t *testing.T) {
 	nows := batchTimes(17)
 	want := make([]float64, len(nows))
 	for i, now := range nows {
-		s, err := l.Score(now)
+		s, err := stub.Evaluate(now)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestScoreBatchKernelPath(t *testing.T) {
 	}
 	for i := range out {
 		if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("out[%d] = %g, serial Score = %g — batch must be bit-identical", i, out[i], want[i])
+			t.Fatalf("out[%d] = %g, serial Evaluate = %g — batch must be bit-identical", i, out[i], want[i])
 		}
 	}
 	if got := l.EvalErrors(); got != 0 {
@@ -110,9 +110,8 @@ func (p *erraticPredictor) Evaluate(now float64) (float64, error) {
 	return 2 * now, nil
 }
 
-// TestScoreBatchSerialFallback: a non-batch predictor is scanned per time
-// with accounting identical to Score — a single failing time abstains only
-// its own slot and counts one error.
+// TestScoreBatchSerialFallback: a non-batch predictor is scanned per time —
+// a single failing time abstains only its own slot and counts one error.
 func TestScoreBatchSerialFallback(t *testing.T) {
 	nows := batchTimes(8)
 	l := &Layer{Name: "fallback", Threshold: 0.5}
@@ -137,8 +136,8 @@ func TestScoreBatchSerialFallback(t *testing.T) {
 }
 
 // TestEvaluateLayersBatchLayout pins the layer-major flat matrix contract:
-// out[j*len(nows)+i] is layer j at nows[i], equal to what a serial
-// EvaluateLayers sweep produces, and a mis-sized out panics.
+// out[j*len(nows)+i] is layer j at nows[i], equal to scoring each layer at
+// each time alone, and a mis-sized out panics.
 func TestEvaluateLayersBatchLayout(t *testing.T) {
 	layers := []*Layer{
 		{Name: "kernel", Threshold: 0.5, Predictor: &batchStub{}},
@@ -159,13 +158,12 @@ func TestEvaluateLayersBatchLayout(t *testing.T) {
 	out := make([]float64, len(layers)*len(nows))
 	eng.EvaluateLayersBatch(nows, out)
 	for i, now := range nows {
-		row := eng.EvaluateLayers(now)
-		for j := range layers {
-			got, want := out[j*len(nows)+i], row[j]
+		for j, l := range layers {
+			got, want := out[j*len(nows)+i], score(l, now)
 			if math.Float64bits(got) != math.Float64bits(want) &&
 				!(math.IsNaN(got) && math.IsNaN(want)) {
-				t.Fatalf("out[%d*%d+%d] = %g, EvaluateLayers(%g)[%d] = %g",
-					j, len(nows), i, got, now, j, want)
+				t.Fatalf("out[%d*%d+%d] = %g, layer %d alone at %g = %g",
+					j, len(nows), i, got, j, now, want)
 			}
 		}
 	}

@@ -7,26 +7,27 @@
 // layers: per-layer scores are combined (optionally by a stacked
 // meta-learner, Sect. 6), and a single cross-layer decision selects and
 // executes the countermeasure — preventing conflicting actions like a VM
-// migration racing a hardware restart. Every prediction outcome is
-// accounted against ground truth in the Table 1 matrix, and a control-loop
-// oscillation guard (Sect. 2) bounds the action rate.
+// migration racing a hardware restart. A control-loop oscillation guard
+// (Sect. 2) bounds the action rate. The engine has no clock and no ground
+// truth: internal/runtime's cycle runs it at the instants its owner names,
+// and a prediction's Table 1 outcome is booked by obs.Ledger against the
+// failures recorded inside its window.
 //
 // # Locking contract
 //
-// Engine is safe for concurrent use: ActOn, DecideOn, Start and every
-// accessor (Warnings, Outcomes, Report, …) serialize on an internal
-// mutex, so the cross-layer decision, the oscillation guard, and the
-// Table 1 accounting always observe a consistent state even when driven
-// from multiple goroutines (e.g. by internal/runtime's act stage).
-// Two things remain the caller's responsibility:
+// Engine is safe for concurrent use: ActOn, DecideOn and every accessor
+// (Report, ActionsTaken, …) serialize on an internal mutex, so the
+// cross-layer decision and the oscillation guard always observe a
+// consistent state even when driven from multiple goroutines (e.g. by
+// internal/runtime's act stage). Two things remain the caller's
+// responsibility:
 //
 //   - Layer.Evaluate closures are invoked OUTSIDE the engine mutex — by
-//     EvaluateLayers sequentially, or concurrently with each other by a
-//     worker pool. They must be safe with respect to whatever state they
+//     EvaluateLayersBatch sequentially, or concurrently with each other by
+//     a worker pool. They must be safe with respect to whatever state they
 //     read (internal/runtime guards predictor state with an RWMutex).
-//   - Action Execute closures and the truth oracle run INSIDE the mutex
-//     (the act stage is deliberately serialized); they must not call back
-//     into the engine.
+//   - Action Execute closures run INSIDE the mutex (the act stage is
+//     deliberately serialized); they must not call back into the engine.
 package core
 
 import (
@@ -37,7 +38,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/act"
-	"repro/internal/predict"
 	"repro/internal/sim"
 )
 
@@ -48,8 +48,8 @@ var ErrCore = errors.New("core: invalid configuration")
 // that layer's monitoring data. The serving predictor lives behind an
 // atomically swappable, versioned handle (see LayerPredictor): construct
 // the layer with either an Evaluate closure (wrapped as the version-1
-// predictor) or an explicit Predictor, then score through Score and replace
-// through SwapPredictor.
+// predictor) or an explicit Predictor, then score through ScoreBatch and
+// replace through SwapPredictor.
 type Layer struct {
 	// Name identifies the layer ("hardware", "vmm", "os", "application").
 	Name string
@@ -68,7 +68,7 @@ type Layer struct {
 	// handle holds the serving (predictor, version) pair; swaps are a
 	// single pointer exchange, so scoring is never blocked.
 	handle atomic.Pointer[versionedPredictor]
-	// evalErrors counts failed Score calls across predictor versions.
+	// evalErrors counts failed evaluations across predictor versions.
 	evalErrors atomic.Int64
 }
 
@@ -116,58 +116,15 @@ func (c Config) validate() error {
 	return nil
 }
 
-// OutcomeMatrix is the Table 1 accounting: prediction outcome × action.
-type OutcomeMatrix struct {
-	// Counts[outcome][action name] — "none" for no action.
-	Counts map[predict.Outcome]map[string]int
-}
-
-// add records one cycle.
-func (m *OutcomeMatrix) add(o predict.Outcome, action string) {
-	if m.Counts == nil {
-		m.Counts = make(map[predict.Outcome]map[string]int)
-	}
-	if m.Counts[o] == nil {
-		m.Counts[o] = make(map[string]int)
-	}
-	m.Counts[o][action]++
-}
-
-// Table returns the contingency table implied by the matrix.
-func (m OutcomeMatrix) Table() predict.ContingencyTable {
-	var c predict.ContingencyTable
-	for o, byAction := range m.Counts {
-		n := 0
-		for _, k := range byAction {
-			n += k
-		}
-		switch o {
-		case predict.TruePositive:
-			c.TP += n
-		case predict.FalsePositive:
-			c.FP += n
-		case predict.TrueNegative:
-			c.TN += n
-		case predict.FalseNegative:
-			c.FN += n
-		}
-	}
-	return c
-}
-
-// Engine drives the MEA cycle on a simulation clock, or — constructed with
-// a nil clock and driven through EvaluateLayers/ActOn — on any external
-// clock (wall time in internal/runtime).
+// Engine is the MEA cycle's cross-layer decision, driven through
+// EvaluateLayersBatch and ActOn (or DecideOn) at whatever instants its
+// caller's clock names: internal/runtime's cycle is the one driver.
 type Engine struct {
 	cfg      Config
-	sim      *sim.Engine
 	layers   []*Layer
 	combiner Combiner
 	selector *act.Selector
 	actions  []*act.Action
-	// truth returns whether a failure is genuinely imminent within the
-	// horizon (ground-truth oracle for outcome accounting).
-	truth func(horizon float64) bool
 
 	// combinerErrs counts Act rounds whose combiner failed (confidence
 	// forced to 0) — surfaced as pfm_combiner_errors_total.
@@ -183,25 +140,23 @@ type Engine struct {
 	combineIn []float64
 
 	// mu guards all mutable state below (see the package locking contract).
-	mu       sync.Mutex
-	warned   int // warnings raised
-	outcomes OutcomeMatrix
+	mu     sync.Mutex
+	warned int // warnings raised
 	// actionTimes holds the committed actions still inside the oscillation
 	// window — all the guard ever reads; acted counts them all.
 	actionTimes []float64
 	acted       int
 	suppressed  int
-	running     bool
 	// versions is the layers' serving versions as of the last decision,
 	// shared by every Decision until a swap changes one (then replaced,
 	// never rewritten).
 	versions []uint64
 }
 
-// New assembles an engine. combiner may be nil (mean of layer votes);
-// truth may be nil (outcome accounting disabled); simEngine may be nil for
-// an externally clocked engine (Start is then unavailable — drive it with
-// EvaluateLayers + ActOn instead).
+// New assembles an engine. combiner may be nil (mean of layer votes).
+// simEngine and truth must be nil: the engine keeps no clock and consults
+// no ground-truth oracle, and the two parameters stay only until the
+// benchmark's callers drop them.
 func New(
 	simEngine *sim.Engine,
 	layers []*Layer,
@@ -213,6 +168,9 @@ func New(
 ) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	if simEngine != nil || truth != nil {
+		return nil, fmt.Errorf("%w: no simulation clock or truth oracle: run the engine on internal/runtime's cycle", ErrCore)
 	}
 	if len(layers) == 0 {
 		return nil, fmt.Errorf("%w: at least one layer required", ErrCore)
@@ -231,41 +189,17 @@ func New(
 	}
 	return &Engine{
 		cfg:       cfg,
-		sim:       simEngine,
 		layers:    layers,
 		combiner:  combiner,
 		selector:  selector,
 		actions:   actions,
-		truth:     truth,
 		combineIn: make([]float64, len(layers)),
 		versions:  make([]uint64, len(layers)),
 	}, nil
 }
 
-// Start arms the recurring MEA cycle for as long as the simulation runs. It
-// requires a simulation clock (New with a non-nil sim engine).
-func (e *Engine) Start() error {
-	if e.sim == nil {
-		return fmt.Errorf("%w: no simulation clock (externally clocked engine)", ErrCore)
-	}
-	e.mu.Lock()
-	if e.running {
-		e.mu.Unlock()
-		return fmt.Errorf("%w: already running", ErrCore)
-	}
-	e.running = true
-	e.mu.Unlock()
-	return e.sim.Every(e.cfg.EvalInterval, func() bool {
-		e.cycle()
-		return true
-	})
-}
-
-// cycle performs one Monitor–Evaluate–Act round on the simulation clock.
-func (e *Engine) cycle() {
-	now := e.sim.Now()
-	e.ActOn(now, e.EvaluateLayers(now))
-}
+// Config returns the engine's configuration.
+func (e *Engine) Config() Config { return e.cfg }
 
 // Layers returns the engine's layers (copy of the slice; the *Layer values
 // are shared and must not be mutated after New).
@@ -273,34 +207,17 @@ func (e *Engine) Layers() []*Layer {
 	return append([]*Layer(nil), e.layers...)
 }
 
-// EvaluateLayers runs every layer predictor sequentially at time now —
-// through each layer's versioned handle — and returns the per-layer
-// scores. A failing layer abstains, marked NaN (and counted on the layer's
-// EvalErrors) — ActOn treats NaN as "no evidence either way". The engine
-// mutex is NOT held: callers may instead score the layers themselves (e.g.
-// in a worker pool) and feed the result to ActOn.
-func (e *Engine) EvaluateLayers(now float64) []float64 {
-	scores := make([]float64, len(e.layers))
-	for i, l := range e.layers {
-		s, err := l.Score(now)
-		if err != nil {
-			scores[i] = math.NaN()
-			continue
-		}
-		scores[i] = s
-	}
-	return scores
-}
-
 // EvaluateLayersBatch scores every layer at each time in nows into the
 // layer-major flat score matrix out: out[j*len(nows)+i] is layer j at
 // nows[i], so each layer's whole batch is one contiguous segment a batch
 // kernel writes in place (no per-layer scratch). len(out) must be
 // len(Layers())*len(nows) — anything else panics, like a mis-sized copy.
-// Like EvaluateLayers the engine mutex is NOT held; each layer loads its
-// versioned predictor handle once per batch (ScoreBatch), and scores are
-// bit-identical to len(nows) EvaluateLayers calls. Feed each time's row
-// (the i-strided column of out) to ActOn.
+// A failing layer abstains, marked NaN (and counted on the layer's
+// EvalErrors) — ActOn treats NaN as "no evidence either way". The engine
+// mutex is NOT held, so callers may score the layers themselves instead
+// (e.g. in a worker pool); each layer loads its versioned predictor handle
+// once per batch (ScoreBatch). Feed each time's row (the i-strided column
+// of out) to ActOn.
 func (e *Engine) EvaluateLayersBatch(nows []float64, out []float64) {
 	if len(out) != len(e.layers)*len(nows) {
 		panic(fmt.Sprintf("core: EvaluateLayersBatch out has len %d, want %d layers x %d times",
@@ -355,11 +272,10 @@ type Decision struct {
 
 // ActOn performs the serialized cross-layer Act stage on externally
 // produced layer scores: combine, warn, select the countermeasure, apply
-// the oscillation guard, and account the outcome. scores must be indexed
-// like the engine's layers; NaN marks an abstaining layer. It is the
-// single point of cross-layer decision making — concurrent callers are
-// serialized on the engine mutex, preserving the one-decision-at-a-time
-// semantics of the simulation-clocked cycle.
+// the oscillation guard. scores must be indexed like the engine's layers;
+// NaN marks an abstaining layer. It is the single point of cross-layer
+// decision making — concurrent callers are serialized on the engine mutex,
+// one decision at a time.
 func (e *Engine) ActOn(now float64, scores []float64) Decision {
 	d, pending := e.DecideOn(now, scores)
 	pending.Commit(&d)
@@ -381,7 +297,6 @@ type PendingAct struct {
 	e        *Engine
 	action   *act.Action
 	now      float64
-	imminent bool
 	resolved bool
 }
 
@@ -412,27 +327,15 @@ func (p *PendingAct) Commit(d *Decision) {
 		d.ActionName = p.action.Name()
 		d.Executed = true
 	}
-	if e.truth != nil {
-		e.outcomes.add(predict.Classify(true, p.imminent), d.ActionName)
-	}
 }
 
 // Drop releases the pending countermeasure without executing it (a budget
-// denial). The oscillation guard does not count it — nothing ran — and the
-// outcome matrix books the warning with no action.
-func (p *PendingAct) Drop(d *Decision) {
-	e := p.e
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if p.resolved {
-		return
-	}
-	p.resolved = true
-	if e.truth != nil {
-		e.outcomes.add(predict.Classify(true, p.imminent), d.ActionName)
+// denial). The oscillation guard does not count it: nothing ran.
+func (p *PendingAct) Drop() {
+	if e := p.e; e != nil {
+		e.mu.Lock()
+		p.resolved = true
+		e.mu.Unlock()
 	}
 }
 
@@ -448,10 +351,6 @@ func (e *Engine) DecideOn(now float64, scores []float64) (Decision, PendingAct) 
 	confidence, combinerErr := e.combine(scores)
 
 	positive := confidence >= e.cfg.WarnThreshold
-	imminent := false
-	if e.truth != nil {
-		imminent = e.truth(e.cfg.LeadTime + e.cfg.EvalInterval)
-	}
 
 	e.mu.Lock()
 	d := Decision{
@@ -466,17 +365,12 @@ func (e *Engine) DecideOn(now float64, scores []float64) (Decision, PendingAct) 
 		action, _, worth, err := e.selector.Select(e.actions, confidence)
 		if err == nil && worth {
 			if e.guardAllows(now) {
-				pending = PendingAct{e: e, action: action, now: now, imminent: imminent}
+				pending = PendingAct{e: e, action: action, now: now}
 			} else {
 				e.suppressed++
 				d.Suppressed = true
 			}
 		}
-	}
-	// With a pending act the outcome row is booked at Commit/Drop time,
-	// once the final ActionName is known.
-	if e.truth != nil && pending.e == nil {
-		e.outcomes.add(predict.Classify(positive, imminent), d.ActionName)
 	}
 	e.mu.Unlock()
 	return d, pending
@@ -553,25 +447,6 @@ func (e *Engine) guardAllows(now float64) bool {
 		recent++
 	}
 	return recent < e.cfg.MaxActionsPerWindow
-}
-
-// Outcomes returns a snapshot of the Table 1 accounting matrix.
-func (e *Engine) Outcomes() OutcomeMatrix {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	snap := OutcomeMatrix{}
-	for o, byAction := range e.outcomes.Counts {
-		for a, n := range byAction {
-			if snap.Counts == nil {
-				snap.Counts = make(map[predict.Outcome]map[string]int)
-			}
-			if snap.Counts[o] == nil {
-				snap.Counts[o] = make(map[string]int)
-			}
-			snap.Counts[o][a] = n
-		}
-	}
-	return snap
 }
 
 // CombinerErrors returns how many Act rounds failed in the combiner (the

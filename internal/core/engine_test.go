@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/act"
-	"repro/internal/predict"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -55,8 +55,30 @@ func defaultCfg() Config {
 	return Config{EvalInterval: 10, LeadTime: 30, WarnThreshold: 0.5}
 }
 
+// evaluate scores every layer at now, as the runtime's one-row cycle does.
+func evaluate(eng *Engine, now float64) []float64 {
+	out := make([]float64, len(eng.layers))
+	eng.EvaluateLayersBatch([]float64{now}, out)
+	return out
+}
+
+// score is l's score at now through its serving predictor (NaN: abstained).
+func score(l *Layer, now float64) float64 {
+	var out [1]float64
+	l.ScoreBatch([]float64{now}, out[:])
+	return out[0]
+}
+
+// drive runs one Act round every EvalInterval up to until, at the instants
+// a simulation clock's recurring cycle fires: interval, 2·interval, ….
+func drive(eng *Engine, until float64) {
+	step := eng.Config().EvalInterval
+	for now := step; now <= until; now += step {
+		eng.ActOn(now, evaluate(eng, now))
+	}
+}
+
 func TestValidation(t *testing.T) {
-	se := sim.NewEngine()
 	tgt := &scriptedTarget{}
 	layers := []*Layer{constLayer("app", 1)}
 	sel := testSelector(t)
@@ -66,31 +88,37 @@ func TestValidation(t *testing.T) {
 		f    func() (*Engine, error)
 	}{
 		{"no layers", func() (*Engine, error) {
-			return New(se, nil, nil, sel, acts, nil, defaultCfg())
+			return New(nil, nil, nil, sel, acts, nil, defaultCfg())
 		}},
 		{"anonymous layer", func() (*Engine, error) {
-			return New(se, []*Layer{{Evaluate: func(float64) (float64, error) { return 0, nil }}}, nil, sel, acts, nil, defaultCfg())
+			return New(nil, []*Layer{{Evaluate: func(float64) (float64, error) { return 0, nil }}}, nil, sel, acts, nil, defaultCfg())
 		}},
 		{"nil selector", func() (*Engine, error) {
-			return New(se, layers, nil, nil, acts, nil, defaultCfg())
+			return New(nil, layers, nil, nil, acts, nil, defaultCfg())
 		}},
 		{"no actions", func() (*Engine, error) {
-			return New(se, layers, nil, sel, nil, nil, defaultCfg())
+			return New(nil, layers, nil, sel, nil, nil, defaultCfg())
 		}},
 		{"bad interval", func() (*Engine, error) {
 			cfg := defaultCfg()
 			cfg.EvalInterval = 0
-			return New(se, layers, nil, sel, acts, nil, cfg)
+			return New(nil, layers, nil, sel, acts, nil, cfg)
 		}},
 		{"cadence longer than the lead time", func() (*Engine, error) {
 			cfg := defaultCfg()
 			cfg.EvalInterval = cfg.LeadTime + 1
-			return New(se, layers, nil, sel, acts, nil, cfg)
+			return New(nil, layers, nil, sel, acts, nil, cfg)
 		}},
 		{"bad threshold", func() (*Engine, error) {
 			cfg := defaultCfg()
 			cfg.WarnThreshold = 2
-			return New(se, layers, nil, sel, acts, nil, cfg)
+			return New(nil, layers, nil, sel, acts, nil, cfg)
+		}},
+		{"simulation clock", func() (*Engine, error) {
+			return New(sim.NewEngine(), layers, nil, sel, acts, nil, defaultCfg())
+		}},
+		{"truth oracle", func() (*Engine, error) {
+			return New(nil, layers, nil, sel, acts, func(float64) bool { return true }, defaultCfg())
 		}},
 	}
 	for _, tc := range cases {
@@ -101,60 +129,44 @@ func TestValidation(t *testing.T) {
 }
 
 func TestWarningTriggersAction(t *testing.T) {
-	se := sim.NewEngine()
 	tgt := &scriptedTarget{}
-	eng, err := New(se,
+	eng, err := New(nil,
 		[]*Layer{constLayer("app", 0.9)},
-		nil, testSelector(t), testActions(t, tgt),
-		func(float64) bool { return true },
+		nil, testSelector(t), testActions(t, tgt), nil,
 		defaultCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	se.Run(100)
+	drive(eng, 100)
 	if n := eng.Report().Warnings; n != 10 {
 		t.Fatalf("warnings = %d", n)
 	}
-	if tgt.cleanups != 10 {
-		t.Fatalf("cleanups = %d", tgt.cleanups)
-	}
-	table := eng.Outcomes().Table()
-	if table.TP != 10 || table.FP+table.TN+table.FN != 0 {
-		t.Fatalf("outcomes = %v", table)
+	if tgt.cleanups != 10 || eng.ActionsTaken() != 10 {
+		t.Fatalf("cleanups = %d, taken = %d", tgt.cleanups, eng.ActionsTaken())
 	}
 }
 
 func TestNegativePredictionDoesNothing(t *testing.T) {
-	se := sim.NewEngine()
 	tgt := &scriptedTarget{}
-	eng, err := New(se,
+	eng, err := New(nil,
 		[]*Layer{constLayer("app", 0.1)},
-		nil, testSelector(t), testActions(t, tgt),
-		func(float64) bool { return false },
+		nil, testSelector(t), testActions(t, tgt), nil,
 		defaultCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	se.Run(100)
+	drive(eng, 100)
 	if n := eng.Report().Warnings; n != 0 || tgt.cleanups != 0 {
 		t.Fatalf("negative prediction acted: warnings=%d cleanups=%d", n, tgt.cleanups)
 	}
-	if eng.Outcomes().Table().TN != 10 {
-		t.Fatalf("outcomes = %v", eng.Outcomes().Table())
-	}
 }
 
+// TestTable1AllFourOutcomes books an alternating predictor's decisions in
+// an obs.Ledger, the one outcome rule, against failures recorded inside
+// some of their windows: all four Table 1 outcomes occur, and a
+// countermeasure runs on the positive predictions only.
 func TestTable1AllFourOutcomes(t *testing.T) {
-	se := sim.NewEngine()
 	tgt := &scriptedTarget{}
-	// The layer alternates positive/negative; the truth alternates at half
-	// the rate, producing all four outcomes.
 	i := 0
 	layer := &Layer{
 		Name: "app",
@@ -167,35 +179,36 @@ func TestTable1AllFourOutcomes(t *testing.T) {
 		},
 		Threshold: 0.5,
 	}
-	j := 0
-	truth := func(float64) bool {
-		j++
-		return (j/2)%2 == 0
-	}
-	eng, err := New(se, []*Layer{layer}, nil, testSelector(t), testActions(t, tgt), truth, defaultCfg())
+	cfg := defaultCfg()
+	eng, err := New(nil, []*Layer{layer}, nil, testSelector(t), testActions(t, tgt), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Start(); err != nil {
+	led, err := obs.NewLedger(obs.LedgerConfig{LeadTime: cfg.LeadTime, Slack: cfg.EvalInterval})
+	if err != nil {
 		t.Fatal(err)
 	}
-	se.Run(400)
-	table := eng.Outcomes().Table()
+	eng.SetCycleObserver(func(now float64, _ []float64, d Decision) {
+		led.RecordPrediction(obs.CombinedLayer, now, d.Warned, d.Confidence)
+		if d.Executed != d.Warned {
+			t.Errorf("t=%g: warned=%v but executed=%v", now, d.Warned, d.Executed)
+		}
+	})
+	// A failure lies in the (t, t+40] windows of t = 60…90 and 260…290.
+	led.RecordFailure(100)
+	led.RecordFailure(300)
+	drive(eng, 400)
+	led.Advance(400 + cfg.LeadTime + cfg.EvalInterval) // no failure after 300: every window resolves
+	table := led.Cumulative(obs.CombinedLayer)
 	if table.TP == 0 || table.FP == 0 || table.TN == 0 || table.FN == 0 {
 		t.Fatalf("missing outcomes: %v", table)
 	}
-	// Per Table 1: actions only on positive predictions.
-	for _, o := range []predict.Outcome{predict.TrueNegative, predict.FalseNegative} {
-		for action, n := range eng.Outcomes().Counts[o] {
-			if action != "none" && n > 0 {
-				t.Fatalf("action %q taken on %v", action, o)
-			}
-		}
+	if table.TP+table.FP != tgt.cleanups {
+		t.Fatalf("%d positive predictions, %d cleanups", table.TP+table.FP, tgt.cleanups)
 	}
 }
 
 func TestLayerVoting(t *testing.T) {
-	se := sim.NewEngine()
 	tgt := &scriptedTarget{}
 	layers := []*Layer{
 		constLayer("hw", 0.9),
@@ -204,7 +217,7 @@ func TestLayerVoting(t *testing.T) {
 	}
 	cfg := defaultCfg()
 	cfg.WarnThreshold = 0.6 // 2 of 3 votes
-	eng, err := New(se, layers, nil, testSelector(t), testActions(t, tgt), nil, cfg)
+	eng, err := New(nil, layers, nil, testSelector(t), testActions(t, tgt), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +227,7 @@ func TestLayerVoting(t *testing.T) {
 			first = d
 		}
 	})
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	se.Run(50)
+	drive(eng, 50)
 	if n := eng.Report().Warnings; n != 5 {
 		t.Fatalf("2/3 votes should warn: %d", n)
 	}
@@ -227,7 +237,6 @@ func TestLayerVoting(t *testing.T) {
 }
 
 func TestFailingLayerAbstains(t *testing.T) {
-	se := sim.NewEngine()
 	tgt := &scriptedTarget{}
 	layers := []*Layer{
 		{Name: "broken", Evaluate: func(float64) (float64, error) {
@@ -237,14 +246,11 @@ func TestFailingLayerAbstains(t *testing.T) {
 	}
 	cfg := defaultCfg()
 	cfg.WarnThreshold = 0.5
-	eng, err := New(se, layers, nil, testSelector(t), testActions(t, tgt), nil, cfg)
+	eng, err := New(nil, layers, nil, testSelector(t), testActions(t, tgt), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	se.Run(20)
+	drive(eng, 20)
 	// One of two layers votes: confidence 0.5 ≥ threshold → warning.
 	if n := eng.Report().Warnings; n != 2 {
 		t.Fatalf("warnings with abstaining layer = %d", n)
@@ -252,21 +258,17 @@ func TestFailingLayerAbstains(t *testing.T) {
 }
 
 func TestCustomCombiner(t *testing.T) {
-	se := sim.NewEngine()
 	tgt := &scriptedTarget{}
 	combined := func(scores []float64) (float64, error) {
 		// A stacker that trusts only the second layer.
 		return scores[1], nil
 	}
 	layers := []*Layer{constLayer("noisy", 1), constLayer("trusted", 0.2)}
-	eng, err := New(se, layers, combined, testSelector(t), testActions(t, tgt), nil, defaultCfg())
+	eng, err := New(nil, layers, combined, testSelector(t), testActions(t, tgt), nil, defaultCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	se.Run(50)
+	drive(eng, 50)
 	if eng.Report().Warnings != 0 {
 		t.Fatal("combiner override ignored")
 	}
@@ -276,20 +278,16 @@ func TestCustomCombiner(t *testing.T) {
 // predictor would fire an action every cycle; the guard bounds the rate.
 func TestOscillationGuard(t *testing.T) {
 	run := func(window float64, maxActions int) (*Engine, *scriptedTarget) {
-		se := sim.NewEngine()
 		tgt := &scriptedTarget{}
 		cfg := defaultCfg()
 		cfg.OscillationWindow = window
 		cfg.MaxActionsPerWindow = maxActions
-		eng, err := New(se, []*Layer{constLayer("flappy", 0.9)}, nil,
+		eng, err := New(nil, []*Layer{constLayer("flappy", 0.9)}, nil,
 			testSelector(t), testActions(t, tgt), nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.Start(); err != nil {
-			t.Fatal(err)
-		}
-		se.Run(1000)
+		drive(eng, 1000)
 		return eng, tgt
 	}
 	unguarded, utgt := run(0, 0)
@@ -309,53 +307,28 @@ func TestOscillationGuard(t *testing.T) {
 	}
 }
 
-func TestStartStop(t *testing.T) {
-	se := sim.NewEngine()
+func TestTranslucencyReport(t *testing.T) {
 	tgt := &scriptedTarget{}
-	eng, err := New(se, []*Layer{constLayer("app", 0.9)}, nil,
+	eng, err := New(nil, []*Layer{constLayer("hw", 0.9), constLayer("app", 0.9)}, nil,
 		testSelector(t), testActions(t, tgt), nil, defaultCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Start(); err == nil {
-		t.Fatal("double start accepted")
-	}
-	se.Run(30)
-	if n := eng.Report().Warnings; n != 3 {
-		t.Fatalf("warnings after three ticks = %d", n)
-	}
-}
-
-func TestTranslucencyReport(t *testing.T) {
-	se := sim.NewEngine()
-	tgt := &scriptedTarget{}
-	eng, err := New(se, []*Layer{constLayer("hw", 0.9), constLayer("app", 0.9)}, nil,
-		testSelector(t), testActions(t, tgt),
-		func(float64) bool { return true }, defaultCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	se.Run(50)
+	drive(eng, 50)
 	r := eng.Report()
 	if len(r.Layers) != 2 || r.Warnings != 5 || r.Actions != 5 {
 		t.Fatalf("report = %+v", r)
 	}
 	text := r.String()
-	for _, want := range []string{"hw", "app", "warnings: 5", "TP", "state-cleanup"} {
+	for _, want := range []string{"hw", "app", "warnings: 5", "actions: 5"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("report text missing %q:\n%s", want, text)
 		}
 	}
 }
 
-// TestExternallyClockedEngine drives an engine without a simulation clock
-// through EvaluateLayers + ActOn, the path internal/runtime uses.
+// TestExternallyClockedEngine drives an engine through EvaluateLayers +
+// ActOn, the path internal/runtime uses.
 func TestExternallyClockedEngine(t *testing.T) {
 	tgt := &scriptedTarget{}
 	eng, err := New(nil, []*Layer{constLayer("app", 0.9)}, nil,
@@ -363,10 +336,7 @@ func TestExternallyClockedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Start(); err == nil {
-		t.Fatal("Start accepted without a simulation clock")
-	}
-	d := eng.ActOn(10, eng.EvaluateLayers(10))
+	d := eng.ActOn(10, evaluate(eng, 10))
 	if !d.Warned || !d.Executed {
 		t.Fatalf("decision %+v: expected warning + action", d)
 	}
@@ -378,9 +348,8 @@ func TestExternallyClockedEngine(t *testing.T) {
 	}
 }
 
-// TestActOnAbstainingLayer checks that NaN scores abstain exactly like a
-// failing Evaluate in the simulation-clocked cycle: neutral combiner
-// input, no vote.
+// TestActOnAbstainingLayer checks that a failing Evaluate abstains: the
+// layer scores NaN, which gives the combiner a neutral input and no vote.
 func TestActOnAbstainingLayer(t *testing.T) {
 	tgt := &scriptedTarget{}
 	broken := &Layer{
@@ -393,7 +362,7 @@ func TestActOnAbstainingLayer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores := eng.EvaluateLayers(0)
+	scores := evaluate(eng, 0)
 	if !math.IsNaN(scores[1]) {
 		t.Fatalf("broken layer score = %g, want NaN", scores[1])
 	}
@@ -412,8 +381,7 @@ func TestEngineConcurrentActOn(t *testing.T) {
 	cfg.OscillationWindow = 1e9 // everything within one window
 	cfg.MaxActionsPerWindow = 50
 	eng, err := New(nil, []*Layer{constLayer("app", 0.9)}, nil,
-		testSelector(t), testActions(t, tgt),
-		func(float64) bool { return true }, cfg)
+		testSelector(t), testActions(t, tgt), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,9 +409,6 @@ func TestEngineConcurrentActOn(t *testing.T) {
 	if eng.SuppressedActions() == 0 {
 		t.Fatal("oscillation guard never engaged under concurrency")
 	}
-	if n := eng.Outcomes().Table().TP; n != warned {
-		t.Fatalf("TP = %d, want %d", n, warned)
-	}
 }
 
 // TestCycleObserver verifies that every Act round reaches the installed
@@ -452,8 +417,7 @@ func TestEngineConcurrentActOn(t *testing.T) {
 func TestCycleObserver(t *testing.T) {
 	tgt := &scriptedTarget{}
 	eng, err := New(nil, []*Layer{constLayer("app", 0.9), constLayer("os", 0.1)}, nil,
-		testSelector(t), testActions(t, tgt),
-		func(float64) bool { return true }, defaultCfg())
+		testSelector(t), testActions(t, tgt), nil, defaultCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,10 +456,10 @@ func TestCycleObserver(t *testing.T) {
 	}
 }
 
-// TestEngineStateBounded: a long-running externally clocked engine keeps no
-// warning and not every action time — warnings are a count, the guard's
-// history is one oscillation window — while the totals and every guard
-// decision stay what an unbounded history gives.
+// TestEngineStateBounded: a long-running engine keeps no warning and not
+// every action time — warnings are a count, the guard's history is one
+// oscillation window — while the totals and every guard decision stay what
+// an unbounded history gives.
 func TestEngineStateBounded(t *testing.T) {
 	const rounds, window, maxActions = 100_000, 100.0, 3
 	tgt := &scriptedTarget{}
@@ -556,7 +520,7 @@ func TestDecideOnZeroAllocs(t *testing.T) {
 		t.Fatalf("quiet round: decision %+v, pending %+v", d, quiet)
 	}
 	quiet.Commit(&d)
-	quiet.Drop(&d)
+	quiet.Drop()
 	if d.Executed || tgt.cleanups != 0 {
 		t.Fatalf("resolving the zero PendingAct acted: %+v, cleanups=%d", d, tgt.cleanups)
 	}
@@ -567,7 +531,7 @@ func TestDecideOnZeroAllocs(t *testing.T) {
 	}
 	pending.Commit(&d)
 	pending.Commit(&d)
-	pending.Drop(&d)
+	pending.Drop()
 	if !d.Executed || tgt.cleanups != 1 || eng.ActionsTaken() != 1 {
 		t.Fatalf("after Commit×2+Drop: %+v, cleanups=%d, taken=%d", d, tgt.cleanups, eng.ActionsTaken())
 	}

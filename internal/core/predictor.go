@@ -94,28 +94,16 @@ func (l *Layer) current() *versionedPredictor {
 	return l.handle.Load()
 }
 
-// Score evaluates the layer through its versioned handle — the one
-// evaluation path used by the engine, the runtime's worker pool, and any
-// external scorer. Evaluation failures are counted (EvalErrors) before
-// being returned; callers translate them into an abstention (NaN score).
-func (l *Layer) Score(now float64) (float64, error) {
-	s, err := l.current().p.Evaluate(now)
-	if err != nil {
-		l.evalErrors.Add(1)
-		return 0, err
-	}
-	return s, nil
-}
-
 // ScoreBatch evaluates the layer at every time in nows into out[i]
-// (NaN = abstain), loading the versioned predictor handle once for the
+// (NaN = abstain) — the one evaluation path, used by the engine and the
+// runtime's cycle — loading the versioned predictor handle once for the
 // whole batch — every score in a batch comes from one predictor version,
 // exactly as a serial scan that raced no swap would produce. A predictor
 // implementing BatchPredictor scores the batch in one kernel call; a
 // batch failure abstains every time in the batch and counts len(nows)
 // evaluation errors, the accounting of a uniformly failing serial scan.
-// Other predictors fall back to a per-time scan with accounting identical
-// to Score.
+// Other predictors fall back to a per-time scan, abstaining and counting
+// one error per failing time.
 func (l *Layer) ScoreBatch(nows []float64, out []float64) {
 	out = out[:len(nows)]
 	vp := l.current()
@@ -164,7 +152,7 @@ func (l *Layer) SwapPredictor(p LayerPredictor) (prev LayerPredictor, version ui
 	}
 }
 
-// EvalErrors returns how many Score calls failed over the layer's lifetime
+// EvalErrors returns how many evaluations failed over the layer's lifetime
 // (across all predictor versions) — the counter behind the runtime's
 // pfm_layer_eval_errors_total metric.
 func (l *Layer) EvalErrors() int64 { return l.evalErrors.Load() }

@@ -18,14 +18,14 @@ func (p *constPredictor) Evaluate(float64) (float64, error) { return p.score, p.
 
 // TestLayerHandleVersioning pins the versioned-handle contract: the
 // initial predictor serves as version 1, every swap bumps the version and
-// redirects Score, and the previous predictor comes back for rollback.
+// redirects scoring, and the previous predictor comes back for rollback.
 func TestLayerHandleVersioning(t *testing.T) {
 	l := &Layer{Name: "app", Evaluate: func(float64) (float64, error) { return 0.25, nil }}
 	if v := l.Version(); v != 1 {
 		t.Fatalf("initial version = %d, want 1", v)
 	}
-	if s, err := l.Score(0); err != nil || s != 0.25 {
-		t.Fatalf("Score through wrapped closure = %v, %v", s, err)
+	if s := score(l, 0); s != 0.25 {
+		t.Fatalf("score through wrapped closure = %v", s)
 	}
 
 	repl := &constPredictor{score: 0.75}
@@ -33,8 +33,8 @@ func TestLayerHandleVersioning(t *testing.T) {
 	if v != 2 {
 		t.Fatalf("version after swap = %d, want 2", v)
 	}
-	if s, _ := l.Score(0); s != 0.75 {
-		t.Fatalf("Score after swap = %g, want 0.75", s)
+	if s := score(l, 0); s != 0.75 {
+		t.Fatalf("score after swap = %g, want 0.75", s)
 	}
 	if s, err := prev.Evaluate(0); err != nil || s != 0.25 {
 		t.Fatalf("previous predictor = %v, %v; want the original closure", s, err)
@@ -44,8 +44,8 @@ func TestLayerHandleVersioning(t *testing.T) {
 	if _, v := l.SwapPredictor(prev); v != 3 {
 		t.Fatalf("version after rollback = %d, want 3", v)
 	}
-	if s, _ := l.Score(0); s != 0.25 {
-		t.Fatalf("Score after rollback = %g, want 0.25", s)
+	if s := score(l, 0); s != 0.25 {
+		t.Fatalf("score after rollback = %g, want 0.25", s)
 	}
 	if p, v := l.Current(); v != 3 {
 		t.Fatalf("Current version = %d, want 3", v)
@@ -62,13 +62,14 @@ func TestLayerPredictorFieldPrecedence(t *testing.T) {
 		Evaluate:  func(float64) (float64, error) { return 0.1, nil },
 		Predictor: &constPredictor{score: 0.9},
 	}
-	if s, _ := l.Score(0); s != 0.9 {
-		t.Fatalf("Score = %g, want the explicit predictor's 0.9", s)
+	if s := score(l, 0); s != 0.9 {
+		t.Fatalf("score = %g, want the explicit predictor's 0.9", s)
 	}
 }
 
 // TestLayerEvalErrorsCounted: failed evaluations are counted per layer —
-// through EvaluateLayers (engine path) and direct Score calls alike.
+// through the engine's EvaluateLayersBatch and direct ScoreBatch calls
+// alike.
 func TestLayerEvalErrorsCounted(t *testing.T) {
 	boom := errors.New("sensor offline")
 	bad := &Layer{Name: "bad", Predictor: &constPredictor{err: boom}, Threshold: 0.5}
@@ -78,7 +79,7 @@ func TestLayerEvalErrorsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores := eng.EvaluateLayers(1)
+	scores := evaluate(eng, 1)
 	if !math.IsNaN(scores[0]) || scores[1] != 0.9 {
 		t.Fatalf("scores = %v, want [NaN 0.9]", scores)
 	}
@@ -88,8 +89,8 @@ func TestLayerEvalErrorsCounted(t *testing.T) {
 	if n := good.EvalErrors(); n != 0 {
 		t.Fatalf("good.EvalErrors = %d, want 0", n)
 	}
-	if _, err := bad.Score(2); err == nil {
-		t.Fatal("Score should surface the evaluation error")
+	if s := score(bad, 2); !math.IsNaN(s) {
+		t.Fatalf("failing layer scored %g, want NaN", s)
 	}
 	if n := bad.EvalErrors(); n != 2 {
 		t.Fatalf("bad.EvalErrors = %d, want 2", n)
@@ -124,19 +125,19 @@ func TestDecisionLayerVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := eng.ActOn(1, eng.EvaluateLayers(1))
+	d := eng.ActOn(1, evaluate(eng, 1))
 	if len(d.LayerVersions) != 2 || d.LayerVersions[0] != 1 || d.LayerVersions[1] != 1 {
 		t.Fatalf("versions = %v, want [1 1]", d.LayerVersions)
 	}
 	l2.SwapPredictor(&constPredictor{score: 0.2})
-	d = eng.ActOn(2, eng.EvaluateLayers(2))
+	d = eng.ActOn(2, evaluate(eng, 2))
 	if d.LayerVersions[0] != 1 || d.LayerVersions[1] != 2 {
 		t.Fatalf("versions after swap = %v, want [1 2]", d.LayerVersions)
 	}
 }
 
-// TestConcurrentSwapAndScore hammers SwapPredictor against Score from many
-// goroutines (run with -race): every Score must observe a coherent
+// TestConcurrentSwapAndScore hammers SwapPredictor against scoring from many
+// goroutines (run with -race): every score must come from a coherent
 // predictor and the version must end exactly at 1 + swaps.
 func TestConcurrentSwapAndScore(t *testing.T) {
 	l := &Layer{Name: "hot", Predictor: &constPredictor{score: 0.5}}
@@ -160,8 +161,8 @@ func TestConcurrentSwapAndScore(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				if _, err := l.Score(float64(i)); err != nil {
-					t.Errorf("Score: %v", err)
+				if s := score(l, float64(i)); math.IsNaN(s) {
+					t.Errorf("score at %d abstained", i)
 					return
 				}
 			}
@@ -197,17 +198,18 @@ func TestLayerScoreZeroAllocs(t *testing.T) {
 		Predictor: PredictorFunc(func(float64) (float64, error) { return 0.5, nil }),
 		Threshold: 0.5,
 	}
-	score := func() {
-		if s, err := layer.Score(1); err != nil || s == 0 {
-			t.Fatalf("Score = %g, %v", s, err)
+	nows, out := []float64{1}, make([]float64, 1)
+	scoreOne := func() {
+		if layer.ScoreBatch(nows, out); out[0] == 0 || math.IsNaN(out[0]) {
+			t.Fatalf("score = %g", out[0])
 		}
 	}
-	score()
-	if allocs := testing.AllocsPerRun(1000, score); allocs != 0 {
-		t.Fatalf("Layer.Score allocates %.1f objects/op, want 0", allocs)
+	scoreOne()
+	if allocs := testing.AllocsPerRun(1000, scoreOne); allocs != 0 {
+		t.Fatalf("Layer.ScoreBatch allocates %.1f objects/op, want 0", allocs)
 	}
 	layer.SwapPredictor(PredictorFunc(func(float64) (float64, error) { return 0.7, nil }))
-	if allocs := testing.AllocsPerRun(1000, score); allocs != 0 {
-		t.Fatalf("Layer.Score allocates %.1f objects/op after a swap, want 0", allocs)
+	if allocs := testing.AllocsPerRun(1000, scoreOne); allocs != 0 {
+		t.Fatalf("Layer.ScoreBatch allocates %.1f objects/op after a swap, want 0", allocs)
 	}
 }

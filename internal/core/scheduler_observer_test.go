@@ -12,7 +12,7 @@ import (
 // observer sees every subsequent round.
 func TestConcurrentSetCycleObserver(t *testing.T) {
 	eng, err := New(nil, []*Layer{constLayer("app", 0.9)}, nil, testSelector(t),
-		testActions(t, &scriptedTarget{}), func(float64) bool { return true }, defaultCfg())
+		testActions(t, &scriptedTarget{}), nil, defaultCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,9 +55,8 @@ type MEAResult struct {
 	Warnings               int
 	ActionsTaken           int
 	Suppressed             int
-	Outcomes               core.OutcomeMatrix       // Table 1 matrix
-	Quality                predict.ContingencyTable // derived quality
-	MeanDowntimePrepared   float64                  // E7 factor 1
+	Outcomes                       // Table 1, booked by the loop's ledger
+	MeanDowntimePrepared   float64 // E7 factor 1
 	MeanDowntimeUnprepared float64
 	PreparedFailures       int
 	UnpreparedFailures     int
@@ -158,10 +157,11 @@ func RunMEA(cfg MEAConfig) (MEAResult, error) {
 	if err != nil {
 		return MEAResult{}, err
 	}
-	engine, err := attachMEA(sys, clf, threshold, cfg)
+	engine, loop, err := attachMEA(sys, clf, threshold, cfg)
 	if err != nil {
 		return MEAResult{}, err
 	}
+	defer loop.Close()
 	if err := sys.Run(cfg.RunDays * 86400); err != nil {
 		return MEAResult{}, err
 	}
@@ -174,8 +174,7 @@ func RunMEA(cfg MEAConfig) (MEAResult, error) {
 		Warnings:            engine.Report().Warnings,
 		ActionsTaken:        engine.ActionsTaken(),
 		Suppressed:          engine.SuppressedActions(),
-		Outcomes:            engine.Outcomes(),
-		Quality:             engine.Outcomes().Table(),
+		Outcomes:            loop.Outcomes(),
 	}
 	if u := 1 - result.AvailabilityWithout; u > 0 {
 		result.UnavailabilityRatio = (1 - result.AvailabilityWithPFM) / u
@@ -201,8 +200,8 @@ func RunMEA(cfg MEAConfig) (MEAResult, error) {
 }
 
 // attachMEA wires the layered predictors, the situation-aware mitigation
-// action, and the MEA engine onto the live system.
-func attachMEA(sys *scp.System, clf *hsmm.Classifier, logThreshold float64, cfg MEAConfig) (*core.Engine, error) {
+// action, and the MEA engine onto the live system, in a closed loop.
+func attachMEA(sys *scp.System, clf *hsmm.Classifier, logThreshold float64, cfg MEAConfig) (*core.Engine, *ClosedLoop, error) {
 	dataWindow := 300.0
 
 	// Layer 1 (application/log): HSMM over the error log (Fig. 11's
@@ -286,34 +285,27 @@ func attachMEA(sys *scp.System, clf *hsmm.Classifier, logThreshold float64, cfg 
 	action, err := act.New("mitigate+prepare", act.PreparedRepair,
 		act.Params{Cost: 0.5, SuccessProb: 0.85, Complexity: 0.3}, mitigation)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	selector, err := act.NewSelector(act.DefaultWeights())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	engine, err := core.New(
-		sys.Engine(),
-		layers,
-		nil,
-		selector,
-		[]*act.Action{action},
-		func(horizon float64) bool { return sys.ImminentFailureWithin(horizon) },
-		core.Config{
-			EvalInterval:        cfg.EvalInterval,
-			LeadTime:            cfg.LeadTime,
-			WarnThreshold:       0.3, // any single layer suffices
-			OscillationWindow:   cfg.GuardWindow,
-			MaxActionsPerWindow: cfg.GuardMax,
-		},
-	)
+	engine, err := core.New(nil, layers, nil, selector, []*act.Action{action}, nil, core.Config{
+		EvalInterval:        cfg.EvalInterval,
+		LeadTime:            cfg.LeadTime,
+		WarnThreshold:       0.3, // any single layer suffices
+		OscillationWindow:   cfg.GuardWindow,
+		MaxActionsPerWindow: cfg.GuardMax,
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := engine.Start(); err != nil {
-		return nil, err
+	loop, err := AttachClosedLoop(sys, engine)
+	if err != nil {
+		return nil, nil, err
 	}
-	return engine, nil
+	return engine, loop, nil
 }
 
 // Fig8Result is the E7 time-to-repair decomposition, averaged over the
@@ -479,14 +471,16 @@ func RunOscillationAblation(seed int64, days float64, guardOn bool) (Oscillation
 		cfg.OscillationWindow = 6 * 3600
 		cfg.MaxActionsPerWindow = 2
 	}
-	engine, err := core.New(sys.Engine(), []*core.Layer{flappy}, nil, selector,
+	engine, err := core.New(nil, []*core.Layer{flappy}, nil, selector,
 		[]*act.Action{restart}, nil, cfg)
 	if err != nil {
 		return OscillationResult{}, err
 	}
-	if err := engine.Start(); err != nil {
+	loop, err := AttachClosedLoop(sys, engine)
+	if err != nil {
 		return OscillationResult{}, err
 	}
+	defer loop.Close()
 	if err := sys.Run(days * 86400); err != nil {
 		return OscillationResult{}, err
 	}

@@ -834,7 +834,7 @@ func (f *Fleet) resolveBudget() {
 		if i < f.cfg.ActBudget {
 			tn.seat.Pact.Commit(&tn.seat.Dec)
 		} else {
-			tn.seat.Pact.Drop(&tn.seat.Dec)
+			tn.seat.Pact.Drop()
 			tn.deferred.Add(1)
 			f.actDeferred.Inc()
 		}

@@ -159,48 +159,6 @@ type Config struct {
 	// SyncRetrain runs retraining inline in Collect instead of a
 	// background goroutine — deterministic mode for tests and replays.
 	SyncRetrain bool
-	// Budget caps concurrent background retrains. Share one Budget across
-	// the managers of a fleet so a drift storm over thousands of tenants
-	// cannot fork thousands of refits at once: excess retrains queue on
-	// the budget and run as slots free up. Nil leaves retrains unbounded
-	// (single-runtime default); ignored under SyncRetrain.
-	Budget *Budget
-}
-
-// Budget is a counting semaphore bounding concurrent background retrains
-// across any number of lifecycle managers — the fleet's global retrain
-// concurrency budget.
-type Budget struct{ slots chan struct{} }
-
-// NewBudget allows at most n concurrent retrains (minimum 1).
-func NewBudget(n int) *Budget {
-	if n < 1 {
-		n = 1
-	}
-	return &Budget{slots: make(chan struct{}, n)}
-}
-
-// Cap returns the budget's slot count.
-func (b *Budget) Cap() int { return cap(b.slots) }
-
-// InUse returns the number of slots currently held.
-func (b *Budget) InUse() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.slots)
-}
-
-func (b *Budget) acquire() {
-	if b != nil {
-		b.slots <- struct{}{}
-	}
-}
-
-func (b *Budget) release() {
-	if b != nil {
-		<-b.slots
-	}
 }
 
 func (c Config) withDefaults() Config {
@@ -393,10 +351,6 @@ func (m *Manager) capture(ls *layerState, now float64) {
 	m.inflight.Add(1)
 	go func() {
 		defer m.inflight.Done()
-		// The budget is taken outside m.mu: a queued retrain must never
-		// block Collect/ObserveCycle of this or any other manager.
-		m.cfg.Budget.acquire()
-		defer m.cfg.Budget.release()
 		start := time.Now()
 		cand, err := r.Retrain(window)
 		m.mu.Lock()

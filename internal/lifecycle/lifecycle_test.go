@@ -99,16 +99,19 @@ func newHarness(t *testing.T, layers []*core.Layer, cfg Config, failEvery int) *
 	return &harness{layers: layers, led: led, m: m, failEvery: failEvery}
 }
 
+// score is l's score at now through its serving predictor (NaN: abstained).
+func score(l *core.Layer, now float64) float64 {
+	var out [1]float64
+	l.ScoreBatch([]float64{now}, out[:])
+	return out[0]
+}
+
 func (h *harness) run(from, to int) {
 	for tick := from; tick < to; tick++ {
 		now := float64(tick)
 		scores := make([]float64, len(h.layers))
 		for i, l := range h.layers {
-			s, err := l.Score(now)
-			if err != nil {
-				s = math.NaN()
-			}
-			scores[i] = s
+			l.ScoreBatch([]float64{now}, scores[i:i+1])
 		}
 		cands := h.m.Collect(now)
 		for i, l := range h.layers {
@@ -215,7 +218,7 @@ func TestLifecycleHappyPath(t *testing.T) {
 		t.Fatalf("layer version = %d, want 2", v)
 	}
 	// The oracle now serves: it must keep scoring perfectly.
-	if s, _ := layer.Score(float64(failEvery*50 - 1 - 1)); s != 1 {
+	if s := score(layer, float64(failEvery*50-1-1)); s != 1 {
 		t.Fatalf("swapped-in predictor score = %g, want the oracle's 1", s)
 	}
 	st := h.m.States()
@@ -359,7 +362,7 @@ func TestLifecycleBackgroundRetrainRace(t *testing.T) {
 				return
 			default:
 			}
-			layer.Score(float64(i))
+			score(layer, float64(i))
 			h.m.States()
 			h.m.Totals()
 		}

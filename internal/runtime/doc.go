@@ -1,9 +1,9 @@
 // Package runtime turns the batch-mode PFM library into a long-running
 // service: a concurrent Monitor–Evaluate–Act pipeline over live event
-// streams, the online counterpart of the simulation-clocked
-// experiments (the paper's Fig. 1 loop and Sect. 6 blueprint describe
-// exactly this shape — a control loop that keeps up with monitoring
-// ingest).
+// streams (the paper's Fig. 1 loop and Sect. 6 blueprint describe exactly
+// this shape — a control loop that keeps up with monitoring ingest). It is
+// the one MEA loop: the closed-loop experiments run it too, one cycle per
+// cadence of the simulator's clock (experiments.ClosedLoop).
 //
 // The pipeline is one drain goroutine and whichever goroutine asks for a
 // cycle, around one state lock, with clean shutdown and drain:

@@ -17,8 +17,8 @@ import (
 // Config parameterizes the streaming runtime.
 type Config struct {
 	// Engine supplies the layers and the serialized Act semantics
-	// (cross-layer decision, oscillation guard, Table 1 accounting). It
-	// may be externally clocked (core.New with a nil sim engine).
+	// (cross-layer decision, oscillation guard). The runtime's cycle is
+	// its clock; the Ledger books its predictions' outcomes.
 	Engine *core.Engine
 	// Apply integrates one ingested event into the predictor-visible
 	// state (e.g. append to an eventlog.Log or a timeseries.Series).

@@ -15,7 +15,7 @@ import (
 	"repro/internal/obs"
 )
 
-// testEngine builds an externally clocked engine with the given layers.
+// testEngine builds an engine with the given layers.
 func testEngine(t testing.TB, cfg core.Config, layers ...*core.Layer) *core.Engine {
 	t.Helper()
 	sel, err := act.NewSelector(act.DefaultWeights())

@@ -129,8 +129,9 @@ func (s *System) Up() bool { return s.up }
 func (s *System) FreeMemory() float64 { return s.freeMem }
 
 // ImminentFailureWithin reports whether any active, unmitigated fault is
-// projected to cause a failure within the horizon — the ground truth used
-// for Table 1 outcome accounting (E3).
+// projected to cause a failure within the horizon — a look at the fault
+// schedule no deployed predictor has, which E7 uses as a perfect warning
+// source to isolate the Fig. 8 time-to-repair mechanics.
 func (s *System) ImminentFailureWithin(horizon float64) bool {
 	now := s.engine.Now()
 	for _, f := range s.faults {

@@ -61,8 +61,6 @@ var orphanAllowed = map[string]string{
 	"fleet.Fleet.RecordFailure":              "Ingest's twin for failure marks; Pump resolves the tenant once and calls what is under it",
 	// Owned by a ROADMAP item or a DESIGN.md map: decided there, not here.
 	"monitor.*":           "ROADMAP 6(b): gets its product caller or is deleted",
-	"lifecycle.NewBudget": "ROADMAP 2(b): the per-tenant lifecycle's retrain budget",
-	"lifecycle.Budget.*":  "ROADMAP 2(b)",
 	"act.Category.Goal":   "DESIGN.md's Fig. 7 → code map (Goal and its two values with it)",
 	"act.Action.Category": "DESIGN.md's Fig. 7 → code map",
 }

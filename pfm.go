@@ -6,7 +6,8 @@
 // The library provides:
 //
 //   - the Monitor–Evaluate–Act engine with layered predictors and a
-//     cross-layer Act stage (MEAEngine, Layer — Figs. 1 and 11),
+//     cross-layer Act stage (MEAEngine, Layer — Figs. 1 and 11), run by the
+//     streaming Runtime, or in a ClosedLoop on the simulator,
 //   - online failure predictors: hidden semi-Markov sequence models over
 //     error logs (TrainHSMMClassifier) and Universal Basis Functions over
 //     monitoring variables (TrainUBF), plus one baseline per taxonomy
@@ -50,22 +51,17 @@ type MEAEngine = core.Engine
 // Combiner fuses per-layer scores into one confidence (e.g. a stacker).
 type Combiner = core.Combiner
 
-// OutcomeMatrix is the Table 1 accounting of prediction outcomes × actions.
-type OutcomeMatrix = core.OutcomeMatrix
-
 // NewMEAEngine assembles an MEA engine over the given layers, action
-// selector, and countermeasures. combiner may be nil (layer voting); truth
-// may be nil (disables Table 1 accounting).
+// selector, and countermeasures. combiner may be nil (layer voting). The
+// engine decides; a Runtime, or a ClosedLoop on the simulator, runs it.
 func NewMEAEngine(
-	engine *SimEngine,
 	layers []*Layer,
 	combiner Combiner,
 	selector *ActionSelector,
 	actions []*Action,
-	truth func(horizon float64) bool,
 	cfg MEAConfig,
 ) (*MEAEngine, error) {
-	return core.New(engine, layers, combiner, selector, actions, truth, cfg)
+	return core.New(nil, layers, combiner, selector, actions, nil, cfg)
 }
 
 // Action is one prediction-triggered countermeasure (Fig. 7).

@@ -138,21 +138,27 @@ func TestFacadeMEALoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := NewMEAEngine(sys.Engine(), []*Layer{layer}, nil, selector,
-		[]*Action{shed}, nil,
+	engine, err := NewMEAEngine([]*Layer{layer}, nil, selector, []*Action{shed},
 		MEAConfig{EvalInterval: 120, LeadTime: 300, WarnThreshold: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := engine.Start(); err != nil {
+	loop, err := AttachClosedLoop(sys, engine)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer loop.Close()
 	if err := sys.Run(86400); err != nil {
 		t.Fatal(err)
 	}
 	report := engine.Report()
 	if len(report.Layers) != 1 || report.Layers[0] != "load" {
 		t.Fatalf("report layers = %v", report.Layers)
+	}
+	// One day at a 120 s cadence: 720 predictions, each booked or pending.
+	o := loop.Outcomes()
+	if q := o.Quality; q.TP+q.FP+q.TN+q.FN+o.Pending != 720 || q.TP+q.FP != report.Warnings {
+		t.Fatalf("outcomes %+v, %d warnings", o, report.Warnings)
 	}
 }
 

@@ -2,6 +2,7 @@ package pfm
 
 import (
 	"repro/internal/checkpoint"
+	"repro/internal/experiments"
 	"repro/internal/scp"
 )
 
@@ -22,6 +23,20 @@ func DefaultSCPConfig() SCPConfig { return scp.DefaultConfig() }
 
 // NewSCP builds a simulated SCP on its own simulation engine.
 func NewSCP(cfg SCPConfig) (*SCP, error) { return scp.New(cfg) }
+
+// ClosedLoop is an MEA engine run on a simulated SCP by the streaming
+// runtime, one cycle every EvalInterval of simulated time, with Table 1
+// booked by a Ledger over the failures the system records.
+type ClosedLoop = experiments.ClosedLoop
+
+// Outcomes is Table 1 as a ClosedLoop's ledger booked it.
+type Outcomes = experiments.Outcomes
+
+// AttachClosedLoop registers engine's cycle on sys's clock (it installs
+// engine's cycle observer). Run sys, read the results, then Close the loop.
+func AttachClosedLoop(sys *SCP, engine *MEAEngine) (*ClosedLoop, error) {
+	return experiments.AttachClosedLoop(sys, engine)
+}
 
 // --- checkpointing (prepared repair, Fig. 8) --------------------------------
 
