@@ -814,29 +814,3 @@ func checkFlagsBoundAndDocumented(t *testing.T) {
 		t.Errorf("the usage synopsis names -%s, which is not registered", name)
 	}
 }
-
-// TestBurnRateArmed: both recorder builders arm the burnrate trigger the
-// package comment, README and DESIGN.md promise — without a floor in the
-// built config pfm_incidents_total{trigger="burnrate"} and its fleet twin can
-// never move.
-func TestBurnRateArmed(t *testing.T) {
-	o, err := parseFlags(nil, io.Discard, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := newPipeline(o, func() error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg := p.recorder.Config(); cfg.BurnRateFloor != burnRateFloor || cfg.BurnRateFloor <= 0 || cfg.Ledger != p.ledger {
-		t.Errorf("single-tenant recorder: floor %g over ledger %p, want %g over the pipeline's %p",
-			cfg.BurnRateFloor, cfg.Ledger, burnRateFloor, p.ledger)
-	}
-	rec, err := o.fleetRecorder([]string{"load"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rec.Config().BurnRateFloor; got != burnRateFloor {
-		t.Errorf("fleet recorder template: floor %g, want %g", got, burnRateFloor)
-	}
-}

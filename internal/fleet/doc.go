@@ -46,7 +46,8 @@
 // pipe-separated text line protocol (tail.go) — the repository's only text
 // trace — and a compact binary wire format with a line-rate replay reader
 // (wire.go); OpenTrace opens a recorded file in either, told apart by
-// magic. Pump drives any Source into a Fleet.
+// magic. Pump drives any Source into a Fleet; a Stepper wraps one so that
+// the feeding goroutine runs each cycle its records make due (step.go).
 //
 // Determinism: with evaluation driven explicitly (EvaluateCycle after
 // Barrier), per-tenant decisions, counters, and ledger tables are

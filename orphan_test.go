@@ -31,7 +31,7 @@ var orphanAllowed = map[string]string{
 	"stats.RNG.Shuffle":          "fixture for TestMaxFMeasureMatchesQuadratic's tied score pools",
 	// Observation points: how a test reads state that reached code writes.
 	"obs.IncidentBundle.Fingerprint":         "TestRecorderIncidentReplay compares bundles by it",
-	"obs.Recorder.Config":                    "cmd/pfmd TestBurnRateArmed, TestRecorderConfigValidation",
+	"obs.Recorder.Config":                    "service TestBurnRateArmed, TestRecorderConfigValidation",
 	"obs.Recorder.Pending":                   "TestCycleSteadyStateAllocs' no-trigger precondition",
 	"obs.ScopedLedger.Config":                "TestFoldedJournalMatchesPerTenantRows builds its oracle ledger from it",
 	"obs.Tracer.Snapshot":                    "TestRecorderIncidentReplay and the tracer oracle read spans through it",
