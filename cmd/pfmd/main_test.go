@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/runtime"
 	"repro/internal/scp"
+	"repro/internal/service"
 )
 
 // scrape GETs one endpoint of a running pfmd.
@@ -183,7 +185,7 @@ func writeTrace(t *testing.T) (path string, events int) {
 func TestReplayColumnarRun(t *testing.T) {
 	path, events := writeTrace(t)
 	var stdout, stderr strings.Builder
-	o, err := parseFlags([]string{
+	c, err := parseFlags([]string{
 		"-addr", "127.0.0.1:0", "-replay-columnar", path, "-eval", "60",
 		"-trace-sample", "1", "-trace-dump", "3", "-incident-warn", "0.2",
 		"-incident-dir", filepath.Join(t.TempDir(), "incidents"), "-log-format", "json",
@@ -193,15 +195,15 @@ func TestReplayColumnarRun(t *testing.T) {
 	}
 	var addr string
 	var final planes
-	o.serving = func(bound string) {
+	c.Serving = func(bound string) {
 		addr = bound
 		if p := scrapeAll(t, addr); p.healthSC != http.StatusOK || p.health.Status != "ok" {
 			t.Errorf("/healthz while serving: %d %+v", p.healthSC, p.health)
 		}
 	}
-	o.drained = func() { final = scrapeAll(t, addr) }
-	if err := runSingle(context.Background(), o); err != nil {
-		t.Fatalf("runSingle: %v\n%s", err, stderr.String())
+	c.Drained = func() { final = scrapeAll(t, addr) }
+	if err := service.Run(context.Background(), c); err != nil {
+		t.Fatalf("service.Run: %v\n%s", err, stderr.String())
 	}
 	if got := checkDrained(t, final); int(got) != events {
 		t.Errorf("ingested %v events, trace has %d", got, events)
@@ -303,7 +305,7 @@ func summaryLines(log string) string {
 // as a SIGINT would, and checks the graceful drain.
 func TestLiveRun(t *testing.T) {
 	var stdout, stderr lockedBuilder
-	o, err := parseFlags([]string{
+	c, err := parseFlags([]string{
 		"-addr", "127.0.0.1:0", "-days", "30", "-compress", "36000",
 		"-hotswap", "-meta-weights", "1,1,1,1", "-log-format", "json",
 	}, &stdout, &stderr)
@@ -312,12 +314,12 @@ func TestLiveRun(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var final planes // written by runSingle's goroutine, read after it returned
+	var final planes // written by service.Run's goroutine, read after it returned
 	addrCh := make(chan string, 1)
-	o.serving = func(bound string) { addrCh <- bound }
-	o.drained = func() { final = scrapeAll(t, <-addrCh) }
+	c.Serving = func(bound string) { addrCh <- bound }
+	c.Drained = func() { final = scrapeAll(t, <-addrCh) }
 	done := make(chan error, 1)
-	go func() { done <- runSingle(ctx, o) }()
+	go func() { done <- service.Run(ctx, c) }()
 	addr := <-addrCh
 	addrCh <- addr
 
@@ -342,10 +344,10 @@ func TestLiveRun(t *testing.T) {
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("runSingle: %v\n%s", err, stderr.String())
+			t.Fatalf("service.Run: %v\n%s", err, stderr.String())
 		}
 	case <-time.After(20 * time.Second):
-		t.Fatal("runSingle did not return after cancel")
+		t.Fatal("service.Run did not return after cancel")
 	}
 	checkDrained(t, final)
 	for _, want := range []string{"replay starting", "pipeline summary", "system summary", "predictor lifecycle summary"} {
@@ -361,16 +363,16 @@ func TestLiveRun(t *testing.T) {
 func TestLiveDeterministic(t *testing.T) {
 	live := func() (ledger, log string) {
 		var stderr strings.Builder
-		o, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-days", "3", "-compress", "864000",
+		c, err := parseFlags([]string{"-addr", "127.0.0.1:0", "-days", "3", "-compress", "864000",
 			"-log-format", "json"}, io.Discard, &stderr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var addr string
-		o.serving = func(bound string) { addr = bound }
-		o.drained = func() { ledger = scrapeAll(t, addr).ledger }
-		if err := runSingle(context.Background(), o); err != nil {
-			t.Fatalf("runSingle: %v\n%s", err, stderr.String())
+		c.Serving = func(bound string) { addr = bound }
+		c.Drained = func() { ledger = scrapeAll(t, addr).ledger }
+		if err := service.Run(context.Background(), c); err != nil {
+			t.Fatalf("service.Run: %v\n%s", err, stderr.String())
 		}
 		return ledger, stderr.String()
 	}
@@ -400,7 +402,7 @@ func TestFleetRun(t *testing.T) {
 	const tenants = 6
 	dir := filepath.Join(t.TempDir(), "incidents")
 	var stdout, stderr strings.Builder
-	o, err := parseFlags([]string{
+	c, err := parseFlags([]string{
 		"-fleet", "-tenants", strconv.Itoa(tenants), "-shards", "2", "-addr", "127.0.0.1:0",
 		"-days", "0.5", "-compress", "86400", "-trace-sample", "1",
 		"-incident-warn", "0", "-incident-dir", dir, "-log-format", "json",
@@ -421,7 +423,7 @@ func TestFleetRun(t *testing.T) {
 	}
 	var addr string
 	var final planes
-	o.serving = func(bound string) {
+	c.Serving = func(bound string) {
 		addr = bound
 		if p := scrapeBase(t, addr); p.healthSC != http.StatusOK || p.health.Status != "ok" ||
 			p.health.Tenants != tenants || p.health.Shards != 2 {
@@ -431,14 +433,14 @@ func TestFleetRun(t *testing.T) {
 			t.Errorf("/fleet while serving: %d tenant rows, want %d", len(rows), tenants)
 		}
 	}
-	o.drained = func() {
+	c.Drained = func() {
 		final = scrapeBase(t, addr)
 		if rows := fleetView(addr); len(rows) != tenants {
 			t.Errorf("/fleet after the drain: %d tenant rows, want %d", len(rows), tenants)
 		}
 	}
-	if err := runFleet(context.Background(), o); err != nil {
-		t.Fatalf("runFleet: %v\n%s", err, stderr.String())
+	if err := service.Run(context.Background(), c); err != nil {
+		t.Fatalf("service.Run: %v\n%s", err, stderr.String())
 	}
 	checkDrained(t, final)
 	for _, series := range []string{
@@ -479,22 +481,22 @@ func TestFleetShardsAgree(t *testing.T) {
 	}
 	rows := func(shards string) []row {
 		var stderr strings.Builder
-		o, err := parseFlags([]string{"-fleet", "-tenants", "5", "-shards", shards, "-addr", "127.0.0.1:0",
+		c, err := parseFlags([]string{"-fleet", "-tenants", "5", "-shards", shards, "-addr", "127.0.0.1:0",
 			"-days", "2", "-compress", "864000", "-incident-cap", "0", "-log-format", "json"}, io.Discard, &stderr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var addr string
 		var view struct{ Tenants []row }
-		o.serving = func(bound string) { addr = bound }
-		o.drained = func() {
+		c.Serving = func(bound string) { addr = bound }
+		c.Drained = func() {
 			_, body := scrape(t, addr, "/fleet")
 			if err := json.Unmarshal([]byte(body), &view); err != nil {
 				t.Errorf("/fleet: %v %s", err, body)
 			}
 		}
-		if err := runFleet(context.Background(), o); err != nil {
-			t.Fatalf("runFleet -shards %s: %v\n%s", shards, err, stderr.String())
+		if err := service.Run(context.Background(), c); err != nil {
+			t.Fatalf("service.Run -shards %s: %v\n%s", shards, err, stderr.String())
 		}
 		return view.Tenants
 	}
@@ -518,7 +520,7 @@ func TestFleetShardsAgree(t *testing.T) {
 // and ingested = applied + dropped with every drop a ratelimited one.
 func TestFleetRateLimited(t *testing.T) {
 	var stderr strings.Builder
-	o, err := parseFlags([]string{"-fleet", "-tenants", "3", "-shards", "2", "-rate-limit", "0.02",
+	c, err := parseFlags([]string{"-fleet", "-tenants", "3", "-shards", "2", "-rate-limit", "0.02",
 		"-days", "0.25", "-compress", "864000", "-addr", "127.0.0.1:0",
 		"-log-format", "json"}, io.Discard, &stderr)
 	if err != nil {
@@ -528,10 +530,10 @@ func TestFleetRateLimited(t *testing.T) {
 	defer cancel()
 	var addr string
 	var final planes
-	o.serving = func(bound string) { addr = bound }
-	o.drained = func() { final = scrapeBase(t, addr) }
-	if err := runFleet(ctx, o); err != nil {
-		t.Fatalf("runFleet: %v\n%s", err, stderr.String())
+	c.Serving = func(bound string) { addr = bound }
+	c.Drained = func() { final = scrapeBase(t, addr) }
+	if err := service.Run(ctx, c); err != nil {
+		t.Fatalf("service.Run: %v\n%s", err, stderr.String())
 	}
 	if ctx.Err() != nil {
 		t.Fatalf("a quarter of a simulated day did not run in a minute: a held backlog stalled the cycles\n%s", stderr.String())
@@ -593,7 +595,7 @@ func TestFleetTraceByMagic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var stderr strings.Builder
-		o, err := parseFlags([]string{
+		c, err := parseFlags([]string{
 			"-fleet", "-tenants", strconv.Itoa(tenants), "-fleet-trace", path, "-addr", "127.0.0.1:0",
 			"-compress", "864000", "-log-format", "json",
 		}, io.Discard, &stderr)
@@ -602,10 +604,10 @@ func TestFleetTraceByMagic(t *testing.T) {
 		}
 		var addr string
 		var final planes
-		o.serving = func(bound string) { addr = bound }
-		o.drained = func() { final = scrapeBase(t, addr) }
-		if err := runFleet(context.Background(), o); err != nil {
-			t.Fatalf("%s: runFleet: %v\n%s", name, err, stderr.String())
+		c.Serving = func(bound string) { addr = bound }
+		c.Drained = func() { final = scrapeBase(t, addr) }
+		if err := service.Run(context.Background(), c); err != nil {
+			t.Fatalf("%s: service.Run: %v\n%s", name, err, stderr.String())
 		}
 		if got := checkDrained(t, final); int(got) != events {
 			t.Errorf("%s: ingested %v events, trace has %d", name, got, events)
@@ -634,31 +636,30 @@ func (l *lockedBuilder) String() string {
 
 // TestParseFlags covers the flag plumbing run's modes rely on.
 func TestParseFlags(t *testing.T) {
-	o, err := parseFlags([]string{"-overflow", "drop-oldest", "-trace-cap", "8", "-trace-dump", "50"}, io.Discard, io.Discard)
+	c, err := parseFlags([]string{"-overflow", "drop-oldest", "-trace-cap", "8", "-trace-dump", "50"}, io.Discard, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.rt.Overflow != runtime.DropOldest || o.rt.QueueCapacity != 4096 || o.eval != 60 {
-		t.Errorf("runtime options: %+v, -eval %g", o.rt, o.eval)
+	if c.Overflow != runtime.DropOldest || c.QueueCapacity != 4096 || c.Eval != 60 {
+		t.Errorf("runtime options: queue %d %v, -eval %g", c.QueueCapacity, c.Overflow, c.Eval)
 	}
-	if o.traceCap != 50 {
-		t.Errorf("-trace-dump 50 must raise -trace-cap to 50, got %d", o.traceCap)
+	if c.IncidentCap != 32 {
+		t.Errorf("defaults: -incident-cap %d", c.IncidentCap)
 	}
-	if o.ledger.LeadTime != leadTime || o.ledger.Slack != 300 || o.drift.ScoreWarmup != 240 || o.incidents.cap != 32 {
-		t.Errorf("defaults: ledger %+v drift %+v incidents %+v", o.ledger, o.drift, o.incidents)
-	}
+	// pfmd refuses what its flags cannot parse; service.Run refuses a value
+	// no run can use before anything starts.
 	for _, bad := range [][]string{
 		{"-overflow", "sideways"}, {"-days", "0"}, {"-log-level", "loud"}, {"-log-format", "xml"}, {"-no-such-flag"},
 	} {
-		if _, err := parseFlags(bad, io.Discard, io.Discard); err == nil {
-			t.Errorf("parseFlags(%v) accepted", bad)
+		if err := run(context.Background(), bad, io.Discard, io.Discard); err == nil {
+			t.Errorf("run(%v) accepted", bad)
 		}
 	}
 	// The cadence is at most the lead time: a longer one leaves failures no
 	// cycle could have warned of, and the refusal names the flag.
 	for _, eval := range []string{"0", "-60", "301", "900", "NaN"} {
-		if _, err := parseFlags([]string{"-eval", eval}, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "-eval") {
-			t.Errorf("parseFlags(-eval %s) = %v, want a refusal naming -eval", eval, err)
+		if err := run(context.Background(), []string{"-eval", eval}, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "-eval") {
+			t.Errorf("run(-eval %s) = %v, want a refusal naming -eval", eval, err)
 		}
 	}
 	if err := run(context.Background(), []string{"-replay-columnar", filepath.Join(t.TempDir(), "absent.wire")}, io.Discard, io.Discard); err == nil {
@@ -694,9 +695,9 @@ func TestParseFlags(t *testing.T) {
 			t.Errorf("parseFlags(%v): %v", ok, err)
 		}
 	}
-	// The eight tunables that became constants are gone as flags, and their
-	// values are what the flags defaulted to; -replay-eval went when -eval
-	// became the cadence of every mode.
+	// The eight tunables that became constants are gone as flags (the
+	// service's TestProductConstants holds their values); -replay-eval went
+	// when -eval became the cadence of every mode.
 	for _, gone := range []string{
 		"workers", "batch", "ledger-slack", "fleet-scopes",
 		"drift-warmup", "drift-threshold", "drift-shadow-min", "drift-cooldown", "replay-eval",
@@ -706,48 +707,44 @@ func TestParseFlags(t *testing.T) {
 			t.Errorf("parseFlags(-%s 1) = %v, want flag provided but not defined", gone, err)
 		}
 	}
-	if o.rt.Workers != 0 || o.rt.BatchSize != 0 || fleetScopes != 64 || o.drift.ScoreThresholdSigma != 8 ||
-		o.drift.ShadowMinResolved != 20 || o.drift.CooldownCycles != 200 {
-		t.Errorf("constants: rt %+v drift %+v fleetScopes %d", o.rt, o.drift, fleetScopes)
-	}
 	checkFlagsBoundAndDocumented(t)
 }
 
 // flagBindings names, for every flag pfmd registers, a non-default value and
-// the options field it must land in.
+// the service.Config field it must land in.
 var flagBindings = map[string]struct {
 	set  string
-	got  func(o *options) any
+	got  func(c *service.Config) any
 	want any
 }{
-	"addr":            {"127.0.0.1:1", func(o *options) any { return o.addr }, "127.0.0.1:1"},
-	"seed":            {"5", func(o *options) any { return o.seed }, int64(5)},
-	"days":            {"2.5", func(o *options) any { return o.days }, 2.5},
-	"compress":        {"60", func(o *options) any { return o.compress }, 60.0},
-	"queue":           {"8", func(o *options) any { return o.rt.QueueCapacity }, 8},
-	"overflow":        {"drop-newest", func(o *options) any { return o.rt.Overflow }, runtime.DropNewest},
-	"eval":            {"120", func(o *options) any { return o.eval }, 120.0},
-	"shards":          {"3", func(o *options) any { return o.shards }, 3},
-	"pprof":           {"true", func(o *options) any { return o.rt.Profiling }, true},
-	"log-format":      {"json", func(o *options) any { return o.logFormat }, "json"},
-	"log-level":       {"debug", func(o *options) any { return o.logLevel }, "debug"},
-	"trace-cap":       {"7", func(o *options) any { return o.traceCap }, 7},
-	"trace-dump":      {"4", func(o *options) any { return o.traceDump }, 4},
-	"trace-sample":    {"3", func(o *options) any { return o.traceSample }, 3},
-	"ledger-window":   {"3600", func(o *options) any { return o.ledger.Window }, 3600.0},
-	"meta-weights":    {"1,2,3,4", func(o *options) any { return o.metaWeights }, "1,2,3,4"},
-	"hotswap":         {"true", func(o *options) any { return o.hotswap }, true},
-	"fleet":           {"true", func(o *options) any { return o.fleetMode }, true},
-	"tenants":         {"9", func(o *options) any { return o.tenants }, 9},
-	"skew":            {"1.5", func(o *options) any { return o.skew }, 1.5},
-	"fleet-trace":     {"f.wire", func(o *options) any { return o.fleetTrace }, "f.wire"},
-	"listen":          {":4545", func(o *options) any { return o.listen }, ":4545"},
-	"act-budget":      {"2", func(o *options) any { return o.actBudget }, 2},
-	"rate-limit":      {"500", func(o *options) any { return o.rateLimit }, 500.0},
-	"replay-columnar": {"t.wire", func(o *options) any { return o.replayColumnar }, "t.wire"},
-	"incident-dir":    {"d", func(o *options) any { return o.incidents.dir }, "d"},
-	"incident-cap":    {"5", func(o *options) any { return o.incidents.cap }, 5},
-	"incident-warn":   {"0.9", func(o *options) any { return o.incidents.warn }, 0.9},
+	"addr":            {"127.0.0.1:1", func(c *service.Config) any { return c.Addr }, "127.0.0.1:1"},
+	"seed":            {"5", func(c *service.Config) any { return c.Seed }, int64(5)},
+	"days":            {"2.5", func(c *service.Config) any { return c.Days }, 2.5},
+	"compress":        {"60", func(c *service.Config) any { return c.Compress }, 60.0},
+	"queue":           {"8", func(c *service.Config) any { return c.QueueCapacity }, 8},
+	"overflow":        {"drop-newest", func(c *service.Config) any { return c.Overflow }, runtime.DropNewest},
+	"eval":            {"120", func(c *service.Config) any { return c.Eval }, 120.0},
+	"shards":          {"3", func(c *service.Config) any { return c.Shards }, 3},
+	"pprof":           {"true", func(c *service.Config) any { return c.Profiling }, true},
+	"log-format":      {"json", func(c *service.Config) any { _, ok := c.Logger.Handler().(*slog.JSONHandler); return ok }, true},
+	"log-level":       {"debug", func(c *service.Config) any { return c.Logger.Enabled(context.Background(), slog.LevelDebug) }, true},
+	"trace-cap":       {"7", func(c *service.Config) any { return c.TraceCap }, 7},
+	"trace-dump":      {"4", func(c *service.Config) any { return c.TraceDump }, 4},
+	"trace-sample":    {"3", func(c *service.Config) any { return c.TraceSample }, 3},
+	"ledger-window":   {"3600", func(c *service.Config) any { return c.LedgerWindow }, 3600.0},
+	"meta-weights":    {"1,2,3,4", func(c *service.Config) any { return c.MetaWeights }, "1,2,3,4"},
+	"hotswap":         {"true", func(c *service.Config) any { return c.Hotswap }, true},
+	"fleet":           {"true", func(c *service.Config) any { return c.Fleet }, true},
+	"tenants":         {"9", func(c *service.Config) any { return c.Tenants }, 9},
+	"skew":            {"1.5", func(c *service.Config) any { return c.Skew }, 1.5},
+	"fleet-trace":     {"f.wire", func(c *service.Config) any { return c.FleetTrace }, "f.wire"},
+	"listen":          {":4545", func(c *service.Config) any { return c.Listen }, ":4545"},
+	"act-budget":      {"2", func(c *service.Config) any { return c.ActBudget }, 2},
+	"rate-limit":      {"500", func(c *service.Config) any { return c.RateLimit }, 500.0},
+	"replay-columnar": {"t.wire", func(c *service.Config) any { return c.ReplayColumnar }, "t.wire"},
+	"incident-dir":    {"d", func(c *service.Config) any { return c.IncidentDir }, "d"},
+	"incident-cap":    {"5", func(c *service.Config) any { return c.IncidentCap }, 5},
+	"incident-warn":   {"0.9", func(c *service.Config) any { return c.IncidentWarn }, 0.9},
 }
 
 // checkFlagsBoundAndDocumented walks the registered FlagSet: every flag sets
@@ -783,7 +780,7 @@ func checkFlagsBoundAndDocumented(t *testing.T) {
 	inSynopsis, inReadme := named(synopsis), named(section)
 
 	registered := 0
-	(&options{}).flagSet(io.Discard).VisitAll(func(f *flag.Flag) {
+	flagSet(&service.Config{}, io.Discard).VisitAll(func(f *flag.Flag) {
 		registered++
 		b, ok := flagBindings[f.Name]
 		if !ok {
@@ -793,10 +790,10 @@ func checkFlagsBoundAndDocumented(t *testing.T) {
 		if b.set == f.DefValue {
 			t.Errorf("-%s: the table's value %q is the default", f.Name, b.set)
 		}
-		o := &options{}
-		if err := o.flagSet(io.Discard).Parse([]string{"-" + f.Name + "=" + b.set}); err != nil {
+		c := &service.Config{}
+		if err := flagSet(c, io.Discard).Parse([]string{"-" + f.Name + "=" + b.set}); err != nil {
 			t.Errorf("-%s=%s: %v", f.Name, b.set, err)
-		} else if got := b.got(o); got != b.want {
+		} else if got := b.got(c); got != b.want {
 			t.Errorf("-%s=%s reached its field as %v, want %v", f.Name, b.set, got, b.want)
 		}
 		if !inSynopsis[f.Name] {

@@ -46,7 +46,7 @@ func run() error {
 	// free-memory trend (the paper's canonical memory-leak walkthrough).
 	memLayer := &pfm.Layer{
 		Name: "memory",
-		Evaluate: func(now float64) (float64, error) {
+		Predictor: pfm.PredictorFunc(func(now float64) (float64, error) {
 			mem, err := sys.SAR("mem_free")
 			if err != nil {
 				return 0, err
@@ -60,7 +60,7 @@ func run() error {
 				return 0, nil
 			}
 			return -slope, nil // MB/s of decline
-		},
+		}),
 		Threshold: 0.1,
 	}
 

@@ -112,7 +112,7 @@ func runPredictiveRejuvenation() (result, error) {
 	}
 	memLayer := &pfm.Layer{
 		Name: "memory",
-		Evaluate: func(now float64) (float64, error) {
+		Predictor: pfm.PredictorFunc(func(now float64) (float64, error) {
 			mem, err := sys.SAR("mem_free")
 			if err != nil {
 				return 0, err
@@ -121,7 +121,7 @@ func runPredictiveRejuvenation() (result, error) {
 				return 1, nil
 			}
 			return 0, nil
-		},
+		}),
 		Threshold: 0.5,
 	}
 	restart, err := pfm.NewPreventiveRestart(sys, pfm.ActionParams{

@@ -142,12 +142,12 @@ func TestEvaluateLayersBatchLayout(t *testing.T) {
 	layers := []*Layer{
 		{Name: "kernel", Threshold: 0.5, Predictor: &batchStub{}},
 		constLayer("flat", 0.4),
-		{Name: "sometimes", Threshold: 0.5, Evaluate: func(now float64) (float64, error) {
+		{Name: "sometimes", Threshold: 0.5, Predictor: PredictorFunc(func(now float64) (float64, error) {
 			if now > 2 {
 				return 0, errors.New("late failure")
 			}
 			return now / 10, nil
-		}},
+		})},
 	}
 	eng, err := New(nil, layers, nil, testSelector(t), testActions(t, &scriptedTarget{}), nil, defaultCfg())
 	if err != nil {

@@ -22,7 +22,7 @@
 // internal/runtime's act stage). Two things remain the caller's
 // responsibility:
 //
-//   - Layer.Evaluate closures are invoked OUTSIDE the engine mutex — by
+//   - Layer predictors are invoked OUTSIDE the engine mutex — by
 //     EvaluateLayersBatch sequentially, or concurrently with each other by
 //     a worker pool. They must be safe with respect to whatever state they
 //     read (internal/runtime guards predictor state with an RWMutex).
@@ -47,19 +47,13 @@ var ErrCore = errors.New("core: invalid configuration")
 // Layer is one level of the Fig. 11 architecture: a named predictor over
 // that layer's monitoring data. The serving predictor lives behind an
 // atomically swappable, versioned handle (see LayerPredictor): construct
-// the layer with either an Evaluate closure (wrapped as the version-1
-// predictor) or an explicit Predictor, then score through ScoreBatch and
-// replace through SwapPredictor.
+// the layer with its Predictor (PredictorFunc wraps a bare closure), then
+// score through ScoreBatch and replace through SwapPredictor.
 type Layer struct {
 	// Name identifies the layer ("hardware", "vmm", "os", "application").
 	Name string
-	// Evaluate returns the layer's failure-proneness score at time now.
-	// It is wrapped into the initial predictor when Predictor is nil; set
-	// at construction only — later changes are ignored once the handle is
-	// installed (use SwapPredictor instead).
-	Evaluate func(now float64) (float64, error)
-	// Predictor is the initial serving predictor (takes precedence over
-	// Evaluate). Set at construction only; replace via SwapPredictor.
+	// Predictor is the initial serving predictor, version 1. Set at
+	// construction only; replace via SwapPredictor.
 	Predictor LayerPredictor
 	// Threshold is the layer's decision boundary; the layer votes
 	// "failure-prone" when score ≥ Threshold.
@@ -176,7 +170,7 @@ func New(
 		return nil, fmt.Errorf("%w: at least one layer required", ErrCore)
 	}
 	for i, l := range layers {
-		if l == nil || l.Name == "" || (l.Evaluate == nil && l.Predictor == nil) {
+		if l == nil || l.Name == "" || l.Predictor == nil {
 			return nil, fmt.Errorf("%w: layer %d must have a name and a predictor", ErrCore, i)
 		}
 		l.current() // install the version-1 predictor eagerly

@@ -46,7 +46,7 @@ func testSelector(t *testing.T) *act.Selector {
 func constLayer(name string, score float64) *Layer {
 	return &Layer{
 		Name:      name,
-		Evaluate:  func(float64) (float64, error) { return score, nil },
+		Predictor: PredictorFunc(func(float64) (float64, error) { return score, nil }),
 		Threshold: 0.5,
 	}
 }
@@ -91,7 +91,10 @@ func TestValidation(t *testing.T) {
 			return New(nil, nil, nil, sel, acts, nil, defaultCfg())
 		}},
 		{"anonymous layer", func() (*Engine, error) {
-			return New(nil, []*Layer{{Evaluate: func(float64) (float64, error) { return 0, nil }}}, nil, sel, acts, nil, defaultCfg())
+			return New(nil, []*Layer{{Predictor: PredictorFunc(func(float64) (float64, error) { return 0, nil })}}, nil, sel, acts, nil, defaultCfg())
+		}},
+		{"layer without a predictor", func() (*Engine, error) {
+			return New(nil, []*Layer{{Name: "app", Threshold: 0.5}}, nil, sel, acts, nil, defaultCfg())
 		}},
 		{"nil selector", func() (*Engine, error) {
 			return New(nil, layers, nil, nil, acts, nil, defaultCfg())
@@ -170,13 +173,13 @@ func TestTable1AllFourOutcomes(t *testing.T) {
 	i := 0
 	layer := &Layer{
 		Name: "app",
-		Evaluate: func(float64) (float64, error) {
+		Predictor: PredictorFunc(func(float64) (float64, error) {
 			i++
 			if i%2 == 0 {
 				return 1, nil
 			}
 			return 0, nil
-		},
+		}),
 		Threshold: 0.5,
 	}
 	cfg := defaultCfg()
@@ -239,9 +242,9 @@ func TestLayerVoting(t *testing.T) {
 func TestFailingLayerAbstains(t *testing.T) {
 	tgt := &scriptedTarget{}
 	layers := []*Layer{
-		{Name: "broken", Evaluate: func(float64) (float64, error) {
+		{Name: "broken", Predictor: PredictorFunc(func(float64) (float64, error) {
 			return 0, errors.New("sensor offline")
-		}, Threshold: 0.5},
+		}), Threshold: 0.5},
 		constLayer("app", 0.9),
 	}
 	cfg := defaultCfg()
@@ -354,7 +357,7 @@ func TestActOnAbstainingLayer(t *testing.T) {
 	tgt := &scriptedTarget{}
 	broken := &Layer{
 		Name:      "broken",
-		Evaluate:  func(float64) (float64, error) { return 0, errors.New("down") },
+		Predictor: PredictorFunc(func(float64) (float64, error) { return 0, errors.New("down") }),
 		Threshold: 0.5,
 	}
 	eng, err := New(nil, []*Layer{constLayer("app", 0.9), broken}, nil,

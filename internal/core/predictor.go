@@ -3,10 +3,9 @@ package core
 import "math"
 
 // LayerPredictor is a layer's failure predictor as a first-class value with
-// a lifecycle, replacing the bare Evaluate closure: the serving predictor
-// lives behind the layer's atomically swappable, versioned handle, so a
-// drifted predictor can be retrained and replaced without stopping the MEA
-// pipeline (Sect. 6: online change point detection "can be used to
+// a lifecycle: the serving predictor lives behind the layer's atomically
+// swappable, versioned handle, so a drifted predictor can be retrained and
+// replaced without stopping the MEA pipeline (Sect. 6: online change point detection "can be used to
 // determine whether the parameters have to be re-adjusted").
 type LayerPredictor interface {
 	// Evaluate returns the layer's failure-proneness score at time now.
@@ -72,22 +71,13 @@ type versionedPredictor struct {
 }
 
 // current returns the layer's serving (predictor, version) pair, installing
-// version 1 from the Predictor/Evaluate fields on first use. Lock-free and
-// safe for concurrent use.
+// version 1 from the Predictor field on first use. Lock-free and safe for
+// concurrent use.
 func (l *Layer) current() *versionedPredictor {
 	if vp := l.handle.Load(); vp != nil {
 		return vp
 	}
-	p := l.Predictor
-	if p == nil && l.Evaluate != nil {
-		p = PredictorFunc(l.Evaluate)
-	}
-	if p == nil {
-		p = PredictorFunc(func(float64) (float64, error) {
-			return 0, ErrCore
-		})
-	}
-	vp := &versionedPredictor{p: p, version: 1}
+	vp := &versionedPredictor{p: l.Predictor, version: 1}
 	if l.handle.CompareAndSwap(nil, vp) {
 		return vp
 	}

@@ -20,7 +20,7 @@ func (p *constPredictor) Evaluate(float64) (float64, error) { return p.score, p.
 // initial predictor serves as version 1, every swap bumps the version and
 // redirects scoring, and the previous predictor comes back for rollback.
 func TestLayerHandleVersioning(t *testing.T) {
-	l := &Layer{Name: "app", Evaluate: func(float64) (float64, error) { return 0.25, nil }}
+	l := &Layer{Name: "app", Predictor: PredictorFunc(func(float64) (float64, error) { return 0.25, nil })}
 	if v := l.Version(); v != 1 {
 		t.Fatalf("initial version = %d, want 1", v)
 	}
@@ -51,19 +51,6 @@ func TestLayerHandleVersioning(t *testing.T) {
 		t.Fatalf("Current version = %d, want 3", v)
 	} else if s, _ := p.Evaluate(0); s != 0.25 {
 		t.Fatalf("Current predictor scores %g, want the original 0.25", s)
-	}
-}
-
-// TestLayerPredictorFieldPrecedence: an explicit Predictor wins over the
-// legacy Evaluate closure.
-func TestLayerPredictorFieldPrecedence(t *testing.T) {
-	l := &Layer{
-		Name:      "app",
-		Evaluate:  func(float64) (float64, error) { return 0.1, nil },
-		Predictor: &constPredictor{score: 0.9},
-	}
-	if s := score(l, 0); s != 0.9 {
-		t.Fatalf("score = %g, want the explicit predictor's 0.9", s)
 	}
 }
 

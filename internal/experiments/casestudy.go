@@ -355,23 +355,30 @@ func makeDataset(cfg CaseStudyConfig, sys *scp.System, trainLog *eventlog.Log) (
 		failures: sys.FailureTimes(),
 		trainLog: trainLog,
 	}
-	down := downSpans(sys)
-	grid := func(from, to float64) (times []float64, labels []bool) {
-		for t := from; t < to; t += cfg.EvalStride {
-			if inSpan(down, t) {
-				continue
-			}
-			times = append(times, t)
-			labels = append(labels, anyIn(ds.failures, t, t+cfg.LeadTime+cfg.Slack))
-		}
-		return times, labels
-	}
+	grid := labelledGrid(cfg, sys, ds.failures)
 	ds.trainTimes, ds.trainLabels = grid(cfg.DataWindow+cfg.EvalStride, ds.splitAt)
 	ds.testTimes, ds.testLabels = grid(ds.splitAt+cfg.DataWindow, ds.endAt-cfg.LeadTime-cfg.Slack)
 	if len(ds.testTimes) == 0 {
 		return nil, fmt.Errorf("%w: empty evaluation grid", ErrExperiment)
 	}
 	return ds, nil
+}
+
+// labelledGrid returns the evaluation grid over a finished run: the times in
+// [from, to) every EvalStride, outside the run's downtime, each labelled
+// whether one of failures (sorted) follows within (t, t+LeadTime+Slack].
+func labelledGrid(cfg CaseStudyConfig, sys *scp.System, failures []float64) func(from, to float64) ([]float64, []bool) {
+	down := downSpans(sys)
+	return func(from, to float64) (times []float64, labels []bool) {
+		for t := from; t < to; t += cfg.EvalStride {
+			if inSpan(down, t) {
+				continue
+			}
+			times = append(times, t)
+			labels = append(labels, anyIn(failures, t, t+cfg.LeadTime+cfg.Slack))
+		}
+		return times, labels
+	}
 }
 
 // scpConfigWithSeed returns the default SCP configuration with the seed.
@@ -670,10 +677,7 @@ func evaluateScores(name string, scores []float64, labels []bool) (PredictorResu
 	if len(scores) != len(labels) {
 		return PredictorResult{}, fmt.Errorf("%w: %d scores vs %d labels", ErrExperiment, len(scores), len(labels))
 	}
-	scored := make([]predict.Scored, len(scores))
-	for i, s := range scores {
-		scored[i] = predict.Scored{Score: s, Actual: labels[i]}
-	}
+	scored := paired(scores, labels)
 	curve, err := predict.ROC(scored)
 	if err != nil {
 		return PredictorResult{}, err
@@ -690,6 +694,15 @@ func evaluateScores(name string, scores []float64, labels []bool) (PredictorResu
 }
 
 // --- helpers ---------------------------------------------------------------
+
+// paired pairs each score with its label, the form predict's metrics take.
+func paired(scores []float64, labels []bool) []predict.Scored {
+	scored := make([]predict.Scored, len(scores))
+	for i, s := range scores {
+		scored[i] = predict.Scored{Score: s, Actual: labels[i]}
+	}
+	return scored
+}
 
 // downSpans returns the [start, end] downtime windows of the run.
 func downSpans(sys *scp.System) [][2]float64 {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/diagnose"
 	"repro/internal/eventlog"
-	"repro/internal/scp"
 )
 
 // causeOf maps a suspected component onto the injected fault class.
@@ -97,26 +96,14 @@ func RunDiagnosis(cfg CaseStudyConfig) (DiagnosisResult, error) {
 	if err := cfg.validate(); err != nil {
 		return DiagnosisResult{}, err
 	}
-	sys, err := scp.New(scpConfigWithSeed(cfg.Seed))
+	sys, trainLog, err := simulateSCP(cfg, nil)
 	if err != nil {
-		return DiagnosisResult{}, err
-	}
-	total := (cfg.TrainDays + cfg.TestDays) * 86400
-	if err := sys.Run(total); err != nil {
 		return DiagnosisResult{}, err
 	}
 	splitAt := cfg.TrainDays * 86400
 	log := sys.Log()
 	failures := sys.Failures()
-
-	trainLog := log.Slice(0, splitAt)
-	var trainTimes []float64
-	for _, f := range failures {
-		if f.Time < splitAt {
-			trainTimes = append(trainTimes, f.Time)
-		}
-	}
-	failWins, nonFailWins, err := diagnose.CollectWindowRanges(trainLog, trainTimes, eventlog.ExtractConfig{
+	failWins, nonFailWins, err := diagnose.CollectWindowRanges(trainLog, keepBefore(sys.FailureTimes(), splitAt), eventlog.ExtractConfig{
 		DataWindow:       cfg.DataWindow,
 		LeadTime:         0, // diagnose from the window adjacent to the failure
 		MinEvents:        1,

@@ -88,31 +88,13 @@ func RunDynamicity(seed int64) (DynamicityResult, error) {
 	failures := sys.FailureTimes()
 	log := sys.Log()
 
-	subLog := func(from, to float64) (*eventlog.Log, error) {
-		return log.Slice(from, to), nil
-	}
-
 	// Stale model: trained before the update.
-	preLog, err := subLog(0, trainEnd)
-	if err != nil {
-		return DynamicityResult{}, err
-	}
-	stale, err := trainHSMMOn(preLog, keepBefore(failures, trainEnd), cfg)
+	stale, err := trainHSMMOn(log.Slice(0, trainEnd), keepBefore(failures, trainEnd), cfg)
 	if err != nil {
 		return DynamicityResult{}, fmt.Errorf("train stale model: %w", err)
 	}
 
-	down := downSpans(sys)
-	grid := func(from, to float64) (times []float64, labels []bool) {
-		for t := from; t < to; t += cfg.EvalStride {
-			if inSpan(down, t) {
-				continue
-			}
-			times = append(times, t)
-			labels = append(labels, anyIn(failures, t, t+cfg.LeadTime+cfg.Slack))
-		}
-		return times, labels
-	}
+	grid := labelledGrid(cfg, sys, failures)
 	// Windows are scored in one batch so the classifier can fan the grid
 	// out across cores.
 	score := func(clf *hsmm.Classifier, times []float64) ([]float64, error) {
@@ -128,11 +110,12 @@ func RunDynamicity(seed int64) (DynamicityResult, error) {
 	if err != nil {
 		return DynamicityResult{}, err
 	}
-	result.AUCBeforeShift, err = aucOf(calScores, calLabels)
+	calScored := paired(calScores, calLabels)
+	result.AUCBeforeShift, err = predict.AUCOf(calScored)
 	if err != nil {
 		return DynamicityResult{}, err
 	}
-	threshold, calTable, err := maxFOf(calScores, calLabels)
+	threshold, calTable, err := predict.MaxFMeasure(calScored)
 	if err != nil {
 		return DynamicityResult{}, err
 	}
@@ -145,7 +128,7 @@ func RunDynamicity(seed int64) (DynamicityResult, error) {
 	if err != nil {
 		return DynamicityResult{}, err
 	}
-	result.AUCAfterShiftStale, err = aucOf(staleScores, staleLabels)
+	result.AUCAfterShiftStale, err = predict.AUCOf(paired(staleScores, staleLabels))
 	if err != nil {
 		return DynamicityResult{}, err
 	}
@@ -176,10 +159,7 @@ func RunDynamicity(seed int64) (DynamicityResult, error) {
 	}
 
 	// Retrained model: post-shift data only (days 14–18).
-	postLog, err := subLog(shiftAt, retrain)
-	if err != nil {
-		return DynamicityResult{}, err
-	}
+	postLog := log.Slice(shiftAt, retrain)
 	var postFailures []float64
 	for _, f := range failures {
 		if f >= shiftAt && f < retrain {
@@ -197,18 +177,9 @@ func RunDynamicity(seed int64) (DynamicityResult, error) {
 	if err != nil {
 		return DynamicityResult{}, err
 	}
-	result.AUCAfterRetrain, err = aucOf(finalScores, finalLabels)
+	result.AUCAfterRetrain, err = predict.AUCOf(paired(finalScores, finalLabels))
 	if err != nil {
 		return DynamicityResult{}, err
 	}
 	return result, nil
-}
-
-// maxFOf computes the max-F threshold and table of raw scores.
-func maxFOf(scores []float64, labels []bool) (float64, predict.ContingencyTable, error) {
-	scored := make([]predict.Scored, len(scores))
-	for i, s := range scores {
-		scored[i] = predict.Scored{Score: s, Actual: labels[i]}
-	}
-	return predict.MaxFMeasure(scored)
 }

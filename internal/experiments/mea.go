@@ -121,11 +121,7 @@ func trainLogPredictor(cfg MEAConfig) (*hsmm.Classifier, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	scored := make([]predict.Scored, len(scores))
-	for i, s := range scores {
-		scored[i] = predict.Scored{Score: s, Actual: ds.testLabels[i]}
-	}
-	threshold, _, err := predict.MaxFMeasure(scored)
+	threshold, _, err := predict.MaxFMeasure(paired(scores, ds.testLabels))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -206,45 +202,37 @@ func attachMEA(sys *scp.System, clf *hsmm.Classifier, logThreshold float64, cfg 
 
 	// Layer 1 (application/log): HSMM over the error log (Fig. 11's
 	// application-level pattern recognizer).
-	logLayer := &core.Layer{
-		Name: "log",
-		Evaluate: func(now float64) (float64, error) {
-			return clf.Score(eventlog.SlidingWindow(sys.Log(), now, dataWindow))
-		},
-		Threshold: logThreshold,
+	logScore := func(now float64) (float64, error) {
+		return clf.Score(eventlog.SlidingWindow(sys.Log(), now, dataWindow))
 	}
+	logLayer := &core.Layer{Name: "log", Predictor: core.PredictorFunc(logScore), Threshold: logThreshold}
 	// Layer 2 (OS/resource): free-memory depletion trend.
-	memLayer := &core.Layer{
-		Name: "memory",
-		Evaluate: func(now float64) (float64, error) {
-			mem, err := sys.SAR("mem_free")
-			if err != nil {
-				return 0, err
-			}
-			w := mem.Window(now-1200, now+1e-9)
-			if w.Len() < 3 {
-				return 0, nil
-			}
-			slope, _, err := w.LinearTrend()
-			if err != nil {
-				return 0, nil
-			}
-			// Declining memory (negative slope) raises the score; also
-			// warn outright when already inside the degradation band.
-			score := -slope
-			if v, ok := mem.ValueAt(now); ok && v < 2*sys.Config().SwapThreshold {
-				score += 1
-			}
-			return score, nil
-		},
-		Threshold: 0.1,
+	memScore := func(now float64) (float64, error) {
+		mem, err := sys.SAR("mem_free")
+		if err != nil {
+			return 0, err
+		}
+		w := mem.Window(now-1200, now+1e-9)
+		if w.Len() < 3 {
+			return 0, nil
+		}
+		slope, _, err := w.LinearTrend()
+		if err != nil {
+			return 0, nil
+		}
+		// Declining memory (negative slope) raises the score; also
+		// warn outright when already inside the degradation band.
+		score := -slope
+		if v, ok := mem.ValueAt(now); ok && v < 2*sys.Config().SwapThreshold {
+			score += 1
+		}
+		return score, nil
 	}
+	memLayer := &core.Layer{Name: "memory", Predictor: core.PredictorFunc(memScore), Threshold: 0.1}
 	// Layer 3 (platform): utilization headroom.
 	loadLayer := &core.Layer{
-		Name: "load",
-		Evaluate: func(now float64) (float64, error) {
-			return sys.Utilization(), nil
-		},
+		Name:      "load",
+		Predictor: core.PredictorFunc(func(float64) (float64, error) { return sys.Utilization(), nil }),
 		Threshold: 0.85,
 	}
 
@@ -270,12 +258,12 @@ func attachMEA(sys *scp.System, clf *hsmm.Classifier, logThreshold float64, cfg 
 				}
 			})
 		}
-		if memScore, err := memLayer.Evaluate(now); err == nil && memScore >= memLayer.Threshold {
+		if score, err := memScore(now); err == nil && score >= memLayer.Threshold {
 			if err := sys.CleanupState(); err != nil {
 				return err
 			}
 		}
-		if logScore, err := logLayer.Evaluate(now); err == nil && logScore >= logLayer.Threshold {
+		if score, err := logScore(now); err == nil && score >= logLayer.Threshold {
 			if err := sys.Failover(); err != nil {
 				return err
 			}
@@ -448,7 +436,7 @@ func RunOscillationAblation(seed int64, days float64, guardOn bool) (Oscillation
 	}
 	flappy := &core.Layer{
 		Name:      "flappy",
-		Evaluate:  func(float64) (float64, error) { return 1, nil },
+		Predictor: core.PredictorFunc(func(float64) (float64, error) { return 1, nil }),
 		Threshold: 0.5,
 	}
 	restart, err := act.New("preventive-restart", act.PreventiveRestart,

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/baseline"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/meta"
 	"repro/internal/predict"
+	ts "repro/internal/timeseries"
 )
 
 // MetaResult is the E11 outcome: AUCs of each per-layer base predictor and
@@ -97,9 +97,10 @@ func RunMetaLearning(cfg CaseStudyConfig) (MetaResult, error) {
 	}
 	// Standardize base scores so the logistic combiner sees comparable
 	// magnitudes; apply the training transform to the test scores.
-	var means, stds []float64
-	means, stds = standardizeMatrix(trainScores)
-	applyStandardizeMatrix(testScores, means, stds)
+	means, stds := ts.StandardizeColumns(trainScores)
+	if err := ts.ApplyStandardization(testScores, means, stds); err != nil {
+		return MetaResult{}, err
+	}
 
 	stacker, err := meta.TrainStacker(trainScores, ds.trainLabels, names, meta.LogisticConfig{
 		Epochs: 400,
@@ -114,7 +115,7 @@ func RunMetaLearning(cfg CaseStudyConfig) (MetaResult, error) {
 		Weights: stacker.Weights(),
 	}
 	for c, name := range names {
-		auc, err := aucOf(testScores.Col(c), ds.testLabels)
+		auc, err := predict.AUCOf(paired(testScores.Col(c), ds.testLabels))
 		if err != nil {
 			return MetaResult{}, fmt.Errorf("%s: %w", name, err)
 		}
@@ -128,57 +129,9 @@ func RunMetaLearning(cfg CaseStudyConfig) (MetaResult, error) {
 		}
 		stacked[r] = p
 	}
-	result.StackedAUC, err = aucOf(stacked, ds.testLabels)
+	result.StackedAUC, err = predict.AUCOf(paired(stacked, ds.testLabels))
 	if err != nil {
 		return MetaResult{}, err
 	}
 	return result, nil
-}
-
-// aucOf computes the AUC of raw scores against labels.
-func aucOf(scores []float64, labels []bool) (float64, error) {
-	scored := make([]predict.Scored, len(scores))
-	for i, s := range scores {
-		scored[i] = predict.Scored{Score: s, Actual: labels[i]}
-	}
-	return predict.AUCOf(scored)
-}
-
-// standardizeMatrix z-scores columns in place, returning the transform.
-func standardizeMatrix(m *mat.Matrix) (means, stds []float64) {
-	means = make([]float64, m.Cols)
-	stds = make([]float64, m.Cols)
-	for c := 0; c < m.Cols; c++ {
-		col := m.Col(c)
-		mean := 0.0
-		for _, v := range col {
-			mean += v
-		}
-		mean /= float64(len(col))
-		variance := 0.0
-		for _, v := range col {
-			d := v - mean
-			variance += d * d
-		}
-		std := 1.0
-		if len(col) > 1 {
-			if s := variance / float64(len(col)-1); s > 0 {
-				std = math.Sqrt(s)
-			}
-		}
-		means[c], stds[c] = mean, std
-		for r := 0; r < m.Rows; r++ {
-			m.Set(r, c, (m.At(r, c)-mean)/std)
-		}
-	}
-	return means, stds
-}
-
-// applyStandardizeMatrix applies a transform in place.
-func applyStandardizeMatrix(m *mat.Matrix, means, stds []float64) {
-	for c := 0; c < m.Cols && c < len(means); c++ {
-		for r := 0; r < m.Rows; r++ {
-			m.Set(r, c, (m.At(r, c)-means[c])/stds[c])
-		}
-	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/mat"
 	"repro/internal/par"
+	"repro/internal/predict"
 	"repro/internal/ubf"
 )
 
@@ -169,7 +170,7 @@ func (ds *dataset) subsetAUC(trainX, testX *mat.Matrix, y []float64, subset []in
 	if err != nil {
 		return 0, err
 	}
-	return aucOf(scores, ds.testLabels)
+	return predict.AUCOf(paired(scores, ds.testLabels))
 }
 
 // indicesOf maps variable names to their column indices (raw columns carry

@@ -28,7 +28,6 @@ type LayerTemplate struct {
 
 // instantiate builds one tenant's core.Layer from the template.
 func (tmpl LayerTemplate) instantiate(st TenantState) *core.Layer {
-	l := &core.Layer{Name: tmpl.Name, Threshold: tmpl.Threshold}
 	score := tmpl.Score
 	if score == nil {
 		batch := tmpl.ScoreBatch
@@ -40,6 +39,6 @@ func (tmpl LayerTemplate) instantiate(st TenantState) *core.Layer {
 			return out[0], nil
 		}
 	}
-	l.Evaluate = func(now float64) (float64, error) { return score(st, now) }
-	return l
+	return &core.Layer{Name: tmpl.Name, Threshold: tmpl.Threshold,
+		Predictor: core.PredictorFunc(func(now float64) (float64, error) { return score(st, now) })}
 }

@@ -90,7 +90,7 @@ func TestRuntimeFleetParity(t *testing.T) {
 	for i, pl := range parityLayers {
 		score := pl.score
 		layers[i] = &core.Layer{Name: pl.name, Threshold: pl.threshold,
-			Evaluate: func(now float64) (float64, error) { return score(rst, now), nil }}
+			Predictor: core.PredictorFunc(func(now float64) (float64, error) { return score(rst, now), nil })}
 	}
 	sel, acts, err := parityActions()
 	if err != nil {

@@ -77,7 +77,7 @@ var shellEngine = core.Config{EvalInterval: 1, LeadTime: 10, WarnThreshold: 0.5}
 func newRuntimeFixture(t *testing.T, h *shellHooks) *shellFixture {
 	t.Helper()
 	layer := &core.Layer{Name: "l", Threshold: 0.5,
-		Evaluate: func(float64) (float64, error) { return h.scoreNow(), nil }}
+		Predictor: core.PredictorFunc(func(float64) (float64, error) { return h.scoreNow(), nil })}
 	sel, actions := shellAction(t, h)
 	eng, err := core.New(nil, []*core.Layer{layer}, nil, sel, actions, nil, shellEngine)
 	if err != nil {

@@ -30,7 +30,7 @@ func tracezPlanes(t *testing.T) map[string]http.Handler {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layer := &core.Layer{Name: "quiet", Evaluate: func(float64) (float64, error) { return 0, nil }, Threshold: 0.5}
+	layer := &core.Layer{Name: "quiet", Predictor: core.PredictorFunc(func(float64) (float64, error) { return 0, nil }), Threshold: 0.5}
 	engine, err := core.New(nil, []*core.Layer{layer}, nil, sel, []*act.Action{noop}, nil,
 		core.Config{EvalInterval: 1, LeadTime: 1, WarnThreshold: 0.5})
 	if err != nil {

@@ -319,9 +319,9 @@ func TestLifecycleCaptureFailure(t *testing.T) {
 // unactionable — no events, no state change.
 func TestLifecycleNonRetrainable(t *testing.T) {
 	sc := shiftingScore(20, 0.1, 0.3)
-	layer := &core.Layer{Name: "plain", Evaluate: func(now float64) (float64, error) {
+	layer := &core.Layer{Name: "plain", Predictor: core.PredictorFunc(func(now float64) (float64, error) {
 		return sc(now), nil
-	}, Threshold: 0.5}
+	}), Threshold: 0.5}
 	h := newHarness(t, []*core.Layer{layer}, Config{ScoreWarmup: 10, SyncRetrain: true}, 10)
 	var log eventLog
 	h.m.Subscribe(log.record)

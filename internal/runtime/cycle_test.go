@@ -43,7 +43,7 @@ func newCycleRig(tb testing.TB, arm cycleArm) *cycleRig {
 	for i, name := range names {
 		layers[i] = &core.Layer{
 			Name:      name,
-			Evaluate:  func(float64) (float64, error) { return 0.1, nil },
+			Predictor: core.PredictorFunc(func(float64) (float64, error) { return 0.1, nil }),
 			Threshold: 1,
 		}
 	}

@@ -108,11 +108,11 @@ func TestStopWaitsForHelpedChunk(t *testing.T) {
 		final.Store(-1)
 		layer := &core.Layer{
 			Name: "watch",
-			Evaluate: func(float64) (float64, error) {
+			Predictor: core.PredictorFunc(func(float64) (float64, error) {
 				m := rt.Metrics()
 				final.Store(m.Applied.Value() - m.Ingested.Value())
 				return 0, nil
-			},
+			}),
 			Threshold: 0.5,
 		}
 		rt, err := New(Config{

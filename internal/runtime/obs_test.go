@@ -97,9 +97,9 @@ func tracedRuntime(t *testing.T, clock *atomic.Int64) (*Runtime, *obs.Ledger) {
 	var score atomic.Uint64
 	layer := &core.Layer{
 		Name: "level",
-		Evaluate: func(float64) (float64, error) {
+		Predictor: core.PredictorFunc(func(float64) (float64, error) {
 			return math.Float64frombits(score.Load()), nil
-		},
+		}),
 		Threshold: 0.5,
 	}
 	led, err := obs.NewLedger(obs.LedgerConfig{LeadTime: 5}, "level")

@@ -88,10 +88,10 @@ func replayRecorderTrace(t *testing.T, diag *diagnose.Diagnoser) (*obs.Recorder,
 	mirror := eventlog.NewLog()
 	layer := &core.Layer{
 		Name: "errrate",
-		Evaluate: func(now float64) (float64, error) {
+		Predictor: core.PredictorFunc(func(now float64) (float64, error) {
 			lo, hi := mirror.ScanWindow(now-1.5, now+1e-9)
 			return float64(hi-lo) / 3, nil
-		},
+		}),
 		Threshold: 1,
 	}
 	eng := testEngine(t, defaultCoreCfg(), layer)

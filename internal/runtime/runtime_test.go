@@ -38,7 +38,7 @@ func testEngine(t testing.TB, cfg core.Config, layers ...*core.Layer) *core.Engi
 func quietLayer() *core.Layer {
 	return &core.Layer{
 		Name:      "quiet",
-		Evaluate:  func(float64) (float64, error) { return 0, nil },
+		Predictor: core.PredictorFunc(func(float64) (float64, error) { return 0, nil }),
 		Threshold: 0.5,
 	}
 }
@@ -261,7 +261,7 @@ func TestGracefulShutdownDrain(t *testing.T) {
 func TestPeriodicEvaluationWarnsActsAndGuards(t *testing.T) {
 	hot := &core.Layer{
 		Name:      "hot",
-		Evaluate:  func(float64) (float64, error) { return 1, nil },
+		Predictor: core.PredictorFunc(func(float64) (float64, error) { return 1, nil }),
 		Threshold: 0.5,
 	}
 	cfg := defaultCoreCfg()
@@ -330,10 +330,10 @@ func TestStress(t *testing.T) {
 	seen := 0
 	counting := &core.Layer{
 		Name: "events",
-		Evaluate: func(float64) (float64, error) {
+		Predictor: core.PredictorFunc(func(float64) (float64, error) {
 			// Reads the Apply-written state under the runtime's read lock.
 			return float64(seen % 2), nil
-		},
+		}),
 		Threshold: 0.5,
 	}
 	rt, err := New(Config{

@@ -76,9 +76,6 @@ type fleetRun struct {
 // and load shape (a trace file or a listener names the same tenants: loggen
 // uses the scheme), their states and layers, the scoped ledger and recorder.
 func newFleet(cfg *Config) (*fleetRun, *scp.MultiSystem, error) {
-	if cfg.Tenants < 1 {
-		return nil, nil, fmt.Errorf("-tenants must be >= 1")
-	}
 	multi, err := scp.NewMulti(scp.MultiConfig{Tenants: cfg.Tenants, BaseSeed: cfg.Seed, Skew: cfg.Skew})
 	if err != nil {
 		return nil, nil, err
@@ -98,7 +95,7 @@ func newFleet(cfg *Config) (*fleetRun, *scp.MultiSystem, error) {
 	for i, l := range layers {
 		names[i] = l.Name
 	}
-	if r.led, err = obs.NewScopedLedger(cfg.Ledger, FleetScopes, names...); err != nil {
+	if r.led, err = obs.NewScopedLedger(cfg.ledger(), fleetScopes, names...); err != nil {
 		return nil, nil, err
 	}
 	tracer := cfg.newTracer()
@@ -113,8 +110,8 @@ func newFleet(cfg *Config) (*fleetRun, *scp.MultiSystem, error) {
 		Apply:         func(st fleet.TenantState, ev fleet.Event) error { return st.(*fleetState).apply(ev) },
 		Engine:        cfg.engine(0.5),
 		Shards:        cfg.Shards,
-		QueueCapacity: cfg.Runtime.QueueCapacity,
-		Overflow:      cfg.Runtime.Overflow,
+		QueueCapacity: cfg.QueueCapacity,
+		Overflow:      cfg.Overflow,
 		ActBudget:     cfg.ActBudget,
 		Clock:         r.clock.Now,
 		Tracer:        tracer,
@@ -125,10 +122,10 @@ func newFleet(cfg *Config) (*fleetRun, *scp.MultiSystem, error) {
 	return r, multi, err
 }
 
-// RunFleet runs the multi-tenant fleet over a TCP listener (Listen), a
+// runFleet runs the multi-tenant fleet over a TCP listener (Listen), a
 // recorded trace (FleetTrace) paced at Compress, or the simulator.
-func RunFleet(ctx context.Context, cfg Config) error {
-	r, multi, err := newFleet(&cfg)
+func runFleet(ctx context.Context, cfg *Config) error {
+	r, multi, err := newFleet(cfg)
 	if err != nil {
 		return err
 	}
@@ -158,7 +155,7 @@ func RunFleet(ctx context.Context, cfg Config) error {
 	default:
 		src, r.source = cfg.simulate(ctx, multi), "simulator"
 	}
-	return serve(ctx, &cfg, r, src, &r.clock)
+	return serve(ctx, cfg, r, src, &r.clock)
 }
 
 func (r *fleetRun) started(addr string) {

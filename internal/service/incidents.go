@@ -104,7 +104,7 @@ func (p *pipeline) buildRecorder() error {
 }
 
 // fleetRecorder builds the fleet's flight recorder from the same settings:
-// one recorder per tenant under the FleetScopes cardinality cap (later
+// one recorder per tenant under the fleetScopes cardinality cap (later
 // tenants share the overflow recorder), each gated at IncidentWarn weighted
 // by its tenant's criticality. The fleet mirrors no event log, so its
 // bundles carry scores, versions and spans but no events or suspects.
@@ -113,7 +113,7 @@ func (cfg *Config) fleetRecorder(layers []string, tracer *obs.Tracer) (*obs.Scop
 	if cfg.IncidentCap <= 0 {
 		return nil, nil
 	}
-	rec, err := obs.NewScopedRecorder(cfg.recorderConfig(layers, tracer), FleetScopes)
+	rec, err := obs.NewScopedRecorder(cfg.recorderConfig(layers, tracer), fleetScopes)
 	if err != nil {
 		return nil, err
 	}

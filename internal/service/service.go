@@ -1,14 +1,19 @@
 // Package service is the product pfmd runs: the PFM library assembled into
-// a long-running service. RunSingle runs the streaming MEA runtime
-// (internal/runtime) over the SCP simulator, paced by the wall clock, whose
-// act stage it steers directly, or over a recorded one-tenant trace at full
-// speed. RunFleet runs the multi-tenant fleet (internal/fleet) over the
-// simulator, a recorded trace or a TCP listener.
+// a long-running service. A Config is one run, as plain values: pfmd's flag
+// values, and where the run writes. Run is the entry point: it checks the
+// values, then runs either the streaming MEA runtime (internal/runtime) over
+// the SCP simulator, paced by the wall clock, whose act stage it steers
+// directly, or over a recorded one-tenant trace at full speed; or, with
+// Fleet, the multi-tenant fleet (internal/fleet) over the simulator, a
+// recorded trace or a TCP listener. The product's constants — the lead time,
+// the ledger slack, the fleet's scopes, Hotswap's drift settings and the
+// burn-rate floor — live here, beside the engines, ledgers and lifecycle
+// they configure.
 //
-// Both run one skeleton (serve): start the pipeline and its observability
-// endpoints, pump the input through a fleet.Stepper that runs an MEA cycle at
-// every Eval simulated seconds of the input's own time on the feeding
-// goroutine, drain gracefully, log the exit summary. So a run without
+// Both modes run one skeleton (serve): start the pipeline and its
+// observability endpoints, pump the input through a fleet.Stepper that runs
+// an MEA cycle at every Eval simulated seconds of the input's own time on
+// the feeding goroutine, drain gracefully, log the exit summary. So a run without
 // Hotswap (whose retrains land on background goroutines) is a deterministic
 // function of its Config, RateLimit included: a tenant's token bucket
 // decides at admission, on the input's own time.
@@ -23,6 +28,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
@@ -37,21 +43,24 @@ import (
 	"repro/internal/scp"
 )
 
-// Config is one run of the product: the values pfmd's flags set, and where
-// the run writes.
+// Config is one run of the product: every pfmd flag's value, plain, and
+// where the run writes. Run checks the values before anything starts.
 type Config struct {
-	Addr     string         // -addr: the observability endpoints
-	Seed     int64          // -seed: the simulator's
-	Days     float64        // -days: the simulator's horizon
-	Compress float64        // -compress: simulated seconds per wall second
-	Eval     float64        // -eval: the MEA cadence [sim s]
-	Runtime  runtime.Config // -queue, -overflow, -pprof; the fleet sizes its queues from it too
-	Shards   int            // -shards
+	Addr     string  // -addr: the observability endpoints
+	Seed     int64   // -seed: the simulator's
+	Days     float64 // -days: the simulator's horizon
+	Compress float64 // -compress: simulated seconds per wall second
+	Eval     float64 // -eval: the MEA cadence [sim s], at most the lead time
 
-	TraceCap, TraceSample, TraceDump int               // -trace-cap, -trace-sample, -trace-dump
-	Ledger                           obs.LedgerConfig  // -ledger-window, at pfmd's lead time and slack
-	MetaWeights                      string            // -meta-weights
-	Hotswap                          *lifecycle.Config // -hotswap's predictor lifecycle; nil runs without
+	QueueCapacity int                    // -queue: the ingest queue's, each shard's with Fleet
+	Overflow      runtime.OverflowPolicy // -overflow
+	Profiling     bool                   // -pprof: /debug/pprof/ on Addr
+	Shards        int                    // -shards
+
+	TraceCap, TraceSample, TraceDump int     // -trace-cap, -trace-sample, -trace-dump
+	LedgerWindow                     float64 // -ledger-window: the rolling quality window [sim s]
+	MetaWeights                      string  // -meta-weights
+	Hotswap                          bool    // -hotswap: the predictor lifecycle
 
 	IncidentDir  string  // -incident-dir
 	IncidentCap  int     // -incident-cap
@@ -59,6 +68,7 @@ type Config struct {
 
 	ReplayColumnar string // -replay-columnar
 
+	Fleet      bool    // -fleet
 	Tenants    int     // -tenants
 	Skew       float64 // -skew
 	FleetTrace string  // -fleet-trace
@@ -72,12 +82,76 @@ type Config struct {
 	Drained func()            // runs once the pipeline stopped, while the endpoints still serve
 }
 
-// FleetScopes is how many tenants get a dedicated ledger and recorder
-// scope; the rest fold into one.
-const FleetScopes = 64
+// What every run predicts at: the engines warn at the lead time Δtl, and the
+// ledger scores a warning a hit when a failure follows within Δtl plus the
+// slack Δtp.
+const (
+	leadTime    = 300.0 // [sim s]
+	ledgerSlack = 300.0 // [sim s]
+)
+
+// fleetScopes is how many tenants get a dedicated ledger and recorder scope;
+// the rest fold into one.
+const fleetScopes = 64
+
+// Hotswap's drift detector and promotion rule.
+const (
+	driftWarmup    = 240 // score-drift detector self-calibration window [cycles]
+	driftThreshold = 8   // score-drift CUSUM threshold [σ]
+	driftShadowMin = 20  // resolved shadow predictions before a promotion decision
+	driftCooldown  = 200 // cycles a layer is muted after a lifecycle episode
+)
 
 // drainTimeout bounds a graceful stop, so Ctrl-C always wins within seconds.
 const drainTimeout = 10 * time.Second
+
+// Run runs the product cfg describes until its input ends or ctx is
+// canceled: with Fleet the multi-tenant fleet, otherwise the single-tenant
+// runtime over ReplayColumnar's trace or the simulator. Values no run can
+// use are refused, naming their flag, before anything starts.
+func Run(ctx context.Context, cfg Config) error {
+	if err := cfg.check(); err != nil {
+		return err
+	}
+	if cfg.Fleet {
+		return runFleet(ctx, &cfg)
+	}
+	return runSingle(ctx, &cfg)
+}
+
+// check refuses the values the selected mode cannot run with, and raises
+// TraceCap to TraceDump so the dump has the traces it prints.
+func (cfg *Config) check() error {
+	if (cfg.Fleet || cfg.ReplayColumnar == "") && !(cfg.Days > 0 && cfg.Compress > 0) {
+		return fmt.Errorf("days and compress must be positive")
+	}
+	// core.Config refuses the same: a cadence longer than the lead time
+	// leaves failures no cycle could have warned of.
+	if !(cfg.Eval > 0 && cfg.Eval <= leadTime) {
+		return fmt.Errorf("-eval %g: the MEA cadence must be positive and at most the lead time, %g simulated seconds", cfg.Eval, leadTime)
+	}
+	if cfg.Fleet && cfg.Tenants < 1 {
+		return fmt.Errorf("-tenants must be >= 1")
+	}
+	if cfg.TraceDump > cfg.TraceCap {
+		cfg.TraceCap = cfg.TraceDump
+	}
+	return nil
+}
+
+// ledger is every mode's ledger configuration: Sect. 3.3 matching at the lead
+// time and slack, gauges over LedgerWindow.
+func (cfg *Config) ledger() obs.LedgerConfig {
+	return obs.LedgerConfig{LeadTime: leadTime, Slack: ledgerSlack, Window: cfg.LedgerWindow}
+}
+
+// driftConfig is Hotswap's predictor lifecycle: the library's defaults but
+// for the detector's warm-up and threshold, the shadow sample and the
+// cooldown.
+func driftConfig() lifecycle.Config {
+	return lifecycle.Config{ScoreWarmup: driftWarmup, ScoreThresholdSigma: driftThreshold,
+		ShadowMinResolved: driftShadowMin, CooldownCycles: driftCooldown}
+}
 
 // A mode is what one run serves — the single-tenant pipeline or the fleet —
 // and what it logs around the run.
@@ -99,8 +173,14 @@ func serve(ctx context.Context, cfg *Config, m mode, src fleet.Source, clock *fl
 	if err := m.Start(context.WithoutCancel(ctx)); err != nil {
 		return err
 	}
+	stop := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+		defer cancel()
+		return m.Stop(ctx)
+	}
 	srv, bound, err := m.Serve(cfg.Addr)
-	if err != nil {
+	if err != nil { // the address is taken: stop what Start started
+		_ = stop()
 		return err
 	}
 	defer srv.Close()
@@ -112,9 +192,7 @@ func serve(ctx context.Context, cfg *Config, m mode, src fleet.Source, clock *fl
 	n, err := m.pump(ctx, fleet.NewStepper(src, cfg.Eval, clock, func(nows []float64) error {
 		return m.cycle(ctx, nows)
 	}))
-	stopCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := m.Stop(stopCtx); err != nil {
+	if err := stop(); err != nil {
 		cfg.Logger.Warn("drain incomplete", "err", err)
 	}
 	if cfg.Drained != nil {
@@ -130,7 +208,7 @@ func serve(ctx context.Context, cfg *Config, m mode, src fleet.Source, clock *fl
 // at the lead time the ledger scores at, once the combined confidence
 // reaches warn.
 func (cfg *Config) engine(warn float64) core.Config {
-	return core.Config{EvalInterval: cfg.Eval, LeadTime: cfg.Ledger.LeadTime, WarnThreshold: warn,
+	return core.Config{EvalInterval: cfg.Eval, LeadTime: leadTime, WarnThreshold: warn,
 		OscillationWindow: 1800, MaxActionsPerWindow: 6}
 }
 

@@ -181,19 +181,20 @@ func newPipeline(cfg *Config, mitigate func() error) (*pipeline, error) {
 
 	// Online prediction-quality ledger: journaled by the runtime's act
 	// tail, ground truth fed by pump, matched with the lead time
-	// Δtl and slack Δtp of cfg.Ledger.
+	// Δtl and slack Δtp.
 	p.names = make([]string, len(layers))
 	for i, l := range layers {
 		p.names[i] = l.Name
 	}
-	if p.ledger, err = obs.NewLedger(cfg.Ledger, p.names...); err != nil {
+	if p.ledger, err = obs.NewLedger(cfg.ledger(), p.names...); err != nil {
 		return nil, err
 	}
 
 	// Predictor lifecycle (Hotswap): drift-triggered recalibration with
 	// shadow validation against the live ledger and zero-downtime swaps.
-	if drift := cfg.Hotswap; drift != nil {
-		if p.lcm, err = lifecycle.NewManager(layers, p.ledger, *drift); err != nil {
+	if cfg.Hotswap {
+		drift := driftConfig()
+		if p.lcm, err = lifecycle.NewManager(layers, p.ledger, drift); err != nil {
 			return nil, err
 		}
 		cfg.Logger.Info("predictor lifecycle enabled",
@@ -207,10 +208,11 @@ func newPipeline(cfg *Config, mitigate func() error) (*pipeline, error) {
 		return nil, err
 	}
 
-	rc := cfg.Runtime
-	rc.Engine, rc.Apply, rc.Clock = p.engine, p.mirror.apply, p.clock.Now
-	rc.Tracer, rc.Ledger, rc.Lifecycle, rc.Recorder = p.tracer, p.ledger, p.lcm, p.recorder
-	if p.Runtime, err = runtime.New(rc); err != nil {
+	if p.Runtime, err = runtime.New(runtime.Config{
+		Engine: p.engine, Apply: p.mirror.apply, Clock: p.clock.Now,
+		QueueCapacity: cfg.QueueCapacity, Overflow: cfg.Overflow, Profiling: cfg.Profiling,
+		Tracer: p.tracer, Ledger: p.ledger, Lifecycle: p.lcm, Recorder: p.recorder,
+	}); err != nil {
 		return nil, err
 	}
 	if p.lcm != nil {
@@ -219,12 +221,12 @@ func newPipeline(cfg *Config, mitigate func() error) (*pipeline, error) {
 	return p, nil
 }
 
-// RunSingle runs the single-tenant runtime: over the SCP simulator, paced by
+// runSingle runs the single-tenant runtime: over the SCP simulator, paced by
 // the wall clock at Compress and steered by the pipeline's countermeasure,
 // or with ReplayColumnar over a recorded one-tenant trace at full speed (a
 // recording cannot be steered, so its countermeasure is a no-op and only its
 // decision record matters).
-func RunSingle(ctx context.Context, cfg Config) error {
+func runSingle(ctx context.Context, cfg *Config) error {
 	var src fleet.Source
 	var sys *scp.System
 	mitigate := func() error { return nil }
@@ -263,25 +265,25 @@ func RunSingle(ctx context.Context, cfg Config) error {
 		}
 		src = cfg.simulate(ctx, m)
 	}
-	p, err := newPipeline(&cfg, mitigate)
+	p, err := newPipeline(cfg, mitigate)
 	if err != nil {
 		return err
 	}
 	if p.sys = sys; sys != nil {
 		p.logDecisions()
 	}
-	return serve(ctx, &cfg, p, src, &p.clock)
+	return serve(ctx, cfg, p, src, &p.clock)
 }
 
 func (p *pipeline) started(addr string) {
 	cfg := p.cfg
 	cfg.Logger.Info("serving observability endpoints",
-		"addr", addr, "tracez", p.tracer != nil, "ledger", true, "pprof", cfg.Runtime.Profiling)
+		"addr", addr, "tracez", p.tracer != nil, "ledger", true, "pprof", cfg.Profiling)
 	source := fmt.Sprintf("simulator, %g days at %g×", cfg.Days, cfg.Compress)
 	if p.sys == nil {
 		source = cfg.ReplayColumnar
 	}
-	cfg.Logger.Info("replay starting", "source", source, "cadence_sim_s", cfg.Eval, "policy", cfg.Runtime.Overflow.String())
+	cfg.Logger.Info("replay starting", "source", source, "cadence_sim_s", cfg.Eval, "policy", cfg.Overflow.String())
 }
 
 // cycle applies what the input handed on before the stack's last boundary,

@@ -60,7 +60,6 @@ var orphanAllowed = map[string]string{
 	"fleet.Fleet.Ingest":                     "how a pfm.Fleet is fed without a Source; Pump (its last in-tree caller until PR 23) takes the pointer form under it",
 	"fleet.Fleet.RecordFailure":              "Ingest's twin for failure marks; Pump resolves the tenant once and calls what is under it",
 	// Owned by a ROADMAP item or a DESIGN.md map: decided there, not here.
-	"monitor.*":           "ROADMAP 6(b): gets its product caller or is deleted",
 	"act.Category.Goal":   "DESIGN.md's Fig. 7 → code map (Goal and its two values with it)",
 	"act.Action.Category": "DESIGN.md's Fig. 7 → code map",
 }

@@ -127,7 +127,7 @@ func TestFacadeMEALoop(t *testing.T) {
 	}
 	layer := &Layer{
 		Name:      "load",
-		Evaluate:  func(float64) (float64, error) { return sys.Utilization(), nil },
+		Predictor: PredictorFunc(func(float64) (float64, error) { return sys.Utilization(), nil }),
 		Threshold: 0.85,
 	}
 	shed, err := NewLoadLowering(sys, ActionParams{Cost: 0.2, SuccessProb: 0.9}, 0.3)
