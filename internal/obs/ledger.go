@@ -306,19 +306,25 @@ type LedgerSnapshot struct {
 
 // Snapshot copies the full ledger state under one lock.
 func (l *Ledger) Snapshot() LedgerSnapshot {
+	var snap LedgerSnapshot
+	l.snapshotInto(&snap)
+	return snap
+}
+
+// snapshotInto is Snapshot into storage the caller reuses: snap's Layers
+// keep their backing array when it is large enough, so a warmed call
+// allocates nothing. A nil ledger leaves snap empty.
+func (l *Ledger) snapshotInto(snap *LedgerSnapshot) {
+	layers := snap.Layers[:0]
 	if l == nil {
-		return LedgerSnapshot{}
+		*snap = LedgerSnapshot{Layers: layers}
+		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	snap := LedgerSnapshot{
-		LeadTime:    l.cfg.LeadTime,
-		Slack:       l.cfg.Slack,
-		Window:      l.cfg.Window,
-		Watermark:   l.watermark,
-		Predictions: l.recorded,
-		Failures:    l.failSeen,
-		Layers:      make([]LayerQuality, 0, len(l.order)),
+	// l.order always holds CombinedLayer, so a fresh snap gets an array here.
+	if cap(layers) < len(l.order) {
+		layers = make([]LayerQuality, 0, len(l.order))
 	}
 	for _, name := range l.order {
 		ll := l.layers[name]
@@ -326,12 +332,20 @@ func (l *Ledger) Snapshot() LedgerSnapshot {
 		for _, b := range ll.pending {
 			rows += b.pos + b.neg
 		}
-		snap.Layers = append(snap.Layers, LayerQuality{
+		layers = append(layers, LayerQuality{
 			Layer:      name,
 			Rolling:    ll.rolling,
 			Cumulative: ll.cumulative,
 			Pending:    rows,
 		})
 	}
-	return snap
+	*snap = LedgerSnapshot{
+		LeadTime:    l.cfg.LeadTime,
+		Slack:       l.cfg.Slack,
+		Window:      l.cfg.Window,
+		Watermark:   l.watermark,
+		Predictions: l.recorded,
+		Failures:    l.failSeen,
+		Layers:      layers,
+	}
 }

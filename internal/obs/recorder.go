@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	stdruntime "runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -144,7 +145,8 @@ type RuntimeSnapshot struct {
 // IncidentBundle is one self-contained, causally-correlated incident
 // capture: the triggering decision, the pre-trigger event window, score
 // history, slowest spans, ranked suspects, quality tables and lifecycle
-// states, assembled inside the lead-time window the prediction bought.
+// states, captured inside the lead-time window the prediction bought and
+// built into this form when it is first read.
 type IncidentBundle struct {
 	ID            string      `json:"id"`
 	Seq           uint64      `json:"seq"`
@@ -170,8 +172,9 @@ type IncidentBundle struct {
 	Lifecycle any                `json:"lifecycle,omitempty"`
 	Runtime   *RuntimeSnapshot   `json:"runtime,omitempty"`
 
-	// CaptureSeconds is the wall time Collect spent assembling the
-	// bundle (pfm_incident_bundle_seconds).
+	// CaptureSeconds is the wall time Collect spent capturing the incident
+	// (pfm_incident_bundle_seconds); building this bundle from the capture
+	// on its first read is not part of it.
 	CaptureSeconds float64 `json:"capture_seconds"`
 }
 
@@ -203,9 +206,10 @@ func (b *IncidentBundle) Fingerprint() string {
 	return fp
 }
 
-// pendingTrigger is one fired trigger awaiting bundle assembly at the
-// next Collect (which runs under the evaluation exclusion, where the
-// event log is safe to read).
+// pendingTrigger is one fired trigger awaiting capture at the next
+// Collect (which runs under the evaluation exclusion, where the event log
+// is safe to read). Its versions buffer is reused by the next trigger that
+// takes its place in the pending list.
 type pendingTrigger struct {
 	kind       TriggerKind
 	t          float64
@@ -216,12 +220,39 @@ type pendingTrigger struct {
 	versions   []uint64
 }
 
+// capture is one incident as Collect copied it: everything its bundle
+// needs, in buffers the recorder owns. The buffers grow on a slot's first
+// use and are reused when the ring comes round to it again; the bundle is
+// built from them only when someone reads it.
+type capture struct {
+	pendingTrigger        // versions is the capture's own copy
+	id             uint64 // bundleID's hash, rendered on read
+	seq            uint64
+	eventsTotal    int
+	events         []eventlog.Event
+	times          []float64 // kept score rows, oldest first
+	scores         []float64 // len(times) rows of nLayers
+	vers           []uint64
+	spans          []record
+	quality        LedgerSnapshot
+	suspects       []diagnose.Suspect
+	lifecycle      any
+	runtime        RuntimeSnapshot
+	seconds        float64
+	bundle         *IncidentBundle // built on first read, dropped on eviction
+}
+
 // Recorder is a prediction-triggered flight recorder: always-on bounded
 // ring state (per-layer score history) plus a trigger pipeline that turns
 // warnings, act firings, lifecycle drift/rollback and ledger burn-rate
-// alarms into IncidentBundles. The steady-state path (Observe with no
-// trigger firing, Collect with nothing pending) allocates nothing —
-// pinned by TestRecorderSteadyStateZeroAllocs.
+// alarms into incident captures. A capture copies its evidence into a
+// ring of MaxBundles slots the recorder reuses; the IncidentBundle is
+// built on first read (Bundles, Bundle, subscriber delivery) and kept
+// until the slot is reused. The steady-state path (Observe with no
+// trigger firing, Collect with nothing pending) allocates nothing, and
+// neither does a warmed capture without Diagnose and Lifecycle hooks —
+// pinned by TestRecorderSteadyStateZeroAllocs and
+// TestRecorderCaptureZeroAllocs.
 //
 // Concurrency: Observe and TriggerEvent run on the act stage, Collect
 // under the runtime's evaluation exclusion, Flush after shutdown; an
@@ -249,9 +280,16 @@ type Recorder struct {
 	pending     []pendingTrigger
 	seq         uint64
 
-	bundles []*IncidentBundle
-	ready   []*IncidentBundle // assembled, not yet delivered to subscribers
-	subs    []func(*IncidentBundle)
+	// Capture ring: caps grows to MaxBundles, then oldest is the next slot
+	// reused.
+	caps   []capture
+	oldest int
+	// unsent counts the newest captures subscribers have not seen; ready
+	// holds the built bundles of those evicted before delivery.
+	unsent    int
+	ready     []*IncidentBundle
+	subs      []func(*IncidentBundle)
+	onCapture func(seconds float64)
 }
 
 // Recorder defaults.
@@ -307,7 +345,6 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 		nextAllowed: make([]float64, len(TriggerKinds)),
 		captured:    make([]int64, len(TriggerKinds)),
 		pending:     make([]pendingTrigger, 0, 4),
-		bundles:     make([]*IncidentBundle, 0, cfg.MaxBundles),
 	}
 	for i := range r.nextAllowed {
 		r.nextAllowed[i] = math.Inf(-1)
@@ -323,7 +360,8 @@ func (r *Recorder) Config() RecorderConfig {
 	return r.cfg
 }
 
-// Subscribe registers fn to receive every assembled bundle. Callbacks run
+// Subscribe registers fn to receive every captured bundle, built for
+// delivery (the same bundle Bundles and Bundle return). Callbacks run
 // on the act stage (and during Flush), outside the recorder's own lock
 // and outside the runtime's state lock — safe to do I/O. Register before
 // the pipeline starts.
@@ -333,6 +371,20 @@ func (r *Recorder) Subscribe(fn func(*IncidentBundle)) {
 	}
 	r.mu.Lock()
 	r.subs = append(r.subs, fn)
+	r.mu.Unlock()
+}
+
+// OnCapture registers fn to receive each capture's wall time in seconds
+// (IncidentBundle.CaptureSeconds) as Collect or Flush takes it, without a
+// bundle being built. fn runs under the recorder's lock: it must be cheap
+// and must not call back into the recorder. Register before the pipeline
+// starts; a later call replaces fn.
+func (r *Recorder) OnCapture(fn func(seconds float64)) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.onCapture = fn
 	r.mu.Unlock()
 }
 
@@ -400,8 +452,8 @@ func (r *Recorder) TriggerEvent(kind TriggerKind, t float64, detail string) {
 	r.mu.Unlock()
 }
 
-// fireLocked applies the refractory gate and queues a pending trigger.
-// The caller holds r.mu.
+// fireLocked applies the refractory gate and queues a pending trigger,
+// reusing the pending entry's versions buffer. The caller holds r.mu.
 func (r *Recorder) fireLocked(kind TriggerKind, t float64, o CycleObservation) {
 	ki := triggerIndex(kind)
 	if ki < 0 {
@@ -412,24 +464,23 @@ func (r *Recorder) fireLocked(kind TriggerKind, t float64, o CycleObservation) {
 		return
 	}
 	r.nextAllowed[ki] = t + r.cfg.Refractory
-	p := pendingTrigger{
+	r.pending = slices.Grow(r.pending, 1)[:len(r.pending)+1]
+	p := &r.pending[len(r.pending)-1]
+	*p = pendingTrigger{
 		kind:       kind,
 		t:          t,
 		detail:     o.Detail,
 		confidence: o.Confidence,
 		action:     o.Action,
 		traceID:    r.cfg.Tracer.NewestCompleteID(),
+		versions:   append(p.versions[:0], o.LayerVersions...),
 	}
-	if len(o.LayerVersions) > 0 {
-		p.versions = append([]uint64(nil), o.LayerVersions...)
-	}
-	r.pending = append(r.pending, p)
 }
 
-// Collect assembles a bundle for every pending trigger. The runtime calls
-// it inside the evaluation exclusion (no Apply concurrent), which is what
-// makes the event-log reads and the Diagnose callback safe. With nothing
-// pending it is a single uncontended lock round-trip — allocation-free.
+// Collect captures every pending trigger. The runtime calls it inside the
+// evaluation exclusion (no Apply concurrent), which is what makes the
+// event-log reads and the Diagnose callback safe. With nothing pending it
+// is a single uncontended lock round-trip — allocation-free.
 func (r *Recorder) Collect() {
 	if r == nil {
 		return
@@ -439,102 +490,163 @@ func (r *Recorder) Collect() {
 	r.mu.Unlock()
 }
 
-// collectLocked drains r.pending into assembled bundles. Caller holds r.mu.
+// collectLocked drains r.pending into captures. Caller holds r.mu.
 func (r *Recorder) collectLocked() {
 	for i := range r.pending {
-		b := r.assembleLocked(&r.pending[i])
-		if len(r.bundles) >= r.cfg.MaxBundles {
-			copy(r.bundles, r.bundles[1:])
-			r.bundles = r.bundles[:len(r.bundles)-1]
-		}
-		r.bundles = append(r.bundles, b)
-		if len(r.subs) > 0 {
-			r.ready = append(r.ready, b)
-		}
+		r.captureLocked(&r.pending[i])
 	}
 	r.pending = r.pending[:0]
 }
 
-// assembleLocked builds one incident bundle. Caller holds r.mu and the
-// pipeline's evaluation exclusion.
-func (r *Recorder) assembleLocked(p *pendingTrigger) *IncidentBundle {
+// captureLocked copies one incident's evidence into the next capture
+// slot. Caller holds r.mu and the pipeline's evaluation exclusion.
+func (r *Recorder) captureLocked(p *pendingTrigger) {
 	start := time.Now()
+	c := r.nextSlotLocked()
 	r.seq++
-	b := &IncidentBundle{
-		ID:            bundleID(r.cfg.Scope, p.kind, p.t, r.seq),
-		Seq:           r.seq,
-		Scope:         r.cfg.Scope,
-		Trigger:       p.kind,
-		Time:          p.t,
-		Detail:        p.detail,
-		Confidence:    p.confidence,
-		Action:        p.action,
-		TraceID:       p.traceID,
-		Layers:        r.cfg.Layers,
-		LayerVersions: p.versions,
-		EventsFrom:    p.t - r.cfg.Window,
-		EventsTo:      p.t,
-	}
-	if ki := triggerIndex(p.kind); ki >= 0 {
-		r.captured[ki]++
-	}
+	r.captured[triggerIndex(p.kind)]++ // fireLocked queues known kinds only
+	vers := c.versions
+	c.pendingTrigger = *p
+	c.versions = append(vers[:0], p.versions...)
+	c.id, c.seq = bundleID(r.cfg.Scope, p.kind, p.t, r.seq), r.seq
+	from := p.t - r.cfg.Window
+	c.eventsTotal, c.events = 0, c.events[:0]
 	if l := r.cfg.Log; l != nil {
-		// The repo-wide now+1e-9 idiom makes the upper bound inclusive.
-		lo, hi := l.ScanWindow(b.EventsFrom, b.EventsTo+1e-9)
-		b.EventsTotal = hi - lo
-		if b.EventsTotal > r.cfg.MaxEvents {
-			lo, hi = l.ScanWindow(l.TimeAt(hi-r.cfg.MaxEvents), b.EventsTo+1e-9)
-		}
-		b.Events = make([]eventlog.Event, hi-lo)
-		for i := range b.Events {
-			b.Events[i] = l.At(lo + i)
+		// The repo-wide now+1e-9 idiom makes the upper bound inclusive; the
+		// cap keeps the newest MaxEvents of the window, ties at the cut
+		// included.
+		lo, hi := l.ScanWindow(from, p.t+1e-9)
+		c.eventsTotal = hi - lo
+		lo = max(lo, hi-r.cfg.MaxEvents)
+		c.events = slices.Grow(c.events, hi-lo)
+		for i := lo; i < hi; i++ {
+			c.events = append(c.events, l.At(i))
 		}
 	}
+	c.suspects = nil
 	if r.cfg.Diagnose != nil {
-		b.Suspects = r.cfg.Diagnose(b.EventsFrom, b.EventsTo)
+		c.suspects = r.cfg.Diagnose(from, p.t)
 	}
-	// Score history: retained rows at or before the trigger, oldest first,
-	// copied into one allocation a column. A row's slices are clipped to
-	// their length, so appending to one cannot reach the next row.
-	kept := 0
+	// Score history: retained rows at or before the trigger, oldest first.
+	c.times, c.scores, c.vers = c.times[:0], c.scores[:0], c.vers[:0]
 	for i := 0; i < r.count; i++ {
-		if r.times[r.rowIndex(i)] <= p.t {
-			kept++
+		idx := r.rowIndex(i)
+		if r.times[idx] > p.t {
+			continue
 		}
+		row := idx * r.nLayers
+		c.times = append(c.times, r.times[idx])
+		c.scores = append(c.scores, r.scores[row:row+r.nLayers]...)
+		c.vers = append(c.vers, r.vers[row:row+r.nLayers]...)
 	}
-	if kept > 0 {
-		b.Scores = make([]BundleScore, 0, kept)
-		scores := make([]float64, 0, kept*r.nLayers)
-		vers := make([]uint64, 0, kept*r.nLayers)
-		for i := 0; i < r.count; i++ {
-			idx := r.rowIndex(i)
-			if r.times[idx] > p.t {
-				continue
-			}
-			row, at := idx*r.nLayers, len(scores)
-			scores = append(scores, r.scores[row:row+r.nLayers]...)
-			vers = append(vers, r.vers[row:row+r.nLayers]...)
-			b.Scores = append(b.Scores, BundleScore{
-				Time:     r.times[idx],
-				Scores:   scores[at:len(scores):len(scores)],
-				Versions: vers[at:len(vers):len(vers)],
-			})
+	c.spans = r.cfg.Tracer.slowestInto(c.spans, recorderSlowSpans)
+	r.cfg.Ledger.snapshotInto(&c.quality)
+	c.lifecycle = nil
+	if r.cfg.Lifecycle != nil {
+		c.lifecycle = r.cfg.Lifecycle()
+	}
+	if r.cfg.RuntimeStats {
+		c.runtime = runtimeSnap()
+	}
+	c.seconds = time.Since(start).Seconds()
+	if len(r.subs) > 0 {
+		r.unsent++
+	}
+	if r.onCapture != nil {
+		r.onCapture(c.seconds)
+	}
+}
+
+// nextSlotLocked returns the slot the next capture fills: a new one until
+// MaxBundles are retained, then the oldest, evicted. An evicted capture
+// subscribers have not seen yet is built first, so delivery still sees
+// every capture once. Caller holds r.mu.
+func (r *Recorder) nextSlotLocked() *capture {
+	if len(r.caps) < r.cfg.MaxBundles {
+		r.caps = append(r.caps, capture{})
+		return &r.caps[len(r.caps)-1]
+	}
+	c := &r.caps[r.oldest]
+	r.oldest = (r.oldest + 1) % len(r.caps)
+	if r.unsent == len(r.caps) {
+		r.ready = append(r.ready, r.bundleLocked(c))
+		r.unsent--
+	}
+	c.bundle = nil
+	return c
+}
+
+// at returns the i-th oldest retained capture. Caller holds r.mu.
+func (r *Recorder) at(i int) *capture {
+	return &r.caps[(r.oldest+i)%len(r.caps)]
+}
+
+// bundleLocked returns c's bundle, building it on first read. Caller
+// holds r.mu.
+func (r *Recorder) bundleLocked(c *capture) *IncidentBundle {
+	if c.bundle == nil {
+		c.bundle = r.build(c)
+	}
+	return c.bundle
+}
+
+// build renders a capture as a bundle that shares no storage with the
+// recorder (the slot's buffers are reused once it is evicted). A field is
+// nil exactly when its source is not configured or, for versions and
+// score history, when there is nothing to carry. Caller holds r.mu.
+func (r *Recorder) build(c *capture) *IncidentBundle {
+	b := &IncidentBundle{
+		ID:             fmt.Sprintf("%016x", c.id),
+		Seq:            c.seq,
+		Scope:          r.cfg.Scope,
+		Trigger:        c.kind,
+		Time:           c.t,
+		Detail:         c.detail,
+		Confidence:     c.confidence,
+		Action:         c.action,
+		TraceID:        c.traceID,
+		Layers:         r.cfg.Layers,
+		EventsFrom:     c.t - r.cfg.Window,
+		EventsTo:       c.t,
+		EventsTotal:    c.eventsTotal,
+		Suspects:       c.suspects,
+		Lifecycle:      c.lifecycle,
+		CaptureSeconds: c.seconds,
+	}
+	if len(c.versions) > 0 {
+		b.LayerVersions = slices.Clone(c.versions)
+	}
+	if r.cfg.Log != nil {
+		b.Events = make([]eventlog.Event, len(c.events))
+		copy(b.Events, c.events)
+	}
+	// One allocation a column; a row's slices are clipped to their length,
+	// so appending to one cannot reach the next row.
+	if k := len(c.times); k > 0 {
+		n := r.nLayers
+		scores, vers := slices.Clone(c.scores), slices.Clone(c.vers)
+		b.Scores = make([]BundleScore, k)
+		for i := range b.Scores {
+			lo, hi := i*n, (i+1)*n
+			b.Scores[i] = BundleScore{Time: c.times[i], Scores: scores[lo:hi:hi], Versions: vers[lo:hi:hi]}
 		}
 	}
 	if r.cfg.Tracer != nil {
-		b.Spans = r.cfg.Tracer.Slowest(recorderSlowSpans)
+		b.Spans = make([]TraceView, len(c.spans))
+		for i := range c.spans {
+			b.Spans[i] = c.spans[i].view()
+		}
 	}
 	if r.cfg.Ledger != nil {
-		snap := r.cfg.Ledger.Snapshot()
-		b.Quality = &snap
-	}
-	if r.cfg.Lifecycle != nil {
-		b.Lifecycle = r.cfg.Lifecycle()
+		q := c.quality
+		q.Layers = make([]LayerQuality, len(c.quality.Layers))
+		copy(q.Layers, c.quality.Layers)
+		b.Quality = &q
 	}
 	if r.cfg.RuntimeStats {
-		b.Runtime = runtimeSnap()
+		rs := c.runtime
+		b.Runtime = &rs
 	}
-	b.CaptureSeconds = time.Since(start).Seconds()
 	return b
 }
 
@@ -543,9 +655,14 @@ func (r *Recorder) rowIndex(i int) int {
 	return (r.head - r.count + i + r.depth) % r.depth
 }
 
-// takeReadyLocked hands the undelivered bundles to the caller (which must
-// deliver them outside the lock). Caller holds r.mu.
+// takeReadyLocked builds the bundles subscribers have not seen, oldest
+// first, and hands them to the caller (which must deliver them outside the
+// lock). Caller holds r.mu.
 func (r *Recorder) takeReadyLocked() []*IncidentBundle {
+	for i := len(r.caps) - r.unsent; i < len(r.caps); i++ {
+		r.ready = append(r.ready, r.bundleLocked(r.at(i)))
+	}
+	r.unsent = 0
 	if len(r.ready) == 0 {
 		return nil
 	}
@@ -569,7 +686,7 @@ func (r *Recorder) deliver(bundles []*IncidentBundle) {
 	}
 }
 
-// Flush assembles any still-pending triggers and delivers undelivered
+// Flush captures any still-pending triggers and delivers undelivered
 // bundles. The runtime calls it during Stop, after the pipeline has
 // quiesced (no concurrent Apply), so the log reads are safe.
 func (r *Recorder) Flush() {
@@ -583,14 +700,23 @@ func (r *Recorder) Flush() {
 	r.deliver(ready)
 }
 
-// Bundles returns the retained bundles, oldest first.
+// Bundles returns the retained bundles, oldest first. A bundle is built
+// on its first read and the same one is returned until its capture is
+// evicted; it never changes after it is handed out.
 func (r *Recorder) Bundles() []*IncidentBundle {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]*IncidentBundle(nil), r.bundles...)
+	if len(r.caps) == 0 {
+		return nil
+	}
+	out := make([]*IncidentBundle, len(r.caps))
+	for i := range out {
+		out[i] = r.bundleLocked(r.at(i))
+	}
+	return out
 }
 
 // Bundle returns the retained bundle with the given ID (nil if evicted or
@@ -599,11 +725,15 @@ func (r *Recorder) Bundle(id string) *IncidentBundle {
 	if r == nil {
 		return nil
 	}
+	h, ok := parseBundleID(id)
+	if !ok {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, b := range r.bundles {
-		if b.ID == id {
-			return b
+	for i := range r.caps {
+		if c := r.at(i); c.id == h {
+			return r.bundleLocked(c)
 		}
 	}
 	return nil
@@ -633,7 +763,7 @@ func (r *Recorder) Suppressed() int64 {
 	return r.suppressed
 }
 
-// Pending returns how many fired triggers await assembly.
+// Pending returns how many fired triggers await capture.
 func (r *Recorder) Pending() int {
 	if r == nil {
 		return 0
@@ -644,9 +774,10 @@ func (r *Recorder) Pending() int {
 }
 
 // bundleID derives the deterministic bundle identity: FNV-1a 64 over the
-// scope, trigger kind, trigger-time bits and capture sequence number.
-// Replaying the same trace with the same config reproduces the same IDs.
-func bundleID(scope string, kind TriggerKind, t float64, seq uint64) string {
+// scope, trigger kind, trigger-time bits and capture sequence number,
+// rendered as 16 lowercase hex digits in IncidentBundle.ID. Replaying the
+// same trace with the same config reproduces the same IDs.
+func bundleID(scope string, kind TriggerKind, t float64, seq uint64) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -670,7 +801,27 @@ func bundleID(scope string, kind TriggerKind, t float64, seq uint64) string {
 		h ^= seq >> (8 * i) & 0xff
 		h *= prime64
 	}
-	return fmt.Sprintf("%016x", h)
+	return h
+}
+
+// parseBundleID inverts the ID rendering: exactly 16 lowercase hex
+// digits, or not a bundle ID.
+func parseBundleID(id string) (uint64, bool) {
+	if len(id) != 16 {
+		return 0, false
+	}
+	var h uint64
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case '0' <= c && c <= '9':
+			h = h<<4 | uint64(c-'0')
+		case 'a' <= c && c <= 'f':
+			h = h<<4 | uint64(c-'a'+10)
+		default:
+			return 0, false
+		}
+	}
+	return h, true
 }
 
 // runtimeSnapCache rate-limits ReadMemStats for bundle snapshots: a
@@ -685,7 +836,7 @@ var runtimeSnapCache struct {
 const runtimeSnapTTL = 500 * time.Millisecond
 
 // runtimeSnap returns the (possibly cached) process snapshot.
-func runtimeSnap() *RuntimeSnapshot {
+func runtimeSnap() RuntimeSnapshot {
 	c := &runtimeSnapCache
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -701,6 +852,5 @@ func runtimeSnap() *RuntimeSnapshot {
 		}
 		c.at = now
 	}
-	snap := c.snap
-	return &snap
+	return c.snap
 }

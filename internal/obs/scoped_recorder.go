@@ -125,7 +125,7 @@ func (s *ScopedRecorder) distinct() []*Recorder {
 	return s.distinctLocked()
 }
 
-// Collect assembles pending bundles on every scope, in registration
+// Collect captures pending triggers on every scope, in registration
 // order. Call under the fleet's evaluation exclusion.
 func (s *ScopedRecorder) Collect() {
 	for _, rec := range s.distinct() {

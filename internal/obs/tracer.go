@@ -51,7 +51,14 @@ const keyBytes = 20
 // once per event, CompleteCycle once per trace claimed since the last cycle
 // it resolved (see Tracer.swept), Snapshot and Slowest once per slot.
 type slot struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	record
+}
+
+// record is one trace as its ring cell holds it: plain values, so a copy
+// taken under the cell's lock outlives the cell's next claim and renders
+// later (the flight recorder keeps its slowest spans this way).
+type record struct {
 	id     uint64
 	state  uint8
 	kind   uint8
@@ -302,8 +309,8 @@ func (t *Tracer) Snapshot() []TraceView {
 	return out
 }
 
-// view renders the slot; the caller holds s.mu.
-func (s *slot) view() TraceView {
+// view renders the record (the caller holds its cell's lock, or owns a copy).
+func (s *record) view() TraceView {
 	v := TraceView{
 		ID:    s.id,
 		Kind:  s.kind,
@@ -332,9 +339,9 @@ func (s *slot) view() TraceView {
 	return v
 }
 
-// total is the slot's end-to-end time (Slowest's ranking key, TraceView's
-// Total); the caller holds s.mu.
-func (s *slot) total() time.Duration {
+// total is the record's end-to-end time (Slowest's ranking key,
+// TraceView's Total).
+func (s *record) total() time.Duration {
 	if s.state == stateApplied {
 		return time.Duration(s.stamps[3] - s.stamps[0])
 	}
@@ -371,31 +378,49 @@ func (t *Tracer) NewestCompleteID() uint64 {
 // Slowest returns the n slowest retained traces (complete and dropped
 // traces by their final total, in-flight ones by time accrued so far),
 // slowest first, equal totals by ascending ID. n is clamped to Capacity.
-// One pass over the ring keeps the top n in order; a trace is rendered
-// (and its key string allocated) only when it enters them.
+// Only the n winners are rendered (and their key strings allocated).
 func (t *Tracer) Slowest(n int) []TraceView {
 	if t == nil || n <= 0 {
 		return nil
 	}
-	if n > len(t.slots) {
-		n = len(t.slots)
+	top := t.slowestInto(make([]record, 0, min(n, len(t.slots))), n)
+	out := make([]TraceView, len(top))
+	for i := range top {
+		out[i] = top[i].view()
 	}
-	top := make([]TraceView, 0, n)
+	return out
+}
+
+// slowestInto keeps the n slowest retained traces in top[:0] as raw
+// records, ranked as Slowest ranks them. One pass over the ring ranks by a
+// cell's total and ID under its lock and copies the record only when it
+// enters the top n; with top's capacity at n it allocates nothing.
+func (t *Tracer) slowestInto(top []record, n int) []record {
+	top = top[:0]
+	if t == nil || n <= 0 {
+		return top
+	}
+	n = min(n, len(t.slots))
 	for i := range t.slots {
 		s := &t.slots[i]
 		s.mu.Lock()
 		if s.state != stateFree {
 			total, id := s.total(), s.id
-			// at is where the trace ranks among the kept ones.
-			at := sort.Search(len(top), func(j int) bool {
-				return top[j].Total < total || top[j].Total == total && top[j].ID > id
-			})
+			// at is where the trace ranks among the kept ones: past every
+			// one slower, or as slow with a smaller ID.
+			at := len(top)
+			for at > 0 {
+				if k := top[at-1].total(); k > total || k == total && top[at-1].id < id {
+					break
+				}
+				at--
+			}
 			if at < n {
 				if len(top) < n {
-					top = append(top, TraceView{})
+					top = append(top, record{})
 				}
 				copy(top[at+1:], top[at:])
-				top[at] = s.view()
+				top[at] = s.record
 			}
 		}
 		s.mu.Unlock()

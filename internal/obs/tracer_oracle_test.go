@@ -309,3 +309,75 @@ func TestTracerConcurrentSweep(t *testing.T) {
 		t.Errorf("Slowest(5) diverged from oracle after quiescence:\n got %+v\nwant %+v", got, want)
 	}
 }
+
+// TestTracerSlowestMatchesSort builds random ring states — totals drawn
+// from a few values so ties are common, applied, done and dropped traces,
+// rings lapped several times — and holds Slowest(n) to the snapshot sorted
+// by (Total desc, ID asc) and truncated, for n at 0, 1, 5, the capacity and
+// past it. /tracez and pfmd's -trace-dump render this ranking. slowestInto,
+// the recorder's form, ranks the same and allocates nothing into a buffer
+// of capacity n.
+func TestTracerSlowestMatchesSort(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := NewTracer(1 << rng.Intn(6)) // 1 … 32
+		c := tr.Capacity()
+		for i, n := 0, rng.Intn(4*c+1); i < n; i++ {
+			start := int64(rng.Intn(4))
+			end := start + int64(rng.Intn(3))
+			switch rng.Intn(3) {
+			case 0:
+				tr.PublishDropped(0, "drop", 1, start, start, end)
+			default:
+				tr.PublishApplied(1, "app", 0, start, start, start, end)
+			}
+			if rng.Intn(4) == 0 {
+				at := int64(rng.Intn(6))
+				tr.CompleteCycle(at, at+int64(rng.Intn(2)), at+1, at+1+int64(rng.Intn(3)))
+			}
+		}
+		want := tr.Snapshot()
+		sort.Slice(want, func(i, j int) bool {
+			return want[i].Total > want[j].Total || want[i].Total == want[j].Total && want[i].ID < want[j].ID
+		})
+		for _, n := range []int{0, 1, 5, c, c + 1} {
+			got := tr.Slowest(n)
+			w := want[:min(n, len(want))]
+			if n == 0 {
+				w = nil
+			}
+			if !reflect.DeepEqual(got, w) {
+				t.Fatalf("seed %d, ring %d: Slowest(%d) =\n %+v\nwant\n %+v", seed, c, n, got, w)
+			}
+			buf := make([]record, 0, n)
+			if allocs := testing.AllocsPerRun(10, func() { buf = tr.slowestInto(buf, n) }); allocs != 0 {
+				t.Fatalf("seed %d: slowestInto(%d) allocates %.0f objects into a buffer of capacity n", seed, n, allocs)
+			}
+			for i := range buf {
+				if v := buf[i].view(); v != w[i] {
+					t.Fatalf("seed %d: slowestInto(%d)[%d] = %+v, want %+v", seed, n, i, v, w[i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkTracerSlowest ranks a full default ring of complete traces,
+// their totals a permutation of the ring positions, and renders the five
+// slowest: what a bundle's capture and a /tracez?n=5 read rank.
+func BenchmarkTracerSlowest(b *testing.B) {
+	tr := NewTracer(DefaultTraceCapacity)
+	for i := 0; i < DefaultTraceCapacity; i++ {
+		start := int64(i * 97 % DefaultTraceCapacity)
+		tr.PublishApplied(1, "mem_free", 0, start, start, start, start)
+	}
+	tr.CompleteCycle(1<<20, 1<<20, 1<<20, 1<<20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slowestSink = tr.Slowest(5)
+	}
+}
+
+// slowestSink keeps BenchmarkTracerSlowest's result live.
+var slowestSink []TraceView

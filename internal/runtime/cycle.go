@@ -44,7 +44,7 @@ type CycleCore struct {
 	Metrics *Metrics
 	Tracer  *obs.Tracer
 	State   sync.Locker // held exclusively while scoring
-	// Recorder assembles pending incident bundles (a nil *obs.Recorder or
+	// Recorder captures pending incident triggers (a nil *obs.Recorder or
 	// *obs.ScopedRecorder does nothing).
 	Recorder interface{ Collect() }
 	Clock    func() float64 // the domain time a Shell cycle runs its instant at
@@ -161,7 +161,7 @@ func (c *CycleCore) run(nows []float64) {
 		c.Shell.pool.Do(ranges*c.Layers, c.scoreT)
 	}
 	// Lifecycle steps that must not overlap Apply — retrain-window capture
-	// and shadow-candidate scoring — and incident assembly, which slices the
+	// and shadow-candidate scoring — and incident capture, which slices the
 	// Apply-side event logs, share the exclusion. Triggers this run's act
 	// stage raises are captured by the next cycle, or by the Stop-time Flush.
 	for _, s := range c.watched {

@@ -7,13 +7,17 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/eventlog"
 	"repro/internal/obs"
 )
 
 // cycleArm is one observability configuration of the cycle-heavy shape.
+// triggers (an arm of its own, not in cycleArms) makes every cycle warn
+// and the recorder capture it, over a mirrored event log with runtime
+// snapshots on.
 type cycleArm struct {
-	name             string
-	tracer, recorder bool
+	name                       string
+	tracer, recorder, triggers bool
 }
 
 var cycleArms = []cycleArm{
@@ -39,11 +43,15 @@ type cycleRig struct {
 func newCycleRig(tb testing.TB, arm cycleArm) *cycleRig {
 	tb.Helper()
 	names := []string{"a", "b", "c", "d"}
+	score := 0.1
+	if arm.triggers {
+		score = 1 // every layer votes at its Threshold
+	}
 	layers := make([]*core.Layer, len(names))
 	for i, name := range names {
 		layers[i] = &core.Layer{
 			Name:      name,
-			Predictor: core.PredictorFunc(func(float64) (float64, error) { return 0.1, nil }),
+			Predictor: core.PredictorFunc(func(float64) (float64, error) { return score, nil }),
 			Threshold: 1,
 		}
 	}
@@ -62,7 +70,16 @@ func newCycleRig(tb testing.TB, arm cycleArm) *cycleRig {
 		cfg.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
 	}
 	if arm.recorder {
-		cfg.Recorder, err = obs.NewRecorder(obs.RecorderConfig{Layers: names, Tracer: cfg.Tracer, Ledger: ledger})
+		rc := obs.RecorderConfig{Layers: names, Tracer: cfg.Tracer, Ledger: ledger}
+		if arm.triggers {
+			log := eventlog.NewLog()
+			log.Grow(1 << 14)
+			cfg.Apply = func(ev Event) error {
+				return log.Append(eventlog.Event{Time: ev.Time, Component: ev.Variable, Type: 1, Severity: eventlog.SeverityError})
+			}
+			rc.Log, rc.Refractory, rc.MaxBundles, rc.RuntimeStats = log, 1e-9, 8, true
+		}
+		cfg.Recorder, err = obs.NewRecorder(rc)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -119,6 +136,29 @@ func TestCycleBatchSteadyStateZeroAllocs(t *testing.T) {
 				t.Fatalf("a trigger fired (%d pending, %d bundles): not the steady state", rec.Pending(), len(rec.Bundles()))
 			}
 		})
+	}
+}
+
+// TestCycleBatchTriggerZeroAllocs: a warmed step whose cycle warns, and
+// whose warning the flight recorder captures at the next cycle's Collect —
+// event window from the mirrored log, score history, slowest spans, ledger
+// and runtime snapshots, the capture histogram observed — allocates
+// nothing once the capture ring has been reused several times over.
+func TestCycleBatchTriggerZeroAllocs(t *testing.T) {
+	rig := newCycleRig(t, cycleArm{name: "triggers", tracer: true, recorder: true, triggers: true})
+	for i := 0; i < 256; i++ {
+		rig.step(t)
+	}
+	rec := rig.rt.Recorder()
+	before := rec.Captured(obs.TriggerWarn)
+	if allocs := testing.AllocsPerRun(500, func() { rig.step(t) }); allocs != 0 {
+		t.Fatalf("a cycle with a capture allocates %.1f objects/op, want 0", allocs)
+	}
+	if got := rec.Captured(obs.TriggerWarn) - before; got != 501 {
+		t.Fatalf("captured %d warnings over 501 steps, want one a step", got)
+	}
+	if b := rec.Bundles()[rec.Config().MaxBundles-1]; len(b.Events) != 11*cycleEvents || b.Runtime == nil || len(b.Spans) == 0 {
+		t.Fatalf("newest bundle: %d events, runtime %v, %d spans", len(b.Events), b.Runtime, len(b.Spans))
 	}
 }
 

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	stdruntime "runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -246,5 +247,50 @@ func TestRecorderIncidentReplay(t *testing.T) {
 	}
 	if got := recorderFingerprints(wide); got != want {
 		t.Fatalf("GOMAXPROCS(4) replay produced a different bundle set:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestRecorderCaptureHistogram: pfm_incident_bundle_seconds counts every
+// capture, the trigger Stop's Flush captures after the final cycle
+// included. The captures feed it themselves (Recorder.OnCapture), so it
+// needs no subscriber and no bundle is built for it.
+func TestRecorderCaptureHistogram(t *testing.T) {
+	rig := newCycleRig(t, cycleArm{name: "triggers", tracer: true, recorder: true, triggers: true})
+	for i := 0; i < 40; i++ {
+		rig.step(t)
+	}
+	rec := rig.rt.Recorder()
+	if rec.Pending() == 0 {
+		t.Fatal("nothing pending before Stop: the last cycle's triggers should be")
+	}
+	if err := rig.rt.Stop(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Pending() != 0 {
+		t.Fatalf("pending after Stop = %d, want 0", rec.Pending())
+	}
+	var sb strings.Builder
+	if err := rig.rt.Metrics().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var captured, observed float64
+	for _, line := range strings.Split(sb.String(), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		switch {
+		case strings.HasPrefix(name, "pfm_incidents_total{"):
+			captured += v
+		case name == "pfm_incident_bundle_seconds_count":
+			observed = v
+		}
+	}
+	if captured < 41 || observed != captured {
+		t.Fatalf("pfm_incident_bundle_seconds_count = %g, Σ pfm_incidents_total = %g (want equal, ≥ 41)", observed, captured)
 	}
 }

@@ -74,7 +74,7 @@ type Config struct {
 	Lifecycle *lifecycle.Manager
 	// Recorder is the prediction-triggered flight recorder: the act tail
 	// feeds it every cycle's decision (Recorder.Observe), pending
-	// incident captures are assembled inside the evaluation exclusion
+	// incident triggers are captured inside the evaluation exclusion
 	// (Recorder.Collect), lifecycle drift/rollback events fire its
 	// external triggers, and Stop flushes the tail. Nil disables it. When
 	// set, pfm_incidents_total / pfm_incident_bundle_seconds are
@@ -232,7 +232,8 @@ func New(cfg Config) (*Runtime, error) {
 }
 
 // registerRecorderMetrics exposes the flight recorder's trigger counters
-// and the bundle-assembly latency histogram.
+// and the capture latency histogram, fed by the captures themselves so that
+// no bundle is built for it.
 func registerRecorderMetrics(reg *Registry, rec *obs.Recorder) {
 	for _, k := range obs.TriggerKinds {
 		kind := k
@@ -243,9 +244,9 @@ func registerRecorderMetrics(reg *Registry, rec *obs.Recorder) {
 		"Triggers swallowed by the refractory rate limit.",
 		func() float64 { return float64(rec.Suppressed()) })
 	bundleDur := reg.Histogram("pfm_incident_bundle_seconds",
-		"Wall time spent assembling one incident bundle.",
+		"Wall time spent capturing one incident.",
 		[]float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1})
-	rec.Subscribe(func(b *obs.IncidentBundle) { bundleDur.Observe(b.CaptureSeconds) })
+	rec.OnCapture(bundleDur.Observe)
 }
 
 // registerLifecycleMetrics exposes the predictor-lifecycle observability:
