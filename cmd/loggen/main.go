@@ -57,7 +57,7 @@ func run(args []string, stdout io.Writer) error {
 	if err := m.Run(*days * 86400); err != nil {
 		return err
 	}
-	recs := fleet.SCPRecords(m.Drain())
+	recs := m.Drain()
 	failures := 0
 	for _, r := range recs {
 		if r.Failure {

@@ -1,28 +1,32 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/fleet"
+	"repro/internal/ingest"
 	"repro/internal/runtime"
 	"repro/internal/scp"
 )
 
 // readTrace decodes a .trace or .wire file to its records.
-func readTrace(t *testing.T, path string) []fleet.Record {
+func readTrace(t *testing.T, path string) []ingest.Record {
 	t.Helper()
 	src, closer, err := fleet.OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closer.Close()
-	var recs []fleet.Record
+	var recs []ingest.Record
 	for {
 		rec, err := src.Next()
 		if errors.Is(err, io.EOF) {
@@ -37,7 +41,7 @@ func readTrace(t *testing.T, path string) []fleet.Record {
 
 // key renders every field of a record, floats by their bits: two records
 // are the same record exactly when their keys are equal.
-func key(r fleet.Record) string {
+func key(r ingest.Record) string {
 	ev := r.Event
 	return fmt.Sprintf("%s f=%t k=%d t=%x e=%x|%s|%d|%d|%s s=%s|%x",
 		ev.Tenant, r.Failure, ev.Kind, math.Float64bits(ev.Time),
@@ -45,7 +49,7 @@ func key(r fleet.Record) string {
 		ev.Variable, math.Float64bits(ev.Value))
 }
 
-func requireSame(t *testing.T, what string, got, want []fleet.Record) {
+func requireSame(t *testing.T, what string, got, want []ingest.Record) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d records, want %d", what, len(got), len(want))
@@ -70,8 +74,8 @@ func TestTwoEncodingsOneStream(t *testing.T) {
 	text := readTrace(t, out+".trace")
 	requireSame(t, ".wire vs .trace", readTrace(t, out+".wire"), text)
 
-	var events, failures []fleet.Record
-	kinds := map[runtime.EventKind]int{}
+	var events, failures []ingest.Record
+	kinds := map[ingest.Kind]int{}
 	for _, r := range text {
 		if r.Failure {
 			failures = append(failures, r)
@@ -80,7 +84,7 @@ func TestTwoEncodingsOneStream(t *testing.T) {
 		events = append(events, r)
 		kinds[r.Event.Kind]++
 	}
-	if len(failures) == 0 || kinds[runtime.KindError] == 0 || kinds[runtime.KindSample] == 0 {
+	if len(failures) == 0 || kinds[ingest.KindError] == 0 || kinds[ingest.KindSample] == 0 {
 		t.Fatalf("trace exercises too little: %d failures, kinds %v", len(failures), kinds)
 	}
 
@@ -94,22 +98,51 @@ func TestTwoEncodingsOneStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	tenant := scp.TenantID(0)
-	colEvents := make([]fleet.Record, cols.Len())
+	colEvents := make([]ingest.Record, cols.Len())
 	for i := range colEvents {
 		ev := cols.Event(i)
-		colEvents[i].Event = fleet.Event{
+		colEvents[i].Event = ingest.Event{
 			Tenant: tenant, Kind: ev.Kind, Time: ev.Time,
 			Error: ev.Error, Variable: ev.Variable, Value: ev.Value,
 		}
 	}
 	requireSame(t, "ReadColumnar(.wire) events vs .trace", colEvents, events)
-	colFailures := make([]fleet.Record, len(cols.Failures))
+	colFailures := make([]ingest.Record, len(cols.Failures))
 	for i, at := range cols.Failures {
-		colFailures[i] = fleet.Record{Failure: true, Event: fleet.Event{Tenant: tenant, Time: at}}
+		colFailures[i] = ingest.Record{Failure: true, Event: ingest.Event{Tenant: tenant, Time: at}}
 	}
 	requireSame(t, "ReadColumnar(.wire) failures vs .trace", colFailures, failures)
 	if left, _ := filepath.Glob(out + ".*"); len(left) != 2 {
 		t.Errorf("loggen wrote %v, want a .trace and a .wire", left)
+	}
+}
+
+// TestByteGolden holds the bytes of both encodings of -seed 7 -days 1
+// -tenants 3 to the SHA-256 sums in testdata/golden.sha256 (sha256sum's
+// format; `sha256sum -c` checks files written with -out golden). That the
+// two files decode alike is TestTwoEncodingsOneStream's business; this
+// catches a change to the simulator, the record or either encoder that moves
+// a byte. A change that means to move one regenerates the file and says so.
+func TestByteGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "golden.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := run([]string{"-seed", "7", "-days", "1", "-tenants", "3", "-out", filepath.Join(dir, "golden")}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, name := range []string{"golden.trace", "golden.wire"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		fmt.Fprintf(&got, "%s  %s\n", hex.EncodeToString(sum[:]), name)
+	}
+	if got.String() != string(want) {
+		t.Errorf("loggen's bytes moved:\n got %s\nwant %s", got.String(), want)
 	}
 }
 

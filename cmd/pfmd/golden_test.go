@@ -33,7 +33,7 @@ func writeSimTrace(t *testing.T, seed int64, days float64, tenants int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fleet.WriteWire(fh, fleet.SCPRecords(m.Drain())); err != nil {
+	if err := fleet.WriteWire(fh, m.Drain()); err != nil {
 		t.Fatal(err)
 	}
 	if err := fh.Close(); err != nil {

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/eventlog"
 	"repro/internal/fleet"
+	"repro/internal/ingest"
 	"repro/internal/runtime"
 	"repro/internal/scp"
 	"repro/internal/service"
@@ -270,14 +271,14 @@ func TestReplayColumnarByMagic(t *testing.T) {
 }
 
 // readRecords reads a trace file through fleet.OpenTrace.
-func readRecords(t *testing.T, path string) []fleet.Record {
+func readRecords(t *testing.T, path string) []ingest.Record {
 	t.Helper()
 	src, closer, err := fleet.OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closer.Close()
-	var recs []fleet.Record
+	var recs []ingest.Record
 	for rec, err := src.Next(); err != io.EOF; rec, err = src.Next() {
 		if err != nil {
 			t.Fatal(err)
@@ -571,7 +572,7 @@ func TestFleetTraceByMagic(t *testing.T) {
 	if err := m.Run(0.25 * 86400); err != nil {
 		t.Fatal(err)
 	}
-	recs := fleet.SCPRecords(m.Drain())
+	recs := m.Drain()
 	events := 0
 	for _, r := range recs {
 		if !r.Failure {
@@ -579,7 +580,7 @@ func TestFleetTraceByMagic(t *testing.T) {
 		}
 	}
 	dir := t.TempDir()
-	for name, write := range map[string]func(io.Writer, []fleet.Record) error{
+	for name, write := range map[string]func(io.Writer, []ingest.Record) error{
 		"binary.trace": fleet.WriteWire,
 		"text.wire":    fleet.WriteTrace,
 	} {

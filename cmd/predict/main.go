@@ -25,8 +25,8 @@ import (
 	"repro/internal/eventlog"
 	"repro/internal/fleet"
 	"repro/internal/hsmm"
+	"repro/internal/ingest"
 	"repro/internal/predict"
-	"repro/internal/runtime"
 )
 
 func main() {
@@ -96,7 +96,7 @@ func loadTrace(path string) (*eventlog.Log, []float64, error) {
 		switch {
 		case rec.Failure:
 			failures = append(failures, ev.Time)
-		case ev.Kind == runtime.KindError:
+		case ev.Kind == ingest.KindError:
 			if err := l.Append(ev.Error); err != nil {
 				return nil, nil, fmt.Errorf("read %s: %w", path, err)
 			}

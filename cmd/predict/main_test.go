@@ -23,7 +23,7 @@ func writeTraces(t *testing.T, dir, prefix string, seed int64, days float64) str
 	if err := m.Run(days * 86400); err != nil {
 		t.Fatal(err)
 	}
-	recs := fleet.SCPRecords(m.Drain())
+	recs := m.Drain()
 	var text, wire bytes.Buffer
 	if err := fleet.WriteTrace(&text, recs); err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"context"
 
 	"repro/internal/fleet"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 )
 
@@ -25,15 +26,18 @@ type FleetConfig = fleet.Config
 // FleetTenant registers one tenant (ID + rollup criticality).
 type FleetTenant = fleet.TenantSpec
 
-// FleetEvent is one tenant-labeled unit of fleet ingest.
-type FleetEvent = fleet.Event
+// FleetEvent is one tenant-labeled unit of fleet ingest: the one monitoring
+// record (internal/ingest), the same type as RuntimeEvent.
+type FleetEvent = ingest.Event
 
 // FleetLayer is a prediction-layer template shared across tenants; supply
 // ScoreBatch to score whole tenant chunks in one call.
 type FleetLayer = fleet.LayerTemplate
 
-// FleetRecord is one trace record: an event or a ground-truth failure mark.
-type FleetRecord = fleet.Record
+// FleetRecord is one trace record: an event or a ground-truth failure mark —
+// what the simulator emits, both trace encodings carry and every FleetSource
+// yields (internal/ingest).
+type FleetRecord = ingest.Record
 
 // FleetSource yields trace records (io.EOF at end): NewFleetSliceSource,
 // fleet.TailSource (text line protocol), or fleet.Reader (binary wire

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/runtime"
@@ -45,7 +46,7 @@ func AttachClosedLoop(sys *scp.System, engine *core.Engine) (*ClosedLoop, error)
 	})
 	rt, err := runtime.New(runtime.Config{
 		Engine:  engine,
-		Apply:   func(runtime.Event) error { return nil }, // the layers read the system itself
+		Apply:   func(ingest.Event) error { return nil }, // the layers read the system itself
 		Clock:   sys.Engine().Now,
 		Workers: 1,
 	})

@@ -9,27 +9,27 @@ import (
 	"testing"
 
 	"repro/internal/eventlog"
+	"repro/internal/ingest"
 	"repro/internal/obs"
-	"repro/internal/runtime"
 )
 
 // deterministicTrace builds a fixed multi-tenant workload: every tenant's
 // sub-stream is a pure function of its index, with a few failures mixed in.
-func deterministicTrace(ids []string, perTenant int) []Record {
-	var recs []Record
+func deterministicTrace(ids []string, perTenant int) []ingest.Record {
+	var recs []ingest.Record
 	for seq := 0; seq < perTenant; seq++ {
 		for i, id := range ids {
 			t := float64(seq)
 			v := 0.5 + 0.5*math.Sin(float64(i+1)*t/7)
-			recs = append(recs, Record{Event: sample(id, t, v)})
+			recs = append(recs, ingest.Record{Event: sample(id, t, v)})
 			if seq%17 == i {
-				recs = append(recs, Record{Event: Event{
-					Tenant: id, Kind: runtime.KindError, Time: t,
+				recs = append(recs, ingest.Record{Event: ingest.Event{
+					Tenant: id, Kind: ingest.KindError, Time: t,
 					Error: eventlogEvent(t, i, seq),
 				}})
 			}
 			if seq == perTenant/2 && i%3 == 0 {
-				recs = append(recs, Record{Failure: true, Event: Event{Tenant: id, Time: t + 30}})
+				recs = append(recs, ingest.Record{Failure: true, Event: ingest.Event{Tenant: id, Time: t + 30}})
 			}
 		}
 	}
@@ -84,7 +84,7 @@ func fleetFingerprint(t *testing.T, shards, workers, batchSize int, useBatch boo
 	// Two rounds: half the trace, a cycle, the rest, two more cycles.
 	half := len(trace) / 2
 	for _, stage := range []struct {
-		recs []Record
+		recs []ingest.Record
 		now  float64
 	}{
 		{trace[:half], 30}, {trace[half:], 60},
@@ -145,7 +145,7 @@ type clockedSource struct {
 	clock *testClock
 }
 
-func (s *clockedSource) Next() (Record, error) {
+func (s *clockedSource) Next() (ingest.Record, error) {
 	rec, err := s.src.Next()
 	if err == nil && !rec.Failure {
 		s.clock.Set(rec.Event.Time)

@@ -41,12 +41,15 @@
 // scorer, the act budget, the folded
 // ledger bucket, membership changes and the /fleet plane.
 //
-// Ingest is pluggable (Source): an in-process feeder (SliceSource, or
-// SCPRecords over internal/scp's multi-tenant simulator), a reader of the
-// pipe-separated text line protocol (tail.go) — the repository's only text
-// trace — and a compact binary wire format with a line-rate replay reader
-// (wire.go); OpenTrace opens a recorded file in either, told apart by
-// magic. Pump drives any Source into a Fleet; a Stepper wraps one so that
+// Ingest is pluggable (Source), and every source yields the one monitoring
+// record, ingest.Record, that internal/scp's multi-tenant simulator emits
+// (MultiSystem.Drain): an in-process feeder (SliceSource, over Drain's
+// records as they are), a reader of the pipe-separated text line protocol
+// (tail.go) — the repository's only text trace, read through one line
+// scanner capped at the frame format's string cap — and a compact binary wire
+// format with a line-rate replay reader (wire.go); OpenTrace opens a recorded
+// file in either, told apart by magic. Event and Record are ingest's names
+// for bench/pfmbench. Pump drives any Source into a Fleet; a Stepper wraps one so that
 // the feeding goroutine runs each cycle its records make due (step.go).
 //
 // Determinism: with evaluation driven explicitly (EvaluateCycle after

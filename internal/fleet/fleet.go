@@ -14,7 +14,7 @@ import (
 
 	"repro/internal/act"
 	"repro/internal/core"
-	"repro/internal/eventlog"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 )
@@ -30,20 +30,12 @@ var ErrUnknownTenant = fmt.Errorf("%w: unknown tenant", ErrFleet)
 // already registered.
 var ErrDuplicateTenant = fmt.Errorf("%w: duplicate tenant", ErrFleet)
 
-// Event is one unit of fleet ingest: a tenant-labeled error-log event or
-// monitoring-variable sample, the same two inputs as the single-runtime
-// pipeline.
-type Event struct {
-	Tenant string
-	Kind   runtime.EventKind
-	// Time is the domain timestamp [s].
-	Time float64
-	// Error is set for KindError.
-	Error eventlog.Event
-	// Variable/Value are set for KindSample.
-	Variable string
-	Value    float64
-}
+// Event and Record are the ingest package's, named here for bench/pfmbench
+// until it moves to ingest (ROADMAP 10(b)).
+type (
+	Event  = ingest.Event
+	Record = ingest.Record
+)
 
 // TenantState is a tenant's predictor-visible monitoring state (e.g. its
 // mirrored error log and SAR series), owned by the fleet's locking: Apply
@@ -85,7 +77,7 @@ type Config struct {
 	// tenant apply serialized and in order; different tenants may apply
 	// concurrently (on different shards). Apply never overlaps layer
 	// scoring — same locking contract as runtime.Config.Apply.
-	Apply func(st TenantState, ev Event) error
+	Apply func(st TenantState, ev ingest.Event) error
 	// Engine is the per-tenant MEA configuration; its EvalInterval is the
 	// domain cadence the caller runs EvaluateCycle at.
 	Engine core.Config
@@ -673,7 +665,7 @@ func (f *Fleet) Resize(shards int) error {
 }
 
 // Ingest offers one tenant event under the configured overflow policy.
-func (f *Fleet) Ingest(ctx context.Context, ev Event) error {
+func (f *Fleet) Ingest(ctx context.Context, ev ingest.Event) error {
 	err := f.ingest(ctx, f.mem.Load().byID[ev.Tenant], &ev)
 	if err == ErrUnknownTenant {
 		return fmt.Errorf("%w: %q", ErrUnknownTenant, ev.Tenant)
@@ -685,7 +677,7 @@ func (f *Fleet) Ingest(ctx context.Context, ev Event) error {
 // a tenant retired since it was resolved, is counted and answered with
 // ErrUnknownTenant itself, unwrapped — Pump skips such a record without
 // building an error for it. *ev is copied once, into its queue slot.
-func (f *Fleet) ingest(ctx context.Context, tn *tenant, ev *Event) error {
+func (f *Fleet) ingest(ctx context.Context, tn *tenant, ev *ingest.Event) error {
 	if tn != nil {
 		if err := tn.q.push(ctx, ev); err != errTenantRemoved {
 			return err

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 )
@@ -59,9 +60,9 @@ func testFleetConfig(specs []TenantSpec, clock *testClock) Config {
 		NewState: func(t TenantSpec) (TenantState, error) {
 			return &tstate{id: t.ID}, nil
 		},
-		Apply: func(st TenantState, ev Event) error {
+		Apply: func(st TenantState, ev ingest.Event) error {
 			s := st.(*tstate)
-			if ev.Kind == runtime.KindError {
+			if ev.Kind == ingest.KindError {
 				s.errs++
 				return nil
 			}
@@ -83,8 +84,8 @@ func specs(ids ...string) []TenantSpec {
 }
 
 // sample builds one sample event.
-func sample(tenant string, t, v float64) Event {
-	return Event{Tenant: tenant, Kind: runtime.KindSample, Time: t, Variable: "x", Value: v}
+func sample(tenant string, t, v float64) ingest.Event {
+	return ingest.Event{Tenant: tenant, Kind: ingest.KindSample, Time: t, Variable: "x", Value: v}
 }
 
 // TestFleetEndToEnd drives three tenants through ingest → barrier → cycle
@@ -116,7 +117,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	// a runs hot (mean 1 ≥ threshold), b and c stay quiet.
 	for i := 0; i < 10; i++ {
 		ti := float64(i)
-		for _, ev := range []Event{
+		for _, ev := range []ingest.Event{
 			sample("a", ti, 1), sample("b", ti, 0), sample("c", ti, 0),
 		} {
 			if err := f.Ingest(ctx, ev); err != nil {
@@ -464,7 +465,7 @@ func TestFleetUnknownTenant(t *testing.T) {
 	if err := f.Ingest(ctx, sample("ghost", 1, 0)); err == nil {
 		t.Fatal("Ingest accepted an unknown tenant")
 	}
-	n, err := Pump(ctx, f, NewSliceSource([]Record{
+	n, err := Pump(ctx, f, NewSliceSource([]ingest.Record{
 		{Event: sample("a", 1, 0)},
 		{Event: sample("ghost", 2, 0)}, // skipped, not fatal
 		{Event: sample("a", 3, 0)},
@@ -504,7 +505,7 @@ func TestFleetPerTenantOrdering(t *testing.T) {
 	}
 	cfg := testFleetConfig(specs(ids...), clock)
 	cfg.Shards = 4
-	cfg.Apply = func(st TenantState, ev Event) error {
+	cfg.Apply = func(st TenantState, ev ingest.Event) error {
 		o := orders[ev.Tenant]
 		o.mu.Lock()
 		o.seen = append(o.seen, ev.Time)
@@ -555,7 +556,7 @@ func TestFleetStopDrains(t *testing.T) {
 	cfg := testFleetConfig(specs("a", "b"), clock)
 	cfg.QueueCapacity = 4096
 	var applied atomic.Int64
-	cfg.Apply = func(TenantState, Event) error {
+	cfg.Apply = func(TenantState, ingest.Event) error {
 		applied.Add(1)
 		return nil
 	}
@@ -603,7 +604,7 @@ func TestBarrierHeldBack(t *testing.T) {
 	cfg.Shards = 1
 	var mu sync.Mutex
 	applied := map[string]int{}
-	cfg.Apply = func(st TenantState, _ Event) error {
+	cfg.Apply = func(st TenantState, _ ingest.Event) error {
 		mu.Lock()
 		applied[st.(*tstate).id]++
 		mu.Unlock()
@@ -695,7 +696,7 @@ func TestFleetRecorderIncidents(t *testing.T) {
 	// runs hot enough to pass the unweighted gate.
 	for i := 0; i < 10; i++ {
 		ti := float64(i)
-		for _, ev := range []Event{
+		for _, ev := range []ingest.Event{
 			sample("a", ti, 0.6), sample("b", ti, 0.6), sample("c", ti, 0.9),
 		} {
 			if err := f.Ingest(ctx, ev); err != nil {
@@ -830,7 +831,7 @@ func countingFleet(t *testing.T, n int, tracer *obs.Tracer) (f *Fleet, ids []str
 	}
 	applied = new(atomic.Int64)
 	cfg := testFleetConfig(specs(ids...), newTestClock(0))
-	cfg.Apply = func(TenantState, Event) error {
+	cfg.Apply = func(TenantState, ingest.Event) error {
 		applied.Add(1)
 		return nil
 	}
@@ -862,7 +863,7 @@ func TestFleetIngestZeroAllocs(t *testing.T) {
 			f, ids, applied := countingFleet(t, tenants, obs.NewTracer(256))
 			ctx := context.Background()
 			next := 0
-			ingest := func() {
+			feed := func() {
 				for i := 0; i < burst; i++ {
 					if err := f.Ingest(ctx, sample(ids[next%tenants], float64(next), 1)); err != nil {
 						t.Fatal(err)
@@ -873,9 +874,9 @@ func TestFleetIngestZeroAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			recs := make([]Record, burst)
+			recs := make([]ingest.Record, burst)
 			for i := range recs {
-				recs[i] = Record{Event: sample(ids[i%tenants], float64(i), 1)}
+				recs[i] = ingest.Record{Event: sample(ids[i%tenants], float64(i), 1)}
 			}
 			src := NewSliceSource(recs)
 			pump := func() {
@@ -889,10 +890,10 @@ func TestFleetIngestZeroAllocs(t *testing.T) {
 				}
 			}
 			for i := 0; i < 8; i++ { // tenant queues grow to their working size
-				ingest()
+				feed()
 			}
 			pump() // Pump's goroutine stack grows to hold the table
-			if allocs := testing.AllocsPerRun(50, ingest); allocs != 0 {
+			if allocs := testing.AllocsPerRun(50, feed); allocs != 0 {
 				t.Fatalf("Ingest→drain allocates %.1f objects per %d-event burst, want 0", allocs, burst)
 			}
 			if allocs := testing.AllocsPerRun(50, pump); allocs != 0 {

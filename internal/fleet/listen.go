@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/ingest"
 	"repro/internal/runtime"
 )
 
@@ -19,9 +20,9 @@ import (
 //   - the text line protocol (E|/S|/F| lines).
 //
 // Every connection decodes independently with its own read buffer into a
-// slab — a recycled []Record of up to slabRecords entries — and hands the
-// whole slab to Next over a channel: one channel operation per slab, none per
-// record. A slab goes over when it is full, and before every read on the
+// slab — a recycled []ingest.Record of up to slabRecords entries — and hands
+// the whole slab to Next over a channel: one channel operation per slab, none
+// per record. A slab goes over when it is full, and before every read on the
 // connection (flush-on-idle): a read may block for as long as the peer
 // likes, so a decoded record never waits in a partial slab for traffic that
 // may not come. Slabs from concurrent connections interleave; records of one
@@ -47,8 +48,8 @@ type ListenSource struct {
 	// full carries decoded slabs to Next, free carries spent ones back. Both
 	// hold listenSlabs — every slab there is — so neither send ever blocks;
 	// a connection waits only to take a slab from free.
-	full chan []Record
-	free chan []Record
+	full chan []ingest.Record
+	free chan []ingest.Record
 	stop chan struct{}
 	// flushed is closed once every connection goroutine has exited, its last
 	// slab handed over: what Next waits for before it reports io.EOF.
@@ -56,7 +57,7 @@ type ListenSource struct {
 	wg      sync.WaitGroup
 	once    sync.Once
 
-	cur []Record // Next's current slab, served up to pos
+	cur []ingest.Record // Next's current slab, served up to pos
 	pos int
 
 	mu   sync.Mutex
@@ -89,14 +90,14 @@ func Listen(addr string) (*ListenSource, error) {
 	}
 	s := &ListenSource{
 		ln:      ln,
-		full:    make(chan []Record, listenSlabs),
-		free:    make(chan []Record, listenSlabs),
+		full:    make(chan []ingest.Record, listenSlabs),
+		free:    make(chan []ingest.Record, listenSlabs),
 		stop:    make(chan struct{}),
 		flushed: make(chan struct{}),
 		live:    make(map[net.Conn]struct{}),
 	}
 	for i := 0; i < listenSlabs; i++ {
-		s.free <- make([]Record, 0, slabRecords)
+		s.free <- make([]ingest.Record, 0, slabRecords)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -134,7 +135,7 @@ func (s *ListenSource) RegisterMetrics(reg *runtime.Registry) {
 
 // Next yields the next record from any connection; io.EOF after Close, once
 // every record decoded before it has been served. Single-consumer.
-func (s *ListenSource) Next() (Record, error) {
+func (s *ListenSource) Next() (ingest.Record, error) {
 	for s.pos == len(s.cur) {
 		if s.cur != nil {
 			s.free <- s.cur[:0]
@@ -150,7 +151,7 @@ func (s *ListenSource) Next() (Record, error) {
 			select {
 			case s.cur = <-s.full:
 			default:
-				return Record{}, io.EOF
+				return ingest.Record{}, io.EOF
 			}
 		}
 	}
@@ -222,7 +223,7 @@ func (s *ListenSource) serve(conn net.Conn) {
 type connDecoder struct {
 	s    *ListenSource
 	conn net.Conn
-	slab []Record // being filled; nil between hand-over and the next record
+	slab []ingest.Record // being filled; nil between hand-over and the next record
 }
 
 // Read is the flush-on-idle rule: whatever has been decoded goes to Next
@@ -235,7 +236,7 @@ func (c *connDecoder) Read(p []byte) (int, error) {
 }
 
 // emit appends one decoded record; false once the source is closing.
-func (c *connDecoder) emit(rec Record) bool {
+func (c *connDecoder) emit(rec ingest.Record) bool {
 	if c.slab == nil {
 		select {
 		case c.slab = <-c.s.free:
@@ -269,7 +270,7 @@ func (c *connDecoder) flush() {
 // cadence can step must not end every peer's input (files keep such times,
 // only this edge drops them). The returned error is the stream-fatal decode
 // error, if any — never a panic, whatever the input.
-func decodeStream(r io.Reader, emit func(Record) bool, bad *atomic.Int64) error {
+func decodeStream(r io.Reader, emit func(ingest.Record) bool, bad *atomic.Int64) error {
 	// The connection's one read buffer, sized once: a read(2) fills many
 	// slabs, and the wire Reader parses frames in it in place.
 	br := bufio.NewReaderSize(r, wireBufSize)
@@ -292,22 +293,24 @@ func decodeStream(r io.Reader, emit func(Record) bool, bad *atomic.Int64) error 
 			}
 		}
 	}
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 0, 4096), maxWireString)
-	for sc.Scan() {
-		rec, blank, err := ParseLine(sc.Text())
+	lines := NewTailSource(br)
+	for {
+		rec, err := lines.Next()
 		switch {
-		case err != nil || !blank && !finite(rec):
+		case lines.err == io.EOF:
+			return nil
+		case lines.err != nil: // a line over the cap
+			return lines.err
+		case err != nil || !finite(rec):
 			bad.Add(1)
-		case !blank && !emit(rec):
+		case !emit(rec):
 			return nil
 		}
 	}
-	return sc.Err()
 }
 
 // finite reports whether rec's time is a number a cadence can step.
-func finite(rec Record) bool {
+func finite(rec ingest.Record) bool {
 	return !math.IsNaN(rec.Event.Time) && !math.IsInf(rec.Event.Time, 0)
 }
 

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ingest"
 	"repro/internal/runtime"
 )
 
@@ -23,9 +24,9 @@ type limitSource struct {
 	n   int
 }
 
-func (l *limitSource) Next() (Record, error) {
+func (l *limitSource) Next() (ingest.Record, error) {
 	if l.n == 0 {
-		return Record{}, io.EOF
+		return ingest.Record{}, io.EOF
 	}
 	l.n--
 	return l.src.Next()
@@ -43,7 +44,7 @@ func TestListenParity(t *testing.T) {
 
 	// Partition by tenant: first two tenants over wire, rest over text.
 	wireTenants := map[string]bool{ids[0]: true, ids[1]: true}
-	var wireRecs, textRecs []Record
+	var wireRecs, textRecs []ingest.Record
 	for _, rec := range recs {
 		if wireTenants[rec.Event.Tenant] {
 			wireRecs = append(wireRecs, rec)
@@ -107,7 +108,7 @@ func TestListenMalformed(t *testing.T) {
 	text := "S|a|1|load|0.5\nGARBAGE\nS|a|abc|load|x\nS|a|2|load|0.6\n"
 	// Wire: one good record, then a poisoned frame.
 	var wire bytes.Buffer
-	if err := WriteWire(&wire, []Record{{Event: Event{Tenant: "b", Kind: runtime.KindSample, Time: 1, Variable: "load", Value: 0.1}}}); err != nil {
+	if err := WriteWire(&wire, []ingest.Record{{Event: ingest.Event{Tenant: "b", Kind: ingest.KindSample, Time: 1, Variable: "load", Value: 0.1}}}); err != nil {
 		t.Fatal(err)
 	}
 	wire.Write([]byte{0xff, 0xff, 0xff, 0xff})
@@ -148,14 +149,14 @@ func TestListenMalformed(t *testing.T) {
 // same connection still arrive — one peer's unsteppable time must not end the
 // listen run.
 func TestListenNonFiniteTime(t *testing.T) {
-	recs := []Record{
+	recs := []ingest.Record{
 		{Event: sample("a", 1, 0.5)},
 		{Event: sample("a", math.Inf(1), 0.7)},
 		{Event: sample("a", 2, 0.6)},
 	}
 	for _, enc := range []struct {
 		name  string
-		write func(io.Writer, []Record) error
+		write func(io.Writer, []ingest.Record) error
 	}{{"wire", WriteWire}, {"text", WriteTrace}} {
 		t.Run(enc.name, func(t *testing.T) {
 			var buf bytes.Buffer
@@ -224,10 +225,10 @@ func TestListenCloseUnblocks(t *testing.T) {
 
 // nextWithin is Next with a deadline, for tests whose failure mode is a
 // record that never arrives.
-func nextWithin(t *testing.T, ls *ListenSource, d time.Duration) Record {
+func nextWithin(t *testing.T, ls *ListenSource, d time.Duration) ingest.Record {
 	t.Helper()
 	type result struct {
-		rec Record
+		rec ingest.Record
 		err error
 	}
 	done := make(chan result, 1)
@@ -243,7 +244,7 @@ func nextWithin(t *testing.T, ls *ListenSource, d time.Duration) Record {
 		return r.rec
 	case <-time.After(d):
 		t.Fatalf("Next yielded nothing within %v", d)
-		return Record{}
+		return ingest.Record{}
 	}
 }
 
@@ -251,16 +252,16 @@ func nextWithin(t *testing.T, ls *ListenSource, d time.Duration) Record {
 // stays open and silent afterwards, all reach Next — the partial slab goes
 // over before the connection's next read blocks, not when it fills.
 func TestListenIdleFlush(t *testing.T) {
-	recs := make([]Record, slabRecords/4)
+	recs := make([]ingest.Record, slabRecords/4)
 	for i := range recs {
-		recs[i] = Record{Event: Event{Tenant: "a", Kind: runtime.KindSample, Time: float64(i), Variable: "load", Value: 1}}
+		recs[i] = ingest.Record{Event: ingest.Event{Tenant: "a", Kind: ingest.KindSample, Time: float64(i), Variable: "load", Value: 1}}
 	}
 	// An encoder continues one stream: each call's bytes decode on arrival —
 	// text lines as they are, binary records because a frame ends with them.
-	encoders := map[string]func(io.Writer) func([]Record) error{
-		"binary": func(w io.Writer) func([]Record) error {
+	encoders := map[string]func(io.Writer) func([]ingest.Record) error{
+		"binary": func(w io.Writer) func([]ingest.Record) error {
 			wr := NewWriter(w)
-			return func(recs []Record) error {
+			return func(recs []ingest.Record) error {
 				for _, rec := range recs {
 					if err := wr.Write(rec); err != nil {
 						return err
@@ -269,8 +270,8 @@ func TestListenIdleFlush(t *testing.T) {
 				return wr.Flush()
 			}
 		},
-		"text": func(w io.Writer) func([]Record) error {
-			return func(recs []Record) error { return WriteTrace(w, recs) }
+		"text": func(w io.Writer) func([]ingest.Record) error {
+			return func(recs []ingest.Record) error { return WriteTrace(w, recs) }
 		},
 	}
 	for name, encoder := range encoders {
@@ -298,7 +299,7 @@ func TestListenIdleFlush(t *testing.T) {
 			}
 			for _, burst := range []struct {
 				payload []byte
-				want    []Record
+				want    []ingest.Record
 			}{{whole.Bytes()[:cut], recs[:5]}, {whole.Bytes()[cut:], recs[5:]}} {
 				if _, err := conn.Write(burst.payload); err != nil {
 					t.Fatal(err)
@@ -332,7 +333,7 @@ func TestListenIdleFlushOneFrame(t *testing.T) {
 	defer conn.Close() // after the checks: the connection idles open
 	w := NewWriter(conn)
 	for i := 0; i < 3; i++ {
-		want := Record{Event: Event{Tenant: "a", Kind: runtime.KindSample, Time: float64(i), Variable: "load", Value: 1}}
+		want := ingest.Record{Event: ingest.Event{Tenant: "a", Kind: ingest.KindSample, Time: float64(i), Variable: "load", Value: 1}}
 		if err := w.Write(want); err != nil {
 			t.Fatal(err)
 		}
@@ -394,9 +395,9 @@ func TestListenNoGoroutineLeak(t *testing.T) {
 // slab, full or partial, is served by Next before io.EOF, in order.
 func TestListenCloseDeliversFlushed(t *testing.T) {
 	const total = 200000
-	recs := make([]Record, total)
+	recs := make([]ingest.Record, total)
 	for i := range recs {
-		recs[i] = Record{Event: Event{Tenant: "a", Kind: runtime.KindSample, Time: float64(i), Variable: "load", Value: 1}}
+		recs[i] = ingest.Record{Event: ingest.Event{Tenant: "a", Kind: ingest.KindSample, Time: float64(i), Variable: "load", Value: 1}}
 	}
 	var wire bytes.Buffer
 	if err := WriteWire(&wire, recs); err != nil {
@@ -526,7 +527,7 @@ func FuzzListenDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var bad atomic.Int64
 		n := 0
-		_ = decodeStream(bytes.NewReader(data), func(rec Record) bool {
+		_ = decodeStream(bytes.NewReader(data), func(rec ingest.Record) bool {
 			n++
 			if len(rec.Event.Tenant) > maxWireString {
 				t.Fatalf("decoded tenant exceeds cap")
@@ -557,9 +558,9 @@ func TestListenIngestZeroAllocs(t *testing.T) {
 	}
 	defer conn.Close()
 
-	recs := make([]Record, burst)
+	recs := make([]ingest.Record, burst)
 	for i := range recs {
-		recs[i] = Record{Event: sample(ids[i%tenants], float64(i), 1)}
+		recs[i] = ingest.Record{Event: sample(ids[i%tenants], float64(i), 1)}
 	}
 	w := NewWriter(conn) // one stream: the dictionaries go over with the first burst
 	lim := &limitSource{src: ls}

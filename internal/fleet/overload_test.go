@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ingest"
 	"repro/internal/runtime"
 )
 
@@ -55,8 +56,8 @@ func (h *overloadQueue) limitedTenant(id string, capacity int, rate float64) *te
 	return tn.q
 }
 
-func qitem(tq *tenantQueue, seq int) *Event {
-	return &Event{Tenant: tq.tn.spec.ID, Time: float64(seq)}
+func qitem(tq *tenantQueue, seq int) *ingest.Event {
+	return &ingest.Event{Tenant: tq.tn.spec.ID, Time: float64(seq)}
 }
 
 // fill pushes seq from..to-1; none of them may block.
@@ -392,7 +393,7 @@ func newOverloadFleet(t *testing.T, policy runtime.OverflowPolicy, hold bool, id
 	cfg.BatchSize = 2
 	cfg.QueueCapacity = overloadCap
 	cfg.Overflow = policy
-	cfg.Apply = func(_ TenantState, ev Event) error {
+	cfg.Apply = func(_ TenantState, ev ingest.Event) error {
 		if o.hold != nil {
 			o.entered <- struct{}{}
 			<-o.hold

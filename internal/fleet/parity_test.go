@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/act"
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/runtime"
@@ -24,8 +25,8 @@ type pstate struct {
 
 func newPState() *pstate { return &pstate{last: map[string]float64{}} }
 
-func (s *pstate) apply(kind runtime.EventKind, t float64, variable string, value float64) {
-	if kind == runtime.KindError {
+func (s *pstate) apply(kind ingest.Kind, t float64, variable string, value float64) {
+	if kind == ingest.KindError {
 		s.errs = append(s.errs, t)
 		return
 	}
@@ -76,7 +77,7 @@ func TestRuntimeFleetParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := m.IDs()[0]
-	recs := SCPRecords(m.Drain())
+	recs := m.Drain()
 	engCfg := core.Config{EvalInterval: 60, LeadTime: 300, WarnThreshold: 0.5,
 		OscillationWindow: 900, MaxActionsPerWindow: 2}
 	ledCfg := obs.LedgerConfig{LeadTime: 300, Slack: 60, Window: 3600}
@@ -106,7 +107,7 @@ func TestRuntimeFleetParity(t *testing.T) {
 	}
 	rt, err := runtime.New(runtime.Config{
 		Engine: eng, Ledger: rled, Clock: clock.Now,
-		Apply: func(ev runtime.Event) error {
+		Apply: func(ev ingest.Event) error {
 			rst.apply(ev.Kind, ev.Time, ev.Variable, ev.Value)
 			return nil
 		},
@@ -130,7 +131,7 @@ func TestRuntimeFleetParity(t *testing.T) {
 		Tenants:  []TenantSpec{{ID: id, Criticality: 1}},
 		Layers:   tmpls,
 		NewState: func(TenantSpec) (TenantState, error) { return newPState(), nil },
-		Apply: func(st TenantState, ev Event) error {
+		Apply: func(st TenantState, ev ingest.Event) error {
 			st.(*pstate).apply(ev.Kind, ev.Time, ev.Variable, ev.Value)
 			return nil
 		},
@@ -177,7 +178,7 @@ func TestRuntimeFleetParity(t *testing.T) {
 			}
 			continue
 		}
-		if err := rt.Ingest(ctx, runtime.Event{Kind: ev.Kind, Time: ev.Time, Error: ev.Error,
+		if err := rt.Ingest(ctx, ingest.Event{Kind: ev.Kind, Time: ev.Time, Error: ev.Error,
 			Variable: ev.Variable, Value: ev.Value}); err != nil {
 			t.Fatal(err)
 		}

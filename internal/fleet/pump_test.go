@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 )
@@ -20,14 +21,14 @@ import (
 // scriptSource replays recs and runs before[i] ahead of handing out record i
 // — on Pump's goroutine, between two of its records.
 type scriptSource struct {
-	recs   []Record
+	recs   []ingest.Record
 	i      int
 	before map[int]func()
 }
 
-func (s *scriptSource) Next() (Record, error) {
+func (s *scriptSource) Next() (ingest.Record, error) {
 	if s.i >= len(s.recs) {
-		return Record{}, io.EOF
+		return ingest.Record{}, io.EOF
 	}
 	if fn := s.before[s.i]; fn != nil {
 		fn()
@@ -84,15 +85,15 @@ func TestPumpTenantTableChurn(t *testing.T) {
 
 	const before, gap, after = 10, 5, 7
 	a, b := "a", "b" // one string each: every record shares its bytes
-	var recs []Record
+	var recs []ingest.Record
 	add := func(n int, failure bool) {
 		for i := 0; i < n; i++ {
 			recs = append(recs,
-				Record{Event: sample(a, float64(len(recs)), 1)},
-				Record{Event: sample(b, float64(len(recs)), 1)})
+				ingest.Record{Event: sample(a, float64(len(recs)), 1)},
+				ingest.Record{Event: sample(b, float64(len(recs)), 1)})
 		}
 		if failure {
-			recs = append(recs, Record{Failure: true, Event: Event{Tenant: a, Time: float64(len(recs))}})
+			recs = append(recs, ingest.Record{Failure: true, Event: ingest.Event{Tenant: a, Time: float64(len(recs))}})
 		}
 	}
 	add(before, true)
@@ -162,14 +163,14 @@ func TestPumpTenantTableAliases(t *testing.T) {
 	defer f.Stop(ctx)
 
 	const rounds = 3 * tableSlots
-	recs := make([]Record, 0, 4*rounds)
+	recs := make([]ingest.Record, 0, 4*rounds)
 	for i := 0; i < rounds; i++ {
 		at := float64(i)
 		recs = append(recs,
-			Record{Event: sample(short, at, 1)},
-			Record{Event: sample(long, at, 1)},
-			Record{Event: sample("t2", at, 1)},
-			Record{Event: sample(strings.Clone("t2"), at, 1)})
+			ingest.Record{Event: sample(short, at, 1)},
+			ingest.Record{Event: sample(long, at, 1)},
+			ingest.Record{Event: sample("t2", at, 1)},
+			ingest.Record{Event: sample(strings.Clone("t2"), at, 1)})
 	}
 	if n, err := Pump(ctx, f, NewSliceSource(recs)); err != nil || n != len(recs) {
 		t.Fatalf("Pump = (%d, %v), want (%d, nil)", n, err, len(recs))
@@ -212,10 +213,10 @@ func TestPumpConcurrent(t *testing.T) {
 	defer f.Stop(ctx)
 
 	const perTenant = 400
-	recs := make([]Record, 0, perTenant*len(ids))
+	recs := make([]ingest.Record, 0, perTenant*len(ids))
 	for i := 0; i < perTenant; i++ {
 		for _, id := range ids {
-			recs = append(recs, Record{Event: sample(id, float64(i), 1)})
+			recs = append(recs, ingest.Record{Event: sample(id, float64(i), 1)})
 		}
 	}
 	var wg sync.WaitGroup
@@ -264,12 +265,12 @@ func TestPumpUnknownTenantZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	const burst = 1024
-	recs := make([]Record, 0, 3*burst)
+	recs := make([]ingest.Record, 0, 3*burst)
 	for i := 0; i < burst; i++ {
 		recs = append(recs,
-			Record{Event: sample(ids[0], float64(i), 1)},
-			Record{Event: sample(ids[1], float64(i), 1)},
-			Record{Failure: true, Event: Event{Tenant: ids[1], Time: float64(i)}})
+			ingest.Record{Event: sample(ids[0], float64(i), 1)},
+			ingest.Record{Event: sample(ids[1], float64(i), 1)},
+			ingest.Record{Failure: true, Event: ingest.Event{Tenant: ids[1], Time: float64(i)}})
 	}
 	src := NewSliceSource(recs)
 	runs := 0
@@ -319,10 +320,10 @@ func TestShardSampleTick(t *testing.T) {
 	q.attach(gone.q)
 	gone.q.closeAndDrain()
 	for i := 0; i < 13; i++ { // 8 admitted, 5 rejected at the door
-		if err := tn.q.push(context.Background(), &Event{Tenant: "s", Time: float64(i)}); err != nil {
+		if err := tn.q.push(context.Background(), &ingest.Event{Tenant: "s", Time: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := gone.q.push(context.Background(), &Event{Tenant: "gone"}); err != errTenantRemoved {
+		if err := gone.q.push(context.Background(), &ingest.Event{Tenant: "gone"}); err != errTenantRemoved {
 			t.Fatalf("push to a retired tenant: %v, want errTenantRemoved", err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 )
@@ -22,7 +23,7 @@ var errTenantRemoved = errors.New("fleet: tenant removed")
 // built in its queue slot (admitLocked): the event is copied once, from the
 // producer's record.
 type item struct {
-	ev Event
+	ev ingest.Event
 	tn *tenant
 	// traceStart is the tracer time at which the push first held its shard's
 	// lock, which is also the queue offer; 0 means not sampled.
@@ -126,7 +127,7 @@ func (tq *tenantQueue) lockOwner() *shardQueue {
 // its cap, or the shard over its budget — parks on the owning shard and, woken,
 // checks everything again under the lock. A tenant removed or re-homed while
 // the push slept is therefore nothing special, just what the re-check finds.
-func (tq *tenantQueue) push(ctx context.Context, ev *Event) error {
+func (tq *tenantQueue) push(ctx context.Context, ev *ingest.Event) error {
 	// The clock is the caller's code: read it before taking the lock. Every
 	// shard holds the same one. The rate is read off the tenant, whose line
 	// the caller has just read, not off the sub-queue's second line, which
@@ -229,7 +230,7 @@ func (tq *tenantQueue) push(ctx context.Context, ev *Event) error {
 
 // admitLocked enqueues one event that fits — the item is built in its slot —
 // and accounts it ingested.
-func (q *shardQueue) admitLocked(tq *tenantQueue, ev *Event, traceStart int64) {
+func (q *shardQueue) admitLocked(tq *tenantQueue, ev *ingest.Event, traceStart int64) {
 	it := tq.buf.PushSlot()
 	it.ev = *ev
 	it.tn = tq.tn
@@ -407,7 +408,7 @@ func (q *shardQueue) settled(buf []item, n int) {
 }
 
 // traceDrop publishes the shed event's partial trace.
-func (q *shardQueue) traceDrop(ev *Event, traceStart int64) {
+func (q *shardQueue) traceDrop(ev *ingest.Event, traceStart int64) {
 	if traceStart != 0 {
 		q.tracer.PublishDropped(uint8(ev.Kind), ev.Tenant, q.shard,
 			traceStart, traceStart, q.tracer.Now())

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/ingest"
 	"repro/internal/runtime"
 )
 
@@ -13,14 +14,6 @@ import (
 func TestItemSize(t *testing.T) {
 	if got := unsafe.Sizeof(item{}); got != 128 {
 		t.Errorf("sizeof(item) = %d, want 128", got)
-	}
-}
-
-// TestEventSize pins the single-tenant runtime's queued event at 104 bytes:
-// its ring copies every event in and out once each.
-func TestEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(runtime.Event{}); got != 104 {
-		t.Errorf("sizeof(runtime.Event) = %d, want 104", got)
 	}
 }
 
@@ -72,7 +65,7 @@ func queued(tq *tenantQueue) int { return tq.buf.Len() }
 func (h *queueHarness) fill(t *testing.T, tq *tenantQueue, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := tq.push(context.Background(), &Event{Tenant: tq.tn.spec.ID, Time: float64(i)}); err != nil {
+		if err := tq.push(context.Background(), &ingest.Event{Tenant: tq.tn.spec.ID, Time: float64(i)}); err != nil {
 			t.Fatalf("push %s[%d]: %v", tq.tn.spec.ID, i, err)
 		}
 	}

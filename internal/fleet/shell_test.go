@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/act"
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/runtime"
 )
 
@@ -85,7 +86,7 @@ func newRuntimeFixture(t *testing.T, h *shellHooks) *shellFixture {
 	}
 	rt, err := runtime.New(runtime.Config{
 		Engine: eng,
-		Apply: func(runtime.Event) error {
+		Apply: func(ingest.Event) error {
 			if h.apply != nil {
 				h.apply("")
 			}
@@ -102,7 +103,7 @@ func newRuntimeFixture(t *testing.T, h *shellHooks) *shellFixture {
 		evaluateNow: rt.EvaluateNow, cycles: rt.Cycles,
 		metrics: rt.Metrics(), handler: rt.Handler(),
 		ingest: func(ctx context.Context, i int) error {
-			return rt.Ingest(ctx, runtime.Event{Kind: runtime.KindSample, Variable: "x", Time: float64(i)})
+			return rt.Ingest(ctx, ingest.Event{Kind: ingest.KindSample, Variable: "x", Time: float64(i)})
 		},
 	}
 }
@@ -120,7 +121,7 @@ func newFleetFixture(t *testing.T, h *shellHooks) *shellFixture {
 		Layers: []LayerTemplate{{Name: "l", Threshold: 0.5,
 			Score: func(TenantState, float64) (float64, error) { return h.scoreNow(), nil }}},
 		NewState: func(s TenantSpec) (TenantState, error) { return s.ID, nil },
-		Apply: func(st TenantState, _ Event) error {
+		Apply: func(st TenantState, _ ingest.Event) error {
 			if h.apply != nil {
 				h.apply(st.(string))
 			}

@@ -9,17 +9,8 @@ import (
 	"os"
 	"unsafe"
 
-	"repro/internal/eventlog"
-	"repro/internal/runtime"
-	"repro/internal/scp"
+	"repro/internal/ingest"
 )
-
-// Record is one unit of a tenant trace: an ingestable event, or a
-// ground-truth failure mark (Failure true; Event carries Tenant and Time).
-type Record struct {
-	Event   Event
-	Failure bool
-}
 
 // Source yields a tenant trace record by record. Next returns io.EOF when
 // the trace is exhausted; any other error aborts the pump. A Source has one
@@ -27,11 +18,11 @@ type Record struct {
 // goroutines at once. Implementations in this package: SliceSource
 // (in-process), TailSource (text line protocol), Reader (binary wire
 // format), ListenSource (either encoding over TCP); OpenTrace opens a
-// recorded file in either encoding. Record is also what the tools exchange:
-// cmd/loggen writes the simulator's output as records in both encodings,
-// cmd/predict and pfmd -fleet-trace read them back.
+// recorded file in either encoding. The record is the one the simulator
+// emits (scp.MultiSystem.Drain) and the tools exchange: cmd/loggen writes it
+// in both encodings, cmd/predict and pfmd -fleet-trace read it back.
 type Source interface {
-	Next() (Record, error)
+	Next() (ingest.Record, error)
 }
 
 // isWire reports whether the stream behind br is binary — the one test that
@@ -151,54 +142,28 @@ func (tt *tenantTable) resolve(mem *membership, id string) *tenant {
 	return tn
 }
 
-// SliceSource replays an in-memory record slice.
+// SliceSource replays an in-memory record slice — scp.MultiSystem.Drain's,
+// for one.
 type SliceSource struct {
-	recs []Record
+	recs []ingest.Record
 	i    int
 }
 
 // NewSliceSource wraps recs (not copied).
-func NewSliceSource(recs []Record) *SliceSource { return &SliceSource{recs: recs} }
+func NewSliceSource(recs []ingest.Record) *SliceSource { return &SliceSource{recs: recs} }
 
-func (s *SliceSource) Next() (Record, error) {
+func (s *SliceSource) Next() (ingest.Record, error) {
 	i := s.i
 	if i >= len(s.recs) {
-		return Record{}, io.EOF
+		return ingest.Record{}, io.EOF
 	}
 	s.i = i + 1
 	return s.recs[i], nil
 }
 
-// SCPRecords converts a merged multi-tenant simulator trace (see
-// scp.MultiSystem.Drain) into fleet records — the in-process feeder path.
-func SCPRecords(trace []scp.TraceRecord) []Record {
-	out := make([]Record, 0, len(trace))
-	for _, tr := range trace {
-		out = append(out, scpRecord(tr))
-	}
-	return out
-}
-
-// scpRecord converts one simulator trace record.
-func scpRecord(tr scp.TraceRecord) Record {
-	switch tr.Kind {
-	case scp.TraceFailure:
-		return Record{Failure: true, Event: Event{Tenant: tr.Tenant, Time: tr.Time}}
-	case scp.TraceError:
-		return Record{Event: Event{
-			Tenant: tr.Tenant, Kind: runtime.KindError, Time: tr.Time,
-			Error: eventlog.Event{
-				Time: tr.Time, Component: tr.Component, Type: tr.Type,
-				Severity: eventlog.Severity(tr.Severity), Message: tr.Message,
-			},
-		}}
-	default:
-		return Record{Event: Event{
-			Tenant: tr.Tenant, Kind: runtime.KindSample, Time: tr.Time,
-			Variable: tr.Variable, Value: tr.Value,
-		}}
-	}
-}
+// SCPRecords returns trace itself: scp.MultiSystem.Drain already yields
+// the records a Source does. It stays for bench/pfmbench until ROADMAP 10(b).
+func SCPRecords(trace []ingest.Record) []ingest.Record { return trace }
 
 // badRecord wraps a malformed-input error with position context.
 func badRecord(format string, args ...any) error {

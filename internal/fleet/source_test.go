@@ -3,18 +3,23 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	stdruntime "runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/scp"
 )
 
 // simTrace generates a small multi-tenant simulator trace once per test
 // binary (4 tenants, 3 simulated hours, Zipf-skewed load).
-func simTrace(t *testing.T) ([]string, []Record) {
+func simTrace(t *testing.T) ([]string, []ingest.Record) {
 	t.Helper()
 	m, err := scp.NewMulti(scp.MultiConfig{Tenants: 4, BaseSeed: 7, Skew: 1})
 	if err != nil {
@@ -23,7 +28,7 @@ func simTrace(t *testing.T) ([]string, []Record) {
 	if err := m.Run(3 * 3600); err != nil {
 		t.Fatal(err)
 	}
-	recs := SCPRecords(m.Drain())
+	recs := m.Drain()
 	if len(recs) == 0 {
 		t.Fatal("simulator produced an empty trace")
 	}
@@ -152,6 +157,60 @@ func TestTailRoundTrip(t *testing.T) {
 				t.Fatalf("after the last record: err = %v, want io.EOF", err)
 			}
 		})
+	}
+}
+
+// repeatByte reads as an endless run of one byte, allocating nothing.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestTailLineCap: a trace file whose second line carries a 16 MiB variable
+// name opens (OpenTrace) to its first record, then to an error naming line 2
+// and the cap — from then on, every call — and the reader never holds the
+// line: the whole read allocates under 4 MiB.
+func TestTailLineCap(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "long.trace")
+	fh, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := io.MultiReader(strings.NewReader("S|t0|1|cpu|0.5\nS|t0|2|"),
+		io.LimitReader(repeatByte('v'), 16<<20), strings.NewReader("|1\n"))
+	if _, err := io.Copy(fh, line); err != nil {
+		t.Fatal(err)
+	}
+	if err := fh.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after stdruntime.MemStats
+	stdruntime.ReadMemStats(&before)
+	src, closer, err := OpenTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	first, err := src.Next()
+	if err != nil || first.Event.Variable != "cpu" {
+		t.Fatalf("line 1: %+v, %v", first, err)
+	}
+	_, err = src.Next()
+	stdruntime.ReadMemStats(&after)
+	want := fmt.Sprintf("line 2: fleet: invalid operation: longer than %d bytes", maxWireString)
+	if err == nil || !errors.Is(err, ErrFleet) || err.Error() != want {
+		t.Fatalf("line 2: err = %v, want %q", err, want)
+	}
+	if _, again := src.Next(); again == nil || again.Error() != want {
+		t.Fatalf("after the long line: err = %v, want %q again", again, want)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 4<<20 {
+		t.Fatalf("reading the long line allocated %d bytes, want under 4 MiB", alloc)
 	}
 }
 

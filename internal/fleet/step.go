@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+
+	"repro/internal/ingest"
 )
 
 // Clock is a run's one time base, in simulated seconds: a Stepper moves it
@@ -40,14 +42,14 @@ type Stepper struct {
 	clock   *Clock
 	run     func(nows []float64) error
 
-	next float64   // the next boundary; NaN before the first record
-	due  []float64 // the stack handed to run, reused
-	held []Record  // the events at boundary next, until its cycle ran
-	out  []Record  // a released instant's events; out[i:] not yet handed on
+	next float64         // the next boundary; NaN before the first record
+	due  []float64       // the stack handed to run, reused
+	held []ingest.Record // the events at boundary next, until its cycle ran
+	out  []ingest.Record // a released instant's events; out[i:] not yet handed on
 	i    int
 	// ahead is the record (or the error) that ended a held instant, read
 	// again once the instant's events are handed on.
-	ahead    Record
+	ahead    ingest.Record
 	aheadErr error
 	hasAhead bool
 }
@@ -59,7 +61,7 @@ func NewStepper(src Source, cadence float64, clock *Clock, run func(nows []float
 }
 
 // Next hands on the input's next record, first running the cycles it makes due.
-func (s *Stepper) Next() (Record, error) {
+func (s *Stepper) Next() (ingest.Record, error) {
 	for {
 		if s.i < len(s.out) {
 			rec := s.out[s.i]
@@ -73,7 +75,7 @@ func (s *Stepper) Next() (Record, error) {
 			// cycle runs, then its events go on, then this record.
 			s.ahead, s.aheadErr, s.hasAhead = rec, err, true
 			if err := s.runBefore(s.next, true); err != nil {
-				return Record{}, err
+				return ingest.Record{}, err
 			}
 			s.out, s.held, s.i = s.held, s.out[:0], 0
 			continue
@@ -83,13 +85,13 @@ func (s *Stepper) Next() (Record, error) {
 		}
 		t := rec.Event.Time
 		if math.IsNaN(t) || t+s.cadence == t {
-			return Record{}, fmt.Errorf("record at time %g: the %g s cadence cannot step to it", t, s.cadence)
+			return ingest.Record{}, fmt.Errorf("record at time %g: the %g s cadence cannot step to it", t, s.cadence)
 		}
 		if math.IsNaN(s.next) {
 			s.next = t + s.cadence
 		}
 		if err := s.runBefore(t, false); err != nil {
-			return Record{}, err
+			return ingest.Record{}, err
 		}
 		if !rec.Failure && t == s.next {
 			s.held = append(s.held, rec)
@@ -100,7 +102,7 @@ func (s *Stepper) Next() (Record, error) {
 	}
 }
 
-func (s *Stepper) read() (Record, error) {
+func (s *Stepper) read() (ingest.Record, error) {
 	if s.hasAhead {
 		s.hasAhead = false
 		return s.ahead, s.aheadErr

@@ -2,13 +2,14 @@ package fleet
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 
 	"repro/internal/eventlog"
-	"repro/internal/runtime"
+	"repro/internal/ingest"
 )
 
 // Text line protocol: one record per line, pipe-separated — the shape of a
@@ -23,12 +24,12 @@ import (
 // starting with '#' are skipped.
 
 // FormatRecord renders one record as a protocol line (no newline).
-func FormatRecord(r Record) string {
+func FormatRecord(r ingest.Record) string {
 	ev := r.Event
 	if r.Failure {
 		return fmt.Sprintf("F|%s|%g", ev.Tenant, ev.Time)
 	}
-	if ev.Kind == runtime.KindError {
+	if ev.Kind == ingest.KindError {
 		return fmt.Sprintf("E|%s|%g|%s|%d|%d|%s",
 			ev.Tenant, ev.Time, ev.Error.Component, ev.Error.Type,
 			int(ev.Error.Severity), ev.Error.Message)
@@ -37,7 +38,7 @@ func FormatRecord(r Record) string {
 }
 
 // WriteTrace writes records as protocol lines.
-func WriteTrace(w io.Writer, recs []Record) error {
+func WriteTrace(w io.Writer, recs []ingest.Record) error {
 	bw := bufio.NewWriter(w)
 	for _, r := range recs {
 		if _, err := bw.WriteString(FormatRecord(r)); err != nil {
@@ -51,69 +52,69 @@ func WriteTrace(w io.Writer, recs []Record) error {
 }
 
 // ParseLine decodes one protocol line (skip == true for blanks/comments).
-func ParseLine(line string) (rec Record, skip bool, err error) {
+func ParseLine(line string) (rec ingest.Record, skip bool, err error) {
 	line = strings.TrimRight(line, "\r\n")
 	if line == "" || strings.HasPrefix(line, "#") {
-		return Record{}, true, nil
+		return ingest.Record{}, true, nil
 	}
 	// Message may not contain '|', so a fixed SplitN per type is exact.
 	kind, rest, ok := strings.Cut(line, "|")
 	if !ok {
-		return Record{}, false, badRecord("line %q: no fields", line)
+		return ingest.Record{}, false, badRecord("line %q: no fields", line)
 	}
 	switch kind {
 	case "F":
 		f := strings.Split(rest, "|")
 		if len(f) != 2 {
-			return Record{}, false, badRecord("F line: want 2 fields, got %d", len(f))
+			return ingest.Record{}, false, badRecord("F line: want 2 fields, got %d", len(f))
 		}
 		t, err := parseTime(f[1])
 		if err != nil {
-			return Record{}, false, err
+			return ingest.Record{}, false, err
 		}
-		return Record{Failure: true, Event: Event{Tenant: f[0], Time: t}}, false, nil
+		return ingest.Record{Failure: true, Event: ingest.Event{Tenant: f[0], Time: t}}, false, nil
 	case "S":
 		f := strings.Split(rest, "|")
 		if len(f) != 4 {
-			return Record{}, false, badRecord("S line: want 4 fields, got %d", len(f))
+			return ingest.Record{}, false, badRecord("S line: want 4 fields, got %d", len(f))
 		}
 		t, err := parseTime(f[1])
 		if err != nil {
-			return Record{}, false, err
+			return ingest.Record{}, false, err
 		}
 		v, err := strconv.ParseFloat(f[3], 64)
 		if err != nil {
-			return Record{}, false, badRecord("S line value %q: %v", f[3], err)
+			return ingest.Record{}, false, badRecord("S line value %q: %v", f[3], err)
 		}
-		return Record{Event: Event{
-			Tenant: f[0], Kind: runtime.KindSample, Time: t, Variable: f[2], Value: v,
+		return ingest.Record{Event: ingest.Event{
+			Tenant: f[0], Kind: ingest.KindSample, Time: t, Variable: f[2], Value: v,
 		}}, false, nil
 	case "E":
 		f := strings.SplitN(rest, "|", 6)
 		if len(f) != 6 {
-			return Record{}, false, badRecord("E line: want 6 fields, got %d", len(f))
+			return ingest.Record{}, false, badRecord("E line: want 6 fields, got %d", len(f))
 		}
 		t, err := parseTime(f[1])
 		if err != nil {
-			return Record{}, false, err
+			return ingest.Record{}, false, err
 		}
 		typ, err := strconv.Atoi(f[3])
 		if err != nil {
-			return Record{}, false, badRecord("E line type %q: %v", f[3], err)
+			return ingest.Record{}, false, badRecord("E line type %q: %v", f[3], err)
 		}
 		sev, err := strconv.Atoi(f[4])
 		if err != nil {
-			return Record{}, false, badRecord("E line severity %q: %v", f[4], err)
+			return ingest.Record{}, false, badRecord("E line severity %q: %v", f[4], err)
 		}
-		return Record{Event: Event{
-			Tenant: f[0], Kind: runtime.KindError, Time: t,
+		return ingest.Record{Event: ingest.Event{
+			Tenant: f[0], Kind: ingest.KindError, Time: t,
 			Error: eventlog.Event{
 				Time: t, Component: f[2], Type: typ,
 				Severity: eventlog.Severity(sev), Message: f[5],
 			},
 		}}, false, nil
 	default:
-		return Record{}, false, badRecord("unknown record type %q", kind)
+		return ingest.Record{}, false, badRecord("unknown record type %q", kind)
 	}
 }
 
@@ -125,35 +126,47 @@ func parseTime(s string) (float64, error) {
 	return t, nil
 }
 
-// TailSource reads protocol lines from a stream until io.EOF.
+// TailSource reads protocol lines from a stream until io.EOF, each of at most
+// maxWireString bytes: the one line reader, under OpenTrace's text files and
+// the listener's text connections alike, so both refuse the same over-long
+// line and neither holds more of it than the cap.
 type TailSource struct {
-	r    *bufio.Reader
-	line int
+	sc   *bufio.Scanner
+	line int   // lines read so far
+	err  error // what ended the stream: a Scanner past ErrTooLong would go on
 }
 
 // NewTailSource reads from r.
 func NewTailSource(r io.Reader) *TailSource {
-	return &TailSource{r: bufio.NewReader(r)}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 4096), maxWireString)
+	return &TailSource{sc: sc}
 }
 
 // Next returns the next decoded record. A malformed line is reported with
 // its line number; the stream position advances past it, so callers may
 // skip the error and keep calling Next. A final line without a newline is
-// still parsed; the call after it returns io.EOF.
-func (s *TailSource) Next() (Record, error) {
-	for {
-		line, err := s.r.ReadString('\n')
-		if err != nil && (err != io.EOF || line == "") {
-			return Record{}, err
-		}
+// still parsed; the call after it returns io.EOF. A line over the cap is an
+// error naming its number and the cap, and ends the stream: every later
+// call returns it again.
+func (s *TailSource) Next() (ingest.Record, error) {
+	for s.err == nil && s.sc.Scan() {
 		s.line++
-		rec, skip, perr := ParseLine(line)
-		if perr != nil {
-			return Record{}, fmt.Errorf("line %d: %w", s.line, perr)
+		rec, skip, err := ParseLine(s.sc.Text())
+		if err != nil {
+			return ingest.Record{}, fmt.Errorf("line %d: %w", s.line, err)
 		}
-		if skip {
-			continue
+		if !skip {
+			return rec, nil
 		}
-		return rec, nil
 	}
+	if s.err == nil {
+		switch s.err = s.sc.Err(); {
+		case errors.Is(s.err, bufio.ErrTooLong):
+			s.err = fmt.Errorf("line %d: %w", s.line+1, badRecord("longer than %d bytes", maxWireString))
+		case s.err == nil:
+			s.err = io.EOF
+		}
+	}
+	return ingest.Record{}, s.err
 }

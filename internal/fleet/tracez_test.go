@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/act"
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 )
@@ -39,7 +40,7 @@ func tracezPlanes(t *testing.T) map[string]http.Handler {
 	rtTracer := obs.NewTracer(8)
 	rtTracer.SetSampleInterval(1)
 	rt, err := runtime.New(runtime.Config{
-		Engine: engine, Apply: func(runtime.Event) error { return nil }, Tracer: rtTracer,
+		Engine: engine, Apply: func(ingest.Event) error { return nil }, Tracer: rtTracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +64,7 @@ func tracezPlanes(t *testing.T) map[string]http.Handler {
 	t.Cleanup(func() { _ = f.Stop(ctx) })
 
 	for i := 0; i < 5; i++ {
-		if err := rt.Ingest(ctx, runtime.Event{Kind: runtime.KindSample, Time: float64(i), Variable: "load", Value: 1}); err != nil {
+		if err := rt.Ingest(ctx, ingest.Event{Kind: ingest.KindSample, Time: float64(i), Variable: "load", Value: 1}); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.Ingest(ctx, sample("a", float64(i), 1)); err != nil {

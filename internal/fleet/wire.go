@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 
+	"repro/internal/ingest"
 	"repro/internal/runtime"
 )
 
@@ -31,12 +32,9 @@ func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 // Write encodes one record; every 128th completes a frame, which goes out in
 // one Write. The first error — a record the format cannot carry, or the
 // writer's — ends the stream: every later call returns it.
-func (w *Writer) Write(rec Record) error {
+func (w *Writer) Write(rec ingest.Record) error {
 	if w.err == nil {
-		ev := rec.Event
-		w.err = w.enc.Add(w.w, ev.Tenant, runtime.Event{
-			Kind: ev.Kind, Time: ev.Time, Error: ev.Error, Variable: ev.Variable, Value: ev.Value,
-		}, rec.Failure)
+		w.err = w.enc.Add(w.w, rec)
 	}
 	return w.err
 }
@@ -51,7 +49,7 @@ func (w *Writer) Flush() error {
 }
 
 // WriteWire encodes a whole trace.
-func WriteWire(w io.Writer, recs []Record) error {
+func WriteWire(w io.Writer, recs []ingest.Record) error {
 	wr := NewWriter(w)
 	for _, r := range recs {
 		if err := wr.Write(r); err != nil {
@@ -72,7 +70,7 @@ const maxWireString = 1 << 20
 
 // Reader decodes a wire-format trace as a Source: a frame at a time, in place
 // from the bufio.Reader's buffer into the decoder's reusable columns, and
-// from there a Record a call. Nothing allocates but a string new to the
+// from there a record a call. Nothing allocates but a string new to the
 // stream's dictionaries and a frame longer than the buffer.
 type Reader struct {
 	r   *bufio.Reader
@@ -89,20 +87,17 @@ func newReaderSize(r io.Reader, size int) *Reader {
 }
 
 // Next decodes the next record (io.EOF cleanly at end of stream).
-func (r *Reader) Next() (rec Record, err error) {
+func (r *Reader) Next() (rec ingest.Record, err error) {
 	for r.row == r.dec.Len() {
 		r.row = 0
 		if err := r.dec.Next(r.r); err != nil {
 			if errors.Is(err, runtime.ErrColumnar) {
 				err = badRecord("wire: %v", err)
 			}
-			return Record{}, err
+			return ingest.Record{}, err
 		}
 	}
-	var ev runtime.Event
-	rec.Event.Tenant, rec.Failure = r.dec.Record(r.row, &ev)
-	rec.Event.Kind, rec.Event.Time, rec.Event.Error = ev.Kind, ev.Time, ev.Error
-	rec.Event.Variable, rec.Event.Value = ev.Variable, ev.Value
+	r.dec.Record(r.row, &rec)
 	r.row++
 	return rec, nil
 }

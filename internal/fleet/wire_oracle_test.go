@@ -15,7 +15,7 @@ import (
 	"testing/iotest"
 
 	"repro/internal/eventlog"
-	"repro/internal/runtime"
+	"repro/internal/ingest"
 )
 
 // minWireBuf is the smallest read buffer bufio grants: shorter than any
@@ -29,7 +29,7 @@ const minWireBuf = 16
 // and a Record per row. It returns the records of every frame before the
 // first bad one, and the verdict: nil only if the stream ends on a frame
 // boundary.
-func refDecode(data []byte) (recs []Record, err error) {
+func refDecode(data []byte) (recs []ingest.Record, err error) {
 	if len(data) < 4 || string(data[:4]) != "PFF1" {
 		return nil, errors.New("ref: no magic")
 	}
@@ -52,7 +52,7 @@ func refDecode(data []byte) (recs []Record, err error) {
 	return recs, nil
 }
 
-func refFrame(body []byte, rows int, dicts *[4][]string) ([]Record, error) {
+func refFrame(body []byte, rows int, dicts *[4][]string) ([]ingest.Record, error) {
 	r := bytes.NewReader(body)
 	for k := range dicts {
 		count, err := binary.ReadUvarint(r)
@@ -128,10 +128,10 @@ func refFrame(body []byte, rows int, dicts *[4][]string) ([]Record, error) {
 		}
 		return dict[id], nil
 	}
-	var out []Record
+	var out []ingest.Record
 	s, e := 0, 0
 	for i, kind := range kinds {
-		rec := Record{Failure: kind == 2}
+		rec := ingest.Record{Failure: kind == 2}
 		ev := &rec.Event
 		ev.Time = math.Float64frombits(cols[1][i])
 		if math.IsNaN(ev.Time) {
@@ -142,13 +142,13 @@ func refFrame(body []byte, rows int, dicts *[4][]string) ([]Record, error) {
 		}
 		switch kind {
 		case 1:
-			ev.Kind, ev.Value = runtime.KindSample, math.Float64frombits(cols[3][s])
+			ev.Kind, ev.Value = ingest.KindSample, math.Float64frombits(cols[3][s])
 			if ev.Variable, err = lookup(dicts[1], cols[2][i]); err != nil {
 				return nil, err
 			}
 			s++
 		case 0:
-			ev.Kind, ev.Error.Time = runtime.KindError, ev.Time
+			ev.Kind, ev.Error.Time = ingest.KindError, ev.Time
 			ev.Error.Type, ev.Error.Severity = int(cols[4][e]), eventlog.Severity(cols[5][e])
 			if ev.Error.Type > math.MaxInt32 || ev.Error.Severity < 1 || ev.Error.Severity > 4 {
 				return nil, fmt.Errorf("ref: type %d severity %d", ev.Error.Type, ev.Error.Severity)
@@ -168,8 +168,8 @@ func refFrame(body []byte, rows int, dicts *[4][]string) ([]Record, error) {
 
 // drain reads src to its end: the records before the first error, and that
 // error (nil for a clean io.EOF).
-func drain(src Source) ([]Record, error) {
-	var out []Record
+func drain(src Source) ([]ingest.Record, error) {
+	var out []ingest.Record
 	for {
 		rec, err := src.Next()
 		if err == io.EOF {
@@ -206,15 +206,15 @@ func sameDecode(t *testing.T, label string, data []byte, src io.Reader, size int
 }
 
 // boundaryTrace mixes every kind of row with strings of many lengths.
-func boundaryTrace() []Record {
+func boundaryTrace() []ingest.Record {
 	recs := wireSampleTrace()
 	for i := 0; i < 40; i++ {
 		tenant := "t" + strings.Repeat("x", i%7)
 		recs = append(recs,
-			Record{Event: Event{Tenant: tenant, Kind: runtime.KindSample, Time: float64(i), Variable: "v" + strings.Repeat("y", i%5), Value: float64(i) / 3}},
-			Record{Event: Event{Tenant: tenant, Kind: runtime.KindError, Time: float64(i),
+			ingest.Record{Event: ingest.Event{Tenant: tenant, Kind: ingest.KindSample, Time: float64(i), Variable: "v" + strings.Repeat("y", i%5), Value: float64(i) / 3}},
+			ingest.Record{Event: ingest.Event{Tenant: tenant, Kind: ingest.KindError, Time: float64(i),
 				Error: eventlog.Event{Time: float64(i), Component: strings.Repeat("c", i%4), Type: i * 1000, Severity: eventlog.Severity(1 + i%4), Message: strings.Repeat("m", i)}}},
-			Record{Failure: true, Event: Event{Tenant: tenant, Time: float64(i)}},
+			ingest.Record{Failure: true, Event: ingest.Event{Tenant: tenant, Time: float64(i)}},
 		)
 	}
 	return recs
@@ -223,7 +223,7 @@ func boundaryTrace() []Record {
 // framed encodes recs with a Flush after every per records, so that frames of
 // many sizes — header, delta and column edges at every offset — follow each
 // other in one stream.
-func framed(t testing.TB, recs []Record, per int) []byte {
+func framed(t testing.TB, recs []ingest.Record, per int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -313,16 +313,16 @@ func TestWireTruncatedEverywhere(t *testing.T) {
 // the reference and what was written.
 func TestWireLongStrings(t *testing.T) {
 	long := func(n int) string { return strings.Repeat("0123456789", n/10+1)[:n] }
-	recs := []Record{
-		{Event: Event{Tenant: long(200), Kind: runtime.KindSample, Time: 1, Variable: long(65), Value: 2}},
-		{Event: Event{Tenant: "a", Kind: runtime.KindError, Time: 2,
+	recs := []ingest.Record{
+		{Event: ingest.Event{Tenant: long(200), Kind: ingest.KindSample, Time: 1, Variable: long(65), Value: 2}},
+		{Event: ingest.Event{Tenant: "a", Kind: ingest.KindError, Time: 2,
 			Error: eventlog.Event{Time: 2, Component: long(300), Type: 1, Severity: 1, Message: "short"}}},
-		{Event: Event{Tenant: "a", Kind: runtime.KindError, Time: 3,
+		{Event: ingest.Event{Tenant: "a", Kind: ingest.KindError, Time: 3,
 			Error: eventlog.Event{Time: 3, Component: "db", Type: 2, Severity: 2, Message: long(5000)}}},
-		{Event: Event{Tenant: "a", Kind: runtime.KindError, Time: 4,
+		{Event: ingest.Event{Tenant: "a", Kind: ingest.KindError, Time: 4,
 			Error: eventlog.Event{Time: 4, Component: long(90), Type: 3, Severity: 3, Message: long(wireBufSize + 100)}}},
-		{Failure: true, Event: Event{Tenant: "a", Time: 5}},
-		{Event: Event{Tenant: long(200), Kind: runtime.KindSample, Time: 6, Variable: "v", Value: 7}},
+		{Failure: true, Event: ingest.Event{Tenant: "a", Time: 5}},
+		{Event: ingest.Event{Tenant: long(200), Kind: ingest.KindSample, Time: 6, Variable: "v", Value: 7}},
 	}
 	for _, per := range []int{1, 2, len(recs)} {
 		data := framed(t, recs, per)
@@ -391,17 +391,17 @@ func TestWireOracleOnCorpus(t *testing.T) {
 // message are in the stream's dictionary.
 func TestWireDecodeZeroAllocs(t *testing.T) {
 	const rows = 3000
-	recs := make([]Record, 0, rows)
+	recs := make([]ingest.Record, 0, rows)
 	for i := 0; i < rows; i++ {
 		tenant := []string{"t0", "t1", "t2"}[i%3]
 		switch i % 3 {
 		case 0, 1:
-			recs = append(recs, Record{Event: Event{Tenant: tenant, Kind: runtime.KindSample, Time: float64(i), Variable: "cpu", Value: 0.5}})
+			recs = append(recs, ingest.Record{Event: ingest.Event{Tenant: tenant, Kind: ingest.KindSample, Time: float64(i), Variable: "cpu", Value: 0.5}})
 		default:
-			recs = append(recs, Record{Failure: true, Event: Event{Tenant: tenant, Time: float64(i)}})
+			recs = append(recs, ingest.Record{Failure: true, Event: ingest.Event{Tenant: tenant, Time: float64(i)}})
 		}
 	}
-	recs = append(recs, Record{Event: Event{Tenant: "t0", Kind: runtime.KindError, Time: 1,
+	recs = append(recs, ingest.Record{Event: ingest.Event{Tenant: "t0", Kind: ingest.KindError, Time: 1,
 		Error: eventlog.Event{Time: 1, Component: "db", Type: 7, Severity: 2, Message: "timeout"}}})
 	errorsAt := len(recs)
 	for i := 0; i < 500; i++ {
@@ -428,7 +428,7 @@ func TestWireDecodeZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Event.Kind == runtime.KindError && !rec.Failure {
+		if rec.Event.Kind == ingest.KindError && !rec.Failure {
 			break
 		}
 	}

@@ -17,35 +17,36 @@ import (
 	"time"
 
 	"repro/internal/eventlog"
+	"repro/internal/ingest"
 	"repro/internal/runtime"
 	"repro/internal/scp"
 )
 
 // decodeAll drains a wire stream, returning the records up to the first
 // error (io.EOF counts as clean).
-func decodeAll(data []byte) ([]Record, error) {
+func decodeAll(data []byte) ([]ingest.Record, error) {
 	return drain(NewReader(bytes.NewReader(data)))
 }
 
 // wireSampleTrace exercises every kind of row, dictionary reuse, unicode,
 // empty strings, and non-finite floats.
-func wireSampleTrace() []Record {
-	return []Record{
-		{Event: Event{Tenant: "t0000", Kind: runtime.KindSample, Time: 1.5, Variable: "cpu", Value: 0.25}},
-		{Event: Event{Tenant: "t0001", Kind: runtime.KindSample, Time: 2, Variable: "cpu", Value: math.Inf(1)}},
-		{Event: Event{Tenant: "t0000", Kind: runtime.KindSample, Time: 2.5, Variable: "mem_free", Value: -1e308}},
-		{Event: Event{Tenant: "t0000", Kind: runtime.KindError, Time: 3,
+func wireSampleTrace() []ingest.Record {
+	return []ingest.Record{
+		{Event: ingest.Event{Tenant: "t0000", Kind: ingest.KindSample, Time: 1.5, Variable: "cpu", Value: 0.25}},
+		{Event: ingest.Event{Tenant: "t0001", Kind: ingest.KindSample, Time: 2, Variable: "cpu", Value: math.Inf(1)}},
+		{Event: ingest.Event{Tenant: "t0000", Kind: ingest.KindSample, Time: 2.5, Variable: "mem_free", Value: -1e308}},
+		{Event: ingest.Event{Tenant: "t0000", Kind: ingest.KindError, Time: 3,
 			Error: eventlog.Event{Time: 3, Component: "db", Type: 7, Severity: 2, Message: "läuft nicht"}}},
-		{Event: Event{Tenant: "t0001", Kind: runtime.KindError, Time: 4,
+		{Event: ingest.Event{Tenant: "t0001", Kind: ingest.KindError, Time: 4,
 			Error: eventlog.Event{Time: 4, Component: "", Type: 0, Severity: 1, Message: ""}}},
-		{Failure: true, Event: Event{Tenant: "t0001", Time: 5}},
-		{Event: Event{Tenant: "t0000", Kind: runtime.KindSample, Time: 6, Variable: "cpu", Value: math.NaN()}},
-		{Event: Event{Tenant: "t0000", Kind: runtime.KindSample, Time: math.Inf(1), Variable: "cpu", Value: math.Copysign(0, -1)}},
+		{Failure: true, Event: ingest.Event{Tenant: "t0001", Time: 5}},
+		{Event: ingest.Event{Tenant: "t0000", Kind: ingest.KindSample, Time: 6, Variable: "cpu", Value: math.NaN()}},
+		{Event: ingest.Event{Tenant: "t0000", Kind: ingest.KindSample, Time: math.Inf(1), Variable: "cpu", Value: math.Copysign(0, -1)}},
 	}
 }
 
 // recordEqual compares records field by field, floats by their bits.
-func recordEqual(a, b Record) bool {
+func recordEqual(a, b ingest.Record) bool {
 	feq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	return a.Failure == b.Failure &&
 		a.Event.Tenant == b.Event.Tenant &&
@@ -60,7 +61,7 @@ func recordEqual(a, b Record) bool {
 		feq(a.Event.Error.Time, b.Event.Error.Time)
 }
 
-func sameRecords(t *testing.T, label string, got, want []Record) {
+func sameRecords(t *testing.T, label string, got, want []ingest.Record) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d records, want %d", label, len(got), len(want))
@@ -98,14 +99,14 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Errorf("empty trace: %q decodes to %d records, err %v; want the bare magic, cleanly empty", empty.Bytes(), len(got), err)
 	}
 
-	for name, rec := range map[string]Record{
-		"NaN time":      {Event: Event{Tenant: "t", Kind: runtime.KindSample, Time: math.NaN(), Variable: "v"}},
-		"severity 0":    {Event: Event{Tenant: "t", Kind: runtime.KindError, Error: eventlog.Event{Severity: 0}}},
-		"severity 5":    {Event: Event{Tenant: "t", Kind: runtime.KindError, Error: eventlog.Event{Severity: 5}}},
-		"negative type": {Event: Event{Tenant: "t", Kind: runtime.KindError, Error: eventlog.Event{Severity: 1, Type: -1}}},
-		"huge type":     {Event: Event{Tenant: "t", Kind: runtime.KindError, Error: eventlog.Event{Severity: 1, Type: math.MaxInt32 + 1}}},
-		"unknown kind":  {Event: Event{Tenant: "t", Kind: 7}},
-		"long string":   {Event: Event{Tenant: strings.Repeat("x", maxWireString+1), Kind: runtime.KindSample}},
+	for name, rec := range map[string]ingest.Record{
+		"NaN time":      {Event: ingest.Event{Tenant: "t", Kind: ingest.KindSample, Time: math.NaN(), Variable: "v"}},
+		"severity 0":    {Event: ingest.Event{Tenant: "t", Kind: ingest.KindError, Error: eventlog.Event{Severity: 0}}},
+		"severity 5":    {Event: ingest.Event{Tenant: "t", Kind: ingest.KindError, Error: eventlog.Event{Severity: 5}}},
+		"negative type": {Event: ingest.Event{Tenant: "t", Kind: ingest.KindError, Error: eventlog.Event{Severity: 1, Type: -1}}},
+		"huge type":     {Event: ingest.Event{Tenant: "t", Kind: ingest.KindError, Error: eventlog.Event{Severity: 1, Type: math.MaxInt32 + 1}}},
+		"unknown kind":  {Event: ingest.Event{Tenant: "t", Kind: 7}},
+		"long string":   {Event: ingest.Event{Tenant: strings.Repeat("x", maxWireString+1), Kind: ingest.KindSample}},
 	} {
 		w := NewWriter(io.Discard)
 		if err := w.Write(rec); !errors.Is(err, runtime.ErrColumnar) {
@@ -118,7 +119,7 @@ func TestWireRoundTrip(t *testing.T) {
 
 	// A sample of a known tenant and variable costs its kind, two one-byte
 	// ids and two floats; a frame costs its header and four delta counts.
-	one := []Record{{Event: Event{Tenant: "t", Kind: runtime.KindSample, Time: 1, Variable: "v", Value: 1}}}
+	one := []ingest.Record{{Event: ingest.Event{Tenant: "t", Kind: ingest.KindSample, Time: 1, Variable: "v", Value: 1}}}
 	sizeOf := func(n int) int {
 		var b bytes.Buffer
 		if err := WriteWire(&b, slicesRepeat(one, n)); err != nil {
@@ -137,8 +138,8 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-func slicesRepeat(recs []Record, n int) []Record {
-	out := make([]Record, 0, n*len(recs))
+func slicesRepeat(recs []ingest.Record, n int) []ingest.Record {
+	out := make([]ingest.Record, 0, n*len(recs))
 	for i := 0; i < n; i++ {
 		out = append(out, recs...)
 	}
@@ -267,7 +268,7 @@ func TestWireMalformed(t *testing.T) {
 
 // loggenRecords is the record stream loggen -tenants n writes, on a shorter
 // horizon.
-func loggenRecords(t *testing.T, tenants int) []Record {
+func loggenRecords(t *testing.T, tenants int) []ingest.Record {
 	t.Helper()
 	m, err := scp.NewMulti(scp.MultiConfig{Tenants: tenants, BaseSeed: 7, Skew: 1})
 	if err != nil {
@@ -276,7 +277,7 @@ func loggenRecords(t *testing.T, tenants int) []Record {
 	if err := m.Run(2 * 86400 / float64(min(tenants, 8))); err != nil {
 		t.Fatal(err)
 	}
-	return SCPRecords(m.Drain())
+	return m.Drain()
 }
 
 // TestWireColumnarOneFormat: the four ways through the one codec agree. For
@@ -324,7 +325,7 @@ func TestWireColumnarOneFormat(t *testing.T) {
 			switch ev := r.Event; {
 			case r.Failure:
 				err = b.AddFailure(ev.Time)
-			case ev.Kind == runtime.KindError:
+			case ev.Kind == ingest.KindError:
 				err = b.AddError(ev.Error)
 			default:
 				err = b.AddSample(ev.Time, ev.Variable, ev.Value)
@@ -333,9 +334,8 @@ func TestWireColumnarOneFormat(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !r.Failure {
-				want := runtime.Event{Kind: r.Event.Kind, Time: r.Event.Time, Error: r.Event.Error, Variable: r.Event.Variable, Value: r.Event.Value}
-				if got := trace.Event(i); got != want {
-					t.Fatalf("Writer → ReadColumnar: event %d = %+v, want %+v", i, got, want)
+				if got := trace.Event(i); got != r.Event {
+					t.Fatalf("Writer → ReadColumnar: event %d = %+v, want %+v", i, got, r.Event)
 				}
 				i++
 			}
@@ -376,24 +376,26 @@ func TestWireFrameSizes(t *testing.T) {
 		}
 		return n
 	}
-	sample := func(i int) Record {
-		return Record{Event: Event{Tenant: "t", Kind: runtime.KindSample, Time: float64(i), Variable: "v", Value: float64(i)}}
+	sample := func(i int) ingest.Record {
+		return ingest.Record{Event: ingest.Event{Tenant: "t", Kind: ingest.KindSample, Time: float64(i), Variable: "v", Value: float64(i)}}
 	}
 	for _, tc := range []struct {
 		name   string
 		n      int
-		rec    func(i int) Record
+		rec    func(i int) ingest.Record
 		frames int
 	}{
 		{"1", 1, sample, 1}, {"127", 127, sample, 1}, {"128", 128, sample, 1}, {"129", 129, sample, 2},
-		{"failure marks only", 100, func(i int) Record { return Record{Failure: true, Event: Event{Tenant: "t", Time: float64(i)}} }, 1},
-		{"delta longer than the buffer", 128, func(i int) Record {
-			return Record{Event: Event{Tenant: "t", Kind: runtime.KindError, Time: float64(i), Error: eventlog.Event{
+		{"failure marks only", 100, func(i int) ingest.Record {
+			return ingest.Record{Failure: true, Event: ingest.Event{Tenant: "t", Time: float64(i)}}
+		}, 1},
+		{"delta longer than the buffer", 128, func(i int) ingest.Record {
+			return ingest.Record{Event: ingest.Event{Tenant: "t", Kind: ingest.KindError, Time: float64(i), Error: eventlog.Event{
 				Time: float64(i), Component: "c", Severity: 1, Message: strings.Repeat("m", 600) + string(rune('0'+i)),
 			}}}
 		}, 1},
 	} {
-		recs := make([]Record, tc.n)
+		recs := make([]ingest.Record, tc.n)
 		for i := range recs {
 			recs[i] = tc.rec(i)
 		}
@@ -481,7 +483,7 @@ func FuzzWireDecode(f *testing.F) {
 		stdruntime.ReadMemStats(&before)
 		r := NewReader(bytes.NewReader(data))
 		var err error
-		for rec := (Record{}); err == nil; rec, err = r.Next() {
+		for rec := (ingest.Record{}); err == nil; rec, err = r.Next() {
 			// Strings come out of the dictionaries, which hold nothing over
 			// the cap.
 			if max(len(rec.Event.Tenant), len(rec.Event.Variable), len(rec.Event.Error.Component), len(rec.Event.Error.Message)) > maxWireString {

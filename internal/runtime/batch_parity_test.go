@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eventlog"
 	"repro/internal/hsmm"
+	"repro/internal/ingest"
 	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -34,7 +35,7 @@ import (
 // parityStep is one entry of the recorded timeline.
 type parityStep struct {
 	kind  int // 0 = event, 1 = cycle, 2 = failure
-	ev    Event
+	ev    ingest.Event
 	at    float64
 	stack bool // cycle directly follows another cycle (no event between)
 }
@@ -44,11 +45,11 @@ type parityStep struct {
 // event-free cycles are exactly what CycleBatch stacks, plus three
 // ground-truth failures.
 func parityTimeline() []parityStep {
-	var events []Event
+	var events []ingest.Event
 	for t := 0.5; t < 120; t += 0.5 {
 		phase := int(t) / 20 % 2
 		if int(2*t)%2 == 0 && phase == 0 && t < 60 {
-			events = append(events, Event{Kind: KindError, Time: t, Error: eventlog.Event{
+			events = append(events, ingest.Event{Kind: ingest.KindError, Time: t, Error: eventlog.Event{
 				Time: t, Component: "app", Type: int(2*t) % 2,
 				Severity: eventlog.SeverityError, Message: "burst",
 			}})
@@ -61,7 +62,7 @@ func parityTimeline() []parityStep {
 		if int(2*t)%4 < 2 {
 			v = "mem"
 		}
-		events = append(events, Event{Kind: KindSample, Time: t, Variable: v,
+		events = append(events, ingest.Event{Kind: ingest.KindSample, Time: t, Variable: v,
 			Value: 0.3 + 0.5*math.Sin(t/7)})
 	}
 	var cycles []float64
@@ -128,11 +129,11 @@ func newParityMirror() *parityMirror {
 	}
 }
 
-func (m *parityMirror) apply(ev Event) error {
+func (m *parityMirror) apply(ev ingest.Event) error {
 	switch ev.Kind {
-	case KindError:
+	case ingest.KindError:
 		return m.log.Append(ev.Error)
-	case KindSample:
+	case ingest.KindSample:
 		s, ok := m.series[ev.Variable]
 		if !ok {
 			return fmt.Errorf("unknown variable %q", ev.Variable)

@@ -9,6 +9,7 @@ import (
 	"slices"
 
 	"repro/internal/eventlog"
+	"repro/internal/ingest"
 )
 
 // ErrColumnar is wrapped by all columnar-trace and frame-stream errors.
@@ -28,7 +29,7 @@ var ErrColumnar = fmt.Errorf("%w: columnar trace", ErrRuntime)
 // is stored (and later allocated) exactly once.
 type ColumnarTrace struct {
 	Times  []float64 // event time [s], non-decreasing
-	Kinds  []uint8   // uint8(KindError) or uint8(KindSample)
+	Kinds  []uint8   // uint8(ingest.KindError) or uint8(ingest.KindSample)
 	Keys   []uint32  // index into Components (errors) or Vars (samples)
 	Types  []int32   // error type ID
 	Sevs   []uint8   // error severity (1..4)
@@ -49,12 +50,14 @@ type ColumnarTrace struct {
 // Len returns the number of events in the trace.
 func (c *ColumnarTrace) Len() int { return len(c.Times) }
 
-// Event materializes event i, i in [0, Len()), as a runtime ingest event
-// that borrows the trace's dictionary strings: nothing allocates. The trace
-// must come from ReadColumnar or a ColumnarBuilder, which validate it.
-func (c *ColumnarTrace) Event(i int) Event {
-	if EventKind(c.Kinds[i]) == KindError {
-		return Event{Kind: KindError, Time: c.Times[i], Error: eventlog.Event{
+// Event materializes event i, i in [0, Len()), as the ingest event the
+// record-at-a-time reader (fleet.Reader) yields for the same row: it names
+// the trace's tenant and borrows the trace's dictionary strings, so nothing
+// allocates. The trace must come from ReadColumnar or a ColumnarBuilder,
+// which validate it.
+func (c *ColumnarTrace) Event(i int) ingest.Event {
+	if ingest.Kind(c.Kinds[i]) == ingest.KindError {
+		return ingest.Event{Tenant: c.tenant, Kind: ingest.KindError, Time: c.Times[i], Error: eventlog.Event{
 			Time:      c.Times[i],
 			Component: c.Components[c.Keys[i]],
 			Type:      int(c.Types[i]),
@@ -62,14 +65,14 @@ func (c *ColumnarTrace) Event(i int) Event {
 			Message:   c.Messages[c.Msgs[i]],
 		}}
 	}
-	return Event{Kind: KindSample, Time: c.Times[i], Variable: c.Vars[c.Keys[i]], Value: c.Values[i]}
+	return ingest.Event{Tenant: c.tenant, Kind: ingest.KindSample, Time: c.Times[i], Variable: c.Vars[c.Keys[i]], Value: c.Values[i]}
 }
 
 // CountKinds returns how many events are errors and how many are samples
 // — replay drivers use the split to presize their mirror state.
 func (c *ColumnarTrace) CountKinds() (errors, samples int) {
 	for _, k := range c.Kinds {
-		if EventKind(k) == KindError {
+		if ingest.Kind(k) == ingest.KindError {
 			errors++
 		} else {
 			samples++
@@ -113,7 +116,7 @@ func checkTime(what string, t float64, col []float64) error {
 	return nil
 }
 
-func (c *ColumnarTrace) appendRow(t float64, kind EventKind, key uint32, typ int32, sev uint8, msg uint32, v float64) {
+func (c *ColumnarTrace) appendRow(t float64, kind ingest.Kind, key uint32, typ int32, sev uint8, msg uint32, v float64) {
 	c.Times, c.Kinds, c.Keys = append(c.Times, t), append(c.Kinds, uint8(kind)), append(c.Keys, key)
 	c.Types, c.Sevs, c.Msgs = append(c.Types, typ), append(c.Sevs, sev), append(c.Msgs, msg)
 	c.Values = append(c.Values, v)
@@ -132,7 +135,7 @@ func (b *ColumnarBuilder) AddError(e eventlog.Event) error {
 	if e.Type < 0 || e.Type > math.MaxInt32 {
 		return fmt.Errorf("%w: event type %d out of range", ErrColumnar, e.Type)
 	}
-	b.t.appendRow(e.Time, KindError, b.comps.Intern(e.Component), int32(e.Type), uint8(e.Severity), b.msgs.Intern(e.Message), 0)
+	b.t.appendRow(e.Time, ingest.KindError, b.comps.Intern(e.Component), int32(e.Type), uint8(e.Severity), b.msgs.Intern(e.Message), 0)
 	return nil
 }
 
@@ -141,7 +144,7 @@ func (b *ColumnarBuilder) AddSample(at float64, variable string, v float64) erro
 	if err := checkTime("event", at, b.t.Times); err != nil {
 		return err
 	}
-	b.t.appendRow(at, KindSample, b.vars.Intern(variable), 0, 0, 0, v)
+	b.t.appendRow(at, ingest.KindSample, b.vars.Intern(variable), 0, 0, 0, v)
 	return nil
 }
 
@@ -171,10 +174,10 @@ func (c *ColumnarTrace) WriteTo(w io.Writer) (int64, error) {
 	for i, fi := 0, 0; i < c.Len() || fi < len(c.Failures); {
 		var err error
 		if fi < len(c.Failures) && (i == c.Len() || c.Failures[fi] < c.Times[i]) {
-			err = enc.Add(w, c.tenant, Event{Time: c.Failures[fi]}, true)
+			err = enc.Add(w, ingest.Record{Event: ingest.Event{Tenant: c.tenant, Time: c.Failures[fi]}, Failure: true})
 			fi++
 		} else {
-			err = enc.Add(w, c.tenant, c.Event(i), false)
+			err = enc.Add(w, ingest.Record{Event: c.Event(i)})
 			i++
 		}
 		if err != nil {

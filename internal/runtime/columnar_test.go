@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/eventlog"
+	"repro/internal/ingest"
 )
 
 // buildTestTrace assembles a small mixed trace through the builder.
@@ -55,13 +56,13 @@ func TestColumnarRoundTrip(t *testing.T) {
 
 func TestColumnarEventReconstruction(t *testing.T) {
 	c := buildTestTrace(t)
-	want := []Event{
-		{Kind: KindError, Time: 1, Error: eventlog.Event{Time: 1, Component: "disk", Type: 3, Severity: eventlog.SeverityError, Message: "io stall"}},
-		{Kind: KindSample, Time: 1, Variable: "cpu", Value: 0.42},
-		{Kind: KindSample, Time: 1, Variable: "mem_free", Value: 512},
-		{Kind: KindError, Time: 2.5, Error: eventlog.Event{Time: 2.5, Component: "net", Type: 7, Severity: eventlog.SeverityCritical, Message: "link flap"}},
-		{Kind: KindError, Time: 2.5, Error: eventlog.Event{Time: 2.5, Component: "disk", Type: 3, Severity: eventlog.SeverityError, Message: "io stall"}},
-		{Kind: KindSample, Time: 3, Variable: "cpu", Value: 0.9},
+	want := []ingest.Event{
+		{Kind: ingest.KindError, Time: 1, Error: eventlog.Event{Time: 1, Component: "disk", Type: 3, Severity: eventlog.SeverityError, Message: "io stall"}},
+		{Kind: ingest.KindSample, Time: 1, Variable: "cpu", Value: 0.42},
+		{Kind: ingest.KindSample, Time: 1, Variable: "mem_free", Value: 512},
+		{Kind: ingest.KindError, Time: 2.5, Error: eventlog.Event{Time: 2.5, Component: "net", Type: 7, Severity: eventlog.SeverityCritical, Message: "link flap"}},
+		{Kind: ingest.KindError, Time: 2.5, Error: eventlog.Event{Time: 2.5, Component: "disk", Type: 3, Severity: eventlog.SeverityError, Message: "io stall"}},
+		{Kind: ingest.KindSample, Time: 3, Variable: "cpu", Value: 0.9},
 	}
 	if c.Len() != len(want) {
 		t.Fatalf("Len() = %d, want %d", c.Len(), len(want))
@@ -85,7 +86,7 @@ func TestColumnarEventReconstruction(t *testing.T) {
 
 func TestColumnarEventZeroAlloc(t *testing.T) {
 	c := buildTestTrace(t)
-	var sink Event
+	var sink ingest.Event
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < c.Len(); i++ {
 			sink = c.Event(i)
@@ -182,7 +183,7 @@ func TestReadColumnarRejectsCorruption(t *testing.T) {
 		var buf bytes.Buffer
 		var enc FrameEncoder
 		for i, tenant := range []string{"a", "a", "b"} {
-			if err := enc.Add(&buf, tenant, Event{Kind: KindSample, Time: float64(i), Variable: "cpu"}, false); err != nil {
+			if err := enc.Add(&buf, ingest.Record{Event: ingest.Event{Tenant: tenant, Kind: ingest.KindSample, Time: float64(i), Variable: "cpu"}}); err != nil {
 				t.Fatal(err)
 			}
 		}

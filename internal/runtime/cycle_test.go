@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eventlog"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 )
 
@@ -61,7 +62,7 @@ func newCycleRig(tb testing.TB, arm cycleArm) *cycleRig {
 	}
 	cfg := Config{
 		Engine:        testEngine(tb, core.Config{EvalInterval: 60, LeadTime: 300, WarnThreshold: 0.5}, layers...),
-		Apply:         func(Event) error { return nil },
+		Apply:         func(ingest.Event) error { return nil },
 		QueueCapacity: 4096,
 		Workers:       2,
 		Ledger:        ledger,
@@ -74,7 +75,7 @@ func newCycleRig(tb testing.TB, arm cycleArm) *cycleRig {
 		if arm.triggers {
 			log := eventlog.NewLog()
 			log.Grow(1 << 14)
-			cfg.Apply = func(ev Event) error {
+			cfg.Apply = func(ev ingest.Event) error {
 				return log.Append(eventlog.Event{Time: ev.Time, Component: ev.Variable, Type: 1, Severity: eventlog.SeverityError})
 			}
 			rc.Log, rc.Refractory, rc.MaxBundles, rc.RuntimeStats = log, 1e-9, 8, true
@@ -102,7 +103,7 @@ func newCycleRig(tb testing.TB, arm cycleArm) *cycleRig {
 func (c *cycleRig) ingest(tb testing.TB, n int) {
 	ctx := context.Background()
 	for i := 0; i < n; i++ {
-		if err := c.rt.Ingest(ctx, Event{Kind: KindSample, Time: c.now, Variable: "x", Value: 1}); err != nil {
+		if err := c.rt.Ingest(ctx, ingest.Event{Kind: ingest.KindSample, Time: c.now, Variable: "x", Value: 1}); err != nil {
 			tb.Fatal(err)
 		}
 	}

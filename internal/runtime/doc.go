@@ -21,7 +21,9 @@
 //		                           act:      DecideOn + Commit, then the act tail
 //		                                     (journal → lifecycle → recorder)
 //
-//	  - Ingest accepts error events and monitoring samples through one
+//	  - Ingest accepts error events and monitoring samples — ingest.Event,
+//	    the one monitoring record the simulator, both trace encodings and the
+//	    fleet share; the ring holds each beside its trace stamp — through one
 //	    bounded FIFO (Ring) with an explicit overflow policy — Block
 //	    (backpressure), DropOldest (keep the freshest evidence), or
 //	    DropNewest (protect the backlog) — with per-policy drop counters.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 )
 
 // TestBarrierAppliesInOrder: Barrier applies the backlog on its caller's
@@ -22,7 +23,7 @@ func TestBarrierAppliesInOrder(t *testing.T) {
 	var misordered atomic.Int64
 	rt, err := New(Config{
 		Engine: testEngine(t, defaultCoreCfg(), quietLayer()),
-		Apply: func(ev Event) error {
+		Apply: func(ev ingest.Event) error {
 			if int(ev.Time) != next {
 				misordered.Add(1)
 			}
@@ -58,7 +59,7 @@ func TestBarrierAppliesInOrder(t *testing.T) {
 		}
 	}()
 	for i := 0; i < n; i++ {
-		if err := rt.Ingest(ctx, Event{Kind: KindSample, Variable: "seq", Time: float64(i)}); err != nil {
+		if err := rt.Ingest(ctx, ingest.Event{Kind: ingest.KindSample, Variable: "seq", Time: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 		if i%every == every-1 {
@@ -117,7 +118,7 @@ func TestStopWaitsForHelpedChunk(t *testing.T) {
 		}
 		rt, err := New(Config{
 			Engine: testEngine(t, defaultCoreCfg(), layer),
-			Apply:  func(Event) error { return nil },
+			Apply:  func(ingest.Event) error { return nil },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -135,7 +136,7 @@ func TestStopWaitsForHelpedChunk(t *testing.T) {
 			time.Sleep(2 * time.Millisecond) // the chunk is taken, not yet applied
 			stopped <- rt.Stop(ctx)
 		}()
-		if err := rt.Ingest(ctx, Event{Kind: KindSample, Variable: "x", Time: 1}); err != nil {
+		if err := rt.Ingest(ctx, ingest.Event{Kind: ingest.KindSample, Variable: "x", Time: 1}); err != nil {
 			t.Fatal(err)
 		}
 		if err := rt.Barrier(ctx); err != nil {

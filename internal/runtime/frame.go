@@ -9,6 +9,7 @@ import (
 	"slices"
 
 	"repro/internal/eventlog"
+	"repro/internal/ingest"
 )
 
 // The one binary encoding of a record stream — a trace file and a TCP
@@ -37,8 +38,8 @@ import (
 const FrameMagic = "PFF1"
 
 const (
-	// kindMark is a failure mark's kind code, beside uint8(KindError) and
-	// uint8(KindSample).
+	// kindMark is a failure mark's kind code, beside uint8(ingest.KindError)
+	// and uint8(ingest.KindSample).
 	kindMark = 2
 	// frameRows is a full frame: the listener's slab, so that a frame off a
 	// busy connection fills exactly one hand-off.
@@ -104,19 +105,21 @@ type FrameEncoder struct {
 	written                           int64 // bytes handed to the writers so far
 }
 
-// Add appends one record — a failure mark (only tenant and ev.Time count), an
-// error report or a sample — and writes a frame to w once frameRows are pending.
-func (e *FrameEncoder) Add(w io.Writer, tenant string, ev Event, failure bool) error {
+// Add appends one record — a failure mark (of its Event only Tenant and Time
+// count), an error report or a sample — and writes a frame to w once frameRows
+// are pending.
+func (e *FrameEncoder) Add(w io.Writer, rec ingest.Record) error {
+	ev := &rec.Event
 	if math.IsNaN(ev.Time) {
 		return fmt.Errorf("%w: record time is NaN", ErrColumnar)
 	}
 	kind, keyDict, key, msg := byte(kindMark), dictVar, "", ""
 	switch {
-	case failure:
-	case ev.Kind == KindSample:
-		kind, key = byte(KindSample), ev.Variable
-	case ev.Kind == KindError:
-		kind, keyDict, key, msg = byte(KindError), dictComp, ev.Error.Component, ev.Error.Message
+	case rec.Failure:
+	case ev.Kind == ingest.KindSample:
+		kind, key = byte(ingest.KindSample), ev.Variable
+	case ev.Kind == ingest.KindError:
+		kind, keyDict, key, msg = byte(ingest.KindError), dictComp, ev.Error.Component, ev.Error.Message
 		if s := ev.Error.Severity; s < eventlog.SeverityInfo || s > eventlog.SeverityCritical {
 			return fmt.Errorf("%w: severity %d", ErrColumnar, s)
 		}
@@ -126,16 +129,16 @@ func (e *FrameEncoder) Add(w io.Writer, tenant string, ev Event, failure bool) e
 	default:
 		return fmt.Errorf("%w: event kind %d", ErrColumnar, ev.Kind)
 	}
-	if max(len(tenant), len(key), len(msg)) > maxFrameString {
+	if max(len(ev.Tenant), len(key), len(msg)) > maxFrameString {
 		return fmt.Errorf("%w: string longer than %d bytes", ErrColumnar, maxFrameString)
 	}
 	e.kinds = append(e.kinds, kind)
-	e.tenant = append(e.tenant, e.dicts[dictTenant].Intern(tenant))
+	e.tenant = append(e.tenant, e.dicts[dictTenant].Intern(ev.Tenant))
 	e.times = binary.LittleEndian.AppendUint64(e.times, math.Float64bits(ev.Time))
 	switch kind {
 	case kindMark:
 		e.keys = append(e.keys, 0)
-	case byte(KindSample):
+	case byte(ingest.KindSample):
 		e.keys = append(e.keys, e.dicts[keyDict].Intern(key))
 		e.values = binary.LittleEndian.AppendUint64(e.values, math.Float64bits(ev.Value))
 	default:
@@ -207,24 +210,24 @@ type FrameDecoder struct {
 // Len returns the number of rows in the current frame.
 func (d *FrameDecoder) Len() int { return len(d.tenant) }
 
-// Record copies row i of the current frame, i in [0, Len()), into ev — the
-// strings are the dictionaries' own — and returns its tenant and whether it
-// is a failure mark, of which only ev.Time counts.
-func (d *FrameDecoder) Record(i int, ev *Event) (tenant string, failure bool) {
-	r := &d.rows
-	// Field by field: an Event is 104 bytes, and building one to copy it
-	// over *ev costs more than the decode of its row.
-	ev.Kind, ev.Time, ev.Error, ev.Variable, ev.Value = KindError, r.Times[i], eventlog.Event{}, "", 0
+// Record copies row i of the current frame, i in [0, Len()), into rec — the
+// strings are the dictionaries' own. Of a failure mark's Event only Tenant
+// and Time count.
+func (d *FrameDecoder) Record(i int, rec *ingest.Record) {
+	r, ev := &d.rows, &rec.Event
+	// Field by field: a Record is 120 bytes, and building one to copy it
+	// over *rec costs more than the decode of its row.
+	ev.Tenant, ev.Kind, ev.Time = d.tenants[d.tenant[i]], ingest.KindError, r.Times[i]
+	ev.Error, ev.Variable, ev.Value, rec.Failure = eventlog.Event{}, "", 0, false
 	switch r.Kinds[i] {
 	case kindMark:
-		failure = true
-	case uint8(KindSample):
-		ev.Kind, ev.Variable, ev.Value = KindSample, r.Vars[r.Keys[i]], r.Values[i]
+		rec.Failure = true
+	case uint8(ingest.KindSample):
+		ev.Kind, ev.Variable, ev.Value = ingest.KindSample, r.Vars[r.Keys[i]], r.Values[i]
 	default:
 		ev.Error.Time, ev.Error.Component, ev.Error.Message = r.Times[i], r.Components[r.Keys[i]], r.Messages[r.Msgs[i]]
 		ev.Error.Type, ev.Error.Severity = int(r.Types[i]), eventlog.Severity(r.Sevs[i])
 	}
-	return d.tenants[d.tenant[i]], failure
 }
 
 // Next replaces the current frame with the stream's next one, decoded in
@@ -332,9 +335,9 @@ func (d *FrameDecoder) decode(body []byte, n int) error {
 	nSamples, nErrors := 0, 0
 	for _, k := range body[:n] {
 		switch k {
-		case uint8(KindSample):
+		case uint8(ingest.KindSample):
 			nSamples++
-		case uint8(KindError):
+		case uint8(ingest.KindError):
 			nErrors++
 		case kindMark:
 		default:
@@ -381,14 +384,14 @@ func (d *FrameDecoder) decode(body []byte, n int) error {
 	clear(r.Values)
 	s, e := 0, 0
 	for i, kind := range kinds {
-		switch EventKind(kind) {
-		case KindSample:
+		switch ingest.Kind(kind) {
+		case ingest.KindSample:
 			if int(r.Keys[i]) >= len(r.Vars) {
 				return bad(i, "variable id", r.Keys[i])
 			}
 			r.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(values[8*s:]))
 			s++
-		case KindError:
+		case ingest.KindError:
 			typ, sev, msg := binary.LittleEndian.Uint32(types[4*e:]), sevs[e], idAt(msgs, e, wMsg)
 			e++
 			switch {

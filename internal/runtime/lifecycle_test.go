@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
 )
@@ -147,7 +148,7 @@ func TestRuntimeHotSwapUnderLoad(t *testing.T) {
 
 	rt, err := New(Config{
 		Engine:    eng,
-		Apply:     func(Event) error { applied++; return nil },
+		Apply:     func(ingest.Event) error { applied++; return nil },
 		Clock:     tickClock(),
 		Ledger:    led,
 		Lifecycle: mgr,
@@ -173,7 +174,7 @@ func TestRuntimeHotSwapUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				ev := Event{Kind: KindSample, Time: float64(i), Variable: "v" + strconv.Itoa(p), Value: float64(i)}
+				ev := ingest.Event{Kind: ingest.KindSample, Time: float64(i), Variable: "v" + strconv.Itoa(p), Value: float64(i)}
 				if err := rt.Ingest(ctx, ev); err != nil {
 					return // shutdown began
 				}
@@ -259,7 +260,7 @@ func TestRuntimeHotSwapUnderLoad(t *testing.T) {
 // lock is the only thing keeping Apply and Evaluate/CaptureWindow apart.
 type errMirror struct{ times []float64 }
 
-func (m *errMirror) apply(ev Event) error {
+func (m *errMirror) apply(ev ingest.Event) error {
 	m.times = append(m.times, ev.Time)
 	return nil
 }
@@ -379,7 +380,7 @@ func TestHotSwapSmokeDriftedTrace(t *testing.T) {
 	ingested := int64(0)
 	for tick := 1; tick <= ticks; tick++ {
 		for i := 0; i < eventsAt(tick); i++ {
-			if err := rt.Ingest(ctx, Event{Kind: KindError, Time: float64(tick)}); err != nil {
+			if err := rt.Ingest(ctx, ingest.Event{Kind: ingest.KindError, Time: float64(tick)}); err != nil {
 				t.Fatal(err)
 			}
 			ingested++
@@ -501,7 +502,7 @@ func runDriftedTrace(t *testing.T, batched bool) (ledger string, totals lifecycl
 			flush()
 		}
 		for i := 0; i < n; i++ {
-			if err := rt.Ingest(ctx, Event{Kind: KindError, Time: float64(tick)}); err != nil {
+			if err := rt.Ingest(ctx, ingest.Event{Kind: ingest.KindError, Time: float64(tick)}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/ingest"
 )
 
 func TestCounterAndGauge(t *testing.T) {
@@ -160,14 +162,14 @@ func TestBuildInfoVCSLabels(t *testing.T) {
 // TestServerEndpoints exercises /metrics and /healthz over a real listener,
 // including the 503 flip once the pipeline stops.
 func TestServerEndpoints(t *testing.T) {
-	rt := startRuntime(t, func(Event) error { return nil }, 4, Block)
+	rt := startRuntime(t, func(ingest.Event) error { return nil }, 4, Block)
 	srv, addr, err := rt.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	if err := rt.Ingest(context.Background(), Event{Time: 1}); err != nil {
+	if err := rt.Ingest(context.Background(), ingest.Event{Time: 1}); err != nil {
 		t.Fatal(err)
 	}
 	get := func(path string) (int, string) {
@@ -234,13 +236,13 @@ func TestReadinessDraining(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	entered := make(chan struct{})
-	rt := startRuntime(t, func(Event) error {
+	rt := startRuntime(t, func(ingest.Event) error {
 		once.Do(func() { close(entered) })
 		<-release
 		return nil
 	}, 8, Block)
 	ctx := context.Background()
-	if err := rt.Ingest(ctx, Event{Time: 1}); err != nil {
+	if err := rt.Ingest(ctx, ingest.Event{Time: 1}); err != nil {
 		t.Fatal(err)
 	}
 	<-entered // Apply is now wedged mid-drain
@@ -268,7 +270,7 @@ func TestProfilingEndpointOptIn(t *testing.T) {
 	for _, enabled := range []bool{false, true} {
 		rt, err := New(Config{
 			Engine:    testEngine(t, defaultCoreCfg(), quietLayer()),
-			Apply:     func(Event) error { return nil },
+			Apply:     func(ingest.Event) error { return nil },
 			Profiling: enabled,
 		})
 		if err != nil {

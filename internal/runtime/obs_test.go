@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 )
 
@@ -108,7 +109,7 @@ func tracedRuntime(t *testing.T, clock *atomic.Int64) (*Runtime, *obs.Ledger) {
 	}
 	rt, err := New(Config{
 		Engine: testEngine(t, defaultCoreCfg(), layer),
-		Apply: func(ev Event) error {
+		Apply: func(ev ingest.Event) error {
 			score.Store(math.Float64bits(ev.Value))
 			return nil
 		},
@@ -130,7 +131,7 @@ func TestRuntimeEndToEndTracing(t *testing.T) {
 	var clock atomic.Int64
 	rt, _ := tracedRuntime(t, &clock)
 	ctx := context.Background()
-	if err := rt.Ingest(ctx, Event{Kind: KindSample, Time: 1, Variable: "load", Value: 0.9}); err != nil {
+	if err := rt.Ingest(ctx, ingest.Event{Kind: ingest.KindSample, Time: 1, Variable: "load", Value: 0.9}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "event applied", func() bool { return rt.Metrics().Applied.Value() == 1 })
@@ -150,7 +151,7 @@ func TestRuntimeEndToEndTracing(t *testing.T) {
 			done = v
 		}
 	}
-	if done.Key != "load" || done.Kind != uint8(KindSample) || done.Shard != 0 {
+	if done.Key != "load" || done.Kind != uint8(ingest.KindSample) || done.Shard != 0 {
 		t.Fatalf("trace identity = %+v", done)
 	}
 	if done.Total <= 0 {
@@ -178,7 +179,7 @@ func TestRuntimeLedgerJournaling(t *testing.T) {
 		waitFor(t, "cycle", func() bool { return rt.Metrics().Evaluations.Value() > before })
 	}
 
-	if err := rt.Ingest(ctx, Event{Kind: KindSample, Time: 1, Variable: "load", Value: 0.9}); err != nil {
+	if err := rt.Ingest(ctx, ingest.Event{Kind: ingest.KindSample, Time: 1, Variable: "load", Value: 0.9}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "applied", func() bool { return rt.Metrics().Applied.Value() == 1 })
@@ -211,7 +212,7 @@ func TestObservabilityHandlers(t *testing.T) {
 	rt, led := tracedRuntime(t, &clock)
 	defer rt.Stop(context.Background())
 	ctx := context.Background()
-	if err := rt.Ingest(ctx, Event{Kind: KindSample, Time: 1, Variable: "load", Value: 0.9}); err != nil {
+	if err := rt.Ingest(ctx, ingest.Event{Kind: ingest.KindSample, Time: 1, Variable: "load", Value: 0.9}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "applied", func() bool { return rt.Metrics().Applied.Value() == 1 })
@@ -370,7 +371,7 @@ func checkScrapeParseable(t *testing.T, body []byte) {
 // TestEndpointsAbsentWithoutObservers pins that /tracez and /ledger are
 // only mounted when their backing stores are configured.
 func TestEndpointsAbsentWithoutObservers(t *testing.T) {
-	rt := startRuntime(t, func(Event) error { return nil }, 4, Block)
+	rt := startRuntime(t, func(ingest.Event) error { return nil }, 4, Block)
 	defer rt.Stop(context.Background())
 	srv, addr, err := rt.Serve("127.0.0.1:0")
 	if err != nil {
@@ -393,10 +394,10 @@ func TestEndpointsAbsentWithoutObservers(t *testing.T) {
 // drain path: every ingested event is accounted applied or dropped, and the
 // per-shard depth gauges render zero after Stop.
 func TestGracefulStopMetricsConsistent(t *testing.T) {
-	rt := startRuntime(t, func(Event) error { return nil }, 8, Block)
+	rt := startRuntime(t, func(ingest.Event) error { return nil }, 8, Block)
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
-		if err := rt.Ingest(ctx, Event{Time: float64(i)}); err != nil {
+		if err := rt.Ingest(ctx, ingest.Event{Time: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

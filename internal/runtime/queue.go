@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/eventlog"
+	"repro/internal/ingest"
 )
 
 // ErrRuntime is wrapped by all package errors.
@@ -56,41 +56,29 @@ func ParsePolicy(s string) (OverflowPolicy, error) {
 	}
 }
 
-// EventKind discriminates the two monitoring inputs of the paper's case
-// study: detected-error reports and periodic SAR-style samples.
-type EventKind int
+// Event, KindError and KindSample are the ingest package's, named here for
+// bench/pfmbench until it moves to ingest (ROADMAP 10(b)).
+type Event = ingest.Event
 
 const (
-	// KindError is a detected-error report (Sect. 3.1, stage 4).
-	KindError EventKind = iota
-	// KindSample is one periodic monitoring-variable sample.
-	KindSample
+	KindError  = ingest.KindError
+	KindSample = ingest.KindSample
 )
 
-// Event is one unit of monitoring ingest. 104 bytes (TestEventSize): the ring
-// copies it in and out once each.
-type Event struct {
-	Kind EventKind
-	// Time is the domain timestamp [s] (simulation or epoch seconds —
-	// whatever clock the runtime's layers evaluate against).
-	Time float64
-	// Error is set for KindError.
-	Error eventlog.Event
-	// Variable/Value are set for KindSample.
-	Variable string
-	Value    float64
-
-	// trace is the tracer time at Ingest entry, which is also the queue offer
-	// (the push follows within nanoseconds); 0 means not sampled. It rides
-	// through the pipeline so the whole span record is published with a single
-	// lock acquisition at apply (or drop) time, and unsampled events skip
-	// every clock read.
+// queued is one ring slot: the event and its trace stamp, the tracer time at
+// Ingest entry, which is also the queue offer (the push follows within
+// nanoseconds); 0 means not sampled. The stamp rides through the pipeline so
+// the whole span record is published with a single lock acquisition at apply
+// (or drop) time, and unsampled events skip every clock read. 120 bytes
+// (TestEventSize): the ring copies it in and out once each.
+type queued struct {
+	ev    ingest.Event
 	trace int64
 }
 
 // traceKey is the stream label a trace retains for rendering.
-func traceKey(ev Event) string {
-	if ev.Kind == KindError {
+func traceKey(ev *ingest.Event) string {
+	if ev.Kind == ingest.KindError {
 		return "errors"
 	}
 	return ev.Variable

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/diagnose"
 	"repro/internal/eventlog"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 )
 
@@ -125,7 +126,7 @@ func replayRecorderTrace(t *testing.T, diag *diagnose.Diagnoser) (*obs.Recorder,
 	}
 	rt, err := New(Config{
 		Engine:        eng,
-		Apply:         func(ev Event) error { return mirror.Append(ev.Error) },
+		Apply:         func(ev ingest.Event) error { return mirror.Append(ev.Error) },
 		Clock:         tickClock(),
 		QueueCapacity: 256,
 		Overflow:      Block,
@@ -144,7 +145,7 @@ func replayRecorderTrace(t *testing.T, diag *diagnose.Diagnoser) (*obs.Recorder,
 	ingested := int64(0)
 	for tick := 1; tick <= recTicks; tick++ {
 		for _, e := range recorderTraceEvents(tick) {
-			if err := rt.Ingest(ctx, Event{Kind: KindError, Time: float64(tick), Error: e}); err != nil {
+			if err := rt.Ingest(ctx, ingest.Event{Kind: ingest.KindError, Time: float64(tick), Error: e}); err != nil {
 				t.Fatal(err)
 			}
 			ingested++

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
 	"repro/internal/predict"
@@ -28,7 +29,7 @@ type Config struct {
 	// locking. Apply runs on the drain consumer's goroutine, or on the
 	// goroutine that calls Barrier: Barrier applies the backlog it waits
 	// for itself.
-	Apply func(Event) error
+	Apply func(ingest.Event) error
 	// Clock reads the domain time an EvaluateNow cycle, and Stop's final
 	// cycle, evaluates and acts at. Nil defaults to seconds since Start.
 	// CycleBatch takes its times from its caller instead.
@@ -86,14 +87,14 @@ type Config struct {
 // drive with Start/Ingest/EvaluateNow, finish with Stop.
 type Runtime struct {
 	cfg     Config
-	ring    *Ring[Event] // the bounded ingest queue, drained by drain
+	ring    *Ring[queued] // the bounded ingest queue, drained by drain
 	metrics *Metrics
 	// shell owns the goroutines (drain consumer, pool) and the stop
 	// protocol; drain is the drain body over the ring, run by the consumer
 	// and helped by Barrier, cycle the cycle body over the runtime's one
 	// seat.
 	shell *Shell
-	drain DrainCore[Event]
+	drain DrainCore[queued]
 	cycle CycleCore
 	seat  Seat
 
@@ -148,7 +149,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	r := &Runtime{
 		cfg:     cfg,
-		ring:    NewRing[Event](cfg.QueueCapacity, cfg.Overflow),
+		ring:    NewRing[queued](cfg.QueueCapacity, cfg.Overflow),
 		metrics: NewMetrics(),
 	}
 	r.seat = Seat{Engine: cfg.Engine, Tail: ActTail{
@@ -178,14 +179,14 @@ func New(cfg Config) (*Runtime, error) {
 		Recorder: cfg.Recorder, Clock: r.cfg.Clock, Seats: []*Seat{&r.seat}, Layers: len(layers),
 		Score: func(j, lo, hi int, nows, out []float64) { layers[j].ScoreBatch(nows[lo:hi], out) },
 	}
-	r.drain = DrainCore[Event]{
+	r.drain = DrainCore[queued]{
 		Shell: r.shell, Metrics: r.metrics, Tracer: cfg.Tracer, State: &r.stateMu, Batch: cfg.BatchSize,
 		Wait:   r.ring.Wait,
 		Take:   r.ring.Take,
-		Settle: func(_ []Event, n int) { r.ring.Settle(n) },
-		Apply:  func(ev *Event) error { return cfg.Apply(*ev) },
-		Span: func(ev *Event) (int64, uint8, string, int) {
-			return ev.trace, uint8(ev.Kind), traceKey(*ev), 0
+		Settle: func(_ []queued, n int) { r.ring.Settle(n) },
+		Apply:  func(q *queued) error { return cfg.Apply(q.ev) },
+		Span: func(q *queued) (int64, uint8, string, int) {
+			return q.trace, uint8(q.ev.Kind), traceKey(&q.ev), 0
 		},
 	}
 	if cfg.Tracer != nil {
@@ -198,9 +199,9 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	// DropOldest evictions are accounted under the ring lock, in eviction
 	// order.
-	r.ring.OnEvict = func(old Event) {
+	r.ring.OnEvict = func(old queued) {
 		r.metrics.DroppedOldest.Inc()
-		r.traceDrop(old)
+		r.traceDrop(&old.ev, old.trace)
 	}
 	reg := r.metrics.Registry()
 	reg.GaugeFunc("pfm_queue_depth",
@@ -358,7 +359,7 @@ func (r *Runtime) Start(ctx context.Context) error {
 // one in ingestLatencyEvery calls — the unsampled hot path pays no clock
 // read and no further tracer bookkeeping, and a call picked by both (at the
 // default interval they coincide) reads its start stamp once.
-func (r *Runtime) Ingest(ctx context.Context, ev Event) error {
+func (r *Runtime) Ingest(ctx context.Context, ev ingest.Event) error {
 	n := r.ingestGate.Add(1)
 	timed := n&(ingestLatencyEvery-1) == 1
 	sampled := false
@@ -367,18 +368,16 @@ func (r *Runtime) Ingest(ctx context.Context, ev Event) error {
 	} else if r.sampleEvery != 0 {
 		sampled = r.sampleEvery == 1 || n%r.sampleEvery == 1
 	}
-	var start int64
+	var start, trace int64
 	if timed || sampled {
 		start = r.shell.Nanos()
 	}
 	if sampled {
 		// A sampled event is one with a stamp, so a reading of exactly 0 (the
 		// tracer's first nanosecond) is nudged to 1.
-		if ev.trace = start; start == 0 {
-			ev.trace = 1
-		}
+		trace = max(start, 1)
 	}
-	err := r.ring.Push(ctx, ev)
+	err := r.ring.Push(ctx, queued{ev, trace})
 	switch {
 	case err == nil:
 		r.metrics.Ingested.Inc()
@@ -387,12 +386,12 @@ func (r *Runtime) Ingest(ctx context.Context, ev Event) error {
 	case errors.Is(err, ErrRejected):
 		r.metrics.Ingested.Inc()
 		r.metrics.DroppedNewest.Inc()
-		r.traceDrop(ev)
+		r.traceDrop(&ev, trace)
 		err = nil
 	default: // canceled Block wait
 		r.metrics.Ingested.Inc()
 		r.metrics.DroppedCanceled.Inc()
-		r.traceDrop(ev)
+		r.traceDrop(&ev, trace)
 	}
 	if timed {
 		r.metrics.IngestLatency.Observe(float64(r.shell.Nanos()-start) / 1e9)
@@ -402,9 +401,9 @@ func (r *Runtime) Ingest(ctx context.Context, ev Event) error {
 
 // traceDrop publishes a shed event's partial trace (no-op for unsampled
 // events).
-func (r *Runtime) traceDrop(ev Event) {
-	if tr := r.cfg.Tracer; ev.trace != 0 && tr != nil {
-		tr.PublishDropped(uint8(ev.Kind), traceKey(ev), 0, ev.trace, ev.trace, tr.Now())
+func (r *Runtime) traceDrop(ev *ingest.Event, trace int64) {
+	if tr := r.cfg.Tracer; trace != 0 && tr != nil {
+		tr.PublishDropped(uint8(ev.Kind), traceKey(ev), 0, trace, trace, tr.Now())
 	}
 }
 

@@ -8,12 +8,23 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/act"
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
 )
+
+// TestEventSize pins the single-tenant runtime's queued element — the ingest
+// event and its trace stamp — at 120 bytes: its ring copies every event in
+// and out once each.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(queued{}); got != 120 {
+		t.Errorf("sizeof(queued) = %d, want 120", got)
+	}
+}
 
 // testEngine builds an engine with the given layers.
 func testEngine(t testing.TB, cfg core.Config, layers ...*core.Layer) *core.Engine {
@@ -61,7 +72,7 @@ func newGatedApply() *gatedApply {
 	return &gatedApply{entered: make(chan struct{}), release: make(chan struct{})}
 }
 
-func (g *gatedApply) apply(ev Event) error {
+func (g *gatedApply) apply(ev ingest.Event) error {
 	g.signaled.Do(func() { close(g.entered) })
 	<-g.release
 	g.mu.Lock()
@@ -78,7 +89,7 @@ func (g *gatedApply) appliedTimes() []float64 {
 
 // startRuntime builds and starts a runtime over a quiet single-layer
 // engine with the given queue setup.
-func startRuntime(t *testing.T, apply func(Event) error, capacity int, policy OverflowPolicy) *Runtime {
+func startRuntime(t *testing.T, apply func(ingest.Event) error, capacity int, policy OverflowPolicy) *Runtime {
 	t.Helper()
 	rt, err := New(Config{
 		Engine:        testEngine(t, defaultCoreCfg(), quietLayer()),
@@ -101,7 +112,7 @@ func startRuntime(t *testing.T, apply func(Event) error, capacity int, policy Ov
 func fillPastGate(t *testing.T, rt *Runtime, g *gatedApply, n int) {
 	t.Helper()
 	ctx := context.Background()
-	if err := rt.Ingest(ctx, Event{Time: 1}); err != nil {
+	if err := rt.Ingest(ctx, ingest.Event{Time: 1}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -110,7 +121,7 @@ func fillPastGate(t *testing.T, rt *Runtime, g *gatedApply, n int) {
 		t.Fatal("consumer never entered Apply")
 	}
 	for i := 2; i <= n; i++ {
-		if err := rt.Ingest(ctx, Event{Time: float64(i)}); err != nil {
+		if err := rt.Ingest(ctx, ingest.Event{Time: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +180,7 @@ func TestOverflowBlockBackpressure(t *testing.T) {
 	// sure cancellation is accounted as a drop, not lost.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if err := rt.Ingest(ctx, Event{Time: 4}); !errors.Is(err, context.DeadlineExceeded) {
+	if err := rt.Ingest(ctx, ingest.Event{Time: 4}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("blocked ingest returned %v, want deadline exceeded", err)
 	}
 	if rt.Metrics().DroppedCanceled.Value() != 1 {
@@ -178,7 +189,7 @@ func TestOverflowBlockBackpressure(t *testing.T) {
 
 	// Unblock: a fresh blocking Ingest now succeeds once space frees up.
 	done := make(chan error, 1)
-	go func() { done <- rt.Ingest(context.Background(), Event{Time: 5}) }()
+	go func() { done <- rt.Ingest(context.Background(), ingest.Event{Time: 5}) }()
 	close(g.release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -201,7 +212,7 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	applied := 0
 	rt, err := New(Config{
 		Engine: testEngine(t, defaultCoreCfg(), quietLayer()),
-		Apply: func(Event) error {
+		Apply: func(ingest.Event) error {
 			mu.Lock()
 			applied++
 			mu.Unlock()
@@ -223,7 +234,7 @@ func TestGracefulShutdownDrain(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < n/4; i++ {
-				if err := rt.Ingest(context.Background(), Event{Time: float64(i)}); err != nil {
+				if err := rt.Ingest(context.Background(), ingest.Event{Time: float64(i)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -249,7 +260,7 @@ func TestGracefulShutdownDrain(t *testing.T) {
 		t.Fatal("no final evaluation after drain")
 	}
 	// The pipeline is closed now.
-	if err := rt.Ingest(context.Background(), Event{}); !errors.Is(err, ErrClosed) {
+	if err := rt.Ingest(context.Background(), ingest.Event{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ingest after stop returned %v, want ErrClosed", err)
 	}
 	// Stop is idempotent.
@@ -271,7 +282,7 @@ func TestPeriodicEvaluationWarnsActsAndGuards(t *testing.T) {
 	var now atomic.Uint64
 	rt, err := New(Config{
 		Engine:  eng,
-		Apply:   func(Event) error { return nil },
+		Apply:   func(ingest.Event) error { return nil },
 		Clock:   func() float64 { return float64(now.Load()) },
 		Workers: 2,
 	})
@@ -306,7 +317,7 @@ func TestPeriodicEvaluationWarnsActsAndGuards(t *testing.T) {
 }
 
 func TestEvaluateNowEventDriven(t *testing.T) {
-	rt := startRuntime(t, func(Event) error { return nil }, 4, Block)
+	rt := startRuntime(t, func(ingest.Event) error { return nil }, 4, Block)
 	rt.EvaluateNow()
 	if got := rt.Metrics().Evaluations.Value(); got != 1 {
 		t.Fatalf("evaluations = %d once EvaluateNow returned, want 1", got)
@@ -338,7 +349,7 @@ func TestStress(t *testing.T) {
 	}
 	rt, err := New(Config{
 		Engine: testEngine(t, defaultCoreCfg(), counting, quietLayer()),
-		Apply: func(Event) error {
+		Apply: func(ingest.Event) error {
 			mu.Lock()
 			seen++
 			mu.Unlock()
@@ -361,7 +372,7 @@ func TestStress(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				_ = rt.Ingest(context.Background(), Event{Time: float64(p*perProducer + i)})
+				_ = rt.Ingest(context.Background(), ingest.Event{Time: float64(p*perProducer + i)})
 				if i%1000 == 0 {
 					rt.EvaluateNow()
 				}
@@ -422,7 +433,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	apply := func(Event) error { return nil }
+	apply := func(ingest.Event) error { return nil }
 	cases := []Config{
 		{Engine: nil, Apply: apply},
 		{Engine: eng, Apply: nil},

@@ -9,6 +9,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/pfmmodel"
 	"repro/internal/predict"
@@ -45,10 +46,10 @@ func (r *Runtime) health() Health {
 
 // KindLabel names an event kind byte for trace rendering (obs.WriteText).
 func KindLabel(k uint8) string {
-	switch EventKind(k) {
-	case KindError:
+	switch ingest.Kind(k) {
+	case ingest.KindError:
 		return "error"
-	case KindSample:
+	case ingest.KindSample:
 		return "sample"
 	default:
 		return strconv.Itoa(int(k))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/ingest"
 	"repro/internal/par"
 )
 
@@ -12,36 +13,8 @@ import (
 // Zipf-skewed load profile (a few hot tenants carry most of the traffic,
 // the production shape a fleet runtime must amortize). Drain merges every
 // tenant's new error events, SAR samples, and ground-truth failures into
-// one time-ordered interleaved trace, the fixture format of the fleet
-// tests, cmd/loggen -tenants, and pfmd -fleet.
-
-// TraceKind discriminates merged trace records.
-type TraceKind int
-
-const (
-	// TraceError is one error-log event of a tenant.
-	TraceError TraceKind = iota
-	// TraceSample is one SAR monitoring-variable sample of a tenant.
-	TraceSample
-	// TraceFailure marks one ground-truth failure of a tenant (Eq. 2
-	// violation) — ledger input, not monitoring input.
-	TraceFailure
-)
-
-// TraceRecord is one tenant-labeled record of a merged multi-tenant trace.
-type TraceRecord struct {
-	Tenant string
-	Kind   TraceKind
-	Time   float64
-	// Error-event fields (TraceError).
-	Component string
-	Type      int
-	Severity  int
-	Message   string
-	// Sample fields (TraceSample).
-	Variable string
-	Value    float64
-}
+// one time-ordered interleaved trace of ingest.Records, the fixture format
+// of the fleet tests, cmd/loggen -tenants, and pfmd -fleet.
 
 // MultiConfig parameterizes a tenant fleet simulation.
 type MultiConfig struct {
@@ -202,7 +175,7 @@ func (m *MultiSystem) Run(duration float64) error {
 // records are counted, the result allocated once at that size, and filled
 // from a heap of stream heads keyed (time, rank) — what a stable sort by
 // time of the streams laid end to end in rank order gives.
-func (m *MultiSystem) Drain() []TraceRecord {
+func (m *MultiSystem) Drain() []ingest.Record {
 	heads := m.heads[:0]
 	total := 0
 	for i, sys := range m.systems {
@@ -219,12 +192,12 @@ func (m *MultiSystem) Drain() []TraceRecord {
 	for i := len(heads)/2 - 1; i >= 0; i-- {
 		siftDown(heads, i)
 	}
-	out := make([]TraceRecord, total)
+	out := make([]ingest.Record, total)
 	for n := range out {
 		rank := heads[0].rank
 		i, k := rank/streamsPerTenant, rank%streamsPerTenant
 		sys, c := m.systems[i], &m.cursors[rank]
-		out[n].Tenant = m.ids[i]
+		out[n].Event.Tenant = m.ids[i]
 		sys.streamRecord(k, c.pos, &out[n])
 		if c.pos++; c.pos < c.end {
 			heads[0].t = sys.streamTime(k, c.pos)
@@ -281,19 +254,19 @@ func (s *System) streamTime(k, pos int) float64 {
 	}
 }
 
-// streamRecord fills r, zero but for its Tenant, with record pos of
+// streamRecord fills r, zero but for its Event's Tenant, with record pos of
 // stream k.
-func (s *System) streamRecord(k, pos int, r *TraceRecord) {
+func (s *System) streamRecord(k, pos int, r *ingest.Record) {
+	ev := &r.Event
 	switch k {
 	case streamLog:
-		e := s.log.At(pos)
-		r.Kind, r.Time = TraceError, e.Time
-		r.Component, r.Type, r.Severity, r.Message = e.Component, e.Type, int(e.Severity), e.Message
+		ev.Error = s.log.At(pos)
+		ev.Kind, ev.Time = ingest.KindError, ev.Error.Time
 	case streamFail:
-		r.Kind, r.Time = TraceFailure, s.failures[pos].Time
+		r.Failure, ev.Time = true, s.failures[pos].Time
 	default:
 		p := s.sarSeries[k-streamSAR].At(pos)
-		r.Kind, r.Time = TraceSample, p.T
-		r.Variable, r.Value = SARVariables[k-streamSAR], p.V
+		ev.Kind, ev.Time = ingest.KindSample, p.T
+		ev.Variable, ev.Value = SARVariables[k-streamSAR], p.V
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/eventlog"
+	"repro/internal/ingest"
 )
 
 // TestZipfWeights checks shape and normalization of the skew profile.
@@ -39,7 +40,7 @@ func TestZipfWeights(t *testing.T) {
 // the merged traces record by record, and checks basic invariants: records
 // time-ordered, every tenant present, hot tenants louder than cold ones.
 func TestMultiSystemDeterministicTrace(t *testing.T) {
-	build := func() []TraceRecord {
+	build := func() []ingest.Record {
 		m, err := NewMulti(MultiConfig{Tenants: 6, BaseSeed: 42, Skew: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -66,11 +67,11 @@ func TestMultiSystemDeterministicTrace(t *testing.T) {
 	}
 	perTenant := map[string]int{}
 	for i, r := range a {
-		perTenant[r.Tenant]++
+		perTenant[r.Event.Tenant]++
 		// Time order holds within each drained slice; across the slice
 		// boundary records restart at the slice's start time.
-		if i > 0 && a[i].Time < a[i-1].Time && a[i-1].Time < 2*3600 {
-			t.Fatalf("record %d out of order: %g after %g", i, a[i].Time, a[i-1].Time)
+		if i > 0 && a[i].Event.Time < a[i-1].Event.Time && a[i-1].Event.Time < 2*3600 {
+			t.Fatalf("record %d out of order: %g after %g", i, a[i].Event.Time, a[i-1].Event.Time)
 		}
 	}
 	if len(perTenant) != 6 {
@@ -119,19 +120,21 @@ func newRefDrain(tenants int) *refDrain {
 	return r
 }
 
-func (r *refDrain) drain(t *testing.T, m *MultiSystem) []TraceRecord {
+func (r *refDrain) drain(t *testing.T, m *MultiSystem) []ingest.Record {
 	t.Helper()
-	var out []TraceRecord
+	var out []ingest.Record
 	for i, sys := range m.systems {
 		id := m.ids[i]
 		log := sys.Log()
 		for n := log.Len(); r.log[i] < n; r.log[i]++ {
 			e := log.At(r.log[i])
-			out = append(out, TraceRecord{
-				Tenant: id, Kind: TraceError, Time: e.Time,
-				Component: e.Component, Type: e.Type,
-				Severity: int(e.Severity), Message: e.Message,
-			})
+			out = append(out, ingest.Record{Event: ingest.Event{
+				Tenant: id, Kind: ingest.KindError, Time: e.Time,
+				Error: eventlog.Event{
+					Time: e.Time, Component: e.Component, Type: e.Type,
+					Severity: e.Severity, Message: e.Message,
+				},
+			}})
 		}
 		for _, name := range SARVariables {
 			series, err := sys.SAR(name)
@@ -140,21 +143,21 @@ func (r *refDrain) drain(t *testing.T, m *MultiSystem) []TraceRecord {
 			}
 			for n := series.Len(); r.sar[i][name] < n; r.sar[i][name]++ {
 				p := series.At(r.sar[i][name])
-				out = append(out, TraceRecord{
-					Tenant: id, Kind: TraceSample, Time: p.T,
+				out = append(out, ingest.Record{Event: ingest.Event{
+					Tenant: id, Kind: ingest.KindSample, Time: p.T,
 					Variable: name, Value: p.V,
-				})
+				}})
 			}
 		}
 		for times := sys.FailureTimes(); r.fail[i] < len(times); r.fail[i]++ {
-			out = append(out, TraceRecord{Tenant: id, Kind: TraceFailure, Time: times[r.fail[i]]})
+			out = append(out, ingest.Record{Event: ingest.Event{Tenant: id, Time: times[r.fail[i]]}, Failure: true})
 		}
 	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Time < out[b].Time })
+	sort.SliceStable(out, func(a, b int) bool { return out[a].Event.Time < out[b].Event.Time })
 	return out
 }
 
-func sameRecords(t *testing.T, what string, got, want []TraceRecord) {
+func sameRecords(t *testing.T, what string, got, want []ingest.Record) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d records, want %d", what, len(got), len(want))
@@ -190,7 +193,7 @@ func TestDrainMatchesStableSort(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := newRefDrain(tenants)
-		var sliced []TraceRecord
+		var sliced []ingest.Record
 		for step, d := range []float64{7, 1793, 0, 61, 3600, 1739} {
 			if d > 0 {
 				if err := m.Run(d); err != nil {
@@ -255,8 +258,11 @@ func TestDrainTies(t *testing.T) {
 		t.Fatalf("%d records, want %d", len(got), len(want))
 	}
 	for i, r := range got {
-		what := map[TraceKind]string{TraceError: "error", TraceSample: r.Variable, TraceFailure: "failure"}[r.Kind]
-		if s := fmt.Sprintf("%g %s %s", r.Time, r.Tenant, what); s != want[i] {
+		what := map[ingest.Kind]string{ingest.KindError: "error", ingest.KindSample: r.Event.Variable}[r.Event.Kind]
+		if r.Failure {
+			what = "failure"
+		}
+		if s := fmt.Sprintf("%g %s %s", r.Event.Time, r.Event.Tenant, what); s != want[i] {
 			t.Fatalf("record %d is %q, want %q", i, s, want[i])
 		}
 	}
@@ -267,7 +273,7 @@ func TestDrainTies(t *testing.T) {
 // on four, where tenants are built and run on several goroutines.
 func TestMultiSystemParallelMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	build := func(procs int) []TraceRecord {
+	build := func(procs int) []ingest.Record {
 		runtime.GOMAXPROCS(procs)
 		m, err := NewMulti(MultiConfig{Tenants: 40, BaseSeed: 5, Skew: 1})
 		if err != nil {

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/ingest"
 	"repro/internal/obs"
-	"repro/internal/runtime"
 	"repro/internal/scp"
 )
 
@@ -23,8 +23,8 @@ type fleetState struct {
 	errs     float64 // decaying error pressure
 }
 
-func (s *fleetState) apply(ev fleet.Event) error {
-	if ev.Kind == runtime.KindError {
+func (s *fleetState) apply(ev ingest.Event) error {
+	if ev.Kind == ingest.KindError {
 		if ev.Error.Severity >= 2 {
 			s.errs += 1
 		} else {
@@ -107,7 +107,7 @@ func newFleet(cfg *Config) (*fleetRun, *scp.MultiSystem, error) {
 		Tenants:       specs,
 		Layers:        layers,
 		NewState:      func(fleet.TenantSpec) (fleet.TenantState, error) { return &fleetState{capacity: scpCfg.Capacity}, nil },
-		Apply:         func(st fleet.TenantState, ev fleet.Event) error { return st.(*fleetState).apply(ev) },
+		Apply:         func(st fleet.TenantState, ev ingest.Event) error { return st.(*fleetState).apply(ev) },
 		Engine:        cfg.engine(0.5),
 		Shards:        cfg.Shards,
 		QueueCapacity: cfg.QueueCapacity,

@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/ingest"
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
 	"repro/internal/runtime"
@@ -229,21 +230,21 @@ type simSource struct {
 	m              *scp.MultiSystem
 	horizon, slice float64 // simulated seconds
 	ran            float64
-	recs           []fleet.Record
+	recs           []ingest.Record
 	i              int
 }
 
-func (s *simSource) Next() (fleet.Record, error) {
+func (s *simSource) Next() (ingest.Record, error) {
 	for s.i == len(s.recs) {
 		if s.ran >= s.horizon {
-			return fleet.Record{}, io.EOF
+			return ingest.Record{}, io.EOF
 		}
 		step := math.Min(s.slice, s.horizon-s.ran)
 		if err := s.m.Run(step); err != nil {
-			return fleet.Record{}, err
+			return ingest.Record{}, err
 		}
 		s.ran += step
-		s.recs, s.i = fleet.SCPRecords(s.m.Drain()), 0
+		s.recs, s.i = s.m.Drain(), 0
 	}
 	s.i++
 	return s.recs[s.i-1], nil
@@ -269,7 +270,7 @@ type pacedSource struct {
 	t0       float64   // its domain time
 }
 
-func (p *pacedSource) Next() (fleet.Record, error) {
+func (p *pacedSource) Next() (ingest.Record, error) {
 	rec, err := p.src.Next()
 	if err != nil {
 		return rec, err
@@ -281,7 +282,7 @@ func (p *pacedSource) Next() (fleet.Record, error) {
 	if wait := time.Until(due); wait > 0 {
 		select {
 		case <-p.ctx.Done():
-			return fleet.Record{}, p.ctx.Err()
+			return ingest.Record{}, p.ctx.Err()
 		case <-time.After(wait):
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/ingest"
 	"repro/internal/lifecycle"
 	"repro/internal/obs"
 )
@@ -132,8 +133,8 @@ func TestBurnRateArmed(t *testing.T) {
 // record follows (t₁−t₀)/compress after it.
 func TestPacedFromFirstRecord(t *testing.T) {
 	const t0, gap, compress = 1.7e9, 180.0, 3600.0 // 50 ms apart on the wall
-	at := func(t float64) fleet.Record { return fleet.Record{Event: fleet.Event{Tenant: "a", Time: t}} }
-	src := &pacedSource{ctx: context.Background(), src: fleet.NewSliceSource([]fleet.Record{at(t0), at(t0 + gap)}), compress: compress}
+	at := func(t float64) ingest.Record { return ingest.Record{Event: ingest.Event{Tenant: "a", Time: t}} }
+	src := &pacedSource{ctx: context.Background(), src: fleet.NewSliceSource([]ingest.Record{at(t0), at(t0 + gap)}), compress: compress}
 	began := time.Now()
 	if _, err := src.Next(); err != nil {
 		t.Fatal(err)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eventlog"
 	"repro/internal/fleet"
+	"repro/internal/ingest"
 	"repro/internal/lifecycle"
 	"repro/internal/meta"
 	"repro/internal/obs"
@@ -42,11 +43,11 @@ func newMirror() *mirror {
 }
 
 // apply integrates one streamed event.
-func (m *mirror) apply(ev runtime.Event) error {
+func (m *mirror) apply(ev ingest.Event) error {
 	switch ev.Kind {
-	case runtime.KindError:
+	case ingest.KindError:
 		return m.log.Append(ev.Error)
-	case runtime.KindSample:
+	case ingest.KindSample:
 		s, ok := m.sar[ev.Variable]
 		if !ok {
 			return fmt.Errorf("unknown variable %q", ev.Variable)
@@ -311,7 +312,7 @@ func (p *pipeline) pump(ctx context.Context, src fleet.Source) (int, error) {
 		if err != nil {
 			return events, err
 		}
-		ev := rec.Event
+		ev := &rec.Event
 		if n == 0 {
 			tenant = ev.Tenant
 		} else if ev.Tenant != tenant {
@@ -322,9 +323,7 @@ func (p *pipeline) pump(ctx context.Context, src fleet.Source) (int, error) {
 			p.diag.RecordFailure(ev.Time)
 			continue
 		}
-		if err := p.Ingest(ctx, runtime.Event{
-			Kind: ev.Kind, Time: ev.Time, Error: ev.Error, Variable: ev.Variable, Value: ev.Value,
-		}); err != nil {
+		if err := p.Ingest(ctx, *ev); err != nil {
 			return events, err
 		}
 		events++

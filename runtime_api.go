@@ -9,6 +9,7 @@ package pfm
 
 import (
 	"repro/internal/core"
+	"repro/internal/ingest"
 	"repro/internal/runtime"
 )
 
@@ -22,8 +23,10 @@ type Runtime = runtime.Runtime
 type RuntimeConfig = runtime.Config
 
 // RuntimeEvent is one monitored observation flowing through the ingest
-// queue: an error-log event or a monitoring-variable sample.
-type RuntimeEvent = runtime.Event
+// queue: an error-log event or a monitoring-variable sample. It is the one
+// monitoring record (internal/ingest): the same type as FleetEvent, whose
+// Tenant the single-tenant runtime does not read.
+type RuntimeEvent = ingest.Event
 
 // RuntimeMetrics is the pipeline's atomic metrics set (counters, latency
 // histograms, queue gauges), renderable as Prometheus text.
@@ -44,8 +47,8 @@ const (
 
 // Runtime event kinds.
 const (
-	RuntimeEventError  = runtime.KindError  // an error-log event
-	RuntimeEventSample = runtime.KindSample // a monitoring-variable sample
+	RuntimeEventError  = ingest.KindError  // an error-log event
+	RuntimeEventSample = ingest.KindSample // a monitoring-variable sample
 )
 
 // Decision is the outcome of one serialized act round (warning raised?
