@@ -256,20 +256,6 @@ func FitFailureTracker(interFailure []float64) (*FailureTracker, error) {
 	return &FailureTracker{dist: stats.Weibull{K: k, Lambda: scale}}, nil
 }
 
-// FitFailureTrackerMLE fits the Weibull by maximum likelihood instead of
-// moment matching; it uses the full sample information and is the better
-// choice when the inter-failure sample is not tiny.
-func FitFailureTrackerMLE(interFailure []float64) (*FailureTracker, error) {
-	if len(interFailure) < 2 {
-		return nil, fmt.Errorf("%w: need ≥ 2 inter-failure times", ErrBaseline)
-	}
-	d, err := stats.FitWeibullMLE(interFailure)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBaseline, err)
-	}
-	return &FailureTracker{dist: d}, nil
-}
-
 // Score returns the fitted hazard rate at the given time since the last
 // failure.
 func (f *FailureTracker) Score(timeSinceLastFailure float64) (float64, error) {

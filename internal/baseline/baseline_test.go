@@ -192,30 +192,3 @@ func TestFailureTrackerValidation(t *testing.T) {
 		t.Fatal("negative elapsed time accepted")
 	}
 }
-
-func TestFailureTrackerMLE(t *testing.T) {
-	g := stats.NewRNG(97)
-	aging := stats.Weibull{K: 2.2, Lambda: 80}
-	samples := make([]float64, 500)
-	for i := range samples {
-		samples[i] = aging.Sample(g)
-	}
-	f, err := FitFailureTrackerMLE(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Shape()-2.2) > 0.3 {
-		t.Fatalf("MLE shape = %g, want ≈2.2", f.Shape())
-	}
-	h1, _ := f.Score(20)
-	h2, _ := f.Score(120)
-	if h2 <= h1 {
-		t.Fatal("aging hazard not increasing")
-	}
-	if _, err := FitFailureTrackerMLE([]float64{1}); err == nil {
-		t.Fatal("single sample accepted")
-	}
-	if _, err := FitFailureTrackerMLE([]float64{3, 3, 3}); err == nil {
-		t.Fatal("degenerate samples accepted")
-	}
-}

@@ -106,31 +106,3 @@ func (p *PageHinkley) Update(x float64) bool {
 func (p *PageHinkley) Reset() {
 	p.n, p.mean, p.cum, p.minCum = 0, 0, 0, 0
 }
-
-// RetrainTrigger couples a detector to a monitored model-quality signal
-// (e.g. a predictor's rolling Brier score): it counts how often the system
-// drifted and invokes the retrain callback.
-type RetrainTrigger struct {
-	detector Detector
-	retrain  func()
-	// Count is the number of change points seen so far.
-	Count int
-}
-
-// NewRetrainTrigger wires a detector to a retraining callback.
-func NewRetrainTrigger(d Detector, retrain func()) (*RetrainTrigger, error) {
-	if d == nil || retrain == nil {
-		return nil, fmt.Errorf("%w: nil detector or callback", ErrDetector)
-	}
-	return &RetrainTrigger{detector: d, retrain: retrain}, nil
-}
-
-// Observe feeds a quality observation and fires the callback on change.
-func (r *RetrainTrigger) Observe(x float64) bool {
-	if r.detector.Update(x) {
-		r.Count++
-		r.retrain()
-		return true
-	}
-	return false
-}

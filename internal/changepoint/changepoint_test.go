@@ -108,35 +108,3 @@ func TestPageHinkleyValidation(t *testing.T) {
 		t.Fatal("zero lambda accepted")
 	}
 }
-
-func TestRetrainTrigger(t *testing.T) {
-	c, err := NewCUSUM(0, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	retrained := 0
-	trig, err := NewRetrainTrigger(c, func() { retrained++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	trig.Observe(0.1)
-	if retrained != 0 {
-		t.Fatal("retrained on benign observation")
-	}
-	if !trig.Observe(10) {
-		t.Fatal("change not propagated")
-	}
-	if retrained != 1 || trig.Count != 1 {
-		t.Fatalf("retrained=%d count=%d", retrained, trig.Count)
-	}
-}
-
-func TestRetrainTriggerValidation(t *testing.T) {
-	c, _ := NewCUSUM(0, 0, 1)
-	if _, err := NewRetrainTrigger(nil, func() {}); err == nil {
-		t.Fatal("nil detector accepted")
-	}
-	if _, err := NewRetrainTrigger(c, nil); err == nil {
-		t.Fatal("nil callback accepted")
-	}
-}

@@ -41,8 +41,8 @@ import (
 // The decoders never panic on malformed input (fuzz-verified, see
 // FuzzListenDecode): a corrupt binary stream ends its connection at the
 // first bad frame; a malformed text line, and in either encoding a record
-// whose time is NaN or ±Inf, is counted and skipped, matching TailSource's
-// recoverable-error stance.
+// whose time is past the horizon (NaN, ±Inf or beyond ±2^44 s), is counted
+// and skipped, matching TailSource's recoverable-error stance.
 type ListenSource struct {
 	ln net.Listener
 	// full carries decoded slabs to Next, free carries spent ones back. Both
@@ -67,7 +67,7 @@ type ListenSource struct {
 	records    atomic.Int64 // records handed to Next, counted a slab at a time
 	slabs      atomic.Int64 // slabs handed to Next
 	bytes      atomic.Int64 // bytes read from connections
-	decodeErrs atomic.Int64 // malformed lines and non-finite times skipped + streams aborted
+	decodeErrs atomic.Int64 // malformed lines and times past the horizon skipped + streams aborted
 }
 
 const (
@@ -110,8 +110,8 @@ func (s *ListenSource) Addr() string { return s.ln.Addr().String() }
 // Conns returns the number of connections accepted so far.
 func (s *ListenSource) Conns() int64 { return s.conns.Load() }
 
-// DecodeErrors returns the number of malformed lines and non-finite record
-// times skipped plus binary streams aborted.
+// DecodeErrors returns the number of malformed lines and record times past
+// the horizon skipped plus binary streams aborted.
 func (s *ListenSource) DecodeErrors() int64 { return s.decodeErrs.Load() }
 
 // RegisterMetrics exposes the listen edge on reg. records ÷ slabs is the
@@ -127,7 +127,7 @@ func (s *ListenSource) RegisterMetrics(reg *runtime.Registry) {
 		{"pfm_fleet_listen_records_total", "Records decoded and handed to the pump.", &s.records},
 		{"pfm_fleet_listen_slabs_total", "Record slabs handed to the pump (records / slabs = batching efficiency).", &s.slabs},
 		{"pfm_fleet_listen_bytes_total", "Bytes read from trace connections.", &s.bytes},
-		{"pfm_fleet_listen_decode_errors_total", "Malformed text lines and non-finite record times skipped, plus binary streams aborted.", &s.decodeErrs},
+		{"pfm_fleet_listen_decode_errors_total", "Malformed text lines and record times past the horizon skipped, plus binary streams aborted.", &s.decodeErrs},
 	} {
 		reg.CounterFunc(m.name, m.help, func() float64 { return float64(m.v.Load()) })
 	}
@@ -266,10 +266,10 @@ func (c *connDecoder) flush() {
 // magic leads (a retired format's is refused: the stream's one error), the
 // text line protocol otherwise. emit returning false stops the decode
 // cleanly. bad counts the records skipped: malformed text lines, and in
-// either encoding a record whose time is NaN or ±Inf — one peer's record no
-// cadence can step must not end every peer's input (files keep such times,
-// only this edge drops them). The returned error is the stream-fatal decode
-// error, if any — never a panic, whatever the input.
+// either encoding a record whose time is past the horizon — one peer's
+// record no cadence can step must not end every peer's input (files keep
+// such times, only this edge drops them). The returned error is the
+// stream-fatal decode error, if any — never a panic, whatever the input.
 func decodeStream(r io.Reader, emit func(ingest.Record) bool, bad *atomic.Int64) error {
 	// The connection's one read buffer, sized once: a read(2) fills many
 	// slabs, and the wire Reader parses frames in it in place.
@@ -286,7 +286,7 @@ func decodeStream(r io.Reader, emit func(ingest.Record) bool, bad *atomic.Int64)
 				// poisons everything after it, so the connection ends here.
 				return err
 			}
-			if !finite(rec) {
+			if !inHorizon(rec) {
 				bad.Add(1)
 			} else if !emit(rec) {
 				return nil
@@ -301,7 +301,7 @@ func decodeStream(r io.Reader, emit func(ingest.Record) bool, bad *atomic.Int64)
 			return nil
 		case lines.err != nil: // a line over the cap
 			return lines.err
-		case err != nil || !finite(rec):
+		case err != nil || !inHorizon(rec):
 			bad.Add(1)
 		case !emit(rec):
 			return nil
@@ -309,9 +309,17 @@ func decodeStream(r io.Reader, emit func(ingest.Record) bool, bad *atomic.Int64)
 	}
 }
 
-// finite reports whether rec's time is a number a cadence can step.
-func finite(rec ingest.Record) bool {
-	return !math.IsNaN(rec.Event.Time) && !math.IsInf(rec.Event.Time, 0)
+// horizon bounds the record times the listen edge admits: 2^44 s (about
+// 557,000 years) keeps millisecond epochs. Float64 times within ±2^44 are
+// spaced at most 2^-8 s apart, so a Stepper whose cadence exceeds 2^-9 s
+// (about 2 ms) steps every time the edge admits; a finite time past it
+// (1e300, say) would end the whole run, not just its peer's input.
+const horizon = 1 << 44
+
+// inHorizon reports whether rec's time is within ±horizon: false for NaN
+// and ±Inf too.
+func inHorizon(rec ingest.Record) bool {
+	return math.Abs(rec.Event.Time) <= horizon
 }
 
 var _ Source = (*ListenSource)(nil)

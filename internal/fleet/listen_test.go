@@ -192,6 +192,83 @@ func TestListenNonFiniteTime(t *testing.T) {
 	}
 }
 
+// TestListenFarTimeStepped: a finite time no cadence can step (1e300) from
+// one peer is skipped and counted at the listen edge, so a Stepper at a 60 s
+// cadence keeps running and every record of a good peer reaches the fleet.
+func TestListenFarTimeStepped(t *testing.T) {
+	var good []ingest.Record
+	for i := 0; i < 20; i++ {
+		good = append(good, ingest.Record{Event: sample("a", float64(30*i), 0.5)})
+	}
+	var badBuf, goodBuf bytes.Buffer
+	if err := WriteWire(&badBuf, []ingest.Record{{Event: sample("a", 1e300, 0.5)}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteTrace(&goodBuf, good); err != nil {
+		t.Fatal(err)
+	}
+	ls, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	send := func(payload []byte) {
+		conn, err := net.Dial("tcp", ls.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The far record goes first, so that it is decoded before the good
+	// peer's records are read.
+	send(badBuf.Bytes())
+	for deadline := time.Now().Add(5 * time.Second); ls.DecodeErrors() < 1 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	send(goodBuf.Bytes())
+
+	clock := newTestClock(0)
+	f, err := New(testFleetConfig([]TenantSpec{{ID: "a"}}, clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := f.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var stepClock Clock
+	cycles := 0
+	st := NewStepper(&limitSource{src: ls, n: len(good)}, 60, &stepClock, func(nows []float64) error {
+		for _, now := range nows {
+			clock.Set(now)
+			if err := f.Barrier(ctx); err != nil {
+				return err
+			}
+			f.EvaluateCycle()
+			cycles++
+		}
+		return nil
+	})
+	if _, err := Pump(ctx, f, st); err != nil {
+		t.Fatalf("the run ended: %v", err)
+	}
+	if err := f.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := f.TenantStatus("a"); v.Events != int64(len(good)) {
+		t.Errorf("tenant a applied %d events, want %d", v.Events, len(good))
+	}
+	if cycles == 0 {
+		t.Error("no cycle ran")
+	}
+	if got := ls.DecodeErrors(); got != 1 {
+		t.Errorf("decode errors = %d, want 1 (the 1e300 record)", got)
+	}
+}
+
 // TestListenCloseUnblocks: Close ends a blocked Next with io.EOF even with
 // an idle connection open.
 func TestListenCloseUnblocks(t *testing.T) {

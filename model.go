@@ -61,31 +61,3 @@ func DefaultMEAExperimentConfig() MEAExperimentConfig { return experiments.Defau
 func RunMEA(cfg MEAExperimentConfig) (MEAExperimentResult, error) {
 	return experiments.RunMEA(cfg)
 }
-
-// RejuvenationParams is the Huang et al. software-rejuvenation CTMC — the
-// model the paper's Fig. 9 chain extends (Sect. 5.3). Use it to compare
-// purely time-triggered rejuvenation against prediction-triggered PFM.
-type RejuvenationParams = pfmmodel.RejuvenationParams
-
-// RunRejuvenationComparison compares no action, optimally tuned blind
-// rejuvenation, and the prediction-triggered Fig. 9 model (E15).
-func RunRejuvenationComparison() (experiments.RejuvenationComparison, error) {
-	return experiments.RunRejuvenationComparison()
-}
-
-// RunDynamicityExperiment executes the Sect. 6 dynamicity study (E13):
-// signature shift → stale-model degradation → drift detection → retraining.
-func RunDynamicityExperiment(seed int64) (experiments.DynamicityResult, error) {
-	return experiments.RunDynamicity(seed)
-}
-
-// RunDiagnosisExperiment executes the pre-failure diagnosis study (E14).
-func RunDiagnosisExperiment(cfg CaseStudyConfig) (experiments.DiagnosisResult, error) {
-	return experiments.RunDiagnosis(cfg)
-}
-
-// RunFig8Experiment regenerates the Fig. 8 time-to-repair decomposition
-// (E7) on the simulated platform.
-func RunFig8Experiment(seed int64, days, checkpointInterval float64) (experiments.Fig8Result, error) {
-	return experiments.RunFig8(seed, days, checkpointInterval)
-}

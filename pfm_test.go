@@ -1,13 +1,17 @@
 package pfm
 
-// Integration tests over the public facade: everything a downstream user
-// touches — simulate, extract, train, persist, predict, act — exercised
-// through the root package only.
+// Integration tests over the public facade: simulate, extract, train,
+// persist, predict, act and diagnose through the root package. What the
+// facade does not export (the Sect. 3.3 metrics, building an error log by
+// hand) comes from the internal package it would have wrapped.
 
 import (
 	"bytes"
 	"math"
 	"testing"
+
+	"repro/internal/eventlog"
+	"repro/internal/predict"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -68,7 +72,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Score a grid and evaluate with the Sect. 3.3 metrics.
-	var scored []Scored
+	var scored []predict.Scored
 	for tt := 600.0; tt < 6.5*86400; tt += 600 {
 		s, err := restored.Score(SlidingWindow(sys.Log(), tt, 300))
 		if err != nil {
@@ -81,23 +85,20 @@ func TestFacadeEndToEnd(t *testing.T) {
 				break
 			}
 		}
-		scored = append(scored, Scored{Score: s, Actual: actual})
+		scored = append(scored, predict.Scored{Score: s, Actual: actual})
 	}
-	curve, err := ROC(scored)
+	curve, err := predict.ROC(scored)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auc, err := AUC(curve)
+	auc, err := predict.AUC(curve)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if auc < 0.6 {
 		t.Fatalf("facade-trained AUC = %.3f", auc)
 	}
-	if _, _, err := MaxFMeasure(scored); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Breakeven(scored); err != nil {
+	if _, _, err := predict.MaxFMeasure(scored); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -130,7 +131,7 @@ func TestFacadeMEALoop(t *testing.T) {
 		Predictor: PredictorFunc(func(float64) (float64, error) { return sys.Utilization(), nil }),
 		Threshold: 0.85,
 	}
-	shed, err := NewLoadLowering(sys, ActionParams{Cost: 0.2, SuccessProb: 0.9}, 0.3)
+	cleanup, err := NewStateCleanup(sys, ActionParams{Cost: 0.2, SuccessProb: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestFacadeMEALoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := NewMEAEngine([]*Layer{layer}, nil, selector, []*Action{shed},
+	engine, err := NewMEAEngine([]*Layer{layer}, nil, selector, []*Action{cleanup},
 		MEAConfig{EvalInterval: 120, LeadTime: 300, WarnThreshold: 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -163,10 +164,10 @@ func TestFacadeMEALoop(t *testing.T) {
 }
 
 func TestFacadeDiagnosis(t *testing.T) {
-	log := NewErrorLog()
+	log := eventlog.NewLog()
 	add := func(tt float64, comp string, typ int) {
 		t.Helper()
-		if err := log.Append(ErrorEvent{Time: tt, Component: comp, Type: typ, Severity: SeverityError, Message: "m"}); err != nil {
+		if err := log.Append(eventlog.Event{Time: tt, Component: comp, Type: typ, Severity: eventlog.SeverityError, Message: "m"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,29 +194,5 @@ func TestFacadeDiagnosis(t *testing.T) {
 	suspects := d.DiagnoseRange(log, 700, 1000)
 	if len(suspects) == 0 || suspects[0].Component != "db" {
 		t.Fatalf("suspects = %+v", suspects)
-	}
-}
-
-func TestFacadeChangeDetection(t *testing.T) {
-	c, err := NewCUSUM(0, 0.5, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fired := 0
-	trigger, err := NewRetrainTrigger(c, func() { fired++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		trigger.Observe(0)
-	}
-	if fired != 0 {
-		t.Fatal("false alarm")
-	}
-	for i := 0; i < 20; i++ {
-		trigger.Observe(3)
-	}
-	if fired == 0 {
-		t.Fatal("drift not detected via facade")
 	}
 }

@@ -15,9 +15,6 @@ type SCPConfig = scp.Config
 // implements ActionTarget so the MEA loop can steer it.
 type SCP = scp.System
 
-// SCPFailure documents one service failure and its repair.
-type SCPFailure = scp.FailureRecord
-
 // DefaultSCPConfig returns the calibrated simulator configuration.
 func DefaultSCPConfig() SCPConfig { return scp.DefaultConfig() }
 
@@ -28,9 +25,6 @@ func NewSCP(cfg SCPConfig) (*SCP, error) { return scp.New(cfg) }
 // runtime, one cycle every EvalInterval of simulated time, with Table 1
 // booked by a Ledger over the failures the system records.
 type ClosedLoop = experiments.ClosedLoop
-
-// Outcomes is Table 1 as a ClosedLoop's ledger booked it.
-type Outcomes = experiments.Outcomes
 
 // AttachClosedLoop registers engine's cycle on sys's clock (it installs
 // engine's cycle observer). Run sys, read the results, then Close the loop.
