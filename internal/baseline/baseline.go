@@ -64,17 +64,20 @@ func (d DFT) withDefaults() DFT {
 // Score rates the sequence; higher means more failure-prone.
 func (d DFT) Score(seq eventlog.Sequence) (float64, error) {
 	d = d.withDefaults()
-	frames := seq.Delays()
-	if len(frames) == 0 {
+	times := seq.Times
+	if len(times) < 2 {
 		return 0, nil
 	}
 	score := 0.0
 	shrinkRun := 0
-	for i := 1; i < len(frames); i++ {
-		if frames[i] <= frames[i-1]/2 {
+	// The frames are the inter-event delays; step i compares the one
+	// ending at event i with the one before it.
+	for i := 2; i < len(times); i++ {
+		prev, frame := times[i-1]-times[i-2], times[i]-times[i-1]
+		if frame <= prev/2 {
 			score += d.HalvingWeight
 		}
-		if frames[i] < frames[i-1] {
+		if frame < prev {
 			shrinkRun++
 			if shrinkRun >= 3 { // 4 shrinking frames = 3 consecutive decreases
 				score += d.MonotoneWeight

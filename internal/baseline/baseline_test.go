@@ -39,6 +39,24 @@ func TestDFTAcceleratingBeatsSteady(t *testing.T) {
 	}
 }
 
+// TestDFTScoreZeroAlloc: DFT reads the frames straight off the event
+// times, allocating nothing. The accelerating trace scores its four
+// halvings, two monotone-run steps and two 4-in-1 pile-ups.
+func TestDFTScoreZeroAlloc(t *testing.T) {
+	var d DFT
+	seq := seqFromDelays([]float64{16, 8, 4, 2, 1}, 1)
+	var got float64
+	allocs := testing.AllocsPerRun(100, func() {
+		got, _ = d.Score(seq)
+	})
+	if allocs != 0 {
+		t.Fatalf("DFT.Score allocates %.1f per call, want 0", allocs)
+	}
+	if got != 8 {
+		t.Fatalf("accelerating trace scored %g, want 8", got)
+	}
+}
+
 func TestDFTEmptyAndSingle(t *testing.T) {
 	var d DFT
 	if s, _ := d.Score(eventlog.Sequence{}); s != 0 {

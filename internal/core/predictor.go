@@ -23,8 +23,10 @@ func (f PredictorFunc) Evaluate(now float64) (float64, error) { return f(now) }
 // BatchPredictor is the optional batched-evaluation capability of a
 // LayerPredictor: one call scores a whole slice of times, letting
 // table-driven predictors amortize feature extraction and score through
-// the allocation-free batch kernels (hsmm.Classifier.ScoreAllInto,
-// ubf.Network.PredictRowsInto) on the online path. The contract is
+// allocation-free batch kernels on the online path: the HSMM predictor
+// scores in storage it owns and takes its last score again for a window
+// equal to the last one it scored (hsmm.Predictor.EvaluateBatch), the UBF
+// predictor predicts every row in one call (ubf.Network.PredictRowsInto). The contract is
 // strict: a successful EvaluateBatch(nows, out) must write bit-identical
 // scores to len(nows) successive Evaluate calls — that is what keeps
 // batch boundaries observationally invisible. On error the whole batch

@@ -18,19 +18,6 @@ type Sequence struct {
 // Len returns the number of events in the sequence.
 func (s Sequence) Len() int { return len(s.Types) }
 
-// Delays returns the inter-event delays (len-1 values); useful for
-// duration-distribution fitting.
-func (s Sequence) Delays() []float64 {
-	if len(s.Times) < 2 {
-		return nil
-	}
-	out := make([]float64, len(s.Times)-1)
-	for i := 1; i < len(s.Times); i++ {
-		out[i-1] = s.Times[i] - s.Times[i-1]
-	}
-	return out
-}
-
 // sequenceInto writes the re-based sequence for the column index range
 // [lo, hi) straight from the log's columns into s, reusing s.Times/s.Types
 // capacity when sufficient. No intermediate []Event exists: times and

@@ -114,17 +114,12 @@ func TestExtractValidation(t *testing.T) {
 	}
 }
 
-func TestSequenceDelays(t *testing.T) {
-	s := Sequence{Times: []float64{0, 2, 5}, Types: []int{1, 2, 3}}
-	d := s.Delays()
-	if len(d) != 2 || d[0] != 2 || d[1] != 3 {
-		t.Fatalf("Delays = %v", d)
+func TestSequenceLen(t *testing.T) {
+	if n := (Sequence{Times: []float64{0, 2, 5}, Types: []int{1, 2, 3}}).Len(); n != 3 {
+		t.Fatalf("three-event sequence Len = %d", n)
 	}
 	if (Sequence{}).Len() != 0 {
 		t.Fatal("empty sequence Len != 0")
-	}
-	if (Sequence{Times: []float64{1}, Types: []int{1}}).Delays() != nil {
-		t.Fatal("single-event Delays should be nil")
 	}
 }
 

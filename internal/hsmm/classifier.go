@@ -61,26 +61,29 @@ func TrainClassifier(failure, nonFailure []eventlog.Sequence, cfg Config) (*Clas
 // evidence either way): an empty error window is the hallmark of a healthy
 // system.
 func (c *Classifier) Score(seq eventlog.Sequence) (float64, error) {
-	return c.score(seq, (*Model).LogLikelihood)
+	s := spacePool.Get().(*scoreSpace)
+	defer spacePool.Put(s)
+	return s.score(c, seq, 0, nil)
 }
 
-// logLikelihoodFunc computes a model's LogLikelihood of a sequence.
-type logLikelihoodFunc func(m *Model, seq eventlog.Sequence) (float64, error)
-
-// score is Score with both likelihoods computed by ll.
-func (c *Classifier) score(seq eventlog.Sequence, ll logLikelihoodFunc) (float64, error) {
+// score is c.Score(seq) computed in s's storage: the delays once, then
+// each model's emission indices, duration table and forward pass. rows,
+// when not nil, carries the failure and non-failure models' forward rows
+// from call to call as logLikelihood's last does, each n long: a pass
+// with from > 0 resumes at event from.
+func (s *scoreSpace) score(c *Classifier, seq eventlog.Sequence, from int, rows *[2][]float64) (float64, error) {
 	if seq.Len() == 0 {
 		return 0, nil
 	}
-	lf, err := ll(c.Failure, seq)
-	if err != nil {
-		return 0, err
+	var lastF, lastNF []float64
+	if rows != nil {
+		rows[0] = growF64(rows[0], c.Failure.n)
+		rows[1] = growF64(rows[1], c.NonFailure.n)
+		lastF, lastNF = rows[0], rows[1]
 	}
-	ln, err := ll(c.NonFailure, seq)
-	if err != nil {
-		return 0, err
-	}
-	score := lf - ln
+	s.p.setDelays(seq.Times)
+	score := s.logLikelihood(c.Failure, seq.Types, from, lastF) -
+		s.logLikelihood(c.NonFailure, seq.Types, from, lastNF)
 	if math.IsNaN(score) {
 		return 0, fmt.Errorf("%w: NaN score", ErrModel)
 	}
@@ -90,7 +93,7 @@ func (c *Classifier) score(seq eventlog.Sequence, ll logLikelihoodFunc) (float64
 // ScoreAll scores a batch of sequences, fanning the windows across a
 // GOMAXPROCS-bounded worker pool. Models are read-only during scoring, so
 // the workers share them without locking; each scores in storage of its own
-// (scoreSpace), so a batch's allocations depend neither on the pools' state
+// (scoreSpace), so a batch's allocations depend neither on the pool's state
 // nor on scheduling. Results come back in input order (scores[i]
 // corresponds to seqs[i]) regardless of scheduling. This is the case-study
 // path: scoring the full evaluation grid is embarrassingly parallel.
@@ -104,9 +107,9 @@ func (c *Classifier) ScoreAll(seqs []eventlog.Sequence) ([]float64, error) {
 	for _, s := range seqs {
 		k = max(k, s.Len())
 	}
-	space := func() logLikelihoodFunc { return newScoreSpace(k, n).logLikelihood }
-	par.ForScratch(0, len(seqs), space, func(ll logLikelihoodFunc, i int) {
-		sc, err := c.score(seqs[i], ll)
+	space := func() *scoreSpace { return newScoreSpace(k, n) }
+	par.ForScratch(0, len(seqs), space, func(s *scoreSpace, i int) {
+		sc, err := s.score(c, seqs[i], 0, nil)
 		if err != nil {
 			errOnce.Do(func() { firstErr = err })
 			return
@@ -119,17 +122,17 @@ func (c *Classifier) ScoreAll(seqs []eventlog.Sequence) ([]float64, error) {
 	return scores, nil
 }
 
-// ScoreAllInto scores seqs into out (len(seqs)) without allocating — the
-// online batch path. It runs sequentially: online chunks are small and the
-// runtime already parallelizes across layers, and a sequential scan is
-// trivially bit-identical to per-sequence Score calls (the batch-kernel
-// contract of core.BatchPredictor).
+// ScoreAllInto scores seqs into out (len(seqs)) without allocating, in one
+// scoreSpace from the pool. It runs sequentially: a sequential scan is
+// trivially bit-identical to per-sequence Score calls.
 func (c *Classifier) ScoreAllInto(seqs []eventlog.Sequence, out []float64) error {
 	if len(out) < len(seqs) {
 		return fmt.Errorf("%w: out has len %d, want %d", ErrModel, len(out), len(seqs))
 	}
-	for i, s := range seqs {
-		sc, err := c.Score(s)
+	s := spacePool.Get().(*scoreSpace)
+	defer spacePool.Put(s)
+	for i, seq := range seqs {
+		sc, err := s.score(c, seq, 0, nil)
 		if err != nil {
 			return err
 		}

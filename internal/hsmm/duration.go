@@ -56,6 +56,20 @@ type durationDist struct {
 	family DurationFamily
 	// lognormal parameters of log-delay, or exponential rate in mu.
 	mu, sigma float64
+	// norm is the log-density's per-state constant, cached by
+	// refreshNorm: −log σ − ½·log 2π (lognormal) or log μ (exponential).
+	norm float64
+}
+
+// refreshNorm recomputes norm after mu or sigma change. Every score's
+// bits depend on these exact expressions (TestScorePathsGolden).
+func (d *durationDist) refreshNorm() {
+	switch d.family {
+	case FamilyLogNormal:
+		d.norm = -math.Log(d.sigma) - 0.5*math.Log(2*math.Pi)
+	case FamilyExponential:
+		d.norm = math.Log(d.mu)
+	}
 }
 
 // newDuration returns a weakly-informative initial distribution.
@@ -90,23 +104,22 @@ func (d durationDist) logPDF(dt float64) float64 {
 // row of a prepared sequence's duration table. logDelays carries
 // log(max(delays[t], minDelay)) precomputed once per sequence, so the
 // lognormal row costs no transcendental calls in the loop: the per-state
-// constants are hoisted and each cell is a handful of multiply-adds.
+// constant comes from the model's cache (norm) and each cell is a handful
+// of multiply-adds.
 func (d durationDist) fillLogPDF(dst, delays, logDelays []float64) {
 	switch d.family {
 	case FamilyLogNormal:
-		c := -math.Log(d.sigma) - 0.5*math.Log(2*math.Pi)
 		inv := 1 / d.sigma
 		for t, ld := range logDelays {
 			z := (ld - d.mu) * inv
-			dst[t] = -0.5*z*z - ld + c
+			dst[t] = -0.5*z*z - ld + d.norm
 		}
 	case FamilyExponential:
-		logMu := math.Log(d.mu)
 		for t, dt := range delays {
 			if dt < minDelay {
 				dt = minDelay
 			}
-			dst[t] = logMu - d.mu*dt
+			dst[t] = d.norm - d.mu*dt
 		}
 	default: // FamilyNone: durations carry no information
 		for t := range dst {

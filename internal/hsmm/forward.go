@@ -1,20 +1,18 @@
 package hsmm
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
-	"repro/internal/eventlog"
 	"repro/internal/stats"
 )
 
 // The inference kernels below are allocation-free on the steady-state path:
-// lattices are flat k×n row-major buffers recycled through pools, or held
-// by a batch's workers (scoreSpace), the
-// duration log-PDFs come from the prepared sequence's table (built once per
-// prepare/refreshDur instead of once per lattice cell), and transition and
-// emission parameters are read from the model's flat caches.
+// lattices are flat k×n row-major buffers held by the scorer (scoreSpace),
+// the duration log-PDFs come from the prepared sequence's table (built once
+// per model per window, or per EM iteration, instead of once per lattice
+// cell), and transition and emission parameters are read from the model's
+// flat caches.
 //
 // The forward and backward recursions hoist the exponentials out of the
 // cell loop. A step's n cells all sum over the same n predecessor (or
@@ -34,49 +32,19 @@ import (
 // (TestOptimizedKernelsMatchReference). Floored models — everything Fit
 // produces — never take the fallback.
 
-// bufPool recycles the flat float64 lattices and scratch rows.
-var bufPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// getBuf returns a length-n float64 buffer from the pool (contents
-// arbitrary); return it with putBuf.
-func getBuf(n int) *[]float64 {
-	bp := bufPool.Get().(*[]float64)
-	if cap(*bp) < n {
-		*bp = make([]float64, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
-}
-
-func putBuf(bp *[]float64) { bufPool.Put(bp) }
-
-// LogLikelihood returns log P(sequence | model) via the forward algorithm
-// in log space. The semi-Markov duration densities enter at every
-// transition. Empty sequences are an error.
-func (m *Model) LogLikelihood(seq eventlog.Sequence) (float64, error) {
-	k := seq.Len()
-	if k == 0 {
-		return 0, errEmptySequence
-	}
-	p, bp := m.prepare(seq), getBuf(k*m.n+2*m.n)
-	ll := m.forwardLL(p, *bp)
-	putBuf(bp)
-	p.release()
-	return ll, nil
-}
-
-var errEmptySequence = fmt.Errorf("%w: empty sequence", ErrModel)
-
-// scoreSpace is one scoring worker's own storage for what LogLikelihood
-// borrows from the pools: the prepared sequence and the lattice with its two
-// scratch rows. Classifier.ScoreAll gives each worker one (par.ForScratch),
-// sized for the batch's longest sequence, so a batch allocates the same
-// however often a GC has emptied the pools and whichever sequences each
-// worker happens to claim.
+// scoreSpace is all the storage scoring needs: one prepared sequence,
+// whose delays both models of a classifier share and whose emission
+// indices and duration table each model refills, and the lattice with its
+// two scratch rows. Every scorer owns one: each ScoreAll worker
+// (par.ForScratch, sized for the batch's longest sequence), a Predictor's
+// EvaluateBatch, and, through spacePool, each Score or ScoreAllInto call.
 type scoreSpace struct {
 	p       prepared
 	lattice []float64
 }
+
+// spacePool lends Score and ScoreAllInto a scoreSpace, once a call.
+var spacePool = sync.Pool{New: func() any { return new(scoreSpace) }}
 
 // newScoreSpace returns a scoreSpace that holds sequences of up to k events
 // under models of up to n states without growing.
@@ -92,26 +60,24 @@ func newScoreSpace(k, n int) *scoreSpace {
 	}
 }
 
-// logLikelihood is m.LogLikelihood(seq) computed in s's storage.
-func (s *scoreSpace) logLikelihood(m *Model, seq eventlog.Sequence) (float64, error) {
-	k := seq.Len()
-	if k == 0 {
-		return 0, errEmptySequence
+// logLikelihood returns log P(sequence | m) for the sequence whose times
+// s.p.setDelays last took and whose event types are types. A non-nil last
+// carries m's forward row from one call to the next: on entry, when from
+// > 0, its row at event from−1 of this sequence, where the forward pass
+// then resumes; on return its row at the sequence's last event.
+func (s *scoreSpace) logLikelihood(m *Model, types []int, from int, last []float64) float64 {
+	s.p.setModel(m, types)
+	n, k := m.n, len(types)
+	s.lattice = growF64(s.lattice, k*n+2*n)
+	alpha, tmp, row := s.lattice[:k*n], s.lattice[k*n:k*n+n], s.lattice[k*n+n:]
+	if from > 0 {
+		copy(alpha[(from-1)*n:from*n], last)
+		m.forwardFrom(&s.p, from, alpha, tmp, row)
+	} else {
+		m.forwardInto(&s.p, alpha, tmp, row)
 	}
-	m.prepareInto(&s.p, seq)
-	s.lattice = growF64(s.lattice, k*m.n+2*m.n)
-	return m.forwardLL(&s.p, s.lattice), nil
-}
-
-// forwardLL runs the forward pass over p in buf — the k×n lattice, then two
-// n-sized scratch rows — and returns log P(sequence | model).
-func (m *Model) forwardLL(p *prepared, buf []float64) float64 {
-	k := len(p.obs)
-	alpha := buf[:k*m.n]
-	tmp := buf[k*m.n : k*m.n+m.n]
-	row := buf[k*m.n+m.n:]
-	m.forwardInto(p, alpha, tmp, row)
-	return stats.LogSumExpSlice(alpha[(k-1)*m.n:])
+	copy(last, alpha[(k-1)*n:])
+	return stats.LogSumExpSlice(alpha[(k-1)*n:])
 }
 
 // hoistFloor is the smallest hoisted sum the lattices take a logarithm of.
@@ -157,11 +123,19 @@ func shiftedExp(e, x []float64) float64 {
 // alpha[t*n+j] = log P(o_1..o_t, s_t=j). tmp and row are n-sized scratch
 // buffers owned by the caller.
 func (m *Model) forwardInto(p *prepared, alpha, tmp, row []float64) {
-	n, k := m.n, len(p.obs)
-	for j := 0; j < n; j++ {
+	for j := 0; j < m.n; j++ {
 		alpha[j] = m.logPi[j] + m.logBf[j*m.m+p.obs[0]]
 	}
-	for t := 1; t < k; t++ {
+	m.forwardFrom(p, 1, alpha, tmp, row)
+}
+
+// forwardFrom fills the forward lattice's rows from t = from on, each from
+// the row before it. A row depends only on that row and event t's delay
+// and type, so a lattice resumed at a row another pass of the same
+// prefix computed is bit for bit the one a full pass fills.
+func (m *Model) forwardFrom(p *prepared, from int, alpha, tmp, row []float64) {
+	n, k := m.n, len(p.obs)
+	for t := from; t < k; t++ {
 		prev := alpha[(t-1)*n : t*n]
 		cur := alpha[t*n : (t+1)*n]
 		// The duration term depends on (i, t) only: fold it into the

@@ -3,7 +3,6 @@ package hsmm
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/eventlog"
 	"repro/internal/stats"
@@ -75,7 +74,7 @@ type Model struct {
 	dur     []durationDist // n per-state duration distributions
 	family  DurationFamily
 
-	// Flat kernel caches derived from logA/logB by refreshKernel (at init,
+	// Kernel caches derived from the parameters by refreshKernel (at init,
 	// after every M step, and on deserialization): logAf is row-major
 	// (logAf[i*n+j] = logA[i][j]), logAT is its transpose
 	// (logAT[j*n+i] = logA[i][j]), logBf is row-major
@@ -84,12 +83,20 @@ type Model struct {
 	// the lattices sum over them after one exponential per predecessor, and
 	// read logAf/logAT only in the cells that fall back to log space. The
 	// hot kernels walk all of these contiguously instead of chasing per-row
-	// slice headers.
+	// slice headers. Each dur[i] caches its log-density constant (norm),
+	// and slots is symbols as a dense table: slots[typ] is the emission
+	// index of every type from 0 to the largest trained one (at most
+	// maxSlotType), the catch-all slot where training saw no such type.
 	logAf, logAT, logBf []float64
 	af, aT              []float64
+	slots               []int
 }
 
-// refreshKernel rebuilds the flat caches after logA/logB change.
+// maxSlotType bounds the dense type table: a trained type above it, or a
+// negative one, is looked up in the symbols map instead.
+const maxSlotType = 1 << 12
+
+// refreshKernel rebuilds the kernel caches after the parameters change.
 func (m *Model) refreshKernel() {
 	if len(m.logAf) != m.n*m.n {
 		m.logAf = make([]float64, m.n*m.n)
@@ -108,6 +115,24 @@ func (m *Model) refreshKernel() {
 			m.af[i*m.n+j], m.aT[j*m.n+i] = a, a
 		}
 		copy(m.logBf[i*m.m:(i+1)*m.m], m.logB[i])
+		m.dur[i].refreshNorm()
+	}
+	if m.slots == nil { // the alphabet is fixed at construction
+		top := -1
+		for typ := range m.symbols {
+			if typ <= maxSlotType {
+				top = max(top, typ)
+			}
+		}
+		m.slots = make([]int, top+1)
+		for typ := range m.slots {
+			m.slots[typ] = m.unknownSlot()
+		}
+		for typ, idx := range m.symbols {
+			if typ >= 0 && typ < len(m.slots) {
+				m.slots[typ] = idx
+			}
+		}
 	}
 }
 
@@ -116,6 +141,9 @@ func (m *Model) unknownSlot() int { return m.m - 1 }
 
 // symbolIndex maps an event type to its emission index.
 func (m *Model) symbolIndex(eventType int) int {
+	if uint(eventType) < uint(len(m.slots)) {
+		return m.slots[eventType]
+	}
 	if i, ok := m.symbols[eventType]; ok {
 		return i
 	}
@@ -182,14 +210,16 @@ func normalizeToLog(w []float64) []float64 {
 	return out
 }
 
-// prepared is a sequence translated to the model's emission alphabet plus
+// prepared is a sequence translated to a model's emission alphabet plus
 // the per-sequence tables the kernels index instead of recomputing:
 // inter-event delays, clamped log-delays, and the n×k duration log-PDF
 // table. forward, backward and the EM ξ-accumulation all read
 // durLP, turning the O(n·k²) transcendental calls of the naive lattices
-// into an O(n·k) table build. A scoring call's instance is recycled
-// through prepPool (prepare, release), a batch worker's is its own
-// (scoreSpace), and so are an EM run's (prepareAll).
+// into an O(n·k) table build. The delays depend on the sequence alone
+// (setDelays) and the emission indices and duration table on the model too
+// (setModel), so a classifier fills the first half once per window and the
+// second once per model. A scorer's instance lives in its scoreSpace; an
+// EM run's are carved from arrays it owns (prepareAll).
 type prepared struct {
 	obs    []int     // emission indices
 	delays []float64 // delays[t] is the delay preceding event t (t ≥ 1)
@@ -197,34 +227,10 @@ type prepared struct {
 	durLP  []float64 // n×k row-major: durLP[i*k+t] = dur[i].logPDF(delays[t])
 }
 
-// prepPool recycles prepared buffers across LogLikelihood/EM calls
-// so the steady-state inference path allocates nothing.
-var prepPool = sync.Pool{New: func() any { return new(prepared) }}
-
-// prepare translates an event sequence for this model's alphabet and builds
-// the duration table for the model's current parameters. Release the result
-// with release().
-func (m *Model) prepare(seq eventlog.Sequence) *prepared {
-	p := prepPool.Get().(*prepared)
-	m.prepareInto(p, seq)
-	return p
-}
-
-// prepareInto sizes p's buffers for seq, growing them only when they are
-// too short, and fills them.
-func (m *Model) prepareInto(p *prepared, seq eventlog.Sequence) {
-	k := seq.Len()
-	p.obs = growInts(p.obs, k)
-	p.delays = growF64(p.delays, k)
-	p.logDel = growF64(p.logDel, k)
-	p.durLP = growF64(p.durLP, m.n*k)
-	m.fill(p, seq)
-}
-
 // prepareAll prepares every sequence of an EM run into storage the run
 // owns: one array per buffer kind, carved in sequence order, so a run
 // allocates the same four arrays and one slice however many sequences it
-// fits, and takes nothing from prepPool.
+// fits.
 func (m *Model) prepareAll(seqs []eventlog.Sequence) []prepared {
 	events := 0
 	for _, s := range seqs {
@@ -240,25 +246,40 @@ func (m *Model) prepareAll(seqs []eventlog.Sequence) []prepared {
 		p.obs, obs = obs[:k:k], obs[k:]
 		p.delays, p.logDel, f = f[:k:k], f[k:2*k:2*k], f[2*k:]
 		p.durLP, durLP = durLP[:m.n*k:m.n*k], durLP[m.n*k:]
-		m.fill(p, s)
+		p.setDelays(s.Times)
+		p.setModel(m, s.Types)
 	}
 	return ps
 }
 
-// fill translates seq into p, whose buffers have its length, and builds
-// the duration table.
-func (m *Model) fill(p *prepared, seq eventlog.Sequence) {
-	for t, typ := range seq.Types {
-		p.obs[t] = m.symbolIndex(typ)
+// setDelays fills the model-independent half of p from a sequence's event
+// times: the delays and their clamped logarithms. p's buffers grow only
+// when they are too short.
+func (p *prepared) setDelays(times []float64) {
+	k := len(times)
+	p.delays = growF64(p.delays, k)
+	p.logDel = growF64(p.logDel, k)
+	for t := range times {
 		d := 0.0
 		if t > 0 {
-			d = seq.Times[t] - seq.Times[t-1]
+			d = times[t] - times[t-1]
 		}
 		p.delays[t] = d
 		if d < minDelay {
 			d = minDelay
 		}
 		p.logDel[t] = math.Log(d)
+	}
+}
+
+// setModel fills m's half of p, whose delays are set: the emission index
+// of every event type and the duration table.
+func (p *prepared) setModel(m *Model, types []int) {
+	k := len(types)
+	p.obs = growInts(p.obs, k)
+	p.durLP = growF64(p.durLP, m.n*k)
+	for t, typ := range types {
+		p.obs[t] = m.symbolIndex(typ)
 	}
 	p.refreshDur(m)
 }
@@ -271,9 +292,6 @@ func (p *prepared) refreshDur(m *Model) {
 		m.dur[i].fillLogPDF(p.durLP[i*k:(i+1)*k], p.delays, p.logDel)
 	}
 }
-
-// release returns the prepared buffers to the pool.
-func (p *prepared) release() { prepPool.Put(p) }
 
 // growF64 returns buf resized to length n, reallocating only when the
 // capacity is insufficient (contents arbitrary).

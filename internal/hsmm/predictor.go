@@ -37,9 +37,23 @@ type Predictor struct {
 	window   func(now float64) (failure, nonFailure []eventlog.Sequence, err error)
 	cfg      Config
 	gen      uint64
-	// seqs is EvaluateBatch's gather buffer, reused from call to call: the
-	// evaluation exclusion a layer scores under admits one call at a time.
-	seqs []eventlog.Sequence
+	// EvaluateBatch's own storage, reused from call to call: the evaluation
+	// exclusion a layer scores under admits one call at a time. seqs is the
+	// gather buffer, space the scoring storage, memo the last window scored.
+	seqs  []eventlog.Sequence
+	space scoreSpace
+	memo  windowMemo
+}
+
+// windowMemo is the last window a Predictor scored: a copy of its events,
+// its score, and each model's forward row at its last event. The models
+// never change, so a window equal to it has its score, bit for bit, and a
+// window that begins with it has its forward rows up to there.
+type windowMemo struct {
+	seq   eventlog.Sequence
+	score float64
+	rows  [2][]float64
+	ok    bool
 }
 
 var (
@@ -87,13 +101,19 @@ func (p *Predictor) Evaluate(now float64) (float64, error) {
 }
 
 // EvaluateBatch implements core.BatchPredictor: it gathers the event
-// window for every evaluation time, then scores them all through the
-// classifier's allocation-free batch kernel (ScoreAllInto) — one
-// versioned-handle load and one sequence-source sweep per batch,
-// bit-identical to per-time Evaluate. A failing sequence source or score
-// fails the whole batch (the layer then abstains for every time in it).
-// Not safe for concurrent calls on one predictor (see Predictor.seqs).
+// window for every evaluation time, then scores them in order in the
+// predictor's own scoreSpace — one versioned-handle load and one
+// sequence-source sweep per batch, bit-identical to per-time Evaluate.
+// Each window is compared with the last one scored (the memo): an equal
+// window (no error arrived or aged out in between) takes its score without
+// being scored again, and a window that only grew at the end resumes the
+// forward passes where that window's ended. A failing sequence source or
+// score fails the whole batch (the layer then abstains for every time in
+// it). Not safe for concurrent calls on one predictor (see Predictor.seqs).
 func (p *Predictor) EvaluateBatch(nows []float64, out []float64) error {
+	if len(out) < len(nows) {
+		return fmt.Errorf("%w: out has len %d, want %d", ErrModel, len(out), len(nows))
+	}
 	p.seqs = p.seqs[:0]
 	// The windows belong to the sequence source: do not keep them alive
 	// past the call.
@@ -105,7 +125,39 @@ func (p *Predictor) EvaluateBatch(nows []float64, out []float64) error {
 		}
 		p.seqs = append(p.seqs, seq)
 	}
-	return p.clf.ScoreAllInto(p.seqs, out)
+	m := &p.memo
+	for i, seq := range p.seqs {
+		from := 0
+		if m.ok && sharedPrefix(seq, m.seq) == m.seq.Len() {
+			if seq.Len() == m.seq.Len() {
+				out[i] = m.score
+				continue
+			}
+			from = m.seq.Len()
+		}
+		m.ok = false // the forward rows change before the events do
+		sc, err := p.space.score(p.clf, seq, from, &m.rows)
+		if err != nil {
+			return err
+		}
+		out[i] = sc
+		m.seq.Times = append(m.seq.Times[:0], seq.Times...)
+		m.seq.Types = append(m.seq.Types[:0], seq.Types...)
+		m.score, m.ok = sc, true
+	}
+	return nil
+}
+
+// sharedPrefix returns how many leading events a and b have in common,
+// time and type.
+func sharedPrefix(a, b eventlog.Sequence) int {
+	n := min(a.Len(), b.Len())
+	for i := 0; i < n; i++ {
+		if a.Times[i] != b.Times[i] || a.Types[i] != b.Types[i] {
+			return i
+		}
+	}
+	return n
 }
 
 // CaptureWindow snapshots the recent labeled sequences for a refit.

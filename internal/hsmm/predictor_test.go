@@ -142,9 +142,9 @@ func TestHSMMPredictorWindowValidation(t *testing.T) {
 	}
 }
 
-// TestHSMMPredictorEvaluateBatch: the allocation-free batch kernel
-// (ScoreAllInto) must score every gathered window bit-identically to
-// per-time Evaluate — the core.BatchPredictor contract.
+// TestHSMMPredictorEvaluateBatch: the batch path must score every
+// gathered window bit-identically to per-time Evaluate — the
+// core.BatchPredictor contract.
 func TestHSMMPredictorEvaluateBatch(t *testing.T) {
 	failure, nonFailure := labeledWindow(1, 10)
 	cfg := Config{States: 2, MaxIter: 10, Seed: 3}
@@ -185,9 +185,8 @@ func TestHSMMPredictorEvaluateBatch(t *testing.T) {
 		t.Fatal("all batch scores identical — sequence source did not vary, test is vacuous")
 	}
 	// The gather buffer is per-predictor scratch: a warmed predictor gathers
-	// into the same array again, and keeps no window alive between calls.
-	// (No AllocsPerRun here: the kernel's sync.Pool scratch allocates under
-	// the race detector.)
+	// into the same array again, and keeps no window alive between calls
+	// (TestPredictorEvaluateBatchZeroAlloc counts the allocations).
 	buf := &p.seqs[:1][0]
 	if err := p.EvaluateBatch(nows[:1], out[:1]); err != nil {
 		t.Fatal(err)
@@ -235,5 +234,49 @@ func TestScoreAllIntoShortOut(t *testing.T) {
 	}
 	if err := clf.ScoreAllInto(failure, make([]float64, len(failure)-1)); err == nil {
 		t.Fatal("undersized out accepted")
+	}
+}
+
+// TestPredictorEvaluateBatchZeroAlloc: a warmed EvaluateBatch allocates
+// nothing, whether each window is unlike the one scored before it (scored
+// in the predictor's scoreSpace and copied into the memo), begins with it
+// (the forward passes resume where the memo's ended) or equals it (the
+// memo's score is returned), and every score is Score's, bit for bit.
+func TestPredictorEvaluateBatchZeroAlloc(t *testing.T) {
+	failure, nonFailure := labeledWindow(1, 10)
+	clf, err := TrainClassifier(failure, nonFailure, Config{States: 2, MaxIter: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := failure[0]
+	windows := []eventlog.Sequence{a, nonFailure[0], {Times: a.Times[:4], Types: a.Types[:4]}}
+	p, err := NewPredictor(clf,
+		func(now float64) (eventlog.Sequence, error) { return windows[int(now)], nil }, nil, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, 2)
+	for _, c := range []struct {
+		name string
+		nows []float64
+	}{{"unlike", []float64{0, 1}}, {"grown", []float64{2, 0}}, {"equal", []float64{1, 1}}} {
+		run := func() {
+			if err := p.EvaluateBatch(c.nows, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		if a := testing.AllocsPerRun(100, run); a != 0 {
+			t.Errorf("%s: EvaluateBatch allocates %.1f per call, want 0", c.name, a)
+		}
+		for i, now := range c.nows {
+			want, err := clf.Score(windows[int(now)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(out[i]) != math.Float64bits(want) {
+				t.Errorf("%s: out[%d] = %g, want %g", c.name, i, out[i], want)
+			}
+		}
 	}
 }

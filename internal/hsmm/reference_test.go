@@ -1,6 +1,7 @@
 package hsmm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -15,6 +16,31 @@ import (
 // specification for the optimized kernels in forward.go and the E-step in
 // train.go. The property tests below assert the two agree within 1e-9 on
 // randomized models and sequences.
+
+// LogLikelihood returns log P(seq | m) through the scoring path — one
+// model's half of Classifier.Score, in a scoreSpace from the pool — for
+// the tests that hold a single model to its reference or its properties.
+// Empty sequences are an error.
+func (m *Model) LogLikelihood(seq eventlog.Sequence) (float64, error) {
+	if seq.Len() == 0 {
+		return 0, fmt.Errorf("%w: empty sequence", ErrModel)
+	}
+	s := spacePool.Get().(*scoreSpace)
+	defer spacePool.Put(s)
+	s.p.setDelays(seq.Times)
+	return s.logLikelihood(m, seq.Types, 0, nil), nil
+}
+
+// prepare fills a fresh prepared sequence for m as the scoring path does.
+func (m *Model) prepare(seq eventlog.Sequence) *prepared {
+	p := new(prepared)
+	p.setDelays(seq.Times)
+	p.setModel(m, seq.Types)
+	return p
+}
+
+// release ends a prepare; the storage is the garbage collector's.
+func (p *prepared) release() {}
 
 // refPrepared mirrors the pre-optimization sequence translation.
 type refPrepared struct {

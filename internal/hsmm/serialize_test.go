@@ -103,3 +103,91 @@ func TestLoadClassifierErrors(t *testing.T) {
 		t.Fatal("empty classifier marshaled")
 	}
 }
+
+// TestLoadClassifierRefusesMalformedModels: a classifier file whose
+// duration parameters no density has, or whose numbers are not finite, is
+// refused by LoadClassifier with an error naming the state and the field,
+// where it used to load and score every window −Inf with a nil error. A
+// well-formed file of either duration family loads and scores bit for bit
+// as the classifier that was saved.
+func TestLoadClassifierRefusesMalformedModels(t *testing.T) {
+	g := stats.NewRNG(57)
+	failure, nonFailure := genFailureSeqs(g, 10), genNonFailureSeqs(g, 10)
+	save := func(family DurationFamily) (*Classifier, string) {
+		clf, err := TrainClassifier(failure, nonFailure, Config{States: 3, Family: family, MaxIter: 10, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := SaveClassifier(&buf, clf); err != nil {
+			t.Fatal(err)
+		}
+		return clf, buf.String()
+	}
+	logNormal, lnFile := save(FamilyLogNormal)
+	exponential, expFile := save(FamilyExponential)
+
+	probes := append(genFailureSeqs(g, 4), genNonFailureSeqs(g, 4)...)
+	for _, c := range []struct {
+		clf  *Classifier
+		file string
+	}{{logNormal, lnFile}, {exponential, expFile}} {
+		loaded, err := LoadClassifier(strings.NewReader(c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seq := range probes {
+			want, err := c.clf.Score(seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := loaded.Score(seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: loaded classifier scores %g, saved one %g", c.clf.Failure.Family(), got, want)
+			}
+		}
+	}
+
+	// setDuration rewrites one field of the non-failure model's state 1.
+	setDuration := func(file, field string, v any) string {
+		var dto map[string]any
+		if err := json.Unmarshal([]byte(file), &dto); err != nil {
+			t.Fatal(err)
+		}
+		var model map[string]any
+		if err := json.Unmarshal(mustMarshal(t, dto["nonFailure"]), &model); err != nil {
+			t.Fatal(err)
+		}
+		model["durations"].([]any)[1].(map[string]any)[field] = v
+		dto["nonFailure"] = model
+		return string(mustMarshal(t, dto))
+	}
+	for _, c := range []struct {
+		name, file, want string
+	}{
+		{"zero sigma", setDuration(lnFile, "sigma", 0), "state 1: lognormal sigma 0"},
+		{"negative sigma", setDuration(lnFile, "sigma", -1), "state 1: lognormal sigma -1"},
+		{"zero rate", setDuration(expFile, "mu", 0), "state 1: exponential rate mu 0"},
+		{"negative rate", setDuration(expFile, "mu", -2), "state 1: exponential rate mu -2"},
+		{"overflowing sigma", strings.Replace(setDuration(lnFile, "sigma", 7.25), "7.25", "1e400", 1), "1e400"},
+		{"NaN mu", strings.Replace(setDuration(lnFile, "mu", 7.25), "7.25", "NaN", 1), "invalid character"},
+		{"infinite logPi", strings.Replace(lnFile, `"logPi":[`, `"logPi":[1e999,`, 1), "1e999"},
+	} {
+		_, err := LoadClassifier(strings.NewReader(c.file))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: LoadClassifier error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
