@@ -730,9 +730,10 @@ func (f *Fleet) consume(q *shardQueue) {
 // apply integrates one drained event into its tenant's state and counts it
 // on the tenant.
 func (f *Fleet) apply(it *item) error {
-	err := f.cfg.Apply(it.tn.state, it.ev)
+	ev := it.event()
+	err := f.cfg.Apply(it.tn.state, ev)
 	it.tn.events.Add(1)
-	storeTime(&it.tn.lastEvent, it.ev.Time)
+	storeTime(&it.tn.lastEvent, ev.Time)
 	return err
 }
 

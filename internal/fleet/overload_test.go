@@ -89,7 +89,7 @@ func (h *overloadQueue) drain(t *testing.T, q *shardQueue, chunk int) []string {
 		h.drained += n
 		out := make([]string, n)
 		for i, it := range buf[:n] {
-			out[i] = fmt.Sprintf("%s:%d", it.ev.Tenant, int(it.ev.Time))
+			out[i] = fmt.Sprintf("%s:%d", it.tn.spec.ID, int(it.event().Time))
 		}
 		return out
 	case <-time.After(5 * time.Second):
@@ -303,7 +303,7 @@ func TestShardQueueOverload(t *testing.T) {
 						return
 					}
 					for _, it := range buf[:n] {
-						seen[fmt.Sprintf("%s:%d", it.ev.Tenant, int(it.ev.Time))] = true
+						seen[fmt.Sprintf("%s:%d", it.tn.spec.ID, int(it.event().Time))] = true
 					}
 					h.q.settled(buf, n)
 					h.drained += n

@@ -333,7 +333,7 @@ func TestShardSampleTick(t *testing.T) {
 		t.Fatalf("drained %d, want 8", n)
 	}
 	for i, it := range buf[:n] {
-		if sampled := it.traceStart != 0; sampled != (i%4 == 0) {
+		if sampled := it.p.Stamp() != 0; sampled != (i%4 == 0) {
 			t.Errorf("push %d sampled = %v, want one in 4 from the first", i, sampled)
 		}
 	}

@@ -17,18 +17,21 @@ import (
 // trace keeps pumping past a retired tenant.
 var errTenantRemoved = errors.New("fleet: tenant removed")
 
-// item is one queued event with its routing target resolved (so the
-// consumer never repeats the tenant lookup) and its trace stamp. 128 bytes:
-// every tenant ring is a power-of-two multiple of it. An item is only ever
-// built in its queue slot (admitLocked): the event is copied once, from the
-// producer's record.
+// item is one queued event, packed (ingest.Packed: its trace stamp is the
+// tracer time at which the push first held its shard's lock, which is also
+// the queue offer; 0 means not sampled), with its routing target resolved, so
+// the consumer never repeats the tenant lookup and the tenant's name comes
+// back from it. 80 bytes: every tenant ring is a power-of-two multiple of it.
+// An item is only ever built in its queue slot (admitLocked): the event is
+// packed once, from the producer's record.
 type item struct {
-	ev ingest.Event
+	p  ingest.Packed
 	tn *tenant
-	// traceStart is the tracer time at which the push first held its shard's
-	// lock, which is also the queue offer; 0 means not sampled.
-	traceStart int64
 }
+
+// event reads the item's event back, with its tenant's ID, which routing
+// matched the event's Tenant against.
+func (it *item) event() ingest.Event { return it.p.Event(it.tn.spec.ID) }
 
 // settlement is Barrier's accounting, fleet-wide because a handoff moves
 // queued events between shards: how many events have entered a queue and how
@@ -200,7 +203,7 @@ func (tq *tenantQueue) push(ctx context.Context, ev *ingest.Event) error {
 			}
 			q.admitLocked(tq, ev, traceStart)
 			q.mu.Unlock()
-			q.traceDrop(&old.ev, old.traceStart)
+			q.traceEvicted(&old)
 			return nil
 		case q.policy == runtime.DropNewest:
 			q.metrics.Ingested.Inc()
@@ -232,9 +235,8 @@ func (tq *tenantQueue) push(ctx context.Context, ev *ingest.Event) error {
 // and accounts it ingested.
 func (q *shardQueue) admitLocked(tq *tenantQueue, ev *ingest.Event, traceStart int64) {
 	it := tq.buf.PushSlot()
-	it.ev = *ev
+	it.p = ingest.Pack(ev, traceStart)
 	it.tn = tq.tn
-	it.traceStart = traceStart
 	q.total++
 	q.metrics.Ingested.Inc()
 	q.acct.admitted.Inc()
@@ -415,9 +417,20 @@ func (q *shardQueue) traceDrop(ev *ingest.Event, traceStart int64) {
 	}
 }
 
+// traceEvicted publishes a queued item's partial trace when it is shed.
+func (q *shardQueue) traceEvicted(it *item) {
+	ev := it.event()
+	q.traceDrop(&ev, it.p.Stamp())
+}
+
 // span is a queued item's trace fields, as the drain body reads them.
 func (q *shardQueue) span(it *item) (int64, uint8, string, int) {
-	return it.traceStart, uint8(it.ev.Kind), it.ev.Tenant, q.shard
+	stamp := it.p.Stamp()
+	if stamp == 0 {
+		return 0, 0, "", 0
+	}
+	ev := it.event()
+	return stamp, uint8(ev.Kind), ev.Tenant, q.shard
 }
 
 // wait blocks while nothing is queued and reports false once the queue is
@@ -495,7 +508,7 @@ func (tq *tenantQueue) closeAndDrain() {
 	q.drops.Add(int64(shed))
 	for i := 0; i < shed; i++ {
 		old := tq.buf.Pop()
-		q.traceDrop(&old.ev, old.traceStart)
+		q.traceEvicted(&old)
 	}
 	q.total -= shed
 	q.acct.settled.Add(int64(shed))

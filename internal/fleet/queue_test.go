@@ -9,11 +9,12 @@ import (
 	"repro/internal/runtime"
 )
 
-// TestItemSize pins the queued item at 128 bytes: tenant rings grow by
-// doubling, so every byte here is paid 8, 16, 32… times per tenant.
+// TestItemSize pins the queued item — the packed event with its trace stamp,
+// and its tenant pointer — at 80 bytes: tenant rings grow by doubling, so
+// every byte here is paid 8, 16, 32… times per tenant.
 func TestItemSize(t *testing.T) {
-	if got := unsafe.Sizeof(item{}); got != 128 {
-		t.Errorf("sizeof(item) = %d, want 128", got)
+	if got := unsafe.Sizeof(item{}); got != 80 {
+		t.Errorf("sizeof(item) = %d, want 80", got)
 	}
 }
 
@@ -99,7 +100,7 @@ func TestDRRFairness(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for _, it := range buf[:n] {
-		counts[it.ev.Tenant]++
+		counts[it.tn.spec.ID]++
 	}
 	if counts["s1"] != 5 || counts["s2"] != 5 || counts["s3"] != 5 {
 		t.Errorf("small-tenant take = %v, want 5 each", counts)
@@ -114,11 +115,12 @@ func TestDRRFairness(t *testing.T) {
 	last := map[string]float64{"hot": -1, "s1": -1, "s2": -1, "s3": -1}
 	check := func(buf []item, n int) {
 		for _, it := range buf[:n] {
-			if it.ev.Time <= last[it.ev.Tenant] {
+			ev := it.event()
+			if ev.Time <= last[ev.Tenant] {
 				t.Fatalf("tenant %s reordered: %v after %v",
-					it.ev.Tenant, it.ev.Time, last[it.ev.Tenant])
+					ev.Tenant, ev.Time, last[ev.Tenant])
 			}
-			last[it.ev.Tenant] = it.ev.Time
+			last[ev.Tenant] = ev.Time
 		}
 	}
 	check(buf, n)
@@ -201,7 +203,7 @@ func TestQueueRateLimitUnlimitedPeer(t *testing.T) {
 	n := h.q.drainInto(buf)
 	counts := map[string]int{}
 	for _, it := range buf[:n] {
-		counts[it.ev.Tenant]++
+		counts[it.tn.spec.ID]++
 	}
 	if counts["free"] != 8 {
 		t.Errorf("unlimited tenant drained %d, want all 8", counts["free"])
@@ -238,8 +240,8 @@ func TestMoveQueuePreservesBacklog(t *testing.T) {
 		t.Fatalf("destination drained %d, want 10", n)
 	}
 	for i, it := range buf[:9] {
-		if it.ev.Time != float64(i) {
-			t.Fatalf("item %d out of order after handoff: time %v", i, it.ev.Time)
+		if tm := it.event().Time; tm != float64(i) {
+			t.Fatalf("item %d out of order after handoff: time %v", i, tm)
 		}
 	}
 	dst.settled(buf, n)

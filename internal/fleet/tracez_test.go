@@ -15,13 +15,10 @@ import (
 	"repro/internal/runtime"
 )
 
-// tracezPlanes builds both HTTP planes over traced pipelines that have each
-// run one cycle over a handful of events: the single-tenant runtime's and
-// the fleet's.
-func tracezPlanes(t *testing.T) map[string]http.Handler {
+// quietRuntime builds a single-tenant runtime over one silent layer; it is
+// stopped when the test ends.
+func quietRuntime(t *testing.T, cfg runtime.Config) *runtime.Runtime {
 	t.Helper()
-	ctx := context.Background()
-
 	sel, err := act.NewSelector(act.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
@@ -32,23 +29,32 @@ func tracezPlanes(t *testing.T) map[string]http.Handler {
 		t.Fatal(err)
 	}
 	layer := &core.Layer{Name: "quiet", Predictor: core.PredictorFunc(func(float64) (float64, error) { return 0, nil }), Threshold: 0.5}
-	engine, err := core.New(nil, []*core.Layer{layer}, nil, sel, []*act.Action{noop}, nil,
+	cfg.Engine, err = core.New(nil, []*core.Layer{layer}, nil, sel, []*act.Action{noop}, nil,
 		core.Config{EvalInterval: 1, LeadTime: 1, WarnThreshold: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtTracer := obs.NewTracer(8)
-	rtTracer.SetSampleInterval(1)
-	rt, err := runtime.New(runtime.Config{
-		Engine: engine, Apply: func(ingest.Event) error { return nil }, Tracer: rtTracer,
-	})
+	rt, err := runtime.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = rt.Stop(context.Background()) })
+	return rt
+}
+
+// tracezPlanes builds both HTTP planes over traced pipelines that have each
+// run one cycle over a handful of events: the single-tenant runtime's and
+// the fleet's.
+func tracezPlanes(t *testing.T) map[string]http.Handler {
+	t.Helper()
+	ctx := context.Background()
+
+	rtTracer := obs.NewTracer(8)
+	rtTracer.SetSampleInterval(1)
+	rt := quietRuntime(t, runtime.Config{Apply: func(ingest.Event) error { return nil }, Tracer: rtTracer})
 	if err := rt.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = rt.Stop(ctx) })
 
 	clock := newTestClock(0)
 	cfg := testFleetConfig(specs("a", "b"), clock)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // modelJSON is the stable on-disk representation of a Model.
@@ -11,10 +12,49 @@ type modelJSON struct {
 	States   int            `json:"states"`
 	Alphabet []int          `json:"alphabet"` // event types, in emission-index order
 	Family   string         `json:"family"`
-	LogPi    []float64      `json:"logPi"`
-	LogA     [][]float64    `json:"logA"`
-	LogB     [][]float64    `json:"logB"`
+	LogPi    []logProb      `json:"logPi"`
+	LogA     [][]logProb    `json:"logA"`
+	LogB     [][]logProb    `json:"logB"`
 	Dur      []durationJSON `json:"durations"`
+}
+
+// logProb is one log-probability on disk. JSON has no −Inf, the log of a hard
+// zero (a transition or emission the model rules out), so it is written as
+// null; null is read back as −Inf, never as the 0 (probability 1) a plain
+// float64 would silently take. NaN and +Inf are no log-probability: writing
+// one fails, and no JSON number reads as one.
+type logProb float64
+
+func (p logProb) MarshalJSON() ([]byte, error) {
+	if math.IsInf(float64(p), -1) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(p))
+}
+
+func (p *logProb) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		*p = logProb(math.Inf(-1))
+		return nil
+	}
+	return json.Unmarshal(data, (*float64)(p))
+}
+
+// row and rows convert parameters to and from their disk form.
+func row[To, From ~float64](r []From) []To {
+	out := make([]To, len(r))
+	for i, v := range r {
+		out[i] = To(v)
+	}
+	return out
+}
+
+func rows[To, From ~float64](rs [][]From) [][]To {
+	out := make([][]To, len(rs))
+	for i, r := range rs {
+		out[i] = row[To](r)
+	}
+	return out
 }
 
 type durationJSON struct {
@@ -53,9 +93,9 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 		States:   m.n,
 		Alphabet: alphabet,
 		Family:   m.family.String(),
-		LogPi:    m.logPi,
-		LogA:     m.logA,
-		LogB:     m.logB,
+		LogPi:    row[logProb](m.logPi),
+		LogA:     rows[logProb](m.logA),
+		LogB:     rows[logProb](m.logB),
 		Dur:      dur,
 	})
 }
@@ -113,9 +153,9 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 		n:       dto.States,
 		m:       wantM,
 		symbols: symbols,
-		logPi:   dto.LogPi,
-		logA:    dto.LogA,
-		logB:    dto.LogB,
+		logPi:   row[float64](dto.LogPi),
+		logA:    rows[float64](dto.LogA),
+		logB:    rows[float64](dto.LogB),
 		dur:     dur,
 		family:  family,
 	}

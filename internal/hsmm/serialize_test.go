@@ -3,6 +3,7 @@ package hsmm
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -190,4 +191,55 @@ func mustMarshal(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestHardZeroRoundTrip: a model that rules a transition out (logA[0][1] =
+// −Inf, a hard zero) saves with the zero written as null, reloads with −Inf
+// in its place — not the 0, probability 1, a null read into a float64 would
+// become — and scores every window bit for bit as the saved one. NaN and
+// +Inf are still no log-probability: saving one fails.
+func TestHardZeroRoundTrip(t *testing.T) {
+	g := stats.NewRNG(59)
+	clf, err := TrainClassifier(genFailureSeqs(g, 10), genNonFailureSeqs(g, 10),
+		Config{States: 3, MaxIter: 10, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clf.Failure.logA[0][1] = math.Inf(-1)
+	clf.Failure.refreshKernel()
+
+	var buf bytes.Buffer
+	if err := SaveClassifier(&buf, clf); err != nil {
+		t.Fatalf("SaveClassifier with a hard zero: %v", err)
+	}
+	if !strings.Contains(buf.String(), "null") {
+		t.Fatalf("saved file has no null for the hard zero:\n%s", buf.String())
+	}
+	loaded, err := LoadClassifier(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded.Failure.logA[0][1]; !math.IsInf(got, -1) {
+		t.Fatalf("reloaded logA[0][1] = %g, want -Inf", got)
+	}
+	for _, seq := range append(genFailureSeqs(g, 4), genNonFailureSeqs(g, 4)...) {
+		want, err := clf.Score(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := loaded.Score(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("reloaded classifier scores %g, saved one %g", got, want)
+		}
+	}
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		clf.Failure.logA[0][1] = bad
+		if err := SaveClassifier(io.Discard, clf); err == nil {
+			t.Errorf("SaveClassifier with logA[0][1] = %g: nil error", bad)
+		}
+	}
 }

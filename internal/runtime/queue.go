@@ -65,16 +65,20 @@ const (
 	KindSample = ingest.KindSample
 )
 
-// queued is one ring slot: the event and its trace stamp, the tracer time at
-// Ingest entry, which is also the queue offer (the push follows within
-// nanoseconds); 0 means not sampled. The stamp rides through the pipeline so
-// the whole span record is published with a single lock acquisition at apply
-// (or drop) time, and unsampled events skip every clock read. 120 bytes
-// (TestEventSize): the ring copies it in and out once each.
+// queued is one ring slot: the packed event (ingest.Packed) and its tenant.
+// The packed trace stamp is the tracer time at Ingest entry, which is also
+// the queue offer (the push follows within nanoseconds); 0 means not
+// sampled. The stamp rides through the pipeline so the whole span record is
+// published with a single lock acquisition at apply (or drop) time, and
+// unsampled events skip every clock read. 88 bytes (TestEventSize): the ring
+// copies it in and out once each.
 type queued struct {
-	ev    ingest.Event
-	trace int64
+	p      ingest.Packed
+	tenant string
 }
+
+// event reads the slot's event back.
+func (q *queued) event() ingest.Event { return q.p.Event(q.tenant) }
 
 // traceKey is the stream label a trace retains for rendering.
 func traceKey(ev *ingest.Event) string {

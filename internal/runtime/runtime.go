@@ -184,9 +184,14 @@ func New(cfg Config) (*Runtime, error) {
 		Wait:   r.ring.Wait,
 		Take:   r.ring.Take,
 		Settle: func(_ []queued, n int) { r.ring.Settle(n) },
-		Apply:  func(q *queued) error { return cfg.Apply(q.ev) },
+		Apply:  func(q *queued) error { return cfg.Apply(q.event()) },
 		Span: func(q *queued) (int64, uint8, string, int) {
-			return q.trace, uint8(q.ev.Kind), traceKey(&q.ev), 0
+			stamp := q.p.Stamp()
+			if stamp == 0 {
+				return 0, 0, "", 0
+			}
+			ev := q.event()
+			return stamp, uint8(ev.Kind), traceKey(&ev), 0
 		},
 	}
 	if cfg.Tracer != nil {
@@ -201,7 +206,8 @@ func New(cfg Config) (*Runtime, error) {
 	// order.
 	r.ring.OnEvict = func(old queued) {
 		r.metrics.DroppedOldest.Inc()
-		r.traceDrop(&old.ev, old.trace)
+		ev := old.event()
+		r.traceDrop(&ev, old.p.Stamp())
 	}
 	reg := r.metrics.Registry()
 	reg.GaugeFunc("pfm_queue_depth",
@@ -377,7 +383,7 @@ func (r *Runtime) Ingest(ctx context.Context, ev ingest.Event) error {
 		// tracer's first nanosecond) is nudged to 1.
 		trace = max(start, 1)
 	}
-	err := r.ring.Push(ctx, queued{ev, trace})
+	err := r.ring.Push(ctx, queued{ingest.Pack(&ev, trace), ev.Tenant})
 	switch {
 	case err == nil:
 		r.metrics.Ingested.Inc()

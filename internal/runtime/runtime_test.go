@@ -17,12 +17,12 @@ import (
 	"repro/internal/obs"
 )
 
-// TestEventSize pins the single-tenant runtime's queued element — the ingest
-// event and its trace stamp — at 120 bytes: its ring copies every event in
-// and out once each.
+// TestEventSize pins the single-tenant runtime's queued element — the packed
+// event with its trace stamp, and its tenant — at 88 bytes: its ring copies
+// every event in and out once each.
 func TestEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(queued{}); got != 120 {
-		t.Errorf("sizeof(queued) = %d, want 120", got)
+	if got := unsafe.Sizeof(queued{}); got != 88 {
+		t.Errorf("sizeof(queued) = %d, want 88", got)
 	}
 }
 
