@@ -28,19 +28,14 @@ type MSET struct {
 type MSETConfig struct {
 	// MemorySize is the number of memorized states (default 40).
 	MemorySize int
-	// Bandwidth is the similarity kernel length scale; zero auto-scales
-	// to the mean inter-state distance.
-	Bandwidth float64
-	// Ridge regularizes the Gram inversion (default 1e-6).
-	Ridge float64
 }
+
+// msetRidge regularizes the Gram inversion.
+const msetRidge = 1e-6
 
 func (c MSETConfig) withDefaults() MSETConfig {
 	if c.MemorySize == 0 {
 		c.MemorySize = 40
-	}
-	if c.Ridge == 0 {
-		c.Ridge = 1e-6
 	}
 	return c
 }
@@ -54,7 +49,7 @@ func TrainMSET(healthy *mat.Matrix, cfg MSETConfig) (*MSET, error) {
 	if healthy.Rows < 2 {
 		return nil, fmt.Errorf("%w: MSET needs ≥ 2 healthy observations", ErrBaseline)
 	}
-	if cfg.MemorySize < 2 || cfg.Ridge < 0 || cfg.Bandwidth < 0 {
+	if cfg.MemorySize < 2 {
 		return nil, fmt.Errorf("%w: MSET config %+v", ErrBaseline, cfg)
 	}
 	selected := selectMemory(healthy, cfg.MemorySize)
@@ -65,10 +60,8 @@ func TrainMSET(healthy *mat.Matrix, cfg MSETConfig) (*MSET, error) {
 			memory.Set(i, c, healthy.At(r, c))
 		}
 	}
-	m := &MSET{memory: memory, bandwidth: cfg.Bandwidth}
-	if m.bandwidth == 0 {
-		m.bandwidth = meanPairwiseDistance(memory)
-	}
+	// The similarity kernel's length scale is the mean inter-state distance.
+	m := &MSET{memory: memory, bandwidth: meanPairwiseDistance(memory)}
 	if m.bandwidth <= 0 {
 		m.bandwidth = 1
 	}
@@ -78,7 +71,7 @@ func TrainMSET(healthy *mat.Matrix, cfg MSETConfig) (*MSET, error) {
 		for j := 0; j < n; j++ {
 			gram.Set(i, j, m.similarity(memory.RowView(i), memory.RowView(j)))
 		}
-		gram.Add(i, i, cfg.Ridge)
+		gram.Add(i, i, msetRidge)
 	}
 	f, err := mat.Factorize(gram)
 	if err != nil {

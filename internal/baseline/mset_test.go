@@ -80,12 +80,6 @@ func TestTrainMSETValidation(t *testing.T) {
 	if _, err := TrainMSET(healthyCluster(g, 50), MSETConfig{MemorySize: 1}); err == nil {
 		t.Fatal("memory size 1 accepted")
 	}
-	if _, err := TrainMSET(healthyCluster(g, 50), MSETConfig{Ridge: -1}); err == nil {
-		t.Fatal("negative ridge accepted")
-	}
-	if _, err := TrainMSET(healthyCluster(g, 50), MSETConfig{Bandwidth: -1}); err == nil {
-		t.Fatal("negative bandwidth accepted")
-	}
 }
 
 func TestMSETMemorySelectionCoversExtremes(t *testing.T) {

@@ -17,25 +17,31 @@ import (
 	"repro/internal/ubf"
 )
 
-// CaseStudyConfig parameterizes the Sect. 3.3 reproduction (E1, E2, E9).
+// The fixed parts of the Sect. 3.3 setup.
+const (
+	// dataWindow is the data window Δtd of Fig. 6 [s].
+	dataWindow = 300.0
+	// slack widens the failure-matching window when labeling [s].
+	slack = 300.0
+	// evalStride is the evaluation grid spacing [s].
+	evalStride = 300.0
+	// hsmmStates / hsmmRestarts control the sequence models.
+	hsmmStates   = 6
+	hsmmRestarts = 2
+	// maxNonFailure caps the non-failure training sequences.
+	maxNonFailure = 400
+	// ubfKernels controls the UBF network size.
+	ubfKernels = 12
+)
+
+// CaseStudyConfig parameterizes the Sect. 3.3 reproduction (E1, E2, E9);
+// the windows, the stride and the model sizes are the constants above.
 type CaseStudyConfig struct {
 	Seed      int64
 	TrainDays float64
 	TestDays  float64
-	// DataWindow Δtd and LeadTime Δtl of Fig. 6 [s].
-	DataWindow float64
-	LeadTime   float64
-	// Slack widens the failure-matching window when labeling [s].
-	Slack float64
-	// EvalStride is the evaluation grid spacing [s].
-	EvalStride float64
-	// HSMMStates / HSMMRestarts control the sequence models.
-	HSMMStates   int
-	HSMMRestarts int
-	// MaxNonFailure caps the non-failure training sequences.
-	MaxNonFailure int
-	// UBFKernels controls the UBF network size.
-	UBFKernels int
+	// LeadTime Δtl of Fig. 6 [s].
+	LeadTime float64
 	// UsePWA selects UBF input variables with the probabilistic wrapper.
 	UsePWA bool
 	// Workers bounds the worker goroutines of the parallelizable stages
@@ -50,18 +56,11 @@ type CaseStudyConfig struct {
 // windows and lead times on weeks of telecom operation.
 func DefaultCaseStudyConfig() CaseStudyConfig {
 	return CaseStudyConfig{
-		Seed:          7,
-		TrainDays:     14,
-		TestDays:      7,
-		DataWindow:    300,
-		LeadTime:      300,
-		Slack:         300,
-		EvalStride:    300,
-		HSMMStates:    6,
-		HSMMRestarts:  2,
-		MaxNonFailure: 400,
-		UBFKernels:    12,
-		UsePWA:        false,
+		Seed:      7,
+		TrainDays: 14,
+		TestDays:  7,
+		LeadTime:  300,
+		UsePWA:    false,
 	}
 }
 
@@ -70,12 +69,8 @@ func (c CaseStudyConfig) validate() error {
 	if c.TrainDays <= 0 || c.TestDays <= 0 {
 		return fmt.Errorf("%w: train/test days %g/%g", ErrExperiment, c.TrainDays, c.TestDays)
 	}
-	if c.DataWindow <= 0 || c.LeadTime < 0 || c.Slack < 0 || c.EvalStride <= 0 {
-		return fmt.Errorf("%w: windows Δtd=%g Δtl=%g slack=%g stride=%g",
-			ErrExperiment, c.DataWindow, c.LeadTime, c.Slack, c.EvalStride)
-	}
-	if c.HSMMStates < 1 || c.HSMMRestarts < 1 || c.MaxNonFailure < 1 || c.UBFKernels < 1 {
-		return fmt.Errorf("%w: model sizes", ErrExperiment)
+	if c.LeadTime < 0 {
+		return fmt.Errorf("%w: lead time Δtl=%g", ErrExperiment, c.LeadTime)
 	}
 	return nil
 }
@@ -210,7 +205,7 @@ func runCaseStudyOn(ds *dataset) (CaseStudyResult, error) {
 
 	// The test grid's error windows, built once into one arena and only
 	// read from here on: HSMM and the three error-log baselines score them.
-	windows := eventlog.SlidingWindows(ds.sys.Log(), ds.testTimes, ds.cfg.DataWindow)
+	windows := eventlog.SlidingWindows(ds.sys.Log(), ds.testTimes, dataWindow)
 	var (
 		hsmmScores, ubfScores []float64
 		selected              []string
@@ -356,8 +351,8 @@ func makeDataset(cfg CaseStudyConfig, sys *scp.System, trainLog *eventlog.Log) (
 		trainLog: trainLog,
 	}
 	grid := labelledGrid(cfg, sys, ds.failures)
-	ds.trainTimes, ds.trainLabels = grid(cfg.DataWindow+cfg.EvalStride, ds.splitAt)
-	ds.testTimes, ds.testLabels = grid(ds.splitAt+cfg.DataWindow, ds.endAt-cfg.LeadTime-cfg.Slack)
+	ds.trainTimes, ds.trainLabels = grid(dataWindow+evalStride, ds.splitAt)
+	ds.testTimes, ds.testLabels = grid(ds.splitAt+dataWindow, ds.endAt-cfg.LeadTime-slack)
 	if len(ds.testTimes) == 0 {
 		return nil, fmt.Errorf("%w: empty evaluation grid", ErrExperiment)
 	}
@@ -365,17 +360,17 @@ func makeDataset(cfg CaseStudyConfig, sys *scp.System, trainLog *eventlog.Log) (
 }
 
 // labelledGrid returns the evaluation grid over a finished run: the times in
-// [from, to) every EvalStride, outside the run's downtime, each labelled
-// whether one of failures (sorted) follows within (t, t+LeadTime+Slack].
+// [from, to) every evalStride, outside the run's downtime, each labelled
+// whether one of failures (sorted) follows within (t, t+LeadTime+slack].
 func labelledGrid(cfg CaseStudyConfig, sys *scp.System, failures []float64) func(from, to float64) ([]float64, []bool) {
 	down := downSpans(sys)
 	return func(from, to float64) (times []float64, labels []bool) {
-		for t := from; t < to; t += cfg.EvalStride {
+		for t := from; t < to; t += evalStride {
 			if inSpan(down, t) {
 				continue
 			}
 			times = append(times, t)
-			labels = append(labels, anyIn(failures, t, t+cfg.LeadTime+cfg.Slack))
+			labels = append(labels, anyIn(failures, t, t+cfg.LeadTime+slack))
 		}
 		return times, labels
 	}
@@ -415,24 +410,24 @@ func trainHSMMOn(log *eventlog.Log, failures []float64, cfg CaseStudyConfig) (*h
 	var fail, nonFail []eventlog.Sequence
 	for _, lead := range []float64{cfg.LeadTime, 0} {
 		f, nf, err := eventlog.Extract(log, failures, eventlog.ExtractConfig{
-			DataWindow:       cfg.DataWindow,
+			DataWindow:       dataWindow,
 			LeadTime:         lead,
 			MinEvents:        2,
-			NonFailureStride: cfg.EvalStride * 2,
-			NonFailureGuard:  cfg.DataWindow + cfg.LeadTime + cfg.Slack,
+			NonFailureStride: evalStride * 2,
+			NonFailureGuard:  dataWindow + cfg.LeadTime + slack,
 		})
 		if err != nil {
 			return nil, err
 		}
 		fail = append(fail, f...)
 		if nonFail == nil {
-			nonFail = thin(nf, cfg.MaxNonFailure)
+			nonFail = thin(nf, maxNonFailure)
 		}
 	}
 	return hsmm.TrainClassifier(fail, nonFail, hsmm.Config{
-		States:   cfg.HSMMStates,
+		States:   hsmmStates,
 		Seed:     cfg.Seed + 100,
-		Restarts: cfg.HSMMRestarts,
+		Restarts: hsmmRestarts,
 		MaxIter:  20,
 	})
 }
@@ -440,7 +435,7 @@ func trainHSMMOn(log *eventlog.Log, failures []float64, cfg CaseStudyConfig) (*h
 // hsmmScoresAt scores sliding windows ending at the given times, batched
 // through the classifier so windows score in parallel where cores allow.
 func (ds *dataset) hsmmScoresAt(clf *hsmm.Classifier, times []float64) ([]float64, error) {
-	return clf.ScoreAll(eventlog.SlidingWindows(ds.sys.Log(), times, ds.cfg.DataWindow))
+	return clf.ScoreAll(eventlog.SlidingWindows(ds.sys.Log(), times, dataWindow))
 }
 
 // ubfFeatureNames are the SAR variables offered to the UBF predictor (the
@@ -457,7 +452,7 @@ func (ds *dataset) ubfSpecs() ([]ts.FeatureSpec, error) {
 		}
 		spec := ts.FeatureSpec{Series: series}
 		if name == "mem_free" || name == "err_rate" || name == "cpu" {
-			spec.Window = ds.cfg.DataWindow * 2
+			spec.Window = dataWindow * 2
 			spec.WithMean = true
 			spec.WithTrend = name == "mem_free"
 		}
@@ -528,7 +523,7 @@ func (ds *dataset) ubfScores() ([]float64, []string, error) {
 		}
 	}
 	net, err := ubf.Train(trainX, y, ubf.TrainConfig{
-		NumKernels:  ds.cfg.UBFKernels,
+		NumKernels:  ubfKernels,
 		Candidates:  15,
 		Refinements: 10,
 		Seed:        ds.cfg.Seed + 202,
@@ -577,7 +572,7 @@ func (ds *dataset) baselineScoreSets(windows []eventlog.Sequence) []scoreSet {
 		return dft.Score(windows[i])
 	})
 
-	rate := baseline.ErrorRate{Window: ds.cfg.DataWindow}
+	rate := baseline.ErrorRate{Window: dataWindow}
 	rateSet := mk("error-rate", func(i int, _ float64) (float64, error) {
 		return rate.Score(windows[i])
 	})
@@ -585,15 +580,15 @@ func (ds *dataset) baselineScoreSets(windows []eventlog.Sequence) []scoreSet {
 	trainFailures := keepBefore(ds.failures, ds.splitAt)
 	var esSet scoreSet
 	fail, nonFail, err := eventlog.Extract(ds.trainLog, trainFailures, eventlog.ExtractConfig{
-		DataWindow:       ds.cfg.DataWindow,
+		DataWindow:       dataWindow,
 		LeadTime:         ds.cfg.LeadTime,
 		MinEvents:        1,
-		NonFailureStride: ds.cfg.EvalStride * 2,
+		NonFailureStride: evalStride * 2,
 	})
 	if err != nil {
 		esSet = scoreSet{name: "event-set", err: err}
 	} else {
-		es, err := baseline.TrainEventSet(fail, thin(nonFail, ds.cfg.MaxNonFailure), 1)
+		es, err := baseline.TrainEventSet(fail, thin(nonFail, maxNonFailure), 1)
 		if err != nil {
 			esSet = scoreSet{name: "event-set", err: err}
 		} else {
@@ -608,7 +603,7 @@ func (ds *dataset) baselineScoreSets(windows []eventlog.Sequence) []scoreSet {
 	if err != nil {
 		trendSet = scoreSet{name: "trend", err: err}
 	} else {
-		tr := baseline.Trend{Direction: -1, Window: ds.cfg.DataWindow * 4}
+		tr := baseline.Trend{Direction: -1, Window: dataWindow * 4}
 		trendSet = mk("trend", func(_ int, t float64) (float64, error) {
 			return tr.Score(mem, t)
 		})

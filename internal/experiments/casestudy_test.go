@@ -127,9 +127,9 @@ func TestCaseStudyValidation(t *testing.T) {
 		t.Fatal("bad config accepted")
 	}
 	bad = DefaultCaseStudyConfig()
-	bad.HSMMStates = 0
+	bad.LeadTime = -1
 	if _, err := RunCaseStudy(bad); err == nil {
-		t.Fatal("zero states accepted")
+		t.Fatal("negative lead time accepted")
 	}
 }
 

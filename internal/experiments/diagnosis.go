@@ -104,10 +104,10 @@ func RunDiagnosis(cfg CaseStudyConfig) (DiagnosisResult, error) {
 	log := sys.Log()
 	failures := sys.Failures()
 	failWins, nonFailWins, err := diagnose.CollectWindowRanges(trainLog, keepBefore(sys.FailureTimes(), splitAt), eventlog.ExtractConfig{
-		DataWindow:       cfg.DataWindow,
+		DataWindow:       dataWindow,
 		LeadTime:         0, // diagnose from the window adjacent to the failure
 		MinEvents:        1,
-		NonFailureStride: cfg.EvalStride * 2,
+		NonFailureStride: evalStride * 2,
 	})
 	if err != nil {
 		return DiagnosisResult{}, err
@@ -124,7 +124,7 @@ func RunDiagnosis(cfg CaseStudyConfig) (DiagnosisResult, error) {
 		if f.Time < splitAt {
 			continue
 		}
-		suspect := d.TopSuspectRange(log, f.Time-cfg.DataWindow, f.Time)
+		suspect := d.TopSuspectRange(log, f.Time-dataWindow, f.Time)
 		if suspect == "" {
 			continue
 		}

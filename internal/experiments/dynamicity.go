@@ -98,7 +98,7 @@ func RunDynamicity(seed int64) (DynamicityResult, error) {
 	// Windows are scored in one batch so the classifier can fan the grid
 	// out across cores.
 	score := func(clf *hsmm.Classifier, times []float64) ([]float64, error) {
-		return clf.ScoreAll(eventlog.SlidingWindows(log, times, cfg.DataWindow))
+		return clf.ScoreAll(eventlog.SlidingWindows(log, times, dataWindow))
 	}
 
 	var result DynamicityResult

@@ -47,7 +47,7 @@ func TestLedgerMatchesOfflineEvaluator(t *testing.T) {
 	// failures land as they occur, the watermark advances with every
 	// prediction, and everything resolves incrementally.
 	led, err := obs.NewLedger(obs.LedgerConfig{
-		LeadTime: cfg.LeadTime, Slack: cfg.Slack,
+		LeadTime: cfg.LeadTime, Slack: slack,
 	}, "replay")
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestLedgerMatchesOfflineEvaluator(t *testing.T) {
 	for ; failIdx < len(ds.failures); failIdx++ {
 		led.RecordFailure(ds.failures[failIdx])
 	}
-	led.Advance(ds.endAt + cfg.LeadTime + cfg.Slack + 1)
+	led.Advance(ds.endAt + cfg.LeadTime + slack + 1)
 
 	got := led.Cumulative("replay")
 	if got != offline {

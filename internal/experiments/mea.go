@@ -16,33 +16,31 @@ import (
 // MEAConfig parameterizes the closed-loop experiment (E3): a trained
 // predictor drives the full Monitor–Evaluate–Act cycle against the live SCP
 // simulator, and the mitigated run is compared with an identical
-// unmitigated run.
+// unmitigated run. The training horizon, the cycle period, the lead time
+// and the oscillation guard are the package's constants.
 type MEAConfig struct {
 	Seed int64
-	// TrainDays of a separate seed train the HSMM log-layer predictor.
-	TrainDays float64
 	// RunDays is the closed-loop evaluation horizon.
 	RunDays float64
-	// EvalInterval is the MEA cycle period [s].
-	EvalInterval float64
-	// LeadTime Δtl of warnings [s].
-	LeadTime float64
-	// GuardWindow / GuardMax configure the oscillation guard (0 = off).
-	GuardWindow float64
-	GuardMax    int
 }
+
+// The fixed parts of the closed-loop setup.
+const (
+	// meaTrainDays of a separate seed train the HSMM log-layer predictor.
+	meaTrainDays = 14.0
+	// meaEvalInterval is the MEA cycle period [s].
+	meaEvalInterval = 60.0
+	// meaLeadTime is the lead time Δtl of warnings [s].
+	meaLeadTime = 300.0
+	// meaGuardWindow / meaGuardMax configure the oscillation guard: at
+	// most six countermeasures in any 30 minutes.
+	meaGuardWindow = 1800.0
+	meaGuardMax    = 6
+)
 
 // DefaultMEAConfig returns the standard closed-loop setup.
 func DefaultMEAConfig() MEAConfig {
-	return MEAConfig{
-		Seed:         11,
-		TrainDays:    14,
-		RunDays:      7,
-		EvalInterval: 60,
-		LeadTime:     300,
-		GuardWindow:  1800,
-		GuardMax:     6,
-	}
+	return MEAConfig{Seed: 11, RunDays: 7}
 }
 
 // MEAResult aggregates the closed-loop outcomes.
@@ -107,7 +105,7 @@ func (r MEAResult) Rows() []Row {
 func trainLogPredictor(cfg MEAConfig) (*hsmm.Classifier, float64, error) {
 	csCfg := DefaultCaseStudyConfig()
 	csCfg.Seed = cfg.Seed
-	csCfg.TrainDays = cfg.TrainDays
+	csCfg.TrainDays = meaTrainDays
 	csCfg.TestDays = 3 // threshold-calibration split
 	ds, err := buildDataset(csCfg, true)
 	if err != nil {
@@ -131,7 +129,7 @@ func trainLogPredictor(cfg MEAConfig) (*hsmm.Classifier, float64, error) {
 // RunMEA executes E3: train offline, deploy the MEA loop on a fresh system,
 // and compare against the identical unmitigated system.
 func RunMEA(cfg MEAConfig) (MEAResult, error) {
-	if cfg.TrainDays <= 0 || cfg.RunDays <= 0 || cfg.EvalInterval <= 0 {
+	if cfg.RunDays <= 0 {
 		return MEAResult{}, fmt.Errorf("%w: mea config %+v", ErrExperiment, cfg)
 	}
 	clf, threshold, err := trainLogPredictor(cfg)
@@ -198,8 +196,6 @@ func RunMEA(cfg MEAConfig) (MEAResult, error) {
 // attachMEA wires the layered predictors, the situation-aware mitigation
 // action, and the MEA engine onto the live system, in a closed loop.
 func attachMEA(sys *scp.System, clf *hsmm.Classifier, logThreshold float64, cfg MEAConfig) (*core.Engine, *ClosedLoop, error) {
-	dataWindow := 300.0
-
 	// Layer 1 (application/log): HSMM over the error log (Fig. 11's
 	// application-level pattern recognizer).
 	logScore := func(now float64) (float64, error) {
@@ -280,11 +276,11 @@ func attachMEA(sys *scp.System, clf *hsmm.Classifier, logThreshold float64, cfg 
 		return nil, nil, err
 	}
 	engine, err := core.New(nil, layers, nil, selector, []*act.Action{action}, nil, core.Config{
-		EvalInterval:        cfg.EvalInterval,
-		LeadTime:            cfg.LeadTime,
+		EvalInterval:        meaEvalInterval,
+		LeadTime:            meaLeadTime,
 		WarnThreshold:       0.3, // any single layer suffices
-		OscillationWindow:   cfg.GuardWindow,
-		MaxActionsPerWindow: cfg.GuardMax,
+		OscillationWindow:   meaGuardWindow,
+		MaxActionsPerWindow: meaGuardMax,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -60,14 +60,14 @@ func RunMetaLearning(cfg CaseStudyConfig) (MetaResult, error) {
 	if err != nil {
 		return MetaResult{}, err
 	}
-	trend := baseline.Trend{Direction: -1, Window: cfg.DataWindow * 4}
-	rate := baseline.ErrorRate{Window: cfg.DataWindow}
+	trend := baseline.Trend{Direction: -1, Window: dataWindow * 4}
+	rate := baseline.ErrorRate{Window: dataWindow}
 	log := ds.sys.Log()
 
 	names := []string{"log-hsmm", "mem-trend", "error-rate"}
 	baseScores := func(times []float64) (*mat.Matrix, error) {
 		m := mat.New(len(times), len(names))
-		windows := eventlog.SlidingWindows(log, times, cfg.DataWindow)
+		windows := eventlog.SlidingWindows(log, times, dataWindow)
 		hs, err := clf.ScoreAll(windows)
 		if err != nil {
 			return nil, err

@@ -158,7 +158,7 @@ func (ds *dataset) subsetAUC(trainX, testX *mat.Matrix, y []float64, subset []in
 		return 0, err
 	}
 	net, err := ubf.Train(subTrain, y, ubf.TrainConfig{
-		NumKernels:  cfg.UBFKernels,
+		NumKernels:  ubfKernels,
 		Candidates:  15,
 		Refinements: 10,
 		Seed:        cfg.Seed + 302,

@@ -62,7 +62,10 @@ type TenantSpec struct {
 	RateLimit float64
 }
 
-// Config parameterizes a fleet.
+// Config parameterizes a fleet. Every tenant's engine fuses its layers
+// with core's default combiner, the share of layers voting failure-prone; a
+// per-tenant combiner returns with its first caller, the noisy-OR
+// arbitration of ROADMAP item 4(c).
 type Config struct {
 	// Tenants is the initial fleet membership. The fleet is elastic:
 	// AddTenant/RemoveTenant admit and retire tenants while it runs, and
@@ -81,9 +84,6 @@ type Config struct {
 	// Engine is the per-tenant MEA configuration; its EvalInterval is the
 	// domain cadence the caller runs EvaluateCycle at.
 	Engine core.Config
-	// NewCombiner optionally builds a per-tenant score combiner
-	// (stacker). Nil uses the engine's voting default.
-	NewCombiner func(t TenantSpec) core.Combiner
 	// NewActions optionally supplies a tenant's countermeasure set. Nil
 	// installs a no-op "observe" action — the fleet plane is then a pure
 	// monitoring/prediction tier.
@@ -442,15 +442,11 @@ func (f *Fleet) buildTenant(byID map[string]*tenant, i int, spec TenantSpec) (*t
 		tail.Layers[li] = tmpl.instantiate(st)
 	}
 	tail.Detail = spec.ID
-	var combiner core.Combiner
-	if f.cfg.NewCombiner != nil {
-		combiner = f.cfg.NewCombiner(spec)
-	}
 	selector, actions, err := f.tenantActions(spec)
 	if err != nil {
 		return nil, fmt.Errorf("tenant %q actions: %w", spec.ID, err)
 	}
-	tn.seat.Engine, err = core.New(nil, tail.Layers, combiner, selector, actions, nil, f.cfg.Engine)
+	tn.seat.Engine, err = core.New(nil, tail.Layers, nil, selector, actions, nil, f.cfg.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("tenant %q engine: %w", spec.ID, err)
 	}

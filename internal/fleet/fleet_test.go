@@ -665,23 +665,29 @@ func TestBarrierHeldBack(t *testing.T) {
 // split across the fleet lifecycle.
 func TestFleetRecorderIncidents(t *testing.T) {
 	clock := newTestClock(0)
+	cfg := testFleetConfig([]TenantSpec{
+		{ID: "a", Criticality: 4}, {ID: "b"}, {ID: "c"},
+	}, clock)
+	// Five mean-score layers at thresholds 0.1, 0.3, …, 0.9: the default
+	// combiner's vote share is the tenant's mean rounded down to a layer
+	// boundary, so the warn gates are exact: a's and b's means of 0.6 vote
+	// 3/5, over a's criticality-4 gate 0.8/4 = 0.2 and under b's template
+	// 0.8; c's 0.95 votes 5/5.
+	cfg.Layers = nil
+	var names []string
+	for _, th := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
+		names = append(names, fmt.Sprintf("load%.0f", 10*th))
+		cfg.Layers = append(cfg.Layers, LayerTemplate{Name: names[len(names)-1], Threshold: th, Score: meanScore})
+	}
 	srec, err := obs.NewScopedRecorder(obs.RecorderConfig{
-		Layers:        []string{"load"},
+		Layers:        names,
 		WarnThreshold: 0.8,
 		Window:        50,
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testFleetConfig([]TenantSpec{
-		{ID: "a", Criticality: 4}, {ID: "b"}, {ID: "c"},
-	}, clock)
 	cfg.Recorder = srec
-	// Confidence = the single layer's mean, so the warn gates are exact:
-	// a's criticality-4 gate is 0.8/4 = 0.2, b keeps the template 0.8.
-	cfg.NewCombiner = func(TenantSpec) core.Combiner {
-		return func(s []float64) (float64, error) { return s[0], nil }
-	}
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -697,7 +703,7 @@ func TestFleetRecorderIncidents(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ti := float64(i)
 		for _, ev := range []ingest.Event{
-			sample("a", ti, 0.6), sample("b", ti, 0.6), sample("c", ti, 0.9),
+			sample("a", ti, 0.6), sample("b", ti, 0.6), sample("c", ti, 0.95),
 		} {
 			if err := f.Ingest(ctx, ev); err != nil {
 				t.Fatal(err)

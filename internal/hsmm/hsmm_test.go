@@ -51,7 +51,6 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{States: 0},
 		{States: 2, MaxIter: -1},
-		{States: 2, Tol: -1},
 		{States: 2, Restarts: -2},
 		{States: 2, Family: DurationFamily(99)},
 	}

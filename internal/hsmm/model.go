@@ -16,9 +16,6 @@ type Config struct {
 	Family DurationFamily
 	// MaxIter bounds the EM iterations (default 30).
 	MaxIter int
-	// Tol stops EM when the per-event log-likelihood improves by less
-	// (default 1e-4).
-	Tol float64
 	// Seed drives the random initialization.
 	Seed int64
 	// Restarts runs EM from this many random initializations and keeps the
@@ -34,9 +31,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxIter == 0 {
 		c.MaxIter = 30
 	}
-	if c.Tol == 0 {
-		c.Tol = 1e-4
-	}
 	if c.Restarts == 0 {
 		c.Restarts = 1
 	}
@@ -50,9 +44,6 @@ func (c Config) validate() error {
 	}
 	if c.MaxIter < 1 || c.Restarts < 1 {
 		return fmt.Errorf("%w: maxIter=%d restarts=%d", ErrModel, c.MaxIter, c.Restarts)
-	}
-	if c.Tol <= 0 || math.IsNaN(c.Tol) {
-		return fmt.Errorf("%w: tol=%g", ErrModel, c.Tol)
 	}
 	switch c.Family {
 	case FamilyLogNormal, FamilyExponential, FamilyNone:

@@ -7,10 +7,12 @@ import (
 	"math"
 )
 
-// modelJSON is the stable on-disk representation of a Model.
+// modelJSON is the stable on-disk representation of a Model. Its plain
+// numbers are pointers, nil where the file holds null or nothing, which
+// encoding/json would read into a number as 0: the loader refuses them.
 type modelJSON struct {
 	States   int            `json:"states"`
-	Alphabet []int          `json:"alphabet"` // event types, in emission-index order
+	Alphabet []*int         `json:"alphabet"` // event types, in emission-index order
 	Family   string         `json:"family"`
 	LogPi    []logProb      `json:"logPi"`
 	LogA     [][]logProb    `json:"logA"`
@@ -58,9 +60,9 @@ func rows[To, From ~float64](rs [][]From) [][]To {
 }
 
 type durationJSON struct {
-	Family string  `json:"family"`
-	Mu     float64 `json:"mu"`
-	Sigma  float64 `json:"sigma"`
+	Family string   `json:"family"`
+	Mu     *float64 `json:"mu"`
+	Sigma  *float64 `json:"sigma"`
 }
 
 func familyFromString(s string) (DurationFamily, error) {
@@ -78,16 +80,17 @@ func familyFromString(s string) (DurationFamily, error) {
 
 // MarshalJSON serializes the trained model.
 func (m *Model) MarshalJSON() ([]byte, error) {
-	alphabet := make([]int, len(m.symbols))
+	alphabet := make([]*int, len(m.symbols))
 	for typ, idx := range m.symbols {
 		if idx < 0 || idx >= len(alphabet) {
 			return nil, fmt.Errorf("%w: corrupt symbol table", ErrModel)
 		}
-		alphabet[idx] = typ
+		alphabet[idx] = &typ
 	}
 	dur := make([]durationJSON, len(m.dur))
-	for i, d := range m.dur {
-		dur[i] = durationJSON{Family: d.family.String(), Mu: d.mu, Sigma: d.sigma}
+	for i := range m.dur {
+		d := &m.dur[i]
+		dur[i] = durationJSON{Family: d.family.String(), Mu: &d.mu, Sigma: &d.sigma}
 	}
 	return json.Marshal(modelJSON{
 		States:   m.n,
@@ -128,10 +131,13 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	}
 	symbols := make(map[int]int, len(dto.Alphabet))
 	for idx, typ := range dto.Alphabet {
-		if _, dup := symbols[typ]; dup {
-			return fmt.Errorf("%w: duplicate alphabet symbol %d", ErrModel, typ)
+		if typ == nil {
+			return fmt.Errorf("%w: alphabet[%d] is null or missing", ErrModel, idx)
 		}
-		symbols[typ] = idx
+		if _, dup := symbols[*typ]; dup {
+			return fmt.Errorf("%w: duplicate alphabet symbol %d", ErrModel, *typ)
+		}
+		symbols[*typ] = idx
 	}
 	dur := make([]durationDist, dto.States)
 	for i, d := range dto.Dur {
@@ -139,15 +145,22 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 		if err != nil {
 			return err
 		}
+		switch {
+		case d.Mu == nil:
+			return fmt.Errorf("%w: state %d: duration mu is null or missing", ErrModel, i)
+		case d.Sigma == nil:
+			return fmt.Errorf("%w: state %d: duration sigma is null or missing", ErrModel, i)
+		}
+		mu, sigma := *d.Mu, *d.Sigma
 		// A non-positive σ or rate leaves every window scoring −Inf without
 		// an error. (encoding/json refuses NaN and ±Inf before they get here.)
 		switch {
-		case f == FamilyLogNormal && d.Sigma <= 0:
-			return fmt.Errorf("%w: state %d: lognormal sigma %g, want > 0", ErrModel, i, d.Sigma)
-		case f == FamilyExponential && d.Mu <= 0:
-			return fmt.Errorf("%w: state %d: exponential rate mu %g, want > 0", ErrModel, i, d.Mu)
+		case f == FamilyLogNormal && sigma <= 0:
+			return fmt.Errorf("%w: state %d: lognormal sigma %g, want > 0", ErrModel, i, sigma)
+		case f == FamilyExponential && mu <= 0:
+			return fmt.Errorf("%w: state %d: exponential rate mu %g, want > 0", ErrModel, i, mu)
 		}
-		dur[i] = durationDist{family: f, mu: d.Mu, sigma: d.Sigma}
+		dur[i] = durationDist{family: f, mu: mu, sigma: sigma}
 	}
 	*m = Model{
 		n:       dto.States,
@@ -167,7 +180,7 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 type classifierJSON struct {
 	Failure    json.RawMessage `json:"failure"`
 	NonFailure json.RawMessage `json:"nonFailure"`
-	Threshold  float64         `json:"threshold"`
+	Threshold  *float64        `json:"threshold"` // a pointer, like modelJSON's numbers
 }
 
 // MarshalJSON serializes the two-model classifier.
@@ -183,7 +196,7 @@ func (c *Classifier) MarshalJSON() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(classifierJSON{Failure: f, NonFailure: n, Threshold: c.Threshold})
+	return json.Marshal(classifierJSON{Failure: f, NonFailure: n, Threshold: &c.Threshold})
 }
 
 // UnmarshalJSON restores a classifier.
@@ -192,6 +205,9 @@ func (c *Classifier) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &dto); err != nil {
 		return fmt.Errorf("%w: %v", ErrModel, err)
 	}
+	if dto.Threshold == nil {
+		return fmt.Errorf("%w: threshold is null or missing", ErrModel)
+	}
 	var failure, nonFailure Model
 	if err := json.Unmarshal(dto.Failure, &failure); err != nil {
 		return fmt.Errorf("failure model: %w", err)
@@ -199,7 +215,7 @@ func (c *Classifier) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(dto.NonFailure, &nonFailure); err != nil {
 		return fmt.Errorf("non-failure model: %w", err)
 	}
-	*c = Classifier{Failure: &failure, NonFailure: &nonFailure, Threshold: dto.Threshold}
+	*c = Classifier{Failure: &failure, NonFailure: &nonFailure, Threshold: *dto.Threshold}
 	return nil
 }
 

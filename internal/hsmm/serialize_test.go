@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -106,9 +107,10 @@ func TestLoadClassifierErrors(t *testing.T) {
 }
 
 // TestLoadClassifierRefusesMalformedModels: a classifier file whose
-// duration parameters no density has, or whose numbers are not finite, is
-// refused by LoadClassifier with an error naming the state and the field,
-// where it used to load and score every window −Inf with a nil error. A
+// duration parameters no density has, whose numbers are not finite, or
+// which holds a number as null or not at all, is refused by LoadClassifier
+// with an error naming the field (and the state), where it used to load —
+// scoring every window −Inf, or reading the null as 0 — with a nil error. A
 // well-formed file of either duration family loads and scores bit for bit
 // as the classifier that was saved.
 func TestLoadClassifierRefusesMalformedModels(t *testing.T) {
@@ -152,8 +154,9 @@ func TestLoadClassifierRefusesMalformedModels(t *testing.T) {
 		}
 	}
 
-	// setDuration rewrites one field of the non-failure model's state 1.
-	setDuration := func(file, field string, v any) string {
+	// setDuration rewrites one field of the non-failure model's state 1;
+	// with no value it deletes the field.
+	setDuration := func(file, field string, v ...any) string {
 		var dto map[string]any
 		if err := json.Unmarshal([]byte(file), &dto); err != nil {
 			t.Fatal(err)
@@ -162,9 +165,36 @@ func TestLoadClassifierRefusesMalformedModels(t *testing.T) {
 		if err := json.Unmarshal(mustMarshal(t, dto["nonFailure"]), &model); err != nil {
 			t.Fatal(err)
 		}
-		model["durations"].([]any)[1].(map[string]any)[field] = v
+		d := model["durations"].([]any)[1].(map[string]any)
+		if len(v) == 0 {
+			delete(d, field)
+		} else {
+			d[field] = v[0]
+		}
 		dto["nonFailure"] = model
 		return string(mustMarshal(t, dto))
+	}
+	// setThreshold does the same to the classifier's threshold.
+	setThreshold := func(v ...any) string {
+		var dto map[string]any
+		if err := json.Unmarshal([]byte(lnFile), &dto); err != nil {
+			t.Fatal(err)
+		}
+		if len(v) == 0 {
+			delete(dto, "threshold")
+		} else {
+			dto["threshold"] = v[0]
+		}
+		return string(mustMarshal(t, dto))
+	}
+	// nullFirst writes null over the first number under key in the file
+	// (an array's first element).
+	nullFirst := func(file, key string) string {
+		loc := regexp.MustCompile(`"` + key + `":(\[?)-?[0-9][0-9.eE+-]*`).FindStringSubmatchIndex(file)
+		if loc == nil {
+			t.Fatalf("no number under %q", key)
+		}
+		return file[:loc[0]] + `"` + key + `":` + file[loc[2]:loc[3]] + "null" + file[loc[1]:]
 	}
 	for _, c := range []struct {
 		name, file, want string
@@ -176,6 +206,12 @@ func TestLoadClassifierRefusesMalformedModels(t *testing.T) {
 		{"overflowing sigma", strings.Replace(setDuration(lnFile, "sigma", 7.25), "7.25", "1e400", 1), "1e400"},
 		{"NaN mu", strings.Replace(setDuration(lnFile, "mu", 7.25), "7.25", "NaN", 1), "invalid character"},
 		{"infinite logPi", strings.Replace(lnFile, `"logPi":[`, `"logPi":[1e999,`, 1), "1e999"},
+		{"first mu null", nullFirst(lnFile, "mu"), "state 0: duration mu is null or missing"},
+		{"null sigma", setDuration(lnFile, "sigma", nil), "state 1: duration sigma is null or missing"},
+		{"missing mu", setDuration(expFile, "mu"), "state 1: duration mu is null or missing"},
+		{"null threshold", setThreshold(nil), "threshold is null or missing"},
+		{"missing threshold", setThreshold(), "threshold is null or missing"},
+		{"null symbol", nullFirst(lnFile, "alphabet"), "alphabet[0] is null or missing"},
 	} {
 		_, err := LoadClassifier(strings.NewReader(c.file))
 		if err == nil || !strings.Contains(err.Error(), c.want) {

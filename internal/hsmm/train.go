@@ -101,6 +101,9 @@ func trainingAlphabet(seqs []eventlog.Sequence) ([]int, float64) {
 	return alphabet, meanDelay
 }
 
+// emTol stops EM when the per-event log-likelihood improves by less.
+const emTol = 1e-4
+
 // em iterates E/M steps until convergence and returns the final total
 // log-likelihood. The E step fans sequences out across shard-local
 // accumulators: shard s owns the s-th contiguous block of sequences,
@@ -166,7 +169,7 @@ func (m *Model) em(seqs []eventlog.Sequence, cfg Config) (float64, error) {
 			accs[0].merge(accs[s])
 		}
 		m.applyMStep(accs[0])
-		if iter > 0 && (ll-prevLL)/float64(totalEvents) < cfg.Tol {
+		if iter > 0 && (ll-prevLL)/float64(totalEvents) < emTol {
 			break
 		}
 		prevLL = ll

@@ -14,7 +14,7 @@
 //	   │                                      candidate F ≤ incumbent F
 //	   │◀──────────────────────────────────── (shadow budget exhausted)
 //	   │                                                           │
-//	   │                                     candidate F > incumbent F + margin
+//	   │                                            candidate F > incumbent F
 //	   │◀──confirm/rollback── probation ◀──────swap (version bump)─┘
 //
 // Integration contract: Collect must be called from inside the runtime's
@@ -133,26 +133,26 @@ const (
 	// rollbackMargin: roll back when post-swap F drops below the pre-swap F
 	// by more than this.
 	rollbackMargin = 0.05
+	// scoreDriftSigma is the score CUSUM allowance in σ.
+	scoreDriftSigma = 0.5
+	// probationResolved is the number of post-swap resolved predictions
+	// before the swap is confirmed or rolled back.
+	probationResolved = 20
 )
 
-// Config tunes the lifecycle manager. Zero values select the defaults.
+// Config tunes the lifecycle manager. Zero values select the defaults. The
+// score CUSUM allowance (0.5 σ), the promotion rule (the candidate's
+// F-measure strictly above the incumbent's) and the probation length (20
+// resolved predictions) are the package's constants.
 type Config struct {
 	// ScoreWarmup is the number of observations the per-layer score
 	// detector uses to self-calibrate (default 60).
 	ScoreWarmup int
-	// ScoreDriftSigma is the score CUSUM allowance in σ (default 0.5).
-	ScoreDriftSigma float64
 	// ScoreThresholdSigma is the score CUSUM threshold in σ (default 8).
 	ScoreThresholdSigma float64
 	// ShadowMinResolved is the minimum number of resolved candidate
 	// predictions before a promotion decision (default 10).
 	ShadowMinResolved int
-	// ShadowMargin is how much the candidate's F-measure must exceed the
-	// incumbent's to be promoted (default 0: strictly greater).
-	ShadowMargin float64
-	// ProbationResolved is the number of post-swap resolved predictions
-	// before the swap is confirmed or rolled back (default 20).
-	ProbationResolved int
 	// CooldownCycles suppresses new drift triggers for a layer after any
 	// completed lifecycle episode (default 50).
 	CooldownCycles int
@@ -165,17 +165,11 @@ func (c Config) withDefaults() Config {
 	if c.ScoreWarmup == 0 {
 		c.ScoreWarmup = 60
 	}
-	if c.ScoreDriftSigma == 0 {
-		c.ScoreDriftSigma = 0.5
-	}
 	if c.ScoreThresholdSigma == 0 {
 		c.ScoreThresholdSigma = 8
 	}
 	if c.ShadowMinResolved == 0 {
 		c.ShadowMinResolved = 10
-	}
-	if c.ProbationResolved == 0 {
-		c.ProbationResolved = 20
 	}
 	if c.CooldownCycles == 0 {
 		c.CooldownCycles = 50
@@ -253,7 +247,7 @@ func NewManager(layers []*core.Layer, led *obs.Ledger, cfg Config) (*Manager, er
 		if _, dup := m.byName[l.Name]; dup {
 			return nil, fmt.Errorf("%w: duplicate layer %q", ErrLifecycle, l.Name)
 		}
-		sd, err := changepoint.NewAutoCUSUM(cfg.ScoreWarmup, cfg.ScoreDriftSigma, cfg.ScoreThresholdSigma)
+		sd, err := changepoint.NewAutoCUSUM(cfg.ScoreWarmup, scoreDriftSigma, cfg.ScoreThresholdSigma)
 		if err != nil {
 			return nil, err
 		}
@@ -449,7 +443,7 @@ func (m *Manager) observeLayer(ls *layerState, now, score float64) {
 			return
 		}
 		candF, incF := candDelta.FMeasure(), incDelta.FMeasure()
-		if candF > incF+m.cfg.ShadowMargin {
+		if candF > incF { // promotion needs a strictly better F-measure
 			m.promote(ls, now, candF, incF)
 			return
 		}
@@ -463,7 +457,7 @@ func (m *Manager) observeLayer(ls *layerState, now, score float64) {
 
 	case StateProbation:
 		delta := tableDelta(m.led.Cumulative(name), ls.probationStart)
-		if delta.Total() < m.cfg.ProbationResolved {
+		if delta.Total() < probationResolved {
 			return
 		}
 		newF := delta.FMeasure()

@@ -186,8 +186,7 @@ func TestLifecycleHappyPath(t *testing.T) {
 	layer := &core.Layer{Name: "app", Predictor: incumbent, Threshold: 0.5}
 
 	h := newHarness(t, []*core.Layer{layer},
-		Config{ScoreWarmup: 10, ShadowMinResolved: 10, ProbationResolved: 20,
-			CooldownCycles: 5, SyncRetrain: true}, failEvery)
+		Config{ScoreWarmup: 10, ShadowMinResolved: 10, CooldownCycles: 5, SyncRetrain: true}, failEvery)
 	var log eventLog
 	h.m.Subscribe(log.record)
 	h.run(0, 200)
@@ -237,9 +236,11 @@ func TestLifecycleRollback(t *testing.T) {
 	const failEvery = 5
 	layer := &core.Layer{Name: "app", Threshold: 0.5}
 	incumbent := &scriptPredictor{score: func(now float64) float64 {
-		// A perfect oracle whose quiet-tick level drifts upward after t=30
-		// without losing correctness (0.4 is still below the threshold).
-		s := oracle(failEvery)(now)
+		// An oracle for every other failure (F 2/3, which the candidate's
+		// shadow F of 1 strictly beats) whose quiet-tick level drifts
+		// upward after t=30 without adding a warning (0.4 is still below
+		// the threshold).
+		s := oracle(2 * failEvery)(now)
 		if now >= 30 && s == 0 {
 			return 0.4
 		}
@@ -254,9 +255,8 @@ func TestLifecycleRollback(t *testing.T) {
 	layer.Predictor = incumbent
 
 	h := newHarness(t, []*core.Layer{layer},
-		Config{ScoreWarmup: 10, ScoreDriftSigma: 0.1, ScoreThresholdSigma: 3,
-			ShadowMinResolved: 10, ShadowMargin: -0.5,
-			ProbationResolved: 15, CooldownCycles: 5, SyncRetrain: true}, failEvery)
+		Config{ScoreWarmup: 10, ScoreThresholdSigma: 3,
+			ShadowMinResolved: 10, CooldownCycles: 5, SyncRetrain: true}, failEvery)
 	var log eventLog
 	h.m.Subscribe(log.record)
 	h.run(0, 250)
@@ -346,8 +346,7 @@ func TestLifecycleBackgroundRetrainRace(t *testing.T) {
 	incumbent.next = &scriptPredictor{score: oracle(failEvery)}
 	layer := &core.Layer{Name: "app", Predictor: incumbent, Threshold: 0.5}
 	h := newHarness(t, []*core.Layer{layer},
-		Config{ScoreWarmup: 10, ShadowMinResolved: 5, ProbationResolved: 10,
-			CooldownCycles: 5}, failEvery)
+		Config{ScoreWarmup: 10, ShadowMinResolved: 5, CooldownCycles: 5}, failEvery)
 	var log eventLog
 	h.m.Subscribe(log.record)
 

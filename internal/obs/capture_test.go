@@ -14,9 +14,10 @@ import (
 
 // eagerBundle is the recorder's assembly from before a capture was a copy:
 // the whole bundle built at Collect from the live sources, every field in
-// storage of its own, with MaxEvents keeping the newest MaxEvents events of
-// the window (ties at the cut included). It stays as the oracle the bundles
-// built on read must equal. seq is the sequence number the capture takes.
+// storage of its own, with recorderMaxEvents keeping the newest
+// recorderMaxEvents events of the window (ties at the cut included). It
+// stays as the oracle the bundles built on read must equal. seq is the
+// sequence number the capture takes.
 func eagerBundle(r *Recorder, p *pendingTrigger, seq uint64) *IncidentBundle {
 	b := &IncidentBundle{
 		ID:         fmt.Sprintf("%016x", bundleID(r.cfg.Scope, p.kind, p.t, seq)),
@@ -38,8 +39,8 @@ func eagerBundle(r *Recorder, p *pendingTrigger, seq uint64) *IncidentBundle {
 	if l := r.cfg.Log; l != nil {
 		lo, hi := l.ScanWindow(b.EventsFrom, b.EventsTo+1e-9)
 		b.EventsTotal = hi - lo
-		if b.EventsTotal > r.cfg.MaxEvents {
-			lo = hi - r.cfg.MaxEvents
+		if b.EventsTotal > recorderMaxEvents {
+			lo = hi - recorderMaxEvents
 		}
 		b.Events = make([]eventlog.Event, hi-lo)
 		for i := range b.Events {
@@ -92,7 +93,8 @@ func sameBundle(t *testing.T, r *Recorder, got, want *IncidentBundle) {
 
 // TestRecorderBundlesMatchEagerAssembly drives seeded scripts — warn, act,
 // burn-rate and external triggers, evictions (some before delivery),
-// unread captures, events tied at the MaxEvents cut and a final Flush —
+// unread captures, events tied at the recorderMaxEvents cut, a wrapped
+// score ring and a final Flush —
 // and holds every bundle read through Bundles, Bundle and subscriber
 // delivery to the eager assembly taken when its trigger was captured. A
 // bundle keeps its identity across reads until its capture is evicted.
@@ -107,9 +109,8 @@ func TestRecorderBundlesMatchEagerAssembly(t *testing.T) {
 		}
 		r := testRecorder(t, RecorderConfig{
 			Scope: fmt.Sprintf("s%d", seed), Layers: []string{"a", "b", "c"},
-			Window: 4 + float64(rng.Intn(6)), ScoreDepth: 2 + rng.Intn(6),
-			WarnThreshold: 0.5, BurnRateFloor: 0.5, BurnRateMinResolved: 3,
-			Refractory: float64(rng.Intn(3)), MaxBundles: 1 + rng.Intn(4), MaxEvents: 1 + rng.Intn(6),
+			Window:        0.5 + float64(rng.Intn(6)),
+			WarnThreshold: 0.5, BurnRateFloor: 0.5, MaxBundles: 1 + rng.Intn(4),
 			Log: log, Tracer: tracer, Ledger: led, RuntimeStats: seed%2 == 0,
 			Diagnose: func(from, to float64) []diagnose.Suspect {
 				lo, hi := log.ScanWindow(from, to+1e-9)
@@ -154,8 +155,12 @@ func TestRecorderBundlesMatchEagerAssembly(t *testing.T) {
 		versions := []uint64{1, 1, 1}
 		for step := 0; step < 300; step++ {
 			now += float64(1 + rng.Intn(2))
-			for i, n := 0, rng.Intn(5); i < n; i++ { // ties: one time for the whole burst
-				if err := log.Append(eventlog.Event{Time: now, Component: fmt.Sprintf("c%d", rng.Intn(3)), Type: step*8 + i, Severity: eventlog.SeverityError}); err != nil {
+			n := rng.Intn(5)
+			if rng.Intn(10) == 0 { // a burst past the cap on its own
+				n = recorderMaxEvents + rng.Intn(100)
+			}
+			for i := 0; i < n; i++ { // ties: one time for the whole burst
+				if err := log.Append(eventlog.Event{Time: now, Component: fmt.Sprintf("c%d", rng.Intn(3)), Type: step*1024 + i, Severity: eventlog.SeverityError}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -205,6 +210,15 @@ func TestRecorderBundlesMatchEagerAssembly(t *testing.T) {
 		if delivered != len(oracle) {
 			t.Fatalf("seed %d: delivered %d bundles, captured %d", seed, delivered, len(oracle))
 		}
+		capped := 0
+		for _, b := range oracle {
+			if b.EventsTotal > recorderMaxEvents {
+				capped++
+			}
+		}
+		if capped == 0 {
+			t.Fatalf("seed %d: no bundle's window passed the %d-event cap", seed, recorderMaxEvents)
+		}
 		var kinds int64
 		for _, k := range TriggerKinds {
 			if r.Captured(k) > 0 {
@@ -218,24 +232,26 @@ func TestRecorderBundlesMatchEagerAssembly(t *testing.T) {
 	}
 }
 
-// TestRecorderMaxEventsTies: MaxEvents caps the event slice even when the
-// events before the cut share its timestamp.
+// TestRecorderMaxEventsTies: recorderMaxEvents caps the event slice even
+// when the events before the cut share its timestamp.
 func TestRecorderMaxEventsTies(t *testing.T) {
+	const n = recorderMaxEvents + 3
 	l := eventlog.NewLog()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < n; i++ {
 		if err := l.Append(eventlog.Event{Time: 5, Component: "c", Type: i, Severity: eventlog.SeverityError}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r := testRecorder(t, RecorderConfig{Window: 10, MaxEvents: 3, Log: l})
+	r := testRecorder(t, RecorderConfig{Window: 10, Log: l})
 	r.TriggerEvent(TriggerDrift, 5, "x")
 	r.Collect()
 	b := r.Bundles()[0]
-	if b.EventsTotal != 10 {
-		t.Fatalf("events total = %d, want 10", b.EventsTotal)
+	if b.EventsTotal != n {
+		t.Fatalf("events total = %d, want %d", b.EventsTotal, n)
 	}
-	if len(b.Events) != 3 || b.Events[0].Type != 7 || b.Events[2].Type != 9 {
-		t.Fatalf("capped events = %+v, want the 3 newest (types 7..9)", b.Events)
+	if len(b.Events) != recorderMaxEvents || b.Events[0].Type != 3 || b.Events[recorderMaxEvents-1].Type != n-1 {
+		t.Fatalf("capped events = %d (types %d..%d), want the %d newest (types 3..%d)",
+			len(b.Events), b.Events[0].Type, b.Events[len(b.Events)-1].Type, recorderMaxEvents, n-1)
 	}
 }
 
@@ -287,7 +303,7 @@ func newCaptureRig(tb testing.TB, maxBundles int) *captureRig {
 	c := &captureRig{log: eventlog.NewLog(), tracer: NewTracer(DefaultTraceCapacity), led: led,
 		scores: []float64{0.9, 0.8, 0.7, 0.6}, vers: []uint64{1, 2, 3, 4}}
 	c.log.Grow(1 << 16)
-	c.r, err = NewRecorder(RecorderConfig{Layers: names, Window: 600, Refractory: 1e-9, MaxBundles: maxBundles,
+	c.r, err = NewRecorder(RecorderConfig{Layers: names, Window: 20, MaxBundles: maxBundles,
 		Log: c.log, Tracer: c.tracer, Ledger: led, RuntimeStats: true})
 	if err != nil {
 		tb.Fatal(err)
@@ -330,9 +346,10 @@ func TestRecorderCaptureZeroAllocs(t *testing.T) {
 	if got := c.r.Captured(TriggerWarn) - before; got != 201 {
 		t.Fatalf("captures during the measurement = %d, want one a cycle (201)", got)
 	}
-	// The window [now−600, now] holds eleven cycles' bursts.
+	// The window [now−20, now] holds this cycle's burst; the refractory
+	// period, 2 × 20 s, closes before the next cycle.
 	b := c.r.Bundles()[c.r.Config().MaxBundles-1]
-	if len(b.Events) != 88 || len(b.Spans) != recorderSlowSpans || b.Quality == nil || b.Runtime == nil {
+	if len(b.Events) != 8 || len(b.Spans) != recorderSlowSpans || b.Quality == nil || b.Runtime == nil {
 		t.Fatalf("newest bundle: %d events, %d spans, quality %v, runtime %v", len(b.Events), len(b.Spans), b.Quality, b.Runtime)
 	}
 }

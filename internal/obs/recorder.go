@@ -52,7 +52,10 @@ func triggerIndex(k TriggerKind) int {
 // RecorderConfig parameterizes a flight recorder. Only Layers is
 // mandatory; every correlated source (event log, tracer, ledger,
 // diagnoser, lifecycle) is optional and simply absent from bundles when
-// nil. Times are in the pipeline's domain clock.
+// nil. Times are in the pipeline's domain clock. The score-history depth
+// (32 cycles), the event cap (512 a bundle), the burn-rate warm-up (10
+// resolved predictions) and the refractory period (2 × Window) are the
+// package's constants.
 type RecorderConfig struct {
 	// Scope names the recorder (tenant ID in a fleet); folded into bundle
 	// IDs so scoped recorders never collide.
@@ -64,29 +67,15 @@ type RecorderConfig struct {
 	// event-log slice and score history from trigger−Window to the
 	// trigger (default 600).
 	Window float64
-	// ScoreDepth is how many recent cycles of per-layer scores the ring
-	// retains (default 32).
-	ScoreDepth int
 	// WarnThreshold gates the warn trigger: the combined decision must
 	// warn with at least this confidence (0 fires on every warning).
 	WarnThreshold float64
 	// BurnRateFloor arms the burn-rate trigger: it fires when the rolling
 	// combined F-measure drops below the floor (0 disables).
 	BurnRateFloor float64
-	// BurnRateMinResolved is the minimum resolved predictions in the
-	// rolling window before the burn-rate trigger can fire (default 10),
-	// so an empty ledger does not alarm.
-	BurnRateMinResolved int
-	// Refractory is the per-trigger-kind dead time [s] after a capture
-	// (default 2×Window): a flapping predictor yields one bundle per
-	// refractory period per kind, the rest count as suppressed.
-	Refractory float64
 	// MaxBundles bounds retained bundles; older ones are evicted
 	// (default 32).
 	MaxBundles int
-	// MaxEvents caps the event-log slice per bundle, keeping the newest
-	// events of the window (default 512).
-	MaxEvents int
 	// Log is the mirrored event log the bundles slice. The recorder reads
 	// it only inside Collect/Flush, which the runtime calls under the
 	// evaluation exclusion (or after shutdown), so no extra locking is
@@ -162,7 +151,7 @@ type IncidentBundle struct {
 
 	EventsFrom  float64          `json:"events_from"`
 	EventsTo    float64          `json:"events_to"`
-	EventsTotal int              `json:"events_total"` // window population before the MaxEvents cap
+	EventsTotal int              `json:"events_total"` // window population before the recorderMaxEvents cap
 	Events      []eventlog.Event `json:"events,omitempty"`
 
 	Scores    []BundleScore      `json:"scores,omitempty"`
@@ -262,12 +251,12 @@ type Recorder struct {
 	mu  sync.Mutex
 	cfg RecorderConfig
 
-	// Score-history ring, flat layer-major rows: row i of depth holds
-	// times[i], scores[i*nLayers:...], versions[i*nLayers:...].
+	// Score-history ring, flat layer-major rows: row i of
+	// recorderScoreDepth holds times[i], scores[i*nLayers:...],
+	// versions[i*nLayers:...].
 	nLayers int
-	depth   int
 	head    int // next row to write
-	count   int // rows filled (≤ depth)
+	count   int // rows filled (≤ recorderScoreDepth)
 	times   []float64
 	scores  []float64
 	vers    []uint64
@@ -292,13 +281,24 @@ type Recorder struct {
 	onCapture func(seconds float64)
 }
 
-// Recorder defaults.
+// Recorder defaults and constants.
 const (
 	defaultRecorderWindow     = 600.0
-	defaultRecorderDepth      = 32
 	defaultRecorderMaxBundles = 32
-	defaultRecorderMaxEvents  = 512
-	defaultBurnRateResolved   = 10
+	// recorderScoreDepth is how many recent cycles of per-layer scores the
+	// ring retains.
+	recorderScoreDepth = 32
+	// recorderMaxEvents caps the event-log slice per bundle, keeping the
+	// newest events of the window.
+	recorderMaxEvents = 512
+	// burnRateMinResolved is the minimum resolved predictions in the
+	// rolling window before the burn-rate trigger can fire, so an empty
+	// ledger does not alarm.
+	burnRateMinResolved = 10
+	// refractoryWindows is the per-trigger-kind dead time after a capture,
+	// in Windows: a flapping predictor yields one bundle per refractory
+	// period per kind, the rest count as suppressed.
+	refractoryWindows = 2
 	// recorderSlowSpans is how many slowest tracer spans a bundle carries.
 	recorderSlowSpans = 5
 )
@@ -309,39 +309,26 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 		return nil, fmt.Errorf("%w: recorder needs at least one layer", ErrObs)
 	}
 	bad := func(v float64) bool { return v < 0 || math.IsNaN(v) || math.IsInf(v, 0) }
-	if bad(cfg.Window) || bad(cfg.WarnThreshold) || bad(cfg.BurnRateFloor) || bad(cfg.Refractory) {
-		return nil, fmt.Errorf("%w: recorder window=%g warn=%g floor=%g refractory=%g",
-			ErrObs, cfg.Window, cfg.WarnThreshold, cfg.BurnRateFloor, cfg.Refractory)
+	if bad(cfg.Window) || bad(cfg.WarnThreshold) || bad(cfg.BurnRateFloor) {
+		return nil, fmt.Errorf("%w: recorder window=%g warn=%g floor=%g",
+			ErrObs, cfg.Window, cfg.WarnThreshold, cfg.BurnRateFloor)
 	}
-	if cfg.ScoreDepth < 0 || cfg.MaxBundles < 0 || cfg.MaxEvents < 0 || cfg.BurnRateMinResolved < 0 {
-		return nil, fmt.Errorf("%w: negative recorder depth/cap", ErrObs)
+	if cfg.MaxBundles < 0 {
+		return nil, fmt.Errorf("%w: negative recorder bundle cap", ErrObs)
 	}
 	if cfg.Window == 0 {
 		cfg.Window = defaultRecorderWindow
 	}
-	if cfg.ScoreDepth == 0 {
-		cfg.ScoreDepth = defaultRecorderDepth
-	}
-	if cfg.Refractory == 0 {
-		cfg.Refractory = 2 * cfg.Window
-	}
 	if cfg.MaxBundles == 0 {
 		cfg.MaxBundles = defaultRecorderMaxBundles
-	}
-	if cfg.MaxEvents == 0 {
-		cfg.MaxEvents = defaultRecorderMaxEvents
-	}
-	if cfg.BurnRateMinResolved == 0 {
-		cfg.BurnRateMinResolved = defaultBurnRateResolved
 	}
 	n := len(cfg.Layers)
 	r := &Recorder{
 		cfg:         cfg,
 		nLayers:     n,
-		depth:       cfg.ScoreDepth,
-		times:       make([]float64, cfg.ScoreDepth),
-		scores:      make([]float64, cfg.ScoreDepth*n),
-		vers:        make([]uint64, cfg.ScoreDepth*n),
+		times:       make([]float64, recorderScoreDepth),
+		scores:      make([]float64, recorderScoreDepth*n),
+		vers:        make([]uint64, recorderScoreDepth*n),
 		nextAllowed: make([]float64, len(TriggerKinds)),
 		captured:    make([]int64, len(TriggerKinds)),
 		pending:     make([]pendingTrigger, 0, 4),
@@ -400,7 +387,7 @@ func (r *Recorder) Observe(now float64, scores []float64, o CycleObservation) {
 	burn := false
 	if r.cfg.BurnRateFloor > 0 && r.cfg.Ledger != nil {
 		q := r.cfg.Ledger.Quality(CombinedLayer)
-		if q.TP+q.FP+q.TN+q.FN >= r.cfg.BurnRateMinResolved {
+		if q.TP+q.FP+q.TN+q.FN >= burnRateMinResolved {
 			f := q.FMeasure()
 			burn = !math.IsNaN(f) && f < r.cfg.BurnRateFloor
 		}
@@ -422,8 +409,8 @@ func (r *Recorder) Observe(now float64, scores []float64, o CycleObservation) {
 			r.vers[row+i] = 0
 		}
 	}
-	r.head = (r.head + 1) % r.depth
-	if r.count < r.depth {
+	r.head = (r.head + 1) % recorderScoreDepth
+	if r.count < recorderScoreDepth {
 		r.count++
 	}
 	if o.Warned && o.Confidence >= r.cfg.WarnThreshold {
@@ -463,7 +450,7 @@ func (r *Recorder) fireLocked(kind TriggerKind, t float64, o CycleObservation) {
 		r.suppressed++
 		return
 	}
-	r.nextAllowed[ki] = t + r.cfg.Refractory
+	r.nextAllowed[ki] = t + refractoryWindows*r.cfg.Window
 	r.pending = slices.Grow(r.pending, 1)[:len(r.pending)+1]
 	p := &r.pending[len(r.pending)-1]
 	*p = pendingTrigger{
@@ -513,11 +500,11 @@ func (r *Recorder) captureLocked(p *pendingTrigger) {
 	c.eventsTotal, c.events = 0, c.events[:0]
 	if l := r.cfg.Log; l != nil {
 		// The repo-wide now+1e-9 idiom makes the upper bound inclusive; the
-		// cap keeps the newest MaxEvents of the window, ties at the cut
-		// included.
+		// cap keeps the newest recorderMaxEvents of the window, ties at the
+		// cut included.
 		lo, hi := l.ScanWindow(from, p.t+1e-9)
 		c.eventsTotal = hi - lo
-		lo = max(lo, hi-r.cfg.MaxEvents)
+		lo = max(lo, hi-recorderMaxEvents)
 		c.events = slices.Grow(c.events, hi-lo)
 		for i := lo; i < hi; i++ {
 			c.events = append(c.events, l.At(i))
@@ -652,7 +639,7 @@ func (r *Recorder) build(c *capture) *IncidentBundle {
 
 // rowIndex returns the ring position of the i-th oldest retained score row.
 func (r *Recorder) rowIndex(i int) int {
-	return (r.head - r.count + i + r.depth) % r.depth
+	return (r.head - r.count + i + recorderScoreDepth) % recorderScoreDepth
 }
 
 // takeReadyLocked builds the bundles subscribers have not seen, oldest

@@ -33,8 +33,7 @@ func TestRecorderConfigValidation(t *testing.T) {
 	}
 	r := testRecorder(t, RecorderConfig{Layers: []string{"a"}})
 	cfg := r.Config()
-	if cfg.Window != defaultRecorderWindow || cfg.ScoreDepth != defaultRecorderDepth ||
-		cfg.Refractory != 2*defaultRecorderWindow || cfg.MaxBundles != defaultRecorderMaxBundles {
+	if cfg.Window != defaultRecorderWindow || cfg.MaxBundles != defaultRecorderMaxBundles {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 }
@@ -80,9 +79,10 @@ func TestRecorderWarnTrigger(t *testing.T) {
 }
 
 // TestRecorderRefractory: within the dead time repeated triggers of one
-// kind are suppressed, other kinds still fire, and the gate reopens.
+// kind are suppressed, other kinds still fire, and the gate reopens after
+// refractoryWindows × Window.
 func TestRecorderRefractory(t *testing.T) {
-	r := testRecorder(t, RecorderConfig{Window: 10, Refractory: 100})
+	r := testRecorder(t, RecorderConfig{Window: 50})
 	warned := CycleObservation{Warned: true, Confidence: 1}
 	r.Observe(1, []float64{1, 1}, warned)
 	r.Observe(2, []float64{1, 1}, warned)
@@ -109,13 +109,13 @@ func TestRecorderBurnRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := testRecorder(t, RecorderConfig{BurnRateFloor: 0.5, BurnRateMinResolved: 3, Ledger: led})
-	// Three resolved false positives: F = 0 < 0.5.
-	for i := 0; i < 3; i++ {
+	r := testRecorder(t, RecorderConfig{BurnRateFloor: 0.5, Ledger: led})
+	// burnRateMinResolved resolved false positives: F = 0 < 0.5.
+	for i := 0; i < burnRateMinResolved; i++ {
 		led.RecordPrediction(CombinedLayer, float64(i), true, 1)
 	}
-	led.Advance(10)
-	r.Observe(11, []float64{0, 0}, CycleObservation{})
+	led.Advance(20)
+	r.Observe(21, []float64{0, 0}, CycleObservation{})
 	r.Collect()
 	if got := r.Captured(TriggerBurnRate); got != 1 {
 		t.Fatalf("burn-rate captures = %d, want 1", got)
@@ -126,8 +126,8 @@ func TestRecorderBurnRate(t *testing.T) {
 	if got, sup := r.Captured(TriggerBurnRate), r.Suppressed(); got != 1 || sup != 0 {
 		t.Fatalf("while F stays under the floor: captures = %d, suppressed = %d, want 1, 0", got, sup)
 	}
-	// Recovery re-arms it: nine hits lift F to 0.86, then forty false alarms
-	// sink it to 0.3 again.
+	// Recovery re-arms it: nine hits lift F to 0.64, then forty false alarms
+	// sink it to 0.27 again.
 	for i := 0; i < 9; i++ {
 		led.RecordPrediction(CombinedLayer, 2e6+float64(2*i), true, 1)
 		led.RecordFailure(2e6 + float64(2*i) + 0.5)
@@ -143,42 +143,45 @@ func TestRecorderBurnRate(t *testing.T) {
 	if got := r.Captured(TriggerBurnRate); got != 2 {
 		t.Fatalf("burn-rate captures after a recovery and a second collapse = %d, want 2", got)
 	}
-	// Below the resolved floor nothing fires.
+	// One resolved prediction short of the floor, nothing fires.
 	led2, _ := NewLedger(LedgerConfig{LeadTime: 1})
-	r2 := testRecorder(t, RecorderConfig{BurnRateFloor: 0.5, BurnRateMinResolved: 5, Ledger: led2})
-	led2.RecordPrediction(CombinedLayer, 0, true, 1)
-	led2.Advance(10)
-	r2.Observe(11, []float64{0, 0}, CycleObservation{})
+	r2 := testRecorder(t, RecorderConfig{BurnRateFloor: 0.5, Ledger: led2})
+	for i := 0; i < burnRateMinResolved-1; i++ {
+		led2.RecordPrediction(CombinedLayer, float64(i), true, 1)
+	}
+	led2.Advance(100)
+	r2.Observe(101, []float64{0, 0}, CycleObservation{})
 	r2.Collect()
 	if got := r2.Captured(TriggerBurnRate); got != 0 {
-		t.Fatalf("burn-rate fired with %d resolved", 1)
+		t.Fatalf("burn-rate fired with %d resolved", burnRateMinResolved-1)
 	}
 }
 
 // TestRecorderExternalTriggerAndEvents: lifecycle-style external triggers
-// capture the event-log window, the MaxEvents cap keeps the newest
+// capture the event-log window, the recorderMaxEvents cap keeps the newest
 // events, and EventsTotal reports the uncapped population.
 func TestRecorderExternalTriggerAndEvents(t *testing.T) {
+	const n = recorderMaxEvents + 8
 	l := eventlog.NewLog()
-	for i := 0; i < 20; i++ {
+	for i := 0; i < n; i++ {
 		if err := l.Append(eventlog.Event{Time: float64(i), Component: "c", Type: i, Severity: eventlog.SeverityError}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r := testRecorder(t, RecorderConfig{Window: 100, MaxEvents: 5, Log: l,
+	r := testRecorder(t, RecorderConfig{Window: 1000, Log: l,
 		Diagnose: func(from, to float64) []diagnose.Suspect {
 			return []diagnose.Suspect{{Component: "c", Score: from + to, Events: 1}}
 		}})
-	r.TriggerEvent(TriggerDrift, 19, "errrate")
+	r.TriggerEvent(TriggerDrift, n-1, "errrate")
 	r.Collect()
 	b := r.Bundles()[0]
 	if b.Trigger != TriggerDrift || b.Detail != "errrate" {
 		t.Fatalf("bundle = %+v", b)
 	}
-	if b.EventsTotal != 20 {
-		t.Fatalf("events total = %d, want 20", b.EventsTotal)
+	if b.EventsTotal != n {
+		t.Fatalf("events total = %d, want %d", b.EventsTotal, n)
 	}
-	if len(b.Events) != 5 || b.Events[0].Type != 15 || b.Events[4].Type != 19 {
+	if len(b.Events) != recorderMaxEvents || b.Events[0].Type != 8 || b.Events[recorderMaxEvents-1].Type != n-1 {
 		t.Fatalf("capped events = %+v", b.Events)
 	}
 	if len(b.Suspects) != 1 || b.Suspects[0].Component != "c" {
@@ -214,7 +217,7 @@ func TestRecorderDeterministicIDs(t *testing.T) {
 
 // TestRecorderEviction: the bundle ring keeps the newest MaxBundles.
 func TestRecorderEviction(t *testing.T) {
-	r := testRecorder(t, RecorderConfig{Window: 1, Refractory: 1e-9, MaxBundles: 3})
+	r := testRecorder(t, RecorderConfig{Window: 0.25, MaxBundles: 3})
 	for i := 1; i <= 5; i++ {
 		r.Observe(float64(i), []float64{1, 1}, CycleObservation{Executed: true})
 	}
@@ -231,7 +234,7 @@ func TestRecorderEviction(t *testing.T) {
 // TestRecorderSubscribeFlush: subscribers see every bundle exactly once,
 // whether delivered on a later Observe or by the shutdown Flush.
 func TestRecorderSubscribeFlush(t *testing.T) {
-	r := testRecorder(t, RecorderConfig{Window: 1, Refractory: 1e-9})
+	r := testRecorder(t, RecorderConfig{Window: 0.25})
 	var got []string
 	r.Subscribe(func(b *IncidentBundle) { got = append(got, b.ID) })
 	r.Observe(1, []float64{1, 1}, CycleObservation{Executed: true})
@@ -251,40 +254,42 @@ func TestRecorderSubscribeFlush(t *testing.T) {
 }
 
 // TestRecorderScoreHistoryRows: a bundle's score history is the retained
-// rows oldest first across the ring's wrap, each row a slice of its own (an
-// append to one does not reach the next), and copying it costs the same
-// number of allocations whatever the depth.
+// rows at or before the trigger, oldest first across the ring's wrap, each
+// row a slice of its own (an append to one does not reach the next), and
+// copying it costs the same number of allocations whatever the row count.
+// An external trigger dated back into the full ring picks the count.
 func TestRecorderScoreHistoryRows(t *testing.T) {
-	bundleAllocs := func(depth int) float64 {
-		r := testRecorder(t, RecorderConfig{WarnThreshold: 0.5, Window: 10, ScoreDepth: depth, Refractory: 1e-9, MaxBundles: 1})
+	bundleAllocs := func(rows int) float64 {
+		r := testRecorder(t, RecorderConfig{Window: 10, MaxBundles: 1})
 		now, scores, vers := 0.0, make([]float64, 2), []uint64{7, 0}
 		return testing.AllocsPerRun(20, func() {
-			for i := 0; i < depth+3; i++ {
+			for i := 0; i < recorderScoreDepth+3; i++ {
 				now++
 				scores[0], scores[1], vers[1] = now, -now, uint64(now)
-				r.Observe(now, scores, CycleObservation{Warned: i == depth+2, Confidence: 0.9, LayerVersions: vers})
+				r.Observe(now, scores, CycleObservation{LayerVersions: vers})
 			}
+			r.TriggerEvent(TriggerDrift, now-float64(recorderScoreDepth-rows), "x")
 			r.Collect()
 			b := r.Bundles()[0]
-			if len(b.Scores) != depth {
-				t.Fatalf("depth %d: %d rows", depth, len(b.Scores))
+			if len(b.Scores) != rows {
+				t.Fatalf("%d rows wanted: got %d", rows, len(b.Scores))
 			}
 			for i, row := range b.Scores {
-				at := now - float64(depth-1-i)
+				at := now - float64(recorderScoreDepth-1-i)
 				if row.Time != at || len(row.Scores) != 2 || row.Scores[0] != at || row.Scores[1] != -at ||
 					len(row.Versions) != 2 || row.Versions[0] != 7 || row.Versions[1] != uint64(at) {
-					t.Fatalf("depth %d: row %d = %+v, want time %g", depth, i, row, at)
+					t.Fatalf("%d rows: row %d = %+v, want time %g", rows, i, row, at)
 				}
 			}
 			_ = append(b.Scores[0].Scores, 99)
 			_ = append(b.Scores[0].Versions, 99)
 			if b.Scores[1].Scores[0] == 99 || b.Scores[1].Versions[0] == 99 {
-				t.Fatalf("depth %d: append to row 0 wrote into row 1", depth)
+				t.Fatalf("%d rows: append to row 0 wrote into row 1", rows)
 			}
 		})
 	}
-	if small, large := bundleAllocs(4), bundleAllocs(32); small != large {
-		t.Fatalf("bundle allocations grow with depth: %.0f at 4 rows, %.0f at 32", small, large)
+	if small, full := bundleAllocs(4), bundleAllocs(recorderScoreDepth); small != full {
+		t.Fatalf("bundle allocations grow with the rows: %.0f at 4 rows, %.0f at %d", small, full, recorderScoreDepth)
 	}
 }
 

@@ -138,7 +138,7 @@ func TestRuntimeHotSwapUnderLoad(t *testing.T) {
 	}
 	recordFailures(led, 100_000, failEvery)
 	mgr, err := lifecycle.NewManager([]*core.Layer{layer}, led, lifecycle.Config{
-		ScoreWarmup: 10, ShadowMinResolved: 10, ProbationResolved: 10, CooldownCycles: 5,
+		ScoreWarmup: 10, ShadowMinResolved: 10, CooldownCycles: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -334,8 +334,7 @@ func TestHotSwapSmokeDriftedTrace(t *testing.T) {
 	}
 	recordFailures(led, ticks+failEvery, failEvery)
 	mgr, err := lifecycle.NewManager([]*core.Layer{layer}, led, lifecycle.Config{
-		ScoreWarmup: 30, ShadowMinResolved: 10, ProbationResolved: 20,
-		CooldownCycles: 20, SyncRetrain: true,
+		ScoreWarmup: 30, ShadowMinResolved: 10, CooldownCycles: 20, SyncRetrain: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -453,8 +452,7 @@ func runDriftedTrace(t *testing.T, batched bool) (ledger string, totals lifecycl
 	}
 	recordFailures(led, ticks+failEvery, failEvery)
 	mgr, err := lifecycle.NewManager([]*core.Layer{layer}, led, lifecycle.Config{
-		ScoreWarmup: 30, ShadowMinResolved: 10, ProbationResolved: 20,
-		CooldownCycles: 20, SyncRetrain: true,
+		ScoreWarmup: 30, ShadowMinResolved: 10, CooldownCycles: 20, SyncRetrain: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -82,8 +82,7 @@ func trainRecorderDiagnoser(t *testing.T) (*diagnose.Diagnoser, *eventlog.Log) {
 // through a fresh pipeline (mirror log, error-rate layer, ledger, tracer,
 // flight recorder) and returns the recorder and tracer after Stop. A
 // single shard keeps the mirror appends serialized in ingest order, and
-// ScoreDepth > recTicks rules out ring eviction — together with the
-// applied/evaluations gating this makes the replay bit-for-bit
+// with the applied/evaluations gating this makes the replay bit-for-bit
 // reproducible, which the determinism assertions below rely on.
 func replayRecorderTrace(t *testing.T, diag *diagnose.Diagnoser) (*obs.Recorder, *obs.Tracer) {
 	t.Helper()
@@ -107,10 +106,8 @@ func replayRecorderTrace(t *testing.T, diag *diagnose.Diagnoser) (*obs.Recorder,
 	rec, err := obs.NewRecorder(obs.RecorderConfig{
 		Scope:         "replay",
 		Layers:        []string{"errrate"},
-		Window:        12,
-		ScoreDepth:    recTicks + recFailEvery,
+		Window:        7.5, // refractory 2 × 7.5 s < failure period: every episode captures
 		WarnThreshold: 0.75,
-		Refractory:    15, // < failure period: every episode captures
 		MaxBundles:    64,
 		Log:           mirror,
 		Tracer:        tracer,

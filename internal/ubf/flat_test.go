@@ -154,7 +154,7 @@ func TestTryKernelsMSEIsPredictRowsMSE(t *testing.T) {
 				kernels[i].Mix = float64(trial / 10 % 2)
 			}
 		}
-		net, got := tryKernels(kernels, x, y, cfg.Ridge, sp)
+		net, got := tryKernels(kernels, x, y, sp)
 		if net == nil {
 			t.Fatalf("trial %d: unsolvable", trial)
 		}
@@ -192,7 +192,7 @@ func TestTryKernelsSteadyStateAllocs(t *testing.T) {
 	scale := widthScale(x)
 	kernels := randomKernels(cfg, x, scale, g.Split(1))
 	sp := newTrySpace(x.Rows, cfg.NumKernels+1)
-	first, firstErr := tryKernels(kernels, x, y, cfg.Ridge, sp)
+	first, firstErr := tryKernels(kernels, x, y, sp)
 	if first == nil {
 		t.Fatal("unsolvable")
 	}
@@ -201,12 +201,12 @@ func TestTryKernelsSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
-		tryKernels(kernels, x, y, cfg.Ridge, sp)
+		tryKernels(kernels, x, y, sp)
 	}); allocs != 7 {
 		t.Fatalf("warmed tryKernels allocates %.1f/op, want 7 (the network's own)", allocs)
 	}
 	// Another try on the same space leaves the first network as it was.
-	if net, _ := tryKernels(randomKernels(cfg, x, scale, g.Split(2)), x, y, cfg.Ridge, sp); net == nil {
+	if net, _ := tryKernels(randomKernels(cfg, x, scale, g.Split(2)), x, y, sp); net == nil {
 		t.Fatal("second try unsolvable")
 	}
 	after, err := first.PredictRows(x)

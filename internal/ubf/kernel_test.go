@@ -177,9 +177,6 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := Train(x, y, TrainConfig{NumKernels: -1}); err == nil {
 		t.Fatal("negative kernels accepted")
 	}
-	if _, err := Train(x, y, TrainConfig{Ridge: -1}); err == nil {
-		t.Fatal("negative ridge accepted")
-	}
 }
 
 func TestTrainDeterministicForSeed(t *testing.T) {

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/stats"
 )
 
+// TestNetworkSerializationRoundTrip: a saved network loads and predicts bit
+// for bit as the one saved; the same file with a weight written as null is
+// refused, naming the weight.
 func TestNetworkSerializationRoundTrip(t *testing.T) {
 	g := stats.NewRNG(61)
 	x, y := trainData(math.Sin, 80, g)
@@ -20,6 +24,14 @@ func TestNetworkSerializationRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := SaveNetwork(&buf, net); err != nil {
 		t.Fatal(err)
+	}
+	file := buf.String()
+	nulled := regexp.MustCompile(`("weights":\[[^,]+,)[^,]+`).ReplaceAllString(file, "${1}null")
+	if nulled == file {
+		t.Fatalf("no second weight in the saved file:\n%s", file)
+	}
+	if _, err := LoadNetwork(strings.NewReader(nulled)); err == nil || !strings.Contains(err.Error(), "weights[1] is null or missing") {
+		t.Fatalf("LoadNetwork with a null weight: error %v, want one naming weights[1]", err)
 	}
 	loaded, err := LoadNetwork(&buf)
 	if err != nil {
@@ -60,6 +72,21 @@ func TestNetworkUnmarshalValidation(t *testing.T) {
 		var n Network
 		if err := json.Unmarshal([]byte(in), &n); err == nil {
 			t.Fatalf("%s: accepted", name)
+		}
+	}
+	// A number held as null, or not at all, is refused by name: encoding/json
+	// alone reads either as 0.
+	for _, c := range []struct{ in, want string }{
+		{`{"dim":1,"kernels":[{"Center":[0],"Width":1,"Mix":0.5,"Dir":[1]}],"weights":[0.25,null]}`, "weights[1]"},
+		{`{"dim":1,"kernels":[{"Center":[0],"Width":1,"Mix":null,"Dir":[1]}],"weights":[0,1]}`, "kernel 0: Mix"},
+		{`{"dim":1,"kernels":[{"Center":[0],"Width":1,"Dir":[1]}],"weights":[0,1]}`, "kernel 0: Mix"},
+		{`{"dim":1,"kernels":[{"Center":[0],"Mix":0.5,"Dir":[1]}],"weights":[0,1]}`, "Width"},
+		{`{"dim":1,"kernels":[{"Center":[null],"Width":1,"Mix":0.5,"Dir":[1]}],"weights":[0,1]}`, "Center[0]"},
+		{`{"dim":2,"kernels":[{"Center":[0,1],"Width":1,"Mix":0.5,"Dir":[1,null]}],"weights":[0,1]}`, "Dir[1]"},
+	} {
+		var n Network
+		if err := json.Unmarshal([]byte(c.in), &n); err == nil || !strings.Contains(err.Error(), c.want+" is null or missing") {
+			t.Errorf("%s: error %v, want one naming %s", c.in, err, c.want)
 		}
 	}
 	if _, err := LoadNetwork(strings.NewReader("nope")); err == nil {

@@ -19,8 +19,6 @@ type TrainConfig struct {
 	// Refinements is the number of local perturbation rounds applied to
 	// the best candidate (default 10).
 	Refinements int
-	// Ridge is the output-weight regularization (default 1e-4).
-	Ridge float64
 	// Seed drives all randomness.
 	Seed int64
 	// PureRBF forces Mix = 1 (plain radial basis functions) — the
@@ -39,9 +37,6 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	if c.Refinements == 0 {
 		c.Refinements = 10
 	}
-	if c.Ridge == 0 {
-		c.Ridge = 1e-4
-	}
 	return c
 }
 
@@ -51,11 +46,11 @@ func (c TrainConfig) validate() error {
 		return fmt.Errorf("%w: kernels=%d candidates=%d refinements=%d",
 			ErrUBF, c.NumKernels, c.Candidates, c.Refinements)
 	}
-	if c.Ridge < 0 || math.IsNaN(c.Ridge) {
-		return fmt.Errorf("%w: ridge %g", ErrUBF, c.Ridge)
-	}
 	return nil
 }
+
+// outputRidge is the output-weight regularization.
+const outputRidge = 1e-4
 
 // Train fits a UBF network to the regression targets y (one per row of x).
 // Kernel parameters are found by randomized search (candidates) followed by
@@ -89,7 +84,7 @@ func Train(x *mat.Matrix, y []float64, cfg TrainConfig) (*Network, error) {
 	nets := make([]*Network, cfg.Candidates)
 	errs := make([]float64, cfg.Candidates)
 	par.ForScratch(0, cfg.Candidates, space, func(sp *trySpace, c int) {
-		nets[c], errs[c] = tryKernels(randomKernels(cfg, x, scale, streams[c]), x, y, cfg.Ridge, sp)
+		nets[c], errs[c] = tryKernels(randomKernels(cfg, x, scale, streams[c]), x, y, sp)
 	})
 	var best *Network
 	bestErr := math.Inf(1)
@@ -106,7 +101,7 @@ func Train(x *mat.Matrix, y []float64, cfg TrainConfig) (*Network, error) {
 	sp := space()
 	for r := 0; r < cfg.Refinements; r++ {
 		rg := g.Split(int64(cfg.Candidates + r))
-		if net, e := tryKernels(perturbKernels(best.Kernels, scale, cfg, rg), x, y, cfg.Ridge, sp); net != nil && e < bestErr {
+		if net, e := tryKernels(perturbKernels(best.Kernels, scale, cfg, rg), x, y, sp); net != nil && e < bestErr {
 			best, bestErr = net, e
 		}
 	}
@@ -119,10 +114,10 @@ func Train(x *mat.Matrix, y []float64, cfg TrainConfig) (*Network, error) {
 // its training MSE, or (nil, +Inf) if the fit is unsolvable. Φ and the
 // normal equations live in sp, which the caller reuses across tries: the
 // network keeps the kernels, the bank and the weights, never Φ.
-func tryKernels(kernels []Kernel, x *mat.Matrix, y []float64, ridge float64, sp *trySpace) (*Network, float64) {
+func tryKernels(kernels []Kernel, x *mat.Matrix, y []float64, sp *trySpace) (*Network, float64) {
 	es := newEvalSet(kernels, x.Cols)
 	es.designInto(x, sp.phi.Data)
-	w, err := sp.ls.Solve(sp.phi, y, ridge)
+	w, err := sp.ls.Solve(sp.phi, y, outputRidge)
 	if err != nil {
 		return nil, math.Inf(1)
 	}

@@ -12,14 +12,15 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 )
 
 // orphanAllowed: names under internal/* or in the facade that no main
-// reaches and that stay anyway, each with why. A trailing '*' matches a
-// prefix. What an allowed name calls is kept with it; an entry that excuses
-// nothing fails.
+// reaches, and config fields no main sets, that stay anyway, each with why.
+// A trailing '*' matches a prefix. What an allowed name calls is kept with
+// it; an entry that excuses nothing fails.
 var orphanAllowed = map[string]string{
 	// Oracles and fixtures: what a test holds reached code to, or builds its input with.
 	"hsmm.durationDist.logPDF": "oracle for the prepared duration table (TestDurationTableMatchesLogPDF)",
@@ -66,6 +67,19 @@ var orphanAllowed = map[string]string{
 	"act.NewPreparedRepair":     "DESIGN.md's Fig. 7 → code map: one of the five countermeasures",
 	"ubf.SaveNetwork":           "ROADMAP item 4(a) decides the UBF network file's fate with the product stack",
 	"ubf.LoadNetwork":           "ROADMAP item 4(a) decides the UBF network file's fate with the product stack",
+	// Config fields no main sets: a value only a test, a sweep or the
+	// package itself varies.
+	"fleet.Config.Workers":                         "a shape axis of TestFleetDeterministicAcrossShapes; its GOMAXPROCS default differs by machine",
+	"fleet.Config.BatchSize":                       "a shape axis of TestFleetDeterministicAcrossShapes",
+	"hsmm.Config.Family":                           "the kernel reference's exponential builder (TestExponentialFamily, reference_test.go)",
+	"ubf.TrainConfig.PureRBF":                      "the pure-RBF arm of TestMixedKernelsBeatPureRBFOnStep, EXPERIMENTS.md's Eq. 1 row",
+	"lifecycle.Config.SyncRetrain":                 "the lifecycle tests need deterministic retrains",
+	"obs.RecorderConfig.Scope":                     "ScopedRecorder sets it once per scope",
+	"experiments.CaseStudyConfig.LeadTime":         "RunLeadTimeSweep varies it",
+	"pfmmodel.RejuvenationParams.RejuvenationRate": "swept inside its own package (the ρ sweep)",
+	"service.Config.Serving":                       "pfmd's test seam: told the bound address",
+	"service.Config.Drained":                       "pfmd's test seam: scrapes the endpoints after the drain",
+	"scp.Config.*":                                 "the simulated world's parameters, not the product's",
 }
 
 type importFn func(string) (*types.Package, error)
@@ -224,13 +238,55 @@ func TestNoOrphanSurface(t *testing.T) {
 		reach(obj)
 	}
 	drain()
-	excuses := map[string]bool{}
-	for obj, name := range names {
-		for pat := range orphanAllowed {
-			if !seen[obj] && (pat == name || strings.HasSuffix(pat, "*") && strings.HasPrefix(name, strings.TrimSuffix(pat, "*"))) {
-				excuses[pat] = true
-				reach(obj)
+
+	// What the mains set: a field written by reached code outside the
+	// field's own package, as a composite-literal key, by assignment, or by
+	// taking its address (a flag binding).
+	set := map[*types.Var]bool{}
+	for obj := range seen {
+		mark := func(e ast.Expr) {
+			if sel, ok := e.(*ast.SelectorExpr); ok {
+				e = sel.Sel
 			}
+			if id, ok := e.(*ast.Ident); ok {
+				if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg() != obj.Pkg() {
+					set[v.Origin()] = true
+				}
+			}
+		}
+		ast.Inspect(decl[obj], func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				mark(n.Key)
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					mark(lhs)
+				}
+			case *ast.IncDecStmt:
+				mark(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					mark(n.X)
+				}
+			}
+			return true
+		})
+	}
+
+	excuses := map[string]bool{}
+	allowed := func(name string) bool {
+		ok := false
+		for pat := range orphanAllowed {
+			if pat == name || strings.HasSuffix(pat, "*") && strings.HasPrefix(name, strings.TrimSuffix(pat, "*")) {
+				excuses[pat] = true
+				ok = true
+			}
+		}
+		return ok
+	}
+	for obj, name := range names {
+		if !seen[obj] && allowed(name) {
+			reach(obj)
 		}
 	}
 	drain()
@@ -239,9 +295,22 @@ func TestNoOrphanSurface(t *testing.T) {
 			t.Errorf("%s: no main under cmd/, examples/ or bench/pfmbench reaches it — delete it, or add it to orphanAllowed with its reason", name)
 		}
 	}
+	configType := regexp.MustCompile(`(Config|Spec|Params|Template)$`)
+	for obj, name := range names { // a config field with one value in use is a constant
+		st, isStruct := obj.Type().Underlying().(*types.Struct)
+		if _, isType := obj.(*types.TypeName); !isType || !isStruct || !obj.Exported() ||
+			!strings.Contains(obj.Pkg().Path(), "/internal/") || !configType.MatchString(name) {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() && !set[f] && !allowed(name+"."+f.Name()) {
+				t.Errorf("%s.%s: no main under cmd/, examples/ or bench/pfmbench sets it — make it a constant, or add it to orphanAllowed with its reason", name, f.Name())
+			}
+		}
+	}
 	for pat, why := range orphanAllowed {
 		if !excuses[pat] || why == "" {
-			t.Errorf("orphanAllowed[%q] excuses nothing unreached, or gives no reason — drop it", pat)
+			t.Errorf("orphanAllowed[%q] excuses nothing unreached or unset, or gives no reason — drop it", pat)
 		}
 	}
 }
