@@ -32,7 +32,9 @@
 // -fleet runs the multi-tenant fleet and -replay-columnar replays
 // a recorded one-tenant trace unpaced; both read the first form's flags too,
 // except where flagModes says otherwise: a flag given on the command line that
-// the selected mode does not read is an error. -eval is the MEA cadence in
+// the selected mode does not read is an error. -pprof (/debug/pprof/ on
+// -addr) and -trace-dump (the slowest traces, printed at exit) are read in
+// every mode. -eval is the MEA cadence in
 // simulated seconds in every mode, at most the lead time (300). pfmd refuses
 // unknown flags, unread ones and a bad -overflow, -log-format or -log-level;
 // service.Run refuses the values no run can use.
@@ -189,7 +191,6 @@ func modeOf(c *service.Config) mode {
 // do. A flag absent from the table is read by all three.
 var flagModes = map[string]mode{
 	"seed": modeLive | modeFleet, "days": modeLive | modeFleet, "compress": modeLive | modeFleet,
-	"pprof": modeLive | modeColumnar, "trace-dump": modeLive | modeColumnar,
 	"meta-weights": modeLive | modeColumnar, "hotswap": modeLive, "replay-columnar": modeColumnar,
 	"fleet": modeFleet, "tenants": modeFleet, "skew": modeFleet, "shards": modeFleet,
 	"fleet-trace": modeFleet, "listen": modeFleet,

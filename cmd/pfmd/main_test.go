@@ -397,8 +397,10 @@ func TestLiveDeterministic(t *testing.T) {
 // TestFleetRun runs pfmd -fleet in process over a handful of simulated
 // tenants for half a simulated day, scrapes the fleet plane while it serves
 // and after the drain, and checks that the -incident-* flags reach it: every
-// warning raises a bundle (-incident-warn 0) that /incidents serves and
-// -incident-dir keeps.
+// warning raises a bundle (-incident-warn 0) that /incidents serves, the
+// shared incident families count and -incident-dir keeps. -pprof and
+// -trace-dump are read as in every mode: /debug/pprof/ answers beside the
+// fleet plane, and the slowest traces follow the run on stdout.
 func TestFleetRun(t *testing.T) {
 	const tenants = 6
 	dir := filepath.Join(t.TempDir(), "incidents")
@@ -407,6 +409,7 @@ func TestFleetRun(t *testing.T) {
 		"-fleet", "-tenants", strconv.Itoa(tenants), "-shards", "2", "-addr", "127.0.0.1:0",
 		"-days", "0.5", "-compress", "86400", "-trace-sample", "1",
 		"-incident-warn", "0", "-incident-dir", dir, "-log-format", "json",
+		"-pprof", "-trace-dump", "3",
 	}, &stdout, &stderr)
 	if err != nil {
 		t.Fatal(err)
@@ -433,6 +436,9 @@ func TestFleetRun(t *testing.T) {
 		if rows := fleetView(addr); len(rows) != tenants {
 			t.Errorf("/fleet while serving: %d tenant rows, want %d", len(rows), tenants)
 		}
+		if code, body := scrape(t, addr, "/debug/pprof/"); code != http.StatusOK || !strings.Contains(body, "goroutine") {
+			t.Errorf("/debug/pprof/ with -pprof: %d %.80q", code, body)
+		}
 	}
 	c.Drained = func() {
 		final = scrapeBase(t, addr)
@@ -445,11 +451,15 @@ func TestFleetRun(t *testing.T) {
 	}
 	checkDrained(t, final)
 	for _, series := range []string{
-		`pfm_fleet_tenants 6`, `pfm_layer_eval_errors_total{layer="load"} 0`, `pfm_fleet_incidents_total{trigger="warn"}`,
+		`pfm_fleet_tenants 6`, `pfm_layer_eval_errors_total{layer="load"} 0`, `pfm_incidents_total{trigger="warn"}`,
+		`pfm_incident_bundle_seconds_count`,
 	} {
 		if !strings.Contains(final.metrics, series) {
 			t.Errorf("/metrics lacks %q", series)
 		}
+	}
+	if dump := stdout.String(); !strings.Contains(dump, "slowest 3 end-to-end traces:") {
+		t.Errorf("-trace-dump 3: stdout lacks the trace table:\n%s", dump)
 	}
 	if metricSum(t, final.metrics, "pfm_warnings_total") == 0 || len(final.incidents) == 0 {
 		t.Fatalf("no warning or no bundle on /incidents: %d bundles\n%s", len(final.incidents), stderr.String())
@@ -690,6 +700,7 @@ func TestParseFlags(t *testing.T) {
 	for _, ok := range [][]string{
 		{"-fleet", "-shards", "4", "-act-budget", "2", "-incident-dir", "d"},
 		{"-replay-columnar", "x.wire", "-eval", "300", "-pprof"},
+		{"-fleet", "-pprof", "-trace-dump", "3"},
 		{"-hotswap", "-meta-weights", "1,1,1,1"},
 	} {
 		if _, err := parseFlags(ok, io.Discard, io.Discard); err != nil {

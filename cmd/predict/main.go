@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"repro/internal/eventlog"
 	"repro/internal/fleet"
@@ -81,6 +82,7 @@ func loadTrace(path string) (*eventlog.Log, []float64, error) {
 	for n := 0; ; n++ {
 		rec, err := src.Next()
 		if errors.Is(err, io.EOF) {
+			sort.Float64s(failures) // predict.FailureIn searches them
 			return l, failures, nil
 		}
 		if err != nil {
@@ -271,14 +273,7 @@ func gridScores(clf *hsmm.Classifier, log *eventlog.Log, failures []float64, win
 		if err != nil {
 			return nil, 0, err
 		}
-		actual := false
-		for _, f := range failures {
-			if f > t && f <= t+lead+window {
-				actual = true
-				break
-			}
-		}
-		scored = append(scored, predict.Scored{Score: s, Actual: actual})
+		scored = append(scored, predict.Scored{Score: s, Actual: predict.FailureIn(failures, t, t+lead+window)})
 	}
 	if len(scored) == 0 {
 		return nil, 0, fmt.Errorf("no evaluation points in range")

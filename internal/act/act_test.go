@@ -156,6 +156,44 @@ func TestSelectorLowConfidenceDoesNothing(t *testing.T) {
 	}
 }
 
+// TestSelectorGateAlwaysPasses pins the act gate every non-test caller runs:
+// each hands its engine's selector (DefaultWeights) one action, and from the
+// engine's WarnThreshold up to certainty that action is selected as worth
+// taking. Its utility gate never vetoes a warning, so deleting the selector
+// from those callers changes no decision.
+func TestSelectorGateAlwaysPasses(t *testing.T) {
+	s, err := NewSelector(DefaultWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		caller string
+		params Params
+		warn   float64 // the caller's core.Config.WarnThreshold
+	}{
+		{"pfmd pipeline (service)", Params{Cost: 0.5, SuccessProb: 0.85, Complexity: 0.3}, 0.2},
+		{"E3 closed loop (experiments)", Params{Cost: 0.5, SuccessProb: 0.85, Complexity: 0.3}, 0.3},
+		{"E12 oscillation (experiments)", Params{Cost: 1, SuccessProb: 0.9, Complexity: 0.3}, 0.5},
+		{"fleet default", Params{SuccessProb: 1}, 0.5},
+	} {
+		a, err := New("only", PreparedRepair, c.params, func() error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k <= 100; k++ {
+			conf := c.warn + (1-c.warn)*float64(k)/100
+			if k == 100 {
+				conf = 1 // exactly, whatever the sum rounds to
+			}
+			best, u, worth, err := s.Select([]*Action{a}, conf)
+			if err != nil || best != a || !worth {
+				t.Errorf("%s at confidence %g: Select = (%v, %g, %v, %v), want the action, worth taking",
+					c.caller, conf, best, u, worth, err)
+			}
+		}
+	}
+}
+
 func TestSelectorValidation(t *testing.T) {
 	if _, err := NewSelector(ObjectiveWeights{Benefit: 0}); err == nil {
 		t.Fatal("zero benefit accepted")

@@ -370,7 +370,7 @@ func labelledGrid(cfg CaseStudyConfig, sys *scp.System, failures []float64) func
 				continue
 			}
 			times = append(times, t)
-			labels = append(labels, anyIn(failures, t, t+cfg.LeadTime+slack))
+			labels = append(labels, predict.FailureIn(failures, t, t+cfg.LeadTime+slack))
 		}
 		return times, labels
 	}
@@ -711,20 +711,6 @@ func downSpans(sys *scp.System) [][2]float64 {
 func inSpan(spans [][2]float64, t float64) bool {
 	for _, s := range spans {
 		if t >= s[0] && t <= s[1] {
-			return true
-		}
-	}
-	return false
-}
-
-// anyIn reports whether sorted xs has a value in (from, to].
-func anyIn(xs []float64, from, to float64) bool {
-	i := sort.SearchFloat64s(xs, from)
-	for ; i < len(xs); i++ {
-		if xs[i] > to {
-			return false
-		}
-		if xs[i] > from {
 			return true
 		}
 	}

@@ -233,7 +233,6 @@ type Fleet struct {
 	// the shard level.
 	acct settlement
 
-	unknown     *runtime.Counter // ingest for unregistered tenants
 	handoffN    *runtime.Counter // queued events re-homed by membership changes
 	actDeferred *runtime.Counter
 	evalErrors  []*runtime.Counter // per layer template: scores that errored (abstained)
@@ -322,12 +321,8 @@ func New(cfg Config) (*Fleet, error) {
 		mem.byID[tn.spec.ID] = tn
 	}
 	reg := f.metrics.Registry()
-	f.unknown = reg.Counter("pfm_fleet_unknown_tenant_total",
-		"Events rejected because their tenant is not registered.")
 	f.handoffN = reg.Counter("pfm_fleet_handoff_total",
 		"Queued events re-homed onto another shard by membership changes.")
-	reg.CounterFunc("pfm_fleet_act_executed_total", "Countermeasures executed across the fleet.",
-		func() float64 { return float64(f.metrics.Actions.Value()) })
 	f.actDeferred = reg.Counter("pfm_fleet_act_deferred_total",
 		"Warn decisions whose countermeasure was deferred by the act budget.")
 	f.evalErrors = make([]*runtime.Counter, len(cfg.Layers))
@@ -360,18 +355,8 @@ func New(cfg Config) (*Fleet, error) {
 			"Tenants sharing the overflow ledger scope (cardinality cap).",
 			func() float64 { return float64(cfg.Ledger.Folded()) })
 	}
-	if cfg.Recorder != nil {
-		rec := cfg.Recorder
-		for _, k := range obs.TriggerKinds {
-			kind := k
-			reg.CounterFunc("pfm_fleet_incidents_total",
-				"Incident bundles captured across the fleet by trigger kind.",
-				func() float64 { return float64(rec.Captured(kind)) },
-				"trigger", string(kind))
-		}
-		reg.CounterFunc("pfm_fleet_incidents_suppressed_total",
-			"Incident triggers suppressed by per-scope refractory windows.",
-			func() float64 { return float64(rec.Suppressed()) })
+	if rec := cfg.Recorder; rec != nil {
+		runtime.RegisterRecorderMetrics(reg, rec)
 		reg.GaugeFunc("pfm_fleet_recorder_folded",
 			"Tenants sharing the overflow flight recorder (cardinality cap).",
 			func() float64 { return float64(rec.Folded()) })
@@ -385,7 +370,7 @@ func (f *Fleet) newShardQueueAt(s int) *shardQueue {
 	reg := f.metrics.Registry()
 	for len(f.shardDrops) <= s {
 		f.shardDrops = append(f.shardDrops, reg.Counter("pfm_fleet_shard_dropped_total",
-			"Events dropped per fleet ingest shard (all reasons).", "shard", strconv.Itoa(len(f.shardDrops))))
+			"Events dropped per fleet ingest shard (every reason but unknown: those name no shard).", "shard", strconv.Itoa(len(f.shardDrops))))
 	}
 	return newShardQueue(f.cfg.Overflow, f.cfg.QueueCapacity, f.metrics, f.shardDrops[s],
 		f.cfg.Tracer, &f.acct, f.now, s)
@@ -670,16 +655,18 @@ func (f *Fleet) Ingest(ctx context.Context, ev ingest.Event) error {
 }
 
 // ingest offers *ev to the tenant its ID resolved to, nil for none: that, and
-// a tenant retired since it was resolved, is counted and answered with
-// ErrUnknownTenant itself, unwrapped — Pump skips such a record without
-// building an error for it. *ev is copied once, into its queue slot.
+// a tenant retired since it was resolved, is counted ingested and dropped
+// (reason "unknown") and answered with ErrUnknownTenant itself, unwrapped —
+// Pump skips such a record without building an error for it. *ev is copied
+// once, into its queue slot.
 func (f *Fleet) ingest(ctx context.Context, tn *tenant, ev *ingest.Event) error {
 	if tn != nil {
 		if err := tn.q.push(ctx, ev); err != errTenantRemoved {
 			return err
 		}
 	}
-	f.unknown.Inc()
+	f.metrics.Ingested.Inc()
+	f.metrics.DroppedUnknown.Inc()
 	return ErrUnknownTenant
 }
 

@@ -484,8 +484,10 @@ func TestFleetUnknownTenant(t *testing.T) {
 	}
 	rec := httptest.NewRecorder()
 	f.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if !strings.Contains(rec.Body.String(), "pfm_fleet_unknown_tenant_total 2") {
-		t.Error("/metrics missing unknown-tenant count 2")
+	for _, want := range []string{`pfm_events_dropped_total{reason="unknown"} 2`, "pfm_events_ingested_total 4"} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("/metrics missing %q (the unknown tenant's two events, ingested and dropped)", want)
+		}
 	}
 }
 
@@ -798,7 +800,8 @@ func TestFleetRecorderIncidents(t *testing.T) {
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	for _, want := range []string{
-		`pfm_fleet_incidents_total{trigger="warn"} 2`,
+		`pfm_incidents_total{trigger="warn"} 2`,
+		"pfm_incident_bundle_seconds_count",
 		"pfm_fleet_recorder_folded 1",
 	} {
 		if !strings.Contains(rec.Body.String(), want) {

@@ -489,6 +489,7 @@ func (o *overloadFleet) counts(t *testing.T, ingested, applied int64, reason str
 		"oldest": m.DroppedOldest.Value(), "newest": m.DroppedNewest.Value(),
 		"canceled": m.DroppedCanceled.Value(), "shutdown": m.DroppedShutdown.Value(),
 		"removed": m.DroppedRemoved.Value(), "ratelimited": m.DroppedRateLimited.Value(),
+		"unknown": m.DroppedUnknown.Value(),
 	}
 	if got := m.Ingested.Value(); got != ingested {
 		t.Errorf("ingested %d, want %d", got, ingested)
@@ -554,10 +555,10 @@ func TestFleetIngestOverload(t *testing.T) {
 		if err := returned(t, "after RemoveTenant", done); !errors.Is(err, ErrUnknownTenant) {
 			t.Fatalf("Ingest parked for a removed tenant: %v, want ErrUnknownTenant", err)
 		}
-		o.counts(t, 4, 0, "", 0) // refused, not counted
+		o.counts(t, 5, 0, "unknown", 1) // refused: ingested, then dropped
 		o.start(t)
 		o.settle(t)
-		o.counts(t, 4, 4, "", 0)
+		o.counts(t, 5, 4, "unknown", 1)
 		o.order(t, "a", 0, 1, 2, 3)
 		o.order(t, "b")
 	})

@@ -126,7 +126,7 @@ func TestPumpTenantTableChurn(t *testing.T) {
 	if err := f.Barrier(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.unknown.Value(); got != gap {
+	if got := f.metrics.DroppedUnknown.Value(); got != gap {
 		t.Errorf("unknown-tenant events = %d, want the gap's %d", got, gap)
 	}
 	if got := log.applied(a); len(got) != 2 || got[0] != before || got[1] != after {
@@ -138,8 +138,8 @@ func TestPumpTenantTableChurn(t *testing.T) {
 	if v, ok := f.TenantStatus(a); !ok || v.Events != after || v.Failures != 1 {
 		t.Errorf("new tenant a: events %d failures %d (registered %v), want %d and 1", v.Events, v.Failures, ok, after)
 	}
-	if in, want := f.Metrics().Ingested.Value(), int64(2*(before+gap+after)-gap); in != want {
-		t.Errorf("ingested %d, want %d (an unknown tenant's events are not counted)", in, want)
+	if in, want := f.Metrics().Ingested.Value(), int64(2*(before+gap+after)); in != want {
+		t.Errorf("ingested %d, want %d (an unknown tenant's events are counted ingested, then dropped)", in, want)
 	}
 	conservedFleet(t, f)
 }
@@ -183,7 +183,7 @@ func TestPumpTenantTableAliases(t *testing.T) {
 			t.Errorf("tenant %s applied %d events, want %d", id, v.Events, want)
 		}
 	}
-	if got := f.unknown.Value(); got != 0 {
+	if got := f.metrics.DroppedUnknown.Value(); got != 0 {
 		t.Errorf("unknown-tenant events = %d, want 0", got)
 	}
 	conservedFleet(t, f)
@@ -255,8 +255,8 @@ func TestPumpConcurrent(t *testing.T) {
 
 // TestPumpUnknownTenantZeroAllocs: a trace that keeps naming a retired tenant
 // — events and failure marks, between a live tenant's — pumps without
-// building an error value a record, and pfm_fleet_unknown_tenant_total counts
-// its events one for one (its failure marks are skipped uncounted, as
+// building an error value a record, and
+// pfm_events_dropped_total{reason="unknown"} counts its events one for one (its failure marks are skipped uncounted, as
 // RecordFailure's refusals always were).
 func TestPumpUnknownTenantZeroAllocs(t *testing.T) {
 	f, ids, applied := countingFleet(t, 2, obs.NewTracer(256))
@@ -290,7 +290,7 @@ func TestPumpUnknownTenantZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 		t.Fatalf("pumping past a retired tenant allocates %.1f objects per %d records, want 0", allocs, len(recs))
 	}
-	if got, want := f.unknown.Value(), int64(runs*burst); got != want {
+	if got, want := f.metrics.DroppedUnknown.Value(), int64(runs*burst); got != want {
 		t.Errorf("unknown-tenant events = %d, want %d", got, want)
 	}
 	if got, want := applied.Load(), int64(runs*burst); got != want {

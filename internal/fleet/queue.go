@@ -302,7 +302,7 @@ type shardQueue struct {
 	clock  func() float64 // the domain clock the token buckets refill on
 
 	metrics     *runtime.Metrics
-	drops       *runtime.Counter // per-shard, all reasons
+	drops       *runtime.Counter // per-shard, every reason but unknown
 	tracer      *obs.Tracer
 	sampleEvery int         // tracer.Interval(); 0 = tracing off
 	sampleTick  int         // pushes since the last sampled one

@@ -359,9 +359,3 @@ func (f *Fleet) Handler() http.Handler {
 	mux.HandleFunc("/fleet/resize", f.serveResize)
 	return mux
 }
-
-// Serve starts the fleet observability server on addr (":0" picks a free
-// port); shut it down with srv.Shutdown or srv.Close.
-func (f *Fleet) Serve(addr string) (*http.Server, string, error) {
-	return runtime.Serve(addr, f.Handler())
-}

@@ -52,9 +52,10 @@ func OpenTrace(path string) (Source, io.Closer, error) {
 // Pump drains src into the fleet: events go through the overflow policy as
 // Ingest puts them, failure marks as RecordFailure does. It returns the
 // number of records consumed and the first hard error (records of an unknown
-// tenant are skipped, the events among them counted on
-// pfm_fleet_unknown_tenant_total — one bad tenant in a shared trace must not
-// stall the rest of the fleet, nor cost an error value a record).
+// tenant are skipped, the events among them counted ingested and dropped on
+// pfm_events_dropped_total{reason="unknown"} — one bad tenant in a shared
+// trace must not stall the rest of the fleet, nor cost an error value a
+// record).
 //
 // A record costs one tenant resolution, usually a pointer compare
 // (tenantTable), and one copy of its event, from rec into the queue slot.

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	stdruntime "runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -234,4 +236,54 @@ func TestTailMalformed(t *testing.T) {
 			t.Errorf("ParseLine(%q) = skip=%v err=%v, want skip", line, skip, err)
 		}
 	}
+}
+
+// FuzzParseLine: the text line parser and its printer agree. A line
+// ParseLine accepts prints (FormatRecord) to one it parses back to the same
+// record, floats equal by their bits; a line it refuses is refused as
+// malformed input naming the field at fault. Seeded from testdata/lines.trace.
+// Run long-form with: go test -run '^$' -fuzz FuzzParseLine ./internal/fleet/
+func FuzzParseLine(f *testing.F) {
+	seed, err := os.ReadFile(filepath.Join("testdata", "lines.trace"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range strings.Split(string(seed), "\n") {
+		f.Add(line)
+	}
+	f.Add("S|t|-0|v|NaN\r\n")
+	f.Add("E|t|+Inf|c|-7|+3|a|b")
+	f.Fuzz(func(t *testing.T, line string) {
+		rec, skip, err := ParseLine(line)
+		if err != nil {
+			names := func(field string) bool { return strings.Contains(err.Error(), field) }
+			if !errors.Is(err, ErrFleet) || !slices.ContainsFunc([]string{"time", "value", "type", "severity", "fields"}, names) {
+				t.Fatalf("ParseLine(%q) refused with %v, want a malformed-input error naming a field", line, err)
+			}
+			return
+		}
+		if skip {
+			return
+		}
+		out := FormatRecord(rec)
+		again, skip, err := ParseLine(out)
+		if err != nil || skip {
+			t.Fatalf("ParseLine(%q) = %+v prints %q, which parses to (skip %v, %v)", line, rec, out, skip, err)
+		}
+		if !sameRecordBits(rec, again) {
+			t.Fatalf("ParseLine(%q) = %+v prints %q, which parses to %+v", line, rec, out, again)
+		}
+	})
+}
+
+// sameRecordBits compares two records field by field, floats by their bits.
+func sameRecordBits(a, b ingest.Record) bool {
+	for _, f := range [][2]*float64{{&a.Event.Time, &b.Event.Time}, {&a.Event.Value, &b.Event.Value},
+		{&a.Event.Error.Time, &b.Event.Error.Time}} {
+		if math.Float64bits(*f[0]) != math.Float64bits(*f[1]) {
+			return false
+		}
+		*f[0], *f[1] = 0, 0
+	}
+	return a == b
 }

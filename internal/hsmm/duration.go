@@ -25,6 +25,9 @@ var ErrModel = errors.New("hsmm: invalid model")
 // events sharing a timestamp.
 const minDelay = 1e-6
 
+// minSigma floors a fitted lognormal σ, so densities stay bounded.
+const minSigma = 0.05
+
 // DurationFamily selects the parametric family for per-state inter-event
 // durations.
 type DurationFamily int
@@ -146,8 +149,8 @@ func (d *durationDist) fitMoments(w, wLog, wLog2, wDt float64) {
 		}
 		d.mu = mean
 		d.sigma = math.Sqrt(variance)
-		if d.sigma < 0.05 {
-			d.sigma = 0.05 // keep densities bounded
+		if d.sigma < minSigma {
+			d.sigma = minSigma // keep densities bounded
 		}
 	case FamilyExponential:
 		mean := wDt / w

@@ -129,6 +129,20 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("%w: logB row %d has %d entries, want %d", ErrModel, i, len(dto.LogB[i]), wantM)
 		}
 	}
+	// Each row is a distribution, so every window scores finite: an initial
+	// state and a successor always carry mass, and every symbol, the
+	// catch-all included, can be emitted from every state.
+	for i := 0; i < dto.States; i++ {
+		if err := checkDistribution(fmt.Sprintf("logA[%d]", i), dto.LogA[i], false); err != nil {
+			return err
+		}
+		if err := checkDistribution(fmt.Sprintf("logB[%d]", i), dto.LogB[i], true); err != nil {
+			return err
+		}
+	}
+	if err := checkDistribution("logPi", dto.LogPi, false); err != nil {
+		return err
+	}
 	symbols := make(map[int]int, len(dto.Alphabet))
 	for idx, typ := range dto.Alphabet {
 		if typ == nil {
@@ -152,13 +166,18 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("%w: state %d: duration sigma is null or missing", ErrModel, i)
 		}
 		mu, sigma := *d.Mu, *d.Sigma
-		// A non-positive σ or rate leaves every window scoring −Inf without
-		// an error. (encoding/json refuses NaN and ±Inf before they get here.)
+		// Parameters outside the range Fit produces are refused: a σ under
+		// Fit's floor, a median delay no float64 holds or a rate above
+		// 1/minDelay can make a delay's log-density −Inf, and a window both
+		// models rule out that way scores NaN. (encoding/json refuses NaN and
+		// ±Inf before they get here.)
 		switch {
-		case f == FamilyLogNormal && sigma <= 0:
-			return fmt.Errorf("%w: state %d: lognormal sigma %g, want > 0", ErrModel, i, sigma)
-		case f == FamilyExponential && mu <= 0:
-			return fmt.Errorf("%w: state %d: exponential rate mu %g, want > 0", ErrModel, i, mu)
+		case f == FamilyLogNormal && !(sigma >= minSigma):
+			return fmt.Errorf("%w: state %d: lognormal sigma %g, want >= %g", ErrModel, i, sigma, minSigma)
+		case f == FamilyLogNormal && !(math.Abs(mu) <= maxLogDelay):
+			return fmt.Errorf("%w: state %d: lognormal mu %g, want within ±%g", ErrModel, i, mu, maxLogDelay)
+		case f == FamilyExponential && !(mu > 0 && mu <= 1/minDelay):
+			return fmt.Errorf("%w: state %d: exponential rate mu %g, want in (0, %g]", ErrModel, i, mu, 1/minDelay)
 		}
 		dur[i] = durationDist{family: f, mu: mu, sigma: sigma}
 	}
@@ -173,6 +192,32 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 		family:  family,
 	}
 	m.refreshKernel()
+	return nil
+}
+
+// maxLogDelay is the log of the longest delay a float64 holds.
+var maxLogDelay = math.Log(math.MaxFloat64)
+
+// minLogProb is the log of the smallest normal float64: below it a
+// probability is all but 0, and a sum of a few such logs overflows to −Inf.
+var minLogProb = math.Log(0x1p-1022)
+
+// checkDistribution refuses a row of log-probabilities that can be no
+// distribution: one with an entry above 0 (a probability above 1), or with no
+// entry of at least minLogProb (no mass); with finite, one that has any entry
+// below minLogProb, null (−Inf) included — an outcome it rules out.
+func checkDistribution(name string, row []logProb, finite bool) error {
+	mass := false
+	for j, p := range row {
+		v := float64(p)
+		if v > 0 || finite && !(v >= minLogProb) {
+			return fmt.Errorf("%w: %s[%d] = %g, want a log-probability in [%.6g, 0]", ErrModel, name, j, v, minLogProb)
+		}
+		mass = mass || v >= minLogProb
+	}
+	if !mass {
+		return fmt.Errorf("%w: %s has no mass: every entry is below %.6g or null", ErrModel, name, minLogProb)
+	}
 	return nil
 }
 

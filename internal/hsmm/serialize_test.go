@@ -279,3 +279,56 @@ func TestHardZeroRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// FuzzLoadClassifier: a model file either is refused or is a model. A file
+// LoadClassifier accepts saves, and the saved file reloads and saves again to
+// the same bytes — a null (−Inf, a hard zero) included — and the reloaded
+// classifier scores a fixed window to the same bits as the first one did; no
+// accepted file scores that window NaN. Seeded from classifiers the tests
+// train and save. Run long-form with:
+// go test -run '^$' -fuzz FuzzLoadClassifier ./internal/hsmm/
+func FuzzLoadClassifier(f *testing.F) {
+	g := stats.NewRNG(61)
+	clf, err := TrainClassifier(genFailureSeqs(g, 8), genNonFailureSeqs(g, 8), Config{States: 2, MaxIter: 5, Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveClassifier(&buf, clf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	clf.Failure.logA[0][1] = math.Inf(-1) // a hard zero, saved as null
+	clf.Failure.refreshKernel()
+	buf.Reset()
+	if err := SaveClassifier(&buf, clf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	window := genFailureSeqs(g, 1)[0]
+	window.Types = append(window.Types[:len(window.Types)-1], 9000) // and a symbol no model knows
+	f.Fuzz(func(t *testing.T, file []byte) {
+		first, err := LoadClassifier(bytes.NewReader(file))
+		if err != nil {
+			return
+		}
+		var saved, again bytes.Buffer
+		if err := SaveClassifier(&saved, first); err != nil {
+			t.Fatalf("an accepted file does not save: %v\n%s", err, file)
+		}
+		reloaded, err := LoadClassifier(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			t.Fatalf("a saved file does not reload: %v\n%s", err, saved.Bytes())
+		}
+		if err := SaveClassifier(&again, reloaded); err != nil || !bytes.Equal(saved.Bytes(), again.Bytes()) {
+			t.Fatalf("save → load → save changed the file (%v):\n%s\n%s", err, saved.Bytes(), again.Bytes())
+		}
+		want, err := first.Score(window)
+		if err != nil {
+			t.Fatalf("an accepted file scores the window: %v\n%s", err, file)
+		}
+		if got, err := reloaded.Score(window); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("reloaded classifier scores %g (%v), the loaded one %g", got, err, want)
+		}
+	})
+}

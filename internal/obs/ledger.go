@@ -174,21 +174,6 @@ func (l *Ledger) RecordFailure(t float64) {
 	l.mu.Unlock()
 }
 
-// anyFailureIn reports whether a recorded failure lies in (from, to] —
-// the exact interval rule of the offline evaluator. The caller holds l.mu.
-func (l *Ledger) anyFailureIn(from, to float64) bool {
-	i := sort.SearchFloat64s(l.failures, from)
-	for ; i < len(l.failures); i++ {
-		if l.failures[i] > to {
-			return false
-		}
-		if l.failures[i] > from {
-			return true
-		}
-	}
-	return false
-}
-
 // Advance declares ground truth complete up to time now and resolves every
 // pending prediction whose matching window has fully elapsed
 // (t + LeadTime + Slack ≤ now) into its TP/FP/TN/FN outcome — a bucket at a
@@ -213,7 +198,7 @@ func (l *Ledger) Advance(now float64) {
 				kept = append(kept, b)
 				continue
 			}
-			failed := l.anyFailureIn(b.t, b.t+horizon)
+			failed := predict.FailureIn(l.failures, b.t, b.t+horizon)
 			b.addTo(&ll.cumulative, failed, 1)
 			if l.cfg.Window > 0 {
 				ll.recent = append(ll.recent, resolvedBucket{b, failed})

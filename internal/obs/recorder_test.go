@@ -368,6 +368,32 @@ func TestScopedRecorderFold(t *testing.T) {
 	}
 }
 
+// TestScopedRecorderOnCapture: the capture-time hook reaches every scope,
+// existing and future, as Subscribe does, so a fleet's
+// pfm_incident_bundle_seconds counts every capture Captured does.
+func TestScopedRecorderOnCapture(t *testing.T) {
+	sr, err := NewScopedRecorder(RecorderConfig{Layers: []string{"a"}, Window: 10, WarnThreshold: 0.5}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sr.Scope("t1", RecorderScopeConfig{})
+	var seen int
+	sr.OnCapture(func(seconds float64) {
+		if seconds >= 0 {
+			seen++
+		}
+	})
+	after := sr.Scope("t2", RecorderScopeConfig{})
+	folded := sr.Scope("t3", RecorderScopeConfig{}) // the overflow recorder, created after the hook
+	for _, rec := range []*Recorder{before, after, folded} {
+		rec.Observe(1, []float64{1}, CycleObservation{Warned: true, Confidence: 1})
+	}
+	sr.Collect()
+	if got := sr.Captured(TriggerWarn); got != 3 || seen != 3 {
+		t.Fatalf("captured %d, hook saw %d, want 3 and 3", got, seen)
+	}
+}
+
 // TestTracerNewestCompleteID: only complete traces count, and the newest
 // wins.
 func TestTracerNewestCompleteID(t *testing.T) {

@@ -22,8 +22,9 @@ type RecorderScopeConfig struct {
 // tenants register.
 type ScopedRecorder struct {
 	scopeSet[*Recorder]
-	cfg  RecorderConfig
-	subs []func(*IncidentBundle) // applied to every scope, current and future
+	cfg       RecorderConfig
+	subs      []func(*IncidentBundle) // applied to every scope, current and future
+	onCapture func(seconds float64)   // likewise
 	// retired tallies keep Captured/Suppressed monotonic after Release.
 	retiredCaptured   map[TriggerKind]int64
 	retiredSuppressed int64
@@ -72,6 +73,7 @@ func (s *ScopedRecorder) Scope(name string, sc RecorderScopeConfig) *Recorder {
 		for _, fn := range s.subs {
 			rec.Subscribe(fn)
 		}
+		rec.OnCapture(s.onCapture)
 		return rec
 	})
 }
@@ -112,6 +114,21 @@ func (s *ScopedRecorder) Subscribe(fn func(*IncidentBundle)) {
 	s.mu.Unlock()
 	for _, rec := range recs {
 		rec.Subscribe(fn)
+	}
+}
+
+// OnCapture registers fn (see Recorder.OnCapture) on every scope, existing
+// and future; a later call replaces fn.
+func (s *ScopedRecorder) OnCapture(fn func(seconds float64)) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.onCapture = fn
+	recs := s.distinctLocked()
+	s.mu.Unlock()
+	for _, rec := range recs {
+		rec.OnCapture(fn)
 	}
 }
 

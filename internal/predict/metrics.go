@@ -55,6 +55,17 @@ func Classify(predicted, actual bool) Outcome {
 	}
 }
 
+// FailureIn reports whether sorted failures holds one in (from, to]: the
+// Sect. 3.3 rule that a prediction made at t for horizon h is a true one when
+// a failure occurs in (t, t+h].
+func FailureIn(failures []float64, from, to float64) bool {
+	i := sort.SearchFloat64s(failures, from)
+	for i < len(failures) && failures[i] == from {
+		i++
+	}
+	return i < len(failures) && failures[i] <= to
+}
+
 // ContingencyTable counts prediction outcomes.
 type ContingencyTable struct {
 	TP, FP, TN, FN int

@@ -8,6 +8,28 @@ import (
 	"repro/internal/stats"
 )
 
+// TestFailureIn: a failure counts for a prediction at from when it lies in
+// (from, to] — after the prediction, up to and including the horizon's end —
+// and a run of failures equal to from does not hide a later one.
+func TestFailureIn(t *testing.T) {
+	fails := []float64{10, 10, 10, 20, 30}
+	for _, c := range []struct {
+		from, to float64
+		want     bool
+	}{
+		{0, 9.9, false}, {0, 10, true}, {10, 19.9, false}, {10, 20, true},
+		{5, 15, true}, {20, 25, false}, {29, 30, true}, {30, 100, false},
+		{math.NaN(), 100, false},
+	} {
+		if got := FailureIn(fails, c.from, c.to); got != c.want {
+			t.Errorf("FailureIn(%v, %g, %g) = %v, want %v", fails, c.from, c.to, got, c.want)
+		}
+	}
+	if FailureIn(nil, 0, 1) {
+		t.Error("FailureIn(nil) = true")
+	}
+}
+
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		predicted, actual bool

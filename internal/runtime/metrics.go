@@ -313,10 +313,13 @@ type Metrics struct {
 	DroppedNewest   *Counter // rejected at the door by DropNewest
 	DroppedCanceled *Counter // abandoned by context cancellation while blocked
 	DroppedShutdown *Counter // backlog shed unapplied by a hard stop
-	// The fleet's two: a retired tenant's backlog, and pushes over the
-	// tenant's rate limit, shed at admission. The runtime leaves them at 0.
+	// The fleet's three: a retired tenant's backlog, pushes over the
+	// tenant's rate limit, shed at admission, and records naming no
+	// registered tenant (counted ingested, then dropped). The runtime
+	// leaves them at 0.
 	DroppedRemoved     *Counter
 	DroppedRateLimited *Counter
+	DroppedUnknown     *Counter
 
 	// Evaluate + act stages.
 	Evaluations *Counter // completed MEA cycles
@@ -339,12 +342,13 @@ func NewMetrics() *Metrics {
 		Ingested:           reg.Counter("pfm_events_ingested_total", "Events presented to the ingest stage."),
 		Applied:            reg.Counter("pfm_events_applied_total", "Events applied to predictor state."),
 		ApplyErrors:        reg.Counter("pfm_events_apply_errors_total", "Apply callbacks that returned an error."),
-		DroppedOldest:      reg.Counter("pfm_events_dropped_total", "Events dropped, by reason: overflow policy, cancellation, shutdown, tenant removal, rate limit.", "reason", "oldest"),
+		DroppedOldest:      reg.Counter("pfm_events_dropped_total", "Events dropped, by reason: overflow policy, cancellation, shutdown, tenant removal, rate limit, unknown tenant.", "reason", "oldest"),
 		DroppedNewest:      reg.Counter("pfm_events_dropped_total", "", "reason", "newest"),
 		DroppedCanceled:    reg.Counter("pfm_events_dropped_total", "", "reason", "canceled"),
 		DroppedShutdown:    reg.Counter("pfm_events_dropped_total", "", "reason", "shutdown"),
 		DroppedRemoved:     reg.Counter("pfm_events_dropped_total", "", "reason", "removed"),
 		DroppedRateLimited: reg.Counter("pfm_events_dropped_total", "", "reason", "ratelimited"),
+		DroppedUnknown:     reg.Counter("pfm_events_dropped_total", "", "reason", "unknown"),
 		Evaluations:        reg.Counter("pfm_evaluations_total", "Completed Monitor-Evaluate-Act cycles."),
 		Warnings:           reg.Counter("pfm_warnings_total", "Failure warnings raised."),
 		Actions:            reg.Counter("pfm_actions_total", "Countermeasures executed or scheduled."),
@@ -437,7 +441,8 @@ func buildIdentity() (version, revision, vcsTime string) {
 // Dropped returns the total events dropped across all reasons.
 func (m *Metrics) Dropped() int64 {
 	return m.DroppedOldest.Value() + m.DroppedNewest.Value() + m.DroppedCanceled.Value() +
-		m.DroppedShutdown.Value() + m.DroppedRemoved.Value() + m.DroppedRateLimited.Value()
+		m.DroppedShutdown.Value() + m.DroppedRemoved.Value() + m.DroppedRateLimited.Value() +
+		m.DroppedUnknown.Value()
 }
 
 // Registry exposes the underlying registry (to register app-level series

@@ -163,7 +163,7 @@ func TestBuildInfoVCSLabels(t *testing.T) {
 // including the 503 flip once the pipeline stops.
 func TestServerEndpoints(t *testing.T) {
 	rt := startRuntime(t, func(ingest.Event) error { return nil }, 4, Block)
-	srv, addr, err := rt.Serve("127.0.0.1:0")
+	srv, addr, err := Serve("127.0.0.1:0", rt.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,43 +264,23 @@ func TestReadinessDraining(t *testing.T) {
 	}
 }
 
-// TestProfilingEndpointOptIn verifies /debug/pprof/ serves only when the
-// Profiling flag is set.
+// TestProfilingEndpointOptIn verifies the runtime's plane never serves
+// /debug/pprof/: profiles reveal operational detail, so they are the
+// service's opt-in (pfmd -pprof), mounted beside Handler, not a part of it.
 func TestProfilingEndpointOptIn(t *testing.T) {
-	for _, enabled := range []bool{false, true} {
-		rt, err := New(Config{
-			Engine:    testEngine(t, defaultCoreCfg(), quietLayer()),
-			Apply:     func(ingest.Event) error { return nil },
-			Profiling: enabled,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.Start(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		srv, addr, err := rt.Serve("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Get("http://" + addr + "/debug/pprof/")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if enabled && resp.StatusCode != http.StatusOK {
-			t.Fatalf("profiling on: /debug/pprof/ returned %d", resp.StatusCode)
-		}
-		if enabled && !strings.Contains(string(body), "goroutine") {
-			t.Fatalf("profiling on: index missing profile list:\n%s", body)
-		}
-		if !enabled && resp.StatusCode == http.StatusOK {
-			t.Fatal("profiling off: /debug/pprof/ still served")
-		}
-		srv.Close()
-		if err := rt.Stop(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+	rt := startRuntime(t, func(ingest.Event) error { return nil }, 4, Block)
+	defer rt.Stop(context.Background())
+	srv, addr, err := Serve("127.0.0.1:0", rt.Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Get("http://" + addr + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/pprof/ on the runtime's plane returned %d, want 404", resp.StatusCode)
 	}
 }

@@ -221,7 +221,7 @@ func TestObservabilityHandlers(t *testing.T) {
 	waitFor(t, "cycle", func() bool { return rt.Metrics().Evaluations.Value() >= 1 })
 	led.RecordFailure(12)
 
-	srv, addr, err := rt.Serve("127.0.0.1:0")
+	srv, addr, err := Serve("127.0.0.1:0", rt.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func checkScrapeParseable(t *testing.T, body []byte) {
 func TestEndpointsAbsentWithoutObservers(t *testing.T) {
 	rt := startRuntime(t, func(ingest.Event) error { return nil }, 4, Block)
 	defer rt.Stop(context.Background())
-	srv, addr, err := rt.Serve("127.0.0.1:0")
+	srv, addr, err := Serve("127.0.0.1:0", rt.Handler())
 	if err != nil {
 		t.Fatal(err)
 	}

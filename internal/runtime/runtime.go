@@ -46,10 +46,6 @@ type Config struct {
 	// byte-identical across batch sizes; only the histograms' observation
 	// granularity changes).
 	BatchSize int
-	// Profiling exposes net/http/pprof handlers under /debug/pprof/ on
-	// the runtime's Handler. Off by default — profiles reveal operational
-	// detail, so they are opt-in.
-	Profiling bool
 	// Workers sizes the layer-evaluation pool (default GOMAXPROCS, or
 	// the layer count if smaller). 1 evaluates sequentially.
 	Workers int
@@ -232,16 +228,17 @@ func New(cfg Config) (*Runtime, error) {
 		registerLifecycleMetrics(reg, cfg.Lifecycle, layers)
 	}
 	if cfg.Recorder != nil {
-		registerRecorderMetrics(reg, cfg.Recorder)
+		RegisterRecorderMetrics(reg, cfg.Recorder)
 		r.seat.Tail.WireTriggers()
 	}
 	return r, nil
 }
 
-// registerRecorderMetrics exposes the flight recorder's trigger counters
-// and the capture latency histogram, fed by the captures themselves so that
-// no bundle is built for it.
-func registerRecorderMetrics(reg *Registry, rec *obs.Recorder) {
+// RegisterRecorderMetrics exposes a flight recorder's trigger counters and
+// the capture latency histogram, fed by the captures themselves so that no
+// bundle is built for it: one set of families for the runtime's recorder and
+// a fleet's scoped one alike.
+func RegisterRecorderMetrics(reg *Registry, rec IncidentSource) {
 	for _, k := range obs.TriggerKinds {
 		kind := k
 		reg.CounterFunc("pfm_incidents_total", "Incident bundles captured, by trigger kind.",

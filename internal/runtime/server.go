@@ -6,7 +6,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 
 	"repro/internal/ingest"
@@ -217,11 +216,15 @@ func SummarizeIncident(b *obs.IncidentBundle) IncidentSummary {
 	return s
 }
 
-// IncidentSource is a flight recorder as /incidents reads it: obs.Recorder,
-// or a fleet's obs.ScopedRecorder.
+// IncidentSource is a flight recorder as the plane reads it — /incidents its
+// bundles, the incident metric families (RegisterRecorderMetrics) its counts
+// and capture times: obs.Recorder, or a fleet's obs.ScopedRecorder.
 type IncidentSource interface {
 	Bundles() []*obs.IncidentBundle
 	Bundle(id string) *obs.IncidentBundle
+	Captured(kind obs.TriggerKind) int64
+	Suppressed() int64
+	OnCapture(fn func(seconds float64))
 }
 
 // serveIncidents renders the /incidents plane: the newest-last summary
@@ -322,9 +325,6 @@ func Serve(addr string, h http.Handler) (*http.Server, string, error) {
 //	GET /layers    — per-layer predictor lifecycle status: state, serving
 //	                 version, drift/retrain/swap counters (with
 //	                 Config.Lifecycle)
-//
-// With Config.Profiling set, the standard net/http/pprof handlers are also
-// mounted under /debug/pprof/.
 func (r *Runtime) Handler() http.Handler {
 	p := Plane{Metrics: r.metrics, Health: r.health, Tracer: r.cfg.Tracer}
 	if r.cfg.Recorder != nil {
@@ -340,17 +340,5 @@ func (r *Runtime) Handler() http.Handler {
 			_ = json.NewEncoder(w).Encode(r.cfg.Lifecycle.States())
 		})
 	}
-	if r.cfg.Profiling {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
 	return mux
-}
-
-// Serve starts the observability server on addr (see Serve).
-func (r *Runtime) Serve(addr string) (*http.Server, string, error) {
-	return Serve(addr, r.Handler())
 }

@@ -67,6 +67,7 @@ type fleetRun struct {
 	*fleet.Fleet
 	cfg    *Config
 	led    *obs.ScopedLedger
+	tracer *obs.Tracer
 	clock  fleet.Clock
 	ls     *fleet.ListenSource // nil unless the input is Listen
 	source string
@@ -98,8 +99,8 @@ func newFleet(cfg *Config) (*fleetRun, *scp.MultiSystem, error) {
 	if r.led, err = obs.NewScopedLedger(cfg.ledger(), fleetScopes, names...); err != nil {
 		return nil, nil, err
 	}
-	tracer := cfg.newTracer()
-	recorder, err := cfg.fleetRecorder(names, tracer)
+	r.tracer = cfg.newTracer()
+	recorder, err := cfg.fleetRecorder(names, r.tracer)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -114,7 +115,7 @@ func newFleet(cfg *Config) (*fleetRun, *scp.MultiSystem, error) {
 		Overflow:      cfg.Overflow,
 		ActBudget:     cfg.ActBudget,
 		Clock:         r.clock.Now,
-		Tracer:        tracer,
+		Tracer:        r.tracer,
 		Ledger:        r.led,
 		Recorder:      recorder,
 		JournalLayers: true,
@@ -155,7 +156,7 @@ func runFleet(ctx context.Context, cfg *Config) error {
 	default:
 		src, r.source = cfg.simulate(ctx, multi), "simulator"
 	}
-	return serve(ctx, cfg, r, src, &r.clock)
+	return serve(ctx, cfg, r, src, &r.clock, r.tracer)
 }
 
 func (r *fleetRun) started(addr string) {
@@ -190,10 +191,9 @@ func (r *fleetRun) pump(ctx context.Context, src fleet.Source) (int, error) {
 	return n, err
 }
 
-func (r *fleetRun) summary(int, time.Duration) error {
+func (r *fleetRun) summary(int, time.Duration) {
 	preds, fails := r.led.Totals()
 	logFleetSummary(r.cfg.Logger, r.Rollup(r.clock.Now()), preds, fails)
-	return nil
 }
 
 // logFleetSummary prints the exit rollup: status histogram (by status name),

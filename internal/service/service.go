@@ -33,6 +33,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux
 	"time"
 
 	"repro/internal/core"
@@ -55,7 +56,7 @@ type Config struct {
 
 	QueueCapacity int                    // -queue: the ingest queue's, each shard's with Fleet
 	Overflow      runtime.OverflowPolicy // -overflow
-	Profiling     bool                   // -pprof: /debug/pprof/ on Addr
+	Profiling     bool                   // -pprof: /debug/pprof/ on Addr, in every mode
 	Shards        int                    // -shards
 
 	TraceCap, TraceSample, TraceDump int     // -trace-cap, -trace-sample, -trace-dump
@@ -158,19 +159,21 @@ func driftConfig() lifecycle.Config {
 // and what it logs around the run.
 type mode interface {
 	Start(context.Context) error
-	Serve(addr string) (*http.Server, string, error)
+	Handler() http.Handler
 	Stop(context.Context) error
 	started(addr string)                                     // the endpoints are up
 	pump(ctx context.Context, src fleet.Source) (int, error) // the input, until it ends
 	cycle(ctx context.Context, nows []float64) error         // the stepper's boundaries
-	summary(records int, elapsed time.Duration) error        // after the drain
+	summary(records int, elapsed time.Duration)              // after the drain
 }
 
-// serve runs m over src: start, endpoints, the input through a stepper on
-// clock, a graceful stop bounded by drainTimeout, the exit summary. The
-// pipeline does not inherit ctx's cancellation: a canceled ctx ends the feed,
-// and Stop then drains gracefully instead of shedding the backlog.
-func serve(ctx context.Context, cfg *Config, m mode, src fleet.Source, clock *fleet.Clock) error {
+// serve runs m over src: start, endpoints (m's plane, with Profiling
+// net/http/pprof's beside it), the input through a stepper on clock, a
+// graceful stop bounded by drainTimeout, the exit summary and, with
+// TraceDump, the slowest of tracer's traces. The pipeline does not inherit
+// ctx's cancellation: a canceled ctx ends the feed, and Stop then drains
+// gracefully instead of shedding the backlog.
+func serve(ctx context.Context, cfg *Config, m mode, src fleet.Source, clock *fleet.Clock, tracer *obs.Tracer) error {
 	if err := m.Start(context.WithoutCancel(ctx)); err != nil {
 		return err
 	}
@@ -179,7 +182,14 @@ func serve(ctx context.Context, cfg *Config, m mode, src fleet.Source, clock *fl
 		defer cancel()
 		return m.Stop(ctx)
 	}
-	srv, bound, err := m.Serve(cfg.Addr)
+	h := m.Handler()
+	if cfg.Profiling {
+		mux := http.NewServeMux()
+		mux.Handle("/", h)
+		mux.Handle("/debug/pprof/", http.DefaultServeMux) // where importing net/http/pprof put its handlers
+		h = mux
+	}
+	srv, bound, err := runtime.Serve(cfg.Addr, h)
 	if err != nil { // the address is taken: stop what Start started
 		_ = stop()
 		return err
@@ -202,7 +212,12 @@ func serve(ctx context.Context, cfg *Config, m mode, src fleet.Source, clock *fl
 	if err != nil && ctx.Err() == nil {
 		return err
 	}
-	return m.summary(n, time.Since(began))
+	m.summary(n, time.Since(began))
+	if cfg.TraceDump > 0 { // check raised TraceCap to it: tracer is on
+		fmt.Fprintf(cfg.Stdout, "\nslowest %d end-to-end traces:\n\n", cfg.TraceDump)
+		return obs.WriteText(cfg.Stdout, tracer.Slowest(cfg.TraceDump), runtime.KindLabel)
+	}
+	return nil
 }
 
 // engine is every mode's engine configuration: a cycle every Eval, warning

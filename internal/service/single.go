@@ -211,7 +211,7 @@ func newPipeline(cfg *Config, mitigate func() error) (*pipeline, error) {
 
 	if p.Runtime, err = runtime.New(runtime.Config{
 		Engine: p.engine, Apply: p.mirror.apply, Clock: p.clock.Now,
-		QueueCapacity: cfg.QueueCapacity, Overflow: cfg.Overflow, Profiling: cfg.Profiling,
+		QueueCapacity: cfg.QueueCapacity, Overflow: cfg.Overflow,
 		Tracer: p.tracer, Ledger: p.ledger, Lifecycle: p.lcm, Recorder: p.recorder,
 	}); err != nil {
 		return nil, err
@@ -273,7 +273,7 @@ func runSingle(ctx context.Context, cfg *Config) error {
 	if p.sys = sys; sys != nil {
 		p.logDecisions()
 	}
-	return serve(ctx, cfg, p, src, &p.clock)
+	return serve(ctx, cfg, p, src, &p.clock, p.tracer)
 }
 
 func (p *pipeline) started(addr string) {
@@ -330,8 +330,8 @@ func (p *pipeline) pump(ctx context.Context, src fleet.Source) (int, error) {
 	}
 }
 
-// summary logs the exit report and prints the result tables.
-func (p *pipeline) summary(events int, elapsed time.Duration) error {
+// summary logs the exit report and prints the engine's report.
+func (p *pipeline) summary(events int, elapsed time.Duration) {
 	logger := p.cfg.Logger
 	logger.Info("replay complete",
 		"events", events, "wall_seconds", elapsed.Seconds(),
@@ -358,13 +358,7 @@ func (p *pipeline) summary(events int, elapsed time.Duration) error {
 	logQuality(logger, p.ledger)
 	logModelAssessment(logger, p.ledger)
 	logIncidents(logger, p.recorder)
-	out := p.cfg.Stdout
-	fmt.Fprint(out, p.engine.Report())
-	if n := p.cfg.TraceDump; n > 0 && p.tracer != nil {
-		fmt.Fprintf(out, "\nslowest %d end-to-end traces:\n\n", n)
-		return obs.WriteText(out, p.tracer.Slowest(n), runtime.KindLabel)
-	}
-	return nil
+	fmt.Fprint(p.cfg.Stdout, p.engine.Report())
 }
 
 // logDecisions is the structured decision log: every MEA cycle at debug,
