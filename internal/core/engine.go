@@ -15,11 +15,13 @@
 //
 // # Locking contract
 //
-// Engine is safe for concurrent use: ActOn, DecideOn and every accessor
-// (Report, ActionsTaken, …) serialize on an internal mutex, so the
-// cross-layer decision and the oscillation guard always observe a
-// consistent state even when driven from multiple goroutines (e.g. by
-// internal/runtime's act stage). Two things remain the caller's
+// Engine is safe for concurrent use: a warning decision (ActOn, DecideOn,
+// Decide) and every accessor (Report, ActionsTaken, …) serialize on an
+// internal mutex, so the cross-layer decision and the oscillation guard
+// always observe a consistent state even when driven from multiple
+// goroutines (e.g. by internal/runtime's act stage). A quiet decision
+// changes no state and takes no lock: it reads the layer versions the engine
+// caches between predictor swaps. Two things remain the caller's
 // responsibility:
 //
 //   - Layer predictors are invoked OUTSIDE the engine mutex — by
@@ -34,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -127,11 +130,20 @@ type Engine struct {
 	// decision.
 	observer atomic.Pointer[CycleObserver]
 
-	// combineMu guards combineIn, the combiner-input scratch, over the
-	// combine step — which stays outside mu, so a combiner may call the
-	// engine's accessors.
+	// combineMu guards combineIn, the combiner-input scratch (nil without a
+	// combiner), over the combine step — which stays outside mu, so a
+	// combiner may call the engine's accessors.
 	combineMu sync.Mutex
 	combineIn []float64
+
+	// verEpoch is the swap epoch at which vers was last checked against the
+	// layers; vers holds their serving versions then (nil: every layer at
+	// version 1, the shared initialVersions). A decision at the current
+	// epoch reads them without a lock; after a swap anywhere the next one
+	// rechecks them under mu, and a version that moved replaces the slice —
+	// decisions between two swaps share one, never rewritten.
+	verEpoch atomic.Uint64
+	vers     atomic.Pointer[[]uint64]
 
 	// mu guards all mutable state below (see the package locking contract).
 	mu     sync.Mutex
@@ -141,11 +153,20 @@ type Engine struct {
 	actionTimes []float64
 	acted       int
 	suppressed  int
-	// versions is the layers' serving versions as of the last decision,
-	// shared by every Decision until a swap changes one (then replaced,
-	// never rewritten).
-	versions []uint64
 }
+
+// maxGuardHistory caps the oscillation guard history New sizes up front.
+const maxGuardHistory = 64
+
+// initialVersions backs the versions of every engine whose layers all still
+// serve their first predictor: read-only and shared, so a new engine
+// allocates none.
+var initialVersions = func() (v [16]uint64) {
+	for i := range v {
+		v[i] = 1
+	}
+	return v
+}()
 
 // New assembles an engine. combiner may be nil (mean of layer votes).
 // simEngine and truth must be nil: the engine keeps no clock and consults
@@ -181,15 +202,25 @@ func New(
 	if len(actions) == 0 {
 		return nil, fmt.Errorf("%w: at least one action required", ErrCore)
 	}
-	return &Engine{
-		cfg:       cfg,
-		layers:    layers,
-		combiner:  combiner,
-		selector:  selector,
-		actions:   actions,
-		combineIn: make([]float64, len(layers)),
-		versions:  make([]uint64, len(layers)),
-	}, nil
+	e := &Engine{cfg: cfg, layers: layers, combiner: combiner, selector: selector, actions: actions}
+	if cfg.OscillationWindow > 0 {
+		// At its final size: the guard admits at most MaxActionsPerWindow
+		// actions inside the window (a bound above maxGuardHistory grows
+		// past it by append).
+		e.actionTimes = make([]float64, 0, min(cfg.MaxActionsPerWindow, maxGuardHistory))
+	}
+	if combiner != nil {
+		e.combineIn = make([]float64, len(layers))
+	}
+	if len(layers) > len(initialVersions) {
+		ones := make([]uint64, len(layers))
+		for i := range ones {
+			ones[i] = 1
+		}
+		e.vers.Store(&ones)
+	}
+	e.recheckVersionsLocked(swapEpoch.Load())
+	return e, nil
 }
 
 // Config returns the engine's configuration.
@@ -343,31 +374,57 @@ func (p *PendingAct) Drop() {
 // must not interleave with other decisions on the same engine.
 func (e *Engine) DecideOn(now float64, scores []float64) (Decision, PendingAct) {
 	confidence, combinerErr := e.combine(scores)
+	return e.decide(now, confidence, combinerErr)
+}
 
-	positive := confidence >= e.cfg.WarnThreshold
+// Decide is DecideOn on a confidence its caller combined, for an engine
+// without a combiner: VoteShare over the layers' thresholds, as combine
+// computes it (internal/runtime's cycle counts the votes of many engines a
+// column of the score matrix at a time). A quiet decision (Warns false)
+// takes no lock.
+func (e *Engine) Decide(now, confidence float64) (Decision, PendingAct) {
+	return e.decide(now, confidence, false)
+}
 
-	e.mu.Lock()
+// Warns reports whether a combined confidence raises a warning: it reaches
+// the configured WarnThreshold.
+func (e *Engine) Warns(confidence float64) bool { return confidence >= e.cfg.WarnThreshold }
+
+// decide warns on a combined confidence, selects the countermeasure and
+// applies the oscillation guard, under mu only when it warns.
+func (e *Engine) decide(now, confidence float64, combinerErr bool) (Decision, PendingAct) {
 	d := Decision{
 		Time: now, Confidence: confidence, ActionName: "none",
-		CombinerErr: combinerErr, LayerVersions: e.versionsLocked(),
+		CombinerErr: combinerErr, LayerVersions: e.layerVersions(),
+	}
+	if !e.Warns(confidence) {
+		return d, PendingAct{}
 	}
 	var pending PendingAct
-	if positive {
-		d.Warned = true
-		e.warned++
-		// Act: select the countermeasure; the oscillation guard may veto.
-		action, _, worth, err := e.selector.Select(e.actions, confidence)
-		if err == nil && worth {
-			if e.guardAllows(now) {
-				pending = PendingAct{e: e, action: action, now: now}
-			} else {
-				e.suppressed++
-				d.Suppressed = true
-			}
+	e.mu.Lock()
+	d.Warned = true
+	e.warned++
+	// Act: select the countermeasure; the oscillation guard may veto.
+	action, _, worth, err := e.selector.Select(e.actions, confidence)
+	if err == nil && worth {
+		if e.guardAllows(now) {
+			pending = PendingAct{e: e, action: action, now: now}
+		} else {
+			e.suppressed++
+			d.Suppressed = true
 		}
 	}
 	e.mu.Unlock()
 	return d, pending
+}
+
+// VoteShare is the default combiner's confidence: the share of all n layers
+// that voted failure-prone, or 0 when no layer scored at all (usable 0).
+func VoteShare(votes, usable, n int) float64 {
+	if usable == 0 {
+		return 0
+	}
+	return float64(votes) / float64(n)
 }
 
 // combine folds one round's layer scores into a confidence, outside
@@ -387,10 +444,7 @@ func (e *Engine) combine(scores []float64) (confidence float64, failed bool) {
 				votes++
 			}
 		}
-		if usable == 0 {
-			return 0, false
-		}
-		return float64(votes) / float64(len(e.layers)), false
+		return VoteShare(votes, usable, len(e.layers)), false
 	}
 	e.combineMu.Lock()
 	input := e.combineIn
@@ -409,23 +463,48 @@ func (e *Engine) combine(scores []float64) (confidence float64, failed bool) {
 	return clamp01(c), false
 }
 
-// versionsLocked returns every layer's serving version, allocating a new
-// slice only when a version moved since the last decision. The caller
-// holds e.mu.
-func (e *Engine) versionsLocked() []uint64 {
-	cur := e.versions
-	for i, l := range e.layers {
-		v := l.Version()
-		if cur[i] == v {
-			continue
-		}
-		if &cur[0] == &e.versions[0] {
-			cur = append([]uint64(nil), e.versions...)
-		}
-		cur[i] = v
+// layerVersions returns every layer's serving version: the cached slice
+// while no predictor swapped since it was checked, else rechecked under mu.
+func (e *Engine) layerVersions() []uint64 {
+	epoch := swapEpoch.Load()
+	if e.verEpoch.Load() == epoch {
+		return e.cachedVersions()
 	}
-	e.versions = cur
-	return cur
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.verEpoch.Load() == epoch {
+		return e.cachedVersions() // another decision rechecked meanwhile
+	}
+	return e.recheckVersionsLocked(epoch)
+}
+
+// cachedVersions is the versions as of the last check.
+func (e *Engine) cachedVersions() []uint64 {
+	if v := e.vers.Load(); v != nil {
+		return *v
+	}
+	return initialVersions[:len(e.layers):len(e.layers)]
+}
+
+// recheckVersionsLocked reads every layer's serving version, read at or
+// after swap epoch epoch, into the cache — a new slice only when a version
+// moved — and stamps it with epoch. The caller holds e.mu (or is New).
+func (e *Engine) recheckVersionsLocked(epoch uint64) []uint64 {
+	cur := e.cachedVersions()
+	next := cur
+	for i, l := range e.layers {
+		if v := l.Version(); v != next[i] {
+			if &next[0] == &cur[0] {
+				next = slices.Clone(cur)
+			}
+			next[i] = v
+		}
+	}
+	if &next[0] != &cur[0] {
+		e.vers.Store(&next)
+	}
+	e.verEpoch.Store(epoch)
+	return next
 }
 
 // guardAllows applies the oscillation guard.

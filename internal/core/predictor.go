@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // LayerPredictor is a layer's failure predictor as a first-class value with
 // a lifecycle: the serving predictor lives behind the layer's atomically
@@ -63,6 +66,11 @@ type Retrainer interface {
 type Snapshotter interface {
 	Snapshot() ([]byte, error)
 }
+
+// swapEpoch counts predictor swaps on every layer in the process. An engine
+// caches its layers' versions with the epoch it read them at, so a decision
+// with no swap anywhere since reads the cache and takes no lock.
+var swapEpoch atomic.Uint64
 
 // versionedPredictor is one immutable (predictor, version) pair behind a
 // layer's handle. Swaps replace the whole pair, so readers always observe a
@@ -133,12 +141,14 @@ func (l *Layer) Version() uint64 { return l.current().version }
 // finish on the predictor they loaded, new calls score through the
 // replacement — no evaluation cycle is ever blocked. It returns the
 // previous predictor (retained by lifecycle managers for rollback) and the
-// new version.
+// new version. It bumps the process-wide swap epoch, which sends every
+// engine's next decision to recheck its layers' versions.
 func (l *Layer) SwapPredictor(p LayerPredictor) (prev LayerPredictor, version uint64) {
 	for {
 		cur := l.current()
 		next := &versionedPredictor{p: p, version: cur.version + 1}
 		if l.handle.CompareAndSwap(cur, next) {
+			swapEpoch.Add(1)
 			return cur.p, next.version
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 // constPredictor is a fixed-score LayerPredictor for handle tests.
@@ -120,6 +121,108 @@ func TestDecisionLayerVersions(t *testing.T) {
 	d = eng.ActOn(2, evaluate(eng, 2))
 	if d.LayerVersions[0] != 1 || d.LayerVersions[1] != 2 {
 		t.Fatalf("versions after swap = %v, want [1 2]", d.LayerVersions)
+	}
+}
+
+// TestQuietDecisionTakesNoLock: between predictor swaps a quiet Decide reads
+// the engine's cached layer versions — it returns while another goroutine
+// holds the engine mutex, and new engines share one read-only slice. A swap
+// on another engine's layer sends the next decision to recheck under the
+// mutex, which finds nothing moved and keeps the slice; a swap on its own
+// layer moves its versions and no other engine's.
+func TestQuietDecisionTakesNoLock(t *testing.T) {
+	newEngine := func(layers ...*Layer) *Engine {
+		eng, err := New(nil, layers, nil, testSelector(t), testActions(t, &scriptedTarget{}), nil, defaultCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	mine := constLayer("b", 0.1)
+	a, b := newEngine(constLayer("a", 0.1), mine), newEngine(constLayer("a", 0.1), constLayer("b", 0.1))
+	quiet := func(eng *Engine, now float64) []uint64 {
+		d, p := eng.Decide(now, 0)
+		if d.Warned || p != (PendingAct{}) {
+			t.Fatalf("Decide(%g, 0) = %+v, %+v: want quiet", now, d, p)
+		}
+		return d.LayerVersions
+	}
+	a.mu.Lock()
+	done := make(chan []uint64)
+	go func() { done <- quiet(a, 1) }()
+	select {
+	case v := <-done:
+		if fmt.Sprint(v) != "[1 1]" {
+			t.Fatalf("versions = %v, want [1 1]", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a quiet decision waited for the engine mutex")
+	}
+	a.mu.Unlock()
+	before := quiet(b, 2)
+	if &before[0] != &quiet(a, 2)[0] {
+		t.Fatal("two new engines do not share their initial versions")
+	}
+
+	constLayer("elsewhere", 0).SwapPredictor(&constPredictor{})
+	if v := quiet(b, 3); &v[0] != &before[0] {
+		t.Fatalf("a swap elsewhere gave engine b a new versions slice %v", v)
+	}
+	mine.SwapPredictor(&constPredictor{})
+	if v := quiet(a, 4); fmt.Sprint(v) != "[1 2]" {
+		t.Fatalf("after a swap on its layer, engine a decides on versions %v, want [1 2]", v)
+	}
+	if v := quiet(b, 4); fmt.Sprint(v) != "[1 1]" || &v[0] != &before[0] {
+		t.Fatalf("after a swap on engine a's layer, engine b decides on versions %v, want the shared [1 1]", v)
+	}
+}
+
+// TestQuietDecisionsDuringSwaps runs quiet decisions on one engine from
+// several goroutines while its layer swaps (run with -race): each goroutine
+// sees the layer's version never go back, and once the swaps are done every
+// decision carries the last one.
+func TestQuietDecisionsDuringSwaps(t *testing.T) {
+	l := constLayer("hot", 0.1)
+	eng, err := New(nil, []*Layer{l}, nil, testSelector(t), testActions(t, &scriptedTarget{}), nil, defaultCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const swaps, deciders = 200, 4
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan string, deciders)
+	for g := 0; g < deciders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := uint64(0)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				d, _ := eng.Decide(0, 0)
+				v := d.LayerVersions[0]
+				if v < last {
+					errs <- fmt.Sprintf("version went back from %d to %d", last, v)
+					return
+				}
+				last = v
+			}
+		}()
+	}
+	for i := 0; i < swaps; i++ {
+		l.SwapPredictor(&constPredictor{score: 0.1})
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	if d, _ := eng.Decide(1, 0); d.LayerVersions[0] != 1+swaps {
+		t.Fatalf("after %d swaps a decision carries version %d, want %d", swaps, d.LayerVersions[0], 1+swaps)
 	}
 }
 

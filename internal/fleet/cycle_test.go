@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	stdruntime "runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,7 @@ import (
 // pokedFleet builds a started fleet over n tenants t0000… whose meanScore
 // state the test sets directly between cycles (nothing is ingested), with a
 // scoped ledger capped at scopes dedicated journals.
-func pokedFleet(t *testing.T, n, scopes int, edit func(*Config)) (*Fleet, *testClock, *obs.ScopedLedger, map[string]*tstate) {
+func pokedFleet(t testing.TB, n, scopes int, edit func(*Config)) (*Fleet, *testClock, *obs.ScopedLedger, map[string]*tstate) {
 	t.Helper()
 	ids := make([]string, n)
 	for i := range ids {
@@ -230,12 +231,13 @@ func TestScoreFanOutOverlapsRanges(t *testing.T) {
 	}
 }
 
-// TestFleetCycleSteadyStateAllocs holds a 1000-tenant cycle — two layers, 64
-// ledger scopes with per-layer rows, tracer on, a fifth of the fleet warning
-// and acting or being guard-suppressed every cycle — to the two closures its
-// two fan-outs hand the pool, with headroom for two more.
-func TestFleetCycleSteadyStateAllocs(t *testing.T) {
-	f, clock, _, states := pokedFleet(t, 1000, 64, func(c *Config) {
+// cycleFleet is pfmd -fleet's cycle shape over n tenants: a per-tenant and a
+// batch layer template, 64 ledger scopes with per-layer rows, a tracer, an
+// oscillation guard, and a fifth of the fleet warning every cycle (acting or
+// guard-suppressed). It returns the fleet and a function that runs its next
+// cycle, 60 domain seconds after the last.
+func cycleFleet(t testing.TB, n int) (*Fleet, func()) {
+	f, clock, _, states := pokedFleet(t, n, 64, func(c *Config) {
 		c.Layers = append(c.Layers, LayerTemplate{Name: "errors", Threshold: 0.5,
 			ScoreBatch: func(states []TenantState, _ float64, out []float64) error {
 				for i, st := range states {
@@ -247,26 +249,76 @@ func TestFleetCycleSteadyStateAllocs(t *testing.T) {
 		c.Engine.OscillationWindow = 1800
 		c.Engine.MaxActionsPerWindow = 6
 	})
-	i := 0
-	for _, st := range states {
-		if i%5 == 0 {
-			st.sum, st.errs = 1, 1
-		}
-		i++
+	for i := 0; i < n; i += 5 {
+		st := states[fmt.Sprintf("t%04d", i)]
+		st.sum, st.errs = 1, 1
 	}
 	at := 0.0
-	cycle := func() {
+	return f, func() {
 		at += 60
 		clock.Set(at)
 		f.EvaluateCycle()
 	}
+}
+
+// TestFleetCycleSteadyStateAllocs holds a 1000-tenant cycle (cycleFleet) to
+// no allocation at all once ledger buckets and guard histories have reached
+// their working size: the fan-out bodies are built once, the quiet tenants'
+// decisions are settled in place, and the warning ones travel by value.
+func TestFleetCycleSteadyStateAllocs(t *testing.T) {
+	f, cycle := cycleFleet(t, 1000)
 	for i := 0; i < 60; i++ { // ledger buckets and guard histories reach their working size
 		cycle()
 	}
-	if allocs := testing.AllocsPerRun(50, cycle); allocs > 4 {
-		t.Fatalf("a steady-state cycle allocates %.1f objects, want ≤ 4", allocs)
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("a steady-state cycle allocates %.1f objects, want 0", allocs)
 	}
 	if w := f.Metrics().Warnings.Value(); w != 200*(60+51) {
 		t.Fatalf("warnings = %d, want %d (a fifth of the fleet every cycle)", w, 200*(60+51))
+	}
+}
+
+// TestFleetFirstCyclesSteadyStateAllocs: a new fleet's first cycles — every
+// engine's first decision, every acting engine's first commits until its
+// guard history is full — allocate a fixed amount, not some per tenant: a
+// 2000-tenant fleet's first ten cycles allocate no more than a 1000-tenant
+// fleet's, give or take a few objects (the 64 ledger scopes' buckets grow
+// alike in both). Engines share their initial layer versions and size their
+// guard history once.
+func TestFleetFirstCyclesSteadyStateAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts under -race measure the detector")
+	}
+	firstCycles := func(n int) int64 {
+		_, cycle := cycleFleet(t, n)
+		var before, after stdruntime.MemStats
+		stdruntime.GC() // a collection inside the window allocates for itself
+		stdruntime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			cycle()
+		}
+		stdruntime.ReadMemStats(&after)
+		return int64(after.Mallocs - before.Mallocs)
+	}
+	small, large := firstCycles(1000), firstCycles(2000)
+	if large-small > 16 {
+		t.Fatalf("the first 10 cycles allocate %d objects over 2000 tenants and %d over 1000: %d more, want ≤ 16",
+			large, small, large-small)
+	}
+}
+
+// BenchmarkEvaluateCycle times one cycle of pfmd -fleet's shape
+// (cycleFleet) over 1000 tenants, after the fleet's first 60 cycles:
+//
+//	go test -run '^$' -bench EvaluateCycle -benchmem ./internal/fleet/
+func BenchmarkEvaluateCycle(b *testing.B) {
+	_, cycle := cycleFleet(b, 1000)
+	for i := 0; i < 60; i++ {
+		cycle()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }

@@ -152,12 +152,14 @@ type tenant struct {
 	// seat is the tenant's row in the cycle body: its engine, its decision
 	// tallies and its act tail — its layers, its journal when it has a
 	// dedicated ledger scope (JournalLayers says whether per-layer rows go
-	// in), its scoped flight recorder (nil without Config.Recorder).
+	// in; the tail advances it), its scoped flight recorder (nil without
+	// Config.Recorder).
 	seat runtime.Seat
 	// ledger is the tenant's ledger scope (nil without Config.Ledger): its
 	// own journal — then seat.Tail.Ledger too, written in the act fan-out —
-	// or the overflow journal it is folded into, which takes failures as
-	// they arrive and one combined bucket a cycle from finishCycle.
+	// or the overflow journal it is folded into (seat.Tail.Fold), which
+	// takes failures as they arrive and one combined bucket a cycle from
+	// finishCycle.
 	ledger *obs.Ledger
 	recOwn bool // seat.Tail.Recorder is dedicated (not the overflow fold)
 
@@ -219,6 +221,9 @@ type Fleet struct {
 	shell  *runtime.Shell
 	cycle  runtime.CycleCore
 	states []TenantState
+	// overflow is the ledger's overflow journal once a tenant has folded
+	// into it (set between cycles, never cleared: it outlives its members).
+	overflow *obs.Ledger
 
 	// adminMu serializes membership changes (AddTenant/RemoveTenant/
 	// Resize) with each other and with Start/Stop.
@@ -302,6 +307,11 @@ func New(cfg Config) (*Fleet, error) {
 		Shell: f.shell, Metrics: f.metrics, Tracer: cfg.Tracer, State: &f.stateMu,
 		Recorder: cfg.Recorder, Clock: f.now, Layers: len(cfg.Layers), Span: cfg.BatchSize,
 		Score: f.scoreTile, Finish: f.finishCycle,
+		// Every tenant's engine votes over the templates' thresholds.
+		Thresholds: make([]float64, len(cfg.Layers)),
+	}
+	for li, tmpl := range cfg.Layers {
+		f.cycle.Thresholds[li] = tmpl.Threshold
 	}
 	if cfg.ActBudget > 0 {
 		f.cycle.Resolve = f.resolveBudget
@@ -440,6 +450,9 @@ func (f *Fleet) buildTenant(byID map[string]*tenant, i int, spec TenantSpec) (*t
 		if f.cfg.Ledger.Dedicated(spec.ID) {
 			tail.Ledger = tn.ledger
 			tail.JournalLayers = f.cfg.JournalLayers
+			tail.Advance = true
+		} else {
+			tail.Fold = true
 		}
 	}
 	if f.cfg.Recorder != nil {
@@ -566,6 +579,9 @@ func (f *Fleet) install(next *membership) {
 		f.states = make([]TenantState, len(next.tenants))
 		for i, tn := range next.tenants {
 			f.cycle.Seats[i], f.states[i] = &tn.seat, tn.state
+			if tn.seat.Tail.Fold {
+				f.overflow = tn.ledger
+			}
 		}
 		f.mem.Store(next)
 	})
@@ -724,11 +740,14 @@ func (f *Fleet) apply(it *item) error {
 // membership generation, at the clock's reading, on the calling goroutine,
 // and returns once it is done. It is the single-tenant runtime's cycle body,
 // runtime.CycleCore.Run, with the tenants' seats as its rows at one instant;
-// the fleet supplies the row scorer (scoreTile) and two hooks: the act-budget
-// pass (resolveBudget, with an ActBudget only) and finishCycle — the folded
-// tenants' one ledger bucket, so no two workers meet on the overflow journal,
-// and the watermark advance. Concurrent calls serialize; membership swaps
-// serialize against the whole cycle. After Stop has begun it runs none.
+// the fleet supplies the row scorer (scoreTile), the templates' thresholds
+// (every tenant's engine votes over them, so the body counts each row's
+// votes from the score matrix) and two hooks: the act-budget pass
+// (resolveBudget, with an ActBudget only) and finishCycle — the folded
+// tenants' one ledger bucket, counted in the act ranges, so no two workers
+// meet on the overflow journal, and that journal's watermark advance.
+// Concurrent calls serialize; membership swaps serialize against the whole
+// cycle. After Stop has begun it runs none.
 //
 // Determinism: scoring writes disjoint matrix slots, the act fan-outs touch
 // disjoint tenant state, the budget pass orders on a deterministic key, and
@@ -766,25 +785,13 @@ func (f *Fleet) scoreTile(li, lo, hi int, nows, out []float64) {
 
 // finishCycle runs after the cycle's last act tail: it journals the combined
 // rows of every tenant folded into the overflow ledger scope as one bucket —
-// the rows their act tails would have written one by one, counted instead (a
-// fleet with nobody folded touches nothing) — then advances every scope's
-// watermark.
-func (f *Fleet) finishCycle(now float64) {
-	var overflow *obs.Ledger
-	warned, quiet := 0, 0
-	for _, tn := range f.mem.Load().tenants {
-		if tn.ledger == tn.seat.Tail.Ledger {
-			continue // dedicated scope, or no ledger at all
-		}
-		overflow = tn.ledger
-		if tn.seat.LastWarned.Load() {
-			warned++
-		} else {
-			quiet++
-		}
-	}
-	overflow.RecordPredictions(obs.CombinedLayer, now, warned, quiet)
-	f.cfg.Ledger.Advance(now)
+// the rows their act tails would have written one by one, counted in the act
+// ranges instead (a fleet with nobody folded touches nothing) — then
+// advances the overflow journal's watermark. Each dedicated scope's tail
+// advanced its own.
+func (f *Fleet) finishCycle(now float64, warned, quiet int) {
+	f.overflow.RecordPredictions(obs.CombinedLayer, now, warned, quiet)
+	f.overflow.Advance(now)
 }
 
 // resolveBudget commits the cycle's pending countermeasures in

@@ -202,21 +202,33 @@ var maxLogDelay = math.Log(math.MaxFloat64)
 // probability is all but 0, and a sum of a few such logs overflows to −Inf.
 var minLogProb = math.Log(0x1p-1022)
 
+// maxLogMass is how far from 0 the log of a row's total probability may be:
+// a fitted row sums to 1 up to rounding, far inside it.
+const maxLogMass = 1e-6
+
 // checkDistribution refuses a row of log-probabilities that can be no
-// distribution: one with an entry above 0 (a probability above 1), or with no
-// entry of at least minLogProb (no mass); with finite, one that has any entry
-// below minLogProb, null (−Inf) included — an outcome it rules out.
+// distribution: one with an entry above 0 (a probability above 1), with no
+// entry of at least minLogProb (no mass), or whose probabilities do not sum
+// to 1 (|log Σ p| > maxLogMass); with finite, one that has any entry below
+// minLogProb, null (−Inf) included — an outcome it rules out.
 func checkDistribution(name string, row []logProb, finite bool) error {
-	mass := false
+	top := math.Inf(-1)
 	for j, p := range row {
 		v := float64(p)
 		if v > 0 || finite && !(v >= minLogProb) {
 			return fmt.Errorf("%w: %s[%d] = %g, want a log-probability in [%.6g, 0]", ErrModel, name, j, v, minLogProb)
 		}
-		mass = mass || v >= minLogProb
+		top = math.Max(top, v)
 	}
-	if !mass {
+	if !(top >= minLogProb) {
 		return fmt.Errorf("%w: %s has no mass: every entry is below %.6g or null", ErrModel, name, minLogProb)
+	}
+	sum := 0.0
+	for _, p := range row {
+		sum += math.Exp(float64(p) - top)
+	}
+	if mass := top + math.Log(sum); math.Abs(mass) > maxLogMass {
+		return fmt.Errorf("%w: %s sums to probability %g, want 1", ErrModel, name, math.Exp(mass))
 	}
 	return nil
 }

@@ -196,9 +196,19 @@ func TestLoadClassifierRefusesMalformedModels(t *testing.T) {
 		}
 		return file[:loc[0]] + `"` + key + `":` + file[loc[2]:loc[3]] + "null" + file[loc[1]:]
 	}
+	// setFirst writes row over the first array under key in the file.
+	setFirst := func(file, key, row string) string {
+		loc := regexp.MustCompile(`"` + key + `":\[[^\]]*\]`).FindStringIndex(file)
+		if loc == nil {
+			t.Fatalf("no array under %q", key)
+		}
+		return file[:loc[0]] + `"` + key + `":` + row + file[loc[1]:]
+	}
 	for _, c := range []struct {
 		name, file, want string
 	}{
+		{"logPi mass above 1", setFirst(lnFile, "logPi", "[-1,-1,-1]"), "logPi sums to probability 1.1036"},
+		{"logPi mass below 1", setFirst(lnFile, "logPi", "[-2,-2,null]"), "logPi sums to probability 0.2706"},
 		{"zero sigma", setDuration(lnFile, "sigma", 0), "state 1: lognormal sigma 0"},
 		{"negative sigma", setDuration(lnFile, "sigma", -1), "state 1: lognormal sigma -1"},
 		{"zero rate", setDuration(expFile, "mu", 0), "state 1: exponential rate mu 0"},
@@ -241,8 +251,7 @@ func TestHardZeroRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clf.Failure.logA[0][1] = math.Inf(-1)
-	clf.Failure.refreshKernel()
+	hardZero(clf.Failure, 0, 1)
 
 	var buf bytes.Buffer
 	if err := SaveClassifier(&buf, clf); err != nil {
@@ -280,6 +289,21 @@ func TestHardZeroRoundTrip(t *testing.T) {
 	}
 }
 
+// hardZero rules the transition i→j out of m (logA[i][j] = −Inf) and
+// renormalises row i, so m stays a model: its rows still sum to 1.
+func hardZero(m *Model, i, j int) {
+	row := m.logA[i]
+	row[j] = math.Inf(-1)
+	sum := 0.0
+	for _, v := range row {
+		sum += math.Exp(v)
+	}
+	for k := range row {
+		row[k] -= math.Log(sum)
+	}
+	m.refreshKernel()
+}
+
 // FuzzLoadClassifier: a model file either is refused or is a model. A file
 // LoadClassifier accepts saves, and the saved file reloads and saves again to
 // the same bytes — a null (−Inf, a hard zero) included — and the reloaded
@@ -298,8 +322,7 @@ func FuzzLoadClassifier(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	clf.Failure.logA[0][1] = math.Inf(-1) // a hard zero, saved as null
-	clf.Failure.refreshKernel()
+	hardZero(clf.Failure, 0, 1) // saved as null
 	buf.Reset()
 	if err := SaveClassifier(&buf, clf); err != nil {
 		f.Fatal(err)

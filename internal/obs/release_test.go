@@ -22,7 +22,7 @@ func TestScopedLedgerRelease(t *testing.T) {
 	a.RecordPrediction("app", 100, true, 0.9)
 	a.RecordFailure(105)
 	b.RecordPrediction("app", 100, true, 0.8)
-	s.Advance(200)
+	advanceScopes(s, 200)
 	predsBefore, failsBefore := s.Totals()
 	if predsBefore != 2 || failsBefore != 1 {
 		t.Fatalf("totals = (%d, %d), want (2, 1)", predsBefore, failsBefore)
@@ -47,7 +47,7 @@ func TestScopedLedgerRelease(t *testing.T) {
 		t.Fatal("new scope did not reuse the released slot")
 	}
 	e.RecordPrediction("app", 300, true, 0.9)
-	s.Advance(400)
+	advanceScopes(s, 400)
 	if preds, _ := s.Totals(); preds != predsBefore+1 {
 		t.Errorf("totals = %d, want %d", preds, predsBefore+1)
 	}

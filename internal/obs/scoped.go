@@ -211,21 +211,6 @@ func (s *ScopedLedger) Release(name string) {
 	}
 }
 
-// Advance declares ground truth complete up to now on every scope. Call
-// once per evaluation cycle; it fans out to each journal in registration
-// order (plus the overflow journal).
-func (s *ScopedLedger) Advance(now float64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	leds := s.distinctLocked()
-	s.mu.Unlock()
-	for _, led := range leds {
-		led.Advance(now)
-	}
-}
-
 // Totals sums journaled predictions and failures across every journal.
 func (s *ScopedLedger) Totals() (predictions, failures int64) {
 	if s == nil {

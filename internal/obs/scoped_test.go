@@ -8,6 +8,14 @@ import (
 
 func scopedCfg() LedgerConfig { return LedgerConfig{LeadTime: 10, Slack: 2, Window: 0} }
 
+// advanceScopes declares ground truth complete up to now on every journal
+// of s, as a fleet's cycle does: each dedicated scope, then the overflow.
+func advanceScopes(s *ScopedLedger, now float64) {
+	for _, name := range s.Scopes() {
+		s.Scope(name).Advance(now)
+	}
+}
+
 // TestScopedLedgerIsolation verifies dedicated scopes match predictions only
 // against their own failure stream: tenant A's failure must not turn tenant
 // B's positive prediction into a true positive.
@@ -23,7 +31,7 @@ func TestScopedLedgerIsolation(t *testing.T) {
 	a.RecordPrediction("app", 100, true, 0.9)
 	b.RecordPrediction("app", 100, true, 0.9)
 	a.RecordFailure(105) // inside (100, 112] for scope a only
-	s.Advance(200)
+	advanceScopes(s, 200)
 	if got := a.Quality("app"); got.TP != 1 || got.FP != 0 {
 		t.Fatalf("scope a: %+v, want TP=1", got)
 	}
@@ -90,7 +98,7 @@ func TestScopedLedgerAdvanceAndTotals(t *testing.T) {
 		led.RecordPrediction("app", float64(100+i), true, 0.8)
 		led.RecordFailure(float64(100 + i + 5))
 	}
-	s.Advance(500)
+	advanceScopes(s, 500)
 	preds, fails := s.Totals()
 	if preds != 4 || fails != 4 {
 		t.Fatalf("totals = %d preds / %d fails, want 4/4", preds, fails)
@@ -105,8 +113,9 @@ func TestScopedLedgerAdvanceAndTotals(t *testing.T) {
 	}
 }
 
-// TestScopedAdvanceZeroAllocs: between membership changes the per-cycle
-// calls walk one cached member list — no slice is built per call.
+// TestScopedAdvanceZeroAllocs: between membership changes a fleet cycle's
+// calls allocate nothing — the overflow journal's Advance, and the scoped
+// recorder's Collect and Captured, which walk one cached member list.
 func TestScopedAdvanceZeroAllocs(t *testing.T) {
 	s, err := NewScopedLedger(scopedCfg(), 2, "app")
 	if err != nil {
@@ -120,10 +129,11 @@ func TestScopedAdvanceZeroAllocs(t *testing.T) {
 		s.Scope(name)
 		sr.Scope(name, RecorderScopeConfig{})
 	}
+	overflow := s.Scope(OverflowScope)
 	now := 0.0
 	if got := testing.AllocsPerRun(100, func() {
 		now++
-		s.Advance(now)
+		overflow.Advance(now)
 		sr.Collect()
 		sr.Captured(TriggerWarn)
 	}); got != 0 {
@@ -132,7 +142,7 @@ func TestScopedAdvanceZeroAllocs(t *testing.T) {
 }
 
 // TestScopedLedgerConcurrent hammers scope creation, journaling, and
-// Advance from many goroutines; run with -race.
+// advancing from many goroutines; run with -race.
 func TestScopedLedgerConcurrent(t *testing.T) {
 	s, err := NewScopedLedger(scopedCfg(), 16, "app")
 	if err != nil {
@@ -150,13 +160,13 @@ func TestScopedLedgerConcurrent(t *testing.T) {
 					led.RecordFailure(float64(i) + 3)
 				}
 				if i%50 == 0 {
-					s.Advance(float64(i))
+					advanceScopes(s, float64(i))
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	s.Advance(1e6)
+	advanceScopes(s, 1e6)
 	preds, fails := s.Totals()
 	if preds != 8*200 || fails != 8*100 {
 		t.Fatalf("totals = %d/%d, want %d/%d", preds, fails, 8*200, 8*100)

@@ -19,15 +19,20 @@ type ActTail struct {
 	// candidate (under its "<layer>#candidate" row, which is what lets the
 	// lifecycle compare a candidate to its incumbent). It is a journal this
 	// tail alone writes predictions to: a fleet sets it for tenants with a
-	// dedicated ledger scope only, and journals the tenants folded into the
-	// overflow scope itself, one bucket a cycle.
+	// dedicated ledger scope only.
 	Ledger        *obs.Ledger
 	JournalLayers bool
+	// Fold marks a tail whose combined decision goes to a journal it shares
+	// with other seats (a fleet's overflow ledger scope; Ledger is nil): the
+	// cycle counts it into the instant's fold tallies, which its owner
+	// journals as one bucket (CycleCore.Finish), so no two workers meet on
+	// the shared journal.
+	Fold bool
 	// Advance moves Ledger's ground-truth watermark to the cycle's domain
-	// time before Lifecycle observes it. A fleet leaves it off and advances
-	// all its scopes together after the act fan-out and the overflow bucket.
-	// The feeder of Ledger.RecordFailure must keep failures current up to the
-	// domain clock either way.
+	// time before Lifecycle observes it. Runtime and the fleet's dedicated
+	// scopes set it; the fleet advances its overflow journal itself, after
+	// the fold bucket. The feeder of Ledger.RecordFailure must keep failures
+	// current up to the domain clock.
 	Advance   bool
 	Lifecycle *lifecycle.Manager
 	Recorder  *obs.Recorder

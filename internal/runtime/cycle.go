@@ -12,8 +12,11 @@ import (
 )
 
 // Seat is one engine's place in a cycle: the engine, the act tail after its
-// decision, the latest decision (Dec; Pact holds its countermeasure until
-// committed or dropped) and the seat's tallies (LastConf is Float64bits).
+// decision, the latest decision the act stage visited (Dec; Pact holds its
+// countermeasure until committed or dropped) and the seat's tallies
+// (LastConf is Float64bits). A seat the act stage settles without a visit —
+// quiet, and nothing reads its decision (CycleCore.Thresholds) — keeps its
+// previous Dec; its LastWarned and LastConf still follow every instant.
 // Runtime has one seat; fleet.Fleet has one per tenant.
 type Seat struct {
 	Engine            *core.Engine
@@ -24,6 +27,7 @@ type Seat struct {
 	Dec               core.Decision
 	Pact              core.PendingAct
 	cands             [][]lifecycle.CandidateScore // shadow-candidate scores per instant
+	settled           bool                         // the decide pass settled it without a visit
 }
 
 // CycleCore is the one Monitor–Evaluate–Act cycle body (Fig. 1): Runtime
@@ -33,11 +37,14 @@ type Seat struct {
 // owner's Score (a one-row matrix is scored on the calling goroutine), under
 // the owner's State lock, which also covers
 // Lifecycle.Collect and Recorder.Collect. Act, an instant at a time, Span
-// seats per range: each seat decides (DecideOn) and commits — or, with a
-// Resolve pass, Resolve commits or drops — then its final decision is
-// tallied, handed to the engine's observer and journaled (ActTail.Journal).
-// Then the instant's traces complete, the seats with a lifecycle or recorder
-// run ActTail.Observe, and Finish runs. An instant is one cycle: one
+// seats per range, each seat visited once: it decides (DecideOn, or with
+// Thresholds Decide on the confidence counted from the matrix) and commits —
+// or, with a Resolve pass, Resolve commits or drops — then its final
+// decision is tallied, handed to the engine's observer and journaled
+// (ActTail.Journal, which advances a journal of its own). A quiet seat that
+// nothing reads gets only its tallies. Then the instant's traces complete,
+// the seats with a lifecycle or recorder run ActTail.Observe, and Finish
+// runs with the instant's fold tallies. An instant is one cycle: one
 // evaluation, one act-latency observation, one Shell.CycleDone.
 type CycleCore struct {
 	Shell   *Shell
@@ -53,10 +60,17 @@ type CycleCore struct {
 	Span     int // rows per scoring tile and seats per act range; 0: all
 	// Score fills out with layer j's scores of rows [lo,hi).
 	Score func(j, lo, hi int, nows, out []float64)
+	// Thresholds, if set, says that every seat's engine combines with core's
+	// default rule, VoteShare over these per-layer thresholds and no
+	// combiner: the act stage counts each row's votes straight from the
+	// score matrix and decides with Engine.Decide. Nil: each seat decides
+	// with DecideOn on its row.
+	Thresholds []float64
 	// Resolve, if set, must commit or drop every pending countermeasure;
-	// Finish, if set, runs after an instant's last act tail.
+	// Finish, if set, runs after an instant's last act tail, with how many
+	// seats whose tail has Fold set warned and stayed quiet at it.
 	Resolve func()
-	Finish  func(now float64)
+	Finish  func(now float64, foldWarned, foldQuiet int)
 
 	nows    []float64
 	one     [1]float64 // a Shell cycle's instant
@@ -66,6 +80,8 @@ type CycleCore struct {
 	span    int       // rows per scoring tile
 	seatN   int       // seats per act range
 	watched []int     // the seats whose tail has a lifecycle or a recorder
+	// The instant's fold tallies, added once per act range.
+	foldWarned, foldQuiet atomic.Int64
 	// The fan-out bodies, built once (bind).
 	scoreT, actT, settleT, observeT func(k int)
 }
@@ -183,6 +199,8 @@ func (c *CycleCore) run(nows []float64) {
 	observers, _ := tiles(len(c.watched), c.seatN)
 	for i, now := range nows {
 		c.inst = i
+		c.foldWarned.Store(0)
+		c.foldQuiet.Store(0)
 		actStart := c.Shell.Nanos()
 		c.Shell.pool.Do(acts, c.actT)
 		if c.Resolve != nil {
@@ -193,7 +211,7 @@ func (c *CycleCore) run(nows []float64) {
 		c.Tracer.CompleteCycle(evalStart, evalEnd, actStart, actEnd)
 		c.Shell.pool.Do(observers, c.observeT)
 		if c.Finish != nil {
-			c.Finish(now)
+			c.Finish(now, int(c.foldWarned.Load()), int(c.foldQuiet.Load()))
 		}
 		c.Metrics.Evaluations.Inc()
 		c.Metrics.ActLatency.Observe(float64(actEnd-actStart) / 1e9)
@@ -205,26 +223,30 @@ func (c *CycleCore) run(nows []float64) {
 // acting. With decide, each takes its cross-layer decision and, unless a
 // Resolve pass will, commits it; then, or in the pass after Resolve, each
 // final decision is tallied, handed to the engine's observer and journaled.
-// The shared counters are added once for the range, so the workers of a
-// fan-out do not meet on them.
+// A seat decide settles is done with then, in both passes. The shared
+// counters are added once for the range, so the workers of a fan-out do not
+// meet on them.
 func (c *CycleCore) act(k int, decide bool) {
-	m, rows := len(c.nows), len(c.Seats)*len(c.nows)
 	now := c.nows[c.inst]
-	var warned, executed, suppressed int64
+	var warned, executed, suppressed, foldWarned, foldQuiet int64
 	for s := k * c.seatN; s < min(k*c.seatN+c.seatN, len(c.Seats)); s++ {
-		st, row := c.Seats[s], c.row(s)
+		st := c.Seats[s]
 		if decide {
-			for j := range row {
-				row[j] = c.matrix[j*rows+s*m+c.inst]
+			if st.settled = c.decide(s, now); st.settled {
+				if st.Tail.Fold {
+					foldQuiet++
+				}
+				continue
 			}
-			st.Dec, st.Pact = st.Engine.DecideOn(now, row)
 			if c.Resolve != nil {
 				continue
 			}
 			st.Pact.Commit(&st.Dec)
 			st.Pact = core.PendingAct{}
+		} else if st.settled {
+			continue
 		}
-		d := st.Dec
+		d, row := st.Dec, c.row(s)
 		if d.Warned {
 			warned++
 			st.Warnings.Add(1)
@@ -236,8 +258,14 @@ func (c *CycleCore) act(k int, decide bool) {
 		if d.Suppressed {
 			suppressed++
 		}
-		st.LastWarned.Store(d.Warned)
-		st.LastConf.Store(math.Float64bits(d.Confidence))
+		if st.Tail.Fold {
+			if d.Warned {
+				foldWarned++
+			} else {
+				foldQuiet++
+			}
+		}
+		publish(st, d.Warned, d.Confidence)
 		if fn := st.Engine.Observer(); fn != nil {
 			fn(now, row, d)
 		}
@@ -250,6 +278,60 @@ func (c *CycleCore) act(k int, decide bool) {
 	c.Metrics.Warnings.Add(warned)
 	c.Metrics.Actions.Add(executed)
 	c.Metrics.Suppressed.Add(suppressed)
+	if foldWarned+foldQuiet > 0 {
+		c.foldWarned.Add(foldWarned)
+		c.foldQuiet.Add(foldQuiet)
+	}
+}
+
+// decide takes seat s's decision at the instant acting into its Dec and Pact,
+// with its score row filled, or settles the seat without one and reports
+// that: with Thresholds, a seat whose confidence, counted from the score
+// matrix, stays quiet and whose decision nothing reads — no journal of its
+// own, no lifecycle, no recorder, no engine observer — gets only its
+// LastWarned and LastConf.
+func (c *CycleCore) decide(s int, now float64) (settled bool) {
+	st, row := c.Seats[s], c.row(s)
+	m, rows := len(c.nows), len(c.Seats)*len(c.nows)
+	at := s*m + c.inst // the seat's column in each layer's segment
+	if c.Thresholds == nil {
+		for j := range row {
+			row[j] = c.matrix[j*rows+at]
+		}
+		st.Dec, st.Pact = st.Engine.DecideOn(now, row)
+		return false
+	}
+	votes, usable := 0, 0
+	for j, th := range c.Thresholds {
+		if x := c.matrix[j*rows+at]; !math.IsNaN(x) {
+			usable++
+			if x >= th {
+				votes++
+			}
+		}
+	}
+	conf := core.VoteShare(votes, usable, len(c.Thresholds))
+	t := &st.Tail
+	if !st.Engine.Warns(conf) && t.Ledger == nil && t.Lifecycle == nil && t.Recorder == nil && st.Engine.Observer() == nil {
+		publish(st, false, conf)
+		return true
+	}
+	for j := range row {
+		row[j] = c.matrix[j*rows+at]
+	}
+	st.Dec, st.Pact = st.Engine.Decide(now, conf)
+	return false
+}
+
+// publish stores a seat's latest verdict for its readers, each word only
+// when it moved.
+func publish(st *Seat, warned bool, conf float64) {
+	if st.LastWarned.Load() != warned {
+		st.LastWarned.Store(warned)
+	}
+	if b := math.Float64bits(conf); st.LastConf.Load() != b {
+		st.LastConf.Store(b)
+	}
 }
 
 // row is seat s's score row.
