@@ -472,9 +472,6 @@ func (e *Engine) layerVersions() []uint64 {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.verEpoch.Load() == epoch {
-		return e.cachedVersions() // another decision rechecked meanwhile
-	}
 	return e.recheckVersionsLocked(epoch)
 }
 
