@@ -378,12 +378,31 @@ func (e *Engine) DecideOn(now float64, scores []float64) (Decision, PendingAct) 
 }
 
 // Decide is DecideOn on a confidence its caller combined, for an engine
-// without a combiner: VoteShare over the layers' thresholds, as combine
+// that votes (VotesOver): VoteShare over the layers' thresholds, as combine
 // computes it (internal/runtime's cycle counts the votes of many engines a
-// column of the score matrix at a time). A quiet decision (Warns false)
-// takes no lock.
+// column of the score matrix at a time). It panics on an engine with a
+// combiner, whose confidence only DecideOn computes. A quiet decision (Warns
+// false) takes no lock.
 func (e *Engine) Decide(now, confidence float64) (Decision, PendingAct) {
+	if e.combiner != nil {
+		panic("core: Decide on an engine with a combiner; use DecideOn")
+	}
 	return e.decide(now, confidence, false)
+}
+
+// VotesOver reports whether the engine's confidence is VoteShare over the
+// per-layer thresholds th: it has no combiner, and its layers' thresholds
+// are th, in order.
+func (e *Engine) VotesOver(th []float64) bool {
+	if e.combiner != nil || len(th) != len(e.layers) {
+		return false
+	}
+	for i, l := range e.layers {
+		if l.Threshold != th[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Warns reports whether a combined confidence raises a warning: it reaches

@@ -129,7 +129,8 @@ func TestDecisionLayerVersions(t *testing.T) {
 // holds the engine mutex, and new engines share one read-only slice. A swap
 // on another engine's layer sends the next decision to recheck under the
 // mutex, which finds nothing moved and keeps the slice; a swap on its own
-// layer moves its versions and no other engine's.
+// layer moves its versions and no other engine's. After its recheck, a quiet
+// decision takes no lock again.
 func TestQuietDecisionTakesNoLock(t *testing.T) {
 	newEngine := func(layers ...*Layer) *Engine {
 		eng, err := New(nil, layers, nil, testSelector(t), testActions(t, &scriptedTarget{}), nil, defaultCfg())
@@ -138,27 +139,32 @@ func TestQuietDecisionTakesNoLock(t *testing.T) {
 		}
 		return eng
 	}
-	mine := constLayer("b", 0.1)
-	a, b := newEngine(constLayer("a", 0.1), mine), newEngine(constLayer("a", 0.1), constLayer("b", 0.1))
 	quiet := func(eng *Engine, now float64) []uint64 {
 		d, p := eng.Decide(now, 0)
 		if d.Warned || p != (PendingAct{}) {
-			t.Fatalf("Decide(%g, 0) = %+v, %+v: want quiet", now, d, p)
+			t.Errorf("Decide(%g, 0) = %+v, %+v: want quiet", now, d, p)
 		}
 		return d.LayerVersions
 	}
-	a.mu.Lock()
-	done := make(chan []uint64)
-	go func() { done <- quiet(a, 1) }()
-	select {
-	case v := <-done:
-		if fmt.Sprint(v) != "[1 1]" {
-			t.Fatalf("versions = %v, want [1 1]", v)
+	// unlocked decides quietly while the test holds the engine mutex.
+	unlocked := func(eng *Engine, now float64) []uint64 {
+		eng.mu.Lock()
+		defer eng.mu.Unlock()
+		done := make(chan []uint64)
+		go func() { done <- quiet(eng, now) }()
+		select {
+		case v := <-done:
+			return v
+		case <-time.After(5 * time.Second):
+			t.Fatalf("a quiet decision at %g waited for the engine mutex", now)
+			return nil
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("a quiet decision waited for the engine mutex")
 	}
-	a.mu.Unlock()
+	mine := constLayer("b", 0.1)
+	a, b := newEngine(constLayer("a", 0.1), mine), newEngine(constLayer("a", 0.1), constLayer("b", 0.1))
+	if v := unlocked(a, 1); fmt.Sprint(v) != "[1 1]" {
+		t.Fatalf("versions = %v, want [1 1]", v)
+	}
 	before := quiet(b, 2)
 	if &before[0] != &quiet(a, 2)[0] {
 		t.Fatal("two new engines do not share their initial versions")
@@ -168,13 +174,46 @@ func TestQuietDecisionTakesNoLock(t *testing.T) {
 	if v := quiet(b, 3); &v[0] != &before[0] {
 		t.Fatalf("a swap elsewhere gave engine b a new versions slice %v", v)
 	}
+	if v := unlocked(b, 3.5); &v[0] != &before[0] {
+		t.Fatalf("after its recheck engine b decides on a new versions slice %v", v)
+	}
 	mine.SwapPredictor(&constPredictor{})
 	if v := quiet(a, 4); fmt.Sprint(v) != "[1 2]" {
 		t.Fatalf("after a swap on its layer, engine a decides on versions %v, want [1 2]", v)
 	}
+	if v := unlocked(a, 5); fmt.Sprint(v) != "[1 2]" {
+		t.Fatalf("engine a's next decision carries versions %v, want [1 2]", v)
+	}
 	if v := quiet(b, 4); fmt.Sprint(v) != "[1 1]" || &v[0] != &before[0] {
 		t.Fatalf("after a swap on engine a's layer, engine b decides on versions %v, want the shared [1 1]", v)
 	}
+}
+
+// TestDecideRefusesCombiner: Decide takes a confidence its caller counted as
+// VoteShare, so it panics on an engine with a combiner, which VotesOver
+// reports; an engine without one votes over its layers' thresholds only.
+func TestDecideRefusesCombiner(t *testing.T) {
+	layers := []*Layer{constLayer("a", 0.1), constLayer("b", 0.1)}
+	layers[1].Threshold = 0.7
+	mean := func(in []float64) (float64, error) { return (in[0] + in[1]) / 2, nil }
+	combined, err := New(nil, layers, mean, testSelector(t), testActions(t, &scriptedTarget{}), nil, defaultCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	voting, err := New(nil, layers, nil, testSelector(t), testActions(t, &scriptedTarget{}), nil, defaultCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := []float64{layers[0].Threshold, 0.7}
+	if combined.VotesOver(th) || !voting.VotesOver(th) || voting.VotesOver(th[:1]) || voting.VotesOver([]float64{th[0], 0.5}) {
+		t.Fatal("VotesOver: want true for the voting engine over its own thresholds only")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Decide on an engine with a combiner did not panic")
+		}
+	}()
+	combined.Decide(1, 0)
 }
 
 // TestQuietDecisionsDuringSwaps runs quiet decisions on one engine from

@@ -234,9 +234,13 @@ func TestScoreFanOutOverlapsRanges(t *testing.T) {
 // cycleFleet is pfmd -fleet's cycle shape over n tenants: a per-tenant and a
 // batch layer template, 64 ledger scopes with per-layer rows, a tracer, an
 // oscillation guard, and a fifth of the fleet warning every cycle (acting or
-// guard-suppressed). It returns the fleet and a function that runs its next
-// cycle, 60 domain seconds after the last.
-func cycleFleet(t testing.TB, n int) (*Fleet, func()) {
+// guard-suppressed). With recorder every tenant also has a flight recorder,
+// as pfmd's default -incident-cap 32 gives it (64 dedicated scopes, the rest
+// sharing the overflow recorder, the burn-rate trigger armed); without, it
+// is pfmd at -incident-cap 0, which is also the pfmbench fleets' shape. It
+// returns the fleet and a function that runs its next cycle, 60 domain
+// seconds after the last.
+func cycleFleet(t testing.TB, n int, recorder bool) (*Fleet, func()) {
 	f, clock, _, states := pokedFleet(t, n, 64, func(c *Config) {
 		c.Layers = append(c.Layers, LayerTemplate{Name: "errors", Threshold: 0.5,
 			ScoreBatch: func(states []TenantState, _ float64, out []float64) error {
@@ -248,6 +252,14 @@ func cycleFleet(t testing.TB, n int) (*Fleet, func()) {
 		c.Tracer = obs.NewTracer(256)
 		c.Engine.OscillationWindow = 1800
 		c.Engine.MaxActionsPerWindow = 6
+		if recorder {
+			rec, err := obs.NewScopedRecorder(obs.RecorderConfig{Layers: []string{"load", "errors"},
+				WarnThreshold: 0.5, BurnRateFloor: 0.1, MaxBundles: 32, Tracer: c.Tracer}, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Recorder = rec
+		}
 	})
 	for i := 0; i < n; i += 5 {
 		st := states[fmt.Sprintf("t%04d", i)]
@@ -266,7 +278,7 @@ func cycleFleet(t testing.TB, n int) (*Fleet, func()) {
 // their working size: the fan-out bodies are built once, the quiet tenants'
 // decisions are settled in place, and the warning ones travel by value.
 func TestFleetCycleSteadyStateAllocs(t *testing.T) {
-	f, cycle := cycleFleet(t, 1000)
+	f, cycle := cycleFleet(t, 1000, false)
 	for i := 0; i < 60; i++ { // ledger buckets and guard histories reach their working size
 		cycle()
 	}
@@ -290,7 +302,7 @@ func TestFleetFirstCyclesSteadyStateAllocs(t *testing.T) {
 		t.Skip("allocation counts under -race measure the detector")
 	}
 	firstCycles := func(n int) int64 {
-		_, cycle := cycleFleet(t, n)
+		_, cycle := cycleFleet(t, n, false)
 		var before, after stdruntime.MemStats
 		stdruntime.GC() // a collection inside the window allocates for itself
 		stdruntime.ReadMemStats(&before)
@@ -308,17 +320,26 @@ func TestFleetFirstCyclesSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkEvaluateCycle times one cycle of pfmd -fleet's shape
-// (cycleFleet) over 1000 tenants, after the fleet's first 60 cycles:
+// (cycleFleet) over 1000 tenants, after the fleet's first 60 cycles, without
+// a flight recorder (recorder=off: -incident-cap 0, the pfmbench fleets) and
+// with one (recorder=on: pfmd's default):
 //
 //	go test -run '^$' -bench EvaluateCycle -benchmem ./internal/fleet/
 func BenchmarkEvaluateCycle(b *testing.B) {
-	_, cycle := cycleFleet(b, 1000)
-	for i := 0; i < 60; i++ {
-		cycle()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle()
+	for _, shape := range []struct {
+		name     string
+		recorder bool
+	}{{"recorder=off", false}, {"recorder=on", true}} {
+		b.Run(shape.name, func(b *testing.B) {
+			_, cycle := cycleFleet(b, 1000, shape.recorder)
+			for i := 0; i < 60; i++ {
+				cycle()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+		})
 	}
 }

@@ -20,13 +20,15 @@
 //     fleet supplies the row scorer — a layer template over a range of
 //     tenants; one with a batch scorer (LayerTemplate.ScoreBatch, e.g. over
 //     ubf.PredictRowsInto or hsmm.ScoreAll) scores the range in one call,
-//     amortizing per-predictor overhead across the fleet — the templates'
-//     thresholds, over which the body counts every tenant's votes, and two
-//     hooks: the act-budget pass, and the folded-scope ledger bucket plus
-//     the overflow journal's watermark advance. Each tenant's core.Engine
-//     makes its own cross-layer decision; decisions of different tenants
-//     run concurrently on the pool (their state is disjoint), and a quiet
-//     tenant whose decision nothing reads is settled without one.
+//     amortizing per-predictor overhead across the fleet — and two hooks:
+//     the act-budget pass, and the folded-scope ledger bucket plus the
+//     overflow journal's watermark advance. Every tenant's engine votes over
+//     the templates' thresholds, so the body counts its votes from the score
+//     matrix. Each tenant's core.Engine makes its own cross-layer decision;
+//     decisions of different tenants run concurrently on the pool (their
+//     state is disjoint), and a quiet tenant whose decision nothing reads
+//     (no dedicated ledger scope, no flight recorder) is settled without
+//     one.
 //   - Observability: one metrics registry, one span tracer, one
 //     obs.ScopedLedger (per-tenant journals under a cardinality cap), and
 //     one /fleet HTTP plane with per-tenant health, quality, versions, and

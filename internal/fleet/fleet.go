@@ -307,11 +307,6 @@ func New(cfg Config) (*Fleet, error) {
 		Shell: f.shell, Metrics: f.metrics, Tracer: cfg.Tracer, State: &f.stateMu,
 		Recorder: cfg.Recorder, Clock: f.now, Layers: len(cfg.Layers), Span: cfg.BatchSize,
 		Score: f.scoreTile, Finish: f.finishCycle,
-		// Every tenant's engine votes over the templates' thresholds.
-		Thresholds: make([]float64, len(cfg.Layers)),
-	}
-	for li, tmpl := range cfg.Layers {
-		f.cycle.Thresholds[li] = tmpl.Threshold
 	}
 	if cfg.ActBudget > 0 {
 		f.cycle.Resolve = f.resolveBudget
@@ -740,14 +735,14 @@ func (f *Fleet) apply(it *item) error {
 // membership generation, at the clock's reading, on the calling goroutine,
 // and returns once it is done. It is the single-tenant runtime's cycle body,
 // runtime.CycleCore.Run, with the tenants' seats as its rows at one instant;
-// the fleet supplies the row scorer (scoreTile), the templates' thresholds
-// (every tenant's engine votes over them, so the body counts each row's
-// votes from the score matrix) and two hooks: the act-budget pass
-// (resolveBudget, with an ActBudget only) and finishCycle — the folded
-// tenants' one ledger bucket, counted in the act ranges, so no two workers
-// meet on the overflow journal, and that journal's watermark advance.
-// Concurrent calls serialize; membership swaps serialize against the whole
-// cycle. After Stop has begun it runs none.
+// the fleet supplies the row scorer (scoreTile) and two hooks: the
+// act-budget pass (resolveBudget, with an ActBudget only) and finishCycle —
+// the folded tenants' one ledger bucket, counted in the act ranges, so no
+// two workers meet on the overflow journal, and that journal's watermark
+// advance. Every tenant's engine votes over the templates' thresholds, so
+// the body counts each row's votes from the score matrix. Concurrent calls
+// serialize; membership swaps serialize against the whole cycle. After Stop
+// has begun it runs none.
 //
 // Determinism: scoring writes disjoint matrix slots, the act fan-outs touch
 // disjoint tenant state, the budget pass orders on a deterministic key, and

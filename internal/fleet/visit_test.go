@@ -3,10 +3,12 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -14,12 +16,12 @@ import (
 	"repro/internal/obs"
 )
 
-// TestSwapEpochReachesOneTenant: a predictor swap on one tenant's layer
-// reaches that tenant's next decision, quiet or warning, and no other
-// tenant's; a swap on a layer outside the fleet moves no tenant's versions.
-// Every tenant has an engine observer, so every decision is seen, the quiet
-// ones included.
-func TestSwapEpochReachesOneTenant(t *testing.T) {
+// TestSwapReachesOneTenant: a predictor swap on one tenant's layer reaches
+// that tenant's next decision, quiet or warning, and no other tenant's; a
+// swap on a layer outside the fleet moves no tenant's versions. Every tenant
+// has an engine observer, so every decision is seen, the quiet ones
+// included.
+func TestSwapReachesOneTenant(t *testing.T) {
 	const n = 40
 	f, clock, _, states := pokedFleet(t, n, 8, nil)
 	var mu sync.Mutex
@@ -77,7 +79,8 @@ func TestSwapEpochReachesOneTenant(t *testing.T) {
 // score matrix and settles quiet tenants nobody reads leaves every /fleet
 // row (warnings, actions, confidence, status, quality, incidents), every
 // ledger scope and the cycle counters exactly where the path that decides
-// every tenant with DecideOn on its row leaves them — on a fleet with
+// every tenant with DecideOn on its row (engines with a combiner) leaves
+// them — on a fleet with
 // dedicated and folded ledger scopes, without and with scoped recorders
 // (dedicated and folded), without and with an act budget. The rows also
 // hash to what the same scenario produced before the act stage settled
@@ -117,7 +120,9 @@ func TestFleetRowsMatchFullActPath(t *testing.T) {
 // guard of one action in 600 s, confidences 0, ½ and 1 against a warn
 // threshold of ¾; 103 warnings, 60 actions, 43 suppressed without a budget)
 // through 12 cycles and renders what it shows: every /fleet row, every
-// ledger scope and the cycle counters. fullPath sends every tenant through
+// ledger scope and the cycle counters. fullPath gives every tenant an engine
+// whose combiner computes the same vote share (no layer abstains here, so a
+// combiner's input is the scores themselves), which the cycle sends through
 // DecideOn on its row, with nothing settled.
 func actRows(t *testing.T, recorder bool, budget int, fullPath bool) string {
 	t.Helper()
@@ -144,8 +149,32 @@ func actRows(t *testing.T, recorder bool, budget int, fullPath bool) string {
 			c.Recorder = rec
 		}
 	})
+	var combined atomic.Int64
 	if fullPath {
-		f.cycle.Thresholds = nil
+		var errs []error
+		f.cycle.Between(func() {
+			for _, tn := range f.mem.Load().tenants {
+				layers := tn.seat.Tail.Layers
+				share := func(in []float64) (float64, error) {
+					combined.Add(1)
+					votes := 0
+					for i, l := range layers {
+						if in[i] >= l.Threshold {
+							votes++
+						}
+					}
+					return core.VoteShare(votes, len(layers), len(layers)), nil
+				}
+				sel, acts, err := f.tenantActions(tn.spec)
+				if err == nil {
+					tn.seat.Engine, err = core.New(nil, layers, share, sel, acts, nil, f.cfg.Engine)
+				}
+				errs = append(errs, err)
+			}
+		})
+		if err := errors.Join(errs...); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ids := make([]string, n)
 	for i := range ids {
@@ -185,8 +214,51 @@ func actRows(t *testing.T, recorder bool, budget int, fullPath bool) string {
 	for _, scope := range led.Scopes() {
 		fmt.Fprintf(&b, "%s %+v\n", scope, led.Scope(scope).Snapshot())
 	}
+	if fullPath && combined.Load() != n*cycles {
+		t.Fatalf("the combiners ran %d times, want %d: not every decision went through DecideOn", combined.Load(), n*cycles)
+	}
 	m := f.Metrics()
 	fmt.Fprintf(&b, "warnings=%d actions=%d suppressed=%d deferred=%d\n",
 		m.Warnings.Value(), m.Actions.Value(), m.Suppressed.Value(), f.actDeferred.Value())
 	return b.String()
+}
+
+// TestBurnRateReadsThisCyclesAdvance pins when a dedicated scope's burn-rate
+// trigger fires: its tail journals the cycle's rows and advances the scope's
+// watermark before its recorder observes the cycle — the single-tenant
+// runtime's order (rows, Advance, Recorder) — so the trigger fires at the
+// first cycle after which the scope's quality, resolved up to that cycle,
+// is below the floor over at least 10 resolved predictions (obs's
+// burnRateMinResolved). The tenant warns every cycle and never fails: each
+// prediction resolves a false positive once LeadTime+Slack have passed.
+func TestBurnRateReadsThisCyclesAdvance(t *testing.T) {
+	const floor, minResolved = 0.5, 10
+	rec, err := obs.NewScopedRecorder(obs.RecorderConfig{Layers: []string{"load"}, BurnRateFloor: floor}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, clock, led, states := pokedFleet(t, 2, 2, func(c *Config) { c.Recorder = rec })
+	states["t0000"].sum = 1
+	want := -1.0
+	for now := 10.0; now <= 600; now += 10 {
+		clock.Set(now)
+		f.EvaluateCycle()
+		q := led.Scope("t0000").Quality(obs.CombinedLayer)
+		if want < 0 && q.TP+q.FP+q.TN+q.FN >= minResolved && q.FMeasure() < floor {
+			want = now
+		}
+	}
+	if want < 0 {
+		t.Fatal("the scope's quality never fell below the floor")
+	}
+	rec.Flush()
+	var fired []float64
+	for _, b := range rec.Bundles() {
+		if b.Trigger == obs.TriggerBurnRate && b.Scope == "t0000" {
+			fired = append(fired, b.Time)
+		}
+	}
+	if len(fired) != 1 || fired[0] != want {
+		t.Fatalf("burn-rate triggers at %v, want one at %g", fired, want)
+	}
 }

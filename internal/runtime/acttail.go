@@ -29,10 +29,12 @@ type ActTail struct {
 	// the shared journal.
 	Fold bool
 	// Advance moves Ledger's ground-truth watermark to the cycle's domain
-	// time before Lifecycle observes it. Runtime and the fleet's dedicated
-	// scopes set it; the fleet advances its overflow journal itself, after
-	// the fold bucket. The feeder of Ledger.RecordFailure must keep failures
-	// current up to the domain clock.
+	// time before Lifecycle and Recorder observe the cycle (a recorder's
+	// burn-rate trigger reads the quality it resolves). Runtime and the
+	// fleet's dedicated scopes set it; the fleet advances its overflow
+	// journal itself, after the fold bucket. The feeder of
+	// Ledger.RecordFailure must keep failures current up to the domain
+	// clock.
 	Advance   bool
 	Lifecycle *lifecycle.Manager
 	Recorder  *obs.Recorder

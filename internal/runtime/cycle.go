@@ -15,7 +15,7 @@ import (
 // decision, the latest decision the act stage visited (Dec; Pact holds its
 // countermeasure until committed or dropped) and the seat's tallies
 // (LastConf is Float64bits). A seat the act stage settles without a visit —
-// quiet, and nothing reads its decision (CycleCore.Thresholds) — keeps its
+// quiet, and nothing reads its decision (CycleCore.decide) — keeps its
 // previous Dec; its LastWarned and LastConf still follow every instant.
 // Runtime has one seat; fleet.Fleet has one per tenant.
 type Seat struct {
@@ -37,8 +37,9 @@ type Seat struct {
 // owner's Score (a one-row matrix is scored on the calling goroutine), under
 // the owner's State lock, which also covers
 // Lifecycle.Collect and Recorder.Collect. Act, an instant at a time, Span
-// seats per range, each seat visited once: it decides (DecideOn, or with
-// Thresholds Decide on the confidence counted from the matrix) and commits —
+// seats per range, each seat visited once: it decides (DecideOn, or, when
+// every seat's engine votes over the same thresholds, Decide on the
+// confidence counted from the matrix) and commits —
 // or, with a Resolve pass, Resolve commits or drops — then its final
 // decision is tallied, handed to the engine's observer and journaled
 // (ActTail.Journal, which advances a journal of its own). A quiet seat that
@@ -60,12 +61,6 @@ type CycleCore struct {
 	Span     int // rows per scoring tile and seats per act range; 0: all
 	// Score fills out with layer j's scores of rows [lo,hi).
 	Score func(j, lo, hi int, nows, out []float64)
-	// Thresholds, if set, says that every seat's engine combines with core's
-	// default rule, VoteShare over these per-layer thresholds and no
-	// combiner: the act stage counts each row's votes straight from the
-	// score matrix and decides with Engine.Decide. Nil: each seat decides
-	// with DecideOn on its row.
-	Thresholds []float64
 	// Resolve, if set, must commit or drop every pending countermeasure;
 	// Finish, if set, runs after an instant's last act tail, with how many
 	// seats whose tail has Fold set warned and stayed quiet at it.
@@ -80,6 +75,10 @@ type CycleCore struct {
 	span    int       // rows per scoring tile
 	seatN   int       // seats per act range
 	watched []int     // the seats whose tail has a lifecycle or a recorder
+	// votes is the per-layer thresholds every seat's engine votes over
+	// (core.Engine.VotesOver); empty when some engine has a combiner or
+	// other thresholds, and then each seat decides with DecideOn on its row.
+	votes []float64
 	// The instant's fold tallies, added once per act range.
 	foldWarned, foldQuiet atomic.Int64
 	// The fan-out bodies, built once (bind).
@@ -94,13 +93,23 @@ func (c *CycleCore) Between(fn func()) {
 	c.watch()
 }
 
-// watch lists the seats whose tail goes on past its journal: a tail without
-// a lifecycle or a recorder ends at Journal.
+// watch lists the seats whose tail goes on past its journal (a tail without
+// a lifecycle or a recorder ends at Journal) and derives votes, the
+// thresholds of the first seat's layers if every seat's engine votes over
+// them.
 func (c *CycleCore) watch() {
-	c.watched = c.watched[:0]
+	c.watched, c.votes = c.watched[:0], c.votes[:0]
+	if len(c.Seats) > 0 {
+		for _, l := range c.Seats[0].Tail.Layers {
+			c.votes = append(c.votes, l.Threshold)
+		}
+	}
 	for s, st := range c.Seats {
 		if st.Tail.Lifecycle != nil || st.Tail.Recorder != nil {
 			c.watched = append(c.watched, s)
+		}
+		if len(c.votes) > 0 && !st.Engine.VotesOver(c.votes) {
+			c.votes = c.votes[:0]
 		}
 	}
 }
@@ -286,15 +295,15 @@ func (c *CycleCore) act(k int, decide bool) {
 
 // decide takes seat s's decision at the instant acting into its Dec and Pact,
 // with its score row filled, or settles the seat without one and reports
-// that: with Thresholds, a seat whose confidence, counted from the score
-// matrix, stays quiet and whose decision nothing reads — no journal of its
-// own, no lifecycle, no recorder, no engine observer — gets only its
-// LastWarned and LastConf.
+// that: with votes, a seat whose confidence, counted from the score matrix,
+// stays quiet and whose decision nothing reads — no journal of its own, no
+// lifecycle, no recorder, no engine observer — gets only its LastWarned and
+// LastConf.
 func (c *CycleCore) decide(s int, now float64) (settled bool) {
 	st, row := c.Seats[s], c.row(s)
 	m, rows := len(c.nows), len(c.Seats)*len(c.nows)
 	at := s*m + c.inst // the seat's column in each layer's segment
-	if c.Thresholds == nil {
+	if len(c.votes) == 0 {
 		for j := range row {
 			row[j] = c.matrix[j*rows+at]
 		}
@@ -302,7 +311,7 @@ func (c *CycleCore) decide(s int, now float64) (settled bool) {
 		return false
 	}
 	votes, usable := 0, 0
-	for j, th := range c.Thresholds {
+	for j, th := range c.votes {
 		if x := c.matrix[j*rows+at]; !math.IsNaN(x) {
 			usable++
 			if x >= th {
@@ -310,7 +319,7 @@ func (c *CycleCore) decide(s int, now float64) (settled bool) {
 			}
 		}
 	}
-	conf := core.VoteShare(votes, usable, len(c.Thresholds))
+	conf := core.VoteShare(votes, usable, len(c.votes))
 	t := &st.Tail
 	if !st.Engine.Warns(conf) && t.Ledger == nil && t.Lifecycle == nil && t.Recorder == nil && st.Engine.Observer() == nil {
 		publish(st, false, conf)
