@@ -44,7 +44,7 @@ func writeSimTrace(t *testing.T, seed int64, days float64, tenants int) string {
 
 // timingKeys are the log attributes that depend on the wall clock, the
 // machine or the run's temporary paths, not on the input.
-var timingKeys = []string{"time", "wall_seconds", "events_per_sec", "mean_duration", "last_duration", "addr", "path", "source"}
+var timingKeys = []string{"time", "wall_seconds", "events_per_sec", "addr", "path", "source"}
 
 // exitRecord is a log record that closes a run, kept in full in the golden
 // file; every other record (a warning, a bundle written) enters only its

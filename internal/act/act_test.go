@@ -221,7 +221,7 @@ func TestActionStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := a.Stats(); s.Executions != 0 || s.Failures != 0 || s.TotalDuration != 0 {
+	if s := a.Stats(); s.Executions != 0 || s.Failures != 0 {
 		t.Fatalf("fresh action stats = %+v", s)
 	}
 	for i := 0; i < 4; i++ {
@@ -230,9 +230,6 @@ func TestActionStats(t *testing.T) {
 	s := a.Stats()
 	if s.Executions != 4 || s.Failures != 2 {
 		t.Fatalf("stats = %+v, want 4 executions / 2 failures", s)
-	}
-	if s.TotalDuration < s.LastDuration || s.MeanDuration() > s.TotalDuration {
-		t.Fatalf("duration accounting inconsistent: %+v", s)
 	}
 }
 

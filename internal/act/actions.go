@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 )
 
 // ErrAct is wrapped by all package errors.
@@ -124,18 +123,6 @@ type ActionStats struct {
 	// returned an error.
 	Executions int64
 	Failures   int64
-	// TotalDuration sums all execution times; LastDuration is the most
-	// recent one.
-	TotalDuration time.Duration
-	LastDuration  time.Duration
-}
-
-// MeanDuration is the average execution time (0 before the first run).
-func (s ActionStats) MeanDuration() time.Duration {
-	if s.Executions == 0 {
-		return 0
-	}
-	return s.TotalDuration / time.Duration(s.Executions)
 }
 
 // Action is one executable countermeasure.
@@ -147,8 +134,6 @@ type Action struct {
 
 	executions atomic.Int64
 	failures   atomic.Int64
-	totalNs    atomic.Int64
-	lastNs     atomic.Int64
 }
 
 // Name returns the action's display name.
@@ -160,18 +145,14 @@ func (a *Action) Category() Category { return a.category }
 // Params returns the objective-function parameters.
 func (a *Action) Params() Params { return a.params }
 
-// Execute runs the countermeasure and records its outcome and duration in
-// the action's stats. Safe for concurrent use.
+// Execute runs the countermeasure and records its outcome in the action's
+// stats. Safe for concurrent use.
 func (a *Action) Execute() error {
-	start := time.Now()
 	err := a.execute()
-	d := time.Since(start)
 	a.executions.Add(1)
 	if err != nil {
 		a.failures.Add(1)
 	}
-	a.totalNs.Add(int64(d))
-	a.lastNs.Store(int64(d))
 	return err
 }
 
@@ -180,10 +161,8 @@ func (a *Action) Execute() error {
 // by the in-flight call.
 func (a *Action) Stats() ActionStats {
 	return ActionStats{
-		Executions:    a.executions.Load(),
-		Failures:      a.failures.Load(),
-		TotalDuration: time.Duration(a.totalNs.Load()),
-		LastDuration:  time.Duration(a.lastNs.Load()),
+		Executions: a.executions.Load(),
+		Failures:   a.failures.Load(),
 	}
 }
 

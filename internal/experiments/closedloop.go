@@ -38,11 +38,19 @@ func AttachClosedLoop(sys *scp.System, engine *core.Engine) (*ClosedLoop, error)
 	if err != nil {
 		return nil, err
 	}
+	combined, acted := ledger.Row(obs.CombinedLayer), ledger.Row(actedRow)
 	engine.SetCycleObserver(func(now float64, _ []float64, d core.Decision) {
-		ledger.RecordPrediction(obs.CombinedLayer, now, d.Warned, d.Confidence)
-		if d.Executed {
-			ledger.RecordPrediction(actedRow, now, true, d.Confidence)
+		rows := [2]obs.RowCount{{Row: combined, Neg: 1}, {Row: acted}}
+		if d.Warned {
+			rows[0] = obs.RowCount{Row: combined, Pos: 1}
 		}
+		if d.Executed {
+			rows[1].Pos = 1
+		}
+		// The system records a failure on its tick, which at a cycle's
+		// instant runs after the cycle: ground truth is complete up to the
+		// previous cycle.
+		ledger.Book(now, rows[:], now-cfg.EvalInterval)
 	})
 	rt, err := runtime.New(runtime.Config{
 		Engine:  engine,
@@ -59,10 +67,6 @@ func AttachClosedLoop(sys *scp.System, engine *core.Engine) (*ClosedLoop, error)
 	l := &ClosedLoop{sys: sys, rt: rt, ledger: ledger}
 	if err := sys.Engine().Every(cfg.EvalInterval, func() bool {
 		l.recordFailures()
-		// The system records a failure on its tick, which at a cycle's
-		// instant runs after the cycle: ground truth is complete up to the
-		// previous cycle.
-		ledger.Advance(sys.Engine().Now() - cfg.EvalInterval)
 		rt.EvaluateNow()
 		return true
 	}); err != nil {

@@ -21,14 +21,14 @@
 //     tenants; one with a batch scorer (LayerTemplate.ScoreBatch, e.g. over
 //     ubf.PredictRowsInto or hsmm.ScoreAll) scores the range in one call,
 //     amortizing per-predictor overhead across the fleet — and two hooks:
-//     the act-budget pass, and the folded-scope ledger bucket plus the
-//     overflow journal's watermark advance. Every tenant's engine votes over
-//     the templates' thresholds, so the body counts its votes from the score
-//     matrix. Each tenant's core.Engine makes its own cross-layer decision;
-//     decisions of different tenants run concurrently on the pool (their
-//     state is disjoint), and a quiet tenant whose decision nothing reads
-//     (no dedicated ledger scope, no flight recorder) is settled without
-//     one.
+//     the act-budget pass, and the folded-scope ledger bucket booked with
+//     the overflow journal's watermark advance in one call. Every tenant's
+//     engine votes over the templates' thresholds, so the body counts its
+//     votes from the score matrix. Each tenant's core.Engine makes its own
+//     cross-layer decision; decisions of different tenants run concurrently
+//     on the pool (their state is disjoint), and a quiet tenant whose
+//     decision nothing reads (no dedicated ledger scope, no flight recorder)
+//     is settled without one.
 //   - Observability: one metrics registry, one span tracer, one
 //     obs.ScopedLedger (per-tenant journals under a cardinality cap), and
 //     one /fleet HTTP plane with per-tenant health, quality, versions, and

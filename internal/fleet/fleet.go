@@ -222,8 +222,10 @@ type Fleet struct {
 	cycle  runtime.CycleCore
 	states []TenantState
 	// overflow is the ledger's overflow journal once a tenant has folded
-	// into it (set between cycles, never cleared: it outlives its members).
-	overflow *obs.Ledger
+	// into it (set between cycles, never cleared: it outlives its members),
+	// and overflowRow its CombinedLayer row.
+	overflow    *obs.Ledger
+	overflowRow int
 
 	// adminMu serializes membership changes (AddTenant/RemoveTenant/
 	// Resize) with each other and with Start/Stop.
@@ -445,7 +447,6 @@ func (f *Fleet) buildTenant(byID map[string]*tenant, i int, spec TenantSpec) (*t
 		if f.cfg.Ledger.Dedicated(spec.ID) {
 			tail.Ledger = tn.ledger
 			tail.JournalLayers = f.cfg.JournalLayers
-			tail.Advance = true
 		} else {
 			tail.Fold = true
 		}
@@ -574,8 +575,8 @@ func (f *Fleet) install(next *membership) {
 		f.states = make([]TenantState, len(next.tenants))
 		for i, tn := range next.tenants {
 			f.cycle.Seats[i], f.states[i] = &tn.seat, tn.state
-			if tn.seat.Tail.Fold {
-				f.overflow = tn.ledger
+			if tn.seat.Tail.Fold && f.overflow != tn.ledger {
+				f.overflow, f.overflowRow = tn.ledger, tn.ledger.Row(obs.CombinedLayer)
 			}
 		}
 		f.mem.Store(next)
@@ -778,15 +779,14 @@ func (f *Fleet) scoreTile(li, lo, hi int, nows, out []float64) {
 	}
 }
 
-// finishCycle runs after the cycle's last act tail: it journals the combined
+// finishCycle runs after the cycle's last act tail: it books the combined
 // rows of every tenant folded into the overflow ledger scope as one bucket —
 // the rows their act tails would have written one by one, counted in the act
-// ranges instead (a fleet with nobody folded touches nothing) — then
-// advances the overflow journal's watermark. Each dedicated scope's tail
-// advanced its own.
+// ranges instead — and the overflow journal's watermark advance, in one
+// Ledger.Book call (a fleet with nobody folded touches nothing). Each
+// dedicated scope's tail advanced its own.
 func (f *Fleet) finishCycle(now float64, warned, quiet int) {
-	f.overflow.RecordPredictions(obs.CombinedLayer, now, warned, quiet)
-	f.overflow.Advance(now)
+	f.overflow.Book(now, []obs.RowCount{{Row: f.overflowRow, Pos: warned, Neg: quiet}}, now)
 }
 
 // resolveBudget commits the cycle's pending countermeasures in

@@ -436,3 +436,95 @@ func TestLedgerMatchesRowList(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLedgerMatchesRowListByRow drives the one-call journal (Book: a
+// decision's rows and the watermark advance under one lock) against the row
+// list fed the same decisions one row at a time, with the same random
+// scripts as TestLedgerMatchesRowList: times at, before and after the newest
+// instant (equal, backward, alternating), failures landing late, a watermark
+// asked to move backwards, rolling windows on and off, and rows that start
+// journaling mid-run — "b", declared nowhere, and a candidate row
+// registered at a random step.
+func TestLedgerMatchesRowListByRow(t *testing.T) {
+	script := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := LedgerConfig{LeadTime: float64(rng.Intn(4)), Slack: float64(rng.Intn(3))}
+		if rng.Intn(2) == 0 {
+			cfg.Window = float64(1 + rng.Intn(12))
+		}
+		led := mustLedger(t, cfg, "a")
+		ref := newRefLedger(cfg, "a")
+		names := []string{"a", CombinedLayer}
+		late := []string{"b", "a#candidate"}
+		row := func(name string) int {
+			r := led.Row(name)
+			ref.layer(name)
+			if ref.order[r] != name {
+				t.Errorf("seed %d: Row(%q) = %d, the row list has %q there", seed, name, r, ref.order[r])
+			}
+			return r
+		}
+		clock := 0.0
+		at := func() float64 { return clock + float64(rng.Intn(7)-3) }
+		var rows []RowCount
+		for step := 0; step < 80; step++ {
+			clock += float64(rng.Intn(3)) / 2
+			if len(late) > 0 && rng.Intn(20) == 0 {
+				names, late = append(names, late[0]), late[1:]
+			}
+			op := rng.Intn(10)
+			switch {
+			case op < 6: // one decision: some rows' verdicts, then the watermark
+				ts, now := at(), at()
+				if rng.Intn(3) == 0 {
+					ts = clock
+				}
+				if rng.Intn(3) == 0 {
+					now = ts
+				}
+				rows = rows[:0]
+				for _, name := range names {
+					if rng.Intn(4) == 0 {
+						continue // abstained
+					}
+					pos, neg := rng.Intn(3), rng.Intn(3)
+					rows = append(rows, RowCount{Row: row(name), Pos: pos, Neg: neg})
+					verdicts := make([]bool, pos+neg)
+					for i := 0; i < pos; i++ {
+						verdicts[i] = true
+					}
+					rng.Shuffle(len(verdicts), func(i, j int) { verdicts[i], verdicts[j] = verdicts[j], verdicts[i] })
+					for _, warned := range verdicts {
+						ref.recordPrediction(name, ts, warned)
+					}
+				}
+				led.Book(ts, rows, now)
+				ref.advance(now)
+			case op < 8:
+				ts := at()
+				led.RecordFailure(ts)
+				ref.recordFailure(ts)
+			default:
+				ts := at()
+				led.Advance(ts)
+				ref.advance(ts)
+			}
+			if got, want := led.Snapshot(), ref.snapshot(); !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d step %d op %d: snapshot\n got %+v\nwant %+v", seed, step, op, got, want)
+				return false
+			}
+			for _, name := range ref.order {
+				rl := ref.layers[name]
+				if led.Quality(name) != rl.rolling || led.Cumulative(name) != rl.cumulative {
+					t.Errorf("seed %d step %d: row %s quality %+v/%+v, want %+v/%+v", seed, step, name,
+						led.Quality(name), led.Cumulative(name), rl.rolling, rl.cumulative)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(script, &quick.Config{MaxCount: 600}); err != nil {
+		t.Fatal(err)
+	}
+}

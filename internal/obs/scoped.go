@@ -9,8 +9,8 @@ import (
 // cardinality cap. Its quality figures are an aggregate approximation:
 // predictions and failures of all folded scopes match against each other.
 // Its writers share one mutex, so a caller with many folded sources a cycle
-// (a fleet) counts their verdicts and journals them with one
-// Ledger.RecordPredictions rather than a RecordPrediction each.
+// (a fleet) counts their verdicts and books them as one row of one
+// Ledger.Book rather than a row per source.
 const OverflowScope = "~overflow"
 
 // scopeSet is the cap-and-fold bookkeeping ScopedLedger and ScopedRecorder

@@ -149,7 +149,7 @@ func New(cfg Config) (*Runtime, error) {
 		metrics: NewMetrics(),
 	}
 	r.seat = Seat{Engine: cfg.Engine, Tail: ActTail{
-		Layers: layers, Ledger: cfg.Ledger, JournalLayers: true, Advance: true,
+		Layers: layers, Ledger: cfg.Ledger, JournalLayers: true,
 		Lifecycle: cfg.Lifecycle, Recorder: cfg.Recorder,
 	}}
 	r.shell = NewShell(ShellConfig{

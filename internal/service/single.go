@@ -350,8 +350,7 @@ func (p *pipeline) summary(events int, elapsed time.Duration) {
 		"suppressed", mm.Suppressed.Value())
 	s := p.action.Stats()
 	logger.Info("action stats", "action", p.action.Name(),
-		"executions", s.Executions, "failures", s.Failures,
-		"mean_duration", s.MeanDuration(), "last_duration", s.LastDuration)
+		"executions", s.Executions, "failures", s.Failures)
 	if p.lcm != nil {
 		logLifecycle(logger, p.lcm)
 	}
