@@ -3,6 +3,8 @@ package scp
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"repro/internal/ingest"
 	"repro/internal/par"
@@ -40,20 +42,15 @@ const (
 	streamsPerTenant = streamFail + 1
 )
 
-// streamCursor is Drain's progress in one stream: records before pos are
-// emitted, end is the stream's length when the current Drain began.
-type streamCursor struct {
-	pos, end int
+// tenantHead is one tenant's next record in a Drain heap: the earliest of
+// its stream heads, ties to the lower stream k.
+type tenantHead struct {
+	t         float64
+	tenant, k int32
 }
 
-// streamHead is one stream's next record in Drain's merge heap.
-type streamHead struct {
-	t    float64
-	rank int
-}
-
-func (a streamHead) before(b streamHead) bool {
-	return a.t < b.t || (a.t == b.t && a.rank < b.rank)
+func (a tenantHead) before(b tenantHead) bool {
+	return a.t < b.t || (a.t == b.t && a.tenant < b.tenant)
 }
 
 // MultiSystem is a fleet of independently seeded SCP simulators advancing
@@ -63,8 +60,16 @@ type MultiSystem struct {
 	ids     []string
 	systems []*System
 	weights []float64
-	cursors []streamCursor // indexed by stream rank
-	heads   []streamHead   // Drain's heap, kept for its capacity
+	drained []int // records of each stream (by rank) emitted so far
+
+	// Drain's scratch, kept for its capacity. For each of its time ranges
+	// r, with S streams: lo[r*S+s] is stream s's first record in the
+	// range (lo[(r+1)*S+s] its end), pos and headT the range's cursor and
+	// next record time in each stream (+Inf once spent), heads the range's
+	// heap of tenant heads, and starts[r] the range's offset in the trace.
+	lo, pos, starts []int
+	headT           []float64
+	heads           []tenantHead
 }
 
 // ZipfWeights returns n rank weights r^-s normalized to mean 1 — the load
@@ -101,7 +106,7 @@ func NewMulti(cfg MultiConfig) (*MultiSystem, error) {
 		ids:     make([]string, cfg.Tenants),
 		systems: make([]*System, cfg.Tenants),
 		weights: ZipfWeights(cfg.Tenants, cfg.Skew),
-		cursors: make([]streamCursor, cfg.Tenants*streamsPerTenant),
+		drained: make([]int, cfg.Tenants*streamsPerTenant),
 	}
 	err := forTenants(cfg.Tenants, func(i int) error {
 		tc := base
@@ -171,49 +176,131 @@ func (m *MultiSystem) Run(duration float64) error {
 // interleaving for any fleet size. Call after each Run slice for wall-paced
 // replay, or once after a full Run for a complete fixture.
 //
-// It is a k-way merge: every stream is in time order already, so the new
-// records are counted, the result allocated once at that size, and filled
-// from a heap of stream heads keyed (time, rank) — what a stable sort by
-// time of the streams laid end to end in rank order gives.
+// Every stream is in time order already, so the trace is cut at times into
+// up to GOMAXPROCS ranges of at least one SAR interval each — a binary
+// search in each stream, so records of one instant share a range — whose
+// records are counted, the result allocated once at that size, and each
+// range filled into its own part of it on a par worker by a merge over a
+// heap of tenant heads keyed (time, tenant), a pop emitting all of the
+// tenant's records at that time; a tenant's head is the least (time, k) of
+// its stream heads. That is what a stable sort by time of the streams laid
+// end to end in rank order gives, at any GOMAXPROCS.
 func (m *MultiSystem) Drain() []ingest.Record {
-	heads := m.heads[:0]
-	total := 0
+	ns := len(m.drained)
+	first, last := math.Inf(1), math.Inf(-1)
 	for i, sys := range m.systems {
 		for k := 0; k < streamsPerTenant; k++ {
-			rank := i*streamsPerTenant + k
-			c := &m.cursors[rank]
-			c.end = sys.streamLen(k)
-			if c.pos < c.end {
-				total += c.end - c.pos
-				heads = append(heads, streamHead{t: sys.streamTime(k, c.pos), rank: rank})
+			if from, end := m.drained[i*streamsPerTenant+k], sys.streamLen(k); from < end {
+				first = math.Min(first, sys.streamTime(k, from))
+				last = math.Max(last, sys.streamTime(k, end-1))
 			}
+		}
+	}
+	// A range spans at least one SAR interval. An instant's samples, eight
+	// a tenant and most of a drain's records, never straddle a cut, so a
+	// drain shorter than two intervals (pfmd -fleet's per-cadence slice)
+	// has one instant that carries most of it and nothing to balance.
+	ranges := 1
+	if span := (last - first) / m.systems[0].cfg.SARInterval; span >= 2 {
+		ranges = par.Workers(int(math.Min(span, math.MaxInt32)))
+	}
+	nt := len(m.systems)
+	lo, starts := resize(m.lo, (ranges+1)*ns), resize(m.starts, ranges+1)
+	m.lo, m.starts = lo, starts
+	m.pos, m.headT, m.heads = resize(m.pos, ranges*ns), resize(m.headT, ranges*ns), resize(m.heads, ranges*nt)
+	clear(starts)
+	for i, sys := range m.systems {
+		for k := 0; k < streamsPerTenant; k++ {
+			s, end := i*streamsPerTenant+k, sys.streamLen(k)
+			lo[s], lo[ranges*ns+s] = m.drained[s], end
+			for r := 1; r < ranges; r++ {
+				at, cut := lo[(r-1)*ns+s], first+(last-first)*float64(r)/float64(ranges)
+				lo[r*ns+s] = at + sort.Search(end-at, func(j int) bool { return sys.streamTime(k, at+j) >= cut })
+			}
+			for r := 0; r < ranges; r++ {
+				starts[r+1] += lo[(r+1)*ns+s] - lo[r*ns+s]
+			}
+			m.drained[s] = end
+		}
+	}
+	for r := 1; r <= ranges; r++ {
+		starts[r] += starts[r-1]
+	}
+	out := make([]ingest.Record, starts[ranges])
+	if ranges == 1 {
+		m.fill(0, out) // without par's closures, which escape
+	} else {
+		par.For(ranges, func(r int) { m.fill(r, out[starts[r]:starts[r+1]]) })
+	}
+	return out
+}
+
+// resize returns s at length n, reusing its storage when it is large enough.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// fill merges Drain's time range r into out, which holds exactly its
+// records.
+func (m *MultiSystem) fill(r int, out []ingest.Record) {
+	ns, nt := len(m.drained), len(m.systems)
+	end := m.lo[(r+1)*ns : (r+2)*ns]
+	pos := m.pos[r*ns : (r+1)*ns]
+	headT := m.headT[r*ns : (r+1)*ns]
+	heads := m.heads[r*nt : r*nt : (r+1)*nt]
+	copy(pos, m.lo[r*ns:(r+1)*ns])
+	next := func(sys *System, k, s int) {
+		headT[s] = math.Inf(1)
+		if pos[s] < end[s] {
+			headT[s] = sys.streamTime(k, pos[s])
+		}
+	}
+	for i, sys := range m.systems {
+		for k := 0; k < streamsPerTenant; k++ {
+			next(sys, k, i*streamsPerTenant+k)
+		}
+		if h := headOf(i, headT); !math.IsInf(h.t, 1) {
+			heads = append(heads, h)
 		}
 	}
 	for i := len(heads)/2 - 1; i >= 0; i-- {
 		siftDown(heads, i)
 	}
-	out := make([]ingest.Record, total)
-	for n := range out {
-		rank := heads[0].rank
-		i, k := rank/streamsPerTenant, rank%streamsPerTenant
-		sys, c := m.systems[i], &m.cursors[rank]
-		out[n].Event.Tenant = m.ids[i]
-		sys.streamRecord(k, c.pos, &out[n])
-		if c.pos++; c.pos < c.end {
-			heads[0].t = sys.streamTime(k, c.pos)
-		} else {
+	for n := 0; n < len(out); {
+		// The root tenant's records at its head time, stream by stream:
+		// no stream below its head's k has one.
+		i, t := int(heads[0].tenant), heads[0].t
+		sys := m.systems[i]
+		for k := int(heads[0].k); k < streamsPerTenant; k++ {
+			for s := i*streamsPerTenant + k; headT[s] == t; n++ {
+				out[n].Event.Tenant = m.ids[i]
+				sys.streamRecord(k, pos[s], &out[n])
+				pos[s]++
+				next(sys, k, s)
+			}
+		}
+		if heads[0] = headOf(i, headT); math.IsInf(heads[0].t, 1) {
 			last := len(heads) - 1
 			heads[0] = heads[last]
 			heads = heads[:last]
 		}
 		siftDown(heads, 0)
 	}
-	m.heads = heads
-	return out
+}
+
+// headOf returns tenant i's head from the stream head times headT (by
+// rank); its time is +Inf once every stream of the tenant is spent.
+func headOf(i int, headT []float64) tenantHead {
+	t := headT[i*streamsPerTenant : (i+1)*streamsPerTenant]
+	k := 0
+	for j := 1; j < len(t); j++ {
+		if t[j] < t[k] {
+			k = j
+		}
+	}
+	return tenantHead{t: t[k], tenant: int32(i), k: int32(k)}
 }
 
 // siftDown restores the min-heap below position i.
-func siftDown(h []streamHead, i int) {
+func siftDown(h []tenantHead, i int) {
 	for {
 		c := 2*i + 1
 		if c >= len(h) {

@@ -268,6 +268,68 @@ func TestDrainTies(t *testing.T) {
 	}
 }
 
+// TestDrainSplitMatchesSerial holds Drain's split into time ranges to the
+// stable sort at GOMAXPROCS 1, 2 and 4: a 200-tenant fleet drained in
+// unequal Run slices, the first an hour, which more than one P must cut,
+// and a hand-built fleet whose second tenant's CPU series is one sample
+// short of its others and whose third tenant fails at an instant that
+// holds errors of the other two, an instant where two ranges are cut.
+func TestDrainSplitMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	ranges := func(m *MultiSystem) int { return len(m.starts) - 1 }
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		m, err := NewMulti(MultiConfig{Tenants: 200, BaseSeed: 3, Skew: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefDrain(200)
+		for step, d := range []float64{3600, 7, 1793, 0, 61, 2400} {
+			if d > 0 {
+				if err := m.Run(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sameRecords(t, fmt.Sprintf("GOMAXPROCS %d, slice %d", procs, step), m.Drain(), ref.drain(t, m))
+			if step == 0 && (procs > 1) != (ranges(m) > 1) {
+				t.Fatalf("GOMAXPROCS %d: an hour's drain cut into %d ranges", procs, ranges(m))
+			}
+		}
+
+		if m, err = NewMulti(MultiConfig{Tenants: 3, BaseSeed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		for i, sys := range m.systems {
+			// 30 and 600 bound the drain, so two ranges are cut at 315.
+			errs := []float64{30, 100, 315, 315, 470}
+			if i == 2 {
+				errs = []float64{470, 600}
+			}
+			for _, at := range errs {
+				if err := sys.log.Append(eventlog.Event{Time: at, Component: "lb", Type: EventOverload, Severity: eventlog.SeverityWarning, Message: "overload"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for at := 60.0; at <= 540; at += 60 {
+				for k, series := range sys.sarSeries {
+					if i == 1 && k == sarCPU && at == 540 {
+						continue
+					}
+					if err := series.Append(at, at+float64(k)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		m.systems[2].failures = append(m.systems[2].failures, FailureRecord{Time: 315})
+		got := m.Drain()
+		sameRecords(t, fmt.Sprintf("GOMAXPROCS %d, hand-built", procs), got, newRefDrain(3).drain(t, m))
+		if (procs > 1) != (ranges(m) > 1) {
+			t.Fatalf("GOMAXPROCS %d: the hand-built drain cut into %d ranges", procs, ranges(m))
+		}
+	}
+}
+
 // TestMultiSystemParallelMatchesSerial holds NewMulti and Run to the par
 // contract: the records are the same on one P (par's inline serial loop) as
 // on four, where tenants are built and run on several goroutines.
@@ -317,5 +379,50 @@ func TestMultiSystemLowestTenantError(t *testing.T) {
 	}
 	if err := m.Run(-1); err == nil || !strings.HasPrefix(err.Error(), "tenant t0000:") {
 		t.Fatalf("Run(-1): got %v, want tenant t0000's error", err)
+	}
+}
+
+// BenchmarkMultiDrain times one Drain of a 1000-tenant fleet after a
+// 3600 s Run, the shape of pfmbench's fleet fixture. The fleet is built and
+// run once; each iteration rewinds the drain cursors and merges the whole
+// hour again:
+//
+//	go test -run '^$' -bench MultiDrain -benchmem ./internal/scp/
+func BenchmarkMultiDrain(b *testing.B) {
+	m, err := NewMulti(MultiConfig{Tenants: 1000, BaseSeed: 1, Skew: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := m.Run(3600); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(m.drained)
+		if len(m.Drain()) == 0 {
+			b.Fatal("empty drain")
+		}
+	}
+}
+
+// BenchmarkMultiSlice times pfmd -fleet's per-cadence source at 1000
+// tenants: Run(60) and Drain, after a 3600 s warm-up drained once.
+func BenchmarkMultiSlice(b *testing.B) {
+	m, err := NewMulti(MultiConfig{Tenants: 1000, BaseSeed: 1, Skew: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := m.Run(3600); err != nil {
+		b.Fatal(err)
+	}
+	m.Drain()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Run(60); err != nil {
+			b.Fatal(err)
+		}
+		m.Drain()
 	}
 }

@@ -33,7 +33,7 @@ var orphanAllowed = map[string]string{
 	// Observation points: how a test reads state that reached code writes.
 	"obs.IncidentBundle.Fingerprint":         "TestRecorderIncidentReplay compares bundles by it",
 	"obs.Recorder.Config":                    "service TestBurnRateArmed, TestRecorderConfigValidation",
-	"obs.Recorder.Pending":                   "TestCycleSteadyStateAllocs' no-trigger precondition",
+	"obs.Recorder.Pending":                   "TestCycleBatchSteadyStateZeroAllocs' no-trigger precondition",
 	"obs.ScopedLedger.Config":                "TestFoldedJournalMatchesPerTenantRows builds its oracle ledger from it",
 	"obs.Tracer.Snapshot":                    "TestRecorderIncidentReplay and the tracer oracle read spans through it",
 	"experiments.SelectionResult.ByStrategy": "E8's acceptance test reads rows by it",
@@ -45,7 +45,7 @@ var orphanAllowed = map[string]string{
 	"eventlog.Log.TypeAt":                    "TestBatchSerialParity's serial oracle reads the mirror log",
 	"fleet.Fleet.Running":                    "TestShell",
 	"runtime.Runtime.Running":                "TestShell",
-	"runtime.Runtime.Recorder":               "TestRecorderIncidentReplay, TestCycleSteadyStateAllocs",
+	"runtime.Runtime.Recorder":               "TestRecorderIncidentReplay, TestCycleBatchSteadyStateZeroAllocs",
 	"runtime.Runtime.Tracer":                 "TestRecorderIncidentReplay, the tracez tests",
 	"hsmm.Model.AlphabetSize":                "TestAlphabetIncludesCatchAll",
 	"hsmm.Model.Family":                      "TestExponentialFamily, the kernel reference's model builder",
