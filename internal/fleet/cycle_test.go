@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	stdruntime "runtime"
 	"sort"
@@ -234,13 +235,21 @@ func TestScoreFanOutOverlapsRanges(t *testing.T) {
 // cycleFleet is pfmd -fleet's cycle shape over n tenants: a per-tenant and a
 // batch layer template, 64 ledger scopes with per-layer rows, a tracer, an
 // oscillation guard, and a fifth of the fleet warning every cycle (acting or
-// guard-suppressed). With recorder every tenant also has a flight recorder,
-// as pfmd's default -incident-cap 32 gives it (64 dedicated scopes, the rest
-// sharing the overflow recorder, the burn-rate trigger armed); without, it
-// is pfmd at -incident-cap 0, which is also the pfmbench fleets' shape. It
-// returns the fleet and a function that runs its next cycle, 60 domain
-// seconds after the last.
+// guard-suppressed). With recorder the fleet also has a scoped flight
+// recorder, as pfmd's default -incident-cap 32 gives it: 64 dedicated scopes
+// with the burn-rate trigger armed, and the rest folded into the overflow
+// recorder, which observes their tallied cycle once; without, it is pfmd at
+// -incident-cap 0, which is also the pfmbench fleets' shape. It returns the
+// fleet and a function that runs its next cycle, 60 domain seconds after the
+// last.
 func cycleFleet(t testing.TB, n int, recorder bool) (*Fleet, func()) {
+	f, cycle, _ := cycleFleetWith(t, n, recorder, nil)
+	return f, cycle
+}
+
+// cycleFleetWith is cycleFleet with edit applied to the configuration last;
+// it also returns the tenants' states.
+func cycleFleetWith(t testing.TB, n int, recorder bool, edit func(*Config)) (*Fleet, func(), map[string]*tstate) {
 	f, clock, _, states := pokedFleet(t, n, 64, func(c *Config) {
 		c.Layers = append(c.Layers, LayerTemplate{Name: "errors", Threshold: 0.5,
 			ScoreBatch: func(states []TenantState, _ float64, out []float64) error {
@@ -260,6 +269,9 @@ func cycleFleet(t testing.TB, n int, recorder bool) (*Fleet, func()) {
 			}
 			c.Recorder = rec
 		}
+		if edit != nil {
+			edit(c)
+		}
 	})
 	for i := 0; i < n; i += 5 {
 		st := states[fmt.Sprintf("t%04d", i)]
@@ -270,7 +282,7 @@ func cycleFleet(t testing.TB, n int, recorder bool) (*Fleet, func()) {
 		at += 60
 		clock.Set(at)
 		f.EvaluateCycle()
-	}
+	}, states
 }
 
 // TestFleetCycleSteadyStateAllocs holds a 1000-tenant cycle (cycleFleet) to
@@ -287,6 +299,126 @@ func TestFleetCycleSteadyStateAllocs(t *testing.T) {
 	}
 	if w := f.Metrics().Warnings.Value(); w != 200*(60+51) {
 		t.Fatalf("warnings = %d, want %d (a fifth of the fleet every cycle)", w, 200*(60+51))
+	}
+}
+
+// TestFleetRecorderSteadyStateAllocs holds cycleFleet's shape with its
+// flight recorder to no allocation a cycle once every capturing scope has
+// used each of its 32 capture slots. The cycles measured reuse slots whose
+// first capture held fewer score rows than the ring now does (the earliest
+// ones, before the ring had filled): a slot's buffers take their full size
+// on first use, so reusing one grows none. The folded tenants reach the
+// overflow recorder through the cycle's fold, by value.
+func TestFleetRecorderSteadyStateAllocs(t *testing.T) {
+	f, cycle := cycleFleet(t, 1000, true)
+	scopes := []string{obs.OverflowScope}
+	for i := 0; i < 64; i++ {
+		scopes = append(scopes, fmt.Sprintf("t%04d", i))
+	}
+	captured := func(scope string) (n int64) {
+		for _, k := range obs.TriggerKinds {
+			n += f.cfg.Recorder.Scope(scope, obs.RecorderScopeConfig{}).Captured(k)
+		}
+		return n
+	}
+	// A capturing scope fires warn once a refractory period (1200 s, 20
+	// cycles) and act about once in 30.
+	for warm := true; warm; {
+		cycle()
+		warm = false
+		for _, scope := range scopes {
+			if n := captured(scope); n > 0 && n < 32 || scope == obs.OverflowScope && n == 0 {
+				warm = true
+			}
+		}
+	}
+	if captured("t0000") == 0 {
+		t.Fatal("no dedicated scope captured")
+	}
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("a steady-state cycle with the recorder allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestOverflowRecorderDeterministic runs cycleFleet's shape with its
+// recorder at Workers 1, 2 and 4, several runs each, and reads the overflow
+// recorder's bundles. The folded warners each score a load of their own, 1 +
+// i/10⁴ for tenant i, so a score row says whose it is. Every run captures
+// the same bundle fingerprints, and they follow the seat-order rule: at each
+// cycle the first folded tenant in seat order whose decision would fire warn
+// (at the template's 0.5 gate) or act fires it, unless the kind is inside
+// its refractory period (2 × the 600 s default window). Every score row of
+// such a bundle is its tenant's, one a cycle, the last at its trigger.
+func TestOverflowRecorderDeterministic(t *testing.T) {
+	const n, cycles, runs, refractory = 1000, 200, 4, 1200.0
+	load := func(i int) float64 { return 1 + float64(i)/1e4 }
+	var want []string
+	for _, workers := range []int{1, 2, 4} {
+		for run := 0; run < runs; run++ {
+			name := fmt.Sprintf("workers%d/run%d", workers, run)
+			f, cycle, states := cycleFleetWith(t, n, true, func(c *Config) { c.Workers = workers })
+			for i := 0; i < n; i += 5 {
+				states[fmt.Sprintf("t%04d", i)].sum = load(i)
+			}
+			tenants := f.mem.Load().tenants
+			warnings, actions := make([]int64, n), make([]int64, n)
+			next := map[obs.TriggerKind]float64{obs.TriggerWarn: math.Inf(-1), obs.TriggerAct: math.Inf(-1)}
+			var rule []string
+			for c := 1; c <= cycles; c++ {
+				cycle()
+				at := float64(60 * c)
+				first := map[obs.TriggerKind]string{}
+				for i, tn := range tenants {
+					w, a := tn.seat.Warnings.Load(), tn.seat.Actions.Load()
+					if tn.seat.Tail.Fold.Recorder {
+						conf := math.Float64frombits(tn.seat.LastConf.Load())
+						if _, ok := first[obs.TriggerWarn]; !ok && w > warnings[i] && conf >= 0.5 {
+							first[obs.TriggerWarn] = tn.spec.ID
+						}
+						if _, ok := first[obs.TriggerAct]; !ok && a > actions[i] {
+							first[obs.TriggerAct] = tn.spec.ID
+						}
+					}
+					warnings[i], actions[i] = w, a
+				}
+				for _, kind := range []obs.TriggerKind{obs.TriggerWarn, obs.TriggerAct} {
+					if id, ok := first[kind]; ok && at >= next[kind] {
+						rule = append(rule, fmt.Sprintf("%s@%g:%s", kind, at, id))
+						next[kind] = at + refractory
+					}
+				}
+			}
+			f.cfg.Recorder.Flush()
+			var got, fps []string
+			for _, b := range f.cfg.Recorder.Bundles() {
+				if b.Scope != obs.OverflowScope {
+					continue
+				}
+				got = append(got, fmt.Sprintf("%s@%g:%s", b.Trigger, b.Time, b.Detail))
+				fps = append(fps, b.Fingerprint())
+				var i int
+				if _, err := fmt.Sscanf(b.Detail, "t%d", &i); err != nil || len(b.Scores) == 0 || b.Scores[len(b.Scores)-1].Time != b.Time {
+					t.Fatalf("%s: bundle %s@%g of %q holds %d score rows, the last not at its trigger",
+						name, b.Trigger, b.Time, b.Detail, len(b.Scores))
+				}
+				for k, row := range b.Scores {
+					if row.Scores[0] != load(i) || k > 0 && row.Time <= b.Scores[k-1].Time {
+						t.Fatalf("%s: bundle %s@%g of %s: row %d at %g scores %v, not one of %s's cycles (load %g)",
+							name, b.Trigger, b.Time, b.Detail, k, row.Time, row.Scores, b.Detail, load(i))
+					}
+				}
+			}
+			sort.Strings(got)
+			sort.Strings(rule)
+			if len(got) < 10 || !reflect.DeepEqual(got, rule) {
+				t.Fatalf("%s: overflow bundles\n got %v\nwant %v (the seat-order rule)", name, got, rule)
+			}
+			if want == nil {
+				want = fps
+			} else if !reflect.DeepEqual(fps, want) {
+				t.Fatalf("%s: overflow fingerprints differ from workers1/run0's\n got %v\nwant %v", name, fps, want)
+			}
+		}
 	}
 }
 

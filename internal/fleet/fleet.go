@@ -97,7 +97,7 @@ type Config struct {
 	// reserve room for the others, and under Block one hot tenant can hold a
 	// whole shard's budget while its neighbours' pushes park (the drain
 	// still interleaves them, deficit round robin). Overflow is the
-	// full-queue policy (default Block).
+	// full-queue policy (default Block). More than maxShards is refused.
 	Shards        int
 	QueueCapacity int
 	Overflow      runtime.OverflowPolicy
@@ -140,6 +140,12 @@ type Config struct {
 	JournalLayers bool
 }
 
+// maxShards bounds the shard count New and Resize accept: a shard is a
+// consumer goroutine, a queue and defaultVnodes ring points, and shards past
+// the cores add hand-offs, not throughput. 256 is above any core count this
+// runs on, and keeps one mistyped request from building billions of points.
+const maxShards = 256
+
 // staleAfter marks a tenant "stale" when no event arrived for this many
 // domain seconds.
 const staleAfter = 900
@@ -152,16 +158,17 @@ type tenant struct {
 	// seat is the tenant's row in the cycle body: its engine, its decision
 	// tallies and its act tail — its layers, its journal when it has a
 	// dedicated ledger scope (JournalLayers says whether per-layer rows go
-	// in; the tail advances it), its scoped flight recorder (nil without
-	// Config.Recorder).
+	// in; the tail advances it), its flight recorder when it has a dedicated
+	// recorder scope.
 	seat runtime.Seat
 	// ledger is the tenant's ledger scope (nil without Config.Ledger): its
 	// own journal — then seat.Tail.Ledger too, written in the act fan-out —
-	// or the overflow journal it is folded into (seat.Tail.Fold), which
-	// takes failures as they arrive and one combined bucket a cycle from
-	// finishCycle.
+	// or the overflow journal it is folded into (seat.Tail.Fold.Journal),
+	// which takes failures as they arrive and one combined bucket a cycle
+	// from finishCycle. rec is its recorder scope likewise: seat.Tail.Recorder
+	// or the overflow recorder (seat.Tail.Fold.Recorder).
 	ledger *obs.Ledger
-	recOwn bool // seat.Tail.Recorder is dedicated (not the overflow fold)
+	rec    *obs.Recorder
 
 	events      atomic.Int64
 	deferred    atomic.Int64 // act-budget deferrals
@@ -223,9 +230,11 @@ type Fleet struct {
 	states []TenantState
 	// overflow is the ledger's overflow journal once a tenant has folded
 	// into it (set between cycles, never cleared: it outlives its members),
-	// and overflowRow its CombinedLayer row.
+	// and overflowRow its CombinedLayer row; overflowRec is the recorder's
+	// overflow member likewise.
 	overflow    *obs.Ledger
 	overflowRow int
+	overflowRec *obs.Recorder
 
 	// adminMu serializes membership changes (AddTenant/RemoveTenant/
 	// Resize) with each other and with Start/Stop.
@@ -263,6 +272,9 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	if cfg.QueueCapacity < 0 || cfg.Shards < 0 || cfg.Workers < 0 || cfg.BatchSize < 0 || cfg.ActBudget < 0 {
 		return nil, fmt.Errorf("%w: negative sizing", ErrFleet)
+	}
+	if cfg.Shards > maxShards {
+		return nil, fmt.Errorf("%w: shards %d over %d", ErrFleet, cfg.Shards, maxShards)
 	}
 	if cfg.Shards == 0 {
 		cfg.Shards = stdruntime.GOMAXPROCS(0)
@@ -312,6 +324,9 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	if cfg.ActBudget > 0 {
 		f.cycle.Resolve = f.resolveBudget
+	}
+	if cfg.Recorder != nil {
+		f.cycle.FoldGate = cfg.Recorder.Config().WarnThreshold // the overflow scope keeps the template's gate
 	}
 	mem := &membership{
 		gen:    1,
@@ -410,13 +425,13 @@ func (f *Fleet) buildTenant(byID map[string]*tenant, i int, spec TenantSpec) (*t
 		return nil, fmt.Errorf("%w: tenant %d has invalid ID %q", ErrFleet, i, spec.ID)
 	}
 	if _, dup := byID[spec.ID]; dup {
-		return nil, fmt.Errorf("%w %q", ErrDuplicateTenant, spec.ID)
+		return nil, fmt.Errorf("%w ID %q", ErrDuplicateTenant, spec.ID)
 	}
 	if spec.Criticality < 0 || math.IsNaN(spec.Criticality) || math.IsInf(spec.Criticality, 0) {
-		return nil, fmt.Errorf("%w: tenant %q criticality %g", ErrFleet, spec.ID, spec.Criticality)
+		return nil, fmt.Errorf("%w: tenant %q Criticality %g", ErrFleet, spec.ID, spec.Criticality)
 	}
 	if spec.RateLimit < 0 || math.IsNaN(spec.RateLimit) || math.IsInf(spec.RateLimit, 0) {
-		return nil, fmt.Errorf("%w: tenant %q rate limit %g", ErrFleet, spec.ID, spec.RateLimit)
+		return nil, fmt.Errorf("%w: tenant %q RateLimit %g", ErrFleet, spec.ID, spec.RateLimit)
 	}
 	if spec.Criticality == 0 {
 		spec.Criticality = 1
@@ -448,15 +463,19 @@ func (f *Fleet) buildTenant(byID map[string]*tenant, i int, spec TenantSpec) (*t
 			tail.Ledger = tn.ledger
 			tail.JournalLayers = f.cfg.JournalLayers
 		} else {
-			tail.Fold = true
+			tail.Fold.Journal = true
 		}
 	}
 	if f.cfg.Recorder != nil {
-		tail.Recorder = f.cfg.Recorder.Scope(spec.ID, obs.RecorderScopeConfig{
+		tn.rec = f.cfg.Recorder.Scope(spec.ID, obs.RecorderScopeConfig{
 			WarnThreshold: criticalityWarnThreshold(f.cfg.Recorder.Config().WarnThreshold, spec.Criticality),
 			Ledger:        tn.ledger,
 		})
-		tn.recOwn = f.cfg.Recorder.Dedicated(spec.ID)
+		if f.cfg.Recorder.Dedicated(spec.ID) {
+			tail.Recorder = tn.rec
+		} else {
+			tail.Fold.Recorder = true
+		}
 	}
 	return tn, nil
 }
@@ -575,8 +594,11 @@ func (f *Fleet) install(next *membership) {
 		f.states = make([]TenantState, len(next.tenants))
 		for i, tn := range next.tenants {
 			f.cycle.Seats[i], f.states[i] = &tn.seat, tn.state
-			if tn.seat.Tail.Fold && f.overflow != tn.ledger {
+			if tn.seat.Tail.Fold.Journal && f.overflow != tn.ledger {
 				f.overflow, f.overflowRow = tn.ledger, tn.ledger.Row(obs.CombinedLayer)
+			}
+			if tn.seat.Tail.Fold.Recorder {
+				f.overflowRec = tn.rec
 			}
 		}
 		f.mem.Store(next)
@@ -616,8 +638,8 @@ func (f *Fleet) RemoveTenant(id string) error {
 // FIFO order is preserved across the move. Shrunk-away shards close once
 // their members are gone; their consumers exit after draining.
 func (f *Fleet) Resize(shards int) error {
-	if shards < 1 {
-		return fmt.Errorf("%w: shards %d", ErrFleet, shards)
+	if shards < 1 || shards > maxShards {
+		return fmt.Errorf("%w: shards %d (want 1..%d)", ErrFleet, shards, maxShards)
 	}
 	f.adminMu.Lock()
 	defer f.adminMu.Unlock()
@@ -738,18 +760,20 @@ func (f *Fleet) apply(it *item) error {
 // runtime.CycleCore.Run, with the tenants' seats as its rows at one instant;
 // the fleet supplies the row scorer (scoreTile) and two hooks: the
 // act-budget pass (resolveBudget, with an ActBudget only) and finishCycle —
-// the folded tenants' one ledger bucket, counted in the act ranges, so no
-// two workers meet on the overflow journal, and that journal's watermark
-// advance. Every tenant's engine votes over the templates' thresholds, so
-// the body counts each row's votes from the score matrix. Concurrent calls
+// the folded tenants' one ledger bucket and one overflow-recorder
+// observation, both from the fold the act ranges tallied, so no two workers
+// meet on an overflow sink, and the overflow journal's watermark advance.
+// Every tenant's engine votes over the templates' thresholds, so the body
+// counts each row's votes from the score matrix. Concurrent calls
 // serialize; membership swaps serialize against the whole cycle. After Stop
 // has begun it runs none.
 //
 // Determinism: scoring writes disjoint matrix slots, the act fan-outs touch
 // disjoint tenant state, the budget pass orders on a deterministic key, and
-// the overflow bucket holds counts — so for a fixed ingested prefix (see
-// Barrier) the cycle's observable outcome is independent of Shards, Workers,
-// BatchSize, and GOMAXPROCS.
+// the overflow sinks take counts and each trigger's first tenant in seat
+// order — so for a fixed ingested prefix (see Barrier) the cycle's
+// observable outcome is independent of Shards, Workers, BatchSize, and
+// GOMAXPROCS.
 func (f *Fleet) EvaluateCycle() { f.cycle.Run(nil) }
 
 // scoreTile is the fleet's row scorer: layer li's template over tenants
@@ -779,14 +803,16 @@ func (f *Fleet) scoreTile(li, lo, hi int, nows, out []float64) {
 	}
 }
 
-// finishCycle runs after the cycle's last act tail: it books the combined
-// rows of every tenant folded into the overflow ledger scope as one bucket —
-// the rows their act tails would have written one by one, counted in the act
-// ranges instead — and the overflow journal's watermark advance, in one
-// Ledger.Book call (a fleet with nobody folded touches nothing). Each
-// dedicated scope's tail advanced its own.
-func (f *Fleet) finishCycle(now float64, warned, quiet int) {
-	f.overflow.Book(now, []obs.RowCount{{Row: f.overflowRow, Pos: warned, Neg: quiet}}, now)
+// finishCycle runs after the cycle's last act tail and hands the overflow
+// sinks the fold the act ranges tallied (a fleet with nobody folded touches
+// nothing). The overflow journal gets the combined rows of every tenant
+// folded into it as one bucket, and its watermark advance, in one
+// Ledger.Book call; each dedicated scope's tail advanced its own. The
+// overflow recorder then observes the fold once: each decision trigger's
+// first folded tenant in seat order, the rest counted as suppressed.
+func (f *Fleet) finishCycle(now float64, fold *runtime.Fold) {
+	f.overflow.Book(now, []obs.RowCount{{Row: f.overflowRow, Pos: fold.Warned, Neg: fold.Quiet}}, now)
+	f.overflowRec.ObserveFold(now, fold.Warn, fold.Act)
 }
 
 // resolveBudget commits the cycle's pending countermeasures in

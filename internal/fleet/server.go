@@ -197,8 +197,8 @@ func (f *Fleet) view(tn *tenant, now float64) TenantView {
 		t := runtime.ToTableJSON(led.Quality(obs.CombinedLayer))
 		v.Quality = &t
 	}
-	if rec := tn.seat.Tail.Recorder; rec != nil {
-		v.DedicatedRecorder = tn.recOwn
+	if rec := tn.rec; rec != nil {
+		v.DedicatedRecorder = tn.seat.Tail.Recorder != nil
 		var n int64
 		for _, k := range obs.TriggerKinds {
 			n += rec.Captured(k)

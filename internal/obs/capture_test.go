@@ -15,8 +15,8 @@ import (
 // eagerBundle is the recorder's assembly from before a capture was a copy:
 // the whole bundle built at Collect from the live sources, every field in
 // storage of its own, with recorderMaxEvents keeping the newest
-// recorderMaxEvents events of the window (ties at the cut included). It
-// stays as the oracle the bundles built on read must equal. seq is the
+// recorderMaxEvents events of the window (ties at the cut included) and the
+// score rows tagged like the trigger's row. It stays as the oracle the bundles built on read must equal. seq is the
 // sequence number the capture takes.
 func eagerBundle(r *Recorder, p *pendingTrigger, seq uint64) *IncidentBundle {
 	b := &IncidentBundle{
@@ -52,7 +52,7 @@ func eagerBundle(r *Recorder, p *pendingTrigger, seq uint64) *IncidentBundle {
 	}
 	for i := 0; i < r.count; i++ {
 		idx := r.rowIndex(i)
-		if r.times[idx] > p.t {
+		if r.times[idx] > p.t || r.tags[idx] != p.tag {
 			continue
 		}
 		row := idx * r.nLayers
@@ -179,7 +179,7 @@ func TestRecorderBundlesMatchEagerAssembly(t *testing.T) {
 				versions[rng.Intn(3)]++
 			}
 			o := CycleObservation{Warned: warned, Confidence: rng.Float64(), Executed: rng.Intn(5) == 0,
-				Action: "restart", Detail: fmt.Sprintf("d%d", step)}
+				Action: "restart", Detail: fmt.Sprintf("d%d", step%3)}
 			if rng.Intn(4) > 0 {
 				o.LayerVersions = versions[:rng.Intn(4)]
 			}

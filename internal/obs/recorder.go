@@ -110,8 +110,26 @@ type CycleObservation struct {
 	Confidence    float64
 	Action        string
 	LayerVersions []uint64
-	// Detail annotates the trigger (fleet runtimes put the tenant here).
+	// Detail annotates the trigger (fleet runtimes put the tenant here) and
+	// tags the observation's score-history row.
 	Detail string
+}
+
+// FoldFire is one decision trigger of an instant's observations folded into
+// an overflow recorder, as their owner tallied them: how many would fire it,
+// and the first of them in the owner's order, with its score row.
+type FoldFire struct {
+	N      int
+	Scores []float64
+	Obs    CycleObservation
+}
+
+// Add merges g, tallied over later observations, into f.
+func (f *FoldFire) Add(g FoldFire) {
+	if f.N == 0 {
+		f.Scores, f.Obs = g.Scores, g.Obs
+	}
+	f.N += g.N
 }
 
 // BundleScore is one retained cycle in a bundle's score history.
@@ -202,6 +220,7 @@ func (b *IncidentBundle) Fingerprint() string {
 type pendingTrigger struct {
 	kind       TriggerKind
 	t          float64
+	tag        string // the trigger row's tag: its bundle keeps the rows so tagged
 	detail     string
 	confidence float64
 	action     string
@@ -253,13 +272,14 @@ type Recorder struct {
 
 	// Score-history ring, flat layer-major rows: row i of
 	// recorderScoreDepth holds times[i], scores[i*nLayers:...],
-	// versions[i*nLayers:...].
+	// versions[i*nLayers:...] and the observation's Detail, tags[i].
 	nLayers int
 	head    int // next row to write
 	count   int // rows filled (≤ recorderScoreDepth)
 	times   []float64
 	scores  []float64
 	vers    []uint64
+	tags    []string
 
 	// Trigger state.
 	nextAllowed []float64 // per trigger kind, domain time
@@ -329,6 +349,7 @@ func NewRecorder(cfg RecorderConfig) (*Recorder, error) {
 		times:       make([]float64, recorderScoreDepth),
 		scores:      make([]float64, recorderScoreDepth*n),
 		vers:        make([]uint64, recorderScoreDepth*n),
+		tags:        make([]string, recorderScoreDepth),
 		nextAllowed: make([]float64, len(TriggerKinds)),
 		captured:    make([]int64, len(TriggerKinds)),
 		pending:     make([]pendingTrigger, 0, 4),
@@ -396,7 +417,7 @@ func (r *Recorder) Observe(now float64, scores []float64, o CycleObservation) {
 	// Ring write: one row per cycle, NaN-padded when the caller scored
 	// fewer layers than declared.
 	row := r.head * r.nLayers
-	r.times[r.head] = now
+	r.times[r.head], r.tags[r.head] = now, o.Detail
 	for i := 0; i < r.nLayers; i++ {
 		if i < len(scores) {
 			r.scores[row+i] = scores[i]
@@ -423,9 +444,36 @@ func (r *Recorder) Observe(now float64, scores []float64, o CycleObservation) {
 		r.fireLocked(TriggerBurnRate, now, o)
 	}
 	r.burning = burn
+	if r.unsent == 0 && r.ready == nil { // nothing for subscribers: the common cycle
+		r.mu.Unlock()
+		return
+	}
 	ready := r.takeReadyLocked()
 	r.mu.Unlock()
 	r.deliver(ready)
+}
+
+// ObserveFold observes an instant of the scopes folded into this recorder
+// once, as their owner tallied it: each decision trigger's first observation
+// is observed (one row for both when they are one scope's), and the others,
+// which the refractory gate would stop at the same instant, count as
+// suppressed. The burn-rate check runs at the instants something fires.
+func (r *Recorder) ObserveFold(now float64, warn, act FoldFire) {
+	if r == nil {
+		return
+	}
+	one := warn.N > 0 && act.N > 0 && act.Obs.Detail == warn.Obs.Detail
+	if warn.N > 0 {
+		warn.Obs.Executed = one
+		r.Observe(now, warn.Scores, warn.Obs)
+	}
+	if act.N > 0 && !one {
+		act.Obs.Warned = false
+		r.Observe(now, act.Scores, act.Obs)
+	}
+	r.mu.Lock()
+	r.suppressed += int64(max(warn.N-1, 0) + max(act.N-1, 0))
+	r.mu.Unlock()
 }
 
 // TriggerEvent fires an external trigger (lifecycle drift or rollback) at
@@ -440,7 +488,9 @@ func (r *Recorder) TriggerEvent(kind TriggerKind, t float64, detail string) {
 }
 
 // fireLocked applies the refractory gate and queues a pending trigger,
-// reusing the pending entry's versions buffer. The caller holds r.mu.
+// reusing the pending entry's versions buffer. The trigger's row is the
+// newest one, which an observation writes before it fires. The caller
+// holds r.mu.
 func (r *Recorder) fireLocked(kind TriggerKind, t float64, o CycleObservation) {
 	ki := triggerIndex(kind)
 	if ki < 0 {
@@ -456,6 +506,7 @@ func (r *Recorder) fireLocked(kind TriggerKind, t float64, o CycleObservation) {
 	*p = pendingTrigger{
 		kind:       kind,
 		t:          t,
+		tag:        r.tags[(r.head+recorderScoreDepth-1)%recorderScoreDepth],
 		detail:     o.Detail,
 		confidence: o.Confidence,
 		action:     o.Action,
@@ -514,11 +565,14 @@ func (r *Recorder) captureLocked(p *pendingTrigger) {
 	if r.cfg.Diagnose != nil {
 		c.suspects = r.cfg.Diagnose(from, p.t)
 	}
-	// Score history: retained rows at or before the trigger, oldest first.
-	c.times, c.scores, c.vers = c.times[:0], c.scores[:0], c.vers[:0]
+	// Score history: retained rows at or before the trigger tagged like its
+	// row, oldest first, in buffers sized for the whole ring on first use.
+	n := recorderScoreDepth * r.nLayers
+	c.times = slices.Grow(c.times[:0], recorderScoreDepth)
+	c.scores, c.vers = slices.Grow(c.scores[:0], n), slices.Grow(c.vers[:0], n)
 	for i := 0; i < r.count; i++ {
 		idx := r.rowIndex(i)
-		if r.times[idx] > p.t {
+		if r.times[idx] > p.t || r.tags[idx] != p.tag {
 			continue
 		}
 		row := idx * r.nLayers
@@ -526,7 +580,7 @@ func (r *Recorder) captureLocked(p *pendingTrigger) {
 		c.scores = append(c.scores, r.scores[row:row+r.nLayers]...)
 		c.vers = append(c.vers, r.vers[row:row+r.nLayers]...)
 	}
-	c.spans = r.cfg.Tracer.slowestInto(c.spans, recorderSlowSpans)
+	c.spans = r.cfg.Tracer.slowestInto(slices.Grow(c.spans[:0], recorderSlowSpans), recorderSlowSpans)
 	r.cfg.Ledger.snapshotInto(&c.quality)
 	c.lifecycle = nil
 	if r.cfg.Lifecycle != nil {

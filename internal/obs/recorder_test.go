@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -290,6 +291,78 @@ func TestRecorderScoreHistoryRows(t *testing.T) {
 	}
 	if small, full := bundleAllocs(4), bundleAllocs(recorderScoreDepth); small != full {
 		t.Fatalf("bundle allocations grow with the rows: %.0f at 4 rows, %.0f at %d", small, full, recorderScoreDepth)
+	}
+}
+
+// TestRecorderObserveFold: an overflow recorder that observes an instant's
+// fold once — each decision trigger's first observation and how many would
+// fire it — captures the bundles, and counts the suppressed triggers, that
+// observing the instant's observations one by one in the same order gives;
+// and each of its bundles holds only the score rows of its own tenant.
+func TestRecorderObserveFold(t *testing.T) {
+	const gate, tenants = 0.5, 4
+	cfg := RecorderConfig{Scope: OverflowScope, WarnThreshold: gate, Window: 30, MaxBundles: 64}
+	folded, oracle := testRecorder(t, cfg), testRecorder(t, cfg)
+	for step := 1; step <= 60; step++ {
+		now := float64(10 * step)
+		var warn, act FoldFire
+		for i := 0; i < tenants; i++ {
+			// Tenant i warns at confidence (i+1)/4 on the steps its residue
+			// picks, and acts on some of those.
+			warned := (step+i)%3 != 0
+			o := CycleObservation{Warned: warned, Executed: warned && (step*i)%4 == 1,
+				Confidence: float64(i+1) / tenants, Detail: fmt.Sprintf("d%d", i)}
+			row := []float64{float64(i), now}
+			oracle.Observe(now, row, o)
+			for _, f := range []*FoldFire{&warn, &act} {
+				if f == &warn && !(o.Warned && o.Confidence >= gate) || f == &act && !o.Executed {
+					continue
+				}
+				if f.N == 0 {
+					f.Scores, f.Obs = row, o
+				}
+				f.N++
+			}
+		}
+		folded.ObserveFold(now, warn, act)
+		folded.Collect()
+		oracle.Collect()
+	}
+	if got, want := folded.Suppressed(), oracle.Suppressed(); got != want || want == 0 {
+		t.Fatalf("suppressed %d, one by one %d", got, want)
+	}
+	fb, ob := folded.Bundles(), oracle.Bundles()
+	if len(fb) != len(ob) || folded.Captured(TriggerAct) == 0 {
+		t.Fatalf("%d bundles (%d act), one by one %d", len(fb), folded.Captured(TriggerAct), len(ob))
+	}
+	warnedBy := map[float64]string{} // trigger time -> the warn bundle's tenant
+	for _, b := range fb {
+		if b.Trigger == TriggerWarn {
+			warnedBy[b.Time] = b.Detail
+		}
+	}
+	distinct := 0
+	for i, b := range fb {
+		o := ob[i]
+		if b.ID != o.ID || b.Trigger != o.Trigger || b.Time != o.Time || b.Detail != o.Detail || b.Confidence != o.Confidence {
+			t.Fatalf("bundle %d: %s %s@%g %s, one by one %s %s@%g %s", i, b.ID, b.Trigger, b.Time, b.Detail, o.ID, o.Trigger, o.Time, o.Detail)
+		}
+		var tenant float64
+		fmt.Sscanf(b.Detail, "d%g", &tenant)
+		for _, row := range b.Scores {
+			if row.Scores[0] != tenant {
+				t.Fatalf("bundle %s@%g of %s holds a row of tenant %g", b.Trigger, b.Time, b.Detail, row.Scores[0])
+			}
+		}
+		if last := b.Scores[len(b.Scores)-1]; last.Time != b.Time {
+			t.Fatalf("bundle %s@%g of %s: last row at %g", b.Trigger, b.Time, b.Detail, last.Time)
+		}
+		if w, ok := warnedBy[b.Time]; ok && b.Trigger == TriggerAct && w != b.Detail {
+			distinct++
+		}
+	}
+	if distinct == 0 {
+		t.Fatal("no instant fired act and warn from two tenants")
 	}
 }
 

@@ -25,12 +25,12 @@ type ActTail struct {
 	// books and advances its overflow journal itself.
 	Ledger        *obs.Ledger
 	JournalLayers bool
-	// Fold marks a tail whose combined decision goes to a journal it shares
-	// with other seats (a fleet's overflow ledger scope; Ledger is nil): the
-	// cycle counts it into the instant's fold tallies, which its owner
-	// journals as one bucket (CycleCore.Finish), so no two workers meet on
-	// the shared journal.
-	Fold      bool
+	// Fold names the shared overflow sinks the tail's decision goes to in
+	// place of its own Ledger or Recorder (a fleet's overflow ledger scope
+	// and overflow recorder, past their cardinality caps): the cycle counts
+	// the seat into the instant's Fold, which its owner hands each sink once
+	// (CycleCore.Finish), so no two workers meet on a shared sink.
+	Fold      struct{ Journal, Recorder bool }
 	Lifecycle *lifecycle.Manager
 	Recorder  *obs.Recorder
 	// Detail labels the recorder's observations (a fleet's tenant ID).
@@ -150,14 +150,17 @@ func (t *ActTail) Observe(now float64, scores []float64, d core.Decision) {
 	if t.Lifecycle != nil {
 		t.Lifecycle.ObserveCycle(now, scores)
 	}
-	if t.Recorder != nil {
-		t.Recorder.Observe(now, scores, obs.CycleObservation{
-			Warned:        d.Warned,
-			Executed:      d.Executed,
-			Confidence:    d.Confidence,
-			Action:        d.ActionName,
-			LayerVersions: d.LayerVersions,
-			Detail:        t.Detail,
-		})
+	t.Recorder.Observe(now, scores, t.observation(d))
+}
+
+// observation is the decision d as the recorder sees it.
+func (t *ActTail) observation(d core.Decision) obs.CycleObservation {
+	return obs.CycleObservation{
+		Warned:        d.Warned,
+		Executed:      d.Executed,
+		Confidence:    d.Confidence,
+		Action:        d.ActionName,
+		LayerVersions: d.LayerVersions,
+		Detail:        t.Detail,
 	}
 }

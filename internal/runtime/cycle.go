@@ -45,7 +45,7 @@ type Seat struct {
 // (ActTail.Journal, which advances a journal of its own). A quiet seat that
 // nothing reads gets only its tallies. Then the instant's traces complete,
 // the seats with a lifecycle or recorder run ActTail.Observe, and Finish
-// runs with the instant's fold tallies. An instant is one cycle: one
+// runs with the instant's Fold. An instant is one cycle: one
 // evaluation, one act-latency observation, one Shell.CycleDone.
 type CycleCore struct {
 	Shell   *Shell
@@ -62,10 +62,12 @@ type CycleCore struct {
 	// Score fills out with layer j's scores of rows [lo,hi).
 	Score func(j, lo, hi int, nows, out []float64)
 	// Resolve, if set, must commit or drop every pending countermeasure;
-	// Finish, if set, runs after an instant's last act tail, with how many
-	// seats whose tail has Fold set warned and stayed quiet at it.
+	// Finish, if set, runs after an instant's last act tail, with the
+	// instant's Fold (valid until Finish returns).
 	Resolve func()
-	Finish  func(now float64, foldWarned, foldQuiet int)
+	Finish  func(now float64, fold *Fold)
+	// FoldGate is the warn-trigger gate of the recorder tails fold into.
+	FoldGate float64
 
 	nows    []float64
 	one     [1]float64 // a Shell cycle's instant
@@ -79,10 +81,19 @@ type CycleCore struct {
 	// (core.Engine.VotesOver); empty when some engine has a combiner or
 	// other thresholds, and then each seat decides with DecideOn on its row.
 	votes []float64
-	// The instant's fold tallies, added once per act range.
-	foldWarned, foldQuiet atomic.Int64
+	folds []Fold // each act range's at the instant acting
+	fold  Fold   // their merge
 	// The fan-out bodies, built once (bind).
 	scoreT, actT, settleT, observeT func(k int)
+}
+
+// Fold is an instant's tally of the seats whose tails fold into shared
+// overflow sinks (ActTail.Fold): the journal's warned and quiet counts, and
+// each recorder trigger's (warn at FoldGate, act). The act ranges merge
+// lowest first, so a trigger's first seat is the first in seat order.
+type Fold struct {
+	Warned, Quiet int
+	Warn, Act     obs.FoldFire
 }
 
 // Between runs fn, an owner's change to Seats, with no cycle running.
@@ -206,11 +217,14 @@ func (c *CycleCore) run(nows []float64) {
 	var acts int
 	acts, c.seatN = tiles(len(c.Seats), c.Span)
 	observers, _ := tiles(len(c.watched), c.seatN)
+	c.folds = slices.Grow(c.folds[:0], acts)[:acts]
+	actStart := evalEnd // the first instant's act stage starts where evaluation ended
 	for i, now := range nows {
 		c.inst = i
-		c.foldWarned.Store(0)
-		c.foldQuiet.Store(0)
-		actStart := c.Shell.Nanos()
+		clear(c.folds)
+		if i > 0 {
+			actStart = c.Shell.Nanos()
+		}
 		c.Shell.pool.Do(acts, c.actT)
 		if c.Resolve != nil {
 			c.Resolve()
@@ -220,7 +234,14 @@ func (c *CycleCore) run(nows []float64) {
 		c.Tracer.CompleteCycle(evalStart, evalEnd, actStart, actEnd)
 		c.Shell.pool.Do(observers, c.observeT)
 		if c.Finish != nil {
-			c.Finish(now, int(c.foldWarned.Load()), int(c.foldQuiet.Load()))
+			c.fold = Fold{}
+			for _, g := range c.folds {
+				c.fold.Warned += g.Warned
+				c.fold.Quiet += g.Quiet
+				c.fold.Warn.Add(g.Warn)
+				c.fold.Act.Add(g.Act)
+			}
+			c.Finish(now, &c.fold)
 		}
 		c.Metrics.Evaluations.Inc()
 		c.Metrics.ActLatency.Observe(float64(actEnd-actStart) / 1e9)
@@ -231,19 +252,20 @@ func (c *CycleCore) run(nows []float64) {
 // act runs the k-th range of seats through the act stage at the instant
 // acting. With decide, each takes its cross-layer decision and, unless a
 // Resolve pass will, commits it; then, or in the pass after Resolve, each
-// final decision is tallied, handed to the engine's observer and journaled.
-// A seat decide settles is done with then, in both passes. The shared
-// counters are added once for the range, so the workers of a fan-out do not
-// meet on them.
+// final decision is tallied, handed to the engine's observer and journaled,
+// or counted into the range's Fold. A seat decide settles is done with then,
+// in both passes. The shared counters are added once for the range, so the
+// workers of a fan-out do not meet on them.
 func (c *CycleCore) act(k int, decide bool) {
 	now := c.nows[c.inst]
-	var warned, executed, suppressed, foldWarned, foldQuiet int64
+	var warned, executed, suppressed int64
+	fold := &c.folds[k]
 	for s := k * c.seatN; s < min(k*c.seatN+c.seatN, len(c.Seats)); s++ {
 		st := c.Seats[s]
 		if decide {
 			if st.settled = c.decide(s, now); st.settled {
-				if st.Tail.Fold {
-					foldQuiet++
+				if st.Tail.Fold.Journal {
+					fold.Quiet++
 				}
 				continue
 			}
@@ -267,11 +289,20 @@ func (c *CycleCore) act(k int, decide bool) {
 		if d.Suppressed {
 			suppressed++
 		}
-		if st.Tail.Fold {
+		if st.Tail.Fold.Journal {
 			if d.Warned {
-				foldWarned++
+				fold.Warned++
 			} else {
-				foldQuiet++
+				fold.Quiet++
+			}
+		}
+		if st.Tail.Fold.Recorder && (d.Warned || d.Executed) {
+			f := obs.FoldFire{N: 1, Scores: row, Obs: st.Tail.observation(d)}
+			if d.Warned && d.Confidence >= c.FoldGate {
+				fold.Warn.Add(f)
+			}
+			if d.Executed {
+				fold.Act.Add(f)
 			}
 		}
 		publish(st, d.Warned, d.Confidence)
@@ -287,10 +318,6 @@ func (c *CycleCore) act(k int, decide bool) {
 	c.Metrics.Warnings.Add(warned)
 	c.Metrics.Actions.Add(executed)
 	c.Metrics.Suppressed.Add(suppressed)
-	if foldWarned+foldQuiet > 0 {
-		c.foldWarned.Add(foldWarned)
-		c.foldQuiet.Add(foldQuiet)
-	}
 }
 
 // decide takes seat s's decision at the instant acting into its Dec and Pact,

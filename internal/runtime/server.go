@@ -200,6 +200,7 @@ type IncidentSummary struct {
 	Action      string          `json:"action,omitempty"`
 	TraceID     uint64          `json:"trace_id,omitempty"`
 	EventsTotal int             `json:"events_total"`
+	ScoreRows   int             `json:"score_rows"` // the bundle's score rows: its trigger's own, on a fleet's overflow recorder
 	TopSuspect  string          `json:"top_suspect,omitempty"`
 }
 
@@ -208,7 +209,7 @@ func SummarizeIncident(b *obs.IncidentBundle) IncidentSummary {
 	s := IncidentSummary{
 		ID: b.ID, Scope: b.Scope, Trigger: b.Trigger, Time: b.Time,
 		Detail: b.Detail, Confidence: b.Confidence, Action: b.Action,
-		TraceID: b.TraceID, EventsTotal: b.EventsTotal,
+		TraceID: b.TraceID, EventsTotal: b.EventsTotal, ScoreRows: len(b.Scores),
 	}
 	if len(b.Suspects) > 0 {
 		s.TopSuspect = b.Suspects[0].Component
