@@ -8,14 +8,15 @@
 // the ingest admission, queue residency, state apply, evaluation wait, the
 // covering MEA cycle's layer scoring, and the serialized act decision —
 // into a fixed ring with zero allocations on the hot path (the same
-// discipline as the allocation-free HSMM/UBF kernels). Producers carry raw
-// stamps through the pipeline and publish a whole trace record with one
-// uncontended mutex acquisition; a finished MEA cycle completes the traces
-// it covered at a cost that follows the traces published since the last
-// cycle, not the ring size (one claim counter is both trace id and ring
-// position, which lets CompleteCycle sweep only new claims — see
-// Tracer.swept); /tracez and `pfmd -trace-dump` render the slowest recent
-// end-to-end traces with per-stage timings.
+// discipline as the allocation-free HSMM/UBF kernels). One mutex guards
+// the ring: producers carry raw stamps through the pipeline and publish a
+// whole trace record under one acquisition, so no reader ever sees a trace
+// half written; a finished MEA cycle completes the traces it covered at a
+// cost that follows the traces published since the last cycle, not the
+// ring size (one claim counter is both trace id and ring position, which
+// lets CompleteCycle sweep only new claims — see Tracer.swept); /tracez
+// and `pfmd -trace-dump` render the slowest recent end-to-end traces with
+// per-stage timings, ranked under one acquisition too.
 //
 // # Ledger
 //

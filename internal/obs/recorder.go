@@ -587,7 +587,7 @@ func (r *Recorder) captureLocked(p *pendingTrigger) {
 		c.lifecycle = r.cfg.Lifecycle()
 	}
 	if r.cfg.RuntimeStats {
-		c.runtime = runtimeSnap()
+		c.runtime = ReadRuntimeSnapshot()
 	}
 	c.seconds = time.Since(start).Seconds()
 	if len(r.subs) > 0 {
@@ -865,8 +865,9 @@ func parseBundleID(id string) (uint64, bool) {
 	return h, true
 }
 
-// runtimeSnapCache rate-limits ReadMemStats for bundle snapshots: a
-// capture storm pays the stop-the-world read at most once per TTL.
+// runtimeSnapCache is the process's one rate-limited ReadMemStats: bundle
+// captures and every registry's pfm_go_* gauges read it, so a capture
+// storm and a scrape storm together stop the world at most once per TTL.
 var runtimeSnapCache struct {
 	mu   sync.Mutex
 	at   time.Time
@@ -876,8 +877,9 @@ var runtimeSnapCache struct {
 // runtimeSnapTTL is the snapshot cache lifetime.
 const runtimeSnapTTL = 500 * time.Millisecond
 
-// runtimeSnap returns the (possibly cached) process snapshot.
-func runtimeSnap() RuntimeSnapshot {
+// ReadRuntimeSnapshot returns the process snapshot, read at most
+// runtimeSnapTTL ago.
+func ReadRuntimeSnapshot() RuntimeSnapshot {
 	c := &runtimeSnapCache
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -3,8 +3,10 @@ package obs
 import (
 	"fmt"
 	"math"
+	stdruntime "runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/diagnose"
 	"repro/internal/eventlog"
@@ -491,5 +493,36 @@ func TestTracerNewestCompleteID(t *testing.T) {
 	tr.CompleteCycle(13, 14, 15, 16)
 	if got := tr.NewestCompleteID(); got != id3 {
 		t.Fatalf("newest complete = %d, want %d", got, id3)
+	}
+}
+
+// TestRuntimeSnapshotCacheTTL pins the 500 ms ReadMemStats cache contract:
+// a hit inside the TTL returns the identical snapshot even after GC
+// activity, and an expired entry refreshes. Captures and the runtime's
+// pfm_go_* gauges share this one cache.
+func TestRuntimeSnapshotCacheTTL(t *testing.T) {
+	c := &runtimeSnapCache
+	reset := func(at time.Time) {
+		c.mu.Lock()
+		c.at = at
+		c.mu.Unlock()
+	}
+	reset(time.Time{}) // force a fresh read
+	s1 := ReadRuntimeSnapshot()
+	// Provoke GC state changes the cache must NOT see inside the TTL.
+	garbage := make([][]byte, 4)
+	for i := range garbage {
+		garbage[i] = make([]byte, 1<<20)
+	}
+	garbage = nil
+	_ = garbage
+	stdruntime.GC()
+	if s2 := ReadRuntimeSnapshot(); s2 != s1 {
+		t.Fatalf("cache hit returned a different snapshot:\nfirst %+v\nthen  %+v", s1, s2)
+	}
+	// Past the TTL the next read refreshes: NumGC advanced above.
+	reset(time.Now().Add(-runtimeSnapTTL - time.Second))
+	if s3 := ReadRuntimeSnapshot(); s3.NumGC <= s1.NumGC {
+		t.Fatalf("expired cache did not refresh: NumGC %d -> %d", s1.NumGC, s3.NumGC)
 	}
 }

@@ -3,9 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -47,16 +45,8 @@ const (
 // allocation for the common short monitoring-variable names).
 const keyBytes = 20
 
-// slot is one ring cell. All access is under mu: a publish takes the lock
-// once per event, CompleteCycle once per trace claimed since the last cycle
-// it resolved (see Tracer.swept), Snapshot and Slowest once per slot.
-type slot struct {
-	mu sync.Mutex
-	record
-}
-
 // record is one trace as its ring cell holds it: plain values, so a copy
-// taken under the cell's lock outlives the cell's next claim and renders
+// taken under the ring lock outlives the cell's next claim and renders
 // later (the flight recorder keeps its slowest spans this way).
 type record struct {
 	id     uint64
@@ -78,21 +68,26 @@ type Tracer struct {
 	base  time.Time
 	mask  uint64
 	every uint32 // sample 1 in every admissions (1 = every event)
-	// claims counts the traces claimed so far. The k-th claim is trace id k
-	// in ring cell (k-1)&mask, so an id names its cell: a cell holding a
-	// smaller id than the one looked for is claimed but not yet published,
-	// one holding a larger id has been lapped.
-	claims atomic.Uint64
-	slots  []slot
 
-	// sweepMu serializes CompleteCycle. swept is the sweep invariant: every
-	// trace id ≤ swept is final — completed, dropped or lapped — so a cycle
-	// visits only ids in (swept, claims], the traces published since the
-	// last cycle that resolved them.
-	sweepMu sync.Mutex
-	swept   uint64
+	// Every stamp reads base (Now), on the producers and the shard
+	// consumers alike; the pad keeps the lock's writes off that line.
+	_ [64]byte
+	// mu guards the ring: a publish takes it once, and so do a cycle's
+	// sweep and each reader. Publishers share one claim counter in any
+	// case, so finer locks would buy no concurrency.
+	mu sync.Mutex
+	// claims counts the traces claimed so far. The k-th claim is trace id k
+	// in ring cell (k-1)&mask, so an id names its cell, and the ring holds
+	// exactly the ids of the newest lap, (claims-len(slots), claims].
+	claims uint64
+	slots  []record // fixed at construction
+	// swept is the sweep invariant: every trace id ≤ swept is final —
+	// completed, dropped or lapped — so a cycle visits only ids in
+	// (swept, claims], the traces published since the last cycle that
+	// resolved them.
+	swept uint64
 	// newestDone is the highest id CompleteCycle has completed so far.
-	newestDone atomic.Uint64
+	newestDone uint64
 }
 
 // DefaultTraceCapacity is the ring size used when NewTracer is given a
@@ -117,7 +112,7 @@ func NewTracer(capacity int) *Tracer {
 	for n < capacity {
 		n <<= 1
 	}
-	return &Tracer{base: time.Now(), mask: uint64(n - 1), every: DefaultSampleInterval, slots: make([]slot, n)}
+	return &Tracer{base: time.Now(), mask: uint64(n - 1), every: DefaultSampleInterval, slots: make([]record, n)}
 }
 
 // SetSampleInterval sets the sampling interval: pipelines trace one in every
@@ -165,27 +160,30 @@ func (t *Tracer) Capacity() int {
 }
 
 // cell returns the ring cell trace id lives (or lived) in.
-func (t *Tracer) cell(id uint64) *slot { return &t.slots[(id-1)&t.mask] }
+func (t *Tracer) cell(id uint64) *record { return &t.slots[(id-1)&t.mask] }
 
-// claim takes the next trace id, locks its ring cell and stamps the shared
-// trace fields. Callers must fill the stage stamps and state before
-// unlocking. It returns a nil slot when the cell already holds a newer
-// trace — the claimer was overtaken by a whole ring lap, so its trace is
-// history before it was published; ids in a cell therefore only ever grow.
-func (t *Tracer) claim(kind uint8, key string, shard int) (*slot, uint64) {
-	id := t.claims.Add(1)
-	s := t.cell(id)
-	s.mu.Lock()
-	if s.id > id {
-		s.mu.Unlock()
-		return nil, id
+// oldest returns the oldest id the ring still holds (claims+1 when it
+// holds none). The caller holds mu.
+func (t *Tracer) oldest() uint64 {
+	if lap := uint64(len(t.slots)); t.claims > lap {
+		return t.claims - lap + 1
 	}
-	s.id = id
-	s.kind = kind
-	s.shard = int16(shard)
-	s.keyLen = uint8(copy(s.key[:], key))
-	s.stamps = [8]int64{}
-	return s, id
+	return 1
+}
+
+// claim takes the next trace id and stamps the shared trace fields into
+// its ring cell, clearing the stage stamps. The caller holds mu and fills
+// the state and stamps before unlocking, so no reader sees a trace half
+// written.
+func (t *Tracer) claim(kind uint8, key string, shard int) *record {
+	t.claims++
+	r := t.cell(t.claims)
+	r.id = t.claims
+	r.kind = kind
+	r.shard = int16(shard)
+	r.keyLen = uint8(copy(r.key[:], key))
+	r.stamps = [8]int64{}
+	return r
 }
 
 // PublishApplied records one event that made it through ingest → queue →
@@ -196,13 +194,12 @@ func (t *Tracer) PublishApplied(kind uint8, key string, shard int, start, offere
 	if t == nil {
 		return 0
 	}
-	s, id := t.claim(kind, key, shard)
-	if s == nil {
-		return id
-	}
-	s.state = stateApplied
-	s.stamps[0], s.stamps[1], s.stamps[2], s.stamps[3] = start, offered, dequeued, applied
-	s.mu.Unlock()
+	t.mu.Lock()
+	r := t.claim(kind, key, shard)
+	r.state = stateApplied
+	r.stamps[0], r.stamps[1], r.stamps[2], r.stamps[3] = start, offered, dequeued, applied
+	id := r.id
+	t.mu.Unlock()
 	return id
 }
 
@@ -212,14 +209,13 @@ func (t *Tracer) PublishDropped(kind uint8, key string, shard int, start, offere
 	if t == nil {
 		return 0
 	}
-	s, id := t.claim(kind, key, shard)
-	if s == nil {
-		return id
-	}
-	s.state = stateDropped
-	s.stamps[0], s.stamps[1] = start, offered
-	s.stamps[7] = end
-	s.mu.Unlock()
+	t.mu.Lock()
+	r := t.claim(kind, key, shard)
+	r.state = stateDropped
+	r.stamps[0], r.stamps[1] = start, offered
+	r.stamps[7] = end
+	id := r.id
+	t.mu.Unlock()
 	return id
 }
 
@@ -230,47 +226,33 @@ func (t *Tracer) PublishDropped(kind uint8, key string, shard int, start, offere
 //
 // It visits only the ids claimed since the last cycle that resolved them,
 // (swept, claims], clamped to the newest ring lap (older ids have been
-// overwritten). A trace stays unresolved — and holds swept back, so the
-// next cycle looks at it again — while its claimer has not published it
-// yet or while it was applied after evalStart; everything else (completed
-// here, dropped, lapped) is final. The cost is O(traces since the last
-// cycle), not O(ring).
+// overwritten). A trace applied after evalStart stays unresolved — and
+// holds swept back, so the next cycle looks at it again; everything else
+// (completed here, dropped, lapped) is final. The cost is O(traces since
+// the last cycle), not O(ring).
 func (t *Tracer) CompleteCycle(evalStart, evalEnd, actStart, actEnd int64) int {
 	if t == nil {
 		return 0
 	}
-	t.sweepMu.Lock()
-	defer t.sweepMu.Unlock()
-	end := t.claims.Load()
-	if lap := uint64(len(t.slots)); end-t.swept > lap {
-		t.swept = end - lap
-	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.swept = max(t.swept, t.oldest()-1)
 	done := 0
-	var newest uint64
 	resolved := true // every id in (swept, id) is final
-	for id := t.swept + 1; id <= end; id++ {
-		s := t.cell(id)
-		s.mu.Lock()
-		unresolved := s.id < id // claimed, not yet published
-		if s.id == id && s.state == stateApplied {
-			if s.stamps[3] <= evalStart {
-				s.stamps[4], s.stamps[5], s.stamps[6], s.stamps[7] = evalStart, evalEnd, actStart, actEnd
-				s.state = stateDone
-				done++
-				newest = id
-			} else {
-				unresolved = true // the next cycle covers it
+	for id := t.swept + 1; id <= t.claims; id++ {
+		if r := t.cell(id); r.state == stateApplied {
+			if r.stamps[3] > evalStart {
+				resolved = false // the next cycle covers it
+				continue
 			}
+			r.stamps[4], r.stamps[5], r.stamps[6], r.stamps[7] = evalStart, evalEnd, actStart, actEnd
+			r.state = stateDone
+			done++
+			t.newestDone = max(t.newestDone, id)
 		}
-		s.mu.Unlock()
-		if unresolved {
-			resolved = false
-		} else if resolved {
+		if resolved {
 			t.swept = id
 		}
-	}
-	if newest > t.newestDone.Load() {
-		t.newestDone.Store(newest)
 	}
 	return done
 }
@@ -296,20 +278,16 @@ func (t *Tracer) Snapshot() []TraceView {
 	if t == nil {
 		return nil
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	out := make([]TraceView, 0, len(t.slots))
-	for i := range t.slots {
-		s := &t.slots[i]
-		s.mu.Lock()
-		if s.state != stateFree {
-			out = append(out, s.view())
-		}
-		s.mu.Unlock()
+	for id := t.oldest(); id <= t.claims; id++ {
+		out = append(out, t.cell(id).view())
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// view renders the record (the caller holds its cell's lock, or owns a copy).
+// view renders the record (the caller holds the ring lock, or owns a copy).
 func (s *record) view() TraceView {
 	v := TraceView{
 		ID:    s.id,
@@ -353,22 +331,16 @@ func (s *record) total() time.Duration {
 // MEA cycle covered. Nil-safe and allocation-free; the flight recorder
 // stamps it onto incident bundles at trigger time. It starts at the newest
 // id CompleteCycle completed, which is the answer while that trace is still
-// in the ring — one lock — and walks down to older ids only when it has
-// been overwritten.
+// in the ring, and walks down to older ids only when it has been
+// overwritten.
 func (t *Tracer) NewestCompleteID() uint64 {
 	if t == nil {
 		return 0
 	}
-	var oldest uint64 = 1 // oldest id the ring can still hold
-	if claims, lap := t.claims.Load(), uint64(len(t.slots)); claims > lap {
-		oldest = claims - lap + 1
-	}
-	for id := t.newestDone.Load(); id >= oldest; id-- {
-		s := t.cell(id)
-		s.mu.Lock()
-		held := s.id == id && s.state == stateDone
-		s.mu.Unlock()
-		if held {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for id, oldest := t.newestDone, t.oldest(); id >= oldest; id-- {
+		if t.cell(id).state == stateDone {
 			return id
 		}
 	}
@@ -392,8 +364,8 @@ func (t *Tracer) Slowest(n int) []TraceView {
 }
 
 // slowestInto keeps the n slowest retained traces in top[:0] as raw
-// records, ranked as Slowest ranks them. One pass over the ring ranks by a
-// cell's total and ID under its lock and copies the record only when it
+// records, ranked as Slowest ranks them. One pass over the ring, under one
+// lock, ranks by a cell's total and ID and copies the record only when it
 // enters the top n; with top's capacity at n it allocates nothing.
 func (t *Tracer) slowestInto(top []record, n int) []record {
 	top = top[:0]
@@ -401,29 +373,30 @@ func (t *Tracer) slowestInto(top []record, n int) []record {
 		return top
 	}
 	n = min(n, len(t.slots))
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for i := range t.slots {
-		s := &t.slots[i]
-		s.mu.Lock()
-		if s.state != stateFree {
-			total, id := s.total(), s.id
-			// at is where the trace ranks among the kept ones: past every
-			// one slower, or as slow with a smaller ID.
-			at := len(top)
-			for at > 0 {
-				if k := top[at-1].total(); k > total || k == total && top[at-1].id < id {
-					break
-				}
-				at--
-			}
-			if at < n {
-				if len(top) < n {
-					top = append(top, record{})
-				}
-				copy(top[at+1:], top[at:])
-				top[at] = s.record
-			}
+		r := &t.slots[i]
+		if r.state == stateFree {
+			continue
 		}
-		s.mu.Unlock()
+		total, id := r.total(), r.id
+		// at is where the trace ranks among the kept ones: past every one
+		// slower, or as slow with a smaller ID.
+		at := len(top)
+		for at > 0 {
+			if k := top[at-1].total(); k > total || k == total && top[at-1].id < id {
+				break
+			}
+			at--
+		}
+		if at < n {
+			if len(top) < n {
+				top = append(top, record{})
+			}
+			copy(top[at+1:], top[at:])
+			top[at] = *r
+		}
 	}
 	return top
 }

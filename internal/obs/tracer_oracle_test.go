@@ -10,36 +10,36 @@ import (
 
 // The three functions below are the tracer this package shipped before
 // CompleteCycle swept only new claims and Slowest selected in one pass: a
-// lock round-trip per slot per cycle, a scan for the newest complete id, and
-// snapshot + stable sort for the ranking. They stay here, like fleet's
+// scan of every slot per cycle, a scan for the newest complete id, and
+// snapshot + stable sort for the ranking. Each takes the ring lock once. They stay here, like fleet's
 // oracleReader, as the oracle the product must agree with on every
 // interleaving.
 
 func oracleCompleteCycle(t *Tracer, evalStart, evalEnd, actStart, actEnd int64) int {
 	done := 0
+	t.mu.Lock()
 	for i := range t.slots {
 		s := &t.slots[i]
-		s.mu.Lock()
 		if s.state == stateApplied && s.stamps[3] <= evalStart {
 			s.stamps[4], s.stamps[5], s.stamps[6], s.stamps[7] = evalStart, evalEnd, actStart, actEnd
 			s.state = stateDone
 			done++
 		}
-		s.mu.Unlock()
 	}
+	t.mu.Unlock()
 	return done
 }
 
 func oracleNewestCompleteID(t *Tracer) uint64 {
 	var newest uint64
+	t.mu.Lock()
 	for i := range t.slots {
 		s := &t.slots[i]
-		s.mu.Lock()
 		if s.state == stateDone && s.id > newest {
 			newest = s.id
 		}
-		s.mu.Unlock()
 	}
+	t.mu.Unlock()
 	return newest
 }
 
@@ -213,19 +213,6 @@ func TestTracerSweepCases(t *testing.T) {
 			t.Fatalf("NewestCompleteID = %d after every complete trace was overwritten, want 0", got)
 		}
 	})
-	t.Run("overtaken-claimer", func(t *testing.T) {
-		tr := NewTracer(2)
-		for i := int64(0); i < 3; i++ {
-			tr.PublishApplied(0, "k", 0, i, i, i, i)
-		}
-		tr.claims.Store(0) // the next claimer holds id 1, a lap behind cell 0's id 3
-		if id := tr.PublishApplied(0, "stale", 0, 9, 9, 9, 9); id != 1 {
-			t.Fatalf("claimed id %d, want 1", id)
-		}
-		if s := &tr.slots[0]; s.id != 3 || string(s.key[:s.keyLen]) != "k" {
-			t.Fatalf("an overtaken claimer overwrote trace %d with its own (key %q)", s.id, s.key[:s.keyLen])
-		}
-	})
 }
 
 // TestTracerIDsDense: ids count up from 1 with no gaps, and an id names its
@@ -381,3 +368,34 @@ func BenchmarkTracerSlowest(b *testing.B) {
 
 // slowestSink keeps BenchmarkTracerSlowest's result live.
 var slowestSink []TraceView
+
+// BenchmarkTracerPublish prices one sampled event's publish into the
+// default ring, the offline twin of pfmbench's
+// obs.tracer.publish_ns_per_event: serial, and from every P at once with a
+// cycle's sweep after every 256 publishes of a goroutine, as shard
+// consumers publish beside the cycle that completes their traces.
+func BenchmarkTracerPublish(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
+		tr := NewTracer(DefaultTraceCapacity)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			stamp := tr.Now()
+			tr.PublishApplied(1, "load", 0, stamp, stamp, stamp, stamp)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		tr := NewTracer(DefaultTraceCapacity)
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for i := 1; pb.Next(); i++ {
+				stamp := tr.Now()
+				tr.PublishApplied(1, "load", 0, stamp, stamp, stamp, stamp)
+				if i%256 == 0 {
+					tr.CompleteCycle(stamp, stamp, stamp, stamp)
+				}
+			}
+		})
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestTracerCapacityRounding(t *testing.T) {
@@ -271,5 +272,23 @@ func TestCompleteCycleZeroAllocs(t *testing.T) {
 				t.Fatalf("completed %d traces, want %d", swept, want)
 			}
 		})
+	}
+}
+
+// TestTracerLockLayout: the ring lock is written by every publish, while
+// base, mask and every are read on every clock stamp by the producers and
+// the shard consumers. At least a cache line lies between the end of those
+// fields and the lock, so however the tracer is placed in memory, a publish
+// does not invalidate the line Now reads.
+func TestTracerLockLayout(t *testing.T) {
+	const cacheLine = 64
+	var tr Tracer
+	clockEnd := max(
+		unsafe.Offsetof(tr.base)+unsafe.Sizeof(tr.base),
+		unsafe.Offsetof(tr.mask)+unsafe.Sizeof(tr.mask),
+		unsafe.Offsetof(tr.every)+unsafe.Sizeof(tr.every),
+	)
+	if lock := unsafe.Offsetof(tr.mu); lock < clockEnd+cacheLine {
+		t.Fatalf("ring lock at offset %d, clock fields end at %d: they can share a %d-byte line", lock, clockEnd, cacheLine)
 	}
 }

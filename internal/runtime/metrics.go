@@ -11,7 +11,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"repro/internal/obs"
 )
 
 // Counter is a monotonically increasing atomic counter. It is padded to
@@ -371,47 +372,23 @@ func NewMetrics() *Metrics {
 	return m
 }
 
-// memStatsCache rate-limits runtime.ReadMemStats: the read stops the
-// world, and one scrape evaluates three Go-memory series, so the gauges
-// share a snapshot refreshed at most every memStatsTTL.
-type memStatsCache struct {
-	mu   sync.Mutex
-	at   time.Time
-	stat stdruntime.MemStats
-}
-
-const memStatsTTL = 500 * time.Millisecond
-
-func (c *memStatsCache) snapshot() stdruntime.MemStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if now := time.Now(); c.at.IsZero() || now.Sub(c.at) > memStatsTTL {
-		stdruntime.ReadMemStats(&c.stat)
-		c.at = now
-	}
-	return c.stat
-}
-
-// goMemCache is the process-wide snapshot shared by every registry: a
-// scrape storm across planes (the runtime's /metrics and a fleet's both
-// register these gauges) still stops the world at most once per TTL.
-var goMemCache = &memStatsCache{}
-
 // registerGoMemMetrics exposes the Go heap and GC gauges that make the
 // columnar store's allocation profile observable next to the pipeline
 // counters: steady heap, flat GC-cycle rate and negligible pause totals
 // are the runbook's confirmation that the hot path is allocation-free.
+// They read obs's process snapshot, which the flight recorder's captures
+// share, so the stop-the-world ReadMemStats runs at most once per its TTL
+// whatever scrapes and captures ask.
 func registerGoMemMetrics(reg *Registry) {
-	cache := goMemCache
 	reg.GaugeFunc("pfm_go_heap_alloc_bytes",
 		"Bytes of allocated heap objects (runtime.MemStats.HeapAlloc).",
-		func() float64 { return float64(cache.snapshot().HeapAlloc) })
+		func() float64 { return float64(obs.ReadRuntimeSnapshot().HeapAlloc) })
 	reg.CounterFunc("pfm_go_gc_cycles_total",
 		"Completed GC cycles (runtime.MemStats.NumGC).",
-		func() float64 { return float64(cache.snapshot().NumGC) })
+		func() float64 { return float64(obs.ReadRuntimeSnapshot().NumGC) })
 	reg.CounterFunc("pfm_go_gc_pause_seconds_total",
 		"Cumulative GC stop-the-world pause time (runtime.MemStats.PauseTotalNs).",
-		func() float64 { return float64(cache.snapshot().PauseTotalNs) / 1e9 })
+		func() float64 { return float64(obs.ReadRuntimeSnapshot().PauseTotalNs) / 1e9 })
 }
 
 // buildIdentity resolves the build metadata stamped into the binary: the

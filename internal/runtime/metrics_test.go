@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/ingest"
+	"repro/internal/obs"
 )
 
 func TestCounterAndGauge(t *testing.T) {
@@ -92,51 +94,36 @@ func TestSharedFamilyRendersOneTypeLine(t *testing.T) {
 	}
 }
 
-// TestMemStatsCacheTTL pins the 500 ms ReadMemStats cache contract: a hit
-// inside the TTL returns the identical snapshot even after GC activity, an
-// expired entry refreshes, and every registry shares the one process-wide
-// cache (a scrape storm across planes stops the world at most once per TTL).
+// TestMemStatsCacheTTL: the pfm_go_* gauges read obs's one process
+// snapshot, so inside its TTL they hold still across GC activity and every
+// registry renders the same value — a scrape storm across planes (and the
+// flight recorder's captures) stops the world at most once per TTL. The
+// TTL itself is obs's TestRuntimeSnapshotCacheTTL. An attempt whose two
+// reads straddle a refresh proves nothing and is repeated.
 func TestMemStatsCacheTTL(t *testing.T) {
-	c := goMemCache
-	reset := func(at time.Time) {
-		c.mu.Lock()
-		c.at = at
-		c.mu.Unlock()
-	}
-	reset(time.Time{}) // force a fresh read
-	s1 := c.snapshot()
-	// Provoke GC state changes the cache must NOT see inside the TTL.
-	garbage := make([][]byte, 4)
-	for i := range garbage {
-		garbage[i] = make([]byte, 1<<20)
-	}
-	garbage = nil
-	_ = garbage
-	stdruntime.GC()
-	if s2 := c.snapshot(); s2 != s1 {
-		t.Fatalf("cache hit returned a different snapshot:\nfirst %+v\nthen  %+v", s1, s2)
-	}
-	// Past the TTL the next read refreshes: NumGC advanced above.
-	reset(time.Now().Add(-memStatsTTL - time.Second))
-	if s3 := c.snapshot(); s3.NumGC <= s1.NumGC {
-		t.Fatalf("expired cache did not refresh: NumGC %d -> %d", s1.NumGC, s3.NumGC)
-	}
-	// Both planes share the singleton: plant a sentinel snapshot and pin
-	// the TTL window open; two independent metric sets must both render it.
-	c.mu.Lock()
-	c.stat.NumGC = 1234567
-	c.at = time.Now()
-	c.mu.Unlock()
-	for i, m := range []*Metrics{NewMetrics(), NewMetrics()} {
-		var sb strings.Builder
-		if err := m.WritePrometheus(&sb); err != nil {
-			t.Fatal(err)
+	for attempt := 0; attempt < 5; attempt++ {
+		before := obs.ReadRuntimeSnapshot()
+		stdruntime.GC() // NumGC advances; the cached snapshot must not
+		var bodies []string
+		for _, m := range []*Metrics{NewMetrics(), NewMetrics()} {
+			var sb strings.Builder
+			if err := m.WritePrometheus(&sb); err != nil {
+				t.Fatal(err)
+			}
+			bodies = append(bodies, sb.String())
 		}
-		if !strings.Contains(sb.String(), "pfm_go_gc_cycles_total 1.234567e+06") {
-			t.Fatalf("registry %d did not serve the shared cached snapshot", i)
+		if obs.ReadRuntimeSnapshot() != before {
+			continue // refreshed between the reads
 		}
+		want := fmt.Sprintf("pfm_go_gc_cycles_total %g\n", float64(before.NumGC))
+		for i, body := range bodies {
+			if !strings.Contains(body, want) {
+				t.Fatalf("registry %d did not serve the cached snapshot %q", i, want)
+			}
+		}
+		return
 	}
-	reset(time.Time{}) // leave a clean cache for other tests
+	t.Fatal("every attempt straddled a snapshot refresh")
 }
 
 // TestBuildInfoVCSLabels: pfm_build_info carries revision and vcstime

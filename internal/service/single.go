@@ -361,10 +361,14 @@ func (p *pipeline) summary(events int, elapsed time.Duration) {
 }
 
 // logDecisions is the structured decision log: every MEA cycle at debug,
-// warnings at info, linked to the newest completed /tracez span.
+// warnings at info, linked to the newest completed /tracez span. A cycle
+// record the logger would drop is not built.
 func (p *pipeline) logDecisions() {
 	logger, tracer, names := p.cfg.Logger, p.tracer, p.names
 	p.engine.SetCycleObserver(func(now float64, scores []float64, d core.Decision) {
+		if !d.Warned && !logger.Enabled(context.Background(), slog.LevelDebug) {
+			return
+		}
 		attrs := []any{slog.Float64("sim_now", now), slog.Float64("confidence", d.Confidence),
 			slog.Bool("warned", d.Warned), slog.String("action", d.ActionName),
 			slog.Bool("executed", d.Executed), slog.Bool("suppressed", d.Suppressed)}
