@@ -228,6 +228,9 @@ type Fleet struct {
 	shell  *runtime.Shell
 	cycle  runtime.CycleCore
 	states []TenantState
+	// gate is the producer side of ingest, every shard's: the samplers, the
+	// entry stamp and the shed accounting.
+	gate *runtime.Gate
 	// overflow is the ledger's overflow journal once a tenant has folded
 	// into it (set between cycles, never cleared: it outlives its members),
 	// and overflowRow its CombinedLayer row; overflowRec is the recorder's
@@ -317,6 +320,7 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Clock == nil {
 		f.cfg.Clock = func() float64 { return f.shell.Uptime().Seconds() }
 	}
+	f.gate = runtime.NewGate(f.shell, f.metrics, cfg.Tracer)
 	f.cycle = runtime.CycleCore{
 		Shell: f.shell, Metrics: f.metrics, Tracer: cfg.Tracer, State: &f.stateMu,
 		Recorder: cfg.Recorder, Clock: f.now, Layers: len(cfg.Layers), Span: cfg.BatchSize,
@@ -395,7 +399,7 @@ func (f *Fleet) newShardQueueAt(s int) *shardQueue {
 			"Events dropped per fleet ingest shard (every reason but unknown: those name no shard).", "shard", strconv.Itoa(len(f.shardDrops))))
 	}
 	return newShardQueue(f.cfg.Overflow, f.cfg.QueueCapacity, f.metrics, f.shardDrops[s],
-		f.cfg.Tracer, &f.acct, f.now, s)
+		f.gate, &f.acct, f.now, s)
 }
 
 // registerShardGauges registers depth gauges for shard indices [shardMetN,
@@ -693,9 +697,17 @@ func (f *Fleet) Ingest(ctx context.Context, ev ingest.Event) error {
 // (reason "unknown") and answered with ErrUnknownTenant itself, unwrapped —
 // Pump skips such a record without building an error for it. *ev is copied
 // once, into its queue slot.
+//
+// Only a resolved tenant's push passes the gate (runtime.Gate), so a trace
+// that keeps naming a retired tenant cannot thin out the sampling of the
+// live ones; its stamp, taken before the shard lock, charges the wait for
+// that lock to the queue stage.
 func (f *Fleet) ingest(ctx context.Context, tn *tenant, ev *ingest.Event) error {
 	if tn != nil {
-		if err := tn.q.push(ctx, ev); err != errTenantRemoved {
+		start, trace := f.gate.Enter()
+		err := tn.q.push(ctx, ev, trace)
+		f.gate.Leave(start)
+		if err != errTenantRemoved {
 			return err
 		}
 	}
@@ -737,7 +749,7 @@ func (tn *tenant) recordFailure(t float64) {
 // parallel and never beside a cycle.
 func (f *Fleet) consume(q *shardQueue) {
 	d := runtime.DrainCore[item]{
-		Shell: f.shell, Metrics: f.metrics, Tracer: f.cfg.Tracer, State: f.stateMu.RLocker(),
+		Shell: f.shell, Metrics: f.metrics, Gate: f.gate, State: f.stateMu.RLocker(),
 		Drops: q.drops, Batch: f.cfg.BatchSize,
 		Wait: q.wait, Take: q.take, Settle: q.settled, Apply: f.apply, Span: q.span,
 	}

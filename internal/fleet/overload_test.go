@@ -40,7 +40,7 @@ func newOverloadQueue(policy runtime.OverflowPolicy) *overloadQueue {
 // shard builds one more shard over the same counters (a handoff target).
 func (h *overloadQueue) shard(policy runtime.OverflowPolicy, index int) *shardQueue {
 	return newShardQueue(policy, overloadCap, h.m, &h.drops,
-		nil, &h.acct, func() float64 { return 0 }, index)
+		runtime.NewGate(nil, h.m, nil), &h.acct, func() float64 { return 0 }, index)
 }
 
 func (h *overloadQueue) tenant(id string, capacity int) *tenantQueue {
@@ -64,7 +64,7 @@ func qitem(tq *tenantQueue, seq int) *ingest.Event {
 func (h *overloadQueue) fill(t *testing.T, tq *tenantQueue, from, to int) {
 	t.Helper()
 	for i := from; i < to; i++ {
-		if err := tq.push(context.Background(), qitem(tq, i)); err != nil {
+		if err := tq.push(context.Background(), qitem(tq, i), 0); err != nil {
 			t.Fatalf("push %s[%d]: %v", tq.tn.spec.ID, i, err)
 		}
 	}
@@ -72,7 +72,7 @@ func (h *overloadQueue) fill(t *testing.T, tq *tenantQueue, from, to int) {
 
 func (h *overloadQueue) pushAsync(ctx context.Context, tq *tenantQueue, seq int) <-chan error {
 	done := make(chan error, 1)
-	go func() { done <- tq.push(ctx, qitem(tq, seq)) }()
+	go func() { done <- tq.push(ctx, qitem(tq, seq), 0) }()
 	return done
 }
 
@@ -252,7 +252,7 @@ func TestShardQueueOverload(t *testing.T) {
 				t.Errorf("ingested %d shed %d of %d dropped, want 5 (a's four and b's one) and 4 removed",
 					in, s, h.m.Dropped())
 			}
-			if err := a.push(bg, qitem(a, 5)); !errors.Is(err, errTenantRemoved) {
+			if err := a.push(bg, qitem(a, 5), 0); !errors.Is(err, errTenantRemoved) {
 				t.Errorf("push after removal: %v, want errTenantRemoved", err)
 			}
 			sameLabels(t, "what is left", h.drain(t, h.q, 8), "b:0")
@@ -288,7 +288,7 @@ func TestShardQueueOverload(t *testing.T) {
 			staysParked(t, "budget full", pa)
 			staysParked(t, "budget full", pb)
 			h.q.close()
-			if err := a.push(bg, qitem(a, 9)); !errors.Is(err, runtime.ErrClosed) {
+			if err := a.push(bg, qitem(a, 9), 0); !errors.Is(err, runtime.ErrClosed) {
 				t.Fatalf("fresh push after close: %v, want ErrClosed", err)
 			}
 			// The consumer loop: until closed ∧ empty ∧ nobody parked.

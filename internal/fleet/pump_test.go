@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -16,7 +17,7 @@ import (
 // The Pump tests pin the producer fast path from the outside: what Pump's
 // tenant table may never change (who an ID resolves to, at whatever address
 // its bytes sit, across membership generations), what a record of nobody's
-// costs, and what the shard's sampling tick admits.
+// costs, and what the ingest gate samples.
 
 // scriptSource replays recs and runs before[i] ahead of handing out record i
 // — on Pump's goroutine, between two of its records.
@@ -302,31 +303,48 @@ func TestPumpUnknownTenantZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestShardSampleTick: a shard stamps its first push and then one in every
-// tracer interval, counted under its own lock — dropped pushes included, so
-// that a shed event is as likely to leave a trace as an admitted one; refused
-// pushes (a retired tenant's) not, so that they cannot thin the sampling out.
+// TestShardSampleTick: the fleet stamps its first push and then one in every
+// tracer interval, counted on the one ingest gate (runtime.Gate) through
+// Ingest and Pump alike — shed pushes included, so that a shed event is as
+// likely to leave a trace as an admitted one; a retired tenant's records not,
+// so that they cannot thin the sampling out.
 func TestShardSampleTick(t *testing.T) {
 	tr := obs.NewTracer(64)
 	tr.SetSampleInterval(4)
-	var acct settlement
-	q := newShardQueue(runtime.DropNewest, 8, runtime.NewMetrics(), &runtime.Counter{},
-		tr, &acct, func() float64 { return 0 }, 0)
-	tn := &tenant{spec: TenantSpec{ID: "s"}}
-	tn.q = newTenantQueue(tn, 8)
-	q.attach(tn.q)
-	gone := &tenant{spec: TenantSpec{ID: "gone"}}
-	gone.q = newTenantQueue(gone, 8)
-	q.attach(gone.q)
-	gone.q.closeAndDrain()
-	for i := 0; i < 13; i++ { // 8 admitted, 5 rejected at the door
-		if err := tn.q.push(context.Background(), &ingest.Event{Tenant: "s", Time: float64(i)}); err != nil {
+	cfg := testFleetConfig(specs("s", "gone"), newTestClock(0))
+	cfg.Tracer = tr
+	cfg.QueueCapacity = 8
+	cfg.Overflow = runtime.DropNewest
+	cfg.Shards = 1
+	f, err := New(cfg) // never started: the shard holds what it admits
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.RemoveTenant("gone"); err != nil {
+		t.Fatal(err)
+	}
+	// 13 pushes for s, 8 admitted and 5 shed at the door, each followed by a
+	// record of the retired tenant's: the first six pairs through Ingest, the
+	// rest through Pump.
+	ctx := context.Background()
+	var recs []ingest.Record
+	for i := 0; i < 13; i++ {
+		live, gone := sample("s", float64(i), 1), sample("gone", float64(i), 1)
+		if i >= 6 {
+			recs = append(recs, ingest.Record{Event: live}, ingest.Record{Event: gone})
+			continue
+		}
+		if err := f.Ingest(ctx, live); err != nil {
 			t.Fatal(err)
 		}
-		if err := gone.q.push(context.Background(), &ingest.Event{Tenant: "gone"}); err != errTenantRemoved {
-			t.Fatalf("push to a retired tenant: %v, want errTenantRemoved", err)
+		if err := f.Ingest(ctx, gone); !errors.Is(err, ErrUnknownTenant) {
+			t.Fatalf("Ingest for a retired tenant: %v, want ErrUnknownTenant", err)
 		}
 	}
+	if n, err := Pump(ctx, f, NewSliceSource(recs)); err != nil || n != len(recs) {
+		t.Fatalf("Pump = (%d, %v), want (%d, nil)", n, err, len(recs))
+	}
+	q := f.mem.Load().shards[0]
 	buf := make([]item, 16)
 	n := q.drainInto(buf)
 	if n != 8 {
@@ -348,7 +366,13 @@ func TestShardSampleTick(t *testing.T) {
 	if dropped != 2 {
 		t.Errorf("%d dropped traces, want 2 (pushes 8 and 12)", dropped)
 	}
-	if p := pending(&acct); p != 0 {
+	if got := f.metrics.DroppedNewest.Value(); got != 5 {
+		t.Errorf("DropNewest sheds = %d, want 5", got)
+	}
+	if got := f.metrics.DroppedUnknown.Value(); got != 13 {
+		t.Errorf("unknown-tenant records = %d, want 13", got)
+	}
+	if p := pending(&f.acct); p != 0 {
 		t.Errorf("pending %d, want 0", p)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ingest"
-	"repro/internal/obs"
 	"repro/internal/runtime"
 )
 
@@ -18,7 +17,7 @@ import (
 var errTenantRemoved = errors.New("fleet: tenant removed")
 
 // item is one queued event, packed (ingest.Packed: its trace stamp is the
-// tracer time at which the push first held its shard's lock, which is also
+// tracer time at which the push passed Fleet.ingest's gate, which is also
 // the queue offer; 0 means not sampled), with its routing target resolved, so
 // the consumer never repeats the tenant lookup and the tenant's name comes
 // back from it. 80 bytes: every tenant ring is a power-of-two multiple of it.
@@ -115,12 +114,12 @@ func (tq *tenantQueue) lockOwner() *shardQueue {
 	}
 }
 
-// push offers *ev to the tenant's sub-queue under the overflow policy:
-// ErrClosed after fleet shutdown (event not counted), ctx.Err() when a blocked
-// push is canceled (counted ingested + dropped), DropNewest rejections and
-// pushes over the tenant's rate limit counted but not surfaced,
-// errTenantRemoved after RemoveTenant (not counted). *ev is read under the
-// lock and not kept.
+// push offers *ev, stamped trace (0: not sampled), to the tenant's
+// sub-queue under the overflow policy: ErrClosed after fleet shutdown (event
+// not counted), ctx.Err() when a blocked push is canceled (counted ingested +
+// dropped), DropNewest rejections and pushes over the tenant's rate limit
+// counted but not surfaced, errTenantRemoved after RemoveTenant (not
+// counted). *ev is read under the lock and not kept.
 //
 // The rate limit decides first, once, at the clock's reading: a push that
 // finds its tenant's bucket empty is shed on the spot and never parks, so no
@@ -130,7 +129,7 @@ func (tq *tenantQueue) lockOwner() *shardQueue {
 // its cap, or the shard over its budget — parks on the owning shard and, woken,
 // checks everything again under the lock. A tenant removed or re-homed while
 // the push slept is therefore nothing special, just what the re-check finds.
-func (tq *tenantQueue) push(ctx context.Context, ev *ingest.Event) error {
+func (tq *tenantQueue) push(ctx context.Context, ev *ingest.Event, trace int64) error {
 	// The clock is the caller's code: read it before taking the lock. Every
 	// shard holds the same one. The rate is read off the tenant, whose line
 	// the caller has just read, not off the sub-queue's second line, which
@@ -141,20 +140,12 @@ func (tq *tenantQueue) push(ctx context.Context, ev *ingest.Event) error {
 		now = tq.owner.Load().clock()
 	}
 	q := tq.lockOwner()
-	// A push about to be refused takes no sampling tick and no token: it
-	// leaves no trace, and a trace that keeps naming a retired tenant must not
-	// thin out the sampling of the shard's live ones.
-	var traceStart int64
-	if !tq.closed && !q.closed {
-		traceStart = q.sampleLocked()
-		if limited && !tq.token(now) {
-			q.metrics.Ingested.Inc()
-			q.metrics.DroppedRateLimited.Inc()
-			q.drops.Inc()
-			q.mu.Unlock()
-			q.traceDrop(ev, traceStart)
-			return nil
-		}
+	// A push about to be refused takes no token.
+	if limited && !tq.closed && !q.closed && !tq.token(now) {
+		q.drops.Inc()
+		q.mu.Unlock()
+		q.gate.Shed(q.metrics.DroppedRateLimited, trace, uint8(ev.Kind), ev.Tenant, q.shard)
+		return nil
 	}
 	var parkedOn *shardQueue // where this push last slept
 	for {
@@ -168,7 +159,7 @@ func (tq *tenantQueue) push(ctx context.Context, ev *ingest.Event) error {
 			q.mu.Unlock()
 			return runtime.ErrClosed
 		case !tq.buf.Full() && q.total < q.capTotal:
-			q.admitLocked(tq, ev, traceStart)
+			q.admitLocked(tq, ev, trace)
 			q.mu.Unlock()
 			return nil
 		case q.policy == runtime.DropOldest:
@@ -185,41 +176,36 @@ func (tq *tenantQueue) push(ctx context.Context, ev *ingest.Event) error {
 				}
 				victim = q.active[i]
 			}
-			q.metrics.DroppedOldest.Inc()
 			q.drops.Inc()
 			if victim.buf.Len() == 0 {
 				// No evictable backlog on this shard (pathological:
 				// everything mid-handoff); shed the incoming event.
-				q.metrics.Ingested.Inc()
 				q.mu.Unlock()
-				q.traceDrop(ev, traceStart)
+				q.gate.Shed(q.metrics.DroppedOldest, trace, uint8(ev.Kind), ev.Tenant, q.shard)
 				return nil
 			}
+			q.metrics.DroppedOldest.Inc()
 			old := victim.buf.Pop()
 			q.total--
 			q.acct.settled.Inc()
 			if victim.buf.Len() == 0 && victim.active {
 				q.removeActiveLocked(victim)
 			}
-			q.admitLocked(tq, ev, traceStart)
+			q.admitLocked(tq, ev, trace)
 			q.mu.Unlock()
-			q.traceEvicted(&old)
+			q.gate.Dropped(q.span(&old))
 			return nil
 		case q.policy == runtime.DropNewest:
-			q.metrics.Ingested.Inc()
-			q.metrics.DroppedNewest.Inc()
 			q.drops.Inc()
 			q.mu.Unlock()
-			q.traceDrop(ev, traceStart)
+			q.gate.Shed(q.metrics.DroppedNewest, trace, uint8(ev.Kind), ev.Tenant, q.shard)
 			return nil
 		default: // Block
 			parkedOn = q
 			if err := q.waiters.Park(ctx, &q.mu); err != nil {
-				q.metrics.Ingested.Inc()
-				q.metrics.DroppedCanceled.Inc()
 				q.drops.Inc()
 				q.leaveLocked(q)
-				q.traceDrop(ev, traceStart)
+				q.gate.Shed(q.metrics.DroppedCanceled, trace, uint8(ev.Kind), ev.Tenant, q.shard)
 				return err
 			}
 			if tq.owner.Load() != q {
@@ -233,34 +219,14 @@ func (tq *tenantQueue) push(ctx context.Context, ev *ingest.Event) error {
 
 // admitLocked enqueues one event that fits — the item is built in its slot —
 // and accounts it ingested.
-func (q *shardQueue) admitLocked(tq *tenantQueue, ev *ingest.Event, traceStart int64) {
+func (q *shardQueue) admitLocked(tq *tenantQueue, ev *ingest.Event, trace int64) {
 	it := tq.buf.PushSlot()
-	it.p = ingest.Pack(ev, traceStart)
+	it.p = ingest.Pack(ev, trace)
 	it.tn = tq.tn
 	q.total++
 	q.metrics.Ingested.Inc()
 	q.acct.admitted.Inc()
 	q.activateLocked(tq)
-}
-
-// sampleLocked decides whether the push that just took q's lock is traced and
-// returns its stamp (0: not sampled). One push in every sampleEvery is, the
-// shard's first among them, counted on a tick the lock already guards rather
-// than on an atomic every producer shares.
-func (q *shardQueue) sampleLocked() int64 {
-	if q.sampleEvery == 0 {
-		return 0
-	}
-	tick := q.sampleTick
-	if q.sampleTick++; q.sampleTick == q.sampleEvery {
-		q.sampleTick = 0
-	}
-	if tick != 0 {
-		return 0
-	}
-	// A sampled item is one with a stamp, so a reading of exactly 0 (the
-	// tracer's first nanosecond) is nudged to 1.
-	return max(q.tracer.Now(), 1)
 }
 
 // leaveLocked unlocks q on behalf of a push that is going away without
@@ -301,28 +267,25 @@ type shardQueue struct {
 	policy runtime.OverflowPolicy
 	clock  func() float64 // the domain clock the token buckets refill on
 
-	metrics     *runtime.Metrics
-	drops       *runtime.Counter // per-shard, every reason but unknown
-	tracer      *obs.Tracer
-	sampleEvery int         // tracer.Interval(); 0 = tracing off
-	sampleTick  int         // pushes since the last sampled one
-	acct        *settlement // fleet-wide (Barrier)
+	metrics *runtime.Metrics
+	drops   *runtime.Counter // per-shard, every reason but unknown
+	gate    *runtime.Gate    // fleet-wide: sheds are accounted and traced through it
+	acct    *settlement      // fleet-wide (Barrier)
 
 	closed bool
 	shard  int
 }
 
-func newShardQueue(policy runtime.OverflowPolicy, capacity int, m *runtime.Metrics, drops *runtime.Counter, tracer *obs.Tracer, acct *settlement, clock func() float64, shard int) *shardQueue {
+func newShardQueue(policy runtime.OverflowPolicy, capacity int, m *runtime.Metrics, drops *runtime.Counter, gate *runtime.Gate, acct *settlement, clock func() float64, shard int) *shardQueue {
 	q := &shardQueue{
-		capTotal:    capacity,
-		policy:      policy,
-		clock:       clock,
-		metrics:     m,
-		drops:       drops,
-		tracer:      tracer,
-		sampleEvery: tracer.Interval(),
-		acct:        acct,
-		shard:       shard,
+		capTotal: capacity,
+		policy:   policy,
+		clock:    clock,
+		metrics:  m,
+		drops:    drops,
+		gate:     gate,
+		acct:     acct,
+		shard:    shard,
 	}
 	q.notEmpty.L = &q.mu
 	return q
@@ -407,20 +370,6 @@ func (q *shardQueue) settled(buf []item, n int) {
 		tq.inflight.Add(int64(i - j))
 		i = j
 	}
-}
-
-// traceDrop publishes the shed event's partial trace.
-func (q *shardQueue) traceDrop(ev *ingest.Event, traceStart int64) {
-	if traceStart != 0 {
-		q.tracer.PublishDropped(uint8(ev.Kind), ev.Tenant, q.shard,
-			traceStart, traceStart, q.tracer.Now())
-	}
-}
-
-// traceEvicted publishes a queued item's partial trace when it is shed.
-func (q *shardQueue) traceEvicted(it *item) {
-	ev := it.event()
-	q.traceDrop(&ev, it.p.Stamp())
 }
 
 // span is a queued item's trace fields, as the drain body reads them.
@@ -508,7 +457,7 @@ func (tq *tenantQueue) closeAndDrain() {
 	q.drops.Add(int64(shed))
 	for i := 0; i < shed; i++ {
 		old := tq.buf.Pop()
-		q.traceEvicted(&old)
+		q.gate.Dropped(q.span(&old))
 	}
 	q.total -= shed
 	q.acct.settled.Add(int64(shed))

@@ -47,7 +47,7 @@ func pending(a *settlement) int64 { return a.admitted.Value() - a.settled.Value(
 func newQueueHarness(policy runtime.OverflowPolicy) *queueHarness {
 	h := &queueHarness{m: runtime.NewMetrics()}
 	h.q = newShardQueue(policy, 1<<16, h.m, &runtime.Counter{},
-		nil, &h.acct, func() float64 { return h.clock }, 0)
+		runtime.NewGate(nil, h.m, nil), &h.acct, func() float64 { return h.clock }, 0)
 	return h
 }
 
@@ -66,7 +66,7 @@ func queued(tq *tenantQueue) int { return tq.buf.Len() }
 func (h *queueHarness) fill(t *testing.T, tq *tenantQueue, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := tq.push(context.Background(), &ingest.Event{Tenant: tq.tn.spec.ID, Time: float64(i)}); err != nil {
+		if err := tq.push(context.Background(), &ingest.Event{Tenant: tq.tn.spec.ID, Time: float64(i)}, 0); err != nil {
 			t.Fatalf("push %s[%d]: %v", tq.tn.spec.ID, i, err)
 		}
 	}

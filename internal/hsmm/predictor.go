@@ -6,17 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eventlog"
+	"repro/internal/stats"
 )
-
-// retrainGolden mirrors stats.RNG.Split's stream-derivation constant; see
-// ubf.RetrainSeed for the shared scheme.
-const retrainGolden = int64(0x9E3779B97F4A7C15 & 0x7FFFFFFFFFFFFFFF)
-
-// RetrainSeed derives the deterministic training seed for a retrain
-// generation (generation 0 is the initial fit).
-func RetrainSeed(base int64, generation uint64) int64 {
-	return base ^ retrainGolden*int64(generation)
-}
 
 // Window is the labeled sequence window captured for a classifier refit.
 // The slices are owned by the window (CaptureWindow copies the headers;
@@ -191,7 +182,7 @@ func (p *Predictor) Retrain(window any) (core.LayerPredictor, error) {
 		return nil, fmt.Errorf("%w: retrain window is %T, want *hsmm.Window", ErrModel, window)
 	}
 	cfg := p.cfg
-	cfg.Seed = RetrainSeed(p.cfg.Seed, p.gen+1)
+	cfg.Seed = stats.StreamSeed(p.cfg.Seed, int64(p.gen+1))
 	clf, err := TrainClassifier(w.Failure, w.NonFailure, cfg)
 	if err != nil {
 		return nil, err

@@ -9,12 +9,14 @@ import (
 
 // Pipeline stages of one end-to-end trace, in flow order.
 const (
-	// StageIngest is the Ingest() call up to the queue offer (admission
-	// bookkeeping: shard routing, counters).
+	// StageIngest is the Ingest() call up to the queue offer. Every
+	// publisher passes one stamp, taken at Ingest entry, as both, so it reads
+	// 0 on both planes: admission (routing, the queue lock, a Block park)
+	// counts as queue residency.
 	StageIngest = iota
-	// StageQueue is queue residency: from the offer — including any
-	// backpressure wait under the Block policy — to the shard consumer's
-	// pickup.
+	// StageQueue is queue residency: from the offer — including the wait
+	// for the queue lock and any backpressure wait under the Block policy —
+	// to the consumer's pickup.
 	StageQueue
 	// StageApply is the consumer's Apply callback (mirror-state update).
 	StageApply
@@ -131,10 +133,10 @@ func (t *Tracer) SetSampleInterval(n int) {
 // Interval returns the sampling interval (1 = every admission, 0 for a nil
 // tracer). The tracer does not count admissions itself — a counter every
 // producer shares is an atomic an event on a line the publishing consumers
-// write too. Pipelines gate sampling on a count they already own: the
-// runtime on its ingest gate, a fleet shard on a tick under its lock, each
-// stamping its first admission and then one in every Interval. They read it
-// once at construction.
+// write too. Both pipelines gate sampling on the count of their ingest gate
+// (runtime.Gate), on a line only producers write, stamping their first
+// admission and then one in every Interval. The gate reads it once, at
+// construction.
 func (t *Tracer) Interval() int {
 	if t == nil {
 		return 0

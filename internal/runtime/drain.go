@@ -4,8 +4,6 @@ import (
 	"context"
 	"runtime/pprof"
 	"sync"
-
-	"repro/internal/obs"
 )
 
 // DrainCore is the one drain body: Runtime runs one over its ring,
@@ -26,7 +24,9 @@ import (
 type DrainCore[T any] struct {
 	Shell   *Shell
 	Metrics *Metrics
-	Tracer  *obs.Tracer
+	// Gate is the pipeline's ingest gate: its tracer gets the chunks' spans,
+	// and a hard stop publishes what it sheds through it.
+	Gate *Gate
 	// State is held around each chunk's Apply calls (the runtime's mutex, the
 	// fleet's shared side of its state lock), so no cycle scores mid-chunk.
 	State sync.Locker
@@ -117,7 +117,7 @@ func (d *DrainCore[T]) chunkLocked(limit int) int {
 	if n == 0 {
 		return 0
 	}
-	tr, m := d.Tracer, d.Metrics
+	tr, m := d.Gate.tracer, d.Metrics
 	chunk := buf[:n]
 	// Hard stop: shed the chunk unapplied, so shutdown is prompt and the
 	// depth gauges and drop counters settle on consistent final values
@@ -127,13 +127,8 @@ func (d *DrainCore[T]) chunkLocked(limit int) int {
 		if d.Drops != nil {
 			d.Drops.Add(int64(n))
 		}
-		if tr != nil {
-			now := tr.Now()
-			for i := range chunk {
-				if start, kind, key, shard := d.Span(&chunk[i]); start != 0 {
-					tr.PublishDropped(kind, key, shard, start, start, now)
-				}
-			}
+		for i := range chunk {
+			d.Gate.Dropped(d.Span(&chunk[i]))
 		}
 		d.Settle(buf, n)
 		return n

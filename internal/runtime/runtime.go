@@ -6,7 +6,6 @@ import (
 	"fmt"
 	stdruntime "runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/ingest"
@@ -100,20 +99,10 @@ type Runtime struct {
 	// appliers, so there is no second one for a shared side to admit.
 	stateMu sync.Mutex
 
-	// ingestGate drives both producer-side sampling decisions from one
-	// shared atomic per Ingest call: the ingest-latency histogram observes
-	// 1 in ingestLatencyEvery calls (two clock reads per event would
-	// dominate the batched hot path), and trace sampling admits 1 in
-	// sampleEvery calls (the tracer's interval, cached at construction).
-	ingestGate  atomic.Uint64
-	sampleEvery uint64 // 0 = tracing off
-	sampleMask  uint64 // sampleEvery-1 when it is a power of two, else 0
+	// gate is the producer side of Ingest: the samplers, the entry stamp
+	// and the shed accounting.
+	gate *Gate
 }
-
-// ingestLatencyEvery is the ingest-latency sampling interval (power of
-// two). Symmetric across tracing on/off, so the tracing-overhead budget
-// comparison stays apples-to-apples.
-const ingestLatencyEvery = 16
 
 // New validates the configuration and assembles a runtime (not yet
 // running; call Start).
@@ -175,8 +164,9 @@ func New(cfg Config) (*Runtime, error) {
 		Recorder: cfg.Recorder, Clock: r.cfg.Clock, Seats: []*Seat{&r.seat}, Layers: len(layers),
 		Score: func(j, lo, hi int, nows, out []float64) { layers[j].ScoreBatch(nows[lo:hi], out) },
 	}
+	r.gate = NewGate(r.shell, r.metrics, cfg.Tracer)
 	r.drain = DrainCore[queued]{
-		Shell: r.shell, Metrics: r.metrics, Tracer: cfg.Tracer, State: &r.stateMu, Batch: cfg.BatchSize,
+		Shell: r.shell, Metrics: r.metrics, Gate: r.gate, State: &r.stateMu, Batch: cfg.BatchSize,
 		Wait:   r.ring.Wait,
 		Take:   r.ring.Take,
 		Settle: func(_ []queued, n int) { r.ring.Settle(n) },
@@ -190,20 +180,11 @@ func New(cfg Config) (*Runtime, error) {
 			return stamp, uint8(ev.Kind), traceKey(&ev), 0
 		},
 	}
-	if cfg.Tracer != nil {
-		r.sampleEvery = uint64(cfg.Tracer.Interval())
-		if r.sampleEvery > 1 && r.sampleEvery&(r.sampleEvery-1) == 0 {
-			// Power-of-two interval (the default is 16): a mask beats the
-			// hardware division n%every would cost on every single event.
-			r.sampleMask = r.sampleEvery - 1
-		}
-	}
 	// DropOldest evictions are accounted under the ring lock, in eviction
 	// order.
 	r.ring.OnEvict = func(old queued) {
 		r.metrics.DroppedOldest.Inc()
-		ev := old.event()
-		r.traceDrop(&ev, old.p.Stamp())
+		r.gate.Dropped(r.drain.Span(&old))
 	}
 	reg := r.metrics.Registry()
 	reg.GaugeFunc("pfm_queue_depth",
@@ -356,30 +337,10 @@ func (r *Runtime) Start(ctx context.Context) error {
 // policy's contract. Ingest returns ErrClosed once shutdown has begun (the
 // event is then not counted at all).
 //
-// One shared atomic per call drives both producer-side samplers: trace
-// sampling admits one in tracer-interval events (the first call always
-// samples) and the ingest-latency histogram observes
-// one in ingestLatencyEvery calls — the unsampled hot path pays no clock
-// read and no further tracer bookkeeping, and a call picked by both (at the
-// default interval they coincide) reads its start stamp once.
+// The gate (Gate) samples the call for the ingest-latency histogram and for
+// tracing and takes its one stamp at entry.
 func (r *Runtime) Ingest(ctx context.Context, ev ingest.Event) error {
-	n := r.ingestGate.Add(1)
-	timed := n&(ingestLatencyEvery-1) == 1
-	sampled := false
-	if r.sampleMask != 0 {
-		sampled = n&r.sampleMask == 1
-	} else if r.sampleEvery != 0 {
-		sampled = r.sampleEvery == 1 || n%r.sampleEvery == 1
-	}
-	var start, trace int64
-	if timed || sampled {
-		start = r.shell.Nanos()
-	}
-	if sampled {
-		// A sampled event is one with a stamp, so a reading of exactly 0 (the
-		// tracer's first nanosecond) is nudged to 1.
-		trace = max(start, 1)
-	}
+	start, trace := r.gate.Enter()
 	err := r.ring.Push(ctx, queued{ingest.Pack(&ev, trace), ev.Tenant})
 	switch {
 	case err == nil:
@@ -387,27 +348,13 @@ func (r *Runtime) Ingest(ctx context.Context, ev ingest.Event) error {
 	case errors.Is(err, ErrClosed):
 		return ErrClosed
 	case errors.Is(err, ErrRejected):
-		r.metrics.Ingested.Inc()
-		r.metrics.DroppedNewest.Inc()
-		r.traceDrop(&ev, trace)
+		r.gate.Shed(r.metrics.DroppedNewest, trace, uint8(ev.Kind), traceKey(&ev), 0)
 		err = nil
 	default: // canceled Block wait
-		r.metrics.Ingested.Inc()
-		r.metrics.DroppedCanceled.Inc()
-		r.traceDrop(&ev, trace)
+		r.gate.Shed(r.metrics.DroppedCanceled, trace, uint8(ev.Kind), traceKey(&ev), 0)
 	}
-	if timed {
-		r.metrics.IngestLatency.Observe(float64(r.shell.Nanos()-start) / 1e9)
-	}
+	r.gate.Leave(start)
 	return err
-}
-
-// traceDrop publishes a shed event's partial trace (no-op for unsampled
-// events).
-func (r *Runtime) traceDrop(ev *ingest.Event, trace int64) {
-	if tr := r.cfg.Tracer; trace != 0 && tr != nil {
-		tr.PublishDropped(uint8(ev.Kind), traceKey(ev), 0, trace, trace, tr.Now())
-	}
 }
 
 // Barrier blocks until every event admitted to the ingest queue before the

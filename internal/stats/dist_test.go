@@ -219,3 +219,20 @@ func TestRNGDeterminism(t *testing.T) {
 		t.Fatal("Split(1) and Split(2) produced identical streams")
 	}
 }
+
+// TestStreamSeed: the k-th derived seed is base ^ (golden · k), golden the
+// constant Split and both predictors' retrain seeds have always used (so
+// their streams are bit-identical), and generations get distinct seeds.
+func TestStreamSeed(t *testing.T) {
+	const golden = int64(0x1E3779B97F4A7C15) // 0x9E3779B97F4A7C15, sign bit cleared
+	for _, base := range []int64{0, 5, -7, 1 << 62} {
+		for k := int64(0); k < 5; k++ {
+			if got, want := StreamSeed(base, k), base^golden*k; got != want {
+				t.Errorf("StreamSeed(%d, %d) = %#x, want %#x", base, k, got, want)
+			}
+		}
+	}
+	if StreamSeed(5, 1) == StreamSeed(5, 2) {
+		t.Fatal("generation seeds collide")
+	}
+}

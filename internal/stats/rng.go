@@ -26,8 +26,17 @@ func NewRNG(seed int64) *RNG {
 // stream is deterministic. Use it to give subsystems their own streams so
 // adding draws in one place does not perturb another.
 func (g *RNG) Split(i int64) *RNG {
+	return NewRNG(StreamSeed(g.r.Int63(), i+1))
+}
+
+// StreamSeed derives the k-th seed from base: base ^ (golden · k), golden
+// being 2⁶⁴/φ (the Fibonacci-hashing constant) with its sign bit cleared, so
+// nearby k give well-spread seeds. Split seeds its children with it, and a
+// predictor's retrain generation k trains from StreamSeed(Seed, k) — an
+// independent, reproducible stream with no wall clock involved.
+func StreamSeed(base, k int64) int64 {
 	const golden = int64(0x9E3779B97F4A7C15 & 0x7FFFFFFFFFFFFFFF)
-	return NewRNG(g.r.Int63() ^ (golden * (i + 1)))
+	return base ^ golden*k
 }
 
 // Float64 returns a uniform draw in [0,1).

@@ -36,16 +36,34 @@ type Kernel struct {
 	Dir    []float64 // sigmoid direction (unit vector)
 }
 
-// Validate checks the kernel parameters.
+// maxMagnitude bounds every kernel parameter: Center and Dir coordinates
+// lie within ±maxMagnitude and Width within [1/maxMagnitude, maxMagnitude].
+// Inside it, a window whose coordinates lie within ±maxMagnitude meets no
+// ∞−∞ and no 0·∞ on its way through the kernels, so it never scores NaN.
+// Training stays far inside (centers are data points, widths a data scale,
+// directions unit vectors).
+const maxMagnitude = 1e100
+
+// Validate checks the kernel parameters; an error names the one at fault.
 func (k Kernel) Validate(dim int) error {
 	if len(k.Center) != dim || len(k.Dir) != dim {
-		return fmt.Errorf("%w: kernel dims center=%d dir=%d, want %d", ErrUBF, len(k.Center), len(k.Dir), dim)
+		return fmt.Errorf("%w: Center has %d coordinates and Dir %d, want dim %d", ErrUBF, len(k.Center), len(k.Dir), dim)
 	}
-	if k.Width <= 0 || math.IsNaN(k.Width) {
-		return fmt.Errorf("%w: kernel width %g", ErrUBF, k.Width)
+	if !(k.Width >= 1/maxMagnitude && k.Width <= maxMagnitude) {
+		return fmt.Errorf("%w: Width %g, want in [%g, %g]", ErrUBF, k.Width, 1/maxMagnitude, maxMagnitude)
 	}
-	if k.Mix < 0 || k.Mix > 1 || math.IsNaN(k.Mix) {
-		return fmt.Errorf("%w: mixture weight %g", ErrUBF, k.Mix)
+	if !(k.Mix >= 0 && k.Mix <= 1) {
+		return fmt.Errorf("%w: Mix %g, want in [0, 1]", ErrUBF, k.Mix)
+	}
+	for _, c := range []struct {
+		name string
+		v    []float64
+	}{{"Center", k.Center}, {"Dir", k.Dir}} {
+		for j, x := range c.v {
+			if !(math.Abs(x) <= maxMagnitude) {
+				return fmt.Errorf("%w: %s[%d] %g, want within ±%g", ErrUBF, c.name, j, x, maxMagnitude)
+			}
+		}
 	}
 	return nil
 }

@@ -6,19 +6,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mat"
+	"repro/internal/stats"
 )
-
-// retrainGolden mirrors stats.RNG.Split's stream-derivation constant: the
-// retrain seed for generation g is Seed ^ (retrainGolden · g), so every
-// generation trains from an independent, reproducible stream with no wall
-// clock involved.
-const retrainGolden = int64(0x9E3779B97F4A7C15 & 0x7FFFFFFFFFFFFFFF)
-
-// RetrainSeed derives the deterministic training seed for a retrain
-// generation (generation 0 is the initial fit).
-func RetrainSeed(base int64, generation uint64) int64 {
-	return base ^ retrainGolden*int64(generation)
-}
 
 // Window is the training window captured for a UBF refit: a design matrix
 // of feature rows and their regression targets. Both are owned by the
@@ -154,7 +143,7 @@ func (p *Predictor) Retrain(window any) (core.LayerPredictor, error) {
 		return nil, fmt.Errorf("%w: retrain window is %T, want *ubf.Window", ErrUBF, window)
 	}
 	cfg := p.cfg
-	cfg.Seed = RetrainSeed(p.cfg.Seed, p.gen+1)
+	cfg.Seed = stats.StreamSeed(p.cfg.Seed, int64(p.gen+1))
 	net, err := Train(w.X, w.Y, cfg)
 	if err != nil {
 		return nil, err

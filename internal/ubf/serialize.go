@@ -61,7 +61,12 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("%w: %s is null or missing", ErrUBF, f)
 	}
 	if dto.Dim < 1 {
-		return fmt.Errorf("%w: dimension %d", ErrUBF, dto.Dim)
+		return fmt.Errorf("%w: dim %d, want at least 1", ErrUBF, dto.Dim)
+	}
+	// A network has a kernel, as every trained one does: the kernels'
+	// coordinates are what bound dim by the file's size.
+	if len(dto.Kernels) == 0 {
+		return fmt.Errorf("%w: kernels: none, want at least 1", ErrUBF)
 	}
 	if len(dto.Weights) != len(dto.Kernels)+1 {
 		return fmt.Errorf("%w: %d weights for %d kernels", ErrUBF, len(dto.Weights), len(dto.Kernels))
